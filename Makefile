@@ -4,7 +4,7 @@
 #   make bench      = every benchmark with allocation counts
 GO ?= go
 
-.PHONY: all build test race race-faults race-updates race-obs race-governor race-scenarios race-chaos race-energy race-fleet telemetry-smoke governor-smoke scenario-smoke chaos-smoke energy-smoke fleet-smoke fuzz-smoke fuzz-batch-smoke vet vuln bench bench-gate bench-baseline
+.PHONY: all build test race race-faults race-updates race-obs race-governor race-scenarios race-chaos race-energy race-fleet telemetry-smoke governor-smoke scenario-smoke chaos-smoke energy-smoke fleet-smoke fuzz-smoke fuzz-batch-smoke vet vuln bench bench-gate bench-baseline bench-test bench-e2e
 
 all: build test
 
@@ -219,10 +219,13 @@ fleet-smoke:
 	grep -q invariant_audit fleet-smoke/events.jsonl
 	! grep -q vn_degraded fleet-smoke/events.jsonl
 
-# Short deterministic fuzz pass over the operator-facing spec parser (the
-# full corpus run is `go test -fuzz=FuzzParse ./internal/scenario`).
+# Short deterministic fuzz passes over the operator-facing spec parser (the
+# full corpus run is `go test -fuzz=FuzzParse ./internal/scenario`) and over
+# the reference LPM oracle against its exhaustive scan (`go test
+# -fuzz=FuzzTableLookup ./internal/ip`).
 fuzz-smoke:
 	$(GO) test ./internal/scenario -run='^$$' -fuzz=FuzzParse -fuzztime=10s
+	$(GO) test ./internal/ip -run='^$$' -fuzz=FuzzTableLookup -fuzztime=10s
 
 # Short fuzz pass over the batched/scalar/trie lookup equivalence (the full
 # run is `go test -fuzz=FuzzBatchedLookup ./internal/pipeline`).
@@ -244,12 +247,13 @@ vuln:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# The gated benchmarks: the batched headline lookup bench and its scalar
-# oracle reference. -count=3 with benchgate's min-per-name sheds scheduler
-# noise on shared runners; the gate fails on a >10% ns/op regression or any
-# allocs/op increase against the checked-in baseline. bench-gate.out is kept
-# as a CI artifact.
-GATE_BENCH = ^(BenchmarkPipelineLookup|BenchmarkPipelineLookupScalar)$$
+# The gated benchmarks: the batched headline lookup bench, its scalar
+# oracle reference, and the reference LPM every simulated lookup is checked
+# against (lookup and build). -count=3 with benchgate's min-per-name sheds
+# scheduler noise on shared runners; the gate fails on a >10% ns/op
+# regression or any allocs/op increase against the checked-in baseline.
+# bench-gate.out is kept as a CI artifact.
+GATE_BENCH = ^(BenchmarkPipelineLookup|BenchmarkPipelineLookupScalar|BenchmarkReferenceLookup|BenchmarkReferenceBuild)$$
 bench-gate: build
 	$(GO) test -run='^$$' -bench='$(GATE_BENCH)' -benchmem -count=3 . | tee bench-gate.out
 	$(GO) run ./cmd/benchgate -baseline bench_baseline.json < bench-gate.out
@@ -258,3 +262,13 @@ bench-gate: build
 bench-baseline: build
 	$(GO) test -run='^$$' -bench='$(GATE_BENCH)' -benchmem -count=3 . | \
 		$(GO) run ./cmd/benchgate -baseline bench_baseline.json -update
+
+# The repository benchmark (bench/, BENCHMARK.json) is its own module, so
+# `go test ./...` never compiles it. bench-test runs its suite: every
+# workload at 1/32 length with all checks on (~10 s). bench-e2e is the full
+# benchmark: four workloads, 30 s each, end-to-end metrics.
+bench-test:
+	$(GO) test -C bench .
+
+bench-e2e:
+	bash bench/run.sh

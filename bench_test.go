@@ -12,6 +12,7 @@ import (
 
 	"vrpower"
 	"vrpower/internal/experiments"
+	"vrpower/internal/ip"
 	"vrpower/internal/report"
 )
 
@@ -410,6 +411,63 @@ func BenchmarkPipelineLookupScalar(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(reqs))*float64(b.N)/b.Elapsed().Seconds(), "lookups/s")
+}
+
+// referenceFixture is the forward_paper oracle load: the eight 3725-route
+// tables of the paper's set-up and routed uniform traffic over them.
+func referenceFixture(b *testing.B) ([]*vrpower.Table, []vrpower.Request) {
+	b.Helper()
+	set, err := vrpower.GenerateVirtualSet(8, 3725, 0.5, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	gen, err := vrpower.NewTraffic(vrpower.TrafficConfig{
+		K: 8, Seed: 2, Addr: vrpower.RoutedAddr, Tables: set.Tables,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return set.Tables, gen.Requests(8192)
+}
+
+var referenceSink int
+
+// BenchmarkReferenceLookup times the reference LPM (ip.Table) every
+// simulated lookup is checked against — 8192 lookups per op, 0 allocs/op.
+// Gated by `make bench-gate`: the oracle runs once per packet in every
+// netsim runner, so a regression here is a regression of every run.
+func BenchmarkReferenceLookup(b *testing.B) {
+	tables, reqs := referenceFixture(b)
+	refs := make([]*ip.Table, len(tables))
+	for i, t := range tables {
+		refs[i] = t.Reference()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	routed := 0
+	for i := 0; i < b.N; i++ {
+		for _, q := range reqs {
+			if refs[q.VN].Lookup(q.Addr) != vrpower.NoRoute {
+				routed++
+			}
+		}
+	}
+	referenceSink = routed
+	b.ReportMetric(float64(len(reqs))*float64(b.N)/b.Elapsed().Seconds(), "lookups/s")
+}
+
+// BenchmarkReferenceBuild times Table.Reference() over the same eight
+// tables: what netsim.New, every hitless commit and every migration audit
+// pay to get an oracle.
+func BenchmarkReferenceBuild(b *testing.B) {
+	tables, _ := referenceFixture(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, t := range tables {
+			referenceSink += t.Reference().Len()
+		}
+	}
 }
 
 func BenchmarkAnalyticSweep(b *testing.B) {

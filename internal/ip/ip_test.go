@@ -1,8 +1,10 @@
 package ip
 
 import (
+	"errors"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -232,4 +234,240 @@ func TestTableLookupProperty(t *testing.T) {
 			t.Fatalf("iter %d: Lookup(%s) = %d, want %d", iter, addr, got, want)
 		}
 	}
+}
+
+// scanLookup is longest-prefix match by exhaustive scan over a route list —
+// what Table.Lookup was before Table was indexed by prefix length. It stays
+// here as the oracle's own oracle: Table is differentially tested against it.
+func scanLookup(routes []Route, addr Addr) NextHop {
+	best, bestLen := NoRoute, -1
+	for _, r := range routes {
+		if r.Prefix.Len > bestLen && r.Prefix.Contains(addr) {
+			best, bestLen = r.NextHop, r.Prefix.Len
+		}
+	}
+	return best
+}
+
+// scanModel is the route list scanLookup searches, with Table's Add/Remove
+// contract (canonicalise, refuse out-of-range lengths) done the slow way.
+// Its methods are exported for the external test package (export_test.go).
+type scanModel []Route
+
+func (m *scanModel) Add(r Route) error {
+	p, err := PrefixFrom(r.Prefix.Addr, r.Prefix.Len)
+	if err != nil {
+		return err
+	}
+	for i := range *m {
+		if (*m)[i].Prefix == p {
+			(*m)[i].NextHop = r.NextHop
+			return nil
+		}
+	}
+	*m = append(*m, Route{p, r.NextHop})
+	return nil
+}
+
+func (m *scanModel) Remove(p Prefix) bool {
+	p, err := PrefixFrom(p.Addr, p.Len)
+	if err != nil {
+		return false
+	}
+	for i := range *m {
+		if (*m)[i].Prefix == p {
+			*m = append((*m)[:i], (*m)[i+1:]...)
+			return true
+		}
+	}
+	return false
+}
+
+// checkAgainstScan compares tbl with the model on the addresses where an
+// edit of p can show: inside p (first and last), one below and one above it
+// (wrapping at the ends of the address space), and the extra probes.
+func checkAgainstScan(t *testing.T, tbl *Table, m scanModel, p Prefix, extra ...Addr) {
+	t.Helper()
+	if tbl.Len() != len(m) {
+		t.Fatalf("Len = %d, scan model holds %d", tbl.Len(), len(m))
+	}
+	first := p.Addr & Mask(p.Len)
+	last := first | ^Mask(p.Len)
+	for _, a := range append([]Addr{first, last, first - 1, last + 1}, extra...) {
+		if got, want := tbl.Lookup(a), scanLookup(m, a); got != want {
+			t.Fatalf("after editing %s: Lookup(%s) = %d, scan says %d", p, a, got, want)
+		}
+	}
+}
+
+// Random Add / replace / Remove sequences over nested and disjoint prefixes;
+// after every step Table must agree with scanLookup on covered,
+// boundary ±1 and uncovered addresses.
+func TestTableMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for iter := 0; iter < 60; iter++ {
+		// A few anchors make ladders (same address, many lengths) and
+		// siblings; fresh random addresses make disjoint prefixes.
+		anchors := make([]Addr, 1+rng.Intn(4))
+		for i := range anchors {
+			anchors[i] = Addr(rng.Uint32())
+		}
+		draw := func() Prefix {
+			addr := Addr(rng.Uint32())
+			if rng.Intn(3) > 0 {
+				addr = anchors[rng.Intn(len(anchors))] ^ Addr(rng.Intn(4))<<uint(rng.Intn(31))
+			}
+			// Built directly, host bits and all: Add must canonicalise.
+			return Prefix{Addr: addr, Len: rng.Intn(33)}
+		}
+		var tbl Table
+		var m scanModel
+		for step := 0; step < 120; step++ {
+			p := draw()
+			if op := rng.Intn(10); op < 6 {
+				r := Route{p, NextHop(1 + rng.Intn(200))}
+				if err := tbl.Add(r); err != nil {
+					t.Fatalf("Add(%s): %v", p, err)
+				}
+				_ = m.Add(r)
+			} else {
+				if op < 8 && len(m) > 0 {
+					p = m[rng.Intn(len(m))].Prefix // remove a route that exists
+				}
+				if got, want := tbl.Remove(p), m.Remove(p); got != want {
+					t.Fatalf("Remove(%s) = %v, scan model says %v", p, got, want)
+				}
+			}
+			checkAgainstScan(t, &tbl, m, p, Addr(rng.Uint32()), anchors[0])
+		}
+	}
+}
+
+// Lookup is read-only: the sweep pool's workers share one Table per virtual
+// network. Meaningful under -race.
+func TestTableConcurrentLookup(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var tbl Table
+	var m scanModel
+	for i := 0; i < 300; i++ {
+		r := Route{MustPrefix(Addr(rng.Uint32()), 8+rng.Intn(25)), NextHop(1 + i%16)}
+		_ = tbl.Add(r)
+		_ = m.Add(r)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i, r := range m {
+				a := r.Prefix.Addr + Addr(i*w)
+				if got, want := tbl.Lookup(a), scanLookup(m, a); got != want {
+					t.Errorf("worker %d: Lookup(%s) = %d, scan says %d", w, a, got, want)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
+func TestTableEdgeCases(t *testing.T) {
+	def := Prefix{Addr: 0, Len: 0}
+	host := Prefix{Addr: AddrFrom4(10, 1, 2, 3), Len: 32}
+	ten := Prefix{Addr: AddrFrom4(10, 0, 0, 0), Len: 8}
+
+	t.Run("zero table", func(t *testing.T) {
+		var tbl Table
+		if nh := tbl.Lookup(AddrFrom4(1, 2, 3, 4)); nh != NoRoute {
+			t.Errorf("Lookup on zero Table = %d, want NoRoute", nh)
+		}
+		if tbl.Remove(def) || tbl.Len() != 0 {
+			t.Errorf("zero Table: Remove = true or Len = %d", tbl.Len())
+		}
+	})
+
+	t.Run("length out of range", func(t *testing.T) {
+		var tbl Table
+		if err := tbl.Add(Route{ten, 1}); err != nil {
+			t.Fatal(err)
+		}
+		for _, l := range []int{-1, 33, 1 << 20, -1 << 20} {
+			bad := Prefix{Addr: AddrFrom4(10, 0, 0, 0), Len: l}
+			if err := tbl.Add(Route{bad, 9}); !errors.Is(err, ErrPrefixLen) {
+				t.Errorf("Add(len=%d) = %v, want ErrPrefixLen", l, err)
+			}
+			if tbl.Remove(bad) {
+				t.Errorf("Remove(len=%d) = true", l)
+			}
+		}
+		if tbl.Len() != 1 || tbl.Lookup(AddrFrom4(10, 9, 9, 9)) != 1 {
+			t.Errorf("refused routes changed the table: Len = %d", tbl.Len())
+		}
+	})
+
+	t.Run("host bits canonicalised", func(t *testing.T) {
+		var tbl Table
+		dirty := Prefix{Addr: AddrFrom4(10, 1, 2, 3), Len: 8}
+		if err := tbl.Add(Route{dirty, 5}); err != nil {
+			t.Fatal(err)
+		}
+		if nh := tbl.Lookup(AddrFrom4(10, 200, 0, 1)); nh != 5 {
+			t.Errorf("Lookup under a route added with host bits = %d, want 5", nh)
+		}
+		if err := tbl.Add(Route{ten, 6}); err != nil || tbl.Len() != 1 {
+			t.Errorf("canonical form did not replace: err %v, Len %d", err, tbl.Len())
+		}
+		if !tbl.Remove(dirty) || tbl.Len() != 0 {
+			t.Errorf("Remove by the uncanonical form failed: Len %d", tbl.Len())
+		}
+	})
+
+	t.Run("default and host routes", func(t *testing.T) {
+		var tbl Table
+		for _, r := range []Route{{def, 1}, {host, 2}, {ten, 3}} {
+			if err := tbl.Add(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, c := range []struct {
+			addr Addr
+			want NextHop
+		}{
+			{0, 1},
+			{^Addr(0), 1},
+			{AddrFrom4(10, 1, 2, 3), 2},
+			{AddrFrom4(10, 1, 2, 2), 3},
+			{AddrFrom4(10, 1, 2, 4), 3},
+			{AddrFrom4(9, 255, 255, 255), 1},
+			{AddrFrom4(11, 0, 0, 0), 1},
+		} {
+			if got := tbl.Lookup(c.addr); got != c.want {
+				t.Errorf("Lookup(%s) = %d, want %d", c.addr, got, c.want)
+			}
+		}
+		if !tbl.Remove(def) {
+			t.Error("Remove(/0) = false")
+		}
+		if got := tbl.Lookup(AddrFrom4(11, 0, 0, 0)); got != NoRoute {
+			t.Errorf("Lookup after removing /0 = %d, want NoRoute", got)
+		}
+	})
+
+	t.Run("replace then remove", func(t *testing.T) {
+		var tbl Table
+		for _, nh := range []NextHop{1, 2, 3} {
+			if err := tbl.Add(Route{host, nh}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if tbl.Len() != 1 || tbl.Lookup(host.Addr) != 3 {
+			t.Fatalf("after two replaces: Len %d, Lookup %d, want 1 and 3", tbl.Len(), tbl.Lookup(host.Addr))
+		}
+		if !tbl.Remove(host) || tbl.Remove(host) {
+			t.Error("Remove after replace: want true then false")
+		}
+		if tbl.Len() != 0 || tbl.Lookup(host.Addr) != NoRoute {
+			t.Errorf("after remove: Len %d, Lookup %d", tbl.Len(), tbl.Lookup(host.Addr))
+		}
+	})
 }

@@ -295,8 +295,12 @@ func GenerateVirtualSet(k, prefixes int, share float64, seed int64) (*VirtualSet
 			own = &Table{Name: fmt.Sprintf("vn%d", i)}
 		}
 		// Splice in the shared pool slice with per-VN next hops.
+		index := make(map[ip.Prefix]int, prefixes)
+		for j, r := range own.Routes {
+			index[r.Prefix] = j
+		}
 		for _, r := range pool.Routes[:nShared] {
-			own.Add(ip.Route{Prefix: r.Prefix, NextHop: ip.NextHop(1 + rng.Intn(16))})
+			own.addIndexed(index, ip.Route{Prefix: r.Prefix, NextHop: ip.NextHop(1 + rng.Intn(16))})
 		}
 		own.Sort()
 		set.Tables = append(set.Tables, own)

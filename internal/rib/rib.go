@@ -38,6 +38,19 @@ func (t *Table) Add(r ip.Route) {
 	t.Routes = append(t.Routes, r)
 }
 
+// addIndexed is Add for loops that load many routes: index maps every prefix
+// already in t.Routes to its position, which replaces Add's linear duplicate
+// scan. It reports whether the route was new.
+func (t *Table) addIndexed(index map[ip.Prefix]int, r ip.Route) bool {
+	if i, ok := index[r.Prefix]; ok {
+		t.Routes[i].NextHop = r.NextHop
+		return false
+	}
+	index[r.Prefix] = len(t.Routes)
+	t.Routes = append(t.Routes, r)
+	return true
+}
+
 // Sort orders routes by prefix (address, then length) in place.
 func (t *Table) Sort() {
 	sort.Slice(t.Routes, func(i, j int) bool {
@@ -45,12 +58,15 @@ func (t *Table) Sort() {
 	})
 }
 
-// Reference returns an exhaustive-scan lookup table over the same routes,
-// used as the correctness oracle in tests and netsim.
+// Reference returns the reference LPM (ip.Table, length-indexed sorted
+// arrays) over the same routes, used as the correctness oracle in tests and
+// netsim. It shares no code with the trie, merge or pipeline structures it
+// checks. Building it is O(n log n); a route whose prefix length is out of
+// range is left out, as no lookup structure can hold it either.
 func (t *Table) Reference() *ip.Table {
 	var ref ip.Table
 	for _, r := range t.Routes {
-		ref.Add(r)
+		_ = ref.Add(r) // only ErrPrefixLen: such a route matches nothing
 	}
 	return &ref
 }
@@ -82,6 +98,7 @@ func (t *Table) Write(w io.Writer) error {
 // starting with '#' are ignored.
 func Read(name string, r io.Reader) (*Table, error) {
 	t := &Table{Name: name}
+	index := make(map[ip.Prefix]int)
 	sc := bufio.NewScanner(r)
 	lineno := 0
 	for sc.Scan() {
@@ -102,7 +119,7 @@ func Read(name string, r io.Reader) (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("rib: %s:%d: bad next hop %q", name, lineno, fields[1])
 		}
-		t.Add(ip.Route{Prefix: p, NextHop: ip.NextHop(nh)})
+		t.addIndexed(index, ip.Route{Prefix: p, NextHop: ip.NextHop(nh)})
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("rib: reading %s: %v", name, err)
@@ -119,6 +136,7 @@ func ReadPrefixList(name string, r io.Reader, ports int) (*Table, error) {
 		return nil, fmt.Errorf("rib: ports = %d, want >= 1", ports)
 	}
 	t := &Table{Name: name}
+	index := make(map[ip.Prefix]int)
 	sc := bufio.NewScanner(r)
 	lineno, next := 0, 1
 	for sc.Scan() {
@@ -131,9 +149,7 @@ func ReadPrefixList(name string, r io.Reader, ports int) (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("rib: %s:%d: %v", name, lineno, err)
 		}
-		before := t.Len()
-		t.Add(ip.Route{Prefix: p, NextHop: ip.NextHop(next)})
-		if t.Len() > before {
+		if t.addIndexed(index, ip.Route{Prefix: p, NextHop: ip.NextHop(next)}) {
 			next++
 			if next > ports {
 				next = 1

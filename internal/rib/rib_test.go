@@ -2,6 +2,8 @@ package rib
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -312,5 +314,65 @@ func TestReadPrefixList(t *testing.T) {
 	}
 	if _, err := ReadPrefixList("bad", strings.NewReader(""), 0); err == nil {
 		t.Error("ports=0 accepted")
+	}
+}
+
+// The digests were recorded from the commit before GenerateVirtualSet, Read
+// and ReadPrefixList switched from Table.Add's linear duplicate scan to a
+// prefix index: SHA-256 over Write of the eight tables, in order. The
+// generated tables must stay byte-identical — every golden and every
+// benchmark digest downstream is a function of them.
+func TestGenerateVirtualSetDigests(t *testing.T) {
+	for _, c := range []struct {
+		seed int64
+		want string
+	}{
+		{1, "4c61607cb1b49fd6ff3ddfdfe1cc1c9d880679073a92985f3eeb9359377fda27"},
+		{2, "0ee419892f1331e83247af60ebf9111bf06d271385aa56a96ee3aa611e39f729"},
+		{7, "de213e76850aabe6a4a18d9a6f8adc9e45831728c170c2b8879ea5cc2f071c45"},
+	} {
+		set, err := GenerateVirtualSet(8, 3725, 0.5, c.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		for _, tbl := range set.Tables {
+			if err := tbl.Write(h); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := fmt.Sprintf("%x", h.Sum(nil)); got != c.want {
+			t.Errorf("seed %d: digest %s, want %s", c.seed, got, c.want)
+		}
+	}
+}
+
+// A repeated prefix replaces the earlier next hop in place and keeps the
+// first occurrence's position, in both readers.
+func TestReadersCollapseDuplicatesInOrder(t *testing.T) {
+	tbl, err := Read("dup", strings.NewReader("10.0.0.0/8 1\n10.1.0.0/16 2\n10.0.0.0/8 3\n192.168.0.0/24 4\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := tbl.Write(&got); err != nil {
+		t.Fatal(err)
+	}
+	if want := "# table dup, 3 routes\n10.0.0.0/8 3\n10.1.0.0/16 2\n192.168.0.0/24 4\n"; got.String() != want {
+		t.Errorf("Read:\n%swant:\n%s", got.String(), want)
+	}
+
+	tbl, err = ReadPrefixList("dup", strings.NewReader("10.0.0.0/8\n10.1.0.0/16\n10.0.0.0/8\n192.168.0.0/24\n"), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got.Reset()
+	if err := tbl.Write(&got); err != nil {
+		t.Fatal(err)
+	}
+	// The duplicate re-stamps 10/8 with the port it would have drawn (3) but
+	// does not consume it, exactly as Table.Add-based loading did.
+	if want := "# table dup, 3 routes\n10.0.0.0/8 3\n10.1.0.0/16 2\n192.168.0.0/24 3\n"; got.String() != want {
+		t.Errorf("ReadPrefixList:\n%swant:\n%s", got.String(), want)
 	}
 }
