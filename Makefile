@@ -12,10 +12,12 @@ build:
 	$(GO) build ./...
 
 # Tier-1 tests plus a race-detector pass over the concurrent packages (the
-# sweep pool, its consumers, and the instrumentation layer).
+# sweep pool, its consumers, the instrumentation layer, and the image-
+# ownership tests: pristine images shared by readers while clones are
+# written — pipeline's slab/clone tests, ctrl's coherence property test).
 test: build
 	$(GO) test ./...
-	$(GO) test -race ./internal/experiments/... ./internal/sweep/... ./internal/obs/... ./internal/netsim/...
+	$(GO) test -race ./internal/experiments/... ./internal/sweep/... ./internal/obs/... ./internal/netsim/... ./internal/ctrl/... ./internal/pipeline/...
 
 race:
 	$(GO) test -race ./...
@@ -248,12 +250,14 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # The gated benchmarks: the batched headline lookup bench, its scalar
-# oracle reference, and the reference LPM every simulated lookup is checked
-# against (lookup and build). -count=3 with benchgate's min-per-name sheds
-# scheduler noise on shared runners; the gate fails on a >10% ns/op
-# regression or any allocs/op increase against the checked-in baseline.
+# oracle reference, the reference LPM every simulated lookup is checked
+# against (lookup and build), and the image compiler and Image.Clone every
+# build, scrub, hitless batch and migration pays. -count=3 with benchgate's
+# min-per-name sheds scheduler noise on shared runners; the gate fails on a
+# >10% ns/op regression or any allocs/op increase against the checked-in
+# baseline.
 # bench-gate.out is kept as a CI artifact.
-GATE_BENCH = ^(BenchmarkPipelineLookup|BenchmarkPipelineLookupScalar|BenchmarkReferenceLookup|BenchmarkReferenceBuild)$$
+GATE_BENCH = ^(BenchmarkPipelineLookup|BenchmarkPipelineLookupScalar|BenchmarkReferenceLookup|BenchmarkReferenceBuild|BenchmarkImageCompile|BenchmarkImageClone)$$
 bench-gate: build
 	$(GO) test -run='^$$' -bench='$(GATE_BENCH)' -benchmem -count=3 . | tee bench-gate.out
 	$(GO) run ./cmd/benchgate -baseline bench_baseline.json < bench-gate.out

@@ -11,8 +11,10 @@ import (
 	"testing"
 
 	"vrpower"
+	"vrpower/internal/core"
 	"vrpower/internal/experiments"
 	"vrpower/internal/ip"
+	"vrpower/internal/pipeline"
 	"vrpower/internal/report"
 )
 
@@ -468,6 +470,69 @@ func BenchmarkReferenceBuild(b *testing.B) {
 			referenceSink += t.Reference().Len()
 		}
 	}
+}
+
+// imageFixture is the paper's set-up leaf-pushed and ready to compile, as a
+// function that compiles it: the eight 3725-route tables as separate
+// engines plus their K=8 merge — the images of a VS and a VM router.
+func imageFixture(b *testing.B) func() []*vrpower.Image {
+	b.Helper()
+	tables, _ := referenceFixture(b)
+	tries := make([]*vrpower.Trie, len(tables))
+	for i, t := range tables {
+		tries[i] = vrpower.BuildTrie(t.Routes)
+		tries[i].LeafPush()
+	}
+	m, err := vrpower.MergeTables(tables)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m.LeafPush()
+	return func() []*vrpower.Image {
+		images := make([]*vrpower.Image, 0, len(tries)+1)
+		for _, tr := range tries {
+			img, err := pipeline.Compile(tr, core.DefaultStages)
+			if err != nil {
+				b.Fatal(err)
+			}
+			images = append(images, img)
+		}
+		img, err := pipeline.CompileMerged(m, core.DefaultStages)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return append(images, img)
+	}
+}
+
+var imageSink []*vrpower.Image
+
+// BenchmarkImageCompile times the trie→stage-memory compiler alone (tries
+// built outside the loop): nine images per op. Gated by `make bench-gate`:
+// every scrub, hitless batch, migration and router build pays this, and its
+// allocs/op is what the run's GC sees.
+func BenchmarkImageCompile(b *testing.B) {
+	compile := imageFixture(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		imageSink = compile()
+	}
+}
+
+// BenchmarkImageClone times Image.Clone over the same nine images: what a
+// data plane pays to serve a private copy of a pristine image.
+func BenchmarkImageClone(b *testing.B) {
+	images := imageFixture(b)()
+	clones := make([]*vrpower.Image, len(images))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j, img := range images {
+			clones[j] = img.Clone()
+		}
+	}
+	imageSink = clones
 }
 
 func BenchmarkAnalyticSweep(b *testing.B) {

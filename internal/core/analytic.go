@@ -147,7 +147,7 @@ func BuildAnalytic(cfg Config, prof TableProfile, alpha float64) (*Router, error
 		}
 		engines = []power.EngineDesign{{StageBits: stageBits, Utilization: 1}}
 	}
-	r, err := assemble(cfg, engines)
+	r, err := place(cfg, engines)
 	if err != nil {
 		return nil, err
 	}

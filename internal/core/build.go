@@ -13,7 +13,9 @@ import (
 
 // Build constructs a router of cfg.Scheme from the K routing tables:
 // tables → (merged) leaf-pushed tries → compiled pipeline images → placed
-// design with its achievable clock and power-model input.
+// design with its achievable clock and power-model input. It is
+// CompileTable for each table (one merged compile for VM) followed by
+// Assemble.
 func Build(cfg Config, tables []*rib.Table) (*Router, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -22,51 +24,86 @@ func Build(cfg Config, tables []*rib.Table) (*Router, error) {
 	if len(tables) != cfg.K {
 		return nil, fmt.Errorf("core: %d tables for K = %d", len(tables), cfg.K)
 	}
-
 	var images []*pipeline.Image
-	switch cfg.Scheme {
-	case NV, VS:
-		for _, tbl := range tables {
-			tr := trie.Build(tbl.Routes)
-			tr.LeafPush()
-			var img *pipeline.Image
-			var err error
-			if cfg.Balanced {
-				sm, serr := balancedMap(cfg, trieLevelBits(cfg, tr.Stats().PerLevel, 1))
-				if serr != nil {
-					return nil, serr
-				}
-				img, err = pipeline.CompileMapped(tr, sm)
-			} else {
-				img, err = pipeline.Compile(tr, cfg.Stages)
-			}
-			if err != nil {
-				return nil, err
-			}
-			images = append(images, img)
-		}
-	case VM:
-		m, err := merge.Build(tables)
-		if err != nil {
-			return nil, err
-		}
-		m.LeafPush()
-		var img *pipeline.Image
-		if cfg.Balanced {
-			sm, serr := balancedMap(cfg, mergedLevelBits(cfg, m.Stats().PerLevel, m.K()))
-			if serr != nil {
-				return nil, serr
-			}
-			img, err = pipeline.CompileMergedMapped(m, sm)
-		} else {
-			img, err = pipeline.CompileMerged(m, cfg.Stages)
-		}
+	if cfg.Scheme == VM {
+		img, err := CompileMerged(cfg, tables)
 		if err != nil {
 			return nil, err
 		}
 		images = []*pipeline.Image{img}
+	} else {
+		images = make([]*pipeline.Image, len(tables))
+		for i, tbl := range tables {
+			var err error
+			if images[i], err = CompileTable(cfg, tbl); err != nil {
+				return nil, err
+			}
+		}
 	}
+	return Assemble(cfg, images)
+}
 
+// CompileTable compiles one table's engine image the way Build does for an
+// NV or VS router: leaf-pushed trie, cfg's stage count and mapping. The
+// image depends on cfg.Stages, cfg.Balanced, cfg.Layout and the table, and
+// on nothing else in cfg — not the scheme, not K — so one compiled image
+// serves every router that hosts the table.
+func CompileTable(cfg Config, tbl *rib.Table) (*pipeline.Image, error) {
+	cfg = cfg.withDefaults()
+	tr := trie.Build(tbl.Routes)
+	tr.LeafPush()
+	if !cfg.Balanced {
+		return pipeline.Compile(tr, cfg.Stages)
+	}
+	sm, err := balancedMap(cfg, trieLevelBits(cfg, tr.Stats().PerLevel, 1))
+	if err != nil {
+		return nil, err
+	}
+	return pipeline.CompileMapped(tr, sm)
+}
+
+// CompileMerged compiles the shared engine image of a VM router over
+// tables. Unlike CompileTable's, this image is a function of the whole
+// tenant list and its order.
+func CompileMerged(cfg Config, tables []*rib.Table) (*pipeline.Image, error) {
+	cfg = cfg.withDefaults()
+	m, err := merge.Build(tables)
+	if err != nil {
+		return nil, err
+	}
+	m.LeafPush()
+	if !cfg.Balanced {
+		return pipeline.CompileMerged(m, cfg.Stages)
+	}
+	sm, err := balancedMap(cfg, mergedLevelBits(cfg, m.Stats().PerLevel, m.K()))
+	if err != nil {
+		return nil, err
+	}
+	return pipeline.CompileMergedMapped(m, sm)
+}
+
+// Assemble builds the router of cfg.Scheme over already-compiled engine
+// images — K of them for NV/VS, the one merged image for VM: per-device
+// resources → fpga.Place → achievable clock → power-model input. It walks no
+// trie; its cost is a pass over the images' stage memories.
+//
+// The router keeps the image pointers it is given and Images() returns
+// them, so images shared between routers (or owned by a cache) must be
+// treated as read-only through every router assembled over them; a caller
+// that will write to one — fault injection, a shadow-bank update — serves
+// img.Clone() instead.
+func Assemble(cfg Config, images []*pipeline.Image) (*Router, error) {
+	cfg = cfg.withDefaults()
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	want := cfg.K
+	if cfg.Scheme == VM {
+		want = 1
+	}
+	if len(images) != want {
+		return nil, fmt.Errorf("core: %d images for a %s router with K = %d, want %d", len(images), cfg.Scheme, cfg.K, want)
+	}
 	engines := make([]power.EngineDesign, len(images))
 	var ptrBits, nhiBits int64
 	for i, img := range images {
@@ -78,7 +115,7 @@ func Build(cfg Config, tables []*rib.Table) (*Router, error) {
 		ptrBits += p
 		nhiBits += n
 	}
-	r, err := assemble(cfg, engines)
+	r, err := place(cfg, engines)
 	if err != nil {
 		return nil, err
 	}
@@ -123,9 +160,9 @@ func engineUtilization(s Scheme, k int) float64 {
 	return 1 / float64(k)
 }
 
-// assemble computes per-device resources, places the design, derives the
+// place computes per-device resources, places the design, derives the
 // achievable clock and finalises the power-model input.
-func assemble(cfg Config, engines []power.EngineDesign) (*Router, error) {
+func place(cfg Config, engines []power.EngineDesign) (*Router, error) {
 	devices := 1
 	if cfg.Scheme == NV {
 		devices = cfg.K

@@ -65,10 +65,18 @@ type Event struct {
 }
 
 // Manager hosts a virtualized router (VS or VM) and mutates its set of
-// virtual networks at runtime.
+// virtual networks at runtime. It owns the authoritative tables and, with
+// them, the one pristine compiled image of every engine; the data plane
+// serves clones of those (PinnedImages, PinnedImage, HitlessUpdate.Image,
+// ScrubNetwork), so nothing the data plane does to its copy — an SEU, a
+// shadow-bank write — can reach the control plane's.
 type Manager struct {
 	cfg    core.Config
 	tables []*rib.Table
+	// pinned[e] is engine e's image compiled under sm from the live tables:
+	// one per table for VS, the one merged image for VM. It is replaced,
+	// never written, and router is assembled over exactly these images.
+	pinned []*pipeline.Image
 	router *core.Router
 	events []Event
 	// sm pins a fixed stage map so image diffs across rebuilds are
@@ -125,12 +133,13 @@ func (m *Manager) guardMutation(action Action) error {
 
 // New builds the manager around an initial set of networks. Only the
 // virtualized schemes are dynamic; NV changes mean racking a new device,
-// which needs no manager.
+// which needs no manager. Every image is compiled under one pinned
+// fold-into-stage-0 map over all 33 levels, so cfg.Balanced does not apply.
 func New(cfg core.Config, tables []*rib.Table) (*Manager, error) {
 	if cfg.Scheme == core.NV {
 		return nil, fmt.Errorf("ctrl: the non-virtualized scheme has no runtime lifecycle")
 	}
-	cfg.K = len(tables)
+	cfg.Balanced = false
 	stages := cfg.Stages
 	if stages == 0 {
 		stages = core.DefaultStages
@@ -140,26 +149,56 @@ func New(cfg core.Config, tables []*rib.Table) (*Manager, error) {
 		return nil, err
 	}
 	m := &Manager{cfg: cfg, sm: sm}
-	m.tables = append(m.tables, tables...)
-	if err := m.rebuild(); err != nil {
+	live := append([]*rib.Table(nil), tables...)
+	var pinned []*pipeline.Image
+	if cfg.Scheme == core.VM {
+		img, err := m.compileMerged(live)
+		if err != nil {
+			return nil, err
+		}
+		pinned = []*pipeline.Image{img}
+	} else {
+		for _, tbl := range live {
+			img, err := m.compileSeparate(tbl)
+			if err != nil {
+				return nil, err
+			}
+			pinned = append(pinned, img)
+		}
+	}
+	if err := m.install(live, pinned); err != nil {
 		return nil, err
 	}
 	return m, nil
 }
 
-// rebuild reconstructs the router for the current table set.
-func (m *Manager) rebuild() error {
+// install makes (tables, pinned) the live set, provided a router can be
+// placed over the images; on error the manager is unchanged. Both slices
+// become the manager's own.
+func (m *Manager) install(tables []*rib.Table, pinned []*pipeline.Image) error {
 	cfg := m.cfg
-	cfg.K = len(m.tables)
-	r, err := core.Build(cfg, m.tables)
+	cfg.K = len(tables)
+	r, err := core.Assemble(cfg, append([]*pipeline.Image(nil), pinned...))
 	if err != nil {
 		return err
 	}
-	m.router = r
+	m.tables, m.pinned, m.router = tables, pinned, r
 	return nil
 }
 
-// Router returns the currently running router.
+// engineOf maps a network to the engine slot holding its routes: its own
+// engine in the separate scheme, the shared engine 0 in the merged one.
+func (m *Manager) engineOf(vn int) int {
+	if m.cfg.Scheme == core.VM {
+		return 0
+	}
+	return vn
+}
+
+// Router returns the currently running router. Its Images() are the
+// manager's pristine images themselves: read them, never write them — a
+// data plane that may (fault injection, shadow-bank updates) serves
+// PinnedImages() instead.
 func (m *Manager) Router() *core.Router { return m.router }
 
 // K returns the number of networks in service.
@@ -168,7 +207,8 @@ func (m *Manager) K() int { return len(m.tables) }
 // Events returns the lifecycle log.
 func (m *Manager) Events() []Event { return m.events }
 
-// Tables returns the live tables (shared storage).
+// Tables returns the live tables (shared storage). Lifecycle operations
+// replace the slice, so read it again after one.
 func (m *Manager) Tables() []*rib.Table { return m.tables }
 
 // compileSeparate compiles one table's engine image under the pinned stage
@@ -190,6 +230,22 @@ func (m *Manager) compileMerged(tables []*rib.Table) (*pipeline.Image, error) {
 	return pipeline.CompileMergedMapped(mg, m.sm)
 }
 
+// withTable returns a copy of the live table set with network vn's table
+// replaced by tbl, and the image of vn's engine compiled over that set: the
+// table's own engine for VS, the whole merged structure for VM.
+func (m *Manager) withTable(vn int, tbl *rib.Table) ([]*rib.Table, *pipeline.Image, error) {
+	tables := append([]*rib.Table(nil), m.tables...)
+	tables[vn] = tbl
+	var img *pipeline.Image
+	var err error
+	if m.cfg.Scheme == core.VM {
+		img, err = m.compileMerged(tables)
+	} else {
+		img, err = m.compileSeparate(tbl)
+	}
+	return tables, img, err
+}
+
 // AddNetwork brings tbl into service. For VS the new engine is compiled and
 // placed beside the running ones (the add fails with a capacity error when
 // the device is out of I/O or memory, reproducing the paper's VS
@@ -198,47 +254,48 @@ func (m *Manager) AddNetwork(tbl *rib.Table) (Event, error) {
 	if err := m.guardMutation(Add); err != nil {
 		return Event{}, err
 	}
-	var before *pipeline.Image
-	var err error
-	if m.cfg.Scheme == core.VM {
-		before, err = m.compileMerged(m.tables)
-		if err != nil {
-			return Event{}, err
-		}
-	}
-	m.tables = append(m.tables, tbl)
-	if err := m.rebuild(); err != nil {
-		m.tables = m.tables[:len(m.tables)-1]
-		if rerr := m.rebuild(); rerr != nil {
-			return Event{}, fmt.Errorf("ctrl: add failed (%v) and rollback failed (%v)", err, rerr)
-		}
-		return Event{}, err
-	}
-	ev := Event{Action: Add, VN: len(m.tables) - 1, K: len(m.tables)}
+	tables := append(append([]*rib.Table(nil), m.tables...), tbl)
+	ev := Event{Action: Add, VN: len(tables) - 1, K: len(tables)}
 	if m.cfg.Scheme == core.VS {
-		// Only the new engine loads; running networks are untouched.
-		ev.DisruptedNetworks = 1
 		img, err := m.compileSeparate(tbl)
 		if err != nil {
 			return Event{}, err
 		}
+		if err := m.install(tables, append(append([]*pipeline.Image(nil), m.pinned...), img)); err != nil {
+			return Event{}, err
+		}
+		// Only the new engine loads; running networks are untouched.
+		ev.DisruptedNetworks = 1
 		ev.Writes = img.Words()
 		ev.Bubbles = 0 // the engine loads before it is put in service
 	} else {
-		after, err := m.compileMerged(m.tables)
+		writes, err := m.swapMerged(tables)
 		if err != nil {
 			return Event{}, err
 		}
-		writes, err := update.Diff(before, after)
-		if err != nil {
-			return Event{}, err
-		}
-		ev.DisruptedNetworks = len(m.tables)
+		ev.DisruptedNetworks = len(tables)
 		ev.Writes = len(writes)
 		ev.Bubbles = update.Bubbles(writes)
 	}
 	m.record(ev)
 	return ev, nil
+}
+
+// swapMerged replaces the merged scheme's table set: the shared structure
+// is recompiled over tables, diffed against the serving image and installed.
+func (m *Manager) swapMerged(tables []*rib.Table) ([]update.Write, error) {
+	after, err := m.compileMerged(tables)
+	if err != nil {
+		return nil, err
+	}
+	writes, err := update.Diff(m.pinned[0], after)
+	if err != nil {
+		return nil, err
+	}
+	if err := m.install(tables, []*pipeline.Image{after}); err != nil {
+		return nil, err
+	}
+	return writes, nil
 }
 
 // RemoveNetwork retires network vn and compacts indices above it.
@@ -252,37 +309,20 @@ func (m *Manager) RemoveNetwork(vn int) (Event, error) {
 	if len(m.tables) == 1 {
 		return Event{}, fmt.Errorf("ctrl: cannot remove the last network")
 	}
-	var before *pipeline.Image
-	var err error
-	if m.cfg.Scheme == core.VM {
-		before, err = m.compileMerged(m.tables)
-		if err != nil {
+	tables := append(append([]*rib.Table(nil), m.tables[:vn]...), m.tables[vn+1:]...)
+	ev := Event{Action: Remove, VN: vn, K: len(tables)}
+	if m.cfg.Scheme == core.VS {
+		pinned := append(append([]*pipeline.Image(nil), m.pinned[:vn]...), m.pinned[vn+1:]...)
+		if err := m.install(tables, pinned); err != nil {
 			return Event{}, err
 		}
-	}
-	prev := make([]*rib.Table, len(m.tables))
-	copy(prev, m.tables)
-	m.tables = append(m.tables[:vn], m.tables[vn+1:]...)
-	if err := m.rebuild(); err != nil {
-		m.tables = prev
-		if rerr := m.rebuild(); rerr != nil {
-			return Event{}, fmt.Errorf("ctrl: remove failed (%v) and rollback failed (%v)", err, rerr)
-		}
-		return Event{}, err
-	}
-	ev := Event{Action: Remove, VN: vn, K: len(m.tables)}
-	if m.cfg.Scheme == core.VS {
 		ev.DisruptedNetworks = 1 // the retired network only
 	} else {
-		after, err := m.compileMerged(m.tables)
+		writes, err := m.swapMerged(tables)
 		if err != nil {
 			return Event{}, err
 		}
-		writes, err := update.Diff(before, after)
-		if err != nil {
-			return Event{}, err
-		}
-		ev.DisruptedNetworks = len(m.tables) + 1
+		ev.DisruptedNetworks = len(tables) + 1
 		ev.Writes = len(writes)
 		ev.Bubbles = update.Bubbles(writes)
 	}
@@ -299,36 +339,18 @@ func (m *Manager) ApplyUpdates(vn int, ops []update.Op) (Event, error) {
 	if vn < 0 || vn >= len(m.tables) {
 		return Event{}, fmt.Errorf("ctrl: network %d outside [0,%d)", vn, len(m.tables))
 	}
-	var beforeImg *pipeline.Image
-	var err error
-	if m.cfg.Scheme == core.VM {
-		beforeImg, err = m.compileMerged(m.tables)
-	} else {
-		beforeImg, err = m.compileSeparate(m.tables[vn])
-	}
+	e := m.engineOf(vn)
+	tables, after, err := m.withTable(vn, update.Apply(m.tables[vn], ops))
 	if err != nil {
 		return Event{}, err
 	}
-	prev := m.tables[vn]
-	m.tables[vn] = update.Apply(m.tables[vn], ops)
-	if err := m.rebuild(); err != nil {
-		m.tables[vn] = prev
-		if rerr := m.rebuild(); rerr != nil {
-			return Event{}, fmt.Errorf("ctrl: update failed (%v) and rollback failed (%v)", err, rerr)
-		}
-		return Event{}, err
-	}
-	var afterImg *pipeline.Image
-	if m.cfg.Scheme == core.VM {
-		afterImg, err = m.compileMerged(m.tables)
-	} else {
-		afterImg, err = m.compileSeparate(m.tables[vn])
-	}
+	writes, err := update.Diff(m.pinned[e], after)
 	if err != nil {
 		return Event{}, err
 	}
-	writes, err := update.Diff(beforeImg, afterImg)
-	if err != nil {
+	pinned := append([]*pipeline.Image(nil), m.pinned...)
+	pinned[e] = after
+	if err := m.install(tables, pinned); err != nil {
 		return Event{}, err
 	}
 	ev := Event{Action: Update, VN: vn, K: len(m.tables), Writes: len(writes), Bubbles: update.Bubbles(writes)}

@@ -14,7 +14,6 @@ package ctrl
 import (
 	"fmt"
 
-	"vrpower/internal/core"
 	"vrpower/internal/obs"
 	"vrpower/internal/pipeline"
 	"vrpower/internal/rib"
@@ -28,27 +27,29 @@ var (
 	obsHitlessBubbles = obs.NewCounter("ctrl.hitless_bubbles")
 )
 
-// PinnedImages compiles every engine's image under the manager's pinned
-// stage map — the serving baseline a hitless-update driver must start from,
-// because BeginHitlessUpdate diffs against this same compilation and the
-// write budget only covers that word-for-word delta.
+// PinnedImages returns a private copy of every engine's image as compiled
+// under the manager's pinned stage map — the serving baseline a hitless-
+// update driver must start from, because BeginHitlessUpdate diffs against
+// this same compilation and the write budget only covers that word-for-word
+// delta. Nothing is compiled: the images are clones of the manager's
+// pristine ones, so two calls share no memory with each other or with the
+// manager, and the caller may corrupt or rewrite what it gets. The error is
+// always nil; it dates from when this call compiled.
 func (m *Manager) PinnedImages() ([]*pipeline.Image, error) {
-	if m.cfg.Scheme == core.VM {
-		img, err := m.compileMerged(m.tables)
-		if err != nil {
-			return nil, err
-		}
-		return []*pipeline.Image{img}, nil
-	}
-	imgs := make([]*pipeline.Image, len(m.tables))
-	for i, tbl := range m.tables {
-		img, err := m.compileSeparate(tbl)
-		if err != nil {
-			return nil, err
-		}
-		imgs[i] = img
+	imgs := make([]*pipeline.Image, len(m.pinned))
+	for e := range m.pinned {
+		imgs[e] = m.pinned[e].Clone()
 	}
 	return imgs, nil
+}
+
+// PinnedImage is PinnedImages for the one engine e: the copy a scrub
+// reloads. Like every image the manager hands out it is the caller's own.
+func (m *Manager) PinnedImage(e int) (*pipeline.Image, error) {
+	if e < 0 || e >= len(m.pinned) {
+		return nil, fmt.Errorf("ctrl: engine %d outside [0,%d)", e, len(m.pinned))
+	}
+	return m.pinned[e].Clone(), nil
 }
 
 // HitlessUpdate is a prepared in-service update: the coalesced ops, the
@@ -57,12 +58,16 @@ func (m *Manager) PinnedImages() ([]*pipeline.Image, error) {
 // Commit or Abort, so scrubs and lifecycle mutations are rejected while the
 // data plane is mid-rewrite.
 type HitlessUpdate struct {
-	m       *Manager
-	vn      int
-	ops     []update.Op
-	rawOps  int
-	table   *rib.Table
+	m      *Manager
+	vn     int
+	ops    []update.Op
+	rawOps int
+	table  *rib.Table
+	// image is the post-update compilation, pristine: it becomes the
+	// manager's own on Commit and is dropped on Abort. served is its clone
+	// for the data plane.
 	image   *pipeline.Image
+	served  *pipeline.Image
 	writes  []update.Write
 	bubbles int
 	done    bool
@@ -81,8 +86,11 @@ func (h *HitlessUpdate) RawOps() int { return h.rawOps }
 // Table returns the post-update routing table (the new oracle).
 func (h *HitlessUpdate) Table() *rib.Table { return h.table }
 
-// Image returns the recompiled engine image the bubbles install.
-func (h *HitlessUpdate) Image() *pipeline.Image { return h.image }
+// Image returns the recompiled engine image the bubbles install — the data
+// plane's copy, the same one on every call. It is a clone of the image
+// Commit keeps, so the engine that serves it (and takes upsets in it) never
+// writes to the control plane's.
+func (h *HitlessUpdate) Image() *pipeline.Image { return h.served }
 
 // Writes returns the stage-memory write count of the image diff.
 func (h *HitlessUpdate) Writes() int { return len(h.writes) }
@@ -93,21 +101,17 @@ func (h *HitlessUpdate) Bubbles() int { return h.bubbles }
 
 // Engine returns the engine slot the update targets (0 for the merged
 // scheme, the network's own engine for the separate one).
-func (h *HitlessUpdate) Engine() int {
-	if h.m.cfg.Scheme == core.VM {
-		return 0
-	}
-	return h.vn
-}
+func (h *HitlessUpdate) Engine() int { return h.m.engineOf(h.vn) }
 
 // BeginHitlessUpdate prepares an in-service update for network vn: the ops
 // are coalesced, applied to a copy of the live table, the affected engine's
 // image is recompiled under the pinned stage map and diffed against the
-// current compilation, and the result carries the new image plus the
-// write-bubble budget the data plane must spend to install it. The
-// manager's reload guard is held until Commit or Abort. The scheme
-// asymmetry the companion work quantifies falls out of the diff: VS touches
-// one network's engine, VM must rewrite the shared merged structure.
+// manager's image of the current tables (kept, not recompiled), and the
+// result carries the new image plus the write-bubble budget the data plane
+// must spend to install it. The manager's reload guard is held until Commit
+// or Abort. The scheme asymmetry the companion work quantifies falls out of
+// the diff: VS touches one network's engine, VM must rewrite the shared
+// merged structure.
 func (m *Manager) BeginHitlessUpdate(vn int, ops []update.Op) (*HitlessUpdate, error) {
 	if vn < 0 || vn >= len(m.tables) {
 		return nil, fmt.Errorf("ctrl: network %d outside [0,%d)", vn, len(m.tables))
@@ -129,29 +133,11 @@ func (m *Manager) BeginHitlessUpdate(vn int, ops []update.Op) (*HitlessUpdate, e
 func (m *Manager) prepareHitless(vn int, ops []update.Op) (*HitlessUpdate, error) {
 	coalesced := update.Coalesce(ops)
 	newTbl := update.Apply(m.tables[vn], coalesced)
-
-	var before, after *pipeline.Image
-	var err error
-	if m.cfg.Scheme == core.VM {
-		before, err = m.compileMerged(m.tables)
-		if err != nil {
-			return nil, err
-		}
-		next := make([]*rib.Table, len(m.tables))
-		copy(next, m.tables)
-		next[vn] = newTbl
-		after, err = m.compileMerged(next)
-	} else {
-		before, err = m.compileSeparate(m.tables[vn])
-		if err != nil {
-			return nil, err
-		}
-		after, err = m.compileSeparate(newTbl)
-	}
+	_, after, err := m.withTable(vn, newTbl)
 	if err != nil {
 		return nil, err
 	}
-	writes, err := update.Diff(before, after)
+	writes, err := update.Diff(m.pinned[m.engineOf(vn)], after)
 	if err != nil {
 		return nil, err
 	}
@@ -166,15 +152,18 @@ func (m *Manager) prepareHitless(vn int, ops []update.Op) (*HitlessUpdate, error
 		rawOps:  len(ops),
 		table:   newTbl,
 		image:   after,
+		served:  after.Clone(),
 		writes:  writes,
 		bubbles: bubbles,
 	}, nil
 }
 
 // Commit installs the update on the manager — the new table becomes
-// authoritative, the new image takes the engine slot, and the lifecycle log
-// gains an Update event with zero disrupted networks (the point of the
-// write-bubble path) — and releases the reload guard.
+// authoritative, the new image becomes the engine's pristine image (the
+// router keeps its placement: a hitless update does not re-place the
+// design), and the lifecycle log gains an Update event with zero disrupted
+// networks (the point of the write-bubble path) — and releases the reload
+// guard.
 func (h *HitlessUpdate) Commit() (Event, error) {
 	if h.done {
 		return Event{}, fmt.Errorf("ctrl: hitless update: %w", ErrUpdateFinished)
@@ -182,6 +171,7 @@ func (h *HitlessUpdate) Commit() (Event, error) {
 	h.done = true
 	m := h.m
 	m.tables[h.vn] = h.table
+	m.pinned[h.Engine()] = h.image
 	m.router.Images()[h.Engine()] = h.image
 	ev := Event{
 		Action: Update,

@@ -1,6 +1,7 @@
 package ctrl
 
 import (
+	"reflect"
 	"testing"
 
 	"vrpower/internal/core"
@@ -52,8 +53,8 @@ func TestHitlessUpdateVSCommit(t *testing.T) {
 	if m.Tables()[1] != h.Table() {
 		t.Error("commit did not install the post-update table")
 	}
-	if m.Router().Images()[1] != h.Image() {
-		t.Error("commit did not install the new engine image")
+	if kept := m.Router().Images()[1]; kept == h.Image() || !reflect.DeepEqual(kept.Stages, h.Image().Stages) {
+		t.Error("commit must keep the new engine image and serve a separate, equal copy")
 	}
 	// The installed image forwards per the new table.
 	ref := h.Table().Reference()

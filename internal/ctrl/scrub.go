@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"time"
 
-	"vrpower/internal/core"
 	"vrpower/internal/obs"
 	"vrpower/internal/pipeline"
 )
@@ -174,11 +173,12 @@ func (s *Scrubber) Scrub(rebuild func() (*pipeline.Image, error)) (ScrubResult, 
 	return res, fmt.Errorf("ctrl: scrub failed after %d attempts: %w", s.pol.MaxAttempts, ErrScrubExhausted)
 }
 
-// ScrubNetwork repairs network vn's engine on the managed router: the
-// engine image is recompiled from the live table set under the manager's
-// pinned stage map and reloaded through the scrubber. The manager is
-// marked reloading for the duration, so concurrent lifecycle mutations are
-// rejected instead of racing the reload (the merged scheme rebuilds the
+// ScrubNetwork repairs network vn's engine on the managed router: a fresh
+// copy of the engine's pristine image (the compilation of the live table
+// set under the manager's pinned stage map) is reloaded through the
+// scrubber, and the result's Image is the caller's to install. The manager
+// is marked reloading for the duration, so concurrent lifecycle mutations
+// are rejected instead of racing the reload (the merged scheme reloads the
 // shared structure, so vn only selects the triggering network there).
 func (m *Manager) ScrubNetwork(vn int, sc *Scrubber) (ScrubResult, error) {
 	if vn < 0 || vn >= len(m.tables) {
@@ -188,21 +188,5 @@ func (m *Manager) ScrubNetwork(vn int, sc *Scrubber) (ScrubResult, error) {
 		return ScrubResult{}, err
 	}
 	defer m.EndReload()
-	rebuild := func() (*pipeline.Image, error) {
-		if m.cfg.Scheme == core.VM {
-			return m.compileMerged(m.tables)
-		}
-		return m.compileSeparate(m.tables[vn])
-	}
-	res, err := sc.Scrub(rebuild)
-	if err != nil {
-		return res, err
-	}
-	// Install: the router's engine slot takes the clean image.
-	engine := vn
-	if m.cfg.Scheme == core.VM {
-		engine = 0
-	}
-	m.router.Images()[engine] = res.Image
-	return res, nil
+	return sc.Scrub(func() (*pipeline.Image, error) { return m.PinnedImage(m.engineOf(vn)) })
 }

@@ -104,20 +104,24 @@ func TestScrubExhaustsRetryBudget(t *testing.T) {
 	}
 }
 
-// TestScrubNetworkRepairsCorruption: corrupt a live VS engine, scrub it
-// through the manager, and verify the installed image is parity-clean and
-// forwards correctly again.
+// TestScrubNetworkRepairsCorruption: corrupt the data plane's copy of a live
+// VS engine, scrub it through the manager, and verify the image handed back
+// for the reload is parity-clean, forwards correctly, and is neither the
+// corrupted copy nor the manager's own.
 func TestScrubNetworkRepairsCorruption(t *testing.T) {
 	tables := genTables(t, 3, 300, 23)
 	m, err := New(core.Config{Scheme: core.VS, ClockGating: true}, tables)
 	if err != nil {
 		t.Fatal(err)
 	}
-	img := m.Router().Images()[1]
-	if !img.FlipBit(0, 0, 0) {
+	served, err := m.PinnedImage(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !served.FlipBit(0, 0, 0) {
 		t.Fatal("could not corrupt engine 1")
 	}
-	if s, _ := img.Corrupted(); len(s) != 1 {
+	if s, _ := served.Corrupted(); len(s) != 1 {
 		t.Fatalf("expected 1 corrupted word, got %d", len(s))
 	}
 	sc, _ := NewScrubber(ScrubPolicy{}, nil)
@@ -128,9 +132,15 @@ func TestScrubNetworkRepairsCorruption(t *testing.T) {
 	if res.Image == nil || res.Attempts != 1 {
 		t.Fatalf("scrub result %+v", res)
 	}
-	installed := m.Router().Images()[1]
+	installed := res.Image
+	if installed == served || installed == m.Router().Images()[1] {
+		t.Fatal("scrub handed back an image something else holds")
+	}
 	if s, _ := installed.Corrupted(); len(s) != 0 {
 		t.Errorf("installed image still has %d corrupted words", len(s))
+	}
+	if s, _ := m.Router().Images()[1].Corrupted(); len(s) != 0 {
+		t.Errorf("the data plane's upset reached the manager's image: %d corrupted words", len(s))
 	}
 	ref := tables[1].Reference()
 	for _, r := range tables[1].Routes[:50] {
@@ -160,12 +170,17 @@ func TestScrubNetworkVMInstallsMergedEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Router().Images()[0].FlipBit(0, 0, 1)
-	sc, _ := NewScrubber(ScrubPolicy{}, nil)
-	if _, err := m.ScrubNetwork(2, sc); err != nil {
+	served, err := m.PinnedImages()
+	if err != nil {
 		t.Fatal(err)
 	}
-	installed := m.Router().Images()[0]
+	served[0].FlipBit(0, 0, 1)
+	sc, _ := NewScrubber(ScrubPolicy{}, nil)
+	res, err := m.ScrubNetwork(2, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	installed := res.Image
 	if s, _ := installed.Corrupted(); len(s) != 0 {
 		t.Errorf("merged image still has %d corrupted words", len(s))
 	}

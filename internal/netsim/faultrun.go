@@ -229,25 +229,16 @@ func (e *engState) down() bool { return e.dead || e.killed || e.reloading }
 
 // rebuildEngine returns the scrubber's rebuild closure for engine e: the
 // image is recompiled from the authoritative tables through the same
-// deterministic build the router used, so the rebuilt geometry matches the
-// original word for word (which keeps pre-drawn upset coordinates valid).
+// deterministic compile the router's build used, so the rebuilt geometry
+// matches the original word for word (which keeps pre-drawn upset
+// coordinates valid).
 func (s *System) rebuildEngine(e int) func() (*pipeline.Image, error) {
 	cfg := s.router.Config()
 	return func() (*pipeline.Image, error) {
 		if cfg.Scheme == core.VM {
-			r, err := core.Build(cfg, s.tables)
-			if err != nil {
-				return nil, err
-			}
-			return r.Images()[0], nil
+			return core.CompileMerged(cfg, s.tables)
 		}
-		one := cfg
-		one.K = 1
-		r, err := core.Build(one, s.tables[e:e+1])
-		if err != nil {
-			return nil, err
-		}
-		return r.Images()[0], nil
+		return core.CompileTable(cfg, s.tables[e])
 	}
 }
 

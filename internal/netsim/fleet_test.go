@@ -6,10 +6,13 @@ package netsim
 // degrade per-network instead of failing the run.
 
 import (
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"vrpower/internal/core"
+	"vrpower/internal/obs"
 	"vrpower/internal/scenario"
 )
 
@@ -161,4 +164,73 @@ func boolToInt(b bool) int {
 		return 1
 	}
 	return 0
+}
+
+// However many candidate tenant sets the placer and the failover controller
+// price, a fleet run compiles each network's engine image once: the power
+// estimator assembles routers over the per-network image memo. The spec is
+// the benchmark's fleet_failover shape (both actives die, the spare takes
+// all eight networks), which prices far more sets than there are networks.
+func TestFleetRunCompilesEachNetworkOnce(t *testing.T) {
+	const k = 8
+	s, _ := buildSystem(t, core.VS, k)
+	sp, err := scenario.Parse("load=const:0.4,fleet=2:spare=1,chaos=devcrash:2+flaky:2+brownout:1,cycles=16384,queue=32,seed=11")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := faultGen(t, s, 17)
+	snap := obs.TakeSnapshot()
+	rep, err := s.RunScenario(g, sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Fleet.MigrationsDone == 0 {
+		t.Fatal("no migration landed: the run priced no failover sets")
+	}
+	if n := snap.CounterDelta("pipeline.images_compiled"); n < 1 || n > k {
+		t.Errorf("fleet run compiled %d images, want 1..%d (one per network)", n, k)
+	}
+}
+
+// The fleet runner's queues must behave as the re-sliced slices they
+// replaced (same order, same lengths, whatever the interleaving of pushes,
+// pops and resets) and, unlike those, must not allocate once warm: a serve
+// loop that allocates puts garbage-collector cycles inside the run, and the
+// run's wall time then depends on what else the host's cores are doing.
+func TestFifoMatchesSliceAndStopsAllocating(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var f fifo[int]
+	var model []int
+	for step := 0; step < 20000; step++ {
+		switch r := rng.Intn(100); {
+		case r < 50:
+			f.push(step)
+			model = append(model, step)
+		case r < 98:
+			if len(model) == 0 {
+				continue
+			}
+			if got := f.pop(); got != model[0] {
+				t.Fatalf("step %d: pop = %d, want %d", step, got, model[0])
+			}
+			model = model[1:]
+		default:
+			f.reset()
+			model = nil
+		}
+		if f.len() != len(model) || !slices.Equal(f.items(), model) {
+			t.Fatalf("step %d: fifo holds %v, want %v", step, f.items(), model)
+		}
+	}
+
+	// A pipeline's in-flight list: never empty, one in and one out a cycle.
+	f.reset()
+	for i := 0; i < 24; i++ {
+		f.push(i)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() {
+		f.push(f.pop())
+	}); allocs != 0 {
+		t.Errorf("steady-state push/pop allocates %.1f times per cycle, want 0", allocs)
+	}
 }

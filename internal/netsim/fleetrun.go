@@ -160,6 +160,40 @@ type fleetQueued struct {
 	seq     int64
 }
 
+// fifo is a first-in-first-out queue that stays on one backing array: pop
+// advances a head index and push slides the live elements back to the front
+// once the popped prefix is at least as long as they are, so a queue in
+// steady state allocates nothing — the serve loop's ingress queues and
+// in-flight lists put no garbage-collector work inside a run.
+type fifo[T any] struct {
+	buf  []T
+	head int
+}
+
+func (f *fifo[T]) len() int { return len(f.buf) - f.head }
+
+// items is the queued elements, oldest first, valid until the next push.
+func (f *fifo[T]) items() []T { return f.buf[f.head:] }
+
+func (f *fifo[T]) push(v T) {
+	if len(f.buf) == cap(f.buf) && f.head >= f.len() {
+		n := copy(f.buf, f.buf[f.head:])
+		f.buf, f.head = f.buf[:n], 0
+	}
+	f.buf = append(f.buf, v)
+}
+
+func (f *fifo[T]) pop() T {
+	v := f.buf[f.head]
+	f.head++
+	if f.head == len(f.buf) {
+		f.reset()
+	}
+	return v
+}
+
+func (f *fifo[T]) reset() { f.buf, f.head = f.buf[:0], 0 }
+
 // fleetDev is one simulated device's run state: its current router and
 // per-engine simulators, the energy meter over its current power model, a
 // write-ahead journal for installs, and the in-flight install (if any).
@@ -167,7 +201,7 @@ type fleetDev struct {
 	id      int
 	router  *core.Router
 	sims    []*pipeline.Sim
-	exits   [][]fleetExit
+	exits   []fifo[fleetExit]
 	rrNext  []int
 	utilCur [][2]int64
 	meter   *energy.Meter
@@ -198,15 +232,18 @@ type fleetRun struct {
 	est fleet.Estimator
 
 	devs   []*fleetDev
-	queues [][]fleetQueued
+	queues []fifo[fleetQueued]
 
 	// installing guards against re-starting a migration whose install is
 	// mid-flight; mrec maps each migration to its report record.
 	installing map[*fleet.Migration]bool
 	mrec       map[*fleet.Migration]int
 
-	// cache memoizes per-device router builds by (scheme, tenant list).
+	// cache memoizes per-device router builds by (scheme, tenant list);
+	// images memoizes each network's separate-engine image, compiled the
+	// first time a router needs it.
 	cache   map[string]*core.Router
+	images  []*pipeline.Image
 	baseCfg core.Config
 
 	rep  *ScenarioReport
@@ -243,8 +280,17 @@ func buildKey(sch core.Scheme, vns []int) string {
 	return fmt.Sprintf("%d|%v", int(sch), vns)
 }
 
-// build compiles (memoized) a device router of scheme sch over the tenant
-// networks' tables in serving order.
+// build assembles (memoized) a device router of scheme sch over the tenant
+// networks in serving order. A per-network engine image is a function of
+// that network's table alone, so NV and VS routers are assembled over the
+// per-network image memo and however many tenant sets the placer prices,
+// each table is compiled once. A merged image is a function of the whole
+// tenant list, so VM sets compile through core.Build, once per list.
+//
+// The memoised images are shared by every router assembled over them and
+// served as they are: nothing on the fleet path writes an image (fleet=
+// composes with no SEU or churn stressor), and a network is live on one
+// device at a time.
 func (r *fleetRun) build(sch core.Scheme, vns []int) (*core.Router, error) {
 	key := buildKey(sch, vns)
 	if rt, ok := r.cache[key]; ok {
@@ -253,11 +299,26 @@ func (r *fleetRun) build(sch core.Scheme, vns []int) (*core.Router, error) {
 	cfg := r.baseCfg
 	cfg.Scheme = sch
 	cfg.K = len(vns)
-	tables := make([]*rib.Table, 0, len(vns))
-	for _, vn := range vns {
-		tables = append(tables, r.s.tables[vn])
+	var rt *core.Router
+	var err error
+	if sch == core.VM {
+		tables := make([]*rib.Table, 0, len(vns))
+		for _, vn := range vns {
+			tables = append(tables, r.s.tables[vn])
+		}
+		rt, err = core.Build(cfg, tables)
+	} else {
+		images := make([]*pipeline.Image, 0, len(vns))
+		for _, vn := range vns {
+			if r.images[vn] == nil {
+				if r.images[vn], err = core.CompileTable(cfg, r.s.tables[vn]); err != nil {
+					return nil, err
+				}
+			}
+			images = append(images, r.images[vn])
+		}
+		rt, err = core.Assemble(cfg, images)
 	}
-	rt, err := core.Build(cfg, tables)
 	if err != nil {
 		return nil, err
 	}
@@ -320,23 +381,23 @@ func (r *fleetRun) retireMeter(dev *fleetDev) {
 // blackout: the pipelines' contents are lost).
 func (r *fleetRun) flushDevExits(dev *fleetDev) {
 	for e := range dev.exits {
-		for _, m := range dev.exits[e] {
+		for _, m := range dev.exits[e].items() {
 			r.rep.DroppedPerVN[m.vn]++
 			r.dropVN[m.vn].Inc()
 		}
-		dev.exits[e] = dev.exits[e][:0]
+		dev.exits[e].reset()
 	}
 }
 
 // degradeCleanup parks a network: its held queue drops (never misforwards)
 // and the degradation is recorded.
 func (r *fleetRun) degradeCleanup(d fleet.Degradation) {
-	if n := len(r.queues[d.VN]); n > 0 {
+	if n := r.queues[d.VN].len(); n > 0 {
 		r.rep.DroppedPerVN[d.VN] += int64(n)
 		for i := 0; i < n; i++ {
 			r.dropVN[d.VN].Inc()
 		}
-		r.queues[d.VN] = nil
+		r.queues[d.VN].reset()
 	}
 	r.frep.Degraded = append(r.frep.Degraded, FleetDegradedRecord{VN: d.VN, At: d.At, Reason: d.Err.Error()})
 	r.s.tel.Events.Log(obs.LevelError, d.At, "vn_degraded", "vn", d.VN, "reason", d.Err.Error())
@@ -581,13 +642,13 @@ func (r *fleetRun) landInstall(dev *fleetDev) error {
 		sim := pipeline.NewSim(dev.pending.Images()[engIdx])
 		sim.EnableParityCheck()
 		dev.sims = append(dev.sims, sim)
-		dev.exits = append(dev.exits, nil)
+		dev.exits = append(dev.exits, fifo[fleetExit]{})
 		dev.rrNext = append(dev.rrNext, 0)
 		dev.utilCur = append(dev.utilCur, [2]int64{})
 	} else {
 		imgs := dev.pending.Images()
 		dev.sims = make([]*pipeline.Sim, len(imgs))
-		dev.exits = make([][]fleetExit, len(imgs))
+		dev.exits = make([]fifo[fleetExit], len(imgs))
 		dev.rrNext = make([]int, len(imgs))
 		dev.utilCur = make([][2]int64, len(imgs))
 		for e, img := range imgs {
@@ -667,13 +728,13 @@ func (r *fleetRun) auditProbesVN(vn, reqVN int) []pipeline.Probe {
 // arrivals or any device in-flight lookups.
 func (r *fleetRun) Outstanding() bool {
 	for vn := range r.queues {
-		if len(r.queues[vn]) > 0 {
+		if r.queues[vn].len() > 0 {
 			return true
 		}
 	}
 	for _, dev := range r.devs {
 		for e := range dev.exits {
-			if len(dev.exits[e]) > 0 {
+			if dev.exits[e].len() > 0 {
 				return true
 			}
 		}
@@ -694,13 +755,12 @@ func (r *fleetRun) serveDevice(dev *fleetDev, cyc int64) {
 			for i := 0; i < len(vns); i++ {
 				j := (dev.rrNext[e] + i) % len(vns)
 				vn := vns[j]
-				if len(r.queues[vn]) == 0 {
+				if r.queues[vn].len() == 0 {
 					continue
 				}
-				q := r.queues[vn][0]
-				r.queues[vn] = r.queues[vn][1:]
+				q := r.queues[vn].pop()
 				req = &pipeline.Request{Addr: q.addr, VN: j, Trace: q.trace}
-				dev.exits[e] = append(dev.exits[e], fleetExit{
+				dev.exits[e].push(fleetExit{
 					vn: q.vn, arrival: q.arrival, seq: q.seq, trace: q.trace,
 				})
 				dev.rrNext[e] = (j + 1) % len(vns)
@@ -708,11 +768,10 @@ func (r *fleetRun) serveDevice(dev *fleetDev, cyc int64) {
 			}
 		} else if e < len(vns) {
 			vn := vns[e]
-			if len(r.queues[vn]) > 0 {
-				q := r.queues[vn][0]
-				r.queues[vn] = r.queues[vn][1:]
+			if r.queues[vn].len() > 0 {
+				q := r.queues[vn].pop()
 				req = &pipeline.Request{Addr: q.addr, VN: 0, Trace: q.trace}
-				dev.exits[e] = append(dev.exits[e], fleetExit{
+				dev.exits[e].push(fleetExit{
 					vn: q.vn, arrival: q.arrival, seq: q.seq, trace: q.trace,
 				})
 			}
@@ -721,8 +780,7 @@ func (r *fleetRun) serveDevice(dev *fleetDev, cyc int64) {
 		if !done {
 			continue
 		}
-		m := dev.exits[e][0]
-		dev.exits[e] = dev.exits[e][1:]
+		m := dev.exits[e].pop()
 		dev.meter.Lookup(e, m.vn, res.LastStage)
 		outcome := "forward"
 		switch {
@@ -778,7 +836,7 @@ func (r *fleetRun) RunSlice(b, n int64, live bool) (scenario.SliceStats, error) 
 					r.dropVN[vn].Inc()
 					continue
 				}
-				if len(r.queues[vn]) >= r.spec.Queue {
+				if r.queues[vn].len() >= r.spec.Queue {
 					rep.DroppedPerVN[vn]++
 					continue
 				}
@@ -788,11 +846,11 @@ func (r *fleetRun) RunSlice(b, n int64, live bool) (scenario.SliceStats, error) 
 				if tracing {
 					q.trace = tel.Sampler.Sample(vn, seq)
 				}
-				r.queues[vn] = append(r.queues[vn], q)
+				r.queues[vn].push(q)
 			}
 			backlog := 0
 			for vn := range r.queues {
-				backlog += len(r.queues[vn])
+				backlog += r.queues[vn].len()
 			}
 			if backlog > rep.BacklogPeak {
 				rep.BacklogPeak = backlog
@@ -821,7 +879,7 @@ func (r *fleetRun) RunSlice(b, n int64, live bool) (scenario.SliceStats, error) 
 	// engine slots, per-network availability.
 	backlog := 0
 	for vn := range r.queues {
-		backlog += len(r.queues[vn])
+		backlog += r.queues[vn].len()
 	}
 	for i := range r.utils {
 		r.utils[i] = 0
@@ -877,6 +935,7 @@ func (s *System) runFleetScenario(gen *traffic.Generator, spec scenario.Spec) (S
 		installing: map[*fleet.Migration]bool{},
 		mrec:       map[*fleet.Migration]int{},
 		cache:      map[string]*core.Router{},
+		images:     make([]*pipeline.Image, s.k),
 		baseCfg:    s.router.Config(),
 	}
 	r.est = func(sch core.Scheme, vns []int) (float64, error) {
@@ -976,7 +1035,7 @@ func (s *System) runFleetScenario(gen *traffic.Generator, spec scenario.Spec) (S
 		dev.router = rt
 		imgs := rt.Images()
 		dev.sims = make([]*pipeline.Sim, len(imgs))
-		dev.exits = make([][]fleetExit, len(imgs))
+		dev.exits = make([]fifo[fleetExit], len(imgs))
 		dev.rrNext = make([]int, len(imgs))
 		dev.utilCur = make([][2]int64, len(imgs))
 		for e, img := range imgs {
@@ -995,7 +1054,7 @@ func (s *System) runFleetScenario(gen *traffic.Generator, spec scenario.Spec) (S
 	r.vnDynFJ = make([]int64, s.k)
 	r.devDynFJ = make([]int64, total)
 	r.devStaticFJ = make([]int64, total)
-	r.queues = make([][]fleetQueued, s.k)
+	r.queues = make([]fifo[fleetQueued], s.k)
 	r.dropVN = make([]*obs.Counter, s.k)
 	for vn := 0; vn < s.k; vn++ {
 		r.dropVN[vn] = obs.NewCounter(fmt.Sprintf("netsim.fleet_drops.vn%02d", vn))

@@ -325,21 +325,15 @@ type scenFaults struct {
 
 func (scenFaults) Name() string { return "faults" }
 
-// rebuild returns the scrub rebuild closure for engine e: from the control
-// plane's current (possibly churned) tables when churn is active, from the
-// router's original tables otherwise.
+// rebuild returns the scrub rebuild closure for engine e: a fresh copy of
+// the control plane's image of its current (possibly churned) tables when
+// churn is active, a recompile of the router's original tables otherwise.
 func (f scenFaults) rebuild(e int) func() (*pipeline.Image, error) {
 	r := f.r
 	if r.mgr == nil {
 		return r.s.rebuildEngine(e)
 	}
-	return func() (*pipeline.Image, error) {
-		imgs, err := r.mgr.PinnedImages()
-		if err != nil {
-			return nil, err
-		}
-		return imgs[e], nil
-	}
+	return func() (*pipeline.Image, error) { return r.mgr.PinnedImage(e) }
 }
 
 func (f scenFaults) install(eIdx int, e *scenEng) {
@@ -831,9 +825,10 @@ func (s *System) RunScenario(gen *traffic.Generator, spec scenario.Spec) (Scenar
 	}
 	r.rep = rep
 
-	// The serving images: the control plane's pinned compilation when churn
-	// is active (successive recompilations diff word-for-word), clones of
-	// the router's build images otherwise (the fault harness's model).
+	// The serving images: clones of the control plane's pinned compilation
+	// when churn is active (successive recompilations diff word-for-word),
+	// clones of the router's build images otherwise (the fault harness's
+	// model).
 	var images []*pipeline.Image
 	if spec.Churn != nil {
 		mgr, err := ctrl.New(s.router.Config(), s.tables)

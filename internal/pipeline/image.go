@@ -12,6 +12,7 @@ import (
 
 	"vrpower/internal/ip"
 	"vrpower/internal/merge"
+	"vrpower/internal/obs"
 	"vrpower/internal/trie"
 )
 
@@ -81,7 +82,8 @@ type Image struct {
 type node interface {
 	leaf() bool
 	child(b int) node
-	nhi() []ip.NextHop
+	// appendNHI appends the leaf's next-hop vector to slab.
+	appendNHI(slab []ip.NextHop) []ip.NextHop
 }
 
 type uniNode struct{ n *trie.Node }
@@ -93,7 +95,7 @@ func (u uniNode) child(b int) node {
 	}
 	return uniNode{u.n.Child[b]}
 }
-func (u uniNode) nhi() []ip.NextHop { return []ip.NextHop{u.n.NextHop} }
+func (u uniNode) appendNHI(slab []ip.NextHop) []ip.NextHop { return append(slab, u.n.NextHop) }
 
 type mergedNode struct{ n *merge.Node }
 
@@ -104,7 +106,7 @@ func (m mergedNode) child(b int) node {
 	}
 	return mergedNode{m.n.Child[b]}
 }
-func (m mergedNode) nhi() []ip.NextHop { return m.n.NHI }
+func (m mergedNode) appendNHI(slab []ip.NextHop) []ip.NextHop { return append(slab, m.n.NHI...) }
 
 // Compile maps a leaf-pushed single-network trie onto stages pipeline
 // stages with the plain fold-into-stage-0 level mapping. Leaf pushing is
@@ -151,74 +153,122 @@ func CompileMergedMapped(m *merge.Trie, sm trie.StageMap) (*Image, error) {
 	return compile(mergedNode{m.Root()}, m.K(), sm)
 }
 
-func compile(root node, k int, sm trie.StageMap) (*Image, error) {
-	stages := sm.Stages
-	img := &Image{Stages: make([]StageMem, stages), K: k, Map: sm}
+// Image-build instrumentation (surfaced by the cmd tools' -stats flag and
+// /metrics): how many images were compiled from a trie and how many were
+// copied from an already-compiled one.
+var (
+	obsImagesCompiled = obs.NewCounter("pipeline.images_compiled")
+	obsImagesCloned   = obs.NewCounter("pipeline.images_cloned")
+)
 
-	// Two-pass breadth-first layout: first assign every node an index in
-	// its stage, then emit entries with resolved child indices.
+// compile lays the trie out breadth-first, one pass: a node's index within
+// its stage is assigned when the node is enqueued and recorded in its
+// parent's queue slot, and since nodes leave the queue in the order they
+// entered it, replaying the queue emits every stage's entries in index
+// order. All leaves' NHI vectors share one slab (see nhiView).
+func compile(root node, k int, sm trie.StageMap) (*Image, error) {
 	type placed struct {
 		n     node
 		level int
-		idx   uint32
+		child [2]uint32
 	}
-	index := make(map[node]uint32)
-	var order []placed
-	queue := []placed{{n: root, level: 0}}
-	for len(queue) > 0 {
-		p := queue[0]
-		queue = queue[1:]
-		s := sm.Stage(p.level)
-		p.idx = uint32(len(img.Stages[s].Entries))
-		img.Stages[s].Entries = append(img.Stages[s].Entries, Entry{}) // reserve
-		index[p.n] = p.idx
-		order = append(order, p)
-		if !p.n.leaf() {
-			for b := 0; b < 2; b++ {
-				c := p.n.child(b)
-				if c == nil {
-					return nil, fmt.Errorf("pipeline: internal node with missing child at level %d (trie not fully leaf-pushed?)", p.level)
-				}
-				queue = append(queue, placed{n: c, level: p.level + 1})
+	queue := make([]placed, 1, countNodes(root))
+	queue[0].n = root
+	next := make([]uint32, sm.Stages) // next free index per stage
+	next[sm.Stage(0)] = 1
+	leaves := 0
+	for head := 0; head < len(queue); head++ {
+		n, level := queue[head].n, queue[head].level
+		if n.leaf() {
+			leaves++
+			continue
+		}
+		s := sm.Stage(level + 1)
+		for b := 0; b < 2; b++ {
+			c := n.child(b)
+			if c == nil {
+				return nil, fmt.Errorf("pipeline: internal node with missing child at level %d (trie not fully leaf-pushed?)", level)
 			}
+			queue[head].child[b] = next[s]
+			next[s]++
+			queue = append(queue, placed{n: c, level: level + 1})
 		}
 	}
-	for _, p := range order {
-		s := sm.Stage(p.level)
-		e := &img.Stages[s].Entries[p.idx]
-		e.Level = p.level
+
+	img := &Image{Stages: make([]StageMem, sm.Stages), K: k, Map: sm}
+	for s, n := range next {
+		if n > 0 {
+			img.Stages[s].Entries = make([]Entry, 0, n)
+		}
+	}
+	slab := make([]ip.NextHop, 0, leaves*k)
+	for i := range queue {
+		p := &queue[i]
+		e := Entry{Level: p.level, Child: p.child}
 		if p.n.leaf() {
 			e.Leaf = true
-			v := p.n.nhi()
-			e.NHI = make([]ip.NextHop, len(v))
-			copy(e.NHI, v)
-		} else {
-			for b := 0; b < 2; b++ {
-				e.Child[b] = index[p.n.child(b)]
-			}
+			off := len(slab)
+			slab = p.n.appendNHI(slab)
+			e.NHI = nhiView(slab, off)
 		}
 		e.Parity = e.DataParity()
+		st := &img.Stages[sm.Stage(p.level)]
+		st.Entries = append(st.Entries, e)
 	}
+	obsImagesCompiled.Inc()
 	return img, nil
 }
 
+// countNodes sizes compile's queue. A missing child counts as nothing;
+// compile reports it when its walk gets there.
+func countNodes(n node) int {
+	if n == nil {
+		return 0
+	}
+	if n.leaf() {
+		return 1
+	}
+	return 1 + countNodes(n.child(0)) + countNodes(n.child(1))
+}
+
+// nhiView returns slab[off:] as one leaf's NHI vector. Its capacity is cut
+// to its length, so an append through the view reallocates instead of
+// growing into the next leaf's words; a write through it (FlipBit) stays
+// inside its own words.
+func nhiView(slab []ip.NextHop, off int) []ip.NextHop {
+	return slab[off:len(slab):len(slab)]
+}
+
 // Clone returns a deep copy of the image (the stage map is shared; it is
-// immutable). Fault injection mutates a clone so the router's pristine
-// compiled image survives the run.
+// immutable): one entry array per stage and one next-hop slab, so the copy
+// shares no mutable word with its source. The owner of a compiled image
+// keeps it pristine and hands clones to whatever may write to them — fault
+// injection, shadow-bank updates, a data plane under either.
 func (img *Image) Clone() *Image {
 	out := &Image{Stages: make([]StageMem, len(img.Stages)), K: img.K, Map: img.Map}
+	words := 0
 	for s := range img.Stages {
+		for i := range img.Stages[s].Entries {
+			words += len(img.Stages[s].Entries[i].NHI)
+		}
+	}
+	slab := make([]ip.NextHop, 0, words)
+	for s := range img.Stages {
+		if len(img.Stages[s].Entries) == 0 {
+			continue
+		}
 		entries := make([]Entry, len(img.Stages[s].Entries))
 		copy(entries, img.Stages[s].Entries)
 		for i := range entries {
 			if entries[i].NHI != nil {
-				nhi := make([]ip.NextHop, len(entries[i].NHI))
-				copy(nhi, entries[i].NHI)
-				entries[i].NHI = nhi
+				off := len(slab)
+				slab = append(slab, entries[i].NHI...)
+				entries[i].NHI = nhiView(slab, off)
 			}
 		}
 		out.Stages[s].Entries = entries
 	}
+	obsImagesCloned.Inc()
 	return out
 }
 
