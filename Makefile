@@ -229,10 +229,14 @@ fuzz-smoke:
 	$(GO) test ./internal/scenario -run='^$$' -fuzz=FuzzParse -fuzztime=10s
 	$(GO) test ./internal/ip -run='^$$' -fuzz=FuzzTableLookup -fuzztime=10s
 
-# Short fuzz pass over the batched/scalar/trie lookup equivalence (the full
-# run is `go test -fuzz=FuzzBatchedLookup ./internal/pipeline`).
+# Short fuzz passes over the production engine against its oracles: the
+# batched/scalar/trie lookup equivalence, and the streamed engine against
+# the cycle-stepped Sim under random inject / bubble / update / upset / Stats
+# interleavings (the full runs are `go test -fuzz=FuzzBatchedLookup` and
+# `-fuzz=FuzzStreamVsSim` in ./internal/pipeline).
 fuzz-batch-smoke:
 	$(GO) test ./internal/pipeline -run='^$$' -fuzz=FuzzBatchedLookup -fuzztime=10s
+	$(GO) test ./internal/pipeline -run='^$$' -fuzz=FuzzStreamVsSim -fuzztime=10s
 
 vet:
 	$(GO) vet ./...
@@ -250,14 +254,15 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # The gated benchmarks: the batched headline lookup bench, its scalar
-# oracle reference, the reference LPM every simulated lookup is checked
-# against (lookup and build), and the image compiler and Image.Clone every
-# build, scrub, hitless batch and migration pays. -count=3 with benchgate's
+# oracle reference, the streamed (inject-driven, parity on) lookup path the
+# slice runners use on both engines, the reference LPM every simulated
+# lookup is checked against (lookup and build), and the image compiler and
+# Image.Clone every build, scrub, hitless batch and migration pays. -count=3 with benchgate's
 # min-per-name sheds scheduler noise on shared runners; the gate fails on a
 # >10% ns/op regression or any allocs/op increase against the checked-in
 # baseline.
 # bench-gate.out is kept as a CI artifact.
-GATE_BENCH = ^(BenchmarkPipelineLookup|BenchmarkPipelineLookupScalar|BenchmarkReferenceLookup|BenchmarkReferenceBuild|BenchmarkImageCompile|BenchmarkImageClone)$$
+GATE_BENCH = ^(BenchmarkPipelineLookup|BenchmarkPipelineLookupScalar|BenchmarkLookupStreamed|BenchmarkReferenceLookup|BenchmarkReferenceBuild|BenchmarkImageCompile|BenchmarkImageClone)$$
 bench-gate: build
 	$(GO) test -run='^$$' -bench='$(GATE_BENCH)' -benchmem -count=3 . | tee bench-gate.out
 	$(GO) run ./cmd/benchgate -baseline bench_baseline.json < bench-gate.out

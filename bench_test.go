@@ -266,7 +266,7 @@ func BenchmarkAblationNHILayout(b *testing.B) {
 }
 
 // BenchmarkAblationSimExec compares the cycle-loop simulator against the
-// goroutine-per-stage channel pipeline on the same lookup stream.
+// batched engine on the same lookup stream.
 func BenchmarkAblationSimExec(b *testing.B) {
 	set, err := vrpower.GenerateVirtualSet(4, 1000, 0.5, 5)
 	if err != nil {
@@ -309,13 +309,6 @@ func BenchmarkAblationSimExec(b *testing.B) {
 			if res, _, err = sim.RunAppend(res[:0], reqs, 1); err != nil {
 				b.Fatal(err)
 			}
-		}
-		b.ReportMetric(float64(len(reqs))*float64(b.N)/b.Elapsed().Seconds(), "lookups/s")
-	})
-	b.Run("channels", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			vrpower.RunConcurrent(img, reqs)
 		}
 		b.ReportMetric(float64(len(reqs))*float64(b.N)/b.Elapsed().Seconds(), "lookups/s")
 	})
@@ -413,6 +406,47 @@ func BenchmarkPipelineLookupScalar(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(reqs))*float64(b.N)/b.Elapsed().Seconds(), "lookups/s")
+}
+
+// lookupStream is what both engines offer a slice runner: one input slot
+// per call, a lookup leaving Stages calls later.
+type lookupStream interface {
+	Inject(*vrpower.Request) (vrpower.Result, bool)
+	Reset()
+}
+
+// BenchmarkLookupStreamed is the slice runners' use of an engine (gated in
+// CI by `make bench-gate`): parity checking on, one Inject per cycle, nine
+// cycles in ten carrying a lookup (load 0.9), on the paper's 3725-prefix
+// table. "batched" is the engine every runner serves from; "scalar" is the
+// cycle-stepped oracle it must keep ahead of.
+func BenchmarkLookupStreamed(b *testing.B) {
+	img, reqs := pipelineLookupFixture(b)
+	scalar, batched := vrpower.NewSim(img), vrpower.NewBatchSim(img)
+	scalar.EnableParityCheck()
+	batched.EnableParityCheck()
+	for _, eng := range []struct {
+		name string
+		sim  lookupStream
+	}{{"batched", batched}, {"scalar", scalar}} {
+		b.Run(eng.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var done int
+			for i := 0; i < b.N; i++ {
+				eng.sim.Reset()
+				for j := range reqs {
+					req := &reqs[j]
+					if j%10 == 9 {
+						req = nil
+					}
+					if _, ok := eng.sim.Inject(req); ok {
+						done++
+					}
+				}
+			}
+			b.ReportMetric(float64(done)/b.Elapsed().Seconds(), "lookups/s")
+		})
+	}
 }
 
 // referenceFixture is the forward_paper oracle load: the eight 3725-route

@@ -6,7 +6,7 @@ package ctrl
 // reload window — the control plane recompiles the engine's image under the
 // pinned stage map, diffs it against the serving image, and hands the new
 // image plus its write-bubble budget to the data-plane driver, which
-// applies it through pipeline.Sim.BeginUpdate/InjectBubble with lookups
+// applies it through pipeline.BatchSim.BeginUpdate/InjectBubble with lookups
 // still flowing. The update holds the same reload guard the scrubber uses,
 // so a scrub, a lifecycle mutation and a hitless update can never rewrite
 // the same structure concurrently.

@@ -526,7 +526,7 @@ func (f *faultRun) RunSlice(b, n int64, live bool) (scenario.SliceStats, error) 
 			if len(reqs) == 0 {
 				return engineRun{}, nil
 			}
-			sim := pipeline.NewSim(f.engines[eIdx].img)
+			sim := pipeline.NewBatchSim(f.engines[eIdx].img)
 			sim.EnableParityCheck()
 			results, st, err := sim.Run(reqs, 1)
 			if err != nil {

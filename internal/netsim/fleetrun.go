@@ -160,47 +160,13 @@ type fleetQueued struct {
 	seq     int64
 }
 
-// fifo is a first-in-first-out queue that stays on one backing array: pop
-// advances a head index and push slides the live elements back to the front
-// once the popped prefix is at least as long as they are, so a queue in
-// steady state allocates nothing — the serve loop's ingress queues and
-// in-flight lists put no garbage-collector work inside a run.
-type fifo[T any] struct {
-	buf  []T
-	head int
-}
-
-func (f *fifo[T]) len() int { return len(f.buf) - f.head }
-
-// items is the queued elements, oldest first, valid until the next push.
-func (f *fifo[T]) items() []T { return f.buf[f.head:] }
-
-func (f *fifo[T]) push(v T) {
-	if len(f.buf) == cap(f.buf) && f.head >= f.len() {
-		n := copy(f.buf, f.buf[f.head:])
-		f.buf, f.head = f.buf[:n], 0
-	}
-	f.buf = append(f.buf, v)
-}
-
-func (f *fifo[T]) pop() T {
-	v := f.buf[f.head]
-	f.head++
-	if f.head == len(f.buf) {
-		f.reset()
-	}
-	return v
-}
-
-func (f *fifo[T]) reset() { f.buf, f.head = f.buf[:0], 0 }
-
 // fleetDev is one simulated device's run state: its current router and
 // per-engine simulators, the energy meter over its current power model, a
 // write-ahead journal for installs, and the in-flight install (if any).
 type fleetDev struct {
 	id      int
 	router  *core.Router
-	sims    []*pipeline.Sim
+	sims    []*pipeline.BatchSim
 	exits   []fifo[fleetExit]
 	rrNext  []int
 	utilCur [][2]int64
@@ -639,7 +605,7 @@ func (r *fleetRun) landInstall(dev *fleetDev) error {
 		// Per-network images depend only on their own table, so the
 		// surviving engines' images are byte-identical in the new build:
 		// the expansion appends one engine while the others keep serving.
-		sim := pipeline.NewSim(dev.pending.Images()[engIdx])
+		sim := pipeline.NewBatchSim(dev.pending.Images()[engIdx])
 		sim.EnableParityCheck()
 		dev.sims = append(dev.sims, sim)
 		dev.exits = append(dev.exits, fifo[fleetExit]{})
@@ -647,12 +613,12 @@ func (r *fleetRun) landInstall(dev *fleetDev) error {
 		dev.utilCur = append(dev.utilCur, [2]int64{})
 	} else {
 		imgs := dev.pending.Images()
-		dev.sims = make([]*pipeline.Sim, len(imgs))
+		dev.sims = make([]*pipeline.BatchSim, len(imgs))
 		dev.exits = make([]fifo[fleetExit], len(imgs))
 		dev.rrNext = make([]int, len(imgs))
 		dev.utilCur = make([][2]int64, len(imgs))
 		for e, img := range imgs {
-			dev.sims[e] = pipeline.NewSim(img)
+			dev.sims[e] = pipeline.NewBatchSim(img)
 			dev.sims[e].EnableParityCheck()
 		}
 	}
@@ -750,6 +716,8 @@ func (r *fleetRun) serveDevice(dev *fleetDev, cyc int64) {
 	vns := r.ctr.VNs(dev.id)
 	merged := dev.router.Config().Scheme == core.VM
 	for e := range dev.sims {
+		// rq lives outside the loops so that &rq stays on the stack.
+		var rq pipeline.Request
 		var req *pipeline.Request
 		if merged {
 			for i := 0; i < len(vns); i++ {
@@ -759,7 +727,8 @@ func (r *fleetRun) serveDevice(dev *fleetDev, cyc int64) {
 					continue
 				}
 				q := r.queues[vn].pop()
-				req = &pipeline.Request{Addr: q.addr, VN: j, Trace: q.trace}
+				rq = pipeline.Request{Addr: q.addr, VN: j, Trace: q.trace}
+				req = &rq
 				dev.exits[e].push(fleetExit{
 					vn: q.vn, arrival: q.arrival, seq: q.seq, trace: q.trace,
 				})
@@ -770,7 +739,8 @@ func (r *fleetRun) serveDevice(dev *fleetDev, cyc int64) {
 			vn := vns[e]
 			if r.queues[vn].len() > 0 {
 				q := r.queues[vn].pop()
-				req = &pipeline.Request{Addr: q.addr, VN: 0, Trace: q.trace}
+				rq = pipeline.Request{Addr: q.addr, VN: 0, Trace: q.trace}
+				req = &rq
 				dev.exits[e].push(fleetExit{
 					vn: q.vn, arrival: q.arrival, seq: q.seq, trace: q.trace,
 				})
@@ -1034,12 +1004,12 @@ func (s *System) runFleetScenario(gen *traffic.Generator, spec scenario.Spec) (S
 		}
 		dev.router = rt
 		imgs := rt.Images()
-		dev.sims = make([]*pipeline.Sim, len(imgs))
+		dev.sims = make([]*pipeline.BatchSim, len(imgs))
 		dev.exits = make([]fifo[fleetExit], len(imgs))
 		dev.rrNext = make([]int, len(imgs))
 		dev.utilCur = make([][2]int64, len(imgs))
 		for e, img := range imgs {
-			dev.sims[e] = pipeline.NewSim(img)
+			dev.sims[e] = pipeline.NewBatchSim(img)
 			dev.sims[e].EnableParityCheck()
 			r.maxWords += img.Words()
 		}

@@ -439,10 +439,10 @@ type loadKernel struct {
 	perVNLoad float64
 	queueCap  int
 	scheme    core.Scheme
-	sims      []*pipeline.Sim
-	queues    [][]queued
-	exitVN    [][]queued // FIFO of in-flight metadata per engine
-	rrNext    []int      // round-robin pointer per engine
+	sims      []*pipeline.BatchSim
+	queues    []fifo[queued]
+	exitVN    []fifo[queued] // in-flight metadata per engine
+	rrNext    []int          // round-robin pointer per engine
 	gv        *scenario.GovRun
 	meter     *energy.Meter
 	rep       LoadReport
@@ -469,7 +469,7 @@ func (k *loadKernel) RunSlice(b, n int64, _ bool) (scenario.SliceStats, error) {
 				k.rep.Dropped[vn]++
 				continue
 			}
-			if len(k.queues[vn]) >= k.queueCap {
+			if k.queues[vn].len() >= k.queueCap {
 				k.rep.Dropped[vn]++
 				continue
 			}
@@ -487,7 +487,7 @@ func (k *loadKernel) RunSlice(b, n int64, _ bool) (scenario.SliceStats, error) {
 			if s.tel.Tracing() {
 				q.req.Trace = s.tel.Sampler.Sample(vn, q.seq)
 			}
-			k.queues[vn] = append(k.queues[vn], q)
+			k.queues[vn].push(q)
 		}
 		// Service: one injection per engine per cycle, round-robin over
 		// the engine's ingress queues. A governed engine that loses this
@@ -497,23 +497,23 @@ func (k *loadKernel) RunSlice(b, n int64, _ bool) (scenario.SliceStats, error) {
 			if gv != nil && !gv.EngineServes(e) {
 				continue
 			}
+			// q lives outside the loop so that &q.req stays on the stack.
+			var q queued
 			var req *pipeline.Request
 			for i := 0; i < s.k; i++ {
 				vn := (k.rrNext[e] + i) % s.k
-				if s.engineOf(vn) != e || len(k.queues[vn]) == 0 {
+				if s.engineOf(vn) != e || k.queues[vn].len() == 0 {
 					continue
 				}
-				q := k.queues[vn][0]
-				k.queues[vn] = k.queues[vn][1:]
+				q = k.queues[vn].pop()
 				req = &q.req
-				k.exitVN[e] = append(k.exitVN[e], q)
+				k.exitVN[e].push(q)
 				k.rrNext[e] = (vn + 1) % s.k
 				break
 			}
 			res, done := k.sims[e].Inject(req)
 			if done {
-				meta := k.exitVN[e][0]
-				k.exitVN[e] = k.exitVN[e][1:]
+				meta := k.exitVN[e].pop()
 				k.meter.Lookup(e, meta.vn, res.LastStage)
 				k.rep.Delivered[meta.vn]++
 				winDelivered++
@@ -531,7 +531,7 @@ func (k *loadKernel) RunSlice(b, n int64, _ bool) (scenario.SliceStats, error) {
 	k.delivered += winDelivered
 	backlog := 0
 	for vn := range k.queues {
-		backlog += len(k.queues[vn])
+		backlog += k.queues[vn].len()
 	}
 	for e := range k.sims {
 		k.utils[e], k.utilCur[e][0], k.utilCur[e][1] = scenario.UtilDelta(k.sims[e].Stats(), k.utilCur[e][0], k.utilCur[e][1])
@@ -565,9 +565,9 @@ func (s *System) LoadTest(gen *traffic.Generator, perVNLoad float64, cycles int6
 		perVNLoad: perVNLoad,
 		queueCap:  queueCap,
 		scheme:    s.router.Config().Scheme,
-		sims:      make([]*pipeline.Sim, len(images)),
-		queues:    make([][]queued, s.k),
-		exitVN:    make([][]queued, len(images)),
+		sims:      make([]*pipeline.BatchSim, len(images)),
+		queues:    make([]fifo[queued], s.k),
+		exitVN:    make([]fifo[queued], len(images)),
 		rrNext:    make([]int, len(images)),
 		gv:        gv,
 		meter:     s.meter(),
@@ -581,7 +581,7 @@ func (s *System) LoadTest(gen *traffic.Generator, perVNLoad float64, cycles int6
 		},
 	}
 	for e := range images {
-		k.sims[e] = pipeline.NewSim(images[e])
+		k.sims[e] = pipeline.NewBatchSim(images[e])
 	}
 	// The cycle loop runs on the coordinator, so the run meter can feed the
 	// per-lookup energy histogram without touching any worker hot path.

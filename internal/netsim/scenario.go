@@ -9,7 +9,7 @@ package netsim
 // and the kernel is a sequential per-cycle loop in the LoadTest mould:
 // per-network Bernoulli arrivals (probability from the load shape) wait in
 // bounded ingress queues, each engine injects one packet per cycle into a
-// persistent parity-checking simulator, and every exit is checked against
+// persistent parity-checking engine, and every exit is checked against
 // the reference table of its injection epoch. Because arrivals share one
 // generator stream and all control decisions run on the coordinator, the
 // whole composed run is a pure function of its seeds — byte-identical at
@@ -183,15 +183,15 @@ type scenExit struct {
 }
 
 // scenEng is one engine's composed-run state: a persistent parity-checking
-// simulator, the fault lifecycle (reusing the fault harness's engState over
+// engine, the fault lifecycle (reusing the fault harness's engState over
 // the serving image), the armed-update lifecycle, and the in-flight FIFO.
 type scenEng struct {
-	sim *pipeline.Sim
+	sim *pipeline.BatchSim
 	// fs is the fault lifecycle over the serving image (down/dead flags,
 	// sweep cursor, outstanding upsets, pending reload).
 	fs engState
 	// exit mirrors the sim's in-flight lookups in injection order.
-	exit []scenExit
+	exit fifo[scenExit]
 	// rrNext is the engine's round-robin pointer over its ingress queues.
 	rrNext int
 	// Armed hitless update, as in the update harness.
@@ -216,7 +216,7 @@ type scenRun struct {
 	engines []*scenEng
 	// queues[vn] is network vn's bounded ingress queue; refs[vn] its
 	// current-epoch oracle (flipped by commit bubbles, as in RunUpdates).
-	queues [][]queued
+	queues []fifo[queued]
 	refs   []*ip.Table
 
 	// mgr is the control plane for churn and (when churn is active) scrub
@@ -253,12 +253,12 @@ func (r *scenRun) engineOf(vn int) int { return r.s.engineOf(vn) }
 // flushExits drops an engine's in-flight lookups when it goes down: the
 // pipeline's contents are lost with the reload (or the corpse).
 func (r *scenRun) flushExits(e *scenEng) {
-	for _, m := range e.exit {
+	for _, m := range e.exit.items() {
 		r.rep.DroppedPerVN[m.vn]++
 		r.dropVN[m.vn].Inc()
 		obsFaultDrops.Inc()
 	}
-	e.exit = e.exit[:0]
+	e.exit.reset()
 }
 
 // commitUpdate finishes an engine's completed hitless update: the control
@@ -366,8 +366,8 @@ func (f scenFaults) install(eIdx int, e *scenEng) {
 	obsFaultsRepaired.Add(int64(len(fs.outstanding)))
 	fs.outstanding = fs.outstanding[:0]
 	fs.detectVia = ""
-	// The repaired engine serves a fresh simulator over the clean image.
-	e.sim = pipeline.NewSim(fs.img)
+	// The repaired engine is a fresh one over the clean image.
+	e.sim = pipeline.NewBatchSim(fs.img)
 	e.sim.EnableParityCheck()
 	r.chaosOnInstall(eIdx, e, at)
 }
@@ -455,7 +455,11 @@ func (f scenFaults) PreSlice(b, n int64, draining bool) error {
 		}
 		for eIdx, e := range r.engines {
 			for _, u := range r.in.UpsetsThrough(eIdx, b+n) {
-				faults.ApplyUpset(e.fs.img, u)
+				if faults.ApplyUpset(e.fs.img, u) {
+					// In-flight lookups see the flipped word from the stage
+					// they have reached onward, as in hardware.
+					e.sim.Patch(u.Stage, u.Index)
+				}
 				rep.SEUs = append(rep.SEUs, SEURecord{Upset: u, DetectedAt: -1, RepairedAt: -1})
 				e.fs.outstanding = append(e.fs.outstanding, len(rep.SEUs)-1)
 				tel.Events.Log(obs.LevelWarn, u.Cycle, "seu_inject",
@@ -591,12 +595,12 @@ func (c scenChurn) Outstanding() bool {
 // or in-flight packets.
 func (r *scenRun) Outstanding() bool {
 	for vn := range r.queues {
-		if len(r.queues[vn]) > 0 && !r.engines[r.engineOf(vn)].fs.dead {
+		if r.queues[vn].len() > 0 && !r.engines[r.engineOf(vn)].fs.dead {
 			return true
 		}
 	}
 	for _, e := range r.engines {
-		if len(e.exit) > 0 {
+		if e.exit.len() > 0 {
 			return true
 		}
 	}
@@ -637,7 +641,7 @@ func (r *scenRun) RunSlice(b, n int64, live bool) (scenario.SliceStats, error) {
 					}
 					continue
 				}
-				if len(r.queues[vn]) >= r.spec.Queue {
+				if r.queues[vn].len() >= r.spec.Queue {
 					rep.DroppedPerVN[vn]++
 					continue
 				}
@@ -655,11 +659,11 @@ func (r *scenRun) RunSlice(b, n int64, live bool) (scenario.SliceStats, error) {
 				if tracing {
 					q.req.Trace = tel.Sampler.Sample(vn, seq)
 				}
-				r.queues[vn] = append(r.queues[vn], q)
+				r.queues[vn].push(q)
 			}
 			backlog := 0
 			for vn := range r.queues {
-				backlog += len(r.queues[vn])
+				backlog += r.queues[vn].len()
 			}
 			if backlog > rep.BacklogPeak {
 				rep.BacklogPeak = backlog
@@ -698,16 +702,17 @@ func (r *scenRun) RunSlice(b, n int64, live bool) (scenario.SliceStats, error) {
 				}
 			}
 			if !bubbled {
+				// q lives outside the loop so that &q.req stays on the stack.
+				var q queued
 				var req *pipeline.Request
 				for i := 0; i < s.k; i++ {
 					vn := (e.rrNext + i) % s.k
-					if r.engineOf(vn) != eIdx || len(r.queues[vn]) == 0 {
+					if r.engineOf(vn) != eIdx || r.queues[vn].len() == 0 {
 						continue
 					}
-					q := r.queues[vn][0]
-					r.queues[vn] = r.queues[vn][1:]
+					q = r.queues[vn].pop()
 					req = &q.req
-					e.exit = append(e.exit, scenExit{
+					e.exit.push(scenExit{
 						vn: q.vn, arrival: q.arrival, seq: q.seq,
 						ref: r.refs[q.vn], trace: q.req.Trace,
 					})
@@ -717,8 +722,7 @@ func (r *scenRun) RunSlice(b, n int64, live bool) (scenario.SliceStats, error) {
 				res, done = e.sim.Inject(req)
 			}
 			if done {
-				m := e.exit[0]
-				e.exit = e.exit[1:]
+				m := e.exit.pop()
 				r.meter.Lookup(eIdx, m.vn, res.LastStage)
 				outcome := "forward"
 				switch {
@@ -761,7 +765,7 @@ func (r *scenRun) RunSlice(b, n int64, live bool) (scenario.SliceStats, error) {
 	// Slice measurement for the telemetry row and the governor's sample.
 	backlog, updating, downEngines := 0, 0, 0
 	for vn := range r.queues {
-		backlog += len(r.queues[vn])
+		backlog += r.queues[vn].len()
 	}
 	for eIdx, e := range r.engines {
 		r.utils[eIdx], r.utilCur[eIdx][0], r.utilCur[eIdx][1] =
@@ -911,14 +915,14 @@ func (s *System) RunScenario(gen *traffic.Generator, spec scenario.Spec) (Scenar
 
 	r.engines = make([]*scenEng, len(images))
 	for e := range images {
-		sim := pipeline.NewSim(images[e])
+		sim := pipeline.NewBatchSim(images[e])
 		sim.EnableParityCheck()
 		r.engines[e] = &scenEng{sim: sim, fs: engState{img: images[e], repairAt: -1}, doneAt: -1}
 		if w := images[e].Words(); w > r.maxWords {
 			r.maxWords = w
 		}
 	}
-	r.queues = make([][]queued, s.k)
+	r.queues = make([]fifo[queued], s.k)
 	r.refs = make([]*ip.Table, s.k)
 	r.dropVN = make([]*obs.Counter, s.k)
 	for vn := 0; vn < s.k; vn++ {

@@ -4,7 +4,7 @@ package netsim
 // slice-quantised time while the control plane pushes churn batches into the
 // serving engines as write bubbles — no reload, no blackhole. At each slice
 // boundary the coordinator commits a finished update and arms the next one
-// (update.Churn → ctrl.BeginHitlessUpdate → pipeline.Sim.BeginUpdate);
+// (update.Churn → ctrl.BeginHitlessUpdate → pipeline.BatchSim.BeginUpdate);
 // inside a slice each engine spends its input slots on pending bubbles
 // first, lookups second — a displaced arrival waits in the engine's backlog
 // and drains later, so updates delay packets but never drop them. Every
@@ -190,15 +190,15 @@ type updMeta struct {
 // coordinator between slices and by this engine's worker inside one, so the
 // per-slice fan-out stays race-free and deterministic.
 type updEng struct {
-	sim *pipeline.Sim
+	sim *pipeline.BatchSim
 	// engine/tel identify and sink this engine's flight traces (tel is the
 	// run's bundle; the ring is lock-free, so workers Put directly).
 	engine int
 	tel    *Telemetry
 	// backlog holds arrivals displaced by bubbles; pending the in-flight
 	// lookups' metadata in injection order.
-	backlog []updMeta
-	pending []updMeta
+	backlog fifo[updMeta]
+	pending fifo[updMeta]
 	// An armed batch: the handle to commit, the post-update oracle to swap
 	// in at the commit bubble, and the report record under construction.
 	handle *ctrl.HitlessUpdate
@@ -253,18 +253,16 @@ func (e *updEng) cycle(refs []*ip.Table, cyc int64) error {
 			return err
 		}
 		e.em.Bubble(e.engine, e.batch.VN)
-	} else if len(e.backlog) > 0 && !e.gate.Hold() {
-		m := e.backlog[0]
-		e.backlog = e.backlog[1:]
+	} else if e.backlog.len() > 0 && !e.gate.Hold() {
+		m := e.backlog.pop()
 		m.ref = refs[m.vn]
-		e.pending = append(e.pending, m)
+		e.pending.push(m)
 		res, ok = e.sim.Inject(&m.req)
 	} else {
 		res, ok = e.sim.Inject(nil)
 	}
 	if ok {
-		m := e.pending[0]
-		e.pending = e.pending[1:]
+		m := e.pending.pop()
 		e.em.Lookup(e.engine, m.vn, res.LastStage)
 		outcome := "drop-fault"
 		if res.Faulted {
@@ -403,7 +401,7 @@ func (u *updRun) Outstanding() bool {
 		return true
 	}
 	for _, e := range u.engines {
-		if e.handle != nil || len(e.backlog) > 0 || len(e.pending) > 0 || e.sim.Updating() {
+		if e.handle != nil || e.backlog.len() > 0 || e.pending.len() > 0 || e.sim.Updating() {
 			return true
 		}
 	}
@@ -468,11 +466,11 @@ func (u *updRun) RunSlice(b, n int64, live bool) (scenario.SliceStats, error) {
 		for i := int64(0); i < n; i++ {
 			if arrivals != nil {
 				for next < len(arrivals[eIdx]) && arrivals[eIdx][next].arrival == b+i {
-					e.backlog = append(e.backlog, arrivals[eIdx][next])
+					e.backlog.push(arrivals[eIdx][next])
 					next++
 				}
-				if len(e.backlog) > e.backlogPeak {
-					e.backlogPeak = len(e.backlog)
+				if e.backlog.len() > e.backlogPeak {
+					e.backlogPeak = e.backlog.len()
 				}
 			}
 			if err := e.cycle(u.refs, b+i); err != nil {
@@ -490,7 +488,7 @@ func (u *updRun) RunSlice(b, n int64, live bool) (scenario.SliceStats, error) {
 	for eIdx, e := range u.engines {
 		u.utils[eIdx], e.prevActive, e.prevCycles = scenario.UtilDelta(e.sim.Stats(), e.prevActive, e.prevCycles)
 		u.meter.Fold(e.em)
-		backlog += len(e.backlog)
+		backlog += e.backlog.len()
 		if e.handle != nil {
 			updating++
 		}
@@ -544,7 +542,7 @@ func (s *System) RunUpdates(gen *traffic.Generator, trafficCycles int64, cfg Upd
 	}
 	engines := make([]*updEng, len(images))
 	for e := range images {
-		sim := pipeline.NewSim(images[e])
+		sim := pipeline.NewBatchSim(images[e])
 		sim.EnableParityCheck()
 		engines[e] = &updEng{sim: sim, engine: e, tel: tel, doneAt: -1, deliveredPerVN: make([]int64, s.k)}
 	}

@@ -3,7 +3,7 @@ package pipeline
 // This file implements the post-recovery invariant auditor: after every
 // journaled recovery (a replayed scrub, a rolled-back commit) the harness
 // replays a probe set — addresses with oracle-known next hops — through a
-// throwaway parity-checking pipeline over the live image and cross-checks
+// throwaway parity-checking engine over the live image and cross-checks
 // each answer. The invariant is drop-never-misforward: a probe may come
 // back Faulted (the parity column caught residual corruption and the packet
 // would be dropped), but a resolved probe must match the RIB oracle
@@ -45,16 +45,17 @@ type AuditResult struct {
 // Clean reports whether the audit found no misforwarding.
 func (r AuditResult) Clean() bool { return r.Mismatches == 0 }
 
-// AuditImage replays probes through a throwaway parity-checking pipeline
-// over img and cross-checks every resolved answer against the oracle. The
-// live simulator is never touched: the audit builds its own Sim so stats,
-// bank state and in-flight lookups of the real data plane stay unperturbed.
+// AuditImage replays probes through a throwaway parity-checking engine over
+// img and cross-checks every resolved answer against the oracle. The live
+// engine is never touched: the audit builds its own BatchSim (over the flat
+// form img already shares with it), so stats, bank state and in-flight
+// lookups of the real data plane stay unperturbed.
 func AuditImage(img *Image, probes []Probe) AuditResult {
 	var res AuditResult
 	if img == nil || len(probes) == 0 {
 		return res
 	}
-	sim := NewSim(img)
+	sim := NewBatchSim(img)
 	sim.EnableParityCheck()
 	reqs := make([]Request, len(probes))
 	for i, p := range probes {

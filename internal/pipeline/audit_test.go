@@ -4,6 +4,8 @@ package pipeline
 // the post-recovery invariant auditor.
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"vrpower/internal/ip"
@@ -128,6 +130,64 @@ func TestAuditImageCleanAndTorn(t *testing.T) {
 	fres := AuditImage(flipped, probes)
 	if fres.Faulted == 0 {
 		t.Fatal("parity-stale corruption did not fault any probe")
+	}
+}
+
+// TestAuditImageMatchesScalarOracle: the audit runs on the batched engine;
+// on pristine, bit-flipped and torn images it must report what the same
+// probes report through a parity-checking Sim, and move the pipeline.* run
+// counters by the same amounts.
+func TestAuditImageMatchesScalarOracle(t *testing.T) {
+	oldTbl, newTbl := genTables(t)
+	pristine, newImg := compilePinned(t, oldTbl), compilePinned(t, newTbl)
+	flipped := pristine.Clone()
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 25; i++ {
+		s, idx, bit, _ := flipped.Locate(rng.Int63n(flipped.DataBits()))
+		flipped.FlipBit(s, idx, bit)
+	}
+	torn := pristine.Clone()
+	for s := 0; s < len(torn.Stages)/2; s++ {
+		torn.Stages[s].Entries = append([]Entry(nil), newImg.Stages[s].Entries...)
+	}
+	ref := oldTbl.Reference()
+	var probes []Probe
+	for _, r := range oldTbl.Routes {
+		probes = append(probes, Probe{Addr: r.Prefix.Addr, Want: ref.Lookup(r.Prefix.Addr)})
+	}
+	for name, img := range map[string]*Image{"pristine": pristine, "flipped": flipped, "torn": torn} {
+		var want, got AuditResult
+		wantDelta := counterDeltas(func() {
+			sim := NewSim(img)
+			sim.EnableParityCheck()
+			reqs := make([]Request, len(probes))
+			for i, p := range probes {
+				reqs[i] = Request{Addr: p.Addr, VN: p.VN}
+			}
+			results, _, err := sim.Run(reqs, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want.Probes = len(results)
+			for i, r := range results {
+				switch {
+				case r.Faulted:
+					want.Faulted++
+				case r.NHI != probes[i].Want:
+					want.Mismatches++
+				}
+			}
+		})
+		gotDelta := counterDeltas(func() { got = AuditImage(img, probes) })
+		if got != want {
+			t.Errorf("%s: audit %+v, scalar oracle %+v", name, got, want)
+		}
+		if !reflect.DeepEqual(gotDelta, wantDelta) {
+			t.Errorf("%s: obs counter deltas %v, scalar oracle %v", name, gotDelta, wantDelta)
+		}
+	}
+	if res := AuditImage(flipped, probes); res.Faulted == 0 {
+		t.Error("no probe crossed a flipped word; weaken the test")
 	}
 }
 

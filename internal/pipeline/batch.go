@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"fmt"
+	"slices"
 
 	"vrpower/internal/ip"
 	"vrpower/internal/obs"
@@ -55,70 +56,350 @@ func (sc *batchScratch) ensure(n int) {
 	sc.last = make([]uint8, n)
 }
 
-// BatchSim is the batched, data-oriented lookup engine: the same
-// request→result semantics as the scalar Sim under Run — next hops, fault
-// verdicts, cycle stamps and Stats are byte-identical, which the
-// differential and fuzz tests enforce — but executed as per-slice batches
-// that sweep each stage's flattened word slices across all in-flight
-// lookups together, instead of simulating one pipeline register shift per
-// cycle.
-//
-// Because a non-bubbled pipeline's timing is fully determined by the
-// arrival schedule (request i enters at now+i·g and exits exactly Stages
-// cycles later, every stage is occupied for exactly one cycle per lookup),
-// the cycle accounting is computed in closed form while the data-dependent
-// part — the trie walk and the per-stage activity counts — runs in the
-// cache-friendly sweep. Traced lookups take a separate recording path, as
-// in the scalar engine, so tracing support costs the hot loop nothing.
-//
-// BatchSim does not model hitless updates or write bubbles; engines with an
-// update in flight stay on the scalar Sim, the cycle-accurate oracle.
-type BatchSim struct {
-	flat    *FlatImage
-	nStages int
-	parity  bool
-	now     int64
-	st      Stats
-	scratch batchScratch
+// sFlight is one slot of the streaming ring: a lookup (or write bubble)
+// injected some steps ago, with its trie walk taken only as far as anything
+// has needed so far.
+type sFlight struct {
+	req  Request
+	idx  uint32 // entry index in stage `stage`
+	gen  uint32 // image generation the lookup reads (BatchSim.gen at injection, +1 behind a commit bubble)
+	kind uint8  // slotEmpty / slotLookup / slotBubble / slotCommit
+	// done marks a finished walk: resolved or faulted in stage last.
+	done, faulted bool
+	nhi           ip.NextHop
+	stage, last   int16 // next stage to walk; stage the walk ended in
+	// newUntil is the last stage whose traced visits read the shadow bank
+	// while the commit bubble ahead was still in the pipe (-1: none).
+	newUntil int16
+	trace    *traceLog
 }
 
-// NewBatchSim flattens img and returns a batched engine over the snapshot.
-func NewBatchSim(img *Image) *BatchSim { return NewBatchSimFlat(Flatten(img)) }
+const (
+	slotEmpty uint8 = iota
+	slotLookup
+	slotBubble
+	slotCommit // the final write bubble: banks flip as it passes
+)
 
-// NewBatchSimFlat returns a batched engine over an existing flat image
-// (several engines may share one snapshot; the engine never mutates it).
-func NewBatchSimFlat(flat *FlatImage) *BatchSim {
+// walk advances the lookup through stages f.stage..upto of flat, exactly as
+// Sim.process does one stage per cycle: folded levels within a stage are
+// followed in the same visit, a stale-parity word (when checked) or an
+// out-of-range pointer ends the walk as a fault, a leaf resolves it.
+func (f *sFlight) walk(flat *FlatImage, parity bool, upto int) {
+	addr, idx, tr := uint32(f.req.Addr), f.idx, f.trace
+	for s := int(f.stage); s <= upto; s++ {
+		meta := flat.stages[s].meta
+		child := flat.stages[s].child[:len(meta)]
+		for {
+			if tr != nil {
+				tr.visits = append(tr.visits, obs.StageVisit{Stage: s, Entry: idx, NewBank: s <= int(f.newUntil)})
+			}
+			if int(idx) >= len(meta) || parity && meta[idx]&metaParityBad != 0 {
+				if tr != nil {
+					tr.visits[len(tr.visits)-1].Fault = true
+				}
+				f.done, f.faulted, f.last = true, true, int16(s)
+				return
+			}
+			m, c := meta[idx], child[idx]
+			if m&metaLeaf != 0 {
+				if vn := f.req.VN; vn >= 0 && vn < int(c[1]) {
+					f.nhi = flat.nhi[c[0]+uint32(vn)]
+				}
+				f.done, f.last = true, int16(s)
+				return
+			}
+			idx = c[addr>>(m&metaShiftMask)&1]
+			if m&metaFold == 0 {
+				break
+			}
+		}
+	}
+	f.idx, f.stage = idx, int16(upto+1)
+}
+
+// bank is one image generation an engine serves: the source image and its
+// flat form, shared with the image's other engines until own is set.
+type bank struct {
+	img  *Image
+	flat *FlatImage
+	own  bool
+}
+
+// patch re-derives entry (stage, index) from the image after an upset. The
+// first patch stops sharing: the engine flattens the image as it is now
+// into a flat form of its own; later ones rewrite the one entry.
+func (k *bank) patch(stage int, index uint32) {
+	if !k.own {
+		k.flat, k.own = Flatten(k.img), true
+		return
+	}
+	k.flat.derive(k.img, stage, index)
+}
+
+// BatchSim is the production lookup engine: the same request→result
+// semantics as the scalar Sim — next hops, fault verdicts, cycle stamps,
+// traced visits and Stats are byte-identical, which the differential and
+// fuzz tests enforce — computed on the flattened word slices without
+// simulating a register shift per cycle. A linear pipeline's timing is
+// fixed by its schedule: a lookup entering at cycle t leaves at t+Stages
+// and occupies each stage for one cycle, so only the trie walk and the
+// per-stage activity it causes depend on data.
+//
+// Run resolves a whole request slice in batches that sweep each stage
+// across all in-flight lookups. Inject/InjectBubble stream one input slot
+// per call, as the slice runners need: an injected lookup is a slot in a
+// Stages-deep ring and is walked lazily — fully when it leaves, and only up
+// to the stage it has reached whenever the scalar engine's intermediate
+// state would be observable: a Stats read, a Patch of the image, a parity
+// switch. Which bank a lookup reads during a hitless update, old or new, is
+// fixed at injection by whether the commit bubble is ahead of it.
+type BatchSim struct {
+	cur, next bank // serving image; the shadow bank while an update is armed
+	nStages   int
+	parity    bool
+	now       int64
+	// st holds the scalar counters, and in its two slices the Run path's
+	// share of stage activity; Stats adds the streaming share.
+	st      Stats
+	scratch batchScratch
+
+	ring []sFlight // ring[head] is the oldest slot, leaving on the next step
+	head int
+	// ended[s] counts streamed walks that ended in stage s (bubbles and
+	// unresolved lookups: the last stage); exited counts slots that left.
+	ended  []int64
+	exited int64
+	// active/occupied back the slices Stats returns.
+	active, occupied []int64
+	gen              uint32
+	bubblesLeft      int
+	commitAt         int64 // cycle the in-flight commit bubble entered
+}
+
+// NewBatchSim returns an engine serving img, reading the image's shared
+// flat form.
+func NewBatchSim(img *Image) *BatchSim {
+	n := len(img.Stages)
 	return &BatchSim{
-		flat:    flat,
-		nStages: flat.Stages(),
-		st: Stats{
-			StageActive:   make([]int64, flat.Stages()),
-			StageOccupied: make([]int64, flat.Stages()),
-		},
+		cur:      bank{img: img, flat: img.sharedFlat()},
+		nStages:  n,
+		st:       Stats{StageActive: make([]int64, n), StageOccupied: make([]int64, n)},
+		ring:     make([]sFlight, n),
+		ended:    make([]int64, n),
+		active:   make([]int64, n),
+		occupied: make([]int64, n),
 	}
 }
 
 // EnableParityCheck turns on per-access parity verification, matching
-// Sim.EnableParityCheck. The verdict per word was precomputed at Flatten
-// time, so the check is a single bit test instead of a parity recompute.
-func (b *BatchSim) EnableParityCheck() { b.parity = true }
+// Sim.EnableParityCheck. The verdict per word was precomputed when the
+// image was flattened, so the check is a bit test, not a parity recompute.
+func (b *BatchSim) EnableParityCheck() {
+	b.sync()
+	b.parity = true
+}
 
-// Stats returns the accumulated counters.
-func (b *BatchSim) Stats() Stats { return b.st }
+// reached returns the slot injected s+1 steps ago, which has been through
+// stages 0..s.
+func (b *BatchSim) reached(s int) *sFlight {
+	i := b.head - 1 - s
+	if i < 0 {
+		i += b.nStages
+	}
+	return &b.ring[i]
+}
 
-// Reset returns the engine to its post-construction state — zero cycle
-// clock, zeroed stats — while keeping the flight arena and stat slices
+// sync walks every in-flight lookup up to the stage it has reached, so the
+// engine's state equals the cycle-stepped one's at this cycle.
+func (b *BatchSim) sync() {
+	for s := 0; s < b.nStages; s++ {
+		if f := b.reached(s); f.kind == slotLookup {
+			b.advance(f, s)
+		}
+	}
+}
+
+// advance walks f through stage upto and books the walk's end, if reached.
+func (b *BatchSim) advance(f *sFlight, upto int) {
+	if f.done || int(f.stage) > upto {
+		return
+	}
+	flat := b.cur.flat
+	if f.gen != b.gen {
+		flat = b.next.flat
+	}
+	if f.walk(flat, b.parity, upto); f.done {
+		b.ended[f.last]++
+		if f.faulted {
+			b.st.Faults++
+		}
+	}
+}
+
+// Stats returns the accumulated counters as of the current cycle. The
+// slices are the engine's own and are rewritten by the next call.
+func (b *BatchSim) Stats() Stats {
+	b.sync()
+	st := b.st
+	st.StageActive, st.StageOccupied = b.active, b.occupied
+	// A slot that left was in every stage and active through the stage its
+	// walk ended in; one in flight, so far, only through the stage it has
+	// reached. Both are suffix sums over stages.
+	act, occ := int64(0), b.exited
+	for s := b.nStages - 1; s >= 0; s-- {
+		act += b.ended[s]
+		if f := b.reached(s); f.kind != slotEmpty {
+			occ++
+			if !f.done {
+				act++
+			}
+		}
+		st.StageActive[s] = b.st.StageActive[s] + act
+		st.StageOccupied[s] = b.st.StageOccupied[s] + occ
+	}
+	return st
+}
+
+// Patch makes an upset visible: call it after flipping a bit of entry
+// (stage, index) in the serving image (or the armed one). Lookups in flight
+// have read the old word in the stages they are already through and read
+// the new one from here on, as in hardware.
+func (b *BatchSim) Patch(stage int, index uint32) {
+	b.sync()
+	b.cur.patch(stage, index)
+	if b.next.img != nil {
+		b.next.patch(stage, index)
+	}
+}
+
+// Reset returns the engine to its post-construction state over the same
+// serving image — zero cycle clock, zeroed stats, empty pipe, any pending
+// update discarded — while keeping the flight arena and stat slices
 // allocated, so repeated runs (and benchmark iterations) measure lookups,
-// not construction.
+// not construction. The parity-check setting survives.
 func (b *BatchSim) Reset() {
-	b.now = 0
+	b.now, b.exited, b.bubblesLeft, b.next = 0, 0, 0, bank{}
 	b.st.Cycles, b.st.Lookups, b.st.Bubbles, b.st.Faults = 0, 0, 0, 0
-	for i := range b.st.StageActive {
-		b.st.StageActive[i] = 0
+	for s := range b.ring {
+		b.ring[s], b.ended[s], b.st.StageActive[s], b.st.StageOccupied[s] = sFlight{}, 0, 0, 0
 	}
-	for i := range b.st.StageOccupied {
-		b.st.StageOccupied[i] = 0
+}
+
+// step advances one cycle: the oldest slot leaves — a lookup as a Result,
+// a commit bubble by making the shadow bank the serving one — and in takes
+// its place.
+func (b *BatchSim) step(in sFlight) (res Result, ok bool) {
+	f := &b.ring[b.head]
+	last := b.nStages - 1
+	commit := f.kind == slotCommit
+	switch f.kind {
+	case slotEmpty:
+	case slotLookup:
+		if b.advance(f, last); !f.done {
+			f.last = int16(last) // walked the whole pipe unresolved
+			b.ended[last]++
+		}
+		res, ok = Result{
+			Request: f.req, NHI: f.nhi, Faulted: f.faulted, LastStage: int(f.last),
+			EnterCycle: b.now - int64(b.nStages), ExitCycle: b.now,
+		}, true
+		if f.trace != nil {
+			res.Visits = f.trace.visits
+		}
+		b.st.Lookups++
+		b.exited++
+	default: // a write bubble: one memory write in every stage
+		b.ended[last]++
+		b.exited++
 	}
+	*f = in
+	if commit {
+		b.cur, b.next = b.next, bank{}
+		b.gen++
+	}
+	if b.head++; b.head == b.nStages {
+		b.head = 0
+	}
+	b.now++
+	b.st.Cycles++
+	return res, ok
+}
+
+// Inject advances the pipeline one cycle, feeding req into stage 0 (nil for
+// an idle cycle), and reports the lookup that left the last stage, if any —
+// Sim.Inject's contract.
+func (b *BatchSim) Inject(req *Request) (Result, bool) {
+	if req == nil {
+		return b.step(sFlight{})
+	}
+	in := sFlight{kind: slotLookup, req: *req, gen: b.gen, newUntil: -1}
+	if b.next.img != nil && b.bubblesLeft == 0 {
+		// Behind the commit bubble: every stage has flipped by the time this
+		// lookup reaches it.
+		in.gen++
+		in.newUntil = int16(b.commitAt + int64(b.nStages) - b.now)
+	}
+	if req.Trace {
+		in.trace = &traceLog{visits: make([]obs.StageVisit, 0, b.nStages)}
+	}
+	return b.step(in)
+}
+
+// BeginUpdate arms a hitless image update with Sim.BeginUpdate's contract:
+// next replaces the serving image through bubbles write bubbles (at least
+// one: the last doubles as the bank-flip commit), lookups keep flowing, and
+// Updating turns false once the commit bubble has drained.
+func (b *BatchSim) BeginUpdate(next *Image, bubbles int) error {
+	if next == nil {
+		return fmt.Errorf("pipeline: BeginUpdate with nil image")
+	}
+	if b.next.img != nil {
+		return fmt.Errorf("pipeline: update already in flight (%d bubbles pending)", b.bubblesLeft)
+	}
+	if len(next.Stages) != b.nStages {
+		return fmt.Errorf("pipeline: update stage counts differ (%d vs %d)", len(next.Stages), b.nStages)
+	}
+	if bubbles < 1 {
+		bubbles = 1
+	}
+	b.next, b.bubblesLeft = bank{img: next, flat: next.sharedFlat()}, bubbles
+	return nil
+}
+
+// Updating reports whether an armed update has not yet fully committed.
+func (b *BatchSim) Updating() bool { return b.next.img != nil }
+
+// PendingBubbles returns the write bubbles not yet injected.
+func (b *BatchSim) PendingBubbles() int { return b.bubblesLeft }
+
+// AbortUpdate disarms a pending update, legal only until the commit bubble
+// is injected (Sim.AbortUpdate's contract): the serving image keeps serving.
+func (b *BatchSim) AbortUpdate() error {
+	if b.next.img == nil {
+		return fmt.Errorf("pipeline: no update to abort")
+	}
+	if b.bubblesLeft == 0 {
+		return fmt.Errorf("pipeline: commit bubble already in flight, update cannot be aborted")
+	}
+	b.next, b.bubblesLeft = bank{}, 0
+	return nil
+}
+
+// InjectBubble advances one cycle feeding the next write bubble into stage
+// 0 in place of a lookup; like Inject it reports the lookup leaving the
+// last stage. It fails when no update is armed or the budget is spent.
+func (b *BatchSim) InjectBubble() (Result, bool, error) {
+	if b.next.img == nil || b.bubblesLeft == 0 {
+		return Result{}, false, fmt.Errorf("pipeline: no write bubble pending")
+	}
+	in := sFlight{kind: slotBubble}
+	if b.bubblesLeft--; b.bubblesLeft == 0 {
+		in.kind, b.commitAt = slotCommit, b.now
+	}
+	b.st.Bubbles++
+	res, ok := b.step(in)
+	return res, ok, nil
 }
 
 // Run feeds the requests through the engine, one per interarrival cycles,
@@ -135,8 +416,11 @@ func (b *BatchSim) RunAppend(dst []Result, reqs []Request, interarrival int) ([]
 	if interarrival < 1 {
 		return dst, Stats{}, fmt.Errorf("pipeline: interarrival %d, want >= 1", interarrival)
 	}
+	if err := b.idle(); err != nil {
+		return dst, Stats{}, err
+	}
 	base := len(dst)
-	dst = growResults(dst, len(reqs))
+	dst = slices.Grow(dst, len(reqs))[:base+len(reqs)]
 	out := dst[base:]
 	g := int64(interarrival)
 	startFaults := b.st.Faults // sweepChunk bumps b.st in place; snapshot first
@@ -148,7 +432,20 @@ func (b *BatchSim) RunAppend(dst []Result, reqs []Request, interarrival int) ([]
 		b.sweepChunk(reqs[chunk:chunk+m], out[chunk:chunk+m], &b.scratch, &b.st, b.now+int64(chunk)*g, g)
 	}
 	b.finish(len(out), g, startFaults)
-	return dst, b.st, nil
+	return dst, b.Stats(), nil
+}
+
+// idle reports an error unless the pipe is empty and no update is armed:
+// Run's closed-form schedule has no place for streamed slots.
+func (b *BatchSim) idle() error {
+	busy := b.next.img != nil
+	for i := range b.ring {
+		busy = busy || b.ring[i].kind != slotEmpty
+	}
+	if busy {
+		return fmt.Errorf("pipeline: Run on an engine with streamed lookups or an update in flight")
+	}
+	return nil
 }
 
 // RunSharded is Run(reqs, 1) fanned over the sweep worker pool in
@@ -161,6 +458,9 @@ func (b *BatchSim) RunSharded(reqs []Request) ([]Result, Stats, error) {
 	workers := sweep.Workers()
 	if len(reqs) < shardMinReqs || workers <= 1 {
 		return b.Run(reqs, 1)
+	}
+	if err := b.idle(); err != nil {
+		return nil, Stats{}, err
 	}
 	shards := workers
 	if max := (len(reqs) + batchFlights - 1) / batchFlights; shards > max {
@@ -202,7 +502,7 @@ func (b *BatchSim) RunSharded(reqs []Request) ([]Result, Stats, error) {
 		b.st.Faults += d.faults
 	}
 	b.finish(len(out), 1, startFaults)
-	return out, b.st, nil
+	return out, b.Stats(), nil
 }
 
 // finish applies the closed-form cycle accounting of Sim.Run to a completed
@@ -240,16 +540,21 @@ func (b *BatchSim) sweepChunk(reqs []Request, out []Result, sc *batchScratch, st
 	for j := range reqs {
 		sc.nhi[j] = ip.NoRoute
 		if reqs[j].Trace {
-			visits, nhi, faulted, rstage := b.recordWalk(reqs[j])
+			// Traced flights take the streaming engine's recording walk.
+			f := sFlight{
+				req: reqs[j], newUntil: -1, last: int16(b.nStages - 1),
+				trace: &traceLog{visits: make([]obs.StageVisit, 0, b.nStages)},
+			}
+			f.walk(b.cur.flat, b.parity, b.nStages-1)
 			enter := enter0 + int64(j)*g
 			out[j] = Result{
-				Request: reqs[j], NHI: nhi, Faulted: faulted, Visits: visits,
-				EnterCycle: enter, ExitCycle: enter + n, LastStage: rstage,
+				Request: reqs[j], NHI: f.nhi, Faulted: f.faulted, Visits: f.trace.visits,
+				EnterCycle: enter, ExitCycle: enter + n, LastStage: int(f.last),
 			}
-			for s := 0; s <= rstage; s++ {
+			for s := 0; s <= int(f.last); s++ {
 				st.StageActive[s]++
 			}
-			if faulted {
+			if f.faulted {
 				st.Faults++
 			}
 			sc.flag[j] = flagTraced
@@ -267,11 +572,12 @@ func (b *BatchSim) sweepChunk(reqs []Request, out []Result, sc *batchScratch, st
 		fl[nLive] = bFlight{addr: uint32(reqs[j].Addr), pos: int32(j), vn: int32(vn)}
 		nLive++
 	}
-	slab := b.flat.nhi
+	flat := b.cur.flat
+	slab := flat.nhi
 	parity := b.parity
 	for s := 0; s < b.nStages && nLive > 0; s++ {
 		st.StageActive[s] += int64(nLive)
-		fs := &b.flat.stages[s]
+		fs := &flat.stages[s]
 		// Reslicing child to meta's length lets one idx<len(meta) test prove
 		// both accesses in bounds (Flatten builds them the same length).
 		meta := fs.meta
@@ -371,56 +677,6 @@ func (b *BatchSim) sweepChunk(reqs []Request, out []Result, sc *batchScratch, st
 			LastStage:  int(sc.last[j]),
 		}
 	}
-}
-
-// recordWalk is the traced flight's recording path: the same traversal with
-// every stage-memory access appended to the visit log, matching the scalar
-// engine's processTraced byte for byte. rstage is the stage during which
-// the lookup resolved (the last stage it was active in).
-func (b *BatchSim) recordWalk(req Request) (visits []obs.StageVisit, nhi ip.NextHop, faulted bool, rstage int) {
-	visits = make([]obs.StageVisit, 0, b.nStages)
-	nhi = ip.NoRoute
-	idx := uint32(0)
-	for s := 0; s < b.nStages; s++ {
-		fs := &b.flat.stages[s]
-		for {
-			visits = append(visits, obs.StageVisit{Stage: s, Entry: idx})
-			if idx >= uint32(len(fs.meta)) {
-				visits[len(visits)-1].Fault = true
-				return visits, ip.NoRoute, true, s
-			}
-			m := fs.meta[idx]
-			if b.parity && m&metaParityBad != 0 {
-				visits[len(visits)-1].Fault = true
-				return visits, ip.NoRoute, true, s
-			}
-			c := fs.child[idx]
-			if m&metaLeaf != 0 {
-				if vn := req.VN; vn >= 0 && vn < int(c[1]) {
-					nhi = b.flat.nhi[c[0]+uint32(vn)]
-				}
-				return visits, nhi, false, s
-			}
-			idx = c[uint32(req.Addr)>>(m&metaShiftMask)&1]
-			if m&metaFold != 0 {
-				continue
-			}
-			break
-		}
-	}
-	return visits, ip.NoRoute, false, b.nStages - 1
-}
-
-// growResults extends dst by n zero slots without the temporary slice an
-// append(dst, make(...)...) would allocate.
-func growResults(dst []Result, n int) []Result {
-	need := len(dst) + n
-	if cap(dst) >= need {
-		return dst[:need]
-	}
-	grown := make([]Result, need)
-	copy(grown, dst)
-	return grown
 }
 
 // Lookups resolves a batch of probes with one batched engine — the bulk

@@ -2,10 +2,11 @@ package pipeline
 
 import "vrpower/internal/ip"
 
-// Flat image: the struct-of-arrays compile of an Image that the batched
-// engine sweeps. The pointer-rich Entry records (≈56 bytes each, with the
-// NHI vector behind a slice header and the parity bit recomputed on every
-// checked access) are flattened once into contiguous per-stage word slices:
+// Flat image: the struct-of-arrays compile of an Image that the production
+// engine (BatchSim) reads. The pointer-rich Entry records (≈56 bytes each,
+// with the NHI vector behind a slice header and the parity bit recomputed on
+// every checked access) are flattened once into contiguous per-stage word
+// slices:
 //
 //   - meta:  one uint16 per entry packing the trie level, the leaf flag,
 //     the precomputed parity verdict and the fold flag (child level maps to
@@ -18,11 +19,14 @@ import "vrpower/internal/ip"
 //
 // A stage access then touches two small parallel slices instead of a wide
 // struct, and the parity comparison — a popcount loop over the NHI vector in
-// the scalar path — collapses to a single precomputed bit. The flat image is
-// a snapshot: it reflects the Image at Flatten time, so fault injection that
-// mutates the source Image afterwards is invisible until re-flattened (the
-// batched engine is the pristine-image fast path; faulted engines keep the
-// scalar oracle).
+// the scalar path — collapses to a single precomputed bit.
+//
+// Ownership follows the image's: a flat image is a pure function of its
+// Image's words. Each Image builds its flat form at most once (sharedFlat)
+// and every engine serving that Image reads the same one; an engine whose
+// image takes an upset stops sharing and re-derives the struck entry in a
+// copy of its own (BatchSim.Patch), so a fault on one engine never reaches
+// the flat form its neighbours read.
 //
 // Internal nodes store the precomputed shift amount 31-level (≤ 31, so the
 // hot loop's address-bit extract masks with 0x1F and the compiler can prove
@@ -48,19 +52,30 @@ type flatStage struct {
 	visits int
 }
 
-// FlatImage is a data-oriented snapshot of a compiled Image, built once and
-// shared by any number of batched engines (it is immutable after Flatten).
+// FlatImage is the data-oriented form of a compiled Image. One that is
+// shared (Image.sharedFlat) is never written; an engine patches only a flat
+// image it built for itself.
 type FlatImage struct {
 	stages []flatStage
 	nhi    []ip.NextHop
-	k      int
 }
 
-// Flatten builds the struct-of-arrays snapshot of img. The source image is
-// not retained; mutating it afterwards (FlipBit) does not affect the flat
-// image.
+// sharedFlat returns the flat form every engine over img reads, flattening
+// on first use. Of two first users racing, the loser keeps its own (equal)
+// form and later users share the winner's.
+func (img *Image) sharedFlat() *FlatImage {
+	if f := img.flat.Load(); f != nil {
+		return f
+	}
+	f := Flatten(img)
+	img.flat.CompareAndSwap(nil, f)
+	return f
+}
+
+// Flatten builds a new flat form of img as it is now. The source image is
+// not retained; mutating it afterwards (FlipBit) does not affect the result.
 func Flatten(img *Image) *FlatImage {
-	f := &FlatImage{stages: make([]flatStage, len(img.Stages)), k: img.K}
+	f := &FlatImage{stages: make([]flatStage, len(img.Stages))}
 	words := 0
 	for s := range img.Stages {
 		for i := range img.Stages[s].Entries {
@@ -93,34 +108,45 @@ func Flatten(img *Image) *FlatImage {
 		if lo != -1 {
 			fs.visits = hi - lo + 1
 		}
-		for i := range entries {
-			e := &entries[i]
-			var m uint16
-			if e.Parity != e.DataParity() {
-				m |= metaParityBad
-			}
-			if e.Leaf {
-				m |= metaLeaf | uint16(e.Level)&metaLevelMask
-				fs.child[i] = [2]uint32{uint32(len(f.nhi)), uint32(len(e.NHI))}
-				f.nhi = append(f.nhi, e.NHI...)
-			} else {
-				// Internal nodes consume one address bit; levels beyond 31
-				// cannot have children in a 32-bit trie.
-				m |= uint16(31-e.Level) & metaShiftMask
-				fs.child[i] = e.Child
-				if img.Map.Stage(e.Level+1) == s {
-					m |= metaFold
-				}
-			}
-			fs.meta[i] = m
-		}
 		f.stages[s] = fs
+		for i := range entries {
+			if n := len(entries[i].NHI); entries[i].Leaf {
+				// Reserve the leaf's slab slot; derive fills it.
+				fs.child[i] = [2]uint32{uint32(len(f.nhi)), uint32(n)}
+				f.nhi = f.nhi[:len(f.nhi)+n]
+			}
+			f.derive(img, s, uint32(i))
+		}
 	}
 	return f
 }
 
-// Stages returns the pipeline depth of the flattened image.
-func (f *FlatImage) Stages() int { return len(f.stages) }
-
-// K returns the number of virtual networks the image serves.
-func (f *FlatImage) K() int { return f.k }
+// derive writes entry (s, i)'s words from img: the meta word, and the child
+// pair of an internal node or the slab words of a leaf (whose slab slot was
+// laid out by Flatten). It is both Flatten's per-entry step and the patch
+// that follows an upset, which changes data bits but never an entry's kind,
+// level or vector length.
+func (f *FlatImage) derive(img *Image, s int, i uint32) {
+	if s < 0 || s >= len(f.stages) || int(i) >= len(f.stages[s].meta) {
+		return
+	}
+	fs := &f.stages[s]
+	e := &img.Stages[s].Entries[i]
+	var m uint16
+	if e.Parity != e.DataParity() {
+		m |= metaParityBad
+	}
+	if e.Leaf {
+		m |= metaLeaf | uint16(e.Level)&metaLevelMask
+		copy(f.nhi[fs.child[i][0]:], e.NHI)
+	} else {
+		// Internal nodes consume one address bit; levels beyond 31
+		// cannot have children in a 32-bit trie.
+		m |= uint16(31-e.Level) & metaShiftMask
+		fs.child[i] = e.Child
+		if img.Map.Stage(e.Level+1) == s {
+			m |= metaFold
+		}
+	}
+	fs.meta[i] = m
+}

@@ -3,12 +3,13 @@
 // independently accessible memory, a packet traverses the stages like a trie
 // walk, and the last stage emits the next-hop information (NHI). The package
 // provides a compiler from (merged) tries to stage memory images, a
-// cycle-accurate simulator with clock-gating activity counters, and a
-// goroutine-per-stage concurrent execution mode.
+// cycle-accurate simulator with clock-gating activity counters (Sim, the
+// oracle), and the flat-image engine every runner serves from (BatchSim).
 package pipeline
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"vrpower/internal/ip"
 	"vrpower/internal/merge"
@@ -76,6 +77,12 @@ type Image struct {
 	K int
 	// Map is the level→stage mapping used at compile time.
 	Map trie.StageMap
+	// flat caches the image's struct-of-arrays form, built the first time an
+	// engine serves the image and shared by every engine that does (see
+	// sharedFlat). A clone starts without one and FlipBit drops it, so a
+	// cached form never outlives the words it was built from; code that
+	// writes Entries directly must do so before the image is first served.
+	flat atomic.Pointer[FlatImage]
 }
 
 // node abstracts trie.Node and merge.Node for compilation.
@@ -339,6 +346,9 @@ func (img *Image) FlipBit(stage int, index uint32, bit int) bool {
 	} else {
 		e.Child[bit/18] ^= 1 << (bit % 18)
 	}
+	// Engines already serving the image keep the flat form they hold and
+	// patch a copy of their own (BatchSim.Patch); later ones flatten afresh.
+	img.flat.Store(nil)
 	return true
 }
 

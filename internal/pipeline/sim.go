@@ -487,86 +487,6 @@ func Lookup(img *Image, req Request) ip.NextHop {
 	return ip.NoRoute
 }
 
-// RunConcurrent executes the same semantics as Run(reqs, 1) with one
-// goroutine per pipeline stage connected by channels — the share-memory-by-
-// communicating construction of the same hardware structure. Results arrive
-// in request order. Cycle stamps are not meaningful in this mode; activity
-// counters are not collected. Parity is unchecked, matching a Sim without
-// EnableParityCheck; RunConcurrentChecked adds the per-access check.
-func RunConcurrent(img *Image, reqs []Request) []Result {
-	return RunConcurrentChecked(img, reqs, false)
-}
-
-// RunConcurrentChecked is RunConcurrent with optional per-access parity
-// verification, the channel pipeline's equivalent of EnableParityCheck.
-// Fault semantics match the scalar path exactly: an out-of-range child
-// pointer or a stale-parity word terminates the lookup as Faulted with NHI
-// NoRoute — drop, never misforward.
-func RunConcurrentChecked(img *Image, reqs []Request, parity bool) []Result {
-	type token struct {
-		f *flight
-	}
-	in := make(chan token, 1)
-	cur := in
-	for i := range img.Stages {
-		next := make(chan token, 1)
-		go func(stage int, from, to chan token) {
-			for t := range from {
-				f := t.f
-				if !f.resolved {
-					f.last = int32(stage)
-					// Same per-stage work as Sim.process, fault paths
-					// included.
-					for {
-						if int(f.idx) >= len(img.Stages[stage].Entries) {
-							f.resolved = true
-							f.faulted = true
-							f.nhi = ip.NoRoute
-							break
-						}
-						e := img.Stages[stage].Entries[f.idx]
-						if parity && e.Parity != e.DataParity() {
-							f.resolved = true
-							f.faulted = true
-							f.nhi = ip.NoRoute
-							break
-						}
-						if e.Leaf {
-							f.resolved = true
-							if f.req.VN < 0 || f.req.VN >= len(e.NHI) {
-								f.nhi = ip.NoRoute
-							} else {
-								f.nhi = e.NHI[f.req.VN]
-							}
-							break
-						}
-						bit := f.req.Addr.Bit(e.Level)
-						f.idx = e.Child[bit]
-						if img.Map.Stage(e.Level+1) != stage {
-							break
-						}
-					}
-				}
-				to <- t
-			}
-			close(to)
-		}(i, cur, next)
-		cur = next
-	}
-	go func() {
-		for i := range reqs {
-			in <- token{&flight{req: reqs[i], idx: 0}}
-		}
-		close(in)
-	}()
-	results := make([]Result, 0, len(reqs))
-	for t := range cur {
-		results = append(results, Result{Request: t.f.req, NHI: t.f.nhi, Faulted: t.f.faulted, LastStage: int(t.f.last)})
-	}
-	obsLookups.Add(int64(len(results)))
-	return results
-}
-
 // Inject advances the pipeline one cycle, feeding req into stage 0 (nil for
 // an idle cycle), and reports the lookup that left the last stage, if any.
 // It is the building block for open-loop load experiments where arrivals

@@ -135,3 +135,100 @@ func TestTelemetryParityScalarVsBatched(t *testing.T) {
 		}
 	}
 }
+
+// TestTelemetryParityStreamedBubblesAndSEUs extends the parity check to the
+// way the slice runners drive an engine: one input slot per cycle at load
+// 0.9 with parity checking on, a hitless update whose write bubbles take
+// input slots mid-run, and upsets landing under in-flight lookups. Charged
+// to a meter the way the runners charge it (every exit pays stages
+// 0..LastStage, every bubble a write per stage), both cores must leave the
+// same meter, the same Stats — stage activity and occupancy included — and
+// the same (untouched) process-wide counters.
+func TestTelemetryParityStreamedBubblesAndSEUs(t *testing.T) {
+	const k, stages, slots = 3, 12, 6000
+	pristine, _ := compileSet(t, k, 500, stages, 42)
+	updated, _ := compileSet(t, k, 500, stages, 43)
+	design := power.SystemDesign{
+		FMHz:    250,
+		Devices: 1,
+		Engines: []power.EngineDesign{{
+			StageBits:   DefaultLayout().AllStageBits(pristine),
+			Utilization: 1,
+		}},
+	}
+	model, err := energy.NewModel(design)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	type run struct {
+		st      Stats
+		results []Result
+		meter   *energy.Meter
+		deltas  map[string]int64
+	}
+	drive := func(build func(*Image) streamEngine, patch func(streamEngine, int, uint32)) run {
+		img, next := pristine.Clone(), updated.Clone()
+		eng := build(img)
+		eng.EnableParityCheck()
+		r := run{meter: energy.NewMeter(model, k)}
+		rng := rand.New(rand.NewSource(7))
+		seu := rand.New(rand.NewSource(99))
+		r.deltas = counterDeltas(func() {
+			for c := 0; c < slots; c++ {
+				if c == 2000 {
+					if err := eng.BeginUpdate(next, 150); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if c%400 == 399 {
+					target := img
+					if !eng.Updating() && c > 2000 {
+						target = next // the commit drained: next serves now
+					}
+					s, idx, bit, _ := target.Locate(seu.Int63n(target.DataBits()))
+					target.FlipBit(s, idx, bit)
+					patch(eng, s, idx)
+				}
+				var res Result
+				var ok bool
+				switch {
+				case eng.PendingBubbles() > 0:
+					if res, ok, err = eng.InjectBubble(); err != nil {
+						t.Fatal(err)
+					}
+					r.meter.Bubble(0, 0)
+				case c%10 == 9:
+					res, ok = eng.Inject(nil)
+				default:
+					res, ok = eng.Inject(&Request{Addr: ip.Addr(rng.Uint32()), VN: rng.Intn(k), Trace: c%64 == 0})
+				}
+				if ok {
+					r.results = append(r.results, res)
+					r.meter.Lookup(0, res.VN, res.LastStage)
+				}
+			}
+		})
+		r.st = eng.Stats()
+		return r
+	}
+	scalar := drive(func(img *Image) streamEngine { return NewSim(img) }, func(streamEngine, int, uint32) {})
+	batched := drive(func(img *Image) streamEngine { return NewBatchSim(img) },
+		func(e streamEngine, s int, idx uint32) { e.(*BatchSim).Patch(s, idx) })
+
+	if !reflect.DeepEqual(scalar.results, batched.results) {
+		t.Error("streamed results diverge")
+	}
+	if !reflect.DeepEqual(scalar.st, batched.st) {
+		t.Errorf("Stats diverge:\nscalar  %+v\nbatched %+v", scalar.st, batched.st)
+	}
+	if !reflect.DeepEqual(scalar.meter, batched.meter) {
+		t.Errorf("energy meters diverge:\nscalar  %+v\nbatched %+v", scalar.meter, batched.meter)
+	}
+	if !reflect.DeepEqual(scalar.deltas, batched.deltas) {
+		t.Errorf("obs counter deltas diverge:\nscalar  %v\nbatched %v", scalar.deltas, batched.deltas)
+	}
+	if scalar.st.Bubbles != 150 || scalar.st.Faults == 0 {
+		t.Errorf("run had %d bubbles and %d faults; want 150 and some — weaken the test", scalar.st.Bubbles, scalar.st.Faults)
+	}
+}

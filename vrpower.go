@@ -249,7 +249,8 @@ func PercentError(model, experimental float64) float64 {
 type (
 	// Image is a compiled pipeline memory image.
 	Image = pipeline.Image
-	// Sim is the cycle-accurate pipeline simulator.
+	// Sim is the cycle-stepped pipeline simulator: the oracle the
+	// differential tests hold BatchSim to.
 	Sim = pipeline.Sim
 	// Request is one lookup (address + VNID).
 	Request = pipeline.Request
@@ -257,25 +258,22 @@ type (
 	Result = pipeline.Result
 	// MemLayout sizes pointer and NHI entries.
 	MemLayout = pipeline.MemLayout
-	// BatchSim is the batched, data-oriented lookup engine — scalar-
-	// equivalent results at batch-sweep speed.
+	// BatchSim is the production lookup engine over the flattened image —
+	// scalar-equivalent results, batched (Run) or streamed (Inject).
 	BatchSim = pipeline.BatchSim
-	// FlatImage is the struct-of-arrays snapshot the batched engine sweeps.
+	// FlatImage is the struct-of-arrays form of an image BatchSim reads.
 	FlatImage = pipeline.FlatImage
 )
 
 // NewSim builds a cycle-accurate simulator over an image.
 func NewSim(img *Image) *Sim { return pipeline.NewSim(img) }
 
-// NewBatchSim flattens an image and builds the batched lookup engine over
-// the snapshot.
+// NewBatchSim builds the production lookup engine over an image's flat
+// form (flattened on first use, shared by the image's engines).
 func NewBatchSim(img *Image) *BatchSim { return pipeline.NewBatchSim(img) }
 
-// Flatten builds the struct-of-arrays snapshot of a compiled image.
+// Flatten builds a new struct-of-arrays form of a compiled image.
 func Flatten(img *Image) *FlatImage { return pipeline.Flatten(img) }
-
-// RunConcurrent executes a lookup stream with one goroutine per stage.
-func RunConcurrent(img *Image, reqs []Request) []Result { return pipeline.RunConcurrent(img, reqs) }
 
 // DefaultLayout matches the paper's 18-bit read width.
 func DefaultLayout() MemLayout { return pipeline.DefaultLayout() }

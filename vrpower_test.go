@@ -297,33 +297,6 @@ func TestFacadeImageDiff(t *testing.T) {
 	}
 }
 
-func TestFacadeConcurrentPipeline(t *testing.T) {
-	tbl, err := vrpower.Generate("t", vrpower.DefaultGen(300, 14))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := vrpower.Build(vrpower.Config{Scheme: vrpower.VS, K: 1, ClockGating: true}, []*vrpower.Table{tbl})
-	if err != nil {
-		t.Fatal(err)
-	}
-	img := r.Images()[0]
-	reqs := make([]vrpower.Request, 200)
-	rng := rand.New(rand.NewSource(15))
-	for i := range reqs {
-		reqs[i] = vrpower.Request{Addr: vrpower.Addr(rng.Uint32())}
-	}
-	seq, _, err := vrpower.NewSim(img).Run(reqs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	conc := vrpower.RunConcurrent(img, reqs)
-	for i := range seq {
-		if seq[i].NHI != conc[i].NHI {
-			t.Fatal("concurrent facade run mismatch")
-		}
-	}
-}
-
 func TestFacadeBraidingAndLoad(t *testing.T) {
 	tables := testTables(t, 3, 250, 0.3, 20)
 	bt, err := vrpower.BraidTables(tables)
