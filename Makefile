@@ -12,12 +12,14 @@ build:
 	$(GO) build ./...
 
 # Tier-1 tests plus a race-detector pass over the concurrent packages (the
-# sweep pool, its consumers, the instrumentation layer, and the image-
+# sweep pool, its consumers, the instrumentation layer, the image-
 # ownership tests: pristine images shared by readers while clones are
-# written — pipeline's slab/clone tests, ctrl's coherence property test).
+# written — pipeline's slab/clone tests, ctrl's coherence property test —
+# and the reference LPM, whose range index the first of concurrent lookups
+# publishes).
 test: build
 	$(GO) test ./...
-	$(GO) test -race ./internal/experiments/... ./internal/sweep/... ./internal/obs/... ./internal/netsim/... ./internal/ctrl/... ./internal/pipeline/...
+	$(GO) test -race ./internal/experiments/... ./internal/sweep/... ./internal/obs/... ./internal/netsim/... ./internal/ctrl/... ./internal/pipeline/... ./internal/ip/...
 
 race:
 	$(GO) test -race ./...

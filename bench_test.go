@@ -492,16 +492,17 @@ func BenchmarkReferenceLookup(b *testing.B) {
 	b.ReportMetric(float64(len(reqs))*float64(b.N)/b.Elapsed().Seconds(), "lookups/s")
 }
 
-// BenchmarkReferenceBuild times Table.Reference() over the same eight
-// tables: what netsim.New, every hitless commit and every migration audit
-// pay to get an oracle.
+// BenchmarkReferenceBuild times Table.Reference() plus the first Lookup —
+// which derives the range index — over the same eight tables: what
+// netsim.New, every hitless commit and every audit over a churned table pay
+// to get a usable oracle.
 func BenchmarkReferenceBuild(b *testing.B) {
-	tables, _ := referenceFixture(b)
+	tables, reqs := referenceFixture(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, t := range tables {
-			referenceSink += t.Reference().Len()
+			referenceSink += int(t.Reference().Lookup(reqs[0].Addr))
 		}
 	}
 }

@@ -25,7 +25,9 @@ func encodeAdds(routes []ip.Route) []byte {
 
 // FuzzTableLookup replays an Add/Remove script on a Table and on a plain
 // route list, and after every op compares Len, and Lookup with the scan of
-// that list on the op's address, the edges of its prefix and one past them.
+// that list on the op's address, the edges of its prefix and one past them —
+// so every edit drops the range index and the lookups behind it rebuild it
+// from the table as it then is, mid-script.
 func FuzzTableLookup(f *testing.F) {
 	// Seed scripts stay short (24 routes, ~250 bytes): with 64-route seeds
 	// the fuzz engine spent a whole 10 s smoke minimising one input.
@@ -44,6 +46,15 @@ func FuzzTableLookup(f *testing.F) {
 		f.Add(script)
 	}
 	f.Add([]byte{0, 10, 1, 2, 3, 8, 5, 0, 10, 0, 0, 0, 40, 1, 1, 10, 0, 0, 0, 0xff, 0})
+	// The range sweep's corners: a default route, a host route whose range
+	// ends at 1<<32, three prefixes sharing a start address, siblings with one
+	// next hop, then the covering prefixes removed from under the covered.
+	f.Add([]byte{
+		0, 0, 0, 0, 0, 0, 1, 0, 255, 255, 255, 255, 32, 2,
+		0, 10, 0, 0, 0, 8, 3, 0, 10, 0, 0, 0, 16, 4, 0, 10, 0, 0, 0, 24, 5,
+		0, 10, 128, 0, 0, 9, 3, 0, 10, 0, 0, 0, 9, 3,
+		1, 10, 0, 0, 0, 8, 0, 1, 0, 0, 0, 0, 0, 0, 1, 10, 0, 0, 0, 16, 0,
+	})
 
 	f.Fuzz(func(t *testing.T, script []byte) {
 		var tbl ip.Table

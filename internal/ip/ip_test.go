@@ -471,3 +471,164 @@ func TestTableEdgeCases(t *testing.T) {
 		}
 	})
 }
+
+// checkRanges compares tbl with the scan on every address where an answer
+// can change — the first and last address of every route, one below and one
+// above, and both ends of the address space — and checks the shape of the
+// range index the lookups were served from.
+func checkRanges(t *testing.T, tbl *Table, m scanModel) *rangeIndex {
+	t.Helper()
+	probes := []Addr{0, ^Addr(0)}
+	for _, r := range m {
+		first := r.Prefix.Addr
+		last := first | ^Mask(r.Prefix.Len)
+		probes = append(probes, first, last, first-1, last+1)
+	}
+	for _, a := range probes {
+		if got, want := tbl.Lookup(a), scanLookup(m, a); got != want {
+			t.Fatalf("Lookup(%s) = %d, scan says %d", a, got, want)
+		}
+	}
+	x := tbl.index.Load()
+	if x == nil {
+		t.Fatal("Lookup left no range index behind")
+	}
+	if len(x.starts) != len(x.hops) || len(x.starts) > 2*len(m)+1 || x.starts[0] != 0 {
+		t.Fatalf("index of %d routes: %d starts, %d hops, first start %s", len(m), len(x.starts), len(x.hops), x.starts[0])
+	}
+	for i := 1; i < len(x.starts); i++ {
+		if x.starts[i] <= x.starts[i-1] || x.hops[i] == x.hops[i-1] {
+			t.Fatalf("ranges %d and %d: %s -> %d then %s -> %d, want ascending starts and differing hops",
+				i-1, i, x.starts[i-1], x.hops[i-1], x.starts[i], x.hops[i])
+		}
+	}
+	return x
+}
+
+// The range index on the shapes its sweep has to get right, each against
+// the scan after every edit.
+func TestRangeIndexCases(t *testing.T) {
+	p := func(s string) Prefix {
+		pfx, err := ParsePrefix(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pfx
+	}
+	type edit struct {
+		remove bool
+		prefix string
+		hop    NextHop
+		ranges int // ranges the index must have after the edit; 0: not checked
+	}
+	for _, c := range []struct {
+		name  string
+		edits []edit
+	}{
+		{"empty table", []edit{
+			{true, "10.0.0.0/8", 0, 1}, // removing from nothing: one range, no route
+		}},
+		{"default route", []edit{
+			{false, "0.0.0.0/0", 7, 1},
+			{false, "128.0.0.0/1", 8, 2},
+			{true, "0.0.0.0/0", 0, 2},
+		}},
+		{"host route at the top of the address space", []edit{
+			{false, "255.255.255.255/32", 3, 2}, // its end, 1<<32, is no range start
+			{false, "255.255.255.254/31", 4, 3},
+			{false, "0.0.0.0/0", 5, 3},
+			{true, "255.255.255.255/32", 0, 2},
+		}},
+		{"nested prefixes sharing a start address", []edit{
+			{false, "10.0.0.0/8", 1, 3},
+			{false, "10.0.0.0/16", 2, 4},
+			{false, "10.0.0.0/24", 3, 5},
+			{false, "10.0.0.0/32", 4, 6},
+			{false, "0.0.0.0/0", 5, 6},
+			{false, "10.0.0.0/12", 2, 0},
+		}},
+		{"nested prefixes ending together", []edit{
+			{false, "10.0.0.0/8", 1, 3},
+			{false, "10.255.0.0/16", 2, 4},
+			{false, "10.255.255.0/24", 3, 5},
+			{false, "10.255.255.255/32", 4, 6},
+		}},
+		{"adjacent siblings with equal hops", []edit{
+			{false, "10.0.0.0/9", 6, 3},
+			{false, "10.128.0.0/9", 6, 3}, // one range across both
+			{false, "11.0.0.0/8", 6, 3},
+			{false, "10.64.0.0/10", 9, 5},
+			{false, "10.64.0.0/10", 6, 0}, // replaced: same answer as around it again
+		}},
+		{"removing a covering prefix and a covered one", []edit{
+			{false, "10.0.0.0/8", 1, 0},
+			{false, "10.1.0.0/16", 2, 0},
+			{false, "10.1.2.0/24", 3, 0},
+			{true, "10.0.0.0/8", 0, 5},  // the /16 and /24 stand alone
+			{true, "10.1.2.0/24", 0, 3}, // the /16 closes over the hole
+			{true, "10.1.0.0/16", 0, 1},
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var tbl Table
+			var m scanModel
+			checkRanges(t, &tbl, m)
+			for _, e := range c.edits {
+				edited := true
+				if e.remove {
+					edited = m.Remove(p(e.prefix))
+					if got := tbl.Remove(p(e.prefix)); got != edited {
+						t.Fatalf("Remove(%s) = %v, scan model says %v", e.prefix, got, edited)
+					}
+				} else {
+					r := Route{p(e.prefix), e.hop}
+					if err := tbl.Add(r); err != nil {
+						t.Fatal(err)
+					}
+					_ = m.Add(r)
+				}
+				if edited && tbl.index.Load() != nil {
+					t.Fatalf("edit of %s left the old range index in place", e.prefix)
+				}
+				if x := checkRanges(t, &tbl, m); e.ranges != 0 && len(x.starts) != e.ranges {
+					t.Fatalf("after %s: %d ranges %v, want %d", e.prefix, len(x.starts), x.starts, e.ranges)
+				}
+			}
+		})
+	}
+}
+
+// Eight goroutines make the first Lookup of a table at once: each may build
+// the range index, one copy is published, and all answer from equal ones.
+// Meaningful under -race.
+func TestTableFirstLookupRace(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for iter := 0; iter < 20; iter++ {
+		var tbl Table
+		var m scanModel
+		for i := 0; i < 200; i++ {
+			r := Route{MustPrefix(Addr(rng.Uint32()), 4+rng.Intn(29)), NextHop(1 + i%16)}
+			_ = tbl.Add(r)
+			_ = m.Add(r)
+		}
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for w := 0; w < 8; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				<-start
+				for i := w; i < len(m); i += 8 {
+					a := m[i].Prefix.Addr | Addr(w)
+					if got, want := tbl.Lookup(a), scanLookup(m, a); got != want {
+						t.Errorf("worker %d: Lookup(%s) = %d, scan says %d", w, a, got, want)
+						return
+					}
+				}
+			}(w)
+		}
+		close(start)
+		wg.Wait()
+		checkRanges(t, &tbl, m)
+	}
+}

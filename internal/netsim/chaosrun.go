@@ -35,7 +35,6 @@ import (
 	"vrpower/internal/faults"
 	"vrpower/internal/obs"
 	"vrpower/internal/pipeline"
-	"vrpower/internal/rib"
 	"vrpower/internal/scenario"
 )
 
@@ -494,13 +493,13 @@ func (r *scenRun) auditProbesFor(eIdx int) []pipeline.Probe {
 		if r.engineOf(vn) != eIdx {
 			continue
 		}
-		var tbl *rib.Table
+		// Without churn the tables are the ones the run was built from, whose
+		// oracle it already holds; a churn manager's tables are authoritative.
+		tbl, ref := r.s.tables[vn], r.s.refs[vn]
 		if r.mgr != nil {
 			tbl = r.mgr.Tables()[vn]
-		} else {
-			tbl = r.s.tables[vn]
+			ref = tbl.Reference()
 		}
-		ref := tbl.Reference()
 		stride := (tbl.Len() + auditProbeCap - 1) / auditProbeCap
 		if stride < 1 {
 			stride = 1

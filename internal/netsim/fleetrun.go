@@ -672,10 +672,10 @@ func (r *fleetRun) auditDevice(dev *fleetDev, m *fleet.Migration, vns []int, at 
 }
 
 // auditProbesVN builds a stride sample of one network's authoritative
-// routes with their oracle answers, tagged with the engine-local request VN.
+// routes with their oracle answers (the run's own oracle: fleet tables do not
+// churn), tagged with the engine-local request VN.
 func (r *fleetRun) auditProbesVN(vn, reqVN int) []pipeline.Probe {
-	tbl := r.s.tables[vn]
-	ref := tbl.Reference()
+	tbl, ref := r.s.tables[vn], r.s.refs[vn]
 	stride := (tbl.Len() + auditProbeCap - 1) / auditProbeCap
 	if stride < 1 {
 		stride = 1

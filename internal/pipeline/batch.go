@@ -57,17 +57,22 @@ func (sc *batchScratch) ensure(n int) {
 }
 
 // sFlight is one slot of the streaming ring: a lookup (or write bubble)
-// injected some steps ago, with its trie walk taken only as far as anything
-// has needed so far.
+// injected some steps ago. Its walk may have run ahead of the cycle clock:
+// done, faulted, nhi and last are then the lookup's whole future, while
+// (idx, stage) stay where the cycle clock last had to be honoured.
 type sFlight struct {
-	req  Request
-	idx  uint32 // entry index in stage `stage`
+	req Request
+	// idx and stage are the walk's checkpoint: the entry index in the next
+	// stage to walk, as of the last point where the image or the check
+	// changed under this lookup (injection: entry 0 of stage 0). A traced
+	// lookup's visits in stages below stage belong to it too.
+	idx  uint32
 	gen  uint32 // image generation the lookup reads (BatchSim.gen at injection, +1 behind a commit bubble)
 	kind uint8  // slotEmpty / slotLookup / slotBubble / slotCommit
-	// done marks a finished walk: resolved or faulted in stage last.
+	// done marks a finished walk: resolved, faulted or out of pipe in stage last.
 	done, faulted bool
 	nhi           ip.NextHop
-	stage, last   int16 // next stage to walk; stage the walk ended in
+	stage, last   int16
 	// newUntil is the last stage whose traced visits read the shadow bank
 	// while the commit bubble ahead was still in the pipe (-1: none).
 	newUntil int16
@@ -81,11 +86,15 @@ const (
 	slotCommit // the final write bubble: banks flip as it passes
 )
 
-// walk advances the lookup through stages f.stage..upto of flat, exactly as
-// Sim.process does one stage per cycle: folded levels within a stage are
-// followed in the same visit, a stale-parity word (when checked) or an
-// out-of-range pointer ends the walk as a fault, a leaf resolves it.
-func (f *sFlight) walk(flat *FlatImage, parity bool, upto int) {
+// walk takes the lookup from its checkpoint through stage upto of flat, one
+// dependent load after another, exactly as Sim.process does one stage per
+// cycle: folded levels within a stage are followed in the same visit, a
+// stale-parity word (when checked) or an out-of-range pointer ends the walk as
+// a fault, a leaf resolves it. It is the path of traced lookups and of walks
+// resumed mid-pipe; the rest go through batchScratch.sweep. The checkpoint is
+// left alone: a walk that does not end returns the entry index it stands at
+// in stage upto+1.
+func (f *sFlight) walk(flat *FlatImage, parity bool, upto int) uint32 {
 	addr, idx, tr := uint32(f.req.Addr), f.idx, f.trace
 	for s := int(f.stage); s <= upto; s++ {
 		meta := flat.stages[s].meta
@@ -99,7 +108,7 @@ func (f *sFlight) walk(flat *FlatImage, parity bool, upto int) {
 					tr.visits[len(tr.visits)-1].Fault = true
 				}
 				f.done, f.faulted, f.last = true, true, int16(s)
-				return
+				return idx
 			}
 			m, c := meta[idx], child[idx]
 			if m&metaLeaf != 0 {
@@ -107,7 +116,7 @@ func (f *sFlight) walk(flat *FlatImage, parity bool, upto int) {
 					f.nhi = flat.nhi[c[0]+uint32(vn)]
 				}
 				f.done, f.last = true, int16(s)
-				return
+				return idx
 			}
 			idx = c[addr>>(m&metaShiftMask)&1]
 			if m&metaFold == 0 {
@@ -115,7 +124,7 @@ func (f *sFlight) walk(flat *FlatImage, parity bool, upto int) {
 			}
 		}
 	}
-	f.idx, f.stage = idx, int16(upto+1)
+	return idx
 }
 
 // bank is one image generation an engine serves: the source image and its
@@ -149,11 +158,20 @@ func (k *bank) patch(stage int, index uint32) {
 // Run resolves a whole request slice in batches that sweep each stage
 // across all in-flight lookups. Inject/InjectBubble stream one input slot
 // per call, as the slice runners need: an injected lookup is a slot in a
-// Stages-deep ring and is walked lazily — fully when it leaves, and only up
-// to the stage it has reached whenever the scalar engine's intermediate
-// state would be observable: a Stats read, a Patch of the image, a parity
-// switch. Which bank a lookup reads during a hitless update, old or new, is
-// fixed at injection by whether the commit bubble is ahead of it.
+// Stages-deep ring and leaves Stages steps later. The hardware resolves a
+// pipe-depth of lookups at once, and so does the engine: when the slot
+// leaving holds a lookup not yet walked, every such lookup in the ring is
+// walked to its end through the same sweep (runAhead), so their loads overlap
+// instead of forming one dependent chain per exit. Walks thus run ahead of
+// the cycle clock, and whatever the scalar engine would book as a walk
+// proceeds is booked when the slot leaves; Stats derives the share of the
+// slots in flight from the stage each has reached. Where the image or the
+// check changes under lookups in flight — Patch, EnableParityCheck — every
+// walk that ran ahead is first rolled back to its checkpoint and redone, on
+// the image as it still is, up to the stage its lookup has reached
+// (rollback). A bank flip needs none of that: which bank a lookup reads
+// during a hitless update, old or new, is fixed at injection by whether the
+// commit bubble is ahead of it.
 type BatchSim struct {
 	cur, next bank // serving image; the shadow bank while an update is armed
 	nStages   int
@@ -166,8 +184,8 @@ type BatchSim struct {
 
 	ring []sFlight // ring[head] is the oldest slot, leaving on the next step
 	head int
-	// ended[s] counts streamed walks that ended in stage s (bubbles and
-	// unresolved lookups: the last stage); exited counts slots that left.
+	// ended[s] counts the slots that left whose walk ended in stage s (bubbles
+	// and unresolved lookups: the last stage); exited counts them all.
 	ended  []int64
 	exited int64
 	// active/occupied back the slices Stats returns.
@@ -196,7 +214,7 @@ func NewBatchSim(img *Image) *BatchSim {
 // Sim.EnableParityCheck. The verdict per word was precomputed when the
 // image was flattened, so the check is a bit test, not a parity recompute.
 func (b *BatchSim) EnableParityCheck() {
-	b.sync()
+	b.rollback()
 	b.parity = true
 }
 
@@ -210,29 +228,73 @@ func (b *BatchSim) reached(s int) *sFlight {
 	return &b.ring[i]
 }
 
-// sync walks every in-flight lookup up to the stage it has reached, so the
-// engine's state equals the cycle-stepped one's at this cycle.
-func (b *BatchSim) sync() {
-	for s := 0; s < b.nStages; s++ {
-		if f := b.reached(s); f.kind == slotLookup {
-			b.advance(f, s)
+// runAhead finishes the walk of every lookup in the ring that is not walked
+// yet, however far down the pipe it is: the untraced ones still at stage 0 as
+// one group per bank through the sweep, a traced one or one resumed from a
+// mid-pipe checkpoint by the chain walk. Checkpoints stay where they are.
+func (b *BatchSim) runAhead() {
+	last := b.nStages - 1
+	sc := &b.scratch
+	sc.ensure(b.nStages)
+	for g, bk := range [2]*bank{&b.cur, &b.next} {
+		if bk.flat == nil {
+			break // no update armed: nothing reads the shadow bank
+		}
+		gen, n := b.gen+uint32(g), 0
+		for i := range b.ring {
+			f := &b.ring[i]
+			if f.kind != slotLookup || f.done || f.gen != gen {
+				continue
+			}
+			if f.trace != nil || f.stage > 0 {
+				f.last = int16(last) // where a walk that never ends leaves the pipe
+				f.walk(bk.flat, b.parity, last)
+				f.done = true
+				continue
+			}
+			sc.load(n, i, &f.req, last)
+			n++
+		}
+		if n == 0 {
+			continue
+		}
+		sc.sweep(bk.flat, b.parity, n, nil)
+		for i := range b.ring {
+			if f := &b.ring[i]; f.kind == slotLookup && !f.done && f.gen == gen {
+				f.nhi, f.faulted, f.last, f.done = sc.nhi[i], sc.flag[i]&flagFaulted != 0, int16(sc.last[i]), true
+			}
 		}
 	}
 }
 
-// advance walks f through stage upto and books the walk's end, if reached.
-func (b *BatchSim) advance(f *sFlight, upto int) {
-	if f.done || int(f.stage) > upto {
-		return
-	}
-	flat := b.cur.flat
-	if f.gen != b.gen {
-		flat = b.next.flat
-	}
-	if f.walk(flat, b.parity, upto); f.done {
-		b.ended[f.last]++
-		if f.faulted {
-			b.st.Faults++
+// rollback returns every walk in flight to the cycle clock, for the moment
+// the image or the check is about to change: a walk that ran ahead of the
+// stage its lookup has reached is undone to its checkpoint, and every
+// unfinished walk is then taken, on the image as it still is, through the
+// stage reached — its new checkpoint. Never further back: what a lookup read
+// in the stages behind it stays read, whatever has struck them since.
+func (b *BatchSim) rollback() {
+	for r := 0; r < b.nStages; r++ {
+		f := b.reached(r)
+		if f.kind != slotLookup || f.done && int(f.last) <= r {
+			continue
+		}
+		if f.done {
+			f.done, f.faulted, f.nhi = false, false, ip.NoRoute
+			if f.trace != nil {
+				v := f.trace.visits
+				for len(v) > 0 && v[len(v)-1].Stage >= int(f.stage) {
+					v = v[:len(v)-1]
+				}
+				f.trace.visits = v
+			}
+		}
+		flat := b.cur.flat
+		if f.gen != b.gen {
+			flat = b.next.flat
+		}
+		if idx := f.walk(flat, b.parity, r); !f.done {
+			f.idx, f.stage = idx, int16(r+1)
 		}
 	}
 }
@@ -240,21 +302,30 @@ func (b *BatchSim) advance(f *sFlight, upto int) {
 // Stats returns the accumulated counters as of the current cycle. The
 // slices are the engine's own and are rewritten by the next call.
 func (b *BatchSim) Stats() Stats {
-	b.sync()
+	b.runAhead()
 	st := b.st
 	st.StageActive, st.StageOccupied = b.active, b.occupied
 	// A slot that left was in every stage and active through the stage its
-	// walk ended in; one in flight, so far, only through the stage it has
-	// reached. Both are suffix sums over stages.
+	// walk ended in; one that has reached stage s, so far, in stages 0..s and
+	// active through s or the end of its walk, whichever comes first — and its
+	// fault counts once the stage it strikes in is reached. Either way a slot
+	// is one count at its deepest active stage, never below the stage it has
+	// reached, and a stage's activity is the sum over the stages from it on.
+	copy(st.StageActive, b.ended)
 	act, occ := int64(0), b.exited
 	for s := b.nStages - 1; s >= 0; s-- {
-		act += b.ended[s]
 		if f := b.reached(s); f.kind != slotEmpty {
 			occ++
-			if !f.done {
-				act++
+			deepest := s
+			if f.kind == slotLookup && int(f.last) <= s {
+				deepest = int(f.last)
+				if f.faulted {
+					st.Faults++
+				}
 			}
+			st.StageActive[deepest]++
 		}
+		act += st.StageActive[s]
 		st.StageActive[s] = b.st.StageActive[s] + act
 		st.StageOccupied[s] = b.st.StageOccupied[s] + occ
 	}
@@ -266,7 +337,7 @@ func (b *BatchSim) Stats() Stats {
 // have read the old word in the stages they are already through and read
 // the new one from here on, as in hardware.
 func (b *BatchSim) Patch(stage int, index uint32) {
-	b.sync()
+	b.rollback()
 	b.cur.patch(stage, index)
 	if b.next.img != nil {
 		b.next.patch(stage, index)
@@ -296,9 +367,8 @@ func (b *BatchSim) step(in sFlight) (res Result, ok bool) {
 	switch f.kind {
 	case slotEmpty:
 	case slotLookup:
-		if b.advance(f, last); !f.done {
-			f.last = int16(last) // walked the whole pipe unresolved
-			b.ended[last]++
+		if !f.done {
+			b.runAhead()
 		}
 		res, ok = Result{
 			Request: f.req, NHI: f.nhi, Faulted: f.faulted, LastStage: int(f.last),
@@ -306,6 +376,10 @@ func (b *BatchSim) step(in sFlight) (res Result, ok bool) {
 		}, true
 		if f.trace != nil {
 			res.Visits = f.trace.visits
+		}
+		b.ended[f.last]++
+		if f.faulted {
+			b.st.Faults++
 		}
 		b.st.Lookups++
 		b.exited++
@@ -527,18 +601,13 @@ func (b *BatchSim) finish(n int, g int64, startFaults int64) {
 }
 
 // sweepChunk resolves one batch of requests: untraced flights are loaded
-// into the arena and swept stage by stage (each sweep walks every live
-// flight through one stage's word slices, counting the stage active once
-// per live flight, exactly as the scalar engine's per-cycle process calls
-// do); traced flights take the recording path. Results carry NHI and fault
-// verdicts; cycle stamps are filled in by finish.
+// into the arena and swept stage by stage; traced flights take the recording
+// walk. Results carry NHI, fault verdicts and their closed-form cycle stamps.
 func (b *BatchSim) sweepChunk(reqs []Request, out []Result, sc *batchScratch, st *Stats, enter0, g int64) {
 	sc.ensure(len(reqs))
-	fl := sc.fl
 	n := int64(b.nStages)
 	nLive := 0
 	for j := range reqs {
-		sc.nhi[j] = ip.NoRoute
 		if reqs[j].Trace {
 			// Traced flights take the streaming engine's recording walk.
 			f := sFlight{
@@ -560,23 +629,55 @@ func (b *BatchSim) sweepChunk(reqs []Request, out []Result, sc *batchScratch, st
 			sc.flag[j] = flagTraced
 			continue
 		}
-		sc.flag[j] = 0
-		// Default to the full pipe: a flight that outlives the last stage was
-		// active in every one; removal points below overwrite with the stage
-		// the flight resolved or faulted in.
-		sc.last[j] = uint8(b.nStages - 1)
-		vn := reqs[j].VN
-		if vn != int(int32(vn)) {
-			vn = -1
-		}
-		fl[nLive] = bFlight{addr: uint32(reqs[j].Addr), pos: int32(j), vn: int32(vn)}
+		sc.load(nLive, j, &reqs[j], b.nStages-1)
 		nLive++
 	}
-	flat := b.cur.flat
-	slab := flat.nhi
-	parity := b.parity
-	for s := 0; s < b.nStages && nLive > 0; s++ {
-		st.StageActive[s] += int64(nLive)
+	st.Faults += sc.sweep(b.cur.flat, b.parity, nLive, st.StageActive)
+	// One sequential pass fills the untraced results with their next hop,
+	// fault verdict and closed-form cycle stamps: resolved flights carry
+	// their verdicts, flights that outlived the last stage exit with the
+	// zero next hop and no fault mark, mirroring the scalar drain.
+	for j := range reqs {
+		if sc.flag[j]&flagTraced != 0 {
+			continue
+		}
+		enter := enter0 + int64(j)*g
+		out[j] = Result{
+			Request:    reqs[j],
+			NHI:        sc.nhi[j],
+			Faulted:    sc.flag[j]&flagFaulted != 0,
+			EnterCycle: enter,
+			ExitCycle:  enter + n,
+			LastStage:  int(sc.last[j]),
+		}
+	}
+}
+
+// load makes req, whose verdict slots are at position pos, flight number n of
+// the next sweep. The verdict defaults to the full pipe: a flight that
+// outlives the last stage was active in every one, resolved nothing and did
+// not fault; the sweep's removal points overwrite it.
+func (sc *batchScratch) load(n, pos int, req *Request, lastStage int) {
+	sc.nhi[pos], sc.flag[pos], sc.last[pos] = ip.NoRoute, 0, uint8(lastStage)
+	vn := req.VN
+	if vn != int(int32(vn)) {
+		vn = -1
+	}
+	sc.fl[n] = bFlight{addr: uint32(req.Addr), pos: int32(pos), vn: int32(vn)}
+}
+
+// sweep is the walk kernel of both modes: it takes the nLive flights loaded
+// at the front of the arena from stage 0 to their ends in flat, every flight
+// one stage at a time, leaving next hop, fault flag and last stage in the
+// verdict slots of each one's position. It returns the number of faults and
+// adds, where active is given, one count per stage per flight live in it —
+// exactly what the scalar engine's per-cycle process calls count.
+func (sc *batchScratch) sweep(flat *FlatImage, parity bool, nLive int, active []int64) (faults int64) {
+	fl, slab := sc.fl, flat.nhi
+	for s := 0; s < len(flat.stages) && nLive > 0; s++ {
+		if active != nil {
+			active[s] += int64(nLive)
+		}
 		fs := &flat.stages[s]
 		// Reslicing child to meta's length lets one idx<len(meta) test prove
 		// both accesses in bounds (Flatten builds them the same length).
@@ -600,7 +701,7 @@ func (b *BatchSim) sweepChunk(reqs []Request, out []Result, sc *batchScratch, st
 					if idx >= len(meta) {
 						sc.flag[f.pos] = flagFaulted
 						sc.last[f.pos] = uint8(s)
-						st.Faults++
+						faults++
 						nLive--
 						fl[i] = fl[nLive]
 						continue
@@ -609,7 +710,7 @@ func (b *BatchSim) sweepChunk(reqs []Request, out []Result, sc *batchScratch, st
 					if m&metaParityBad != 0 {
 						sc.flag[f.pos] = flagFaulted
 						sc.last[f.pos] = uint8(s)
-						st.Faults++
+						faults++
 						nLive--
 						fl[i] = fl[nLive]
 						continue
@@ -637,7 +738,7 @@ func (b *BatchSim) sweepChunk(reqs []Request, out []Result, sc *batchScratch, st
 						// scalar engine.
 						sc.flag[f.pos] = flagFaulted
 						sc.last[f.pos] = uint8(s)
-						st.Faults++
+						faults++
 						nLive--
 						fl[i] = fl[nLive]
 						continue
@@ -659,24 +760,7 @@ func (b *BatchSim) sweepChunk(reqs []Request, out []Result, sc *batchScratch, st
 			}
 		}
 	}
-	// One sequential pass fills the untraced results with their next hop,
-	// fault verdict and closed-form cycle stamps: resolved flights carry
-	// their verdicts, flights that outlived the last stage exit with the
-	// zero next hop and no fault mark, mirroring the scalar drain.
-	for j := range reqs {
-		if sc.flag[j]&flagTraced != 0 {
-			continue
-		}
-		enter := enter0 + int64(j)*g
-		out[j] = Result{
-			Request:    reqs[j],
-			NHI:        sc.nhi[j],
-			Faulted:    sc.flag[j]&flagFaulted != 0,
-			EnterCycle: enter,
-			ExitCycle:  enter + n,
-			LastStage:  int(sc.last[j]),
-		}
-	}
+	return faults
 }
 
 // Lookups resolves a batch of probes with one batched engine — the bulk

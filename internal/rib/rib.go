@@ -58,11 +58,13 @@ func (t *Table) Sort() {
 	})
 }
 
-// Reference returns the reference LPM (ip.Table, length-indexed sorted
-// arrays) over the same routes, used as the correctness oracle in tests and
-// netsim. It shares no code with the trie, merge or pipeline structures it
-// checks. Building it is O(n log n); a route whose prefix length is out of
-// range is left out, as no lookup structure can hold it either.
+// Reference returns the reference LPM (ip.Table: sorted arrays per prefix
+// length, searched through a range index the first Lookup derives from them)
+// over the same routes, used as the correctness oracle in tests and netsim.
+// It shares no code with the trie, merge or pipeline structures it checks.
+// Building it is O(n log n), and so is that first Lookup; a route whose
+// prefix length is out of range is left out, as no lookup structure can hold
+// it either.
 func (t *Table) Reference() *ip.Table {
 	var ref ip.Table
 	for _, r := range t.Routes {
