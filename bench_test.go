@@ -7,6 +7,7 @@
 package vrpower_test
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -14,8 +15,13 @@ import (
 	"vrpower/internal/core"
 	"vrpower/internal/experiments"
 	"vrpower/internal/ip"
+	"vrpower/internal/netsim"
+	"vrpower/internal/obs"
 	"vrpower/internal/pipeline"
 	"vrpower/internal/report"
+	"vrpower/internal/rib"
+	"vrpower/internal/scenario"
+	"vrpower/internal/traffic"
 )
 
 // logOnce renders a figure/table into the benchmark log a single time.
@@ -408,45 +414,103 @@ func BenchmarkPipelineLookupScalar(b *testing.B) {
 	b.ReportMetric(float64(len(reqs))*float64(b.N)/b.Elapsed().Seconds(), "lookups/s")
 }
 
-// lookupStream is what both engines offer a slice runner: one input slot
-// per call, a lookup leaving Stages calls later.
-type lookupStream interface {
-	Inject(*vrpower.Request) (vrpower.Result, bool)
-	Reset()
-}
-
 // BenchmarkLookupStreamed is the slice runners' use of an engine (gated in
-// CI by `make bench-gate`): parity checking on, one Inject per cycle, nine
-// cycles in ten carrying a lookup (load 0.9), on the paper's 3725-prefix
-// table. "batched" is the engine every runner serves from; "scalar" is the
-// cycle-stepped oracle it must keep ahead of.
+// CI by `make bench-gate`): parity checking on, one input slot per cycle,
+// nine cycles in ten carrying a lookup (load 0.9), on the paper's 3725-prefix
+// table. "batched" is the engine every runner serves from — a push per
+// cycle, the exits drained when its window is full; "scalar" is the
+// cycle-stepped oracle it must keep ahead of, a Result back per cycle.
 func BenchmarkLookupStreamed(b *testing.B) {
 	img, reqs := pipelineLookupFixture(b)
-	scalar, batched := vrpower.NewSim(img), vrpower.NewBatchSim(img)
-	scalar.EnableParityCheck()
-	batched.EnableParityCheck()
-	for _, eng := range []struct {
-		name string
-		sim  lookupStream
-	}{{"batched", batched}, {"scalar", scalar}} {
-		b.Run(eng.name, func(b *testing.B) {
-			b.ReportAllocs()
-			var done int
-			for i := 0; i < b.N; i++ {
-				eng.sim.Reset()
-				for j := range reqs {
-					req := &reqs[j]
-					if j%10 == 9 {
-						req = nil
-					}
-					if _, ok := eng.sim.Inject(req); ok {
-						done++
-					}
+	b.Run("batched", func(b *testing.B) {
+		sim := vrpower.NewBatchSim(img)
+		sim.EnableParityCheck()
+		exits := make([]pipeline.Exit, 0, pipeline.DrainWindow)
+		b.ReportAllocs()
+		var done int
+		for i := 0; i < b.N; i++ {
+			sim.Reset()
+			for j := range reqs {
+				if j%10 == 9 {
+					sim.Idle(int64(j))
+				} else {
+					sim.Inject(reqs[j], int64(j))
+				}
+				if sim.Full() {
+					exits = sim.Drain(exits[:0])
+					done += len(exits)
 				}
 			}
-			b.ReportMetric(float64(done)/b.Elapsed().Seconds(), "lookups/s")
-		})
+			exits = sim.Drain(exits[:0])
+			done += len(exits)
+		}
+		b.ReportMetric(float64(done)/b.Elapsed().Seconds(), "lookups/s")
+	})
+	b.Run("scalar", func(b *testing.B) {
+		sim := vrpower.NewSim(img)
+		sim.EnableParityCheck()
+		b.ReportAllocs()
+		var done int
+		for i := 0; i < b.N; i++ {
+			sim.Reset()
+			for j := range reqs {
+				req := &reqs[j]
+				if j%10 == 9 {
+					req = nil
+				}
+				if _, ok := sim.Inject(req); ok {
+					done++
+				}
+			}
+		}
+		b.ReportMetric(float64(done)/b.Elapsed().Seconds(), "lookups/s")
+	})
+}
+
+// BenchmarkServeSlice is the slice loop on its own (gated in CI by `make
+// bench-gate`): the benchmark's load_small shape — VS K=4, 400 prefixes per
+// network, load=const:0.9, 32-packet queues, series and event log attached —
+// through RunScenario, one op per 1024-cycle slice: arrivals, queues, engine
+// pushes, settling the exits against the oracle, the meter and the slice's
+// telemetry row. Set-up is outside the timer; the engines' construction
+// inside it, spread over b.N slices.
+func BenchmarkServeSlice(b *testing.B) {
+	const k = 4
+	set, err := rib.GenerateVirtualSet(k, 400, 0.5, 1)
+	if err != nil {
+		b.Fatal(err)
 	}
+	r, err := core.Build(core.Config{Scheme: core.VS, K: k, ClockGating: true}, set.Tables)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sys, err := netsim.New(r, set.Tables)
+	if err != nil {
+		b.Fatal(err)
+	}
+	gen, err := traffic.New(traffic.Config{K: k, Seed: 2, Addr: traffic.RoutedAddr, Tables: set.Tables})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sys.SetTelemetry(&netsim.Telemetry{Series: obs.NewTimeSeries(), Events: obs.NewEventLog(obs.LevelInfo)})
+	spec, err := scenario.Parse(fmt.Sprintf("load=const:0.9,cycles=%d,queue=32,seed=11", b.N*1024))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	rep, err := sys.RunScenario(gen, spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if rep.Mismatches != 0 || rep.SliceCycles != 1024 {
+		b.Fatalf("%d mismatches, %d-cycle slices", rep.Mismatches, rep.SliceCycles)
+	}
+	var delivered int64
+	for _, n := range rep.DeliveredPerVN {
+		delivered += n
+	}
+	b.ReportMetric(float64(delivered)/b.Elapsed().Seconds(), "lookups/s")
 }
 
 // referenceFixture is the forward_paper oracle load: the eight 3725-route

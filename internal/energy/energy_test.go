@@ -2,10 +2,13 @@ package energy
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"vrpower/internal/fpga"
+	"vrpower/internal/obs"
 	"vrpower/internal/power"
 )
 
@@ -208,6 +211,59 @@ func TestMeterAttributionInvariant(t *testing.T) {
 
 // TestFoldCommutes folds two worker meters in both orders and expects
 // identical totals — the property that makes totals -j independent.
+// TestBulkLookupChargeIsExact: a lookup's energy is a function of (engine,
+// last stage) alone and every account is an integer sum, so charging a batch
+// by its (engine, VN, last stage) counts must leave the meter — every field —
+// and the per-lookup histogram exactly as charging its lookups one by one.
+func TestBulkLookupChargeIsExact(t *testing.T) {
+	d := design(fpga.Grade2, fpga.BRAM18Mode, 18*1024, 40*1024, 9*1024, 100*1024)
+	d.Engines = append(d.Engines, power.EngineDesign{StageBits: []int64{2 * 1024, 70 * 1024}, Utilization: 1})
+	m := mustModel(t, d)
+	const k = 3
+	type key struct{ e, vn, last int }
+	rng := rand.New(rand.NewSource(4))
+	counts := map[key]int64{}
+	single, bulk := NewMeter(m, k), NewMeter(m, k)
+	single.ObserveHist, bulk.ObserveHist = true, true
+
+	snap := obs.TakeSnapshot()
+	for i := 0; i < 5000; i++ {
+		e := rng.Intn(len(m.Engines))
+		c := key{e, rng.Intn(k), rng.Intn(m.Engines[e].Stages())}
+		counts[c]++
+		single.Lookup(c.e, c.vn, c.last)
+	}
+	singleHist := histLine(t, obs.ReportSince(snap))
+
+	snap = obs.TakeSnapshot()
+	for c, n := range counts {
+		bulk.LookupN(c.e, c.vn, c.last, n)
+	}
+	bulk.LookupN(0, 0, 0, 0) // an empty count charges nothing
+	if !reflect.DeepEqual(single, bulk) {
+		t.Errorf("meters diverge:\nsingle %+v\nbulk   %+v", single, bulk)
+	}
+	if got := histLine(t, obs.ReportSince(snap)); got != singleHist {
+		t.Errorf("per-lookup histogram diverges:\nsingle %s\nbulk   %s", singleHist, got)
+	}
+	if single.Lookups != 5000 || single.DynTotalFJ() <= 0 {
+		t.Errorf("charged %d lookups, %d fJ", single.Lookups, single.DynTotalFJ())
+	}
+}
+
+// histLine picks the per-lookup energy histogram's line (count, mean, p50,
+// p99) out of an instrumentation report.
+func histLine(t *testing.T, report string) string {
+	t.Helper()
+	for _, line := range strings.Split(report, "\n") {
+		if strings.Contains(line, "energy.lookup_pj") {
+			return line
+		}
+	}
+	t.Fatalf("no energy.lookup_pj line in:\n%s", report)
+	return ""
+}
+
 func TestFoldCommutes(t *testing.T) {
 	m := mustModel(t, design(fpga.Grade2, fpga.BRAM18Mode, 18*1024, 18*1024))
 	mk := func(seed int) *Meter {

@@ -66,17 +66,26 @@ func (mt *Meter) Model() *Model { return mt.m }
 // Lookup charges one lookup that was active through stages 0..lastStage of
 // engine e: the prefix-summed memory cost to the memory component and the
 // per-stage logic cost to the clock component, both attributed to vn.
-func (mt *Meter) Lookup(e, vn, lastStage int) {
+func (mt *Meter) Lookup(e, vn, lastStage int) { mt.LookupN(e, vn, lastStage, 1) }
+
+// LookupN charges n lookups of vn that were each active through stages
+// 0..lastStage of engine e. A lookup's cost is a function of (e, lastStage)
+// alone and every account is an integer sum, so one bulk charge leaves the
+// meter, and the per-lookup histogram, exactly as n single ones would.
+func (mt *Meter) LookupN(e, vn, lastStage int, n int64) {
+	if n <= 0 {
+		return
+	}
 	em := &mt.m.Engines[e]
 	mem := em.CumMemFJ[lastStage]
 	total := em.CumFJ[lastStage]
-	mt.MemFJ += mem
-	mt.ClockFJ += total - mem
-	mt.VNDynFJ[vn] += total
-	mt.EngineDynFJ[e] += total
-	mt.Lookups++
+	mt.MemFJ += n * mem
+	mt.ClockFJ += n * (total - mem)
+	mt.VNDynFJ[vn] += n * total
+	mt.EngineDynFJ[e] += n * total
+	mt.Lookups += n
 	if mt.ObserveHist {
-		obsLookupPJ.ObserveValue(total / 1000)
+		obsLookupPJ.ObserveValueN(total/1000, n)
 	}
 }
 

@@ -3,17 +3,14 @@ package netsim
 // fifo is a first-in-first-out queue that stays on one backing array: pop
 // advances a head index and push slides the live elements back to the front
 // once the popped prefix is at least as long as they are, so a queue in
-// steady state allocates nothing — the serve loop's ingress queues and
-// in-flight lists put no garbage-collector work inside a run.
+// steady state allocates nothing — the serve loops' ingress queues put no
+// garbage-collector work inside a run.
 type fifo[T any] struct {
 	buf  []T
 	head int
 }
 
 func (f *fifo[T]) len() int { return len(f.buf) - f.head }
-
-// items is the queued elements, oldest first, valid until the next push.
-func (f *fifo[T]) items() []T { return f.buf[f.head:] }
 
 func (f *fifo[T]) push(v T) {
 	if len(f.buf) == cap(f.buf) && f.head >= f.len() {

@@ -38,7 +38,6 @@ import (
 	"vrpower/internal/energy"
 	"vrpower/internal/faults"
 	"vrpower/internal/fleet"
-	"vrpower/internal/ip"
 	"vrpower/internal/obs"
 	"vrpower/internal/pipeline"
 	"vrpower/internal/rib"
@@ -141,25 +140,6 @@ type FleetDegradedRecord struct {
 	Reason string
 }
 
-// fleetExit is one in-flight lookup's metadata on a fleet device.
-type fleetExit struct {
-	vn      int
-	arrival int64
-	seq     int64
-	trace   bool
-}
-
-// fleetQueued is one packet waiting in a network's ingress queue. The
-// request VN is stamped at injection time (the serving index may change
-// between enqueue and service when the network migrates).
-type fleetQueued struct {
-	addr    ip.Addr
-	trace   bool
-	vn      int
-	arrival int64
-	seq     int64
-}
-
 // fleetDev is one simulated device's run state: its current router and
 // per-engine simulators, the energy meter over its current power model, a
 // write-ahead journal for installs, and the in-flight install (if any).
@@ -167,7 +147,7 @@ type fleetDev struct {
 	id      int
 	router  *core.Router
 	sims    []*pipeline.BatchSim
-	exits   []fifo[fleetExit]
+	flights [][]inflight // per engine: pushed into it and not settled yet
 	rrNext  []int
 	utilCur [][2]int64
 	meter   *energy.Meter
@@ -198,7 +178,7 @@ type fleetRun struct {
 	est fleet.Estimator
 
 	devs   []*fleetDev
-	queues []fifo[fleetQueued]
+	queues []fifo[queued]
 
 	// installing guards against re-starting a migration whose install is
 	// mid-flight; mrec maps each migration to its report record.
@@ -206,8 +186,9 @@ type fleetRun struct {
 	mrec       map[*fleet.Migration]int
 
 	// cache memoizes per-device router builds by (scheme, tenant list);
-	// images memoizes each network's separate-engine image, compiled the
-	// first time a router needs it.
+	// images memoizes each network's separate-engine image: the system
+	// router's own where it is built per network, else compiled the first
+	// time a router needs it.
 	cache   map[string]*core.Router
 	images  []*pipeline.Image
 	baseCfg core.Config
@@ -233,9 +214,8 @@ type fleetRun struct {
 	words       int64
 	transitions int64
 
-	delaySum  float64
-	delivered int64
-	maxWords  int
+	st       settler
+	maxWords int
 
 	powerUpAnnounced []bool
 	dropVN           []*obs.Counter
@@ -346,12 +326,12 @@ func (r *fleetRun) retireMeter(dev *fleetDev) {
 // flushDevExits drops a device's in-flight lookups (crash or merge
 // blackout: the pipelines' contents are lost).
 func (r *fleetRun) flushDevExits(dev *fleetDev) {
-	for e := range dev.exits {
-		for _, m := range dev.exits[e].items() {
+	for e := range dev.flights {
+		for _, m := range dev.flights[e] {
 			r.rep.DroppedPerVN[m.vn]++
 			r.dropVN[m.vn].Inc()
 		}
-		dev.exits[e].reset()
+		dev.flights[e] = dev.flights[e][:0]
 	}
 }
 
@@ -383,6 +363,16 @@ func (r *fleetRun) syncRecords() {
 		rec.Retargets = m.Retargets
 		rec.Attempts = m.Attempts
 	}
+}
+
+// addEngine gives the device one more parity-checking engine, over img.
+func (dev *fleetDev) addEngine(img *pipeline.Image) {
+	sim := pipeline.NewBatchSim(img)
+	sim.EnableParityCheck()
+	dev.sims = append(dev.sims, sim)
+	dev.flights = append(dev.flights, newFlights(img))
+	dev.rrNext = append(dev.rrNext, 0)
+	dev.utilCur = append(dev.utilCur, [2]int64{})
 }
 
 // clearInstall resets a device's in-flight install state.
@@ -605,21 +595,11 @@ func (r *fleetRun) landInstall(dev *fleetDev) error {
 		// Per-network images depend only on their own table, so the
 		// surviving engines' images are byte-identical in the new build:
 		// the expansion appends one engine while the others keep serving.
-		sim := pipeline.NewBatchSim(dev.pending.Images()[engIdx])
-		sim.EnableParityCheck()
-		dev.sims = append(dev.sims, sim)
-		dev.exits = append(dev.exits, fifo[fleetExit]{})
-		dev.rrNext = append(dev.rrNext, 0)
-		dev.utilCur = append(dev.utilCur, [2]int64{})
+		dev.addEngine(dev.pending.Images()[engIdx])
 	} else {
-		imgs := dev.pending.Images()
-		dev.sims = make([]*pipeline.BatchSim, len(imgs))
-		dev.exits = make([]fifo[fleetExit], len(imgs))
-		dev.rrNext = make([]int, len(imgs))
-		dev.utilCur = make([][2]int64, len(imgs))
-		for e, img := range imgs {
-			dev.sims[e] = pipeline.NewBatchSim(img)
-			dev.sims[e].EnableParityCheck()
+		dev.sims, dev.flights, dev.rrNext, dev.utilCur = nil, nil, nil, nil
+		for _, img := range dev.pending.Images() {
+			dev.addEngine(img)
 		}
 	}
 	dev.router = dev.pending
@@ -699,8 +679,8 @@ func (r *fleetRun) Outstanding() bool {
 		}
 	}
 	for _, dev := range r.devs {
-		for e := range dev.exits {
-			if dev.exits[e].len() > 0 {
+		for e := range dev.flights {
+			if len(dev.flights[e]) > 0 {
 				return true
 			}
 		}
@@ -710,132 +690,95 @@ func (r *fleetRun) Outstanding() bool {
 
 // serveDevice runs one service cycle on an active device: each engine
 // accepts one packet, round-robin over the tenants it serves (the merged
-// engine serves all of them, per-network engines exactly one).
+// engine serves all of them, per-network engines exactly one). The request
+// VN is stamped here, not at enqueue: the serving index may have changed
+// since, when the network migrated.
 func (r *fleetRun) serveDevice(dev *fleetDev, cyc int64) {
-	s, tel := r.s, r.s.tel
 	vns := r.ctr.VNs(dev.id)
 	merged := dev.router.Config().Scheme == core.VM
-	for e := range dev.sims {
-		// rq lives outside the loops so that &rq stays on the stack.
-		var rq pipeline.Request
-		var req *pipeline.Request
+	for e, sim := range dev.sims {
+		j := -1 // the tenant served, as an index into vns
 		if merged {
 			for i := 0; i < len(vns); i++ {
-				j := (dev.rrNext[e] + i) % len(vns)
-				vn := vns[j]
-				if r.queues[vn].len() == 0 {
-					continue
+				if t := (dev.rrNext[e] + i) % len(vns); r.queues[vns[t]].len() > 0 {
+					j, dev.rrNext[e] = t, (t+1)%len(vns)
+					break
 				}
-				q := r.queues[vn].pop()
-				rq = pipeline.Request{Addr: q.addr, VN: j, Trace: q.trace}
-				req = &rq
-				dev.exits[e].push(fleetExit{
-					vn: q.vn, arrival: q.arrival, seq: q.seq, trace: q.trace,
-				})
-				dev.rrNext[e] = (j + 1) % len(vns)
-				break
 			}
-		} else if e < len(vns) {
-			vn := vns[e]
-			if r.queues[vn].len() > 0 {
-				q := r.queues[vn].pop()
-				rq = pipeline.Request{Addr: q.addr, VN: 0, Trace: q.trace}
-				req = &rq
-				dev.exits[e].push(fleetExit{
-					vn: q.vn, arrival: q.arrival, seq: q.seq, trace: q.trace,
-				})
-			}
+		} else if e < len(vns) && r.queues[vns[e]].len() > 0 {
+			j = e
 		}
-		res, done := dev.sims[e].Inject(req)
-		if !done {
+		if j < 0 {
+			sim.Idle(cyc)
 			continue
 		}
-		m := dev.exits[e].pop()
-		dev.meter.Lookup(e, m.vn, res.LastStage)
-		outcome := "forward"
-		switch {
-		case res.Faulted:
-			// Corruption read mid-lookup: drop, never misforward.
-			r.rep.FaultedLookups++
-			r.rep.DroppedPerVN[m.vn]++
-			r.dropVN[m.vn].Inc()
-			outcome = "drop-fault"
-		default:
-			want := s.refs[m.vn].Lookup(res.Addr)
-			if res.NHI != want {
-				r.rep.Mismatches++
-				outcome = "mismatch"
-			} else {
-				r.rep.DeliveredPerVN[m.vn]++
-				r.delivered++
-				r.delaySum += float64(cyc - m.arrival)
-				if want == ip.NoRoute {
-					r.rep.NoRoute++
-					outcome = "noroute"
-				}
-			}
+		q := r.queues[vns[j]].pop()
+		reqVN := 0
+		if merged {
+			reqVN = j
 		}
-		if m.trace {
-			tel.PutLookupTrace(m.seq, m.vn, dev.id, 0, res, res.EnterCycle-m.arrival, outcome)
-		}
+		dev.flights[e] = append(dev.flights[e], inflight{arrival: q.arrival, ref: r.s.refs[q.vn], vn: q.vn})
+		sim.Inject(pipeline.Request{Addr: q.addr, VN: reqVN, Trace: r.st.traced(q)}, cyc)
 	}
 }
 
 // RunSlice executes cycles [b, b+n): shaped Bernoulli arrivals into the
 // per-network ingress queues (live slices only; a homeless or blacked-out
 // network's arrivals drop), then one service step per device per cycle —
-// a browned-out device sits alternate cycles out.
+// a browned-out device sits alternate cycles out; the exits are settled
+// every pipeline.DrainWindow cycles and at the slice's end.
 func (r *fleetRun) RunSlice(b, n int64, live bool) (scenario.SliceStats, error) {
 	s, gen, ctr, rep := r.s, r.gen, r.ctr, r.rep
-	tel := s.tel
-	tracing := tel.Tracing()
-	var sliceStart int64 = r.delivered
-	for cyc := b; cyc < b+n; cyc++ {
-		if live {
-			p := r.spec.Load.At(cyc, r.spec.Cycles)
-			for vn := 0; vn < s.k; vn++ {
-				if !gen.Bernoulli(p) {
-					continue
+	before := r.st.total
+	for c := b; c < b+n; c += pipeline.DrainWindow {
+		for cyc, end := c, min(c+pipeline.DrainWindow, b+n); cyc < end; cyc++ {
+			if live {
+				p := r.spec.Load.At(cyc, r.spec.Cycles)
+				for vn := 0; vn < s.k; vn++ {
+					if !gen.Bernoulli(p) {
+						continue
+					}
+					rep.OfferedPerVN[vn]++
+					d := ctr.DeviceOf(vn)
+					if d < 0 || r.devs[d].blackout {
+						// Homeless (crashed out, mid-migration, degraded) or
+						// mid-merge-rebuild: drop, never misforward.
+						rep.DroppedPerVN[vn]++
+						r.dropVN[vn].Inc()
+						continue
+					}
+					if r.queues[vn].len() >= r.spec.Queue {
+						rep.DroppedPerVN[vn]++
+						continue
+					}
+					r.queues[vn].push(queued{arrival: cyc, addr: gen.NextFor(vn).Addr, vn: int32(vn)})
 				}
-				rep.OfferedPerVN[vn]++
-				d := ctr.DeviceOf(vn)
-				if d < 0 || r.devs[d].blackout {
-					// Homeless (crashed out, mid-migration, degraded) or
-					// mid-merge-rebuild: drop, never misforward.
-					rep.DroppedPerVN[vn]++
-					r.dropVN[vn].Inc()
-					continue
+				backlog := 0
+				for vn := range r.queues {
+					backlog += r.queues[vn].len()
 				}
-				if r.queues[vn].len() >= r.spec.Queue {
-					rep.DroppedPerVN[vn]++
-					continue
+				if backlog > rep.BacklogPeak {
+					rep.BacklogPeak = backlog
 				}
-				pkt := gen.NextFor(vn)
-				seq := cyc*int64(s.k) + int64(vn)
-				q := fleetQueued{addr: pkt.Addr, vn: vn, arrival: cyc, seq: seq}
-				if tracing {
-					q.trace = tel.Sampler.Sample(vn, seq)
-				}
-				r.queues[vn].push(q)
 			}
-			backlog := 0
-			for vn := range r.queues {
-				backlog += r.queues[vn].len()
-			}
-			if backlog > rep.BacklogPeak {
-				rep.BacklogPeak = backlog
+			for _, dev := range r.devs {
+				if ctr.State(dev.id) != fleet.DevActive || dev.sims == nil || dev.blackout {
+					continue
+				}
+				if r.inj.BrownedOut(dev.id, cyc) {
+					dev.browned++
+					continue
+				}
+				r.serveDevice(dev, cyc)
 			}
 		}
-		for _, dev := range r.devs {
-			if ctr.State(dev.id) != fleet.DevActive || dev.sims == nil || dev.blackout {
-				continue
+		for d, dev := range r.devs {
+			for e, sim := range dev.sims {
+				// Serve order: device by device, engine by engine.
+				r.st.settle(sim, &dev.flights[e], dev.meter, e, dev.id, d<<16|e)
 			}
-			if r.inj.BrownedOut(dev.id, cyc) {
-				dev.browned++
-				continue
-			}
-			r.serveDevice(dev, cyc)
 		}
+		r.st.putTraces()
 	}
 
 	// Static leakage for every powered device with a live model.
@@ -886,7 +829,7 @@ func (r *fleetRun) RunSlice(b, n int64, live bool) (scenario.SliceStats, error) 
 		}
 	}
 	return scenario.SliceStats{
-		Util: r.utils, Delivered: r.delivered - sliceStart, Backlog: backlog,
+		Util: r.utils, Delivered: r.st.total - before, Backlog: backlog,
 		Scrubs: installs, Updates: len(ctr.Pending()),
 		Recoveries: r.frep.MigrationsDone, DegradedVNs: len(ctr.Degraded()),
 		Avail: r.upVN,
@@ -907,6 +850,11 @@ func (s *System) runFleetScenario(gen *traffic.Generator, spec scenario.Spec) (S
 		cache:      map[string]*core.Router{},
 		images:     make([]*pipeline.Image, s.k),
 		baseCfg:    s.router.Config(),
+	}
+	if !s.merged {
+		// The system's router was built per network from these tables under
+		// this very configuration: its images are the memo's first entries.
+		copy(r.images, s.router.Images())
 	}
 	r.est = func(sch core.Scheme, vns []int) (float64, error) {
 		rt, err := r.build(sch, vns)
@@ -1003,14 +951,8 @@ func (s *System) runFleetScenario(gen *traffic.Generator, spec scenario.Spec) (S
 			return ScenarioReport{}, err
 		}
 		dev.router = rt
-		imgs := rt.Images()
-		dev.sims = make([]*pipeline.BatchSim, len(imgs))
-		dev.exits = make([]fifo[fleetExit], len(imgs))
-		dev.rrNext = make([]int, len(imgs))
-		dev.utilCur = make([][2]int64, len(imgs))
-		for e, img := range imgs {
-			dev.sims[e] = pipeline.NewBatchSim(img)
-			dev.sims[e].EnableParityCheck()
+		for _, img := range rt.Images() {
+			dev.addEngine(img)
 			r.maxWords += img.Words()
 		}
 		if dev.meter, err = r.newDeviceMeter(rt); err != nil {
@@ -1024,11 +966,12 @@ func (s *System) runFleetScenario(gen *traffic.Generator, spec scenario.Spec) (S
 	r.vnDynFJ = make([]int64, s.k)
 	r.devDynFJ = make([]int64, total)
 	r.devStaticFJ = make([]int64, total)
-	r.queues = make([]fifo[fleetQueued], s.k)
+	r.queues = make([]fifo[queued], s.k)
 	r.dropVN = make([]*obs.Counter, s.k)
 	for vn := 0; vn < s.k; vn++ {
 		r.dropVN[vn] = obs.NewCounter(fmt.Sprintf("netsim.fleet_drops.vn%02d", vn))
 	}
+	r.st = settler{tel: s.tel, seqStride: int64(s.k), delivered: rep.DeliveredPerVN, dropped: rep.DroppedPerVN, dropVN: r.dropVN}
 	r.utils = make([]float64, len(composite.Engines))
 	r.upVN = make([]bool, s.k)
 
@@ -1060,9 +1003,8 @@ func (s *System) runFleetScenario(gen *traffic.Generator, spec scenario.Spec) (S
 	rep.TrafficCycles = eng.TrafficCycles
 	rep.DrainCycles = eng.DrainCycles
 
-	if r.delivered > 0 {
-		rep.MeanDelayCycles = r.delaySum / float64(r.delivered)
-	}
+	rep.MeanDelayCycles = r.st.meanDelay()
+	rep.NoRoute, rep.Mismatches, rep.FaultedLookups = r.st.noRoute, r.st.mismatches, r.st.faulted
 	rep.Recovered = len(ctr.Degraded()) == 0 && !ctr.Outstanding()
 	rep.Completed = !r.Outstanding()
 	if (fleetStressor{r: r}).Outstanding() {
@@ -1100,7 +1042,7 @@ func (s *System) runFleetScenario(gen *traffic.Generator, spec scenario.Spec) (S
 	for _, fj := range r.devStaticFJ {
 		static += fj
 	}
-	bits := deliveredBits(r.delivered)
+	bits := deliveredBits(r.st.total)
 	er := &energy.Report{
 		VNDynFJ:        r.vnDynFJ,
 		EngineDynFJ:    r.devDynFJ,
@@ -1122,7 +1064,7 @@ func (s *System) runFleetScenario(gen *traffic.Generator, spec scenario.Spec) (S
 	}
 	rep.Energy = er
 	er.Publish()
-	obsPacketsResolved.Add(r.delivered)
+	obsPacketsResolved.Add(r.st.total)
 	obsLoadCycles.Add(rep.TrafficCycles)
 	return *rep, nil
 }

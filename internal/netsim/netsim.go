@@ -53,6 +53,11 @@ type System struct {
 	// emodel is the per-event energy cost table derived from the router's
 	// power design; every harness meters against it.
 	emodel *energy.Model
+	// merged marks the shared-engine scheme; served[e] lists the networks
+	// engine e serves, ascending — all K on the merged engine, network e on
+	// its own engine otherwise.
+	merged bool
+	served [][]int
 }
 
 // New wraps a built router. tables must be the same K tables the router was
@@ -73,26 +78,50 @@ func New(r *core.Router, tables []*rib.Table) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &System{router: r, refs: refs, tables: tables, k: k, tel: noTelemetry, emodel: em}, nil
+	s := &System{router: r, refs: refs, tables: tables, k: k, tel: noTelemetry, emodel: em,
+		merged: r.Config().Scheme == core.VM, served: make([][]int, len(r.Images()))}
+	for vn := 0; vn < k; vn++ {
+		e := s.engineOf(vn)
+		s.served[e] = append(s.served[e], vn)
+	}
+	return s, nil
 }
 
 // engineOf maps a network to the engine serving it: the shared engine 0
 // under the merged scheme, the network's own engine otherwise.
 func (s *System) engineOf(vn int) int {
-	if s.router.Config().Scheme == core.VM {
+	if s.merged {
 		return 0
 	}
 	return vn
 }
 
 // lowVN maps an engine to the lowest VNID it serves — where control-plane
-// energy on that engine (sweeps, reloads) is attributed. Per-engine schemes
-// serve network e from engine e; the merged engine charges network 0.
-func (s *System) lowVN(e int) int {
-	if s.router.Config().Scheme == core.VM {
-		return 0
+// energy on that engine (sweeps, reloads) is attributed.
+func (s *System) lowVN(e int) int { return s.served[e][0] }
+
+// reqVN is the VNID a lookup of network vn carries into its engine: the
+// merged engine tells its networks apart by it, a per-network engine holds
+// one table and the distributor strips it.
+func (s *System) reqVN(vn int) int {
+	if s.merged {
+		return vn
 	}
-	return e
+	return 0
+}
+
+// nextQueued pops the next packet engine e serves: round-robin from *rr over
+// the ingress queues of the networks it serves, the first that is not empty.
+func (s *System) nextQueued(e int, rr *int, queues []fifo[queued]) (queued, bool) {
+	vns := s.served[e]
+	for i := range vns {
+		j := (*rr + i) % len(vns)
+		if q := &queues[vns[j]]; q.len() > 0 {
+			*rr = (j + 1) % len(vns)
+			return q.pop(), true
+		}
+	}
+	return queued{}, false
 }
 
 // meter builds a zeroed energy meter over this system's cost model.
@@ -416,15 +445,6 @@ func (r LoadReport) DeliveredFraction() float64 {
 	return float64(del) / float64(off)
 }
 
-// queued is one packet waiting at an engine's input.
-type queued struct {
-	req     pipeline.Request
-	vn      int
-	arrival int64
-	// seq is the packet's deterministic trace key (cyc*K + vn).
-	seq int64
-}
-
 // loadSliceCycles is LoadTest's telemetry quantum: one time-series row per
 // this many cycles (matching the fault/update harnesses' default slice).
 const loadSliceCycles = 1024
@@ -438,16 +458,14 @@ type loadKernel struct {
 	gen       *traffic.Generator
 	perVNLoad float64
 	queueCap  int
-	scheme    core.Scheme
 	sims      []*pipeline.BatchSim
 	queues    []fifo[queued]
-	exitVN    []fifo[queued] // in-flight metadata per engine
-	rrNext    []int          // round-robin pointer per engine
+	flights   [][]inflight // in-flight lookups per engine
+	rrNext    []int        // round-robin pointer per engine
 	gv        *scenario.GovRun
 	meter     *energy.Meter
 	rep       LoadReport
-	delaySum  float64
-	delivered int64
+	st        settler
 	// Per-window telemetry cursors: per-engine utilization deltas.
 	utilCur [][2]int64 // {activeSum, cycles} per engine
 	utils   []float64
@@ -457,78 +475,47 @@ func (k *loadKernel) Outstanding() bool { return false }
 
 func (k *loadKernel) RunSlice(b, n int64, _ bool) (scenario.SliceStats, error) {
 	s, gen, gv := k.s, k.gen, k.gv
-	var winDelivered int64
-	for cyc := b; cyc < b+n; cyc++ {
-		// Arrivals.
-		for vn := 0; vn < s.k; vn++ {
-			if !gen.Bernoulli(k.perVNLoad) {
-				continue
-			}
-			k.rep.Offered[vn]++
-			if gv != nil && gv.AdmitArrival(vn, s.engineOf(vn)) {
-				k.rep.Dropped[vn]++
-				continue
-			}
-			if k.queues[vn].len() >= k.queueCap {
-				k.rep.Dropped[vn]++
-				continue
-			}
-			p := gen.NextFor(vn)
-			reqVN := 0
-			if k.scheme == core.VM {
-				reqVN = vn
-			}
-			q := queued{
-				req:     pipeline.Request{Addr: p.Addr, VN: reqVN},
-				vn:      vn,
-				arrival: cyc,
-				seq:     cyc*int64(s.k) + int64(vn),
-			}
-			if s.tel.Tracing() {
-				q.req.Trace = s.tel.Sampler.Sample(vn, q.seq)
-			}
-			k.queues[vn].push(q)
-		}
-		// Service: one injection per engine per cycle, round-robin over
-		// the engine's ingress queues. A governed engine that loses this
-		// cycle to frequency stepping or quiescing freezes: no injection,
-		// and in-flight packets stall in place.
-		for e := range k.sims {
-			if gv != nil && !gv.EngineServes(e) {
-				continue
-			}
-			// q lives outside the loop so that &q.req stays on the stack.
-			var q queued
-			var req *pipeline.Request
-			for i := 0; i < s.k; i++ {
-				vn := (k.rrNext[e] + i) % s.k
-				if s.engineOf(vn) != e || k.queues[vn].len() == 0 {
+	before := k.st.total
+	for c := b; c < b+n; c += pipeline.DrainWindow {
+		for cyc, end := c, min(c+pipeline.DrainWindow, b+n); cyc < end; cyc++ {
+			// Arrivals.
+			for vn := 0; vn < s.k; vn++ {
+				if !gen.Bernoulli(k.perVNLoad) {
 					continue
 				}
-				q = k.queues[vn].pop()
-				req = &q.req
-				k.exitVN[e].push(q)
-				k.rrNext[e] = (vn + 1) % s.k
-				break
-			}
-			res, done := k.sims[e].Inject(req)
-			if done {
-				meta := k.exitVN[e].pop()
-				k.meter.Lookup(e, meta.vn, res.LastStage)
-				k.rep.Delivered[meta.vn]++
-				winDelivered++
-				k.delaySum += float64(cyc - meta.arrival)
-				if meta.req.Trace {
-					outcome := "forward"
-					if res.NHI == ip.NoRoute {
-						outcome = "noroute"
-					}
-					s.tel.PutLookupTrace(meta.seq, meta.vn, e, 0, res, res.EnterCycle-meta.arrival, outcome)
+				k.rep.Offered[vn]++
+				if gv != nil && gv.AdmitArrival(vn, s.engineOf(vn)) {
+					k.rep.Dropped[vn]++
+					continue
 				}
+				if k.queues[vn].len() >= k.queueCap {
+					k.rep.Dropped[vn]++
+					continue
+				}
+				k.queues[vn].push(queued{arrival: cyc, addr: gen.NextFor(vn).Addr, vn: int32(vn)})
+			}
+			// Service: one injection per engine per cycle, round-robin over
+			// the engine's ingress queues. A governed engine that loses this
+			// cycle to frequency stepping or quiescing freezes: no injection,
+			// and in-flight packets stall in place.
+			for e, sim := range k.sims {
+				if gv != nil && !gv.EngineServes(e) {
+					continue
+				}
+				q, ok := s.nextQueued(e, &k.rrNext[e], k.queues)
+				if !ok {
+					sim.Idle(cyc)
+					continue
+				}
+				k.flights[e] = append(k.flights[e], inflight{arrival: q.arrival, vn: q.vn})
+				sim.Inject(pipeline.Request{Addr: q.addr, VN: s.reqVN(int(q.vn)), Trace: k.st.traced(q)}, cyc)
 			}
 		}
+		for e, sim := range k.sims {
+			k.st.settle(sim, &k.flights[e], k.meter, e, e, e)
+		}
+		k.st.putTraces()
 	}
-	k.delivered += winDelivered
 	backlog := 0
 	for vn := range k.queues {
 		backlog += k.queues[vn].len()
@@ -536,7 +523,7 @@ func (k *loadKernel) RunSlice(b, n int64, _ bool) (scenario.SliceStats, error) {
 	for e := range k.sims {
 		k.utils[e], k.utilCur[e][0], k.utilCur[e][1] = scenario.UtilDelta(k.sims[e].Stats(), k.utilCur[e][0], k.utilCur[e][1])
 	}
-	return scenario.SliceStats{Util: k.utils, Delivered: winDelivered, Backlog: backlog}, nil
+	return scenario.SliceStats{Util: k.utils, Delivered: k.st.total - before, Backlog: backlog}, nil
 }
 
 // LoadTest drives the router open-loop for the given number of cycles:
@@ -564,10 +551,9 @@ func (s *System) LoadTest(gen *traffic.Generator, perVNLoad float64, cycles int6
 		gen:       gen,
 		perVNLoad: perVNLoad,
 		queueCap:  queueCap,
-		scheme:    s.router.Config().Scheme,
 		sims:      make([]*pipeline.BatchSim, len(images)),
 		queues:    make([]fifo[queued], s.k),
-		exitVN:    make([]fifo[queued], len(images)),
+		flights:   make([][]inflight, len(images)),
 		rrNext:    make([]int, len(images)),
 		gv:        gv,
 		meter:     s.meter(),
@@ -580,8 +566,10 @@ func (s *System) LoadTest(gen *traffic.Generator, perVNLoad float64, cycles int6
 			Cycles:    cycles,
 		},
 	}
+	k.st = settler{tel: s.tel, seqStride: int64(s.k), delivered: k.rep.Delivered}
 	for e := range images {
 		k.sims[e] = pipeline.NewBatchSim(images[e])
+		k.flights[e] = newFlights(images[e])
 	}
 	// The cycle loop runs on the coordinator, so the run meter can feed the
 	// per-lookup energy histogram without touching any worker hot path.
@@ -608,19 +596,17 @@ func (s *System) LoadTest(gen *traffic.Generator, perVNLoad float64, cycles int6
 	if err := eng.Run(); err != nil {
 		return LoadReport{}, err
 	}
-	if k.delivered > 0 {
-		k.rep.MeanDelayCycles = k.delaySum / float64(k.delivered)
-	}
+	k.rep.MeanDelayCycles = k.st.meanDelay()
 	if gv != nil {
 		k.rep.Governor = gv.Report()
 	}
-	er, err := k.meter.Report(deliveredBits(k.delivered))
+	er, err := k.meter.Report(deliveredBits(k.st.total))
 	if err != nil {
 		return LoadReport{}, err
 	}
 	k.rep.Energy = er
 	er.Publish()
 	obsLoadCycles.Add(cycles)
-	obsPacketsResolved.Add(k.delivered)
+	obsPacketsResolved.Add(k.st.total)
 	return k.rep, nil
 }

@@ -171,17 +171,6 @@ func (r *ScenarioReport) MeanUpdateLatencyCycles() float64 {
 	return sum / float64(len(r.Batches))
 }
 
-// scenExit is one in-flight lookup's metadata: the network, the arrival
-// cycle (delay accounting), the trace seq, and the reference table of its
-// injection epoch.
-type scenExit struct {
-	vn      int
-	arrival int64
-	seq     int64
-	ref     *ip.Table
-	trace   bool
-}
-
 // scenEng is one engine's composed-run state: a persistent parity-checking
 // engine, the fault lifecycle (reusing the fault harness's engState over
 // the serving image), the armed-update lifecycle, and the in-flight FIFO.
@@ -190,8 +179,8 @@ type scenEng struct {
 	// fs is the fault lifecycle over the serving image (down/dead flags,
 	// sweep cursor, outstanding upsets, pending reload).
 	fs engState
-	// exit mirrors the sim's in-flight lookups in injection order.
-	exit fifo[scenExit]
+	// flights is the lookups pushed into sim and not settled yet, oldest first.
+	flights []inflight
 	// rrNext is the engine's round-robin pointer over its ingress queues.
 	rrNext int
 	// Armed hitless update, as in the update harness.
@@ -235,10 +224,9 @@ type scenRun struct {
 	rep   *ScenarioReport
 	gv    *scenario.GovRun
 	meter *energy.Meter
+	st    settler
 
-	delaySum  float64
-	delivered int64
-	maxWords  int
+	maxWords int
 
 	// Per-slice measurement scratch.
 	utilCur     [][2]int64
@@ -253,12 +241,12 @@ func (r *scenRun) engineOf(vn int) int { return r.s.engineOf(vn) }
 // flushExits drops an engine's in-flight lookups when it goes down: the
 // pipeline's contents are lost with the reload (or the corpse).
 func (r *scenRun) flushExits(e *scenEng) {
-	for _, m := range e.exit.items() {
+	for _, m := range e.flights {
 		r.rep.DroppedPerVN[m.vn]++
 		r.dropVN[m.vn].Inc()
 		obsFaultDrops.Inc()
 	}
-	e.exit.reset()
+	e.flights = e.flights[:0]
 }
 
 // commitUpdate finishes an engine's completed hitless update: the control
@@ -600,7 +588,7 @@ func (r *scenRun) Outstanding() bool {
 		}
 	}
 	for _, e := range r.engines {
-		if e.exit.len() > 0 {
+		if len(e.flights) > 0 {
 			return true
 		}
 	}
@@ -610,158 +598,99 @@ func (r *scenRun) Outstanding() bool {
 // RunSlice executes cycles [b, b+n): shaped Bernoulli arrivals into the
 // ingress queues (live slices only), then one service step per engine per
 // cycle — bubbles first, queued lookups second, exactly the per-harness
-// semantics — all sequentially on the coordinator.
+// semantics — all sequentially on the coordinator; the exits are settled
+// every pipeline.DrainWindow cycles and at the slice's end.
 func (r *scenRun) RunSlice(b, n int64, live bool) (scenario.SliceStats, error) {
 	s, gen, gv, rep := r.s, r.gen, r.gv, r.rep
 	tel := s.tel
 	tracing := tel.Tracing()
-	var winDelivered int64
-	for cyc := b; cyc < b+n; cyc++ {
-		if live {
-			p := r.spec.Load.At(cyc, r.spec.Cycles)
-			for vn := 0; vn < s.k; vn++ {
-				if !gen.Bernoulli(p) {
-					continue
-				}
-				rep.OfferedPerVN[vn]++
-				eIdx := r.engineOf(vn)
-				if gv != nil && gv.AdmitArrival(vn, eIdx) {
-					rep.DroppedPerVN[vn]++
-					continue
-				}
-				// Seq is worker-independent: cycle-major, network-minor.
-				seq := cyc*int64(s.k) + int64(vn)
-				if r.engines[eIdx].fs.down() {
-					rep.DroppedPerVN[vn]++
-					r.dropVN[vn].Inc()
-					obsFaultDrops.Inc()
-					if tracing && tel.Sampler.Sample(vn, seq) {
-						tel.PutDropTrace(seq, vn, eIdx, cyc, gen.NextFor(vn).Addr)
+	before := r.st.total
+	for c := b; c < b+n; c += pipeline.DrainWindow {
+		for cyc, end := c, min(c+pipeline.DrainWindow, b+n); cyc < end; cyc++ {
+			if live {
+				p := r.spec.Load.At(cyc, r.spec.Cycles)
+				for vn := 0; vn < s.k; vn++ {
+					if !gen.Bernoulli(p) {
 						continue
 					}
+					rep.OfferedPerVN[vn]++
+					eIdx := r.engineOf(vn)
+					if gv != nil && gv.AdmitArrival(vn, eIdx) {
+						rep.DroppedPerVN[vn]++
+						continue
+					}
+					if r.engines[eIdx].fs.down() {
+						rep.DroppedPerVN[vn]++
+						r.dropVN[vn].Inc()
+						obsFaultDrops.Inc()
+						// Seq is worker-independent: cycle-major, network-minor.
+						if seq := r.st.seq(cyc, int32(vn)); tracing && tel.Sampler.Sample(vn, seq) {
+							r.st.held = append(r.st.held, heldTrace{cyc, -1,
+								scenario.DropTrace(seq, vn, eIdx, cyc, gen.NextFor(vn).Addr)})
+						}
+						continue
+					}
+					if r.queues[vn].len() >= r.spec.Queue {
+						rep.DroppedPerVN[vn]++
+						continue
+					}
+					r.queues[vn].push(queued{arrival: cyc, addr: gen.NextFor(vn).Addr, vn: int32(vn)})
+				}
+				backlog := 0
+				for vn := range r.queues {
+					backlog += r.queues[vn].len()
+				}
+				if backlog > rep.BacklogPeak {
+					rep.BacklogPeak = backlog
+				}
+			}
+			// Service: one input slot per engine per cycle; write bubbles take
+			// the slot first, then the engine's queues round-robin.
+			for eIdx, e := range r.engines {
+				if e.fs.down() {
 					continue
 				}
-				if r.queues[vn].len() >= r.spec.Queue {
-					rep.DroppedPerVN[vn]++
+				if gv != nil && !gv.EngineServes(eIdx) {
 					continue
 				}
-				pkt := gen.NextFor(vn)
-				reqVN := 0
-				if r.scheme == core.VM {
-					reqVN = vn
-				}
-				q := queued{
-					req:     pipeline.Request{Addr: pkt.Addr, VN: reqVN},
-					vn:      vn,
-					arrival: cyc,
-					seq:     seq,
-				}
-				if tracing {
-					q.req.Trace = tel.Sampler.Sample(vn, seq)
-				}
-				r.queues[vn].push(q)
-			}
-			backlog := 0
-			for vn := range r.queues {
-				backlog += r.queues[vn].len()
-			}
-			if backlog > rep.BacklogPeak {
-				rep.BacklogPeak = backlog
-			}
-		}
-		// Service: one input slot per engine per cycle; write bubbles take
-		// the slot first, then the engine's queues round-robin.
-		for eIdx, e := range r.engines {
-			if e.fs.down() {
-				continue
-			}
-			if gv != nil && !gv.EngineServes(eIdx) {
-				continue
-			}
-			var res pipeline.Result
-			var done bool
-			bubbled := false
-			if e.sim.PendingBubbles() > 0 && !e.ch.crashed {
-				if e.ch.crashAtBubble >= 0 && e.sim.PendingBubbles() <= e.ch.crashAtBubble {
+				bubble := e.sim.PendingBubbles() > 0 && !e.ch.crashed
+				if bubble && e.ch.crashAtBubble >= 0 && e.sim.PendingBubbles() <= e.ch.crashAtBubble {
 					// The updater dies before its commit bubble: shadow
 					// writes stop, the old bank keeps serving, and the
 					// watchdog rolls the torn commit back at a boundary.
 					r.chaosCrash(eIdx, e, cyc)
-				} else {
+					bubble = false
+				}
+				if bubble {
 					if e.sim.PendingBubbles() == 1 {
 						// Commit bubble: the oracle flips with the shadow bank.
 						r.refs[e.refVN] = e.newRef
 					}
-					var err error
-					res, done, err = e.sim.InjectBubble()
-					if err != nil {
+					if err := e.sim.InjectBubble(cyc); err != nil {
 						return scenario.SliceStats{}, err
 					}
 					r.meter.Bubble(eIdx, e.batch.VN)
-					bubbled = true
+				} else if q, ok := s.nextQueued(eIdx, &e.rrNext, r.queues); ok {
+					e.flights = append(e.flights, inflight{arrival: q.arrival, ref: r.refs[q.vn], vn: q.vn})
+					e.sim.Inject(pipeline.Request{Addr: q.addr, VN: s.reqVN(int(q.vn)), Trace: r.st.traced(q)}, cyc)
+				} else {
+					e.sim.Idle(cyc)
 				}
-			}
-			if !bubbled {
-				// q lives outside the loop so that &q.req stays on the stack.
-				var q queued
-				var req *pipeline.Request
-				for i := 0; i < s.k; i++ {
-					vn := (e.rrNext + i) % s.k
-					if r.engineOf(vn) != eIdx || r.queues[vn].len() == 0 {
-						continue
-					}
-					q = r.queues[vn].pop()
-					req = &q.req
-					e.exit.push(scenExit{
-						vn: q.vn, arrival: q.arrival, seq: q.seq,
-						ref: r.refs[q.vn], trace: q.req.Trace,
-					})
-					e.rrNext = (vn + 1) % s.k
-					break
+				if e.handle != nil && e.doneAt < 0 && !e.sim.Updating() {
+					e.doneAt = cyc
 				}
-				res, done = e.sim.Inject(req)
-			}
-			if done {
-				m := e.exit.pop()
-				r.meter.Lookup(eIdx, m.vn, res.LastStage)
-				outcome := "forward"
-				switch {
-				case res.Faulted:
-					// Corruption read mid-lookup: drop, never misforward.
-					rep.FaultedLookups++
-					rep.DroppedPerVN[m.vn]++
-					r.dropVN[m.vn].Inc()
-					obsFaultDrops.Inc()
-					if e.fs.detectVia == "" {
-						e.fs.detectVia = ViaAccess
-					}
-					outcome = "drop-fault"
-				default:
-					want := m.ref.Lookup(res.Addr)
-					if res.NHI != want {
-						rep.Mismatches++
-						outcome = "mismatch"
-					} else {
-						rep.DeliveredPerVN[m.vn]++
-						winDelivered++
-						r.delaySum += float64(cyc - m.arrival)
-						if want == ip.NoRoute {
-							rep.NoRoute++
-							outcome = "noroute"
-						}
-					}
-				}
-				if m.trace {
-					tel.PutLookupTrace(m.seq, m.vn, eIdx, 0, res, res.EnterCycle-m.arrival, outcome)
-				}
-			}
-			if e.handle != nil && e.doneAt < 0 && !e.sim.Updating() {
-				e.doneAt = cyc
 			}
 		}
+		for eIdx, e := range r.engines {
+			if n := r.st.settle(e.sim, &e.flights, r.meter, eIdx, eIdx, eIdx); n > 0 {
+				obsFaultDrops.Add(n)
+				if e.fs.detectVia == "" {
+					e.fs.detectVia = ViaAccess
+				}
+			}
+		}
+		r.st.putTraces()
 	}
-	r.delivered += winDelivered
-
 	// Slice measurement for the telemetry row and the governor's sample.
 	backlog, updating, downEngines := 0, 0, 0
 	for vn := range r.queues {
@@ -787,7 +716,7 @@ func (r *scenRun) RunSlice(b, n int64, live bool) (scenario.SliceStats, error) {
 	}
 	recoveries, degradedVNs := r.chaosSliceStats()
 	return scenario.SliceStats{
-		Util: r.utils, Delivered: winDelivered, Backlog: backlog,
+		Util: r.utils, Delivered: r.st.total - before, Backlog: backlog,
 		Scrubs: downEngines, Updates: updating,
 		Recoveries: recoveries, DegradedVNs: degradedVNs,
 		Avail: r.upVN, Reloading: r.reloadFlags,
@@ -917,7 +846,7 @@ func (s *System) RunScenario(gen *traffic.Generator, spec scenario.Spec) (Scenar
 	for e := range images {
 		sim := pipeline.NewBatchSim(images[e])
 		sim.EnableParityCheck()
-		r.engines[e] = &scenEng{sim: sim, fs: engState{img: images[e], repairAt: -1}, doneAt: -1}
+		r.engines[e] = &scenEng{sim: sim, flights: newFlights(images[e]), fs: engState{img: images[e], repairAt: -1}, doneAt: -1}
 		if w := images[e].Words(); w > r.maxWords {
 			r.maxWords = w
 		}
@@ -929,6 +858,7 @@ func (s *System) RunScenario(gen *traffic.Generator, spec scenario.Spec) (Scenar
 		r.refs[vn] = s.tables[vn].Reference()
 		r.dropVN[vn] = obs.NewCounter(fmt.Sprintf("netsim.fault_drops.vn%02d", vn))
 	}
+	r.st = settler{tel: s.tel, seqStride: int64(s.k), delivered: rep.DeliveredPerVN, dropped: rep.DroppedPerVN, dropVN: r.dropVN}
 	r.utilCur = make([][2]int64, len(images))
 	r.utils = make([]float64, len(images))
 	r.upVN = make([]bool, s.k)
@@ -957,9 +887,8 @@ func (s *System) RunScenario(gen *traffic.Generator, spec scenario.Spec) (Scenar
 	rep.TrafficCycles = eng.TrafficCycles
 	rep.DrainCycles = eng.DrainCycles
 
-	if r.delivered > 0 {
-		rep.MeanDelayCycles = r.delaySum / float64(r.delivered)
-	}
+	rep.MeanDelayCycles = r.st.meanDelay()
+	rep.NoRoute, rep.Mismatches, rep.FaultedLookups = r.st.noRoute, r.st.mismatches, r.st.faulted
 	rep.Recovered = true
 	for _, e := range r.engines {
 		if e.fs.down() || len(e.fs.outstanding) > 0 {
@@ -975,14 +904,14 @@ func (s *System) RunScenario(gen *traffic.Generator, spec scenario.Spec) (Scenar
 	if gv != nil {
 		rep.Governor = gv.Report()
 	}
-	er, err := r.meter.Report(deliveredBits(r.delivered))
+	er, err := r.meter.Report(deliveredBits(r.st.total))
 	if err != nil {
 		return ScenarioReport{}, err
 	}
 	rep.Energy = er
 	er.Publish()
 	r.chaosFinalize()
-	obsPacketsResolved.Add(r.delivered)
+	obsPacketsResolved.Add(r.st.total)
 	obsLoadCycles.Add(rep.TrafficCycles)
 	return *rep, nil
 }

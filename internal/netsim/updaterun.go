@@ -176,29 +176,19 @@ func (r *UpdateReport) AnalyticThroughputRetained() float64 {
 	return update.ThroughputRetained(int(r.PlannedBubbles), float64(r.EngineCycles)/1e6)
 }
 
-// updMeta is one packet's oracle context: the network it belongs to and the
-// reference table current when it entered the pipeline.
-type updMeta struct {
-	req     pipeline.Request
-	vn      int
-	arrival int64
-	ref     *ip.Table
-}
-
 // updEng is one engine's view of the update run. Everything in it —
 // including the refs slots this engine owns — is touched only by the
 // coordinator between slices and by this engine's worker inside one, so the
 // per-slice fan-out stays race-free and deterministic.
 type updEng struct {
 	sim *pipeline.BatchSim
-	// engine/tel identify and sink this engine's flight traces (tel is the
-	// run's bundle; the ring is lock-free, so workers Put directly).
+	// engine identifies this engine in the meter and in flight traces (the
+	// ring is lock-free, so the engine's worker puts directly).
 	engine int
-	tel    *Telemetry
-	// backlog holds arrivals displaced by bubbles; pending the in-flight
-	// lookups' metadata in injection order.
-	backlog fifo[updMeta]
-	pending fifo[updMeta]
+	// backlog holds arrivals displaced by bubbles; flights the lookups pushed
+	// into sim and not settled yet, oldest first.
+	backlog fifo[queued]
+	flights []inflight
 	// An armed batch: the handle to commit, the post-update oracle to swap
 	// in at the commit bubble, and the report record under construction.
 	handle *ctrl.HitlessUpdate
@@ -206,14 +196,10 @@ type updEng struct {
 	refVN  int
 	batch  UpdateBatch
 	doneAt int64
-	// Worker-accumulated counters, folded into the report at the end.
-	deliveredPerVN []int64
-	mismatches     int64
-	faulted        int64
-	noRoute        int64
-	delaySum       float64
-	delayN         int64
-	backlogPeak    int
+	// st settles this engine's exits on its worker; its tallies are folded
+	// into the report at the end.
+	st          settler
+	backlogPeak int
 	// em is this slice's worker-local energy meter: handed out fresh by the
 	// coordinator before the fan-out, charged only by this engine's worker
 	// inside the slice, folded back in engine order at the barrier.
@@ -230,61 +216,33 @@ type updEng struct {
 }
 
 // cycle advances the engine one cycle: bubbles take the input slot first,
-// then the backlog front, then an idle step; whatever lookup exits is
-// checked against its injection epoch's oracle.
-func (e *updEng) cycle(refs []*ip.Table, cyc int64) error {
+// then the backlog front, then an idle step. A lookup is checked, when its
+// exit is settled, against the oracle current as it enters the pipe.
+func (e *updEng) cycle(s *System, refs []*ip.Table, cyc int64) error {
 	if !e.gate.ClockRuns() {
 		// Frequency-stepped clock: the engine freezes this cycle (bubbles
 		// and lookups alike slow down together, as a real stepped clock
 		// would impose).
 		return nil
 	}
-	var res pipeline.Result
-	var ok bool
 	if e.sim.PendingBubbles() > 0 {
 		if e.sim.PendingBubbles() == 1 {
 			// The commit bubble goes in this cycle: every lookup injected
 			// after it sees the new banks, so the oracle flips now.
 			refs[e.refVN] = e.newRef
 		}
-		var err error
-		res, ok, err = e.sim.InjectBubble()
-		if err != nil {
+		if err := e.sim.InjectBubble(cyc); err != nil {
 			return err
 		}
 		e.em.Bubble(e.engine, e.batch.VN)
 	} else if e.backlog.len() > 0 && !e.gate.Hold() {
-		m := e.backlog.pop()
-		m.ref = refs[m.vn]
-		e.pending.push(m)
-		res, ok = e.sim.Inject(&m.req)
+		q := e.backlog.pop()
+		e.flights = append(e.flights, inflight{arrival: q.arrival, ref: refs[q.vn], vn: q.vn})
+		// The arrival cycle is unique (one packet per cycle) and worker-
+		// independent: it doubles as the trace seq (a zero seqStride).
+		e.sim.Inject(pipeline.Request{Addr: q.addr, VN: s.reqVN(int(q.vn)), Trace: e.st.traced(q)}, cyc)
 	} else {
-		res, ok = e.sim.Inject(nil)
-	}
-	if ok {
-		m := e.pending.pop()
-		e.em.Lookup(e.engine, m.vn, res.LastStage)
-		outcome := "drop-fault"
-		if res.Faulted {
-			e.faulted++
-		} else if want := m.ref.Lookup(res.Addr); res.NHI != want {
-			e.mismatches++
-			outcome = "mismatch"
-		} else {
-			e.deliveredPerVN[m.vn]++
-			outcome = "forward"
-			if res.NHI == ip.NoRoute {
-				e.noRoute++
-				outcome = "noroute"
-			}
-			e.delaySum += float64(cyc - m.arrival)
-			e.delayN++
-		}
-		if res.Trace {
-			// The arrival cycle doubles as the trace seq; Wait is the
-			// backlog time bubbles displaced this packet by.
-			e.tel.PutLookupTrace(m.arrival, m.vn, e.engine, 0, res, res.EnterCycle-m.arrival, outcome)
-		}
+		e.sim.Idle(cyc)
 	}
 	if e.handle != nil && e.doneAt < 0 && !e.sim.Updating() {
 		e.doneAt = cyc
@@ -308,7 +266,6 @@ type updRun struct {
 	gv      *scenario.GovRun
 	gen     *traffic.Generator
 	meter   *energy.Meter
-	tracing bool
 	started int
 	// utils / prevDelivered are the coordinator's per-slice measurement
 	// scratch over the sims' cumulative stats.
@@ -401,7 +358,7 @@ func (u *updRun) Outstanding() bool {
 		return true
 	}
 	for _, e := range u.engines {
-		if e.handle != nil || e.backlog.len() > 0 || e.pending.len() > 0 || e.sim.Updating() {
+		if e.handle != nil || e.backlog.len() > 0 || len(e.flights) > 0 || e.sim.Updating() {
 			return true
 		}
 	}
@@ -422,11 +379,11 @@ func (u *updRun) ApplyDecision(d governor.Decision) {
 // Engine state is disjoint, so the only coordination is the barrier at the
 // end of the slice.
 func (u *updRun) RunSlice(b, n int64, live bool) (scenario.SliceStats, error) {
-	s, rep, gv, tel := u.s, u.rep, u.gv, u.s.tel
-	var arrivals [][]updMeta
+	s, rep, gv := u.s, u.rep, u.gv
+	var arrivals [][]queued
 	if live {
 		pkts := u.gen.Batch(int(n))
-		arrivals = make([][]updMeta, len(u.engines))
+		arrivals = make([][]queued, len(u.engines))
 		for i, p := range pkts {
 			if p.VN < 0 || p.VN >= s.k {
 				return scenario.SliceStats{}, fmt.Errorf("netsim: packet VN %d outside [0,%d)", p.VN, s.k)
@@ -437,22 +394,8 @@ func (u *updRun) RunSlice(b, n int64, live bool) (scenario.SliceStats, error) {
 				// deferred into the backlog and accounted as such.
 				gv.CountDeferred(p.VN)
 			}
-			reqVN := 0
-			if u.scheme == core.VM {
-				reqVN = p.VN
-			}
 			eIdx := s.engineOf(p.VN)
-			m := updMeta{
-				req:     pipeline.Request{Addr: p.Addr, VN: reqVN},
-				vn:      p.VN,
-				arrival: b + int64(i),
-			}
-			if u.tracing {
-				// The arrival cycle is unique (one packet per cycle) and
-				// worker-independent: it doubles as the trace seq.
-				m.req.Trace = tel.Sampler.Sample(p.VN, m.arrival)
-			}
-			arrivals[eIdx] = append(arrivals[eIdx], m)
+			arrivals[eIdx] = append(arrivals[eIdx], queued{arrival: b + int64(i), addr: p.Addr, vn: int32(p.VN)})
 		}
 	}
 	// Fresh worker-local energy meters for this slice, folded back in engine
@@ -463,19 +406,23 @@ func (u *updRun) RunSlice(b, n int64, live bool) (scenario.SliceStats, error) {
 	if _, err := sweep.Run(len(u.engines), func(eIdx int) (struct{}, error) {
 		e := u.engines[eIdx]
 		var next int
-		for i := int64(0); i < n; i++ {
-			if arrivals != nil {
-				for next < len(arrivals[eIdx]) && arrivals[eIdx][next].arrival == b+i {
-					e.backlog.push(arrivals[eIdx][next])
-					next++
+		for c := b; c < b+n; c += pipeline.DrainWindow {
+			for cyc, end := c, min(c+pipeline.DrainWindow, b+n); cyc < end; cyc++ {
+				if arrivals != nil {
+					for next < len(arrivals[eIdx]) && arrivals[eIdx][next].arrival == cyc {
+						e.backlog.push(arrivals[eIdx][next])
+						next++
+					}
+					if e.backlog.len() > e.backlogPeak {
+						e.backlogPeak = e.backlog.len()
+					}
 				}
-				if e.backlog.len() > e.backlogPeak {
-					e.backlogPeak = e.backlog.len()
+				if err := e.cycle(s, u.refs, cyc); err != nil {
+					return struct{}{}, err
 				}
 			}
-			if err := e.cycle(u.refs, b+i); err != nil {
-				return struct{}{}, err
-			}
+			e.st.settle(e.sim, &e.flights, e.em, eIdx, eIdx, eIdx)
+			e.st.putTraces()
 		}
 		return struct{}{}, nil
 	}); err != nil {
@@ -492,7 +439,7 @@ func (u *updRun) RunSlice(b, n int64, live bool) (scenario.SliceStats, error) {
 		if e.handle != nil {
 			updating++
 		}
-		delivered += e.delayN
+		delivered += e.st.total
 	}
 	st := scenario.SliceStats{
 		Util:      u.utils,
@@ -544,7 +491,8 @@ func (s *System) RunUpdates(gen *traffic.Generator, trafficCycles int64, cfg Upd
 	for e := range images {
 		sim := pipeline.NewBatchSim(images[e])
 		sim.EnableParityCheck()
-		engines[e] = &updEng{sim: sim, engine: e, tel: tel, doneAt: -1, deliveredPerVN: make([]int64, s.k)}
+		engines[e] = &updEng{sim: sim, engine: e, flights: newFlights(images[e]), doneAt: -1,
+			st: settler{tel: tel, delivered: make([]int64, s.k)}}
 	}
 	// refs[vn] is the oracle for network vn's lookups *at injection time*;
 	// slot vn is owned by engine engineOf(vn), which flips it when the
@@ -563,7 +511,7 @@ func (s *System) RunUpdates(gen *traffic.Generator, trafficCycles int64, cfg Upd
 	}
 	u := &updRun{
 		s: s, cfg: cfg, scheme: scheme, mgr: mgr, engines: engines, refs: refs,
-		rep: &rep, gv: gv, gen: gen, meter: s.meter(), tracing: tel.Tracing(),
+		rep: &rep, gv: gv, gen: gen, meter: s.meter(),
 		utils: make([]float64, len(engines)),
 	}
 
@@ -585,27 +533,25 @@ func (s *System) RunUpdates(gen *traffic.Generator, trafficCycles int64, cfg Upd
 	rep.TrafficCycles = eng.TrafficCycles
 	rep.DrainCycles = eng.DrainCycles
 
+	var delivered, delaySum int64
 	for _, e := range engines {
 		st := e.sim.Stats()
 		rep.EngineCycles += st.Cycles
 		rep.BubbleCycles += st.Bubbles
-		for vn, d := range e.deliveredPerVN {
+		for vn, d := range e.st.delivered {
 			rep.DeliveredPerVN[vn] += d
 		}
-		rep.Mismatches += e.mismatches
-		rep.FaultedLookups += e.faulted
-		rep.NoRoute += e.noRoute
-		rep.MeanDelayCycles += e.delaySum
+		rep.Mismatches += e.st.mismatches
+		rep.FaultedLookups += e.st.faulted
+		rep.NoRoute += e.st.noRoute
+		delivered += e.st.total
+		delaySum += e.st.delaySum
 		if e.backlogPeak > rep.BacklogPeak {
 			rep.BacklogPeak = e.backlogPeak
 		}
 	}
-	var delivered int64
-	for _, e := range engines {
-		delivered += e.delayN
-	}
 	if delivered > 0 {
-		rep.MeanDelayCycles /= float64(delivered)
+		rep.MeanDelayCycles = float64(delaySum) / float64(delivered)
 	}
 	rep.Completed = !u.Outstanding()
 	if gv != nil {

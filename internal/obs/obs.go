@@ -90,13 +90,20 @@ func (h *Histogram) Observe(d time.Duration) { h.ObserveValue(int64(d)) }
 
 // ObserveValue records one raw value in the histogram's unit. Negative
 // values clamp to zero.
-func (h *Histogram) ObserveValue(v int64) {
+func (h *Histogram) ObserveValue(v int64) { h.ObserveValueN(v, 1) }
+
+// ObserveValueN records n observations of the same raw value at the cost of
+// one: count, sum and bucket read as after n ObserveValue calls.
+func (h *Histogram) ObserveValueN(v, n int64) {
+	if n <= 0 {
+		return
+	}
 	if v < 0 {
 		v = 0
 	}
-	h.count.Add(1)
-	h.sum.Add(v)
-	h.buckets[bucketFor(v)].Add(1)
+	h.count.Add(n)
+	h.sum.Add(v * n)
+	h.buckets[bucketFor(v)].Add(n)
 }
 
 // Since records the time elapsed since start; use as

@@ -82,6 +82,29 @@ func TestHistogramEdgeCases(t *testing.T) {
 	}
 }
 
+// ObserveValueN is n ObserveValue calls at the cost of one: count, sum and
+// every bucket must read the same, for values in any bucket and for the
+// clamped negative and the n <= 0 no-op.
+func TestObserveValueNMatchesRepeatedObserve(t *testing.T) {
+	Reset()
+	one, bulk := NewValueHistogram("test.hist.one", "pJ"), NewValueHistogram("test.hist.bulk", "pJ")
+	for _, c := range []struct{ v, n int64 }{{0, 3}, {1, 1}, {7, 5}, {1024, 2}, {-9, 4}, {1 << 40, 6}, {5, 0}, {5, -2}} {
+		for i := int64(0); i < c.n; i++ {
+			one.ObserveValue(c.v)
+		}
+		bulk.ObserveValueN(c.v, c.n)
+	}
+	if one.Count() != 21 || bulk.Count() != one.Count() || bulk.sum.Load() != one.sum.Load() {
+		t.Fatalf("bulk count %d sum %d, repeated count %d sum %d (want 21 observations)",
+			bulk.Count(), bulk.sum.Load(), one.Count(), one.sum.Load())
+	}
+	for i := range one.buckets {
+		if got, want := bulk.buckets[i].Load(), one.buckets[i].Load(); got != want {
+			t.Errorf("bucket %d: bulk %d, repeated %d", i, got, want)
+		}
+	}
+}
+
 func TestBucketFor(t *testing.T) {
 	for _, c := range []struct {
 		ns   int64

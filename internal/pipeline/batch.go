@@ -56,66 +56,83 @@ func (sc *batchScratch) ensure(n int) {
 	sc.last = make([]uint8, n)
 }
 
-// sFlight is one slot of the streaming ring: a lookup (or write bubble)
-// injected some steps ago. Its walk may have run ahead of the cycle clock:
-// done, faulted, nhi and last are then the lookup's whole future, while
-// (idx, stage) stay where the cycle clock last had to be honoured.
-type sFlight struct {
-	req Request
+// DrainWindow is how many input slots may leave the pipe between two Drain
+// calls: an engine holds the Stages slots in its pipe plus at most this many
+// that have left and wait to be walked and handed back. A slice runner steps
+// its engines at most DrainWindow cycles between settles.
+const DrainWindow = 256
+
+// slot is one input slot of the streaming window: a lookup, a write bubble or
+// an idle cycle, 32 bytes. A lookup's walk is done at the latest by the Drain
+// that hands it back, and may have run ahead of the cycle clock before: done,
+// faulted, nhi and last are then the lookup's whole future, while (idx, stage)
+// stay where the cycle clock last had to be honoured. A traced lookup's visits
+// are in the engine's side log, at the slot's index.
+type slot struct {
+	// stamp is the caller's cycle stamp of the step that pushed this slot — the
+	// step on which the slot pushed Stages steps earlier left the pipe.
+	stamp int64
+	addr  uint32
+	vn    int32 // out-of-int32 VNs clamp to -1: the same no-route verdict
 	// idx and stage are the walk's checkpoint: the entry index in the next
 	// stage to walk, as of the last point where the image or the check
 	// changed under this lookup (injection: entry 0 of stage 0). A traced
 	// lookup's visits in stages below stage belong to it too.
-	idx  uint32
-	gen  uint32 // image generation the lookup reads (BatchSim.gen at injection, +1 behind a commit bubble)
-	kind uint8  // slotEmpty / slotLookup / slotBubble / slotCommit
-	// done marks a finished walk: resolved, faulted or out of pipe in stage last.
-	done, faulted bool
-	nhi           ip.NextHop
-	stage, last   int16
+	idx uint32
+	nhi ip.NextHop
 	// newUntil is the last stage whose traced visits read the shadow bank
 	// while the commit bubble ahead was still in the pipe (-1: none).
 	newUntil int16
-	trace    *traceLog
+	kind     uint8 // slotEmpty / slotLookup / slotBubble / slotCommit
+	flags    uint8 // slotDone / slotFaulted / slotTraced
+	gen      uint8 // image generation the lookup reads: BatchSim.gen at injection, +1 behind a commit bubble (mod 256; two are live at most)
+	stage    uint8
+	last     uint8 // the stage a finished walk ended in
 }
 
 const (
 	slotEmpty uint8 = iota
 	slotLookup
 	slotBubble
-	slotCommit // the final write bubble: banks flip as it passes
+	slotCommit // the final write bubble: banks flip as it leaves
+)
+
+const (
+	slotDone    uint8 = 1 << iota // finished walk: resolved, faulted or out of pipe in stage last
+	slotFaulted                   // the walk ended on a detected memory fault
+	slotTraced                    // visits are recorded in the side log
 )
 
 // walk takes the lookup from its checkpoint through stage upto of flat, one
 // dependent load after another, exactly as Sim.process does one stage per
 // cycle: folded levels within a stage are followed in the same visit, a
 // stale-parity word (when checked) or an out-of-range pointer ends the walk as
-// a fault, a leaf resolves it. It is the path of traced lookups and of walks
-// resumed mid-pipe; the rest go through batchScratch.sweep. The checkpoint is
-// left alone: a walk that does not end returns the entry index it stands at
-// in stage upto+1.
-func (f *sFlight) walk(flat *FlatImage, parity bool, upto int) uint32 {
-	addr, idx, tr := uint32(f.req.Addr), f.idx, f.trace
+// a fault, a leaf resolves it. It is the path of traced lookups (visits is
+// their log) and of walks resumed mid-pipe; the rest go through
+// batchScratch.sweep. The checkpoint is left alone: a walk that does not end
+// returns the entry index it stands at in stage upto+1.
+func (f *slot) walk(flat *FlatImage, parity bool, upto int, visits *[]obs.StageVisit) uint32 {
+	addr, idx := f.addr, f.idx
 	for s := int(f.stage); s <= upto; s++ {
 		meta := flat.stages[s].meta
 		child := flat.stages[s].child[:len(meta)]
 		for {
-			if tr != nil {
-				tr.visits = append(tr.visits, obs.StageVisit{Stage: s, Entry: idx, NewBank: s <= int(f.newUntil)})
+			if visits != nil {
+				*visits = append(*visits, obs.StageVisit{Stage: s, Entry: idx, NewBank: s <= int(f.newUntil)})
 			}
 			if int(idx) >= len(meta) || parity && meta[idx]&metaParityBad != 0 {
-				if tr != nil {
-					tr.visits[len(tr.visits)-1].Fault = true
+				if visits != nil {
+					(*visits)[len(*visits)-1].Fault = true
 				}
-				f.done, f.faulted, f.last = true, true, int16(s)
+				f.flags, f.last = f.flags|slotDone|slotFaulted, uint8(s)
 				return idx
 			}
 			m, c := meta[idx], child[idx]
 			if m&metaLeaf != 0 {
-				if vn := f.req.VN; vn >= 0 && vn < int(c[1]) {
-					f.nhi = flat.nhi[c[0]+uint32(vn)]
+				if uint32(f.vn) < c[1] { // unsigned compare: negative VNs miss too
+					f.nhi = flat.nhi[c[0]+uint32(f.vn)]
 				}
-				f.done, f.last = true, int16(s)
+				f.flags, f.last = f.flags|slotDone, uint8(s)
 				return idx
 			}
 			idx = c[addr>>(m&metaShiftMask)&1]
@@ -125,6 +142,25 @@ func (f *sFlight) walk(flat *FlatImage, parity bool, upto int) uint32 {
 		}
 	}
 	return idx
+}
+
+// left books a slot that has left the pipe into ended and st — it was in
+// every stage, and active through the one its walk ended in (a write bubble:
+// all of them) — and reports whether the slot held anything.
+func (f *slot) left(ended []int64, st *Stats) int64 {
+	switch f.kind {
+	case slotEmpty:
+		return 0
+	case slotLookup:
+		ended[f.last]++
+		st.Lookups++
+		if f.flags&slotFaulted != 0 {
+			st.Faults++
+		}
+	default: // a write bubble: one memory write in every stage
+		ended[len(ended)-1]++
+	}
+	return 1
 }
 
 // bank is one image generation an engine serves: the source image and its
@@ -146,6 +182,35 @@ func (k *bank) patch(stage int, index uint32) {
 	k.flat.derive(k.img, stage, index)
 }
 
+// Exit is one streamed lookup that has left the pipe, as Drain hands it back:
+// what Sim.Inject's Result says of it, plus the caller's stamp of the step it
+// left on.
+type Exit struct {
+	Request
+	NHI ip.NextHop
+	// Faulted marks a lookup ended by a detected memory fault (Result.Faulted).
+	Faulted bool
+	// LastStage is the deepest stage that read memory for it (Result.LastStage).
+	LastStage int
+	// EnterCycle and ExitCycle are the engine's own clock: the steps it took
+	// before this lookup's Inject, and Stages more.
+	EnterCycle, ExitCycle int64
+	// Stamp is what the caller passed with the step the lookup left on. A
+	// runner whose engines sit cycles out (a frequency-stepped clock, a
+	// brownout) passes its own cycle, which the engine's clock then trails.
+	Stamp int64
+	// Visits is the traced traversal (nil unless Request.Trace was set).
+	Visits []obs.StageVisit
+}
+
+// Result is the exit in the shape the scalar Sim returns it.
+func (x *Exit) Result() Result {
+	return Result{
+		Request: x.Request, NHI: x.NHI, Faulted: x.Faulted, LastStage: x.LastStage,
+		EnterCycle: x.EnterCycle, ExitCycle: x.ExitCycle, Visits: x.Visits,
+	}
+}
+
 // BatchSim is the production lookup engine: the same request→result
 // semantics as the scalar Sim — next hops, fault verdicts, cycle stamps,
 // traced visits and Stats are byte-identical, which the differential and
@@ -156,20 +221,21 @@ func (k *bank) patch(stage int, index uint32) {
 // per-stage activity it causes depend on data.
 //
 // Run resolves a whole request slice in batches that sweep each stage
-// across all in-flight lookups. Inject/InjectBubble stream one input slot
-// per call, as the slice runners need: an injected lookup is a slot in a
-// Stages-deep ring and leaves Stages steps later. The hardware resolves a
-// pipe-depth of lookups at once, and so does the engine: when the slot
-// leaving holds a lookup not yet walked, every such lookup in the ring is
-// walked to its end through the same sweep (runAhead), so their loads overlap
-// instead of forming one dependent chain per exit. Walks thus run ahead of
-// the cycle clock, and whatever the scalar engine would book as a walk
-// proceeds is booked when the slot leaves; Stats derives the share of the
-// slots in flight from the stage each has reached. Where the image or the
-// check changes under lookups in flight — Patch, EnableParityCheck — every
-// walk that ran ahead is first rolled back to its checkpoint and redone, on
-// the image as it still is, up to the stage its lookup has reached
-// (rollback). A bank flip needs none of that: which bank a lookup reads
+// across all in-flight lookups. Inject / Idle / InjectBubble stream one input
+// slot per call, as the slice runners need, and hand nothing back: nothing a
+// runner schedules depends on what a lookup resolves to. A step is a push
+// into a window of the last Stages+DrainWindow slots; the newest Stages are
+// the pipe, the older ones have left it and wait, unwalked, for Drain, which
+// walks every lookup in the window through the same sweep as Run, at batch
+// width, and hands back the ones that have left, oldest first. Walks thus
+// run behind the cycle clock for the slots that wait and ahead of it for the
+// slots still in the pipe; Stats books the first as left and derives the
+// share of the second from the stage each has reached. Where the image or
+// the check changes under lookups — Patch, EnableParityCheck, the bank flip
+// as a commit bubble leaves — the waiting ones are first walked on the image
+// as it still is, and (Patch, EnableParityCheck) every walk in the pipe that
+// ran ahead is rolled back to its checkpoint and redone up to the stage its
+// lookup has reached (rollback). Which bank a lookup in the pipe reads
 // during a hitless update, old or new, is fixed at injection by whether the
 // commit bubble is ahead of it.
 type BatchSim struct {
@@ -178,13 +244,20 @@ type BatchSim struct {
 	parity    bool
 	now       int64
 	// st holds the scalar counters, and in its two slices the Run path's
-	// share of stage activity; Stats adds the streaming share.
+	// share of stage activity; Stats adds the streaming share. Lookups and
+	// Faults count drained slots; Stats adds the window's.
 	st      Stats
 	scratch batchScratch
 
-	ring []sFlight // ring[head] is the oldest slot, leaving on the next step
-	head int
-	// ended[s] counts the slots that left whose walk ended in stage s (bubbles
+	// win is the window, a ring: count slots ending just before head, the
+	// newest nStages of them the pipe, the rest waiting for Drain. Every
+	// unwalked lookup is among the newest fresh.
+	win                []slot
+	head, count, fresh int
+	// visits is the side log of traced lookups, by window index; nil until
+	// the first one.
+	visits [][]obs.StageVisit
+	// ended[s] counts the drained slots whose walk ended in stage s (bubbles
 	// and unresolved lookups: the last stage); exited counts them all.
 	ended  []int64
 	exited int64
@@ -203,7 +276,9 @@ func NewBatchSim(img *Image) *BatchSim {
 		cur:      bank{img: img, flat: img.sharedFlat()},
 		nStages:  n,
 		st:       Stats{StageActive: make([]int64, n), StageOccupied: make([]int64, n)},
-		ring:     make([]sFlight, n),
+		win:      make([]slot, n+DrainWindow),
+		head:     n,
+		count:    n,
 		ended:    make([]int64, n),
 		active:   make([]int64, n),
 		occupied: make([]int64, n),
@@ -218,108 +293,139 @@ func (b *BatchSim) EnableParityCheck() {
 	b.parity = true
 }
 
-// reached returns the slot injected s+1 steps ago, which has been through
-// stages 0..s.
-func (b *BatchSim) reached(s int) *sFlight {
-	i := b.head - 1 - s
+// back returns the window index of the slot pushed n+1 steps ago.
+func (b *BatchSim) back(n int) int {
+	i := b.head - 1 - n
 	if i < 0 {
-		i += b.nStages
+		i += len(b.win)
 	}
-	return &b.ring[i]
+	return i
 }
 
-// runAhead finishes the walk of every lookup in the ring that is not walked
-// yet, however far down the pipe it is: the untraced ones still at stage 0 as
+// visitsOf returns the side-log entry of the lookup in window slot i, nil
+// unless it is traced.
+func (b *BatchSim) visitsOf(i int) *[]obs.StageVisit {
+	if b.win[i].flags&slotTraced == 0 {
+		return nil
+	}
+	return &b.visits[i]
+}
+
+// runAhead finishes the walk of every lookup in the window that is not walked
+// yet, except the newest keep slots: the untraced ones still at stage 0 as
 // one group per bank through the sweep, a traced one or one resumed from a
 // mid-pipe checkpoint by the chain walk. Checkpoints stay where they are.
-func (b *BatchSim) runAhead() {
-	last := b.nStages - 1
+func (b *BatchSim) runAhead(keep int) {
+	n := b.fresh - keep
+	if n <= 0 {
+		return
+	}
+	first, last := b.back(b.fresh-1), b.nStages-1
 	sc := &b.scratch
-	sc.ensure(b.nStages)
+	sc.ensure(len(b.win))
 	for g, bk := range [2]*bank{&b.cur, &b.next} {
 		if bk.flat == nil {
 			break // no update armed: nothing reads the shadow bank
 		}
-		gen, n := b.gen+uint32(g), 0
-		for i := range b.ring {
-			f := &b.ring[i]
-			if f.kind != slotLookup || f.done || f.gen != gen {
-				continue
+		gen, live := uint8(b.gen)+uint8(g), 0
+		for j, i := 0, first; j < n; j++ {
+			f := &b.win[i]
+			if f.kind == slotLookup && f.flags&slotDone == 0 && f.gen == gen {
+				if f.flags&slotTraced != 0 || f.stage > 0 {
+					f.last = uint8(last) // where a walk that never ends leaves the pipe
+					f.walk(bk.flat, b.parity, last, b.visitsOf(i))
+					f.flags |= slotDone
+				} else {
+					sc.load(live, j, f.addr, f.vn, last)
+					live++
+				}
 			}
-			if f.trace != nil || f.stage > 0 {
-				f.last = int16(last) // where a walk that never ends leaves the pipe
-				f.walk(bk.flat, b.parity, last)
-				f.done = true
-				continue
+			if i++; i == len(b.win) {
+				i = 0
 			}
-			sc.load(n, i, &f.req, last)
-			n++
 		}
-		if n == 0 {
+		if live == 0 {
 			continue
 		}
-		sc.sweep(bk.flat, b.parity, n, nil)
-		for i := range b.ring {
-			if f := &b.ring[i]; f.kind == slotLookup && !f.done && f.gen == gen {
-				f.nhi, f.faulted, f.last, f.done = sc.nhi[i], sc.flag[i]&flagFaulted != 0, int16(sc.last[i]), true
+		sc.sweep(bk.flat, b.parity, live, nil)
+		for j, i := 0, first; j < n; j++ {
+			if f := &b.win[i]; f.kind == slotLookup && f.flags&slotDone == 0 && f.gen == gen {
+				f.nhi, f.last, f.flags = sc.nhi[j], sc.last[j], f.flags|slotDone
+				if sc.flag[j]&flagFaulted != 0 {
+					f.flags |= slotFaulted
+				}
+			}
+			if i++; i == len(b.win) {
+				i = 0
 			}
 		}
 	}
+	b.fresh = min(b.fresh, keep)
 }
 
-// rollback returns every walk in flight to the cycle clock, for the moment
-// the image or the check is about to change: a walk that ran ahead of the
-// stage its lookup has reached is undone to its checkpoint, and every
-// unfinished walk is then taken, on the image as it still is, through the
-// stage reached — its new checkpoint. Never further back: what a lookup read
-// in the stages behind it stays read, whatever has struck them since.
+// rollback returns every walk to the cycle clock, for the moment the image or
+// the check is about to change. The lookups that have left the pipe finish
+// their walks first, on the image as it still is. Of those in the pipe, a
+// walk that ran ahead of the stage its lookup has reached is undone to its
+// checkpoint, and every unfinished walk is then taken through the stage
+// reached — its new checkpoint. Never further back: what a lookup read in
+// the stages behind it stays read, whatever has struck them since.
 func (b *BatchSim) rollback() {
+	b.runAhead(b.nStages)
 	for r := 0; r < b.nStages; r++ {
-		f := b.reached(r)
-		if f.kind != slotLookup || f.done && int(f.last) <= r {
+		i := b.back(r)
+		f := &b.win[i]
+		done := f.flags&slotDone != 0
+		if f.kind != slotLookup || done && int(f.last) <= r {
 			continue
 		}
-		if f.done {
-			f.done, f.faulted, f.nhi = false, false, ip.NoRoute
-			if f.trace != nil {
-				v := f.trace.visits
+		visits := b.visitsOf(i)
+		if done {
+			f.flags, f.nhi = f.flags&^(slotDone|slotFaulted), ip.NoRoute
+			if visits != nil {
+				v := *visits
 				for len(v) > 0 && v[len(v)-1].Stage >= int(f.stage) {
 					v = v[:len(v)-1]
 				}
-				f.trace.visits = v
+				*visits = v
 			}
 		}
 		flat := b.cur.flat
-		if f.gen != b.gen {
+		if f.gen != uint8(b.gen) {
 			flat = b.next.flat
 		}
-		if idx := f.walk(flat, b.parity, r); !f.done {
-			f.idx, f.stage = idx, int16(r+1)
+		if idx := f.walk(flat, b.parity, r, visits); f.flags&slotDone == 0 {
+			f.idx, f.stage = idx, uint8(r+1)
 		}
 	}
+	b.fresh = max(b.fresh, b.nStages)
 }
 
 // Stats returns the accumulated counters as of the current cycle. The
 // slices are the engine's own and are rewritten by the next call.
 func (b *BatchSim) Stats() Stats {
-	b.runAhead()
+	b.runAhead(0)
 	st := b.st
 	st.StageActive, st.StageOccupied = b.active, b.occupied
 	// A slot that left was in every stage and active through the stage its
-	// walk ended in; one that has reached stage s, so far, in stages 0..s and
-	// active through s or the end of its walk, whichever comes first — and its
-	// fault counts once the stage it strikes in is reached. Either way a slot
-	// is one count at its deepest active stage, never below the stage it has
-	// reached, and a stage's activity is the sum over the stages from it on.
+	// walk ended in, drained or not; one that has reached stage s, so far, in
+	// stages 0..s and active through s or the end of its walk, whichever comes
+	// first — and its fault counts once the stage it strikes in is reached.
+	// Either way a slot is one count at its deepest active stage, never below
+	// the stage it has reached, and a stage's activity is the sum over the
+	// stages from it on.
 	copy(st.StageActive, b.ended)
 	act, occ := int64(0), b.exited
+	for n := b.count - 1; n >= b.nStages; n-- {
+		occ += b.win[b.back(n)].left(st.StageActive, &st)
+	}
 	for s := b.nStages - 1; s >= 0; s-- {
-		if f := b.reached(s); f.kind != slotEmpty {
+		if f := &b.win[b.back(s)]; f.kind != slotEmpty {
 			occ++
 			deepest := s
 			if f.kind == slotLookup && int(f.last) <= s {
 				deepest = int(f.last)
-				if f.faulted {
+				if f.flags&slotFaulted != 0 {
 					st.Faults++
 				}
 			}
@@ -333,9 +439,10 @@ func (b *BatchSim) Stats() Stats {
 }
 
 // Patch makes an upset visible: call it after flipping a bit of entry
-// (stage, index) in the serving image (or the armed one). Lookups in flight
+// (stage, index) in the serving image (or the armed one). Lookups in the pipe
 // have read the old word in the stages they are already through and read
-// the new one from here on, as in hardware.
+// the new one from here on, as in hardware; the ones that have left it read
+// the old word wherever they met it.
 func (b *BatchSim) Patch(stage int, index uint32) {
 	b.rollback()
 	b.cur.patch(stage, index)
@@ -345,69 +452,52 @@ func (b *BatchSim) Patch(stage int, index uint32) {
 }
 
 // Reset returns the engine to its post-construction state over the same
-// serving image — zero cycle clock, zeroed stats, empty pipe, any pending
-// update discarded — while keeping the flight arena and stat slices
-// allocated, so repeated runs (and benchmark iterations) measure lookups,
-// not construction. The parity-check setting survives.
+// serving image — zero cycle clock, zeroed stats, empty window, any pending
+// update discarded — while keeping the flight arena, the window and the stat
+// slices allocated, so repeated runs (and benchmark iterations) measure
+// lookups, not construction. The parity-check setting survives.
 func (b *BatchSim) Reset() {
 	b.now, b.exited, b.bubblesLeft, b.next = 0, 0, 0, bank{}
 	b.st.Cycles, b.st.Lookups, b.st.Bubbles, b.st.Faults = 0, 0, 0, 0
-	for s := range b.ring {
-		b.ring[s], b.ended[s], b.st.StageActive[s], b.st.StageOccupied[s] = sFlight{}, 0, 0, 0
+	clear(b.win)
+	clear(b.visits)
+	b.head, b.count, b.fresh = b.nStages, b.nStages, 0
+	for s := range b.ended {
+		b.ended[s], b.st.StageActive[s], b.st.StageOccupied[s] = 0, 0, 0
 	}
 }
 
-// step advances one cycle: the oldest slot leaves — a lookup as a Result,
-// a commit bubble by making the shadow bank the serving one — and in takes
-// its place.
-func (b *BatchSim) step(in sFlight) (res Result, ok bool) {
-	f := &b.ring[b.head]
-	last := b.nStages - 1
-	commit := f.kind == slotCommit
-	switch f.kind {
-	case slotEmpty:
-	case slotLookup:
-		if !f.done {
-			b.runAhead()
-		}
-		res, ok = Result{
-			Request: f.req, NHI: f.nhi, Faulted: f.faulted, LastStage: int(f.last),
-			EnterCycle: b.now - int64(b.nStages), ExitCycle: b.now,
-		}, true
-		if f.trace != nil {
-			res.Visits = f.trace.visits
-		}
-		b.ended[f.last]++
-		if f.faulted {
-			b.st.Faults++
-		}
-		b.st.Lookups++
-		b.exited++
-	default: // a write bubble: one memory write in every stage
-		b.ended[last]++
-		b.exited++
+// step advances one cycle: in enters the pipe and the slot pushed Stages
+// steps ago leaves it — a commit bubble by making the shadow bank the serving
+// one, once the lookups that left ahead of it are walked on the old one.
+func (b *BatchSim) step(in slot) {
+	if b.count == len(b.win) {
+		panic("pipeline: BatchSim stepped with a full drain window (Drain every DrainWindow steps)")
 	}
-	*f = in
-	if commit {
+	if b.win[b.back(b.nStages-1)].kind == slotCommit {
+		b.runAhead(b.nStages)
 		b.cur, b.next = b.next, bank{}
 		b.gen++
 	}
-	if b.head++; b.head == b.nStages {
+	b.win[b.head] = in
+	if b.head++; b.head == len(b.win) {
 		b.head = 0
 	}
+	b.count++
+	b.fresh++
 	b.now++
 	b.st.Cycles++
-	return res, ok
 }
 
-// Inject advances the pipeline one cycle, feeding req into stage 0 (nil for
-// an idle cycle), and reports the lookup that left the last stage, if any —
-// Sim.Inject's contract.
-func (b *BatchSim) Inject(req *Request) (Result, bool) {
-	if req == nil {
-		return b.step(sFlight{})
-	}
-	in := sFlight{kind: slotLookup, req: *req, gen: b.gen, newUntil: -1}
+// Full reports that DrainWindow slots wait outside the pipe: the next step
+// needs a Drain first.
+func (b *BatchSim) Full() bool { return b.count == len(b.win) }
+
+// Inject advances the pipeline one cycle, feeding req into stage 0; stamp is
+// the caller's name for this cycle, handed back with whatever lookup the step
+// pushes out of the last stage (Exit.Stamp).
+func (b *BatchSim) Inject(req Request, stamp int64) {
+	in := slot{stamp: stamp, addr: uint32(req.Addr), vn: clampVN(req.VN), kind: slotLookup, gen: uint8(b.gen), newUntil: -1}
 	if b.next.img != nil && b.bubblesLeft == 0 {
 		// Behind the commit bubble: every stage has flipped by the time this
 		// lookup reaches it.
@@ -415,9 +505,57 @@ func (b *BatchSim) Inject(req *Request) (Result, bool) {
 		in.newUntil = int16(b.commitAt + int64(b.nStages) - b.now)
 	}
 	if req.Trace {
-		in.trace = &traceLog{visits: make([]obs.StageVisit, 0, b.nStages)}
+		if b.visits == nil {
+			b.visits = make([][]obs.StageVisit, len(b.win))
+		}
+		in.flags = slotTraced
+		b.visits[b.head] = make([]obs.StageVisit, 0, b.nStages)
 	}
-	return b.step(in)
+	b.step(in)
+}
+
+// Idle advances the pipeline one cycle with nothing entering stage 0.
+func (b *BatchSim) Idle(stamp int64) { b.step(slot{stamp: stamp}) }
+
+// Drain walks every lookup in the window that is not walked yet and appends
+// to dst, oldest first, the ones that have left the pipe since the last call,
+// with Sim.Inject's verdicts and cycle stamps. The slots they and the idle
+// cycles and write bubbles between them held are free again.
+func (b *BatchSim) Drain(dst []Exit) []Exit {
+	b.runAhead(0)
+	n := b.count - b.nStages
+	i, enter := b.back(b.count-1), b.now-int64(b.count)
+	for ; n > 0; n-- {
+		f := &b.win[i]
+		b.exited += f.left(b.ended, &b.st)
+		if f.kind == slotLookup {
+			// The step that pushed this slot out pushed the slot Stages on in.
+			out := i + b.nStages
+			if out >= len(b.win) {
+				out -= len(b.win)
+			}
+			// Written field by field into its place in dst: the exit is 80
+			// bytes, and a literal would be built aside and copied in.
+			if len(dst) == cap(dst) {
+				dst = slices.Grow(dst, n)
+			}
+			dst = dst[:len(dst)+1]
+			x := &dst[len(dst)-1]
+			x.Addr, x.VN, x.Trace = ip.Addr(f.addr), int(f.vn), f.flags&slotTraced != 0
+			x.NHI, x.Faulted, x.LastStage = f.nhi, f.flags&slotFaulted != 0, int(f.last)
+			x.EnterCycle, x.ExitCycle, x.Stamp = enter, enter+int64(b.nStages), b.win[out].stamp
+			x.Visits = nil
+			if x.Trace {
+				x.Visits, b.visits[i] = b.visits[i], nil
+			}
+		}
+		enter++
+		if i++; i == len(b.win) {
+			i = 0
+		}
+	}
+	b.count = b.nStages
+	return dst
 }
 
 // BeginUpdate arms a hitless image update with Sim.BeginUpdate's contract:
@@ -449,6 +587,7 @@ func (b *BatchSim) PendingBubbles() int { return b.bubblesLeft }
 
 // AbortUpdate disarms a pending update, legal only until the commit bubble
 // is injected (Sim.AbortUpdate's contract): the serving image keeps serving.
+// No lookup reads the shadow bank before then, so no walk is affected.
 func (b *BatchSim) AbortUpdate() error {
 	if b.next.img == nil {
 		return fmt.Errorf("pipeline: no update to abort")
@@ -461,19 +600,19 @@ func (b *BatchSim) AbortUpdate() error {
 }
 
 // InjectBubble advances one cycle feeding the next write bubble into stage
-// 0 in place of a lookup; like Inject it reports the lookup leaving the
-// last stage. It fails when no update is armed or the budget is spent.
-func (b *BatchSim) InjectBubble() (Result, bool, error) {
+// 0 in place of a lookup; stamp is as for Inject. It fails, without a step,
+// when no update is armed or the budget is spent.
+func (b *BatchSim) InjectBubble(stamp int64) error {
 	if b.next.img == nil || b.bubblesLeft == 0 {
-		return Result{}, false, fmt.Errorf("pipeline: no write bubble pending")
+		return fmt.Errorf("pipeline: no write bubble pending")
 	}
-	in := sFlight{kind: slotBubble}
+	in := slot{stamp: stamp, kind: slotBubble}
 	if b.bubblesLeft--; b.bubblesLeft == 0 {
 		in.kind, b.commitAt = slotCommit, b.now
 	}
 	b.st.Bubbles++
-	res, ok := b.step(in)
-	return res, ok, nil
+	b.step(in)
+	return nil
 }
 
 // Run feeds the requests through the engine, one per interarrival cycles,
@@ -509,15 +648,15 @@ func (b *BatchSim) RunAppend(dst []Result, reqs []Request, interarrival int) ([]
 	return dst, b.Stats(), nil
 }
 
-// idle reports an error unless the pipe is empty and no update is armed:
+// idle reports an error unless the window is empty and no update is armed:
 // Run's closed-form schedule has no place for streamed slots.
 func (b *BatchSim) idle() error {
 	busy := b.next.img != nil
-	for i := range b.ring {
-		busy = busy || b.ring[i].kind != slotEmpty
+	for n := 0; n < b.count; n++ {
+		busy = busy || b.win[b.back(n)].kind != slotEmpty
 	}
 	if busy {
-		return fmt.Errorf("pipeline: Run on an engine with streamed lookups or an update in flight")
+		return fmt.Errorf("pipeline: Run on an engine with streamed lookups in flight or waiting for Drain, or an update in flight")
 	}
 	return nil
 }
@@ -610,26 +749,24 @@ func (b *BatchSim) sweepChunk(reqs []Request, out []Result, sc *batchScratch, st
 	for j := range reqs {
 		if reqs[j].Trace {
 			// Traced flights take the streaming engine's recording walk.
-			f := sFlight{
-				req: reqs[j], newUntil: -1, last: int16(b.nStages - 1),
-				trace: &traceLog{visits: make([]obs.StageVisit, 0, b.nStages)},
-			}
-			f.walk(b.cur.flat, b.parity, b.nStages-1)
+			f := slot{addr: uint32(reqs[j].Addr), vn: clampVN(reqs[j].VN), newUntil: -1, last: uint8(b.nStages - 1)}
+			visits := make([]obs.StageVisit, 0, b.nStages)
+			f.walk(b.cur.flat, b.parity, b.nStages-1, &visits)
 			enter := enter0 + int64(j)*g
 			out[j] = Result{
-				Request: reqs[j], NHI: f.nhi, Faulted: f.faulted, Visits: f.trace.visits,
+				Request: reqs[j], NHI: f.nhi, Faulted: f.flags&slotFaulted != 0, Visits: visits,
 				EnterCycle: enter, ExitCycle: enter + n, LastStage: int(f.last),
 			}
 			for s := 0; s <= int(f.last); s++ {
 				st.StageActive[s]++
 			}
-			if f.faulted {
+			if out[j].Faulted {
 				st.Faults++
 			}
 			sc.flag[j] = flagTraced
 			continue
 		}
-		sc.load(nLive, j, &reqs[j], b.nStages-1)
+		sc.load(nLive, j, uint32(reqs[j].Addr), clampVN(reqs[j].VN), b.nStages-1)
 		nLive++
 	}
 	st.Faults += sc.sweep(b.cur.flat, b.parity, nLive, st.StageActive)
@@ -653,17 +790,22 @@ func (b *BatchSim) sweepChunk(reqs []Request, out []Result, sc *batchScratch, st
 	}
 }
 
-// load makes req, whose verdict slots are at position pos, flight number n of
-// the next sweep. The verdict defaults to the full pipe: a flight that
-// outlives the last stage was active in every one, resolved nothing and did
-// not fault; the sweep's removal points overwrite it.
-func (sc *batchScratch) load(n, pos int, req *Request, lastStage int) {
-	sc.nhi[pos], sc.flag[pos], sc.last[pos] = ip.NoRoute, 0, uint8(lastStage)
-	vn := req.VN
+// clampVN narrows a request's VN to the engines' 32 bits; a VN outside them
+// reads -1, which misses every leaf as the VN itself would.
+func clampVN(vn int) int32 {
 	if vn != int(int32(vn)) {
-		vn = -1
+		return -1
 	}
-	sc.fl[n] = bFlight{addr: uint32(req.Addr), pos: int32(pos), vn: int32(vn)}
+	return int32(vn)
+}
+
+// load makes the lookup of addr in vn, whose verdict slots are at position
+// pos, flight number n of the next sweep. The verdict defaults to the full
+// pipe: a flight that outlives the last stage was active in every one,
+// resolved nothing and did not fault; the sweep's removal points overwrite it.
+func (sc *batchScratch) load(n, pos int, addr uint32, vn int32, lastStage int) {
+	sc.nhi[pos], sc.flag[pos], sc.last[pos] = ip.NoRoute, 0, uint8(lastStage)
+	sc.fl[n] = bFlight{addr: addr, pos: int32(pos), vn: vn}
 }
 
 // sweep is the walk kernel of both modes: it takes the nLive flights loaded

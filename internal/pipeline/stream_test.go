@@ -4,9 +4,14 @@ package pipeline
 // driven in lockstep, one input slot per step, through random interleavings
 // of everything a slice runner does to an engine — inject, idle, write
 // bubble, BeginUpdate, AbortUpdate, an upset in the serving (or armed) image
-// followed by Patch, a reload (fresh engines over a fresh clone), parity
-// checking switched on and Stats reads — and must agree on every Result,
-// every error and every Stats field.
+// followed by Patch, a reload (fresh engines over a fresh clone), a Reset,
+// parity checking switched on and Stats reads. The scalar engine hands a
+// Result back on the cycle a lookup leaves; the batched one hands its exits
+// back when drained — every step, every seventh, or only when its window is
+// full and at the end. Whatever the cadence, the exits must equal the scalar
+// results field for field, visits included, each with the caller's stamp of
+// the step the scalar engine returned it on, and the engines must agree on
+// every error and, wherever it is read, on every Stats field.
 
 import (
 	"math/rand"
@@ -20,23 +25,148 @@ import (
 	"vrpower/internal/trie"
 )
 
-// streamEngine is the call shape the slice runners use, which both engines
-// offer.
-type streamEngine interface {
-	Inject(*Request) (Result, bool)
-	InjectBubble() (Result, bool, error)
-	BeginUpdate(*Image, int) error
-	AbortUpdate() error
-	Updating() bool
-	PendingBubbles() int
-	Stats() Stats
-	EnableParityCheck()
+// drainCadences are the drain policies every differential test runs under:
+// Drain after every that many steps, 0 for only when the window is full (and
+// once at the end, as for all of them).
+var drainCadences = []int{1, 7, 0}
+
+// pair drives a Sim and a BatchSim over the same images in lockstep. The
+// scalar results wait in want, each as the Exit the batched engine owes for
+// it, until a Drain hands that exit back; out collects them once matched.
+type pair struct {
+	t       testing.TB
+	scalar  *Sim
+	batched *BatchSim
+	every   int
+	// eachStats compares Stats after every step — so every batched walk has
+	// run ahead to its end one step after injection, and whatever changes next
+	// changes under run-ahead walks. Without it walks stay undone, across
+	// bubbles, bank flips and patches, until a Drain or a Stats read.
+	eachStats bool
+	steps     int
+	want      []Exit
+	exits     []Exit
+	out       []Result
 }
 
-var (
-	_ streamEngine = (*Sim)(nil)
-	_ streamEngine = (*BatchSim)(nil)
-)
+func newPair(t testing.TB, img *Image, parity bool, every int) *pair {
+	p := &pair{t: t, every: every}
+	p.load(img, parity)
+	return p
+}
+
+// load replaces both engines with fresh ones over img, as a scrub reload
+// does; what the old ones still owed is drained and checked first.
+func (p *pair) load(img *Image, parity bool) {
+	if p.batched != nil {
+		p.drain()
+	}
+	p.scalar, p.batched = NewSim(img), NewBatchSim(img)
+	if parity {
+		p.scalar.EnableParityCheck()
+		p.batched.EnableParityCheck()
+	}
+}
+
+// stamp is the caller's name for the coming step: its own count, scaled and
+// offset so that no engine clock is mistaken for it.
+func (p *pair) stamp() int64 { return 1000 + 3*int64(p.steps) }
+
+func (p *pair) stats() Stats {
+	p.t.Helper()
+	want, got := p.scalar.Stats(), p.batched.Stats()
+	if !reflect.DeepEqual(got, want) {
+		p.t.Fatalf("after %d steps: stats diverge:\nbatched %+v\nscalar  %+v", p.steps, got, want)
+	}
+	return got
+}
+
+// drain takes the batched engine's exits and holds them to the scalar
+// results since the last drain: as many, in order, equal in every field.
+func (p *pair) drain() {
+	p.t.Helper()
+	p.exits = p.batched.Drain(p.exits[:0])
+	if len(p.exits) != len(p.want) {
+		p.t.Fatalf("after %d steps: Drain handed back %d exits, scalar returned %d results", p.steps, len(p.exits), len(p.want))
+	}
+	for i := range p.exits {
+		if !reflect.DeepEqual(p.exits[i], p.want[i]) {
+			p.t.Fatalf("after %d steps: exit %d of %d diverges:\nbatched %+v\nscalar  %+v", p.steps, i, len(p.exits), p.exits[i], p.want[i])
+		}
+		p.out = append(p.out, p.exits[i].Result())
+	}
+	p.want = p.want[:0]
+}
+
+// stepped closes a step both engines have taken: the scalar result, if any,
+// is owed by the batched engine under this step's stamp.
+func (p *pair) stepped(res Result, ok bool) {
+	p.t.Helper()
+	if ok {
+		p.want = append(p.want, Exit{
+			Request: res.Request, NHI: res.NHI, Faulted: res.Faulted, LastStage: res.LastStage,
+			EnterCycle: res.EnterCycle, ExitCycle: res.ExitCycle, Stamp: p.stamp(), Visits: res.Visits,
+		})
+	}
+	p.steps++
+	if p.scalar.Updating() != p.batched.Updating() || p.scalar.PendingBubbles() != p.batched.PendingBubbles() {
+		p.t.Fatalf("step %d: update state diverges: batched (%v, %d), scalar (%v, %d)", p.steps,
+			p.batched.Updating(), p.batched.PendingBubbles(), p.scalar.Updating(), p.scalar.PendingBubbles())
+	}
+	if p.eachStats {
+		p.stats()
+	}
+	if p.every > 0 && p.steps%p.every == 0 || p.batched.Full() {
+		p.drain()
+	}
+}
+
+// inject feeds req (nil: an idle slot) to both engines.
+func (p *pair) inject(req *Request) {
+	p.t.Helper()
+	res, ok := p.scalar.Inject(req)
+	if req == nil {
+		p.batched.Idle(p.stamp())
+	} else {
+		p.batched.Inject(*req, p.stamp())
+	}
+	p.stepped(res, ok)
+}
+
+// bubble feeds both engines a write bubble; with none pending both must
+// refuse, and neither steps.
+func (p *pair) bubble() error {
+	p.t.Helper()
+	res, ok, errS := p.scalar.InjectBubble()
+	errB := p.batched.InjectBubble(p.stamp())
+	if (errS == nil) != (errB == nil) {
+		p.t.Fatalf("step %d (bubble): batched error %v, scalar %v", p.steps, errB, errS)
+	}
+	if errS == nil {
+		p.stepped(res, ok)
+	}
+	return errS
+}
+
+// finish drains both pipes and compares the final state.
+func (p *pair) finish() {
+	p.t.Helper()
+	for i := 0; i <= len(p.scalar.regs); i++ {
+		p.inject(nil)
+	}
+	p.drain()
+	p.stats()
+}
+
+// upset flips a bit of the entry v visited, in img, and tells the batched
+// engine (the scalar one reads img itself).
+func (p *pair) upset(img *Image, v obs.StageVisit) {
+	p.t.Helper()
+	if !img.FlipBit(v.Stage, v.Entry, 0) {
+		p.t.Fatalf("no entry %d in stage %d", v.Entry, v.Stage)
+	}
+	p.batched.Patch(v.Stage, v.Entry)
+}
 
 // compileSet compiles a K-network table set under the pinned fold-into-
 // stage-0 map over all 33 levels, so images of different sets share stage
@@ -76,14 +206,9 @@ func compileSet(t testing.TB, k, prefixes, stages int, seed int64) (*Image, []ip
 	return img, routed
 }
 
-// lockstep runs one op stream. ops picks the operation per step; every
-// operand is drawn from the seed. With statsEveryStep the engines' Stats
-// are compared after every step (so every batched walk has run ahead to its
-// end one step after injection, and each patch or parity switch rolls a
-// pipe-full of them back); without it only where the stream says so, which
-// leaves lookups unwalked across bubbles, bank flips and patches until one
-// of them leaves.
-func lockstep(t testing.TB, seed int64, ops []byte, statsEveryStep bool) {
+// lockstep runs one op stream under one drain cadence. ops picks the
+// operation per step; every operand is drawn from the seed.
+func lockstep(t testing.TB, seed int64, ops []byte, eachStats bool, every int) {
 	rng := rand.New(rand.NewSource(seed))
 	k := 1 + rng.Intn(3)
 	stages := []int{3, 6, 12, 28}[rng.Intn(4)]
@@ -96,78 +221,41 @@ func lockstep(t testing.TB, seed int64, ops []byte, statsEveryStep bool) {
 		routed = append(routed, r...)
 	}
 
-	var scalar, batched streamEngine
-	var img, next *Image
-	reload := func() {
-		img, next = pristine[rng.Intn(2)].Clone(), nil
-		scalar, batched = NewSim(img), NewBatchSim(img)
-		if parity {
-			scalar.EnableParityCheck()
-			batched.EnableParityCheck()
-		}
-	}
-	reload()
-
-	checkStats := func(step int) {
-		t.Helper()
-		if want, got := scalar.Stats(), batched.Stats(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("step %d: stats diverge:\nbatched %+v\nscalar  %+v", step, got, want)
-		}
-	}
-	checkStep := func(step int, op string, want, got Result, wantOK, gotOK bool, wantErr, gotErr error) {
-		t.Helper()
-		if (wantErr == nil) != (gotErr == nil) {
-			t.Fatalf("step %d (%s): batched error %v, scalar %v", step, op, gotErr, wantErr)
-		}
-		if wantOK != gotOK || !reflect.DeepEqual(got, want) {
-			t.Fatalf("step %d (%s): results diverge:\nbatched %v %+v\nscalar  %v %+v", step, op, gotOK, got, wantOK, want)
-		}
-		if scalar.Updating() != batched.Updating() || scalar.PendingBubbles() != batched.PendingBubbles() {
-			t.Fatalf("step %d (%s): update state diverges: batched (%v, %d), scalar (%v, %d)", step, op,
-				batched.Updating(), batched.PendingBubbles(), scalar.Updating(), scalar.PendingBubbles())
-		}
-		if next != nil && !scalar.Updating() {
-			img, next = next, nil // the commit bubble drained: next now serves
-		}
-		if statsEveryStep {
-			checkStats(step)
-		}
-	}
-
-	for step, op := range ops {
+	img := pristine[rng.Intn(2)].Clone()
+	var next *Image
+	p := newPair(t, img, parity, every)
+	p.eachStats = eachStats
+	for _, op := range ops {
 		switch op % 16 {
 		default: // inject a lookup
 			addr := ip.Addr(rng.Uint32())
 			if rng.Intn(2) == 0 {
 				addr = routed[rng.Intn(len(routed))] | ip.Addr(rng.Intn(256))
 			}
-			req := Request{Addr: addr, VN: rng.Intn(k+2) - 1, Trace: rng.Intn(8) == 0}
-			rs, okS := scalar.Inject(&req)
-			rb, okB := batched.Inject(&req)
-			checkStep(step, "inject", rs, rb, okS, okB, nil, nil)
+			p.inject(&Request{Addr: addr, VN: rng.Intn(k+2) - 1, Trace: rng.Intn(8) == 0})
 		case 7, 8: // idle input slot
-			rs, okS := scalar.Inject(nil)
-			rb, okB := batched.Inject(nil)
-			checkStep(step, "idle", rs, rb, okS, okB, nil, nil)
+			p.inject(nil)
 		case 9, 10: // write bubble (an error on both when none is pending)
-			rs, okS, errS := scalar.InjectBubble()
-			rb, okB, errB := batched.InjectBubble()
-			checkStep(step, "bubble", rs, rb, okS, okB, errS, errB)
+			p.bubble()
 		case 11: // arm an update (an error on both when one is in flight)
 			cand := pristine[rng.Intn(2)].Clone()
 			bubbles := rng.Intn(2 * stages)
-			errS, errB := scalar.BeginUpdate(cand, bubbles), batched.BeginUpdate(cand, bubbles)
+			errS, errB := p.scalar.BeginUpdate(cand, bubbles), p.batched.BeginUpdate(cand, bubbles)
+			if (errS == nil) != (errB == nil) {
+				t.Fatalf("step %d (begin): batched error %v, scalar %v", p.steps, errB, errS)
+			}
 			if errS == nil {
 				next = cand
 			}
-			checkStep(step, "begin", Result{}, Result{}, false, false, errS, errB)
 		case 12:
-			errS, errB := scalar.AbortUpdate(), batched.AbortUpdate()
+			errS, errB := p.scalar.AbortUpdate(), p.batched.AbortUpdate()
+			if (errS == nil) != (errB == nil) {
+				t.Fatalf("step %d (abort): batched error %v, scalar %v", p.steps, errB, errS)
+			}
 			if errS == nil {
 				next = nil
 			}
-			checkStep(step, "abort", Result{}, Result{}, false, false, errS, errB)
-		case 13: // an upset under in-flight lookups, then Patch
+		case 13: // an upset under the lookups in the window, then Patch
 			target := img
 			if next != nil && rng.Intn(3) == 0 {
 				target = next
@@ -185,41 +273,52 @@ func lockstep(t testing.TB, seed int64, ops []byte, statsEveryStep bool) {
 				e.Child[bit&1] = 1<<29 + uint32(bit)
 				e.Parity = e.DataParity()
 			}
-			batched.(*BatchSim).Patch(s, idx)
-		case 14: // rarer than their op code: a reload, or parity switched on mid-flight
+			p.batched.Patch(s, idx)
+		case 14: // rarer than their op code: a reload, a Reset, or parity switched on under the window
 			switch r := rng.Intn(8); {
 			case r < 2:
-				reload()
+				img, next = pristine[rng.Intn(2)].Clone(), nil
+				p.load(img, parity)
 			case r == 2 && !parity:
 				parity = true
-				scalar.EnableParityCheck()
-				batched.EnableParityCheck()
+				p.scalar.EnableParityCheck()
+				p.batched.EnableParityCheck()
+			case r == 3:
+				// Reset empties pipe and window alike: what has left the pipe
+				// is taken first, as a runner settles before it reloads.
+				p.drain()
+				p.scalar.Reset()
+				p.batched.Reset()
+				next = nil
 			}
 		case 15:
-			checkStats(step)
+			p.stats()
+		}
+		if next != nil && !p.scalar.Updating() {
+			img, next = next, nil // the commit bubble drained: next now serves
 		}
 	}
-	// Drain and compare the final state.
-	for i := 0; i <= stages; i++ {
-		rs, okS := scalar.Inject(nil)
-		rb, okB := batched.Inject(nil)
-		checkStep(len(ops)+i, "drain", rs, rb, okS, okB, nil, nil)
-	}
-	checkStats(len(ops) + stages)
+	p.finish()
 }
 
-// TestStreamMatchesSimOpStreams runs seeded op streams in both Stats modes.
+// TestStreamMatchesSimOpStreams runs seeded op streams in both Stats modes
+// under every drain cadence, and their first DrainWindow-odd steps drained
+// only at the end.
 func TestStreamMatchesSimOpStreams(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed * 7919))
 		ops := make([]byte, 1500)
 		rng.Read(ops)
-		lockstep(t, seed, ops, false)
-		lockstep(t, seed, ops, true)
+		for _, every := range drainCadences {
+			lockstep(t, seed, ops, false, every)
+			lockstep(t, seed, ops, true, every)
+		}
+		lockstep(t, seed, ops[:DrainWindow-40], false, 0)
 	}
 }
 
-// FuzzStreamVsSim lets the fuzzer choose the interleaving.
+// FuzzStreamVsSim lets the fuzzer choose the interleaving; the seed also
+// picks the drain cadence and the Stats mode.
 func FuzzStreamVsSim(f *testing.F) {
 	f.Add(int64(1), []byte{0, 1, 2, 11, 9, 0, 13, 9, 9, 0, 15, 7, 0, 0, 12, 14})
 	f.Add(int64(2), []byte{11, 10, 0, 13, 0, 0, 9, 9, 9, 9, 9, 9, 0, 15, 13, 0, 0, 0, 0})
@@ -228,7 +327,7 @@ func FuzzStreamVsSim(f *testing.F) {
 		if len(ops) > 4096 {
 			ops = ops[:4096]
 		}
-		lockstep(t, seed, ops, seed%2 == 0)
+		lockstep(t, seed, ops, seed%2 == 0, drainCadences[uint64(seed)%uint64(len(drainCadences))])
 	})
 }
 
@@ -236,113 +335,48 @@ func FuzzStreamVsSim(f *testing.F) {
 // before checking was switched on keeps its (corrupt) answer, as in the
 // cycle-stepped engine; one still short of the leaf faults on it — also when
 // a Stats read just before the switch has let both walks run ahead to the
-// leaf unchecked.
+// leaf unchecked, and whether or not anything was drained in between.
 func TestStreamParitySwitchMidFlight(t *testing.T) {
-	for _, runAhead := range []bool{false, true} {
-		img := compileSingle(t, genTable(t, 300, 65), 28)
-		req := Request{Addr: genTable(t, 300, 65).Routes[150].Prefix.Addr, Trace: true}
-		probe, _, err := NewSim(img).Run([]Request{req}, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		leaf := probe[0].Visits[len(probe[0].Visits)-1]
-		if leaf.Stage == 0 || leaf.Stage == 27 {
-			t.Fatalf("leaf in stage %d; pick an address that resolves mid-pipe", leaf.Stage)
-		}
-		img.FlipBit(leaf.Stage, leaf.Entry, 0)
-		engines := []streamEngine{NewSim(img), NewBatchSim(img)}
-		var got [2][]Result
-		for i, e := range engines {
-			e.Inject(&req) // will be past the leaf at the switch
+	for _, every := range drainCadences {
+		for _, runAhead := range []bool{false, true} {
+			img := compileSingle(t, genTable(t, 300, 65), 28)
+			req := Request{Addr: genTable(t, 300, 65).Routes[150].Prefix.Addr, Trace: true}
+			probe, _, err := NewSim(img).Run([]Request{req}, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			leaf := probe[0].Visits[len(probe[0].Visits)-1]
+			if leaf.Stage == 0 || leaf.Stage == 27 {
+				t.Fatalf("leaf in stage %d; pick an address that resolves mid-pipe", leaf.Stage)
+			}
+			img.FlipBit(leaf.Stage, leaf.Entry, 0)
+			p := newPair(t, img, false, every)
+			p.inject(&req) // will be past the leaf at the switch
 			for c := 0; c < leaf.Stage; c++ {
-				e.Inject(nil)
+				p.inject(nil)
 			}
-			e.Inject(&req) // will still be short of it
+			p.inject(&req) // will still be short of it
 			if runAhead {
-				e.Stats()
+				p.stats()
 			}
-			e.EnableParityCheck()
-			for c := 0; c < 28; c++ {
-				if r, ok := e.Inject(nil); ok {
-					got[i] = append(got[i], r)
-				}
+			p.scalar.EnableParityCheck()
+			p.batched.EnableParityCheck()
+			p.finish()
+			if len(p.out) != 2 || p.out[0].Faulted || !p.out[1].Faulted {
+				t.Fatalf("drain every %d, run-ahead %v: want the first lookup served and the second faulted, got %+v", every, runAhead, p.out)
 			}
-		}
-		if !reflect.DeepEqual(got[0], got[1]) {
-			t.Fatalf("run-ahead %v: results diverge:\nscalar  %+v\nbatched %+v", runAhead, got[0], got[1])
-		}
-		if len(got[0]) != 2 || got[0][0].Faulted || !got[0][1].Faulted {
-			t.Fatalf("run-ahead %v: want the first lookup served and the second faulted, got %+v", runAhead, got[0])
 		}
 	}
 }
 
-// pair drives a Sim and a BatchSim over the same images in lockstep for the
-// directed run-ahead tests. Every step compares the Result and then both
-// Stats, and that Stats read lets every walk in the batched ring run ahead
-// to its end — so whatever changes next changes under run-ahead walks.
-type pair struct {
-	t       *testing.T
-	scalar  *Sim
-	batched *BatchSim
-	steps   int
-	out     []Result
-}
-
-func newPair(t *testing.T, img *Image) *pair {
-	p := &pair{t: t, scalar: NewSim(img), batched: NewBatchSim(img)}
-	p.scalar.EnableParityCheck()
-	p.batched.EnableParityCheck()
+// directedPair is the pair of the directed run-ahead tests: parity checked
+// and Stats compared after every step — a read that lets every walk in the
+// batched window run ahead to its end, so whatever the test changes next
+// changes under run-ahead walks.
+func directedPair(t *testing.T, img *Image, every int) *pair {
+	p := newPair(t, img, true, every)
+	p.eachStats = true
 	return p
-}
-
-func (p *pair) stats() Stats {
-	p.t.Helper()
-	want, got := p.scalar.Stats(), p.batched.Stats()
-	if !reflect.DeepEqual(got, want) {
-		p.t.Fatalf("after %d steps: stats diverge:\nbatched %+v\nscalar  %+v", p.steps, got, want)
-	}
-	return got
-}
-
-func (p *pair) check(want, got Result, wantOK, gotOK bool) {
-	p.t.Helper()
-	p.steps++
-	if wantOK != gotOK || !reflect.DeepEqual(got, want) {
-		p.t.Fatalf("step %d: results diverge:\nbatched %v %+v\nscalar  %v %+v", p.steps, gotOK, got, wantOK, want)
-	}
-	if gotOK {
-		p.out = append(p.out, got)
-	}
-	p.stats()
-}
-
-// inject feeds req (nil: an idle slot) to both engines.
-func (p *pair) inject(req *Request) {
-	p.t.Helper()
-	want, wantOK := p.scalar.Inject(req)
-	got, gotOK := p.batched.Inject(req)
-	p.check(want, got, wantOK, gotOK)
-}
-
-func (p *pair) bubble() {
-	p.t.Helper()
-	want, wantOK, errS := p.scalar.InjectBubble()
-	got, gotOK, errB := p.batched.InjectBubble()
-	if errS != nil || errB != nil {
-		p.t.Fatalf("bubble: scalar %v, batched %v", errS, errB)
-	}
-	p.check(want, got, wantOK, gotOK)
-}
-
-// upset flips a bit of the entry v visited, in img, and tells the batched
-// engine (the scalar one reads img itself).
-func (p *pair) upset(img *Image, v obs.StageVisit) {
-	p.t.Helper()
-	if !img.FlipBit(v.Stage, v.Entry, 0) {
-		p.t.Fatalf("no entry %d in stage %d", v.Entry, v.Stage)
-	}
-	p.batched.Patch(v.Stage, v.Entry)
 }
 
 // pathOf returns the first visit a lookup of addr makes in every stage of img,
@@ -405,29 +439,29 @@ func faultStages(results []Result) []int {
 // after an upset keeps what it read in the stages behind it, and reads the
 // earlier upset only if it had not passed it then either.
 func TestStreamTwoUpsetsUnderRunAhead(t *testing.T) {
-	tbl := genTable(t, 300, 65)
-	img := compileSingle(t, tbl, 28)
-	req, at := deepPath(t, img, routedAddrs(tbl), 12)
-	plain := req
-	plain.Trace = false
-	p := newPair(t, img)
-	for i := 0; i < 3; i++ {
-		p.inject(&req)
+	for _, every := range drainCadences {
+		tbl := genTable(t, 300, 65)
+		img := compileSingle(t, tbl, 28)
+		req, at := deepPath(t, img, routedAddrs(tbl), 12)
+		plain := req
+		plain.Trace = false
+		p := directedPair(t, img, every)
+		for i := 0; i < 3; i++ {
+			p.inject(&req)
+			p.inject(nil)
+			p.inject(&plain)
+			p.inject(nil)
+		}
+		// Twelve steps in: the lookups have been through stages 11, 9, 7, 5, 3, 1.
+		p.upset(img, at[4])
 		p.inject(nil)
-		p.inject(&plain)
 		p.inject(nil)
-	}
-	// Twelve steps in: the lookups have been through stages 11, 9, 7, 5, 3, 1.
-	p.upset(img, at[4])
-	p.inject(nil)
-	p.inject(nil)
-	// Fourteen steps in: through 13, 11, 9, 7, 5, 3.
-	p.upset(img, at[10])
-	for i := 0; i < 28; i++ {
-		p.inject(nil)
-	}
-	if got, want := faultStages(p.out), []int{-1, -1, 10, 10, 4, 4}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("lookups ended %v, want %v (-1: served)", got, want)
+		// Fourteen steps in: through 13, 11, 9, 7, 5, 3.
+		p.upset(img, at[10])
+		p.finish()
+		if got, want := faultStages(p.out), []int{-1, -1, 10, 10, 4, 4}; !reflect.DeepEqual(got, want) {
+			t.Fatalf("drain every %d: lookups ended %v, want %v (-1: served)", every, got, want)
+		}
 	}
 }
 
@@ -436,31 +470,34 @@ func TestStreamTwoUpsetsUnderRunAhead(t *testing.T) {
 // the fault, and the end of the lookup's stage activity, must show in Stats
 // only once the lookup has reached stage 8.
 func TestStreamStatsBeforeFaultIsReached(t *testing.T) {
-	tbl := genTable(t, 300, 65)
-	img := compileSingle(t, tbl, 28)
-	req, at := deepPath(t, img, routedAddrs(tbl), 12)
-	req.Trace = false
-	img.FlipBit(at[8].Stage, at[8].Entry, 0)
-	p := newPair(t, img)
-	p.inject(&req)
-	for reached := 0; reached < 28; reached++ {
-		st := p.stats()
-		wantFaults, wantDeepest := int64(0), reached
-		if reached >= 8 {
-			wantFaults, wantDeepest = 1, 8
-		}
-		if st.Faults != wantFaults {
-			t.Fatalf("through stage %d: Faults = %d, want %d", reached, st.Faults, wantFaults)
-		}
-		for s, n := range st.StageActive {
-			if active := s <= wantDeepest; n > 1 || (n == 1) != active {
-				t.Fatalf("through stage %d: StageActive = %v, want ones through stage %d", reached, st.StageActive, wantDeepest)
+	for _, every := range drainCadences {
+		tbl := genTable(t, 300, 65)
+		img := compileSingle(t, tbl, 28)
+		req, at := deepPath(t, img, routedAddrs(tbl), 12)
+		req.Trace = false
+		img.FlipBit(at[8].Stage, at[8].Entry, 0)
+		p := directedPair(t, img, every)
+		p.inject(&req)
+		for reached := 0; reached < 28; reached++ {
+			st := p.stats()
+			wantFaults, wantDeepest := int64(0), reached
+			if reached >= 8 {
+				wantFaults, wantDeepest = 1, 8
 			}
+			if st.Faults != wantFaults {
+				t.Fatalf("through stage %d: Faults = %d, want %d", reached, st.Faults, wantFaults)
+			}
+			for s, n := range st.StageActive {
+				if active := s <= wantDeepest; n > 1 || (n == 1) != active {
+					t.Fatalf("through stage %d: StageActive = %v, want ones through stage %d", reached, st.StageActive, wantDeepest)
+				}
+			}
+			p.inject(nil)
 		}
-		p.inject(nil)
-	}
-	if got := faultStages(p.out); !reflect.DeepEqual(got, []int{8}) {
-		t.Fatalf("lookup ended %v, want faulted in stage 8", got)
+		p.drain()
+		if got := faultStages(p.out); !reflect.DeepEqual(got, []int{8}) {
+			t.Fatalf("drain every %d: lookup ended %v, want faulted in stage 8", every, got)
+		}
 	}
 }
 
@@ -471,67 +508,130 @@ func TestStreamStatsBeforeFaultIsReached(t *testing.T) {
 // lookups keep the old table's answer or fault on the old image's upset,
 // new-bank ones the new table's or the armed image's.
 func TestStreamCommitBubbleBetweenRunAheadBanks(t *testing.T) {
-	oldTbl, newTbl := genTables(t)
-	oldImg, newImg := compilePinned(t, oldTbl), compilePinned(t, newTbl)
-	// An address the update gives another next hop, resolved well down the
-	// pipe in both images.
-	var moved []ip.Addr
-	for _, a := range routedAddrs(oldTbl) {
-		if Lookup(oldImg, Request{Addr: a}) != Lookup(newImg, Request{Addr: a}) && len(pathOf(t, newImg, a)) > 4 {
-			moved = append(moved, a)
+	for _, every := range drainCadences {
+		oldTbl, newTbl := genTables(t)
+		oldImg, newImg := compilePinned(t, oldTbl), compilePinned(t, newTbl)
+		// An address the update gives another next hop, resolved well down the
+		// pipe in both images.
+		var moved []ip.Addr
+		for _, a := range routedAddrs(oldTbl) {
+			if Lookup(oldImg, Request{Addr: a}) != Lookup(newImg, Request{Addr: a}) && len(pathOf(t, newImg, a)) > 4 {
+				moved = append(moved, a)
+			}
 		}
-	}
-	req, atOld := deepPath(t, oldImg, moved, 10)
-	atNew := pathOf(t, newImg, req.Addr)
-	plain := req
-	plain.Trace = false
+		req, atOld := deepPath(t, oldImg, moved, 10)
+		atNew := pathOf(t, newImg, req.Addr)
+		plain := req
+		plain.Trace = false
 
-	p := newPair(t, oldImg)
-	for _, r := range []*Request{&req, &plain, &req, &plain} {
-		p.inject(r)
-	}
-	for _, e := range []streamEngine{p.scalar, p.batched} {
-		if err := e.BeginUpdate(newImg, 2); err != nil {
-			t.Fatal(err)
+		p := directedPair(t, oldImg, every)
+		for _, r := range []*Request{&req, &plain, &req, &plain} {
+			p.inject(r)
 		}
-	}
-	p.bubble()
-	p.inject(&req) // between the bubbles: still the old bank
-	p.bubble()     // the commit bubble
-	for _, r := range []*Request{&plain, &req, &plain, &req} {
-		p.inject(r)
-	}
-	// Eleven steps in. Old bank: through stages 10, 9, 8, 7 and 5; the commit
-	// bubble through 4; new bank: through 3, 2, 1, 0.
-	p.upset(newImg, atNew[2]) // stage 2: the last two new-bank lookups fault
-	p.upset(oldImg, atOld[8]) // stage 8: the last two old-bank lookups fault
-	p.inject(&plain)          // walked ahead on the struck shadow bank, never rolled back
-	for i := 0; i < 28; i++ {
-		p.inject(nil)
-	}
-	if got, want := faultStages(p.out), []int{-1, -1, -1, 8, 8, -1, -1, 2, 2, 2}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("lookups ended %v, want %v (-1: served)", got, want)
-	}
-	if oldHop, newHop := p.out[0].NHI, p.out[5].NHI; oldHop == newHop || p.out[2].NHI != oldHop || p.out[6].NHI != newHop {
-		t.Fatalf("next hops %d %d | %d %d: want the old table's ahead of the commit bubble, the new one's behind",
-			p.out[0].NHI, p.out[2].NHI, p.out[5].NHI, p.out[6].NHI)
+		if errS, errB := p.scalar.BeginUpdate(newImg, 2), p.batched.BeginUpdate(newImg, 2); errS != nil || errB != nil {
+			t.Fatal(errS, errB)
+		}
+		p.bubble()
+		p.inject(&req) // between the bubbles: still the old bank
+		p.bubble()     // the commit bubble
+		for _, r := range []*Request{&plain, &req, &plain, &req} {
+			p.inject(r)
+		}
+		// Eleven steps in. Old bank: through stages 10, 9, 8, 7 and 5; the commit
+		// bubble through 4; new bank: through 3, 2, 1, 0.
+		p.upset(newImg, atNew[2]) // stage 2: the last two new-bank lookups fault
+		p.upset(oldImg, atOld[8]) // stage 8: the last two old-bank lookups fault
+		p.inject(&plain)          // walked ahead on the struck shadow bank, never rolled back
+		p.finish()
+		if got, want := faultStages(p.out), []int{-1, -1, -1, 8, 8, -1, -1, 2, 2, 2}; !reflect.DeepEqual(got, want) {
+			t.Fatalf("drain every %d: lookups ended %v, want %v (-1: served)", every, got, want)
+		}
+		if oldHop, newHop := p.out[0].NHI, p.out[5].NHI; oldHop == newHop || p.out[2].NHI != oldHop || p.out[6].NHI != newHop {
+			t.Fatalf("next hops %d %d | %d %d: want the old table's ahead of the commit bubble, the new one's behind",
+				p.out[0].NHI, p.out[2].NHI, p.out[5].NHI, p.out[6].NHI)
+		}
 	}
 }
 
 // TestStreamedRunRejectedMidFlight: Run's closed-form schedule assumes an
-// empty pipe, so it refuses an engine with streamed lookups in flight.
+// empty window, so it refuses an engine with streamed lookups in its pipe or
+// waiting to be drained.
 func TestStreamedRunRejectedMidFlight(t *testing.T) {
 	img := compileSingle(t, genTable(t, 50, 63), 8)
 	sim := NewBatchSim(img)
-	sim.Inject(&Request{Addr: 1})
+	sim.Inject(Request{Addr: 1}, 0)
 	if _, _, err := sim.Run(nil, 1); err == nil {
 		t.Error("Run accepted an engine with a lookup in flight")
 	}
 	for i := 0; i < 8; i++ {
-		sim.Inject(nil)
+		sim.Idle(0)
+	}
+	if _, _, err := sim.Run(nil, 1); err == nil {
+		t.Error("Run accepted an engine with an exit waiting for Drain")
+	}
+	if exits := sim.Drain(nil); len(exits) != 1 {
+		t.Fatalf("Drain handed back %d exits, want the one lookup", len(exits))
 	}
 	if _, _, err := sim.Run(nil, 1); err != nil {
 		t.Errorf("Run refused a drained engine: %v", err)
+	}
+}
+
+// TestStreamedStepsAllocationFree: in steady state — the window filled and
+// drained into a reused buffer a few times — an untraced Inject, an Idle and
+// the Drain that a full window asks for allocate nothing.
+func TestStreamedStepsAllocationFree(t *testing.T) {
+	img := compileSingle(t, genTable(t, 300, 7), 28)
+	sim := NewBatchSim(img)
+	sim.EnableParityCheck()
+	var exits []Exit
+	step := func(i int) {
+		if i%10 == 9 {
+			sim.Idle(int64(i))
+		} else {
+			sim.Inject(Request{Addr: ip.Addr(0x0a000001 + i)}, int64(i))
+		}
+		if sim.Full() {
+			exits = sim.Drain(exits[:0])
+		}
+	}
+	i := 0
+	for ; i < 3*DrainWindow; i++ {
+		step(i)
+	}
+	if n := testing.AllocsPerRun(4*DrainWindow, func() { step(i); i++ }); n != 0 {
+		t.Fatalf("a streamed step allocates %.2f per cycle, want 0", n)
+	}
+}
+
+// TestStreamedWindowBound: the window is Stages + DrainWindow slots whatever
+// the run length, an engine says when it is full, and a step past that is a
+// bug in the runner, not something the engine absorbs.
+func TestStreamedWindowBound(t *testing.T) {
+	img := compileSingle(t, genTable(t, 50, 63), 8)
+	sim := NewBatchSim(img)
+	if got, want := len(sim.win), 8+DrainWindow; got != want {
+		t.Fatalf("window of %d slots, want Stages+DrainWindow = %d", got, want)
+	}
+	for i := 0; i < DrainWindow; i++ {
+		if sim.Full() {
+			t.Fatalf("window full after %d steps", i)
+		}
+		sim.Inject(Request{Addr: ip.Addr(i)}, int64(i))
+	}
+	if !sim.Full() {
+		t.Fatalf("window not full after %d steps", DrainWindow)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("a step on a full window did not panic")
+			}
+		}()
+		sim.Idle(0)
+	}()
+	if exits := sim.Drain(nil); len(exits) != DrainWindow-8 || sim.Full() {
+		t.Fatalf("Drain handed back %d exits (want %d), full %v", len(exits), DrainWindow-8, sim.Full())
 	}
 }
 

@@ -139,11 +139,14 @@ func TestTelemetryParityScalarVsBatched(t *testing.T) {
 // TestTelemetryParityStreamedBubblesAndSEUs extends the parity check to the
 // way the slice runners drive an engine: one input slot per cycle at load
 // 0.9 with parity checking on, a hitless update whose write bubbles take
-// input slots mid-run, and upsets landing under in-flight lookups. Charged
-// to a meter the way the runners charge it (every exit pays stages
-// 0..LastStage, every bubble a write per stage), both cores must leave the
-// same meter, the same Stats — stage activity and occupancy included — and
-// the same (untouched) process-wide counters.
+// input slots mid-run, upsets landing under the lookups in the window, and a
+// sprinkling of traced lookups. The scalar core hands a Result back per cycle
+// and is charged per lookup; the batched one is settled as the runners settle
+// it — drained when its window is full and at the end, every batch charged
+// to the meter as one bulk charge per (VN, last stage) count, every bubble a
+// write per stage. Both must leave the same results, traced visits included,
+// the same meter, the same Stats — stage activity and occupancy included —
+// and the same (untouched) process-wide counters.
 func TestTelemetryParityStreamedBubblesAndSEUs(t *testing.T) {
 	const k, stages, slots = 3, 12, 6000
 	pristine, _ := compileSet(t, k, 500, stages, 42)
@@ -167,9 +170,18 @@ func TestTelemetryParityStreamedBubblesAndSEUs(t *testing.T) {
 		meter   *energy.Meter
 		deltas  map[string]int64
 	}
-	drive := func(build func(*Image) streamEngine, patch func(streamEngine, int, uint32)) run {
-		img, next := pristine.Clone(), updated.Clone()
-		eng := build(img)
+	// engine is what the schedule below needs of either core; slot feeds one
+	// input slot — a write bubble, an idle cycle or a lookup — and patch
+	// tells the core of an upset.
+	type engine interface {
+		BeginUpdate(*Image, int) error
+		Updating() bool
+		PendingBubbles() int
+		EnableParityCheck()
+		Stats() Stats
+	}
+	drive := func(eng engine, img *Image, slot func(r *run, c int, bubble bool, req *Request), patch func(int, uint32), finish func(r *run)) run {
+		next := updated.Clone()
 		eng.EnableParityCheck()
 		r := run{meter: energy.NewMeter(model, k)}
 		rng := rand.New(rand.NewSource(7))
@@ -188,36 +200,82 @@ func TestTelemetryParityStreamedBubblesAndSEUs(t *testing.T) {
 					}
 					s, idx, bit, _ := target.Locate(seu.Int63n(target.DataBits()))
 					target.FlipBit(s, idx, bit)
-					patch(eng, s, idx)
+					patch(s, idx)
 				}
-				var res Result
-				var ok bool
 				switch {
 				case eng.PendingBubbles() > 0:
-					if res, ok, err = eng.InjectBubble(); err != nil {
-						t.Fatal(err)
-					}
+					slot(&r, c, true, nil)
 					r.meter.Bubble(0, 0)
 				case c%10 == 9:
-					res, ok = eng.Inject(nil)
+					slot(&r, c, false, nil)
 				default:
-					res, ok = eng.Inject(&Request{Addr: ip.Addr(rng.Uint32()), VN: rng.Intn(k), Trace: c%64 == 0})
-				}
-				if ok {
-					r.results = append(r.results, res)
-					r.meter.Lookup(0, res.VN, res.LastStage)
+					slot(&r, c, false, &Request{Addr: ip.Addr(rng.Uint32()), VN: rng.Intn(k), Trace: c%64 == 0})
 				}
 			}
+			finish(&r)
 		})
 		r.st = eng.Stats()
 		return r
 	}
-	scalar := drive(func(img *Image) streamEngine { return NewSim(img) }, func(streamEngine, int, uint32) {})
-	batched := drive(func(img *Image) streamEngine { return NewBatchSim(img) },
-		func(e streamEngine, s int, idx uint32) { e.(*BatchSim).Patch(s, idx) })
+
+	img := pristine.Clone()
+	sim := NewSim(img)
+	scalar := drive(sim, img, func(r *run, _ int, bubble bool, req *Request) {
+		var res Result
+		var ok bool
+		if bubble {
+			if res, ok, err = sim.InjectBubble(); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			res, ok = sim.Inject(req)
+		}
+		if ok {
+			r.results = append(r.results, res)
+			r.meter.Lookup(0, res.VN, res.LastStage)
+		}
+	}, func(int, uint32) {}, func(*run) {})
+
+	img = pristine.Clone()
+	bs := NewBatchSim(img)
+	var exits []Exit
+	settle := func(r *run) {
+		exits = bs.Drain(exits[:0])
+		var counts [k][stages]int64
+		for i := range exits {
+			counts[exits[i].VN][exits[i].LastStage]++
+			r.results = append(r.results, exits[i].Result())
+		}
+		for vn := range counts {
+			for last, n := range counts[vn] {
+				r.meter.LookupN(0, vn, last, n)
+			}
+		}
+	}
+	batched := drive(bs, img, func(r *run, c int, bubble bool, req *Request) {
+		switch {
+		case bubble:
+			if err := bs.InjectBubble(int64(c)); err != nil {
+				t.Fatal(err)
+			}
+		case req == nil:
+			bs.Idle(int64(c))
+		default:
+			bs.Inject(*req, int64(c))
+		}
+		if bs.Full() {
+			settle(r)
+		}
+	}, bs.Patch, settle)
 
 	if !reflect.DeepEqual(scalar.results, batched.results) {
 		t.Error("streamed results diverge")
+	}
+	traced := 0
+	for _, res := range batched.results {
+		if len(res.Visits) > 0 {
+			traced++
+		}
 	}
 	if !reflect.DeepEqual(scalar.st, batched.st) {
 		t.Errorf("Stats diverge:\nscalar  %+v\nbatched %+v", scalar.st, batched.st)
@@ -228,7 +286,8 @@ func TestTelemetryParityStreamedBubblesAndSEUs(t *testing.T) {
 	if !reflect.DeepEqual(scalar.deltas, batched.deltas) {
 		t.Errorf("obs counter deltas diverge:\nscalar  %v\nbatched %v", scalar.deltas, batched.deltas)
 	}
-	if scalar.st.Bubbles != 150 || scalar.st.Faults == 0 {
-		t.Errorf("run had %d bubbles and %d faults; want 150 and some — weaken the test", scalar.st.Bubbles, scalar.st.Faults)
+	if scalar.st.Bubbles != 150 || scalar.st.Faults == 0 || traced < slots/100 {
+		t.Errorf("run had %d bubbles, %d faults and %d traced lookups; want 150, some and about %d — weaken the test",
+			scalar.st.Bubbles, scalar.st.Faults, traced, slots/64)
 	}
 }

@@ -58,19 +58,16 @@ var NoTelemetry = &Telemetry{}
 // both attached).
 func (t *Telemetry) Tracing() bool { return t.Sampler != nil && t.Traces != nil }
 
-// PutLookupTrace records one sampled lookup that completed a pipeline
-// traversal. base offsets the sim-local Enter/Exit stamps into run cycles
-// (zero when the sim already runs on the run clock); wait is the cycles the
-// packet spent queued before entry.
-func (t *Telemetry) PutLookupTrace(seq int64, vn, engine int, base int64, res pipeline.Result, wait int64, outcome string) {
-	if t.Traces == nil {
-		return
-	}
+// LookupTrace builds the trace of one sampled lookup that completed a
+// pipeline traversal. base offsets the sim-local Enter/Exit stamps into run
+// cycles (zero when the sim already runs on the run clock); wait is the
+// cycles the packet spent queued before entry.
+func LookupTrace(seq int64, vn, engine int, base int64, res pipeline.Result, wait int64, outcome string) *obs.FlightTrace {
 	nhi := int(res.NHI)
 	if res.Faulted || res.NHI == ip.NoRoute {
 		nhi = -1
 	}
-	t.Traces.Put(&obs.FlightTrace{
+	return &obs.FlightTrace{
 		Seq:       seq,
 		VN:        vn,
 		Engine:    engine,
@@ -82,16 +79,20 @@ func (t *Telemetry) PutLookupTrace(seq int64, vn, engine int, base int64, res pi
 		Outcome:   outcome,
 		NHI:       nhi,
 		Visits:    res.Visits,
-	})
+	}
 }
 
-// PutDropTrace records a sampled packet refused at ingress (its engine was
-// down): no pipeline traversal, Enter == Exit == the drop cycle.
-func (t *Telemetry) PutDropTrace(seq int64, vn, engine int, cycle int64, addr ip.Addr) {
-	if t.Traces == nil {
-		return
+// PutLookupTrace records LookupTrace's trace of a lookup in the ring.
+func (t *Telemetry) PutLookupTrace(seq int64, vn, engine int, base int64, res pipeline.Result, wait int64, outcome string) {
+	if t.Traces != nil {
+		t.Traces.Put(LookupTrace(seq, vn, engine, base, res, wait, outcome))
 	}
-	t.Traces.Put(&obs.FlightTrace{
+}
+
+// DropTrace builds the trace of a sampled packet refused at ingress (its
+// engine was down): no pipeline traversal, Enter == Exit == the drop cycle.
+func DropTrace(seq int64, vn, engine int, cycle int64, addr ip.Addr) *obs.FlightTrace {
+	return &obs.FlightTrace{
 		Seq:     seq,
 		VN:      vn,
 		Engine:  engine,
@@ -100,7 +101,14 @@ func (t *Telemetry) PutDropTrace(seq int64, vn, engine int, cycle int64, addr ip
 		Exit:    cycle,
 		Outcome: "drop-down",
 		NHI:     -1,
-	})
+	}
+}
+
+// PutDropTrace records DropTrace's trace of a refused packet in the ring.
+func (t *Telemetry) PutDropTrace(seq int64, vn, engine int, cycle int64, addr ip.Addr) {
+	if t.Traces != nil {
+		t.Traces.Put(DropTrace(seq, vn, engine, cycle, addr))
+	}
 }
 
 // LookupOutcome classifies a completed lookup against its oracle's answer.

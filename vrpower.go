@@ -259,8 +259,13 @@ type (
 	// MemLayout sizes pointer and NHI entries.
 	MemLayout = pipeline.MemLayout
 	// BatchSim is the production lookup engine over the flattened image —
-	// scalar-equivalent results, batched (Run) or streamed (Inject).
+	// scalar-equivalent results, batched (Run) or streamed: Inject / Idle /
+	// InjectBubble push one input slot a cycle and hand nothing back, Drain
+	// walks what has left the pipe at batch width and hands back the exits.
 	BatchSim = pipeline.BatchSim
+	// Exit is one streamed lookup as BatchSim.Drain hands it back: a Result
+	// plus the caller's stamp of the step it left on.
+	Exit = pipeline.Exit
 	// FlatImage is the struct-of-arrays form of an image BatchSim reads.
 	FlatImage = pipeline.FlatImage
 )
