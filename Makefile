@@ -260,13 +260,13 @@ bench:
 # engine, a Result per cycle on the scalar one) lookup path the slice runners
 # use, the slice loop itself (load_small's shape through RunScenario, per
 # slice), the reference LPM every simulated lookup is checked against (lookup
-# and build), and the image compiler and Image.Clone every build, scrub,
-# hitless batch and migration pays. -count=3 with benchgate's
-# min-per-name sheds scheduler noise on shared runners; the gate fails on a
-# >10% ns/op regression or any allocs/op increase against the checked-in
-# baseline.
+# and build), and the image compiler, Image.Clone and Flatten (jump table
+# included) every build, scrub, hitless batch and migration pays. -count=3
+# with benchgate's min-per-name sheds scheduler noise on shared runners; the
+# gate fails on a >10% ns/op regression or any allocs/op increase against the
+# checked-in baseline.
 # bench-gate.out is kept as a CI artifact.
-GATE_BENCH = ^(BenchmarkPipelineLookup|BenchmarkPipelineLookupScalar|BenchmarkLookupStreamed|BenchmarkServeSlice|BenchmarkReferenceLookup|BenchmarkReferenceBuild|BenchmarkImageCompile|BenchmarkImageClone)$$
+GATE_BENCH = ^(BenchmarkPipelineLookup|BenchmarkPipelineLookupScalar|BenchmarkLookupStreamed|BenchmarkServeSlice|BenchmarkReferenceLookup|BenchmarkReferenceBuild|BenchmarkImageCompile|BenchmarkImageClone|BenchmarkImageFlatten)$$
 bench-gate: build
 	$(GO) test -run='^$$' -bench='$(GATE_BENCH)' -benchmem -count=3 . | tee bench-gate.out
 	$(GO) run ./cmd/benchgate -baseline bench_baseline.json < bench-gate.out

@@ -634,6 +634,23 @@ func BenchmarkImageClone(b *testing.B) {
 	imageSink = clones
 }
 
+var flatSink *pipeline.FlatImage
+
+// BenchmarkImageFlatten times pipeline.Flatten — word slices and jump table —
+// over the same nine images: what the first engine over an image pays, so
+// every router build, scrub install, hitless batch and migration, and every
+// engine's first upset (its own copy). Gated by `make bench-gate`.
+func BenchmarkImageFlatten(b *testing.B) {
+	images := imageFixture(b)()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, img := range images {
+			flatSink = pipeline.Flatten(img)
+		}
+	}
+}
+
 func BenchmarkAnalyticSweep(b *testing.B) {
 	prof, err := vrpower.PaperProfile()
 	if err != nil {

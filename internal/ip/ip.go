@@ -265,12 +265,16 @@ func (t *Table) Lookup(addr Addr) NextHop {
 		t.index.CompareAndSwap(nil, x)
 	}
 	// starts[lo] <= addr throughout, and addr < starts[lo+n] where that exists.
+	// The step "if starts[lo+half] <= addr { lo += half }" is taken by
+	// arithmetic: the difference of the two addresses, widened so it cannot
+	// wrap, is negative exactly when the probe lies above addr, and its sign,
+	// shifted across the word, masks the half out. A compare-and-branch here is
+	// a coin flip per probe to the branch predictor; this loop has no
+	// data-dependent branch.
 	lo, n := 0, len(x.starts)
 	for n > 1 {
 		half := n >> 1
-		if x.starts[lo+half] <= addr {
-			lo += half
-		}
+		lo += half &^ int((int64(addr)-int64(x.starts[lo+half]))>>63)
 		n -= half
 	}
 	return x.hops[lo]

@@ -539,6 +539,19 @@ func TestRangeIndexCases(t *testing.T) {
 			{false, "0.0.0.0/0", 5, 3},
 			{true, "255.255.255.255/32", 0, 2},
 		}},
+		// Addresses and range starts on both sides of the middle of the
+		// address space and at its top: Lookup's probe step is arithmetic on
+		// the sign of a widened difference, and a difference taken in 32 bits
+		// would slip exactly here.
+		{"ranges meeting at the sign bit", []edit{
+			{false, "127.255.255.255/32", 1, 3},
+			{false, "128.0.0.0/32", 2, 4},
+			{false, "128.0.0.0/1", 3, 4},
+			{false, "0.0.0.0/1", 4, 4},
+			{false, "255.255.255.255/32", 5, 5},
+			{true, "127.255.255.255/32", 0, 4},
+			{true, "128.0.0.0/32", 0, 3}, // one cut at 0x80000000, one at the top
+		}},
 		{"nested prefixes sharing a start address", []edit{
 			{false, "10.0.0.0/8", 1, 3},
 			{false, "10.0.0.0/16", 2, 4},

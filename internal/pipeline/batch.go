@@ -173,13 +173,18 @@ type bank struct {
 
 // patch re-derives entry (stage, index) from the image after an upset. The
 // first patch stops sharing: the engine flattens the image as it is now
-// into a flat form of its own; later ones rewrite the one entry.
+// into a flat form of its own; later ones rewrite the one entry, and the jump
+// table with it when the entry is in a stage the table stands for — the very
+// next walk sees an upset in the top of the trie.
 func (k *bank) patch(stage int, index uint32) {
 	if !k.own {
 		k.flat, k.own = Flatten(k.img), true
 		return
 	}
 	k.flat.derive(k.img, stage, index)
+	if stage < k.flat.jumpStage {
+		k.flat.buildJump()
+	}
 }
 
 // Exit is one streamed lookup that has left the pipe, as Drain hands it back:
@@ -266,6 +271,9 @@ type BatchSim struct {
 	gen              uint32
 	bubblesLeft      int
 	commitAt         int64 // cycle the in-flight commit bubble entered
+	// published is the cycle clock as of the last publish: the steps since are
+	// not in pipeline.cycles_simulated yet.
+	published int64
 }
 
 // NewBatchSim returns an engine serving img, reading the image's shared
@@ -457,7 +465,7 @@ func (b *BatchSim) Patch(stage int, index uint32) {
 // slices allocated, so repeated runs (and benchmark iterations) measure
 // lookups, not construction. The parity-check setting survives.
 func (b *BatchSim) Reset() {
-	b.now, b.exited, b.bubblesLeft, b.next = 0, 0, 0, bank{}
+	b.now, b.published, b.exited, b.bubblesLeft, b.next = 0, 0, 0, 0, bank{}
 	b.st.Cycles, b.st.Lookups, b.st.Bubbles, b.st.Faults = 0, 0, 0, 0
 	clear(b.win)
 	clear(b.visits)
@@ -523,6 +531,7 @@ func (b *BatchSim) Idle(stamp int64) { b.step(slot{stamp: stamp}) }
 // cycles and write bubbles between them held are free again.
 func (b *BatchSim) Drain(dst []Exit) []Exit {
 	b.runAhead(0)
+	lookups, faults := b.st.Lookups, b.st.Faults
 	n := b.count - b.nStages
 	i, enter := b.back(b.count-1), b.now-int64(b.count)
 	for ; n > 0; n-- {
@@ -555,7 +564,20 @@ func (b *BatchSim) Drain(dst []Exit) []Exit {
 		}
 	}
 	b.count = b.nStages
+	b.publish(b.st.Lookups-lookups, b.st.Faults-faults)
 	return dst
+}
+
+// publish adds to the process-wide counters the lookups and faults the caller
+// has finished with and the steps taken since the last publish: once per Drain
+// and once per Run, never per lookup. What is published stays published
+// through a Reset or the engine's replacement; steps not yet published then
+// are dropped with the window.
+func (b *BatchSim) publish(lookups, faults int64) {
+	obsLookups.Add(lookups)
+	obsCycles.Add(b.now - b.published)
+	obsFaults.Add(faults)
+	b.published = b.now
 }
 
 // BeginUpdate arms a hitless image update with Sim.BeginUpdate's contract:
@@ -720,8 +742,9 @@ func (b *BatchSim) RunSharded(reqs []Request) ([]Result, Stats, error) {
 
 // finish applies the closed-form cycle accounting of Sim.Run to a completed
 // batch of n lookups: stage occupancy, the total step count (one step per
-// arrival slot plus the drain) and the obs counters. The per-result
-// entry/exit stamps were already written by the sweeps.
+// arrival slot plus the drain) and the obs counters (with any idle steps
+// streamed since the last publish). The per-result entry/exit stamps were
+// already written by the sweeps.
 func (b *BatchSim) finish(n int, g int64, startFaults int64) {
 	stages := int64(b.nStages)
 	steps := stages // a zero-request run still drains, as the scalar loop does
@@ -734,9 +757,7 @@ func (b *BatchSim) finish(n int, g int64, startFaults int64) {
 	for s := range b.st.StageOccupied {
 		b.st.StageOccupied[s] += int64(n)
 	}
-	obsLookups.Add(int64(n))
-	obsCycles.Add(steps)
-	obsFaults.Add(b.st.Faults - startFaults)
+	b.publish(int64(n), b.st.Faults-startFaults)
 }
 
 // sweepChunk resolves one batch of requests: untraced flights are loaded
@@ -814,95 +835,106 @@ func (sc *batchScratch) load(n, pos int, addr uint32, vn int32, lastStage int) {
 // verdict slots of each one's position. It returns the number of faults and
 // adds, where active is given, one count per stage per flight live in it —
 // exactly what the scalar engine's per-cycle process calls count.
+//
+// Where the image has a jump table the flights first part into two lanes.
+// The jumpers — those whose top address bits the table resolves — move to the
+// front of the arena with the entry index at which they enter stage jumpStage,
+// and are credited as live in every stage they skip (they are: the table
+// holds no walk that ends before it). The rest are walked behind them from
+// stage 0 as ever, compacting towards the jumpers, so at jumpStage the two
+// lanes are one dense set again.
 func (sc *batchScratch) sweep(flat *FlatImage, parity bool, nLive int, active []int64) (faults int64) {
 	fl, slab := sc.fl, flat.nhi
-	for s := 0; s < len(flat.stages) && nLive > 0; s++ {
+	var bad uint16 // the meta bit that faults a walk: none unless parity is checked
+	if parity {
+		bad = metaParityBad
+	}
+	jumped := 0
+	// (A table's shift is 16..31; the mask lets the compiler see it in range.)
+	if jump, shift := flat.jump, flat.jumpShift&31; jump != nil {
+		for i := 0; i < nLive; i++ {
+			if idx := jump[fl[i].addr>>shift]; idx != noJump {
+				f := fl[i]
+				f.idx = idx
+				fl[i], fl[jumped] = fl[jumped], f
+				jumped++
+			}
+		}
+		if active != nil {
+			for s := 0; s < flat.jumpStage; s++ {
+				active[s] += int64(jumped)
+			}
+		}
+		fl, nLive = fl[jumped:], nLive-jumped
+	}
+	for s := 0; s < len(flat.stages); s++ {
+		if jumped > 0 && (s == flat.jumpStage || nLive == 0) {
+			// The walked lane has arrived, or ended on the way: the lanes join.
+			s, fl, nLive, jumped = flat.jumpStage, sc.fl, nLive+jumped, 0
+		}
+		if nLive == 0 {
+			break
+		}
 		if active != nil {
 			active[s] += int64(nLive)
 		}
 		fs := &flat.stages[s]
-		// Reslicing child to meta's length lets one idx<len(meta) test prove
-		// both accesses in bounds (Flatten builds them the same length).
-		meta := fs.meta
-		child := fs.child[:len(meta)]
-		// Level-major sweep: every unresolved flight in this stage performs
-		// the same fs.visits steps, so driving the intra-stage walk by level
-		// removes the per-entry fold branch from the hot loop entirely; the
-		// only data-dependent branches left are leaf resolution (once per
-		// flight) and the rare fault paths. The bit select indexes the child
-		// pair instead of branching on the address bit. Finished flights are
-		// swap-removed (flight order is free: results key on pos), so the
-		// common surviving path stores only the 4-byte index, not the whole
-		// record. The loop is duplicated on the parity setting so the common
-		// parity-off path carries no per-visit test at all.
+		// Level-major: every unresolved flight in this stage performs the same
+		// fs.visits steps, so driving the intra-stage walk by level removes the
+		// per-entry fold branch from the hot loop entirely.
 		for v := 0; v < fs.visits && nLive > 0; v++ {
-			if parity {
-				for i := 0; i < nLive; {
-					f := fl[i]
-					idx := int(f.idx)
-					if idx >= len(meta) {
-						sc.flag[f.pos] = flagFaulted
-						sc.last[f.pos] = uint8(s)
-						faults++
-						nLive--
-						fl[i] = fl[nLive]
-						continue
-					}
-					m := meta[idx]
-					if m&metaParityBad != 0 {
-						sc.flag[f.pos] = flagFaulted
-						sc.last[f.pos] = uint8(s)
-						faults++
-						nLive--
-						fl[i] = fl[nLive]
-						continue
-					}
-					c := child[idx]
-					if m&metaLeaf != 0 {
-						if uint32(f.vn) < c[1] {
-							sc.nhi[f.pos] = slab[c[0]+uint32(f.vn)]
-						}
-						sc.last[f.pos] = uint8(s)
-						nLive--
-						fl[i] = fl[nLive]
-						continue
-					}
-					fl[i].idx = c[f.addr>>(m&metaShiftMask)&1]
-					i++
-				}
-			} else {
-				for i := 0; i < nLive; {
-					f := fl[i]
-					idx := int(f.idx)
-					if idx >= len(meta) {
-						// A corrupted child pointer escaped the stage's
-						// address range — fatal for the lookup, as in the
-						// scalar engine.
-						sc.flag[f.pos] = flagFaulted
-						sc.last[f.pos] = uint8(s)
-						faults++
-						nLive--
-						fl[i] = fl[nLive]
-						continue
-					}
-					m := meta[idx]
-					c := child[idx]
-					if m&metaLeaf != 0 {
-						if uint32(f.vn) < c[1] { // unsigned compare: negative VNs miss too
-							sc.nhi[f.pos] = slab[c[0]+uint32(f.vn)]
-						}
-						sc.last[f.pos] = uint8(s)
-						nLive--
-						fl[i] = fl[nLive]
-						continue
-					}
-					fl[i].idx = c[f.addr>>(m&metaShiftMask)&1]
-					i++
-				}
-			}
+			var f int64
+			nLive, f = sc.level(fl[:nLive], fs, slab, bad, uint8(s))
+			faults += f
 		}
 	}
 	return faults
+}
+
+// level is the sweep's inner loop, a function of its own so that its few
+// live values stay in registers: it takes every flight of fl one step through
+// the stage's words, swap-removing the ones that end here (flight order is
+// free: results key on pos), and returns how many are still live and how many
+// faulted. The only data-dependent branches are leaf resolution (once per
+// flight) and the rare fault paths, and one test of the meta word sends a
+// flight down either: the surviving path is a load of the index, the meta
+// word and the child the address bit selects — indexed, not branched on — and
+// a store of the 4-byte index. Unchecked, bad is zero and a stale-parity word
+// reads as any other.
+func (sc *batchScratch) level(fl []bFlight, fs *flatStage, slab []ip.NextHop, bad uint16, s uint8) (live int, faults int64) {
+	// Reslicing child to meta's length lets one idx<len(meta) test prove
+	// both accesses in bounds (Flatten builds them the same length).
+	meta := fs.meta
+	child := fs.child[:len(meta)]
+	for i := 0; i < len(fl); {
+		f := &fl[i]
+		if idx := int(f.idx); idx < len(meta) {
+			m := meta[idx]
+			if m&(metaLeaf|bad) == 0 {
+				f.idx = child[idx][f.addr>>(m&metaShiftMask)&1]
+				i++
+				continue
+			}
+			if m&bad == 0 {
+				if c := child[idx]; uint32(f.vn) < c[1] { // unsigned compare: negative VNs miss too
+					sc.nhi[f.pos] = slab[c[0]+uint32(f.vn)]
+				}
+				sc.last[f.pos] = s
+				fl[i] = fl[len(fl)-1]
+				fl = fl[:len(fl)-1]
+				continue
+			}
+		}
+		// A stale-parity word, or a corrupted child pointer that escaped the
+		// stage's address range — fatal for the lookup, as in the scalar
+		// engine.
+		sc.flag[f.pos] = flagFaulted
+		sc.last[f.pos] = s
+		faults++
+		fl[i] = fl[len(fl)-1]
+		fl = fl[:len(fl)-1]
+	}
+	return len(fl), faults
 }
 
 // Lookups resolves a batch of probes with one batched engine — the bulk

@@ -86,13 +86,16 @@ func TestBatchedMatchesScalarRandomImages(t *testing.T) {
 		stages   int
 		parity   bool
 		gap      int
+		// jump marks the images that must be large enough, and mapped finely
+		// enough, to have a jump table: the suite covers both sweep lanes.
+		jump bool
 	}{
-		{"single/28", 1, 400, 3, 28, false, 1},
-		{"single/8-folded", 1, 600, 4, 8, false, 1},
-		{"single/33-deep", 1, 250, 5, 33, true, 1},
-		{"merged/16", 4, 300, 6, 16, false, 1},
-		{"merged/28-parity", 3, 500, 7, 28, true, 1},
-		{"merged/28-gap3", 3, 350, 8, 28, false, 3},
+		{"single/28", 1, 400, 3, 28, false, 1, true},
+		{"single/8-folded", 1, 600, 4, 8, false, 1, false},
+		{"single/33-deep", 1, 250, 5, 33, true, 1, true},
+		{"merged/16", 4, 300, 6, 16, false, 1, false},
+		{"merged/28-parity", 3, 500, 7, 28, true, 1, true},
+		{"merged/28-gap3", 3, 350, 8, 28, false, 3, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -104,6 +107,9 @@ func TestBatchedMatchesScalarRandomImages(t *testing.T) {
 			}
 			scalar := NewSim(img)
 			batched := NewBatchSim(img)
+			if got := batched.cur.flat.jump != nil; got != tc.jump {
+				t.Fatalf("jump table present: %v, want %v", got, tc.jump)
+			}
 			if tc.parity {
 				scalar.EnableParityCheck()
 				batched.EnableParityCheck()

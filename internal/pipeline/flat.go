@@ -16,6 +16,10 @@ import "vrpower/internal/ip"
 //     length}.
 //   - nhi:   all leaf next-hop vectors, back to back, in stage-then-index
 //     order (stride K for compiled images).
+//   - jump:  derived from the three above, one uint32 per pattern of the top
+//     address bits: where that pattern's walk enters the first stage below the
+//     table (FlatImage.jump), so the sweep skips the top-of-trie words every
+//     lookup would re-read.
 //
 // A stage access then touches two small parallel slices instead of a wide
 // struct, and the parity comparison — a popcount loop over the NHI vector in
@@ -26,7 +30,9 @@ import "vrpower/internal/ip"
 // and every engine serving that Image reads the same one; an engine whose
 // image takes an upset stops sharing and re-derives the struck entry in a
 // copy of its own (BatchSim.Patch), so a fault on one engine never reaches
-// the flat form its neighbours read.
+// the flat form its neighbours read. The jump table follows the words it is
+// derived from: built with them, never written on a shared form, rebuilt on an
+// engine's own copy whenever a patched entry lies in a stage it stands for.
 //
 // Internal nodes store the precomputed shift amount 31-level (≤ 31, so the
 // hot loop's address-bit extract masks with 0x1F and the compiler can prove
@@ -58,7 +64,29 @@ type flatStage struct {
 type FlatImage struct {
 	stages []flatStage
 	nhi    []ip.NextHop
+
+	// jump is the jump table over the address's top 32-jumpShift bits, a pure
+	// function of the words of stages below jumpStage: jump[addr>>jumpShift] is
+	// the entry at which addr's walk enters stage jumpStage, or noJump where
+	// that walk does not get there the plain way — it ends at a leaf, leaves a
+	// stage's index range, or meets a stale-parity word (whether or not the
+	// engine checks: a walk from stage 0 gives the right verdict either way)
+	// or a word of another level than the walk's step. Nil on an image too
+	// small to have one.
+	jump      []uint32
+	jumpStage int
+	jumpShift uint8
 }
+
+// noJump marks a jump-table slot whose addresses are walked from stage 0. As
+// an entry index it is out of every stage's range, so a (corrupt) pointer of
+// this value loses nothing by being walked.
+const noJump = ^uint32(0)
+
+// maxJumpBits bounds the jump table at 2^16 slots (256 KB): fewer than 1 % of
+// routed lookups on allocation-block-shaped tables end above trie level 16,
+// and a deeper table outgrows the cache that makes it cheaper than the walk.
+const maxJumpBits = 16
 
 // sharedFlat returns the flat form every engine over img reads, flattening
 // on first use. Of two first users racing, the loser keeps its own (equal)
@@ -118,7 +146,54 @@ func Flatten(img *Image) *FlatImage {
 			f.derive(img, s, uint32(i))
 		}
 	}
+	// The table's depth is a rule on the image, not a setting: the first level
+	// of the deepest stage that keeps it within maxJumpBits and gives it no
+	// more slots than the image has entries — so it costs a fraction of the
+	// image to build and to hold, and an image too small for the rule has none.
+	// Whole stages only: the sweep's level-major trip count per stage stays
+	// uniform, and a jumper enters its stage as a walked flight does.
+	entries := img.Words()
+	for s, level := 0, 0; s < len(f.stages) && level <= maxJumpBits && 1<<level <= entries; s++ {
+		f.jumpStage, f.jumpShift = s, uint8(32-level)
+		level += f.stages[s].visits
+	}
+	if f.jumpStage > 0 {
+		f.jump = make([]uint32, 1<<(32-f.jumpShift))
+		f.buildJump()
+	}
 	return f
+}
+
+// buildJump fills the jump table from the words of stages below jumpStage as
+// they are now: Flatten's last step, and the patch of an own flat image's
+// table after an upset in one of those stages. It takes every top-bits
+// pattern through the steps the sweep would — visits steps per stage, level by
+// level — widening the table in place from one slot (the root) to two per
+// slot of the level above, so it terminates on any words: a corrupt pointer
+// cannot make it cycle.
+func (f *FlatImage) buildJump() {
+	t := f.jump
+	t[0] = 0 // every walk enters stage 0 at entry 0
+	level := 0
+	for s := 0; s < f.jumpStage; s++ {
+		meta, child := f.stages[s].meta, f.stages[s].child
+		for v := 0; v < f.stages[s].visits; v++ {
+			for p := 1<<level - 1; p >= 0; p-- {
+				kids := [2]uint32{noJump, noJump}
+				// A slot already noJump is out of range here, as every wild
+				// pointer. The level test keeps a pointer that landed, in
+				// range, on a word of another level out of the table: the bit
+				// that word consumes is not this step's.
+				if idx := t[p]; uint64(idx) < uint64(len(meta)) {
+					if m := meta[idx]; m&(metaLeaf|metaParityBad) == 0 && m&metaShiftMask == uint16(31-level) {
+						kids = child[idx]
+					}
+				}
+				t[2*p], t[2*p+1] = kids[0], kids[1]
+			}
+			level++
+		}
+	}
 }
 
 // derive writes entry (s, i)'s words from img: the meta word, and the child

@@ -207,8 +207,9 @@ func compileSet(t testing.TB, k, prefixes, stages int, seed int64) (*Image, []ip
 }
 
 // lockstep runs one op stream under one drain cadence. ops picks the
-// operation per step; every operand is drawn from the seed.
-func lockstep(t testing.TB, seed int64, ops []byte, eachStats bool, every int) {
+// operation per step; every operand is drawn from the seed. It reports
+// whether the images served have a jump table.
+func lockstep(t testing.TB, seed int64, ops []byte, eachStats bool, every int) (jumps bool) {
 	rng := rand.New(rand.NewSource(seed))
 	k := 1 + rng.Intn(3)
 	stages := []int{3, 6, 12, 28}[rng.Intn(4)]
@@ -225,6 +226,7 @@ func lockstep(t testing.TB, seed int64, ops []byte, eachStats bool, every int) {
 	var next *Image
 	p := newPair(t, img, parity, every)
 	p.eachStats = eachStats
+	jumps = p.batched.cur.flat.jump != nil
 	for _, op := range ops {
 		switch op % 16 {
 		default: // inject a lookup
@@ -299,12 +301,16 @@ func lockstep(t testing.TB, seed int64, ops []byte, eachStats bool, every int) {
 		}
 	}
 	p.finish()
+	return jumps
 }
 
 // TestStreamMatchesSimOpStreams runs seeded op streams in both Stats modes
 // under every drain cadence, and their first DrainWindow-odd steps drained
-// only at the end.
+// only at the end. A share of the seeds must draw images with a jump table
+// (the 28-stage ones do), so bubbles, bank flips, upsets and reloads are all
+// met by jumpers too.
 func TestStreamMatchesSimOpStreams(t *testing.T) {
+	jumps := 0
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed * 7919))
 		ops := make([]byte, 1500)
@@ -313,16 +319,33 @@ func TestStreamMatchesSimOpStreams(t *testing.T) {
 			lockstep(t, seed, ops, false, every)
 			lockstep(t, seed, ops, true, every)
 		}
-		lockstep(t, seed, ops[:DrainWindow-40], false, 0)
+		if lockstep(t, seed, ops[:DrainWindow-40], false, 0) {
+			jumps++
+		}
 	}
+	if jumps < 5 {
+		t.Errorf("%d of 40 seeds served images with a jump table; want a good share", jumps)
+	}
+}
+
+// streamCorpus seeds FuzzStreamVsSim; seeds 1 and 6 draw 28-stage images,
+// which have a jump table (TestFuzzCorporaReachJumpLane).
+var streamCorpus = []struct {
+	seed int64
+	ops  []byte
+}{
+	{1, []byte{0, 1, 2, 11, 9, 0, 13, 9, 9, 0, 15, 7, 0, 0, 12, 14}},
+	{2, []byte{11, 10, 0, 13, 0, 0, 9, 9, 9, 9, 9, 9, 0, 15, 13, 0, 0, 0, 0}},
+	{3, []byte{0, 0, 0, 0, 13, 15, 0, 0, 11, 13, 9, 0, 0, 0, 0, 0, 0, 11, 9, 0}},
+	{6, []byte{0, 0, 13, 0, 0, 0, 11, 9, 0, 13, 0, 9, 0, 15, 0, 14, 0, 0, 13, 0, 0}},
 }
 
 // FuzzStreamVsSim lets the fuzzer choose the interleaving; the seed also
 // picks the drain cadence and the Stats mode.
 func FuzzStreamVsSim(f *testing.F) {
-	f.Add(int64(1), []byte{0, 1, 2, 11, 9, 0, 13, 9, 9, 0, 15, 7, 0, 0, 12, 14})
-	f.Add(int64(2), []byte{11, 10, 0, 13, 0, 0, 9, 9, 9, 9, 9, 9, 0, 15, 13, 0, 0, 0, 0})
-	f.Add(int64(3), []byte{0, 0, 0, 0, 13, 15, 0, 0, 11, 13, 9, 0, 0, 0, 0, 0, 0, 11, 9, 0})
+	for _, c := range streamCorpus {
+		f.Add(c.seed, c.ops)
+	}
 	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
 		if len(ops) > 4096 {
 			ops = ops[:4096]
@@ -379,17 +402,24 @@ func directedPair(t *testing.T, img *Image, every int) *pair {
 	return p
 }
 
-// pathOf returns the first visit a lookup of addr makes in every stage of img,
-// down to the stage it ends in.
-func pathOf(t *testing.T, img *Image, addr ip.Addr) []obs.StageVisit {
+// tracedVisits returns every visit a lookup of addr makes in img.
+func tracedVisits(t *testing.T, img *Image, addr ip.Addr) []obs.StageVisit {
 	t.Helper()
 	res, _, err := NewSim(img).Run([]Request{{Addr: addr, Trace: true}}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	at := make([]obs.StageVisit, res[0].LastStage+1)
-	for i := len(res[0].Visits) - 1; i >= 0; i-- {
-		at[res[0].Visits[i].Stage] = res[0].Visits[i]
+	return res[0].Visits
+}
+
+// pathOf returns the first visit a lookup of addr makes in every stage of img,
+// down to the stage it ends in.
+func pathOf(t *testing.T, img *Image, addr ip.Addr) []obs.StageVisit {
+	t.Helper()
+	visits := tracedVisits(t, img, addr)
+	at := make([]obs.StageVisit, visits[len(visits)-1].Stage+1)
+	for i := len(visits) - 1; i >= 0; i-- {
+		at[visits[i].Stage] = visits[i]
 	}
 	return at
 }

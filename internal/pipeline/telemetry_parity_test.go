@@ -145,8 +145,10 @@ func TestTelemetryParityScalarVsBatched(t *testing.T) {
 // it — drained when its window is full and at the end, every batch charged
 // to the meter as one bulk charge per (VN, last stage) count, every bubble a
 // write per stage. Both must leave the same results, traced visits included,
-// the same meter, the same Stats — stage activity and occupancy included —
-// and the same (untouched) process-wide counters.
+// the same meter and the same Stats — stage activity and occupancy included.
+// The process-wide counters are the batched engine's to advance: its Drains
+// publish, in bulk, every exit handed back, every step taken and every faulted
+// exit; the scalar oracle publishes only from Run and leaves them alone.
 func TestTelemetryParityStreamedBubblesAndSEUs(t *testing.T) {
 	const k, stages, slots = 3, 12, 6000
 	pristine, _ := compileSet(t, k, 500, stages, 42)
@@ -271,10 +273,13 @@ func TestTelemetryParityStreamedBubblesAndSEUs(t *testing.T) {
 	if !reflect.DeepEqual(scalar.results, batched.results) {
 		t.Error("streamed results diverge")
 	}
-	traced := 0
+	traced, faulted := 0, 0
 	for _, res := range batched.results {
 		if len(res.Visits) > 0 {
 			traced++
+		}
+		if res.Faulted {
+			faulted++
 		}
 	}
 	if !reflect.DeepEqual(scalar.st, batched.st) {
@@ -283,11 +288,53 @@ func TestTelemetryParityStreamedBubblesAndSEUs(t *testing.T) {
 	if !reflect.DeepEqual(scalar.meter, batched.meter) {
 		t.Errorf("energy meters diverge:\nscalar  %+v\nbatched %+v", scalar.meter, batched.meter)
 	}
-	if !reflect.DeepEqual(scalar.deltas, batched.deltas) {
-		t.Errorf("obs counter deltas diverge:\nscalar  %v\nbatched %v", scalar.deltas, batched.deltas)
+	wantDeltas := map[string]int64{
+		"pipeline.lookups_resolved": int64(len(batched.results)),
+		"pipeline.cycles_simulated": slots,
+		"pipeline.faults_detected":  int64(faulted),
+	}
+	if !reflect.DeepEqual(batched.deltas, wantDeltas) {
+		t.Errorf("batched obs counter deltas %v, want %v (exits handed back, steps taken, faulted exits)", batched.deltas, wantDeltas)
+	}
+	for name, d := range scalar.deltas {
+		if d != 0 {
+			t.Errorf("streamed scalar oracle moved %s by %d", name, d)
+		}
 	}
 	if scalar.st.Bubbles != 150 || scalar.st.Faults == 0 || traced < slots/100 {
 		t.Errorf("run had %d bubbles, %d faults and %d traced lookups; want 150, some and about %d — weaken the test",
 			scalar.st.Bubbles, scalar.st.Faults, traced, slots/64)
+	}
+}
+
+// TestPublishedCountersFollowStats: whatever mix of Run, streamed steps,
+// Drain and Reset an engine sees, the process-wide counters advance by what
+// its Stats count once everything is drained — nothing twice (a Run after
+// streamed steps, a Drain after a Run), and nothing published is taken back
+// by a Reset or by dropping the engine.
+func TestPublishedCountersFollowStats(t *testing.T) {
+	img := compileSingle(t, genTable(t, 300, 12), 28)
+	reqs := randReqs(rand.New(rand.NewSource(13)), 700, 1, 0)
+	var want Stats
+	deltas := counterDeltas(func() {
+		b := NewBatchSim(img)
+		for i := 0; i < 5; i++ {
+			b.Idle(int64(i)) // unpublished steps ahead of a Run
+		}
+		if _, _, err := b.Run(reqs, 2); err != nil {
+			t.Fatal(err)
+		}
+		exits, st := streamAll(b, reqs[:300])
+		if len(exits) != 300 {
+			t.Fatalf("%d exits, want 300", len(exits))
+		}
+		want = st
+		b.Reset()
+		b.Inject(reqs[0], 0) // a step and a lookup the Reset below drops unpublished
+		b.Reset()
+	})
+	got := Stats{Lookups: deltas["pipeline.lookups_resolved"], Cycles: deltas["pipeline.cycles_simulated"], Faults: deltas["pipeline.faults_detected"]}
+	if got.Lookups != want.Lookups || got.Cycles != want.Cycles || got.Faults != want.Faults || want.Lookups != 1000 {
+		t.Errorf("counters moved by %d lookups, %d cycles, %d faults; Stats say %d, %d, %d", got.Lookups, got.Cycles, got.Faults, want.Lookups, want.Cycles, want.Faults)
 	}
 }
