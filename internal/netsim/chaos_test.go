@@ -7,9 +7,13 @@ package netsim
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"vrpower/internal/core"
+	"vrpower/internal/ctrl"
+	"vrpower/internal/obs"
+	"vrpower/internal/rib"
 	"vrpower/internal/scenario"
 )
 
@@ -156,5 +160,110 @@ func TestChaosSpecRequiresCarrier(t *testing.T) {
 	}
 	if _, err := scenario.Parse("load=const:0.4,chaos=stall:1"); err == nil {
 		t.Fatal("stall chaos without faults/kill accepted")
+	}
+}
+
+// TestTornSpliceOwnsItsWords: the torn image stands in for the engine's
+// memory through the replay window, so SEUs land in it; none may reach the
+// pending image that is then installed as the repair. Strike every word the
+// tear spliced in and the pending image must still read clean.
+func TestTornSpliceOwnsItsWords(t *testing.T) {
+	s, _ := buildSystem(t, core.VS, 3)
+	wd, err := ctrl.NewWatchdog(ctrl.WatchdogPolicy{}, 64, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jr := ctrl.NewJournal()
+	r := &scenRun{s: s, jrs: []*ctrl.Journal{jr}, wd: wd, rep: &ScenarioReport{Chaos: &ChaosReport{}}}
+	img := s.router.Images()[0]
+	e := &scenEng{}
+	e.fs.img, e.fs.pending, e.fs.reloading = img.Clone(), img.Clone(), true
+	e.ch.reset()
+	e.ch.latency = 1000
+	if e.ch.tok, err = jr.Begin(ctrl.OpScrub, 0, -1, 0); err != nil {
+		t.Fatal(err)
+	}
+	scenChaos{r: r}.tearAndReplay(0, e, 100)
+
+	torn := e.fs.img
+	if torn == e.fs.pending || e.ch.appliedStages == 0 {
+		t.Fatalf("no tear: applied stages %d", e.ch.appliedStages)
+	}
+	struck := 0
+	for st := 0; st < e.ch.appliedStages; st++ {
+		for i := range torn.Stages[st].Entries {
+			if torn.FlipBit(st, uint32(i), 0) {
+				struck++
+			}
+		}
+	}
+	if struck == 0 {
+		t.Fatal("the spliced stages hold no word to strike")
+	}
+	if stages, _ := torn.Corrupted(); len(stages) != struck {
+		t.Fatalf("torn image reads %d corrupted words, struck %d", len(stages), struck)
+	}
+	if stages, idx := e.fs.pending.Corrupted(); len(stages) != 0 {
+		t.Fatalf("%d upsets on the torn image reached the pending image (first: stage %d entry %d)",
+			len(stages), stages[0], idx[0])
+	}
+}
+
+// chaosVSSeed4 is the benchmark's chaos_vs workload at table seed 4, the one
+// run of forty in which an SEU landed on a spliced leaf inside a replay
+// window.
+func chaosVSSeed4(t *testing.T) (*System, ScenarioReport, string) {
+	t.Helper()
+	set, err := rib.GenerateVirtualSet(3, 3725, 0.5, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	router, err := core.Build(core.Config{Scheme: core.VS, K: 3, ClockGating: true}, set.Tables)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(router, set.Tables)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tel := &Telemetry{Series: obs.NewTimeSeries(), Events: obs.NewEventLog(obs.LevelInfo)}
+	s.SetTelemetry(tel)
+	spec := mustParse(t, "load=surge:0.3:0.9,faults=seu:5e-11,churn=8x24,power-cap=4.97,"+
+		"chaos=crash:3+stall:1+torn:1+falsepos:1,cycles=262144,queue=32,seed=11")
+	rep, err := s.RunScenario(faultGen(t, s, 5), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events strings.Builder
+	if err := tel.Events.WriteJSONL(&events); err != nil {
+		t.Fatal(err)
+	}
+	return s, rep, events.String()
+}
+
+// TestNoGhostScrub: a sweep finds stale parity only where an SEU record says
+// an upset landed. A scrub_start with nothing outstanding means an upset
+// reached an image through storage it shared with another — here, before the
+// fix, the repair image through the torn image's spliced leaves.
+func TestNoGhostScrub(t *testing.T) {
+	_, rep, events := chaosVSSeed4(t)
+	if rep.Chaos == nil || rep.Chaos.InjectedTorn == 0 || len(rep.SEUs) == 0 {
+		t.Fatalf("run has no torn reload or no SEU: %+v, %d SEUs", rep.Chaos, len(rep.SEUs))
+	}
+	starts := 0
+	for _, line := range strings.Split(events, "\n") {
+		if !strings.Contains(line, `"scrub_start"`) {
+			continue
+		}
+		starts++
+		if strings.Contains(line, `"outstanding":0`) {
+			t.Errorf("ghost scrub: %s", line)
+		}
+	}
+	if starts == 0 {
+		t.Fatal("no scrub_start event in the log")
+	}
+	if rep.Scrubs != 5 {
+		t.Errorf("%d scrubs, want 5 (6 with the ghost)", rep.Scrubs)
 	}
 }

@@ -33,6 +33,7 @@ import (
 	"vrpower/internal/core"
 	"vrpower/internal/ctrl"
 	"vrpower/internal/faults"
+	"vrpower/internal/ip"
 	"vrpower/internal/obs"
 	"vrpower/internal/pipeline"
 	"vrpower/internal/scenario"
@@ -383,6 +384,10 @@ func (c scenChaos) tearAndReplay(eIdx int, e *scenEng, b int64) {
 	torn := fs.img.Clone()
 	for s := 0; s < half; s++ {
 		torn.Stages[s].Entries = append([]pipeline.Entry(nil), fs.pending.Stages[s].Entries...)
+		for i := range torn.Stages[s].Entries {
+			e := &torn.Stages[s].Entries[i]
+			e.NHI = append([]ip.NextHop(nil), e.NHI...)
+		}
 		if ch.tok != nil {
 			ch.tok.Apply(s, len(torn.Stages[s].Entries), b)
 		}
