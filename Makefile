@@ -4,7 +4,7 @@
 #   make bench      = every benchmark with allocation counts
 GO ?= go
 
-.PHONY: all build test race race-faults race-updates race-obs race-governor race-scenarios race-chaos race-energy race-fleet telemetry-smoke governor-smoke scenario-smoke chaos-smoke energy-smoke fleet-smoke fuzz-smoke fuzz-batch-smoke vet vuln bench bench-gate bench-baseline bench-test bench-e2e
+.PHONY: all build test race race-faults race-updates race-obs race-governor race-scenarios race-chaos race-energy race-fleet telemetry-smoke governor-smoke scenario-smoke chaos-smoke energy-smoke fleet-smoke fuzz-smoke fuzz-batch-smoke vet vuln bench bench-gate bench-baseline bench-test bench-e2e loc
 
 all: build test
 
@@ -260,13 +260,14 @@ bench:
 # engine, a Result per cycle on the scalar one) lookup path the slice runners
 # use, the slice loop itself (load_small's shape through RunScenario, per
 # slice), the reference LPM every simulated lookup is checked against (lookup
-# and build), and the image compiler, Image.Clone and Flatten (jump table
-# included) every build, scrub, hitless batch and migration pays. -count=3
+# and build), the image compiler, Image.Clone and Flatten (a re-derivation,
+# jump table included), and what the control plane does to prepare one
+# hitless churn batch (apply, trie, compile, diff, clone). -count=3
 # with benchgate's min-per-name sheds scheduler noise on shared runners; the
 # gate fails on a >10% ns/op regression or any allocs/op increase against the
 # checked-in baseline.
 # bench-gate.out is kept as a CI artifact.
-GATE_BENCH = ^(BenchmarkPipelineLookup|BenchmarkPipelineLookupScalar|BenchmarkLookupStreamed|BenchmarkServeSlice|BenchmarkReferenceLookup|BenchmarkReferenceBuild|BenchmarkImageCompile|BenchmarkImageClone|BenchmarkImageFlatten)$$
+GATE_BENCH = ^(BenchmarkPipelineLookup|BenchmarkPipelineLookupScalar|BenchmarkLookupStreamed|BenchmarkServeSlice|BenchmarkReferenceLookup|BenchmarkReferenceBuild|BenchmarkImageCompile|BenchmarkImageClone|BenchmarkImageFlatten|BenchmarkHitlessPrepare)$$
 bench-gate: build
 	$(GO) test -run='^$$' -bench='$(GATE_BENCH)' -benchmem -count=3 . | tee bench-gate.out
 	$(GO) run ./cmd/benchgate -baseline bench_baseline.json < bench-gate.out
@@ -285,3 +286,13 @@ bench-test:
 
 bench-e2e:
 	bash bench/run.sh
+
+# Non-test Go lines per package (wc -l over the files `go list` names as
+# GoFiles, so _test.go files and bench/, its own module, are out): the table
+# a change that claims to simplify is held to.
+loc:
+	@$(GO) list -f '{{.Dir}} {{.ImportPath}}{{range .GoFiles}} {{.}}{{end}}' ./... | \
+		while read dir pkg files; do \
+			n=0; for f in $$files; do n=$$((n + $$(wc -l < $$dir/$$f))); done; \
+			printf '%6d  %s\n' $$n $$pkg; \
+		done | sort -k2 | awk '{ t += $$1; print } END { printf "%6d  total\n", t }'

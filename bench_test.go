@@ -13,6 +13,7 @@ import (
 
 	"vrpower"
 	"vrpower/internal/core"
+	"vrpower/internal/ctrl"
 	"vrpower/internal/experiments"
 	"vrpower/internal/ip"
 	"vrpower/internal/netsim"
@@ -22,6 +23,7 @@ import (
 	"vrpower/internal/rib"
 	"vrpower/internal/scenario"
 	"vrpower/internal/traffic"
+	"vrpower/internal/update"
 )
 
 // logOnce renders a figure/table into the benchmark log a single time.
@@ -634,12 +636,13 @@ func BenchmarkImageClone(b *testing.B) {
 	imageSink = clones
 }
 
-var flatSink *pipeline.FlatImage
+var flatSink *vrpower.Image
 
-// BenchmarkImageFlatten times pipeline.Flatten — word slices and jump table —
-// over the same nine images: what the first engine over an image pays, so
-// every router build, scrub install, hitless batch and migration, and every
-// engine's first upset (its own copy). Gated by `make bench-gate`.
+// BenchmarkImageFlatten times pipeline.Flatten — a copy of the image with
+// every derived word (verdicts, fold flags, visit counts, jump table)
+// recomputed from the stored ones — over the same nine images: the
+// compiler's last step, and what follows a stage splice. Gated by
+// `make bench-gate`.
 func BenchmarkImageFlatten(b *testing.B) {
 	images := imageFixture(b)()
 	b.ReportAllocs()
@@ -648,6 +651,39 @@ func BenchmarkImageFlatten(b *testing.B) {
 		for _, img := range images {
 			flatSink = pipeline.Flatten(img)
 		}
+	}
+}
+
+var hitlessSink int
+
+// BenchmarkHitlessPrepare times what the control plane does to get one churn
+// batch ready for the data plane, chaos_vs's shape: a VS router of three
+// 3725-route tables, a 24-op batch against one of them — coalesce, apply,
+// trie build and leaf push, compile under the pinned map, diff against the
+// kept image, the clone the engine will serve — then Abort, so every
+// iteration prepares against the same tables. Gated by `make bench-gate`.
+func BenchmarkHitlessPrepare(b *testing.B) {
+	set, err := vrpower.GenerateVirtualSet(3, 3725, 0.5, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	mgr, err := ctrl.New(core.Config{Scheme: core.VS, K: 3, ClockGating: true}, set.Tables)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ops, err := update.Churn(mgr.Tables()[1], 24, update.ChurnConfig{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h, err := mgr.BeginHitlessUpdate(1, ops)
+		if err != nil {
+			b.Fatal(err)
+		}
+		hitlessSink += h.Writes()
+		h.Abort()
 	}
 }
 

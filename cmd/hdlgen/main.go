@@ -89,7 +89,7 @@ func main() {
 		}
 	}
 	fmt.Printf("wrote %d files to %s (top module %s, %d-bit words, %d stages, %d probes)\n",
-		len(d.Files), *out, d.Top, d.WordBits, len(img.Stages), len(reqs))
+		len(d.Files), *out, d.Top, d.WordBits, img.Stages(), len(reqs))
 	fmt.Printf("simulate: cd %s && iverilog -o tb %s_stage.v %s.v %s_tb.v && vvp tb\n",
 		*out, d.Top, d.Top, d.Top)
 }

@@ -53,7 +53,7 @@ func TestHitlessUpdateVSCommit(t *testing.T) {
 	if m.Tables()[1] != h.Table() {
 		t.Error("commit did not install the post-update table")
 	}
-	if kept := m.Router().Images()[1]; kept == h.Image() || !reflect.DeepEqual(kept.Stages, h.Image().Stages) {
+	if kept := m.Router().Images()[1]; kept == h.Image() || !reflect.DeepEqual(kept, h.Image()) {
 		t.Error("commit must keep the new engine image and serve a separate, equal copy")
 	}
 	// The installed image forwards per the new table.

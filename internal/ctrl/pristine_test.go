@@ -17,9 +17,9 @@ import (
 // vandalize flips one bit in every stage of img that has an entry: what a
 // data plane under SEU fire does to the copy it serves.
 func vandalize(img *pipeline.Image) {
-	for s := range img.Stages {
-		if len(img.Stages[s].Entries) > 0 {
-			img.FlipBit(s, uint32(len(img.Stages[s].Entries)-1), 3)
+	for s := 0; s < img.Stages(); s++ {
+		if n := img.StageLen(s); n > 0 {
+			img.FlipBit(s, uint32(n-1), 3)
 		}
 	}
 }
@@ -40,7 +40,7 @@ func sameImages(a, b []*pipeline.Image) bool {
 		return false
 	}
 	for e := range a {
-		if a[e].K != b[e].K || !reflect.DeepEqual(a[e].Stages, b[e].Stages) {
+		if !reflect.DeepEqual(a[e], b[e]) {
 			return false
 		}
 	}

@@ -46,8 +46,9 @@ func Emit(img *pipeline.Image, layout pipeline.MemLayout, name string, vectors [
 	if name == "" {
 		name = "vrlookup"
 	}
-	for s := range img.Stages {
-		for _, e := range img.Stages[s].Entries {
+	for s := 0; s < img.Stages(); s++ {
+		for i := 0; i < img.StageLen(s); i++ {
+			e := img.Entry(s, uint32(i))
 			if img.Map.Stage(e.Level) != s {
 				return nil, fmt.Errorf("hdl: stage %d holds level %d (inconsistent map)", s, e.Level)
 			}
@@ -66,7 +67,7 @@ func Emit(img *pipeline.Image, layout pipeline.MemLayout, name string, vectors [
 	word := 1 + payload // leaf flag + payload
 
 	d := &Design{Files: map[string]string{}, Top: name, WordBits: word}
-	for s := range img.Stages {
+	for s := 0; s < img.Stages(); s++ {
 		mem, err := encodeStage(img, s, word, ptrBits, nhiBits)
 		if err != nil {
 			return nil, err
@@ -82,16 +83,16 @@ func Emit(img *pipeline.Image, layout pipeline.MemLayout, name string, vectors [
 // encodeStage renders one stage's memory as $readmemh hex words.
 func encodeStage(img *pipeline.Image, s, word, ptrBits, nhiBits int) (string, error) {
 	var b strings.Builder
-	fmt.Fprintf(&b, "// stage %02d: %d entries, %d-bit words\n", s, len(img.Stages[s].Entries), word)
+	fmt.Fprintf(&b, "// stage %02d: %d entries, %d-bit words\n", s, img.StageLen(s), word)
 	digits := (word + 3) / 4
-	for i, e := range img.Stages[s].Entries {
-		v, err := EncodeEntry(e, img.K, ptrBits, nhiBits)
+	for i := 0; i < img.StageLen(s); i++ {
+		v, err := EncodeEntry(img.Entry(s, uint32(i)), img.K, ptrBits, nhiBits)
 		if err != nil {
 			return "", fmt.Errorf("hdl: stage %d entry %d: %w", s, i, err)
 		}
 		fmt.Fprintf(&b, "%0*x\n", digits, v)
 	}
-	if len(img.Stages[s].Entries) == 0 {
+	if img.StageLen(s) == 0 {
 		// $readmemh needs at least one word; emit an inert miss leaf.
 		fmt.Fprintf(&b, "%0*x\n", digits, uint64(1))
 	}

@@ -39,8 +39,9 @@ func genTable(t *testing.T, n int, seed int64) *rib.Table {
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	img := compileUnfolded(t, genTable(t, 400, 1))
 	layout := pipeline.DefaultLayout()
-	for s := range img.Stages {
-		for i, e := range img.Stages[s].Entries {
+	for s := 0; s < img.Stages(); s++ {
+		for i := 0; i < img.StageLen(s); i++ {
+			e := img.Entry(s, uint32(i))
 			v, err := EncodeEntry(e, img.K, layout.PtrBits, layout.NHIBits)
 			if err != nil {
 				t.Fatalf("stage %d entry %d: %v", s, i, err)
@@ -94,7 +95,7 @@ func TestEmitBundleStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantFiles := len(img.Stages) + 3 // .mem per stage + stage.v + top.v + tb.v
+	wantFiles := img.Stages() + 3 // .mem per stage + stage.v + top.v + tb.v
 	if len(d.Files) != wantFiles {
 		t.Fatalf("bundle has %d files, want %d", len(d.Files), wantFiles)
 	}
@@ -132,8 +133,8 @@ func TestEmitBundleStructure(t *testing.T) {
 // software twin of the RTL and must agree with the pipeline simulator.
 func memWalk(t *testing.T, d *Design, img *pipeline.Image, layout pipeline.MemLayout, addr ip.Addr, vn int) ip.NextHop {
 	t.Helper()
-	mems := make([][]uint64, len(img.Stages))
-	for s := range img.Stages {
+	mems := make([][]uint64, img.Stages())
+	for s := range mems {
 		name := ""
 		for _, f := range d.FileNames() {
 			if strings.HasSuffix(f, ".mem") && strings.Contains(f, stageSuffix(s)) {
@@ -161,7 +162,7 @@ func memWalk(t *testing.T, d *Design, img *pipeline.Image, layout pipeline.MemLa
 		if int(ptr) >= len(mems[s]) {
 			t.Fatalf("stage %d: pointer %d out of range", s, ptr)
 		}
-		level := img.Stages[s].Entries[0].Level
+		level := img.Entry(s, 0).Level
 		e := DecodeEntry(mems[s][ptr], level, img.K, layout.PtrBits, layout.NHIBits)
 		if e.Leaf {
 			if vn < 0 || vn >= len(e.NHI) {

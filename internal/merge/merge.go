@@ -45,6 +45,7 @@ type Trie struct {
 	root   *Node
 	k      int
 	pushed bool
+	nodes  trie.Arena[Node]
 }
 
 // K returns the number of virtual networks merged into the trie.
@@ -62,7 +63,8 @@ func Build(tables []*rib.Table) (*Trie, error) {
 	if len(tables) == 0 {
 		return nil, fmt.Errorf("merge: no tables to merge")
 	}
-	t := &Trie{root: &Node{}, k: len(tables)}
+	t := &Trie{k: len(tables)}
+	t.root = t.nodes.New()
 	for vn, tbl := range tables {
 		for _, r := range tbl.Routes {
 			t.insert(vn, r.Prefix, r.NextHop)
@@ -80,7 +82,7 @@ func (t *Trie) insert(vn int, p ip.Prefix, nh ip.NextHop) {
 	for i := 0; i < p.Len; i++ {
 		b := p.Bit(i)
 		if n.Child[b] == nil {
-			n.Child[b] = &Node{}
+			n.Child[b] = t.nodes.New()
 		}
 		n = n.Child[b]
 	}
@@ -136,7 +138,7 @@ func (t *Trie) pushNode(n *Node, inherited []ip.NextHop) {
 	}
 	for b := 0; b < 2; b++ {
 		if n.Child[b] == nil {
-			n.Child[b] = &Node{}
+			n.Child[b] = t.nodes.New()
 		}
 		t.pushNode(n.Child[b], inherited)
 	}

@@ -13,6 +13,7 @@ import (
 	"vrpower/internal/core"
 	"vrpower/internal/ctrl"
 	"vrpower/internal/obs"
+	"vrpower/internal/pipeline"
 	"vrpower/internal/rib"
 	"vrpower/internal/scenario"
 )
@@ -191,7 +192,7 @@ func TestTornSpliceOwnsItsWords(t *testing.T) {
 	}
 	struck := 0
 	for st := 0; st < e.ch.appliedStages; st++ {
-		for i := range torn.Stages[st].Entries {
+		for i := 0; i < torn.StageLen(st); i++ {
 			if torn.FlipBit(st, uint32(i), 0) {
 				struck++
 			}
@@ -212,7 +213,7 @@ func TestTornSpliceOwnsItsWords(t *testing.T) {
 // chaosVSSeed4 is the benchmark's chaos_vs workload at table seed 4, the one
 // run of forty in which an SEU landed on a spliced leaf inside a replay
 // window.
-func chaosVSSeed4(t *testing.T) (*System, ScenarioReport, string) {
+func chaosVSSeed4(t *testing.T) (*scenRun, ScenarioReport, string) {
 	t.Helper()
 	set, err := rib.GenerateVirtualSet(3, 3725, 0.5, 4)
 	if err != nil {
@@ -230,7 +231,7 @@ func chaosVSSeed4(t *testing.T) (*System, ScenarioReport, string) {
 	s.SetTelemetry(tel)
 	spec := mustParse(t, "load=surge:0.3:0.9,faults=seu:5e-11,churn=8x24,power-cap=4.97,"+
 		"chaos=crash:3+stall:1+torn:1+falsepos:1,cycles=262144,queue=32,seed=11")
-	rep, err := s.RunScenario(faultGen(t, s, 5), spec)
+	r, err := s.runScenario(faultGen(t, s, 5), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +239,7 @@ func chaosVSSeed4(t *testing.T) (*System, ScenarioReport, string) {
 	if err := tel.Events.WriteJSONL(&events); err != nil {
 		t.Fatal(err)
 	}
-	return s, rep, events.String()
+	return r, *r.rep, events.String()
 }
 
 // TestNoGhostScrub: a sweep finds stale parity only where an SEU record says
@@ -246,7 +247,7 @@ func chaosVSSeed4(t *testing.T) (*System, ScenarioReport, string) {
 // reached an image through storage it shared with another — here, before the
 // fix, the repair image through the torn image's spliced leaves.
 func TestNoGhostScrub(t *testing.T) {
-	_, rep, events := chaosVSSeed4(t)
+	r, rep, events := chaosVSSeed4(t)
 	if rep.Chaos == nil || rep.Chaos.InjectedTorn == 0 || len(rep.SEUs) == 0 {
 		t.Fatalf("run has no torn reload or no SEU: %+v, %d SEUs", rep.Chaos, len(rep.SEUs))
 	}
@@ -265,5 +266,29 @@ func TestNoGhostScrub(t *testing.T) {
 	}
 	if rep.Scrubs != 5 {
 		t.Errorf("%d scrubs, want 5 (6 with the ghost)", rep.Scrubs)
+	}
+
+	// The same rule from the other side. Engines read an image's words in
+	// place, so all that stands between an upset and the control plane's
+	// images is that the data plane is handed clones: after SEUs, scrubs,
+	// hitless batches, a torn reload and rollbacks, no image the control plane
+	// keeps — the manager's pinned ones, its router's, the system's router's —
+	// is one an engine serves or holds pending, and every one reads clean.
+	pinned, err := r.mgr.PinnedImages()
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := map[string][]*pipeline.Image{"pinned": pinned, "manager's router": r.mgr.Router().Images(), "system's router": r.s.router.Images()}
+	for name, images := range kept {
+		for e, img := range images {
+			if s, i := img.Corrupted(); len(s) != 0 {
+				t.Errorf("%s image %d: %d corrupted words (first: stage %d entry %d)", name, e, len(s), s[0], i[0])
+			}
+			for _, eng := range r.engines {
+				if eng.fs.img == img || eng.fs.pending == img {
+					t.Errorf("%s image %d is in an engine's hands", name, e)
+				}
+			}
+		}
 	}
 }

@@ -33,7 +33,6 @@ import (
 	"vrpower/internal/core"
 	"vrpower/internal/ctrl"
 	"vrpower/internal/faults"
-	"vrpower/internal/ip"
 	"vrpower/internal/obs"
 	"vrpower/internal/pipeline"
 	"vrpower/internal/scenario"
@@ -189,8 +188,8 @@ func (r *scenRun) chaosOnInstall(eIdx int, e *scenEng, at int64) {
 		return
 	}
 	ch := &e.ch
-	for s := ch.appliedStages; s < len(e.fs.img.Stages); s++ {
-		ch.tok.Apply(s, len(e.fs.img.Stages[s].Entries), at)
+	for s := ch.appliedStages; s < e.fs.img.Stages(); s++ {
+		ch.tok.Apply(s, e.fs.img.StageLen(s), at)
 	}
 	_ = ch.tok.Commit(at)
 	r.wd.Disarm(eIdx)
@@ -220,7 +219,7 @@ func (r *scenRun) chaosOnArm(e *scenEng, h *ctrl.HitlessUpdate, b int64) {
 	ch.tok = tok
 	ch.armedAt = b
 	// Expected completion: one bubble per cycle plus the pipeline flush.
-	depth := int64(len(e.fs.img.Stages))
+	depth := int64(e.fs.img.Stages())
 	r.wd.Arm(eIdx, ctrl.OpCommit, h.VN(), b+int64(h.Bubbles())+depth)
 	if r.ci.DrawCommit() == faults.CtrlCrash {
 		r.rep.Chaos.InjectedCrashes++
@@ -377,22 +376,16 @@ func (c scenChaos) tearAndReplay(eIdx int, e *scenEng, b int64) {
 	r := c.r
 	ch := &e.ch
 	fs := &e.fs
-	half := len(fs.pending.Stages) / 2
-	// The torn image: old entries with the pending image's first half
-	// spliced in (deep-copied — later SEUs on the torn image must never
-	// reach back into the pending image's storage).
-	torn := fs.img.Clone()
-	for s := 0; s < half; s++ {
-		torn.Stages[s].Entries = append([]pipeline.Entry(nil), fs.pending.Stages[s].Entries...)
-		for i := range torn.Stages[s].Entries {
-			e := &torn.Stages[s].Entries[i]
-			e.NHI = append([]ip.NextHop(nil), e.NHI...)
-		}
-		if ch.tok != nil {
-			ch.tok.Apply(s, len(torn.Stages[s].Entries), b)
+	half := fs.pending.Stages() / 2
+	// The torn image: copies of the pending image's first half over copies
+	// of the old words — later SEUs on the torn image never reach the
+	// pending image.
+	fs.img = pipeline.Splice(fs.pending, fs.img, half)
+	if ch.tok != nil {
+		for s := 0; s < half; s++ {
+			ch.tok.Apply(s, fs.img.StageLen(s), b)
 		}
 	}
-	fs.img = torn
 	ch.appliedStages = half
 	rec, err := r.jrs[eIdx].Recover(b)
 	if err == nil && rec.Action == ctrl.Replay {

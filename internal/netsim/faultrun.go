@@ -256,12 +256,11 @@ func (e *engState) sweepStep(words int) (int, bool) {
 	}
 	hit := false
 	for n := 0; n < words; n++ {
-		for e.sweepIdx >= len(e.img.Stages[e.sweepStage].Entries) {
+		for e.sweepIdx >= e.img.StageLen(e.sweepStage) {
 			e.sweepIdx = 0
-			e.sweepStage = (e.sweepStage + 1) % len(e.img.Stages)
+			e.sweepStage = (e.sweepStage + 1) % e.img.Stages()
 		}
-		w := &e.img.Stages[e.sweepStage].Entries[e.sweepIdx]
-		if w.Parity != w.DataParity() {
+		if e.img.ParityStale(e.sweepStage, uint32(e.sweepIdx)) {
 			hit = true
 		}
 		e.sweepIdx++

@@ -443,11 +443,10 @@ func (f scenFaults) PreSlice(b, n int64, draining bool) error {
 		}
 		for eIdx, e := range r.engines {
 			for _, u := range r.in.UpsetsThrough(eIdx, b+n) {
-				if faults.ApplyUpset(e.fs.img, u) {
-					// In-flight lookups see the flipped word from the stage
-					// they have reached onward, as in hardware.
-					e.sim.Patch(u.Stage, u.Index)
-				}
+				// In-flight lookups see the flipped word from the stage they
+				// have reached onward, as in hardware: the engine reads
+				// the image's words in place and is told before the write.
+				e.sim.Patch(func() { faults.ApplyUpset(e.fs.img, u) })
 				rep.SEUs = append(rep.SEUs, SEURecord{Upset: u, DetectedAt: -1, RepairedAt: -1})
 				e.fs.outstanding = append(e.fs.outstanding, len(rep.SEUs)-1)
 				tel.Events.Log(obs.LevelWarn, u.Cycle, "seu_inject",
@@ -730,15 +729,25 @@ func (r *scenRun) RunSlice(b, n int64, live bool) (scenario.SliceStats, error) {
 func (s *System) RunScenario(gen *traffic.Generator, spec scenario.Spec) (ScenarioReport, error) {
 	if spec.Fleet != nil {
 		// Fleet runs re-place the networks over their own per-device
-		// routers; the single-router path below does not apply.
+		// routers; the single-router path does not apply.
 		return s.runFleetScenario(gen, spec)
 	}
+	r, err := s.runScenario(gen, spec)
+	if err != nil {
+		return ScenarioReport{}, err
+	}
+	return *r.rep, nil
+}
+
+// runScenario is RunScenario on one router; it returns the finished run, its
+// report filled in, so tests can look at the state it ended in.
+func (s *System) runScenario(gen *traffic.Generator, spec scenario.Spec) (*scenRun, error) {
 	scheme := s.router.Config().Scheme
 	if spec.Churn != nil && spec.Churn.TargetVN >= s.k {
-		return ScenarioReport{}, fmt.Errorf("netsim: churn target network %d outside [0,%d)", spec.Churn.TargetVN, s.k)
+		return nil, fmt.Errorf("netsim: churn target network %d outside [0,%d)", spec.Churn.TargetVN, s.k)
 	}
 	if spec.Kill != nil && spec.Kill.Engine >= len(s.router.Images()) {
-		return ScenarioReport{}, fmt.Errorf("netsim: kill engine %d with %d engines", spec.Kill.Engine, len(s.router.Images()))
+		return nil, fmt.Errorf("netsim: kill engine %d with %d engines", spec.Kill.Engine, len(s.router.Images()))
 	}
 
 	r := &scenRun{s: s, spec: spec, gen: gen, scheme: scheme, meter: s.meter()}
@@ -766,11 +775,11 @@ func (s *System) RunScenario(gen *traffic.Generator, spec scenario.Spec) (Scenar
 	if spec.Churn != nil {
 		mgr, err := ctrl.New(s.router.Config(), s.tables)
 		if err != nil {
-			return ScenarioReport{}, err
+			return nil, err
 		}
 		mgr.SetEventLog(s.tel.Events)
 		if images, err = mgr.PinnedImages(); err != nil {
-			return ScenarioReport{}, err
+			return nil, err
 		}
 		r.mgr = mgr
 	} else {
@@ -791,13 +800,13 @@ func (s *System) RunScenario(gen *traffic.Generator, spec scenario.Spec) (Scenar
 			Crashes:        spec.Chaos.Crashes,
 		})
 		if err != nil {
-			return ScenarioReport{}, err
+			return nil, err
 		}
 		wd, err := ctrl.NewWatchdog(ctrl.WatchdogPolicy{
 			Backoff: ctrl.Backoff{Base: 256, Seed: spec.Seed},
 		}, spec.Slice, s.tel.Events)
 		if err != nil {
-			return ScenarioReport{}, err
+			return nil, err
 		}
 		r.ci, r.wd = ci, wd
 		r.jrs = make([]*ctrl.Journal, len(images))
@@ -817,11 +826,11 @@ func (s *System) RunScenario(gen *traffic.Generator, spec scenario.Spec) (Scenar
 		}
 		in, err := faults.NewInjector(fc, images)
 		if err != nil {
-			return ScenarioReport{}, err
+			return nil, err
 		}
 		scrubber, err := ctrl.NewScrubber(ctrl.ScrubPolicy{}, in)
 		if err != nil {
-			return ScenarioReport{}, err
+			return nil, err
 		}
 		scrubber.SetEventLog(s.tel.Events)
 		r.in = in
@@ -838,7 +847,7 @@ func (s *System) RunScenario(gen *traffic.Generator, spec scenario.Spec) (Scenar
 	}
 	gv, err := scenario.NewGovRun(gcfg, s.plant(), len(images), s.k, s.tel.Events)
 	if err != nil {
-		return ScenarioReport{}, err
+		return nil, err
 	}
 	r.gv = gv
 
@@ -882,7 +891,7 @@ func (s *System) RunScenario(gen *traffic.Generator, spec scenario.Spec) (Scenar
 	eng.Kernel = r
 	eng.Energy = r.meter
 	if err := eng.Run(); err != nil {
-		return ScenarioReport{}, err
+		return nil, err
 	}
 	rep.TrafficCycles = eng.TrafficCycles
 	rep.DrainCycles = eng.DrainCycles
@@ -906,12 +915,12 @@ func (s *System) RunScenario(gen *traffic.Generator, spec scenario.Spec) (Scenar
 	}
 	er, err := r.meter.Report(deliveredBits(r.st.total))
 	if err != nil {
-		return ScenarioReport{}, err
+		return nil, err
 	}
 	rep.Energy = er
 	er.Publish()
 	r.chaosFinalize()
 	obsPacketsResolved.Add(r.st.total)
 	obsLoadCycles.Add(rep.TrafficCycles)
-	return *rep, nil
+	return r, nil
 }

@@ -43,7 +43,7 @@ type inflight struct {
 // newFlights returns an empty in-flight list for an engine over img, with
 // room for all it can ever hold: a pipe-full plus a drain window.
 func newFlights(img *pipeline.Image) []inflight {
-	return make([]inflight, 0, len(img.Stages)+pipeline.DrainWindow)
+	return make([]inflight, 0, img.Stages()+pipeline.DrainWindow)
 }
 
 // heldTrace is a flight trace built while settling, waiting to be put in the

@@ -27,7 +27,7 @@ import (
 // the pipe's depth, and longer than that at a stepped clock.
 func TestSettledDelayIsInRunCyclesUnderSteppedClock(t *testing.T) {
 	s, _ := buildSystem(t, core.VS, 3)
-	stages := float64(len(s.router.Images()[0].Stages))
+	stages := float64(s.router.Images()[0].Stages())
 	const cycles = 32 * 1024
 	free, err := s.LoadTest(faultGen(t, s, 31), 0.3, cycles, 64)
 	if err != nil {
@@ -67,7 +67,7 @@ func TestSettledDelayIsInRunCyclesUnderBrownout(t *testing.T) {
 		t.Fatal("no device browned out")
 	}
 	s, _ := buildSystem(t, core.VS, 8)
-	if stages := float64(len(s.router.Images()[0].Stages)); calm.MeanDelayCycles < stages || rep.MeanDelayCycles <= calm.MeanDelayCycles {
+	if stages := float64(s.router.Images()[0].Stages()); calm.MeanDelayCycles < stages || rep.MeanDelayCycles <= calm.MeanDelayCycles {
 		t.Errorf("mean delay %.3f cycles with %d cycles browned out, %.3f without: want both at least the pipe depth and the first above the second",
 			rep.MeanDelayCycles, browned, calm.MeanDelayCycles)
 	}
@@ -99,7 +99,7 @@ func traceRun(t *testing.T, k int, spec string, ringCap int) (ScenarioReport, []
 func TestAccessDetectionSeenBySameBoundary(t *testing.T) {
 	const k, slice = 2, 1024
 	s, _ := buildSystem(t, core.VS, k)
-	stages := int64(len(s.router.Images()[0].Stages))
+	stages := int64(s.router.Images()[0].Stages())
 	rate := seuRateFor(s, 24, 16384)
 	rep, traces := traceRun(t, k, "load=const:0.9,faults=seu:"+strconv.FormatFloat(rate, 'g', -1, 64)+",cycles=16384,queue=32,seed=5", 1<<16)
 	type at struct {
@@ -189,7 +189,7 @@ func TestSettleAcrossCommitBubbleAndFlush(t *testing.T) {
 	}
 	moved = moved[:8] // both groups fit in the pipe with the bubbles between them
 
-	stages := len(images[0].Stages)
+	stages := images[0].Stages()
 	run := func(refBefore, refAfter *ip.Table) *settler {
 		sim := pipeline.NewBatchSim(images[0])
 		sim.EnableParityCheck()

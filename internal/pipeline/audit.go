@@ -47,8 +47,8 @@ func (r AuditResult) Clean() bool { return r.Mismatches == 0 }
 
 // AuditImage replays probes through a throwaway parity-checking engine over
 // img and cross-checks every resolved answer against the oracle. The live
-// engine is never touched: the audit builds its own BatchSim (over the flat
-// form img already shares with it), so stats, bank state and in-flight
+// engine is never touched: the audit builds its own BatchSim over the same
+// words (nothing is copied or derived), so stats, bank state and in-flight
 // lookups of the real data plane stay unperturbed.
 func AuditImage(img *Image, probes []Probe) AuditResult {
 	var res AuditResult

@@ -114,10 +114,7 @@ func TestAuditImageCleanAndTorn(t *testing.T) {
 	// A torn image: the first half of the stages serve the new table, the
 	// rest the old — exactly what a crash mid-reload leaves behind. Parity
 	// is consistent per entry, so only the oracle cross-check can see it.
-	torn := oldImg.Clone()
-	for s := 0; s < len(torn.Stages)/2; s++ {
-		torn.Stages[s].Entries = append([]Entry(nil), newImg.Stages[s].Entries...)
-	}
+	torn := Splice(newImg, oldImg, oldImg.Stages()/2)
 	tornRes := AuditImage(torn, probes)
 	if tornRes.Mismatches == 0 && tornRes.Faulted == 0 {
 		t.Fatal("torn image audited fully clean; want mismatches or faults")
@@ -146,10 +143,7 @@ func TestAuditImageMatchesScalarOracle(t *testing.T) {
 		s, idx, bit, _ := flipped.Locate(rng.Int63n(flipped.DataBits()))
 		flipped.FlipBit(s, idx, bit)
 	}
-	torn := pristine.Clone()
-	for s := 0; s < len(torn.Stages)/2; s++ {
-		torn.Stages[s].Entries = append([]Entry(nil), newImg.Stages[s].Entries...)
-	}
+	torn := Splice(newImg, pristine, pristine.Stages()/2)
 	ref := oldTbl.Reference()
 	var probes []Probe
 	for _, r := range oldTbl.Routes {

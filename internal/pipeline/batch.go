@@ -111,7 +111,7 @@ const (
 // their log) and of walks resumed mid-pipe; the rest go through
 // batchScratch.sweep. The checkpoint is left alone: a walk that does not end
 // returns the entry index it stands at in stage upto+1.
-func (f *slot) walk(flat *FlatImage, parity bool, upto int, visits *[]obs.StageVisit) uint32 {
+func (f *slot) walk(flat *Image, parity bool, upto int, visits *[]obs.StageVisit) uint32 {
 	addr, idx := f.addr, f.idx
 	for s := int(f.stage); s <= upto; s++ {
 		meta := flat.stages[s].meta
@@ -163,30 +163,6 @@ func (f *slot) left(ended []int64, st *Stats) int64 {
 	return 1
 }
 
-// bank is one image generation an engine serves: the source image and its
-// flat form, shared with the image's other engines until own is set.
-type bank struct {
-	img  *Image
-	flat *FlatImage
-	own  bool
-}
-
-// patch re-derives entry (stage, index) from the image after an upset. The
-// first patch stops sharing: the engine flattens the image as it is now
-// into a flat form of its own; later ones rewrite the one entry, and the jump
-// table with it when the entry is in a stage the table stands for — the very
-// next walk sees an upset in the top of the trie.
-func (k *bank) patch(stage int, index uint32) {
-	if !k.own {
-		k.flat, k.own = Flatten(k.img), true
-		return
-	}
-	k.flat.derive(k.img, stage, index)
-	if stage < k.flat.jumpStage {
-		k.flat.buildJump()
-	}
-}
-
 // Exit is one streamed lookup that has left the pipe, as Drain hands it back:
 // what Sim.Inject's Result says of it, plus the caller's stamp of the step it
 // left on.
@@ -219,8 +195,8 @@ func (x *Exit) Result() Result {
 // BatchSim is the production lookup engine: the same request→result
 // semantics as the scalar Sim — next hops, fault verdicts, cycle stamps,
 // traced visits and Stats are byte-identical, which the differential and
-// fuzz tests enforce — computed on the flattened word slices without
-// simulating a register shift per cycle. A linear pipeline's timing is
+// fuzz tests enforce — computed on the image's word slices, read in place,
+// without simulating a register shift per cycle. A linear pipeline's timing is
 // fixed by its schedule: a lookup entering at cycle t leaves at t+Stages
 // and occupies each stage for one cycle, so only the trie walk and the
 // per-stage activity it causes depend on data.
@@ -244,7 +220,7 @@ func (x *Exit) Result() Result {
 // during a hitless update, old or new, is fixed at injection by whether the
 // commit bubble is ahead of it.
 type BatchSim struct {
-	cur, next bank // serving image; the shadow bank while an update is armed
+	cur, next *Image // serving image; the shadow bank while an update is armed (else nil)
 	nStages   int
 	parity    bool
 	now       int64
@@ -276,12 +252,12 @@ type BatchSim struct {
 	published int64
 }
 
-// NewBatchSim returns an engine serving img, reading the image's shared
-// flat form.
+// NewBatchSim returns an engine serving img: it reads the image's words in
+// place, as every other engine over img does.
 func NewBatchSim(img *Image) *BatchSim {
-	n := len(img.Stages)
+	n := len(img.stages)
 	return &BatchSim{
-		cur:      bank{img: img, flat: img.sharedFlat()},
+		cur:      img,
 		nStages:  n,
 		st:       Stats{StageActive: make([]int64, n), StageOccupied: make([]int64, n)},
 		win:      make([]slot, n+DrainWindow),
@@ -294,8 +270,8 @@ func NewBatchSim(img *Image) *BatchSim {
 }
 
 // EnableParityCheck turns on per-access parity verification, matching
-// Sim.EnableParityCheck. The verdict per word was precomputed when the
-// image was flattened, so the check is a bit test, not a parity recompute.
+// Sim.EnableParityCheck. The verdict per word is kept in the image, so the
+// check is a bit test, not a parity recompute.
 func (b *BatchSim) EnableParityCheck() {
 	b.rollback()
 	b.parity = true
@@ -331,8 +307,8 @@ func (b *BatchSim) runAhead(keep int) {
 	first, last := b.back(b.fresh-1), b.nStages-1
 	sc := &b.scratch
 	sc.ensure(len(b.win))
-	for g, bk := range [2]*bank{&b.cur, &b.next} {
-		if bk.flat == nil {
+	for g, flat := range [2]*Image{b.cur, b.next} {
+		if flat == nil {
 			break // no update armed: nothing reads the shadow bank
 		}
 		gen, live := uint8(b.gen)+uint8(g), 0
@@ -341,7 +317,7 @@ func (b *BatchSim) runAhead(keep int) {
 			if f.kind == slotLookup && f.flags&slotDone == 0 && f.gen == gen {
 				if f.flags&slotTraced != 0 || f.stage > 0 {
 					f.last = uint8(last) // where a walk that never ends leaves the pipe
-					f.walk(bk.flat, b.parity, last, b.visitsOf(i))
+					f.walk(flat, b.parity, last, b.visitsOf(i))
 					f.flags |= slotDone
 				} else {
 					sc.load(live, j, f.addr, f.vn, last)
@@ -355,7 +331,7 @@ func (b *BatchSim) runAhead(keep int) {
 		if live == 0 {
 			continue
 		}
-		sc.sweep(bk.flat, b.parity, live, nil)
+		sc.sweep(flat, b.parity, live, nil)
 		for j, i := 0, first; j < n; j++ {
 			if f := &b.win[i]; f.kind == slotLookup && f.flags&slotDone == 0 && f.gen == gen {
 				f.nhi, f.last, f.flags = sc.nhi[j], sc.last[j], f.flags|slotDone
@@ -398,9 +374,9 @@ func (b *BatchSim) rollback() {
 				*visits = v
 			}
 		}
-		flat := b.cur.flat
+		flat := b.cur
 		if f.gen != uint8(b.gen) {
-			flat = b.next.flat
+			flat = b.next
 		}
 		if idx := f.walk(flat, b.parity, r, visits); f.flags&slotDone == 0 {
 			f.idx, f.stage = idx, uint8(r+1)
@@ -446,17 +422,16 @@ func (b *BatchSim) Stats() Stats {
 	return st
 }
 
-// Patch makes an upset visible: call it after flipping a bit of entry
-// (stage, index) in the serving image (or the armed one). Lookups in the pipe
-// have read the old word in the stages they are already through and read
-// the new one from here on, as in hardware; the ones that have left it read
-// the old word wherever they met it.
-func (b *BatchSim) Patch(stage int, index uint32) {
+// Patch is how a word of the serving image (or the armed one) is rewritten
+// under the engine: it brings every walk to the cycle clock, then runs write
+// (Image.FlipBit). Lookups in the pipe have read the old word in the stages
+// they are already through and read the new one from here on, as in hardware;
+// the ones that have left it read the old word wherever they met it. The
+// engine reads the words in place, so a word written ahead of the rollback
+// would be read by walks the clock has already taken past it.
+func (b *BatchSim) Patch(write func()) {
 	b.rollback()
-	b.cur.patch(stage, index)
-	if b.next.img != nil {
-		b.next.patch(stage, index)
-	}
+	write()
 }
 
 // Reset returns the engine to its post-construction state over the same
@@ -465,7 +440,7 @@ func (b *BatchSim) Patch(stage int, index uint32) {
 // slices allocated, so repeated runs (and benchmark iterations) measure
 // lookups, not construction. The parity-check setting survives.
 func (b *BatchSim) Reset() {
-	b.now, b.published, b.exited, b.bubblesLeft, b.next = 0, 0, 0, 0, bank{}
+	b.now, b.published, b.exited, b.bubblesLeft, b.next = 0, 0, 0, 0, nil
 	b.st.Cycles, b.st.Lookups, b.st.Bubbles, b.st.Faults = 0, 0, 0, 0
 	clear(b.win)
 	clear(b.visits)
@@ -484,7 +459,7 @@ func (b *BatchSim) step(in slot) {
 	}
 	if b.win[b.back(b.nStages-1)].kind == slotCommit {
 		b.runAhead(b.nStages)
-		b.cur, b.next = b.next, bank{}
+		b.cur, b.next = b.next, nil
 		b.gen++
 	}
 	b.win[b.head] = in
@@ -506,7 +481,7 @@ func (b *BatchSim) Full() bool { return b.count == len(b.win) }
 // pushes out of the last stage (Exit.Stamp).
 func (b *BatchSim) Inject(req Request, stamp int64) {
 	in := slot{stamp: stamp, addr: uint32(req.Addr), vn: clampVN(req.VN), kind: slotLookup, gen: uint8(b.gen), newUntil: -1}
-	if b.next.img != nil && b.bubblesLeft == 0 {
+	if b.next != nil && b.bubblesLeft == 0 {
 		// Behind the commit bubble: every stage has flipped by the time this
 		// lookup reaches it.
 		in.gen++
@@ -588,21 +563,21 @@ func (b *BatchSim) BeginUpdate(next *Image, bubbles int) error {
 	if next == nil {
 		return fmt.Errorf("pipeline: BeginUpdate with nil image")
 	}
-	if b.next.img != nil {
+	if b.next != nil {
 		return fmt.Errorf("pipeline: update already in flight (%d bubbles pending)", b.bubblesLeft)
 	}
-	if len(next.Stages) != b.nStages {
-		return fmt.Errorf("pipeline: update stage counts differ (%d vs %d)", len(next.Stages), b.nStages)
+	if len(next.stages) != b.nStages {
+		return fmt.Errorf("pipeline: update stage counts differ (%d vs %d)", len(next.stages), b.nStages)
 	}
 	if bubbles < 1 {
 		bubbles = 1
 	}
-	b.next, b.bubblesLeft = bank{img: next, flat: next.sharedFlat()}, bubbles
+	b.next, b.bubblesLeft = next, bubbles
 	return nil
 }
 
 // Updating reports whether an armed update has not yet fully committed.
-func (b *BatchSim) Updating() bool { return b.next.img != nil }
+func (b *BatchSim) Updating() bool { return b.next != nil }
 
 // PendingBubbles returns the write bubbles not yet injected.
 func (b *BatchSim) PendingBubbles() int { return b.bubblesLeft }
@@ -611,13 +586,13 @@ func (b *BatchSim) PendingBubbles() int { return b.bubblesLeft }
 // is injected (Sim.AbortUpdate's contract): the serving image keeps serving.
 // No lookup reads the shadow bank before then, so no walk is affected.
 func (b *BatchSim) AbortUpdate() error {
-	if b.next.img == nil {
+	if b.next == nil {
 		return fmt.Errorf("pipeline: no update to abort")
 	}
 	if b.bubblesLeft == 0 {
 		return fmt.Errorf("pipeline: commit bubble already in flight, update cannot be aborted")
 	}
-	b.next, b.bubblesLeft = bank{}, 0
+	b.next, b.bubblesLeft = nil, 0
 	return nil
 }
 
@@ -625,7 +600,7 @@ func (b *BatchSim) AbortUpdate() error {
 // 0 in place of a lookup; stamp is as for Inject. It fails, without a step,
 // when no update is armed or the budget is spent.
 func (b *BatchSim) InjectBubble(stamp int64) error {
-	if b.next.img == nil || b.bubblesLeft == 0 {
+	if b.next == nil || b.bubblesLeft == 0 {
 		return fmt.Errorf("pipeline: no write bubble pending")
 	}
 	in := slot{stamp: stamp, kind: slotBubble}
@@ -673,7 +648,7 @@ func (b *BatchSim) RunAppend(dst []Result, reqs []Request, interarrival int) ([]
 // idle reports an error unless the window is empty and no update is armed:
 // Run's closed-form schedule has no place for streamed slots.
 func (b *BatchSim) idle() error {
-	busy := b.next.img != nil
+	busy := b.next != nil
 	for n := 0; n < b.count; n++ {
 		busy = busy || b.win[b.back(n)].kind != slotEmpty
 	}
@@ -772,7 +747,7 @@ func (b *BatchSim) sweepChunk(reqs []Request, out []Result, sc *batchScratch, st
 			// Traced flights take the streaming engine's recording walk.
 			f := slot{addr: uint32(reqs[j].Addr), vn: clampVN(reqs[j].VN), newUntil: -1, last: uint8(b.nStages - 1)}
 			visits := make([]obs.StageVisit, 0, b.nStages)
-			f.walk(b.cur.flat, b.parity, b.nStages-1, &visits)
+			f.walk(b.cur, b.parity, b.nStages-1, &visits)
 			enter := enter0 + int64(j)*g
 			out[j] = Result{
 				Request: reqs[j], NHI: f.nhi, Faulted: f.flags&slotFaulted != 0, Visits: visits,
@@ -790,7 +765,7 @@ func (b *BatchSim) sweepChunk(reqs []Request, out []Result, sc *batchScratch, st
 		sc.load(nLive, j, uint32(reqs[j].Addr), clampVN(reqs[j].VN), b.nStages-1)
 		nLive++
 	}
-	st.Faults += sc.sweep(b.cur.flat, b.parity, nLive, st.StageActive)
+	st.Faults += sc.sweep(b.cur, b.parity, nLive, st.StageActive)
 	// One sequential pass fills the untraced results with their next hop,
 	// fault verdict and closed-form cycle stamps: resolved flights carry
 	// their verdicts, flights that outlived the last stage exit with the
@@ -843,7 +818,7 @@ func (sc *batchScratch) load(n, pos int, addr uint32, vn int32, lastStage int) {
 // holds no walk that ends before it). The rest are walked behind them from
 // stage 0 as ever, compacting towards the jumpers, so at jumpStage the two
 // lanes are one dense set again.
-func (sc *batchScratch) sweep(flat *FlatImage, parity bool, nLive int, active []int64) (faults int64) {
+func (sc *batchScratch) sweep(flat *Image, parity bool, nLive int, active []int64) (faults int64) {
 	fl, slab := sc.fl, flat.nhi
 	var bad uint16 // the meta bit that faults a walk: none unless parity is checked
 	if parity {
@@ -901,9 +876,9 @@ func (sc *batchScratch) sweep(flat *FlatImage, parity bool, nLive int, active []
 // word and the child the address bit selects — indexed, not branched on — and
 // a store of the 4-byte index. Unchecked, bad is zero and a stale-parity word
 // reads as any other.
-func (sc *batchScratch) level(fl []bFlight, fs *flatStage, slab []ip.NextHop, bad uint16, s uint8) (live int, faults int64) {
+func (sc *batchScratch) level(fl []bFlight, fs *stage, slab []ip.NextHop, bad uint16, s uint8) (live int, faults int64) {
 	// Reslicing child to meta's length lets one idx<len(meta) test prove
-	// both accesses in bounds (Flatten builds them the same length).
+	// both accesses in bounds (an image builds them the same length).
 	meta := fs.meta
 	child := fs.child[:len(meta)]
 	for i := 0; i < len(fl); {

@@ -107,7 +107,7 @@ func TestBatchedMatchesScalarRandomImages(t *testing.T) {
 			}
 			scalar := NewSim(img)
 			batched := NewBatchSim(img)
-			if got := batched.cur.flat.jump != nil; got != tc.jump {
+			if got := img.jump != nil; got != tc.jump {
 				t.Fatalf("jump table present: %v, want %v", got, tc.jump)
 			}
 			if tc.parity {
@@ -151,12 +151,13 @@ func TestBatchedMatchesScalarOnFaultedImages(t *testing.T) {
 		// Corrupt child pointers to indices no stage holds, and re-stamp
 		// parity so only the address-range check can catch them.
 		n := 0
-		for s := range img.Stages {
-			for i := range img.Stages[s].Entries {
-				e := &img.Stages[s].Entries[i]
-				if !e.Leaf && i%17 == 0 {
-					e.Child[0] = 1 << 29
-					e.Parity = e.DataParity()
+		for s, entries := range allEntries(img) {
+			for i := range entries {
+				if !entries[i].Leaf && i%17 == 0 {
+					poke(img, s, uint32(i), func(e *Entry) {
+						e.Child[0] = 1 << 29
+						e.Parity = e.DataParity()
+					})
 					n++
 				}
 			}
@@ -311,18 +312,23 @@ func TestLookupMatchesSimulator(t *testing.T) {
 	}
 }
 
-// TestFlattenSnapshotsImage: mutating the source image after Flatten must
-// not leak into the flat snapshot.
+// TestFlattenSnapshotsImage: Flatten is pure. It hands back a copy — equal to
+// its source, whose derived words were kept — and mutating the source
+// afterwards must not leak into it.
 func TestFlattenSnapshotsImage(t *testing.T) {
 	img := compileSingle(t, genTable(t, 200, 81), 16)
-	batched := NewBatchSim(img)
-	scalar := NewSim(img.Clone())
-	// Corrupt the live image after the snapshot was taken.
-	for s := range img.Stages {
-		for i := range img.Stages[s].Entries {
-			e := &img.Stages[s].Entries[i]
-			if !e.Leaf {
-				e.Child[0] = 1 << 29
+	before := img.Clone()
+	flat := Flatten(img)
+	if !reflect.DeepEqual(img, before) || !reflect.DeepEqual(flat, img) {
+		t.Fatal("Flatten wrote its argument, or its copy differs from a freshly compiled image")
+	}
+	batched := NewBatchSim(flat)
+	scalar := NewSim(before)
+	// Corrupt the source after the snapshot was taken.
+	for s, entries := range allEntries(img) {
+		for i := range entries {
+			if !entries[i].Leaf {
+				poke(img, s, uint32(i), func(e *Entry) { e.Child[0] = 1 << 29 })
 			}
 		}
 	}

@@ -9,9 +9,8 @@ import (
 
 func TestCompileSetsValidParity(t *testing.T) {
 	img := compileSingle(t, genTable(t, 400, 11), 28)
-	for s := range img.Stages {
-		for i := range img.Stages[s].Entries {
-			e := &img.Stages[s].Entries[i]
+	for s, entries := range allEntries(img) {
+		for i, e := range entries {
 			if e.Parity != e.DataParity() {
 				t.Fatalf("stage %d entry %d: stored parity %d != computed %d", s, i, e.Parity, e.DataParity())
 			}
@@ -53,9 +52,9 @@ func TestLocateCoversAllBits(t *testing.T) {
 		if !ok {
 			t.Fatalf("Locate(%d) failed with total %d", off, total)
 		}
-		e := &img.Stages[stage].Entries[index]
-		if bit >= e.DataBits() {
-			t.Fatalf("Locate(%d) bit %d >= entry width %d", off, bit, e.DataBits())
+		e := img.Entry(stage, index)
+		if bit >= dataBitsOf(e) {
+			t.Fatalf("Locate(%d) bit %d >= entry width %d", off, bit, dataBitsOf(e))
 		}
 	}
 	if _, _, _, ok := img.Locate(total); ok {
@@ -69,19 +68,18 @@ func TestLocateCoversAllBits(t *testing.T) {
 func TestFlipBitTogglesParityAndBack(t *testing.T) {
 	img := compileSingle(t, genTable(t, 200, 15), 28)
 	stage, index, bit, _ := img.Locate(img.DataBits() / 3)
-	e := &img.Stages[stage].Entries[index]
 	img.FlipBit(stage, index, bit)
-	if e.Parity == e.DataParity() {
+	if e := img.Entry(stage, index); e.Parity == e.DataParity() || !img.ParityStale(stage, index) {
 		t.Fatal("single-bit flip left parity valid")
 	}
 	img.FlipBit(stage, index, bit) // flip back
-	if e.Parity != e.DataParity() {
+	if e := img.Entry(stage, index); e.Parity != e.DataParity() || img.ParityStale(stage, index) {
 		t.Fatal("double flip of the same bit did not restore parity")
 	}
-	if img.FlipBit(len(img.Stages), 0, 0) {
+	if img.FlipBit(img.Stages(), 0, 0) {
 		t.Error("FlipBit accepted out-of-range stage")
 	}
-	if img.FlipBit(0, uint32(len(img.Stages[0].Entries)), 0) {
+	if img.FlipBit(0, uint32(img.StageLen(0)), 0) {
 		t.Error("FlipBit accepted out-of-range index")
 	}
 }
@@ -119,12 +117,10 @@ func TestParityCheckOffStillBoundsChecks(t *testing.T) {
 	tbl := genTable(t, 500, 17)
 	img := compileSingle(t, tbl, 28)
 	// Point the root's children far out of range.
-	root := &img.Stages[0].Entries[0]
-	if root.Leaf {
+	if img.Entry(0, 0).Leaf {
 		t.Skip("root is a leaf in this build")
 	}
-	root.Child[0] = 1 << 20
-	root.Child[1] = 1 << 20
+	poke(img, 0, 0, func(root *Entry) { root.Child = [2]uint32{1 << 20, 1 << 20} })
 	sim := NewSim(img)
 	results, st, err := sim.Run([]Request{{Addr: 0x01020304}}, 1)
 	if err != nil {

@@ -93,19 +93,16 @@ func batchedLookupCase(t *testing.T, seed int64, addrSeed uint32, corrupt, outOf
 		// A clean-parity pointer escape: caught by the address range
 		// check alone. The target is far beyond any stage memory, so the
 		// walk faults instead of cycling.
-		for s := range img.Stages {
-			hit := false
-			for i := range img.Stages[s].Entries {
-				e := &img.Stages[s].Entries[i]
-				if !e.Leaf {
-					e.Child[rng.Intn(2)] = 1<<29 + uint32(rng.Intn(1024))
-					e.Parity = e.DataParity()
-					hit = true
-					break
+	strike:
+		for s, entries := range allEntries(img) {
+			for i := range entries {
+				if !entries[i].Leaf {
+					poke(img, s, uint32(i), func(e *Entry) {
+						e.Child[rng.Intn(2)] = 1<<29 + uint32(rng.Intn(1024))
+						e.Parity = e.DataParity()
+					})
+					break strike
 				}
-			}
-			if hit {
-				break
 			}
 		}
 	}
@@ -153,7 +150,7 @@ func batchedLookupCase(t *testing.T, seed int64, addrSeed uint32, corrupt, outOf
 	if gotSt.Faults != wantSt.Faults || gotSt.Cycles != wantSt.Cycles || gotSt.Lookups != wantSt.Lookups {
 		t.Fatalf("stats diverge: batched %+v, scalar %+v", gotSt, wantSt)
 	}
-	return batched.cur.flat.jump != nil
+	return img.jump != nil
 }
 
 // TestFuzzCorporaReachJumpLane asserts that the seed corpora of both engine

@@ -4,47 +4,121 @@
 // walk, and the last stage emits the next-hop information (NHI). The package
 // provides a compiler from (merged) tries to stage memory images, a
 // cycle-accurate simulator with clock-gating activity counters (Sim, the
-// oracle), and the flat-image engine every runner serves from (BatchSim).
+// oracle), and the engine every runner serves from (BatchSim).
 package pipeline
 
 import (
 	"fmt"
-	"sync/atomic"
+	"math/bits"
+	"slices"
 
 	"vrpower/internal/ip"
-	"vrpower/internal/merge"
 	"vrpower/internal/obs"
 	"vrpower/internal/trie"
 )
 
-// Entry is one stage-memory word: either an internal node holding two child
-// indices into the next stage's memory, or a leaf holding the NHI vector.
+// An image is its stage-memory words, in the form the engine reads them. Per
+// stage, two parallel slices:
+//
+//   - meta:  one uint16 per entry: the trie level, the leaf flag and the
+//     stored parity bit, plus two derived bits — the stale-parity verdict and
+//     the fold flag — so that everything the walk branches on is in one word
+//     and the parity check is a bit test.
+//   - child: one [2]uint32 per entry: an internal node's two child indices, or
+//     a leaf's {offset into the NHI slab, vector length}.
+//
+// and per image one NHI slab — all leaf vectors back to back, in stage-then-
+// index order — and the derived jump table (flat.go). The stages' slices are
+// runs of one array each, so an image is four allocations, Clone four copies.
+//
+// Stored words are what a table compiles to and what an upset strikes; derived
+// words are a function of them (Flatten, from scratch). Whoever writes a stored
+// word re-derives what depends on it: FlipBit one entry at a time, Splice
+// afresh. Engines read an image's words in place, all engines over it the same
+// ones, so an image that may be written is served by its writer alone: the
+// owner of a compiled image keeps it pristine and hands out clones.
+//
+// Internal nodes store the precomputed shift amount 31-level (≤ 31, so the
+// hot loop's address-bit extract masks with 0x1F and the compiler can prove
+// the shift in range — no masking cmov). Leaves store the raw level; they
+// never shift.
+const (
+	metaLevelMask uint16 = 0x3F   // trie level (leaves) / 31-level shift (internal)
+	metaShiftMask uint16 = 0x1F   // internal-node shift amount, provably < 32
+	metaLeaf      uint16 = 1 << 6 // entry resolves the lookup
+	metaParityBad uint16 = 1 << 7 // derived: stored parity ≠ data parity
+	metaFold      uint16 = 1 << 8 // derived: child level maps to this same stage
+	metaParity    uint16 = 1 << 9 // the stored parity bit
+
+	// metaKind is what identifies a word besides its data: two words that
+	// agree in it and in their data are the same word to an update.
+	metaKind = metaLevelMask | metaLeaf
+
+	// An internal node's flippable data: two PtrBits-wide child pointers
+	// (DefaultLayout widths; a leaf's is NHIBits per next hop).
+	ptrBits = 18
+	nhiBits = 8
+)
+
+// stage is one stage memory. visits is the number of trie levels folded into
+// the stage — the uniform step count every unresolved flight performs while in
+// it (the StageMap's contiguity, pinned by TestStageMapContiguity, guarantees
+// the levels form one run) — which lets the batched sweep drive the
+// intra-stage walk with a fixed trip count instead of a per-entry fold branch.
+// Derived.
+type stage struct {
+	meta   []uint16
+	child  [][2]uint32
+	visits int
+}
+
+// Image is a compiled pipeline memory image.
+type Image struct {
+	// K is the number of virtual networks (NHI vector width).
+	K int
+	// Map is the level→stage mapping used at compile time.
+	Map trie.StageMap
+
+	stages []stage
+	// meta and child back every stage's slices, stage after stage.
+	meta  []uint16
+	child [][2]uint32
+	nhi   []ip.NextHop
+
+	// jump is the jump table over the address's top 32-jumpShift bits, a pure
+	// function of the words of stages below jumpStage: jump[addr>>jumpShift] is
+	// the entry at which addr's walk enters stage jumpStage, or noJump where
+	// that walk does not get there the plain way — it ends at a leaf, leaves a
+	// stage's index range, or meets a stale-parity word (whether or not the
+	// engine checks: a walk from stage 0 gives the right verdict either way)
+	// or a word of another level than the walk's step. Nil on an image too
+	// small to have one. Derived.
+	jump      []uint32
+	jumpStage int
+	jumpShift uint8
+}
+
+// Entry is the view of one stage-memory word that the scalar oracle, the HDL
+// backend and hand-made test images use: either an internal node holding two
+// child indices into the next stage's memory, or a leaf holding the NHI
+// vector.
 type Entry struct {
 	Leaf bool
 	// Level is the trie node level this entry belongs to; with folded
 	// shallow levels a stage may hold entries of several levels.
 	Level int
-	// Child indexes the two children. For entries whose level maps to the
-	// same stage (folding) the index is within this stage; otherwise it is
-	// within the next stage.
+	// Child indexes the two children ({0, 0} on a leaf). For entries whose
+	// level maps to the same stage (folding) the index is within this stage;
+	// otherwise it is within the next stage.
 	Child [2]uint32
-	// NHI is the per-VN next-hop vector of a leaf (length K).
+	// NHI is the per-VN next-hop vector of a leaf (length K on compiled
+	// images). A view's NHI aliases the image's words, capped to its own.
 	NHI []ip.NextHop
-	// Parity is the even-parity bit over the entry's data bits, computed at
-	// compile time the way a BRAM parity column would be. An SEU bit flip
-	// (Image.FlipBit) leaves it stale, which is what per-stage parity
+	// Parity is the stored even-parity bit over the entry's data bits,
+	// computed at compile time the way a BRAM parity column would be. An SEU
+	// bit flip (Image.FlipBit) leaves it stale, which is what per-stage parity
 	// checking keys on to detect corruption.
 	Parity uint8
-}
-
-// DataBits returns the number of flippable data bits the entry occupies
-// under the paper's memory layout: two PtrBits-wide child pointers for an
-// internal node, K NHIBits-wide next hops for a leaf (DefaultLayout widths).
-func (e *Entry) DataBits() int {
-	if e.Leaf {
-		return len(e.NHI) * 8
-	}
-	return 2 * 18
 }
 
 // DataParity computes the even-parity bit over the entry's data bits.
@@ -56,108 +130,7 @@ func (e *Entry) DataParity() uint8 {
 	for _, nh := range e.NHI {
 		x ^= uint32(nh)
 	}
-	x ^= x >> 16
-	x ^= x >> 8
-	x ^= x >> 4
-	x ^= x >> 2
-	x ^= x >> 1
-	return uint8(x & 1)
-}
-
-// StageMem is the memory of one pipeline stage.
-type StageMem struct {
-	Entries []Entry
-}
-
-// Image is a compiled pipeline memory image.
-type Image struct {
-	// Stage memories, one per pipeline stage.
-	Stages []StageMem
-	// K is the number of virtual networks (NHI vector width).
-	K int
-	// Map is the level→stage mapping used at compile time.
-	Map trie.StageMap
-	// flat caches the image's struct-of-arrays form, built the first time an
-	// engine serves the image and shared by every engine that does (see
-	// sharedFlat). A clone starts without one and FlipBit drops it, so a
-	// cached form never outlives the words it was built from; code that
-	// writes Entries directly must do so before the image is first served.
-	flat atomic.Pointer[FlatImage]
-}
-
-// node abstracts trie.Node and merge.Node for compilation.
-type node interface {
-	leaf() bool
-	child(b int) node
-	// appendNHI appends the leaf's next-hop vector to slab.
-	appendNHI(slab []ip.NextHop) []ip.NextHop
-}
-
-type uniNode struct{ n *trie.Node }
-
-func (u uniNode) leaf() bool { return u.n.IsLeaf() }
-func (u uniNode) child(b int) node {
-	if u.n.Child[b] == nil {
-		return nil
-	}
-	return uniNode{u.n.Child[b]}
-}
-func (u uniNode) appendNHI(slab []ip.NextHop) []ip.NextHop { return append(slab, u.n.NextHop) }
-
-type mergedNode struct{ n *merge.Node }
-
-func (m mergedNode) leaf() bool { return m.n.IsLeaf() }
-func (m mergedNode) child(b int) node {
-	if m.n.Child[b] == nil {
-		return nil
-	}
-	return mergedNode{m.n.Child[b]}
-}
-func (m mergedNode) appendNHI(slab []ip.NextHop) []ip.NextHop { return append(slab, m.n.NHI...) }
-
-// Compile maps a leaf-pushed single-network trie onto stages pipeline
-// stages with the plain fold-into-stage-0 level mapping. Leaf pushing is
-// required: only then does every lookup terminate at a leaf, which is what
-// lets the hardware resolve the NHI in the last touched stage.
-func Compile(tr *trie.Trie, stages int) (*Image, error) {
-	if !tr.LeafPushed() {
-		return nil, fmt.Errorf("pipeline: trie must be leaf-pushed before compilation")
-	}
-	sm, err := trie.NewStageMap(stages, tr.Stats().Height)
-	if err != nil {
-		return nil, err
-	}
-	return compile(uniNode{tr.Root()}, 1, sm)
-}
-
-// CompileMapped is Compile with an explicit level→stage mapping, e.g. a
-// memory-balanced one from trie.NewBalancedStageMap.
-func CompileMapped(tr *trie.Trie, sm trie.StageMap) (*Image, error) {
-	if !tr.LeafPushed() {
-		return nil, fmt.Errorf("pipeline: trie must be leaf-pushed before compilation")
-	}
-	return compile(uniNode{tr.Root()}, 1, sm)
-}
-
-// CompileMerged maps a leaf-pushed merged trie onto stages pipeline stages
-// with the plain level mapping.
-func CompileMerged(m *merge.Trie, stages int) (*Image, error) {
-	if !m.LeafPushed() {
-		return nil, fmt.Errorf("pipeline: merged trie must be leaf-pushed before compilation")
-	}
-	sm, err := trie.NewStageMap(stages, m.Stats().Height)
-	if err != nil {
-		return nil, err
-	}
-	return compile(mergedNode{m.Root()}, m.K(), sm)
-}
-
-// CompileMergedMapped is CompileMerged with an explicit level→stage mapping.
-func CompileMergedMapped(m *merge.Trie, sm trie.StageMap) (*Image, error) {
-	if !m.LeafPushed() {
-		return nil, fmt.Errorf("pipeline: merged trie must be leaf-pushed before compilation")
-	}
-	return compile(mergedNode{m.Root()}, m.K(), sm)
+	return uint8(bits.OnesCount32(x) & 1)
 }
 
 // Image-build instrumentation (surfaced by the cmd tools' -stats flag and
@@ -168,114 +141,153 @@ var (
 	obsImagesCloned   = obs.NewCounter("pipeline.images_cloned")
 )
 
-// compile lays the trie out breadth-first, one pass: a node's index within
-// its stage is assigned when the node is enqueued and recorded in its
-// parent's queue slot, and since nodes leave the queue in the order they
-// entered it, replaying the queue emits every stage's entries in index
-// order. All leaves' NHI vectors share one slab (see nhiView).
-func compile(root node, k int, sm trie.StageMap) (*Image, error) {
-	type placed struct {
-		n     node
-		level int
-		child [2]uint32
+// newImage returns an image of lens[s] zero words in stage s, over an empty
+// slab with room for words next hops.
+func newImage(k int, sm trie.StageMap, lens []int, words int) *Image {
+	total := 0
+	for _, n := range lens {
+		total += n
 	}
-	queue := make([]placed, 1, countNodes(root))
-	queue[0].n = root
-	next := make([]uint32, sm.Stages) // next free index per stage
-	next[sm.Stage(0)] = 1
-	leaves := 0
-	for head := 0; head < len(queue); head++ {
-		n, level := queue[head].n, queue[head].level
-		if n.leaf() {
-			leaves++
-			continue
-		}
-		s := sm.Stage(level + 1)
-		for b := 0; b < 2; b++ {
-			c := n.child(b)
-			if c == nil {
-				return nil, fmt.Errorf("pipeline: internal node with missing child at level %d (trie not fully leaf-pushed?)", level)
-			}
-			queue[head].child[b] = next[s]
-			next[s]++
-			queue = append(queue, placed{n: c, level: level + 1})
-		}
+	img := &Image{
+		K: k, Map: sm,
+		stages: make([]stage, len(lens)),
+		meta:   make([]uint16, total),
+		child:  make([][2]uint32, total),
+		nhi:    make([]ip.NextHop, 0, words),
 	}
+	off := 0
+	for s, n := range lens {
+		// Capacity cut to length: a stage never grows into its neighbour.
+		img.stages[s] = stage{meta: img.meta[off : off+n : off+n], child: img.child[off : off+n : off+n], visits: 1}
+		off += n
+	}
+	return img
+}
 
-	img := &Image{Stages: make([]StageMem, sm.Stages), K: k, Map: sm}
-	for s, n := range next {
-		if n > 0 {
-			img.Stages[s].Entries = make([]Entry, 0, n)
+// NewImage builds an image from hand-made entries, entries[s] becoming stage
+// s — the constructor of test fixtures; tables compile. Entries are stored as
+// given, stale Parity included; a leaf's Child is not stored and must be zero.
+func NewImage(k int, sm trie.StageMap, entries [][]Entry) (*Image, error) {
+	if len(entries) != sm.Stages {
+		return nil, fmt.Errorf("pipeline: %d stages of entries for a %d-stage map", len(entries), sm.Stages)
+	}
+	lens, words := make([]int, len(entries)), 0
+	for s := range entries {
+		lens[s] = len(entries[s])
+		for i := range entries[s] {
+			e := &entries[s][i]
+			switch {
+			case e.Leaf && e.Child != [2]uint32{}:
+				return nil, fmt.Errorf("pipeline: stage %d entry %d: leaf with child pointers %v", s, i, e.Child)
+			case e.Level < 0 || e.Leaf && e.Level > int(metaLevelMask) || !e.Leaf && e.Level > int(metaShiftMask):
+				return nil, fmt.Errorf("pipeline: stage %d entry %d: level %d out of range", s, i, e.Level)
+			case e.Leaf:
+				words += len(e.NHI)
+			}
 		}
 	}
-	slab := make([]ip.NextHop, 0, leaves*k)
-	for i := range queue {
-		p := &queue[i]
-		e := Entry{Level: p.level, Child: p.child}
-		if p.n.leaf() {
-			e.Leaf = true
-			off := len(slab)
-			slab = p.n.appendNHI(slab)
-			e.NHI = nhiView(slab, off)
+	img := newImage(k, sm, lens, words)
+	for s := range entries {
+		for i := range entries[s] {
+			img.setEntry(s, i, &entries[s][i])
 		}
-		e.Parity = e.DataParity()
-		st := &img.Stages[sm.Stage(p.level)]
-		st.Entries = append(st.Entries, e)
 	}
-	obsImagesCompiled.Inc()
+	img.derive()
 	return img, nil
 }
 
-// countNodes sizes compile's queue. A missing child counts as nothing;
-// compile reports it when its walk gets there.
-func countNodes(n node) int {
-	if n == nil {
-		return 0
+// setEntry stores e's words as entry (s, i), a leaf's vector at the end of
+// the slab.
+func (img *Image) setEntry(s, i int, e *Entry) {
+	m := uint16(e.Parity&1) << 9
+	if e.Leaf {
+		m |= metaLeaf | uint16(e.Level)
+		img.stages[s].child[i] = [2]uint32{uint32(len(img.nhi)), uint32(len(e.NHI))}
+		img.nhi = append(img.nhi, e.NHI...)
+	} else {
+		m |= uint16(31 - e.Level)
+		img.stages[s].child[i] = e.Child
 	}
-	if n.leaf() {
-		return 1
-	}
-	return 1 + countNodes(n.child(0)) + countNodes(n.child(1))
+	img.stages[s].meta[i] = m
 }
 
-// nhiView returns slab[off:] as one leaf's NHI vector. Its capacity is cut
-// to its length, so an append through the view reallocates instead of
-// growing into the next leaf's words; a write through it (FlipBit) stays
-// inside its own words.
-func nhiView(slab []ip.NextHop, off int) []ip.NextHop {
-	return slab[off:len(slab):len(slab)]
+// Stages returns the number of pipeline stages.
+func (img *Image) Stages() int { return len(img.stages) }
+
+// StageLen returns the number of entries in stage s's memory.
+func (img *Image) StageLen(s int) int { return len(img.stages[s].meta) }
+
+// Entry returns the view of entry (s, i).
+func (img *Image) Entry(s int, i uint32) (e Entry) {
+	img.stages[s].view(&e, img.nhi, i)
+	return e
+}
+
+// view makes e the view of the stage's entry i, slab being its image's. (It
+// fills e in place and stays under the inliner's budget: the scalar oracle
+// takes one per memory access.)
+func (st *stage) view(e *Entry, slab []ip.NextHop, i uint32) {
+	m, c := st.meta[i], st.child[i]
+	e.Parity = uint8(m >> 9 & 1)
+	if e.Leaf = m&metaLeaf != 0; e.Leaf {
+		e.Level, e.Child, e.NHI = int(m&metaLevelMask), [2]uint32{}, slab[c[0]:][:c[1]:c[1]]
+	} else {
+		e.Level, e.Child, e.NHI = 31-int(m&metaShiftMask), c, nil
+	}
 }
 
 // Clone returns a deep copy of the image (the stage map is shared; it is
-// immutable): one entry array per stage and one next-hop slab, so the copy
-// shares no mutable word with its source. The owner of a compiled image
-// keeps it pristine and hands clones to whatever may write to them — fault
-// injection, shadow-bank updates, a data plane under either.
+// immutable): the copy shares no word, stored or derived, with its source.
+// The owner of a compiled image keeps it pristine and hands clones to
+// whatever may write to them — fault injection, a data plane under it.
 func (img *Image) Clone() *Image {
-	out := &Image{Stages: make([]StageMem, len(img.Stages)), K: img.K, Map: img.Map}
-	words := 0
-	for s := range img.Stages {
-		for i := range img.Stages[s].Entries {
-			words += len(img.Stages[s].Entries[i].NHI)
-		}
+	out := &Image{
+		K: img.K, Map: img.Map,
+		stages: make([]stage, len(img.stages)),
+		meta:   slices.Clone(img.meta),
+		child:  slices.Clone(img.child),
+		nhi:    slices.Clone(img.nhi),
+		jump:   slices.Clone(img.jump), jumpStage: img.jumpStage, jumpShift: img.jumpShift,
 	}
-	slab := make([]ip.NextHop, 0, words)
-	for s := range img.Stages {
-		if len(img.Stages[s].Entries) == 0 {
-			continue
-		}
-		entries := make([]Entry, len(img.Stages[s].Entries))
-		copy(entries, img.Stages[s].Entries)
-		for i := range entries {
-			if entries[i].NHI != nil {
-				off := len(slab)
-				slab = append(slab, entries[i].NHI...)
-				entries[i].NHI = nhiView(slab, off)
-			}
-		}
-		out.Stages[s].Entries = entries
+	off := 0
+	for s, st := range img.stages {
+		end := off + len(st.meta)
+		out.stages[s] = stage{meta: out.meta[off:end:end], child: out.child[off:end:end], visits: st.visits}
+		off = end
 	}
 	obsImagesCloned.Inc()
+	return out
+}
+
+// Splice returns the image a reload of head that got n stages far leaves in a
+// memory that held tail: head's words in stages [0, n), tail's in the rest.
+// Every word is a copy — leaf vectors in the new image's own slab — so what
+// strikes the splice reaches neither source, and every derived word follows.
+func Splice(head, tail *Image, n int) *Image {
+	src := func(s int) *Image {
+		if s < n {
+			return head
+		}
+		return tail
+	}
+	lens := make([]int, len(tail.stages))
+	for s := range lens {
+		lens[s] = len(src(s).stages[s].meta)
+	}
+	out := newImage(tail.K, tail.Map, lens, len(head.nhi)+len(tail.nhi))
+	for s := range out.stages {
+		from, st := src(s), &out.stages[s]
+		copy(st.meta, from.stages[s].meta)
+		for i, c := range from.stages[s].child {
+			if st.meta[i]&metaLeaf != 0 {
+				off := uint32(len(out.nhi))
+				out.nhi = append(out.nhi, from.nhi[c[0]:c[0]+c[1]]...)
+				c[0] = off
+			}
+			st.child[i] = c
+		}
+	}
+	out.derive()
 	return out
 }
 
@@ -283,23 +295,25 @@ func (img *Image) Clone() *Image {
 // exposure area an SEU rate per bit-cycle multiplies.
 func (img *Image) DataBits() int64 {
 	var total int64
-	for s := range img.Stages {
-		for i := range img.Stages[s].Entries {
-			total += int64(img.Stages[s].Entries[i].DataBits())
-		}
+	for i, m := range img.meta {
+		total += int64(dataBits(m, img.child[i]))
 	}
 	return total
 }
 
+// dataBits returns the number of flippable data bits an entry occupies under
+// the paper's memory layout: two PtrBits-wide child pointers for an internal
+// node, NHIBits a next hop for a leaf (DefaultLayout widths).
+func dataBits(m uint16, c [2]uint32) int {
+	if m&metaLeaf != 0 {
+		return int(c[1]) * nhiBits
+	}
+	return 2 * ptrBits
+}
+
 // Words returns the total stage-memory word (entry) count — the reload cost
 // of a full image scrub.
-func (img *Image) Words() int {
-	n := 0
-	for _, s := range img.Stages {
-		n += len(s.Entries)
-	}
-	return n
-}
+func (img *Image) Words() int { return len(img.meta) }
 
 // Locate maps a flat bit offset in [0, DataBits()) onto the (stage, index,
 // bit-within-entry) coordinates FlipBit takes. It reports false when off is
@@ -308,9 +322,10 @@ func (img *Image) Locate(off int64) (stage int, index uint32, bit int, ok bool) 
 	if off < 0 {
 		return 0, 0, 0, false
 	}
-	for s := range img.Stages {
-		for i := range img.Stages[s].Entries {
-			n := int64(img.Stages[s].Entries[i].DataBits())
+	for s := range img.stages {
+		st := &img.stages[s]
+		for i, m := range st.meta {
+			n := int64(dataBits(m, st.child[i]))
 			if off < n {
 				return s, uint32(i), int(off), true
 			}
@@ -324,42 +339,37 @@ func (img *Image) Locate(off int64) (stage int, index uint32, bit int, ok bool) 
 // event upset in that stage's BRAM: bit b of an internal node toggles child
 // pointer b/18 at position b%18; bit b of a leaf toggles next hop b/8 at
 // position b%8. bit is reduced modulo the entry's data width. The stored
-// Parity is deliberately left stale — that staleness is the detectable
-// signature of the upset. It reports false when the coordinates are out of
-// range (e.g. an upset scheduled against an image that has since shrunk).
+// parity bit is deliberately left stale — that staleness is the detectable
+// signature of the upset — and the derived words follow. It reports false
+// when the coordinates are out of range (e.g. an upset scheduled against an
+// image that has since shrunk). An engine serving the image is told first
+// (BatchSim.Patch).
 func (img *Image) FlipBit(stage int, index uint32, bit int) bool {
-	if stage < 0 || stage >= len(img.Stages) {
+	if stage < 0 || stage >= len(img.stages) || int(index) >= len(img.stages[stage].meta) {
 		return false
 	}
-	entries := img.Stages[stage].Entries
-	if int(index) >= len(entries) {
-		return false
-	}
-	e := &entries[index]
-	n := e.DataBits()
+	st := &img.stages[stage]
+	n := dataBits(st.meta[index], st.child[index])
 	if n == 0 {
 		return false
 	}
 	bit = ((bit % n) + n) % n
-	if e.Leaf {
-		e.NHI[bit/8] ^= ip.NextHop(1) << (bit % 8)
+	if st.meta[index]&metaLeaf != 0 {
+		img.nhi[int(st.child[index][0])+bit/nhiBits] ^= 1 << (bit % nhiBits)
 	} else {
-		e.Child[bit/18] ^= 1 << (bit % 18)
+		st.child[index][bit/ptrBits] ^= 1 << (bit % ptrBits)
 	}
-	// Engines already serving the image keep the flat form they hold and
-	// patch a copy of their own (BatchSim.Patch); later ones flatten afresh.
-	img.flat.Store(nil)
+	img.patch(stage, index)
 	return true
 }
 
-// Corrupted scans every entry's parity and returns the coordinates of words
-// whose stored parity no longer matches their data — the ground-truth view a
-// verifying test (or an offline readback scrub) gets.
+// Corrupted returns the coordinates of words whose stored parity no longer
+// matches their data — the ground-truth view a verifying test (or an offline
+// readback scrub) gets.
 func (img *Image) Corrupted() (stages []int, indices []uint32) {
-	for s := range img.Stages {
-		for i := range img.Stages[s].Entries {
-			e := &img.Stages[s].Entries[i]
-			if e.Parity != e.DataParity() {
+	for s := range img.stages {
+		for i, m := range img.stages[s].meta {
+			if m&metaParityBad != 0 {
 				stages = append(stages, s)
 				indices = append(indices, uint32(i))
 			}
@@ -368,98 +378,36 @@ func (img *Image) Corrupted() (stages []int, indices []uint32) {
 	return stages, indices
 }
 
-// MemLayout sizes stage memories in bits. PtrBits is the width of one child
-// pointer (the paper reads 18-bit-wide data, Section V-B); NHIBits is the
-// width of one network's next-hop entry.
-//
-// IndirectNHI selects the alternative leaf layout of the DESIGN.md ablation:
-// instead of storing the K-wide NHI vector inline at every leaf (the
-// paper's Section V-D layout), each leaf stores a PtrBits-wide index into a
-// shared table of distinct vectors. When many leaves share the same vector
-// (high-overlap merges), indirection trades one extra memory for much
-// smaller leaf entries.
-type MemLayout struct {
-	PtrBits     int
-	NHIBits     int
-	IndirectNHI bool
+// ParityStale reports whether entry (s, i)'s stored parity no longer matches
+// its data: what a readback of the word finds.
+func (img *Image) ParityStale(s int, i uint32) bool {
+	return img.stages[s].meta[i]&metaParityBad != 0
 }
 
-// DefaultLayout matches the paper's 18-bit read width with byte-wide NHI.
-func DefaultLayout() MemLayout { return MemLayout{PtrBits: 18, NHIBits: 8} }
-
-// EntryBits returns the storage cost of one entry for a K-network image:
-// internal nodes store two child pointers, leaves store the K-wide NHI
-// vector (Section V-D) or an index into the shared vector table.
-func (l MemLayout) EntryBits(e Entry, k int) int64 {
-	if e.Leaf {
-		if l.IndirectNHI {
-			return int64(l.PtrBits)
+// DiffStage calls differ, in index order, with every index of stage s at
+// which img and other do not hold the same word: a different kind or level,
+// other child pointers, another next-hop vector — or no word at all on one
+// side, when the stages differ in length. Parity is not compared: it follows
+// the data.
+func (img *Image) DiffStage(other *Image, s int, differ func(i uint32)) {
+	a, b := &img.stages[s], &other.stages[s]
+	n, m := len(a.meta), len(b.meta)
+	if m < n {
+		n, m = m, n
+	}
+	for i := 0; i < n; i++ {
+		ca, cb := a.child[i], b.child[i]
+		same := (a.meta[i]^b.meta[i])&metaKind == 0
+		if same && a.meta[i]&metaLeaf != 0 {
+			same = slices.Equal(img.nhi[ca[0]:ca[0]+ca[1]], other.nhi[cb[0]:cb[0]+cb[1]])
+		} else if same {
+			same = ca == cb
 		}
-		return int64(k) * int64(l.NHIBits)
-	}
-	return 2 * int64(l.PtrBits)
-}
-
-// NHITableBits returns the size of the shared distinct-vector table used by
-// the indirect layout (0 for the inline layout).
-func (l MemLayout) NHITableBits(img *Image) int64 {
-	if !l.IndirectNHI {
-		return 0
-	}
-	distinct := make(map[string]bool)
-	var key []byte
-	for s := range img.Stages {
-		for _, e := range img.Stages[s].Entries {
-			if !e.Leaf {
-				continue
-			}
-			key = key[:0]
-			for _, nh := range e.NHI {
-				key = append(key, byte(nh), byte(nh>>8))
-			}
-			distinct[string(key)] = true
+		if !same {
+			differ(uint32(i))
 		}
 	}
-	return int64(len(distinct)) * int64(img.K) * int64(l.NHIBits)
-}
-
-// StageBits returns the memory size of stage s in bits. With the indirect
-// layout the shared vector table is charged to the last stage, where the
-// hardware resolves the final NHI.
-func (l MemLayout) StageBits(img *Image, s int) int64 {
-	var bits int64
-	for _, e := range img.Stages[s].Entries {
-		bits += l.EntryBits(e, img.K)
+	for i := n; i < m; i++ {
+		differ(uint32(i))
 	}
-	if s == len(img.Stages)-1 {
-		bits += l.NHITableBits(img)
-	}
-	return bits
-}
-
-// AllStageBits returns per-stage memory sizes for the whole image, the
-// M_{i,j} vector the power models consume.
-func (l MemLayout) AllStageBits(img *Image) []int64 {
-	out := make([]int64, len(img.Stages))
-	for s := range img.Stages {
-		out[s] = l.StageBits(img, s)
-	}
-	return out
-}
-
-// PointerAndNHIBits splits the image's memory into pointer bits (internal
-// nodes) and NHI bits (leaf entries plus any shared vector table), the two
-// panels of Fig. 4.
-func (l MemLayout) PointerAndNHIBits(img *Image) (ptr, nhi int64) {
-	for s := range img.Stages {
-		for _, e := range img.Stages[s].Entries {
-			if e.Leaf {
-				nhi += l.EntryBits(e, img.K)
-			} else {
-				ptr += l.EntryBits(e, img.K)
-			}
-		}
-	}
-	nhi += l.NHITableBits(img)
-	return ptr, nhi
 }

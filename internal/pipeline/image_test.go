@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash"
+	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
@@ -23,11 +24,10 @@ func imageDigest(h hash.Hash, img *Image) {
 		binary.LittleEndian.PutUint64(b[:], v)
 		h.Write(b[:])
 	}
-	put(uint64(len(img.Stages)))
-	for s := range img.Stages {
-		put(uint64(len(img.Stages[s].Entries)))
-		for i := range img.Stages[s].Entries {
-			e := &img.Stages[s].Entries[i]
+	put(uint64(img.Stages()))
+	for _, entries := range allEntries(img) {
+		put(uint64(len(entries)))
+		for _, e := range entries {
 			leaf := uint64(0)
 			if e.Leaf {
 				leaf = 1
@@ -122,9 +122,9 @@ func mergedImage(t *testing.T, k, prefixes int, seed int64) *Image {
 // leaves lists the coordinates of every leaf entry in layout order, which is
 // also the order their NHI vectors sit in the slab.
 func leaves(img *Image) (stages []int, indices []uint32) {
-	for s := range img.Stages {
-		for i := range img.Stages[s].Entries {
-			if img.Stages[s].Entries[i].Leaf {
+	for s, entries := range allEntries(img) {
+		for i := range entries {
+			if entries[i].Leaf {
 				stages = append(stages, s)
 				indices = append(indices, uint32(i))
 			}
@@ -135,11 +135,11 @@ func leaves(img *Image) (stages []int, indices []uint32) {
 
 // snapshotNHI copies every entry's NHI vector out of the image.
 func snapshotNHI(img *Image) [][][]ip.NextHop {
-	out := make([][][]ip.NextHop, len(img.Stages))
-	for s := range img.Stages {
-		out[s] = make([][]ip.NextHop, len(img.Stages[s].Entries))
-		for i := range img.Stages[s].Entries {
-			out[s][i] = append([]ip.NextHop(nil), img.Stages[s].Entries[i].NHI...)
+	out := make([][][]ip.NextHop, img.Stages())
+	for s, entries := range allEntries(img) {
+		out[s] = make([][]ip.NextHop, len(entries))
+		for i := range entries {
+			out[s][i] = append([]ip.NextHop(nil), entries[i].NHI...)
 		}
 	}
 	return out
@@ -152,7 +152,7 @@ func TestSlabNeverAliasesNeighbours(t *testing.T) {
 	for _, k := range []int{1, 4} {
 		orig := mergedImage(t, k, 300, 5)
 		clone := orig.Clone()
-		if !reflect.DeepEqual(orig.Stages, clone.Stages) {
+		if !reflect.DeepEqual(allEntries(orig), allEntries(clone)) {
 			t.Fatalf("K=%d: clone differs from its source", k)
 		}
 		pristine := snapshotNHI(orig)
@@ -162,7 +162,7 @@ func TestSlabNeverAliasesNeighbours(t *testing.T) {
 			t.Fatalf("K=%d: only %d leaves", k, len(ls))
 		}
 		for n := range ls {
-			e := &clone.Stages[ls[n]].Entries[li[n]]
+			e := clone.Entry(ls[n], li[n])
 			if len(e.NHI) != k || cap(e.NHI) != k {
 				t.Fatalf("K=%d: leaf %d NHI len %d cap %d, want both %d", k, n, len(e.NHI), cap(e.NHI), k)
 			}
@@ -198,7 +198,7 @@ func TestSlabNeverAliasesNeighbours(t *testing.T) {
 		// into the next leaf's words.
 		fresh := orig.Clone()
 		for n := range ls {
-			e := &fresh.Stages[ls[n]].Entries[li[n]]
+			e := fresh.Entry(ls[n], li[n])
 			grown := append(e.NHI, 0xFF)
 			grown[0] ^= 0x55
 		}
@@ -219,7 +219,7 @@ func TestCloneChainIndependent(t *testing.T) {
 	ls, li := leaves(b)
 	b.FlipBit(ls[0], li[0], 3)
 	c := b.Clone()
-	if !reflect.DeepEqual(b.Stages, c.Stages) {
+	if !reflect.DeepEqual(allEntries(b), allEntries(c)) {
 		t.Fatal("clone of a corrupted image differs from it")
 	}
 	c.FlipBit(ls[0], li[0], 3) // heals c's data, leaves b corrupted
@@ -235,8 +235,9 @@ func TestCloneChainIndependent(t *testing.T) {
 }
 
 // A pristine image is read by many at once — sweep workers cloning it,
-// simulators serving it read-only — while each clone is written by its one
-// owner. Clone and Lookup must only read the source (run under -race).
+// engines serving its words in place (there is no copy under them to take
+// a write), audits, Flatten — while each clone is written by its one owner.
+// All of them must only read the source (run under -race).
 func TestConcurrentClonesOfSharedImage(t *testing.T) {
 	shared := mergedImage(t, 2, 300, 11)
 	want := snapshotNHI(shared)
@@ -254,6 +255,22 @@ func TestConcurrentClonesOfSharedImage(t *testing.T) {
 					t.Errorf("worker %d: clone has %d corrupted words, want 1", w, len(s))
 				}
 				Lookup(shared, Request{Addr: ip.Addr(uint32(w)<<28 | uint32(i)<<20), VN: i % 2})
+			}
+			reqs := randReqs(rand.New(rand.NewSource(int64(w))), 600, 2, 37)
+			eng := NewBatchSim(shared)
+			eng.EnableParityCheck()
+			if _, st, err := eng.RunSharded(reqs); err != nil || st.Faults != 0 {
+				t.Errorf("worker %d: sharded run over the shared image: %d faults, err %v", w, st.Faults, err)
+			}
+			for _, r := range reqs[:40] {
+				eng.Inject(r, 0)
+			}
+			eng.Drain(nil)
+			if res := AuditImage(shared, []Probe{{Addr: reqs[0].Addr, VN: reqs[0].VN, Want: Lookup(shared, reqs[0])}}); !res.Clean() {
+				t.Errorf("worker %d: audit of the shared image: %+v", w, res)
+			}
+			if !reflect.DeepEqual(Flatten(shared), shared) {
+				t.Errorf("worker %d: Flatten of the shared image differs from it", w)
 			}
 		}(w)
 	}

@@ -1,6 +1,6 @@
 package pipeline
 
-// Tests of the jump table over the flat image's upper trie levels (flat.go)
+// Tests of the jump table over the image's upper trie levels (flat.go)
 // and of the two lanes it splits the sweep into (batch.go): the table against
 // the chain walk slot by slot, the jump lane against the walked lane alone on
 // clean and corrupt images, upsets in the stages the table stands for under a
@@ -105,7 +105,7 @@ var corruptions = []struct {
 			s, idx, bit, _ := img.Locate(rng.Int63n(img.DataBits()))
 			if i%2 == 0 {
 				s = rng.Intn(covered)
-				idx = uint32(rng.Intn(len(img.Stages[s].Entries)))
+				idx = uint32(rng.Intn(img.StageLen(s)))
 			}
 			if s > 0 || idx > 0 { // not the root: checked, no lookup would get past it
 				img.FlipBit(s, idx, bit)
@@ -115,10 +115,12 @@ var corruptions = []struct {
 	{name: "escapes", inParity: true, apply: func(rng *rand.Rand, img *Image, covered int) {
 		// Pointers past every stage's range, below the root.
 		for s := 0; s < covered; s++ {
-			for i := 1; i < len(img.Stages[s].Entries); i++ {
-				if e := &img.Stages[s].Entries[i]; !e.Leaf && rng.Intn(6) == 0 {
-					e.Child[rng.Intn(2)] = 1<<29 + uint32(rng.Intn(1024))
-					e.Parity = e.DataParity()
+			for i := 1; i < img.StageLen(s); i++ {
+				if !img.Entry(s, uint32(i)).Leaf && rng.Intn(6) == 0 {
+					poke(img, s, uint32(i), func(e *Entry) {
+						e.Child[rng.Intn(2)] = 1<<29 + uint32(rng.Intn(1024))
+						e.Parity = e.DataParity()
+					})
 				}
 			}
 		}
@@ -126,19 +128,23 @@ var corruptions = []struct {
 	{name: "strays", wild: true, inParity: true, apply: func(rng *rand.Rand, img *Image, covered int) {
 		// Pointers to some other word of the child's stage, of the right
 		// level or not; the last one struck points at noJump's own value.
-		var last *Entry
+		lastS, lastI := -1, uint32(0)
 		for s := 0; s < covered; s++ {
-			for i := 1; i < len(img.Stages[s].Entries); i++ {
-				if e := &img.Stages[s].Entries[i]; !e.Leaf && rng.Intn(6) == 0 {
-					to := img.Stages[img.Map.Stage(e.Level+1)].Entries
-					e.Child[rng.Intn(2)] = uint32(rng.Intn(len(to)))
-					e.Parity = e.DataParity()
-					last = e
+			for i := 1; i < img.StageLen(s); i++ {
+				if !img.Entry(s, uint32(i)).Leaf && rng.Intn(6) == 0 {
+					poke(img, s, uint32(i), func(e *Entry) {
+						to := img.StageLen(img.Map.Stage(e.Level + 1))
+						e.Child[rng.Intn(2)] = uint32(rng.Intn(to))
+						e.Parity = e.DataParity()
+					})
+					lastS, lastI = s, uint32(i)
 				}
 			}
 		}
-		last.Child[0], last.Child[1] = noJump, noJump
-		last.Parity = last.DataParity()
+		poke(img, lastS, lastI, func(e *Entry) {
+			e.Child = [2]uint32{noJump, noJump}
+			e.Parity = e.DataParity()
+		})
 	}},
 }
 
@@ -147,19 +153,19 @@ var corruptions = []struct {
 // entries, and the deepest level that is all three.
 func TestJumpDepthRule(t *testing.T) {
 	for _, fx := range jumpFixtures(t) {
-		flat := Flatten(fx.img)
-		if flat.jump == nil {
-			t.Fatalf("%s: no jump table on a %d-entry image", fx.name, fx.img.Words())
+		img := fx.img
+		if img.jump == nil {
+			t.Fatalf("%s: no jump table on a %d-entry image", fx.name, img.Words())
 		}
 		want := 0
-		for l := 1; l <= maxJumpBits && 1<<l <= fx.img.Words(); l++ {
-			if fx.img.Map.Stage(l) != fx.img.Map.Stage(l-1) {
+		for l := 1; l <= maxJumpBits && 1<<l <= img.Words(); l++ {
+			if img.Map.Stage(l) != img.Map.Stage(l-1) {
 				want = l
 			}
 		}
-		if got := 32 - int(flat.jumpShift); got != want || flat.jumpStage != fx.img.Map.Stage(want) || len(flat.jump) != 1<<want {
+		if got := 32 - int(img.jumpShift); got != want || img.jumpStage != img.Map.Stage(want) || len(img.jump) != 1<<want {
 			t.Errorf("%s: table of %d slots over %d bits into stage %d, want %d bits into stage %d",
-				fx.name, len(flat.jump), got, flat.jumpStage, want, fx.img.Map.Stage(want))
+				fx.name, len(img.jump), got, img.jumpStage, want, img.Map.Stage(want))
 		}
 	}
 }
@@ -175,8 +181,11 @@ func TestJumpTableMatchesWalk(t *testing.T) {
 				continue // the walk may not come back from those; the lanes test has them
 			}
 			img := fx.img.Clone()
-			c.apply(rand.New(rand.NewSource(int64(ci))), img, Flatten(img).jumpStage)
+			c.apply(rand.New(rand.NewSource(int64(ci))), img, img.jumpStage)
 			flat := Flatten(img)
+			if !reflect.DeepEqual(flat, img) {
+				t.Fatalf("%s/%s: the image's derived words are not what Flatten derives", fx.name, c.name)
+			}
 			if flat.jump == nil {
 				t.Fatalf("%s/%s: no jump table", fx.name, c.name)
 			}
@@ -201,12 +210,12 @@ func TestJumpTableMatchesWalk(t *testing.T) {
 	}
 }
 
-// withoutJump makes b serve from a copy of its flat image that has no jump
-// table: every flight takes the walked lane, as before there was a table.
+// withoutJump makes b serve the words of its image without the jump table:
+// every flight takes the walked lane, as before there was a table.
 func withoutJump(b *BatchSim) *BatchSim {
-	flat := *b.cur.flat
-	flat.jump, flat.jumpStage = nil, 0
-	b.cur.flat = &flat
+	img := *b.cur
+	img.jump, img.jumpStage = nil, 0
+	b.cur = &img
 	return b
 }
 
@@ -264,7 +273,7 @@ func TestJumpLanesMatchWalkedLane(t *testing.T) {
 				}
 				img := fx.img.Clone()
 				rng := rand.New(rand.NewSource(int64(100 + ci)))
-				c.apply(rng, img, Flatten(img).jumpStage)
+				c.apply(rng, img, img.jumpStage)
 				engines := func() (with, without *BatchSim) {
 					with, without = NewBatchSim(img), withoutJump(NewBatchSim(img))
 					if parity {
@@ -281,13 +290,13 @@ func TestJumpLanesMatchWalkedLane(t *testing.T) {
 				reqs[7].VN = math.MaxInt // beyond the engines' 32 bits: no route, as any VN the leaf lacks
 
 				with, without := engines()
-				flat := with.cur.flat
-				if flat.jump == nil || without.cur.flat.jump != nil {
+				served := with.cur
+				if served.jump == nil || without.cur.jump != nil {
 					t.Fatalf("%s: engines not set up with and without a table", name)
 				}
 				jumpers := 0
 				for _, r := range reqs {
-					if flat.jump[uint32(r.Addr)>>flat.jumpShift] != noJump {
+					if served.jump[uint32(r.Addr)>>served.jumpShift] != noJump {
 						jumpers++
 					}
 				}
@@ -350,36 +359,33 @@ func TestJumpLanesMatchWalkedLane(t *testing.T) {
 // TestJumpTableUpsetsMidStream strikes the stages the table stands for under
 // a streaming engine, in lockstep with the scalar one: the child pointer a
 // busy path follows out of stage 0, then the stored parity of a word in the last
-// covered stage on another. The engine that took the hits stops sharing and
-// its own table drops the struck patterns at once — every exit equals the
-// scalar engine's, faults in the struck stages included — while a neighbour
-// serving the same image keeps the shared form, table and all, and a clean
-// reinstall jumps again.
+// covered stage on another. The struck image's table drops the struck
+// patterns at once — every exit equals the scalar engine's, faults in the
+// struck stages included — while a neighbour serving its own clone keeps its
+// table and its answers, and a clean reinstall jumps again.
 func TestJumpTableUpsetsMidStream(t *testing.T) {
 	pristine, routed := compileSet(t, 2, 400, 28, 5)
 	for _, every := range drainCadences {
 		for _, eachStats := range []bool{false, true} {
 			img := pristine.Clone()
-			neighbour := NewBatchSim(img)
-			shared := neighbour.cur.flat
-			sharedJump := slices.Clone(shared.jump)
+			neighbour := NewBatchSim(pristine.Clone())
 			p := newPair(t, img, true, every)
 			p.eachStats = eachStats
-			if p.batched.cur.flat != shared || shared.jump == nil {
-				t.Fatal("engines over one image do not share a flat form with a jump table")
+			if img.jump == nil {
+				t.Fatal("the fixture has no jump table")
 			}
-			slotOf := func(flat *FlatImage, a ip.Addr) uint32 { return flat.jump[uint32(a)>>flat.jumpShift] }
+			slotOf := func(img *Image, a ip.Addr) uint32 { return img.jump[uint32(a)>>img.jumpShift] }
 
 			// Two busy paths that part at the root.
-			first, _ := deepPath(t, img, routed, shared.jumpStage+1)
+			first, _ := deepPath(t, img, routed, img.jumpStage+1)
 			var other []ip.Addr
 			for _, a := range routed {
 				if a>>31 != first.Addr>>31 {
 					other = append(other, a)
 				}
 			}
-			second, at2 := deepPath(t, img, other, shared.jumpStage+1)
-			if slotOf(shared, first.Addr) == noJump || slotOf(shared, second.Addr) == noJump {
+			second, at2 := deepPath(t, img, other, img.jumpStage+1)
+			if slotOf(img, first.Addr) == noJump || slotOf(img, second.Addr) == noJump {
 				t.Fatal("the deep paths do not jump on the clean image")
 			}
 			rng := rand.New(rand.NewSource(11))
@@ -407,32 +413,26 @@ func TestJumpTableUpsetsMidStream(t *testing.T) {
 			if v0.Entry == 0 {
 				t.Fatal("stage 0 holds the root alone: the fixture should fold levels into it")
 			}
-			level := img.Stages[0].Entries[v0.Entry].Level
-			img.FlipBit(0, v0.Entry, 18*first.Addr.Bit(level))
-			p.batched.Patch(0, v0.Entry)
-			own := p.batched.cur.flat
-			if !p.batched.cur.own || own == shared {
-				t.Fatal("the struck engine still shares its flat image")
-			}
-			if slotOf(own, first.Addr) != noJump || slotOf(own, second.Addr) == noJump {
-				t.Fatal("the struck engine's table does not drop the struck path alone")
+			level := img.Entry(0, v0.Entry).Level
+			p.batched.Patch(func() { img.FlipBit(0, v0.Entry, 18*first.Addr.Bit(level)) })
+			if slotOf(img, first.Addr) != noJump || slotOf(img, second.Addr) == noJump {
+				t.Fatal("the struck image's table does not drop the struck path alone")
 			}
 			traffic(50)
 
 			// The stored parity of second's word in the last covered stage.
-			v := at2[own.jumpStage-1]
-			img.Stages[v.Stage].Entries[v.Entry].Parity ^= 1
-			p.batched.Patch(v.Stage, v.Entry)
-			if p.batched.cur.flat != own {
-				t.Fatal("a second patch re-flattened an own image")
-			}
-			if slotOf(own, second.Addr) != noJump {
+			v := at2[img.jumpStage-1]
+			p.batched.Patch(func() { poke(img, v.Stage, v.Entry, func(e *Entry) { e.Parity ^= 1 }) })
+			if slotOf(img, second.Addr) != noJump {
 				t.Fatal("the table still jumps over a stale-parity word")
+			}
+			if !reflect.DeepEqual(Flatten(img), img) {
+				t.Fatal("the struck image's derived words are not what Flatten derives")
 			}
 			traffic(50)
 
-			if neighbour.cur.flat != shared || neighbour.cur.own || !slices.Equal(shared.jump, sharedJump) {
-				t.Fatal("the neighbour's shared flat image or its table changed")
+			if !reflect.DeepEqual(neighbour.cur, pristine) {
+				t.Fatal("the neighbour's clone changed")
 			}
 			probes := []Request{first, second, {Addr: first.Addr, VN: 1}, {Addr: second.Addr, VN: 1}}
 			got, _ := streamAll(neighbour, probes)
@@ -441,9 +441,9 @@ func TestJumpTableUpsetsMidStream(t *testing.T) {
 				t.Fatalf("the neighbour's exits changed:\ngot  %+v\nwant %+v", got, want)
 			}
 
-			// A clean reinstall serves from a shared form with a full table.
+			// A clean reinstall serves a full table again.
 			p.load(pristine.Clone(), true)
-			if f := p.batched.cur.flat; p.batched.cur.own || f.jump == nil || slotOf(f, first.Addr) == noJump || slotOf(f, second.Addr) == noJump {
+			if f := p.batched.cur; f.jump == nil || slotOf(f, first.Addr) == noJump || slotOf(f, second.Addr) == noJump {
 				t.Fatal("the reinstalled engine does not jump")
 			}
 			traffic(30)
@@ -488,8 +488,8 @@ func TestJumpTableCorners(t *testing.T) {
 
 	t.Run("default route only", func(t *testing.T) {
 		img := compile([]ip.Route{{Prefix: ip.Prefix{}, NextHop: 5}}, 28)
-		if flat := Flatten(img); flat.jump != nil || flat.jumpStage != 0 {
-			t.Fatalf("a one-entry image has a %d-slot table into stage %d", len(flat.jump), flat.jumpStage)
+		if img.jump != nil || img.jumpStage != 0 {
+			t.Fatalf("a one-entry image has a %d-slot table into stage %d", len(img.jump), img.jumpStage)
 		}
 		if res := diff(img, 1, Request{Addr: 0xC0000201}); res[0].NHI != 5 || res[0].LastStage != 0 {
 			t.Errorf("default route resolved to %+v", res[0])
@@ -505,19 +505,18 @@ func TestJumpTableCorners(t *testing.T) {
 			}
 		}
 		img := compile(routes, 28)
-		flat := Flatten(img)
-		if flat.jump == nil || 32-flat.jumpShift <= 3 {
-			t.Fatalf("table over %d bits; want one deeper than the /3", 32-int(flat.jumpShift))
+		if img.jump == nil || 32-img.jumpShift <= 3 {
+			t.Fatalf("table over %d bits; want one deeper than the /3", 32-int(img.jumpShift))
 		}
-		lo, hi := uint32(short.Addr)>>flat.jumpShift, uint32(short.Addr|^ip.Mask(3))>>flat.jumpShift
+		lo, hi := uint32(short.Addr)>>img.jumpShift, uint32(short.Addr|^ip.Mask(3))>>img.jumpShift
 		for p := lo; p <= hi; p++ {
-			if flat.jump[p] != noJump {
-				t.Fatalf("jump[%#x] = %d under a /3 leaf", p, flat.jump[p])
+			if img.jump[p] != noJump {
+				t.Fatalf("jump[%#x] = %d under a /3 leaf", p, img.jump[p])
 			}
 		}
 		res := diff(img, 1, Request{Addr: 0xC8010203}, Request{Addr: 0xDFFFFFFF})
 		for _, r := range res {
-			if r.NHI != 9 || r.LastStage != img.Map.Stage(3) || r.LastStage >= flat.jumpStage {
+			if r.NHI != 9 || r.LastStage != img.Map.Stage(3) || r.LastStage >= img.jumpStage {
 				t.Errorf("lookup under the /3 resolved to %+v", r)
 			}
 		}
@@ -532,17 +531,20 @@ func TestJumpTableCorners(t *testing.T) {
 			routes = append(routes, ip.Route{Prefix: p, NextHop: ip.NextHop(1 + i%7)})
 		}
 		img := compile(routes, 28)
-		flat := Flatten(img)
-		if flat.jump == nil || len(img.Stages[flat.jumpStage].Entries) == 0 {
-			t.Fatalf("table into stage %d of a trie 8 levels deep", flat.jumpStage)
+		if img.jump == nil || img.StageLen(img.jumpStage) == 0 {
+			t.Fatalf("table into stage %d of a trie 8 levels deep", img.jumpStage)
 		}
 		diff(img, 1)
 
 		// A covered stage that lost its memory: every walk that gets there
 		// faults, so no pattern jumps past it.
-		img = img.Clone()
-		img.Stages[flat.jumpStage-1].Entries = nil
-		hole := Flatten(img)
+		entries := allEntries(img)
+		entries[img.jumpStage-1] = nil
+		hole, err := NewImage(img.K, img.Map, entries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		img = hole
 		if hole.jump != nil {
 			for p, idx := range hole.jump {
 				if idx != noJump {
@@ -555,7 +557,7 @@ func TestJumpTableCorners(t *testing.T) {
 
 	t.Run("merged leaves and foreign VNs", func(t *testing.T) {
 		img := compileMerged(t, 3, 500, 7, 28)
-		if Flatten(img).jump == nil {
+		if img.jump == nil {
 			t.Fatal("no jump table")
 		}
 		a := ip.Addr(0x0A000001)

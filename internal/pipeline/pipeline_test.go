@@ -47,10 +47,10 @@ func TestCompileEntryCountsMatchTrie(t *testing.T) {
 		t.Fatal(err)
 	}
 	total := 0
-	for _, st := range img.Stages {
-		total += len(st.Entries)
+	for st := 0; st < img.Stages(); st++ {
+		total += img.StageLen(st)
 	}
-	if total != s.Nodes {
+	if total != s.Nodes || img.Words() != s.Nodes {
 		t.Errorf("image entries = %d, want trie nodes %d", total, s.Nodes)
 	}
 	if img.K != 1 {
@@ -348,7 +348,7 @@ func TestIndirectNHILayout(t *testing.T) {
 	}
 	// Total across stages must account for the table exactly once.
 	var sum int64
-	for s := range img.Stages {
+	for s := 0; s < img.Stages(); s++ {
 		sum += indirect.StageBits(img, s)
 	}
 	if sum != ptrB+nhiB {

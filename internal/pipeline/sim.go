@@ -138,7 +138,7 @@ func (s *Sim) newFlight(req Request, enter int64) *flight {
 	f.req = req
 	f.enter = enter
 	if req.Trace {
-		f.trace = &traceLog{visits: make([]obs.StageVisit, 0, len(s.img.Stages))}
+		f.trace = &traceLog{visits: make([]obs.StageVisit, 0, s.img.Stages())}
 	}
 	return f
 }
@@ -173,7 +173,11 @@ func (f *flight) visitLog() []obs.StageVisit {
 
 // Sim is the cycle-accurate pipeline simulator. One packet can occupy each
 // stage register, so a full pipeline completes one lookup per cycle — the
-// throughput model behind the paper's Gbps numbers (Section VI-B).
+// throughput model behind the paper's Gbps numbers (Section VI-B). It is the
+// oracle of BatchSim, and reads an image through its Entry views only: level
+// from the view, fold from the stage map, parity recomputed on every checked
+// access — none of the derived words the engine trusts, so a derived word
+// that was not kept true shows up as a difference between the two.
 type Sim struct {
 	img    *Image
 	regs   []*flight
@@ -205,10 +209,10 @@ func (s *Sim) EnableParityCheck() { s.parity = true }
 func NewSim(img *Image) *Sim {
 	return &Sim{
 		img:  img,
-		regs: make([]*flight, len(img.Stages)),
+		regs: make([]*flight, img.Stages()),
 		st: Stats{
-			StageActive:   make([]int64, len(img.Stages)),
-			StageOccupied: make([]int64, len(img.Stages)),
+			StageActive:   make([]int64, img.Stages()),
+			StageOccupied: make([]int64, img.Stages()),
 		},
 	}
 }
@@ -277,106 +281,52 @@ func (s *Sim) bank(stage int) *Image {
 }
 
 // process performs stage i's memory accesses for packet f, following folded
-// levels within the stage in the same cycle.
+// levels within the stage in the same cycle; a traced flight logs each access.
 func (s *Sim) process(stage int, f *flight) {
-	// Traced lookups take the recording copy of the loop so the untraced
-	// hot path — the one the paper's throughput numbers come from — pays a
-	// single predicted branch per stage visit and nothing per folded level.
-	if f.trace != nil {
-		s.processTraced(stage, f)
-		return
-	}
 	f.last = int32(stage)
 	img := s.bank(stage)
+	st := &img.stages[stage]
+	var e Entry
 	for {
-		entries := img.Stages[stage].Entries
-		if int(f.idx) >= len(entries) {
-			// A corrupted child pointer escaped the stage's address range:
-			// detectable in hardware by the address decoder, and fatal for
-			// the lookup either way.
+		if f.trace != nil {
+			f.trace.visits = append(f.trace.visits, obs.StageVisit{Stage: stage, Entry: f.idx, NewBank: img == s.next})
+		}
+		if int(f.idx) >= len(st.meta) {
 			s.fault(f)
 			return
 		}
-		e := entries[f.idx]
+		st.view(&e, img.nhi, f.idx)
 		if s.parity && e.Parity != e.DataParity() {
 			s.fault(f)
 			return
 		}
 		if e.Leaf {
-			f.resolved = true
-			vn := f.req.VN
-			if vn < 0 || vn >= len(e.NHI) {
-				f.nhi = ip.NoRoute
-			} else {
-				f.nhi = e.NHI[vn]
-			}
+			f.resolve(&e)
 			return
 		}
-		bit := f.req.Addr.Bit(e.Level)
-		next := e.Child[bit]
-		if img.Map.Stage(e.Level+1) == stage {
-			// Folded level: the child lives in this same stage memory,
-			// walked within the same stage visit.
-			f.idx = next
-			continue
+		f.idx = e.Child[f.req.Addr.Bit(e.Level)]
+		if img.Map.Stage(e.Level+1) != stage {
+			return
 		}
-		f.idx = next
-		return
 	}
 }
 
-// processTraced is process for traced flights: the same traversal with every
-// memory access appended to the flight's visit log. Kept as a separate copy
-// so tracing support costs the untraced path nothing.
-func (s *Sim) processTraced(stage int, f *flight) {
-	f.last = int32(stage)
-	img := s.bank(stage)
-	newBank := s.next != nil && img == s.next
-	for {
-		entries := img.Stages[stage].Entries
-		f.trace.visits = append(f.trace.visits, obs.StageVisit{Stage: stage, Entry: f.idx, NewBank: newBank})
-		if int(f.idx) >= len(entries) {
-			s.traceFault(f)
-			s.fault(f)
-			return
-		}
-		e := entries[f.idx]
-		if s.parity && e.Parity != e.DataParity() {
-			s.traceFault(f)
-			s.fault(f)
-			return
-		}
-		if e.Leaf {
-			f.resolved = true
-			vn := f.req.VN
-			if vn < 0 || vn >= len(e.NHI) {
-				f.nhi = ip.NoRoute
-			} else {
-				f.nhi = e.NHI[vn]
-			}
-			return
-		}
-		bit := f.req.Addr.Bit(e.Level)
-		next := e.Child[bit]
-		if img.Map.Stage(e.Level+1) == stage {
-			f.idx = next
-			continue
-		}
-		f.idx = next
-		return
+// resolve ends f's lookup at leaf e.
+func (f *flight) resolve(e *Entry) {
+	f.resolved = true
+	if vn := f.req.VN; vn >= 0 && vn < len(e.NHI) {
+		f.nhi = e.NHI[vn]
+	} else {
+		f.nhi = ip.NoRoute
 	}
 }
 
-// traceFault marks a traced lookup's last recorded access as the one that
-// terminated it.
-func (s *Sim) traceFault(f *flight) {
+// fault terminates f's lookup on a detected memory fault, marking a traced
+// lookup's last recorded access as the one that did.
+func (s *Sim) fault(f *flight) {
 	if f.trace != nil && len(f.trace.visits) > 0 {
 		f.trace.visits[len(f.trace.visits)-1].Fault = true
 	}
-}
-
-// fault terminates f's lookup on a detected memory fault.
-func (s *Sim) fault(f *flight) {
 	f.resolved = true
 	f.faulted = true
 	f.nhi = ip.NoRoute
@@ -394,19 +344,9 @@ func (s *Sim) Run(reqs []Request, interarrival int) ([]Result, Stats, error) {
 	startFaults := s.st.Faults
 	results := make([]Result, 0, len(reqs))
 	collect := func(f *flight) {
-		if f == nil {
-			return
+		if f != nil {
+			results = append(results, s.result(f))
 		}
-		results = append(results, Result{
-			Request:    f.req,
-			NHI:        f.nhi,
-			EnterCycle: f.enter,
-			ExitCycle:  s.now - 1, // cycle at which the packet left the last stage
-			Faulted:    f.faulted,
-			LastStage:  int(f.last),
-			Visits:     f.visitLog(),
-		})
-		s.recycle(f)
 	}
 	for i, r := range reqs {
 		collect(s.step(s.newFlight(r, s.now)))
@@ -415,7 +355,7 @@ func (s *Sim) Run(reqs []Request, interarrival int) ([]Result, Stats, error) {
 		}
 	}
 	// Drain.
-	for i := 0; i < len(s.img.Stages); i++ {
+	for i := 0; i < s.img.Stages(); i++ {
 		collect(s.step(nil))
 	}
 	obsLookups.Add(int64(len(results)))
@@ -456,35 +396,13 @@ func (s *Sim) Reset() {
 }
 
 // Lookup resolves a single request against the image and returns its NHI —
-// a convenience for correctness probes. It performs the same stage walk as
-// Sim.process (parity unchecked, faults resolving to NoRoute) directly on
-// the image, without constructing a throwaway simulator per probe; bulk
+// a convenience for correctness probes: the engine's chain walk (parity
+// unchecked, faults resolving to NoRoute) with no engine around it; bulk
 // probing should use Lookups, which batches the vectors through one engine.
 func Lookup(img *Image, req Request) ip.NextHop {
-	idx := uint32(0)
-	for s := range img.Stages {
-		entries := img.Stages[s].Entries
-		for {
-			if int(idx) >= len(entries) {
-				return ip.NoRoute
-			}
-			e := &entries[idx]
-			if e.Leaf {
-				if req.VN < 0 || req.VN >= len(e.NHI) {
-					return ip.NoRoute
-				}
-				return e.NHI[req.VN]
-			}
-			next := e.Child[req.Addr.Bit(e.Level)]
-			if img.Map.Stage(e.Level+1) == s {
-				idx = next
-				continue
-			}
-			idx = next
-			break
-		}
-	}
-	return ip.NoRoute
+	f := slot{addr: uint32(req.Addr), vn: clampVN(req.VN), newUntil: -1}
+	f.walk(img, false, img.Stages()-1, nil)
+	return f.nhi
 }
 
 // Inject advances the pipeline one cycle, feeding req into stage 0 (nil for
@@ -496,21 +414,21 @@ func (s *Sim) Inject(req *Request) (Result, bool) {
 	if req != nil {
 		in = s.newFlight(*req, s.now)
 	}
-	out := s.step(in)
-	if out == nil {
-		return Result{}, false
+	if out := s.step(in); out != nil {
+		return s.result(out), true
 	}
+	return Result{}, false
+}
+
+// result is the Result of a lookup that left the last stage on the step just
+// taken; its flight goes back to the free list.
+func (s *Sim) result(out *flight) Result {
 	res := Result{
-		Request:    out.req,
-		NHI:        out.nhi,
-		EnterCycle: out.enter,
-		ExitCycle:  s.now - 1,
-		Faulted:    out.faulted,
-		LastStage:  int(out.last),
-		Visits:     out.visitLog(),
+		Request: out.req, NHI: out.nhi, Faulted: out.faulted, LastStage: int(out.last),
+		EnterCycle: out.enter, ExitCycle: s.now - 1, Visits: out.visitLog(),
 	}
 	s.recycle(out)
-	return res, true
+	return res
 }
 
 // BeginUpdate arms a hitless image update: next replaces the serving image
@@ -528,14 +446,14 @@ func (s *Sim) BeginUpdate(next *Image, bubbles int) error {
 	if s.next != nil {
 		return fmt.Errorf("pipeline: update already in flight (%d bubbles pending)", s.bubblesLeft)
 	}
-	if len(next.Stages) != len(s.img.Stages) {
-		return fmt.Errorf("pipeline: update stage counts differ (%d vs %d)", len(next.Stages), len(s.img.Stages))
+	if next.Stages() != s.img.Stages() {
+		return fmt.Errorf("pipeline: update stage counts differ (%d vs %d)", next.Stages(), s.img.Stages())
 	}
 	if bubbles < 1 {
 		bubbles = 1
 	}
 	if s.bankNew == nil {
-		s.bankNew = make([]bool, len(s.img.Stages))
+		s.bankNew = make([]bool, s.img.Stages())
 	}
 	s.next = next
 	s.bubblesLeft = bubbles
@@ -586,19 +504,8 @@ func (s *Sim) InjectBubble() (Result, bool, error) {
 	f.commit = s.bubblesLeft == 0
 	f.enter = s.now
 	s.st.Bubbles++
-	out := s.step(f)
-	if out == nil {
-		return Result{}, false, nil
+	if out := s.step(f); out != nil {
+		return s.result(out), true, nil
 	}
-	res := Result{
-		Request:    out.req,
-		NHI:        out.nhi,
-		EnterCycle: out.enter,
-		ExitCycle:  s.now - 1,
-		Faulted:    out.faulted,
-		LastStage:  int(out.last),
-		Visits:     out.visitLog(),
-	}
-	s.recycle(out)
-	return res, true, nil
+	return Result{}, false, nil
 }

@@ -4,7 +4,7 @@ package pipeline
 // driven in lockstep, one input slot per step, through random interleavings
 // of everything a slice runner does to an engine — inject, idle, write
 // bubble, BeginUpdate, AbortUpdate, an upset in the serving (or armed) image
-// followed by Patch, a reload (fresh engines over a fresh clone), a Reset,
+// written through Patch, a reload (fresh engines over a fresh clone), a Reset,
 // parity checking switched on and Stats reads. The scalar engine hands a
 // Result back on the cycle a lookup leaves; the batched one hands its exits
 // back when drained — every step, every seventh, or only when its window is
@@ -158,14 +158,15 @@ func (p *pair) finish() {
 	p.stats()
 }
 
-// upset flips a bit of the entry v visited, in img, and tells the batched
-// engine (the scalar one reads img itself).
+// upset flips a bit of the entry v visited, in img, under the batched engine
+// (the scalar one reads img a stage a cycle and needs no telling).
 func (p *pair) upset(img *Image, v obs.StageVisit) {
 	p.t.Helper()
-	if !img.FlipBit(v.Stage, v.Entry, 0) {
-		p.t.Fatalf("no entry %d in stage %d", v.Entry, v.Stage)
-	}
-	p.batched.Patch(v.Stage, v.Entry)
+	p.batched.Patch(func() {
+		if !img.FlipBit(v.Stage, v.Entry, 0) {
+			p.t.Fatalf("no entry %d in stage %d", v.Entry, v.Stage)
+		}
+	})
 }
 
 // compileSet compiles a K-network table set under the pinned fold-into-
@@ -226,7 +227,7 @@ func lockstep(t testing.TB, seed int64, ops []byte, eachStats bool, every int) (
 	var next *Image
 	p := newPair(t, img, parity, every)
 	p.eachStats = eachStats
-	jumps = p.batched.cur.flat.jump != nil
+	jumps = img.jump != nil
 	for _, op := range ops {
 		switch op % 16 {
 		default: // inject a lookup
@@ -257,7 +258,7 @@ func lockstep(t testing.TB, seed int64, ops []byte, eachStats bool, every int) (
 			if errS == nil {
 				next = nil
 			}
-		case 13: // an upset under the lookups in the window, then Patch
+		case 13: // an upset under the lookups in the window, through Patch
 			target := img
 			if next != nil && rng.Intn(3) == 0 {
 				target = next
@@ -266,16 +267,19 @@ func lockstep(t testing.TB, seed int64, ops []byte, eachStats bool, every int) (
 			if !ok {
 				t.Fatal("Locate failed in range")
 			}
-			if e := &target.Stages[s].Entries[idx]; parity || e.Leaf {
-				target.FlipBit(s, idx, bit)
-			} else {
+			p.batched.Patch(func() {
+				if parity || target.Entry(s, idx).Leaf {
+					target.FlipBit(s, idx, bit)
+					return
+				}
 				// Unchecked, a flipped pointer could close a cycle inside a
 				// folded stage; send it out of every stage's range instead,
 				// in parity, so only the address decoder catches it.
-				e.Child[bit&1] = 1<<29 + uint32(bit)
-				e.Parity = e.DataParity()
-			}
-			p.batched.Patch(s, idx)
+				poke(target, s, idx, func(e *Entry) {
+					e.Child[bit&1] = 1<<29 + uint32(bit)
+					e.Parity = e.DataParity()
+				})
+			})
 		case 14: // rarer than their op code: a reload, a Reset, or parity switched on under the window
 			switch r := rng.Intn(8); {
 			case r < 2:
@@ -665,39 +669,33 @@ func TestStreamedWindowBound(t *testing.T) {
 	}
 }
 
-// TestEnginesShareFlatImageUntilPatched pins the ownership rule: engines
-// over one Image read one flat form; an upset makes the patched engine take
-// its own copy, and the engines built before and after it are untouched.
-func TestEnginesShareFlatImageUntilPatched(t *testing.T) {
+// TestEnginesReadImageWordsInPlace pins the ownership rule from the engine's
+// side: an engine holds no form of its own — engines over one Image read the
+// same words, an upset written through one engine's Patch is what the others
+// and every later one read too, with every derived word following — so what
+// keeps a neighbour clean is serving it a Clone, which shares nothing.
+func TestEnginesReadImageWordsInPlace(t *testing.T) {
 	img := compileSingle(t, genTable(t, 300, 64), 16)
-	a, b := NewBatchSim(img), NewBatchSim(img)
-	if a.cur.flat != b.cur.flat {
-		t.Fatal("two engines over one image flattened it twice")
+	clone := img.Clone()
+	a, b, c := NewBatchSim(img), NewBatchSim(img), NewBatchSim(clone)
+	if a.cur != img || b.cur != img || c.cur != clone {
+		t.Fatal("an engine serves something other than the image it was given")
 	}
-	if c := NewBatchSim(img.Clone()); c.cur.flat == a.cur.flat {
-		t.Fatal("a clone shares its source's flat form")
-	}
-	shared := a.cur.flat
 	s, idx, bit, _ := img.Locate(img.DataBits() / 2)
-	img.FlipBit(s, idx, bit)
-	a.Patch(s, idx)
-	if a.cur.flat == shared || b.cur.flat != shared {
-		t.Fatal("Patch wrote a shared flat form")
+	a.Patch(func() { img.FlipBit(s, idx, bit) })
+	if !img.ParityStale(s, idx) || clone.ParityStale(s, idx) {
+		t.Fatal("the upset is not in the image alone")
 	}
-	if shared.stages[s].meta[idx]&metaParityBad != 0 {
-		t.Fatal("the shared flat form took the upset")
+	if !reflect.DeepEqual(Flatten(img), img) {
+		t.Fatal("the struck image's derived words are not what Flatten derives")
 	}
-	if a.cur.flat.stages[s].meta[idx]&metaParityBad == 0 {
-		t.Fatal("the patched engine does not see the upset")
+	if !reflect.DeepEqual(clone, Flatten(compileSingle(t, genTable(t, 300, 64), 16))) {
+		t.Fatal("the clone changed with its source")
 	}
-	if c := NewBatchSim(img); c.cur.flat == shared || c.cur.flat.stages[s].meta[idx]&metaParityBad == 0 {
-		t.Fatal("an engine built after the upset reads the stale flat form")
-	}
-	// A second upset on the same engine patches its copy in place.
-	own := a.cur.flat
-	img.FlipBit(s, idx, bit)
-	a.Patch(s, idx)
-	if a.cur.flat != own || own.stages[s].meta[idx]&metaParityBad != 0 {
-		t.Fatal("second Patch did not re-derive the entry in the engine's own copy")
+	// A second upset on the same bit restores parity: the verdict is
+	// recomputed, not toggled blindly nor left set.
+	a.Patch(func() { img.FlipBit(s, idx, bit) })
+	if img.ParityStale(s, idx) || !reflect.DeepEqual(img, clone) {
+		t.Fatal("the healing flip did not restore the image, verdict included")
 	}
 }

@@ -174,7 +174,7 @@ func TestTelemetryParityStreamedBubblesAndSEUs(t *testing.T) {
 	}
 	// engine is what the schedule below needs of either core; slot feeds one
 	// input slot — a write bubble, an idle cycle or a lookup — and patch
-	// tells the core of an upset.
+	// writes an upset under the core.
 	type engine interface {
 		BeginUpdate(*Image, int) error
 		Updating() bool
@@ -182,7 +182,7 @@ func TestTelemetryParityStreamedBubblesAndSEUs(t *testing.T) {
 		EnableParityCheck()
 		Stats() Stats
 	}
-	drive := func(eng engine, img *Image, slot func(r *run, c int, bubble bool, req *Request), patch func(int, uint32), finish func(r *run)) run {
+	drive := func(eng engine, img *Image, slot func(r *run, c int, bubble bool, req *Request), patch func(write func()), finish func(r *run)) run {
 		next := updated.Clone()
 		eng.EnableParityCheck()
 		r := run{meter: energy.NewMeter(model, k)}
@@ -201,8 +201,7 @@ func TestTelemetryParityStreamedBubblesAndSEUs(t *testing.T) {
 						target = next // the commit drained: next serves now
 					}
 					s, idx, bit, _ := target.Locate(seu.Int63n(target.DataBits()))
-					target.FlipBit(s, idx, bit)
-					patch(s, idx)
+					patch(func() { target.FlipBit(s, idx, bit) })
 				}
 				switch {
 				case eng.PendingBubbles() > 0:
@@ -236,7 +235,7 @@ func TestTelemetryParityStreamedBubblesAndSEUs(t *testing.T) {
 			r.results = append(r.results, res)
 			r.meter.Lookup(0, res.VN, res.LastStage)
 		}
-	}, func(int, uint32) {}, func(*run) {})
+	}, func(write func()) { write() }, func(*run) {})
 
 	img = pristine.Clone()
 	bs := NewBatchSim(img)

@@ -55,8 +55,7 @@ func TestTraceMarksFaultingAccess(t *testing.T) {
 	img := compileSingle(t, genTable(t, 200, 8), 28)
 	// Corrupt one root child pointer so lookups through it fault on the
 	// out-of-range address check.
-	img.Stages[0].Entries[0].Child[0] = 1 << 30
-	img.Stages[0].Entries[0].Child[1] = 1 << 30
+	poke(img, 0, 0, func(root *Entry) { root.Child = [2]uint32{1 << 30, 1 << 30} })
 	sim := NewSim(img)
 	rng := rand.New(rand.NewSource(10))
 	reqs := make([]Request, 32)
@@ -93,7 +92,7 @@ func TestUntracedInjectAllocationFree(t *testing.T) {
 	img := compileSingle(t, genTable(t, 300, 7), 28)
 	sim := NewSim(img)
 	req := Request{Addr: ip.Addr(0x0a000001)}
-	for i := 0; i < 2*len(img.Stages); i++ {
+	for i := 0; i < 2*img.Stages(); i++ {
 		sim.Inject(&req)
 	}
 	if n := testing.AllocsPerRun(2000, func() { sim.Inject(&req) }); n != 0 {

@@ -155,7 +155,7 @@ func TestHitlessUpdateEpochConsistency(t *testing.T) {
 		t.Fatal("update still in flight after commit bubble drained")
 	}
 	// Drain the pipeline.
-	for i := 0; i < len(oldImg.Stages)+1; i++ {
+	for i := 0; i < oldImg.Stages()+1; i++ {
 		res, ok := sim.Inject(nil)
 		collect(res, ok)
 	}

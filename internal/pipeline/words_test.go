@@ -1,0 +1,311 @@
+package pipeline
+
+// Test helpers over the image's words — views of whole stages, and a writer
+// for the arbitrary words tests put where upsets only flip bits — and the
+// tests of the words themselves: derived ones against Flatten, views against
+// what NewImage was given, a clone's arrays against its source's.
+
+import (
+	"math/rand"
+	"reflect"
+	"slices"
+	"testing"
+
+	"vrpower/internal/ip"
+	"vrpower/internal/trie"
+)
+
+// entriesOf returns the views of stage s's entries.
+func entriesOf(img *Image, s int) []Entry {
+	out := make([]Entry, img.StageLen(s))
+	for i := range out {
+		out[i] = img.Entry(s, uint32(i))
+	}
+	return out
+}
+
+// allEntries returns the views of every entry, by stage.
+func allEntries(img *Image) [][]Entry {
+	out := make([][]Entry, img.Stages())
+	for s := range out {
+		out[s] = entriesOf(img, s)
+	}
+	return out
+}
+
+// dataBitsOf is dataBits on a view.
+func dataBitsOf(e Entry) int {
+	if e.Leaf {
+		return len(e.NHI) * nhiBits
+	}
+	return 2 * ptrBits
+}
+
+// poke rewrites entry (s, i) through its view — child pointers, next hops (in
+// place: the view aliases them), the stored parity bit — and re-derives what
+// depends on it, as FlipBit does. Kind, level and vector length stay.
+func poke(img *Image, s int, i uint32, write func(e *Entry)) {
+	e := img.Entry(s, i)
+	write(&e)
+	st := &img.stages[s]
+	if !e.Leaf {
+		st.child[i] = e.Child
+	}
+	st.meta[i] = st.meta[i]&^metaParity | uint16(e.Parity&1)<<9
+	img.patch(s, i)
+}
+
+// corruptedByView lists the entries whose stored parity is not the parity of
+// the data their view shows: what Corrupted scanned for when it recomputed.
+func corruptedByView(img *Image) (stages []int, indices []uint32) {
+	for s, entries := range allEntries(img) {
+		for i, e := range entries {
+			if e.Parity != e.DataParity() {
+				stages, indices = append(stages, s), append(indices, uint32(i))
+			}
+		}
+	}
+	return stages, indices
+}
+
+// TestDerivedWordsFollowFlips: FlipBit keeps the derived words true one entry
+// at a time; Flatten derives them all from scratch. After any run of upsets —
+// any stage, leaves and internal nodes, stages the jump table stands for, the
+// same entry struck again (the same bit, which heals it, or another, which
+// restores parity over changed data) — the two must agree on every word, and
+// the verdict bits Corrupted reads must be the entries whose data no longer
+// match their stored parity.
+func TestDerivedWordsFollowFlips(t *testing.T) {
+	for _, fx := range jumpFixtures(t) {
+		t.Run(fx.name, func(t *testing.T) {
+			img := fx.img.Clone()
+			if img.jump == nil {
+				t.Fatal("fixture has no jump table")
+			}
+			rng := rand.New(rand.NewSource(17))
+			type coord struct {
+				s   int
+				i   uint32
+				bit int
+			}
+			var hits []coord
+			struck := map[[2]int]bool{}
+			kinds := map[bool]int{}
+			covered := 0
+			check := func(n int) {
+				t.Helper()
+				if flat := Flatten(img); !reflect.DeepEqual(flat, img) {
+					t.Fatalf("after %d flips the image's derived words are not what Flatten derives", n)
+				}
+				gs, gi := img.Corrupted()
+				ws, wi := corruptedByView(img)
+				if !slices.Equal(gs, ws) || !slices.Equal(gi, wi) {
+					t.Fatalf("after %d flips Corrupted reads %v %v, the views say %v %v", n, gs, gi, ws, wi)
+				}
+			}
+			for n := 1; n <= 240; n++ {
+				var c coord
+				switch {
+				case n%6 == 0: // the same entry and bit again: heals it
+					c = hits[rng.Intn(len(hits))]
+				case n%6 == 3: // the same entry, any bit: the two-upsets corner
+					c = hits[rng.Intn(len(hits))]
+					c.bit = rng.Intn(64)
+				case n%4 == 1: // a stage the jump table stands for
+					c.s = rng.Intn(img.jumpStage)
+					c.i, c.bit = uint32(rng.Intn(img.StageLen(c.s))), rng.Intn(64)
+				default:
+					c.s, c.i, c.bit, _ = img.Locate(rng.Int63n(img.DataBits()))
+				}
+				if !img.FlipBit(c.s, c.i, c.bit) {
+					t.Fatalf("FlipBit(%d, %d, %d) out of range", c.s, c.i, c.bit)
+				}
+				hits = append(hits, c)
+				struck[[2]int{c.s, int(c.i)}] = true
+				kinds[img.Entry(c.s, c.i).Leaf]++
+				if c.s < img.jumpStage {
+					covered++
+				}
+				if n%20 == 0 {
+					check(n)
+				}
+			}
+			if kinds[true] == 0 || kinds[false] == 0 || covered == 0 || len(struck) == len(hits) {
+				t.Fatalf("flips: %d on leaves, %d on internal nodes, %d under the jump table, %d entries in %d — weaken the test",
+					kinds[true], kinds[false], covered, len(struck), len(hits))
+			}
+			if s, _ := img.Corrupted(); len(s) == 0 || len(s) >= len(struck) {
+				t.Fatalf("%d corrupted words of %d struck; want some healed and some not", len(s), len(struck))
+			}
+			if s, _ := fx.img.Corrupted(); len(s) != 0 {
+				t.Fatal("the flips reached the clone's source")
+			}
+		})
+	}
+}
+
+// TestNewImageViewRoundTrip: what NewImage is given is what Entry shows,
+// whatever it is — leaf vectors shorter and longer than K, none at all, a word
+// of another level than its stage's, pointers into nowhere, parity bits that
+// do not match — and the derived words are Flatten's.
+func TestNewImageViewRoundTrip(t *testing.T) {
+	sm, err := trie.NewStageMap(3, 4) // levels 0-2 fold into stage 0
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := [][]Entry{
+		{
+			{Level: 0, Child: [2]uint32{1, 2}},
+			{Level: 1, Child: [2]uint32{3, 1 << 29}, Parity: 1},
+			{Leaf: true, Level: 1, NHI: []ip.NextHop{7, 8, 9, 10, 11}},
+			{Level: 2, Child: [2]uint32{0, 1}},
+			{Level: 31, Child: [2]uint32{noJump, 0}},
+		},
+		{
+			{Leaf: true, Level: 3, NHI: []ip.NextHop{4}, Parity: 1},
+			{Leaf: true, Level: 63},
+			{Level: 0, Child: [2]uint32{5, 5}},
+		},
+		nil,
+	}
+	for s := range in {
+		for i := range in[s] {
+			if i%2 == 0 {
+				in[s][i].Parity = in[s][i].DataParity()
+			}
+		}
+	}
+	img, err := NewImage(2, sm, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if img.Words() != 8 || img.Stages() != 3 || img.StageLen(2) != 0 {
+		t.Fatalf("%d words in %d stages, last of %d", img.Words(), img.Stages(), img.StageLen(2))
+	}
+	bits := int64(0)
+	for s := range in {
+		for i, want := range in[s] {
+			got := img.Entry(s, uint32(i))
+			if got.Leaf != want.Leaf || got.Level != want.Level || got.Child != want.Child || got.Parity != want.Parity ||
+				!slices.Equal(got.NHI, want.NHI) || cap(got.NHI) != len(want.NHI) {
+				t.Errorf("stage %d entry %d: view %+v, put in %+v", s, i, got, want)
+			}
+			if img.ParityStale(s, uint32(i)) != (want.Parity != want.DataParity()) {
+				t.Errorf("stage %d entry %d: verdict %v for %+v", s, i, img.ParityStale(s, uint32(i)), want)
+			}
+			bits += int64(dataBitsOf(want))
+		}
+	}
+	if img.DataBits() != bits {
+		t.Errorf("DataBits = %d, the entries' sum to %d", img.DataBits(), bits)
+	}
+	if got := img.stages[0].visits; got != 32 {
+		t.Errorf("stage 0 holds levels 0 to 31 and makes %d visits", got)
+	}
+	if flat := Flatten(img); !reflect.DeepEqual(flat, img) {
+		t.Error("NewImage's derived words are not what Flatten derives")
+	}
+	again, err := NewImage(2, sm, allEntries(img))
+	if err != nil || !reflect.DeepEqual(again, img) {
+		t.Errorf("an image rebuilt from its own views differs (err %v)", err)
+	}
+
+	for name, bad := range map[string][][]Entry{
+		"stage count":      in[:2],
+		"leaf with child":  {{{Leaf: true, Child: [2]uint32{0, 1}}}, nil, nil},
+		"internal level":   {{{Level: 32}}, nil, nil},
+		"leaf level":       {{{Leaf: true, Level: 64}}, nil, nil},
+		"negative level":   {{{Level: -1}}, nil, nil},
+		"negative, a leaf": {{{Leaf: true, Level: -1}}, nil, nil},
+	} {
+		if _, err := NewImage(2, sm, bad); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// TestCloneSharesNoBackingArray: a clone is copies of its source's slices and
+// nothing else, so it must share none of their arrays. Overwrite every word
+// of the clone, stored and derived; the source must not change — and the
+// other way round.
+func TestCloneSharesNoBackingArray(t *testing.T) {
+	scribble := func(img *Image) {
+		for i := range img.meta {
+			img.meta[i] = ^img.meta[i]
+			img.child[i] = [2]uint32{^img.child[i][0], ^img.child[i][1]}
+		}
+		for i := range img.nhi {
+			img.nhi[i] = ^img.nhi[i]
+		}
+		for i := range img.jump {
+			img.jump[i] = ^img.jump[i]
+		}
+		for s := range img.stages {
+			img.stages[s].visits += 7
+		}
+	}
+	for _, fx := range jumpFixtures(t)[2:4] {
+		pristine := Flatten(fx.img)
+		if pristine.jump == nil || len(pristine.nhi) == 0 {
+			t.Fatal("fixture lacks a jump table or a slab")
+		}
+		src := pristine.Clone()
+		clone := src.Clone()
+		if !reflect.DeepEqual(clone, src) {
+			t.Fatalf("%s: clone differs from its source", fx.name)
+		}
+		scribble(clone)
+		if !reflect.DeepEqual(src, pristine) {
+			t.Errorf("%s: writing the clone changed its source", fx.name)
+		}
+		clone = src.Clone()
+		scribble(src)
+		if !reflect.DeepEqual(clone, pristine) {
+			t.Errorf("%s: writing the source changed its clone", fx.name)
+		}
+	}
+}
+
+// TestSpliceCopiesWords: a splice shows head's entries in its first stages and
+// tail's in the rest, with derived words a fresh Flatten agrees with, and owns
+// every word: strike them all and neither source changes.
+func TestSpliceCopiesWords(t *testing.T) {
+	oldTbl, newTbl := genTables(t)
+	tail, head := compilePinned(t, oldTbl), compilePinned(t, newTbl)
+	tail.FlipBit(20, 0, 1) // a stale word on either side of the cut rides along
+	head.FlipBit(1, 0, 1)
+	wantTail, wantHead := tail.Clone(), head.Clone()
+	for _, n := range []int{0, 1, tail.Stages() / 2, tail.Stages()} {
+		sp := Splice(head, tail, n)
+		for s, entries := range allEntries(sp) {
+			from := tail
+			if s < n {
+				from = head
+			}
+			if !reflect.DeepEqual(entries, entriesOf(from, s)) {
+				t.Fatalf("n=%d: stage %d is not its source's", n, s)
+			}
+		}
+		if !reflect.DeepEqual(Flatten(sp), sp) {
+			t.Fatalf("n=%d: derived words are not what Flatten derives", n)
+		}
+		want := 0
+		if 1 < n {
+			want++ // head's stale word
+		}
+		if 20 >= n {
+			want++ // tail's
+		}
+		if s, _ := sp.Corrupted(); len(s) != want {
+			t.Fatalf("n=%d: %d stale words, want %d", n, len(s), want)
+		}
+		for s := 0; s < sp.Stages(); s++ {
+			for i := 0; i < sp.StageLen(s); i++ {
+				sp.FlipBit(s, uint32(i), 5)
+			}
+		}
+		if !reflect.DeepEqual(tail, wantTail) || !reflect.DeepEqual(head, wantHead) {
+			t.Fatalf("n=%d: writing the splice changed a source", n)
+		}
+	}
+}

@@ -9,7 +9,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -51,11 +51,11 @@ func (t *Table) addIndexed(index map[ip.Prefix]int, r ip.Route) bool {
 	return true
 }
 
-// Sort orders routes by prefix (address, then length) in place.
+// Sort orders routes by prefix (address, then length) in place. Prefixes
+// are unique, so the order is total and the result one whatever the routes'
+// order was.
 func (t *Table) Sort() {
-	sort.Slice(t.Routes, func(i, j int) bool {
-		return ip.Compare(t.Routes[i].Prefix, t.Routes[j].Prefix) < 0
-	})
+	slices.SortFunc(t.Routes, func(a, b ip.Route) int { return ip.Compare(a.Prefix, b.Prefix) })
 }
 
 // Reference returns the reference LPM (ip.Table: sorted arrays per prefix

@@ -22,16 +22,42 @@ type Node struct {
 // IsLeaf reports whether n has no children.
 func (n *Node) IsLeaf() bool { return n.Child[0] == nil && n.Child[1] == nil }
 
+// Arena hands out zeroed values of T from chunked slabs, so that building a
+// pointer-linked structure costs an allocation per chunk instead of one per
+// node. Chunks double in size up to arenaMax values. A value is never taken
+// back: one that is unlinked (Delete) stays in its chunk, which is collected
+// when nothing points into it any more — with the structure, at the latest.
+type Arena[T any] struct {
+	free []T
+	size int
+}
+
+const arenaMin, arenaMax = 16, 2048
+
+// New returns a pointer to a zero T.
+func (a *Arena[T]) New() *T {
+	if len(a.free) == 0 {
+		a.size = min(max(2*a.size, arenaMin), arenaMax)
+		a.free = make([]T, a.size)
+	}
+	v := &a.free[0]
+	a.free = a.free[1:]
+	return v
+}
+
 // Trie is a uni-bit binary trie over IPv4 prefixes.
 type Trie struct {
 	root       *Node
 	routes     int
 	leafPushed bool
+	nodes      Arena[Node]
 }
 
 // New returns an empty trie containing only the root node.
 func New() *Trie {
-	return &Trie{root: &Node{}}
+	t := &Trie{}
+	t.root = t.nodes.New()
+	return t
 }
 
 // Build constructs a trie from all routes of t.
@@ -63,7 +89,7 @@ func (t *Trie) Insert(p ip.Prefix, nh ip.NextHop) {
 	for i := 0; i < p.Len; i++ {
 		b := p.Bit(i)
 		if n.Child[b] == nil {
-			n.Child[b] = &Node{}
+			n.Child[b] = t.nodes.New()
 		}
 		n = n.Child[b]
 	}
@@ -132,11 +158,11 @@ func (t *Trie) LeafPush() {
 	if t.leafPushed {
 		return
 	}
-	push(t.root, ip.NoRoute)
+	t.push(t.root, ip.NoRoute)
 	t.leafPushed = true
 }
 
-func push(n *Node, inherited ip.NextHop) {
+func (t *Trie) push(n *Node, inherited ip.NextHop) {
 	if n.HasRoute {
 		inherited = n.NextHop
 	}
@@ -149,9 +175,9 @@ func push(n *Node, inherited ip.NextHop) {
 	}
 	for b := 0; b < 2; b++ {
 		if n.Child[b] == nil {
-			n.Child[b] = &Node{}
+			n.Child[b] = t.nodes.New()
 		}
-		push(n.Child[b], inherited)
+		t.push(n.Child[b], inherited)
 	}
 	// Internal nodes carry no forwarding information after pushing.
 	n.HasRoute = false

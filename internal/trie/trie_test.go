@@ -418,3 +418,30 @@ func TestRandomOpSequenceVsOracle(t *testing.T) {
 		t.Errorf("after deleting everything: %d nodes, want 1 (root)", got)
 	}
 }
+
+// TestArenaHandsOutDistinctZeroValues: every value an arena hands out is
+// zero, its own, and stays where it is while later ones are handed out —
+// across chunk boundaries, which is where a slab allocator goes wrong.
+func TestArenaHandsOutDistinctZeroValues(t *testing.T) {
+	var a Arena[Node]
+	const n = 3*arenaMax + 7
+	nodes := make([]*Node, n)
+	seen := make(map[*Node]bool, n)
+	for i := range nodes {
+		v := a.New()
+		if *v != (Node{}) {
+			t.Fatalf("value %d handed out non-zero: %+v", i, *v)
+		}
+		if seen[v] {
+			t.Fatalf("value %d handed out twice", i)
+		}
+		seen[v] = true
+		v.NextHop, v.HasRoute = ip.NextHop(i%251+1), true
+		nodes[i] = v
+	}
+	for i, v := range nodes {
+		if v.NextHop != ip.NextHop(i%251+1) || v.Child != [2]*Node{} {
+			t.Fatalf("value %d was written through another: %+v", i, *v)
+		}
+	}
+}

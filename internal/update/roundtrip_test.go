@@ -9,52 +9,74 @@ package update
 // budget would under- or over-charge the data plane.
 
 import (
+	"slices"
 	"testing"
 
 	"vrpower/internal/pipeline"
 )
 
-// materialize plays a write set onto the old image the way the data plane's
-// shadow bank does: each write at (stage, index) takes the NEW image's word
-// at that position; clearing writes (past the new stage's tail) truncate.
-func materialize(t *testing.T, oldImg, newImg *pipeline.Image, writes []Write) *pipeline.Image {
-	t.Helper()
-	out := oldImg.Clone()
-	for s := range out.Stages {
-		// Grow to the larger length so in-range writes can land; the final
-		// truncation below drops cleared tails.
-		if n := len(newImg.Stages[s].Entries); n > len(out.Stages[s].Entries) {
-			grown := make([]pipeline.Entry, n)
-			copy(grown, out.Stages[s].Entries)
-			out.Stages[s].Entries = grown
+// entryEqual is the definition Diff is held to: two words are the same when
+// they agree in kind, level, child pointers and next-hop vector. Parity is not
+// compared; it follows the data.
+func entryEqual(a, b pipeline.Entry) bool {
+	return a.Leaf == b.Leaf && a.Level == b.Level && a.Child == b.Child && slices.Equal(a.NHI, b.NHI)
+}
+
+// entriesOf returns the views of every entry of img, by stage.
+func entriesOf(img *pipeline.Image) [][]pipeline.Entry {
+	out := make([][]pipeline.Entry, img.Stages())
+	for s := range out {
+		out[s] = make([]pipeline.Entry, img.StageLen(s))
+		for i := range out[s] {
+			out[s][i] = img.Entry(s, uint32(i))
 		}
-	}
-	for _, w := range writes {
-		newE := newImg.Stages[w.Stage].Entries
-		if int(w.Index) < len(newE) {
-			out.Stages[w.Stage].Entries[w.Index] = newE[w.Index]
-		} else {
-			// A clearing write: the position exists only in the old image.
-			if int(w.Index) >= len(out.Stages[w.Stage].Entries) {
-				t.Fatalf("write (%d,%d) past both images", w.Stage, w.Index)
-			}
-			out.Stages[w.Stage].Entries[w.Index] = pipeline.Entry{}
-		}
-	}
-	for s := range out.Stages {
-		out.Stages[s].Entries = out.Stages[s].Entries[:len(newImg.Stages[s].Entries)]
 	}
 	return out
 }
 
-// assertImagesEqual compares two images entry-for-entry.
+// materialize plays a write set onto the old image's words the way the data
+// plane's shadow bank does: each write at (stage, index) takes the NEW image's
+// word at that position; clearing writes (past the new stage's tail) truncate.
+func materialize(t *testing.T, oldImg, newImg *pipeline.Image, writes []Write) *pipeline.Image {
+	t.Helper()
+	mem := entriesOf(oldImg.Clone())
+	for s := range mem {
+		// Grow to the larger length so in-range writes can land; the final
+		// truncation below drops cleared tails.
+		if n := newImg.StageLen(s); n > len(mem[s]) {
+			mem[s] = append(mem[s], make([]pipeline.Entry, n-len(mem[s]))...)
+		}
+	}
+	for _, w := range writes {
+		if int(w.Index) < newImg.StageLen(w.Stage) {
+			mem[w.Stage][w.Index] = newImg.Entry(w.Stage, w.Index)
+		} else {
+			// A clearing write: the position exists only in the old image.
+			if int(w.Index) >= len(mem[w.Stage]) {
+				t.Fatalf("write (%d,%d) past both images", w.Stage, w.Index)
+			}
+			mem[w.Stage][w.Index] = pipeline.Entry{}
+		}
+	}
+	for s := range mem {
+		mem[s] = mem[s][:newImg.StageLen(s)]
+	}
+	out, err := pipeline.NewImage(newImg.K, newImg.Map, mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// assertImagesEqual compares two images entry-for-entry, through their views.
 func assertImagesEqual(t *testing.T, got, want *pipeline.Image, label string) {
 	t.Helper()
-	if len(got.Stages) != len(want.Stages) {
-		t.Fatalf("%s: stage counts %d vs %d", label, len(got.Stages), len(want.Stages))
+	if got.Stages() != want.Stages() {
+		t.Fatalf("%s: stage counts %d vs %d", label, got.Stages(), want.Stages())
 	}
-	for s := range want.Stages {
-		g, w := got.Stages[s].Entries, want.Stages[s].Entries
+	ge, we := entriesOf(got), entriesOf(want)
+	for s := range we {
+		g, w := ge[s], we[s]
 		if len(g) != len(w) {
 			t.Fatalf("%s: stage %d lengths %d vs %d", label, s, len(g), len(w))
 		}
@@ -110,8 +132,9 @@ func TestDiffApplyRoundTripProperty(t *testing.T) {
 					}
 					written[w] = true
 				}
-				for s := range newImg.Stages {
-					oldE, newE := oldImg.Stages[s].Entries, newImg.Stages[s].Entries
+				oldAll, newAll := entriesOf(oldImg), entriesOf(newImg)
+				for s := range newAll {
+					oldE, newE := oldAll[s], newAll[s]
 					n := len(oldE)
 					if len(newE) < n {
 						n = len(newE)

@@ -14,6 +14,7 @@ package update
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"vrpower/internal/ip"
 	"vrpower/internal/pipeline"
@@ -163,39 +164,45 @@ func Coalesce(ops []Op) []Op {
 }
 
 // Apply returns a new table with the ops applied in order. Withdraws of
-// absent prefixes and duplicate announces are tolerated (idempotent). A
-// prefix-indexed map makes every op O(1); scanning Routes per op (the way
-// rib.Table.Add does) would be O(N·B) over a B-op batch.
+// absent prefixes and duplicate announces are tolerated (idempotent), and a
+// change of an absent prefix announces it. An announce or change leaves its
+// prefix routed to its next hop and a withdraw leaves it unrouted, whatever
+// came before, and ops to distinct prefixes commute — so the batch folds to
+// each prefix's last op (Coalesce), and the result is one merge of the routes
+// and those ops, both in prefix order: replace, drop, keep, or put a new
+// route in its place. A table holds a prefix once, so that order is total and
+// the result is the sequential one's routes in the sequential one's order.
 func Apply(tbl *rib.Table, ops []Op) *rib.Table {
-	out := &rib.Table{Name: tbl.Name}
-	out.Routes = append(out.Routes, tbl.Routes...)
-	idx := make(map[ip.Prefix]int, len(out.Routes))
-	for i, r := range out.Routes {
-		idx[r.Prefix] = i
+	byPrefix := func(a, b ip.Route) int { return ip.Compare(a.Prefix, b.Prefix) }
+	routes := tbl.Routes
+	if !slices.IsSortedFunc(routes, byPrefix) {
+		routes = slices.Clone(routes)
+		slices.SortFunc(routes, byPrefix)
 	}
-	for _, op := range ops {
-		switch op.Kind {
-		case Announce, Change:
-			if i, ok := idx[op.Prefix]; ok {
-				out.Routes[i].NextHop = op.NextHop
-			} else {
-				idx[op.Prefix] = len(out.Routes)
-				out.Routes = append(out.Routes, ip.Route{Prefix: op.Prefix, NextHop: op.NextHop})
-			}
-		case Withdraw:
-			i, ok := idx[op.Prefix]
-			if !ok {
-				continue
-			}
-			last := len(out.Routes) - 1
-			moved := out.Routes[last]
-			out.Routes[i] = moved
-			out.Routes = out.Routes[:last]
-			idx[moved.Prefix] = i
-			delete(idx, op.Prefix)
+	last := Coalesce(ops)
+	slices.SortFunc(last, func(a, b Op) int { return ip.Compare(a.Prefix, b.Prefix) })
+
+	out := &rib.Table{Name: tbl.Name, Routes: make([]ip.Route, 0, len(routes)+len(last))}
+	apply := func(op Op) {
+		if op.Kind != Withdraw {
+			out.Routes = append(out.Routes, ip.Route{Prefix: op.Prefix, NextHop: op.NextHop})
 		}
 	}
-	out.Sort()
+	for _, r := range routes {
+		for len(last) > 0 && ip.Compare(last[0].Prefix, r.Prefix) < 0 {
+			apply(last[0]) // a prefix the table does not hold
+			last = last[1:]
+		}
+		if len(last) > 0 && last[0].Prefix == r.Prefix {
+			apply(last[0])
+			last = last[1:]
+			continue
+		}
+		out.Routes = append(out.Routes, r)
+	}
+	for _, op := range last {
+		apply(op)
+	}
 	return out
 }
 
@@ -210,51 +217,35 @@ type Write struct {
 // and — when a stage shrinks — clearing writes over the truncated tail, so
 // stale entries never linger as reachable garbage and the write-bubble
 // budget covers the full update. (Hardware would in practice allocate free
-// slots; positional diff is the conservative upper bound.)
+// slots; positional diff is the conservative upper bound.) Words are compared
+// by what they say — kind, level, child pointers, next-hop vector — never by
+// where an image happens to keep a vector, and parity follows the data.
 func Diff(oldImg, newImg *pipeline.Image) ([]Write, error) {
-	if len(oldImg.Stages) != len(newImg.Stages) {
-		return nil, fmt.Errorf("update: stage counts differ (%d vs %d)", len(oldImg.Stages), len(newImg.Stages))
+	if oldImg.Stages() != newImg.Stages() {
+		return nil, fmt.Errorf("update: stage counts differ (%d vs %d)", oldImg.Stages(), newImg.Stages())
 	}
-	var writes []Write
-	for s := range newImg.Stages {
-		oldE, newE := oldImg.Stages[s].Entries, newImg.Stages[s].Entries
-		n, m := len(oldE), len(newE)
-		if m < n {
-			n, m = m, n // n = min, m = max
-		}
-		for i := 0; i < n; i++ {
-			if !entryEqual(oldE[i], newE[i]) {
-				writes = append(writes, Write{Stage: s, Index: uint32(i)})
-			}
-		}
-		// The tail beyond the shared range: appended entries when the stage
-		// grew, clearing writes over the removed range when it shrank.
-		for i := n; i < m; i++ {
-			writes = append(writes, Write{Stage: s, Index: uint32(i)})
-		}
+	// No more writes than the wider of each stage's two memories.
+	bound := 0
+	for s := 0; s < newImg.Stages(); s++ {
+		bound += max(oldImg.StageLen(s), newImg.StageLen(s))
+	}
+	writes := make([]Write, 0, bound)
+	for s := 0; s < newImg.Stages(); s++ {
+		oldImg.DiffStage(newImg, s, func(i uint32) { writes = append(writes, Write{Stage: s, Index: i}) })
 	}
 	return writes, nil
-}
-
-func entryEqual(a, b pipeline.Entry) bool {
-	if a.Leaf != b.Leaf || a.Level != b.Level || a.Child != b.Child || len(a.NHI) != len(b.NHI) {
-		return false
-	}
-	for i := range a.NHI {
-		if a.NHI[i] != b.NHI[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Bubbles converts a write set into the number of write bubbles needed: a
 // bubble performs at most one write per stage as it traverses the pipeline,
 // so the bubble count is the largest per-stage write count.
 func Bubbles(writes []Write) int {
-	perStage := map[int]int{}
+	var perStage []int
 	max := 0
 	for _, w := range writes {
+		for w.Stage >= len(perStage) {
+			perStage = append(perStage, 0)
+		}
 		perStage[w.Stage]++
 		if perStage[w.Stage] > max {
 			max = perStage[w.Stage]

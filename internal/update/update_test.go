@@ -3,6 +3,7 @@ package update
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"vrpower/internal/ip"
@@ -288,14 +289,19 @@ func TestDiffShrinkEmitsClearingWrites(t *testing.T) {
 		e.Parity = e.DataParity()
 		return e
 	}
-	oldImg := &pipeline.Image{K: 1, Stages: []pipeline.StageMem{
-		{Entries: []pipeline.Entry{entry(1), entry(2), entry(3), entry(4), entry(5)}},
-		{Entries: []pipeline.Entry{entry(6)}},
-	}}
-	newImg := &pipeline.Image{K: 1, Stages: []pipeline.StageMem{
-		{Entries: []pipeline.Entry{entry(1), entry(2), entry(9)}},
-		{Entries: []pipeline.Entry{entry(6)}},
-	}}
+	sm, err := trie.NewStageMap(2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	image := func(stages ...[]pipeline.Entry) *pipeline.Image {
+		img, err := pipeline.NewImage(1, sm, stages)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return img
+	}
+	oldImg := image([]pipeline.Entry{entry(1), entry(2), entry(3), entry(4), entry(5)}, []pipeline.Entry{entry(6)})
+	newImg := image([]pipeline.Entry{entry(1), entry(2), entry(9)}, []pipeline.Entry{entry(6)})
 	writes, err := Diff(oldImg, newImg)
 	if err != nil {
 		t.Fatal(err)
@@ -333,8 +339,8 @@ func TestDiffShrinkOnRealTables(t *testing.T) {
 		t.Fatal(err)
 	}
 	covered := 0
-	for s := range before.Stages {
-		oldN, newN := len(before.Stages[s].Entries), len(after.Stages[s].Entries)
+	for s := 0; s < before.Stages(); s++ {
+		oldN, newN := before.StageLen(s), after.StageLen(s)
 		if oldN <= newN {
 			continue
 		}
@@ -436,15 +442,10 @@ func TestCoalesceSupersedes(t *testing.T) {
 	}
 }
 
-// TestApplyMatchesLinearScan cross-checks the map-indexed Apply against the
-// original linear-scan semantics on a random churn stream.
-func TestApplyMatchesLinearScan(t *testing.T) {
-	tbl := genTable(t, 300, 26)
-	ops, err := Churn(tbl, 900, ChurnConfig{Seed: 27})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Reference: the pre-optimisation implementation, verbatim semantics.
+// applySequential is the definition Apply is held to: the ops one at a time,
+// in order, each against the table the one before left (rib.Table.Add and a
+// linear scan — the first implementation, verbatim semantics).
+func applySequential(tbl *rib.Table, ops []Op) *rib.Table {
 	ref := &rib.Table{Name: tbl.Name}
 	ref.Routes = append(ref.Routes, tbl.Routes...)
 	for _, op := range ops {
@@ -462,14 +463,97 @@ func TestApplyMatchesLinearScan(t *testing.T) {
 		}
 	}
 	ref.Sort()
-	got := Apply(tbl, ops)
-	if got.Len() != ref.Len() {
-		t.Fatalf("Apply has %d routes, linear-scan reference %d", got.Len(), ref.Len())
+	return ref
+}
+
+func assertSameRoutes(t *testing.T, got, want *rib.Table) {
+	t.Helper()
+	if got.Name != want.Name || got.Len() != want.Len() {
+		t.Fatalf("Apply gives table %q of %d routes, the sequential definition %q of %d", got.Name, got.Len(), want.Name, want.Len())
 	}
-	for i := range ref.Routes {
-		if got.Routes[i] != ref.Routes[i] {
-			t.Fatalf("route %d differs: %+v vs %+v", i, got.Routes[i], ref.Routes[i])
+	for i := range want.Routes {
+		if got.Routes[i] != want.Routes[i] {
+			t.Fatalf("route %d differs: %+v vs %+v", i, got.Routes[i], want.Routes[i])
 		}
+	}
+}
+
+// TestApplyMatchesLinearScan cross-checks Apply against the sequential
+// definition on a random churn stream.
+func TestApplyMatchesLinearScan(t *testing.T) {
+	tbl := genTable(t, 300, 26)
+	ops, err := Churn(tbl, 900, ChurnConfig{Seed: 27})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameRoutes(t, Apply(tbl, ops), applySequential(tbl, ops))
+}
+
+// TestApplyRepeatedPrefixes: Apply folds a batch to each prefix's last op, so
+// batches that come back to a prefix are where it could part from the
+// sequential definition — every order of two ops on a present and an absent
+// prefix, then random batches over a handful of prefixes.
+func TestApplyRepeatedPrefixes(t *testing.T) {
+	tbl := genTable(t, 60, 28)
+	present := tbl.Routes[7].Prefix
+	absent, err := ip.ParsePrefix("203.0.113.128/25")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range tbl.Routes {
+		if r.Prefix == absent {
+			t.Fatalf("fixture: %v is in the table", absent)
+		}
+	}
+	kinds := []OpKind{Announce, Withdraw, Change}
+	for _, p := range []ip.Prefix{present, absent} {
+		for _, first := range kinds {
+			assertSameRoutes(t, Apply(tbl, []Op{{Kind: first, Prefix: p, NextHop: 3}}),
+				applySequential(tbl, []Op{{Kind: first, Prefix: p, NextHop: 3}}))
+			for _, second := range kinds {
+				ops := []Op{{Kind: first, Prefix: p, NextHop: 3}, {Kind: second, Prefix: p, NextHop: 4}}
+				got, want := Apply(tbl, ops), applySequential(tbl, ops)
+				if got.Len() != want.Len() {
+					t.Errorf("%v then %v on %v: %d routes, want %d", first, second, p, got.Len(), want.Len())
+				}
+				assertSameRoutes(t, got, want)
+			}
+		}
+	}
+
+	pool := []ip.Prefix{present, absent, tbl.Routes[0].Prefix, tbl.Routes[59].Prefix}
+	for i := 0; i < 4; i++ {
+		p, err := ip.PrefixFrom(ip.Addr(0xC6336400+uint32(i)<<4), 28) // 198.51.100.x/28, not generated
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool = append(pool, p)
+	}
+	rng := rand.New(rand.NewSource(29))
+	for round := 0; round < 200; round++ {
+		ops := make([]Op, 1+rng.Intn(24))
+		for i := range ops {
+			ops[i] = Op{Kind: kinds[rng.Intn(3)], Prefix: pool[rng.Intn(len(pool))], NextHop: ip.NextHop(1 + rng.Intn(16))}
+		}
+		assertSameRoutes(t, Apply(tbl, ops), applySequential(tbl, ops))
+		assertSameRoutes(t, Apply(tbl, Coalesce(ops)), applySequential(tbl, ops))
+	}
+	if tbl.Len() != 60 {
+		t.Error("Apply mutated the input table")
+	}
+
+	// A table is whatever order its routes were added in; Apply's merge must
+	// not depend on finding them sorted, nor sort them where they lie.
+	shuffled := &rib.Table{Name: "shuffled", Routes: append([]ip.Route(nil), tbl.Routes...)}
+	rng.Shuffle(len(shuffled.Routes), func(i, j int) {
+		shuffled.Routes[i], shuffled.Routes[j] = shuffled.Routes[j], shuffled.Routes[i]
+	})
+	before := append([]ip.Route(nil), shuffled.Routes...)
+	ops := []Op{{Kind: Withdraw, Prefix: present}, {Kind: Announce, Prefix: absent, NextHop: 9}, {Kind: Change, Prefix: tbl.Routes[0].Prefix, NextHop: 2}}
+	assertSameRoutes(t, Apply(shuffled, ops), applySequential(shuffled, ops))
+	assertSameRoutes(t, Apply(shuffled, nil), applySequential(shuffled, nil))
+	if !slices.Equal(shuffled.Routes, before) {
+		t.Error("Apply reordered the input table")
 	}
 }
 

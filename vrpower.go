@@ -247,7 +247,9 @@ func PercentError(model, experimental float64) float64 {
 
 // Pipeline simulation.
 type (
-	// Image is a compiled pipeline memory image.
+	// Image is a compiled pipeline memory image: the stage words the lookup
+	// engine reads. Entry(s, i) shows one word; whoever may write an image
+	// (FlipBit) serves its own Clone.
 	Image = pipeline.Image
 	// Sim is the cycle-stepped pipeline simulator: the oracle the
 	// differential tests hold BatchSim to.
@@ -258,27 +260,28 @@ type (
 	Result = pipeline.Result
 	// MemLayout sizes pointer and NHI entries.
 	MemLayout = pipeline.MemLayout
-	// BatchSim is the production lookup engine over the flattened image —
-	// scalar-equivalent results, batched (Run) or streamed: Inject / Idle /
+	// BatchSim is the production lookup engine, reading an image's words in
+	// place — scalar-equivalent results, batched (Run) or streamed: Inject / Idle /
 	// InjectBubble push one input slot a cycle and hand nothing back, Drain
 	// walks what has left the pipe at batch width and hands back the exits.
 	BatchSim = pipeline.BatchSim
 	// Exit is one streamed lookup as BatchSim.Drain hands it back: a Result
 	// plus the caller's stamp of the step it left on.
 	Exit = pipeline.Exit
-	// FlatImage is the struct-of-arrays form of an image BatchSim reads.
-	FlatImage = pipeline.FlatImage
 )
 
 // NewSim builds a cycle-accurate simulator over an image.
 func NewSim(img *Image) *Sim { return pipeline.NewSim(img) }
 
-// NewBatchSim builds the production lookup engine over an image's flat
-// form (flattened on first use, shared by the image's engines).
+// NewBatchSim builds the production lookup engine over an image. Nothing is
+// copied or derived: engines over one image read the same words, so an image
+// that takes writes (SEUs) is served by its writer alone, as a Clone.
 func NewBatchSim(img *Image) *BatchSim { return pipeline.NewBatchSim(img) }
 
-// Flatten builds a new struct-of-arrays form of a compiled image.
-func Flatten(img *Image) *FlatImage { return pipeline.Flatten(img) }
+// Flatten returns a copy of an image with every derived word (parity
+// verdicts, fold flags, visit counts, jump table) recomputed from the stored
+// ones — equal to its source unless those were let go stale.
+func Flatten(img *Image) *Image { return pipeline.Flatten(img) }
 
 // DefaultLayout matches the paper's 18-bit read width.
 func DefaultLayout() MemLayout { return pipeline.DefaultLayout() }
