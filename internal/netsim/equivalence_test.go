@@ -16,6 +16,7 @@ package netsim
 import (
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -165,6 +166,31 @@ func equivalenceCases() []equivalenceCase {
 				t.Fatal(err)
 			}
 			return dumpJSON(t, rep)
+		}},
+		{"scenario_load_vs", func(t *testing.T, tel *Telemetry) string {
+			// The plain open loop on the separate scheme, the window not a
+			// whole number of slices.
+			s, _ := buildSystem(t, core.VS, 3)
+			s.SetTelemetry(tel)
+			return dumpJSON(t, runSpec(t, s, 41, "load=const:0.8,cycles=3000"))
+		}},
+		{"scenario_faults_vm", func(t *testing.T, tel *Telemetry) string {
+			// The merged scheme under SEUs and a kill of its one engine: every
+			// network goes down for each reload.
+			s, _ := buildSystem(t, core.VM, 3)
+			s.SetTelemetry(tel)
+			const cycles = 8 * 1024
+			return dumpJSON(t, runSpec(t, s, 29, fmt.Sprintf(
+				"load=const:0.3,faults=seu:%g,kill=0@2000,cycles=%d,seed=5", seuRateFor(s, 3, cycles), cycles)))
+		}},
+		{"scenario_churn_vm_governed", func(t *testing.T, tel *Telemetry) string {
+			// Churn on the merged engine under an attached cap (SetGovernor,
+			// not a spec key) that walks the ladder down to admission control,
+			// converges, then lifts mid-run.
+			s, _ := buildSystem(t, core.VM, 3)
+			s.SetTelemetry(tel)
+			s.SetGovernor(&governor.Config{CapWatts: capBelowSteady(s, 1, 0.35), LiftCycle: 8 * 1024})
+			return dumpJSON(t, runSpec(t, s, 23, "load=const:0.3,churn=3x48,cycles=14336"))
 		}},
 		{"scenario_fleet", func(t *testing.T, tel *Telemetry) string {
 			// Fleet failure domains: four networks bin-packed over two devices

@@ -1,12 +1,11 @@
 package netsim
 
 import (
-	"reflect"
+	"fmt"
 	"strings"
 	"testing"
 
 	"vrpower/internal/core"
-	"vrpower/internal/faults"
 	"vrpower/internal/governor"
 )
 
@@ -23,7 +22,7 @@ func capBelowSteady(s *System, u, frac float64) float64 {
 	return floor + (steady-floor)*frac
 }
 
-// TestGovernedLoadTestConvergesAndRecovers is the tentpole's end-to-end
+// TestGovernedLoadTestConvergesAndRecovers is the governor's end-to-end
 // demonstration on the separate scheme: a cap below steady-state power must
 // force the ladder down (frequency first, then shedding the lowest-priority
 // VNIDs), converge under the cap within a ladder-bounded number of violating
@@ -31,14 +30,9 @@ func capBelowSteady(s *System, u, frac float64) float64 {
 // walk all the way back to full speed.
 func TestGovernedLoadTestConvergesAndRecovers(t *testing.T) {
 	s, _ := buildSystem(t, core.VS, 3)
-	const cycles, lift = 64 * 1024, 32 * 1024
 	cap := capBelowSteady(s, 0.9, 0.4)
-	s.SetGovernor(&governor.Config{CapWatts: cap, LiftCycle: lift})
-	defer s.SetGovernor(nil)
-	rep, err := s.LoadTest(faultGen(t, s, 31), 0.9, cycles, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s.SetGovernor(&governor.Config{CapWatts: cap, LiftCycle: 32 * 1024})
+	rep := runSpec(t, s, 31, "load=const:0.9,cycles=65536")
 	g := rep.Governor
 	if g == nil {
 		t.Fatal("governed run returned no governor report")
@@ -63,6 +57,9 @@ func TestGovernedLoadTestConvergesAndRecovers(t *testing.T) {
 	if g.Deescalations == 0 {
 		t.Error("no de-escalations across the cap lift")
 	}
+	if !rep.Completed {
+		t.Error("queues not drained after the cap lift")
+	}
 	// Ladder-order degradation: the separate scheme sheds the highest VNID
 	// first, so VN 2 bears the throttling and VN 0 none; nothing reached
 	// brownout for this cap.
@@ -78,15 +75,15 @@ func TestGovernedLoadTestConvergesAndRecovers(t *testing.T) {
 			t.Errorf("VN %d saw %d brownout drops below the brownout rung", vn, n)
 		}
 	}
-	if rep.Delivered[0] <= rep.Delivered[2] {
-		t.Errorf("degradation not in priority order: delivered %v", rep.Delivered)
+	if rep.DeliveredPerVN[0] <= rep.DeliveredPerVN[2] {
+		t.Errorf("degradation not in priority order: delivered %v", rep.DeliveredPerVN)
 	}
 	// Time accounting covers the whole run.
 	var at int64
 	for _, c := range g.TimeAtRung {
 		at += c
 	}
-	if at != g.Slices*loadSliceCycles {
+	if at != g.Slices*rep.SliceCycles {
 		t.Errorf("TimeAtRung sums to %d cycles over %d slices", at, g.Slices)
 	}
 }
@@ -99,14 +96,9 @@ func TestGovernedLoadTestVMThrottlesAllNetworks(t *testing.T) {
 	s, _ := buildSystem(t, core.VM, 3)
 	cap := capBelowSteady(s, 1, 0.35)
 	s.SetGovernor(&governor.Config{CapWatts: cap})
-	defer s.SetGovernor(nil)
 	// Shallow queues: the backlog built while the ladder walks down drains
 	// within the first admission slice instead of masquerading as demand.
-	rep, err := s.LoadTest(faultGen(t, s, 37), 0.3, 48*1024, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := rep.Governor
+	g := runSpec(t, s, 37, "load=const:0.3,cycles=49152,queue=16").Governor
 	if g == nil {
 		t.Fatal("governed run returned no governor report")
 	}
@@ -128,56 +120,6 @@ func TestGovernedLoadTestVMThrottlesAllNetworks(t *testing.T) {
 	}
 }
 
-// TestGovernedUpdatesDeferNeverDrop: the hitless harness under a governor
-// defers throttled arrivals into the engine backlogs instead of dropping
-// them, so once the cap lifts every offered packet is still delivered and
-// every batch still commits.
-func TestGovernedUpdatesDeferNeverDrop(t *testing.T) {
-	s, _ := buildSystem(t, core.VS, 3)
-	cap := capBelowSteady(s, 1.0/3, 0.5)
-	s.SetGovernor(&governor.Config{CapWatts: cap, LiftCycle: 12 * 1024})
-	defer s.SetGovernor(nil)
-	cfg := DefaultUpdateConfig()
-	cfg.MaxDrainSlices = 400
-	rep, err := s.RunUpdates(faultGen(t, s, 41), 24*1024, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := rep.Governor
-	if g == nil {
-		t.Fatal("governed run returned no governor report")
-	}
-	if g.Escalations == 0 {
-		t.Fatalf("cap %.2f W caused no throttling: %+v", cap, g)
-	}
-	var deferred int64
-	for _, n := range g.DeferredPerVN {
-		deferred += n
-	}
-	if deferred == 0 {
-		t.Error("no arrivals accounted as deferred under degradation")
-	}
-	for vn := range g.ThrottledPerVN {
-		if g.ThrottledPerVN[vn] != 0 || g.BrownoutPerVN[vn] != 0 {
-			t.Errorf("hitless run dropped for the governor (vn %d: throttled %d, brownout %d)",
-				vn, g.ThrottledPerVN[vn], g.BrownoutPerVN[vn])
-		}
-	}
-	if !rep.Completed {
-		t.Fatalf("governed update run did not complete: %+v", rep)
-	}
-	if !reflect.DeepEqual(rep.OfferedPerVN, rep.DeliveredPerVN) {
-		t.Errorf("hitless contract broken under governor: offered %v delivered %v",
-			rep.OfferedPerVN, rep.DeliveredPerVN)
-	}
-	if rep.BatchesApplied != cfg.Batches {
-		t.Errorf("applied %d of %d batches under governor", rep.BatchesApplied, cfg.Batches)
-	}
-	if rep.Mismatches != 0 {
-		t.Errorf("%d oracle mismatches", rep.Mismatches)
-	}
-}
-
 // TestGovernedFaultRunRidesOutScrubSpike: a governed fault run treats scrub
 // reloads as transient power spikes (config-port power pinned to full) and
 // still recovers the injected faults; governed drops are charged to the
@@ -185,35 +127,28 @@ func TestGovernedUpdatesDeferNeverDrop(t *testing.T) {
 func TestGovernedFaultRunRidesOutScrubSpike(t *testing.T) {
 	s, _ := buildSystem(t, core.VS, 3)
 	const cycles = 32 * 1024
-	cap := capBelowSteady(s, 1.0/3, 0.6)
-	s.SetGovernor(&governor.Config{CapWatts: cap})
-	defer s.SetGovernor(nil)
-	rep, err := s.RunFaults(faultGen(t, s, 43), cycles, FaultConfig{
-		Inject: faults.Config{Seed: 7, SEURate: seuRateFor(s, 3, cycles)},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s.SetGovernor(&governor.Config{CapWatts: capBelowSteady(s, 1.0/3, 0.6)})
+	rep := runSpec(t, s, 43, fmt.Sprintf("load=const:0.3333,faults=seu:%g,cycles=%d,seed=7", seuRateFor(s, 3, cycles), cycles))
 	if rep.Governor == nil {
 		t.Fatal("governed run returned no governor report")
 	}
 	if rep.Governor.Oscillations != 0 {
 		t.Errorf("%d oscillations", rep.Governor.Oscillations)
 	}
-	if rep.HealthyMismatches != 0 {
-		t.Errorf("healthy mismatches = %d, want 0", rep.HealthyMismatches)
+	if len(rep.SEUs) == 0 || rep.Scrubs == 0 {
+		t.Fatalf("%d SEUs, %d scrubs: no reload spike to ride out", len(rep.SEUs), rep.Scrubs)
+	}
+	if rep.Mismatches != 0 {
+		t.Errorf("mismatches = %d, want 0", rep.Mismatches)
 	}
 	if !rep.Recovered {
 		t.Errorf("governed fault run did not recover: %+v", rep)
 	}
 	if rep.Governor.Escalations > 0 {
-		var throttled int64
-		for _, n := range rep.Governor.ThrottledPerVN {
-			throttled += n
-		}
-		var dropped int64
-		for _, n := range rep.DroppedPerVN {
-			dropped += n
+		var throttled, dropped int64
+		for vn := range rep.DroppedPerVN {
+			throttled += rep.Governor.ThrottledPerVN[vn]
+			dropped += rep.DroppedPerVN[vn]
 		}
 		if throttled > dropped {
 			t.Errorf("governor charged %d throttled arrivals but the report only dropped %d",
@@ -222,71 +157,44 @@ func TestGovernedFaultRunRidesOutScrubSpike(t *testing.T) {
 	}
 }
 
-// TestGovernedRunsDeterministicAcrossWorkers: all three governed harnesses
-// must produce byte-identical telemetry dumps and DeepEqual reports at -j1
-// and -j8 — the governor decides only on the coordinating goroutine.
+// TestGovernedRunsDeterministicAcrossWorkers: a governed run of each
+// stressor must produce byte-identical telemetry dumps and reports at -j1
+// and -j8 — the governor decides only on the coordinating goroutine. (The
+// subtests keep the names of the harnesses whose governed runs these took
+// over.)
 func TestGovernedRunsDeterministicAcrossWorkers(t *testing.T) {
-	t.Run("LoadTest", func(t *testing.T) {
-		s, _ := buildSystem(t, core.VS, 3)
-		cap := capBelowSteady(s, 0.9, 0.4)
-		s.SetGovernor(&governor.Config{CapWatts: cap, LiftCycle: 16 * 1024})
-		defer s.SetGovernor(nil)
-		var reps []*LoadReport
-		runDumps(t, "LoadTest/governed", func(tel *Telemetry) {
-			s.SetTelemetry(tel)
-			defer s.SetTelemetry(nil)
-			rep, err := s.LoadTest(faultGen(t, s, 31), 0.9, 32*1024, 64)
-			if err != nil {
-				t.Fatal(err)
+	const cycles = 16 * 1024
+	for _, c := range []struct {
+		name, spec string
+		u, frac    float64
+		lift       int64
+	}{
+		{"LoadTest", "load=const:0.9,cycles=32768", 0.9, 0.4, 16 * 1024},
+		{"RunFaults", "load=const:0.3333,faults=seu:%g,cycles=16384,seed=5", 1.0 / 3, 0.5, 0},
+		{"RunUpdates", "load=const:0.3333,churn=4x64,queue=4096,cycles=16384", 1.0 / 3, 0.5, 8 * 1024},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s, _ := buildSystem(t, core.VS, 3)
+			s.SetGovernor(&governor.Config{CapWatts: capBelowSteady(s, c.u, c.frac), LiftCycle: c.lift})
+			spec := c.spec
+			if strings.Contains(spec, "%g") {
+				spec = fmt.Sprintf(spec, seuRateFor(s, 3, cycles))
 			}
-			reps = append(reps, &rep)
-		})
-		if len(reps) == 2 && !reflect.DeepEqual(reps[0], reps[1]) {
-			t.Errorf("governed LoadTest reports differ between -j1 and -j8:\n%+v\n%+v", reps[0], reps[1])
-		}
-	})
-	t.Run("RunFaults", func(t *testing.T) {
-		s, _ := buildSystem(t, core.VS, 3)
-		const cycles = 16 * 1024
-		cap := capBelowSteady(s, 1.0/3, 0.5)
-		s.SetGovernor(&governor.Config{CapWatts: cap})
-		defer s.SetGovernor(nil)
-		cfg := FaultConfig{Inject: faults.Config{Seed: 5, SEURate: seuRateFor(s, 3, cycles)}}
-		var reps []*FaultReport
-		runDumps(t, "RunFaults/governed", func(tel *Telemetry) {
-			s.SetTelemetry(tel)
-			defer s.SetTelemetry(nil)
-			rep, err := s.RunFaults(faultGen(t, s, 29), cycles, cfg)
-			if err != nil {
-				t.Fatal(err)
+			var reps []string
+			runDumps(t, c.name+"/governed", func(tel *Telemetry) {
+				s.SetTelemetry(tel)
+				defer s.SetTelemetry(nil)
+				rep := runSpec(t, s, 29, spec)
+				if rep.Governor == nil || rep.Governor.Escalations == 0 {
+					t.Fatalf("cap caused no throttling: %+v", rep.Governor)
+				}
+				reps = append(reps, dumpJSON(t, rep))
+			})
+			if len(reps) == 2 && reps[0] != reps[1] {
+				t.Errorf("governed reports differ between -j1 and -j8:\n%s\n%s", reps[0], reps[1])
 			}
-			reps = append(reps, &rep)
 		})
-		if len(reps) == 2 && !reflect.DeepEqual(reps[0], reps[1]) {
-			t.Errorf("governed RunFaults reports differ between -j1 and -j8:\n%+v\n%+v", reps[0], reps[1])
-		}
-	})
-	t.Run("RunUpdates", func(t *testing.T) {
-		s, _ := buildSystem(t, core.VS, 3)
-		cap := capBelowSteady(s, 1.0/3, 0.5)
-		s.SetGovernor(&governor.Config{CapWatts: cap, LiftCycle: 8 * 1024})
-		defer s.SetGovernor(nil)
-		cfg := DefaultUpdateConfig()
-		cfg.MaxDrainSlices = 400
-		var reps []*UpdateReport
-		runDumps(t, "RunUpdates/governed", func(tel *Telemetry) {
-			s.SetTelemetry(tel)
-			defer s.SetTelemetry(nil)
-			rep, err := s.RunUpdates(faultGen(t, s, 23), 16*1024, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			reps = append(reps, &rep)
-		})
-		if len(reps) == 2 && !reflect.DeepEqual(reps[0], reps[1]) {
-			t.Errorf("governed RunUpdates reports differ between -j1 and -j8:\n%+v\n%+v", reps[0], reps[1])
-		}
-	})
+	}
 }
 
 // TestAssessPowerFlagsBatchRuns: Forward has no slice clock, so the governor

@@ -1,12 +1,14 @@
 package netsim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"vrpower/internal/core"
 	"vrpower/internal/packet"
 	"vrpower/internal/rib"
+	"vrpower/internal/scenario"
 	"vrpower/internal/traffic"
 )
 
@@ -238,97 +240,25 @@ func TestForwardFramesDropCauses(t *testing.T) {
 	}
 }
 
+// TestLoadTestValidation: an offered load outside [0,1] or an empty ingress
+// queue is refused by the spec grammar before it reaches the runner.
 func TestLoadTestValidation(t *testing.T) {
-	s, tables := buildSystem(t, core.VS, 2)
-	g, err := traffic.New(traffic.Config{K: 2, Seed: 31, Addr: traffic.RoutedAddr, Tables: tables})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.LoadTest(g, -0.1, 100, 16); err == nil {
-		t.Error("negative load accepted")
-	}
-	if _, err := s.LoadTest(g, 1.5, 100, 16); err == nil {
-		t.Error("load > 1 accepted")
-	}
-	if _, err := s.LoadTest(g, 0.5, 100, 0); err == nil {
-		t.Error("zero queue accepted")
+	for _, bad := range []string{"load=const:-0.1", "load=const:1.5", "load=const:0.5,queue=0"} {
+		if _, err := scenario.Parse(bad); err == nil {
+			t.Errorf("spec %q accepted", bad)
+		}
 	}
 }
 
-// TestLoadSharingLimitation reproduces the Section IV-C merged drawback:
-// below the shared capacity both schemes deliver everything; past it, the
-// merged engine drops while the separate engines still keep up.
-func TestLoadSharingLimitation(t *testing.T) {
-	const k = 4
-	set, err := rib.GenerateVirtualSet(k, 300, 0.5, 32)
+// loadRun builds a fresh K-network router over its own tables and offers it
+// the given constant per-network load for 20 000 cycles.
+func loadRun(t *testing.T, sc core.Scheme, k, prefixes int, seed int64, load float64, queue int) ScenarioReport {
+	t.Helper()
+	set, err := rib.GenerateVirtualSet(k, prefixes, 0.5, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(sc core.Scheme, load float64) netsimLoadReport {
-		r, err := core.Build(core.Config{Scheme: sc, K: k, ClockGating: true}, set.Tables)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sys, err := New(r, set.Tables)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g, err := traffic.New(traffic.Config{K: k, Seed: 33, Addr: traffic.RoutedAddr, Tables: set.Tables})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := sys.LoadTest(g, load, 20000, 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}
-
-	// Light load (10% per VN -> 40% aggregate): both deliver ~everything.
-	if f := run(core.VS, 0.10).DeliveredFraction(); f < 0.99 {
-		t.Errorf("VS at light load delivered %.3f, want ~1", f)
-	}
-	if f := run(core.VM, 0.10).DeliveredFraction(); f < 0.99 {
-		t.Errorf("VM at light load delivered %.3f, want ~1", f)
-	}
-
-	// Heavy load (60% per VN -> 2.4x the merged engine's capacity): the
-	// separate scheme still absorbs it (each engine sees only 0.6), the
-	// merged one cannot exceed 1/2.4 ≈ 0.42 of the offered traffic.
-	heavyVS := run(core.VS, 0.60)
-	heavyVM := run(core.VM, 0.60)
-	if f := heavyVS.DeliveredFraction(); f < 0.99 {
-		t.Errorf("VS at heavy load delivered %.3f, want ~1 (dedicated engines)", f)
-	}
-	fVM := heavyVM.DeliveredFraction()
-	if fVM > 0.50 || fVM < 0.35 {
-		t.Errorf("VM at heavy load delivered %.3f, want ≈ 1/(K·load) = 0.42", fVM)
-	}
-	var drops int64
-	for _, d := range heavyVM.Dropped {
-		drops += d
-	}
-	if drops == 0 {
-		t.Error("VM at heavy load dropped nothing")
-	}
-	// Queueing delay must blow up at saturation relative to light load.
-	if heavyVM.MeanDelayCycles < 2*run(core.VM, 0.10).MeanDelayCycles {
-		t.Errorf("VM saturation delay %.1f not well above light-load delay", heavyVM.MeanDelayCycles)
-	}
-}
-
-// netsimLoadReport aliases the report type for the helper above.
-type netsimLoadReport = LoadReport
-
-// TestLoadTestFairSaturation: the merged engine's round-robin ingress must
-// split its capacity evenly across networks when all are overloaded.
-func TestLoadTestFairSaturation(t *testing.T) {
-	const k = 4
-	set, err := rib.GenerateVirtualSet(k, 200, 0.5, 51)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := core.Build(core.Config{Scheme: core.VM, K: k, ClockGating: true}, set.Tables)
+	r, err := core.Build(core.Config{Scheme: sc, K: k, ClockGating: true}, set.Tables)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,16 +266,56 @@ func TestLoadTestFairSaturation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := traffic.New(traffic.Config{K: k, Seed: 52, Addr: traffic.RoutedAddr, Tables: set.Tables})
-	if err != nil {
-		t.Fatal(err)
+	return runSpec(t, sys, seed+1, fmt.Sprintf("load=const:%g,cycles=20000,queue=%d", load, queue))
+}
+
+// TestLoadSharingLimitation reproduces the Section IV-C merged drawback:
+// below the shared capacity both schemes deliver everything; past it, the
+// merged engine drops while the separate engines still keep up.
+func TestLoadSharingLimitation(t *testing.T) {
+	run := func(sc core.Scheme, load float64) ScenarioReport {
+		return loadRun(t, sc, 4, 300, 32, load, 64)
 	}
-	rep, err := sys.LoadTest(g, 0.8, 20000, 32)
-	if err != nil {
-		t.Fatal(err)
+	// Light load (10% per VN -> 40% aggregate): both deliver ~everything.
+	lightVS := run(core.VS, 0.10)
+	if f := lightVS.DeliveredFraction(); f < 0.99 {
+		t.Errorf("VS at light load delivered %.3f, want ~1", f)
 	}
+	lightVM := run(core.VM, 0.10)
+	if f := lightVM.DeliveredFraction(); f < 0.99 {
+		t.Errorf("VM at light load delivered %.3f, want ~1", f)
+	}
+
+	// Heavy load (60% per VN -> 2.4x the merged engine's capacity): the
+	// separate scheme still absorbs it (each engine sees only 0.6), the
+	// merged one cannot exceed 1/2.4 ≈ 0.42 of the offered traffic.
+	heavyVS := run(core.VS, 0.60)
+	if f := heavyVS.DeliveredFraction(); f < 0.99 {
+		t.Errorf("VS at heavy load delivered %.3f, want ~1 (dedicated engines)", f)
+	}
+	heavyVM := run(core.VM, 0.60)
+	if f := heavyVM.DeliveredFraction(); f > 0.50 || f < 0.35 {
+		t.Errorf("VM at heavy load delivered %.3f, want ≈ 1/(K·load) = 0.42", f)
+	}
+	var drops int64
+	for _, d := range heavyVM.DroppedPerVN {
+		drops += d
+	}
+	if drops == 0 {
+		t.Error("VM at heavy load dropped nothing")
+	}
+	// Queueing delay must blow up at saturation relative to light load.
+	if heavyVM.MeanDelayCycles < 2*lightVM.MeanDelayCycles {
+		t.Errorf("VM saturation delay %.1f not well above light-load delay", heavyVM.MeanDelayCycles)
+	}
+}
+
+// TestLoadTestFairSaturation: the merged engine's round-robin ingress must
+// split its capacity evenly across networks when all are overloaded.
+func TestLoadTestFairSaturation(t *testing.T) {
+	rep := loadRun(t, core.VM, 4, 200, 51, 0.8, 32)
 	var min, max int64 = 1 << 62, 0
-	for _, d := range rep.Delivered {
+	for _, d := range rep.DeliveredPerVN {
 		if d < min {
 			min = d
 		}

@@ -158,6 +158,23 @@ func (r *ScenarioReport) RepairedSEUs() int {
 	return n
 }
 
+// MTTRCycles returns the mean repair latency (injection to reload complete)
+// over repaired upsets, in cycles; 0 when nothing was repaired.
+func (r *ScenarioReport) MTTRCycles() float64 {
+	var sum float64
+	n := 0
+	for i := range r.SEUs {
+		if r.SEUs[i].RepairedAt >= 0 {
+			sum += float64(r.SEUs[i].RepairedAt - r.SEUs[i].Cycle)
+			n++
+		}
+	}
+	if n == 0 {
+		return 0
+	}
+	return sum / float64(n)
+}
+
 // MeanUpdateLatencyCycles is the average arm-to-commit latency over applied
 // batches; 0 when none committed.
 func (r *ScenarioReport) MeanUpdateLatencyCycles() float64 {
@@ -622,10 +639,13 @@ func (r *scenRun) RunSlice(b, n int64, live bool) (scenario.SliceStats, error) {
 						rep.DroppedPerVN[vn]++
 						r.dropVN[vn].Inc()
 						obsFaultDrops.Inc()
-						// Seq is worker-independent: cycle-major, network-minor.
+						// Seq is worker-independent: cycle-major, network-minor. The
+						// arrival is refused before it has an address: drawing one
+						// here would make a traced run consume the generator
+						// differently from a bare one.
 						if seq := r.st.seq(cyc, int32(vn)); tracing && tel.Sampler.Sample(vn, seq) {
 							r.st.held = append(r.st.held, heldTrace{cyc, -1,
-								scenario.DropTrace(seq, vn, eIdx, cyc, gen.NextFor(vn).Addr)})
+								scenario.DropTrace(seq, vn, eIdx, cyc)})
 						}
 						continue
 					}

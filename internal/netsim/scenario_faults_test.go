@@ -1,13 +1,13 @@
 package netsim
 
+// Fault stressor on the composed runner: SEUs and an engine kill under a
+// 1/K constant load (Assumption 1 — every network offers the same share).
+
 import (
-	"reflect"
+	"fmt"
 	"testing"
 
 	"vrpower/internal/core"
-	"vrpower/internal/ctrl"
-	"vrpower/internal/faults"
-	"vrpower/internal/sweep"
 	"vrpower/internal/traffic"
 )
 
@@ -18,6 +18,16 @@ func faultGen(t *testing.T, s *System, seed int64) *traffic.Generator {
 		t.Fatal(err)
 	}
 	return g
+}
+
+// runSpec runs one spec string on s under a fresh routed generator.
+func runSpec(t *testing.T, s *System, genSeed int64, spec string) ScenarioReport {
+	t.Helper()
+	rep, err := s.RunScenario(faultGen(t, s, genSeed), mustParse(t, spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
 }
 
 // seuRateFor picks an SEU rate expected to land about n upsets across all
@@ -37,15 +47,9 @@ func seuRateFor(s *System, n float64, cycles int64) float64 {
 // killed network back within the run.
 func TestVSKillBlackholesOnlyItsOwnVNID(t *testing.T) {
 	s, _ := buildSystem(t, core.VS, 3)
-	const cycles = 16 * 1024
-	rep, err := s.RunFaults(faultGen(t, s, 17), cycles, FaultConfig{
-		Inject: faults.Config{Seed: 42, Kill: true, KillEngine: 1, KillCycle: 3000},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.HealthyMismatches != 0 {
-		t.Errorf("healthy mismatches = %d, want 0", rep.HealthyMismatches)
+	rep := runSpec(t, s, 17, "load=const:0.3333,kill=1@3000,cycles=16384,seed=42")
+	if rep.Mismatches != 0 {
+		t.Errorf("mismatches = %d, want 0", rep.Mismatches)
 	}
 	for _, vn := range []int{0, 2} {
 		if rep.DroppedPerVN[vn] != 0 {
@@ -67,8 +71,8 @@ func TestVSKillBlackholesOnlyItsOwnVNID(t *testing.T) {
 	if rep.Kill.DetectedAt < rep.Kill.Cycle || rep.Kill.RepairedAt <= rep.Kill.DetectedAt {
 		t.Errorf("kill lifecycle out of order: %+v", rep.Kill)
 	}
-	if !rep.Recovered {
-		t.Error("run did not recover after scrub")
+	if !rep.Recovered || !rep.Completed {
+		t.Errorf("recovered %v completed %v after the scrub, want both", rep.Recovered, rep.Completed)
 	}
 	// Delivered packets on the killed VN too: traffic before the kill and
 	// after the reload both flowed.
@@ -83,17 +87,12 @@ func TestVSKillBlackholesOnlyItsOwnVNID(t *testing.T) {
 func TestVMSEUDisruptsAllNetworks(t *testing.T) {
 	s, _ := buildSystem(t, core.VM, 3)
 	const cycles = 16 * 1024
-	rep, err := s.RunFaults(faultGen(t, s, 19), cycles, FaultConfig{
-		Inject: faults.Config{Seed: 7, SEURate: seuRateFor(s, 3, cycles)},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runSpec(t, s, 19, fmt.Sprintf("load=const:0.3,faults=seu:%g,cycles=%d,seed=7", seuRateFor(s, 3, cycles), cycles))
 	if len(rep.SEUs) == 0 {
 		t.Fatal("no SEUs landed; rate tuning is off")
 	}
-	if rep.HealthyMismatches != 0 {
-		t.Errorf("healthy mismatches = %d, want 0", rep.HealthyMismatches)
+	if rep.Mismatches != 0 {
+		t.Errorf("mismatches = %d, want 0", rep.Mismatches)
 	}
 	if rep.Scrubs == 0 {
 		t.Fatal("no scrub ran despite injected SEUs")
@@ -115,19 +114,12 @@ func TestVMSEUDisruptsAllNetworks(t *testing.T) {
 }
 
 // TestAllSEUsDetectedAndScrubbed: every injected upset must end the run
-// detected and repaired — access-time parity plus the background sweep
-// leave no silent corruption — with MTTR within the bounded-retry budget
-// even when reconfigurations fail mid-flight.
+// detected and repaired, in that order and through a named channel —
+// access-time parity plus the background sweep leave no silent corruption.
 func TestAllSEUsDetectedAndScrubbed(t *testing.T) {
 	s, _ := buildSystem(t, core.VS, 2)
 	const cycles = 16 * 1024
-	rep, err := s.RunFaults(faultGen(t, s, 23), cycles, FaultConfig{
-		Inject: faults.Config{Seed: 99, SEURate: seuRateFor(s, 4, cycles), ReconfigFailures: 1},
-		Scrub:  ctrl.ScrubPolicy{MaxAttempts: 4, BackoffCycles: 64, WriteCycles: 1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runSpec(t, s, 23, fmt.Sprintf("load=const:0.5,faults=seu:%g,cycles=%d,seed=99", seuRateFor(s, 4, cycles), cycles))
 	if len(rep.SEUs) == 0 {
 		t.Fatal("no SEUs landed; rate tuning is off")
 	}
@@ -145,15 +137,11 @@ func TestAllSEUsDetectedAndScrubbed(t *testing.T) {
 	if rep.MTTRCycles() <= 0 {
 		t.Errorf("MTTR = %.1f cycles, want > 0", rep.MTTRCycles())
 	}
-	if rep.ScrubAttempts <= rep.Scrubs {
-		t.Errorf("scrub attempts %d with %d scrubs: injected reconfig failure never cost a retry",
-			rep.ScrubAttempts, rep.Scrubs)
-	}
 	if rep.ScrubsExhausted != 0 {
 		t.Errorf("%d scrubs exhausted their budget", rep.ScrubsExhausted)
 	}
-	if rep.HealthyMismatches != 0 {
-		t.Errorf("healthy mismatches = %d, want 0", rep.HealthyMismatches)
+	if rep.Mismatches != 0 {
+		t.Errorf("mismatches = %d, want 0", rep.Mismatches)
 	}
 	if !rep.Recovered {
 		t.Error("run did not recover")
@@ -161,25 +149,18 @@ func TestAllSEUsDetectedAndScrubbed(t *testing.T) {
 }
 
 // TestKillLastEngineDegradesInsteadOfPanicking: killing the only engine of a
-// K=1 system while every reconfiguration attempt fails must leave the run
-// degraded — blackholed traffic, Recovered=false — never panicking or
-// spinning. The reconfig-failure budget outlasts the scrub retry budget, so
-// the scrubber exhausts and declares the engine dead.
+// K=1 system while every reload of it stalls must leave the run degraded —
+// blackholed traffic, Recovered=false — never panicking or spinning. The
+// stall deck outlasts the watchdog's retry budget, so the ladder escalates
+// and declares the engine dead.
 func TestKillLastEngineDegradesInsteadOfPanicking(t *testing.T) {
 	s, _ := buildSystem(t, core.VS, 1)
-	const cycles = 8 * 1024
-	rep, err := s.RunFaults(faultGen(t, s, 37), cycles, FaultConfig{
-		Inject: faults.Config{Seed: 3, Kill: true, KillEngine: 0, KillCycle: 2000, ReconfigFailures: 16},
-		Scrub:  ctrl.ScrubPolicy{MaxAttempts: 2, BackoffCycles: 32, WriteCycles: 1},
-	})
-	if err != nil {
-		t.Fatal(err)
+	rep := runSpec(t, s, 37, "load=const:0.5,kill=0@2000,chaos=stall:8,cycles=8192,seed=3")
+	if rep.Chaos.Escalations == 0 {
+		t.Error("watchdog never spent its retry budget")
 	}
-	if rep.ScrubsExhausted == 0 {
-		t.Error("scrub never exhausted its retry budget")
-	}
-	if rep.Recovered {
-		t.Error("run reported recovered with its only engine dead")
+	if rep.Recovered || rep.Completed {
+		t.Errorf("recovered %v completed %v with the only engine dead", rep.Recovered, rep.Completed)
 	}
 	if rep.DeliveredPerVN[0] == 0 {
 		t.Error("no traffic delivered before the kill")
@@ -192,45 +173,27 @@ func TestKillLastEngineDegradesInsteadOfPanicking(t *testing.T) {
 	}
 }
 
-// TestFaultRunDeterministicAcrossWorkers: the full fault report — schedules,
-// stamps, per-VN counters — must be identical at -j1 and -j8 for the same
-// seeds.
+// TestFaultRunDeterministicAcrossWorkers: the full report of a faults + kill
+// run — schedules, stamps, per-VN counters — must be identical at -j1 and
+// -j8 for the same seeds, on both schemes.
 func TestFaultRunDeterministicAcrossWorkers(t *testing.T) {
-	defer sweep.SetWorkers(0)
 	for _, scheme := range []core.Scheme{core.VS, core.VM} {
 		s, _ := buildSystem(t, scheme, 3)
 		const cycles = 8 * 1024
-		cfg := FaultConfig{
-			Inject: faults.Config{
-				Seed: 5, SEURate: seuRateFor(s, 3, cycles),
-				Kill: true, KillEngine: 0, KillCycle: 2000,
-				ReconfigFailures: 1,
-			},
-		}
-		var reports []FaultReport
-		for _, workers := range []int{1, 8} {
-			sweep.SetWorkers(workers)
-			rep, err := s.RunFaults(faultGen(t, s, 29), cycles, cfg)
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", scheme, workers, err)
-			}
-			reports = append(reports, rep)
-		}
-		if !reflect.DeepEqual(reports[0], reports[1]) {
-			t.Errorf("%s: fault report differs between -j1 and -j8:\n%+v\n%+v", scheme, reports[0], reports[1])
+		spec := mustParse(t, fmt.Sprintf("load=const:0.3333,faults=seu:%g,kill=0@2000,cycles=%d,seed=5", seuRateFor(s, 3, cycles), cycles))
+		rep1, _ := runScenario(t, scheme, 3, spec, 1)
+		rep8, _ := runScenario(t, scheme, 3, spec, 8)
+		if dumpJSON(t, rep1) != dumpJSON(t, rep8) {
+			t.Errorf("%s: fault report differs between -j1 and -j8", scheme)
 		}
 	}
 }
 
-// TestFaultRunCleanBaseline: with a zero fault config the run must behave
-// exactly like plain forwarding — nothing dropped, nothing scrubbed, fully
-// recovered.
+// TestFaultRunCleanBaseline: with no stressor the run must behave exactly
+// like plain forwarding — nothing dropped, nothing scrubbed, no drain.
 func TestFaultRunCleanBaseline(t *testing.T) {
 	s, _ := buildSystem(t, core.VS, 2)
-	rep, err := s.RunFaults(faultGen(t, s, 31), 4096, FaultConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runSpec(t, s, 31, "load=const:0.5,cycles=4096")
 	if len(rep.SEUs) != 0 || rep.Kill != nil || rep.Scrubs != 0 {
 		t.Errorf("clean run injected faults: %+v", rep)
 	}
@@ -242,10 +205,11 @@ func TestFaultRunCleanBaseline(t *testing.T) {
 			t.Errorf("clean run VN %d: offered %d, delivered %d", vn, rep.OfferedPerVN[vn], rep.DeliveredPerVN[vn])
 		}
 	}
-	if rep.HealthyMismatches != 0 || rep.FaultedLookups != 0 {
+	if rep.Mismatches != 0 || rep.FaultedLookups != 0 {
 		t.Errorf("clean run saw faults: %+v", rep)
 	}
-	if !rep.Recovered || rep.DrainCycles != 0 {
-		t.Errorf("clean run not trivially recovered: recovered=%v drain=%d", rep.Recovered, rep.DrainCycles)
+	if !rep.Recovered || !rep.Completed || rep.DrainCycles > rep.SliceCycles {
+		t.Errorf("clean run not trivially finished: recovered=%v completed=%v drain=%d",
+			rep.Recovered, rep.Completed, rep.DrainCycles)
 	}
 }

@@ -5,12 +5,11 @@ package netsim
 // of an attached Telemetry bundle on the run reports themselves.
 
 import (
-	"reflect"
+	"fmt"
 	"strings"
 	"testing"
 
 	"vrpower/internal/core"
-	"vrpower/internal/faults"
 	"vrpower/internal/obs"
 	"vrpower/internal/sweep"
 )
@@ -97,18 +96,11 @@ func TestForwardTelemetryDeterministicAcrossWorkers(t *testing.T) {
 func TestFaultRunTelemetryDeterministicAcrossWorkers(t *testing.T) {
 	s, _ := buildSystem(t, core.VS, 3)
 	const cycles = 8 * 1024
-	cfg := FaultConfig{
-		Inject: faults.Config{
-			Seed: 5, SEURate: seuRateFor(s, 3, cycles),
-			Kill: true, KillEngine: 0, KillCycle: 2000,
-		},
-	}
-	traces, series, events := runDumps(t, "RunFaults", func(tel *Telemetry) {
+	spec := fmt.Sprintf("load=const:0.3333,faults=seu:%g,kill=0@2000,cycles=%d,seed=5", seuRateFor(s, 3, cycles), cycles)
+	traces, series, events := runDumps(t, "faults", func(tel *Telemetry) {
 		s.SetTelemetry(tel)
 		defer s.SetTelemetry(nil)
-		if _, err := s.RunFaults(faultGen(t, s, 29), cycles, cfg); err != nil {
-			t.Fatal(err)
-		}
+		runSpec(t, s, 29, spec)
 	})
 	if traces == "" || series == "" || events == "" {
 		t.Fatalf("fault run left a sink empty: traces=%d series=%d events=%d bytes",
@@ -131,16 +123,13 @@ func TestFaultRunTelemetryDeterministicAcrossWorkers(t *testing.T) {
 
 func TestUpdateRunTelemetryDeterministicAcrossWorkers(t *testing.T) {
 	s, _ := buildSystem(t, core.VS, 3)
-	cfg := DefaultUpdateConfig()
-	traces, series, events := runDumps(t, "RunUpdates", func(tel *Telemetry) {
+	traces, series, events := runDumps(t, "churn", func(tel *Telemetry) {
 		s.SetTelemetry(tel)
 		defer s.SetTelemetry(nil)
-		if _, err := s.RunUpdates(faultGen(t, s, 23), 8*1024, cfg); err != nil {
-			t.Fatal(err)
-		}
+		runSpec(t, s, 23, "load=const:0.3333,churn=4x64,queue=4096,cycles=8192")
 	})
 	if traces == "" || series == "" || events == "" {
-		t.Fatalf("update run left a sink empty: traces=%d series=%d events=%d bytes",
+		t.Fatalf("churn run left a sink empty: traces=%d series=%d events=%d bytes",
 			len(traces), len(series), len(events))
 	}
 	for _, want := range []string{"update_arm", "update_commit", "lifecycle_update"} {
@@ -152,38 +141,50 @@ func TestUpdateRunTelemetryDeterministicAcrossWorkers(t *testing.T) {
 
 func TestLoadTestTelemetryDeterministicAcrossWorkers(t *testing.T) {
 	s, _ := buildSystem(t, core.VS, 3)
-	_, series, _ := runDumps(t, "LoadTest", func(tel *Telemetry) {
+	_, series, _ := runDumps(t, "load", func(tel *Telemetry) {
 		s.SetTelemetry(tel)
 		defer s.SetTelemetry(nil)
-		if _, err := s.LoadTest(faultGen(t, s, 41), 0.8, 4096, 64); err != nil {
-			t.Fatal(err)
-		}
+		runSpec(t, s, 41, "load=const:0.8,cycles=4096")
 	})
-	if strings.Count(series, "\n") < 1+4096/loadSliceCycles {
-		t.Errorf("load test recorded too few series rows:\n%s", series)
+	if strings.Count(series, "\n") < 1+4096/1024 {
+		t.Errorf("load run recorded too few series rows:\n%s", series)
 	}
 }
 
 // TestTelemetryDoesNotChangeReports: instrumentation must never change
-// behaviour — the fault report with a full bundle attached equals the
-// report of a bare run.
+// behaviour. A faults + kill + churn run with the full bundle attached —
+// sampler and trace ring included — must produce the report, series and
+// events of a run that traces nothing. A blackholed arrival is the case that
+// used to break this: its drop record must not draw from the generator.
 func TestTelemetryDoesNotChangeReports(t *testing.T) {
-	s, _ := buildSystem(t, core.VM, 3)
-	const cycles = 8 * 1024
-	cfg := FaultConfig{
-		Inject: faults.Config{Seed: 7, SEURate: seuRateFor(s, 2, cycles)},
-	}
-	bare, err := s.RunFaults(faultGen(t, s, 29), cycles, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.SetTelemetry(testTelemetry(0.1, 3))
-	defer s.SetTelemetry(nil)
-	observed, err := s.RunFaults(faultGen(t, s, 29), cycles, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(bare, observed) {
-		t.Errorf("attaching telemetry changed the fault report:\nbare:     %+v\nobserved: %+v", bare, observed)
+	for _, scheme := range []core.Scheme{core.VS, core.VM} {
+		s, _ := buildSystem(t, scheme, 3)
+		const cycles = 16 * 1024
+		spec := fmt.Sprintf("load=const:0.3,faults=seu:%g,kill=0@4000,churn=3x32,cycles=%d,seed=7", seuRateFor(s, 3, cycles), cycles)
+		run := func(tel *Telemetry) (string, string, string) {
+			s.SetTelemetry(tel)
+			defer s.SetTelemetry(nil)
+			rep := runSpec(t, s, 29, spec)
+			if rep.Kill == nil || rep.Kill.RepairedAt < 0 || rep.BatchesApplied == 0 {
+				t.Fatalf("%s: kill %+v, %d batches: the run did not exercise both stressors", scheme, rep.Kill, rep.BatchesApplied)
+			}
+			_, series, events := dumps(t, tel)
+			return dumpJSON(t, rep), series, events
+		}
+		full := testTelemetry(0.2, 3)
+		bareRep, bareSeries, bareEvents := run(&Telemetry{Series: obs.NewTimeSeries(), Events: obs.NewEventLog(obs.LevelDebug)})
+		rep, series, events := run(full)
+		if full.Traces.Written() == 0 {
+			t.Fatalf("%s: traced run kept no traces", scheme)
+		}
+		if rep != bareRep {
+			t.Errorf("%s: attaching the tracer changed the report:\nbare:   %s\ntraced: %s", scheme, bareRep, rep)
+		}
+		if series != bareSeries {
+			t.Errorf("%s: attaching the tracer changed the series", scheme)
+		}
+		if events != bareEvents {
+			t.Errorf("%s: attaching the tracer changed the events", scheme)
+		}
 	}
 }

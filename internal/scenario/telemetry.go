@@ -90,13 +90,14 @@ func (t *Telemetry) PutLookupTrace(seq int64, vn, engine int, base int64, res pi
 }
 
 // DropTrace builds the trace of a sampled packet refused at ingress (its
-// engine was down): no pipeline traversal, Enter == Exit == the drop cycle.
-func DropTrace(seq int64, vn, engine int, cycle int64, addr ip.Addr) *obs.FlightTrace {
+// engine was down): no pipeline traversal, Enter == Exit == the drop cycle,
+// and no address — the packet is refused before one is drawn, so tracing it
+// never touches the traffic generator.
+func DropTrace(seq int64, vn, engine int, cycle int64) *obs.FlightTrace {
 	return &obs.FlightTrace{
 		Seq:     seq,
 		VN:      vn,
 		Engine:  engine,
-		Addr:    addr.String(),
 		Enter:   cycle,
 		Exit:    cycle,
 		Outcome: "drop-down",
@@ -104,10 +105,13 @@ func DropTrace(seq int64, vn, engine int, cycle int64, addr ip.Addr) *obs.Flight
 	}
 }
 
-// PutDropTrace records DropTrace's trace of a refused packet in the ring.
+// PutDropTrace records a refused packet whose address the kernel already
+// holds (the slice-batch fault harness) in the ring.
 func (t *Telemetry) PutDropTrace(seq int64, vn, engine int, cycle int64, addr ip.Addr) {
 	if t.Traces != nil {
-		t.Traces.Put(DropTrace(seq, vn, engine, cycle, addr))
+		ft := DropTrace(seq, vn, engine, cycle)
+		ft.Addr = addr.String()
+		t.Traces.Put(ft)
 	}
 }
 
