@@ -4,38 +4,43 @@
 // longest-prefix match — the end-to-end correctness harness. Independent
 // engines simulate in parallel on a bounded worker pool; -j sizes it.
 //
-// With -faults the run becomes a robustness experiment: a seeded injector
-// flips bits in the engines' memory images (and optionally kills an engine
-// outright), per-stage parity and a background readback sweep detect the
-// corruption, and the control plane scrubs the damaged engine back into
-// service. The report shows per-VNID availability and drops; -mttr-report
-// adds each upset's detect/repair lifecycle. Same seeds, same -j or not,
-// same bytes.
-//
-// With -churn the run becomes a hitless-update experiment: seeded churn
-// batches are coalesced, compiled, diffed against the serving images and
-// applied as write bubbles interleaved with the live lookups — no reload,
-// no blackhole. The report shows the measured vs analytic throughput
-// retained, the update latency, and the oracle-mismatch count (zero when
-// the shadow-bank commit is airtight); -update-report adds each batch's
-// lifecycle. Same seeds, same -j or not, same bytes.
-//
 // Usage:
 //
-//	lookupsim -scheme VM -k 4 -packets 10000 [-prefixes 1000] [-share 0.5]
-//	          [-dist uniform|zipf] [-routed] [-frames] [-load 0.5]
+//	lookupsim -scheme VM -k 4 [-prefixes 1000] [-share 0.5] [-seed 1]
+//	          [-dist uniform|zipf] [-routed]
+//	          [-packets 10000] [-frames]
 //	          [-scenario load=...,faults=...,kill=...,churn=...,chaos=...,fleet=N:spare=M,power-cap=...]
-//	          [-faults] [-fault-seed 1] [-seu-rate 1e-8]
-//	          [-kill-engine N -kill-cycle C] [-reconfig-failures N]
-//	          [-mttr-report]
-//	          [-churn] [-churn-seed 1] [-churn-batch 64] [-churn-batches 4]
-//	          [-churn-vn N] [-update-report]
+//	          [-mttr-report] [-update-report] [-governor-report] [-energy-report]
+//	          [-power-cap W] [-power-cap-device W] [-power-cap-lift C]
 //	          [-trace-sample R] [-trace-buf N] [-trace-out F]
 //	          [-timeseries-out F] [-events-out F] [-events-level L]
 //	          [-http :addr] [-http-hold]
-//	          [-power-cap W] [-power-cap-device W] [-power-cap-lift C]
-//	          [-governor-report]
-//	          [-j N] [-stats] [-seed 1]
+//	          [-j N] [-stats]
+//
+// Two modes. Without -scenario the run is a closed loop: -packets packets
+// (or, with -frames, wire-format frames through parse → lookup → edit) are
+// resolved as one batch and every next hop is checked. With -scenario SPEC
+// it is a slice-quantised open loop in which a comma-separated key=value
+// spec composes a load shape, SEU faults, an engine kill, update churn,
+// control-plane chaos, a fleet of devices and power caps into ONE run, e.g.
+//
+//	lookupsim -scheme VS -k 4 \
+//	  -scenario load=surge,faults=seu:1e-9,churn=100x50,chaos=crash:2+stall:1,power-cap=45
+//
+// and the report covers every axis at once: per-VNID delivery and
+// availability, SEU/scrub lifecycle and MTTR, churn batch outcomes and the
+// throughput they left, journaled recovery (rollbacks/replays, watchdog
+// ladder, invariant audits), and the governor's control-law summary. The
+// run exits nonzero on any oracle mismatch, any misforwarding audit probe,
+// or work left outstanding. The spec owns the stressor knobs (cycles=,
+// seed=, queue= included); docs/CLI.md has the grammar and the table from
+// the former -load / -faults / -churn flags to specs.
+//
+// -power-cap / -power-cap-device attach the closed-loop power-envelope
+// governor to a -scenario run (the spec's power-cap= keys do the same; giving
+// both is an error) and -power-cap-lift C removes the caps at cycle C to
+// demonstrate recovery; on a closed-loop run they assess the measured
+// utilization against the caps and report only.
 //
 // Telemetry: -trace-sample R flight-traces about fraction R of all lookups
 // (deterministically — same seeds, same -j or not, same traces) into a ring
@@ -45,51 +50,20 @@
 // stdout for any of the three). -http serves /metrics (Prometheus text),
 // /timeseries.csv, /traces.jsonl, /events.jsonl and /debug/pprof/ live
 // during the run; -http-hold keeps the process (and the endpoints) up after
-// the run finishes, for scraping.
-//
-// With -power-cap (and/or -power-cap-device) the run is governed by the
-// closed-loop power-envelope controller: every slice the paper's power
-// models are re-evaluated on the measured utilization, and violations walk a
-// strict escalation ladder — DVFS frequency stepping, engine quiescing
-// (lowest-priority VNID first; the merged scheme admission-controls its
-// shared pipeline instead), then brownout — with hysteretic, backoff-paced
-// recovery that never oscillates. -power-cap-lift C removes the caps at
-// cycle C to demonstrate recovery; -governor-report prints time-at-tier and
-// per-VNID degradation. Same seeds, same -j or not, same bytes.
-//
-// With -scenario SPEC all of the above compose into ONE run: a comma-
-// separated key=value spec selects a load shape, SEU faults, an engine
-// kill, update churn, control-plane chaos and power caps together, e.g.
-//
-//	lookupsim -scheme VS -k 4 \
-//	  -scenario load=surge,faults=seu:1e-9,churn=100x50,chaos=crash:2+stall:1,power-cap=45
-//
-// and the report covers every axis at once: per-VNID delivery and
-// availability, SEU/scrub lifecycle, churn batch outcomes, journaled
-// recovery (rollbacks/replays, watchdog ladder, invariant audits), and the
-// governor's control-law summary. chaos=KIND:N[+KIND:N...] injects
-// control-plane faults — crash (hitless commit dies mid-write), stall
-// (scrub reload hangs), torn (reload dies half-written), falsepos (watchdog
-// fires spuriously) — each recovered through the write-ahead journal to a
-// defined image; the run exits nonzero if any post-recovery audit probe
-// misforwards. The spec owns the stressor knobs (cycles=, seed=, queue=
-// included), so combining -scenario with the legacy per-experiment flags is
-// rejected — see docs/CLI.md for the full grammar. Same seeds, same -j or
-// not, same bytes.
+// the run finishes, for scraping. Same seeds, same -j or not, same bytes.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"os"
 	"strings"
 	"time"
 
 	"vrpower/internal/core"
 	"vrpower/internal/energy"
-	"vrpower/internal/faults"
 	"vrpower/internal/governor"
 	"vrpower/internal/netsim"
 	"vrpower/internal/obs"
@@ -100,7 +74,7 @@ import (
 	"vrpower/internal/traffic"
 )
 
-// options collects the parsed flags.
+// options collects the parsed flags and the streams the run writes to.
 type options struct {
 	scheme   string
 	k        int
@@ -110,24 +84,13 @@ type options struct {
 	dist     string
 	routed   bool
 	frames   bool
-	load     float64
 	seed     int64
 	scenario string
 
-	faults           bool
-	faultSeed        int64
-	seuRate          float64
-	killEngine       int
-	killCycle        int64
-	reconfigFailures int
-	mttrReport       bool
-
-	churn        bool
-	churnSeed    int64
-	churnBatch   int
-	churnBatches int
-	churnVN      int
-	updateReport bool
+	mttrReport     bool
+	updateReport   bool
+	governorReport bool
+	energyReport   bool
 
 	traceSample   float64
 	traceBuf      int
@@ -141,8 +104,11 @@ type options struct {
 	powerCap       float64
 	powerCapDevice float64
 	powerCapLift   int64
-	governorReport bool
-	energyReport   bool
+
+	jobs  int
+	stats bool
+
+	stdout, stderr io.Writer
 }
 
 // governor builds the run's power-envelope governor configuration, or nil
@@ -176,72 +142,67 @@ func (o *options) telemetry() *netsim.Telemetry {
 	return t
 }
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("lookupsim: ")
-	var o options
-	flag.StringVar(&o.scheme, "scheme", "VM", "router scheme: NV, VS or VM")
-	flag.IntVar(&o.k, "k", 4, "number of virtual networks")
-	flag.IntVar(&o.packets, "packets", 10000, "packets to forward (fault runs: one offered packet per cycle)")
-	flag.IntVar(&o.prefixes, "prefixes", 1000, "routes per network")
-	flag.Float64Var(&o.share, "share", 0.5, "prefix-space share across networks")
-	flag.StringVar(&o.dist, "dist", "uniform", "traffic distribution: uniform or zipf")
-	flag.BoolVar(&o.routed, "routed", true, "draw destinations from the routed space")
-	flag.BoolVar(&o.frames, "frames", false, "drive the full frame path (parse -> lookup -> edit) instead of bare lookups")
-	flag.Float64Var(&o.load, "load", 0, "per-VN offered load for an open-loop run (0 = closed-loop batch)")
-	flag.StringVar(&o.scenario, "scenario", "", "composed scenario spec: comma-separated key=value stressors (load=, faults=, kill=, churn=, chaos=, fleet=, power-cap=, ...; see docs/CLI.md)")
-	flag.BoolVar(&o.faults, "faults", false, "run the fault-injection experiment (SEUs, detection, scrubbing)")
-	flag.Int64Var(&o.faultSeed, "fault-seed", 1, "seed for the fault schedule (independent of -seed)")
-	flag.Float64Var(&o.seuRate, "seu-rate", 1e-8, "SEU probability per data bit per cycle")
-	flag.IntVar(&o.killEngine, "kill-engine", -1, "engine to hard-kill mid-run (-1 = none)")
-	flag.Int64Var(&o.killCycle, "kill-cycle", 0, "cycle at which -kill-engine fails")
-	flag.IntVar(&o.reconfigFailures, "reconfig-failures", 0, "fail the first N scrub reloads mid-flight")
-	flag.BoolVar(&o.mttrReport, "mttr-report", false, "print each upset's detect/repair lifecycle")
-	flag.BoolVar(&o.churn, "churn", false, "run the hitless-update experiment (write bubbles under live traffic)")
-	flag.Int64Var(&o.churnSeed, "churn-seed", 1, "seed for the churn schedule (independent of -seed)")
-	flag.IntVar(&o.churnBatch, "churn-batch", 64, "route updates per churn batch")
-	flag.IntVar(&o.churnBatches, "churn-batches", 4, "churn batches to apply over the run")
-	flag.IntVar(&o.churnVN, "churn-vn", -1, "network every batch targets (-1 = round-robin)")
-	flag.BoolVar(&o.updateReport, "update-report", false, "print each churn batch's lifecycle")
-	flag.Float64Var(&o.traceSample, "trace-sample", 0, "flight-trace sampling rate in [0,1] (0 = tracing off)")
-	flag.IntVar(&o.traceBuf, "trace-buf", 4096, "flight-trace ring capacity (rounded up to a power of two)")
-	flag.StringVar(&o.traceOut, "trace-out", "", "write sampled flight traces as JSONL to this file (- = stdout)")
-	flag.StringVar(&o.timeseriesOut, "timeseries-out", "", "write the per-slice telemetry series as CSV to this file (- = stdout)")
-	flag.StringVar(&o.eventsOut, "events-out", "", "write the structured event log as JSONL to this file (- = stdout)")
-	flag.StringVar(&o.eventsLevel, "events-level", "info", "minimum event severity to keep: debug, info, warn or error")
-	flag.StringVar(&o.httpAddr, "http", "", "serve /metrics, /timeseries.csv, /traces.jsonl, /events.jsonl and /debug/pprof/ on this address (e.g. :9090)")
-	flag.BoolVar(&o.httpHold, "http-hold", false, "keep the -http endpoints up after the run finishes (Ctrl-C to exit)")
-	flag.Float64Var(&o.powerCap, "power-cap", 0, "fleet-wide power envelope in Watts enforced by the closed-loop governor (0 = ungoverned)")
-	flag.Float64Var(&o.powerCapDevice, "power-cap-device", 0, "per-device power cap in Watts (0 = no device cap)")
-	flag.Int64Var(&o.powerCapLift, "power-cap-lift", 0, "lift the caps from this cycle on, demonstrating recovery (0 = caps for the whole run)")
-	flag.BoolVar(&o.governorReport, "governor-report", false, "print the governor's time-at-tier and per-VNID degradation detail")
-	flag.BoolVar(&o.energyReport, "energy-report", false, "print the run's attributed energy breakdown (per VNID, per component, per device)")
-	jobs := flag.Int("j", 0, "engine worker-pool size (0 = GOMAXPROCS); results are identical at any value")
-	stats := flag.Bool("stats", false, "print run instrumentation to stderr on exit")
-	flag.Int64Var(&o.seed, "seed", 1, "seed for tables and traffic")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	if o.scenario != "" {
-		if clash := scenarioConflicts(); len(clash) > 0 {
-			log.Fatalf("-scenario composes its own stressors; drop %s and use the spec's load=/faults=/kill=/churn=/power-cap= keys instead",
-				strings.Join(clash, ", "))
+// run is the whole command over its arguments and streams: 0 on a clean run,
+// 1 on a domain error (a mismatch, outstanding work, an unbuildable router),
+// 2 on a flag the command does not have.
+func run(args []string, stdout, stderr io.Writer) int {
+	o := options{stdout: stdout, stderr: stderr}
+	fs := flag.NewFlagSet("lookupsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&o.scheme, "scheme", "VM", "router scheme: NV, VS or VM")
+	fs.IntVar(&o.k, "k", 4, "number of virtual networks")
+	fs.IntVar(&o.packets, "packets", 10000, "packets to forward in a closed-loop run")
+	fs.IntVar(&o.prefixes, "prefixes", 1000, "routes per network")
+	fs.Float64Var(&o.share, "share", 0.5, "prefix-space share across networks")
+	fs.StringVar(&o.dist, "dist", "uniform", "traffic distribution: uniform or zipf")
+	fs.BoolVar(&o.routed, "routed", true, "draw destinations from the routed space")
+	fs.BoolVar(&o.frames, "frames", false, "closed loop over the full frame path (parse -> lookup -> edit) instead of bare lookups")
+	fs.StringVar(&o.scenario, "scenario", "", "open-loop composed scenario: comma-separated key=value stressors (load=, faults=, kill=, churn=, chaos=, fleet=, power-cap=, ...; see docs/CLI.md)")
+	fs.BoolVar(&o.mttrReport, "mttr-report", false, "print each upset's detect/repair lifecycle")
+	fs.BoolVar(&o.updateReport, "update-report", false, "print each churn batch's lifecycle")
+	fs.Float64Var(&o.traceSample, "trace-sample", 0, "flight-trace sampling rate in [0,1] (0 = tracing off)")
+	fs.IntVar(&o.traceBuf, "trace-buf", 4096, "flight-trace ring capacity (rounded up to a power of two)")
+	fs.StringVar(&o.traceOut, "trace-out", "", "write sampled flight traces as JSONL to this file (- = stdout)")
+	fs.StringVar(&o.timeseriesOut, "timeseries-out", "", "write the per-slice telemetry series as CSV to this file (- = stdout)")
+	fs.StringVar(&o.eventsOut, "events-out", "", "write the structured event log as JSONL to this file (- = stdout)")
+	fs.StringVar(&o.eventsLevel, "events-level", "info", "minimum event severity to keep: debug, info, warn or error")
+	fs.StringVar(&o.httpAddr, "http", "", "serve /metrics, /timeseries.csv, /traces.jsonl, /events.jsonl and /debug/pprof/ on this address (e.g. :9090)")
+	fs.BoolVar(&o.httpHold, "http-hold", false, "keep the -http endpoints up after the run finishes (Ctrl-C to exit)")
+	fs.Float64Var(&o.powerCap, "power-cap", 0, "fleet-wide power envelope in Watts enforced by the closed-loop governor (0 = ungoverned)")
+	fs.Float64Var(&o.powerCapDevice, "power-cap-device", 0, "per-device power cap in Watts (0 = no device cap)")
+	fs.Int64Var(&o.powerCapLift, "power-cap-lift", 0, "lift the caps from this cycle on, demonstrating recovery (0 = caps for the whole run)")
+	fs.BoolVar(&o.governorReport, "governor-report", false, "print the governor's time-at-tier and per-VNID degradation detail")
+	fs.BoolVar(&o.energyReport, "energy-report", false, "print the run's attributed energy breakdown (per VNID, per component, per device)")
+	fs.IntVar(&o.jobs, "j", 0, "engine worker-pool size (0 = GOMAXPROCS); results are identical at any value")
+	fs.BoolVar(&o.stats, "stats", false, "print run instrumentation to stderr on exit")
+	fs.Int64Var(&o.seed, "seed", 1, "seed for tables and traffic")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
+		return 2
 	}
 
-	sweep.SetWorkers(*jobs)
+	sweep.SetWorkers(o.jobs)
 	// Scope -stats to this run: flag parsing and future multi-run drivers
 	// share the process-wide registry, so report the delta, not the totals.
 	snap := obs.TakeSnapshot()
-	err := run(o)
-	if *stats {
-		fmt.Fprint(os.Stderr, obs.ReportSince(snap))
+	err := o.execute()
+	if o.stats {
+		fmt.Fprint(stderr, obs.ReportSince(snap))
 	}
 	if err != nil {
-		log.Fatal(err)
+		fmt.Fprintln(stderr, "lookupsim:", err)
+		return 1
 	}
+	return 0
 }
 
-func run(o options) error {
+// execute builds the router and its traffic, attaches telemetry and the
+// governor, and runs the mode the flags selected.
+func (o *options) execute() error {
 	var scheme core.Scheme
 	switch o.scheme {
 	case "NV":
@@ -252,6 +213,18 @@ func run(o options) error {
 		scheme = core.VM
 	default:
 		return fmt.Errorf("scheme %q: want NV, VS or VM", o.scheme)
+	}
+	var spec scenario.Spec
+	if o.scenario != "" {
+		var err error
+		if spec, err = scenario.Parse(o.scenario); err != nil {
+			return err
+		}
+		// The one way a flag and the spec can contradict each other. (A fleet
+		// run places against the spec's caps only.)
+		if o.governor() != nil && (spec.CapW > 0 || spec.DeviceCapW > 0 || spec.Fleet != nil) {
+			return fmt.Errorf("power cap given both as a -power-cap* flag and in the spec (power-cap= / power-cap-device= / fleet=): give it once")
+		}
 	}
 
 	set, err := rib.GenerateVirtualSet(o.k, o.prefixes, o.share, o.seed)
@@ -294,17 +267,24 @@ func run(o options) error {
 		if err != nil {
 			return err
 		}
-		log.Printf("telemetry at http://%s/", srv.Addr())
+		fmt.Fprintf(o.stderr, "lookupsim: telemetry at http://%s/\n", srv.Addr())
 	}
-	err = dispatch(sys, gen, scheme, r, o)
+	switch {
+	case o.scenario != "":
+		err = o.runScenario(sys, gen, scheme, spec)
+	case o.frames:
+		err = o.runFrames(sys, gen, scheme)
+	default:
+		err = o.runForward(sys, gen, scheme, r)
+	}
 	if tel != nil {
-		if derr := dumpTelemetry(tel, o); derr != nil && err == nil {
+		if derr := o.dumpTelemetry(tel); derr != nil && err == nil {
 			err = derr
 		}
 	}
 	if srv != nil {
 		if o.httpHold {
-			log.Printf("run finished; holding -http endpoints open (-http-hold), Ctrl-C to exit")
+			fmt.Fprintln(o.stderr, "lookupsim: run finished; holding -http endpoints open (-http-hold), Ctrl-C to exit")
 			select {}
 		}
 		// Graceful teardown with a deadline: repeated smoke runs must not
@@ -316,88 +296,32 @@ func run(o options) error {
 	return err
 }
 
-// scenarioConflicts lists the explicitly-set legacy per-experiment flags
-// that -scenario supersedes: the spec owns every stressor knob, so mixing
-// the two would silently ignore one side.
-func scenarioConflicts() []string {
-	conflicting := map[string]bool{
-		"faults": true, "fault-seed": true, "seu-rate": true,
-		"kill-engine": true, "kill-cycle": true, "reconfig-failures": true,
-		"churn": true, "churn-seed": true, "churn-batch": true,
-		"churn-batches": true, "churn-vn": true,
-		"load": true, "frames": true, "packets": true,
-		"power-cap": true, "power-cap-device": true, "power-cap-lift": true,
+// runFrames is the closed loop over the full data plane.
+func (o *options) runFrames(sys *netsim.System, gen *traffic.Generator, scheme core.Scheme) error {
+	fr, err := gen.Frames(o.packets)
+	if err != nil {
+		return err
 	}
-	var clash []string
-	flag.Visit(func(f *flag.Flag) {
-		if conflicting[f.Name] {
-			clash = append(clash, "-"+f.Name)
-		}
-	})
-	return clash
+	frep, err := sys.ForwardFrames(fr)
+	if err != nil {
+		return err
+	}
+	t := report.NewTable(
+		fmt.Sprintf("%s frame path, K=%d, %d frames", scheme, o.k, frep.Frames),
+		"Quantity", "Value")
+	t.AddF("Forwarded", frep.Forwarded)
+	t.AddF("Lookup mismatches", frep.Mismatches)
+	t.AddF("Dropped: bad parse / unknown VN / no route / TTL",
+		fmt.Sprintf("%d / %d / %d / %d", frep.BadParse, frep.UnknownVN, frep.NoRoute, frep.TTLExpired))
+	o.print(t)
+	if frep.Mismatches != 0 {
+		return fmt.Errorf("%d lookups disagreed with the reference LPM", frep.Mismatches)
+	}
+	return nil
 }
 
-// dispatch runs the experiment the flags selected.
-func dispatch(sys *netsim.System, gen *traffic.Generator, scheme core.Scheme, r *core.Router, o options) error {
-	if o.scenario != "" {
-		return runScenario(sys, gen, scheme, o)
-	}
-
-	if o.faults {
-		return runFaults(sys, gen, scheme, o)
-	}
-
-	if o.churn {
-		return runUpdates(sys, gen, scheme, o)
-	}
-
-	if o.load > 0 {
-		lrep, err := sys.LoadTest(gen, o.load, int64(o.packets), 64)
-		if err != nil {
-			return err
-		}
-		t := report.NewTable(
-			fmt.Sprintf("%s open-loop, K=%d, per-VN load %.2f over %d cycles", scheme, o.k, o.load, lrep.Cycles),
-			"Quantity", "Value")
-		t.AddF("Delivered fraction", fmt.Sprintf("%.4f", lrep.DeliveredFraction()))
-		t.AddF("Mean delay (cycles)", fmt.Sprintf("%.1f", lrep.MeanDelayCycles))
-		for vn := range lrep.Offered {
-			t.AddF(fmt.Sprintf("VN %d offered/delivered/dropped", vn),
-				fmt.Sprintf("%d / %d / %d", lrep.Offered[vn], lrep.Delivered[vn], lrep.Dropped[vn]))
-		}
-		fmt.Println(t.String())
-		if lrep.Governor != nil {
-			printGovernor(lrep.Governor, o.governorReport)
-		}
-		if o.energyReport {
-			printEnergy(lrep.Energy)
-		}
-		return nil
-	}
-
-	if o.frames {
-		fr, err := gen.Frames(o.packets)
-		if err != nil {
-			return err
-		}
-		frep, err := sys.ForwardFrames(fr)
-		if err != nil {
-			return err
-		}
-		t := report.NewTable(
-			fmt.Sprintf("%s frame path, K=%d, %d frames", scheme, o.k, frep.Frames),
-			"Quantity", "Value")
-		t.AddF("Forwarded", frep.Forwarded)
-		t.AddF("Lookup mismatches", frep.Mismatches)
-		t.AddF("Dropped: bad parse / unknown VN / no route / TTL",
-			fmt.Sprintf("%d / %d / %d / %d", frep.BadParse, frep.UnknownVN, frep.NoRoute, frep.TTLExpired))
-		fmt.Println(t.String())
-		if frep.Mismatches != 0 {
-			return fmt.Errorf("%d lookups disagreed with the reference LPM", frep.Mismatches)
-		}
-		return nil
-	}
-
+// runForward is the closed loop over bare lookups.
+func (o *options) runForward(sys *netsim.System, gen *traffic.Generator, scheme core.Scheme, r *core.Router) error {
 	rep, err := sys.Forward(gen.Batch(o.packets))
 	if err != nil {
 		return err
@@ -415,7 +339,7 @@ func dispatch(sys *netsim.System, gen *traffic.Generator, scheme core.Scheme, r 
 		t.AddF(fmt.Sprintf("Engine %d load / occupancy / activity", e),
 			fmt.Sprintf("%.3f / %.3f / %.3f", rep.EngineLoad[e], st.Occupancy(), st.Utilization()))
 	}
-	fmt.Println(t.String())
+	o.print(t)
 	// Batch runs have no slice clock to actuate on: the governor assesses
 	// the measured utilization against the caps and reports only.
 	if d, aerr := sys.AssessPower(rep); aerr != nil {
@@ -429,10 +353,10 @@ func dispatch(sys *netsim.System, gen *traffic.Generator, scheme core.Scheme, r 
 		at.AddF("Estimated power (W)", fmt.Sprintf("%.2f", d.PowerW))
 		at.AddF("Fleet / device cap (W)", fmt.Sprintf("%.2f / %.2f", d.CapW, d.DeviceCapW))
 		at.AddF("Verdict", verdict)
-		fmt.Println(at.String())
+		o.print(at)
 	}
 	if o.energyReport {
-		printEnergy(rep.Energy)
+		o.printEnergy(rep.Energy)
 	}
 	if rep.Mismatches != 0 {
 		return fmt.Errorf("%d lookups disagreed with the reference LPM", rep.Mismatches)
@@ -440,15 +364,14 @@ func dispatch(sys *netsim.System, gen *traffic.Generator, scheme core.Scheme, r 
 	return nil
 }
 
-// printGovernor renders a governor report: the headline control-law numbers
-// always, plus time-at-tier and per-VNID degradation when detailed. All
-// numbers come from the deterministic Report, so the output is byte-
-// identical at any -j.
+// print writes one rendered table to the run's stdout.
+func (o *options) print(t *report.Table) { fmt.Fprintln(o.stdout, t.String()) }
+
 // printFleet renders the fleet stressor's section: per-device placement and
 // end state, the crash schedule, every migration's lifecycle (attempts,
 // retargets, MTTR), the degraded networks, and the post-install invariant
 // audits.
-func printFleet(f *netsim.FleetReport) {
+func (o *options) printFleet(f *netsim.FleetReport) {
 	t := report.NewTable(
 		fmt.Sprintf("Fleet stressor: %d devices + %d spares", f.Devices, f.Spares),
 		"Quantity", "Value")
@@ -460,7 +383,7 @@ func printFleet(f *netsim.FleetReport) {
 	t.AddF("Networks degraded", len(f.Degraded))
 	t.AddF("Invariant audits / probes / faulted / mismatches",
 		fmt.Sprintf("%d / %d / %d / %d", f.Audits, f.AuditProbes, f.AuditFaulted, f.AuditMismatches))
-	fmt.Println(t.String())
+	o.print(t)
 
 	dt := report.NewTable("Fleet devices", "Device", "State", "Scheme", "Placed VNs", "Final VNs", "Est W", "Browned cycles")
 	for _, d := range f.PerDevice {
@@ -468,7 +391,7 @@ func printFleet(f *netsim.FleetReport) {
 			fmt.Sprintf("%v", d.PlacedVNs), fmt.Sprintf("%v", d.VNs),
 			fmt.Sprintf("%.2f", d.EstWatts), d.BrownedCycles)
 	}
-	fmt.Println(dt.String())
+	o.print(dt)
 
 	if len(f.Migrations) > 0 {
 		mt := report.NewTable("Fleet migrations",
@@ -482,18 +405,22 @@ func printFleet(f *netsim.FleetReport) {
 			mt.AddF(m.VN, m.From, m.To, m.ToScheme, m.CrashedAt, committed, mttr,
 				m.Attempts, m.FailedAttempts, m.Retargets, m.Writes)
 		}
-		fmt.Println(mt.String())
+		o.print(mt)
 	}
 	if len(f.Degraded) > 0 {
 		gt := report.NewTable("Fleet degraded networks", "VN", "At", "Reason")
 		for _, d := range f.Degraded {
 			gt.AddF(d.VN, d.At, d.Reason)
 		}
-		fmt.Println(gt.String())
+		o.print(gt)
 	}
 }
 
-func printGovernor(g *governor.Report, detailed bool) {
+// printGovernor renders a governor report: the headline control-law numbers
+// always, plus time-at-tier and per-VNID degradation under -governor-report.
+// All numbers come from the deterministic Report, so the output is byte-
+// identical at any -j.
+func (o *options) printGovernor(g *governor.Report) {
 	t := report.NewTable(
 		fmt.Sprintf("Power governor: cap %.2f W fleet / %.2f W device, lift cycle %d",
 			g.CapWatts, g.DeviceCapWatts, g.LiftCycle),
@@ -516,28 +443,28 @@ func printGovernor(g *governor.Report, detailed bool) {
 	}
 	t.AddF("Arrivals throttled / browned out / deferred",
 		fmt.Sprintf("%d / %d / %d", throttled, brownout, deferred))
-	fmt.Println(t.String())
+	o.print(t)
 
-	if !detailed {
+	if !o.governorReport {
 		return
 	}
 	lt := report.NewTable("Governor ladder: time at each tier", "Rung", "Name", "Cycles")
 	for i, name := range g.Rungs {
 		lt.AddF(i, name, g.TimeAtRung[i])
 	}
-	fmt.Println(lt.String())
+	o.print(lt)
 	vt := report.NewTable("Governor per-VNID degradation", "VN", "Throttled", "Brownout", "Deferred")
 	for vn := range g.ThrottledPerVN {
 		vt.AddF(vn, g.ThrottledPerVN[vn], g.BrownoutPerVN[vn], g.DeferredPerVN[vn])
 	}
-	fmt.Println(vt.String())
+	o.print(vt)
 }
 
 // printEnergy renders a run's attributed energy breakdown: the headline
 // totals and the Graphite-style component split always, plus the per-VNID
 // and per-device attribution axes. Every number derives from the meter's
 // integer femtojoule counters, so the output is byte-identical at any -j.
-func printEnergy(e *energy.Report) {
+func (o *options) printEnergy(e *energy.Report) {
 	if e == nil {
 		return
 	}
@@ -552,7 +479,7 @@ func printEnergy(e *energy.Report) {
 		t.AddF("Delivered bits", e.DeliveredBits)
 		t.AddF("Energy per forwarded bit (J/bit)", fmt.Sprintf("%.6e", e.JPerBit))
 	}
-	fmt.Println(t.String())
+	o.print(t)
 
 	vt := report.NewTable("Per-VNID dynamic energy", "VN", "Dynamic (fJ)", "Share")
 	var dyn int64
@@ -566,7 +493,7 @@ func printEnergy(e *energy.Report) {
 		}
 		vt.AddF(vn, fj, fmt.Sprintf("%.4f", share))
 	}
-	fmt.Println(vt.String())
+	o.print(vt)
 
 	et := report.NewTable("Per-engine dynamic / per-device static", "Index", "Engine dyn (fJ)", "Device static (fJ)")
 	rows := len(e.EngineDynFJ)
@@ -583,13 +510,13 @@ func printEnergy(e *energy.Report) {
 		}
 		et.AddF(i, engFJ, devFJ)
 	}
-	fmt.Println(et.String())
+	o.print(et)
 }
 
 // writeOutput writes one telemetry dump to path; "-" means stdout.
-func writeOutput(path string, write func(io.Writer) error) error {
+func (o *options) writeOutput(path string, write func(io.Writer) error) error {
 	if path == "-" {
-		return write(os.Stdout)
+		return write(o.stdout)
 	}
 	f, err := os.Create(path)
 	if err != nil {
@@ -603,167 +530,31 @@ func writeOutput(path string, write func(io.Writer) error) error {
 }
 
 // dumpTelemetry writes the requested telemetry artifacts after the run.
-func dumpTelemetry(tel *netsim.Telemetry, o options) error {
+func (o *options) dumpTelemetry(tel *netsim.Telemetry) error {
 	if o.traceOut != "" {
-		if err := writeOutput(o.traceOut, tel.Traces.WriteJSONL); err != nil {
+		if err := o.writeOutput(o.traceOut, tel.Traces.WriteJSONL); err != nil {
 			return fmt.Errorf("trace dump: %w", err)
 		}
 	}
 	if o.timeseriesOut != "" {
-		if err := writeOutput(o.timeseriesOut, tel.Series.WriteCSV); err != nil {
+		if err := o.writeOutput(o.timeseriesOut, tel.Series.WriteCSV); err != nil {
 			return fmt.Errorf("timeseries dump: %w", err)
 		}
 	}
 	if o.eventsOut != "" {
-		if err := writeOutput(o.eventsOut, tel.Events.WriteJSONL); err != nil {
+		if err := o.writeOutput(o.eventsOut, tel.Events.WriteJSONL); err != nil {
 			return fmt.Errorf("events dump: %w", err)
 		}
 	}
 	return nil
 }
 
-// runUpdates drives the hitless-update experiment and prints the throughput
-// and latency tables. All numbers come from the deterministic UpdateReport,
-// so the output is byte-identical at any -j.
-func runUpdates(sys *netsim.System, gen *traffic.Generator, scheme core.Scheme, o options) error {
-	ucfg := netsim.DefaultUpdateConfig()
-	ucfg.Seed = o.churnSeed
-	ucfg.BatchOps = o.churnBatch
-	ucfg.Batches = o.churnBatches
-	ucfg.TargetVN = o.churnVN
-	rep, err := sys.RunUpdates(gen, int64(o.packets), ucfg)
-	if err != nil {
-		return err
-	}
-
-	t := report.NewTable(
-		fmt.Sprintf("%s hitless updates, K=%d, %d traffic cycles (+%d drain), %d batches of %d ops, churn seed %d",
-			scheme, rep.K, rep.TrafficCycles, rep.DrainCycles, ucfg.Batches, ucfg.BatchOps, o.churnSeed),
-		"Quantity", "Value")
-	t.AddF("Batches applied", rep.BatchesApplied)
-	t.AddF("Stage writes / write bubbles", fmt.Sprintf("%d / %d", rep.Writes, rep.PlannedBubbles))
-	t.AddF("Throughput retained measured / analytic",
-		fmt.Sprintf("%.6f / %.6f", rep.MeasuredThroughputRetained(), rep.AnalyticThroughputRetained()))
-	t.AddF("Oracle mismatches", rep.Mismatches)
-	t.AddF("Faulted lookups", rep.FaultedLookups)
-	t.AddF("Backlog peak (pkts)", rep.BacklogPeak)
-	t.AddF("Mean delay (cycles)", fmt.Sprintf("%.1f", rep.MeanDelayCycles))
-	for vn := 0; vn < rep.K; vn++ {
-		t.AddF(fmt.Sprintf("VN %d offered/delivered", vn),
-			fmt.Sprintf("%d / %d", rep.OfferedPerVN[vn], rep.DeliveredPerVN[vn]))
-	}
-	t.AddF("Completed", rep.Completed)
-	fmt.Println(t.String())
-	if rep.Governor != nil {
-		printGovernor(rep.Governor, o.governorReport)
-	}
-	if o.energyReport {
-		printEnergy(rep.Energy)
-	}
-
-	if o.updateReport && len(rep.Batches) > 0 {
-		bt := report.NewTable("Churn batch lifecycle (cycles)",
-			"Seq", "VN", "Engine", "Ops raw/coalesced", "Writes", "Bubbles", "Armed", "Committed", "Latency")
-		for i, b := range rep.Batches {
-			bt.AddF(i, b.VN, b.Engine, fmt.Sprintf("%d/%d", b.RawOps, b.CoalescedOps),
-				b.Writes, b.Bubbles, b.ArmedAt, b.DoneAt, b.LatencyCycles())
-		}
-		fmt.Println(bt.String())
-	}
-
-	if rep.Mismatches != 0 {
-		return fmt.Errorf("%d lookups disagreed with their epoch's reference LPM", rep.Mismatches)
-	}
-	if !rep.Completed {
-		return fmt.Errorf("run ended with updates or backlogs outstanding")
-	}
-	return nil
-}
-
-// runFaults drives the fault-injection experiment and prints the
-// availability and MTTR tables. All numbers come from the deterministic
-// FaultReport, so the output is byte-identical at any -j.
-func runFaults(sys *netsim.System, gen *traffic.Generator, scheme core.Scheme, o options) error {
-	fcfg := netsim.FaultConfig{
-		Inject: faults.Config{
-			Seed:             o.faultSeed,
-			SEURate:          o.seuRate,
-			ReconfigFailures: o.reconfigFailures,
-		},
-	}
-	if o.killEngine >= 0 {
-		fcfg.Inject.Kill = true
-		fcfg.Inject.KillEngine = o.killEngine
-		fcfg.Inject.KillCycle = o.killCycle
-	}
-	rep, err := sys.RunFaults(gen, int64(o.packets), fcfg)
-	if err != nil {
-		return err
-	}
-
-	t := report.NewTable(
-		fmt.Sprintf("%s fault run, K=%d, %d traffic cycles (+%d drain), SEU rate %.2g, fault seed %d",
-			scheme, rep.K, rep.TrafficCycles, rep.DrainCycles, o.seuRate, o.faultSeed),
-		"Quantity", "Value")
-	t.AddF("SEUs injected / detected / repaired",
-		fmt.Sprintf("%d / %d / %d", len(rep.SEUs), rep.DetectedSEUs(), rep.RepairedSEUs()))
-	t.AddF("Scrubs / attempts / exhausted",
-		fmt.Sprintf("%d / %d / %d", rep.Scrubs, rep.ScrubAttempts, rep.ScrubsExhausted))
-	t.AddF("Mean time to repair (cycles)", fmt.Sprintf("%.1f", rep.MTTRCycles()))
-	t.AddF("Faulted lookups (dropped, not misforwarded)", rep.FaultedLookups)
-	t.AddF("Healthy mismatches vs reference LPM", rep.HealthyMismatches)
-	if rep.Kill != nil {
-		t.AddF(fmt.Sprintf("Engine %d kill at cycle %d", rep.Kill.Engine, rep.Kill.Cycle),
-			fmt.Sprintf("detected %d, repaired %d", rep.Kill.DetectedAt, rep.Kill.RepairedAt))
-	}
-	for vn := 0; vn < rep.K; vn++ {
-		t.AddF(fmt.Sprintf("VN %d offered/delivered/dropped, availability", vn),
-			fmt.Sprintf("%d / %d / %d, %.4f",
-				rep.OfferedPerVN[vn], rep.DeliveredPerVN[vn], rep.DroppedPerVN[vn], rep.Availability(vn)))
-	}
-	t.AddF("Recovered", rep.Recovered)
-	fmt.Println(t.String())
-	if rep.Governor != nil {
-		printGovernor(rep.Governor, o.governorReport)
-	}
-	if o.energyReport {
-		printEnergy(rep.Energy)
-	}
-
-	if o.mttrReport && len(rep.SEUs) > 0 {
-		mt := report.NewTable("SEU lifecycle (cycles)",
-			"Seq", "Engine", "Stage/Index/Bit", "Injected", "Detected via", "Repaired", "TTR")
-		for _, u := range rep.SEUs {
-			det, repd, ttr := "-", "-", "-"
-			if u.DetectedAt >= 0 {
-				det = fmt.Sprintf("%d %s", u.DetectedAt, u.Via)
-			}
-			if u.RepairedAt >= 0 {
-				repd = fmt.Sprintf("%d", u.RepairedAt)
-				ttr = fmt.Sprintf("%d", u.RepairedAt-u.Cycle)
-			}
-			mt.AddF(u.Seq, u.Engine, fmt.Sprintf("%d/%d/%d", u.Stage, u.Index, u.Bit),
-				u.Cycle, det, repd, ttr)
-		}
-		fmt.Println(mt.String())
-	}
-
-	if rep.HealthyMismatches != 0 {
-		return fmt.Errorf("%d healthy lookups disagreed with the reference LPM", rep.HealthyMismatches)
-	}
-	return nil
-}
-
-// runScenario parses the -scenario spec, drives the composed run — every
-// requested stressor in one slice-quantised engine — and prints the unified
-// report: delivery and availability per VNID always, then a section per
-// active stressor. All numbers come from the deterministic ScenarioReport,
-// so the output is byte-identical at any -j.
-func runScenario(sys *netsim.System, gen *traffic.Generator, scheme core.Scheme, o options) error {
-	spec, err := scenario.Parse(o.scenario)
-	if err != nil {
-		return err
-	}
+// runScenario drives the composed run — every requested stressor in one
+// slice-quantised engine — and prints the unified report: delivery and
+// availability per VNID always, then a section per active stressor. All
+// numbers come from the deterministic ScenarioReport, so the output is
+// byte-identical at any -j.
+func (o *options) runScenario(sys *netsim.System, gen *traffic.Generator, scheme core.Scheme, spec scenario.Spec) error {
 	rep, err := sys.RunScenario(gen, spec)
 	if err != nil {
 		return err
@@ -787,7 +578,7 @@ func runScenario(sys *netsim.System, gen *traffic.Generator, scheme core.Scheme,
 				rep.OfferedPerVN[vn], rep.DeliveredPerVN[vn], rep.DroppedPerVN[vn], rep.Availability(vn)))
 	}
 	t.AddF("Completed", rep.Completed)
-	fmt.Println(t.String())
+	o.print(t)
 
 	if spec.SEURate > 0 || spec.Kill != nil {
 		ft := report.NewTable("Fault stressor", "Quantity", "Value")
@@ -795,13 +586,14 @@ func runScenario(sys *netsim.System, gen *traffic.Generator, scheme core.Scheme,
 			fmt.Sprintf("%d / %d / %d", len(rep.SEUs), rep.DetectedSEUs(), rep.RepairedSEUs()))
 		ft.AddF("Scrubs / attempts / exhausted",
 			fmt.Sprintf("%d / %d / %d", rep.Scrubs, rep.ScrubAttempts, rep.ScrubsExhausted))
+		ft.AddF("Mean time to repair (cycles)", fmt.Sprintf("%.1f", rep.MTTRCycles()))
 		ft.AddF("Faulted lookups (dropped, not misforwarded)", rep.FaultedLookups)
 		if rep.Kill != nil {
 			ft.AddF(fmt.Sprintf("Engine %d kill at cycle %d", rep.Kill.Engine, rep.Kill.Cycle),
 				fmt.Sprintf("detected %d, repaired %d", rep.Kill.DetectedAt, rep.Kill.RepairedAt))
 		}
 		ft.AddF("Recovered", rep.Recovered)
-		fmt.Println(ft.String())
+		o.print(ft)
 		if o.mttrReport && len(rep.SEUs) > 0 {
 			mt := report.NewTable("SEU lifecycle (cycles)",
 				"Seq", "Engine", "Stage/Index/Bit", "Injected", "Detected via", "Repaired", "TTR")
@@ -817,7 +609,7 @@ func runScenario(sys *netsim.System, gen *traffic.Generator, scheme core.Scheme,
 				mt.AddF(u.Seq, u.Engine, fmt.Sprintf("%d/%d/%d", u.Stage, u.Index, u.Bit),
 					u.Cycle, det, repd, ttr)
 			}
-			fmt.Println(mt.String())
+			o.print(mt)
 		}
 	}
 
@@ -825,8 +617,10 @@ func runScenario(sys *netsim.System, gen *traffic.Generator, scheme core.Scheme,
 		ct := report.NewTable("Churn stressor", "Quantity", "Value")
 		ct.AddF("Batches applied / aborted", fmt.Sprintf("%d / %d", rep.BatchesApplied, rep.BatchesAborted))
 		ct.AddF("Stage writes / write bubbles", fmt.Sprintf("%d / %d", rep.UpdateWrites, rep.PlannedBubbles))
+		ct.AddF("Throughput retained measured / analytic",
+			fmt.Sprintf("%.6f / %.6f", rep.MeasuredThroughputRetained(), rep.AnalyticThroughputRetained()))
 		ct.AddF("Mean update latency (cycles)", fmt.Sprintf("%.1f", rep.MeanUpdateLatencyCycles()))
-		fmt.Println(ct.String())
+		o.print(ct)
 		if o.updateReport && len(rep.Batches) > 0 {
 			bt := report.NewTable("Churn batch lifecycle (cycles)",
 				"Seq", "VN", "Engine", "Ops raw/coalesced", "Writes", "Bubbles", "Armed", "Committed", "Latency")
@@ -834,7 +628,7 @@ func runScenario(sys *netsim.System, gen *traffic.Generator, scheme core.Scheme,
 				bt.AddF(i, b.VN, b.Engine, fmt.Sprintf("%d/%d", b.RawOps, b.CoalescedOps),
 					b.Writes, b.Bubbles, b.ArmedAt, b.DoneAt, b.LatencyCycles())
 			}
-			fmt.Println(bt.String())
+			o.print(bt)
 		}
 	}
 
@@ -858,18 +652,18 @@ func runScenario(sys *netsim.System, gen *traffic.Generator, scheme core.Scheme,
 				xt.AddF(fmt.Sprintf("VN %d degraded slices", vn), n)
 			}
 		}
-		fmt.Println(xt.String())
+		o.print(xt)
 	}
 
 	if rep.Fleet != nil {
-		printFleet(rep.Fleet)
+		o.printFleet(rep.Fleet)
 	}
 
 	if rep.Governor != nil {
-		printGovernor(rep.Governor, o.governorReport)
+		o.printGovernor(rep.Governor)
 	}
 	if o.energyReport {
-		printEnergy(rep.Energy)
+		o.printEnergy(rep.Energy)
 	}
 
 	if rep.Mismatches != 0 {

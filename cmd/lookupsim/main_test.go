@@ -1,0 +1,131 @@
+package main
+
+import (
+	"bytes"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+// small is a router that builds in milliseconds.
+var small = []string{"-scheme", "VS", "-k", "2", "-prefixes", "200"}
+
+// lookupsim runs the command in-process over args.
+func lookupsim(args ...string) (code int, stdout, stderr string) {
+	var out, errw bytes.Buffer
+	code = run(args, &out, &errw)
+	return code, out.String(), errw.String()
+}
+
+// The lines bench/cli.go reads off a run's stdout.
+var (
+	cliDelivered  = regexp.MustCompile(`(?m)^Delivered fraction\s+(\S+)`)
+	cliMismatches = regexp.MustCompile(`(?m)^(?:Oracle mismatches|Mismatches vs reference LPM)\s+(\d+)`)
+)
+
+func TestRunPrintsWhatTheBenchmarkParses(t *testing.T) {
+	code, out, errw := lookupsim(append(small, "-packets", "2000")...)
+	if code != 0 || errw != "" {
+		t.Fatalf("closed loop: exit %d, stderr %q", code, errw)
+	}
+	if m := cliMismatches.FindStringSubmatch(out); m == nil || m[1] != "0" {
+		t.Errorf("closed loop printed no zero mismatch count:\n%s", out)
+	}
+
+	code, out, errw = lookupsim(append(small, "-scenario", "load=const:0.5,faults=seu:2e-8,churn=2x16,cycles=4096",
+		"-mttr-report", "-update-report", "-energy-report")...)
+	if code != 0 || errw != "" {
+		t.Fatalf("scenario: exit %d, stderr %q", code, errw)
+	}
+	if m := cliMismatches.FindStringSubmatch(out); m == nil || m[1] != "0" {
+		t.Errorf("scenario printed no zero mismatch count:\n%s", out)
+	}
+	if m := cliDelivered.FindStringSubmatch(out); m == nil {
+		t.Errorf("scenario printed no delivered fraction:\n%s", out)
+	}
+	for _, want := range []string{"load + faults + churn", "Mean time to repair (cycles)",
+		"Throughput retained measured / analytic", "Churn batch lifecycle", "Energy attribution"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("scenario report lacks %q:\n%s", want, out)
+		}
+	}
+}
+
+func TestRunFramePath(t *testing.T) {
+	code, out, errw := lookupsim(append(small, "-frames", "-packets", "500")...)
+	if code != 0 || errw != "" {
+		t.Fatalf("exit %d, stderr %q", code, errw)
+	}
+	if !strings.Contains(out, "frame path") || !regexp.MustCompile(`(?m)^Lookup mismatches\s+0`).MatchString(out) {
+		t.Errorf("frame report:\n%s", out)
+	}
+}
+
+// Every way a run can fail says why on stderr and exits nonzero: 2 for a flag
+// the command does not have (usage follows), 1 for everything else.
+func TestRunFailures(t *testing.T) {
+	cases := []struct {
+		name string
+		args []string
+		code int
+		want string
+	}{
+		{"unknown spec key", []string{"-scenario", "lode=const:0.5"}, 1, `unknown key "lode"`},
+		{"bad scheme", []string{"-scheme", "XX"}, 1, `scheme "XX": want NV, VS or VM`},
+		{"cap in flag and spec", []string{"-power-cap", "5", "-scenario", "load=const:0.5,power-cap=5"}, 1, "give it once"},
+		{"cap flag on a fleet", []string{"-power-cap-device", "5", "-scenario", "load=const:0.5,fleet=2"}, 1, "give it once"},
+		{"run left incomplete", []string{"-scheme", "VS", "-k", "1", "-prefixes", "200",
+			"-scenario", "load=const:0.5,kill=0@2000,chaos=stall:8,cycles=8192,seed=3"}, 1, "outstanding"},
+	}
+	for _, flag := range []string{"-load", "-faults", "-fault-seed", "-seu-rate", "-kill-engine", "-kill-cycle",
+		"-reconfig-failures", "-churn", "-churn-seed", "-churn-batch", "-churn-batches", "-churn-vn"} {
+		cases = append(cases, struct {
+			name string
+			args []string
+			code int
+			want string
+		}{"removed " + flag, []string{flag, "1"}, 2, "flag provided but not defined: " + flag})
+	}
+	for _, c := range cases {
+		code, _, errw := lookupsim(c.args...)
+		if code != c.code || !strings.Contains(errw, c.want) {
+			t.Errorf("%s: exit %d, stderr %q; want exit %d and %q", c.name, code, errw, c.code, c.want)
+		}
+		if c.code == 2 && !strings.Contains(errw, "Usage of lookupsim") {
+			t.Errorf("%s: no usage on stderr: %q", c.name, errw)
+		}
+	}
+}
+
+// An attached cap reaches a -scenario run through the flags, lift included.
+func TestRunCapFlagsGovernScenario(t *testing.T) {
+	code, out, errw := lookupsim("-scheme", "VS", "-k", "3", "-prefixes", "200",
+		"-scenario", "load=const:0.9,cycles=16384", "-power-cap", "4.6", "-power-cap-lift", "8192", "-governor-report")
+	if code != 0 {
+		t.Fatalf("exit %d, stderr %q\n%s", code, errw, out)
+	}
+	for _, want := range []string{"lift cycle 8192", "Governor ladder: time at each tier"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("governed report lacks %q:\n%s", want, out)
+		}
+	}
+	if regexp.MustCompile(`(?m)^Escalations / de-escalations / oscillations\s+0 /`).MatchString(out) {
+		t.Errorf("the cap never bit:\n%s", out)
+	}
+}
+
+func TestRunSameBytesAtAnyJ(t *testing.T) {
+	args := append(small, "-scenario", "load=surge:0.3:0.9,faults=seu:2e-8,kill=1@1500,churn=2x16,power-cap=30,cycles=6144",
+		"-timeseries-out", "-", "-events-out", "-")
+	_, j1, _ := lookupsim(append(args, "-j", "1")...)
+	code, j8, errw := lookupsim(append(args, "-j", "8")...)
+	if code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, errw)
+	}
+	if j1 != j8 {
+		t.Errorf("stdout differs between -j 1 and -j 8:\n%s\n---\n%s", j1, j8)
+	}
+	if !strings.Contains(j1, "scrub_done") || !strings.Contains(j1, "cycle,power_w") {
+		t.Errorf("dumps missing from stdout:\n%s", j1)
+	}
+}

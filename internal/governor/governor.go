@@ -276,11 +276,11 @@ type Report struct {
 	// Rungs names the ladder; TimeAtRung is the cycles spent at each.
 	Rungs      []string
 	TimeAtRung []int64
-	// Per-VNID degradation accounting, filled by the harness actuators:
+	// Per-VNID degradation accounting, filled by the runner's actuation:
 	// Throttled counts arrivals refused by frequency stepping, quiescing or
-	// admission control; Brownout those dropped at the bottom rung;
-	// Deferred those delayed into a backlog (the hitless harness, which
-	// never drops).
+	// admission control; Brownout those dropped at the bottom rung. Deferred
+	// reads zero — nothing defers any more; the field stays until the report
+	// schema is next bumped.
 	ThrottledPerVN []int64
 	BrownoutPerVN  []int64
 	DeferredPerVN  []int64
@@ -365,14 +365,6 @@ func (g *Governor) CountThrottled(vn int) {
 func (g *Governor) CountBrownout(vn int) {
 	if vn >= 0 && vn < len(g.rep.BrownoutPerVN) {
 		g.rep.BrownoutPerVN[vn]++
-	}
-}
-
-// CountDeferred charges one arrival the hitless harness delayed (never
-// dropped) under governor degradation to network vn.
-func (g *Governor) CountDeferred(vn int) {
-	if vn >= 0 && vn < len(g.rep.DeferredPerVN) {
-		g.rep.DeferredPerVN[vn]++
 	}
 }
 

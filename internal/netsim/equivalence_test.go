@@ -1,13 +1,12 @@
 package netsim
 
-// Equivalence goldens: these snapshots were generated from the standalone
-// per-harness coordinator loops that predate the unified scenario engine
-// (internal/scenario). Every legacy harness — Forward, LoadTest, RunFaults,
-// RunUpdates — must keep producing byte-identical reports AND byte-identical
-// telemetry dumps (traces, time series, events) through the engine, at any
-// worker count. If one of these tests fails after an engine change, the
-// refactor changed observable behaviour: fix the engine, do not regenerate
-// the goldens casually.
+// Equivalence goldens: byte-for-byte snapshots of everything a run shows —
+// the report as JSON and all three telemetry dumps (traces, time series,
+// events) — for the batch path and for the slice runner under each stressor,
+// on one device and on a fleet, at -j1 and -j8. If one of these tests fails
+// after a change to a runner, the engine or anything below them, the change
+// altered observable behaviour: fix the change, do not regenerate the
+// goldens casually.
 //
 // Regenerate (only for an intentional, documented behaviour change):
 //
@@ -23,7 +22,6 @@ import (
 	"testing"
 
 	"vrpower/internal/core"
-	"vrpower/internal/faults"
 	"vrpower/internal/governor"
 	"vrpower/internal/scenario"
 	"vrpower/internal/sweep"
@@ -41,7 +39,7 @@ func dumpJSON(t *testing.T, v any) string {
 	return string(b)
 }
 
-// equivalenceCase runs one harness configuration and renders everything
+// equivalenceCase runs one configuration and renders everything
 // observable: the report as JSON plus all three telemetry dumps.
 type equivalenceCase struct {
 	name string
@@ -55,93 +53,6 @@ func equivalenceCases() []equivalenceCase {
 			s.SetTelemetry(tel)
 			defer s.SetTelemetry(nil)
 			rep, err := s.Forward(gen(t, 3, tables, 4000))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return dumpJSON(t, rep)
-		}},
-		{"load_vs", func(t *testing.T, tel *Telemetry) string {
-			s, _ := buildSystem(t, core.VS, 3)
-			s.SetTelemetry(tel)
-			defer s.SetTelemetry(nil)
-			rep, err := s.LoadTest(faultGen(t, s, 41), 0.8, 6*1024+100, 64)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return dumpJSON(t, rep)
-		}},
-		{"load_vm_governed", func(t *testing.T, tel *Telemetry) string {
-			s, _ := buildSystem(t, core.VM, 3)
-			s.SetTelemetry(tel)
-			s.SetGovernor(&governor.Config{CapWatts: capBelowSteady(s, 1, 0.35)})
-			defer s.SetGovernor(nil)
-			defer s.SetTelemetry(nil)
-			rep, err := s.LoadTest(faultGen(t, s, 37), 0.3, 12*1024, 16)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return dumpJSON(t, rep)
-		}},
-		{"faults_vs_kill", func(t *testing.T, tel *Telemetry) string {
-			s, _ := buildSystem(t, core.VS, 3)
-			s.SetTelemetry(tel)
-			defer s.SetTelemetry(nil)
-			const cycles = 8 * 1024
-			rep, err := s.RunFaults(faultGen(t, s, 29), cycles, FaultConfig{
-				Inject: faults.Config{
-					Seed: 5, SEURate: seuRateFor(s, 3, cycles),
-					Kill: true, KillEngine: 0, KillCycle: 2000,
-				},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return dumpJSON(t, rep)
-		}},
-		{"faults_vm_governed", func(t *testing.T, tel *Telemetry) string {
-			s, _ := buildSystem(t, core.VM, 3)
-			s.SetTelemetry(tel)
-			s.SetGovernor(&governor.Config{CapWatts: capBelowSteady(s, 1.0/3, 0.5)})
-			defer s.SetGovernor(nil)
-			defer s.SetTelemetry(nil)
-			const cycles = 16 * 1024
-			rep, err := s.RunFaults(faultGen(t, s, 43), cycles, FaultConfig{
-				Inject: faults.Config{Seed: 7, SEURate: seuRateFor(s, 3, cycles)},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return dumpJSON(t, rep)
-		}},
-		{"updates_vs", func(t *testing.T, tel *Telemetry) string {
-			s, _ := buildSystem(t, core.VS, 3)
-			s.SetTelemetry(tel)
-			defer s.SetTelemetry(nil)
-			rep, err := s.RunUpdates(faultGen(t, s, 23), 8*1024, DefaultUpdateConfig())
-			if err != nil {
-				t.Fatal(err)
-			}
-			return dumpJSON(t, rep)
-		}},
-		{"updates_vs_governed", func(t *testing.T, tel *Telemetry) string {
-			s, _ := buildSystem(t, core.VS, 3)
-			s.SetTelemetry(tel)
-			s.SetGovernor(&governor.Config{CapWatts: capBelowSteady(s, 1.0/3, 0.5), LiftCycle: 8 * 1024})
-			defer s.SetGovernor(nil)
-			defer s.SetTelemetry(nil)
-			cfg := DefaultUpdateConfig()
-			cfg.MaxDrainSlices = 400
-			rep, err := s.RunUpdates(faultGen(t, s, 23), 16*1024, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return dumpJSON(t, rep)
-		}},
-		{"updates_vm", func(t *testing.T, tel *Telemetry) string {
-			s, _ := buildSystem(t, core.VM, 3)
-			s.SetTelemetry(tel)
-			defer s.SetTelemetry(nil)
-			rep, err := s.RunUpdates(faultGen(t, s, 29), 8*1024, DefaultUpdateConfig())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -216,7 +127,7 @@ func equivalenceCases() []equivalenceCase {
 
 // TestHarnessEquivalenceGoldens runs every case at -j1 and -j8 and requires
 // the full observable output — report JSON, trace/series/event dumps — to be
-// byte-identical to the pre-refactor snapshot at both worker counts.
+// byte-identical to the snapshot at both worker counts.
 func TestHarnessEquivalenceGoldens(t *testing.T) {
 	defer sweep.SetWorkers(0)
 	for _, c := range equivalenceCases() {
@@ -256,7 +167,7 @@ func TestHarnessEquivalenceGoldens(t *testing.T) {
 				t.Fatalf("missing golden %s (run with -update-equivalence): %v", path, err)
 			}
 			if rendered != string(want) {
-				t.Errorf("%s drifted from the pre-refactor snapshot (%d vs %d bytes).\nIf this change is intentional, regenerate with -update-equivalence and call it out in the PR.\n--- got (first 2000 bytes) ---\n%.2000s",
+				t.Errorf("%s drifted from its snapshot (%d vs %d bytes).\nIf this change is intentional, regenerate with -update-equivalence and call it out in the PR.\n--- got (first 2000 bytes) ---\n%.2000s",
 					c.name, len(rendered), len(want), rendered)
 			}
 		})

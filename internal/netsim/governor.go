@@ -1,20 +1,19 @@
 package netsim
 
 // Governor attachment. The actuation machinery — slice-grain observe,
-// deterministic serve pacers, admission control, per-engine gates — lives in
-// internal/scenario (GovRun, EngineGate) and is driven by the scenario
-// engine; this file keeps the System-level configuration surface and the
-// observe-only batch assessment.
+// deterministic serve pacers, admission control — lives in internal/scenario
+// (GovRun) and is driven by the scenario engine; this file keeps the
+// System-level configuration surface and the observe-only batch assessment.
 
 import (
 	"vrpower/internal/governor"
 	"vrpower/internal/obs"
-	"vrpower/internal/scenario"
 )
 
 // SetGovernor attaches a power-envelope governor configuration; every
-// subsequent LoadTest/RunFaults/RunUpdates/RunScenario call runs governed,
-// and AssessPower becomes available for batch runs. Nil detaches.
+// subsequent RunScenario call whose spec names no cap of its own runs
+// governed by it (the only way to a LiftCycle, which has no spec key), and
+// AssessPower becomes available for batch runs. Nil detaches.
 func (s *System) SetGovernor(cfg *governor.Config) { s.gov = cfg }
 
 // plant exposes the router to the governor: the placed design (FMHz at
@@ -25,12 +24,6 @@ func (s *System) plant() governor.Plant {
 		Scheme: s.router.Config().Scheme,
 		K:      s.k,
 	}
-}
-
-// newGovRun builds one run's governor actuation, or (nil, nil) when the
-// system has none attached.
-func (s *System) newGovRun() (*scenario.GovRun, error) {
-	return scenario.NewGovRun(s.gov, s.plant(), len(s.router.Design().Engines), s.k, s.tel.Events)
 }
 
 // AssessPower evaluates the attached governor's caps against a completed

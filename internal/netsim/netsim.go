@@ -4,12 +4,13 @@
 // result is cross-checked against the per-network reference tables. It is
 // the correctness harness tying the whole system together.
 //
-// Every harness — Forward, LoadTest, RunFaults, RunUpdates, and the
-// composable RunScenario — is a thin configuration of the slice-quantized
-// engine in internal/scenario: the engine owns the coordinator loop,
-// telemetry threading and governor actuation; the harnesses supply kernels
-// (how a slice's cycles execute) and stressors (faults, churn) through the
-// engine's hook interface.
+// Two runners drive a router: Forward (and ForwardFrames) resolves a closed
+// batch of packets, and RunScenario runs a slice-quantized open loop in
+// which a shaped offered load, faults, update churn, control-plane chaos and
+// power caps act together — on one device, or on a fleet of them. Both are
+// configurations of the engine in internal/scenario, which owns the
+// coordinator loop, telemetry threading and governor actuation; this package
+// supplies the kernels (how a slice's cycles execute) and the stressors.
 package netsim
 
 import (
@@ -426,204 +427,4 @@ func (s *System) ForwardFrames(frames [][]byte) (FrameReport, error) {
 	}
 	obsFramesForwarded.Add(int64(rep.Forwarded))
 	return rep, nil
-}
-
-// LoadReport summarises an open-loop offered-load run (the paper's merged
-// scalability limitation, Section IV-C: "the throughput is shared among the
-// virtual networks ... the lookup engine may fail to sustain the required
-// throughput").
-type LoadReport struct {
-	// Offered and Delivered are per-VN packet counts.
-	Offered   []int64
-	Delivered []int64
-	// Dropped counts arrivals lost to full input queues, per VN.
-	Dropped []int64
-	// MeanDelayCycles is the average arrival-to-exit latency over all
-	// delivered packets.
-	MeanDelayCycles float64
-	Cycles          int64
-	// Governor is the power-envelope controller's summary when the run was
-	// governed (SetGovernor); nil otherwise.
-	Governor *governor.Report
-	// Energy is the run's attributed energy breakdown.
-	Energy *energy.Report
-}
-
-// DeliveredFraction returns delivered/offered over all networks.
-func (r LoadReport) DeliveredFraction() float64 {
-	var off, del int64
-	for i := range r.Offered {
-		off += r.Offered[i]
-		del += r.Delivered[i]
-	}
-	if off == 0 {
-		return 1
-	}
-	return float64(del) / float64(off)
-}
-
-// loadSliceCycles is LoadTest's telemetry quantum: one time-series row per
-// this many cycles (matching the fault/update harnesses' default slice).
-const loadSliceCycles = 1024
-
-// loadKernel is the coupled sequential kernel behind LoadTest: per-VN
-// Bernoulli arrivals share one generator stream whose draw count depends on
-// queue state, so the whole cycle loop runs on the coordinator — no
-// fan-out, trivially deterministic at any -j.
-type loadKernel struct {
-	s         *System
-	gen       *traffic.Generator
-	perVNLoad float64
-	queueCap  int
-	sims      []*pipeline.BatchSim
-	queues    []fifo[queued]
-	flights   [][]inflight // in-flight lookups per engine
-	rrNext    []int        // round-robin pointer per engine
-	gv        *scenario.GovRun
-	meter     *energy.Meter
-	rep       LoadReport
-	st        settler
-	// Per-window telemetry cursors: per-engine utilization deltas.
-	utilCur [][2]int64 // {activeSum, cycles} per engine
-	utils   []float64
-}
-
-func (k *loadKernel) Outstanding() bool { return false }
-
-func (k *loadKernel) RunSlice(b, n int64, _ bool) (scenario.SliceStats, error) {
-	s, gen, gv := k.s, k.gen, k.gv
-	before := k.st.total
-	for c := b; c < b+n; c += pipeline.DrainWindow {
-		for cyc, end := c, min(c+pipeline.DrainWindow, b+n); cyc < end; cyc++ {
-			// Arrivals.
-			for vn := 0; vn < s.k; vn++ {
-				if !gen.Bernoulli(k.perVNLoad) {
-					continue
-				}
-				k.rep.Offered[vn]++
-				if gv != nil && gv.AdmitArrival(vn, s.engineOf(vn)) {
-					k.rep.Dropped[vn]++
-					continue
-				}
-				if k.queues[vn].len() >= k.queueCap {
-					k.rep.Dropped[vn]++
-					continue
-				}
-				k.queues[vn].push(queued{arrival: cyc, addr: gen.NextFor(vn).Addr, vn: int32(vn)})
-			}
-			// Service: one injection per engine per cycle, round-robin over
-			// the engine's ingress queues. A governed engine that loses this
-			// cycle to frequency stepping or quiescing freezes: no injection,
-			// and in-flight packets stall in place.
-			for e, sim := range k.sims {
-				if gv != nil && !gv.EngineServes(e) {
-					continue
-				}
-				q, ok := s.nextQueued(e, &k.rrNext[e], k.queues)
-				if !ok {
-					sim.Idle(cyc)
-					continue
-				}
-				k.flights[e] = append(k.flights[e], inflight{arrival: q.arrival, vn: q.vn})
-				sim.Inject(pipeline.Request{Addr: q.addr, VN: s.reqVN(int(q.vn)), Trace: k.st.traced(q)}, cyc)
-			}
-		}
-		for e, sim := range k.sims {
-			k.st.settle(sim, &k.flights[e], k.meter, e, e, e)
-		}
-		k.st.putTraces()
-	}
-	backlog := 0
-	for vn := range k.queues {
-		backlog += k.queues[vn].len()
-	}
-	for e := range k.sims {
-		k.utils[e], k.utilCur[e][0], k.utilCur[e][1] = scenario.UtilDelta(k.sims[e].Stats(), k.utilCur[e][0], k.utilCur[e][1])
-	}
-	return scenario.SliceStats{Util: k.utils, Delivered: k.st.total - before, Backlog: backlog}, nil
-}
-
-// LoadTest drives the router open-loop for the given number of cycles:
-// every cycle, each virtual network independently offers a packet with
-// probability perVNLoad (a Bernoulli arrival at that fraction of line
-// rate). Arrivals wait in per-network ingress queues of queueCap packets;
-// each engine accepts one packet per cycle, arbitrating its queues round-
-// robin (the merged engine serves all K, so it saturates — fairly — once
-// K·perVNLoad exceeds 1; the separate scheme gives every network its own
-// engine with per-VN capacity 1).
-func (s *System) LoadTest(gen *traffic.Generator, perVNLoad float64, cycles int64, queueCap int) (LoadReport, error) {
-	if perVNLoad < 0 || perVNLoad > 1 {
-		return LoadReport{}, fmt.Errorf("netsim: per-VN load %g outside [0,1]", perVNLoad)
-	}
-	if queueCap < 1 {
-		return LoadReport{}, fmt.Errorf("netsim: queue capacity %d, want >= 1", queueCap)
-	}
-	images := s.router.Images()
-	gv, err := s.newGovRun()
-	if err != nil {
-		return LoadReport{}, err
-	}
-	k := &loadKernel{
-		s:         s,
-		gen:       gen,
-		perVNLoad: perVNLoad,
-		queueCap:  queueCap,
-		sims:      make([]*pipeline.BatchSim, len(images)),
-		queues:    make([]fifo[queued], s.k),
-		flights:   make([][]inflight, len(images)),
-		rrNext:    make([]int, len(images)),
-		gv:        gv,
-		meter:     s.meter(),
-		utilCur:   make([][2]int64, len(images)),
-		utils:     make([]float64, len(images)),
-		rep: LoadReport{
-			Offered:   make([]int64, s.k),
-			Delivered: make([]int64, s.k),
-			Dropped:   make([]int64, s.k),
-			Cycles:    cycles,
-		},
-	}
-	k.st = settler{tel: s.tel, seqStride: int64(s.k), delivered: k.rep.Delivered}
-	for e := range images {
-		k.sims[e] = pipeline.NewBatchSim(images[e])
-		k.flights[e] = newFlights(images[e])
-	}
-	// The cycle loop runs on the coordinator, so the run meter can feed the
-	// per-lookup energy histogram without touching any worker hot path.
-	k.meter.ObserveHist = true
-	if cycles <= 0 {
-		// Degenerate zero-cycle run: an initialised (empty) series and an
-		// untouched report, as the pre-engine loop produced.
-		s.tel.InitSeries(s.k)
-		if gv != nil {
-			k.rep.Governor = gv.Report()
-		}
-		if er, err := k.meter.Report(0); err == nil {
-			k.rep.Energy = er
-		}
-		return k.rep, nil
-	}
-	eng := s.engine()
-	eng.Cycles = cycles
-	eng.SliceCycles = loadSliceCycles
-	eng.Truncate = true
-	eng.Gov = gv
-	eng.Kernel = k
-	eng.Energy = k.meter
-	if err := eng.Run(); err != nil {
-		return LoadReport{}, err
-	}
-	k.rep.MeanDelayCycles = k.st.meanDelay()
-	if gv != nil {
-		k.rep.Governor = gv.Report()
-	}
-	er, err := k.meter.Report(deliveredBits(k.st.total))
-	if err != nil {
-		return LoadReport{}, err
-	}
-	k.rep.Energy = er
-	er.Publish()
-	obsLoadCycles.Add(cycles)
-	obsPacketsResolved.Add(k.st.total)
-	return k.rep, nil
 }

@@ -1,19 +1,19 @@
 package netsim
 
-// This file is the composable scenario runner behind cmd/lookupsim
-// -scenario: one engine-driven run in which a shaped offered load, SEU/kill
-// fault injection, hitless update churn and a power cap all act on the same
-// router at the same time. Each adversity source is a scenario.Stressor
-// over shared run state — faults registered before churn, so a scrub
-// decision at a boundary is visible to the same boundary's arm decision —
-// and the kernel is a sequential per-cycle loop in the LoadTest mould:
-// per-network Bernoulli arrivals (probability from the load shape) wait in
-// bounded ingress queues, each engine injects one packet per cycle into a
-// persistent parity-checking engine, and every exit is checked against
-// the reference table of its injection epoch. Because arrivals share one
-// generator stream and all control decisions run on the coordinator, the
-// whole composed run is a pure function of its seeds — byte-identical at
-// any -j.
+// This file is the slice-quantised runner of a single device, behind
+// cmd/lookupsim -scenario: one engine-driven run in which a shaped offered
+// load, SEU/kill fault injection, hitless update churn and a power cap all
+// act on the same router at the same time. Each adversity source is a
+// scenario.Stressor over shared run state (faults.go, churn.go, chaosrun.go)
+// — faults registered before churn, so a scrub decision at a boundary is
+// visible to the same boundary's arm decision — and the kernel is a
+// sequential per-cycle loop: per-network Bernoulli arrivals (probability
+// from the load shape; Assumption 1's equal shares) wait in bounded ingress
+// queues, each engine injects one packet per cycle into a persistent
+// parity-checking engine, and every exit is checked against the reference
+// table of its injection epoch. Because arrivals share one generator stream
+// and all control decisions run on the coordinator, the whole composed run is
+// a pure function of its seeds — byte-identical at any -j.
 //
 // Cross-stressor semantics (the interesting part):
 //
@@ -26,9 +26,10 @@ package netsim
 //     (the reload would clobber its shadow writes); a batch aimed at a
 //     dead engine is aborted too, so the run always terminates.
 //   - The governor acts at the arrival/service grain (admission drops,
-//     frequency-paced service, quiescing) exactly as in LoadTest; a
-//     reloading engine's utilization is pinned by the reload flags it
-//     reports, so caps and scrubs interact the way the governor expects.
+//     frequency-paced service, quiescing), the same way under every
+//     stressor; a reloading engine's utilization is pinned by the reload
+//     flags it reports, so caps and scrubs interact the way the governor
+//     expects.
 
 import (
 	"fmt"
@@ -46,8 +47,8 @@ import (
 	"vrpower/internal/update"
 )
 
-// ScenarioReport summarises a composed run: the union of the per-harness
-// report surfaces over one shared packet accounting.
+// ScenarioReport summarises a composed run: one section per stressor over
+// one shared packet accounting.
 type ScenarioReport struct {
 	// Spec is the scenario string the run was built from; Stressors the
 	// active stressor names.
@@ -96,6 +97,13 @@ type ScenarioReport struct {
 	BatchesAborted int
 	UpdateWrites   int64
 	PlannedBubbles int64
+	// BubbleCycles is the input slots the engines actually spent on write
+	// bubbles (equal to PlannedBubbles when every armed batch committed);
+	// EngineCycles sums simulated cycles over all engines — the denominator of
+	// the measured throughput loss. Both are read off the engines' own
+	// counters, and stay out of the serialised report.
+	BubbleCycles int64 `json:"-"`
+	EngineCycles int64 `json:"-"`
 	// Chaos is the control-plane fault/recovery section (nil without
 	// chaos=): injected faults, journal recoveries, watchdog ladder
 	// accounting and post-recovery invariant audits.
@@ -188,9 +196,25 @@ func (r *ScenarioReport) MeanUpdateLatencyCycles() float64 {
 	return sum / float64(len(r.Batches))
 }
 
+// MeasuredThroughputRetained is the lookup-slot fraction the run actually
+// kept: 1 - bubble slots / engine cycles, from the engines' own counters.
+func (r *ScenarioReport) MeasuredThroughputRetained() float64 {
+	if r.EngineCycles == 0 {
+		return 1
+	}
+	return 1 - float64(r.BubbleCycles)/float64(r.EngineCycles)
+}
+
+// AnalyticThroughputRetained is update.ThroughputRetained's prediction for
+// the committed batches' bubble budget over the same cycle count
+// (EngineCycles cycles ≡ EngineCycles/1e6 MHz for one second).
+func (r *ScenarioReport) AnalyticThroughputRetained() float64 {
+	return update.ThroughputRetained(int(r.PlannedBubbles), float64(r.EngineCycles)/1e6)
+}
+
 // scenEng is one engine's composed-run state: a persistent parity-checking
-// engine, the fault lifecycle (reusing the fault harness's engState over
-// the serving image), the armed-update lifecycle, and the in-flight FIFO.
+// engine, the fault lifecycle over the serving image, the armed-update
+// lifecycle, and the in-flight FIFO.
 type scenEng struct {
 	sim *pipeline.BatchSim
 	// fs is the fault lifecycle over the serving image (down/dead flags,
@@ -200,7 +224,8 @@ type scenEng struct {
 	flights []inflight
 	// rrNext is the engine's round-robin pointer over its ingress queues.
 	rrNext int
-	// Armed hitless update, as in the update harness.
+	// Armed hitless update: the handle to commit, the post-update oracle to
+	// swap in at the commit bubble, and the report record under construction.
 	handle *ctrl.HitlessUpdate
 	newRef *ip.Table
 	refVN  int
@@ -221,7 +246,7 @@ type scenRun struct {
 
 	engines []*scenEng
 	// queues[vn] is network vn's bounded ingress queue; refs[vn] its
-	// current-epoch oracle (flipped by commit bubbles, as in RunUpdates).
+	// current-epoch oracle (flipped by commit bubbles).
 	queues []fifo[queued]
 	refs   []*ip.Table
 
@@ -255,6 +280,15 @@ type scenRun struct {
 
 func (r *scenRun) engineOf(vn int) int { return r.s.engineOf(vn) }
 
+// retire folds an engine's cumulative slot counters into the report; called
+// when the engine is replaced by a fresh one over a reloaded image and for
+// every engine at run end.
+func (r *scenRun) retire(sim *pipeline.BatchSim) {
+	st := sim.Stats()
+	r.rep.BubbleCycles += st.Bubbles
+	r.rep.EngineCycles += st.Cycles
+}
+
 // flushExits drops an engine's in-flight lookups when it goes down: the
 // pipeline's contents are lost with the reload (or the corpse).
 func (r *scenRun) flushExits(e *scenEng) {
@@ -264,333 +298,6 @@ func (r *scenRun) flushExits(e *scenEng) {
 		obsFaultDrops.Inc()
 	}
 	e.flights = e.flights[:0]
-}
-
-// commitUpdate finishes an engine's completed hitless update: the control
-// plane installs the new table and image, the fault lifecycle's serving-
-// image pointer follows the flipped shadow bank (SEUs and scrub rebuilds
-// must target what the engine now reads), the journal closes the op and the
-// live image is audited.
-func (r *scenRun) commitUpdate(e *scenEng) error {
-	rep, tel := r.rep, r.s.tel
-	h := e.handle
-	if _, err := h.Commit(); err != nil {
-		return err
-	}
-	e.fs.img = h.Image()
-	e.batch.DoneAt = e.doneAt
-	rep.Batches = append(rep.Batches, e.batch)
-	rep.BatchesApplied++
-	rep.UpdateWrites += int64(e.batch.Writes)
-	rep.PlannedBubbles += int64(e.batch.Bubbles)
-	obsUpdateBatches.Inc()
-	obsUpdateWrites.Add(int64(e.batch.Writes))
-	obsUpdateBubbles.Add(int64(e.batch.Bubbles))
-	tel.Events.Log(obs.LevelInfo, e.doneAt, "update_commit",
-		"vn", e.batch.VN, "engine", e.batch.Engine, "writes", e.batch.Writes,
-		"bubbles", e.batch.Bubbles, "latency_cycles", e.batch.LatencyCycles())
-	r.chaosOnCommit(e, e.doneAt)
-	e.handle = nil
-	e.newRef = nil
-	e.doneAt = -1
-	return nil
-}
-
-// abortUpdate cancels an engine's in-flight update (scrub reload would
-// clobber its shadow writes). An update whose commit bubble already drained
-// — shadow bank and oracle flipped — is past the point of no return: it is
-// committed instead, so the control plane's tables never diverge from what
-// the engine serves.
-func (r *scenRun) abortUpdate(e *scenEng, b int64) error {
-	if e.handle == nil {
-		return nil
-	}
-	if e.doneAt >= 0 {
-		return r.commitUpdate(e)
-	}
-	r.chaosCloseOp(e, b)
-	e.handle.Abort()
-	r.rep.BatchesAborted++
-	r.s.tel.Events.Log(obs.LevelWarn, b, "update_abort",
-		"vn", e.batch.VN, "engine", e.batch.Engine, "writes", e.batch.Writes)
-	e.handle = nil
-	e.newRef = nil
-	e.doneAt = -1
-	return nil
-}
-
-// ---- fault stressor -------------------------------------------------------
-
-// scenFaults is the composed run's fault stressor: the fault harness's
-// boundary/pre-slice protocol acting on the shared scenRun state.
-type scenFaults struct {
-	scenario.NopStressor
-	r *scenRun
-}
-
-func (scenFaults) Name() string { return "faults" }
-
-// rebuild returns the scrub rebuild closure for engine e: a fresh copy of
-// the control plane's image of its current (possibly churned) tables when
-// churn is active, a recompile of the router's original tables otherwise.
-func (f scenFaults) rebuild(e int) func() (*pipeline.Image, error) {
-	r := f.r
-	if r.mgr == nil {
-		return r.s.rebuildEngine(e)
-	}
-	return func() (*pipeline.Image, error) { return r.mgr.PinnedImage(e) }
-}
-
-func (f scenFaults) install(eIdx int, e *scenEng) {
-	r := f.r
-	rep, tel := r.rep, r.s.tel
-	fs := &e.fs
-	at := fs.repairAt
-	tel.Events.Log(obs.LevelInfo, at, "scrub_done", "engine", eIdx, "repaired", len(fs.outstanding))
-	if fs.killed && rep.Kill != nil && rep.Kill.Engine == eIdx {
-		rep.Kill.RepairedAt = at
-	}
-	fs.img = fs.pending
-	fs.pending = nil
-	fs.reloading = false
-	fs.killed = false
-	fs.repairAt = -1
-	fs.sweepStage, fs.sweepIdx = 0, 0
-	for _, i := range fs.outstanding {
-		rec := &rep.SEUs[i]
-		rec.RepairedAt = at
-		if rec.Cycle >= at {
-			rec.RepairedAt = rec.Cycle + 1
-		}
-		if rec.DetectedAt < 0 {
-			rec.DetectedAt = rec.RepairedAt
-			rec.Via = ViaReload
-			obsFaultsDetected.Inc()
-		}
-	}
-	obsFaultsRepaired.Add(int64(len(fs.outstanding)))
-	fs.outstanding = fs.outstanding[:0]
-	fs.detectVia = ""
-	// The repaired engine is a fresh one over the clean image.
-	e.sim = pipeline.NewBatchSim(fs.img)
-	e.sim.EnableParityCheck()
-	r.chaosOnInstall(eIdx, e, at)
-}
-
-func (f scenFaults) startScrub(eIdx int, e *scenEng, b int64) error {
-	r := f.r
-	rep, tel := r.rep, r.s.tel
-	fs := &e.fs
-	via := fs.detectVia
-	fs.detectVia = ""
-	for _, i := range fs.outstanding {
-		if rep.SEUs[i].DetectedAt < 0 {
-			rep.SEUs[i].DetectedAt = b
-			rep.SEUs[i].Via = via
-			obsFaultsDetected.Inc()
-		}
-	}
-	tel.Events.Log(obs.LevelInfo, b, "scrub_start", "engine", eIdx, "via", via, "outstanding", len(fs.outstanding))
-	// Going down: in-flight lookups are lost, an in-flight update aborts
-	// (or, past its commit bubble, completes).
-	if err := r.abortUpdate(e, b); err != nil {
-		return err
-	}
-	r.flushExits(e)
-	// The journal's intent record lands before the first stage write.
-	r.chaosScrubBegin(eIdx, e, b)
-	res, err := r.scrubber.Scrub(f.rebuild(eIdx))
-	rep.Scrubs++
-	rep.ScrubAttempts += res.Attempts
-	if err != nil {
-		rep.ScrubsExhausted++
-		fs.dead = true
-		r.chaosScrubDead(eIdx, e, b)
-		tel.Events.Log(obs.LevelError, b, "engine_dead", "engine", eIdx, "attempts", res.Attempts)
-		return nil
-	}
-	fs.reloading = true
-	fs.pending = res.Image
-	fs.repairAt = b + res.LatencyCycles
-	// The reload rewrites every diffed word: control-plane energy on the
-	// engine, attributed to its lowest served network.
-	r.meter.AddWords(eIdx, r.s.lowVN(eIdx), int64(res.Writes))
-	tel.Events.Log(obs.LevelInfo, b, "scrub_reload",
-		"engine", eIdx, "attempts", res.Attempts, "writes", res.Writes,
-		"latency_cycles", res.LatencyCycles, "ready_at", fs.repairAt)
-	r.chaosScrubArmed(eIdx, e, b, res.LatencyCycles)
-	return nil
-}
-
-func (f scenFaults) Boundary(b int64, _ bool) error {
-	r := f.r
-	rep := r.rep
-	for eIdx, e := range r.engines {
-		fs := &e.fs
-		if fs.killed && rep.Kill != nil && rep.Kill.Engine == eIdx && rep.Kill.DetectedAt < 0 {
-			rep.Kill.DetectedAt = b
-		}
-		if fs.reloading && fs.repairAt <= b {
-			f.install(eIdx, e)
-		}
-		if !fs.dead && !fs.reloading && (fs.detectVia != "" || fs.killed) {
-			if fs.detectVia == "" {
-				fs.detectVia = ViaHeartbeat
-			}
-			if err := f.startScrub(eIdx, e, b); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-func (f scenFaults) PreSlice(b, n int64, draining bool) error {
-	r := f.r
-	rep, tel := r.rep, r.s.tel
-	if !draining {
-		for eIdx, e := range r.engines {
-			if r.in.KillDue(eIdx, b+n) {
-				e.fs.killed = true
-				rep.Kill = &KillRecord{Engine: eIdx, Cycle: r.spec.Kill.Cycle, DetectedAt: -1, RepairedAt: -1}
-				tel.Events.Log(obs.LevelError, r.spec.Kill.Cycle, "engine_kill", "engine", eIdx)
-				// The kill takes the pipeline's contents with it.
-				r.flushExits(e)
-			}
-		}
-		for eIdx, e := range r.engines {
-			for _, u := range r.in.UpsetsThrough(eIdx, b+n) {
-				// In-flight lookups see the flipped word from the stage they
-				// have reached onward, as in hardware: the engine reads
-				// the image's words in place and is told before the write.
-				e.sim.Patch(func() { faults.ApplyUpset(e.fs.img, u) })
-				rep.SEUs = append(rep.SEUs, SEURecord{Upset: u, DetectedAt: -1, RepairedAt: -1})
-				e.fs.outstanding = append(e.fs.outstanding, len(rep.SEUs)-1)
-				tel.Events.Log(obs.LevelWarn, u.Cycle, "seu_inject",
-					"engine", eIdx, "seq", u.Seq, "stage", u.Stage, "index", int(u.Index), "bit", u.Bit)
-			}
-		}
-	}
-	for eIdx, e := range r.engines {
-		if e.fs.down() {
-			continue
-		}
-		scanned, hit := e.fs.sweepStep(int(n))
-		r.meter.AddWords(eIdx, r.s.lowVN(eIdx), int64(scanned))
-		if hit && e.fs.detectVia == "" {
-			e.fs.detectVia = ViaSweep
-		}
-	}
-	return nil
-}
-
-func (f scenFaults) Outstanding() bool {
-	for _, e := range f.r.engines {
-		fs := &e.fs
-		if fs.reloading || fs.killed {
-			return true
-		}
-		if !fs.dead && len(fs.outstanding) > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// ---- churn stressor -------------------------------------------------------
-
-// scenChurn is the composed run's update stressor: the hitless-update
-// harness's commit-then-arm boundary protocol acting on the shared state.
-// It runs after the fault stressor's boundary, so it never arms an update
-// on an engine that just went down.
-type scenChurn struct {
-	scenario.NopStressor
-	r *scenRun
-}
-
-func (scenChurn) Name() string { return "churn" }
-
-func (c scenChurn) Boundary(b int64, _ bool) error {
-	r := c.r
-	rep, tel := r.rep, r.s.tel
-	for _, e := range r.engines {
-		if e.handle == nil || e.doneAt < 0 {
-			continue
-		}
-		if err := r.commitUpdate(e); err != nil {
-			return err
-		}
-	}
-	for _, e := range r.engines {
-		if e.handle != nil {
-			return nil // one batch in flight at a time
-		}
-	}
-	churn := r.spec.Churn
-	if r.started >= churn.Batches {
-		return nil
-	}
-	vn := churn.TargetVN
-	if vn < 0 {
-		vn = r.started % r.s.k
-	}
-	target := r.engines[r.engineOf(vn)]
-	if target.fs.dead {
-		// The batch's engine is gone for good: abort rather than wait
-		// forever, so the run terminates.
-		rep.BatchesAborted++
-		tel.Events.Log(obs.LevelWarn, b, "update_abort", "vn", vn, "engine", r.engineOf(vn), "writes", 0)
-		r.started++
-		return nil
-	}
-	if target.fs.down() {
-		return nil // engine mid-repair: retry at the next boundary
-	}
-	ops, err := update.Churn(r.mgr.Tables()[vn], churn.Ops, update.ChurnConfig{Seed: r.spec.Seed + int64(r.started)})
-	if err != nil {
-		return err
-	}
-	h, err := r.mgr.BeginHitlessUpdate(vn, ops)
-	if err != nil {
-		return err
-	}
-	e := r.engines[h.Engine()]
-	if err := e.sim.BeginUpdate(h.Image(), h.Bubbles()); err != nil {
-		h.Abort()
-		return err
-	}
-	e.handle = h
-	e.newRef = h.Table().Reference()
-	e.refVN = vn
-	e.doneAt = -1
-	e.batch = UpdateBatch{
-		VN:           vn,
-		Engine:       h.Engine(),
-		RawOps:       h.RawOps(),
-		CoalescedOps: len(h.Ops()),
-		Writes:       h.Writes(),
-		Bubbles:      h.Bubbles(),
-		ArmedAt:      b,
-	}
-	tel.Events.Log(obs.LevelInfo, b, "update_arm",
-		"vn", vn, "engine", h.Engine(), "raw_ops", h.RawOps(), "coalesced_ops", len(h.Ops()),
-		"writes", h.Writes(), "bubbles", h.Bubbles())
-	r.chaosOnArm(e, h, b)
-	r.started++
-	return nil
-}
-
-func (c scenChurn) Outstanding() bool {
-	r := c.r
-	if r.started < r.spec.Churn.Batches {
-		return true
-	}
-	for _, e := range r.engines {
-		if e.handle != nil {
-			return true
-		}
-	}
-	return false
 }
 
 // ---- kernel ---------------------------------------------------------------
@@ -613,9 +320,9 @@ func (r *scenRun) Outstanding() bool {
 
 // RunSlice executes cycles [b, b+n): shaped Bernoulli arrivals into the
 // ingress queues (live slices only), then one service step per engine per
-// cycle — bubbles first, queued lookups second, exactly the per-harness
-// semantics — all sequentially on the coordinator; the exits are settled
-// every pipeline.DrainWindow cycles and at the slice's end.
+// cycle — bubbles first, queued lookups second — all sequentially on the
+// coordinator; the exits are settled every pipeline.DrainWindow cycles and
+// at the slice's end.
 func (r *scenRun) RunSlice(b, n int64, live bool) (scenario.SliceStats, error) {
 	s, gen, gv, rep := r.s, r.gen, r.gv, r.rep
 	tel := s.tel
@@ -789,8 +496,7 @@ func (s *System) runScenario(gen *traffic.Generator, spec scenario.Spec) (*scenR
 
 	// The serving images: clones of the control plane's pinned compilation
 	// when churn is active (successive recompilations diff word-for-word),
-	// clones of the router's build images otherwise (the fault harness's
-	// model).
+	// clones of the router's build images otherwise.
 	var images []*pipeline.Image
 	if spec.Churn != nil {
 		mgr, err := ctrl.New(s.router.Config(), s.tables)
@@ -923,6 +629,7 @@ func (s *System) runScenario(gen *traffic.Generator, spec scenario.Spec) (*scenR
 		if e.fs.down() || len(e.fs.outstanding) > 0 {
 			rep.Recovered = false
 		}
+		r.retire(e.sim)
 	}
 	rep.Completed = !r.Outstanding()
 	for _, st := range stressors {

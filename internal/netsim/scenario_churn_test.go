@@ -38,6 +38,14 @@ func checkHitless(t *testing.T, rep ScenarioReport, wantBatches int) {
 				vn, rep.DeliveredPerVN[vn], rep.OfferedPerVN[vn])
 		}
 	}
+	if rep.BubbleCycles != rep.PlannedBubbles {
+		t.Errorf("spent %d bubble cycles, planned %d", rep.BubbleCycles, rep.PlannedBubbles)
+	}
+	// Every planned bubble was injected, so the retained throughput the
+	// engines measured is the analytic prediction for the same bubble count.
+	if meas, ana := rep.MeasuredThroughputRetained(), rep.AnalyticThroughputRetained(); meas != ana || meas >= 1 {
+		t.Errorf("measured retained %.6f vs analytic %.6f, want equal and below 1", meas, ana)
+	}
 	for i, b := range rep.Batches {
 		if b.Writes <= 0 || b.Bubbles <= 0 {
 			t.Errorf("batch %d: writes=%d bubbles=%d, want > 0 for real churn", i, b.Writes, b.Bubbles)
@@ -79,7 +87,8 @@ func TestRunUpdatesHitlessVM(t *testing.T) {
 
 // TestRunUpdatesVMCostlierThanVS pins the paper's update asymmetry under
 // live traffic: the same churn schedule costs the merged scheme more writes
-// and bubbles (the shared structure is rewritten) than the separate scheme.
+// and bubbles (the shared structure is rewritten) and retains less
+// throughput than the separate scheme.
 func TestRunUpdatesVMCostlierThanVS(t *testing.T) {
 	run := func(sc core.Scheme) ScenarioReport {
 		s, _ := buildSystem(t, sc, 3)
@@ -92,6 +101,10 @@ func TestRunUpdatesVMCostlierThanVS(t *testing.T) {
 	if vm.UpdateWrites <= vs.UpdateWrites || vm.PlannedBubbles <= vs.PlannedBubbles {
 		t.Errorf("VM (writes=%d bubbles=%d) not costlier than VS (writes=%d bubbles=%d)",
 			vm.UpdateWrites, vm.PlannedBubbles, vs.UpdateWrites, vs.PlannedBubbles)
+	}
+	if vm.MeasuredThroughputRetained() >= vs.MeasuredThroughputRetained() {
+		t.Errorf("VM retained %.6f >= VS retained %.6f, want lower (more bubbles over fewer engine-cycles)",
+			vm.MeasuredThroughputRetained(), vs.MeasuredThroughputRetained())
 	}
 }
 

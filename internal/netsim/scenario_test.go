@@ -134,6 +134,12 @@ func TestScenarioChurnAfterRepairReloadsChurnedRoutes(t *testing.T) {
 	if !rep.Recovered {
 		t.Fatal("engine not recovered")
 	}
+	// The reload replaced engine 1 mid-run: the bubbles it had taken before
+	// must still be in the readout (an aborted batch's only add to them).
+	if rep.BubbleCycles < rep.PlannedBubbles || rep.EngineCycles <= rep.TrafficCycles {
+		t.Errorf("%d bubble cycles of %d planned over %d engine cycles: the replaced engine's counters were lost",
+			rep.BubbleCycles, rep.PlannedBubbles, rep.EngineCycles)
+	}
 }
 
 func TestScenarioDeterministicAcrossWorkers(t *testing.T) {

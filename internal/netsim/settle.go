@@ -35,7 +35,7 @@ type queued struct {
 type inflight struct {
 	arrival int64
 	// ref is the reference table of the injection epoch, which the exit is
-	// checked against; nil leaves it unchecked (LoadTest measures queueing).
+	// checked against; nil leaves it unchecked.
 	ref *ip.Table
 	vn  int32
 }

@@ -29,19 +29,13 @@ func TestSettledDelayIsInRunCyclesUnderSteppedClock(t *testing.T) {
 	s, _ := buildSystem(t, core.VS, 3)
 	stages := float64(s.router.Images()[0].Stages())
 	const cycles = 32 * 1024
-	free, err := s.LoadTest(faultGen(t, s, 31), 0.3, cycles, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
+	const spec = "load=const:0.3,cycles=32768"
+	free := runSpec(t, s, 31, spec)
 	if free.MeanDelayCycles != stages {
 		t.Fatalf("ungoverned VS at load 0.3: mean delay %.2f, want the pipe depth %v", free.MeanDelayCycles, stages)
 	}
 	s.SetGovernor(&governor.Config{CapWatts: capBelowSteady(s, 0.3, 0.5)})
-	defer s.SetGovernor(nil)
-	rep, err := s.LoadTest(faultGen(t, s, 31), 0.3, cycles, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runSpec(t, s, 31, spec)
 	if g := rep.Governor; g.TimeAtRung[0] > cycles/4 {
 		t.Fatalf("the cap left the clock at full rate for %d of %d cycles: %+v", g.TimeAtRung[0], cycles, g)
 	}

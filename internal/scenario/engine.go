@@ -1,11 +1,10 @@
-// Package scenario is the slice-quantized run engine behind every netsim
-// harness and the composable-scenario runner. It owns the pieces the four
-// original harnesses each re-wired by hand — the coordinator loop (traffic
+// Package scenario is the slice-quantized run engine behind netsim's
+// runners. It owns what every run shares — the coordinator loop (traffic
 // slices, then a bounded drain, then a final boundary), telemetry threading
 // (one unified series row per slice, flight traces, events), and governor
 // actuation (slice-grain observe, deterministic pacer actuation) — while
-// pluggable stressors and a per-run kernel supply the harness-specific
-// behaviour through a small hook surface.
+// pluggable stressors and a per-run kernel supply the rest through a small
+// hook surface.
 //
 // Determinism: every control decision (stressor hooks, governor observe,
 // telemetry rows) runs on the coordinating goroutine; kernels may fan
@@ -61,20 +60,12 @@ type Kernel interface {
 	Outstanding() bool
 }
 
-// DecisionKernel is implemented by kernels that need the governor's fresh
-// decision pushed into per-engine state between slices (the hitless-update
-// actuation model); the Engine calls it after each governed observe.
-type DecisionKernel interface {
-	Kernel
-	ApplyDecision(d governor.Decision)
-}
-
 // Engine is one slice-quantized run: configuration plus the plumbing every
-// harness shares. Zero value is not usable; fill the struct and call Run.
+// run shares. Zero value is not usable; fill the struct and call Run.
 type Engine struct {
 	// Cycles is the offered-traffic window; SliceCycles the control-plane
 	// quantum. When Truncate is set the last slice is clipped to Cycles
-	// (the open-loop load harness's semantics); otherwise the window is
+	// (a batch run as one slice of its own length); otherwise the window is
 	// rounded up to whole slices.
 	Cycles      int64
 	SliceCycles int64
@@ -133,9 +124,6 @@ func (e *Engine) observe(b, n int64, st SliceStats) {
 	if e.Gov != nil {
 		d := e.Gov.Observe(b, n, st.Util, st.Reloading)
 		powerW, capW, rung = d.PowerW, d.CapW, float64(d.ObservedRung)
-		if dk, ok := e.Kernel.(DecisionKernel); ok {
-			dk.ApplyDecision(d)
-		}
 		dec = &d
 	}
 	dynJ, staticJ, jPerBit := 0.0, 0.0, 0.0

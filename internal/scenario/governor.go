@@ -1,6 +1,6 @@
 package scenario
 
-// Governor actuation shared by every run harness. The engine measures
+// Governor actuation shared by every slice runner. The engine measures
 // per-engine utilization every slice, the governor (internal/governor)
 // re-evaluates the paper's power models against the configured caps and
 // picks a ladder rung, and this file translates the rung into run actuation
@@ -15,7 +15,7 @@ import (
 )
 
 // obsGovernorDrops counts arrivals the governor refused (throttled or
-// browned out) across all harnesses. The name keeps the historical netsim.
+// browned out) by any runner. The name keeps the historical netsim.
 // prefix: it is a published metrics contract.
 var obsGovernorDrops = obs.NewCounter("netsim.governor_drops")
 
@@ -52,13 +52,6 @@ func NewGovRun(cfg *governor.Config, plant governor.Plant, engines, k int, event
 	gv.apply(governor.Decision{ObservedRung: i, RungIndex: i, Rung: r})
 	return gv, nil
 }
-
-// Governor exposes the underlying controller (for Report and the deferred/
-// brownout counters).
-func (gv *GovRun) Governor() *governor.Governor { return gv.g }
-
-// Decision returns the decision currently in force.
-func (gv *GovRun) Decision() governor.Decision { return gv.dec }
 
 // Report returns the controller's run summary.
 func (gv *GovRun) Report() *governor.Report { return gv.g.Report() }
@@ -110,67 +103,4 @@ func (gv *GovRun) AdmitArrival(vn, engine int) bool {
 	}
 	obsGovernorDrops.Inc()
 	return true
-}
-
-// DropPaced is AdmitArrival plus frequency pacing at the arrival grain, for
-// kernels that batch whole slices through the pipelines (no per-cycle
-// service loop to gate): a frequency-stepped engine accepts only the rung's
-// fraction of its arrivals.
-func (gv *GovRun) DropPaced(vn, engine int) bool {
-	if gv.AdmitArrival(vn, engine) {
-		return true
-	}
-	if !gv.freq[engine].Tick() {
-		gv.g.CountThrottled(vn)
-		obsGovernorDrops.Inc()
-		return true
-	}
-	return false
-}
-
-// CountDeferred charges one deferred (delayed, not dropped) arrival to
-// network vn — the defer-never-drop accounting used by hitless kernels.
-func (gv *GovRun) CountDeferred(vn int) { gv.g.CountDeferred(vn) }
-
-// EngineGate is per-engine governor actuation for kernels that run
-// persistent per-cycle simulators (the hitless-update model): quiescing and
-// admission control gate the engine's backlog pulls (arrivals wait),
-// frequency stepping gates its whole clock — but write bubbles always flow,
-// so an armed update still commits. Install a rung with Apply between
-// slices; consult ClockRuns/Hold inside the engine's cycle loop.
-type EngineGate struct {
-	quiesced bool
-	freq     *governor.Pacer
-	admit    *governor.Pacer
-}
-
-// Apply installs a rung on engine idx's gate.
-func (g *EngineGate) Apply(r governor.Rung, idx int) {
-	g.quiesced = r.Brownout || r.QuiescedEngine(idx)
-	g.freq = nil
-	if r.FreqFrac < 1 {
-		p := governor.NewPacer(r.FreqFrac)
-		g.freq = &p
-	}
-	g.admit = nil
-	if r.AdmitFrac < 1 {
-		p := governor.NewPacer(r.AdmitFrac)
-		g.admit = &p
-	}
-}
-
-// ClockRuns reports whether the engine's clock advances this cycle (false
-// under a frequency-stepped rung's off beats: bubbles and lookups alike
-// freeze, as a real stepped clock would impose).
-func (g *EngineGate) ClockRuns() bool {
-	return g.freq == nil || g.freq.Tick()
-}
-
-// Hold reports whether this cycle's backlog pull is gated by the governor
-// (quiesced, or an admission pacer miss).
-func (g *EngineGate) Hold() bool {
-	if g.quiesced {
-		return true
-	}
-	return g.admit != nil && !g.admit.Tick()
 }

@@ -105,16 +105,6 @@ func DropTrace(seq int64, vn, engine int, cycle int64) *obs.FlightTrace {
 	}
 }
 
-// PutDropTrace records a refused packet whose address the kernel already
-// holds (the slice-batch fault harness) in the ring.
-func (t *Telemetry) PutDropTrace(seq int64, vn, engine int, cycle int64, addr ip.Addr) {
-	if t.Traces != nil {
-		ft := DropTrace(seq, vn, engine, cycle)
-		ft.Addr = addr.String()
-		t.Traces.Put(ft)
-	}
-}
-
 // LookupOutcome classifies a completed lookup against its oracle's answer.
 func LookupOutcome(res pipeline.Result, want ip.NextHop) string {
 	switch {

@@ -4,6 +4,7 @@
 package vrpower_test
 
 import (
+	"fmt"
 	"testing"
 
 	"vrpower"
@@ -173,24 +174,20 @@ func TestSoakFaultInjectionVS(t *testing.T) {
 		bits += img.DataBits()
 	}
 	const cycles = 32 * 1024
-	rep, err := sys.RunFaults(gen, cycles, vrpower.FaultRunConfig{
-		Inject: vrpower.FaultConfig{
-			Seed:             9,
-			SEURate:          4 / (float64(bits) * float64(cycles)),
-			Kill:             true,
-			KillEngine:       1,
-			KillCycle:        9000,
-			ReconfigFailures: 1,
-		},
-	})
+	spec, err := vrpower.ParseScenario(fmt.Sprintf("load=const:0.5,faults=seu:%g,kill=1@9000,cycles=%d,seed=9",
+		4/(float64(bits)*float64(cycles)), cycles))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := sys.RunScenario(gen, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rep.SEUs) == 0 {
 		t.Fatal("no SEUs landed at core scale; rate tuning is off")
 	}
-	if rep.HealthyMismatches != 0 {
-		t.Errorf("%d healthy lookups disagreed with the oracle under faults", rep.HealthyMismatches)
+	if rep.Mismatches != 0 {
+		t.Errorf("%d lookups disagreed with the oracle under faults", rep.Mismatches)
 	}
 	if got := rep.RepairedSEUs(); got != len(rep.SEUs) {
 		t.Errorf("repaired %d of %d SEUs", got, len(rep.SEUs))

@@ -40,6 +40,7 @@ import (
 	"vrpower/internal/planner"
 	"vrpower/internal/power"
 	"vrpower/internal/rib"
+	"vrpower/internal/scenario"
 	"vrpower/internal/sched"
 	"vrpower/internal/tcam"
 	"vrpower/internal/traffic"
@@ -451,13 +452,8 @@ func BuildMultiway(tbl *Table, ways, stages int) (*MultiwayEngine, error) {
 	return multiway.Build(tbl, ways, stages)
 }
 
-// Trie braiding (reference [17]) and open-loop load testing.
-type (
-	// BraidedTrie is the braided merged lookup structure.
-	BraidedTrie = merge.BraidedTrie
-	// LoadReport summarises an open-loop offered-load run.
-	LoadReport = netsim.LoadReport
-)
+// BraidedTrie is the braided merged lookup structure (reference [17]).
+type BraidedTrie = merge.BraidedTrie
 
 // BraidTables merges K tables with greedy trie braiding: per-node twist
 // bits re-orient each network's children to maximise node sharing.
@@ -505,14 +501,25 @@ type (
 	ScrubResult = ctrl.ScrubResult
 	// ReconfigFailer injects mid-flight reconfiguration failures.
 	ReconfigFailer = ctrl.ReconfigFailer
-	// FaultRunConfig parameterises an end-to-end fault-injection run.
-	FaultRunConfig = netsim.FaultConfig
-	// FaultReport summarises a fault-injection run (per-VNID availability,
-	// SEU lifecycles, MTTR).
-	FaultReport = netsim.FaultReport
 	// SEURecord is one injected upset's detect/repair lifecycle.
 	SEURecord = netsim.SEURecord
 )
+
+// Composed scenarios: the slice-quantised open loop of a ForwardingSystem.
+type (
+	// ScenarioSpec is a parsed scenario: load shape, faults, kill, churn,
+	// chaos, fleet and power caps acting together in one run.
+	ScenarioSpec = scenario.Spec
+	// ScenarioReport summarises a composed run (per-VNID delivery and
+	// availability, SEU lifecycles and MTTR, churn batches and retained
+	// throughput, governor and energy sections).
+	ScenarioReport = netsim.ScenarioReport
+)
+
+// ParseScenario parses a comma-separated key=value scenario spec (e.g.
+// "load=const:0.5,faults=seu:1e-9,kill=1@9000,cycles=32768"; grammar in
+// docs/SCENARIOS.md) into what ForwardingSystem.RunScenario runs.
+func ParseScenario(spec string) (ScenarioSpec, error) { return scenario.Parse(spec) }
 
 // NewFaultInjector builds the deterministic fault injector; equal seeds
 // yield byte-identical schedules at any worker count.

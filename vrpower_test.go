@@ -329,7 +329,11 @@ func TestFacadeBraidingAndLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := sys.LoadTest(gen, 0.1, 5000, 32)
+	spec, err := vrpower.ParseScenario("load=const:0.1,cycles=5000,queue=32")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := sys.RunScenario(gen, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
