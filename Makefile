@@ -4,144 +4,96 @@
 #   make bench      = every benchmark with allocation counts
 GO ?= go
 
-.PHONY: all build test race race-faults race-updates race-obs race-governor race-scenarios race-chaos race-energy race-fleet telemetry-smoke governor-smoke scenario-smoke chaos-smoke energy-smoke fleet-smoke fuzz-smoke fuzz-batch-smoke vet vuln bench bench-gate bench-baseline bench-test bench-e2e loc
+.PHONY: all build test race governor-smoke scenario-smoke chaos-smoke fleet-smoke fuzz-smoke fuzz-batch-smoke vet vuln bench bench-gate bench-baseline bench-test bench-e2e loc
 
 all: build test
 
 build:
 	$(GO) build ./...
 
-# Tier-1 tests plus a race-detector pass over the concurrent packages (the
-# sweep pool, its consumers, the instrumentation layer, the image-
-# ownership tests: pristine images shared by readers while clones are
-# written — pipeline's slab/clone tests, ctrl's coherence property test —
-# and the reference LPM, whose range index the first of concurrent lookups
-# publishes).
+# Tier-1 tests plus a race-detector pass over every package a run drives
+# concurrently: the sweep pool and its consumers, the instrumentation layer,
+# the image-ownership tests (pristine images shared by readers while clones
+# are written — pipeline's slab/clone tests, ctrl's coherence property
+# test), the reference LPM, whose range index the first of concurrent
+# lookups publishes, and everything the slice runner composes — fault
+# injection, hitless updates, the governor and the power model under it, the
+# scenario engine, the energy meter, fleet placement and the traffic source.
 test: build
 	$(GO) test ./...
-	$(GO) test -race ./internal/experiments/... ./internal/sweep/... ./internal/obs/... ./internal/netsim/... ./internal/ctrl/... ./internal/pipeline/... ./internal/ip/...
+	$(GO) test -race ./internal/experiments/... ./internal/sweep/... ./internal/obs/... ./internal/netsim/... ./internal/ctrl/... ./internal/pipeline/... ./internal/ip/... \
+		./internal/faults/... ./internal/update/... ./internal/governor/... ./internal/power/... ./internal/scenario/... ./internal/energy/... ./internal/fleet/... ./internal/traffic/...
 
 race:
 	$(GO) test -race ./...
 
-# Race-detector pass focused on the fault-injection and sweep paths (the
-# packages the robustness runs drive concurrently). CI runs this on every
-# push; `make race` is the full-suite version.
-race-faults:
-	$(GO) test -race ./internal/faults/... ./internal/netsim/... ./internal/ctrl/... ./internal/pipeline/... ./internal/sweep/...
+# One recipe for every smoke: the spec runs at -j1 and -j8 with flight
+# tracing, the slice time series and the event log all on, and the report
+# and all three dumps are byte-compared. Dumps land in the target's own
+# directory (CI uploads it as an artifact). lookupsim exits nonzero on an
+# oracle mismatch, a misforwarding audit probe or outstanding work, so every
+# smoke also gates those.
+#   $(call smoke,DIR,ROUTER FLAGS,NAME OF THE SPEC VARIABLE,REPORT FLAGS)
+smoke-run = $(GO) run ./cmd/lookupsim $(2) -j $(5) -scenario $($(3)) $(4) \
+	-trace-sample 0.02 -trace-out $(1)/traces$(6).jsonl \
+	-timeseries-out $(1)/timeseries$(6).csv -events-out $(1)/events$(6).jsonl \
+	> $(1)/report$(6).txt
+define smoke
+	mkdir -p $(1)
+	$(call smoke-run,$(1),$(2),$(3),$(4),1,)
+	$(call smoke-run,$(1),$(2),$(3),$(4),8,-j8)
+	cmp $(1)/report.txt $(1)/report-j8.txt
+	cmp $(1)/traces.jsonl $(1)/traces-j8.jsonl
+	cmp $(1)/timeseries.csv $(1)/timeseries-j8.csv
+	cmp $(1)/events.jsonl $(1)/events-j8.jsonl
+endef
 
-# Race-detector pass focused on the hitless-update path: churn generation,
-# the shadow-bank pipeline commit, the ctrl update handle, and the
-# slice-quantised update harness over the sweep pool.
-race-updates:
-	$(GO) test -race ./internal/update/... ./internal/netsim/... ./internal/ctrl/... ./internal/pipeline/... ./internal/sweep/...
-
-# Race-detector pass focused on the telemetry layer: the obs registry, the
-# lock-free trace ring, the tracing pipeline hot path, and the harnesses
-# that feed series/events from slice coordinators while workers trace.
-race-obs:
-	$(GO) test -race ./internal/obs/... ./internal/pipeline/... ./internal/netsim/... ./internal/ctrl/... ./internal/sweep/...
-
-# Race-detector pass focused on the power-governor path: the controller,
-# the netsim harnesses that actuate its ladder, the shared ctrl backoff,
-# the power model feeding its estimates, and the sweep pool under it.
-race-governor:
-	$(GO) test -race ./internal/governor/... ./internal/netsim/... ./internal/ctrl/... ./internal/power/... ./internal/sweep/...
-
-# Race-detector pass focused on the composed scenario engine: the shared
-# slice coordinator, its stressor hooks, and every package a compound run
-# (load + faults + churn + power cap) drives concurrently.
-race-scenarios:
-	$(GO) test -race ./internal/scenario/... ./internal/netsim/... ./internal/ctrl/... ./internal/pipeline/... ./internal/governor/... ./internal/sweep/...
-
-# Race-detector pass focused on the crash-consistency path: the journal and
-# watchdog, the control-plane fault injector, the invariant auditor, and the
-# chaos-composed scenario runner over the sweep pool.
-race-chaos:
-	$(GO) test -race ./internal/ctrl/... ./internal/faults/... ./internal/pipeline/... ./internal/netsim/... ./internal/sweep/...
-
-# Telemetry smoke run: a fault-injection experiment with tracing, the slice
-# time series and the event log all enabled, dumped into telemetry-smoke/
-# (CI uploads the directory as an artifact).
-telemetry-smoke:
-	mkdir -p telemetry-smoke
-	$(GO) run ./cmd/lookupsim -scheme VS -k 3 -packets 16384 -faults \
-		-seu-rate 3e-9 -kill-engine 1 -kill-cycle 4000 \
-		-trace-sample 0.02 -trace-out telemetry-smoke/traces.jsonl \
-		-timeseries-out telemetry-smoke/timeseries.csv \
-		-events-out telemetry-smoke/events.jsonl
-
-# Governor smoke run: a VS fleet under a power cap set below its
-# steady-state draw (4.9 W at load 0.9; cap 4.6 W), lifted mid-run. The
-# greps assert the closed loop actually escalated and then recovered —
-# governor transitions in the event log, convergence and a full-speed
-# final rung in the report. Dumps land in governor-smoke/ (CI uploads the
-# directory as an artifact).
+# Governor smoke: a VS router under a power cap set below its steady-state
+# draw (4.9 W at load 0.9; cap 4.6 W), lifted mid-run — the cap flags attach
+# the governor to the scenario run, which is how the lift is reached. The
+# greps assert the closed loop actually escalated and then recovered:
+# governor transitions in the event log, convergence and a full-speed final
+# rung in the report.
+GOVERNOR_SPEC = load=const:0.9,cycles=32768
 governor-smoke:
-	mkdir -p governor-smoke
-	$(GO) run ./cmd/lookupsim -scheme VS -k 3 -load 0.9 -packets 32768 \
-		-power-cap 4.6 -power-cap-lift 16384 -governor-report \
-		-timeseries-out governor-smoke/timeseries.csv \
-		-events-out governor-smoke/events.jsonl \
-		| tee governor-smoke/report.txt
+	$(call smoke,governor-smoke,-scheme VS -k 3,GOVERNOR_SPEC,-power-cap 4.6 -power-cap-lift 16384 -governor-report)
 	grep -q governor_escalate governor-smoke/events.jsonl
 	grep -q governor_deescalate governor-smoke/events.jsonl
 	grep -q 'Converged under cap' governor-smoke/report.txt
 	grep -q '0 (full)' governor-smoke/report.txt
+	grep -q 'Completed.*true' governor-smoke/report.txt
 
-# Composed scenario smoke run: the ISSUE's flagship compound spec — surge
-# load, SEU faults, an engine kill, update churn and a power cap in ONE
-# lookupsim run — executed at -j1 and -j8 and byte-compared (report, time
-# series and event log), then grepped for the lifecycle the composition
-# must produce. Dumps land in scenario-smoke/ (CI uploads the directory as
-# an artifact).
-SCENARIO_SPEC = load=surge:0.3:0.9,faults=seu:2e-9,kill=1@3000,churn=6x32,power-cap=38,cycles=16384,queue=32,seed=11
+# Composed scenario smoke: surge load, SEU faults, an engine kill, update
+# churn and a power cap in ONE run, grepped for the lifecycle the
+# composition must produce — and, being the run with every kind of flight in
+# it, for the telemetry a run must leave behind (a delivered trace, a
+# blackholed one, the kill's hole in the availability columns). The seed is
+# one where no upset lands on an engine in the slice its update commits: such
+# an upset goes with the old bank and is never stamped repaired, so the run
+# ends Completed=false (seed=11 reproduces it; ROADMAP item 4).
+SCENARIO_SPEC = load=surge:0.3:0.9,faults=seu:2e-9,kill=1@3000,churn=6x32,power-cap=38,cycles=16384,queue=32,seed=12
 scenario-smoke:
-	mkdir -p scenario-smoke
-	$(GO) run ./cmd/lookupsim -scheme VS -k 3 -j 1 \
-		-scenario $(SCENARIO_SPEC) -governor-report -update-report \
-		-timeseries-out scenario-smoke/timeseries.csv \
-		-events-out scenario-smoke/events.jsonl \
-		> scenario-smoke/report.txt
-	$(GO) run ./cmd/lookupsim -scheme VS -k 3 -j 8 \
-		-scenario $(SCENARIO_SPEC) -governor-report -update-report \
-		-timeseries-out scenario-smoke/timeseries-j8.csv \
-		-events-out scenario-smoke/events-j8.jsonl \
-		> scenario-smoke/report-j8.txt
-	cmp scenario-smoke/report.txt scenario-smoke/report-j8.txt
-	cmp scenario-smoke/timeseries.csv scenario-smoke/timeseries-j8.csv
-	cmp scenario-smoke/events.jsonl scenario-smoke/events-j8.jsonl
+	$(call smoke,scenario-smoke,-scheme VS -k 3,SCENARIO_SPEC,-governor-report -update-report -mttr-report)
 	grep -q 'load + faults + churn + power-cap' scenario-smoke/report.txt
 	grep -q 'Recovered.*true' scenario-smoke/report.txt
 	grep -q 'Completed.*true' scenario-smoke/report.txt
 	grep -q engine_kill scenario-smoke/events.jsonl
 	grep -q scrub_done scenario-smoke/events.jsonl
 	grep -q update_commit scenario-smoke/events.jsonl
+	grep -q '"outcome":"forward"' scenario-smoke/traces.jsonl
+	grep -q '"outcome":"drop-down"' scenario-smoke/traces.jsonl
+	grep -q ',1,0,1$$' scenario-smoke/timeseries.csv
 
-# Chaos smoke run: the crash-consistency flagship — surge load, SEU scrubs,
+# Chaos smoke: the crash-consistency flagship — surge load, SEU scrubs,
 # churn, a power cap, and every control-plane fault class (crash-before-
 # commit, reload stall, torn write, watchdog false positive) in ONE run —
-# executed at -j1 and -j8 and byte-compared, then grepped for the recovery
-# lifecycle: injected faults, journaled rollback AND replay, and a clean
-# invariant audit. Dumps land in chaos-smoke/ (CI uploads the directory as
-# an artifact). lookupsim exits nonzero if any post-recovery audit probe
-# misforwards, so the smoke also gates the drop-never-misforward invariant.
+# grepped for the recovery lifecycle (injected faults, journaled rollback AND
+# replay, a clean invariant audit) and, with -energy-report, for the
+# attribution tables and the energy columns of the series, which are part of
+# the determinism contract like everything else the recipe compares.
 CHAOS_SPEC = load=surge:0.3:0.9,faults=seu:2e-8,churn=8x24,power-cap=38,chaos=crash:3+stall:1+torn:1+falsepos:1,cycles=16384,queue=32,seed=11
 chaos-smoke:
-	mkdir -p chaos-smoke
-	$(GO) run ./cmd/lookupsim -scheme VS -k 3 -j 1 \
-		-scenario $(CHAOS_SPEC) -governor-report -update-report \
-		-timeseries-out chaos-smoke/timeseries.csv \
-		-events-out chaos-smoke/events.jsonl \
-		> chaos-smoke/report.txt
-	$(GO) run ./cmd/lookupsim -scheme VS -k 3 -j 8 \
-		-scenario $(CHAOS_SPEC) -governor-report -update-report \
-		-timeseries-out chaos-smoke/timeseries-j8.csv \
-		-events-out chaos-smoke/events-j8.jsonl \
-		> chaos-smoke/report-j8.txt
-	cmp chaos-smoke/report.txt chaos-smoke/report-j8.txt
-	cmp chaos-smoke/timeseries.csv chaos-smoke/timeseries-j8.csv
-	cmp chaos-smoke/events.jsonl chaos-smoke/events-j8.jsonl
+	$(call smoke,chaos-smoke,-scheme VS -k 3,CHAOS_SPEC,-governor-report -update-report -energy-report)
 	grep -q 'load + faults + chaos + churn + power-cap' chaos-smoke/report.txt
 	grep -q 'Completed.*true' chaos-smoke/report.txt
 	grep -q chaos_inject chaos-smoke/events.jsonl
@@ -149,71 +101,22 @@ chaos-smoke:
 	grep -q recovery_rollback chaos-smoke/events.jsonl
 	grep -q recovery_replay chaos-smoke/events.jsonl
 	grep -q invariant_audit chaos-smoke/events.jsonl
+	grep -q 'Energy attribution' chaos-smoke/report.txt
+	grep -q 'Per-VNID dynamic energy' chaos-smoke/report.txt
+	grep -q 'Energy per forwarded bit' chaos-smoke/report.txt
+	head -1 chaos-smoke/timeseries.csv | grep -q 'dyn_j,static_j,j_per_bit'
 
-# Race-detector pass focused on the energy accounting layer: the meter, the
-# harnesses whose workers fold per-shard meters, the scenario engine that
-# integrates static energy per slice, and the telemetry-parity differential
-# between the scalar and batched lookup cores.
-race-energy:
-	$(GO) test -race ./internal/energy/... ./internal/netsim/... ./internal/scenario/... ./internal/pipeline/... ./internal/sweep/...
-
-# Energy smoke run: the chaos-composed flagship spec with per-event energy
-# attribution on — executed at -j1 and -j8 and byte-compared (the energy
-# report and the dyn_j/static_j/j_per_bit series columns are part of the
-# determinism contract), then grepped for the attribution tables. Dumps land
-# in energy-smoke/ (CI uploads the directory as an artifact).
-ENERGY_SPEC = load=surge:0.3:0.9,faults=seu:2e-8,churn=8x24,power-cap=38,chaos=crash:3+stall:1+torn:1+falsepos:1,cycles=16384,queue=32,seed=11
-energy-smoke:
-	mkdir -p energy-smoke
-	$(GO) run ./cmd/lookupsim -scheme VS -k 3 -j 1 \
-		-scenario $(ENERGY_SPEC) -energy-report \
-		-timeseries-out energy-smoke/timeseries.csv \
-		> energy-smoke/report.txt
-	$(GO) run ./cmd/lookupsim -scheme VS -k 3 -j 8 \
-		-scenario $(ENERGY_SPEC) -energy-report \
-		-timeseries-out energy-smoke/timeseries-j8.csv \
-		> energy-smoke/report-j8.txt
-	cmp energy-smoke/report.txt energy-smoke/report-j8.txt
-	cmp energy-smoke/timeseries.csv energy-smoke/timeseries-j8.csv
-	grep -q 'Energy attribution' energy-smoke/report.txt
-	grep -q 'Per-VNID dynamic energy' energy-smoke/report.txt
-	grep -q 'Energy per forwarded bit' energy-smoke/report.txt
-	head -1 energy-smoke/timeseries.csv | grep -q 'dyn_j,static_j,j_per_bit'
-
-# Race-detector pass focused on the fleet failure-domain layer: placement
-# and failover control, the device-scale fault injector, the fleet scenario
-# kernel, and the spec grammar feeding them, over the sweep pool.
-race-fleet:
-	$(GO) test -race ./internal/fleet/... ./internal/faults/... ./internal/netsim/... ./internal/scenario/... ./internal/sweep/...
-
-# Fleet smoke run: the N+1-spare failover flagship — eight networks packed
-# over two devices plus a dark spare, BOTH actives crashed in sequence
-# (first crash's victims live-migrate to the survivor, then the survivor
-# dies too and the spare powers up to take the whole fleet), two flaky
-# reconfigurers (retry/backoff ladder) and a brownout window in ONE run —
-# executed at -j1 and -j8 and byte-compared, then grepped for the failover
-# lifecycle: the crashes, the spare power-up, a failed-and-retried install,
-# the journaled landing and its invariant audit, ending with every network
-# recovered (no vn_degraded). Dumps land in fleet-smoke/ (CI uploads the
-# directory as an artifact). lookupsim exits nonzero if any post-migration
-# audit probe misforwards, so the smoke also gates drop-never-misforward
-# under failover.
+# Fleet smoke: the N+1-spare failover flagship — eight networks packed over
+# two devices plus a dark spare, BOTH actives crashed in sequence (first
+# crash's victims live-migrate to the survivor, then the survivor dies too
+# and the spare powers up to take the whole fleet), two flaky reconfigurers
+# (retry/backoff ladder) and a brownout window in ONE run — grepped for the
+# failover lifecycle: the crashes, the spare power-up, a failed-and-retried
+# install, the journaled landing and its invariant audit, ending with every
+# network recovered (no vn_degraded).
 FLEET_SPEC = load=const:0.4,fleet=2:spare=1,chaos=devcrash:2+flaky:2+brownout:1,cycles=65536,queue=32,seed=2
 fleet-smoke:
-	mkdir -p fleet-smoke
-	$(GO) run ./cmd/lookupsim -scheme VS -k 8 -j 1 \
-		-scenario $(FLEET_SPEC) \
-		-timeseries-out fleet-smoke/timeseries.csv \
-		-events-out fleet-smoke/events.jsonl \
-		> fleet-smoke/report.txt
-	$(GO) run ./cmd/lookupsim -scheme VS -k 8 -j 8 \
-		-scenario $(FLEET_SPEC) \
-		-timeseries-out fleet-smoke/timeseries-j8.csv \
-		-events-out fleet-smoke/events-j8.jsonl \
-		> fleet-smoke/report-j8.txt
-	cmp fleet-smoke/report.txt fleet-smoke/report-j8.txt
-	cmp fleet-smoke/timeseries.csv fleet-smoke/timeseries-j8.csv
-	cmp fleet-smoke/events.jsonl fleet-smoke/events-j8.jsonl
+	$(call smoke,fleet-smoke,-scheme VS -k 8,FLEET_SPEC,)
 	grep -q 'load + fleet + chaos' fleet-smoke/report.txt
 	grep -q 'Completed.*true' fleet-smoke/report.txt
 	grep -q device_crash fleet-smoke/events.jsonl

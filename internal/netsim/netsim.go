@@ -52,7 +52,7 @@ type System struct {
 	// ungoverned.
 	gov *governor.Config
 	// emodel is the per-event energy cost table derived from the router's
-	// power design; every harness meters against it.
+	// power design; every run meters against it.
 	emodel *energy.Model
 	// merged marks the shared-engine scheme; served[e] lists the networks
 	// engine e serves, ascending — all K on the merged engine, network e on

@@ -172,7 +172,7 @@ type Spec struct {
 	Chaos   *ChaosSpec
 	Fleet   *FleetSpec
 	// CapW / DeviceCapW configure the power-envelope governor; both zero
-	// runs ungoverned (unless the harness has a governor attached).
+	// runs ungoverned (unless the system has a governor attached).
 	CapW       float64
 	DeviceCapW float64
 	Cycles     int64

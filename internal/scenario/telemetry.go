@@ -1,6 +1,6 @@
 package scenario
 
-// Telemetry plumbing shared by every run harness. A Telemetry bundle
+// Telemetry plumbing shared by every run. A Telemetry bundle
 // attaches the optional observers — trace sampler + ring, slice time series,
 // event log — to a run; every obs component is nil-safe, so the loops call
 // through the bundle unguarded and a detached run pays only nil checks.

@@ -485,9 +485,9 @@ func CompactTable(tbl *Table) *Table {
 
 // Fault injection, SEU scrubbing and graceful degradation.
 type (
-	// FaultConfig parameterises the seeded fault injector (SEU rate per
-	// bit-cycle, engine kill, mid-flight reconfiguration failures).
-	FaultConfig = faults.Config
+	// FaultInjectorConfig parameterises the seeded fault injector (SEU rate
+	// per bit-cycle, engine kill, mid-flight reconfiguration failures).
+	FaultInjectorConfig = faults.Config
 	// FaultInjector produces deterministic fault schedules over the
 	// engines' compiled images.
 	FaultInjector = faults.Injector
@@ -518,12 +518,12 @@ type (
 
 // ParseScenario parses a comma-separated key=value scenario spec (e.g.
 // "load=const:0.5,faults=seu:1e-9,kill=1@9000,cycles=32768"; grammar in
-// docs/SCENARIOS.md) into what ForwardingSystem.RunScenario runs.
+// docs/CLI.md) into what ForwardingSystem.RunScenario runs.
 func ParseScenario(spec string) (ScenarioSpec, error) { return scenario.Parse(spec) }
 
 // NewFaultInjector builds the deterministic fault injector; equal seeds
 // yield byte-identical schedules at any worker count.
-func NewFaultInjector(cfg FaultConfig, images []*Image) (*FaultInjector, error) {
+func NewFaultInjector(cfg FaultInjectorConfig, images []*Image) (*FaultInjector, error) {
 	return faults.NewInjector(cfg, images)
 }
 
