@@ -64,12 +64,13 @@ func TestRunFramePath(t *testing.T) {
 // Every way a run can fail says why on stderr and exits nonzero: 2 for a flag
 // the command does not have (usage follows), 1 for everything else.
 func TestRunFailures(t *testing.T) {
-	cases := []struct {
+	type failure struct {
 		name string
 		args []string
 		code int
 		want string
-	}{
+	}
+	cases := []failure{
 		{"unknown spec key", []string{"-scenario", "lode=const:0.5"}, 1, `unknown key "lode"`},
 		{"bad scheme", []string{"-scheme", "XX"}, 1, `scheme "XX": want NV, VS or VM`},
 		{"cap in flag and spec", []string{"-power-cap", "5", "-scenario", "load=const:0.5,power-cap=5"}, 1, "give it once"},
@@ -79,12 +80,7 @@ func TestRunFailures(t *testing.T) {
 	}
 	for _, flag := range []string{"-load", "-faults", "-fault-seed", "-seu-rate", "-kill-engine", "-kill-cycle",
 		"-reconfig-failures", "-churn", "-churn-seed", "-churn-batch", "-churn-batches", "-churn-vn"} {
-		cases = append(cases, struct {
-			name string
-			args []string
-			code int
-			want string
-		}{"removed " + flag, []string{flag, "1"}, 2, "flag provided but not defined: " + flag})
+		cases = append(cases, failure{"removed " + flag, []string{flag, "1"}, 2, "flag provided but not defined: " + flag})
 	}
 	for _, c := range cases {
 		code, _, errw := lookupsim(c.args...)

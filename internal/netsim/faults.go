@@ -61,7 +61,7 @@ type KillRecord struct {
 	RepairedAt int64
 }
 
-// engState is one engine's view of the fault run.
+// engState is one engine's fault lifecycle.
 type engState struct {
 	// img is the run-private (cloned, possibly corrupted) image in service.
 	img *pipeline.Image

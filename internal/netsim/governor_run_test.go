@@ -163,28 +163,24 @@ func TestGovernedFaultRunRidesOutScrubSpike(t *testing.T) {
 // subtests keep the names of the harnesses whose governed runs these took
 // over.)
 func TestGovernedRunsDeterministicAcrossWorkers(t *testing.T) {
-	const cycles = 16 * 1024
+	ref, _ := buildSystem(t, core.VS, 3)
 	for _, c := range []struct {
 		name, spec string
 		u, frac    float64
 		lift       int64
 	}{
 		{"LoadTest", "load=const:0.9,cycles=32768", 0.9, 0.4, 16 * 1024},
-		{"RunFaults", "load=const:0.3333,faults=seu:%g,cycles=16384,seed=5", 1.0 / 3, 0.5, 0},
+		{"RunFaults", fmt.Sprintf("load=const:0.3333,faults=seu:%g,cycles=16384,seed=5", seuRateFor(ref, 3, 16384)), 1.0 / 3, 0.5, 0},
 		{"RunUpdates", "load=const:0.3333,churn=4x64,queue=4096,cycles=16384", 1.0 / 3, 0.5, 8 * 1024},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			s, _ := buildSystem(t, core.VS, 3)
 			s.SetGovernor(&governor.Config{CapWatts: capBelowSteady(s, c.u, c.frac), LiftCycle: c.lift})
-			spec := c.spec
-			if strings.Contains(spec, "%g") {
-				spec = fmt.Sprintf(spec, seuRateFor(s, 3, cycles))
-			}
 			var reps []string
 			runDumps(t, c.name+"/governed", func(tel *Telemetry) {
 				s.SetTelemetry(tel)
 				defer s.SetTelemetry(nil)
-				rep := runSpec(t, s, 29, spec)
+				rep := runSpec(t, s, 29, c.spec)
 				if rep.Governor == nil || rep.Governor.Escalations == 0 {
 					t.Fatalf("cap caused no throttling: %+v", rep.Governor)
 				}
