@@ -284,7 +284,7 @@ func TestNoGhostScrub(t *testing.T) {
 			if s, i := img.Corrupted(); len(s) != 0 {
 				t.Errorf("%s image %d: %d corrupted words (first: stage %d entry %d)", name, e, len(s), s[0], i[0])
 			}
-			for _, eng := range r.engines {
+			for _, eng := range r.devs[0].engines {
 				if eng.fs.img == img || eng.fs.pending == img {
 					t.Errorf("%s image %d is in an engine's hands", name, e)
 				}

@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"math"
 
-	"vrpower/internal/core"
 	"vrpower/internal/ctrl"
 	"vrpower/internal/faults"
 	"vrpower/internal/obs"
@@ -197,7 +196,7 @@ func (r *scenRun) chaosOnInstall(eIdx int, e *scenEng, at int64) {
 		r.rep.Chaos.RecoverySum += at - ch.faultAt
 		r.rep.Chaos.Recoveries++
 	}
-	r.auditLive(eIdx, e.fs.img, at)
+	r.auditLive(e, at)
 	ch.reset()
 }
 
@@ -286,7 +285,7 @@ func (r *scenRun) chaosOnCommit(e *scenEng, at int64) {
 	ch.tok.Apply(-1, e.batch.Writes, at)
 	_ = ch.tok.Commit(at)
 	r.wd.Disarm(e.batch.Engine)
-	r.auditLive(e.batch.Engine, e.fs.img, at)
+	r.auditLive(e, at)
 	ch.reset()
 }
 
@@ -304,7 +303,7 @@ func (scenChaos) Name() string { return "chaos" }
 
 func (c scenChaos) Boundary(b int64, _ bool) error {
 	r := c.r
-	for eIdx, e := range r.engines {
+	for eIdx, e := range r.devs[0].engines {
 		ch := &e.ch
 		if ch.tok == nil && !r.wd.Watching(eIdx) {
 			continue
@@ -361,7 +360,7 @@ func (c scenChaos) crashRecovery(eIdx int, e *scenEng, b int64) error {
 	e.handle = nil
 	e.newRef = nil
 	e.doneAt = -1
-	r.auditLive(eIdx, e.fs.img, b)
+	r.auditLive(e, b)
 	ch.reset()
 	return nil
 }
@@ -423,23 +422,17 @@ func (c scenChaos) stallLadder(eIdx int, e *scenEng, b int64) {
 		// The replay restarts the reload after the backoff; the next fault
 		// card decides whether it sticks.
 		ch.draw = r.ci.DrawScrub()
+		fs.repairAt = b + delay + ch.latency
+		r.wd.Extend(eIdx, fs.repairAt)
 		switch ch.draw {
 		case faults.CtrlStall:
 			r.rep.Chaos.InjectedStalls++
-			fs.repairAt = math.MaxInt64
-			r.wd.Extend(eIdx, b+delay+ch.latency)
+			fs.repairAt = math.MaxInt64 // only the watchdog unsticks it
 		case faults.CtrlTorn:
 			r.rep.Chaos.InjectedTorn++
-			fs.repairAt = b + delay + ch.latency
-			r.wd.Extend(eIdx, fs.repairAt)
 		case faults.CtrlFalsePositive:
 			r.rep.Chaos.InjectedFalsePositives++
 			ch.fpFired = false
-			fs.repairAt = b + delay + ch.latency
-			r.wd.Extend(eIdx, fs.repairAt)
-		default:
-			fs.repairAt = b + delay + ch.latency
-			r.wd.Extend(eIdx, fs.repairAt)
 		}
 		r.s.tel.Events.Log(obs.LevelWarn, b, "recovery_replay",
 			"engine", eIdx, "op", "scrub", "stages_applied", rec.StagesApplied,
@@ -463,34 +456,26 @@ func (c scenChaos) stallLadder(eIdx int, e *scenEng, b int64) {
 
 // ---- invariant audit ------------------------------------------------------
 
-// auditLive replays oracle-known probes through the image engine eIdx now
-// serves and accumulates the verdict. Faulted probes drop (the parity
-// column caught residual corruption — allowed); a resolved probe that
-// disagrees with the RIB oracle is a misforward and fails the run.
-func (r *scenRun) auditLive(eIdx int, img *pipeline.Image, at int64) {
-	probes := r.auditProbesFor(eIdx)
-	res := pipeline.AuditImage(img, probes)
+// auditLive audits the image engine e now serves and accumulates the
+// verdict in the chaos section.
+func (r *scenRun) auditLive(e *scenEng, at int64) {
+	res := r.audit(e, at, "engine", e.idx)
 	rep := r.rep.Chaos
 	rep.Audits++
 	rep.AuditProbes += res.Probes
 	rep.AuditFaulted += res.Faulted
 	rep.AuditMismatches += res.Mismatches
-	level := obs.LevelInfo
-	if res.Mismatches > 0 {
-		level = obs.LevelError
-	}
-	r.s.tel.Events.Log(level, at, "invariant_audit",
-		"engine", eIdx, "probes", res.Probes, "faulted", res.Faulted, "mismatches", res.Mismatches)
 }
 
-// auditProbesFor builds the probe set for engine eIdx: a stride sample of
-// every hosted network's authoritative routes with their oracle answers.
-func (r *scenRun) auditProbesFor(eIdx int) []pipeline.Probe {
+// audit replays oracle-known probes through the image engine e serves — a
+// stride sample of every network it hosts, authoritative routes with their
+// oracle answers — and logs the verdict under the given leading keys.
+// Faulted probes drop (the parity column caught residual corruption —
+// allowed); a resolved probe that disagrees with the RIB oracle is a
+// misforward and fails the run.
+func (r *scenRun) audit(e *scenEng, at int64, keys ...any) pipeline.AuditResult {
 	var probes []pipeline.Probe
-	for vn := 0; vn < r.s.k; vn++ {
-		if r.engineOf(vn) != eIdx {
-			continue
-		}
+	for reqVN, vn := range e.served {
 		// Without churn the tables are the ones the run was built from, whose
 		// oracle it already holds; a churn manager's tables are authoritative.
 		tbl, ref := r.s.tables[vn], r.s.refs[vn]
@@ -498,20 +483,20 @@ func (r *scenRun) auditProbesFor(eIdx int) []pipeline.Probe {
 			tbl = r.mgr.Tables()[vn]
 			ref = tbl.Reference()
 		}
-		stride := (tbl.Len() + auditProbeCap - 1) / auditProbeCap
-		if stride < 1 {
-			stride = 1
-		}
-		reqVN := 0
-		if r.scheme == core.VM {
-			reqVN = vn
-		}
+		stride := max(1, (tbl.Len()+auditProbeCap-1)/auditProbeCap)
 		for i := 0; i < tbl.Len(); i += stride {
 			addr := tbl.Routes[i].Prefix.Addr
 			probes = append(probes, pipeline.Probe{Addr: addr, VN: reqVN, Want: ref.Lookup(addr)})
 		}
 	}
-	return probes
+	res := pipeline.AuditImage(e.fs.img, probes)
+	level := obs.LevelInfo
+	if res.Mismatches > 0 {
+		level = obs.LevelError
+	}
+	r.s.tel.Events.Log(level, at, "invariant_audit",
+		append(keys, "probes", res.Probes, "faulted", res.Faulted, "mismatches", res.Mismatches)...)
+	return res
 }
 
 // chaosSliceStats folds the journal and watchdog state into the slice row:
@@ -525,8 +510,8 @@ func (r *scenRun) chaosSliceStats() (recoveries, degradedVNs int) {
 		st := j.Stats()
 		recoveries += st.Replays + st.Rollbacks
 	}
-	for vn := 0; vn < r.s.k; vn++ {
-		if r.wd.Degraded(r.engineOf(vn)) {
+	for vn, e := range r.home {
+		if r.wd.Degraded(e.idx) {
 			degradedVNs++
 			r.rep.Chaos.DegradedSlicesPerVN[vn]++
 		}

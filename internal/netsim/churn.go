@@ -116,7 +116,7 @@ func (scenChurn) Name() string { return "churn" }
 func (c scenChurn) Boundary(b int64, _ bool) error {
 	r := c.r
 	rep, tel := r.rep, r.s.tel
-	for _, e := range r.engines {
+	for _, e := range r.devs[0].engines {
 		if e.handle == nil || e.doneAt < 0 {
 			continue
 		}
@@ -124,7 +124,7 @@ func (c scenChurn) Boundary(b int64, _ bool) error {
 			return err
 		}
 	}
-	for _, e := range r.engines {
+	for _, e := range r.devs[0].engines {
 		if e.handle != nil {
 			return nil // one batch in flight at a time
 		}
@@ -137,12 +137,12 @@ func (c scenChurn) Boundary(b int64, _ bool) error {
 	if vn < 0 {
 		vn = r.started % r.s.k
 	}
-	target := r.engines[r.engineOf(vn)]
+	target := r.home[vn]
 	if target.fs.dead {
 		// The batch's engine is gone for good: abort rather than wait
 		// forever, so the run terminates.
 		rep.BatchesAborted++
-		tel.Events.Log(obs.LevelWarn, b, "update_abort", "vn", vn, "engine", r.engineOf(vn), "writes", 0)
+		tel.Events.Log(obs.LevelWarn, b, "update_abort", "vn", vn, "engine", target.idx, "writes", 0)
 		r.started++
 		return nil
 	}
@@ -157,14 +157,13 @@ func (c scenChurn) Boundary(b int64, _ bool) error {
 	if err != nil {
 		return err
 	}
-	e := r.engines[h.Engine()]
+	e := r.devs[0].engines[h.Engine()]
 	if err := e.sim.BeginUpdate(h.Image(), h.Bubbles()); err != nil {
 		h.Abort()
 		return err
 	}
 	e.handle = h
 	e.newRef = h.Table().Reference()
-	e.refVN = vn
 	e.doneAt = -1
 	e.batch = UpdateBatch{
 		VN:           vn,
@@ -188,7 +187,7 @@ func (c scenChurn) Outstanding() bool {
 	if r.started < r.spec.Churn.Batches {
 		return true
 	}
-	for _, e := range r.engines {
+	for _, e := range r.devs[0].engines {
 		if e.handle != nil {
 			return true
 		}

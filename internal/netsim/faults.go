@@ -84,21 +84,6 @@ type engState struct {
 
 func (e *engState) down() bool { return e.dead || e.killed || e.reloading }
 
-// rebuildEngine returns the scrubber's rebuild closure for engine e: the
-// image is recompiled from the authoritative tables through the same
-// deterministic compile the router's build used, so the rebuilt geometry
-// matches the original word for word (which keeps pre-drawn upset
-// coordinates valid).
-func (s *System) rebuildEngine(e int) func() (*pipeline.Image, error) {
-	cfg := s.router.Config()
-	return func() (*pipeline.Image, error) {
-		if cfg.Scheme == core.VM {
-			return core.CompileMerged(cfg, s.tables)
-		}
-		return core.CompileTable(cfg, s.tables[e])
-	}
-}
-
 // sweepStep advances the background readback sweep by words stage-memory
 // words, returning how many words it actually read (the clamp to the image
 // size is what the energy meter charges) and whether any word's stored
@@ -137,15 +122,24 @@ type scenFaults struct {
 
 func (scenFaults) Name() string { return "faults" }
 
-// rebuild returns the scrub rebuild closure for engine e: a fresh copy of
+// rebuild is the scrubber's rebuild closure for engine e: a fresh copy of
 // the control plane's image of its current (possibly churned) tables when
-// churn is active, a recompile of the router's original tables otherwise.
+// churn is active; otherwise a recompile of the router's original tables
+// through the same deterministic compile its build used, so the rebuilt
+// geometry matches the original word for word (which keeps pre-drawn upset
+// coordinates valid).
 func (f scenFaults) rebuild(e int) func() (*pipeline.Image, error) {
-	r := f.r
-	if r.mgr == nil {
-		return r.s.rebuildEngine(e)
+	s, mgr := f.r.s, f.r.mgr
+	cfg := s.router.Config()
+	return func() (*pipeline.Image, error) {
+		switch {
+		case mgr != nil:
+			return mgr.PinnedImage(e)
+		case cfg.Scheme == core.VM:
+			return core.CompileMerged(cfg, s.tables)
+		}
+		return core.CompileTable(cfg, s.tables[e])
 	}
-	return func() (*pipeline.Image, error) { return r.mgr.PinnedImage(e) }
 }
 
 func (f scenFaults) install(eIdx int, e *scenEng) {
@@ -180,8 +174,7 @@ func (f scenFaults) install(eIdx int, e *scenEng) {
 	fs.detectVia = ""
 	// The repaired engine is a fresh one over the clean image.
 	r.retire(e.sim)
-	e.sim = pipeline.NewBatchSim(fs.img)
-	e.sim.EnableParityCheck()
+	e.sim = newSim(fs.img)
 	r.chaosOnInstall(eIdx, e, at)
 }
 
@@ -221,8 +214,8 @@ func (f scenFaults) startScrub(eIdx int, e *scenEng, b int64) error {
 	fs.pending = res.Image
 	fs.repairAt = b + res.LatencyCycles
 	// The reload rewrites every diffed word: control-plane energy on the
-	// engine, attributed to its lowest served network.
-	r.meter.AddWords(eIdx, r.s.lowVN(eIdx), int64(res.Writes))
+	// engine, attributed to the lowest network it serves.
+	e.dev.meter.AddWords(eIdx, e.served[0], int64(res.Writes))
 	tel.Events.Log(obs.LevelInfo, b, "scrub_reload",
 		"engine", eIdx, "attempts", res.Attempts, "writes", res.Writes,
 		"latency_cycles", res.LatencyCycles, "ready_at", fs.repairAt)
@@ -233,7 +226,7 @@ func (f scenFaults) startScrub(eIdx int, e *scenEng, b int64) error {
 func (f scenFaults) Boundary(b int64, _ bool) error {
 	r := f.r
 	rep := r.rep
-	for eIdx, e := range r.engines {
+	for eIdx, e := range r.devs[0].engines {
 		fs := &e.fs
 		if fs.killed && rep.Kill != nil && rep.Kill.Engine == eIdx && rep.Kill.DetectedAt < 0 {
 			rep.Kill.DetectedAt = b
@@ -257,7 +250,7 @@ func (f scenFaults) PreSlice(b, n int64, draining bool) error {
 	r := f.r
 	rep, tel := r.rep, r.s.tel
 	if !draining {
-		for eIdx, e := range r.engines {
+		for eIdx, e := range r.devs[0].engines {
 			if r.in.KillDue(eIdx, b+n) {
 				e.fs.killed = true
 				rep.Kill = &KillRecord{Engine: eIdx, Cycle: r.spec.Kill.Cycle, DetectedAt: -1, RepairedAt: -1}
@@ -266,7 +259,7 @@ func (f scenFaults) PreSlice(b, n int64, draining bool) error {
 				r.flushExits(e)
 			}
 		}
-		for eIdx, e := range r.engines {
+		for eIdx, e := range r.devs[0].engines {
 			for _, u := range r.in.UpsetsThrough(eIdx, b+n) {
 				// In-flight lookups see the flipped word from the stage they
 				// have reached onward, as in hardware: the engine reads
@@ -279,12 +272,12 @@ func (f scenFaults) PreSlice(b, n int64, draining bool) error {
 			}
 		}
 	}
-	for eIdx, e := range r.engines {
+	for eIdx, e := range r.devs[0].engines {
 		if e.fs.down() {
 			continue
 		}
 		scanned, hit := e.fs.sweepStep(int(n))
-		r.meter.AddWords(eIdx, r.s.lowVN(eIdx), int64(scanned))
+		e.dev.meter.AddWords(eIdx, e.served[0], int64(scanned))
 		if hit && e.fs.detectVia == "" {
 			e.fs.detectVia = ViaSweep
 		}
@@ -293,7 +286,7 @@ func (f scenFaults) PreSlice(b, n int64, draining bool) error {
 }
 
 func (f scenFaults) Outstanding() bool {
-	for _, e := range f.r.engines {
+	for _, e := range f.r.devs[0].engines {
 		fs := &e.fs
 		if fs.reloading || fs.killed {
 			return true

@@ -6,8 +6,11 @@ package netsim
 // degrade per-network instead of failing the run.
 
 import (
+	"math"
 	"math/rand"
+	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -244,5 +247,83 @@ func TestFifoMatchesSliceAndStopsAllocating(t *testing.T) {
 		f.push(f.pop())
 	}); allocs != 0 {
 		t.Errorf("steady-state push/pop allocates %.1f times per cycle, want 0", allocs)
+	}
+}
+
+// TestSingleDeviceIsFleetOfOne: a spec and the same spec with fleet=1 are the
+// same run — same packets, delays, events, series and energy — and differ
+// only where the test says so. Each permitted difference is asserted, then
+// erased, and what is left must be equal to the byte.
+func TestSingleDeviceIsFleetOfOne(t *testing.T) {
+	for _, tc := range []struct {
+		scheme core.Scheme
+		k      int
+		spec   string
+	}{
+		{core.VS, 3, "load=const:0.8,cycles=8192,seed=3"},
+		{core.VS, 4, "load=surge:0.3:0.95,queue=8,cycles=8192,seed=3"},
+		{core.NV, 1, "load=const:0.8,cycles=8192,seed=3"},
+	} {
+		one, oneDumps := runScenario(t, tc.scheme, tc.k, mustParse(t, tc.spec), 1)
+		fl, flDumps := runScenario(t, tc.scheme, tc.k, mustParse(t, tc.spec+",fleet=1"), 1)
+		name := tc.scheme.String() + " " + tc.spec
+
+		// The fleet section and the stressor list.
+		if one.Fleet != nil || fl.Fleet == nil || len(fl.Fleet.PerDevice) != 1 {
+			t.Fatalf("%s: fleet sections %+v / %+v, want none / one device", name, one.Fleet, fl.Fleet)
+		}
+		if !slices.Equal(fl.Stressors, append(slices.Clone(one.Stressors), "fleet")) {
+			t.Errorf("%s: stressors %v vs %v, want the same plus fleet", name, one.Stressors, fl.Stressors)
+		}
+		// DESIGN §16 bend 1: the fleet's engine axis is the device axis.
+		var engineSum int64
+		for _, fj := range one.Energy.EngineDynFJ {
+			engineSum += fj
+		}
+		if got := fl.Energy.EngineDynFJ; len(got) != 1 || got[0] != engineSum || len(one.Energy.EngineDynFJ) != tc.k {
+			t.Errorf("%s: engine axes %v vs %v, want %d engines summing to the one device", name, one.Energy.EngineDynFJ, got, tc.k)
+		}
+		fl.Fleet, fl.Stressors, fl.Spec, fl.Energy.EngineDynFJ = nil, one.Stressors, one.Spec, one.Energy.EngineDynFJ
+		if a, b := dumpJSON(t, one), dumpJSON(t, fl); a != b {
+			t.Errorf("%s: reports differ beyond the fleet section, the stressor list and the engine axis:\n%s\n%s", name, a, b)
+		}
+
+		// The trace engine field carries the device id on a fleet run.
+		oneTraces := regexp.MustCompile(`"engine":\d+`).ReplaceAllString(oneDumps[0], `"engine":0`)
+		if oneDumps[0] == "" || strings.Contains(flDumps[0], `"engine":1`) || oneTraces != flDumps[0] {
+			t.Errorf("%s: trace dumps differ beyond the engine field (or are empty)", name)
+		}
+		// DESIGN §16 bend 2: the fleet's three per-slice energy columns read zero.
+		oneSeries, flSeries := strings.Split(oneDumps[1], "\n"), strings.Split(flDumps[1], "\n")
+		if len(oneSeries) != len(flSeries) || len(oneSeries) < 9 {
+			t.Fatalf("%s: %d vs %d series lines", name, len(oneSeries), len(flSeries))
+		}
+		header := strings.Split(oneSeries[0], ",")
+		dyn := slices.Index(header, "dyn_j")
+		if dyn < 0 || !slices.Equal(header[dyn:dyn+3], []string{"dyn_j", "static_j", "j_per_bit"}) || oneSeries[0] != flSeries[0] {
+			t.Fatalf("%s: series headers %q / %q", name, oneSeries[0], flSeries[0])
+		}
+		for i := 1; i < len(oneSeries) && oneSeries[i] != ""; i++ {
+			a, b := strings.Split(oneSeries[i], ","), strings.Split(flSeries[i], ",")
+			if slices.Equal(a[dyn:dyn+3], []string{"0", "0", "0"}) || !slices.Equal(b[dyn:dyn+3], []string{"0", "0", "0"}) {
+				t.Errorf("%s: slice %d energy columns %v vs %v, want metered vs zero", name, i, a[dyn:dyn+3], b[dyn:dyn+3])
+			}
+			copy(a[dyn:dyn+3], b[dyn:dyn+3])
+			// DESIGN §16 bend 3: the fleet's power column prices each of a
+			// device's engine slots at the device's mean utilisation, so it
+			// may leave the per-engine figure in the last digits.
+			pa, _ := strconv.ParseFloat(a[1], 64)
+			pb, _ := strconv.ParseFloat(b[1], 64)
+			if header[1] != "power_w" || pa <= 0 || math.Abs(pa-pb) > 1e-9*pa {
+				t.Errorf("%s: slice %d power %s vs %s W, want equal to nine digits", name, i, a[1], b[1])
+			}
+			a[1] = b[1]
+			if !slices.Equal(a, b) {
+				t.Errorf("%s: series row %d differs beyond the power and energy columns:\n%s\n%s", name, i, oneSeries[i], flSeries[i])
+			}
+		}
+		if oneDumps[2] != flDumps[2] {
+			t.Errorf("%s: event dumps differ:\n%s\n%s", name, oneDumps[2], flDumps[2])
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"vrpower/internal/core"
 	"vrpower/internal/governor"
+	"vrpower/internal/scenario"
 )
 
 // capBelowSteady picks a cap between the system's gated-idle power floor and
@@ -14,11 +15,11 @@ import (
 // dynamic span. Any frac < 1 therefore forces throttling under load u.
 func capBelowSteady(s *System, u, frac float64) float64 {
 	utils := make([]float64, len(s.router.Design().Engines))
-	floor := s.slicePower(utils)
+	floor := scenario.SlicePower(s.router.Design(), utils)
 	for i := range utils {
 		utils[i] = u
 	}
-	steady := s.slicePower(utils)
+	steady := scenario.SlicePower(s.router.Design(), utils)
 	return floor + (steady-floor)*frac
 }
 

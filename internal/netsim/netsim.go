@@ -6,11 +6,13 @@
 //
 // Two runners drive a router: Forward (and ForwardFrames) resolves a closed
 // batch of packets, and RunScenario runs a slice-quantized open loop in
-// which a shaped offered load, faults, update churn, control-plane chaos and
-// power caps act together — on one device, or on a fleet of them. Both are
-// configurations of the engine in internal/scenario, which owns the
+// which a shaped offered load, faults, update churn, control-plane chaos,
+// power caps and device failures act together, over a list of devices — the
+// system's own router as the one device, or the fleet a fleet= spec places.
+// Both are configurations of the engine in internal/scenario, which owns the
 // coordinator loop, telemetry threading and governor actuation; this package
-// supplies the kernels (how a slice's cycles execute) and the stressors.
+// supplies the two kernels (how a slice's cycles execute: the one-slice batch
+// kernel here, the slice runner in scenario.go) and the stressors.
 package netsim
 
 import (
@@ -54,11 +56,6 @@ type System struct {
 	// emodel is the per-event energy cost table derived from the router's
 	// power design; every run meters against it.
 	emodel *energy.Model
-	// merged marks the shared-engine scheme; served[e] lists the networks
-	// engine e serves, ascending — all K on the merged engine, network e on
-	// its own engine otherwise.
-	merged bool
-	served [][]int
 }
 
 // New wraps a built router. tables must be the same K tables the router was
@@ -79,50 +76,7 @@ func New(r *core.Router, tables []*rib.Table) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &System{router: r, refs: refs, tables: tables, k: k, tel: noTelemetry, emodel: em,
-		merged: r.Config().Scheme == core.VM, served: make([][]int, len(r.Images()))}
-	for vn := 0; vn < k; vn++ {
-		e := s.engineOf(vn)
-		s.served[e] = append(s.served[e], vn)
-	}
-	return s, nil
-}
-
-// engineOf maps a network to the engine serving it: the shared engine 0
-// under the merged scheme, the network's own engine otherwise.
-func (s *System) engineOf(vn int) int {
-	if s.merged {
-		return 0
-	}
-	return vn
-}
-
-// lowVN maps an engine to the lowest VNID it serves — where control-plane
-// energy on that engine (sweeps, reloads) is attributed.
-func (s *System) lowVN(e int) int { return s.served[e][0] }
-
-// reqVN is the VNID a lookup of network vn carries into its engine: the
-// merged engine tells its networks apart by it, a per-network engine holds
-// one table and the distributor strips it.
-func (s *System) reqVN(vn int) int {
-	if s.merged {
-		return vn
-	}
-	return 0
-}
-
-// nextQueued pops the next packet engine e serves: round-robin from *rr over
-// the ingress queues of the networks it serves, the first that is not empty.
-func (s *System) nextQueued(e int, rr *int, queues []fifo[queued]) (queued, bool) {
-	vns := s.served[e]
-	for i := range vns {
-		j := (*rr + i) % len(vns)
-		if q := &queues[vns[j]]; q.len() > 0 {
-			*rr = (j + 1) % len(vns)
-			return q.pop(), true
-		}
-	}
-	return queued{}, false
+	return &System{router: r, refs: refs, tables: tables, k: k, tel: noTelemetry, emodel: em}, nil
 }
 
 // meter builds a zeroed energy meter over this system's cost model.
@@ -132,17 +86,6 @@ func (s *System) meter() *energy.Meter { return energy.NewMeter(s.emodel, s.k) }
 // at the minimum packet size (the ThroughputGbps convention).
 func deliveredBits(packets int64) int64 {
 	return packets * fpga.MinPacketBytes * 8
-}
-
-// engine returns a scenario engine preconfigured with this system's plant
-// (design, fmax, K) and attached telemetry.
-func (s *System) engine() scenario.Engine {
-	return scenario.Engine{
-		K:       s.k,
-		Design:  s.router.Design(),
-		FmaxMHz: s.router.Fmax(),
-		Tel:     s.tel,
-	}
 }
 
 // Report summarises a forwarding run.
@@ -304,17 +247,10 @@ func (k *forwardKernel) RunSlice(_, _ int64, _ bool) (scenario.SliceStats, error
 // the reference tables.
 func (s *System) Forward(pkts []traffic.Packet) (Report, error) {
 	k := &forwardKernel{s: s, pkts: pkts, meter: s.meter()}
-	eng := s.engine()
 	// The whole batch is one slice; there is no slice clock, so no series.
-	eng.Cycles = int64(len(pkts))
-	if eng.Cycles == 0 {
-		eng.Cycles = 1
-	}
-	eng.SliceCycles = eng.Cycles
-	eng.Truncate = true
-	eng.NoSeries = true
-	eng.Kernel = k
-	eng.Energy = k.meter
+	n := max(1, int64(len(pkts)))
+	eng := scenario.Engine{K: s.k, Design: s.router.Design(), FmaxMHz: s.router.Fmax(), Tel: s.tel,
+		Cycles: n, SliceCycles: n, NoSeries: true, Kernel: k, Energy: k.meter}
 	if err := eng.Run(); err != nil {
 		return Report{}, err
 	}

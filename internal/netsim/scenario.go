@@ -1,24 +1,26 @@
 package netsim
 
-// This file is the slice-quantised runner of a single device, behind
-// cmd/lookupsim -scenario: one engine-driven run in which a shaped offered
-// load, SEU/kill fault injection, hitless update churn and a power cap all
-// act on the same router at the same time. Each adversity source is a
-// scenario.Stressor over shared run state (faults.go, churn.go, chaosrun.go)
-// — faults registered before churn, so a scrub decision at a boundary is
-// visible to the same boundary's arm decision — and the kernel is a
-// sequential per-cycle loop: per-network Bernoulli arrivals (probability
-// from the load shape; Assumption 1's equal shares) wait in bounded ingress
-// queues, each engine injects one packet per cycle into a persistent
+// This file is the one slice-quantised runner, behind cmd/lookupsim
+// -scenario: one engine-driven run over a list of devices — the system's own
+// router as the one device, or what fleet.Place makes of fleet= — in which a
+// shaped offered load, SEU/kill fault injection, hitless update churn, a
+// power cap and device failures all act at the same time. Each adversity
+// source is a scenario.Stressor over shared run state (faults.go, churn.go,
+// chaosrun.go, fleetrun.go) — faults registered before churn, so a scrub
+// decision at a boundary is visible to the same boundary's arm decision —
+// and the kernel is a sequential per-cycle loop: per-network Bernoulli
+// arrivals (Assumption 1's equal shares) wait in bounded ingress queues,
+// each engine in service injects one packet per cycle into a persistent
 // parity-checking engine, and every exit is checked against the reference
-// table of its injection epoch. Because arrivals share one generator stream
-// and all control decisions run on the coordinator, the whole composed run is
-// a pure function of its seeds — byte-identical at any -j.
+// table of its injection epoch. Arrivals share one generator stream and all
+// control decisions run on the coordinator, so the whole composed run is a
+// pure function of its seeds — byte-identical at any -j.
 //
 // Cross-stressor semantics (the interesting part):
 //
 //   - A down engine (killed, reloading, dead) blackholes its arrivals and
-//     flushes its in-flight lookups; its queued packets hold for recovery.
+//     flushes its in-flight lookups; its queued packets hold for recovery,
+//     as a homeless network's do until it lands on another device.
 //   - A scrub reload rebuilds from the control plane's current tables, so
 //     a repair that lands after a churn commit reloads the *churned*
 //     routes — repair and update compose instead of fighting.
@@ -38,10 +40,12 @@ import (
 	"vrpower/internal/ctrl"
 	"vrpower/internal/energy"
 	"vrpower/internal/faults"
+	"vrpower/internal/fleet"
 	"vrpower/internal/governor"
 	"vrpower/internal/ip"
 	"vrpower/internal/obs"
 	"vrpower/internal/pipeline"
+	"vrpower/internal/power"
 	"vrpower/internal/scenario"
 	"vrpower/internal/traffic"
 	"vrpower/internal/update"
@@ -212,23 +216,32 @@ func (r *ScenarioReport) AnalyticThroughputRetained() float64 {
 	return update.ThroughputRetained(int(r.PlannedBubbles), float64(r.EngineCycles)/1e6)
 }
 
-// scenEng is one engine's composed-run state: a persistent parity-checking
-// engine, the fault lifecycle over the serving image, the armed-update
-// lifecycle, and the in-flight FIFO.
+// scenEng is one engine's run state: a persistent parity-checking engine, the
+// networks it serves, the fault lifecycle over the serving image, the
+// armed-update lifecycle, and the in-flight FIFO.
 type scenEng struct {
-	sim *pipeline.BatchSim
+	// dev is the device the engine sits on, idx its index there (and in the
+	// device's power model, and the governor's name for it).
+	dev *device
+	idx int
+	// served lists the networks the engine serves: all the device's tenants
+	// on a merged engine, one otherwise. A lookup's request VNID is its
+	// network's index here.
+	served []int
+	sim    *pipeline.BatchSim
 	// fs is the fault lifecycle over the serving image (down/dead flags,
 	// sweep cursor, outstanding upsets, pending reload).
 	fs engState
 	// flights is the lookups pushed into sim and not settled yet, oldest first.
 	flights []inflight
-	// rrNext is the engine's round-robin pointer over its ingress queues.
-	rrNext int
+	// rrNext is the engine's round-robin pointer over its ingress queues;
+	// utilCur the (active, cycles) cursor of its slice utilisation.
+	rrNext  int
+	utilCur [2]int64
 	// Armed hitless update: the handle to commit, the post-update oracle to
-	// swap in at the commit bubble, and the report record under construction.
+	// swap in for batch.VN at the commit bubble, and the report record.
 	handle *ctrl.HitlessUpdate
 	newRef *ip.Table
-	refVN  int
 	batch  UpdateBatch
 	doneAt int64
 	// ch is the chaos stressor's per-engine state (journal token, dealt
@@ -236,15 +249,71 @@ type scenEng struct {
 	ch engChaos
 }
 
-// scenRun is the composed run's shared state: the kernel plus the state the
-// fault and churn stressors act on.
-type scenRun struct {
-	s      *System
-	spec   scenario.Spec
-	gen    *traffic.Generator
-	scheme core.Scheme
-
+// device is one simulated FPGA of a run: its router, the engines over the
+// router's images and the energy meter over its power model. Only the fleet
+// stressor (fleetrun.go) sets the fields below the gap.
+type device struct {
+	id      int
+	router  *core.Router
 	engines []*scenEng
+	meter   *energy.Meter
+	// slot0 and slots are the device's span in the engine Design the series'
+	// power column is priced over (scenRun.design).
+	slot0, slots int
+
+	jr      *ctrl.Journal
+	browned int64
+	install
+}
+
+// install is a device's install in flight (m nil: none): the migration, its
+// journal token, the router being written, when it lands, its size in words.
+type install struct {
+	m       *fleet.Migration
+	tok     *ctrl.OpToken
+	pending *core.Router
+	landAt  int64
+	writes  int
+	// blackout marks a whole-device reorganisation (a merge rebuild):
+	// arrivals drop and no engine serves until the install lands.
+	blackout bool
+}
+
+// scenRun is the one slice runner: the kernel over a list of devices plus
+// the state the stressors act on. A single device is the list of one.
+//
+// What a fleet run does differently from a run of the system's own router,
+// all of it decided by the spec and none of it by an option:
+//
+//   - How the device list is built. oneDevice serves clones of the system
+//     router's images as device 0, prices the series' power column over its
+//     design and sizes the drain bound by its largest engine image;
+//     placeFleet asks fleet.Place, serves the memoised per-network images as
+//     they are, prices a composite of the initial devices' designs and sizes
+//     the drain bound by all their images (a merge rebuild rewrites a whole
+//     tenant set).
+//   - Which stressors register. Faults, churn and control-plane chaos name
+//     one device's engines by index and scenario.Parse refuses them beside
+//     fleet=, which registers the fleet stressor. The governor attaches to
+//     the one device; a fleet's caps constrain its placement.
+//   - A refusal with no engine to name — the network homeless, or its device
+//     blacked out — writes no drop trace; a down engine's does (arrive).
+//   - A fleet's traces carry the device id in their engine field
+//     (traceEngine): the only difference between the trace dumps of a spec
+//     and of the same spec with fleet=1.
+//   - The three accounting bends of DESIGN §16, one site each: the energy
+//     report's engine axis is the device axis (retireMeter), the series'
+//     per-slice energy columns read zero (fleetStressor.PreSlice), the power
+//     column prices the initial devices at mean utilisation (measure).
+type scenRun struct {
+	s    *System
+	spec scenario.Spec
+	gen  *traffic.Generator
+
+	devs []*device
+	// home[vn] is the engine serving network vn; nil while it is homeless
+	// (its device crashed: mid-migration, or degraded).
+	home []*scenEng
 	// queues[vn] is network vn's bounded ingress queue; refs[vn] its
 	// current-epoch oracle (flipped by commit bubbles).
 	queues []fifo[queued]
@@ -263,202 +332,359 @@ type scenRun struct {
 	jrs []*ctrl.Journal
 	wd  *ctrl.Watchdog
 
-	rep   *ScenarioReport
-	gv    *scenario.GovRun
-	meter *energy.Meter
-	st    settler
+	// fl is the fleet stressor's state (fleetrun.go); nil without fleet=.
+	fl *fleetState
 
-	maxWords int
+	rep *ScenarioReport
+	gv  *scenario.GovRun
+	st  settler
+	// design is the plant the series' power column is priced over; perSlice
+	// the meter the scenario engine integrates slice by slice (nil: none);
+	// ledger the run's energy account, which device meters retire into.
+	design   power.SystemDesign
+	perSlice *energy.Meter
+	ledger   *energy.Meter
+	// reloadWords is the most words one reload writes: it sizes the drain.
+	reloadWords int
 
 	// Per-slice measurement scratch.
-	utilCur     [][2]int64
 	utils       []float64
 	upVN        []bool
 	reloadFlags []bool
 	dropVN      []*obs.Counter
 }
 
-func (r *scenRun) engineOf(vn int) int { return r.s.engineOf(vn) }
+// newSim returns a parity-checking engine over img — what every engine of a
+// run is: at set-up, after a scrub reload and after a migration lands.
+func newSim(img *pipeline.Image) *pipeline.BatchSim {
+	sim := pipeline.NewBatchSim(img)
+	sim.EnableParityCheck()
+	return sim
+}
+
+// newEngine gives dev one more engine, over img, serving the networks vns,
+// and points their arrivals at it.
+func (r *scenRun) newEngine(dev *device, img *pipeline.Image, vns []int) *scenEng {
+	e := &scenEng{dev: dev, idx: len(dev.engines), served: vns, sim: newSim(img),
+		flights: newFlights(img), fs: engState{img: img, repairAt: -1}, doneAt: -1}
+	dev.engines = append(dev.engines, e)
+	for _, vn := range vns {
+		r.home[vn] = e
+	}
+	return e
+}
+
+// setRouter makes rt the device's router, with fresh engines over images:
+// one engine for all of vns under the merged scheme, engine i for vns[i]
+// otherwise. The engines it replaces are retired.
+func (r *scenRun) setRouter(dev *device, rt *core.Router, images []*pipeline.Image, vns []int) {
+	for _, e := range dev.engines {
+		r.retire(e.sim)
+	}
+	dev.router, dev.engines = rt, nil
+	if rt.Config().Scheme == core.VM {
+		r.newEngine(dev, images[0], vns)
+		return
+	}
+	for i, img := range images {
+		r.newEngine(dev, img, vns[i:i+1])
+	}
+}
+
+// newDeviceMeter builds a fresh meter over the router's power model. The
+// cycle loop runs on the coordinator, so it can feed the per-lookup energy
+// histogram without touching any worker hot path.
+func (r *scenRun) newDeviceMeter(rt *core.Router) (*energy.Meter, error) {
+	em, err := energy.NewModel(rt.Design())
+	if err != nil {
+		return nil, err
+	}
+	mt := energy.NewMeter(em, r.s.k)
+	mt.ObserveHist = true
+	return mt, nil
+}
+
+// retireMeter folds a device's meter into the run's ledger and drops it:
+// when an install changes the device's power model, when the device crashes,
+// and at run end.
+func (r *scenRun) retireMeter(dev *device) {
+	mt := dev.meter
+	if mt == nil {
+		return
+	}
+	dev.meter = nil
+	if r.fl != nil {
+		// DESIGN §16 bend 1: a fleet's engines come and go with migrations
+		// while its devices are the stable identity, so the ledger's engine
+		// axis is the device axis: a device's dynamic energy lands in one
+		// slot, as its leakage does. The per-VNID and per-component splits
+		// fold as they are.
+		r.ledger.EngineDynFJ[dev.id] += mt.DynTotalFJ()
+		r.ledger.DeviceStaticFJ[dev.id] += mt.StaticTotalFJ()
+		mt.EngineDynFJ, mt.DeviceStaticFJ = nil, nil
+	}
+	r.ledger.Fold(mt)
+}
 
 // retire folds an engine's cumulative slot counters into the report; called
-// when the engine is replaced by a fresh one over a reloaded image and for
-// every engine at run end.
+// when the engine is replaced by a fresh one and for every engine at run end.
 func (r *scenRun) retire(sim *pipeline.BatchSim) {
 	st := sim.Stats()
 	r.rep.BubbleCycles += st.Bubbles
 	r.rep.EngineCycles += st.Cycles
 }
 
+// refuse drops n packets of network vn that nothing can serve: an arrival
+// with no engine up to take it, the contents of a lost pipeline or of a
+// parked network's queue.
+func (r *scenRun) refuse(vn int, n int64) {
+	r.rep.DroppedPerVN[vn] += n
+	r.dropVN[vn].Add(n)
+	obsFaultDrops.Add(n)
+}
+
 // flushExits drops an engine's in-flight lookups when it goes down: the
-// pipeline's contents are lost with the reload (or the corpse).
+// pipeline's contents are lost with the reload, the rebuild or the corpse.
 func (r *scenRun) flushExits(e *scenEng) {
 	for _, m := range e.flights {
-		r.rep.DroppedPerVN[m.vn]++
-		r.dropVN[m.vn].Inc()
-		obsFaultDrops.Inc()
+		r.refuse(int(m.vn), 1)
 	}
 	e.flights = e.flights[:0]
 }
 
+// traceEngine names engine eIdx of dev in flight traces: its index on the
+// one device; the device's id in a fleet, whose engines come and go.
+func (r *scenRun) traceEngine(dev *device, eIdx int) int {
+	if r.fl != nil {
+		return dev.id
+	}
+	return eIdx
+}
+
 // ---- kernel ---------------------------------------------------------------
 
-// Outstanding keeps the drain going while any live engine still has queued
-// or in-flight packets.
+// Outstanding keeps the drain going while any network not parked behind a
+// dead engine still has queued packets, or any engine in-flight lookups.
 func (r *scenRun) Outstanding() bool {
 	for vn := range r.queues {
-		if r.queues[vn].len() > 0 && !r.engines[r.engineOf(vn)].fs.dead {
+		if e := r.home[vn]; r.queues[vn].len() > 0 && (e == nil || !e.fs.dead) {
 			return true
 		}
 	}
-	for _, e := range r.engines {
-		if len(e.flights) > 0 {
-			return true
+	for _, dev := range r.devs {
+		for _, e := range dev.engines {
+			if len(e.flights) > 0 {
+				return true
+			}
 		}
 	}
 	return false
 }
 
-// RunSlice executes cycles [b, b+n): shaped Bernoulli arrivals into the
-// ingress queues (live slices only), then one service step per engine per
-// cycle — bubbles first, queued lookups second — all sequentially on the
-// coordinator; the exits are settled every pipeline.DrainWindow cycles and
-// at the slice's end.
+// nextQueued pops the next packet engine e serves — round-robin over the
+// ingress queues of its networks, the first that is not empty — with its
+// network's index in e.served: the request VNID, taken here and not at
+// enqueue because a network that migrated has changed serving index.
+func (r *scenRun) nextQueued(e *scenEng) (queued, int, bool) {
+	vns := e.served
+	for i := range vns {
+		j := (e.rrNext + i) % len(vns)
+		if q := &r.queues[vns[j]]; q.len() > 0 {
+			e.rrNext = (j + 1) % len(vns)
+			return q.pop(), j, true
+		}
+	}
+	return queued{}, 0, false
+}
+
+// arrive offers cycle cyc's packets: one Bernoulli draw per network at the
+// load shape's probability, then admission, a serving engine that is up and
+// room in the ingress queue — only an arrival that passes all three draws
+// its address.
+func (r *scenRun) arrive(cyc int64) {
+	gen, gv, rep := r.gen, r.gv, r.rep
+	p := r.spec.Load.At(cyc, r.spec.Cycles)
+	for vn := range r.queues {
+		if !gen.Bernoulli(p) {
+			continue
+		}
+		rep.OfferedPerVN[vn]++
+		e := r.home[vn]
+		switch {
+		case e == nil || e.dev.blackout:
+			// Homeless, or its device mid-merge-rebuild: drop, never
+			// misforward. There is no engine to name in a drop trace.
+			r.refuse(vn, 1)
+		case gv != nil && gv.AdmitArrival(vn, e.idx):
+			rep.DroppedPerVN[vn]++
+		case e.fs.down():
+			r.refuse(vn, 1)
+			// Seq is worker-independent: cycle-major, network-minor. The
+			// arrival is refused before it has an address: drawing one would
+			// make a traced run consume the generator unlike a bare one.
+			if tel := r.s.tel; tel.Tracing() {
+				if seq := r.st.seq(cyc, int32(vn)); tel.Sampler.Sample(vn, seq) {
+					r.st.held = append(r.st.held, heldTrace{cyc, -1,
+						scenario.DropTrace(seq, vn, r.traceEngine(e.dev, e.idx), cyc)})
+				}
+			}
+		case r.queues[vn].len() >= r.spec.Queue:
+			rep.DroppedPerVN[vn]++
+		default:
+			r.queues[vn].push(queued{arrival: cyc, addr: gen.NextFor(vn).Addr, vn: int32(vn)})
+		}
+	}
+	rep.BacklogPeak = max(rep.BacklogPeak, r.backlog())
+}
+
+// backlog is the packets waiting in the ingress queues.
+func (r *scenRun) backlog() (n int) {
+	for vn := range r.queues {
+		n += r.queues[vn].len()
+	}
+	return n
+}
+
+// serve gives every engine in service its input slot of cycle cyc: a write
+// bubble takes it first, then the engine's queues round-robin. A dark or
+// blacked-out device has no slots; a browned-out one sits the cycle out.
+func (r *scenRun) serve(cyc int64) error {
+	gv := r.gv
+	for _, dev := range r.devs {
+		if len(dev.engines) == 0 || dev.blackout {
+			continue
+		}
+		if r.fl != nil && r.fl.inj.BrownedOut(dev.id, cyc) {
+			dev.browned++
+			continue
+		}
+		for eIdx, e := range dev.engines {
+			if e.fs.down() {
+				continue
+			}
+			if gv != nil && !gv.EngineServes(eIdx) {
+				continue
+			}
+			bubble := e.sim.PendingBubbles() > 0 && !e.ch.crashed
+			if bubble && e.ch.crashAtBubble >= 0 && e.sim.PendingBubbles() <= e.ch.crashAtBubble {
+				// The updater dies before its commit bubble: shadow writes stop,
+				// the old bank keeps serving, and the watchdog rolls the torn
+				// commit back at a boundary.
+				r.chaosCrash(eIdx, e, cyc)
+				bubble = false
+			}
+			if bubble {
+				if e.sim.PendingBubbles() == 1 {
+					// Commit bubble: the oracle flips with the shadow bank.
+					r.refs[e.batch.VN] = e.newRef
+				}
+				if err := e.sim.InjectBubble(cyc); err != nil {
+					return err
+				}
+				dev.meter.Bubble(eIdx, e.batch.VN)
+			} else if q, j, ok := r.nextQueued(e); ok {
+				e.flights = append(e.flights, inflight{arrival: q.arrival, ref: r.refs[q.vn], vn: q.vn})
+				e.sim.Inject(pipeline.Request{Addr: q.addr, VN: j, Trace: r.st.traced(q)}, cyc)
+			} else {
+				e.sim.Idle(cyc)
+			}
+			if e.handle != nil && e.doneAt < 0 && !e.sim.Updating() {
+				e.doneAt = cyc
+			}
+		}
+	}
+	return nil
+}
+
+// RunSlice executes cycles [b, b+n): shaped arrivals into the ingress queues
+// (live slices only), then one service step per engine per cycle, all on the
+// coordinator; the exits are settled every pipeline.DrainWindow cycles and at
+// the slice's end, in serve order — device by device, engine by engine.
 func (r *scenRun) RunSlice(b, n int64, live bool) (scenario.SliceStats, error) {
-	s, gen, gv, rep := r.s, r.gen, r.gv, r.rep
-	tel := s.tel
-	tracing := tel.Tracing()
 	before := r.st.total
 	for c := b; c < b+n; c += pipeline.DrainWindow {
 		for cyc, end := c, min(c+pipeline.DrainWindow, b+n); cyc < end; cyc++ {
 			if live {
-				p := r.spec.Load.At(cyc, r.spec.Cycles)
-				for vn := 0; vn < s.k; vn++ {
-					if !gen.Bernoulli(p) {
-						continue
-					}
-					rep.OfferedPerVN[vn]++
-					eIdx := r.engineOf(vn)
-					if gv != nil && gv.AdmitArrival(vn, eIdx) {
-						rep.DroppedPerVN[vn]++
-						continue
-					}
-					if r.engines[eIdx].fs.down() {
-						rep.DroppedPerVN[vn]++
-						r.dropVN[vn].Inc()
-						obsFaultDrops.Inc()
-						// Seq is worker-independent: cycle-major, network-minor. The
-						// arrival is refused before it has an address: drawing one
-						// here would make a traced run consume the generator
-						// differently from a bare one.
-						if seq := r.st.seq(cyc, int32(vn)); tracing && tel.Sampler.Sample(vn, seq) {
-							r.st.held = append(r.st.held, heldTrace{cyc, -1,
-								scenario.DropTrace(seq, vn, eIdx, cyc)})
-						}
-						continue
-					}
-					if r.queues[vn].len() >= r.spec.Queue {
-						rep.DroppedPerVN[vn]++
-						continue
-					}
-					r.queues[vn].push(queued{arrival: cyc, addr: gen.NextFor(vn).Addr, vn: int32(vn)})
-				}
-				backlog := 0
-				for vn := range r.queues {
-					backlog += r.queues[vn].len()
-				}
-				if backlog > rep.BacklogPeak {
-					rep.BacklogPeak = backlog
-				}
+				r.arrive(cyc)
 			}
-			// Service: one input slot per engine per cycle; write bubbles take
-			// the slot first, then the engine's queues round-robin.
-			for eIdx, e := range r.engines {
-				if e.fs.down() {
-					continue
-				}
-				if gv != nil && !gv.EngineServes(eIdx) {
-					continue
-				}
-				bubble := e.sim.PendingBubbles() > 0 && !e.ch.crashed
-				if bubble && e.ch.crashAtBubble >= 0 && e.sim.PendingBubbles() <= e.ch.crashAtBubble {
-					// The updater dies before its commit bubble: shadow
-					// writes stop, the old bank keeps serving, and the
-					// watchdog rolls the torn commit back at a boundary.
-					r.chaosCrash(eIdx, e, cyc)
-					bubble = false
-				}
-				if bubble {
-					if e.sim.PendingBubbles() == 1 {
-						// Commit bubble: the oracle flips with the shadow bank.
-						r.refs[e.refVN] = e.newRef
-					}
-					if err := e.sim.InjectBubble(cyc); err != nil {
-						return scenario.SliceStats{}, err
-					}
-					r.meter.Bubble(eIdx, e.batch.VN)
-				} else if q, ok := s.nextQueued(eIdx, &e.rrNext, r.queues); ok {
-					e.flights = append(e.flights, inflight{arrival: q.arrival, ref: r.refs[q.vn], vn: q.vn})
-					e.sim.Inject(pipeline.Request{Addr: q.addr, VN: s.reqVN(int(q.vn)), Trace: r.st.traced(q)}, cyc)
-				} else {
-					e.sim.Idle(cyc)
-				}
-				if e.handle != nil && e.doneAt < 0 && !e.sim.Updating() {
-					e.doneAt = cyc
-				}
+			if err := r.serve(cyc); err != nil {
+				return scenario.SliceStats{}, err
 			}
 		}
-		for eIdx, e := range r.engines {
-			if n := r.st.settle(e.sim, &e.flights, r.meter, eIdx, eIdx, eIdx); n > 0 {
-				obsFaultDrops.Add(n)
-				if e.fs.detectVia == "" {
-					e.fs.detectVia = ViaAccess
+		for d, dev := range r.devs {
+			for eIdx, e := range dev.engines {
+				if n := r.st.settle(e.sim, &e.flights, dev.meter, eIdx, r.traceEngine(dev, eIdx), d<<16|eIdx); n > 0 {
+					obsFaultDrops.Add(n)
+					if e.fs.detectVia == "" {
+						e.fs.detectVia = ViaAccess
+					}
 				}
 			}
 		}
 		r.st.putTraces()
 	}
-	// Slice measurement for the telemetry row and the governor's sample.
-	backlog, updating, downEngines := 0, 0, 0
-	for vn := range r.queues {
-		backlog += r.queues[vn].len()
-	}
-	for eIdx, e := range r.engines {
-		r.utils[eIdx], r.utilCur[eIdx][0], r.utilCur[eIdx][1] =
-			scenario.UtilDelta(e.sim.Stats(), r.utilCur[eIdx][0], r.utilCur[eIdx][1])
-		if e.handle != nil {
-			updating++
+	st := r.measure(n, live)
+	st.Delivered = r.st.total - before
+	return st, nil
+}
+
+// measure takes the slice's measurements for the telemetry row and the
+// governor's sample.
+func (r *scenRun) measure(n int64, live bool) scenario.SliceStats {
+	updating, downEngines := 0, 0
+	clear(r.utils)
+	for _, dev := range r.devs {
+		if dev.slots == 0 || len(dev.engines) == 0 {
+			continue
 		}
-		if e.fs.down() {
-			downEngines++
+		var sum float64
+		for eIdx, e := range dev.engines {
+			var u float64
+			u, e.utilCur[0], e.utilCur[1] = scenario.UtilDelta(e.sim.Stats(), e.utilCur[0], e.utilCur[1])
+			sum += u
+			if e.handle != nil {
+				updating++
+			}
+			if e.fs.down() {
+				downEngines++
+			}
+			if r.fl == nil {
+				r.utils[dev.slot0+eIdx], r.reloadFlags[dev.slot0+eIdx] = u, e.fs.reloading
+			}
 		}
-		r.reloadFlags[eIdx] = e.fs.reloading
+		if r.fl != nil {
+			// DESIGN §16 bend 3: a fleet's power column is priced over the
+			// engine slots of the initial placement, each at its device's mean
+			// utilisation (migrations change a device's engines, not its
+			// slots): a crashed device's slots read zero but stay in the
+			// static floor, a woken spare has none.
+			for i := 0; i < dev.slots; i++ {
+				r.utils[dev.slot0+i] = sum / float64(len(dev.engines))
+			}
+		}
 	}
-	for vn := 0; vn < s.k; vn++ {
-		down := r.engines[r.engineOf(vn)].fs.down()
-		r.upVN[vn] = !down
-		if down && live {
-			rep.UnavailableCyclesPerVN[vn] += n
+	for vn, e := range r.home {
+		up := e != nil && !e.dev.blackout && !e.fs.down()
+		r.upVN[vn] = up
+		if !up && live {
+			r.rep.UnavailableCyclesPerVN[vn] += n
 		}
 	}
 	recoveries, degradedVNs := r.chaosSliceStats()
+	installs, migrating, landed, parked := r.fleetSliceStats()
 	return scenario.SliceStats{
-		Util: r.utils, Delivered: r.st.total - before, Backlog: backlog,
-		Scrubs: downEngines, Updates: updating,
-		Recoveries: recoveries, DegradedVNs: degradedVNs,
+		Util: r.utils, Backlog: r.backlog(),
+		Scrubs: downEngines + installs, Updates: updating + migrating,
+		Recoveries: recoveries + landed, DegradedVNs: degradedVNs + parked,
 		Avail: r.upVN, Reloading: r.reloadFlags,
-	}, nil
+	}
 }
 
 // RunScenario runs one composed scenario: the spec's load shape, fault
-// schedule, update churn and power caps acting together on this system.
-// The report is a pure function of the spec and the generator's seed —
-// byte-identical at any -j.
+// schedule, update churn, fleet and power caps acting together on this
+// system. The report is a pure function of the spec and the generator's
+// seed — byte-identical at any -j.
 func (s *System) RunScenario(gen *traffic.Generator, spec scenario.Spec) (ScenarioReport, error) {
-	if spec.Fleet != nil {
-		// Fleet runs re-place the networks over their own per-device
-		// routers; the single-router path does not apply.
-		return s.runFleetScenario(gen, spec)
-	}
 	r, err := s.runScenario(gen, spec)
 	if err != nil {
 		return ScenarioReport{}, err
@@ -466,46 +692,22 @@ func (s *System) RunScenario(gen *traffic.Generator, spec scenario.Spec) (Scenar
 	return *r.rep, nil
 }
 
-// runScenario is RunScenario on one router; it returns the finished run, its
-// report filled in, so tests can look at the state it ended in.
-func (s *System) runScenario(gen *traffic.Generator, spec scenario.Spec) (*scenRun, error) {
-	scheme := s.router.Config().Scheme
-	if spec.Churn != nil && spec.Churn.TargetVN >= s.k {
-		return nil, fmt.Errorf("netsim: churn target network %d outside [0,%d)", spec.Churn.TargetVN, s.k)
-	}
-	if spec.Kill != nil && spec.Kill.Engine >= len(s.router.Images()) {
-		return nil, fmt.Errorf("netsim: kill engine %d with %d engines", spec.Kill.Engine, len(s.router.Images()))
-	}
-
-	r := &scenRun{s: s, spec: spec, gen: gen, scheme: scheme, meter: s.meter()}
-	// The cycle loop runs on the coordinator, so the run meter can feed the
-	// per-lookup energy histogram without touching any worker hot path.
-	r.meter.ObserveHist = true
-	rep := &ScenarioReport{
-		Spec:                   spec.Raw,
-		Stressors:              spec.Stressors(),
-		Scheme:                 scheme,
-		K:                      s.k,
-		SliceCycles:            spec.Slice,
-		OfferedPerVN:           make([]int64, s.k),
-		DeliveredPerVN:         make([]int64, s.k),
-		DroppedPerVN:           make([]int64, s.k),
-		UnavailableCyclesPerVN: make([]int64, s.k),
-	}
-	r.rep = rep
-
-	// The serving images: clones of the control plane's pinned compilation
-	// when churn is active (successive recompilations diff word-for-word),
-	// clones of the router's build images otherwise.
+// oneDevice is the identity placement: the system's own router is device 0
+// and serves every network, over clones of the control plane's pinned
+// compilation when churn is active (successive recompilations diff word for
+// word), of the router's build images otherwise; the governor, if the spec
+// or the system names a cap, attaches to the device.
+func (r *scenRun) oneDevice() error {
+	s, spec := r.s, r.spec
 	var images []*pipeline.Image
 	if spec.Churn != nil {
 		mgr, err := ctrl.New(s.router.Config(), s.tables)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		mgr.SetEventLog(s.tel.Events)
 		if images, err = mgr.PinnedImages(); err != nil {
-			return nil, err
+			return err
 		}
 		r.mgr = mgr
 	} else {
@@ -513,12 +715,79 @@ func (s *System) runScenario(gen *traffic.Generator, spec scenario.Spec) (*scenR
 			images = append(images, img.Clone())
 		}
 	}
+	dev := &device{slots: len(images)}
+	vns := make([]int, s.k)
+	for vn := range vns {
+		vns[vn] = vn
+	}
+	r.setRouter(dev, s.router, images, vns)
+	dev.meter = s.meter()
+	dev.meter.ObserveHist = true // see newDeviceMeter
+	r.devs = []*device{dev}
+	r.design, r.perSlice, r.ledger = s.router.Design(), dev.meter, s.meter()
+	for _, img := range images {
+		r.reloadWords = max(r.reloadWords, img.Words())
+	}
 
+	gcfg := s.gov
+	if spec.CapW > 0 || spec.DeviceCapW > 0 {
+		gcfg = &governor.Config{CapWatts: spec.CapW, DeviceCapWatts: spec.DeviceCapW}
+	}
+	var err error
+	r.gv, err = scenario.NewGovRun(gcfg, s.plant(), len(images), s.k, s.tel.Events)
+	return err
+}
+
+// runScenario is RunScenario returning the finished run, its report filled
+// in, so tests can look at the state it ended in.
+func (s *System) runScenario(gen *traffic.Generator, spec scenario.Spec) (*scenRun, error) {
+	if spec.Churn != nil && spec.Churn.TargetVN >= s.k {
+		return nil, fmt.Errorf("netsim: churn target network %d outside [0,%d)", spec.Churn.TargetVN, s.k)
+	}
+	if spec.Kill != nil && spec.Kill.Engine >= len(s.router.Images()) {
+		return nil, fmt.Errorf("netsim: kill engine %d with %d engines", spec.Kill.Engine, len(s.router.Images()))
+	}
+
+	rep := &ScenarioReport{
+		Spec:                   spec.Raw,
+		Stressors:              spec.Stressors(),
+		Scheme:                 s.router.Config().Scheme,
+		K:                      s.k,
+		SliceCycles:            spec.Slice,
+		OfferedPerVN:           make([]int64, s.k),
+		DeliveredPerVN:         make([]int64, s.k),
+		DroppedPerVN:           make([]int64, s.k),
+		UnavailableCyclesPerVN: make([]int64, s.k),
+	}
+	r := &scenRun{s: s, spec: spec, gen: gen, rep: rep,
+		home: make([]*scenEng, s.k), queues: make([]fifo[queued], s.k),
+		refs: append([]*ip.Table(nil), s.refs...), dropVN: make([]*obs.Counter, s.k)}
+	for vn := range r.dropVN {
+		r.dropVN[vn] = obs.NewCounter(fmt.Sprintf("netsim.fault_drops.vn%02d", vn))
+	}
+	r.st = settler{tel: s.tel, seqStride: int64(s.k), delivered: rep.DeliveredPerVN, dropped: rep.DroppedPerVN, dropVN: r.dropVN}
+
+	var err error
+	if spec.Fleet == nil {
+		err = r.oneDevice()
+	} else {
+		err = r.placeFleet()
+	}
+	if err != nil {
+		return nil, err
+	}
+	r.utils = make([]float64, len(r.design.Engines))
+	r.reloadFlags = make([]bool, len(r.design.Engines))
+	r.upVN = make([]bool, s.k)
+
+	// Each stressor adds the drain slices its own work can need.
+	reload := 4 * (r.reloadWords/int(spec.Slice) + 1)
+	maxDrain := 16 + reload
 	var stressors []scenario.Stressor
-	if spec.Chaos != nil {
+	if spec.Chaos != nil && spec.Chaos.CtrlTotal() > 0 {
 		// Chaos registers FIRST: its boundary repairs torn reloads and rolls
 		// crashed commits back before faults would install or churn commit.
-		ci, err := faults.NewCtrlInjector(faults.CtrlConfig{
+		r.ci, err = faults.NewCtrlInjector(faults.CtrlConfig{
 			Seed:           spec.Seed,
 			Stalls:         spec.Chaos.Stalls,
 			Torn:           spec.Chaos.Torn,
@@ -528,20 +797,22 @@ func (s *System) runScenario(gen *traffic.Generator, spec scenario.Spec) (*scenR
 		if err != nil {
 			return nil, err
 		}
-		wd, err := ctrl.NewWatchdog(ctrl.WatchdogPolicy{
+		r.wd, err = ctrl.NewWatchdog(ctrl.WatchdogPolicy{
 			Backoff: ctrl.Backoff{Base: 256, Seed: spec.Seed},
 		}, spec.Slice, s.tel.Events)
 		if err != nil {
 			return nil, err
 		}
-		r.ci, r.wd = ci, wd
-		r.jrs = make([]*ctrl.Journal, len(images))
+		r.jrs = make([]*ctrl.Journal, len(r.devs[0].engines))
 		for i := range r.jrs {
 			r.jrs[i] = ctrl.NewJournal()
 			r.jrs[i].SetEventLog(s.tel.Events)
 		}
 		rep.Chaos = &ChaosReport{DegradedSlicesPerVN: make([]int64, s.k)}
 		stressors = append(stressors, scenChaos{r: r})
+		// Each stall/torn replays up to a full reload latency under watchdog
+		// grace; each crash waits out a deadline before its batch re-arms.
+		maxDrain += spec.Chaos.CtrlTotal() * (reload + 12)
 	}
 	if spec.SEURate > 0 || spec.Kill != nil {
 		fc := faults.Config{Seed: spec.Seed, SEURate: spec.SEURate}
@@ -550,72 +821,31 @@ func (s *System) runScenario(gen *traffic.Generator, spec scenario.Spec) (*scenR
 			fc.KillEngine = spec.Kill.Engine
 			fc.KillCycle = spec.Kill.Cycle
 		}
-		in, err := faults.NewInjector(fc, images)
-		if err != nil {
+		images := make([]*pipeline.Image, len(r.devs[0].engines))
+		for i, e := range r.devs[0].engines {
+			images[i] = e.fs.img
+		}
+		if r.in, err = faults.NewInjector(fc, images); err != nil {
 			return nil, err
 		}
-		scrubber, err := ctrl.NewScrubber(ctrl.ScrubPolicy{}, in)
-		if err != nil {
+		if r.scrubber, err = ctrl.NewScrubber(ctrl.ScrubPolicy{}, r.in); err != nil {
 			return nil, err
 		}
-		scrubber.SetEventLog(s.tel.Events)
-		r.in = in
-		r.scrubber = scrubber
+		r.scrubber.SetEventLog(s.tel.Events)
 		stressors = append(stressors, scenFaults{r: r})
 	}
 	if spec.Churn != nil {
 		stressors = append(stressors, scenChurn{r: r})
-	}
-
-	gcfg := s.gov
-	if spec.CapW > 0 || spec.DeviceCapW > 0 {
-		gcfg = &governor.Config{CapWatts: spec.CapW, DeviceCapWatts: spec.DeviceCapW}
-	}
-	gv, err := scenario.NewGovRun(gcfg, s.plant(), len(images), s.k, s.tel.Events)
-	if err != nil {
-		return nil, err
-	}
-	r.gv = gv
-
-	r.engines = make([]*scenEng, len(images))
-	for e := range images {
-		sim := pipeline.NewBatchSim(images[e])
-		sim.EnableParityCheck()
-		r.engines[e] = &scenEng{sim: sim, flights: newFlights(images[e]), fs: engState{img: images[e], repairAt: -1}, doneAt: -1}
-		if w := images[e].Words(); w > r.maxWords {
-			r.maxWords = w
-		}
-	}
-	r.queues = make([]fifo[queued], s.k)
-	r.refs = make([]*ip.Table, s.k)
-	r.dropVN = make([]*obs.Counter, s.k)
-	for vn := 0; vn < s.k; vn++ {
-		r.refs[vn] = s.tables[vn].Reference()
-		r.dropVN[vn] = obs.NewCounter(fmt.Sprintf("netsim.fault_drops.vn%02d", vn))
-	}
-	r.st = settler{tel: s.tel, seqStride: int64(s.k), delivered: rep.DeliveredPerVN, dropped: rep.DroppedPerVN, dropVN: r.dropVN}
-	r.utilCur = make([][2]int64, len(images))
-	r.utils = make([]float64, len(images))
-	r.upVN = make([]bool, s.k)
-	r.reloadFlags = make([]bool, len(images))
-
-	maxDrain := 16 + 4*(r.maxWords/int(spec.Slice)+1)
-	if spec.Churn != nil {
 		maxDrain += 8 * spec.Churn.Batches
 	}
-	if spec.Chaos != nil {
-		// Each stall/torn replays up to a full reload latency under watchdog
-		// grace; each crash waits out a deadline before its batch re-arms.
-		maxDrain += spec.Chaos.Total() * (4*(r.maxWords/int(spec.Slice)+1) + 12)
+	if r.fl != nil {
+		stressors = append(stressors, fleetStressor{r: r})
+		maxDrain += r.fleetDrainSlices()
 	}
-	eng := s.engine()
-	eng.Cycles = spec.Cycles
-	eng.SliceCycles = spec.Slice
-	eng.MaxDrainSlices = maxDrain
-	eng.Gov = gv
-	eng.Stressors = stressors
-	eng.Kernel = r
-	eng.Energy = r.meter
+
+	eng := scenario.Engine{K: s.k, Design: r.design, FmaxMHz: s.router.Fmax(), Tel: s.tel,
+		Cycles: spec.Cycles, SliceCycles: spec.Slice, MaxDrainSlices: maxDrain,
+		Gov: r.gv, Energy: r.perSlice, Stressors: stressors, Kernel: r}
 	if err := eng.Run(); err != nil {
 		return nil, err
 	}
@@ -625,11 +855,14 @@ func (s *System) runScenario(gen *traffic.Generator, spec scenario.Spec) (*scenR
 	rep.MeanDelayCycles = r.st.meanDelay()
 	rep.NoRoute, rep.Mismatches, rep.FaultedLookups = r.st.noRoute, r.st.mismatches, r.st.faulted
 	rep.Recovered = true
-	for _, e := range r.engines {
-		if e.fs.down() || len(e.fs.outstanding) > 0 {
-			rep.Recovered = false
+	for _, dev := range r.devs {
+		for _, e := range dev.engines {
+			if e.fs.down() || len(e.fs.outstanding) > 0 {
+				rep.Recovered = false
+			}
+			r.retire(e.sim)
 		}
-		r.retire(e.sim)
+		r.retireMeter(dev)
 	}
 	rep.Completed = !r.Outstanding()
 	for _, st := range stressors {
@@ -637,16 +870,19 @@ func (s *System) runScenario(gen *traffic.Generator, spec scenario.Spec) (*scenR
 			rep.Completed = false
 		}
 	}
-	if gv != nil {
-		rep.Governor = gv.Report()
+	if r.gv != nil {
+		rep.Governor = r.gv.Report()
 	}
-	er, err := r.meter.Report(deliveredBits(r.st.total))
+	er, err := r.ledger.Report(deliveredBits(r.st.total))
 	if err != nil {
 		return nil, err
 	}
 	rep.Energy = er
 	er.Publish()
 	r.chaosFinalize()
+	if err := r.fleetFinalize(); err != nil {
+		return nil, err
+	}
 	obsPacketsResolved.Add(r.st.total)
 	obsLoadCycles.Add(rep.TrafficCycles)
 	return r, nil

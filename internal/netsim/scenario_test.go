@@ -6,10 +6,12 @@ package netsim
 // cannot run on the system.
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"vrpower/internal/core"
+	"vrpower/internal/ctrl"
 	"vrpower/internal/scenario"
 	"vrpower/internal/sweep"
 )
@@ -195,6 +197,11 @@ func TestScenarioInvalidOnSystem(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("RunScenario(%q) = %v, want substring %q", c.spec, err, c.want)
 		}
+	}
+	// A fleet no placement satisfies fails at set-up, with the capacity error.
+	vs3, _ := buildSystem(t, core.VS, 3)
+	if _, err := vs3.RunScenario(faultGen(t, vs3, 1), mustParse(t, "load=const:0.8,fleet=1,power-cap-device=0.5")); !errors.Is(err, ctrl.ErrNoCapacity) {
+		t.Errorf("RunScenario over an unplaceable fleet = %v, want ctrl.ErrNoCapacity", err)
 	}
 	// Churn on the non-virtualized scheme has no runtime update path.
 	nv, _ := buildSystem(t, core.NV, 2)

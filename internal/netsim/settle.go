@@ -1,7 +1,7 @@
 package netsim
 
-// This file is what the slice runners share of a lookup's life outside the
-// engine. Nothing a runner schedules — arrivals, queue pops, write bubbles,
+// This file is a lookup's life outside the engine in the slice runner.
+// Nothing the runner schedules — arrivals, queue pops, write bubbles,
 // governor pacing — depends on what a lookup resolves to, so a serve loop's
 // cycle only schedules: it pops a queued packet, remembers it in the engine's
 // in-flight list and pushes it into the engine, which hands nothing back. The
@@ -35,7 +35,7 @@ type queued struct {
 type inflight struct {
 	arrival int64
 	// ref is the reference table of the injection epoch, which the exit is
-	// checked against; nil leaves it unchecked.
+	// checked against.
 	ref *ip.Table
 	vn  int32
 }
@@ -56,16 +56,15 @@ type heldTrace struct {
 	ft    *obs.FlightTrace
 }
 
-// settler settles exits for one run (the update runner: for one engine, on
-// that engine's worker) and carries the tallies every report is built from.
+// settler settles exits for one run and carries the tallies its report is
+// built from.
 type settler struct {
 	tel *Telemetry
-	// seqStride turns an arrival cycle into the trace seq arrival*seqStride+vn
-	// (K, where every network can offer a packet each cycle); zero where one
-	// packet arrives per cycle and the arrival cycle is the seq.
+	// seqStride turns an arrival cycle into the trace seq arrival*seqStride+vn:
+	// K, as every network can offer a packet each cycle.
 	seqStride int64
 	// delivered and dropped are the report's per-network counts; a parity-
-	// refused lookup is a drop (dropped and dropVN may be nil: not reported).
+	// refused lookup is a drop.
 	delivered, dropped []int64
 	dropVN             []*obs.Counter
 
@@ -81,10 +80,7 @@ type settler struct {
 // seq is the trace seq of the packet of network vn that arrived at cycle
 // arrival: the sampling key, unique within a run.
 func (t *settler) seq(arrival int64, vn int32) int64 {
-	if t.seqStride > 0 {
-		return arrival*t.seqStride + int64(vn)
-	}
-	return arrival
+	return arrival*t.seqStride + int64(vn)
 }
 
 // traced reports whether q's lookup is one of the sampled ones.
@@ -123,12 +119,10 @@ func (t *settler) settle(sim *pipeline.BatchSim, fl *[]inflight, meter *energy.M
 		case x.Faulted:
 			// Corruption read mid-lookup: drop, never misforward.
 			faults++
-			if t.dropped != nil {
-				t.dropped[m.vn]++
-				t.dropVN[m.vn].Inc()
-			}
+			t.dropped[m.vn]++
+			t.dropVN[m.vn].Inc()
 			outcome = "drop-fault"
-		case m.ref != nil && x.NHI != m.ref.Lookup(x.Addr):
+		case x.NHI != m.ref.Lookup(x.Addr):
 			t.mismatches++
 			outcome = "mismatch"
 		default:

@@ -190,7 +190,8 @@ func TestSettleAcrossCommitBubbleAndFlush(t *testing.T) {
 		if err := sim.BeginUpdate(h.Image(), 3); err != nil {
 			t.Fatal(err)
 		}
-		st := &settler{tel: noTelemetry, delivered: make([]int64, 1)}
+		st := &settler{tel: noTelemetry, seqStride: 1, delivered: make([]int64, 1), dropped: make([]int64, 1),
+			dropVN: []*obs.Counter{obs.NewCounter("netsim.fault_drops.vn00")}} // the run's K=1 fixture
 		meter, flights, cyc := s.meter(), newFlights(images[0]), int64(0)
 		inject := func(ref *ip.Table) {
 			for _, a := range moved {

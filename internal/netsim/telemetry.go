@@ -23,9 +23,3 @@ func (s *System) SetTelemetry(t *Telemetry) {
 	}
 	s.tel = t
 }
-
-// slicePower evaluates the paper's power model over one slice with this
-// router's design and the measured per-engine utilization.
-func (s *System) slicePower(util []float64) float64 {
-	return scenario.SlicePower(s.router.Design(), util)
-}
