@@ -4,7 +4,7 @@
 #   make bench      = every benchmark with allocation counts
 GO ?= go
 
-.PHONY: all build test race governor-smoke scenario-smoke chaos-smoke fleet-smoke fuzz-smoke fuzz-batch-smoke vet vuln bench bench-gate bench-baseline bench-test bench-e2e loc
+.PHONY: all build test race governor-smoke scenario-smoke chaos-smoke fleet-smoke figures-smoke fuzz-smoke fuzz-batch-smoke vet vuln bench bench-gate bench-baseline bench-test bench-e2e loc
 
 all: build test
 
@@ -143,6 +143,15 @@ fleet-smoke:
 	grep -q migration_commit fleet-smoke/events.jsonl
 	grep -q invariant_audit fleet-smoke/events.jsonl
 	! grep -q vn_degraded fleet-smoke/events.jsonl
+
+# Figures smoke: every table and figure cmd/figures prints, as CSV, at -j1
+# and -j8, byte-compared like the lookupsim smokes above — a row that stops
+# being deterministic (or stops building) shows up here.
+figures-smoke:
+	mkdir -p figures-smoke
+	$(GO) run ./cmd/figures -exp all -csv -j 1 > figures-smoke/all.csv
+	$(GO) run ./cmd/figures -exp all -csv -j 8 > figures-smoke/all-j8.csv
+	cmp figures-smoke/all.csv figures-smoke/all-j8.csv
 
 # Short deterministic fuzz passes over the operator-facing spec parser (the
 # full corpus run is `go test -fuzz=FuzzParse ./internal/scenario`) and over

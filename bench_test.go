@@ -324,39 +324,6 @@ func BenchmarkAblationSimExec(b *testing.B) {
 
 // --- Substrate performance benches ---
 
-func BenchmarkGenerateTable(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := vrpower.Generate("bench", vrpower.DefaultGen(3725, int64(i))); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTrieBuildAndPush(b *testing.B) {
-	tbl, err := vrpower.Generate("bench", vrpower.DefaultGen(3725, 1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr := vrpower.BuildTrie(tbl.Routes)
-		tr.LeafPush()
-	}
-}
-
-func BenchmarkMergeBuild(b *testing.B) {
-	set, err := vrpower.GenerateVirtualSet(8, 1000, 0.5, 7)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := vrpower.MergeTables(set.Tables); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // pipelineLookupFixture builds the full-table image and request stream the
 // pipeline lookup benches share.
 func pipelineLookupFixture(b *testing.B) (*vrpower.Image, []vrpower.Request) {
@@ -687,27 +654,6 @@ func BenchmarkHitlessPrepare(b *testing.B) {
 	}
 }
 
-func BenchmarkAnalyticSweep(b *testing.B) {
-	prof, err := vrpower.PaperProfile()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for k := 1; k <= 15; k++ {
-			r, err := vrpower.BuildAnalytic(vrpower.Config{
-				Scheme: vrpower.VM, K: k, ClockGating: true,
-			}, prof, 0.5)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := r.ModelPower(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
 // itoa formats n without strconv. It works in negatives so math.MinInt
 // (whose magnitude overflows int) formats correctly too.
 func itoa(n int) string {
@@ -783,208 +729,5 @@ func BenchmarkAblationHybridMemory(b *testing.B) {
 			}
 			b.ReportMetric(mem*1e3, "memory_mW")
 		})
-	}
-}
-
-// --- Extension experiment benches ---
-
-func BenchmarkExtensionStride(b *testing.B) {
-	var s string
-	for i := 0; i < b.N; i++ {
-		tbl, err := experiments.StrideComparison()
-		if err != nil {
-			b.Fatal(err)
-		}
-		s = tbl.String()
-	}
-	logOnceF(b, "stride", s)
-}
-
-func BenchmarkExtensionTCAM(b *testing.B) {
-	var s string
-	for i := 0; i < b.N; i++ {
-		tbl, err := experiments.TCAMComparison()
-		if err != nil {
-			b.Fatal(err)
-		}
-		s = tbl.String()
-	}
-	logOnceF(b, "tcam", s)
-}
-
-func BenchmarkExtensionUpdates(b *testing.B) {
-	var s string
-	for i := 0; i < b.N; i++ {
-		tbl, err := experiments.UpdateCost()
-		if err != nil {
-			b.Fatal(err)
-		}
-		s = tbl.String()
-	}
-	logOnceF(b, "updates", s)
-}
-
-func BenchmarkExtensionDeviceFit(b *testing.B) {
-	var s string
-	for i := 0; i < b.N; i++ {
-		tbl, err := experiments.DeviceFit()
-		if err != nil {
-			b.Fatal(err)
-		}
-		s = tbl.String()
-	}
-	logOnceF(b, "devicefit", s)
-}
-
-func BenchmarkExtensionQoS(b *testing.B) {
-	var s string
-	for i := 0; i < b.N; i++ {
-		tbl, err := experiments.QoSIsolation()
-		if err != nil {
-			b.Fatal(err)
-		}
-		s = tbl.String()
-	}
-	logOnceF(b, "qos", s)
-}
-
-func BenchmarkExtensionBraiding(b *testing.B) {
-	var s string
-	for i := 0; i < b.N; i++ {
-		tbl, err := experiments.BraidingComparison()
-		if err != nil {
-			b.Fatal(err)
-		}
-		s = tbl.String()
-	}
-	logOnceF(b, "braiding", s)
-}
-
-func BenchmarkExtensionLoadSweep(b *testing.B) {
-	var s string
-	for i := 0; i < b.N; i++ {
-		f, err := experiments.LoadSweep()
-		if err != nil {
-			b.Fatal(err)
-		}
-		s = f.String()
-	}
-	logOnceF(b, "loadsweep", s)
-}
-
-// --- More substrate performance benches ---
-
-func BenchmarkTCAMLookup(b *testing.B) {
-	tbl, err := vrpower.Generate("bench", vrpower.DefaultGen(3725, 1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	tc := vrpower.BuildTCAM(tbl)
-	addrs := make([]vrpower.Addr, 1024)
-	gen, err := vrpower.NewTraffic(vrpower.TrafficConfig{K: 1, Seed: 2, Addr: vrpower.RoutedAddr, Tables: []*vrpower.Table{tbl}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := range addrs {
-		addrs[i] = gen.Next().Addr
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tc.Lookup(addrs[i%len(addrs)])
-	}
-}
-
-func BenchmarkMultibitLookup(b *testing.B) {
-	tbl, err := vrpower.Generate("bench", vrpower.DefaultGen(3725, 1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, stride := range []int{1, 4, 8} {
-		mt, err := vrpower.BuildMultibit(tbl.Routes, stride)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(itoa(stride), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				mt.Lookup(vrpower.Addr(uint32(i) * 2654435761))
-			}
-		})
-	}
-}
-
-func BenchmarkBraidBuild(b *testing.B) {
-	set, err := vrpower.GenerateVirtualSet(4, 800, 0.3, 3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := vrpower.BraidTables(set.Tables); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSchedulerDRR(b *testing.B) {
-	s, err := vrpower.NewScheduler(vrpower.SchedConfig{K: 8, QueueCap: 1 << 20})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < 1<<16; i++ {
-		s.Enqueue(vrpower.SchedPacket{VN: i % 8, Bytes: 40 + i%1460})
-	}
-	b.ResetTimer()
-	n := 0
-	for i := 0; i < b.N; i++ {
-		if _, ok := s.Dequeue(); !ok {
-			b.StopTimer()
-			for j := 0; j < 1<<16; j++ {
-				s.Enqueue(vrpower.SchedPacket{VN: j % 8, Bytes: 40 + j%1460})
-			}
-			b.StartTimer()
-		}
-		n++
-	}
-	_ = n
-}
-
-func BenchmarkFrameParse(b *testing.B) {
-	src, _ := vrpower.ParseAddr("10.0.0.1")
-	dst, _ := vrpower.ParseAddr("192.168.1.1")
-	buf, err := vrpower.BuildFrame(vrpower.MAC{2, 0, 0, 0, 0, 1}, vrpower.MAC{2, 0, 0, 0, 0, 2}, 7, 0, src, dst, 64, 26)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := vrpower.ParseFrame(buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkChurnDiff(b *testing.B) {
-	tbl, err := vrpower.Generate("bench", vrpower.DefaultGen(1000, 4))
-	if err != nil {
-		b.Fatal(err)
-	}
-	ops, err := vrpower.GenerateChurn(tbl, 100, 5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	build := func(tb *vrpower.Table) *vrpower.Image {
-		r, err := vrpower.Build(vrpower.Config{Scheme: vrpower.VS, K: 1, ClockGating: true}, []*vrpower.Table{tb})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return r.Images()[0]
-	}
-	before := build(tbl)
-	after := build(vrpower.ApplyChurn(tbl, ops))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := vrpower.DiffImages(before, after); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

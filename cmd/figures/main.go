@@ -5,8 +5,9 @@
 //
 // Usage:
 //
-//	figures [-exp all|tableII|tableIII|triecal|fig2|fig3|fig4|fig5|fig6|fig7|fig8]
-//	        [-grade both|-2|-1L] [-csv] [-outdir DIR] [-j N] [-stats]
+//	figures [-exp all|NAME] [-grade both|-2|-1L] [-csv] [-outdir DIR] [-j N] [-stats]
+//
+// NAME is one of the rows below (figures -h lists them).
 package main
 
 import (
@@ -15,6 +16,7 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"time"
 
@@ -62,7 +64,7 @@ func (em *emitter) emit(name string, t *report.Table) error {
 // emitFn emits tables for one named experiment.
 type emitFn func(*report.Table) error
 
-// tableExp adapts a table-producing experiment to the run map.
+// tableExp adapts a table-producing experiment to a row.
 func tableExp(gen func() (*report.Table, error)) func(emitFn) error {
 	return func(emit emitFn) error {
 		t, err := gen()
@@ -73,7 +75,7 @@ func tableExp(gen func() (*report.Table, error)) func(emitFn) error {
 	}
 }
 
-// figExp adapts a figure-producing experiment to the run map.
+// figExp adapts a figure-producing experiment to a row.
 func figExp(gen func() (*report.Figure, error)) func(emitFn) error {
 	return func(emit emitFn) error {
 		f, err := gen()
@@ -84,7 +86,7 @@ func figExp(gen func() (*report.Figure, error)) func(emitFn) error {
 	}
 }
 
-// perGrade adapts a per-speed-grade figure sweep to the run map.
+// perGrade adapts a per-speed-grade figure sweep to a row.
 func perGrade(grades []fpga.SpeedGrade, gen func(fpga.SpeedGrade) (*report.Figure, error)) func(emitFn) error {
 	return func(emit emitFn) error {
 		for _, g := range grades {
@@ -103,7 +105,7 @@ func perGrade(grades []fpga.SpeedGrade, gen func(fpga.SpeedGrade) (*report.Figur
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("figures: ")
-	exp := flag.String("exp", "all", "experiment to regenerate (all, tableII, tableIII, triecal, fig2..fig8, stride, tcam, updates, devicefit, multiway, qos, braiding, loadsweep, ortc, calspread, grouped)")
+	exp := flag.String("exp", "all", "experiment to regenerate: all, "+strings.Join(names(rows(nil)), ", "))
 	gradeFlag := flag.String("grade", "both", "speed grade for fig5-fig8: both, -2 or -1L")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	outdir := flag.String("outdir", "", "also write each experiment's CSV into this directory")
@@ -139,13 +141,48 @@ func main() {
 		log.Fatal(err)
 	}
 
-	run := map[string]func(emitFn) error{
-		"tableII":  func(emit emitFn) error { return emit(experiments.TableII()) },
-		"tableIII": func(emit emitFn) error { return emit(experiments.TableIII()) },
-		"triecal":  tableExp(experiments.TrieCalibration),
-		"fig2":     func(emit emitFn) error { return emit(experiments.Fig2().Table()) },
-		"fig3":     func(emit emitFn) error { return emit(experiments.Fig3().Table()) },
-		"fig4": func(emit emitFn) error {
+	exps := rows(grades)
+	ran := false
+	for _, r := range exps {
+		if *exp != "all" && *exp != r.name {
+			continue
+		}
+		ran = true
+		if err := r.fn(func(t *report.Table) error { return em.emit(r.name, t) }); err != nil {
+			log.Fatalf("%s: %v", r.name, err)
+		}
+	}
+	if !ran {
+		log.Printf("unknown experiment %q; available: all %v", *exp, names(exps))
+		os.Exit(2)
+	}
+	finish(*stats, snap)
+}
+
+// row is one experiment: its -exp name and what regenerates it.
+type row struct {
+	name string
+	fn   func(emitFn) error
+}
+
+// names lists the rows' -exp names in order.
+func names(rs []row) []string {
+	out := make([]string, len(rs))
+	for i, r := range rs {
+		out[i] = r.name
+	}
+	return out
+}
+
+// rows lists every experiment once, in the order -exp all prints them.
+func rows(grades []fpga.SpeedGrade) []row {
+	return []row{
+		{"tableII", func(emit emitFn) error { return emit(experiments.TableII()) }},
+		{"tableIII", func(emit emitFn) error { return emit(experiments.TableIII()) }},
+		{"triecal", tableExp(experiments.TrieCalibration)},
+		{"fig2", func(emit emitFn) error { return emit(experiments.Fig2().Table()) }},
+		{"fig3", func(emit emitFn) error { return emit(experiments.Fig3().Table()) }},
+		{"fig4", func(emit emitFn) error {
 			ptr, nhi, err := experiments.Fig4()
 			if err != nil {
 				return err
@@ -154,44 +191,19 @@ func main() {
 				return err
 			}
 			return emit(nhi.Table())
-		},
-		"stride":    tableExp(experiments.StrideComparison),
-		"tcam":      tableExp(experiments.TCAMComparison),
-		"updates":   tableExp(experiments.UpdateCost),
-		"devicefit": tableExp(experiments.DeviceFit),
-		"multiway":  tableExp(experiments.MultiwayComparison),
-		"qos":       tableExp(experiments.QoSIsolation),
-		"braiding":  tableExp(experiments.BraidingComparison),
-		"loadsweep": figExp(experiments.LoadSweep),
-		"ortc":      tableExp(experiments.CompactionEffect),
-		"calspread": tableExp(experiments.CalibrationSpread),
-		"grouped":   tableExp(experiments.GroupedMerge),
-		"fig5":      perGrade(grades, experiments.Fig5),
-		"fig6":      perGrade(grades, experiments.Fig6),
-		"fig7":      perGrade(grades, experiments.Fig7),
-		"fig8":      perGrade(grades, experiments.Fig8),
+		}},
+		{"fig5", perGrade(grades, experiments.Fig5)},
+		{"fig6", perGrade(grades, experiments.Fig6)},
+		{"fig7", perGrade(grades, experiments.Fig7)},
+		{"fig8", perGrade(grades, experiments.Fig8)},
+		{"updates", tableExp(experiments.UpdateCost)},
+		{"devicefit", tableExp(experiments.DeviceFit)},
+		{"braiding", tableExp(experiments.BraidingComparison)},
+		{"loadsweep", figExp(experiments.LoadSweep)},
+		{"ortc", tableExp(experiments.CompactionEffect)},
+		{"calspread", tableExp(experiments.CalibrationSpread)},
+		{"grouped", tableExp(experiments.GroupedMerge)},
 	}
-
-	order := []string{"tableII", "tableIII", "triecal", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "stride", "tcam", "updates", "devicefit", "multiway", "qos", "braiding", "loadsweep", "ortc", "calspread", "grouped"}
-	if *exp == "all" {
-		for _, name := range order {
-			name := name
-			if err := run[name](func(t *report.Table) error { return em.emit(name, t) }); err != nil {
-				log.Fatalf("%s: %v", name, err)
-			}
-		}
-		finish(*stats, snap)
-		return
-	}
-	fn, ok := run[*exp]
-	if !ok {
-		log.Printf("unknown experiment %q; available: all %v", *exp, order)
-		os.Exit(2)
-	}
-	if err := fn(func(t *report.Table) error { return em.emit(*exp, t) }); err != nil {
-		log.Fatalf("%s: %v", *exp, err)
-	}
-	finish(*stats, snap)
 }
 
 // finish prints the instrumentation recorded since the start-of-run snapshot

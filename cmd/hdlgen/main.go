@@ -11,9 +11,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -25,71 +26,104 @@ import (
 	"vrpower/internal/trie"
 )
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("hdlgen: ")
-	var (
-		out      = flag.String("o", "rtl", "output directory")
-		k        = flag.Int("k", 1, "number of virtual networks (merged engine when > 1)")
-		prefixes = flag.Int("prefixes", 500, "routes per network")
-		share    = flag.Float64("share", 0.5, "prefix-space share across networks")
-		name     = flag.String("name", "vrlookup", "top module name")
-		vectors  = flag.Int("vectors", 32, "self-checking testbench probes")
-		seed     = flag.Int64("seed", 1, "generator seed")
-	)
-	flag.Parse()
+// options collects the parsed flags.
+type options struct {
+	out      string
+	k        int
+	prefixes int
+	share    float64
+	name     string
+	vectors  int
+	seed     int64
+}
 
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command over its arguments and streams: 0 when the files
+// are written, 1 on a design that cannot be generated, 2 on a flag the
+// command does not have.
+func run(args []string, stdout, stderr io.Writer) int {
+	var o options
+	fs := flag.NewFlagSet("hdlgen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&o.out, "o", "rtl", "output directory")
+	fs.IntVar(&o.k, "k", 1, "number of virtual networks (merged engine when > 1)")
+	fs.IntVar(&o.prefixes, "prefixes", 500, "routes per network")
+	fs.Float64Var(&o.share, "share", 0.5, "prefix-space share across networks")
+	fs.StringVar(&o.name, "name", "vrlookup", "top module name")
+	fs.IntVar(&o.vectors, "vectors", 32, "self-checking testbench probes")
+	fs.Int64Var(&o.seed, "seed", 1, "generator seed")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if err := o.generate(stdout); err != nil {
+		fmt.Fprintln(stderr, "hdlgen:", err)
+		return 1
+	}
+	return 0
+}
+
+// generate compiles the tables' image, emits its RTL into the output
+// directory and prints the summary.
+func (o *options) generate(stdout io.Writer) error {
+	if o.vectors < 0 {
+		return fmt.Errorf("-vectors %d: want a count >= 0", o.vectors)
+	}
 	var img *pipeline.Image
 	var tables []*rib.Table
-	if *k > 1 {
-		set, err := rib.GenerateVirtualSet(*k, *prefixes, *share, *seed)
+	if o.k > 1 {
+		set, err := rib.GenerateVirtualSet(o.k, o.prefixes, o.share, o.seed)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		tables = set.Tables
 		m, err := merge.Build(tables)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		m.LeafPush()
 		img, err = pipeline.CompileMerged(m, m.Stats().Height+1)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 	} else {
-		tbl, err := rib.Generate("rtl", rib.DefaultGen(*prefixes, *seed))
+		tbl, err := rib.Generate("rtl", rib.DefaultGen(o.prefixes, o.seed))
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		tables = []*rib.Table{tbl}
 		tr := trie.Build(tbl.Routes)
 		tr.LeafPush()
 		img, err = pipeline.Compile(tr, tr.Stats().Height+1)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 
-	gen, err := traffic.New(traffic.Config{K: *k, Seed: *seed + 1, Addr: traffic.RoutedAddr, Tables: tables})
+	gen, err := traffic.New(traffic.Config{K: o.k, Seed: o.seed + 1, Addr: traffic.RoutedAddr, Tables: tables})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	reqs := gen.Requests(*vectors)
+	reqs := gen.Requests(o.vectors)
 
-	d, err := hdl.Emit(img, pipeline.DefaultLayout(), *name, reqs)
+	d, err := hdl.Emit(img, pipeline.DefaultLayout(), o.name, reqs)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	if err := os.MkdirAll(*out, 0o755); err != nil {
-		log.Fatal(err)
+	if err := os.MkdirAll(o.out, 0o755); err != nil {
+		return err
 	}
 	for _, f := range d.FileNames() {
-		if err := os.WriteFile(filepath.Join(*out, f), []byte(d.Files[f]), 0o644); err != nil {
-			log.Fatal(err)
+		if err := os.WriteFile(filepath.Join(o.out, f), []byte(d.Files[f]), 0o644); err != nil {
+			return err
 		}
 	}
-	fmt.Printf("wrote %d files to %s (top module %s, %d-bit words, %d stages, %d probes)\n",
-		len(d.Files), *out, d.Top, d.WordBits, img.Stages(), len(reqs))
-	fmt.Printf("simulate: cd %s && iverilog -o tb %s_stage.v %s.v %s_tb.v && vvp tb\n",
-		*out, d.Top, d.Top, d.Top)
+	fmt.Fprintf(stdout, "wrote %d files to %s (top module %s, %d-bit words, %d stages, %d probes)\n",
+		len(d.Files), o.out, d.Top, d.WordBits, img.Stages(), len(reqs))
+	fmt.Fprintf(stdout, "simulate: cd %s && iverilog -o tb %s_stage.v %s.v %s_tb.v && vvp tb\n",
+		o.out, d.Top, d.Top, d.Top)
+	return nil
 }

@@ -146,7 +146,7 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run is the whole command over its arguments and streams: 0 on a clean run,
 // 1 on a domain error (a mismatch, outstanding work, an unbuildable router),
-// 2 on a flag the command does not have.
+// 2 on a flag the command does not have or a value a flag cannot take.
 func run(args []string, stdout, stderr io.Writer) int {
 	o := options{stdout: stdout, stderr: stderr}
 	fs := flag.NewFlagSet("lookupsim", flag.ContinueOnError)
@@ -182,6 +182,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
 		}
+		return 2
+	}
+	if o.packets < 0 {
+		fmt.Fprintf(stderr, "invalid value %d for flag -packets: want a count >= 0\n", o.packets)
+		fs.Usage()
 		return 2
 	}
 

@@ -62,7 +62,8 @@ func TestRunFramePath(t *testing.T) {
 }
 
 // Every way a run can fail says why on stderr and exits nonzero: 2 for a flag
-// the command does not have (usage follows), 1 for everything else.
+// the command does not have or a value a flag cannot take (usage follows), 1
+// for everything else.
 func TestRunFailures(t *testing.T) {
 	type failure struct {
 		name string
@@ -77,6 +78,10 @@ func TestRunFailures(t *testing.T) {
 		{"cap flag on a fleet", []string{"-power-cap-device", "5", "-scenario", "load=const:0.5,fleet=2"}, 1, "give it once"},
 		{"run left incomplete", []string{"-scheme", "VS", "-k", "1", "-prefixes", "200",
 			"-scenario", "load=const:0.5,kill=0@2000,chaos=stall:8,cycles=8192,seed=3"}, 1, "outstanding"},
+	}
+	for _, args := range [][]string{{"-packets", "-1"}, {"-frames", "-packets", "-1"}} {
+		cases = append(cases, failure{"negative count " + strings.Join(args, " "), args, 2,
+			"invalid value -1 for flag -packets: want a count >= 0"})
 	}
 	for _, flag := range []string{"-load", "-faults", "-fault-seed", "-seu-rate", "-kill-engine", "-kill-cycle",
 		"-reconfig-failures", "-churn", "-churn-seed", "-churn-batch", "-churn-batches", "-churn-vn"} {

@@ -244,59 +244,6 @@ func TestTrieCalibrationTable(t *testing.T) {
 	}
 }
 
-func TestStrideComparison(t *testing.T) {
-	tbl, err := StrideComparison()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != 4 {
-		t.Fatalf("stride rows = %d, want 4", len(tbl.Rows))
-	}
-	// Stages must fall and memory rise monotonically with stride.
-	prevStages, prevMem := 99, -1.0
-	for _, row := range tbl.Rows {
-		var stages int
-		var mem float64
-		if _, err := fmtSscan(row[1], &stages); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := fmtSscan(row[2], &mem); err != nil {
-			t.Fatal(err)
-		}
-		if stages >= prevStages {
-			t.Errorf("stages %d not below previous %d", stages, prevStages)
-		}
-		if mem <= prevMem {
-			t.Errorf("memory %.1f not above previous %.1f", mem, prevMem)
-		}
-		prevStages, prevMem = stages, mem
-	}
-}
-
-func TestTCAMComparison(t *testing.T) {
-	tbl, err := TCAMComparison()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != 3 {
-		t.Fatalf("TCAM comparison rows = %d, want 3", len(tbl.Rows))
-	}
-	dyn := make([]float64, 3)
-	for i, row := range tbl.Rows {
-		if _, err := fmtSscan(row[2], &dyn[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// The trie engine's dynamic power must undercut the full-search TCAM,
-	// and partitioning must undercut full search.
-	if dyn[0] >= dyn[1] {
-		t.Errorf("trie dynamic %.3f not below full TCAM %.3f", dyn[0], dyn[1])
-	}
-	if dyn[2] >= dyn[1] {
-		t.Errorf("partitioned TCAM dynamic %.3f not below full %.3f", dyn[2], dyn[1])
-	}
-}
-
 // fmtSscan wraps fmt.Sscan for table cells.
 func fmtSscan(s string, dst interface{}) (int, error) {
 	return fmt.Sscan(s, dst)
@@ -367,72 +314,6 @@ func TestDeviceFit(t *testing.T) {
 	// right-sized fleet.
 	if prevRatio <= 1 {
 		t.Errorf("at K=15 right-sized NV/VS ratio %.2f, want > 1 (virtualization wins eventually)", prevRatio)
-	}
-}
-
-func TestMultiwayComparison(t *testing.T) {
-	tbl, err := MultiwayComparison()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != 5 {
-		t.Fatalf("multiway rows = %d, want 5", len(tbl.Rows))
-	}
-	var first, last float64
-	if _, err := fmtSscan(tbl.Rows[0][3], &first); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fmtSscan(tbl.Rows[len(tbl.Rows)-1][3], &last); err != nil {
-		t.Fatal(err)
-	}
-	// At core-router scale, 16-way partitioning must cut memory power by
-	// at least 4x (ideal 16x, block floors take their share).
-	if first/last < 4 {
-		t.Errorf("multiway memory saving %.1fx, want > 4x", first/last)
-	}
-	// Memory power strictly decreasing across the sweep.
-	prev := first + 1
-	for _, row := range tbl.Rows {
-		var mem float64
-		if _, err := fmtSscan(row[3], &mem); err != nil {
-			t.Fatal(err)
-		}
-		if mem >= prev {
-			t.Errorf("memory power %.4f not decreasing (prev %.4f)", mem, prev)
-		}
-		prev = mem
-	}
-}
-
-func TestQoSIsolation(t *testing.T) {
-	tbl, err := QoSIsolation()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != 3 {
-		t.Fatalf("QoS rows = %d, want 3", len(tbl.Rows))
-	}
-	var drrFlood, rrFlood, prioFlood, drrJain float64
-	if _, err := fmtSscan(tbl.Rows[0][1], &drrFlood); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fmtSscan(tbl.Rows[0][4], &drrJain); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fmtSscan(tbl.Rows[1][1], &rrFlood); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fmtSscan(tbl.Rows[2][1], &prioFlood); err != nil {
-		t.Fatal(err)
-	}
-	if drrFlood > 0.35 {
-		t.Errorf("DRR lets the flood take %.3f, want ≈ 1/3", drrFlood)
-	}
-	if drrJain < 0.99 {
-		t.Errorf("DRR Jain %.3f, want ≈ 1", drrJain)
-	}
-	if rrFlood <= drrFlood || prioFlood <= rrFlood {
-		t.Errorf("flood shares should order DRR %.3f < RR %.3f < priority %.3f", drrFlood, rrFlood, prioFlood)
 	}
 }
 

@@ -5,171 +5,21 @@ import (
 	"time"
 
 	"vrpower/internal/core"
+	"vrpower/internal/ctrl"
 	"vrpower/internal/fpga"
 	"vrpower/internal/ip"
 	"vrpower/internal/merge"
-	"vrpower/internal/mtrie"
-	"vrpower/internal/multiway"
 	"vrpower/internal/netsim"
-	"vrpower/internal/pipeline"
 	"vrpower/internal/power"
 	"vrpower/internal/report"
 	"vrpower/internal/rib"
 	"vrpower/internal/scenario"
-	"vrpower/internal/sched"
 	"vrpower/internal/stats"
 	"vrpower/internal/sweep"
-	"vrpower/internal/tcam"
 	"vrpower/internal/traffic"
 	"vrpower/internal/trie"
 	"vrpower/internal/update"
 )
-
-// referenceTable returns the calibrated 3725-route table the extension
-// experiments share.
-func referenceTable() (*rib.Table, error) {
-	return rib.Generate("reference", rib.DefaultGen(3725, 1))
-}
-
-// StrideComparison evaluates the multi-bit trie depth/memory trade-off the
-// paper's survey reference [16] describes: stride s cuts the pipeline to
-// 32/s stages (less logic power) but widens nodes to 2^s slots (more BRAM
-// power, wider stages, lower fmax). Columns report a single-network engine
-// per stride on grade -2.
-func StrideComparison() (*report.Table, error) {
-	tbl, err := referenceTable()
-	if err != nil {
-		return nil, err
-	}
-	dev := fpga.XC6VLX760()
-	tm := fpga.DefaultTiming()
-	pe := fpga.UnibitPE()
-	mode := fpga.BRAM18Mode
-
-	t := report.NewTable(
-		"Extension: uni-bit vs multi-bit trie engines (3725 routes, grade -2)",
-		"Stride", "Stages", "Memory (Kb)", "Blocks", "fmax (MHz)", "Power (W)", "mW/Gbps")
-	for _, stride := range mtrie.ValidStrides {
-		tr, err := mtrie.Build(tbl.Routes, stride)
-		if err != nil {
-			return nil, err
-		}
-		levelBits := tr.LevelBits(18, 8)
-		stages := len(levelBits)
-		var totalBits int64
-		blocks, maxPerStage := 0, 0
-		stageBits := make([]int64, stages)
-		for lv, b := range levelBits {
-			stageBits[lv] = b
-			totalBits += b
-			n := mode.BlocksFor(b)
-			blocks += n
-			if n > maxPerStage {
-				maxPerStage = n
-			}
-		}
-		used := fpga.Resources{
-			FFs:    stages * pe.FFs,
-			LUTs:   stages * pe.LUTs(),
-			BRAM18: blocks,
-			IOPins: fpga.ShellPins + fpga.EnginePins,
-		}
-		pl, err := fpga.Place(dev, fpga.Grade2, used, stages, maxPerStage, 1)
-		if err != nil {
-			return nil, err
-		}
-		fmax := tm.Fmax(pl)
-		design := power.SystemDesign{
-			Grade: fpga.Grade2, Mode: mode, FMHz: fmax, Devices: 1,
-			Engines:     []power.EngineDesign{{StageBits: stageBits, Utilization: 1}},
-			ClockGating: true,
-		}
-		b, err := power.Estimate(design)
-		if err != nil {
-			return nil, err
-		}
-		gbps := fpga.ThroughputGbps(fmax, 1)
-		t.AddF(stride, stages,
-			fmt.Sprintf("%.1f", float64(totalBits)/1024),
-			blocks,
-			fmt.Sprintf("%.1f", fmax),
-			fmt.Sprintf("%.3f", b.Total()),
-			fmt.Sprintf("%.2f", power.MilliwattsPerGbps(b.Total(), gbps)))
-	}
-	return t, nil
-}
-
-// TCAMComparison contrasts the paper's merged trie pipeline with the TCAM
-// organisations of its related work (Section II-B) at the evaluation's
-// largest scale: K = 15 virtual networks in one lookup engine. The plain
-// TCAM stores all K tables and fires every cell per search; the
-// block-partitioned variant of [20] fires only the indexed block. Both run
-// at a representative 143 M searches/s; the trie runs at its placed fmax.
-// Comparison is on lookup-engine *dynamic* power (the TCAM array has no
-// FPGA-class static burn, so total power would compare unlike platforms).
-func TCAMComparison() (*report.Table, error) {
-	const k = 15
-	tbl, err := referenceTable()
-	if err != nil {
-		return nil, err
-	}
-	t := report.NewTable(
-		fmt.Sprintf("Extension: merged trie pipeline vs TCAM lookup (K=%d x 3725 routes)", k),
-		"Engine", "Entries/Nodes", "Dynamic (W)", "Gbps", "dyn mW/Gbps")
-
-	// Merged trie pipeline on grade -2 at the paper's worst merging
-	// efficiency.
-	prof, err := Profile()
-	if err != nil {
-		return nil, err
-	}
-	r, err := core.BuildAnalytic(core.Config{
-		Scheme: core.VM, K: k, Grade: fpga.Grade2, ClockGating: true,
-	}, prof, Alphas.Low)
-	if err != nil {
-		return nil, err
-	}
-	b, err := r.ModelPower()
-	if err != nil {
-		return nil, err
-	}
-	gbps := r.ThroughputGbps()
-	dyn := b.Logic + b.Memory
-	t.AddF("merged trie pipeline (-2)", prof.Nodes*k/4, // ≈ merged nodes at α=0.2
-		fmt.Sprintf("%.3f", dyn),
-		fmt.Sprintf("%.1f", gbps),
-		fmt.Sprintf("%.2f", power.MilliwattsPerGbps(dyn, gbps)))
-
-	const searchMHz = 143
-	pm := tcam.DefaultPowerModel()
-	plain := tcam.Build(tbl)
-	kCells := &scaledSearcher{cells: plain.ActiveCells() * k, entries: plain.Len() * k}
-	gb := fpga.ThroughputGbps(searchMHz, 1)
-	t.AddF("TCAM full search", kCells.Len(),
-		fmt.Sprintf("%.3f", pm.DynamicWatts(kCells, searchMHz)),
-		fmt.Sprintf("%.1f", gb),
-		fmt.Sprintf("%.2f", power.MilliwattsPerGbps(pm.DynamicWatts(kCells, searchMHz), gb)))
-
-	part, err := tcam.BuildPartitioned(tbl, 8)
-	if err != nil {
-		return nil, err
-	}
-	kPart := &scaledSearcher{cells: part.ActiveCells() * k, entries: part.Len() * k}
-	t.AddF("TCAM partitioned [20]", kPart.Len(),
-		fmt.Sprintf("%.3f", pm.DynamicWatts(kPart, searchMHz)),
-		fmt.Sprintf("%.1f", gb),
-		fmt.Sprintf("%.2f", power.MilliwattsPerGbps(pm.DynamicWatts(kPart, searchMHz), gb)))
-	return t, nil
-}
-
-// scaledSearcher scales a measured TCAM organisation to K virtual tables.
-type scaledSearcher struct {
-	cells   int
-	entries int
-}
-
-func (s *scaledSearcher) ActiveCells() int { return s.cells }
-func (s *scaledSearcher) Len() int         { return s.entries }
 
 // UpdateCost quantifies the companion-work claim ([6]) that the merged
 // scheme pays more for routing churn: one virtual network's updates are
@@ -188,65 +38,27 @@ func UpdateCost() (*report.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	updated := update.Apply(set.Tables[0], churn)
-	sm, err := trie.NewStageMap(core.DefaultStages, 32)
-	if err != nil {
-		return nil, err
-	}
-
-	compileSep := func(tbl *rib.Table) (*pipeline.Image, error) {
-		tr := trie.Build(tbl.Routes)
-		tr.LeafPush()
-		return pipeline.CompileMapped(tr, sm)
-	}
-	compileVM := func(tables []*rib.Table) (*pipeline.Image, error) {
-		m, err := merge.Build(tables)
-		if err != nil {
-			return nil, err
-		}
-		m.LeafPush()
-		return pipeline.CompileMergedMapped(m, sm)
-	}
-
-	sepOld, err := compileSep(set.Tables[0])
-	if err != nil {
-		return nil, err
-	}
-	sepNew, err := compileSep(updated)
-	if err != nil {
-		return nil, err
-	}
-	sepWrites, err := update.Diff(sepOld, sepNew)
-	if err != nil {
-		return nil, err
-	}
-
-	vmOld, err := compileVM(set.Tables)
-	if err != nil {
-		return nil, err
-	}
-	vmNew, err := compileVM([]*rib.Table{updated, set.Tables[1], set.Tables[2], set.Tables[3]})
-	if err != nil {
-		return nil, err
-	}
-	vmWrites, err := update.Diff(vmOld, vmNew)
-	if err != nil {
-		return nil, err
-	}
-
 	const fMHz = 200
 	t := report.NewTable(
 		fmt.Sprintf("Extension: update cost, one VN's churn at K=%d (write bubbles, %d MHz)", k, fMHz),
 		"Scheme", "Writes/op", "Bubbles/op", "Retained @1k ops/s", "@100k ops/s", "@1M ops/s")
 	for _, row := range []struct {
 		name   string
-		writes []update.Write
+		scheme core.Scheme
 	}{
-		{"VS (separate)", sepWrites},
-		{"VM (merged)", vmWrites},
+		{"VS (separate)", core.VS},
+		{"VM (merged)", core.VM},
 	} {
-		wpo := float64(len(row.writes)) / ops
-		bpo := float64(update.Bubbles(row.writes)) / ops
+		m, err := ctrl.New(core.Config{Scheme: row.scheme, K: k, ClockGating: true}, set.Tables)
+		if err != nil {
+			return nil, err
+		}
+		ev, err := m.ApplyUpdates(0, churn)
+		if err != nil {
+			return nil, err
+		}
+		wpo := float64(ev.Writes) / ops
+		bpo := float64(ev.Bubbles) / ops
 		ret := func(rate float64) string {
 			return fmt.Sprintf("%.4f", update.ThroughputRetained(int(rate*bpo), fMHz))
 		}
@@ -275,20 +87,12 @@ func DeviceFit() (*report.Table, error) {
 		return nil, err
 	}
 	// One engine's resources (28 stages, one network's table).
-	pe := fpga.UnibitPE()
-	cfgOne := core.Config{Scheme: core.VS, K: 1, ClockGating: true}
-	one, err := core.BuildAnalytic(cfgOne, prof, 0)
+	one, err := core.BuildAnalytic(core.Config{Scheme: core.VS, K: 1, ClockGating: true}, prof, 0)
 	if err != nil {
 		return nil, err
 	}
-	engineUsed := fpga.Resources{
-		FFs:    core.DefaultStages * pe.FFs,
-		LUTs:   core.DefaultStages * pe.LUTs(),
-		BRAM18: one.Placement().Used.BRAM18,
-		IOPins: fpga.ShellPins + fpga.EnginePins,
-	}
 	_, maxPerStage := one.Design().TotalBlocks()
-	fitted, err := fpga.SmallestFit(fpga.Grade2, engineUsed, core.DefaultStages, maxPerStage, 1)
+	fitted, err := fpga.SmallestFit(fpga.Grade2, one.Placement().Used, core.DefaultStages, maxPerStage, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -329,83 +133,6 @@ func DeviceFit() (*report.Table, error) {
 			fmt.Sprintf("%.2f", bFit.Total()),
 			fmt.Sprintf("%.2f", bVS.Total()),
 			fmt.Sprintf("%.1fx", bFit.Total()/bVS.Total()))
-	}
-	return t, nil
-}
-
-// MultiwayComparison evaluates the multi-pipeline organisation of the
-// paper's reference [7]: the table is split across W short pipelines, a
-// lookup fires exactly one of them, and clock gating turns the idle ways'
-// dynamic power off. The experiment uses a core-router-scale table (50k
-// routes) because the effect needs multi-block stages — at edge scale the
-// one-block-per-stage floor of Table III hides it. Memory power then falls
-// toward 1/W; total power is bounded below by the device's static burn.
-func MultiwayComparison() (*report.Table, error) {
-	tbl, err := rib.Generate("core-scale", rib.DefaultGen(50000, 1))
-	if err != nil {
-		return nil, err
-	}
-	layout := pipeline.DefaultLayout()
-	t := report.NewTable(
-		"Extension: multi-way pipelining [7] (50000 routes, grade -2, 300 MHz)",
-		"Ways", "Stages/way", "Engines", "Memory (W)", "Logic (W)", "Total (W)")
-	for _, ways := range []int{1, 2, 4, 8, 16} {
-		e, err := multiway.Build(tbl, ways, 0)
-		if err != nil {
-			return nil, err
-		}
-		d := e.Design(fpga.Grade2, fpga.BRAM18Mode, 300, layout)
-		b, err := power.Estimate(d)
-		if err != nil {
-			return nil, err
-		}
-		t.AddF(ways, e.Stages(), len(d.Engines),
-			fmt.Sprintf("%.4f", b.Memory),
-			fmt.Sprintf("%.4f", b.Logic),
-			fmt.Sprintf("%.3f", b.Total()))
-	}
-	return t, nil
-}
-
-// QoSIsolation demonstrates the paper's transparency requirement (Section
-// I): with per-VN egress queues under DRR, a flooding tenant takes only its
-// weighted share while others stay backlogged; packet round-robin and
-// strict priority both break the guarantee. Shares are measured over the
-// first 9000 services of a 10:1:1 offered load at equal weights.
-func QoSIsolation() (*report.Table, error) {
-	t := report.NewTable(
-		"Extension: egress QoS isolation under a flooding tenant (equal weights)",
-		"Discipline", "VN0 (flood) share", "VN1 share", "VN2 share", "Jain index")
-	for _, d := range []sched.Discipline{sched.DRR, sched.RR, sched.Priority} {
-		s, err := sched.New(sched.Config{K: 3, Discipline: d, QueueCap: 100000})
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < 30000; i++ {
-			if err := s.Enqueue(sched.Packet{VN: 0, Bytes: 1500}); err != nil {
-				return nil, err
-			}
-		}
-		for i := 0; i < 3000; i++ {
-			if err := s.Enqueue(sched.Packet{VN: 1, Bytes: 300}); err != nil {
-				return nil, err
-			}
-			if err := s.Enqueue(sched.Packet{VN: 2, Bytes: 300}); err != nil {
-				return nil, err
-			}
-		}
-		for i := 0; i < 5000; i++ {
-			if _, ok := s.Dequeue(); !ok {
-				return nil, fmt.Errorf("experiments: scheduler ran dry while backlogged")
-			}
-		}
-		st := s.Stats()
-		shares := st.Shares()
-		t.AddF(d.String(),
-			fmt.Sprintf("%.3f", shares[0]),
-			fmt.Sprintf("%.3f", shares[1]),
-			fmt.Sprintf("%.3f", shares[2]),
-			fmt.Sprintf("%.3f", st.JainIndex(nil)))
 	}
 	return t, nil
 }
@@ -527,7 +254,7 @@ func LoadSweep() (*report.Figure, error) {
 // lookup memory power — compaction composes with every scheme because it
 // shrinks M_{i,j} before the power models see it.
 func CompactionEffect() (*report.Table, error) {
-	tbl, err := referenceTable()
+	tbl, err := rib.Generate("reference", rib.DefaultGen(3725, 1))
 	if err != nil {
 		return nil, err
 	}

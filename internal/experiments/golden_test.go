@@ -84,11 +84,8 @@ func TestGoldenExtensions(t *testing.T) {
 		name string
 		gen  func() (*report.Table, error)
 	}{
-		{"stride", StrideComparison},
-		{"tcam", TCAMComparison},
 		{"updates", UpdateCost},
 		{"devicefit", DeviceFit},
-		{"qos", QoSIsolation},
 	} {
 		tbl, err := c.gen()
 		if err != nil {

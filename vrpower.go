@@ -32,8 +32,6 @@ import (
 	"vrpower/internal/hdl"
 	"vrpower/internal/ip"
 	"vrpower/internal/merge"
-	"vrpower/internal/mtrie"
-	"vrpower/internal/multiway"
 	"vrpower/internal/netsim"
 	"vrpower/internal/packet"
 	"vrpower/internal/pipeline"
@@ -41,8 +39,6 @@ import (
 	"vrpower/internal/power"
 	"vrpower/internal/rib"
 	"vrpower/internal/scenario"
-	"vrpower/internal/sched"
-	"vrpower/internal/tcam"
 	"vrpower/internal/traffic"
 	"vrpower/internal/trie"
 	"vrpower/internal/update"
@@ -364,35 +360,6 @@ func DiffImages(oldImg, newImg *Image) ([]update.Write, error) { return update.D
 // BubbleCount returns the write bubbles a write set needs.
 func BubbleCount(writes []update.Write) int { return update.Bubbles(writes) }
 
-// Multi-bit tries (controlled prefix expansion).
-type MultibitTrie = mtrie.Trie
-
-// BuildMultibit constructs a fixed-stride multi-bit trie (strides 1,2,4,8).
-func BuildMultibit(routes []Route, stride int) (*MultibitTrie, error) {
-	return mtrie.Build(routes, stride)
-}
-
-// TCAM baseline (the related-work comparator).
-type (
-	// TCAM is the plain full-search ternary match array.
-	TCAM = tcam.TCAM
-	// PartitionedTCAM is the block-partitioned organisation of [20].
-	PartitionedTCAM = tcam.Partitioned
-	// TCAMPower converts fired cells into Watts.
-	TCAMPower = tcam.PowerModel
-)
-
-// BuildTCAM loads a table into a priority-ordered TCAM.
-func BuildTCAM(tbl *Table) *TCAM { return tcam.Build(tbl) }
-
-// BuildPartitionedTCAM loads a table into 2^indexBits power-gated blocks.
-func BuildPartitionedTCAM(tbl *Table, indexBits int) (*PartitionedTCAM, error) {
-	return tcam.BuildPartitioned(tbl, indexBits)
-}
-
-// DefaultTCAMPower returns the calibrated TCAM energy coefficients.
-func DefaultTCAMPower() TCAMPower { return tcam.DefaultPowerModel() }
-
 // Wire formats (parse/edit around the lookup).
 type (
 	// Frame is a parsed VLAN-tagged IPv4 frame.
@@ -417,39 +384,6 @@ func DeviceFamily() []Device { return fpga.Family() }
 // SmallestFit places a design on the smallest family member that hosts it.
 func SmallestFit(grade SpeedGrade, used fpga.Resources, stages, maxBlocksPerStage, engines int) (*Placement, error) {
 	return fpga.SmallestFit(grade, used, stages, maxBlocksPerStage, engines)
-}
-
-// Egress scheduling (the QoS transparency requirement of Section I).
-type (
-	// Scheduler is a per-VN-queue egress scheduler.
-	Scheduler = sched.Scheduler
-	// SchedConfig parameterises it.
-	SchedConfig = sched.Config
-	// SchedStats reports service shares, drops and fairness.
-	SchedStats = sched.Stats
-	// SchedPacket is one queued egress packet.
-	SchedPacket = sched.Packet
-)
-
-// Scheduling disciplines.
-const (
-	// DRR is byte-accurate Deficit Round Robin.
-	DRR = sched.DRR
-	// RR is packet round robin.
-	RR = sched.RR
-	// PrioritySched is strict priority by VN index.
-	PrioritySched = sched.Priority
-)
-
-// NewScheduler builds an egress scheduler.
-func NewScheduler(cfg SchedConfig) (*Scheduler, error) { return sched.New(cfg) }
-
-// Multi-way pipelining (reference [7]).
-type MultiwayEngine = multiway.Engine
-
-// BuildMultiway partitions a table across 2^b short pipelines.
-func BuildMultiway(tbl *Table, ways, stages int) (*MultiwayEngine, error) {
-	return multiway.Build(tbl, ways, stages)
 }
 
 // BraidedTrie is the braided merged lookup structure (reference [17]).
