@@ -4,7 +4,7 @@
 #   make bench      = every benchmark with allocation counts
 GO ?= go
 
-.PHONY: all build test race governor-smoke scenario-smoke chaos-smoke fleet-smoke figures-smoke fuzz-smoke fuzz-batch-smoke vet vuln bench bench-gate bench-baseline bench-test bench-e2e loc
+.PHONY: all build test race governor-smoke scenario-smoke chaos-smoke fleet-smoke figures-smoke fuzz-smoke fuzz-batch-smoke vet vuln bench bench-gate bench-baseline bench-test bench-e2e loc loc-diff
 
 all: build test
 
@@ -219,10 +219,30 @@ bench-e2e:
 
 # Non-test Go lines per package (wc -l over the files `go list` names as
 # GoFiles, so _test.go files and bench/, its own module, are out): the table
-# a change that claims to simplify is held to.
+# a change that claims to simplify is held to. LOC_COUNT prints one
+# "<lines> <package>" line per package of the module in the current directory.
+LOC_COUNT = $(GO) list -f '{{.Dir}} {{.ImportPath}}{{range .GoFiles}} {{.}}{{end}}' ./... | \
+	while read dir pkg files; do \
+		n=0; for f in $$files; do n=$$((n + $$(wc -l < $$dir/$$f))); done; \
+		echo "$$n $$pkg"; \
+	done
 loc:
-	@$(GO) list -f '{{.Dir}} {{.ImportPath}}{{range .GoFiles}} {{.}}{{end}}' ./... | \
-		while read dir pkg files; do \
-			n=0; for f in $$files; do n=$$((n + $$(wc -l < $$dir/$$f))); done; \
-			printf '%6d  %s\n' $$n $$pkg; \
-		done | sort -k2 | awk '{ t += $$1; print } END { printf "%6d  total\n", t }'
+	@$(LOC_COUNT) | sort -k2 | awk '{ t += $$1; printf "%6d  %s\n", $$1, $$2 } END { printf "%6d  total\n", t }'
+
+# The same count at BASE (a git revision, default the parent commit) beside
+# the working tree's: package, base, now, delta, and a total row — the
+# "parent -> now" table a simplifying change reports. BASE's tree is
+# extracted with git archive into a temporary directory and counted there
+# (the module has no dependencies, so go list needs no network).
+BASE ?= HEAD~1
+loc-diff:
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	git archive $(BASE) | tar -x -C "$$tmp" && \
+	(cd "$$tmp" && $(LOC_COUNT)) > "$$tmp/base.loc" && \
+	$(LOC_COUNT) > "$$tmp/now.loc" && \
+	awk 'FNR == NR { b[$$2] = $$1; next } { n[$$2] = $$1 } \
+		END { for (p in b) if (!(p in n)) n[p] = 0; for (p in n) print p, b[p] + 0, n[p] }' \
+		"$$tmp/base.loc" "$$tmp/now.loc" | sort | \
+	awk 'BEGIN { printf "%-42s %6s %6s %6s\n", "package", "base", "now", "delta" } \
+		{ printf "%-42s %6d %6d %+6d\n", $$1, $$2, $$3, $$3 - $$2; tb += $$2; tn += $$3 } \
+		END { printf "%-42s %6d %6d %+6d\n", "total", tb, tn, tn - tb }'

@@ -11,11 +11,13 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -32,6 +34,7 @@ import (
 // map is mutex-guarded, so concurrently running experiments cannot misfile
 // each other's CSVs.
 type emitter struct {
+	w      io.Writer
 	csv    bool
 	outdir string
 
@@ -46,9 +49,9 @@ func (em *emitter) emit(name string, t *report.Table) error {
 	em.mu.Lock()
 	defer em.mu.Unlock()
 	if em.csv {
-		fmt.Print(t.CSV())
+		fmt.Fprint(em.w, t.CSV())
 	} else {
-		fmt.Println(t.String())
+		fmt.Fprintln(em.w, t.String())
 	}
 	if em.outdir == "" {
 		return nil
@@ -102,61 +105,93 @@ func perGrade(grades []fpga.SpeedGrade, gen func(fpga.SpeedGrade) (*report.Figur
 	}
 }
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("figures: ")
-	exp := flag.String("exp", "all", "experiment to regenerate: all, "+strings.Join(names(rows(nil)), ", "))
-	gradeFlag := flag.String("grade", "both", "speed grade for fig5-fig8: both, -2 or -1L")
-	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
-	outdir := flag.String("outdir", "", "also write each experiment's CSV into this directory")
-	jobs := flag.Int("j", 0, "sweep worker-pool size (0 = GOMAXPROCS); output is byte-identical at any value")
-	stats := flag.Bool("stats", false, "print run instrumentation to stderr on exit")
-	httpAddr := flag.String("http", "", "serve live /metrics and /debug/pprof/ on this address while experiments run (e.g. :9090)")
-	flag.Parse()
+// options collects the parsed flags.
+type options struct {
+	exp      string
+	grades   []fpga.SpeedGrade
+	csv      bool
+	outdir   string
+	jobs     int
+	stats    bool
+	httpAddr string
+}
 
-	sweep.SetWorkers(*jobs)
-	if *httpAddr != "" {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command over its arguments and streams: 0 when every
+// requested experiment printed, 1 when one failed, 2 on a flag the command
+// does not have or a value a flag cannot take (an unknown -exp or -grade).
+func run(args []string, stdout, stderr io.Writer) int {
+	o := options{exp: "all", grades: fpga.Grades()}
+	all := names(rows(nil))
+	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.Func("exp", "`experiment` to regenerate: all (the default), "+strings.Join(all, ", "), func(s string) error {
+		if s != "all" && !slices.Contains(all, s) {
+			return fmt.Errorf("want all, %s", strings.Join(all, ", "))
+		}
+		o.exp = s
+		return nil
+	})
+	fs.Func("grade", "speed `grade` for fig5-fig8: both (the default), -2 or -1L", func(s string) (err error) {
+		o.grades, err = parseGrades(s)
+		return err
+	})
+	fs.BoolVar(&o.csv, "csv", false, "emit CSV instead of aligned tables")
+	fs.StringVar(&o.outdir, "outdir", "", "also write each experiment's CSV into this directory")
+	fs.IntVar(&o.jobs, "j", 0, "sweep worker-pool size (0 = GOMAXPROCS); output is byte-identical at any value")
+	fs.BoolVar(&o.stats, "stats", false, "print run instrumentation to stderr on exit")
+	fs.StringVar(&o.httpAddr, "http", "", "serve live /metrics and /debug/pprof/ on this address while experiments run (e.g. :9090)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if err := o.regenerate(stdout, stderr); err != nil {
+		fmt.Fprintln(stderr, "figures:", err)
+		return 1
+	}
+	return 0
+}
+
+// regenerate runs the experiment rows -exp names (every row for "all") in
+// order, printing each table to stdout.
+func (o *options) regenerate(stdout, stderr io.Writer) error {
+	sweep.SetWorkers(o.jobs)
+	if o.httpAddr != "" {
 		// Live exposition for long regenerations: Prometheus counters and
 		// pprof profiling of the sweep workers. Shut down on exit so repeated
 		// smoke runs reuse the port cleanly.
-		srv, err := obs.Serve(*httpAddr, obs.TelemetryMux(nil, nil, nil))
+		srv, err := obs.Serve(o.httpAddr, obs.TelemetryMux(nil, nil, nil))
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		log.Printf("telemetry at http://%s/", srv.Addr())
+		fmt.Fprintf(stderr, "figures: telemetry at http://%s/\n", srv.Addr())
 		defer func() { _ = srv.Shutdown(5 * time.Second) }()
 	}
 	// Scope -stats to the experiments actually run: the process-wide metric
 	// registry may already hold counts from package init or earlier runs.
+	// Stderr keeps it out of piped CSV output.
 	snap := obs.TakeSnapshot()
-	if *outdir != "" {
-		if err := os.MkdirAll(*outdir, 0o755); err != nil {
-			log.Fatal(err)
+	if o.stats {
+		defer func() { fmt.Fprint(stderr, obs.ReportSince(snap)) }()
+	}
+	if o.outdir != "" {
+		if err := os.MkdirAll(o.outdir, 0o755); err != nil {
+			return err
 		}
 	}
-	em := &emitter{csv: *csv, outdir: *outdir, written: map[string]int{}}
-
-	grades, err := parseGrades(*gradeFlag)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	exps := rows(grades)
-	ran := false
-	for _, r := range exps {
-		if *exp != "all" && *exp != r.name {
+	em := &emitter{w: stdout, csv: o.csv, outdir: o.outdir, written: map[string]int{}}
+	for _, r := range rows(o.grades) {
+		if o.exp != "all" && o.exp != r.name {
 			continue
 		}
-		ran = true
 		if err := r.fn(func(t *report.Table) error { return em.emit(r.name, t) }); err != nil {
-			log.Fatalf("%s: %v", r.name, err)
+			return fmt.Errorf("%s: %w", r.name, err)
 		}
 	}
-	if !ran {
-		log.Printf("unknown experiment %q; available: all %v", *exp, names(exps))
-		os.Exit(2)
-	}
-	finish(*stats, snap)
+	return nil
 }
 
 // row is one experiment: its -exp name and what regenerates it.
@@ -206,14 +241,6 @@ func rows(grades []fpga.SpeedGrade) []row {
 	}
 }
 
-// finish prints the instrumentation recorded since the start-of-run snapshot
-// when -stats is set. Stderr keeps it out of piped CSV output.
-func finish(stats bool, since obs.Snapshot) {
-	if stats {
-		fmt.Fprint(os.Stderr, obs.ReportSince(since))
-	}
-}
-
 func parseGrades(s string) ([]fpga.SpeedGrade, error) {
 	switch s {
 	case "both":
@@ -223,5 +250,5 @@ func parseGrades(s string) ([]fpga.SpeedGrade, error) {
 	case "-1L":
 		return []fpga.SpeedGrade{fpga.Grade1L}, nil
 	}
-	return nil, fmt.Errorf(`grade %q: want "both", "-2" or "-1L"`, s)
+	return nil, fmt.Errorf("want both, -2 or -1L")
 }

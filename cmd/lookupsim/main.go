@@ -97,7 +97,7 @@ type options struct {
 	traceOut      string
 	timeseriesOut string
 	eventsOut     string
-	eventsLevel   string
+	eventsLevel   obs.Level
 	httpAddr      string
 	httpHold      bool
 
@@ -133,7 +133,7 @@ func (o *options) telemetry() *netsim.Telemetry {
 	}
 	t := &netsim.Telemetry{
 		Series: obs.NewTimeSeries(),
-		Events: obs.NewEventLog(obs.ParseLevel(o.eventsLevel)),
+		Events: obs.NewEventLog(o.eventsLevel),
 	}
 	if o.traceSample > 0 {
 		t.Sampler = obs.NewTraceSampler(o.traceSample, o.seed)
@@ -148,7 +148,7 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 // 1 on a domain error (a mismatch, outstanding work, an unbuildable router),
 // 2 on a flag the command does not have or a value a flag cannot take.
 func run(args []string, stdout, stderr io.Writer) int {
-	o := options{stdout: stdout, stderr: stderr}
+	o := options{eventsLevel: obs.LevelInfo, stdout: stdout, stderr: stderr}
 	fs := flag.NewFlagSet("lookupsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	fs.StringVar(&o.scheme, "scheme", "VM", "router scheme: NV, VS or VM")
@@ -167,7 +167,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&o.traceOut, "trace-out", "", "write sampled flight traces as JSONL to this file (- = stdout)")
 	fs.StringVar(&o.timeseriesOut, "timeseries-out", "", "write the per-slice telemetry series as CSV to this file (- = stdout)")
 	fs.StringVar(&o.eventsOut, "events-out", "", "write the structured event log as JSONL to this file (- = stdout)")
-	fs.StringVar(&o.eventsLevel, "events-level", "info", "minimum event severity to keep: debug, info, warn or error")
+	fs.Func("events-level", "minimum event `level` to keep: debug, info (the default), warn or error", func(s string) (err error) {
+		o.eventsLevel, err = obs.ParseLevel(s)
+		return err
+	})
 	fs.StringVar(&o.httpAddr, "http", "", "serve /metrics, /timeseries.csv, /traces.jsonl, /events.jsonl and /debug/pprof/ on this address (e.g. :9090)")
 	fs.BoolVar(&o.httpHold, "http-hold", false, "keep the -http endpoints up after the run finishes (Ctrl-C to exit)")
 	fs.Float64Var(&o.powerCap, "power-cap", 0, "fleet-wide power envelope in Watts enforced by the closed-loop governor (0 = ungoverned)")
@@ -184,10 +187,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
-	if o.packets < 0 {
-		fmt.Fprintf(stderr, "invalid value %d for flag -packets: want a count >= 0\n", o.packets)
-		fs.Usage()
-		return 2
+	// A value a flag cannot take is refused like a flag the command does not
+	// have, never read as some default. (NaN fails every comparison.)
+	for _, c := range []struct {
+		ok         bool
+		flag, want string
+		val        any
+	}{
+		{o.packets >= 0, "packets", "a count >= 0", o.packets},
+		{o.traceSample >= 0 && o.traceSample <= 1, "trace-sample", "a rate in [0,1]", o.traceSample},
+		{o.traceBuf >= 0, "trace-buf", "a capacity >= 0", o.traceBuf},
+		{o.powerCap >= 0, "power-cap", "Watts >= 0 (0 = ungoverned)", o.powerCap},
+		{o.powerCapDevice >= 0, "power-cap-device", "Watts >= 0 (0 = no device cap)", o.powerCapDevice},
+		{o.jobs >= 0, "j", "a worker count >= 0 (0 = GOMAXPROCS)", o.jobs},
+	} {
+		if !c.ok {
+			fmt.Fprintf(stderr, "invalid value %v for flag -%s: want %s\n", c.val, c.flag, c.want)
+			fs.Usage()
+			return 2
+		}
 	}
 
 	sweep.SetWorkers(o.jobs)

@@ -83,6 +83,18 @@ func TestRunFailures(t *testing.T) {
 		cases = append(cases, failure{"negative count " + strings.Join(args, " "), args, 2,
 			"invalid value -1 for flag -packets: want a count >= 0"})
 	}
+	// A value a flag cannot take is refused, never read as a default.
+	for _, c := range []struct{ flag, val, want string }{
+		{"-trace-sample", "2", "invalid value 2 for flag -trace-sample: want a rate in [0,1]"},
+		{"-trace-buf", "-1", "invalid value -1 for flag -trace-buf: want a capacity >= 0"},
+		{"-events-level", "bogus", `invalid value "bogus" for flag -events-level: want debug, info, warn or error`},
+		{"-power-cap", "-3", "invalid value -3 for flag -power-cap: want Watts >= 0"},
+		{"-power-cap-device", "-1", "invalid value -1 for flag -power-cap-device: want Watts >= 0"},
+		{"-j", "-4", "invalid value -4 for flag -j: want a worker count >= 0"},
+	} {
+		cases = append(cases, failure{"bad value " + c.flag + " " + c.val,
+			append(append([]string(nil), small...), c.flag, c.val, "-packets", "100"), 2, c.want})
+	}
 	for _, flag := range []string{"-load", "-faults", "-fault-seed", "-seu-rate", "-kill-engine", "-kill-cycle",
 		"-reconfig-failures", "-churn", "-churn-seed", "-churn-batch", "-churn-batches", "-churn-vn"} {
 		cases = append(cases, failure{"removed " + flag, []string{flag, "1"}, 2, "flag provided but not defined: " + flag})

@@ -11,9 +11,11 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
+	"os"
 
 	"vrpower/internal/core"
 	"vrpower/internal/fpga"
@@ -22,93 +24,121 @@ import (
 	"vrpower/internal/rib"
 )
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("vrpower: ")
-	var (
-		schemeFlag = flag.String("scheme", "VS", "router scheme: NV, VS or VM")
-		k          = flag.Int("k", 4, "number of (virtual) networks")
-		gradeFlag  = flag.String("grade", "-2", `speed grade: "-2" or "-1L"`)
-		alpha      = flag.Float64("alpha", 0.8, "merging efficiency for VM (0..1)")
-		prefixes   = flag.Int("prefixes", 3725, "routes per network table")
-		empirical  = flag.Bool("empirical", false, "build real tables and compiled engines instead of the analytic model")
-		share      = flag.Float64("share", 0.6, "prefix-space share across networks for -empirical")
-		stages     = flag.Int("stages", core.DefaultStages, "pipeline depth N")
-		bram36     = flag.Bool("bram36", false, "pack memories into 36 Kb blocks instead of 18 Kb")
-		noGating   = flag.Bool("no-gating", false, "disable clock gating of idle engines")
-		balanced   = flag.Bool("balanced", false, "memory-balanced level-to-stage mapping (refs [7,8])")
-		distram    = flag.Int64("distram", 0, "map stages of at most this many bits to distributed RAM (0 = BRAM only)")
-		deviceName = flag.String("device", "XC6VLX760", "target Virtex-6 family member")
-		compare    = flag.Bool("compare", false, "print all three schemes side by side instead of one")
-		seed       = flag.Int64("seed", 1, "generator seed")
-	)
-	flag.Parse()
+// options collects the parsed flags: the router configuration they spell
+// out, and how to price it.
+type options struct {
+	cfg       core.Config
+	alpha     float64
+	prefixes  int
+	empirical bool
+	share     float64
+	compare   bool
+	seed      int64
+}
 
-	scheme, err := parseScheme(*schemeFlag)
-	if err != nil {
-		log.Fatal(err)
-	}
-	grade, err := parseGrade(*gradeFlag)
-	if err != nil {
-		log.Fatal(err)
-	}
-	device, err := findDevice(*deviceName)
-	if err != nil {
-		log.Fatal(err)
-	}
-	cfg := core.Config{
-		Scheme:           scheme,
-		K:                *k,
-		Grade:            grade,
-		Stages:           *stages,
-		ClockGating:      !*noGating,
-		Balanced:         *balanced,
-		DistRAMThreshold: *distram,
-		Device:           device,
-	}
-	if *bram36 {
-		cfg.Mode = fpga.BRAM36Mode
-	}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	if *compare {
-		if err := printComparison(cfg, *prefixes, *alpha, *seed); err != nil {
-			log.Fatal(err)
+// run is the whole command over its arguments and streams: 0 when the table
+// is printed, 1 on a configuration that cannot be built or priced, 2 on a
+// flag the command does not have or a value a flag cannot take.
+func run(args []string, stdout, stderr io.Writer) int {
+	o := options{cfg: core.Config{Scheme: core.VS, Grade: fpga.Grade2, Device: fpga.XC6VLX760()}}
+	var bram36, noGating bool
+	fs := flag.NewFlagSet("vrpower", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.Func("scheme", "router `scheme`: NV, VS (the default) or VM", func(s string) (err error) {
+		o.cfg.Scheme, err = parseScheme(s)
+		return err
+	})
+	fs.IntVar(&o.cfg.K, "k", 4, "number of (virtual) networks")
+	fs.Func("grade", "speed `grade`: -2 (the default) or -1L", func(s string) (err error) {
+		o.cfg.Grade, err = parseGrade(s)
+		return err
+	})
+	fs.Float64Var(&o.alpha, "alpha", 0.8, "merging efficiency for VM (0..1)")
+	fs.IntVar(&o.prefixes, "prefixes", 3725, "routes per network table")
+	fs.BoolVar(&o.empirical, "empirical", false, "build real tables and compiled engines instead of the analytic model")
+	fs.Float64Var(&o.share, "share", 0.6, "prefix-space share across networks for -empirical")
+	fs.IntVar(&o.cfg.Stages, "stages", core.DefaultStages, "pipeline depth N (0 = the default)")
+	fs.BoolVar(&bram36, "bram36", false, "pack memories into 36 Kb blocks instead of 18 Kb")
+	fs.BoolVar(&noGating, "no-gating", false, "disable clock gating of idle engines")
+	fs.BoolVar(&o.cfg.Balanced, "balanced", false, "memory-balanced level-to-stage mapping (refs [7,8])")
+	fs.Int64Var(&o.cfg.DistRAMThreshold, "distram", 0, "map stages of at most this many bits to distributed RAM (0 = BRAM only)")
+	fs.Func("device", "target Virtex-6 family `member` (default XC6VLX760)", func(s string) (err error) {
+		o.cfg.Device, err = findDevice(s)
+		return err
+	})
+	fs.BoolVar(&o.compare, "compare", false, "print all three schemes side by side instead of one")
+	fs.Int64Var(&o.seed, "seed", 1, "generator seed")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
-		return
+		return 2
+	}
+	for _, c := range []struct {
+		flag string
+		val  int
+	}{{"k", o.cfg.K}, {"prefixes", o.prefixes}} {
+		if c.val < 1 {
+			fmt.Fprintf(stderr, "invalid value %d for flag -%s: want a count >= 1\n", c.val, c.flag)
+			fs.Usage()
+			return 2
+		}
+	}
+	o.cfg.ClockGating = !noGating
+	if bram36 {
+		o.cfg.Mode = fpga.BRAM36Mode
 	}
 
+	var err error
+	if o.compare {
+		err = o.printComparison(stdout)
+	} else {
+		err = o.printOne(stdout)
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, "vrpower:", err)
+		return 1
+	}
+	return 0
+}
+
+// printOne builds the one configuration — over real tables with -empirical,
+// else analytically from a generated table's profile — and prints its
+// clock, power, efficiency and placement.
+func (o *options) printOne(stdout io.Writer) error {
 	var r *core.Router
-	if *empirical {
-		set, err := rib.GenerateVirtualSet(*k, *prefixes, *share, *seed)
+	if o.empirical {
+		set, err := rib.GenerateVirtualSet(o.cfg.K, o.prefixes, o.share, o.seed)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		r, err = core.Build(cfg, set.Tables)
-		if err != nil {
-			log.Fatal(err)
+		if r, err = core.Build(o.cfg, set.Tables); err != nil {
+			return err
 		}
 	} else {
-		tbl, err := rib.Generate("profile", rib.DefaultGen(*prefixes, *seed))
+		tbl, err := rib.Generate("profile", rib.DefaultGen(o.prefixes, o.seed))
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		r, err = core.BuildAnalytic(cfg, core.ProfileOf(tbl), *alpha)
-		if err != nil {
-			log.Fatal(err)
+		if r, err = core.BuildAnalytic(o.cfg, core.ProfileOf(tbl), o.alpha); err != nil {
+			return err
 		}
 	}
 
 	model, err := r.ModelPower()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	measured, err := r.MeasuredPower(power.NewAnalyzer())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
+	cfg := r.Config()
 	t := report.NewTable(
-		fmt.Sprintf("%s, K=%d, grade %s, %d stages", scheme, *k, grade, cfg.Stages),
+		fmt.Sprintf("%s, K=%d, grade %s, %d stages", cfg.Scheme, cfg.K, cfg.Grade, cfg.Stages),
 		"Quantity", "Value")
 	t.AddF("Clock (MHz)", fmt.Sprintf("%.1f", r.Fmax()))
 	t.AddF("Pipeline latency (ns)", fmt.Sprintf("%.1f", r.LatencyNS()))
@@ -125,7 +155,8 @@ func main() {
 	t.AddF("Logic utilization", fmt.Sprintf("%.1f%%", pl.LogicUtilization()*100))
 	t.AddF("BRAM utilization", fmt.Sprintf("%.1f%%", pl.BRAMUtilization()*100))
 	t.AddF("Devices", r.Design().Devices)
-	fmt.Println(t.String())
+	fmt.Fprintln(stdout, t.String())
+	return nil
 }
 
 // findDevice resolves a Virtex-6 family member by name.
@@ -139,26 +170,27 @@ func findDevice(name string) (fpga.Device, error) {
 	for _, d := range fpga.Family() {
 		names = append(names, d.Name)
 	}
-	return fpga.Device{}, fmt.Errorf("device %q: want one of %v", name, names)
+	return fpga.Device{}, fmt.Errorf("want one of %v", names)
 }
 
-// printComparison evaluates all three schemes under the same configuration.
-func printComparison(cfg core.Config, prefixes int, alpha float64, seed int64) error {
-	tbl, err := rib.Generate("profile", rib.DefaultGen(prefixes, seed))
+// printComparison evaluates all three schemes under the same configuration;
+// a scheme that cannot be built there gets its error in its row.
+func (o *options) printComparison(stdout io.Writer) error {
+	tbl, err := rib.Generate("profile", rib.DefaultGen(o.prefixes, o.seed))
 	if err != nil {
 		return err
 	}
 	prof := core.ProfileOf(tbl)
 	a := power.NewAnalyzer()
 	t := report.NewTable(
-		fmt.Sprintf("All schemes, K=%d, grade %s, α=%.0f%% for VM", cfg.K, cfg.Grade, alpha*100),
+		fmt.Sprintf("All schemes, K=%d, grade %s, α=%.0f%% for VM", o.cfg.K, o.cfg.Grade, o.alpha*100),
 		"Scheme", "Clock (MHz)", "Power (W)", "Measured (W)", "Gbps", "mW/Gbps", "Latency (ns)")
 	for _, sc := range core.Schemes() {
-		c := cfg
+		c := o.cfg
 		c.Scheme = sc
 		al := 0.0
 		if sc == core.VM {
-			al = alpha
+			al = o.alpha
 		}
 		r, err := core.BuildAnalytic(c, prof, al)
 		if err != nil {
@@ -181,7 +213,7 @@ func printComparison(cfg core.Config, prefixes int, alpha float64, seed int64) e
 			fmt.Sprintf("%.2f", power.MilliwattsPerGbps(meas.Total(), r.ThroughputGbps())),
 			fmt.Sprintf("%.1f", r.LatencyNS()))
 	}
-	fmt.Println(t.String())
+	fmt.Fprintln(stdout, t.String())
 	return nil
 }
 
@@ -194,7 +226,7 @@ func parseScheme(s string) (core.Scheme, error) {
 	case "VM":
 		return core.VM, nil
 	}
-	return 0, fmt.Errorf("scheme %q: want NV, VS or VM", s)
+	return 0, fmt.Errorf("want NV, VS or VM")
 }
 
 func parseGrade(s string) (fpga.SpeedGrade, error) {
@@ -204,5 +236,5 @@ func parseGrade(s string) (fpga.SpeedGrade, error) {
 	case "-1L":
 		return fpga.Grade1L, nil
 	}
-	return 0, fmt.Errorf(`grade %q: want "-2" or "-1L"`, s)
+	return 0, fmt.Errorf("want -2 or -1L")
 }

@@ -1,12 +1,12 @@
 package ctrl
 
 // Backoff is the shared deterministic retry/recovery pacing policy: the
-// scrubber's reload retries and the power governor's de-escalation both
-// wait through it. Attempt n pauses Base<<(n-1) cycles, clamped to Max,
-// minus a seeded pseudo-random jitter of up to Jitter of the pause. The
-// jitter stream is a pure function of (Seed, attempt) — no global RNG, no
-// wall clock — so equal configurations yield equal delays and governed or
-// scrubbed runs stay byte-identical at any worker count.
+// power governor's de-escalation and the fleet controller's migration
+// retries both wait through it. Attempt n pauses Base<<(n-1) cycles,
+// clamped to Max, minus a seeded pseudo-random jitter of up to Jitter of the
+// pause. The jitter stream is a pure function of (Seed, attempt) — no global
+// RNG, no wall clock — so equal configurations yield equal delays and
+// governed or fleet runs stay byte-identical at any worker count.
 type Backoff struct {
 	// Base is the pause before attempt 1 in cycles; it doubles per attempt.
 	Base int64

@@ -2,8 +2,8 @@ package ctrl
 
 import "testing"
 
-// Zero jitter must reproduce the legacy schedule exactly — the scrubber's
-// latency goldens depend on Delay(n) == Base << (n-1).
+// Zero jitter must reproduce the plain doubling schedule exactly:
+// Delay(n) == Base << (n-1).
 func TestBackoffZeroJitterMatchesExponential(t *testing.T) {
 	b := Backoff{Base: 512}
 	for n := 1; n <= 8; n++ {

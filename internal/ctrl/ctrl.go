@@ -67,9 +67,9 @@ type Event struct {
 // Manager hosts a virtualized router (VS or VM) and mutates its set of
 // virtual networks at runtime. It owns the authoritative tables and, with
 // them, the one pristine compiled image of every engine; the data plane
-// serves clones of those (PinnedImages, PinnedImage, HitlessUpdate.Image,
-// ScrubNetwork), so nothing the data plane does to its copy — an SEU, a
-// shadow-bank write — can reach the control plane's.
+// serves clones of those (PinnedImages, PinnedImage — a scrub's rebuild —
+// and HitlessUpdate.Image), so nothing the data plane does to its copy — an
+// SEU, a shadow-bank write — can reach the control plane's.
 type Manager struct {
 	cfg    core.Config
 	tables []*rib.Table
@@ -82,7 +82,7 @@ type Manager struct {
 	// sm pins a fixed stage map so image diffs across rebuilds are
 	// comparable word-for-word.
 	sm trie.StageMap
-	// reloading marks a data-plane reload in flight (e.g. an SEU scrub):
+	// reloading marks a data-plane reload in flight (a hitless update):
 	// lifecycle mutations are rejected until it completes, because applying
 	// an update to a structure that is mid-rewrite corrupts both.
 	reloading bool

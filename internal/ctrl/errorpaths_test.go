@@ -130,31 +130,6 @@ func TestMutationsRejectedDuringReload(t *testing.T) {
 	forwardingIntact(t, m)
 }
 
-// alwaysFail is a ReconfigFailer that voids every reload attempt.
-type alwaysFail struct{}
-
-func (alwaysFail) FailReconfig() bool { return true }
-
-// TestScrubExhaustionWrapsSentinel: a scrub that runs out of attempts must
-// be identifiable with errors.Is, not by message matching.
-func TestScrubExhaustionWrapsSentinel(t *testing.T) {
-	m, err := New(core.Config{Scheme: core.VS, ClockGating: true}, genTables(t, 2, 150, 40))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc, err := NewScrubber(ScrubPolicy{MaxAttempts: 2}, alwaysFail{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.ScrubNetwork(0, sc); !errors.Is(err, ErrScrubExhausted) {
-		t.Fatalf("exhausted scrub error %v, want ErrScrubExhausted", err)
-	}
-	if m.Reloading() {
-		t.Fatal("reload guard leaked after an exhausted scrub")
-	}
-	forwardingIntact(t, m)
-}
-
 // TestHitlessDoubleCommitWrapsSentinel: committing a finished hitless
 // update must surface ErrUpdateFinished through errors.Is.
 func TestHitlessDoubleCommitWrapsSentinel(t *testing.T) {

@@ -4,19 +4,16 @@ package ctrl
 // that used to return an opaque fmt.Errorf now wraps one of these, so
 // callers branch with errors.Is instead of substring matching: the netsim
 // harnesses distinguish "the reload guard is busy" (retry next boundary)
-// from "the scrub budget is spent" (the engine is dead) from "the journal
+// from "the deadline expired" (walk the watchdog ladder) from "the journal
 // found a torn operation" (run recovery) without parsing messages.
 
 import "errors"
 
 var (
 	// ErrReloadInFlight marks an operation rejected because the data-plane
-	// reload guard is held (a scrub, hitless update or lifecycle mutation is
-	// mid-rewrite).
+	// reload guard is held (a hitless update is mid-rewrite, or a caller
+	// opened BeginReload).
 	ErrReloadInFlight = errors.New("data-plane reload in flight")
-	// ErrScrubExhausted marks a scrub whose bounded retry budget ran out;
-	// the engine stays dead.
-	ErrScrubExhausted = errors.New("scrub retry budget exhausted")
 	// ErrReloadTimeout marks a supervised reload or commit that blew its
 	// watchdog deadline (a reload stall, or a crashed updater).
 	ErrReloadTimeout = errors.New("reload deadline expired")

@@ -1,15 +1,15 @@
 package ctrl
 
 // This file implements the hitless (write-bubble) update path of the
-// companion work [6] beside the scrubber: instead of rebuilding and
+// companion work [6] beside the scrub (scrub.go): instead of rebuilding and
 // reloading the affected engine — which blackholes its traffic for the
 // reload window — the control plane recompiles the engine's image under the
 // pinned stage map, diffs it against the serving image, and hands the new
 // image plus its write-bubble budget to the data-plane driver, which
 // applies it through pipeline.BatchSim.BeginUpdate/InjectBubble with lookups
-// still flowing. The update holds the same reload guard the scrubber uses,
-// so a scrub, a lifecycle mutation and a hitless update can never rewrite
-// the same structure concurrently.
+// still flowing. The update holds the manager's reload guard, so a
+// lifecycle mutation and a hitless update can never rewrite the same
+// structure concurrently.
 
 import (
 	"fmt"
@@ -55,8 +55,8 @@ func (m *Manager) PinnedImage(e int) (*pipeline.Image, error) {
 // HitlessUpdate is a prepared in-service update: the coalesced ops, the
 // post-update table, the recompiled engine image and its write-bubble
 // budget. It holds the manager's reload guard from BeginHitlessUpdate until
-// Commit or Abort, so scrubs and lifecycle mutations are rejected while the
-// data plane is mid-rewrite.
+// Commit or Abort, so lifecycle mutations and further updates are rejected
+// while the data plane is mid-rewrite.
 type HitlessUpdate struct {
 	m      *Manager
 	vn     int

@@ -112,10 +112,6 @@ func TestPinnedImagesStayCoherent(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sc, err := NewScrubber(ScrubPolicy{}, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
 			for step := 0; step < 30; step++ {
 				vn := rng.Intn(m.K())
 				opSeed := seed*1000 + int64(step)
@@ -162,11 +158,11 @@ func TestPinnedImagesStayCoherent(t *testing.T) {
 					}
 				case 5:
 					op = "scrub"
-					res, err := m.ScrubNetwork(vn, sc)
+					img, err := Scrub(func() (*pipeline.Image, error) { return m.PinnedImage(m.engineOf(vn)) })
 					if err != nil {
 						t.Fatal(err)
 					}
-					vandalize(res.Image)
+					vandalize(img)
 				}
 
 				engines := m.K()

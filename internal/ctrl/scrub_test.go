@@ -1,36 +1,17 @@
 package ctrl
 
 import (
+	"errors"
 	"testing"
 
 	"vrpower/internal/core"
+	"vrpower/internal/obs"
 	"vrpower/internal/pipeline"
 )
 
-// budgetFailer fails the first n reconfiguration attempts.
-type budgetFailer struct{ left int }
-
-func (f *budgetFailer) FailReconfig() bool {
-	if f.left <= 0 {
-		return false
-	}
-	f.left--
-	return true
-}
-
-func TestScrubPolicyDefaults(t *testing.T) {
-	sc, err := NewScrubber(ScrubPolicy{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p := sc.Policy(); p != DefaultScrubPolicy() {
-		t.Errorf("zero policy filled to %+v, want defaults %+v", p, DefaultScrubPolicy())
-	}
-	if _, err := NewScrubber(ScrubPolicy{MaxAttempts: -1}, nil); err == nil {
-		t.Error("negative MaxAttempts accepted")
-	}
-}
-
+// TestScrubFirstAttemptSucceeds: a scrub rebuilds once and hands back the
+// rebuilt image itself, counting one completed scrub whose latency is the
+// image's word count (one cycle per word written).
 func TestScrubFirstAttemptSucceeds(t *testing.T) {
 	m, err := New(core.Config{Scheme: core.VS, ClockGating: true}, genTables(t, 2, 200, 20))
 	if err != nil {
@@ -40,74 +21,24 @@ func TestScrubFirstAttemptSucceeds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, _ := NewScrubber(ScrubPolicy{MaxAttempts: 3, BackoffCycles: 100, WriteCycles: 2}, nil)
-	res, err := sc.Scrub(func() (*pipeline.Image, error) { return img, nil })
+	snap := obs.TakeSnapshot()
+	rebuilds := 0
+	got, err := Scrub(func() (*pipeline.Image, error) { rebuilds++; return img, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Attempts != 1 {
-		t.Errorf("attempts = %d, want 1", res.Attempts)
+	if got != img || rebuilds != 1 {
+		t.Errorf("scrub returned %p after %d rebuilds, want %p after 1", got, rebuilds, img)
 	}
-	if res.Writes != img.Words() {
-		t.Errorf("writes = %d, want %d", res.Writes, img.Words())
-	}
-	if want := int64(img.Words()) * 2; res.LatencyCycles != want {
-		t.Errorf("latency = %d cycles, want %d (writes only)", res.LatencyCycles, want)
-	}
-}
-
-// TestScrubRetriesWithExponentialBackoff: two injected mid-flight failures
-// cost two wasted loads plus backoff 100 then 200 before the third attempt
-// lands.
-func TestScrubRetriesWithExponentialBackoff(t *testing.T) {
-	m, err := New(core.Config{Scheme: core.VS, ClockGating: true}, genTables(t, 2, 200, 21))
-	if err != nil {
-		t.Fatal(err)
-	}
-	img, err := m.compileSeparate(m.Tables()[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc, _ := NewScrubber(ScrubPolicy{MaxAttempts: 4, BackoffCycles: 100, WriteCycles: 1}, &budgetFailer{left: 2})
-	res, err := sc.Scrub(func() (*pipeline.Image, error) { return img, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Attempts != 3 {
-		t.Errorf("attempts = %d, want 3", res.Attempts)
-	}
-	want := 3*int64(img.Words()) + 100 + 200
-	if res.LatencyCycles != want {
-		t.Errorf("latency = %d cycles, want %d", res.LatencyCycles, want)
-	}
-}
-
-func TestScrubExhaustsRetryBudget(t *testing.T) {
-	m, err := New(core.Config{Scheme: core.VS, ClockGating: true}, genTables(t, 2, 150, 22))
-	if err != nil {
-		t.Fatal(err)
-	}
-	img, err := m.compileSeparate(m.Tables()[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc, _ := NewScrubber(ScrubPolicy{MaxAttempts: 2, BackoffCycles: 50, WriteCycles: 1}, &budgetFailer{left: 10})
-	res, err := sc.Scrub(func() (*pipeline.Image, error) { return img, nil })
-	if err == nil {
-		t.Fatal("scrub with inexhaustible failures succeeded")
-	}
-	if res.Attempts != 2 {
-		t.Errorf("attempts = %d, want 2 (bounded)", res.Attempts)
-	}
-	if res.Image != nil {
-		t.Error("failed scrub returned an image")
+	if n := snap.CounterDelta("ctrl.scrubs_completed"); n != 1 {
+		t.Errorf("ctrl.scrubs_completed grew by %d, want 1", n)
 	}
 }
 
 // TestScrubNetworkRepairsCorruption: corrupt the data plane's copy of a live
-// VS engine, scrub it through the manager, and verify the image handed back
-// for the reload is parity-clean, forwards correctly, and is neither the
-// corrupted copy nor the manager's own.
+// VS engine, scrub it from the manager's pinned image, and verify the image
+// handed back for the reload is parity-clean, forwards correctly, and is
+// neither the corrupted copy nor the manager's own.
 func TestScrubNetworkRepairsCorruption(t *testing.T) {
 	tables := genTables(t, 3, 300, 23)
 	m, err := New(core.Config{Scheme: core.VS, ClockGating: true}, tables)
@@ -124,15 +55,10 @@ func TestScrubNetworkRepairsCorruption(t *testing.T) {
 	if s, _ := served.Corrupted(); len(s) != 1 {
 		t.Fatalf("expected 1 corrupted word, got %d", len(s))
 	}
-	sc, _ := NewScrubber(ScrubPolicy{}, nil)
-	res, err := m.ScrubNetwork(1, sc)
+	installed, err := Scrub(func() (*pipeline.Image, error) { return m.PinnedImage(1) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Image == nil || res.Attempts != 1 {
-		t.Fatalf("scrub result %+v", res)
-	}
-	installed := res.Image
 	if installed == served || installed == m.Router().Images()[1] {
 		t.Fatal("scrub handed back an image something else holds")
 	}
@@ -148,19 +74,30 @@ func TestScrubNetworkRepairsCorruption(t *testing.T) {
 			t.Fatalf("scrubbed engine lookup %s: %d, want %d", r.Prefix, got, want)
 		}
 	}
-	if m.Reloading() {
-		t.Error("manager left in reloading state after scrub")
-	}
 }
 
+// TestScrubNetworkValidatesVN: a rebuild that fails (here: an engine the
+// manager does not have) is returned, not retried, and counts no scrub.
 func TestScrubNetworkValidatesVN(t *testing.T) {
 	m, err := New(core.Config{Scheme: core.VS, ClockGating: true}, genTables(t, 2, 100, 24))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, _ := NewScrubber(ScrubPolicy{}, nil)
-	if _, err := m.ScrubNetwork(5, sc); err == nil {
-		t.Error("scrub of unknown network accepted")
+	snap := obs.TakeSnapshot()
+	rebuilds := 0
+	img, err := Scrub(func() (*pipeline.Image, error) { rebuilds++; return m.PinnedImage(5) })
+	if err == nil || img != nil {
+		t.Fatalf("scrub of unknown engine returned (%v, %v), want an error", img, err)
+	}
+	if rebuilds != 1 {
+		t.Errorf("failed rebuild ran %d times, want 1", rebuilds)
+	}
+	if n := snap.CounterDelta("ctrl.scrubs_completed"); n != 0 {
+		t.Errorf("failed scrub counted %d completions", n)
+	}
+	boom := errors.New("boom")
+	if _, err := Scrub(func() (*pipeline.Image, error) { return nil, boom }); !errors.Is(err, boom) {
+		t.Errorf("scrub error %v does not wrap the rebuild's", err)
 	}
 }
 
@@ -175,12 +112,11 @@ func TestScrubNetworkVMInstallsMergedEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	served[0].FlipBit(0, 0, 1)
-	sc, _ := NewScrubber(ScrubPolicy{}, nil)
-	res, err := m.ScrubNetwork(2, sc)
+	// Network 2's routes live in the shared engine 0.
+	installed, err := Scrub(func() (*pipeline.Image, error) { return m.PinnedImage(m.engineOf(2)) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	installed := res.Image
 	if s, _ := installed.Corrupted(); len(s) != 0 {
 		t.Errorf("merged image still has %d corrupted words", len(s))
 	}

@@ -4,11 +4,10 @@ package ctrl
 // operation (scrub reload, hitless commit) is armed with a slice-denominated
 // deadline derived from its expected completion cycle, and the supervisor
 // walks a fixed escalation ladder when the deadline expires — bounded
-// retries with seeded exponential backoff first, then the engine is marked
-// per-VNID degraded and an operator event is raised. The ladder is the
-// robustness counterpart of the scrubber's retry budget: the scrubber
-// bounds how often a reload is re-attempted, the watchdog bounds how long
-// any single attempt may run before the control plane stops waiting.
+// retries with exponential backoff first, then the engine is marked
+// per-VNID degraded and an operator event is raised. A scrub rebuilds and
+// reloads once; the watchdog bounds how long that reload may run before the
+// control plane stops waiting.
 
 import (
 	"fmt"
@@ -23,57 +22,15 @@ var (
 	obsWatchdogFalsePos    = obs.NewCounter("ctrl.watchdog_false_positives")
 )
 
-// WatchdogPolicy bounds the supervisor's escalation ladder.
-type WatchdogPolicy struct {
-	// DeadlineSlices is the grace window past an operation's expected
-	// completion cycle, denominated in scenario slices: the deadline is
-	// expectedDone + DeadlineSlices*slice.
-	DeadlineSlices int
-	// MaxRetries is how many deadline expiries are answered with a backoff
-	// and retry before the ladder escalates.
-	MaxRetries int
-	// Backoff paces the retries; the first retry waits Base cycles, each
-	// further retry doubles it (with optional seeded jitter).
-	Backoff Backoff
-}
-
-// DefaultWatchdogPolicy grants a four-slice grace window and two retries
-// with a 256-cycle base backoff.
-func DefaultWatchdogPolicy() WatchdogPolicy {
-	return WatchdogPolicy{DeadlineSlices: 4, MaxRetries: 2, Backoff: Backoff{Base: 256}}
-}
-
-// withDefaults fills zero fields.
-func (p WatchdogPolicy) withDefaults() WatchdogPolicy {
-	d := DefaultWatchdogPolicy()
-	if p.DeadlineSlices == 0 {
-		p.DeadlineSlices = d.DeadlineSlices
-	}
-	if p.MaxRetries == 0 {
-		p.MaxRetries = d.MaxRetries
-	}
-	if p.Backoff.Base == 0 {
-		p.Backoff.Base = d.Backoff.Base
-	}
-	return p
-}
-
-// Validate reports policy errors.
-func (p WatchdogPolicy) Validate() error {
-	if p.DeadlineSlices < 1 {
-		return fmt.Errorf("ctrl: watchdog DeadlineSlices %d, want >= 1", p.DeadlineSlices)
-	}
-	if p.MaxRetries < 0 {
-		return fmt.Errorf("ctrl: watchdog MaxRetries %d, want >= 0", p.MaxRetries)
-	}
-	if p.Backoff.Base < 1 {
-		return fmt.Errorf("ctrl: watchdog backoff base %d, want >= 1", p.Backoff.Base)
-	}
-	if p.Backoff.Jitter < 0 || p.Backoff.Jitter > 1 {
-		return fmt.Errorf("ctrl: watchdog backoff jitter %g outside [0,1]", p.Backoff.Jitter)
-	}
-	return nil
-}
+// The escalation ladder. A supervised operation's deadline is its expected
+// completion cycle plus graceSlices scenario slices; the first maxRetries
+// expiries are answered with a retry after retryBase cycles, doubling per
+// retry (256, then 512); the next one escalates.
+const (
+	graceSlices = 4
+	maxRetries  = 2
+	retryBase   = 256
+)
 
 // Verdict is the watchdog's ruling on a supervised operation.
 type Verdict int
@@ -114,7 +71,6 @@ type watched struct {
 // Watchdog supervises journaled operations per engine. Like the journal it
 // runs on the coordinating goroutine and is not safe for concurrent use.
 type Watchdog struct {
-	pol   WatchdogPolicy
 	slice int64
 	log   *obs.EventLog
 	ops   map[int]*watched
@@ -128,35 +84,27 @@ type Watchdog struct {
 	escalations    int
 }
 
-// NewWatchdog builds a watchdog with slice-denominated deadlines. Zero
-// policy fields take defaults.
-func NewWatchdog(pol WatchdogPolicy, slice int64, log *obs.EventLog) (*Watchdog, error) {
-	pol = pol.withDefaults()
-	if err := pol.Validate(); err != nil {
-		return nil, err
-	}
+// NewWatchdog builds a watchdog whose grace windows are slice cycles long.
+func NewWatchdog(slice int64, log *obs.EventLog) (*Watchdog, error) {
 	if slice < 1 {
 		return nil, fmt.Errorf("ctrl: watchdog slice %d, want >= 1", slice)
 	}
 	return &Watchdog{
-		pol: pol, slice: slice, log: log,
+		slice: slice, log: log,
 		ops: make(map[int]*watched), degraded: make(map[int]bool),
 	}, nil
 }
 
-// Policy returns the effective (default-filled) policy.
-func (w *Watchdog) Policy() WatchdogPolicy { return w.pol }
-
 // Arm starts supervising an operation on engine: the deadline is the
-// expected completion cycle plus the policy's slice-denominated grace
-// window. Re-arming an engine replaces its previous supervision.
+// expected completion cycle plus the slice-denominated grace window.
+// Re-arming an engine replaces its previous supervision.
 func (w *Watchdog) Arm(engine int, op OpKind, vn int, expectedDone int64) {
 	w.ops[engine] = &watched{op: op, vn: vn, deadline: w.window(expectedDone)}
 }
 
 // window converts an expected completion cycle into a deadline.
 func (w *Watchdog) window(expectedDone int64) int64 {
-	return expectedDone + int64(w.pol.DeadlineSlices)*w.slice
+	return expectedDone + graceSlices*w.slice
 }
 
 // Extend moves a supervised operation's deadline to cover a new expected
@@ -193,7 +141,7 @@ func (w *Watchdog) Expired(engine int, cycle int64) bool {
 
 // Check walks the escalation ladder for engine at cycle. Inside the
 // deadline (or unarmed) it returns WatchOK. On expiry it returns WatchRetry
-// with the seeded backoff delay while the retry budget lasts; the caller
+// with the backoff delay while the retry budget lasts; the caller
 // re-attempts and Extends the deadline. When the budget is spent it marks
 // the engine per-VNID degraded, drops the supervision, raises the operator
 // event and returns WatchEscalate.
@@ -202,14 +150,14 @@ func (w *Watchdog) Check(engine int, cycle int64) (Verdict, int64) {
 	if o == nil || cycle < o.deadline {
 		return WatchOK, 0
 	}
-	if o.retries < w.pol.MaxRetries {
+	if o.retries < maxRetries {
 		o.retries++
 		w.retriesTotal++
 		obsWatchdogRetries.Inc()
-		delay := w.pol.Backoff.Delay(o.retries)
+		delay := int64(retryBase) << (o.retries - 1)
 		w.log.Log(obs.LevelWarn, cycle, "watchdog_retry",
 			"engine", engine, "op", o.op.String(), "vn", o.vn,
-			"retry", o.retries, "of", w.pol.MaxRetries, "backoff", delay,
+			"retry", o.retries, "of", maxRetries, "backoff", delay,
 			"error", ErrReloadTimeout.Error())
 		return WatchRetry, delay
 	}
@@ -241,9 +189,6 @@ func (w *Watchdog) FalsePositive(engine int, cycle int64) {
 
 // Degraded reports whether engine escalated and has not yet been restored.
 func (w *Watchdog) Degraded(engine int) bool { return w.degraded[engine] }
-
-// DegradedCount returns how many engines are currently degraded.
-func (w *Watchdog) DegradedCount() int { return len(w.degraded) }
 
 // Retries returns the lifetime retry count across all engines.
 func (w *Watchdog) Retries() int { return w.retriesTotal }

@@ -2,11 +2,12 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
+	"testing/quick"
 
 	"vrpower/internal/fpga"
-	"vrpower/internal/stats"
 )
 
 func TestTableII(t *testing.T) {
@@ -35,7 +36,7 @@ func TestFig2Linear(t *testing.T) {
 	for _, s := range f.Series {
 		// Power must be linear in frequency through the origin with the
 		// Table III slope (µW/MHz -> mW gives slope/1000).
-		a, b, r2, err := stats.LinFit(f.X, s.Y)
+		a, b, r2, err := linFit(f.X, s.Y)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,7 +150,7 @@ func TestFig5NVProportional(t *testing.T) {
 		}
 		// NV is proportional to K: fit K vs power, demand high linearity
 		// and a slope close to one device's static power.
-		_, slope, r2, err := stats.LinFit(f.X, nv.Y)
+		_, slope, r2, err := linFit(f.X, nv.Y)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,7 +166,7 @@ func TestFig5NVProportional(t *testing.T) {
 		}
 		// Virtualized schemes stay within ~1.5 W of a single device.
 		for _, s := range f.Series[1:] {
-			_, max := stats.MinMax(s.Y)
+			_, max := minMax(s.Y)
 			if max > wantSlope+1.5 {
 				t.Errorf("%s: %s reaches %.2f W, want near single-device", g, s.Name, max)
 			}
@@ -197,7 +198,7 @@ func TestFig7Envelope(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, s := range f.Series {
-			if worst := stats.MaxAbs(s.Y); worst > 3.0 {
+			if worst := maxAbs(s.Y); worst > 3.0 {
 				t.Errorf("%s %s: worst error %.2f%% exceeds ±3%%", g, s.Name, worst)
 			}
 		}
@@ -418,5 +419,149 @@ func TestGroupedMerge(t *testing.T) {
 			t.Errorf("per-VN capacity %.1f not below previous %.1f", g, prevG)
 		}
 		prevW, prevG = w, g
+	}
+}
+
+// minMax returns the extrema; zeros for an empty slice.
+func minMax(xs []float64) (lo, hi float64) {
+	if len(xs) == 0 {
+		return 0, 0
+	}
+	lo, hi = xs[0], xs[0]
+	for _, x := range xs[1:] {
+		lo, hi = min(lo, x), max(hi, x)
+	}
+	return lo, hi
+}
+
+// maxAbs returns the largest absolute value; 0 for an empty slice.
+func maxAbs(xs []float64) float64 {
+	m := 0.0
+	for _, x := range xs {
+		m = max(m, math.Abs(x))
+	}
+	return m
+}
+
+// linFit fits y = a + b·x by least squares and returns the coefficients and
+// the coefficient of determination R² (the linear power-vs-frequency checks
+// of Figures 2 and 5).
+func linFit(x, y []float64) (a, b, r2 float64, err error) {
+	n := len(x)
+	if n != len(y) {
+		return 0, 0, 0, fmt.Errorf("linFit: length mismatch %d vs %d", n, len(y))
+	}
+	if n < 2 {
+		return 0, 0, 0, fmt.Errorf("linFit: need >= 2 points, got %d", n)
+	}
+	var mx, my float64
+	for i := range x {
+		mx += x[i]
+		my += y[i]
+	}
+	mx, my = mx/float64(n), my/float64(n)
+	var sxx, sxy, syy float64
+	for i := range x {
+		dx, dy := x[i]-mx, y[i]-my
+		sxx += dx * dx
+		sxy += dx * dy
+		syy += dy * dy
+	}
+	if sxx == 0 {
+		return 0, 0, 0, fmt.Errorf("linFit: degenerate x (zero variance)")
+	}
+	b = sxy / sxx
+	a = my - b*mx
+	if syy == 0 {
+		return a, b, 1, nil // constant y fits exactly
+	}
+	var ssRes float64
+	for i := range x {
+		r := y[i] - (a + b*x[i])
+		ssRes += r * r
+	}
+	return a, b, 1 - ssRes/syy, nil
+}
+
+func TestMinMax(t *testing.T) {
+	lo, hi := minMax([]float64{3, -1, 7, 2})
+	if lo != -1 || hi != 7 {
+		t.Errorf("minMax = %g,%g", lo, hi)
+	}
+	if a, b := minMax(nil); a != 0 || b != 0 {
+		t.Error("minMax(nil) != 0,0")
+	}
+}
+
+func TestMaxAbs(t *testing.T) {
+	if got := maxAbs([]float64{-3, 2}); got != 3 {
+		t.Errorf("maxAbs = %g, want 3", got)
+	}
+	if maxAbs(nil) != 0 {
+		t.Error("maxAbs(nil) != 0")
+	}
+}
+
+func TestLinFitExact(t *testing.T) {
+	x := []float64{100, 200, 300, 400}
+	y := make([]float64, len(x))
+	for i, v := range x {
+		y[i] = 2.5 + 13.65*v
+	}
+	a, b, r2, err := linFit(x, y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(a-2.5) > 1e-9 || math.Abs(b-13.65) > 1e-9 {
+		t.Errorf("fit = %g + %g x", a, b)
+	}
+	if r2 < 0.999999 {
+		t.Errorf("R² = %g, want 1", r2)
+	}
+}
+
+func TestLinFitErrors(t *testing.T) {
+	if _, _, _, err := linFit([]float64{1}, []float64{1}); err == nil {
+		t.Error("single point accepted")
+	}
+	if _, _, _, err := linFit([]float64{1, 2}, []float64{1}); err == nil {
+		t.Error("length mismatch accepted")
+	}
+	if _, _, _, err := linFit([]float64{2, 2}, []float64{1, 3}); err == nil {
+		t.Error("zero-variance x accepted")
+	}
+}
+
+func TestLinFitConstantY(t *testing.T) {
+	a, b, r2, err := linFit([]float64{1, 2, 3}, []float64{5, 5, 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a != 5 || b != 0 || r2 != 1 {
+		t.Errorf("constant fit = %g + %g x, R²=%g", a, b, r2)
+	}
+}
+
+// Property: the least-squares residual of the fitted line never exceeds the
+// residual of the mean-only model (R² >= 0).
+func TestLinFitR2NonNegative(t *testing.T) {
+	f := func(seed uint32) bool {
+		n := 3 + int(seed%8)
+		x := make([]float64, n)
+		y := make([]float64, n)
+		s := float64(seed)
+		for i := range x {
+			x[i] = float64(i) + 1
+			s = math.Mod(s*9301+49297, 233280)
+			y[i] = s / 1000
+		}
+		_, _, r2, err := linFit(x, y)
+		if err != nil {
+			return false
+		}
+		return r2 >= -1e-9 && r2 <= 1+1e-9
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
 	}
 }

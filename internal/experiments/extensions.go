@@ -14,7 +14,6 @@ import (
 	"vrpower/internal/report"
 	"vrpower/internal/rib"
 	"vrpower/internal/scenario"
-	"vrpower/internal/stats"
 	"vrpower/internal/sweep"
 	"vrpower/internal/traffic"
 	"vrpower/internal/trie"
@@ -318,13 +317,18 @@ func CalibrationSpread() (*report.Table, error) {
 		fmt.Sprintf("Extension: generator calibration across %d seeds (3725 routes)", seeds),
 		"Quantity", "Paper", "Mean", "Min", "Max", "Mean err")
 	row := func(name string, paper float64, xs []float64) {
-		mean := stats.Mean(xs)
-		min, max := stats.MinMax(xs)
+		var sum float64
+		lo, hi := xs[0], xs[0]
+		for _, x := range xs {
+			sum += x
+			lo, hi = min(lo, x), max(hi, x)
+		}
+		mean := sum / float64(len(xs))
 		t.AddF(name, int(paper),
 			fmt.Sprintf("%.0f", mean),
-			fmt.Sprintf("%.0f", min),
-			fmt.Sprintf("%.0f", max),
-			fmt.Sprintf("%+.1f%%", stats.PercentError(mean, paper)))
+			fmt.Sprintf("%.0f", lo),
+			fmt.Sprintf("%.0f", hi),
+			fmt.Sprintf("%+.1f%%", power.PercentError(mean, paper)))
 	}
 	row("Trie nodes (plain)", 9726, plain)
 	row("Trie leaves", 1663, leaves)

@@ -1,8 +1,7 @@
 // Package faults is the deterministic fault layer for the virtual lookup
 // engines: a seeded injector that flips bits in compiled engine memory
-// images (the single-event-upset model real Virtex-6 BRAM is subject to),
-// kills individual engines outright, and fails control-plane
-// reconfigurations mid-flight. Every schedule is a pure function of the
+// images (the single-event-upset model real Virtex-6 BRAM is subject to)
+// and kills individual engines outright. Every schedule is a pure function of the
 // seed and the engine geometry, so the same seed yields byte-identical
 // fault sequences regardless of worker count — the property that lets the
 // robustness experiments stay reproducible under -j parallelism.
@@ -19,9 +18,8 @@ import (
 
 // Run instrumentation (surfaced by the cmd tools' -stats flag).
 var (
-	obsSEUsInjected   = obs.NewCounter("faults.seu_injected")
-	obsKillsInjected  = obs.NewCounter("faults.engine_kills")
-	obsReconfigFailed = obs.NewCounter("faults.reconfig_failures_injected")
+	obsSEUsInjected  = obs.NewCounter("faults.seu_injected")
+	obsKillsInjected = obs.NewCounter("faults.engine_kills")
 )
 
 // Config parameterises an Injector. The zero value injects nothing.
@@ -39,10 +37,6 @@ type Config struct {
 	Kill       bool
 	KillEngine int
 	KillCycle  int64
-	// ReconfigFailures fails the first N control-plane reconfiguration
-	// attempts mid-flight (the load is paid for, then discarded),
-	// exercising the scrubber's bounded retry + backoff path.
-	ReconfigFailures int
 }
 
 // Validate reports configuration errors.
@@ -55,9 +49,6 @@ func (c Config) Validate() error {
 	}
 	if c.Kill && (c.KillEngine < 0 || c.KillCycle < 0) {
 		return fmt.Errorf("faults: kill of engine %d at cycle %d, want both >= 0", c.KillEngine, c.KillCycle)
-	}
-	if c.ReconfigFailures < 0 {
-		return fmt.Errorf("faults: %d reconfig failures, want >= 0", c.ReconfigFailures)
 	}
 	return nil
 }
@@ -127,8 +118,6 @@ type Injector struct {
 	streams []*stream
 	seq     int
 	killed  bool
-	// reconfigLeft is the remaining mid-flight failure budget.
-	reconfigLeft int
 }
 
 // NewInjector builds the injector over the engines' compiled images (one
@@ -142,7 +131,7 @@ func NewInjector(cfg Config, images []*pipeline.Image) (*Injector, error) {
 	if cfg.Kill && cfg.KillEngine >= len(images) {
 		return nil, fmt.Errorf("faults: kill engine %d with %d engines", cfg.KillEngine, len(images))
 	}
-	in := &Injector{cfg: cfg, reconfigLeft: cfg.ReconfigFailures}
+	in := &Injector{cfg: cfg}
 	for e, img := range images {
 		in.streams = append(in.streams, newStream(cfg, e, img))
 	}
@@ -186,18 +175,6 @@ func (in *Injector) KillDue(engine int, limit int64) bool {
 	}
 	in.killed = true
 	obsKillsInjected.Inc()
-	return true
-}
-
-// FailReconfig consumes one slot of the mid-flight reconfiguration-failure
-// budget, reporting true while budget remains. It implements
-// ctrl.ReconfigFailer, so an Injector plugs straight into the scrubber.
-func (in *Injector) FailReconfig() bool {
-	if in.reconfigLeft <= 0 {
-		return false
-	}
-	in.reconfigLeft--
-	obsReconfigFailed.Inc()
 	return true
 }
 

@@ -39,7 +39,6 @@ func TestValidate(t *testing.T) {
 		{SEURate: 1},
 		{Kill: true, KillEngine: -1},
 		{Kill: true, KillEngine: 0, KillCycle: -1},
-		{ReconfigFailures: -1},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -139,7 +138,7 @@ func TestUpsetsAreInRangeAndOrdered(t *testing.T) {
 }
 
 // TestZeroRateInjectsNothing: the all-zero fault config is the clean
-// baseline — no upsets over any horizon, no kill, no reconfig failures.
+// baseline — no upsets over any horizon, no kill.
 func TestZeroRateInjectsNothing(t *testing.T) {
 	imgs := []*pipeline.Image{compileImage(t, 500, 1), compileImage(t, 400, 2)}
 	in, err := NewInjector(Config{Seed: 3}, imgs)
@@ -151,9 +150,6 @@ func TestZeroRateInjectsNothing(t *testing.T) {
 	}
 	if in.KillDue(0, 1<<30) || in.KillDue(1, 1<<30) {
 		t.Error("kill fired without Kill configured")
-	}
-	if in.FailReconfig() {
-		t.Error("reconfig failure injected with a zero budget")
 	}
 }
 
@@ -229,22 +225,6 @@ func TestKillDueFiresOnce(t *testing.T) {
 	}
 	if in.KillDue(1, 1<<40) {
 		t.Error("kill fired twice")
-	}
-}
-
-func TestFailReconfigBudget(t *testing.T) {
-	in, err := NewInjector(Config{Seed: 1, ReconfigFailures: 2}, []*pipeline.Image{compileImage(t, 200, 9)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fails := 0
-	for i := 0; i < 5; i++ {
-		if in.FailReconfig() {
-			fails++
-		}
-	}
-	if fails != 2 {
-		t.Errorf("injected %d reconfig failures, want exactly 2", fails)
 	}
 }
 

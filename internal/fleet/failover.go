@@ -225,7 +225,7 @@ func (c *Controller) pickTarget(vn int) (dev int, sch core.Scheme, wokeSpare boo
 		}
 		cand := append(append([]int(nil), c.vns[d]...), c.inbound(d)...)
 		cand = append(cand, vn)
-		s, _, ok, ferr := fits(c.cfg, c.est, cand, c.demands)
+		s, _, ok, ferr := fits(c.cfg, c.est, cand)
 		if ferr != nil {
 			return -1, core.VS, false, ferr
 		}

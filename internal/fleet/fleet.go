@@ -1,7 +1,6 @@
 // Package fleet is the multi-device orchestration layer: it bin-packs
-// virtual networks across N simulated FPGA devices — choosing the
-// non-virtualized (NV), virtualized-separate (VS) or virtualized-merged
-// (VM) organisation per device on power/throughput/isolation trade-offs —
+// virtual networks across N simulated FPGA devices — a device with one
+// tenant is non-virtualized (NV), one with more virtualized-separate (VS) —
 // and keeps the placement alive under device-scale faults by re-placing
 // the victims of a crashed device onto the survivors and driving their
 // live migrations with bounded retry, timeout and exponential backoff.
@@ -26,12 +25,6 @@ import (
 	"vrpower/internal/core"
 	"vrpower/internal/ctrl"
 )
-
-// MergeMax is the aggregate load fraction above which the merged scheme is
-// refused for a device: VM shares one engine slot among its tenants, so an
-// aggregate offered load near line rate would shed throughput (the paper's
-// Section IV-C scalability limitation).
-const MergeMax = 0.95
 
 // Config parameterises a fleet: its size, per-device limits, and the
 // failover controller's retry policy.
@@ -105,9 +98,6 @@ func (c Config) Validate() error {
 type Demand struct {
 	// LoadFrac is the network's offered load as a fraction of line rate.
 	LoadFrac float64
-	// Isolated refuses the merged scheme for this network (it must not
-	// share an engine).
-	Isolated bool
 }
 
 // Estimator evaluates the power model for a candidate device hosting vns
@@ -146,51 +136,28 @@ func (p *Plan) DeviceOf(vn int) int {
 }
 
 // chooseScheme picks a device organisation for a tenant set: NV for a lone
-// network (no virtualization overhead), otherwise VS for isolation — unless
-// the per-device power cap rules VS out and the merged scheme both fits the
-// cap and can sustain the aggregate load, in which case the device merges
-// (the power/throughput/isolation trade-off, decided per device).
-func chooseScheme(cfg Config, est Estimator, vns []int, demands map[int]Demand) (core.Scheme, float64, error) {
+// network (no virtualization overhead), VS otherwise. The merged scheme is
+// never a candidate: with the calibrated model a merged pipeline loses fmax
+// and mW/Gbps as K grows (the paper's Fig. 8), and over 90 priced tenant
+// sets S (50 to 30 000 prefixes per network, K = 2–6, three seeds) none had
+// VM(S) < VS(S) while VS(S) > NV({a}) for a tenant a — the combination a
+// device cap needs before it could admit a merge that VS breaks.
+func chooseScheme(est Estimator, vns []int) (core.Scheme, float64, error) {
+	sch := core.VS
 	if len(vns) == 1 {
-		w, err := est(core.NV, vns)
-		return core.NV, w, err
+		sch = core.NV
 	}
-	vsW, err := est(core.VS, vns)
-	if err != nil {
-		return core.VS, 0, err
-	}
-	if cfg.DeviceCapWatts <= 0 || vsW <= cfg.DeviceCapWatts {
-		return core.VS, vsW, nil
-	}
-	// VS blows the cap: try the merged scheme if every tenant tolerates it.
-	var load float64
-	for _, vn := range vns {
-		d := demands[vn]
-		if d.Isolated {
-			return core.VS, vsW, nil
-		}
-		load += d.LoadFrac
-	}
-	if load > MergeMax {
-		return core.VS, vsW, nil
-	}
-	vmW, err := est(core.VM, vns)
-	if err != nil {
-		return core.VS, 0, err
-	}
-	if vmW <= cfg.DeviceCapWatts {
-		return core.VM, vmW, nil
-	}
-	return core.VS, vsW, nil
+	w, err := est(sch, vns)
+	return sch, w, err
 }
 
 // fits reports whether a device may host the tenant set at all (slots and
 // per-device cap under the chosen scheme).
-func fits(cfg Config, est Estimator, vns []int, demands map[int]Demand) (core.Scheme, float64, bool, error) {
+func fits(cfg Config, est Estimator, vns []int) (core.Scheme, float64, bool, error) {
 	if len(vns) > cfg.SlotsPerDevice {
 		return core.VS, 0, false, nil
 	}
-	sch, w, err := chooseScheme(cfg, est, vns, demands)
+	sch, w, err := chooseScheme(est, vns)
 	if err != nil {
 		return sch, 0, false, err
 	}
@@ -245,7 +212,7 @@ func Place(cfg Config, demands map[int]Demand, est Estimator) (*Plan, error) {
 				continue
 			}
 			cand := append(append([]int(nil), a.VNs...), vn)
-			_, _, ok, err := fits(cfg, est, cand, demands)
+			_, _, ok, err := fits(cfg, est, cand)
 			if err != nil {
 				return nil, err
 			}
@@ -271,7 +238,7 @@ func Place(cfg Config, demands map[int]Demand, est Estimator) (*Plan, error) {
 			a.Scheme = core.VS
 			continue
 		}
-		sch, w, err := chooseScheme(cfg, est, a.VNs, demands)
+		sch, w, err := chooseScheme(est, a.VNs)
 		if err != nil {
 			return nil, err
 		}

@@ -11,16 +11,13 @@ import (
 )
 
 // testEst is a synthetic estimator with simple, predictable costs: a base
-// watt per device plus one watt per tenant, with the merged scheme paying
-// half the per-tenant cost (one shared engine) and NV paying no base.
+// watt per device plus one watt per tenant, with NV paying no base.
 func testEst(sch core.Scheme, vns []int) (float64, error) {
 	switch sch {
 	case core.NV:
 		return float64(len(vns)), nil
 	case core.VS:
 		return 1 + float64(len(vns)), nil
-	case core.VM:
-		return 1 + 0.5*float64(len(vns)), nil
 	}
 	return 0, fmt.Errorf("unknown scheme %v", sch)
 }
@@ -97,32 +94,10 @@ func TestPlaceSingleTenantIsNV(t *testing.T) {
 	}
 }
 
-func TestPlaceCapForcesMerge(t *testing.T) {
-	// VS for 4 tenants costs 5 W; VM costs 3 W. A 4 W device cap forces
-	// the merge when every tenant tolerates it.
-	plan, err := Place(Config{Devices: 1, DeviceCapWatts: 4}, evenDemands(4, 0.1), testEst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Devices[0].Scheme != core.VM {
-		t.Fatalf("scheme %v, want VM under cap", plan.Devices[0].Scheme)
-	}
-}
-
-func TestPlaceIsolationRefusesMerge(t *testing.T) {
-	demands := evenDemands(4, 0.1)
-	demands[2] = Demand{LoadFrac: 0.1, Isolated: true}
-	_, err := Place(Config{Devices: 1, DeviceCapWatts: 4}, demands, testEst)
-	// VS blows the cap and the merge is refused: nothing fits.
-	if !errors.Is(err, ctrl.ErrNoCapacity) {
-		t.Fatalf("err %v, want ErrNoCapacity", err)
-	}
-}
-
-func TestPlaceMergeMaxRefusesOverload(t *testing.T) {
-	// Aggregate load 4×0.3 = 1.2 > MergeMax: the shared engine cannot
-	// sustain it, so the merge is refused and the cap kills the placement.
-	_, err := Place(Config{Devices: 1, DeviceCapWatts: 4}, evenDemands(4, 0.3), testEst)
+func TestPlaceCapRefusesWhatVSCannotMeet(t *testing.T) {
+	// VS for 4 tenants on one device costs 5 W. Under a 4 W device cap
+	// nothing fits: the placement refuses rather than merging.
+	_, err := Place(Config{Devices: 1, DeviceCapWatts: 4}, evenDemands(4, 0.1), testEst)
 	if !errors.Is(err, ctrl.ErrNoCapacity) {
 		t.Fatalf("err %v, want ErrNoCapacity", err)
 	}

@@ -79,8 +79,8 @@ func TestChaosCrashSoakTenCrashes(t *testing.T) {
 // TestChaosScrubFaultsReplayAndRecover drives the scrub-side fault classes
 // — stall, torn write, watchdog false positive — against SEU-triggered
 // reloads. Stalls and torn writes must resolve as journaled replays (the
-// scrub policy), the false positive must consume no retry budget, and the
-// run must end recovered with a clean audit trail.
+// journal's policy for a scrub), the false positive must consume no retry
+// budget, and the run must end recovered with a clean audit trail.
 func TestChaosScrubFaultsReplayAndRecover(t *testing.T) {
 	s, _ := buildSystem(t, core.VS, 3)
 	const cycles = 24576
@@ -170,7 +170,7 @@ func TestChaosSpecRequiresCarrier(t *testing.T) {
 // tear spliced in and the pending image must still read clean.
 func TestTornSpliceOwnsItsWords(t *testing.T) {
 	s, _ := buildSystem(t, core.VS, 3)
-	wd, err := ctrl.NewWatchdog(ctrl.WatchdogPolicy{}, 64, nil)
+	wd, err := ctrl.NewWatchdog(64, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@ package netsim
 // Fault → recovery map (the run's state machine, documented in DESIGN §13):
 //
 //	stall     scrub reload hangs; watchdog deadline expires → bounded
-//	          retries (journal replay, seeded backoff) → per-VNID degraded
+//	          retries (journal replay, doubling backoff) → per-VNID degraded
 //	          + operator event when the budget is spent.
 //	torn      reload dies mid-write at its ready boundary; half the stages
 //	          carry the new image. Journal says scrub ⇒ REPLAY: the
@@ -52,7 +52,7 @@ type ChaosReport struct {
 	// injected crash must end as a rollback, every stall/torn as replays.
 	Rollbacks int
 	Replays   int
-	// Watchdog ladder accounting.
+	// Watchdog ladder accounting, copied from the watchdog at run end.
 	WatchdogRetries int
 	FalsePositives  int
 	Escalations     int
@@ -132,17 +132,6 @@ func (r *scenRun) chaosScrubBegin(eIdx int, e *scenEng, b int64) {
 	e.ch.reset()
 	e.ch.tok = tok
 	e.ch.armedAt = b
-}
-
-// chaosScrubDead closes the journaled reload as aborted when the scrubber's
-// own retry budget is exhausted (the engine is dead regardless of chaos).
-func (r *scenRun) chaosScrubDead(eIdx int, e *scenEng, b int64) {
-	if !r.chaosOn() || e.ch.tok == nil {
-		return
-	}
-	_ = e.ch.tok.Abort(b)
-	r.wd.Disarm(eIdx)
-	e.ch.reset()
 }
 
 // chaosScrubArmed supervises a successfully launched reload: the watchdog
@@ -317,7 +306,6 @@ func (c scenChaos) Boundary(b int64, _ bool) error {
 			c.tearAndReplay(eIdx, e, b)
 		case e.fs.reloading && ch.draw == faults.CtrlFalsePositive && !ch.fpFired && b > ch.armedAt:
 			r.wd.FalsePositive(eIdx, b)
-			r.rep.Chaos.FalsePositives++
 			ch.fpFired = true
 		case e.fs.reloading && ch.draw == faults.CtrlStall && r.wd.Expired(eIdx, b):
 			c.stallLadder(eIdx, e, b)
@@ -414,7 +402,6 @@ func (c scenChaos) stallLadder(eIdx int, e *scenEng, b int64) {
 	verdict, delay := r.wd.Check(eIdx, b)
 	switch verdict {
 	case ctrl.WatchRetry:
-		r.rep.Chaos.WatchdogRetries++
 		rec, err := r.jrs[eIdx].Recover(b)
 		if err == nil && rec.Action == ctrl.Replay {
 			r.rep.Chaos.Replays++
@@ -440,7 +427,6 @@ func (c scenChaos) stallLadder(eIdx int, e *scenEng, b int64) {
 	case ctrl.WatchEscalate:
 		// Budget spent: the op aborts, the engine's networks go degraded
 		// until an operator intervenes (for this run: permanently).
-		r.rep.Chaos.Escalations++
 		if ch.tok != nil {
 			_ = ch.tok.Abort(b)
 		}
@@ -519,12 +505,16 @@ func (r *scenRun) chaosSliceStats() (recoveries, degradedVNs int) {
 	return recoveries, degradedVNs
 }
 
-// chaosFinalize folds the journal totals into the report at run end.
+// chaosFinalize folds the watchdog's ladder tallies and the journal totals
+// into the report at run end.
 func (r *scenRun) chaosFinalize() {
 	if !r.chaosOn() {
 		return
 	}
 	rep := r.rep.Chaos
+	rep.WatchdogRetries = r.wd.Retries()
+	rep.FalsePositives = r.wd.FalsePositives()
+	rep.Escalations = r.wd.Escalations()
 	for _, j := range r.jrs {
 		st := j.Stats()
 		rep.JournalBegun += st.Begun

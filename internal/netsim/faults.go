@@ -5,14 +5,14 @@ package netsim
 // Detection runs through three channels — access-time parity checking in the
 // pipelines, a background readback sweep that walks each engine's stage
 // memories at one word a cycle, and the control plane's heartbeat — and
-// repair goes through the ctrl scrubber (rebuild from the authoritative
-// tables, reload under bounded retry + backoff). Degradation follows the
-// schemes' asymmetry: a separate-engine failure blackholes only its own
-// VNID, while the merged engine takes every network down for the reload
-// window.
+// repair goes through ctrl.Scrub (rebuild from the authoritative tables,
+// reload at one word a cycle). Degradation follows the schemes' asymmetry:
+// a separate-engine failure blackholes only its own VNID, while the merged
+// engine takes every network down for the reload window.
 
 import (
 	"vrpower/internal/core"
+	"vrpower/internal/ctrl"
 	"vrpower/internal/faults"
 	"vrpower/internal/obs"
 	"vrpower/internal/pipeline"
@@ -74,7 +74,7 @@ type engState struct {
 	detectVia string
 	// killed marks the scheduled hard failure until the reload lands.
 	killed bool
-	// dead marks a scrub-budget exhaustion: permanently out of service.
+	// dead marks a watchdog escalation: permanently out of service.
 	dead bool
 	// reloading + repairAt + pending describe an in-flight scrub reload.
 	reloading bool
@@ -122,7 +122,7 @@ type scenFaults struct {
 
 func (scenFaults) Name() string { return "faults" }
 
-// rebuild is the scrubber's rebuild closure for engine e: a fresh copy of
+// rebuild is ctrl.Scrub's rebuild closure for engine e: a fresh copy of
 // the control plane's image of its current (possibly churned) tables when
 // churn is active; otherwise a recompile of the router's original tables
 // through the same deterministic compile its build used, so the rebuilt
@@ -200,26 +200,27 @@ func (f scenFaults) startScrub(eIdx int, e *scenEng, b int64) error {
 	r.flushExits(e)
 	// The journal's intent record lands before the first stage write.
 	r.chaosScrubBegin(eIdx, e, b)
-	res, err := r.scrubber.Scrub(f.rebuild(eIdx))
-	rep.Scrubs++
-	rep.ScrubAttempts += res.Attempts
+	// The rebuild compiles what compiled at set-up; if it fails anyway the
+	// run does.
+	img, err := ctrl.Scrub(f.rebuild(eIdx))
 	if err != nil {
-		rep.ScrubsExhausted++
-		fs.dead = true
-		r.chaosScrubDead(eIdx, e, b)
-		tel.Events.Log(obs.LevelError, b, "engine_dead", "engine", eIdx, "attempts", res.Attempts)
-		return nil
+		return err
 	}
+	// One attempt, one cycle per word written. ScrubAttempts and the event's
+	// attempts key stay in the report schema until ROADMAP 5(f)'s bump.
+	words := int64(img.Words())
+	rep.Scrubs++
+	rep.ScrubAttempts++
 	fs.reloading = true
-	fs.pending = res.Image
-	fs.repairAt = b + res.LatencyCycles
-	// The reload rewrites every diffed word: control-plane energy on the
-	// engine, attributed to the lowest network it serves.
-	e.dev.meter.AddWords(eIdx, e.served[0], int64(res.Writes))
+	fs.pending = img
+	fs.repairAt = b + words
+	// The reload rewrites every word: control-plane energy on the engine,
+	// attributed to the lowest network it serves.
+	e.dev.meter.AddWords(eIdx, e.served[0], words)
 	tel.Events.Log(obs.LevelInfo, b, "scrub_reload",
-		"engine", eIdx, "attempts", res.Attempts, "writes", res.Writes,
-		"latency_cycles", res.LatencyCycles, "ready_at", fs.repairAt)
-	r.chaosScrubArmed(eIdx, e, b, res.LatencyCycles)
+		"engine", eIdx, "attempts", 1, "writes", words,
+		"latency_cycles", words, "ready_at", fs.repairAt)
+	r.chaosScrubArmed(eIdx, e, b, words)
 	return nil
 }
 

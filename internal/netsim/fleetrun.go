@@ -4,15 +4,15 @@ package netsim
 // the placement that builds its run's device list for the one slice runner
 // (scenario.go, whose type comment lists what a fleet run does differently):
 // internal/fleet spreads the K virtual networks across N simulated devices —
-// each a router of its own (NV for a lone tenant, VS for isolation, VM when
-// a per-device power cap forces a merge) — and the device-scale faults of
-// faults.DeviceInjector (whole-device crashes, brownouts, flaky-reconfig
-// devices) act on the live fleet. On a device loss the fleet.Controller
-// re-places the victims onto survivors (waking spares when the actives are
-// full) and the stressor executes each migration as a journaled image build
-// and install with bounded retry under the controller's seeded backoff;
-// when the budget runs out the victim degrades — its traffic drops, never
-// misforwards — and every landed install is audited against the RIB oracle.
+// each a router of its own (NV for a lone tenant, VS otherwise) — and the
+// device-scale faults of faults.DeviceInjector (whole-device crashes,
+// brownouts, flaky-reconfig devices) act on the live fleet. On a device loss
+// the fleet.Controller re-places the victims onto survivors (waking spares
+// when the actives are full) and the stressor executes each migration as a
+// journaled image build and install with bounded retry under the
+// controller's seeded backoff; when the budget runs out the victim degrades
+// — its traffic drops, never misforwards — and every landed install is
+// audited against the RIB oracle.
 // All decisions run at slice boundaries on the coordinating goroutine from
 // seeded state, so fleet runs are byte-identical at any -j.
 
@@ -26,7 +26,6 @@ import (
 	"vrpower/internal/fleet"
 	"vrpower/internal/obs"
 	"vrpower/internal/pipeline"
-	"vrpower/internal/rib"
 	"vrpower/internal/scenario"
 )
 
@@ -146,13 +145,12 @@ type fleetState struct {
 	powerUpAnnounced []bool
 }
 
-// build assembles (memoized) a device router of scheme sch over the tenant
-// networks in serving order. A per-network engine image is a function of
-// that network's table alone, so NV and VS routers are assembled over the
-// image memo and each table is compiled once, however many tenant sets the
-// placer prices; a merged image is a function of the whole tenant list, so
-// VM sets compile through core.Build, once per list. The memoised images
-// are served as they are: nothing on the fleet path writes an image, and a
+// build assembles (memoized) a device router of scheme sch — NV or VS, what
+// fleet.Place chooses — over the tenant networks in serving order. A
+// per-network engine image is a function of that network's table alone, so
+// routers are assembled over the image memo and each table is compiled
+// once, however many tenant sets the placer prices. The memoised images are
+// served as they are: nothing on the fleet path writes an image, and a
 // network is live on one device at a time.
 func (r *scenRun) build(sch core.Scheme, vns []int) (*core.Router, error) {
 	fl := r.fl
@@ -163,26 +161,17 @@ func (r *scenRun) build(sch core.Scheme, vns []int) (*core.Router, error) {
 	cfg := r.s.router.Config()
 	cfg.Scheme = sch
 	cfg.K = len(vns)
-	var rt *core.Router
-	var err error
-	if sch == core.VM {
-		tables := make([]*rib.Table, 0, len(vns))
-		for _, vn := range vns {
-			tables = append(tables, r.s.tables[vn])
-		}
-		rt, err = core.Build(cfg, tables)
-	} else {
-		images := make([]*pipeline.Image, 0, len(vns))
-		for _, vn := range vns {
-			if fl.images[vn] == nil {
-				if fl.images[vn], err = core.CompileTable(cfg, r.s.tables[vn]); err != nil {
-					return nil, err
-				}
+	images := make([]*pipeline.Image, 0, len(vns))
+	for _, vn := range vns {
+		if fl.images[vn] == nil {
+			var err error
+			if fl.images[vn], err = core.CompileTable(cfg, r.s.tables[vn]); err != nil {
+				return nil, err
 			}
-			images = append(images, fl.images[vn])
 		}
-		rt, err = core.Assemble(cfg, images)
+		images = append(images, fl.images[vn])
 	}
+	rt, err := core.Assemble(cfg, images)
 	if err != nil {
 		return nil, err
 	}
@@ -500,26 +489,18 @@ func (f fleetStressor) Outstanding() bool {
 	return installs+migrating > 0
 }
 
-// landingEngine is the engine a migration's install writes on its target:
-// the shared one under the merged scheme, else one past the tenants served.
-func (r *scenRun) landingEngine(m *fleet.Migration) int {
-	if m.ToScheme == core.VM {
-		return 0
-	}
-	return len(r.fl.ctr.VNs(m.To))
-}
-
 // beginAttempt starts one journaled install attempt for migration m: the
-// target device's new image set is compiled, the journal records intent and
-// the write window opens (one word per cycle). A flaky device may kill the
-// attempt at the journal boundary; the controller then paces the retry or
-// degrades the victim.
+// target device's new router is assembled, the journal records intent and
+// the write window opens (one word per cycle) for the migrating network's
+// image, which lands as the engine one past the tenants served. A flaky
+// device may kill the attempt at the journal boundary; the controller then
+// paces the retry or degrades the victim.
 func (r *scenRun) beginAttempt(m *fleet.Migration, b int64) error {
 	fl, ctr, tel := r.fl, r.fl.ctr, r.s.tel
 	ctr.Begin(m)
 	fl.rep.MigrationAttempts++
 	dev := r.devs[m.To]
-	engIdx := r.landingEngine(m)
+	engIdx := len(ctr.VNs(m.To))
 	tok, err := dev.jr.Begin(ctrl.OpCommit, engIdx, m.VN, b)
 	if err != nil {
 		return err
@@ -555,26 +536,16 @@ func (r *scenRun) beginAttempt(m *fleet.Migration, b int64) error {
 	dev.pending = rt
 	dev.writes = writes
 	dev.landAt = b + int64(writes)
-	// A merge rebuild (into or out of the shared-engine scheme) rewrites
-	// every serving engine: the device blacks out until the install lands.
-	dev.blackout = len(dev.engines) > 0 &&
-		(m.ToScheme == core.VM || dev.router.Config().Scheme == core.VM)
-	if dev.blackout {
-		for _, e := range dev.engines {
-			r.flushExits(e)
-		}
-	}
 	tel.Events.Log(obs.LevelInfo, b, "migration_start",
 		"vn", m.VN, "from", m.From, "to", m.To, "scheme", m.ToScheme.String(),
 		"attempt", m.Attempts, "writes", writes, "ready_at", dev.landAt)
 	return nil
 }
 
-// landInstall commits a completed install: the journal closes, the device's
-// engines follow the new image set (one more engine for a hitless expansion,
-// a wholesale swap for a merge rebuild), the energy meter is rebuilt over
-// the new power model, and the landed image is audited against the RIB
-// oracle before the network rejoins service.
+// landInstall commits a completed install: the journal closes, the device
+// gains one engine over the migrating network's image, the energy meter is
+// rebuilt over the new power model, and the landed image is audited against
+// the RIB oracle before the network rejoins service.
 func (r *scenRun) landInstall(dev *device) error {
 	fl, ctr, tel := r.fl, r.fl.ctr, r.s.tel
 	m := dev.m
@@ -587,24 +558,17 @@ func (r *scenRun) landInstall(dev *device) error {
 	if dev.meter, err = r.newDeviceMeter(dev.pending); err != nil {
 		return err
 	}
-	engIdx := r.landingEngine(m)
+	engIdx := len(ctr.VNs(m.To))
 	// The install's word writes are control-plane energy on the landed
 	// engine, attributed to the migrating network.
 	dev.meter.AddWords(engIdx, m.VN, int64(dev.writes))
 
-	if !dev.blackout && len(dev.engines) > 0 {
-		// Per-network images depend only on their own table, so the
-		// surviving engines' images are byte-identical in the new build:
-		// the expansion appends one engine while the others keep serving.
-		dev.router = dev.pending
-		r.newEngine(dev, dev.pending.Images()[engIdx], []int{m.VN})
-	} else {
-		newVNs := append(append([]int(nil), ctr.VNs(m.To)...), m.VN)
-		r.setRouter(dev, dev.pending, dev.pending.Images(), newVNs)
-	}
-	// A merge rebuild audits every tenant through the shared engine, a
-	// hitless expansion the new engine.
-	res := r.audit(dev.engines[engIdx], at, "device", dev.id, "vn", m.VN)
+	// Per-network images depend only on their own table, so the surviving
+	// engines' images are byte-identical in the new build: the install
+	// appends one engine while the others keep serving.
+	dev.router = dev.pending
+	e := r.newEngine(dev, dev.pending.Images()[engIdx], []int{m.VN})
+	res := r.audit(e, at, "device", dev.id, "vn", m.VN)
 	fl.rep.Audits++
 	fl.rep.AuditProbes += res.Probes
 	fl.rep.AuditFaulted += res.Faulted

@@ -274,9 +274,6 @@ type install struct {
 	pending *core.Router
 	landAt  int64
 	writes  int
-	// blackout marks a whole-device reorganisation (a merge rebuild):
-	// arrivals drop and no engine serves until the install lands.
-	blackout bool
 }
 
 // scenRun is the one slice runner: the kernel over a list of devices plus
@@ -290,14 +287,13 @@ type install struct {
 //     design and sizes the drain bound by its largest engine image;
 //     placeFleet asks fleet.Place, serves the memoised per-network images as
 //     they are, prices a composite of the initial devices' designs and sizes
-//     the drain bound by all their images (a merge rebuild rewrites a whole
-//     tenant set).
+//     the drain bound by all their images.
 //   - Which stressors register. Faults, churn and control-plane chaos name
 //     one device's engines by index and scenario.Parse refuses them beside
 //     fleet=, which registers the fleet stressor. The governor attaches to
 //     the one device; a fleet's caps constrain its placement.
-//   - A refusal with no engine to name — the network homeless, or its device
-//     blacked out — writes no drop trace; a down engine's does (arrive).
+//   - A refusal with no engine to name — the network homeless — writes no
+//     drop trace; a down engine's does (arrive).
 //   - A fleet's traces carry the device id in their engine field
 //     (traceEngine): the only difference between the trace dumps of a spec
 //     and of the same spec with fleet=1.
@@ -320,11 +316,10 @@ type scenRun struct {
 	refs   []*ip.Table
 
 	// mgr is the control plane for churn and (when churn is active) scrub
-	// rebuilds; nil without churn. in/scrubber drive faults; nil without.
-	mgr      *ctrl.Manager
-	in       *faults.Injector
-	scrubber *ctrl.Scrubber
-	started  int
+	// rebuilds; nil without churn. in drives faults; nil without.
+	mgr     *ctrl.Manager
+	in      *faults.Injector
+	started int
 
 	// Chaos machinery (nil without chaos=): the seeded control-plane fault
 	// deck, one write-ahead journal per engine, and the shared watchdog.
@@ -374,14 +369,11 @@ func (r *scenRun) newEngine(dev *device, img *pipeline.Image, vns []int) *scenEn
 	return e
 }
 
-// setRouter makes rt the device's router, with fresh engines over images:
-// one engine for all of vns under the merged scheme, engine i for vns[i]
-// otherwise. The engines it replaces are retired.
+// setRouter makes rt the router of a device with no engines yet, with
+// engines over images: one engine for all of vns under the merged scheme,
+// engine i for vns[i] otherwise.
 func (r *scenRun) setRouter(dev *device, rt *core.Router, images []*pipeline.Image, vns []int) {
-	for _, e := range dev.engines {
-		r.retire(e.sim)
-	}
-	dev.router, dev.engines = rt, nil
+	dev.router = rt
 	if rt.Config().Scheme == core.VM {
 		r.newEngine(dev, images[0], vns)
 		return
@@ -511,9 +503,9 @@ func (r *scenRun) arrive(cyc int64) {
 		rep.OfferedPerVN[vn]++
 		e := r.home[vn]
 		switch {
-		case e == nil || e.dev.blackout:
-			// Homeless, or its device mid-merge-rebuild: drop, never
-			// misforward. There is no engine to name in a drop trace.
+		case e == nil:
+			// Homeless: drop, never misforward. There is no engine to name
+			// in a drop trace.
 			r.refuse(vn, 1)
 		case gv != nil && gv.AdmitArrival(vn, e.idx):
 			rep.DroppedPerVN[vn]++
@@ -546,12 +538,12 @@ func (r *scenRun) backlog() (n int) {
 }
 
 // serve gives every engine in service its input slot of cycle cyc: a write
-// bubble takes it first, then the engine's queues round-robin. A dark or
-// blacked-out device has no slots; a browned-out one sits the cycle out.
+// bubble takes it first, then the engine's queues round-robin. A dark
+// device has no slots; a browned-out one sits the cycle out.
 func (r *scenRun) serve(cyc int64) error {
 	gv := r.gv
 	for _, dev := range r.devs {
-		if len(dev.engines) == 0 || dev.blackout {
+		if len(dev.engines) == 0 {
 			continue
 		}
 		if r.fl != nil && r.fl.inj.BrownedOut(dev.id, cyc) {
@@ -664,7 +656,7 @@ func (r *scenRun) measure(n int64, live bool) scenario.SliceStats {
 		}
 	}
 	for vn, e := range r.home {
-		up := e != nil && !e.dev.blackout && !e.fs.down()
+		up := e != nil && !e.fs.down()
 		r.upVN[vn] = up
 		if !up && live {
 			r.rep.UnavailableCyclesPerVN[vn] += n
@@ -797,10 +789,7 @@ func (s *System) runScenario(gen *traffic.Generator, spec scenario.Spec) (*scenR
 		if err != nil {
 			return nil, err
 		}
-		r.wd, err = ctrl.NewWatchdog(ctrl.WatchdogPolicy{
-			Backoff: ctrl.Backoff{Base: 256, Seed: spec.Seed},
-		}, spec.Slice, s.tel.Events)
-		if err != nil {
+		if r.wd, err = ctrl.NewWatchdog(spec.Slice, s.tel.Events); err != nil {
 			return nil, err
 		}
 		r.jrs = make([]*ctrl.Journal, len(r.devs[0].engines))
@@ -828,10 +817,6 @@ func (s *System) runScenario(gen *traffic.Generator, spec scenario.Spec) (*scenR
 		if r.in, err = faults.NewInjector(fc, images); err != nil {
 			return nil, err
 		}
-		if r.scrubber, err = ctrl.NewScrubber(ctrl.ScrubPolicy{}, r.in); err != nil {
-			return nil, err
-		}
-		r.scrubber.SetEventLog(s.tel.Events)
 		stressors = append(stressors, scenFaults{r: r})
 	}
 	if spec.Churn != nil {

@@ -43,18 +43,14 @@ func (l Level) String() string {
 	}
 }
 
-// ParseLevel maps a level name to its Level (defaulting to info).
-func ParseLevel(s string) Level {
-	switch s {
-	case "debug":
-		return LevelDebug
-	case "warn":
-		return LevelWarn
-	case "error":
-		return LevelError
-	default:
-		return LevelInfo
+// ParseLevel maps a level name to its Level; any other name is an error.
+func ParseLevel(s string) (Level, error) {
+	for l := LevelDebug; l <= LevelError; l++ {
+		if s == l.String() {
+			return l, nil
+		}
 	}
+	return LevelInfo, fmt.Errorf("want debug, info, warn or error")
 }
 
 // Field is one key/value pair of an event. Values are limited to the JSON

@@ -329,12 +329,12 @@ func TestEventLogBounded(t *testing.T) {
 
 func TestParseLevelRoundTrip(t *testing.T) {
 	for _, l := range []Level{LevelDebug, LevelInfo, LevelWarn, LevelError} {
-		if ParseLevel(l.String()) != l {
-			t.Fatalf("ParseLevel(%q) != %v", l.String(), l)
+		if got, err := ParseLevel(l.String()); got != l || err != nil {
+			t.Fatalf("ParseLevel(%q) = %v, %v; want %v", l.String(), got, err, l)
 		}
 	}
-	if ParseLevel("bogus") != LevelInfo {
-		t.Fatal("unknown level should default to info")
+	if _, err := ParseLevel("bogus"); err == nil {
+		t.Fatal("unknown level accepted")
 	}
 }
 

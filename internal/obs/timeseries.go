@@ -1,7 +1,7 @@
 package obs
 
 // Slice-quantised time series. The netsim run loops append one row per
-// control-plane slice — power, throughput, backlog, scrubber/update state,
+// control-plane slice — power, throughput, backlog, scrub/update state,
 // per-VNID availability — always from the single coordinating goroutine,
 // so a run's series is a pure function of its seeds. The mutex exists only
 // so the live /timeseries.csv endpoint can read mid-run without tearing a

@@ -148,7 +148,7 @@ func TestSoakFaultInjectionVS(t *testing.T) {
 	}
 	// A 50k-route separate-scheme router under SEU fire plus an engine
 	// kill: healthy VNIDs must never disagree with the oracle, corruption
-	// must only ever drop packets (never misforward), and the scrubber must
+	// must only ever drop packets (never misforward), and the scrubs must
 	// bring every upset and the killed engine back before the run ends.
 	const k = 2
 	set, err := vrpower.GenerateVirtualSet(k, 25000, 0.5, 7)

@@ -417,24 +417,16 @@ func CompactTable(tbl *Table) *Table {
 	return &Table{Name: tbl.Name + "-compact", Routes: trie.Compact(tbl.Routes)}
 }
 
-// Fault injection, SEU scrubbing and graceful degradation.
+// Fault injection and graceful degradation.
 type (
 	// FaultInjectorConfig parameterises the seeded fault injector (SEU rate
-	// per bit-cycle, engine kill, mid-flight reconfiguration failures).
+	// per bit-cycle, engine kill).
 	FaultInjectorConfig = faults.Config
 	// FaultInjector produces deterministic fault schedules over the
 	// engines' compiled images.
 	FaultInjector = faults.Injector
 	// Upset is one scheduled single-event upset.
 	Upset = faults.Upset
-	// ScrubPolicy bounds the repair loop (attempts, backoff, write cost).
-	ScrubPolicy = ctrl.ScrubPolicy
-	// Scrubber rebuilds and reloads corrupted engine images.
-	Scrubber = ctrl.Scrubber
-	// ScrubResult describes one completed repair.
-	ScrubResult = ctrl.ScrubResult
-	// ReconfigFailer injects mid-flight reconfiguration failures.
-	ReconfigFailer = ctrl.ReconfigFailer
 	// SEURecord is one injected upset's detect/repair lifecycle.
 	SEURecord = netsim.SEURecord
 )
@@ -460,15 +452,6 @@ func ParseScenario(spec string) (ScenarioSpec, error) { return scenario.Parse(sp
 func NewFaultInjector(cfg FaultInjectorConfig, images []*Image) (*FaultInjector, error) {
 	return faults.NewInjector(cfg, images)
 }
-
-// NewScrubber builds an SEU scrubber; zero policy fields take defaults and
-// failer may be nil (reloads then never fail).
-func NewScrubber(pol ScrubPolicy, failer ReconfigFailer) (*Scrubber, error) {
-	return ctrl.NewScrubber(pol, failer)
-}
-
-// DefaultScrubPolicy returns the bounded-retry defaults.
-func DefaultScrubPolicy() ScrubPolicy { return ctrl.DefaultScrubPolicy() }
 
 // RTL backend.
 type RTLDesign = hdl.Design
