@@ -4,7 +4,7 @@
 #   make bench      = every benchmark with allocation counts
 GO ?= go
 
-.PHONY: all build test race governor-smoke scenario-smoke chaos-smoke fleet-smoke figures-smoke fuzz-smoke fuzz-batch-smoke vet vuln bench bench-gate bench-baseline bench-test bench-e2e loc loc-diff
+.PHONY: all build test race governor-smoke scenario-smoke chaos-smoke fleet-smoke figures-smoke fuzz-smoke fuzz-batch-smoke vet vuln bench bench-gate bench-baseline bench-test bench-e2e loc loc-diff digest-diff
 
 all: build test
 
@@ -246,3 +246,23 @@ loc-diff:
 	awk 'BEGIN { printf "%-42s %6s %6s %6s\n", "package", "base", "now", "delta" } \
 		{ printf "%-42s %6d %6d %+6d\n", $$1, $$2, $$3, $$3 - $$2; tb += $$2; tn += $$3 } \
 		END { printf "%-42s %6d %6d %+6d\n", "total", tb, tn, tn - tb }'
+
+# The forty bench digests — four workloads, seeds 1-10, one untimed rep each
+# (--seconds 0) — at BASE (default the parent commit, extracted with git
+# archive like loc-diff's) and in the working tree: one "workload seed base
+# now" row per run, then a cmp of the two lists, so any moved digest fails
+# the target. A change meant to leave simulated results alone must pass it.
+DIGEST_WORKLOADS = forward_paper load_small chaos_vs fleet_failover
+DIGESTS = for w in $(DIGEST_WORKLOADS); do for s in 1 2 3 4 5 6 7 8 9 10; do \
+		d=$$(bash bench/run.sh --workload $$w --seed $$s --seconds 0 | awk '$$1 == "digest" { print $$2 }'); \
+		[ -n "$$d" ] || { echo "digest-diff: no digest for $$w seed $$s" >&2; exit 1; }; \
+		echo "$$w $$s $$d"; \
+	done; done
+digest-diff:
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	git archive $(BASE) | tar -x -C "$$tmp" && \
+	(cd "$$tmp" && $(DIGESTS)) > "$$tmp/base.digests" && \
+	$(DIGESTS) > "$$tmp/now.digests" && \
+	paste -d ' ' "$$tmp/base.digests" "$$tmp/now.digests" | \
+		awk 'BEGIN { print "workload seed base now" } { print $$1, $$2, $$3, $$6 }' && \
+	cmp "$$tmp/base.digests" "$$tmp/now.digests"

@@ -239,40 +239,6 @@ func BenchmarkAblationClockGating(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationNHILayout compares the paper's inline K-wide leaf
-// vectors against an indirect shared-vector-table layout on a high-overlap
-// merge.
-func BenchmarkAblationNHILayout(b *testing.B) {
-	set, err := vrpower.GenerateVirtualSet(6, 1000, 0.9, 3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	m, err := vrpower.MergeTables(set.Tables)
-	if err != nil {
-		b.Fatal(err)
-	}
-	m.LeafPush()
-	layouts := map[string]vrpower.MemLayout{
-		"inline":   vrpower.DefaultLayout(),
-		"indirect": {PtrBits: 18, NHIBits: 8, IndirectNHI: true},
-	}
-	for name, layout := range layouts {
-		b.Run(name, func(b *testing.B) {
-			var nhi int64
-			for i := 0; i < b.N; i++ {
-				r, err := vrpower.Build(vrpower.Config{
-					Scheme: vrpower.VM, K: 6, Layout: layout, ClockGating: true,
-				}, set.Tables)
-				if err != nil {
-					b.Fatal(err)
-				}
-				nhi = r.NHIBits()
-			}
-			b.ReportMetric(float64(nhi)/1024, "NHI_Kb")
-		})
-	}
-}
-
 // BenchmarkAblationSimExec compares the cycle-loop simulator against the
 // batched engine on the same lookup stream.
 func BenchmarkAblationSimExec(b *testing.B) {

@@ -56,6 +56,11 @@ func TestRunFailures(t *testing.T) {
 		{"empty table", []string{"-prefixes", "0"}, 1, "vrplan: rib: GenConfig.Prefixes = 0, want > 0\n"},
 		{"alpha out of range", []string{"-alpha", "2"}, 1, "vrplan: planner: alpha 2 outside [0,1]\n"},
 		{"negative requirement", []string{"-gbps", "-1"}, 1, "vrplan: planner: per-VN requirement -1, want >= 0\n"},
+		// NaN passes checks written x < 0 (|| x > 1): it once ranked a
+		// NaN-memory merged router cheapest and made every configuration
+		// feasible.
+		{"alpha not a number", []string{"-alpha", "NaN"}, 1, "vrplan: planner: alpha NaN outside [0,1]\n"},
+		{"requirement not a number", []string{"-gbps", "NaN"}, 1, "vrplan: planner: per-VN requirement NaN, want >= 0\n"},
 		{"nothing feasible", []string{"-gbps", "1000"}, 1, "vrplan: no feasible configuration for K=2 at 1000.0 Gbps per network (α=0.50)\n"},
 		{"empty ranking", []string{"-top", "0"}, 1, "vrplan: -top 0: want a count > 0\n"},
 		{"negative ranking", []string{"-top", "-1"}, 1, "vrplan: -top -1: want a count > 0\n"},

@@ -77,11 +77,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	for _, c := range []struct {
-		flag string
-		val  int
-	}{{"k", o.cfg.K}, {"prefixes", o.prefixes}} {
-		if c.val < 1 {
-			fmt.Fprintf(stderr, "invalid value %d for flag -%s: want a count >= 1\n", c.val, c.flag)
+		flag, want string
+		val, min   int64
+	}{
+		{"k", "a count >= 1", int64(o.cfg.K), 1},
+		{"prefixes", "a count >= 1", int64(o.prefixes), 1},
+		{"stages", "a depth >= 0 (0 = the default)", int64(o.cfg.Stages), 0},
+		{"distram", "a threshold >= 0 (0 = BRAM only)", o.cfg.DistRAMThreshold, 0},
+	} {
+		if c.val < c.min {
+			fmt.Fprintf(stderr, "invalid value %d for flag -%s: want %s\n", c.val, c.flag, c.want)
 			fs.Usage()
 			return 2
 		}

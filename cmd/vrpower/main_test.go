@@ -87,8 +87,13 @@ func TestRunFailures(t *testing.T) {
 		{"no networks", []string{"-k", "0"}, 2, "invalid value 0 for flag -k: want a count >= 1"},
 		{"no networks to compare", []string{"-compare", "-k", "0"}, 2, "invalid value 0 for flag -k: want a count >= 1"},
 		{"empty tables", []string{"-compare", "-prefixes", "0"}, 2, "invalid value 0 for flag -prefixes: want a count >= 1"},
-		{"negative depth", []string{"-stages", "-1"}, 1, "vrpower: core: Stages = -1, want >= 0\n"},
+		{"negative depth", []string{"-stages", "-3"}, 2, "invalid value -3 for flag -stages: want a depth >= 0 (0 = the default)"},
+		{"negative distributed-RAM threshold", []string{"-distram", "-5"}, 2, "invalid value -5 for flag -distram: want a threshold >= 0 (0 = BRAM only)"},
 		{"does not fit", []string{"-k", "20"}, 1, "vrpower: fpga: I/O pins exceeds XC6VLX760 capacity"},
+		// NaN passes a check written x < 0 || x > 1: it once panicked in the
+		// generator and priced a merged router at negative memory.
+		{"share not a number", []string{"-empirical", "-share", "NaN"}, 1, "vrpower: rib: virtual set share = NaN, want [0,1]"},
+		{"alpha not a number", []string{"-scheme", "VM", "-alpha", "NaN"}, 1, "vrpower: core: alpha NaN outside [0,1]"},
 	} {
 		code, out, errw := vrpower(c.args...)
 		if code != c.code || !strings.Contains(errw, c.want) || out != "" {

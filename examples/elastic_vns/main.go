@@ -8,48 +8,58 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"vrpower"
 )
 
 func main() {
 	log.SetFlags(0)
-	const prefixes = 500
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
 
-	newTable := func(seed int64) *vrpower.Table {
-		tbl, err := vrpower.Generate(fmt.Sprintf("tenant%d", seed), vrpower.DefaultGen(prefixes, seed))
-		if err != nil {
-			log.Fatal(err)
+// run is the whole example, printing to w.
+func run(w io.Writer) error {
+	const prefixes, tenants = 500, 24
+
+	// Every tenant's table, tenant i's from seed i+1: two to start with, the
+	// rest to onboard.
+	tables := make([]*vrpower.Table, tenants)
+	for i := range tables {
+		seed := int64(i + 1)
+		var err error
+		if tables[i], err = vrpower.Generate(fmt.Sprintf("tenant%d", seed), vrpower.DefaultGen(prefixes, seed)); err != nil {
+			return err
 		}
-		return tbl
 	}
 
 	for _, scheme := range []vrpower.Scheme{vrpower.VS, vrpower.VM} {
-		fmt.Printf("=== %s data plane ===\n", scheme)
+		fmt.Fprintf(w, "=== %s data plane ===\n", scheme)
 		mgr, err := vrpower.NewManager(vrpower.Config{
 			Scheme: scheme, Grade: vrpower.Grade2, ClockGating: true,
-		}, []*vrpower.Table{newTable(1), newTable(2)})
+		}, tables[:2])
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 
 		// Onboard tenants until the device says no.
-		seed := int64(3)
-		for {
-			ev, err := mgr.AddNetwork(newTable(seed))
+		for next := 2; ; next++ {
+			ev, err := mgr.AddNetwork(tables[next])
 			if err != nil {
-				fmt.Printf("  add tenant %d: %v\n", mgr.K()+1, err)
+				fmt.Fprintf(w, "  add tenant %d: %v\n", mgr.K()+1, err)
 				break
 			}
-			seed++
 			if mgr.K() <= 5 || mgr.K()%5 == 0 {
 				b, _ := mgr.Router().ModelPower()
-				fmt.Printf("  add tenant -> K=%2d: %d words written, %d nets disrupted, %.2f W\n",
+				fmt.Fprintf(w, "  add tenant -> K=%2d: %d words written, %d nets disrupted, %.2f W\n",
 					ev.K, ev.Writes, ev.DisruptedNetworks, b.Total())
 			}
-			if mgr.K() >= 24 {
-				fmt.Printf("  ... stopping the experiment at K=%d\n", mgr.K())
+			if mgr.K() >= tenants {
+				fmt.Fprintf(w, "  ... stopping the experiment at K=%d\n", mgr.K())
 				break
 			}
 		}
@@ -57,25 +67,26 @@ func main() {
 		// A tenant's BGP session flaps: 50 updates arrive.
 		ops, err := vrpower.GenerateChurn(mgr.Tables()[0], 50, 11)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		ev, err := mgr.ApplyUpdates(0, ops)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("  churn (50 ops on tenant 0): %d writes, %d bubbles, %d nets disrupted\n",
+		fmt.Fprintf(w, "  churn (50 ops on tenant 0): %d writes, %d bubbles, %d nets disrupted\n",
 			ev.Writes, ev.Bubbles, ev.DisruptedNetworks)
 
 		// A tenant leaves.
 		ev, err = mgr.RemoveNetwork(1)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("  remove tenant 1: K=%d, %d nets disrupted\n\n", ev.K, ev.DisruptedNetworks)
+		fmt.Fprintf(w, "  remove tenant 1: K=%d, %d nets disrupted\n\n", ev.K, ev.DisruptedNetworks)
 	}
 
-	fmt.Println("The separate plane isolates every change to one tenant but hits")
-	fmt.Println("the I/O wall at 15 engines; the merged plane keeps growing yet")
-	fmt.Println("every change shakes all tenants — the paper's scalability")
-	fmt.Println("trade-off, seen from the control plane.")
+	fmt.Fprintln(w, "The separate plane isolates every change to one tenant but hits")
+	fmt.Fprintln(w, "the I/O wall at 15 engines; the merged plane keeps growing yet")
+	fmt.Fprintln(w, "every change shakes all tenants — the paper's scalability")
+	fmt.Fprintln(w, "trade-off, seen from the control plane.")
+	return nil
 }

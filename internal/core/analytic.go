@@ -4,29 +4,21 @@ import (
 	"fmt"
 
 	"vrpower/internal/merge"
-	"vrpower/internal/power"
 	"vrpower/internal/rib"
 	"vrpower/internal/trie"
 )
 
-// TableProfile is the per-level shape of one network's leaf-pushed trie,
-// the input to the analytic memory model. The paper evaluates with all K
-// tables of equal size (Assumption 2), so one profile describes every
-// network.
-type TableProfile struct {
-	// PerLevel holds internal/leaf node counts per trie level.
-	PerLevel []trie.Level
-	Nodes    int
-	Leaves   int
-	Height   int
-}
+// TableProfile is the shape of one network's leaf-pushed trie — its
+// per-level internal and leaf counts — the input to the analytic memory
+// model. The paper evaluates with all K tables of equal size (Assumption 2),
+// so one profile describes every network.
+type TableProfile = trie.Stats
 
 // ProfileOf extracts the profile of a routing table's leaf-pushed trie.
 func ProfileOf(tbl *rib.Table) TableProfile {
 	tr := trie.Build(tbl.Routes)
 	tr.LeafPush()
-	s := tr.Stats()
-	return TableProfile{PerLevel: s.PerLevel, Nodes: s.Nodes, Leaves: s.Leaves, Height: s.Height}
+	return tr.Stats()
 }
 
 // PaperProfile generates the reference profile of Section V-E: a synthetic
@@ -52,106 +44,62 @@ func PaperProfile() (TableProfile, error) {
 // paper highlights.
 func MemoryDemand(cfg Config, prof TableProfile, alpha float64) (ptrBits, nhiBits int64, err error) {
 	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		return 0, 0, err
+	levels, err := analyticLevels(cfg, prof, alpha)
+	for _, l := range levels {
+		ptrBits, nhiBits = ptrBits+l.ptr, nhiBits+l.nhi
 	}
-	if alpha < 0 || alpha > 1 {
-		return 0, 0, fmt.Errorf("core: alpha %g outside [0,1]", alpha)
-	}
-	l := cfg.Layout
-	switch cfg.Scheme {
-	case NV, VS:
-		for _, lv := range prof.PerLevel {
-			ptrBits += int64(cfg.K) * int64(lv.Internal) * 2 * int64(l.PtrBits)
-			nhiBits += int64(cfg.K) * int64(lv.Leaves) * int64(l.NHIBits)
-		}
-	case VM:
-		for _, lv := range prof.PerLevel {
-			mi := merge.AnalyticNodes(cfg.K, float64(lv.Internal), alpha)
-			ml := merge.AnalyticNodes(cfg.K, float64(lv.Leaves), alpha)
-			ptrBits += int64(mi * 2 * float64(l.PtrBits))
-			nhiBits += int64(ml * float64(cfg.K) * float64(l.NHIBits))
-		}
-	}
-	return ptrBits, nhiBits, nil
+	n := int64(cfg.engines())
+	return n * ptrBits, n * nhiBits, err
 }
 
 // BuildAnalytic constructs a router from the analytic memory model instead
-// of concrete tables: stage memories come from the profile (scaled by the
-// sharing model for VM), then placement, timing and power proceed exactly
-// as in Build. This is the fast path behind the Fig. 5–8 sweeps, mirroring
-// how the paper parameterises merging by α directly because "merging
-// efficiency cannot be determined in advance" (Section V-E).
+// of concrete tables: the per-level memories come from the profile (scaled
+// by the sharing model for VM) and are priced exactly as in Build. This is
+// the fast path behind the Fig. 5–8 sweeps, mirroring how the paper
+// parameterises merging by α directly because "merging efficiency cannot be
+// determined in advance" (Section V-E).
 func BuildAnalytic(cfg Config, prof TableProfile, alpha float64) (*Router, error) {
 	cfg = cfg.withDefaults()
+	levels, err := analyticLevels(cfg, prof, alpha)
+	if err != nil {
+		return nil, err
+	}
+	sm, err := stageMap(cfg, levels)
+	if err != nil {
+		return nil, err
+	}
+	// Every analytic engine has cfg.Stages stages, trailing ones empty where a
+	// balanced map needs fewer.
+	sm.Stages = cfg.Stages
+	engines := make([]engine, cfg.engines())
+	for i := range engines {
+		engines[i] = engine{levels: levels, sm: sm}
+	}
+	return price(cfg, engines)
+}
+
+// analyticLevels is one engine's per-level memories under the analytic
+// model: the profile's trie for NV and VS; for VM, per level, K tries' nodes
+// merged by the sharing model at α, with a K-wide NHI vector at each leaf,
+// rounded down level by level.
+func analyticLevels(cfg Config, prof TableProfile, alpha float64) ([]level, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if alpha < 0 || alpha > 1 {
+	if !(alpha >= 0 && alpha <= 1) {
 		return nil, fmt.Errorf("core: alpha %g outside [0,1]", alpha)
 	}
-	l := cfg.Layout
-	var sm trie.StageMap
-	var err error
-	if cfg.Balanced {
-		bits := make([]int64, len(prof.PerLevel))
-		for level, lv := range prof.PerLevel {
-			nhiWidth := int64(1)
-			if cfg.Scheme == VM {
-				// Balanced partitioning sees the merged per-level memory.
-				mi := merge.AnalyticNodes(cfg.K, float64(lv.Internal), alpha)
-				ml := merge.AnalyticNodes(cfg.K, float64(lv.Leaves), alpha)
-				bits[level] = int64(mi*2*float64(l.PtrBits)) +
-					int64(ml*float64(cfg.K)*float64(l.NHIBits))
-				continue
-			}
-			bits[level] = int64(lv.Internal)*2*int64(l.PtrBits) +
-				int64(lv.Leaves)*nhiWidth*int64(l.NHIBits)
-		}
-		sm, err = trie.NewBalancedStageMap(cfg.Stages, bits)
-	} else {
-		sm, err = trie.NewStageMap(cfg.Stages, prof.Height)
+	if cfg.Scheme != VM {
+		return levelsOf(cfg, prof.PerLevel, 1), nil
 	}
-	if err != nil {
-		return nil, err
-	}
-
-	var engines []power.EngineDesign
-	var ptrBits, nhiBits int64
-	switch cfg.Scheme {
-	case NV, VS:
-		stageBits := make([]int64, cfg.Stages)
-		for level, lv := range prof.PerLevel {
-			bits := int64(lv.Internal)*2*int64(l.PtrBits) + int64(lv.Leaves)*int64(l.NHIBits)
-			stageBits[sm.Stage(level)] += bits
-			ptrBits += int64(cfg.K) * int64(lv.Internal) * 2 * int64(l.PtrBits)
-			nhiBits += int64(cfg.K) * int64(lv.Leaves) * int64(l.NHIBits)
+	levels := make([]level, len(prof.PerLevel))
+	for i, lv := range prof.PerLevel {
+		mi := merge.AnalyticNodes(cfg.K, float64(lv.Internal), alpha)
+		ml := merge.AnalyticNodes(cfg.K, float64(lv.Leaves), alpha)
+		levels[i] = level{
+			ptr: int64(mi * 2 * float64(cfg.Layout.PtrBits)),
+			nhi: int64(ml * float64(cfg.K) * float64(cfg.Layout.NHIBits)),
 		}
-		engines = make([]power.EngineDesign, cfg.K)
-		for i := range engines {
-			engines[i] = power.EngineDesign{
-				StageBits:   stageBits,
-				Utilization: engineUtilization(cfg.Scheme, cfg.K),
-			}
-		}
-	case VM:
-		stageBits := make([]int64, cfg.Stages)
-		for level, lv := range prof.PerLevel {
-			mi := merge.AnalyticNodes(cfg.K, float64(lv.Internal), alpha)
-			ml := merge.AnalyticNodes(cfg.K, float64(lv.Leaves), alpha)
-			pb := int64(mi * 2 * float64(l.PtrBits))
-			nb := int64(ml * float64(cfg.K) * float64(l.NHIBits))
-			stageBits[sm.Stage(level)] += pb + nb
-			ptrBits += pb
-			nhiBits += nb
-		}
-		engines = []power.EngineDesign{{StageBits: stageBits, Utilization: 1}}
 	}
-	r, err := place(cfg, engines)
-	if err != nil {
-		return nil, err
-	}
-	r.ptrBits = ptrBits
-	r.nhiBits = nhiBits
-	return r, nil
+	return levels, nil
 }

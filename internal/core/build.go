@@ -11,11 +11,11 @@ import (
 	"vrpower/internal/trie"
 )
 
-// Build constructs a router of cfg.Scheme from the K routing tables:
-// tables → (merged) leaf-pushed tries → compiled pipeline images → placed
-// design with its achievable clock and power-model input. It is
-// CompileTable for each table (one merged compile for VM) followed by
-// Assemble.
+// Build constructs a router of cfg.Scheme from the K routing tables: tables →
+// (merged) leaf-pushed tries → per-level node counts → priced and placed
+// design → compiled images, so a design that does not place is refused
+// before anything is compiled. NV and VS images are CompileTable's, the VM
+// one a function of the whole tenant list; Assemble over them prices alike.
 func Build(cfg Config, tables []*rib.Table) (*Router, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -24,201 +24,191 @@ func Build(cfg Config, tables []*rib.Table) (*Router, error) {
 	if len(tables) != cfg.K {
 		return nil, fmt.Errorf("core: %d tables for K = %d", len(tables), cfg.K)
 	}
-	var images []*pipeline.Image
-	if cfg.Scheme == VM {
-		img, err := CompileMerged(cfg, tables)
+	engines := make([]engine, cfg.engines())
+	for i := range engines {
+		var err error
+		if cfg.Scheme == VM {
+			engines[i], err = mergedEngine(cfg, tables)
+		} else {
+			engines[i], err = tableEngine(cfg, tables[i])
+		}
 		if err != nil {
 			return nil, err
 		}
-		images = []*pipeline.Image{img}
-	} else {
-		images = make([]*pipeline.Image, len(tables))
-		for i, tbl := range tables {
-			var err error
-			if images[i], err = CompileTable(cfg, tbl); err != nil {
-				return nil, err
-			}
+	}
+	r, err := price(cfg, engines)
+	if err != nil {
+		return nil, err
+	}
+	r.images = make([]*pipeline.Image, len(engines))
+	for i, e := range engines {
+		if r.images[i], err = e.compile(); err != nil {
+			return nil, err
 		}
 	}
-	return Assemble(cfg, images)
+	return r, nil
 }
 
 // CompileTable compiles one table's engine image the way Build does for an
-// NV or VS router: leaf-pushed trie, cfg's stage count and mapping. The
-// image depends on cfg.Stages, cfg.Balanced, cfg.Layout and the table, and
-// on nothing else in cfg — not the scheme, not K — so one compiled image
-// serves every router that hosts the table.
+// NV or VS router. The image depends on cfg.Stages, cfg.Balanced, cfg.Layout
+// and the table, and on nothing else in cfg — not the scheme, not K — so one
+// compiled image serves every router that hosts the table.
 func CompileTable(cfg Config, tbl *rib.Table) (*pipeline.Image, error) {
-	cfg = cfg.withDefaults()
-	tr := trie.Build(tbl.Routes)
-	tr.LeafPush()
-	if !cfg.Balanced {
-		return pipeline.Compile(tr, cfg.Stages)
-	}
-	sm, err := balancedMap(cfg, trieLevelBits(cfg, tr.Stats().PerLevel, 1))
+	e, err := tableEngine(cfg.withDefaults(), tbl)
 	if err != nil {
 		return nil, err
 	}
-	return pipeline.CompileMapped(tr, sm)
+	return e.compile()
 }
 
-// CompileMerged compiles the shared engine image of a VM router over
-// tables. Unlike CompileTable's, this image is a function of the whole
-// tenant list and its order.
-func CompileMerged(cfg Config, tables []*rib.Table) (*pipeline.Image, error) {
-	cfg = cfg.withDefaults()
-	m, err := merge.Build(tables)
-	if err != nil {
-		return nil, err
-	}
-	m.LeafPush()
-	if !cfg.Balanced {
-		return pipeline.CompileMerged(m, cfg.Stages)
-	}
-	sm, err := balancedMap(cfg, mergedLevelBits(cfg, m.Stats().PerLevel, m.K()))
-	if err != nil {
-		return nil, err
-	}
-	return pipeline.CompileMergedMapped(m, sm)
-}
-
-// Assemble builds the router of cfg.Scheme over already-compiled engine
-// images — K of them for NV/VS, the one merged image for VM: per-device
-// resources → fpga.Place → achievable clock → power-model input. It walks no
-// trie; its cost is a pass over the images' stage memories.
-//
-// The router keeps the image pointers it is given and Images() returns
-// them, so images shared between routers (or owned by a cache) must be
-// treated as read-only through every router assembled over them; a caller
-// that will write to one — fault injection, a shadow-bank update — serves
-// img.Clone() instead.
+// Assemble builds the router of cfg.Scheme over compiled engine images — K
+// for NV/VS, the merged one for VM — priced from the per-level counts each
+// image keeps (Image.Levels) through its stage map, in O(images · levels).
+// The router serves the images it is given: images shared between routers
+// are read-only through each of them, and a caller that will write to one —
+// fault injection, a shadow-bank update — serves img.Clone() instead.
 func Assemble(cfg Config, images []*pipeline.Image) (*Router, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	want := cfg.K
-	if cfg.Scheme == VM {
-		want = 1
+	if len(images) != cfg.engines() {
+		return nil, fmt.Errorf("core: %d images for a %s router with K = %d, want %d", len(images), cfg.Scheme, cfg.K, cfg.engines())
 	}
-	if len(images) != want {
-		return nil, fmt.Errorf("core: %d images for a %s router with K = %d, want %d", len(images), cfg.Scheme, cfg.K, want)
-	}
-	engines := make([]power.EngineDesign, len(images))
-	var ptrBits, nhiBits int64
+	engines := make([]engine, len(images))
 	for i, img := range images {
-		engines[i] = power.EngineDesign{
-			StageBits:   cfg.Layout.AllStageBits(img),
-			Utilization: engineUtilization(cfg.Scheme, cfg.K),
-		}
-		p, n := cfg.Layout.PointerAndNHIBits(img)
-		ptrBits += p
-		nhiBits += n
+		engines[i] = engine{levels: levelsOf(cfg, img.Levels, img.K), sm: img.Map}
 	}
-	r, err := place(cfg, engines)
+	r, err := price(cfg, engines)
 	if err != nil {
 		return nil, err
 	}
 	r.images = images
-	r.ptrBits = ptrBits
-	r.nhiBits = nhiBits
 	return r, nil
 }
 
-// trieLevelBits sizes each trie level under the configured layout with a
-// k-wide NHI at leaves.
-func trieLevelBits(cfg Config, perLevel []trie.Level, k int) []int64 {
-	bits := make([]int64, len(perLevel))
-	for lv, l := range perLevel {
-		bits[lv] = int64(l.Internal)*2*int64(cfg.Layout.PtrBits) +
-			int64(l.Leaves)*int64(k)*int64(cfg.Layout.NHIBits)
-	}
-	return bits
+// level is one trie level's memory in bits: its internal nodes' child
+// pointers and its leaves' next-hop vectors.
+type level struct{ ptr, nhi int64 }
+
+// engine is one lookup engine as priced: its per-level memories, the stage
+// map they are laid out by and, built from a table, its compile.
+type engine struct {
+	levels  []level
+	sm      trie.StageMap
+	compile func() (*pipeline.Image, error)
 }
 
-// mergedLevelBits is trieLevelBits for the merged trie's level type.
-func mergedLevelBits(cfg Config, perLevel []merge.Level, k int) []int64 {
-	bits := make([]int64, len(perLevel))
-	for lv, l := range perLevel {
-		bits[lv] = int64(l.Internal)*2*int64(cfg.Layout.PtrBits) +
-			int64(l.Leaves)*int64(k)*int64(cfg.Layout.NHIBits)
-	}
-	return bits
+// tableEngine is one table's engine: its leaf-pushed trie, counted.
+func tableEngine(cfg Config, tbl *rib.Table) (engine, error) {
+	tr := trie.Build(tbl.Routes)
+	tr.LeafPush()
+	levels := levelsOf(cfg, tr.Stats().PerLevel, 1)
+	sm, err := stageMap(cfg, levels)
+	return engine{levels, sm, func() (*pipeline.Image, error) { return pipeline.CompileMapped(tr, sm) }}, err
 }
 
-// balancedMap builds the min-max memory partition over the levels.
-func balancedMap(cfg Config, levelBits []int64) (trie.StageMap, error) {
-	return trie.NewBalancedStageMap(cfg.Stages, levelBits)
+// mergedEngine is the shared engine of a VM router over tables: their
+// leaf-pushed merged trie, counted with a K-wide NHI vector at every leaf.
+func mergedEngine(cfg Config, tables []*rib.Table) (engine, error) {
+	m, err := merge.Build(tables)
+	if err != nil {
+		return engine{}, err
+	}
+	m.LeafPush()
+	levels := levelsOf(cfg, m.Stats().PerLevel, m.K())
+	sm, err := stageMap(cfg, levels)
+	return engine{levels, sm, func() (*pipeline.Image, error) { return pipeline.CompileMergedMapped(m, sm) }}, err
 }
 
-// engineUtilization returns µ for one engine under Assumption 1: NV and VS
-// engines each see 1/K of the traffic; the VM engine time-shares all of it.
-func engineUtilization(s Scheme, k int) float64 {
-	if s == VM {
-		return 1
-	}
-	return 1 / float64(k)
-}
-
-// place computes per-device resources, places the design, derives the
-// achievable clock and finalises the power-model input.
-func place(cfg Config, engines []power.EngineDesign) (*Router, error) {
-	devices := 1
-	if cfg.Scheme == NV {
-		devices = cfg.K
-	}
-	enginesPerDevice := len(engines) / devices
-
-	// Logic: the measured uni-bit PE per stage (Section V-C).
-	pe := fpga.UnibitPE()
-	used := fpga.Resources{
-		FFs:    enginesPerDevice * cfg.Stages * pe.FFs,
-		LUTs:   enginesPerDevice * cfg.Stages * pe.LUTs(),
-		IOPins: fpga.ShellPins + enginesPerDevice*fpga.EnginePins,
-	}
-	// BRAM blocks per device and the per-stage congestion driver; stages
-	// under the hybrid threshold map to distributed RAM (LUT RAM) instead.
-	maxPerStage := 0
-	blocksPerDevice := 0
-	for i := 0; i < enginesPerDevice; i++ {
-		for _, bits := range engines[i].StageBits {
-			if cfg.DistRAMThreshold > 0 && bits > 0 && bits <= cfg.DistRAMThreshold {
-				quanta := (bits + power.DistRAMQuantumBits - 1) / power.DistRAMQuantumBits
-				used.DistRAMBits += quanta * power.DistRAMQuantumBits
-				used.LUTs += int(quanta) // one 64-bit LUT RAM per quantum
-				continue
-			}
-			n := cfg.Mode.BlocksFor(bits)
-			blocksPerDevice += n
-			if n > maxPerStage {
-				maxPerStage = n
-			}
+// levelsOf sizes per-level node counts under cfg.Layout: two pointers an
+// internal node, a k-wide NHI vector a leaf.
+func levelsOf(cfg Config, counts []trie.Level, k int) []level {
+	out := make([]level, len(counts))
+	for i, c := range counts {
+		out[i] = level{
+			ptr: int64(c.Internal) * 2 * int64(cfg.Layout.PtrBits),
+			nhi: int64(c.Leaves) * int64(k) * int64(cfg.Layout.NHIBits),
 		}
 	}
-	if cfg.Mode == fpga.BRAM36Mode {
-		used.BRAM36 = blocksPerDevice
-	} else {
-		used.BRAM18 = blocksPerDevice
-	}
+	return out
+}
 
-	pl, err := fpga.Place(cfg.Device, cfg.Grade, used, cfg.Stages, maxPerStage, enginesPerDevice)
-	if err != nil {
-		return nil, err
+// stageMap is the level→stage mapping cfg gives a trie of these per-level
+// memories: the min-max memory partition when cfg.Balanced, else the plain
+// fold into stage 0 over its height.
+func stageMap(cfg Config, levels []level) (trie.StageMap, error) {
+	if !cfg.Balanced {
+		return trie.NewStageMap(cfg.Stages, len(levels)-1)
 	}
-	fmax := cfg.Timing.Fmax(pl)
+	bits := make([]int64, len(levels))
+	for i, l := range levels {
+		bits[i] = l.ptr + l.nhi
+	}
+	return trie.NewBalancedStageMap(cfg.Stages, bits)
+}
 
-	design := power.SystemDesign{
+// price is the one resource function (Eq. 1–6) behind every router: each
+// engine's per-level memories summed into stage memories through its map,
+// the Fig. 4 pointer/NHI split, one device's resources, fpga.Place, the
+// achievable clock and the power-model input. Callers differ only in where
+// the counts come from: tries (Build), compiled images (Assemble) or a
+// TableProfile (BuildAnalytic, MemoryDemand).
+func price(cfg Config, engines []engine) (*Router, error) {
+	r := &Router{cfg: cfg, design: power.SystemDesign{
 		Grade:                cfg.Grade,
 		Mode:                 cfg.Mode,
-		FMHz:                 fmax,
-		Devices:              devices,
-		Engines:              engines,
+		Devices:              1,
+		Engines:              make([]power.EngineDesign, len(engines)),
 		ClockGating:          cfg.ClockGating,
 		DistRAMThresholdBits: cfg.DistRAMThreshold,
 		StaticScale:          cfg.Device.AreaScale(),
+	}}
+	if cfg.Scheme == NV {
+		r.design.Devices = cfg.K
 	}
-	if err := design.Validate(); err != nil {
+	// Assumption 1: NV and VS engines each see 1/K of the traffic; the VM
+	// engine time-shares all of it.
+	utilization := 1 / float64(cfg.K)
+	if cfg.Scheme == VM {
+		utilization = 1
+	}
+	for i, e := range engines {
+		bits := make([]int64, e.sm.Stages)
+		for lv, l := range e.levels {
+			bits[e.sm.Stage(lv)] += l.ptr + l.nhi
+			r.ptrBits, r.nhiBits = r.ptrBits+l.ptr, r.nhiBits+l.nhi
+		}
+		r.design.Engines[i] = power.EngineDesign{StageBits: bits, Utilization: utilization}
+	}
+
+	// One device (NV's are alike): the measured uni-bit PE per stage (Section
+	// V-C), BRAM blocks with the widest stage's as the congestion driver, and
+	// a 64-bit LUT RAM per quantum of the stages under the hybrid threshold.
+	device := r.design
+	n := len(engines) / device.Devices
+	device.Engines = device.Engines[:n]
+	blocks, widest := device.TotalBlocks()
+	pe := fpga.UnibitPE()
+	used := fpga.Resources{
+		FFs:         n * cfg.Stages * pe.FFs,
+		LUTs:        n * cfg.Stages * pe.LUTs(),
+		IOPins:      fpga.ShellPins + n*fpga.EnginePins,
+		DistRAMBits: device.TotalDistRAMBits(),
+	}
+	used.LUTs += int(used.DistRAMBits / power.DistRAMQuantumBits)
+	if cfg.Mode == fpga.BRAM36Mode {
+		used.BRAM36 = blocks
+	} else {
+		used.BRAM18 = blocks
+	}
+	var err error
+	if r.placement, err = fpga.Place(cfg.Device, cfg.Grade, used, cfg.Stages, widest, n); err != nil {
 		return nil, err
 	}
-	return &Router{cfg: cfg, design: design, placement: pl, fmax: fmax}, nil
+	r.design.FMHz = cfg.Timing.Fmax(r.placement)
+	if err := r.design.Validate(); err != nil {
+		return nil, err
+	}
+	return r, nil
 }

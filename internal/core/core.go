@@ -30,16 +30,10 @@ const (
 
 // String names the scheme with the paper's abbreviations.
 func (s Scheme) String() string {
-	switch s {
-	case NV:
-		return "NV"
-	case VS:
-		return "VS"
-	case VM:
-		return "VM"
-	default:
+	if s < NV || s > VM {
 		return fmt.Sprintf("Scheme(%d)", int(s))
 	}
+	return [...]string{"NV", "VS", "VM"}[s]
 }
 
 // Schemes lists all three organisations in paper order.
@@ -61,7 +55,7 @@ type Config struct {
 	// Stages is the pipeline depth N (DefaultStages when zero).
 	Stages int
 	// Layout sizes pointers and NHI entries (pipeline.DefaultLayout when
-	// zero).
+	// zero; a partly set Layout is refused, not completed).
 	Layout pipeline.MemLayout
 	// ClockGating reflects Section IV's idle-resource gating; the paper's
 	// models assume it (dynamic power scales with utilization µ).
@@ -74,7 +68,8 @@ type Config struct {
 	// DistRAMThreshold, when positive, maps stage memories of at most this
 	// many bits to distributed RAM instead of BRAM (hybrid memory; the
 	// paper assumes BRAM only "for simplicity", Section V-B). Small stages
-	// then avoid paying for a mostly-empty 18 Kb block.
+	// then avoid paying for a mostly-empty 18 Kb block. Zero is BRAM only; a
+	// negative threshold is refused.
 	DistRAMThreshold int64
 	// Device is the target FPGA (XC6VLX760 when zero-valued).
 	Device fpga.Device
@@ -101,18 +96,28 @@ func (c Config) withDefaults() Config {
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
-	if c.K <= 0 {
+	switch l := c.Layout; {
+	case c.K <= 0:
 		return fmt.Errorf("core: K = %d, want > 0", c.K)
-	}
-	if c.Stages < 0 {
+	case c.Stages < 0:
 		return fmt.Errorf("core: Stages = %d, want >= 0", c.Stages)
-	}
-	switch c.Scheme {
-	case NV, VS, VM:
-	default:
+	case l != (pipeline.MemLayout{}) && (l.PtrBits <= 0 || l.NHIBits <= 0):
+		return fmt.Errorf("core: Layout %+v, want both widths > 0 (or the zero Layout for the default)", l)
+	case c.DistRAMThreshold < 0:
+		return fmt.Errorf("core: DistRAMThreshold = %d, want >= 0", c.DistRAMThreshold)
+	case c.Scheme < NV || c.Scheme > VM:
 		return fmt.Errorf("core: unknown scheme %d", c.Scheme)
 	}
 	return nil
+}
+
+// engines is the number of lookup engines a router of c has: one a network
+// for NV and VS, the one merged engine for VM.
+func (c Config) engines() int {
+	if c.Scheme == VM {
+		return 1
+	}
+	return c.K
 }
 
 // Router is a built and placed router configuration.
@@ -125,7 +130,6 @@ type Router struct {
 	design power.SystemDesign
 	// placement is the per-device placement (devices are identical for NV).
 	placement *fpga.Placement
-	fmax      float64
 	// ptrBits and nhiBits split total memory for Fig. 4.
 	ptrBits, nhiBits int64
 }
@@ -138,7 +142,7 @@ func (r *Router) Config() Config { return r.cfg }
 func (r *Router) Images() []*pipeline.Image { return r.images }
 
 // Fmax returns the achievable clock in MHz.
-func (r *Router) Fmax() float64 { return r.fmax }
+func (r *Router) Fmax() float64 { return r.design.FMHz }
 
 // Placement returns the per-device placement.
 func (r *Router) Placement() *fpga.Placement { return r.placement }
@@ -168,14 +172,7 @@ func (r *Router) MeasuredPower(a *power.Analyzer) (power.Breakdown, error) {
 // completes one 40-byte-packet lookup per cycle (Section VI-B). NV counts
 // its K devices; VS its K parallel engines; VM its single shared engine.
 func (r *Router) ThroughputGbps() float64 {
-	engines := 1
-	switch r.cfg.Scheme {
-	case NV:
-		engines = r.cfg.K // one engine on each of K devices
-	case VS:
-		engines = r.cfg.K
-	}
-	return fpga.ThroughputGbps(r.fmax, engines)
+	return fpga.ThroughputGbps(r.Fmax(), r.cfg.engines())
 }
 
 // EfficiencyMWPerGbps returns the paper's Fig. 8 metric for the analytical
@@ -191,9 +188,4 @@ func (r *Router) EfficiencyMWPerGbps() (float64, error) {
 // LatencyNS returns the pipeline traversal latency in nanoseconds: N stages
 // at the achievable clock (the paper's transparency requirement covers
 // latency as well as throughput).
-func (r *Router) LatencyNS() float64 {
-	if r.fmax <= 0 {
-		return 0
-	}
-	return float64(r.cfg.Stages) * 1e3 / r.fmax
-}
+func (r *Router) LatencyNS() float64 { return float64(r.cfg.Stages) * 1e3 / r.Fmax() }

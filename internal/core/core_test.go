@@ -50,6 +50,34 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// TestConfigZeroValueTraps: a partly set Layout is not completed by the
+// defaults, so a zero width would price its memory at 0 bits; a negative
+// distributed-RAM threshold reads as BRAM only. Both are refused, by
+// Validate and by every constructor, while the zero Layout and threshold
+// stay the defaults.
+func TestConfigZeroValueTraps(t *testing.T) {
+	prof := paperProf(t)
+	for name, cfg := range map[string]Config{
+		"pointer width only": {Scheme: VS, K: 2, Layout: pipeline.MemLayout{PtrBits: 18}},
+		"NHI width only":     {Scheme: VS, K: 2, Layout: pipeline.MemLayout{NHIBits: 8}},
+		"negative width":     {Scheme: VS, K: 2, Layout: pipeline.MemLayout{PtrBits: -18, NHIBits: 8}},
+		"negative threshold": {Scheme: VS, K: 2, DistRAMThreshold: -5},
+	} {
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted %+v", name, cfg)
+		}
+		if _, err := BuildAnalytic(cfg, prof, 0); err == nil {
+			t.Errorf("%s: BuildAnalytic accepted %+v", name, cfg)
+		}
+		if _, _, err := MemoryDemand(cfg, prof, 0); err == nil {
+			t.Errorf("%s: MemoryDemand accepted %+v", name, cfg)
+		}
+	}
+	if err := (Config{Scheme: VS, K: 2}).Validate(); err != nil {
+		t.Errorf("the zero Layout and threshold refused: %v", err)
+	}
+}
+
 func TestPaperProfileShape(t *testing.T) {
 	prof := paperProf(t)
 	if prof.Leaves != prof.Nodes-prof.Leaves+1 {
@@ -229,6 +257,18 @@ func TestMemoryDemandProperties(t *testing.T) {
 	vsPtr, vsNHI, _ := MemoryDemand(Config{Scheme: VS, K: 7}, prof, 0)
 	if nvPtr != vsPtr || nvNHI != vsNHI {
 		t.Error("NV and VS memory demand should match")
+	}
+}
+
+// TestAlphaNaNRefused: NaN passes a check written alpha < 0 || alpha > 1,
+// and priced a merged router at negative memory.
+func TestAlphaNaNRefused(t *testing.T) {
+	prof := paperProf(t)
+	if _, _, err := MemoryDemand(Config{Scheme: VM, K: 2}, prof, math.NaN()); err == nil {
+		t.Error("MemoryDemand: alpha NaN accepted")
+	}
+	if _, err := BuildAnalytic(Config{Scheme: VM, K: 2}, prof, math.NaN()); err == nil {
+		t.Error("BuildAnalytic: alpha NaN accepted")
 	}
 }
 

@@ -181,14 +181,7 @@ type Stats struct {
 	Common   int // nodes present in >= 2 source tries
 	Alpha    float64
 	Height   int
-	PerLevel []Level
-}
-
-// Level holds per-level merged node counts.
-type Level struct {
-	Nodes    int
-	Leaves   int
-	Internal int
+	PerLevel []trie.Level
 }
 
 // Stats walks the merged trie. Note that nodes created by leaf pushing have
@@ -196,7 +189,7 @@ type Level struct {
 // not toward Common, keeping α a property of the pre-push overlap as the
 // paper defines it.
 func (t *Trie) Stats() Stats {
-	s := Stats{PerLevel: make([]Level, 33)}
+	s := Stats{PerLevel: make([]trie.Level, 33)}
 	var walk func(n *Node, depth int)
 	walk = func(n *Node, depth int) {
 		s.Nodes++

@@ -136,7 +136,11 @@ func (f scenFaults) rebuild(e int) func() (*pipeline.Image, error) {
 		case mgr != nil:
 			return mgr.PinnedImage(e)
 		case cfg.Scheme == core.VM:
-			return core.CompileMerged(cfg, s.tables)
+			r, err := core.Build(cfg, s.tables)
+			if err != nil {
+				return nil, err
+			}
+			return r.Images()[0], nil
 		}
 		return core.CompileTable(cfg, s.tables[e])
 	}

@@ -17,8 +17,6 @@ package netsim
 // seeded state, so fleet runs are byte-identical at any -j.
 
 import (
-	"fmt"
-
 	"vrpower/internal/core"
 	"vrpower/internal/ctrl"
 	"vrpower/internal/energy"
@@ -135,29 +133,25 @@ type fleetState struct {
 	// completes from where the migration ended (target, scheme, attempts).
 	mrec map[*fleet.Migration]int
 
-	// cache memoizes router builds by (scheme, tenant list); images each
-	// network's separate-engine image: the system router's own where it is
-	// built per network, else compiled the first time a router needs it.
-	cache  map[string]*core.Router
+	// images memoizes each network's separate-engine image: the system
+	// router's own where it is built per network, else compiled the first
+	// time a router needs it.
 	images []*pipeline.Image
 
 	rep              *FleetReport
 	powerUpAnnounced []bool
 }
 
-// build assembles (memoized) a device router of scheme sch — NV or VS, what
-// fleet.Place chooses — over the tenant networks in serving order. A
-// per-network engine image is a function of that network's table alone, so
-// routers are assembled over the image memo and each table is compiled
-// once, however many tenant sets the placer prices. The memoised images are
-// served as they are: nothing on the fleet path writes an image, and a
-// network is live on one device at a time.
+// build assembles a device router of scheme sch — NV or VS, what fleet.Place
+// chooses — over the tenant networks in serving order. A per-network engine
+// image is a function of that network's table alone, so routers are
+// assembled over the image memo and each table is compiled once, however
+// many tenant sets the placer prices; assembling prices the images' per-level
+// counts, O(K · levels) a tenant set. The memoised images are served as they
+// are: nothing on the fleet path writes an image, and a network is live on
+// one device at a time.
 func (r *scenRun) build(sch core.Scheme, vns []int) (*core.Router, error) {
 	fl := r.fl
-	key := fmt.Sprintf("%d|%v", int(sch), vns)
-	if rt, ok := fl.cache[key]; ok {
-		return rt, nil
-	}
 	cfg := r.s.router.Config()
 	cfg.Scheme = sch
 	cfg.K = len(vns)
@@ -171,12 +165,7 @@ func (r *scenRun) build(sch core.Scheme, vns []int) (*core.Router, error) {
 		}
 		images = append(images, fl.images[vn])
 	}
-	rt, err := core.Assemble(cfg, images)
-	if err != nil {
-		return nil, err
-	}
-	fl.cache[key] = rt
-	return rt, nil
+	return core.Assemble(cfg, images)
 }
 
 // maxLoadFrac is a load shape's peak per-network arrival probability, the
@@ -200,7 +189,6 @@ func (r *scenRun) placeFleet() error {
 	s, spec := r.s, r.spec
 	fl := &fleetState{
 		mrec:   map[*fleet.Migration]int{},
-		cache:  map[string]*core.Router{},
 		images: make([]*pipeline.Image, s.k),
 		rep:    &FleetReport{Devices: spec.Fleet.Devices, Spares: spec.Fleet.Spares},
 	}

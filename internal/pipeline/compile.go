@@ -56,31 +56,33 @@ func fromMerged(m *merge.Trie, mapFor func(height int) (trie.StageMap, error)) (
 const maxLevels = 33
 
 // compile lays the trie under root out breadth-first, straight into stage
-// words. One walk counts the nodes of every level — which gives the trie's
-// height, for a map (mapFor) that depends on it, and every stage's size, so
-// each slice is made once — and one pass, level by level, then writes the
-// words, derived bits included: compiled parity is good, the pass knows which
-// stage the children go to, and the levels a stage holds are its visits; only
-// the jump table is left to derive. A node's index within its stage is
+// words. One walk counts the internal nodes and leaves of every level — which
+// gives the trie's height, for a map (mapFor) that depends on it, every
+// stage's size, so each slice is made once, and the image's Levels — and one
+// pass, level by level, then writes the words, derived bits included:
+// compiled parity is good, the pass knows which stage the children go to, and
+// the levels a stage holds are its visits; only the jump table is left to
+// derive. A node's index within its stage is
 // assigned when it is enqueued, into its parent's child pair, and a level's
 // nodes are written in the order they were enqueued, so each stage's words
 // are written in index order. kids returns a node's children (both nil: a
 // leaf), appendNHI appends a leaf's next-hop vector to the slab.
 func compile[N comparable](root N, k int, mapFor func(height int) (trie.StageMap, error), kids func(N) [2]N, appendNHI func([]ip.NextHop, N) []ip.NextHop) (*Image, error) {
 	var none N
-	var perLevel [maxLevels]int
-	leaves := 0
+	var perLevel [maxLevels]trie.Level
 	var count func(n N, level int) error
 	count = func(n N, level int) error {
-		perLevel[level]++
+		lv := &perLevel[level]
+		lv.Nodes++
 		c := kids(n)
 		if c[0] == none && c[1] == none {
-			leaves++
+			lv.Leaves++
 			return nil
 		}
 		if c[0] == none || c[1] == none {
 			return fmt.Errorf("pipeline: internal node with missing child at level %d (trie not fully leaf-pushed?)", level)
 		}
+		lv.Internal++
 		if err := count(c[0], level+1); err != nil {
 			return err
 		}
@@ -90,20 +92,21 @@ func compile[N comparable](root N, k int, mapFor func(height int) (trie.StageMap
 		return nil, err
 	}
 	height := maxLevels - 1
-	for perLevel[height] == 0 {
+	for perLevel[height].Nodes == 0 {
 		height--
 	}
 	sm, err := mapFor(height)
 	if err != nil {
 		return nil, err
 	}
-	lens := make([]int, sm.Stages)
-	for level, n := range perLevel[:height+1] {
-		lens[sm.Stage(level)] += n
+	lens, widest, leaves := make([]int, sm.Stages), 0, 0
+	for level, lv := range perLevel[:height+1] {
+		lens[sm.Stage(level)] += lv.Nodes
+		widest, leaves = max(widest, lv.Nodes), leaves+lv.Leaves
 	}
 
 	img := newImage(k, sm, lens, leaves*k)
-	widest := slices.Max(perLevel[:])
+	img.Levels = slices.Clone(perLevel[:height+1])
 	cur, below := make([]N, 1, widest), make([]N, 0, widest) // the level being written, the one under it
 	cur[0] = root
 	next := make([]uint32, sm.Stages) // per stage: the index the next node enqueued into it gets

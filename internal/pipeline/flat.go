@@ -1,11 +1,16 @@
 package pipeline
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+
+	"vrpower/internal/trie"
+)
 
 // The derived words of an image: per entry the stale-parity verdict and the
-// fold flag, per stage the visit count, per image the jump table and its
-// depth. Flatten recomputes all of them from the stored words; patch keeps
-// them true after one stored word changed.
+// fold flag, per stage the visit count, per image the per-level counts, the
+// jump table and its depth. Flatten recomputes all of them from the stored
+// words; patch keeps them true after one stored word changed.
 
 // noJump marks a jump-table slot whose addresses are walked from stage 0. As
 // an entry index it is out of every stage's range, so a (corrupt) pointer of
@@ -29,8 +34,11 @@ func Flatten(img *Image) *Image {
 
 // derive recomputes, in place, every derived word from the stored ones: what
 // follows a stage splice or a hand-made image, and what the compiler, which
-// writes the per-entry and per-stage ones as it goes, is held to.
+// writes the per-entry and per-stage ones and counts the levels as it goes,
+// is held to.
 func (img *Image) derive() {
+	var levels [metaLevelMask + 1]trie.Level
+	height := -1
 	for s := range img.stages {
 		st := &img.stages[s]
 		child := st.child[:len(st.meta)]
@@ -39,12 +47,19 @@ func (img *Image) derive() {
 			m = img.derived(s, m, child[i])
 			st.meta[i] = m
 			l := levelOf(m)
-			lo, hi = min(lo, l), max(hi, l)
+			lo, hi, height = min(lo, l), max(hi, l), max(height, l)
+			levels[l].Nodes++
+			if m&metaLeaf != 0 {
+				levels[l].Leaves++
+			} else {
+				levels[l].Internal++
+			}
 		}
 		// At least one visit even for an empty stage, so a flight arriving
 		// there trips the same out-of-range fault the scalar engine raises.
 		st.visits = max(hi-lo+1, 1)
 	}
+	img.Levels = slices.Clone(levels[:height+1])
 	img.deriveJump()
 }
 

@@ -29,7 +29,8 @@ import (
 //
 // and per image one NHI slab — all leaf vectors back to back, in stage-then-
 // index order — and the derived jump table (flat.go). The stages' slices are
-// runs of one array each, so an image is four allocations, Clone four copies.
+// runs of one array each, so an image is five allocations with its per-level
+// counts, Clone five copies.
 //
 // Stored words are what a table compiles to and what an upset strikes; derived
 // words are a function of them (Flatten, from scratch). Whoever writes a stored
@@ -78,6 +79,10 @@ type Image struct {
 	K int
 	// Map is the level→stage mapping used at compile time.
 	Map trie.StageMap
+	// Levels counts, per trie level, the internal nodes and leaves the image
+	// holds: what its memory is priced from, through Map. Derived (an upset
+	// changes no entry's kind or level); compile counts them in its first walk.
+	Levels []trie.Level
 
 	stages []stage
 	// meta and child back every stage's slices, stage after stage.
@@ -242,7 +247,7 @@ func (st *stage) view(e *Entry, slab []ip.NextHop, i uint32) {
 // whatever may write to them — fault injection, a data plane under it.
 func (img *Image) Clone() *Image {
 	out := &Image{
-		K: img.K, Map: img.Map,
+		K: img.K, Map: img.Map, Levels: slices.Clone(img.Levels),
 		stages: make([]stage, len(img.stages)),
 		meta:   slices.Clone(img.meta),
 		child:  slices.Clone(img.child),

@@ -250,7 +250,7 @@ func TestJumpLanesMatchWalkedLane(t *testing.T) {
 	for _, fx := range jumpFixtures(t) {
 		model, err := energy.NewModel(power.SystemDesign{
 			FMHz: 250, Devices: 1,
-			Engines: []power.EngineDesign{{StageBits: DefaultLayout().AllStageBits(fx.img), Utilization: 1}},
+			Engines: []power.EngineDesign{{StageBits: stageBitsOf(fx.img), Utilization: 1}},
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -216,39 +216,7 @@ func TestLookupOutOfRangeVN(t *testing.T) {
 	}
 }
 
-func TestMemLayoutStageBits(t *testing.T) {
-	tbl := genTable(t, 500, 16)
-	img := compileSingle(t, tbl, 28)
-	l := DefaultLayout()
-	all := l.AllStageBits(img)
-	if len(all) != 28 {
-		t.Fatalf("AllStageBits len = %d, want 28", len(all))
-	}
-	var sum int64
-	for s := range all {
-		if all[s] != l.StageBits(img, s) {
-			t.Errorf("stage %d mismatch", s)
-		}
-		sum += all[s]
-	}
-	ptr, nhi := l.PointerAndNHIBits(img)
-	if ptr+nhi != sum {
-		t.Errorf("pointer %d + NHI %d != total %d", ptr, nhi, sum)
-	}
-	// Cross-check against trie shape: internal nodes cost 2x18b, leaves 8b.
-	tr := trie.Build(tbl.Routes)
-	tr.LeafPush()
-	st := tr.Stats()
-	if want := int64(st.Internal) * 36; ptr != want {
-		t.Errorf("pointer bits = %d, want %d", ptr, want)
-	}
-	if want := int64(st.Leaves) * 8; nhi != want {
-		t.Errorf("NHI bits = %d, want %d", nhi, want)
-	}
-}
-
 func TestMergedNHIScalesWithK(t *testing.T) {
-	l := DefaultLayout()
 	nhiFor := func(k int) int64 {
 		set, err := rib.GenerateVirtualSet(k, 300, 1.0, 17)
 		if err != nil {
@@ -263,7 +231,7 @@ func TestMergedNHIScalesWithK(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, nhi := l.PointerAndNHIBits(img)
+		_, _, nhi := wordPass(DefaultLayout(), img)
 		return nhi
 	}
 	n2, n4 := nhiFor(2), nhiFor(4)
@@ -308,50 +276,5 @@ func TestFoldedStageTraversal(t *testing.T) {
 		if got, want := Lookup(img, Request{Addr: addr}), ref.Lookup(addr); got != want {
 			t.Fatalf("folded lookup(%s) = %d, want %d", addr, got, want)
 		}
-	}
-}
-
-func TestIndirectNHILayout(t *testing.T) {
-	set, err := rib.GenerateVirtualSet(6, 400, 0.9, 23)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := merge.Build(set.Tables)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.LeafPush()
-	img, err := CompileMerged(m, 28)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inline := DefaultLayout()
-	indirect := MemLayout{PtrBits: 18, NHIBits: 8, IndirectNHI: true}
-
-	if inline.NHITableBits(img) != 0 {
-		t.Error("inline layout should have no vector table")
-	}
-	tbl := indirect.NHITableBits(img)
-	if tbl <= 0 {
-		t.Fatal("indirect layout missing vector table")
-	}
-	// Pointer memory must be identical between layouts.
-	ptrA, nhiA := inline.PointerAndNHIBits(img)
-	ptrB, nhiB := indirect.PointerAndNHIBits(img)
-	if ptrA != ptrB {
-		t.Errorf("pointer bits differ between layouts: %d vs %d", ptrA, ptrB)
-	}
-	// With high table overlap, few distinct vectors exist, so indirection
-	// must save NHI memory at K=6 (48-bit vectors vs 18-bit indices).
-	if nhiB >= nhiA {
-		t.Errorf("indirect NHI %d not below inline %d for high-overlap merge", nhiB, nhiA)
-	}
-	// Total across stages must account for the table exactly once.
-	var sum int64
-	for s := 0; s < img.Stages(); s++ {
-		sum += indirect.StageBits(img, s)
-	}
-	if sum != ptrB+nhiB {
-		t.Errorf("stage sum %d != ptr+nhi %d", sum, ptrB+nhiB)
 	}
 }

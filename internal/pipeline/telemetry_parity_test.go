@@ -73,7 +73,7 @@ func TestTelemetryParityScalarVsBatched(t *testing.T) {
 		FMHz:    250,
 		Devices: 1,
 		Engines: []power.EngineDesign{{
-			StageBits:   DefaultLayout().AllStageBits(img),
+			StageBits:   stageBitsOf(img),
 			Utilization: 1,
 		}},
 	}
@@ -157,7 +157,7 @@ func TestTelemetryParityStreamedBubblesAndSEUs(t *testing.T) {
 		FMHz:    250,
 		Devices: 1,
 		Engines: []power.EngineDesign{{
-			StageBits:   DefaultLayout().AllStageBits(pristine),
+			StageBits:   stageBitsOf(pristine),
 			Utilization: 1,
 		}},
 	}

@@ -78,10 +78,10 @@ func Plan(req Requirements) ([]Candidate, error) {
 	if req.K <= 0 {
 		return nil, fmt.Errorf("planner: K = %d, want > 0", req.K)
 	}
-	if req.PerVNGbps < 0 {
+	if !(req.PerVNGbps >= 0) {
 		return nil, fmt.Errorf("planner: per-VN requirement %g, want >= 0", req.PerVNGbps)
 	}
-	if req.Alpha < 0 || req.Alpha > 1 {
+	if !(req.Alpha >= 0 && req.Alpha <= 1) {
 		return nil, fmt.Errorf("planner: alpha %g outside [0,1]", req.Alpha)
 	}
 	schemes := req.Schemes

@@ -1,6 +1,7 @@
 package planner
 
 import (
+	"math"
 	"sync"
 	"testing"
 
@@ -33,6 +34,22 @@ func TestPlanValidation(t *testing.T) {
 	}
 	if _, err := Plan(Requirements{K: 2, Alpha: 2, Profile: p}); err == nil {
 		t.Error("alpha > 1 accepted")
+	}
+}
+
+// TestPlanRefusesNaNAlpha: a NaN α once passed the range check and ranked a
+// NaN-memory merged router cheapest.
+func TestPlanRefusesNaNAlpha(t *testing.T) {
+	if _, err := Plan(Requirements{K: 2, Alpha: math.NaN(), Profile: prof(t)}); err == nil {
+		t.Error("alpha NaN accepted")
+	}
+}
+
+// TestPlanRefusesNaNRequirement: a NaN requirement once passed the range
+// check and compared below every clock, so every configuration was feasible.
+func TestPlanRefusesNaNRequirement(t *testing.T) {
+	if _, err := Plan(Requirements{K: 2, PerVNGbps: math.NaN(), Profile: prof(t)}); err == nil {
+		t.Error("requirement NaN accepted")
 	}
 }
 

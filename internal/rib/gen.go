@@ -273,7 +273,7 @@ func GenerateVirtualSet(k, prefixes int, share float64, seed int64) (*VirtualSet
 	if k <= 0 {
 		return nil, fmt.Errorf("rib: virtual set k = %d, want > 0", k)
 	}
-	if share < 0 || share > 1 {
+	if !(share >= 0 && share <= 1) {
 		return nil, fmt.Errorf("rib: virtual set share = %g, want [0,1]", share)
 	}
 	nShared := int(float64(prefixes) * share)

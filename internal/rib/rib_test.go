@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -268,6 +269,14 @@ func TestGenerateVirtualSetValidation(t *testing.T) {
 	}
 	if _, err := GenerateVirtualSet(2, 100, 1.1, 1); err == nil {
 		t.Error("share>1 accepted")
+	}
+}
+
+// TestGenerateVirtualSetRefusesNaNShare: NaN passes a check written
+// share < 0 || share > 1, and then slices out of range.
+func TestGenerateVirtualSetRefusesNaNShare(t *testing.T) {
+	if _, err := GenerateVirtualSet(2, 100, math.NaN(), 1); err == nil {
+		t.Error("share NaN accepted")
 	}
 }
 

@@ -7,6 +7,7 @@ package scenario
 // spec's Stressors list matches its populated sections.
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -40,6 +41,11 @@ func FuzzParse(f *testing.F) {
 		"fleet=2,chaos=devcrash:3",
 		"fleet=2,faults=seu:1e-9",
 		"chaos=devcrash:1",
+		"load=const:NaN",
+		"load=ramp:0:+Inf",
+		"faults=seu:NaN",
+		"power-cap=NaN",
+		"power-cap-device=-Inf",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -54,7 +60,13 @@ func FuzzParse(f *testing.F) {
 			}
 			return
 		}
-		// A spec that parses must be runnable: validated fields in range.
+		// A spec that parses must be runnable: validated fields in range,
+		// every number finite.
+		for _, x := range []float64{s.Load.P0, s.Load.P1, s.Load.Duty, s.SEURate, s.CapW, s.DeviceCapW} {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				t.Fatalf("Parse(%q) accepted a non-finite number: %+v", spec, s)
+			}
+		}
 		if s.Cycles < 1 || s.Slice < 1 || s.Queue < 1 {
 			t.Fatalf("Parse(%q) accepted out-of-range dims: %+v", spec, s)
 		}

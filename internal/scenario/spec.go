@@ -27,6 +27,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -208,6 +209,9 @@ func parseFloat(key, v string) (float64, error) {
 	f, err := strconv.ParseFloat(v, 64)
 	if err != nil {
 		return 0, fmt.Errorf("scenario: %s: %q is not a number", key, v)
+	}
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return 0, fmt.Errorf("scenario: %s: %q is not a finite number", key, v)
 	}
 	return f, nil
 }

@@ -180,6 +180,16 @@ func TestParseErrors(t *testing.T) {
 		{"chaos=brownout:1", "need fleet="},
 		{"chaos=flaky:1", "need fleet="},
 		{"fleet=2,chaos=devcrash:0", "want >= 1"},
+		// Non-finite numbers: NaN passes every range check, and ±Inf would
+		// run a load or a cap no run can mean.
+		{"load=const:NaN", `"NaN" is not a finite number`},
+		{"load=surge:0.1:+Inf", `"+Inf" is not a finite number`},
+		{"load=burst:0.5:100:nan", `"nan" is not a finite number`},
+		{"faults=seu:NaN", `"NaN" is not a finite number`},
+		{"faults=seu:-Inf", `"-Inf" is not a finite number`},
+		{"power-cap=NaN", `"NaN" is not a finite number`},
+		{"power-cap=Inf", `"Inf" is not a finite number`},
+		{"power-cap-device=NaN", `"NaN" is not a finite number`},
 	}
 	for _, c := range cases {
 		_, err := Parse(c.spec)
