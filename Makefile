@@ -4,7 +4,7 @@
 #   make bench      = every benchmark with allocation counts
 GO ?= go
 
-.PHONY: all build test race governor-smoke scenario-smoke chaos-smoke fleet-smoke figures-smoke fuzz-smoke fuzz-batch-smoke vet vuln bench bench-gate bench-baseline bench-test bench-e2e loc loc-diff digest-diff
+.PHONY: all build test race governor-smoke scenario-smoke chaos-smoke fleet-smoke forward-smoke figures-smoke fuzz-smoke fuzz-batch-smoke vet vuln bench bench-gate bench-baseline bench-test bench-e2e loc loc-diff digest-diff
 
 all: build test
 
@@ -143,6 +143,27 @@ fleet-smoke:
 	grep -q migration_commit fleet-smoke/events.jsonl
 	grep -q invariant_audit fleet-smoke/events.jsonl
 	! grep -q vn_degraded fleet-smoke/events.jsonl
+
+# Forward smoke: the closed loops over the paper's VM K=8 shape — Forward
+# (bare lookups, flight tracing on) and ForwardFrames (parse → lookup → edit)
+# — at -j1 and -j8, report and traces byte-compared. The merged engine is split
+# into one shard per worker and every shard checks, meters and traces the
+# chunks it sweeps, so a fold that depends on the worker count shows up here;
+# the 0.02 sample overflows the default 4096-trace ring, so the traces kept
+# must not depend on it either.
+FORWARD_FLAGS = -scheme VM -k 8 -prefixes 3725 -packets 250000 -trace-sample 0.02
+forward-smoke:
+	mkdir -p forward-smoke
+	$(GO) run ./cmd/lookupsim $(FORWARD_FLAGS) -j 1 -trace-out forward-smoke/traces.jsonl > forward-smoke/report.txt
+	$(GO) run ./cmd/lookupsim $(FORWARD_FLAGS) -j 8 -trace-out forward-smoke/traces-j8.jsonl > forward-smoke/report-j8.txt
+	$(GO) run ./cmd/lookupsim $(FORWARD_FLAGS) -frames -j 1 -trace-out forward-smoke/frames-traces.jsonl > forward-smoke/frames.txt
+	$(GO) run ./cmd/lookupsim $(FORWARD_FLAGS) -frames -j 8 -trace-out forward-smoke/frames-traces-j8.jsonl > forward-smoke/frames-j8.txt
+	cmp forward-smoke/report.txt forward-smoke/report-j8.txt
+	cmp forward-smoke/traces.jsonl forward-smoke/traces-j8.jsonl
+	cmp forward-smoke/frames.txt forward-smoke/frames-j8.txt
+	cmp forward-smoke/frames-traces.jsonl forward-smoke/frames-traces-j8.jsonl
+	grep -q '"outcome":"forward"' forward-smoke/traces.jsonl
+	grep -q 'Mismatches vs reference LPM *0 ' forward-smoke/report.txt
 
 # Figures smoke: every table and figure cmd/figures prints, as CSV, at -j1
 # and -j8, byte-compared like the lookupsim smokes above — a row that stops

@@ -107,8 +107,8 @@ type Report struct {
 }
 
 // forwardKernel is the one-shot batch kernel: the whole packet set runs as
-// a single slice — distribute per engine, simulate the disjoint request
-// slices on the worker pool, fold in engine order.
+// a single slice — distribute per engine, simulate and verify the disjoint
+// request slices on the worker pool, fold in engine order, then shard order.
 type forwardKernel struct {
 	s     *System
 	pkts  []traffic.Packet
@@ -173,59 +173,36 @@ func (k *forwardKernel) RunSlice(_, _ int64, _ bool) (scenario.SliceStats, error
 		PerEngine:  make([]pipeline.Stats, len(images)),
 		EngineLoad: make([]float64, len(images)),
 	}
-	// Each engine owns a disjoint request slice and its own simulator, so
-	// the engines run on the bounded worker pool; aggregation walks the
-	// results in engine order, keeping the report deterministic at any -j.
-	type engineRun struct {
-		st         pipeline.Stats
-		mismatches int
-		noRoute    int
-		em         *energy.Meter
+	// Every result is metered, checked against its network's oracle and, if
+	// sampled, traced by the shard that swept it, while its chunk is still
+	// in cache.
+	type verified struct {
+		em                  *energy.Meter
+		mismatches, noRoute int
+		traces              []*obs.FlightTrace
 	}
-	// Each engine runs the batched, data-oriented lookup core — scalar-
-	// equivalent by the pipeline package's differential tests, so reports
-	// and goldens are byte-identical to the cycle-loop simulator. A lone
-	// engine (the merged scheme) additionally shards its batch across the
-	// worker pool, since the per-engine fan-out below is then width 1.
-	shardSingle := len(images) == 1
-	runs, err := sweep.Run(len(images), func(e int) (engineRun, error) {
-		reqs := perEngine[e]
-		if len(reqs) == 0 {
-			return engineRun{}, nil
+	runs, err := sweepEngines(images, perEngine, func(v *verified, e, start int, res []pipeline.Result) {
+		if v.em == nil {
+			v.em = s.meter()
 		}
-		sim := pipeline.NewBatchSim(images[e])
-		var results []pipeline.Result
-		var st pipeline.Stats
-		var err error
-		if shardSingle {
-			results, st, err = sim.RunSharded(reqs)
-		} else {
-			results, st, err = sim.Run(reqs, 1)
-		}
-		if err != nil {
-			return engineRun{}, err
-		}
-		run := engineRun{st: st, em: s.meter()}
-		for ri, res := range results {
-			vn := res.VN
+		for j := range res {
+			r := &res[j]
+			vn := r.VN
 			if scheme != core.VM {
 				vn = e // per-network engine: the engine index is the network
 			}
-			run.em.Lookup(e, vn, res.LastStage)
-			want := s.refs[vn].Lookup(res.Addr)
-			if res.NHI != want {
-				run.mismatches++
+			v.em.Lookup(e, vn, r.LastStage)
+			want := s.refs[vn].Lookup(r.Addr)
+			if r.NHI != want {
+				v.mismatches++
 			}
 			if want == ip.NoRoute {
-				run.noRoute++
+				v.noRoute++
 			}
-			if res.Trace {
-				// Results exit in injection order, so ri indexes the seq
-				// slice built by the distributor.
-				tel.PutLookupTrace(perEngineSeq[e][ri], vn, e, 0, res, 0, scenario.LookupOutcome(res, want))
+			if r.Trace {
+				v.traces = append(v.traces, scenario.LookupTrace(perEngineSeq[e][start+j], vn, e, 0, *r, 0, scenario.LookupOutcome(*r, want)))
 			}
 		}
-		return run, nil
 	})
 	if err != nil {
 		return scenario.SliceStats{}, err
@@ -235,11 +212,51 @@ func (k *forwardKernel) RunSlice(_, _ int64, _ bool) (scenario.SliceStats, error
 			k.rep.EngineLoad[e] = float64(len(perEngine[e])) / float64(len(k.pkts))
 		}
 		k.rep.PerEngine[e] = run.st
-		k.rep.Mismatches += run.mismatches
-		k.rep.NoRoute += run.noRoute
-		k.meter.Fold(run.em)
+		for _, v := range run.accs {
+			k.rep.Mismatches += v.mismatches
+			k.rep.NoRoute += v.noRoute
+			k.meter.Fold(v.em)
+			for _, t := range v.traces {
+				// In fold order, so an overflowing ring keeps the same
+				// traces at any -j.
+				tel.Traces.Put(t)
+			}
+		}
 	}
 	return scenario.SliceStats{}, nil
+}
+
+// engineRun is one engine's part of a closed-loop run: its stats (zero for
+// an engine with no requests) and its shards' accumulators, in shard order.
+type engineRun[T any] struct {
+	st   pipeline.Stats
+	accs []T
+}
+
+// sweepEngines resolves each engine's requests on a BatchSim of its own and
+// hands every swept chunk to visit, with the accumulator of the shard that
+// swept it, the engine and the chunk's first request index. Engines hold
+// disjoint request sets and fan out over the worker pool, one shard each; a
+// lone engine (the merged scheme) is split into pipeline.Shards shards
+// instead, since the fan-out is then width 1. The caller folds the runs in
+// engine order, then shard order.
+func sweepEngines[T any](images []*pipeline.Image, perEngine [][]pipeline.Request, visit func(acc *T, e, start int, res []pipeline.Result)) ([]engineRun[T], error) {
+	return sweep.Run(len(images), func(e int) (engineRun[T], error) {
+		reqs := perEngine[e]
+		if len(reqs) == 0 {
+			return engineRun[T]{}, nil
+		}
+		shards := 1
+		if len(images) == 1 {
+			shards = pipeline.Shards(len(reqs))
+		}
+		run := engineRun[T]{accs: make([]T, shards)}
+		var err error
+		run.st, err = pipeline.NewBatchSim(images[e]).RunSharded(reqs, shards, func(shard, start int, res []pipeline.Result) {
+			visit(&run.accs[shard], e, start, res)
+		})
+		return run, err
+	})
 }
 
 // Forward distributes the packets to the router's engines, simulates every
@@ -312,54 +329,43 @@ func (s *System) ForwardFrames(frames [][]byte) (FrameReport, error) {
 	}
 
 	// Engines hold disjoint frame sets (the distributor steered each frame
-	// to exactly one), so lookup and egress edit run per engine on the
-	// worker pool; counters are summed in engine order afterwards.
-	type engineRun struct {
+	// to exactly one), so each shard checks and edits the frames of the
+	// chunks it sweeps; counters are summed in engine order, then shard order.
+	type edited struct {
 		forwarded, noRoute, ttlExpired, mismatches int
 	}
-	runs, err := sweep.Run(len(images), func(e int) (engineRun, error) {
-		reqs := perEngineReqs[e]
-		if len(reqs) == 0 {
-			return engineRun{}, nil
-		}
-		// The frame path needs only next hops, so it runs the batched
-		// engine too; the egress edit consumes results in request order.
-		results, _, err := pipeline.NewBatchSim(images[e]).Run(reqs, 1)
-		if err != nil {
-			return engineRun{}, err
-		}
-		var run engineRun
-		for i, res := range results {
-			p := perEnginePend[e][i]
-			if want := s.refs[p.vn].Lookup(res.Addr); res.NHI != want {
-				run.mismatches++
+	runs, err := sweepEngines(images, perEngineReqs, func(a *edited, e, start int, res []pipeline.Result) {
+		for j := range res {
+			r := &res[j]
+			p := perEnginePend[e][start+j]
+			if want := s.refs[p.vn].Lookup(r.Addr); r.NHI != want {
+				a.mismatches++
 			}
-			if res.NHI == ip.NoRoute {
-				run.noRoute++
+			if r.NHI == ip.NoRoute {
+				a.noRoute++
 				continue
 			}
-			// Egress edit: next-hop MAC synthesised from the NHI port.
-			nh := packet.MAC{0x02, 0xFE, 0, 0, byte(res.NHI >> 8), byte(res.NHI)}
+			// Egress edit: next-hop MAC synthesised from the NHI port. Its
+			// one failure is an expired TTL.
+			nh := packet.MAC{0x02, 0xFE, 0, 0, byte(r.NHI >> 8), byte(r.NHI)}
 			egress := packet.MAC{0x02, 0xFD, 0, 0, 0, byte(p.vn)}
-			switch err := p.frame.Forward(nh, egress); err {
-			case nil:
-				run.forwarded++
-			case packet.ErrTTLExpired:
-				run.ttlExpired++
-			default:
-				return engineRun{}, err
+			if p.frame.Forward(nh, egress) != nil {
+				a.ttlExpired++
+			} else {
+				a.forwarded++
 			}
 		}
-		return run, nil
 	})
 	if err != nil {
 		return FrameReport{}, err
 	}
 	for _, run := range runs {
-		rep.Forwarded += run.forwarded
-		rep.NoRoute += run.noRoute
-		rep.TTLExpired += run.ttlExpired
-		rep.Mismatches += run.mismatches
+		for _, a := range run.accs {
+			rep.Forwarded += a.forwarded
+			rep.NoRoute += a.noRoute
+			rep.TTLExpired += a.ttlExpired
+			rep.Mismatches += a.mismatches
+		}
 	}
 	obsFramesForwarded.Add(int64(rep.Forwarded))
 	return rep, nil

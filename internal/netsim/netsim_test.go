@@ -3,12 +3,15 @@ package netsim
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"vrpower/internal/core"
 	"vrpower/internal/packet"
+	"vrpower/internal/pipeline"
 	"vrpower/internal/rib"
 	"vrpower/internal/scenario"
+	"vrpower/internal/sweep"
 	"vrpower/internal/traffic"
 )
 
@@ -209,6 +212,79 @@ func TestForwardFramesEditsAreValid(t *testing.T) {
 	if edited != rep.Forwarded {
 		t.Errorf("%d frames edited, report says %d forwarded", edited, rep.Forwarded)
 	}
+}
+
+// TestForwardFramesDeterministicAcrossWorkers: each shard checks and edits
+// the frames of the chunks it sweeps, and the merged engine is split into
+// shards like Forward's, so the report and every edited frame must be the same
+// at any worker count, for every scheme — with frames forwarded, dropped for
+// want of a route and expired.
+func TestForwardFramesDeterministicAcrossWorkers(t *testing.T) {
+	defer sweep.SetWorkers(0)
+	for _, sc := range core.Schemes() {
+		s, tables := buildSystem(t, sc, 3)
+		var want FrameReport
+		var wantFrames [][]byte
+		for i, workers := range []int{1, 2, 8} {
+			sweep.SetWorkers(workers)
+			frames := mixedFrames(t, tables, 6000)
+			if sc == core.VM && workers > 1 && pipeline.Shards(len(frames)) < 2 {
+				t.Fatalf("%d workers: the merged engine runs unsharded", workers)
+			}
+			rep, err := s.ForwardFrames(frames)
+			if err != nil {
+				t.Fatalf("%s: %v", sc, err)
+			}
+			if i == 0 {
+				if rep.Forwarded == 0 || rep.NoRoute == 0 || rep.TTLExpired == 0 || rep.Mismatches != 0 {
+					t.Fatalf("%s: %+v: want frames forwarded, unrouted and expired, no mismatch", sc, rep)
+				}
+				want, wantFrames = rep, frames
+				continue
+			}
+			if rep != want {
+				t.Errorf("%s: workers=%d report %+v, want %+v", sc, workers, rep, want)
+			}
+			if !reflect.DeepEqual(frames, wantFrames) {
+				t.Errorf("%s: workers=%d: edited frames differ from -j1's", sc, workers)
+			}
+		}
+	}
+}
+
+// mixedFrames is n frames over routed traffic, every fifth with a uniformly
+// drawn destination and every seventh rebuilt with a TTL of 1.
+func mixedFrames(t *testing.T, tables []*rib.Table, n int) [][]byte {
+	t.Helper()
+	routed, err := traffic.New(traffic.Config{K: len(tables), Seed: 24, Addr: traffic.RoutedAddr, Tables: tables})
+	if err != nil {
+		t.Fatal(err)
+	}
+	uniform, err := traffic.New(traffic.Config{K: len(tables), Seed: 25, Addr: traffic.UniformAddr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames, err := routed.Frames(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stray, err := uniform.Frames(n / 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range stray {
+		frames[5*i] = stray[i]
+	}
+	for i := 0; i < n; i += 7 {
+		f, err := packet.Parse(frames[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if frames[i], err = packet.Build(f.Dst, f.Src, f.VNID, f.Priority, f.SrcIP, f.DstIP, 1, f.TotalLen-packet.IPv4HeaderLen); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return frames
 }
 
 func TestForwardFramesDropCauses(t *testing.T) {

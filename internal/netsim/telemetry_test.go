@@ -6,12 +6,15 @@ package netsim
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
 	"vrpower/internal/core"
 	"vrpower/internal/obs"
+	"vrpower/internal/pipeline"
 	"vrpower/internal/sweep"
+	"vrpower/internal/traffic"
 )
 
 // testTelemetry builds a fresh full bundle: sampler at rate with the given
@@ -90,6 +93,59 @@ func TestForwardTelemetryDeterministicAcrossWorkers(t *testing.T) {
 	}
 	if !strings.Contains(traces, `"visits":[{"stage":0`) {
 		t.Errorf("traces missing stage visits:\n%.400s", traces)
+	}
+}
+
+// TestForwardOracleSeesEveryLookupAcrossWorkers strikes the merged engine's
+// image, parity unchecked, so that lookups misforward, and sends some uniform
+// traffic, so that lookups have no route: the oracle runs on the shard that swept
+// each chunk, and the mismatch and no-route tallies, the energy and the trace
+// dump must all be nonzero and the same at -j1 and -j8, where the run is split
+// into shards.
+func TestForwardOracleSeesEveryLookupAcrossWorkers(t *testing.T) {
+	s, tables := buildSystem(t, core.VM, 3)
+	img := s.router.Images()[0]
+	struck := 0
+	for st := 0; st < img.Stages(); st++ {
+		for i := 0; i < img.StageLen(st); i += 3 {
+			if img.Entry(st, uint32(i)).Leaf && img.FlipBit(st, uint32(i), 0) {
+				struck++
+			}
+		}
+	}
+	if struck == 0 {
+		t.Fatal("no leaf struck")
+	}
+	uniform, err := traffic.New(traffic.Config{K: 3, Seed: 17, Addr: traffic.UniformAddr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkts := append(gen(t, 3, tables, 5000), uniform.Batch(1000)...)
+	var reps []Report
+	traces, _, _ := runDumps(t, "Forward over a struck image", func(tel *Telemetry) {
+		if w := sweep.Workers(); w > 1 && pipeline.Shards(len(pkts)) < 2 {
+			t.Fatalf("%d workers: the merged engine runs unsharded", w)
+		}
+		s.SetTelemetry(tel)
+		defer s.SetTelemetry(nil)
+		rep, err := s.Forward(pkts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reps = append(reps, rep)
+	})
+	rep := reps[0]
+	if rep.Mismatches == 0 || rep.NoRoute == 0 || rep.Energy.DynJ == 0 || rep.Energy.Lookups != int64(len(pkts)) {
+		t.Fatalf("mismatches %d, no-route %d, dynamic energy %g J over %d metered lookups: want all nonzero, every lookup metered",
+			rep.Mismatches, rep.NoRoute, rep.Energy.DynJ, rep.Energy.Lookups)
+	}
+	if !reflect.DeepEqual(reps[1], rep) {
+		t.Errorf("report differs between -j1 and -j8:\n-j1 %+v\n-j8 %+v", rep, reps[1])
+	}
+	for _, outcome := range []string{"mismatch", "noroute", "forward"} {
+		if !strings.Contains(traces, `"outcome":"`+outcome+`"`) {
+			t.Errorf("no %s outcome in traces:\n%.400s", outcome, traces)
+		}
 	}
 }
 

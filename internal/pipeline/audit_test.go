@@ -185,6 +185,49 @@ func TestAuditImageMatchesScalarOracle(t *testing.T) {
 	}
 }
 
+// TestAuditImageCountsPartialChunks: the audit counts a chunk at a time, so
+// probe counts off the chunk width — one short of it, one past it, and two
+// chunks and a part — must report what a parity-checking Sim reports probe by
+// probe, on an image both torn and bit-flipped.
+func TestAuditImageCountsPartialChunks(t *testing.T) {
+	oldTbl, newTbl := genTables(t)
+	img := Splice(compilePinned(t, newTbl), compilePinned(t, oldTbl), 14)
+	rng := rand.New(rand.NewSource(6))
+	for i := 0; i < 25; i++ {
+		s, idx, bit, _ := img.Locate(rng.Int63n(img.DataBits()))
+		img.FlipBit(s, idx, bit)
+	}
+	ref := oldTbl.Reference()
+	probes := make([]Probe, 2*batchFlights+276)
+	for i := range probes {
+		a := oldTbl.Routes[i%len(oldTbl.Routes)].Prefix.Addr | ip.Addr(rng.Intn(256))
+		probes[i] = Probe{Addr: a, Want: ref.Lookup(a)}
+	}
+	for _, n := range []int{batchFlights - 1, batchFlights + 1, len(probes)} {
+		sim := NewSim(img)
+		sim.EnableParityCheck()
+		want := AuditResult{Probes: n}
+		for _, p := range probes[:n] {
+			r, _, err := sim.Run([]Request{{Addr: p.Addr}}, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch {
+			case r[0].Faulted:
+				want.Faulted++
+			case r[0].NHI != p.Want:
+				want.Mismatches++
+			}
+		}
+		if got := AuditImage(img, probes[:n]); got != want {
+			t.Errorf("%d probes: audit %+v, scalar oracle %+v", n, got, want)
+		}
+		if n == len(probes) && (want.Faulted == 0 || want.Mismatches == 0) {
+			t.Errorf("%d probes: %+v: want faults and mismatches both", n, want)
+		}
+	}
+}
+
 // TestAuditImageEdgeCases: nil image and empty probe sets audit clean.
 func TestAuditImageEdgeCases(t *testing.T) {
 	if res := AuditImage(nil, []Probe{{}}); !res.Clean() || res.Probes != 0 {

@@ -15,7 +15,7 @@ import (
 // it.
 const batchFlights = 512
 
-// shardMinReqs is the smallest request count RunSharded splits; below it the
+// shardMinReqs is the smallest request count Shards splits; below it the
 // fan-out overhead beats the parallelism.
 const shardMinReqs = 2 * batchFlights
 
@@ -44,6 +44,17 @@ type batchScratch struct {
 	nhi  []ip.NextHop // resolved next hop, by chunk position
 	flag []uint8      // flagFaulted / flagTraced, by chunk position
 	last []uint8      // deepest active stage (Result.LastStage), by chunk position
+
+	// res is a batch run's results buffer (BatchSim.run), which a visitor
+	// reads a chunk at a time.
+	res []Result
+}
+
+// shardArena is the arena of one shard of a fanned-out batch run, with what
+// the shard adds to the engine's stage activity and fault count.
+type shardArena struct {
+	batchScratch
+	delta Stats
 }
 
 func (sc *batchScratch) ensure(n int) {
@@ -229,6 +240,8 @@ type BatchSim struct {
 	// Faults count drained slots; Stats adds the window's.
 	st      Stats
 	scratch batchScratch
+	// shards are the arenas of a fanned-out batch run, kept for the next.
+	shards []shardArena
 
 	// win is the window, a ring: count slots ending just before head, the
 	// newest nStages of them the pipe, the rest waiting for Drain. Every
@@ -306,7 +319,6 @@ func (b *BatchSim) runAhead(keep int) {
 	}
 	first, last := b.back(b.fresh-1), b.nStages-1
 	sc := &b.scratch
-	sc.ensure(len(b.win))
 	for g, flat := range [2]*Image{b.cur, b.next} {
 		if flat == nil {
 			break // no update armed: nothing reads the shadow bank
@@ -320,6 +332,11 @@ func (b *BatchSim) runAhead(keep int) {
 					f.walk(flat, b.parity, last, b.visitsOf(i))
 					f.flags |= slotDone
 				} else {
+					if live == 0 {
+						// Sized on first use: a window of no lookups (an
+						// audit's after its parity check) needs no arena.
+						sc.ensure(len(b.win))
+					}
 					sc.load(live, j, f.addr, f.vn, last)
 					live++
 				}
@@ -631,17 +648,7 @@ func (b *BatchSim) RunAppend(dst []Result, reqs []Request, interarrival int) ([]
 	}
 	base := len(dst)
 	dst = slices.Grow(dst, len(reqs))[:base+len(reqs)]
-	out := dst[base:]
-	g := int64(interarrival)
-	startFaults := b.st.Faults // sweepChunk bumps b.st in place; snapshot first
-	for chunk := 0; chunk < len(reqs); chunk += batchFlights {
-		m := len(reqs) - chunk
-		if m > batchFlights {
-			m = batchFlights
-		}
-		b.sweepChunk(reqs[chunk:chunk+m], out[chunk:chunk+m], &b.scratch, &b.st, b.now+int64(chunk)*g, g)
-	}
-	b.finish(len(out), g, startFaults)
+	b.run(reqs, int64(interarrival), 1, dst[base:], nil)
 	return dst, b.Stats(), nil
 }
 
@@ -658,61 +665,98 @@ func (b *BatchSim) idle() error {
 	return nil
 }
 
-// RunSharded is Run(reqs, 1) fanned over the sweep worker pool in
-// contiguous shards — the coordinator split that lets one engine's
-// simulated throughput scale with cores. Flight walks are independent and
-// the cycle accounting is closed-form, so the sharded run is byte-identical
-// to the unsharded one at any -j: results land in request order, per-shard
-// stage-activity and fault counts merge additively in shard order.
-func (b *BatchSim) RunSharded(reqs []Request) ([]Result, Stats, error) {
+// Shards is the shard count RunSharded is meant to be given for n requests:
+// one per sweep worker, but never more than there are batchFlights chunks,
+// and one below shardMinReqs, where the fan-out costs more than it saves.
+func Shards(n int) int {
 	workers := sweep.Workers()
-	if len(reqs) < shardMinReqs || workers <= 1 {
-		return b.Run(reqs, 1)
+	if n < shardMinReqs || workers <= 1 {
+		return 1
 	}
+	return min(workers, (n+batchFlights-1)/batchFlights)
+}
+
+// RunSharded is Run(reqs, 1) split into contiguous shards on the sweep worker
+// pool — the coordinator split that lets one engine's simulated throughput
+// scale with cores — that keeps no results: each shard hands every chunk of up
+// to batchFlights results to visit as soon as it has swept it, with its shard
+// number and the chunk's first request index. res is the shard's own buffer
+// and is rewritten by its next chunk. One shard's chunks come in request
+// order from one goroutine; different shards' calls run concurrently, so
+// visit keeps per-shard state (shard < shards). Flight walks are independent
+// and the cycle accounting is closed-form, so the chunks and the Stats are
+// byte-identical at any shard count: per-shard stage-activity and fault
+// counts merge additively in shard order.
+func (b *BatchSim) RunSharded(reqs []Request, shards int, visit func(shard, start int, res []Result)) (Stats, error) {
 	if err := b.idle(); err != nil {
-		return nil, Stats{}, err
+		return Stats{}, err
 	}
-	shards := workers
-	if max := (len(reqs) + batchFlights - 1) / batchFlights; shards > max {
-		shards = max
-	}
+	b.run(reqs, 1, shards, nil, visit)
+	return b.Stats(), nil
+}
+
+// run is the one chunk loop behind Run, RunAppend and RunSharded: it sweeps
+// reqs, one per g cycles, in up to shards contiguous shards, then books the
+// batch. One shard runs on the engine's own arena and adds to its stats in
+// place, as a lone Run did; more run on the sweep pool, each on an arena of
+// its own (kept for the next run) whose deltas merge in shard order.
+func (b *BatchSim) run(reqs []Request, g int64, shards int, out []Result, visit func(shard, start int, res []Result)) {
+	shards = max(1, min(shards, (len(reqs)+batchFlights-1)/batchFlights))
 	per := (len(reqs) + shards - 1) / shards
-	out := make([]Result, len(reqs))
-	type delta struct {
-		active []int64
-		faults int64
+	startFaults := b.st.Faults // a lone shard bumps b.st in place; snapshot first
+	if shards == 1 {
+		b.runShard(&b.scratch, &b.st, 0, 0, reqs, g, out, visit)
+		b.finish(len(reqs), g, startFaults)
+		return
 	}
-	startFaults := b.st.Faults
-	deltas, err := sweep.Run(shards, func(i int) (delta, error) {
-		lo := i * per
-		hi := lo + per
-		if hi > len(reqs) {
-			hi = len(reqs)
+	if len(b.shards) < shards {
+		b.shards = append(b.shards, make([]shardArena, shards-len(b.shards))...)
+	}
+	sweep.Run(shards, func(i int) (struct{}, error) { // a shard never fails
+		sc := &b.shards[i]
+		if sc.delta.StageActive == nil {
+			sc.delta.StageActive = make([]int64, b.nStages)
 		}
-		d := delta{active: make([]int64, b.nStages)}
-		var sc batchScratch
-		st := Stats{StageActive: d.active}
-		for chunk := lo; chunk < hi; chunk += batchFlights {
-			m := hi - chunk
-			if m > batchFlights {
-				m = batchFlights
-			}
-			b.sweepChunk(reqs[chunk:chunk+m], out[chunk:chunk+m], &sc, &st, b.now+int64(chunk), 1)
-		}
-		d.faults = st.Faults
-		return d, nil
+		clear(sc.delta.StageActive)
+		sc.delta.Faults = 0
+		b.runShard(&sc.batchScratch, &sc.delta, i, i*per, reqs[:min(len(reqs), (i+1)*per)], g, out, visit)
+		return struct{}{}, nil
 	})
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	for _, d := range deltas {
-		for s, a := range d.active {
+	for i := range b.shards[:shards] {
+		d := &b.shards[i].delta
+		for s, a := range d.StageActive {
 			b.st.StageActive[s] += a
 		}
-		b.st.Faults += d.faults
+		b.st.Faults += d.Faults
 	}
-	b.finish(len(out), 1, startFaults)
-	return out, b.Stats(), nil
+	b.finish(len(reqs), g, startFaults)
+}
+
+// runShard is shard number shard of a batch run: it sweeps reqs[lo:] a chunk
+// of up to batchFlights at a time on arena sc, adding stage activity and
+// faults to st. Each chunk's results go into their place in out or, when out
+// is nil, into the arena's buffer, and are handed to visit, if any.
+func (b *BatchSim) runShard(sc *batchScratch, st *Stats, shard, lo int, reqs []Request, g int64, out []Result, visit func(shard, start int, res []Result)) {
+	// The arena is sized by the widest chunk, so an audit of a few dozen
+	// probes allocates for those.
+	n := min(len(reqs)-lo, batchFlights)
+	sc.ensure(n)
+	if out == nil && len(sc.res) < n {
+		sc.res = make([]Result, n)
+	}
+	for start := lo; start < len(reqs); start += batchFlights {
+		m := min(len(reqs)-start, batchFlights)
+		var res []Result
+		if out != nil {
+			res = out[start : start+m]
+		} else {
+			res = sc.res[:m]
+		}
+		b.sweepChunk(reqs[start:start+m], res, sc, st, b.now+int64(start)*g, g)
+		if visit != nil {
+			visit(shard, start, res)
+		}
+	}
 }
 
 // finish applies the closed-form cycle accounting of Sim.Run to a completed
@@ -916,12 +960,10 @@ func (sc *batchScratch) level(fl []bFlight, fs *stage, slab []ip.NextHop, bad ui
 // replacement for calling Lookup once per test vector.
 func Lookups(img *Image, reqs []Request) []ip.NextHop {
 	out := make([]ip.NextHop, len(reqs))
-	results, _, err := NewBatchSim(img).Run(reqs, 1)
-	if err != nil {
-		return out
-	}
-	for i, r := range results {
-		out[i] = r.NHI
-	}
+	NewBatchSim(img).RunSharded(reqs, 1, func(_, start int, res []Result) {
+		for j := range res {
+			out[start+j] = res[j].NHI
+		}
+	}) // a fresh engine is idle: nothing to fail
 	return out
 }

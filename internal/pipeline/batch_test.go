@@ -1,8 +1,10 @@
 package pipeline
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"vrpower/internal/ip"
@@ -174,32 +176,115 @@ func TestBatchedMatchesScalarOnFaultedImages(t *testing.T) {
 	})
 }
 
-// TestBatchedShardedMatchesUnsharded proves the sharded coordinator changes
-// nothing observable: results and stats equal the unsharded batched run
-// (itself scalar-identical) at several worker counts.
-func TestBatchedShardedMatchesUnsharded(t *testing.T) {
-	img := compileMerged(t, 4, 500, 31, 28)
-	rng := rand.New(rand.NewSource(32))
-	reqs := randReqs(rng, 6000, 4, 101)
-	ref := NewBatchSim(img)
-	want, wantSt, err := ref.Run(reqs, 1)
+// runSharded is RunSharded at the pool's shard count with the chunks placed
+// by their start index, failing t unless every request is visited exactly
+// once, by a shard in range, in chunks of at most batchFlights that come in
+// request order within each shard.
+func runSharded(t *testing.T, b *BatchSim, reqs []Request) ([]Result, Stats) {
+	t.Helper()
+	shards := Shards(len(reqs))
+	got := make([]Result, len(reqs))
+	seen := make([]int, len(reqs))
+	next := make([]int, shards) // each shard's chunks move forward
+	bad := make([]string, shards)
+	st, err := b.RunSharded(reqs, shards, func(shard, start int, res []Result) {
+		switch {
+		case shard < 0 || shard >= shards:
+			panic(fmt.Sprintf("shard %d of %d", shard, shards))
+		case len(res) == 0 || len(res) > batchFlights:
+			bad[shard] = fmt.Sprintf("a chunk of %d results", len(res))
+		case start < next[shard]:
+			bad[shard] = fmt.Sprintf("chunk at %d after one ending at %d", start, next[shard])
+		}
+		next[shard] = start + len(res)
+		for j := range res {
+			seen[start+j]++
+			got[start+j] = res[j]
+		}
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 2, 8} {
-		sweep.SetWorkers(workers)
-		sh := NewBatchSim(img)
-		got, gotSt, err := sh.RunSharded(reqs)
-		sweep.SetWorkers(0)
+	for shard, msg := range bad {
+		if msg != "" {
+			t.Fatalf("shard %d of %d: %s", shard, shards, msg)
+		}
+	}
+	for i, n := range seen {
+		if n != 1 {
+			t.Fatalf("request %d of %d visited %d times", i, len(reqs), n)
+		}
+	}
+	return got, st
+}
+
+// TestRunShardedVisitsEveryChunk proves the chunk loop changes nothing
+// observable: at any worker count and around every shard and chunk boundary,
+// the visited chunks placed by their start index are Run's results (itself
+// scalar-identical) and the stats are Run's.
+func TestRunShardedVisitsEveryChunk(t *testing.T) {
+	img := compileMerged(t, 4, 500, 31, 28)
+	rng := rand.New(rand.NewSource(32))
+	all := randReqs(rng, 6001, 4, 101)
+	defer sweep.SetWorkers(0)
+	for _, n := range []int{0, 1, shardMinReqs - 1, shardMinReqs, 6000, 6001} {
+		reqs := all[:n]
+		want, wantSt, err := NewBatchSim(img).Run(reqs, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: sharded results diverge from unsharded", workers)
+		for _, workers := range []int{1, 2, 3, 8} {
+			sweep.SetWorkers(workers)
+			if workers > 1 && n >= shardMinReqs && Shards(n) < 2 {
+				t.Fatalf("workers=%d n=%d: %d shard", workers, n, Shards(n))
+			}
+			got, gotSt := runSharded(t, NewBatchSim(img), reqs)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("workers=%d n=%d: visited results diverge from Run", workers, n)
+			}
+			if !reflect.DeepEqual(gotSt, wantSt) {
+				t.Fatalf("workers=%d n=%d: stats %+v, want %+v", workers, n, gotSt, wantSt)
+			}
 		}
-		if !reflect.DeepEqual(gotSt, wantSt) {
-			t.Fatalf("workers=%d: sharded stats %+v, want %+v", workers, gotSt, wantSt)
+	}
+}
+
+// TestRunShardedAllocsFlat pins that a sharded run keeps no results: with
+// warm arenas, what an untraced call allocates — objects and bytes — is the
+// fan-out's, no more at 65 536 requests than at 4 096.
+func TestRunShardedAllocsFlat(t *testing.T) {
+	img := compileSingle(t, genTable(t, 500, 43), 28)
+	rng := rand.New(rand.NewSource(44))
+	defer sweep.SetWorkers(0)
+	sweep.SetWorkers(2)
+	var nhi [2]ip.NextHop // one per shard: shards visit concurrently
+	visit := func(shard, _ int, res []Result) { nhi[shard] ^= res[0].NHI }
+	perCall := func(n int) (objects, bytes float64) {
+		reqs := randReqs(rng, n, 1, 0)
+		sim := NewBatchSim(img)
+		run := func() {
+			sim.Reset()
+			if _, err := sim.RunSharded(reqs, Shards(n), visit); err != nil {
+				t.Fatal(err)
+			}
 		}
+		run() // warm the arenas
+		const calls = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < calls; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.Mallocs-before.Mallocs) / calls, float64(after.TotalAlloc-before.TotalAlloc) / calls
+	}
+	smallN, smallB := perCall(4096)
+	largeN, largeB := perCall(65536)
+	t.Logf("per call: %.1f objects, %.0f B at 4096 requests; %.1f objects, %.0f B at 65536", smallN, smallB, largeN, largeB)
+	// The slack absorbs the runtime's own allocations (goroutine scheduling);
+	// a []Result of the batch would be megabytes more at 65536 requests.
+	if largeN > smallN+2 || largeB > smallB+16<<10 {
+		t.Errorf("untraced RunSharded allocates %.1f objects, %.0f B a call at 65536 requests, %.1f, %.0f B at 4096: want no growth", largeN, largeB, smallN, smallB)
 	}
 }
 

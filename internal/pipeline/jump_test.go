@@ -326,15 +326,9 @@ func TestJumpLanesMatchWalkedLane(t *testing.T) {
 
 				sweep.SetWorkers(2)
 				with, without = engines()
-				got, gotSt, err := with.RunSharded(reqs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, wantSt, err := without.RunSharded(reqs)
+				got, gotSt := runSharded(t, with, reqs)
+				want, wantSt := runSharded(t, without, reqs)
 				sweep.SetWorkers(0)
-				if err != nil {
-					t.Fatal(err)
-				}
 				if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotSt, wantSt) {
 					t.Fatalf("%s: RunSharded differs with and without the table:\nwith    %+v\nwithout %+v", name, gotSt, wantSt)
 				}

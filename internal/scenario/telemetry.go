@@ -82,13 +82,6 @@ func LookupTrace(seq int64, vn, engine int, base int64, res pipeline.Result, wai
 	}
 }
 
-// PutLookupTrace records LookupTrace's trace of a lookup in the ring.
-func (t *Telemetry) PutLookupTrace(seq int64, vn, engine int, base int64, res pipeline.Result, wait int64, outcome string) {
-	if t.Traces != nil {
-		t.Traces.Put(LookupTrace(seq, vn, engine, base, res, wait, outcome))
-	}
-}
-
 // DropTrace builds the trace of a sampled packet refused at ingress (its
 // engine was down): no pipeline traversal, Enter == Exit == the drop cycle,
 // and no address — the packet is refused before one is drawn, so tracing it
