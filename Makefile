@@ -8,8 +8,12 @@ GO ?= go
 
 all: build test
 
+# The benchmark (bench/) is its own module over the internal packages, so
+# `go build ./...` never compiles it; build it too, so an internal API change
+# that breaks it fails here.
 build:
 	$(GO) build ./...
+	$(GO) build -C bench ./...
 
 # Tier-1 tests plus a race-detector pass over every package a run drives
 # concurrently: the sweep pool and its consumers, the instrumentation layer,
@@ -70,7 +74,7 @@ governor-smoke:
 # blackholed one, the kill's hole in the availability columns). The seed is
 # one where no upset lands on an engine in the slice its update commits: such
 # an upset goes with the old bank and is never stamped repaired, so the run
-# ends Completed=false (seed=11 reproduces it; ROADMAP item 4).
+# ends Completed=false (seed=11 reproduces it; ROADMAP item 2(a)).
 SCENARIO_SPEC = load=surge:0.3:0.9,faults=seu:2e-9,kill=1@3000,churn=6x32,power-cap=38,cycles=16384,queue=32,seed=12
 scenario-smoke:
 	$(call smoke,scenario-smoke,-scheme VS -k 3,SCENARIO_SPEC,-governor-report -update-report -mttr-report)

@@ -15,6 +15,7 @@ import (
 	"vrpower/internal/core"
 	"vrpower/internal/ctrl"
 	"vrpower/internal/experiments"
+	"vrpower/internal/fpga"
 	"vrpower/internal/ip"
 	"vrpower/internal/netsim"
 	"vrpower/internal/obs"
@@ -23,6 +24,7 @@ import (
 	"vrpower/internal/rib"
 	"vrpower/internal/scenario"
 	"vrpower/internal/traffic"
+	"vrpower/internal/trie"
 	"vrpower/internal/update"
 )
 
@@ -96,7 +98,7 @@ func BenchmarkFig4(b *testing.B) {
 
 func benchGradeFigure(b *testing.B, key string, gen func(vrpower.SpeedGrade) (*report.Figure, error)) map[string]*report.Figure {
 	out := map[string]*report.Figure{}
-	for _, g := range vrpower.Grades() {
+	for _, g := range fpga.Grades() {
 		var f *report.Figure
 		var err error
 		for i := 0; i < b.N; i++ {
@@ -196,7 +198,7 @@ func BenchmarkAblationStageMapping(b *testing.B) {
 // BenchmarkAblationBRAMPacking compares 18 Kb vs 36 Kb block packing for
 // the merged scheme (Table III's two block models).
 func BenchmarkAblationBRAMPacking(b *testing.B) {
-	for _, mode := range []vrpower.BRAMMode{vrpower.BRAM18Mode, vrpower.BRAM36Mode} {
+	for _, mode := range []fpga.BRAMMode{fpga.BRAM18Mode, fpga.BRAM36Mode} {
 		b.Run(mode.String(), func(b *testing.B) {
 			var total float64
 			for i := 0; i < b.N; i++ {
@@ -261,7 +263,7 @@ func BenchmarkAblationSimExec(b *testing.B) {
 	// Simulator construction is hoisted and iterations Reset, so the timed
 	// loop measures lookups, not NewSim plus stats allocation.
 	b.Run("cycleloop", func(b *testing.B) {
-		sim := vrpower.NewSim(img)
+		sim := pipeline.NewSim(img)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -273,8 +275,8 @@ func BenchmarkAblationSimExec(b *testing.B) {
 		b.ReportMetric(float64(len(reqs))*float64(b.N)/b.Elapsed().Seconds(), "lookups/s")
 	})
 	b.Run("batched", func(b *testing.B) {
-		sim := vrpower.NewBatchSim(img)
-		res := make([]vrpower.Result, 0, len(reqs))
+		sim := pipeline.NewBatchSim(img)
+		res := make([]pipeline.Result, 0, len(reqs))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -292,9 +294,9 @@ func BenchmarkAblationSimExec(b *testing.B) {
 
 // pipelineLookupFixture builds the full-table image and request stream the
 // pipeline lookup benches share.
-func pipelineLookupFixture(b *testing.B) (*vrpower.Image, []vrpower.Request) {
+func pipelineLookupFixture(b *testing.B) (*pipeline.Image, []pipeline.Request) {
 	b.Helper()
-	tbl, err := vrpower.Generate("bench", vrpower.DefaultGen(3725, 1))
+	tbl, err := vrpower.Generate("bench", 3725, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -318,8 +320,8 @@ func pipelineLookupFixture(b *testing.B) (*vrpower.Image, []vrpower.Request) {
 // batched path must report 0 allocs/op.
 func BenchmarkPipelineLookup(b *testing.B) {
 	img, reqs := pipelineLookupFixture(b)
-	sim := vrpower.NewBatchSim(img)
-	res := make([]vrpower.Result, 0, len(reqs))
+	sim := pipeline.NewBatchSim(img)
+	res := make([]pipeline.Result, 0, len(reqs))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -337,7 +339,7 @@ func BenchmarkPipelineLookup(b *testing.B) {
 // second bench the CI gate tracks.
 func BenchmarkPipelineLookupScalar(b *testing.B) {
 	img, reqs := pipelineLookupFixture(b)
-	sim := vrpower.NewSim(img)
+	sim := pipeline.NewSim(img)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -358,7 +360,7 @@ func BenchmarkPipelineLookupScalar(b *testing.B) {
 func BenchmarkLookupStreamed(b *testing.B) {
 	img, reqs := pipelineLookupFixture(b)
 	b.Run("batched", func(b *testing.B) {
-		sim := vrpower.NewBatchSim(img)
+		sim := pipeline.NewBatchSim(img)
 		sim.EnableParityCheck()
 		exits := make([]pipeline.Exit, 0, pipeline.DrainWindow)
 		b.ReportAllocs()
@@ -382,7 +384,7 @@ func BenchmarkLookupStreamed(b *testing.B) {
 		b.ReportMetric(float64(done)/b.Elapsed().Seconds(), "lookups/s")
 	})
 	b.Run("scalar", func(b *testing.B) {
-		sim := vrpower.NewSim(img)
+		sim := pipeline.NewSim(img)
 		sim.EnableParityCheck()
 		b.ReportAllocs()
 		var done int
@@ -450,7 +452,7 @@ func BenchmarkServeSlice(b *testing.B) {
 
 // referenceFixture is the forward_paper oracle load: the eight 3725-route
 // tables of the paper's set-up and routed uniform traffic over them.
-func referenceFixture(b *testing.B) ([]*vrpower.Table, []vrpower.Request) {
+func referenceFixture(b *testing.B) ([]*vrpower.Table, []pipeline.Request) {
 	b.Helper()
 	set, err := vrpower.GenerateVirtualSet(8, 3725, 0.5, 1)
 	if err != nil {
@@ -482,7 +484,7 @@ func BenchmarkReferenceLookup(b *testing.B) {
 	routed := 0
 	for i := 0; i < b.N; i++ {
 		for _, q := range reqs {
-			if refs[q.VN].Lookup(q.Addr) != vrpower.NoRoute {
+			if refs[q.VN].Lookup(q.Addr) != ip.NoRoute {
 				routed++
 			}
 		}
@@ -509,10 +511,10 @@ func BenchmarkReferenceBuild(b *testing.B) {
 // imageFixture is the paper's set-up leaf-pushed and ready to compile, as a
 // function that compiles it: the eight 3725-route tables as separate
 // engines plus their K=8 merge — the images of a VS and a VM router.
-func imageFixture(b *testing.B) func() []*vrpower.Image {
+func imageFixture(b *testing.B) func() []*pipeline.Image {
 	b.Helper()
 	tables, _ := referenceFixture(b)
-	tries := make([]*vrpower.Trie, len(tables))
+	tries := make([]*trie.Trie, len(tables))
 	for i, t := range tables {
 		tries[i] = vrpower.BuildTrie(t.Routes)
 		tries[i].LeafPush()
@@ -522,8 +524,8 @@ func imageFixture(b *testing.B) func() []*vrpower.Image {
 		b.Fatal(err)
 	}
 	m.LeafPush()
-	return func() []*vrpower.Image {
-		images := make([]*vrpower.Image, 0, len(tries)+1)
+	return func() []*pipeline.Image {
+		images := make([]*pipeline.Image, 0, len(tries)+1)
 		for _, tr := range tries {
 			img, err := pipeline.Compile(tr, core.DefaultStages)
 			if err != nil {
@@ -539,7 +541,7 @@ func imageFixture(b *testing.B) func() []*vrpower.Image {
 	}
 }
 
-var imageSink []*vrpower.Image
+var imageSink []*pipeline.Image
 
 // BenchmarkImageCompile times the trie→stage-memory compiler alone (tries
 // built outside the loop): nine images per op. Gated by `make bench-gate`:
@@ -558,7 +560,7 @@ func BenchmarkImageCompile(b *testing.B) {
 // data plane pays to serve a private copy of a pristine image.
 func BenchmarkImageClone(b *testing.B) {
 	images := imageFixture(b)()
-	clones := make([]*vrpower.Image, len(images))
+	clones := make([]*pipeline.Image, len(images))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -569,7 +571,7 @@ func BenchmarkImageClone(b *testing.B) {
 	imageSink = clones
 }
 
-var flatSink *vrpower.Image
+var flatSink *pipeline.Image
 
 // BenchmarkImageFlatten times pipeline.Flatten — a copy of the image with
 // every derived word (verdicts, fold flags, visit counts, jump table)

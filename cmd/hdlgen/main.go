@@ -90,7 +90,7 @@ func (o *options) generate(stdout io.Writer) error {
 			return err
 		}
 	} else {
-		tbl, err := rib.Generate("rtl", rib.DefaultGen(o.prefixes, o.seed))
+		tbl, err := rib.Generate("rtl", o.prefixes, o.seed)
 		if err != nil {
 			return err
 		}

@@ -74,7 +74,7 @@ func TestRunFailures(t *testing.T) {
 		want string
 	}{
 		{"no networks", []string{"-k", "0"}, 1, "hdlgen: traffic: K = 0, want > 0\n"},
-		{"empty table", []string{"-prefixes", "0"}, 1, "hdlgen: rib: GenConfig.Prefixes = 0, want > 0\n"},
+		{"empty table", []string{"-prefixes", "0"}, 1, "hdlgen: rib: 0 prefixes, want > 0\n"},
 		{"vector wider than a word", []string{"-k", "40"}, 1, "word exceeds 64 bits"},
 		{"negative probe count", []string{"-vectors", "-1"}, 1, "hdlgen: -vectors -1: want a count >= 0\n"},
 		{"unknown flag", []string{"-bogus"}, 2, "flag provided but not defined: -bogus\nUsage of hdlgen"},

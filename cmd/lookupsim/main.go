@@ -194,7 +194,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		flag, want string
 		val        any
 	}{
+		{o.k >= 1, "k", "a count >= 1", o.k},
+		{o.prefixes >= 1, "prefixes", "a count >= 1", o.prefixes},
 		{o.packets >= 0, "packets", "a count >= 0", o.packets},
+		{o.dist == "uniform" || o.dist == "zipf", "dist", "uniform or zipf", fmt.Sprintf("%q", o.dist)},
 		{o.traceSample >= 0 && o.traceSample <= 1, "trace-sample", "a rate in [0,1]", o.traceSample},
 		{o.traceBuf >= 0, "trace-buf", "a capacity >= 0", o.traceBuf},
 		{o.powerCap >= 0, "power-cap", "Watts >= 0 (0 = ungoverned)", o.powerCap},
@@ -266,7 +269,6 @@ func (o *options) execute() error {
 	tcfg := traffic.Config{K: o.k, Seed: o.seed + 1}
 	if o.dist == "zipf" {
 		tcfg.Dist = traffic.Zipf
-		tcfg.ZipfS = 1.3
 	}
 	if o.routed {
 		tcfg.Addr = traffic.RoutedAddr

@@ -61,6 +61,27 @@ func TestRunFramePath(t *testing.T) {
 	}
 }
 
+// The Zipf distribution end to end: a skewed closed loop checks every next
+// hop and prints the same report at any worker count.
+func TestRunZipfClosedLoop(t *testing.T) {
+	args := append(small, "-dist", "zipf", "-packets", "3000")
+	code, j1, errw := lookupsim(append(args, "-j", "1")...)
+	if code != 0 || errw != "" {
+		t.Fatalf("exit %d, stderr %q", code, errw)
+	}
+	if m := cliMismatches.FindStringSubmatch(j1); m == nil || m[1] != "0" {
+		t.Errorf("zipf closed loop printed no zero mismatch count:\n%s", j1)
+	}
+	// Zipf puts most packets on network 0 (uniform splits them evenly).
+	load := regexp.MustCompile(`(?m)^Engine (\d) load / occupancy / activity\s+(\S+)`).FindAllStringSubmatch(j1, -1)
+	if len(load) != 2 || load[0][2] <= load[1][2] {
+		t.Errorf("zipf closed loop not skewed toward network 0:\n%s", j1)
+	}
+	if _, j8, _ := lookupsim(append(args, "-j", "8")...); j8 != j1 {
+		t.Errorf("stdout differs between -j 1 and -j 8:\n%s\n---\n%s", j1, j8)
+	}
+}
+
 // Every way a run can fail says why on stderr and exits nonzero: 2 for a flag
 // the command does not have or a value a flag cannot take (usage follows), 1
 // for everything else.
@@ -91,6 +112,9 @@ func TestRunFailures(t *testing.T) {
 		{"-power-cap", "-3", "invalid value -3 for flag -power-cap: want Watts >= 0"},
 		{"-power-cap-device", "-1", "invalid value -1 for flag -power-cap-device: want Watts >= 0"},
 		{"-j", "-4", "invalid value -4 for flag -j: want a worker count >= 0"},
+		{"-dist", "bogus", `invalid value "bogus" for flag -dist: want uniform or zipf`},
+		{"-k", "0", "invalid value 0 for flag -k: want a count >= 1"},
+		{"-prefixes", "0", "invalid value 0 for flag -prefixes: want a count >= 1"},
 	} {
 		cases = append(cases, failure{"bad value " + c.flag + " " + c.val,
 			append(append([]string(nil), small...), c.flag, c.val, "-packets", "100"), 2, c.want})

@@ -56,6 +56,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	switch {
+	case o.n < 1:
+		return usage("invalid value %d for flag -n: want a count >= 1", o.n)
 	case o.k < 1:
 		return usage("invalid value %d for flag -k: want a count >= 1", o.k)
 	case o.k > 1 && o.out == "":
@@ -86,7 +88,7 @@ func (o *options) generate(stdout io.Writer) error {
 		return nil
 	}
 
-	tbl, err := rib.Generate("ribgen", rib.DefaultGen(o.n, o.seed))
+	tbl, err := rib.Generate("ribgen", o.n, o.seed)
 	if err != nil {
 		return err
 	}

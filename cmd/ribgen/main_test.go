@@ -26,7 +26,7 @@ func TestRunWritesTableToStdout(t *testing.T) {
 	if code != 0 || errw != "" {
 		t.Fatalf("exit %d, stderr %q", code, errw)
 	}
-	want, err := rib.Generate("ribgen", rib.DefaultGen(300, 4))
+	want, err := rib.Generate("ribgen", 300, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestRunFailures(t *testing.T) {
 		{"unknown flag", []string{"-bogus"}, 2, "flag provided but not defined: -bogus"},
 		{"no tables", []string{"-k", "0"}, 2, "invalid value 0 for flag -k: want a count >= 1"},
 		{"set without -o", []string{"-k", "2"}, 2, "-k > 1 requires -o <prefix>"},
-		{"empty table", []string{"-n", "0"}, 1, "ribgen: rib: GenConfig.Prefixes = 0, want > 0\n"},
+		{"empty table", []string{"-n", "0"}, 2, "invalid value 0 for flag -n: want a count >= 1"},
 		{"unwritable file", []string{"-n", "10", "-o", filepath.Join(missing, "t.rib")}, 1, "ribgen: open " + missing},
 		{"unwritable set", []string{"-k", "2", "-n", "10", "-o", filepath.Join(missing, "vn")}, 1, "ribgen: open " + missing},
 	} {

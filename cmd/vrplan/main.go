@@ -66,7 +66,7 @@ func (o *options) plan(stdout io.Writer) error {
 	if o.top < 1 {
 		return fmt.Errorf("-top %d: want a count > 0", o.top)
 	}
-	tbl, err := rib.Generate("profile", rib.DefaultGen(o.prefixes, o.seed))
+	tbl, err := rib.Generate("profile", o.prefixes, o.seed)
 	if err != nil {
 		return err
 	}

@@ -53,7 +53,7 @@ func TestRunFailures(t *testing.T) {
 		want string
 	}{
 		{"no networks", []string{"-k", "0"}, 1, "vrplan: planner: K = 0, want > 0\n"},
-		{"empty table", []string{"-prefixes", "0"}, 1, "vrplan: rib: GenConfig.Prefixes = 0, want > 0\n"},
+		{"empty table", []string{"-prefixes", "0"}, 1, "vrplan: rib: 0 prefixes, want > 0\n"},
 		{"alpha out of range", []string{"-alpha", "2"}, 1, "vrplan: planner: alpha 2 outside [0,1]\n"},
 		{"negative requirement", []string{"-gbps", "-1"}, 1, "vrplan: planner: per-VN requirement -1, want >= 0\n"},
 		// NaN passes checks written x < 0 (|| x > 1): it once ranked a

@@ -123,7 +123,7 @@ func (o *options) printOne(stdout io.Writer) error {
 			return err
 		}
 	} else {
-		tbl, err := rib.Generate("profile", rib.DefaultGen(o.prefixes, o.seed))
+		tbl, err := rib.Generate("profile", o.prefixes, o.seed)
 		if err != nil {
 			return err
 		}
@@ -181,7 +181,7 @@ func findDevice(name string) (fpga.Device, error) {
 // printComparison evaluates all three schemes under the same configuration;
 // a scheme that cannot be built there gets its error in its row.
 func (o *options) printComparison(stdout io.Writer) error {
-	tbl, err := rib.Generate("profile", rib.DefaultGen(o.prefixes, o.seed))
+	tbl, err := rib.Generate("profile", o.prefixes, o.seed)
 	if err != nil {
 		return err
 	}

@@ -86,7 +86,7 @@ func ExampleAnalyticMergedNodes() {
 // ExampleCompactTable minimises a routing table with ORTC while preserving
 // its forwarding behaviour exactly.
 func ExampleCompactTable() {
-	tbl, err := vrpower.Generate("edge", vrpower.DefaultGen(3725, 1))
+	tbl, err := vrpower.Generate("edge", 3725, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -32,7 +32,7 @@ func run(w io.Writer) error {
 	for i := range tables {
 		seed := int64(i + 1)
 		var err error
-		if tables[i], err = vrpower.Generate(fmt.Sprintf("tenant%d", seed), vrpower.DefaultGen(prefixes, seed)); err != nil {
+		if tables[i], err = vrpower.Generate(fmt.Sprintf("tenant%d", seed), prefixes, seed); err != nil {
 			return err
 		}
 	}

@@ -25,7 +25,7 @@ func ProfileOf(tbl *rib.Table) TableProfile {
 // table calibrated to the paper's published 3725-prefix Potaroo snapshot
 // (9726 trie nodes, 16127 after leaf pushing).
 func PaperProfile() (TableProfile, error) {
-	tbl, err := rib.Generate("paper", rib.DefaultGen(3725, 1))
+	tbl, err := rib.Generate("paper", 3725, 1)
 	if err != nil {
 		return TableProfile{}, err
 	}

@@ -93,7 +93,7 @@ func TestPaperProfileShape(t *testing.T) {
 }
 
 func TestBuildValidation(t *testing.T) {
-	tbl, err := rib.Generate("t", rib.DefaultGen(100, 1))
+	tbl, err := rib.Generate("t", 100, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestAlphaNaNRefused(t *testing.T) {
 func TestAnalyticMatchesEmpiricalSeparate(t *testing.T) {
 	// For VS, the analytic build with the table's own profile must agree
 	// with the empirical build on memory (same trie, same layout).
-	tbl, err := rib.Generate("t", rib.DefaultGen(3725, 1))
+	tbl, err := rib.Generate("t", 3725, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

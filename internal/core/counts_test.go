@@ -78,7 +78,7 @@ func virtualSet(t *testing.T, k, prefixes int, share float64, seed int64) []*rib
 // under every scheme, the balanced map, a folding depth and a non-default
 // layout — and Assemble over clones must price the router Build did.
 func TestCountsMatchWordPass(t *testing.T) {
-	ref, err := rib.Generate("reference", rib.DefaultGen(3725, 1))
+	ref, err := rib.Generate("reference", 3725, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ func genTables(t *testing.T, k, n int, seed int64) []*rib.Table {
 
 func genTable(t *testing.T, n int, seed int64) *rib.Table {
 	t.Helper()
-	tbl, err := rib.Generate("extra", rib.DefaultGen(n, seed))
+	tbl, err := rib.Generate("extra", n, seed)
 	if err != nil {
 		t.Fatal(err)
 	}

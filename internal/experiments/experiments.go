@@ -298,7 +298,7 @@ func Fig8(grade fpga.SpeedGrade) (*report.Figure, error) {
 // TrieCalibration renders the Section V-E trie statistics of the synthetic
 // reference table against the paper's published values.
 func TrieCalibration() (*report.Table, error) {
-	tbl, err := rib.Generate("potaroo-substitute", rib.DefaultGen(3725, 1))
+	tbl, err := rib.Generate("potaroo-substitute", 3725, 1)
 	if err != nil {
 		return nil, err
 	}

@@ -171,7 +171,7 @@ func BraidingComparison() (*report.Table, error) {
 		}
 	}
 	// Mirrored pair: identical shapes rooted in opposite halves.
-	base, err := rib.Generate("base", rib.DefaultGen(800, 8))
+	base, err := rib.Generate("base", 800, 8)
 	if err != nil {
 		return nil, err
 	}
@@ -253,7 +253,7 @@ func LoadSweep() (*report.Figure, error) {
 // lookup memory power — compaction composes with every scheme because it
 // shrinks M_{i,j} before the power models see it.
 func CompactionEffect() (*report.Table, error) {
-	tbl, err := rib.Generate("reference", rib.DefaultGen(3725, 1))
+	tbl, err := rib.Generate("reference", 3725, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -291,7 +291,7 @@ func CalibrationSpread() (*report.Table, error) {
 	pts, err := sweep.Run(seeds, func(i int) (calPoint, error) {
 		defer obsPointLatency.Since(time.Now())
 		obsSweepPoints.Inc()
-		tbl, err := rib.Generate("cal", rib.DefaultGen(3725, int64(i+1)))
+		tbl, err := rib.Generate("cal", 3725, int64(i+1))
 		if err != nil {
 			return calPoint{}, err
 		}

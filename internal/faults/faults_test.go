@@ -11,7 +11,7 @@ import (
 
 func compileImage(t *testing.T, routes, seed int64) *pipeline.Image {
 	t.Helper()
-	tbl, err := rib.Generate("t", rib.DefaultGen(int(routes), seed))
+	tbl, err := rib.Generate("t", int(routes), seed)
 	if err != nil {
 		t.Fatal(err)
 	}

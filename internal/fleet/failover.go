@@ -8,7 +8,6 @@ package fleet
 
 import (
 	"fmt"
-	"sort"
 
 	"vrpower/internal/core"
 	"vrpower/internal/ctrl"
@@ -125,9 +124,6 @@ func NewController(cfg Config, plan *Plan, demands map[int]Demand, est Estimator
 	}
 	return c, nil
 }
-
-// NumDevices returns the fleet size including spares.
-func (c *Controller) NumDevices() int { return len(c.state) }
 
 // State returns device d's lifecycle state.
 func (c *Controller) State(d int) DeviceState { return c.state[d] }
@@ -346,9 +342,9 @@ func (c *Controller) wakeSpare(d int, at int64) {
 	c.spareUps++
 }
 
-// PoweredAt reports whether device d draws static power at cycle b (active
-// or mid power-up).
-func (c *Controller) PoweredAt(d int, b int64) bool {
+// PoweredAt reports whether device d draws static power (active or mid
+// power-up).
+func (c *Controller) PoweredAt(d int) bool {
 	return c.state[d] == DevActive || c.state[d] == DevPoweringUp
 }
 
@@ -378,7 +374,7 @@ func (c *Controller) Begin(m *Migration) { m.Attempts++ }
 // that case and the migration leaves the queue.
 func (c *Controller) Fail(m *Migration, now int64) *Degradation {
 	next := now + c.cfg.Retry.Delay(m.Attempts)
-	if m.Attempts >= c.cfg.MaxAttempts || next > m.Deadline {
+	if m.Attempts >= MaxAttempts || next > m.Deadline {
 		c.dropMigration(m)
 		c.degrade(m.VN, now, fmt.Errorf("migrating network %d to device %d after %d attempts: %w",
 			m.VN, m.To, m.Attempts, ctrl.ErrMigrationTimeout))
@@ -406,16 +402,4 @@ func (c *Controller) dropMigration(m *Migration) {
 			return
 		}
 	}
-}
-
-// ActiveDevices lists the devices serving traffic, ascending.
-func (c *Controller) ActiveDevices() []int {
-	var out []int
-	for d := range c.state {
-		if c.state[d] == DevActive {
-			out = append(out, d)
-		}
-	}
-	sort.Ints(out)
-	return out
 }

@@ -46,10 +46,6 @@ type Config struct {
 	CapWatts float64
 	// Retry paces migration re-attempts (seeded exponential backoff).
 	Retry ctrl.Backoff
-	// MaxAttempts bounds the attempts per migration (default 4); when the
-	// budget or Timeout runs out the victim degrades instead of retrying
-	// forever.
-	MaxAttempts int
 	// TimeoutCycles bounds a migration's lifetime from the crash that
 	// caused it (default 1<<20 cycles).
 	TimeoutCycles int64
@@ -57,13 +53,15 @@ type Config struct {
 	PowerUpCycles int64
 }
 
+// MaxAttempts bounds the attempts per migration; when the budget or
+// Config.TimeoutCycles runs out the victim degrades instead of retrying
+// forever.
+const MaxAttempts = 4
+
 // withDefaults fills zero fields.
 func (c Config) withDefaults() Config {
 	if c.SlotsPerDevice == 0 {
 		c.SlotsPerDevice = 15
-	}
-	if c.MaxAttempts == 0 {
-		c.MaxAttempts = 4
 	}
 	if c.TimeoutCycles == 0 {
 		c.TimeoutCycles = 1 << 20
@@ -88,8 +86,8 @@ func (c Config) Validate() error {
 	if c.SlotsPerDevice < 0 {
 		return fmt.Errorf("fleet: %d slots per device, want >= 0", c.SlotsPerDevice)
 	}
-	if c.MaxAttempts < 0 || c.TimeoutCycles < 0 || c.PowerUpCycles < 0 {
-		return fmt.Errorf("fleet: negative retry/timeout/power-up bounds")
+	if c.TimeoutCycles < 0 || c.PowerUpCycles < 0 {
+		return fmt.Errorf("fleet: negative timeout/power-up bounds")
 	}
 	return nil
 }

@@ -192,7 +192,7 @@ func TestCrashDegradesWithoutCapacity(t *testing.T) {
 }
 
 func TestFailFollowsBackoffScheduleThenTimesOut(t *testing.T) {
-	cfg := Config{Devices: 2, MaxAttempts: 4, Retry: ctrl.Backoff{Base: 100, Jitter: 0.25, Seed: 9}}
+	cfg := Config{Devices: 2, Retry: ctrl.Backoff{Base: 100, Jitter: 0.25, Seed: 9}}
 	ctr := newTestController(t, cfg, 4, 0.1)
 	planned, _, err := ctr.Crash(0, 1000)
 	if err != nil {
@@ -200,7 +200,7 @@ func TestFailFollowsBackoffScheduleThenTimesOut(t *testing.T) {
 	}
 	m := planned[0]
 	now := int64(1100)
-	for attempt := 1; attempt < 4; attempt++ {
+	for attempt := 1; attempt < MaxAttempts; attempt++ {
 		ctr.Begin(m)
 		deg := ctr.Fail(m, now)
 		if deg != nil {
@@ -348,7 +348,7 @@ func TestConfigValidate(t *testing.T) {
 	bad := []Config{
 		{Devices: 0},
 		{Devices: 1, Spares: -1},
-		{Devices: 1, MaxAttempts: -1},
+		{Devices: 1, TimeoutCycles: -1},
 	}
 	for _, c := range bad {
 		if _, err := Place(c, evenDemands(1, 0.1), testEst); err == nil {

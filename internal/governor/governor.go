@@ -57,51 +57,31 @@ type Config struct {
 	// LiftCycle removes the caps from this cycle on (a budget restored
 	// mid-run — the recovery demonstration); 0 keeps them for the whole run.
 	LiftCycle int64
-	// LowerFrac is the hysteresis re-entry threshold as a fraction of each
-	// cap: the governor only considers stepping back up while estimated
-	// power sits below cap×LowerFrac. Zero defaults to 0.9.
-	LowerFrac float64
-	// HoldSlices is how many consecutive under-threshold slices must pass
-	// before a de-escalation. Zero defaults to 2.
-	HoldSlices int
-	// Backoff paces de-escalations (the pause doubles after every observed
-	// oscillation); a zero value takes DefaultBackoff.
-	Backoff ctrl.Backoff
-	// FreqTiers is the descending DVFS ladder of clock fractions, starting
-	// at 1. Nil takes fpga.DefaultClockTiers.
-	FreqTiers []float64
-	// AdmitFracs is the merged scheme's descending admission ladder applied
-	// past the slowest clock tier. Nil defaults to 0.75, 0.5, 0.25.
-	AdmitFracs []float64
 }
 
-// DefaultBackoff is the recovery pacing used when Config.Backoff is zero:
-// one slice's worth of base pause, bounded, with seeded jitter so
-// simultaneous governors don't step in lockstep.
-func DefaultBackoff() ctrl.Backoff {
-	return ctrl.Backoff{Base: 1024, Max: 16384, Jitter: 0.25, Seed: 1}
-}
+// The control law's fixed parameters. The DVFS ladder is
+// fpga.DefaultClockTiers.
+const (
+	// lowerFrac is the hysteresis re-entry threshold as a fraction of each
+	// cap: the governor only considers stepping back up while estimated power
+	// sits below cap×lowerFrac.
+	lowerFrac = 0.9
+	// holdSlices is how many consecutive under-threshold slices must pass
+	// before a de-escalation.
+	holdSlices = 2
+)
 
-func (c Config) withDefaults() Config {
-	if c.LowerFrac == 0 {
-		c.LowerFrac = 0.9
-	}
-	if c.HoldSlices == 0 {
-		c.HoldSlices = 2
-	}
-	if (c.Backoff == ctrl.Backoff{}) {
-		c.Backoff = DefaultBackoff()
-	}
-	if c.FreqTiers == nil {
-		c.FreqTiers = fpga.DefaultClockTiers()
-	}
-	if c.AdmitFracs == nil {
-		c.AdmitFracs = []float64{0.75, 0.5, 0.25}
-	}
-	return c
-}
+var (
+	// backoff paces de-escalations (the pause doubles after every observed
+	// oscillation): one slice's worth of base pause, bounded, with seeded
+	// jitter so simultaneous governors don't step in lockstep.
+	backoff = ctrl.Backoff{Base: 1024, Max: 16384, Jitter: 0.25, Seed: 1}
+	// admitFracs is the merged scheme's descending admission ladder applied
+	// past the slowest clock tier.
+	admitFracs = []float64{0.75, 0.5, 0.25}
+)
 
-// Validate reports configuration errors (after defaulting).
+// Validate reports configuration errors.
 func (c Config) Validate() error {
 	if c.CapWatts <= 0 && c.DeviceCapWatts <= 0 {
 		return fmt.Errorf("governor: no cap configured (CapWatts and DeviceCapWatts both <= 0)")
@@ -111,35 +91,6 @@ func (c Config) Validate() error {
 	}
 	if c.LiftCycle < 0 {
 		return fmt.Errorf("governor: lift cycle %d, want >= 0", c.LiftCycle)
-	}
-	if c.LowerFrac <= 0 || c.LowerFrac > 1 {
-		return fmt.Errorf("governor: lower threshold fraction %g outside (0,1]", c.LowerFrac)
-	}
-	if c.HoldSlices < 1 {
-		return fmt.Errorf("governor: hold of %d slices, want >= 1", c.HoldSlices)
-	}
-	prev := 0.0
-	for i, f := range c.FreqTiers {
-		if f <= 0 || f > 1 {
-			return fmt.Errorf("governor: clock tier %d fraction %g outside (0,1]", i, f)
-		}
-		if i == 0 && f != 1 {
-			return fmt.Errorf("governor: clock tier 0 is %g, want 1 (full speed)", f)
-		}
-		if i > 0 && f >= prev {
-			return fmt.Errorf("governor: clock tiers not strictly descending at %d (%g >= %g)", i, f, prev)
-		}
-		prev = f
-	}
-	prev = 1
-	for i, a := range c.AdmitFracs {
-		if a <= 0 || a >= 1 {
-			return fmt.Errorf("governor: admission fraction %d = %g outside (0,1)", i, a)
-		}
-		if a >= prev {
-			return fmt.Errorf("governor: admission fractions not strictly descending at %d", i)
-		}
-		prev = a
 	}
 	return nil
 }
@@ -177,21 +128,22 @@ func (r Rung) QuiescedEngine(e int) bool {
 // then engine quiescing (per-engine schemes, lowest-priority VNID — the
 // highest index — first) or admission control (the merged scheme), then
 // brownout.
-func ladder(cfg Config, p Plant) []Rung {
+func ladder(p Plant) []Rung {
 	engines := len(p.Design.Engines)
-	rungs := make([]Rung, 0, len(cfg.FreqTiers)+engines+len(cfg.AdmitFracs)+1)
-	for i, f := range cfg.FreqTiers {
+	tiers := fpga.DefaultClockTiers()
+	rungs := make([]Rung, 0, len(tiers)+engines+len(admitFracs)+1)
+	for i, f := range tiers {
 		name := "full"
 		if i > 0 {
 			name = fmt.Sprintf("freq x%.2f", f)
 		}
 		rungs = append(rungs, Rung{Name: name, FreqFrac: f, AdmitFrac: 1})
 	}
-	slowest := cfg.FreqTiers[len(cfg.FreqTiers)-1]
+	slowest := tiers[len(tiers)-1]
 	if p.Scheme == core.VM {
 		// The merged engine serves all K networks from one structure: it
 		// cannot shed a single VNID, only admit less of the shared flow.
-		for _, a := range cfg.AdmitFracs {
+		for _, a := range admitFracs {
 			rungs = append(rungs, Rung{
 				Name: fmt.Sprintf("admit x%.2f", a), FreqFrac: slowest, AdmitFrac: a,
 			})
@@ -309,9 +261,8 @@ type Governor struct {
 	baseUtil []float64
 }
 
-// New builds a governor over the plant. Zero config fields take defaults.
+// New builds a governor over the plant.
 func New(cfg Config, p Plant) (*Governor, error) {
-	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -321,7 +272,7 @@ func New(cfg Config, p Plant) (*Governor, error) {
 	if p.K < 1 {
 		return nil, fmt.Errorf("governor: plant K = %d, want >= 1", p.K)
 	}
-	g := &Governor{cfg: cfg, plant: p, rungs: ladder(cfg, p), convergedAt: -1}
+	g := &Governor{cfg: cfg, plant: p, rungs: ladder(p), convergedAt: -1}
 	g.baseUtil = make([]float64, len(p.Design.Engines))
 	for e, eng := range p.Design.Engines {
 		g.baseUtil[e] = clamp01(eng.Utilization)
@@ -518,13 +469,13 @@ func (g *Governor) Observe(s Sample) Decision {
 			g.convergedAt = s.Cycle
 		}
 		if g.cur > 0 {
-			lowW, devLowW := capW*g.cfg.LowerFrac, devCapW*g.cfg.LowerFrac
+			lowW, devLowW := capW*lowerFrac, devCapW*lowerFrac
 			if exceeds(total, perDev, lowW, devLowW) {
 				g.hold = 0 // inside the hysteresis band: hold position
 			} else {
 				g.hold++
-				wait := g.cfg.Backoff.Delay(g.rep.Oscillations + 1)
-				if g.hold >= g.cfg.HoldSlices && end-g.lastChange >= wait &&
+				wait := backoff.Delay(g.rep.Oscillations + 1)
+				if g.hold >= holdSlices && end-g.lastChange >= wait &&
 					g.predictUnder(g.cur-1, lowW, devLowW) {
 					g.cur--
 					g.rep.Deescalations++

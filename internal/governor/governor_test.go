@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"vrpower/internal/core"
-	"vrpower/internal/ctrl"
 	"vrpower/internal/power"
 )
 
@@ -111,7 +110,7 @@ func TestConvergesUnderCapWithoutOscillation(t *testing.T) {
 	steady := steadyWatts(t, p, 0.9)
 	floor := steadyWatts(t, p, 0) // static + gated-idle floor at full clock
 	cap := floor + (steady-floor)*0.3
-	g, err := New(Config{CapWatts: cap, HoldSlices: 1}, p)
+	g, err := New(Config{CapWatts: cap}, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +151,7 @@ func TestRecoversAfterCapLift(t *testing.T) {
 	floor := steadyWatts(t, p, 0)
 	cap := floor + (steady-floor)*0.3
 	lift := int64(64 * 1024)
-	g, err := New(Config{CapWatts: cap, LiftCycle: lift, HoldSlices: 1}, p)
+	g, err := New(Config{CapWatts: cap, LiftCycle: lift}, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +210,7 @@ func TestNVQuiesceShedsStaticPower(t *testing.T) {
 func TestPerDeviceCapEscalates(t *testing.T) {
 	p := plantFor(core.NV, 3, 3, 16, 0.9)
 	perDev := steadyWatts(t, p, 0.9) / 3
-	g, err := New(Config{DeviceCapWatts: perDev * 0.7, HoldSlices: 1}, p)
+	g, err := New(Config{DeviceCapWatts: perDev * 0.7}, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +230,7 @@ func TestVMAdmissionControlReducesPower(t *testing.T) {
 	steady := steadyWatts(t, p, 0.95)
 	floor := steadyWatts(t, p, 0)
 	cap := floor + (steady-floor)*0.2
-	g, err := New(Config{CapWatts: cap, HoldSlices: 1}, p)
+	g, err := New(Config{CapWatts: cap}, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,8 +261,7 @@ func TestVMAdmissionControlReducesPower(t *testing.T) {
 func TestGovernorDeterministic(t *testing.T) {
 	mk := func() *Report {
 		p := plantFor(core.VS, 1, 3, 16, 0.9)
-		g, err := New(Config{CapWatts: 6, LiftCycle: 32 * 1024, HoldSlices: 1,
-			Backoff: ctrl.Backoff{Base: 1024, Max: 8192, Jitter: 0.5, Seed: 3}}, p)
+		g, err := New(Config{CapWatts: 6, LiftCycle: 32 * 1024}, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -282,12 +280,8 @@ func TestGovernorDeterministic(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	p := plantFor(core.VS, 1, 2, 4, 0.5)
 	bad := []Config{
-		{},                            // no cap at all
-		{CapWatts: -1},                // negative
-		{CapWatts: 5, LowerFrac: 1.5}, // threshold above cap
-		{CapWatts: 5, FreqTiers: []float64{0.8, 0.6}},    // tier 0 not full speed
-		{CapWatts: 5, FreqTiers: []float64{1, 0.8, 0.9}}, // not descending
-		{CapWatts: 5, AdmitFracs: []float64{1.2}},        // admit out of range
+		{},             // no cap at all
+		{CapWatts: -1}, // negative
 		{CapWatts: 5, LiftCycle: -3},
 	}
 	for i, cfg := range bad {

@@ -98,7 +98,7 @@ func TestBraidedIdenticalTablesFullOverlap(t *testing.T) {
 // space share almost nothing under plain overlay but nearly everything once
 // the root is braided.
 func TestBraidingBeatsPlainOnMirroredTables(t *testing.T) {
-	base, err := rib.Generate("base", rib.DefaultGen(500, 45))
+	base, err := rib.Generate("base", 500, 45)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -226,7 +226,6 @@ func (r *scenRun) placeFleet() error {
 		DeviceCapWatts: spec.DeviceCapW,
 		CapWatts:       spec.CapW,
 		Retry:          ctrl.Backoff{Base: retryBase, Jitter: 0.25, Seed: spec.Seed},
-		MaxAttempts:    4,
 		TimeoutCycles:  spec.Cycles,
 		PowerUpCycles:  2 * spec.Slice,
 	}
@@ -291,10 +290,10 @@ func (r *scenRun) placeFleet() error {
 func (r *scenRun) fleetDrainSlices() int {
 	cfg, crashes := r.fl.cfg, len(r.fl.inj.Crashes())
 	var backoffSum int64
-	for a := 1; a <= cfg.MaxAttempts; a++ {
+	for a := 1; a <= fleet.MaxAttempts; a++ {
 		backoffSum += cfg.Retry.Delay(a)
 	}
-	perVictim := int64(r.reloadWords)*int64(cfg.MaxAttempts) + backoffSum + cfg.PowerUpCycles
+	perVictim := int64(r.reloadWords)*fleet.MaxAttempts + backoffSum + cfg.PowerUpCycles
 	return crashes * (cfg.SlotsPerDevice*int(perVictim/r.spec.Slice+1) + 8)
 }
 
@@ -463,9 +462,9 @@ func (f fleetStressor) Boundary(b int64, _ bool) error {
 // metered device by device and reported at run end — placeFleet leaves
 // scenRun.perSlice nil, so the scenario engine integrates nothing and the
 // series' dyn_j, static_j and j_per_bit columns read zero.
-func (f fleetStressor) PreSlice(b, n int64, _ bool) error {
+func (f fleetStressor) PreSlice(_, n int64, _ bool) error {
 	for _, dev := range f.r.devs {
-		if dev.meter != nil && f.r.fl.ctr.PoweredAt(dev.id, b) {
+		if dev.meter != nil && f.r.fl.ctr.PoweredAt(dev.id) {
 			dev.meter.StaticSlice(n, 1)
 		}
 	}

@@ -12,7 +12,7 @@ import (
 
 func genTable(t *testing.T, n int, seed int64) *rib.Table {
 	t.Helper()
-	tbl, err := rib.Generate("t", rib.DefaultGen(n, seed))
+	tbl, err := rib.Generate("t", n, seed)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,7 +34,7 @@ func compilePinned(t *testing.T, tbl *rib.Table) *Image {
 
 func genTables(t *testing.T) (*rib.Table, *rib.Table) {
 	t.Helper()
-	oldTbl, err := rib.Generate("old", rib.DefaultGen(400, 31))
+	oldTbl, err := rib.Generate("old", 400, 31)
 	if err != nil {
 		t.Fatal(err)
 	}

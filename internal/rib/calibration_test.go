@@ -28,7 +28,7 @@ func TestTrieCalibration(t *testing.T) {
 		return diff <= tolerance
 	}
 	for _, seed := range []int64{1, 2, 3, 4, 5} {
-		tbl, err := Generate("cal", DefaultGen(paperPrefixes, seed))
+		tbl, err := Generate("cal", paperPrefixes, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,7 +50,7 @@ func TestTrieCalibration(t *testing.T) {
 // TestCalibrationHeightSane checks that the generated tries stay within the
 // IPv4 depth bound and reach realistic /24-and-deeper depths.
 func TestCalibrationHeightSane(t *testing.T) {
-	tbl, err := Generate("cal", DefaultGen(3725, 1))
+	tbl, err := Generate("cal", 3725, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,7 +40,7 @@ func TestTableSort(t *testing.T) {
 }
 
 func TestWriteReadRoundTrip(t *testing.T) {
-	tbl, err := Generate("rt", DefaultGen(500, 42))
+	tbl, err := Generate("rt", 500, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,11 +87,11 @@ func TestReadErrors(t *testing.T) {
 }
 
 func TestGenerateDeterministic(t *testing.T) {
-	a, err := Generate("a", DefaultGen(1000, 7))
+	a, err := Generate("a", 1000, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Generate("b", DefaultGen(1000, 7))
+	b, err := Generate("b", 1000, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestGenerateDeterministic(t *testing.T) {
 			t.Fatalf("same seed, route %d differs", i)
 		}
 	}
-	c, err := Generate("c", DefaultGen(1000, 8))
+	c, err := Generate("c", 1000, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestGenerateDeterministic(t *testing.T) {
 
 func TestGenerateExactCountAndUnique(t *testing.T) {
 	for _, n := range []int{1, 17, 500, 3725} {
-		tbl, err := Generate("t", DefaultGen(n, 3))
+		tbl, err := Generate("t", n, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,30 +142,15 @@ func TestGenerateExactCountAndUnique(t *testing.T) {
 }
 
 func TestGenerateValidation(t *testing.T) {
-	bad := []GenConfig{
-		{Prefixes: 0, Ports: 1, MeanBlock: 1, BaseLen: 16, SubLen: 24},
-		{Prefixes: 1, Ports: 0, MeanBlock: 1, BaseLen: 16, SubLen: 24},
-		{Prefixes: 1, Ports: 1, MeanBlock: 0, BaseLen: 16, SubLen: 24},
-		{Prefixes: 1, Ports: 1, MeanBlock: 1, BaseLen: 0, SubLen: 24},
-		{Prefixes: 1, Ports: 1, MeanBlock: 1, BaseLen: 16, SubLen: 16},
-		{Prefixes: 1, Ports: 1, MeanBlock: 1, BaseLen: 16, SubLen: 33},
-		{Prefixes: 1, Ports: 1, MeanBlock: 1, BaseLen: 16, SubLen: 24, ScatterShare: 1.5},
-		{Prefixes: 1, Ports: 1, MeanBlock: 1, BaseLen: 16, SubLen: 24, GapRate: 1},
-		{Prefixes: 1, Ports: 1, MeanBlock: 1, BaseLen: 16, SubLen: 24, AggregateProb: -0.1},
-		{Prefixes: 1, Ports: 1, MeanBlock: 1, BaseLen: 16, SubLen: 24, BasePool8: 300},
-		{Prefixes: 1, Ports: 1, MeanBlock: 1, BaseLen: 16, SubLen: 24, NestProb: 2},
-		{Prefixes: 1, Ports: 1, MeanBlock: 1, BaseLen: 16, SubLen: 24, NestContinue: 1},
-		{Prefixes: 1, Ports: 1, MeanBlock: 1, BaseLen: 16, SubLen: 24, NestProb: 0.5, NestDelta: 0},
-	}
-	for i, c := range bad {
-		if _, err := Generate("t", c); err == nil {
-			t.Errorf("config %d accepted, want error: %+v", i, c)
+	for _, n := range []int{0, -1} {
+		if _, err := Generate("t", n, 1); err == nil {
+			t.Errorf("%d prefixes accepted, want error", n)
 		}
 	}
 }
 
 func TestLengthHistogram(t *testing.T) {
-	tbl, err := Generate("t", DefaultGen(2000, 5))
+	tbl, err := Generate("t", 2000, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +266,7 @@ func TestGenerateVirtualSetRefusesNaNShare(t *testing.T) {
 }
 
 func TestReferenceOracle(t *testing.T) {
-	tbl, err := Generate("t", DefaultGen(200, 9))
+	tbl, err := Generate("t", 200, 9)
 	if err != nil {
 		t.Fatal(err)
 	}

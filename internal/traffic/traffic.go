@@ -1,9 +1,8 @@
 // Package traffic generates the packet workloads that drive the lookup
-// engines: VNID-tagged packets distributed across K virtual networks
-// (uniform per Assumption 1, or weighted/Zipf for the more complex
-// distributions the paper mentions can be modelled by changing µ_i),
-// destination addresses drawn either uniformly or from the routed space,
-// and duty-cycled arrival slots for the clock-gating experiments.
+// engines: 40-byte VNID-tagged packets distributed across K virtual networks
+// (uniform per Assumption 1, or Zipf-skewed for the more complex
+// distributions the paper mentions can be modelled by changing µ_i), with
+// destination addresses drawn either uniformly or from the routed space.
 package traffic
 
 import (
@@ -20,10 +19,16 @@ import (
 type Packet struct {
 	Addr ip.Addr
 	VN   int
-	// SizeBytes is the wire size; the paper's throughput metric assumes
-	// 40-byte minimum packets (Section VI-B).
+	// SizeBytes is the wire size: 40 bytes, the minimum packet the paper's
+	// throughput metric assumes (Section VI-B).
 	SizeBytes int
 }
+
+// packetBytes is every packet's wire size.
+const packetBytes = 40
+
+// zipfS is the Zipf skew parameter of the Zipf distribution.
+const zipfS = 1.3
 
 // VNDist selects how packets spread over the K virtual networks.
 type VNDist int
@@ -31,9 +36,7 @@ type VNDist int
 const (
 	// Uniform is Assumption 1: µ_i = 1/K.
 	Uniform VNDist = iota
-	// Weighted uses explicit per-VN weights.
-	Weighted
-	// Zipf skews traffic toward low-numbered VNs.
+	// Zipf skews traffic toward low-numbered VNs (s = zipfS).
 	Zipf
 )
 
@@ -54,19 +57,9 @@ type Config struct {
 	K    int
 	Seed int64
 	Dist VNDist
-	// Weights are the per-VN selection weights for Weighted.
-	Weights []float64
-	// ZipfS is the Zipf skew parameter (> 1) for Zipf.
-	ZipfS float64
-	Addr  AddrModel
+	Addr AddrModel
 	// Tables provides the routed space for RoutedAddr (one per VN).
 	Tables []*rib.Table
-	// MinBytes and MaxBytes bound packet sizes; both default to the
-	// 40-byte minimum when zero.
-	MinBytes, MaxBytes int
-	// DutyCycle is the probability a slot carries a packet (Slots only),
-	// in (0, 1]. Zero defaults to 1.
-	DutyCycle float64
 }
 
 // Generator produces a deterministic packet stream.
@@ -74,7 +67,6 @@ type Generator struct {
 	cfg  Config
 	rng  *rand.Rand
 	zipf *rand.Zipf
-	cum  []float64
 }
 
 // New validates the configuration and builds a Generator.
@@ -82,52 +74,10 @@ func New(cfg Config) (*Generator, error) {
 	if cfg.K <= 0 {
 		return nil, fmt.Errorf("traffic: K = %d, want > 0", cfg.K)
 	}
-	if cfg.MinBytes == 0 {
-		cfg.MinBytes = 40
-	}
-	if cfg.MaxBytes == 0 {
-		cfg.MaxBytes = cfg.MinBytes
-	}
-	if cfg.MinBytes < 1 || cfg.MaxBytes < cfg.MinBytes {
-		return nil, fmt.Errorf("traffic: bad packet size bounds [%d,%d]", cfg.MinBytes, cfg.MaxBytes)
-	}
-	if cfg.DutyCycle == 0 {
-		cfg.DutyCycle = 1
-	}
-	if cfg.DutyCycle < 0 || cfg.DutyCycle > 1 {
-		return nil, fmt.Errorf("traffic: duty cycle %g outside (0,1]", cfg.DutyCycle)
-	}
 	g := &Generator{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
 	switch cfg.Dist {
-	case Weighted:
-		if len(cfg.Weights) != cfg.K {
-			return nil, fmt.Errorf("traffic: %d weights for K = %d", len(cfg.Weights), cfg.K)
-		}
-		var sum float64
-		for i, w := range cfg.Weights {
-			if w < 0 {
-				return nil, fmt.Errorf("traffic: negative weight %g at %d", w, i)
-			}
-			sum += w
-		}
-		if sum <= 0 {
-			return nil, fmt.Errorf("traffic: weights sum to %g, want > 0", sum)
-		}
-		g.cum = make([]float64, cfg.K)
-		acc := 0.0
-		for i, w := range cfg.Weights {
-			acc += w / sum
-			g.cum[i] = acc
-		}
 	case Zipf:
-		s := cfg.ZipfS
-		if s == 0 {
-			s = 1.2
-		}
-		if s <= 1 {
-			return nil, fmt.Errorf("traffic: Zipf s = %g, want > 1", s)
-		}
-		g.zipf = rand.NewZipf(g.rng, s, 1, uint64(cfg.K-1))
+		g.zipf = rand.NewZipf(g.rng, zipfS, 1, uint64(cfg.K-1))
 	case Uniform:
 	default:
 		return nil, fmt.Errorf("traffic: unknown distribution %d", cfg.Dist)
@@ -147,20 +97,10 @@ func New(cfg Config) (*Generator, error) {
 
 // pickVN draws the packet's virtual network.
 func (g *Generator) pickVN() int {
-	switch g.cfg.Dist {
-	case Weighted:
-		r := g.rng.Float64()
-		for i, c := range g.cum {
-			if r <= c {
-				return i
-			}
-		}
-		return g.cfg.K - 1
-	case Zipf:
+	if g.zipf != nil {
 		return int(g.zipf.Uint64())
-	default:
-		return g.rng.Intn(g.cfg.K)
 	}
+	return g.rng.Intn(g.cfg.K)
 }
 
 // pickAddr draws the destination address for the chosen VN.
@@ -175,14 +115,7 @@ func (g *Generator) pickAddr(vn int) ip.Addr {
 }
 
 // Next generates one packet.
-func (g *Generator) Next() Packet {
-	vn := g.pickVN()
-	size := g.cfg.MinBytes
-	if g.cfg.MaxBytes > g.cfg.MinBytes {
-		size += g.rng.Intn(g.cfg.MaxBytes - g.cfg.MinBytes + 1)
-	}
-	return Packet{Addr: g.pickAddr(vn), VN: vn, SizeBytes: size}
-}
+func (g *Generator) Next() Packet { return g.NextFor(g.pickVN()) }
 
 // Batch generates n packets.
 func (g *Generator) Batch(n int) []Packet {
@@ -199,20 +132,6 @@ func (g *Generator) Requests(n int) []pipeline.Request {
 	for i := range out {
 		p := g.Next()
 		out[i] = pipeline.Request{Addr: p.Addr, VN: p.VN}
-	}
-	return out
-}
-
-// Slots generates n arrival slots honouring the configured duty cycle: a
-// nil slot is an idle cycle. The fraction of non-nil slots converges to
-// DutyCycle.
-func (g *Generator) Slots(n int) []*Packet {
-	out := make([]*Packet, n)
-	for i := range out {
-		if g.rng.Float64() <= g.cfg.DutyCycle {
-			p := g.Next()
-			out[i] = &p
-		}
 	}
 	return out
 }
@@ -243,14 +162,10 @@ func (g *Generator) Frames(n int) ([][]byte, error) {
 		p := g.Next()
 		src := ip.Addr(g.rng.Uint32())
 		ttl := 2 + g.rng.Intn(63)
-		payload := p.SizeBytes - packet.IPv4HeaderLen
-		if payload < 0 {
-			payload = 0
-		}
 		f, err := packet.Build(
 			packet.MAC{0x02, 0, 0, 0, 0, 0x01},
 			packet.MAC{0x02, 0, 0, 0, 0, 0x02},
-			p.VN, 0, src, p.Addr, ttl, payload)
+			p.VN, 0, src, p.Addr, ttl, packetBytes-packet.IPv4HeaderLen)
 		if err != nil {
 			return nil, err
 		}
@@ -268,9 +183,5 @@ func (g *Generator) Bernoulli(p float64) bool {
 // NextFor generates one packet pinned to the given virtual network,
 // bypassing the VN distribution (for per-VN arrival processes).
 func (g *Generator) NextFor(vn int) Packet {
-	size := g.cfg.MinBytes
-	if g.cfg.MaxBytes > g.cfg.MinBytes {
-		size += g.rng.Intn(g.cfg.MaxBytes - g.cfg.MinBytes + 1)
-	}
-	return Packet{Addr: g.pickAddr(vn), VN: vn, SizeBytes: size}
+	return Packet{Addr: g.pickAddr(vn), VN: vn, SizeBytes: packetBytes}
 }

@@ -15,7 +15,7 @@ import (
 
 func genTable(t *testing.T, n int, seed int64) *rib.Table {
 	t.Helper()
-	tbl, err := rib.Generate("t", rib.DefaultGen(n, seed))
+	tbl, err := rib.Generate("t", n, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -562,7 +562,7 @@ func TestApplyRepeatedPrefixes(t *testing.T) {
 // quadratic.
 func BenchmarkApply(b *testing.B) {
 	for _, size := range []struct{ routes, ops int }{{1000, 1000}, {10000, 10000}} {
-		tbl, err := rib.Generate("b", rib.DefaultGen(size.routes, 1))
+		tbl, err := rib.Generate("b", size.routes, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -583,7 +583,7 @@ func BenchmarkApply(b *testing.B) {
 // O(N·B) path before the prefix-map rework.
 func BenchmarkChurn(b *testing.B) {
 	for _, size := range []struct{ routes, ops int }{{1000, 1000}, {10000, 10000}} {
-		tbl, err := rib.Generate("b", rib.DefaultGen(size.routes, 1))
+		tbl, err := rib.Generate("b", size.routes, 1)
 		if err != nil {
 			b.Fatal(err)
 		}

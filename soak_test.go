@@ -16,7 +16,7 @@ func TestSoakCoreScaleTable(t *testing.T) {
 	}
 	// 50k routes: build, compact, merge with a second table, compile, and
 	// forward a long stream without a single oracle mismatch.
-	tbl, err := vrpower.Generate("core", vrpower.DefaultGen(50000, 1))
+	tbl, err := vrpower.Generate("core", 50000, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

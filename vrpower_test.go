@@ -4,11 +4,21 @@ package vrpower_test
 
 import (
 	"bytes"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
 	"testing"
 
 	"vrpower"
+	"vrpower/internal/ip"
+	"vrpower/internal/rib"
 )
 
 func testTables(t *testing.T, k, n int, share float64, seed int64) []*vrpower.Table {
@@ -64,7 +74,7 @@ func TestFacadeQuickstartFlow(t *testing.T) {
 }
 
 func TestFacadeTableSerialisation(t *testing.T) {
-	tbl, err := vrpower.Generate("t", vrpower.DefaultGen(300, 3))
+	tbl, err := vrpower.Generate("t", 300, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +82,7 @@ func TestFacadeTableSerialisation(t *testing.T) {
 	if err := tbl.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := vrpower.ReadTable("t", &buf)
+	back, err := rib.Read("t", &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,23 +125,14 @@ func TestFacadePowerPrimitives(t *testing.T) {
 	if math.Abs(w-13.65*300e-6) > 1e-12 {
 		t.Errorf("BRAMWatts = %g", w)
 	}
-	if vrpower.LogicStageWatts(vrpower.Grade1L, 100) <= 0 {
-		t.Error("LogicStageWatts <= 0")
-	}
 	if vrpower.MilliwattsPerGbps(1, 10) != 100 {
 		t.Error("MilliwattsPerGbps wrong")
 	}
-	if len(vrpower.Grades()) != 2 || len(vrpower.Schemes()) != 3 {
+	if len(vrpower.Schemes()) != 3 {
 		t.Error("enumerations wrong")
 	}
 	if vrpower.XC6VLX760().IOPins != 1200 {
 		t.Error("device wrong")
-	}
-	if len(vrpower.DeviceFamily()) != 6 {
-		t.Error("device family wrong")
-	}
-	if vrpower.ThroughputGbps(312.5, 1) != 100 {
-		t.Error("throughput conversion wrong")
 	}
 }
 
@@ -141,7 +142,7 @@ func TestFacadeTrieAndMerge(t *testing.T) {
 	ref := tables[0].Reference()
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 500; i++ {
-		addr := vrpower.Addr(rng.Uint32())
+		addr := ip.Addr(rng.Uint32())
 		if tr.Lookup(addr) != ref.Lookup(addr) {
 			t.Fatal("facade trie lookup mismatch")
 		}
@@ -163,7 +164,7 @@ func TestFacadeLifecycleAndChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	extra, err := vrpower.Generate("extra", vrpower.DefaultGen(300, 11))
+	extra, err := vrpower.Generate("extra", 300, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,71 +186,10 @@ func TestFacadeLifecycleAndChurn(t *testing.T) {
 	if ev.Writes <= 0 {
 		t.Error("update writes missing")
 	}
-	updated := vrpower.ApplyChurn(tables[0], ops)
-	if updated == tables[0] {
-		t.Error("ApplyChurn should return a new table")
-	}
 }
 
-func TestFacadeFrames(t *testing.T) {
-	src, _ := vrpower.ParseAddr("10.0.0.1")
-	dst, _ := vrpower.ParseAddr("192.168.1.1")
-	buf, err := vrpower.BuildFrame(vrpower.MAC{0x02, 0, 0, 0, 0, 1}, vrpower.MAC{0x02, 0, 0, 0, 0, 2},
-		5, 0, src, dst, 64, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := vrpower.ParseFrame(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.VNID != 5 || f.DstIP != dst {
-		t.Errorf("frame fields wrong: %+v", f)
-	}
-}
-
-func TestFacadeImageDiff(t *testing.T) {
-	tbl, err := vrpower.Generate("t", vrpower.DefaultGen(300, 13))
-	if err != nil {
-		t.Fatal(err)
-	}
-	build := func(tb *vrpower.Table) *vrpower.Image {
-		r, err := vrpower.Build(vrpower.Config{Scheme: vrpower.VS, K: 1, ClockGating: true}, []*vrpower.Table{tb})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r.Images()[0]
-	}
-	a := build(tbl)
-	writes, err := vrpower.DiffImages(a, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(writes) != 0 || vrpower.BubbleCount(writes) != 0 {
-		t.Error("self-diff should be empty")
-	}
-}
-
-func TestFacadeBraidingAndLoad(t *testing.T) {
+func TestFacadeScenarioLoad(t *testing.T) {
 	tables := testTables(t, 3, 250, 0.3, 20)
-	bt, err := vrpower.BraidTables(tables)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refs := make([]*vrpower.Table, 3)
-	_ = refs
-	rng := rand.New(rand.NewSource(21))
-	for i := 0; i < 500; i++ {
-		addr := vrpower.Addr(rng.Uint32())
-		vn := rng.Intn(3)
-		if bt.Lookup(vn, addr) != tables[vn].Reference().Lookup(addr) {
-			t.Fatal("braided facade lookup mismatch")
-		}
-	}
-	if bt.Stats().Alpha <= 0 {
-		t.Error("braided α missing")
-	}
-
 	r, err := vrpower.Build(vrpower.Config{Scheme: vrpower.VM, K: 3, ClockGating: true}, tables)
 	if err != nil {
 		t.Fatal(err)
@@ -275,48 +215,70 @@ func TestFacadeBraidingAndLoad(t *testing.T) {
 	}
 }
 
-func TestFacadePlanner(t *testing.T) {
-	prof, err := vrpower.PaperProfile()
+// Every name the facade exports has a caller outside this file: an example,
+// the README or another root test. A name only this file reaches belongs in
+// its internal package, not here.
+func TestFacadeNamesHaveCallers(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "vrpower.go", nil, parser.SkipObjectResolution)
 	if err != nil {
 		t.Fatal(err)
 	}
-	best, err := vrpower.BestPlan(vrpower.PlanRequirements{
-		K: 4, PerVNGbps: 5, Profile: prof, Alpha: 0.5,
+	var names []string
+	for _, d := range f.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil {
+				names = append(names, d.Name.Name)
+			}
+		case *ast.GenDecl:
+			for _, s := range d.Specs {
+				switch s := s.(type) {
+				case *ast.TypeSpec:
+					names = append(names, s.Name.Name)
+				case *ast.ValueSpec:
+					for _, n := range s.Names {
+						names = append(names, n.Name)
+					}
+				}
+			}
+		}
+	}
+	callers := []string{"README.md"}
+	tests, err := filepath.Glob("*_test.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range tests {
+		if p != "vrpower_test.go" {
+			callers = append(callers, p)
+		}
+	}
+	err = filepath.WalkDir("examples", func(p string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() {
+			callers = append(callers, p)
+		}
+		return err
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if best.MeasuredW <= 0 || best.GuaranteedPerVNGbps < 5 {
-		t.Errorf("best plan implausible: %+v", best)
+	var text strings.Builder
+	for _, p := range callers {
+		b, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text.Write(b)
 	}
-	cands, err := vrpower.Plan(vrpower.PlanRequirements{K: 4, PerVNGbps: 5, Profile: prof, Alpha: 0.5})
-	if err != nil {
-		t.Fatal(err)
+	for _, n := range names {
+		if !ast.IsExported(n) {
+			continue
+		}
+		if !regexp.MustCompile(`\bvrpower\.` + n + `\b`).MatchString(text.String()) {
+			t.Errorf("facade name %s has no caller in examples/, README.md or a root test", n)
+		}
 	}
-	if len(vrpower.PlanFrontier(cands)) == 0 {
-		t.Error("empty frontier")
-	}
-}
-
-func TestFacadeEmitRTL(t *testing.T) {
-	tbl, err := vrpower.Generate("t", vrpower.DefaultGen(150, 30))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := vrpower.BuildTrie(tbl.Routes)
-	tr.LeafPush()
-	// One level per stage, the RTL backend's requirement.
-	stages := tr.Stats().Height + 1
-	r, err := vrpower.Build(vrpower.Config{Scheme: vrpower.VS, K: 1, Stages: stages, ClockGating: true},
-		[]*vrpower.Table{tbl})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := vrpower.EmitRTL(r.Images()[0], vrpower.DefaultLayout(), "t", []vrpower.Request{{Addr: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(d.Files) < stages {
-		t.Errorf("RTL bundle has %d files for %d stages", len(d.Files), stages)
+	if len(names) == 0 {
+		t.Error("no names parsed from vrpower.go")
 	}
 }
