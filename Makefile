@@ -4,7 +4,7 @@
 #   make bench      = every benchmark with allocation counts
 GO ?= go
 
-.PHONY: all build test race governor-smoke scenario-smoke chaos-smoke fleet-smoke forward-smoke figures-smoke fuzz-smoke fuzz-batch-smoke vet vuln bench bench-gate bench-baseline bench-test bench-e2e loc loc-diff digest-diff
+.PHONY: all build test race governor-smoke scenario-smoke chaos-smoke fleet-smoke forward-smoke figures-smoke fuzz-smoke fuzz-batch-smoke vet vuln bench bench-gate bench-baseline bench-test bench-e2e loc loc-diff digest-diff alloc-diff
 
 all: build test
 
@@ -291,3 +291,23 @@ digest-diff:
 	paste -d ' ' "$$tmp/base.digests" "$$tmp/now.digests" | \
 		awk 'BEGIN { print "workload seed base now" } { print $$1, $$2, $$3, $$6 }' && \
 	cmp "$$tmp/base.digests" "$$tmp/now.digests"
+
+# Bytes allocated per rep, the one bench cost that does not depend on the
+# host: alloc_mb of the four workloads at seed 1 (--seconds 0), read from the
+# result line, at BASE (extracted like digest-diff's) and in the working tree.
+# Prints "workload base now delta%" and fails if any workload rises by more
+# than 2 % (repeated runs of one seed read within ±0.3 %).
+ALLOCS = for w in $(DIGEST_WORKLOADS); do \
+		a=$$(bash bench/run.sh --workload $$w --seed 1 --seconds 0 | awk '$$1 == "alloc_mb" { print $$2 }'); \
+		[ -n "$$a" ] || { echo "alloc-diff: no alloc_mb for $$w" >&2; exit 1; }; \
+		echo "$$w $$a"; \
+	done
+alloc-diff:
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	git archive $(BASE) | tar -x -C "$$tmp" && \
+	(cd "$$tmp" && $(ALLOCS)) > "$$tmp/base.allocs" && \
+	$(ALLOCS) > "$$tmp/now.allocs" && \
+	paste -d ' ' "$$tmp/base.allocs" "$$tmp/now.allocs" | \
+	awk 'BEGIN { printf "%-16s %10s %10s %8s\n", "workload", "base", "now", "delta%" } \
+		{ d = ($$4 - $$2) / $$2 * 100; printf "%-16s %10.4f %10.4f %+7.2f%%\n", $$1, $$2, $$4, d; if (d > 2) bad = 1 } \
+		END { if (bad) { print "alloc-diff: alloc_mb rose by more than 2% on a workload" > "/dev/stderr"; exit 1 } }'

@@ -28,6 +28,9 @@ type Node struct {
 	Child [2]*Node
 	// Present is the number of source tries containing this node.
 	Present int
+	// seen is 1 + the last network whose route path crossed this node
+	// (0: none yet), so Build counts each network once per node.
+	seen int
 	// routes holds pre-push per-VN routes attached at this node.
 	routes []vnRoute
 	// NHI is the K-wide next-hop vector; non-nil only at leaves after
@@ -65,18 +68,22 @@ func Build(tables []*rib.Table) (*Trie, error) {
 	}
 	t := &Trie{k: len(tables)}
 	t.root = t.nodes.New()
+	// A node is "present" for vn if vn's individual trie would contain it:
+	// the root (even of an empty table) and every node on one of vn's route
+	// paths, which insert counts as it walks them.
+	t.root.Present = len(tables)
 	for vn, tbl := range tables {
 		for _, r := range tbl.Routes {
 			t.insert(vn, r.Prefix, r.NextHop)
 		}
-		// Mark presence along every path of this VN's trie: a node is
-		// "present" for vn if vn's individual trie would contain it.
-		markPresence(t.root, trie.Build(tbl.Routes).Root())
 	}
 	return t, nil
 }
 
-// insert adds vn's route for p, creating merged structure as needed.
+// insert adds vn's route for p, creating merged structure as needed, and
+// counts vn as present in every node below the root that the path crosses
+// for the first time. Networks are inserted in order, so one stamp of the
+// last network per node suffices.
 func (t *Trie) insert(vn int, p ip.Prefix, nh ip.NextHop) {
 	n := t.root
 	for i := 0; i < p.Len; i++ {
@@ -85,6 +92,10 @@ func (t *Trie) insert(vn int, p ip.Prefix, nh ip.NextHop) {
 			n.Child[b] = t.nodes.New()
 		}
 		n = n.Child[b]
+		if n.seen != vn+1 {
+			n.seen = vn + 1
+			n.Present++
+		}
 	}
 	for i := range n.routes {
 		if n.routes[i].vn == vn {
@@ -93,18 +104,6 @@ func (t *Trie) insert(vn int, p ip.Prefix, nh ip.NextHop) {
 		}
 	}
 	n.routes = append(n.routes, vnRoute{vn, nh})
-}
-
-// markPresence increments Present on each merged node that exists in the
-// individual trie rooted at src (positions correspond one-to-one because the
-// merged trie is a structural superset).
-func markPresence(dst *Node, src *trie.Node) {
-	dst.Present++
-	for b := 0; b < 2; b++ {
-		if src.Child[b] != nil {
-			markPresence(dst.Child[b], src.Child[b])
-		}
-	}
 }
 
 // LeafPush pushes every network's inherited next hops down to the merged

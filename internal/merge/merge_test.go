@@ -7,6 +7,7 @@ import (
 
 	"vrpower/internal/ip"
 	"vrpower/internal/rib"
+	"vrpower/internal/trie"
 )
 
 func buildSet(t *testing.T, k, prefixes int, share float64, seed int64) []*rib.Table {
@@ -289,4 +290,85 @@ func trieNodes(tbl *rib.Table) int {
 		panic(err)
 	}
 	return m.Stats().Nodes
+}
+
+// markPresence is the presence count Build used to make: it walks the
+// individual trie of one network alongside the merged trie, adding one to
+// every merged node the individual trie contains. It is the oracle for the
+// count Build now makes while it inserts.
+func markPresence(dst *Node, src *trie.Node) {
+	dst.Present++
+	for b := 0; b < 2; b++ {
+		if src.Child[b] != nil {
+			markPresence(dst.Child[b], src.Child[b])
+		}
+	}
+}
+
+// presence lists every node's Present in pre-order, and zeroes it if zero is
+// set.
+func presence(n *Node, zero bool, out []int) []int {
+	out = append(out, n.Present)
+	if zero {
+		n.Present = 0
+	}
+	for _, c := range n.Child {
+		if c != nil {
+			out = presence(c, zero, out)
+		}
+	}
+	return out
+}
+
+// TestPresenceMatchesPerTableTries: over random table sets — an empty
+// table, a default route, a /32, and prefixes shared between networks and
+// disjoint — every node's Present as Build counts it equals what walking
+// each network's own trie over the merged one gives.
+func TestPresenceMatchesPerTableTries(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	randPrefix := func() ip.Prefix {
+		l := rng.Intn(33)
+		return ip.Prefix{Addr: ip.Addr(rng.Uint32()) & ip.Mask(l), Len: l}
+	}
+	for trial := 0; trial < 200; trial++ {
+		shared := make([]ip.Prefix, rng.Intn(20))
+		for i := range shared {
+			shared[i] = randPrefix()
+		}
+		tables := make([]*rib.Table, 1+rng.Intn(6))
+		for vn := range tables {
+			tbl := &rib.Table{}
+			switch rng.Intn(5) {
+			case 0: // empty
+			case 1:
+				tbl.Add(ip.Route{Prefix: ip.Prefix{}, NextHop: 1}) // the default route
+			case 2:
+				tbl.Add(ip.Route{Prefix: ip.Prefix{Addr: ip.Addr(rng.Uint32()), Len: 32}, NextHop: 2})
+			default:
+				for _, p := range shared {
+					if rng.Intn(2) == 0 {
+						tbl.Add(ip.Route{Prefix: p, NextHop: ip.NextHop(vn + 1)})
+					}
+				}
+				for i := rng.Intn(20); i > 0; i-- {
+					tbl.Add(ip.Route{Prefix: randPrefix(), NextHop: ip.NextHop(vn + 10)})
+				}
+			}
+			tables[vn] = tbl
+		}
+		m, err := Build(tables)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := presence(m.Root(), true, nil)
+		for _, tbl := range tables {
+			markPresence(m.Root(), trie.Build(tbl.Routes).Root())
+		}
+		want := presence(m.Root(), false, nil)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d (%d tables): node %d in pre-order has Present %d, per-table tries give %d", trial, len(tables), i, got[i], want[i])
+			}
+		}
+	}
 }

@@ -123,13 +123,8 @@ func (k *forwardKernel) RunSlice(_, _ int64, _ bool) (scenario.SliceStats, error
 	images := s.router.Images()
 	scheme := s.router.Config().Scheme
 
-	// Distributor (Assumption 3): split the merged flow per engine. The
-	// merged scheme keeps one stream; NV/VS steer by VNID.
 	tel := s.tel
 	tracing := tel.Tracing()
-	// The validation pass counts each engine's share, so the distributor's
-	// slices are made once at their final size: grown by doubling from nil
-	// they were a third of a 250 000-packet run's allocation.
 	perVN := make([]int, s.k)
 	for _, p := range k.pkts {
 		if p.VN < 0 || p.VN >= s.k {
@@ -137,35 +132,14 @@ func (k *forwardKernel) RunSlice(_, _ int64, _ bool) (scenario.SliceStats, error
 		}
 		perVN[p.VN]++
 	}
-	perEngine := make([][]pipeline.Request, len(images))
-	var perEngineSeq [][]int64 // traced runs: the batch index of each request
-	if tracing {
-		perEngineSeq = make([][]int64, len(images))
-	}
-	for e := range perEngine {
-		n := len(k.pkts) // the merged scheme's one engine takes them all
-		if scheme != core.VM {
-			n = perVN[e]
+	d := steer(scheme, len(k.pkts), perVN, func(i int) int { return k.pkts[i].VN })
+	fill := func(e, start int, reqs []pipeline.Request) {
+		for j := range reqs {
+			// A trace's Seq is the batch index: unique, worker-independent.
+			i := d.at(e, start+j)
+			p := k.pkts[i]
+			reqs[j] = pipeline.Request{Addr: p.Addr, VN: d.vn(p.VN), Trace: tracing && tel.Sampler.Sample(p.VN, int64(i))}
 		}
-		perEngine[e] = make([]pipeline.Request, 0, n)
-		if tracing {
-			perEngineSeq[e] = make([]int64, 0, n)
-		}
-	}
-	for i, p := range k.pkts {
-		e, vn := 0, p.VN
-		if scheme != core.VM {
-			// Per-network engines hold a single table: the distributor
-			// strips the VNID after steering.
-			e, vn = p.VN, 0
-		}
-		req := pipeline.Request{Addr: p.Addr, VN: vn}
-		if tracing {
-			// Seq is the batch position: unique, worker-independent.
-			req.Trace = tel.Sampler.Sample(p.VN, int64(i))
-			perEngineSeq[e] = append(perEngineSeq[e], int64(i))
-		}
-		perEngine[e] = append(perEngine[e], req)
 	}
 
 	k.rep = Report{
@@ -181,7 +155,7 @@ func (k *forwardKernel) RunSlice(_, _ int64, _ bool) (scenario.SliceStats, error
 		mismatches, noRoute int
 		traces              []*obs.FlightTrace
 	}
-	runs, err := sweepEngines(images, perEngine, func(v *verified, e, start int, res []pipeline.Result) {
+	runs, err := sweepEngines(images, d.counts, fill, func(v *verified, e, start int, res []pipeline.Result) {
 		if v.em == nil {
 			v.em = s.meter()
 		}
@@ -200,7 +174,7 @@ func (k *forwardKernel) RunSlice(_, _ int64, _ bool) (scenario.SliceStats, error
 				v.noRoute++
 			}
 			if r.Trace {
-				v.traces = append(v.traces, scenario.LookupTrace(perEngineSeq[e][start+j], vn, e, 0, *r, 0, scenario.LookupOutcome(*r, want)))
+				v.traces = append(v.traces, scenario.LookupTrace(int64(d.at(e, start+j)), vn, e, 0, *r, 0, scenario.LookupOutcome(*r, want)))
 			}
 		}
 	})
@@ -209,7 +183,7 @@ func (k *forwardKernel) RunSlice(_, _ int64, _ bool) (scenario.SliceStats, error
 	}
 	for e, run := range runs {
 		if len(k.pkts) > 0 {
-			k.rep.EngineLoad[e] = float64(len(perEngine[e])) / float64(len(k.pkts))
+			k.rep.EngineLoad[e] = float64(d.counts[e]) / float64(len(k.pkts))
 		}
 		k.rep.PerEngine[e] = run.st
 		for _, v := range run.accs {
@@ -233,26 +207,75 @@ type engineRun[T any] struct {
 	accs []T
 }
 
-// sweepEngines resolves each engine's requests on a BatchSim of its own and
-// hands every swept chunk to visit, with the accumulator of the shard that
-// swept it, the engine and the chunk's first request index. Engines hold
-// disjoint request sets and fan out over the worker pool, one shard each; a
-// lone engine (the merged scheme) is split into pipeline.Shards shards
-// instead, since the fan-out is then width 1. The caller folds the runs in
-// engine order, then shard order.
-func sweepEngines[T any](images []*pipeline.Image, perEngine [][]pipeline.Request, visit func(acc *T, e, start int, res []pipeline.Result)) ([]engineRun[T], error) {
+// steering is the distributor's split (Assumption 3) of a validated batch
+// over the engines. The merged scheme's one engine takes the whole batch in
+// order; per-network engines each take their network's packets in batch
+// order, listed as batch indices (4 bytes a packet). The shards build each
+// chunk's requests from the batch as they sweep it, so no run stages a
+// per-engine copy of its batch.
+type steering struct {
+	counts []int     // requests per engine
+	idx    [][]int32 // per-network schemes: engine e's batch indices (nil: merged)
+}
+
+// steer splits a batch of n packets, perVN[vn] of them in network vn, whose
+// i-th packet is in network vnOf(i).
+func steer(scheme core.Scheme, n int, perVN []int, vnOf func(i int) int) steering {
+	if scheme == core.VM {
+		return steering{counts: []int{n}}
+	}
+	d := steering{counts: perVN, idx: make([][]int32, len(perVN))}
+	for vn, c := range perVN {
+		d.idx[vn] = make([]int32, 0, c)
+	}
+	for i := 0; i < n; i++ {
+		vn := vnOf(i)
+		d.idx[vn] = append(d.idx[vn], int32(i))
+	}
+	return d
+}
+
+// at is the batch index of engine e's request i.
+func (d *steering) at(e, i int) int {
+	if d.idx == nil {
+		return i
+	}
+	return int(d.idx[e][i])
+}
+
+// vn is the VN a packet of network vn carries into its engine: per-network
+// engines hold a single table, so the distributor strips the VNID after
+// steering.
+func (d *steering) vn(vn int) int {
+	if d.idx != nil {
+		return 0
+	}
+	return vn
+}
+
+// sweepEngines resolves engine e's counts[e] requests on a BatchSim of its
+// own: fill(e, start, reqs) builds each chunk on the shard about to sweep it,
+// and visit gets the swept chunk, with the accumulator of that shard, the
+// engine and the chunk's first request index. Engines hold disjoint request
+// sets and fan out over the worker pool, one shard each; a lone engine (the
+// merged scheme) is split into pipeline.Shards shards instead, since the
+// fan-out is then width 1. The caller folds the runs in engine order, then
+// shard order.
+func sweepEngines[T any](images []*pipeline.Image, counts []int, fill func(e, start int, reqs []pipeline.Request), visit func(acc *T, e, start int, res []pipeline.Result)) ([]engineRun[T], error) {
 	return sweep.Run(len(images), func(e int) (engineRun[T], error) {
-		reqs := perEngine[e]
-		if len(reqs) == 0 {
+		n := counts[e]
+		if n == 0 {
 			return engineRun[T]{}, nil
 		}
 		shards := 1
 		if len(images) == 1 {
-			shards = pipeline.Shards(len(reqs))
+			shards = pipeline.Shards(n)
 		}
 		run := engineRun[T]{accs: make([]T, shards)}
 		var err error
-		run.st, err = pipeline.NewBatchSim(images[e]).RunSharded(reqs, shards, func(shard, start int, res []pipeline.Result) {
+		run.st, err = pipeline.NewBatchSim(images[e]).RunSharded(n, shards, func(start int, reqs []pipeline.Request) {
+			fill(e, start, reqs)
+		}, func(shard, start int, res []pipeline.Result) {
 			visit(&run.accs[shard], e, start, res)
 		})
 		return run, err
@@ -304,12 +327,10 @@ func (s *System) ForwardFrames(frames [][]byte) (FrameReport, error) {
 	scheme := s.router.Config().Scheme
 	rep := FrameReport{Frames: len(frames)}
 
-	type pending struct {
-		frame *packet.Frame
-		vn    int
-	}
-	perEngineReqs := make([][]pipeline.Request, len(images))
-	perEnginePend := make([][]pending, len(images))
+	// The parsed frames with a known VNID are the batch the distributor
+	// steers.
+	parsed := make([]*packet.Frame, 0, len(frames))
+	perVN := make([]int, s.k)
 	for _, buf := range frames {
 		f, err := packet.Parse(buf)
 		if err != nil {
@@ -320,25 +341,29 @@ func (s *System) ForwardFrames(frames [][]byte) (FrameReport, error) {
 			rep.UnknownVN++
 			continue
 		}
-		e, vn := 0, f.VNID
-		if scheme != core.VM {
-			e, vn = f.VNID, 0
+		parsed = append(parsed, f)
+		perVN[f.VNID]++
+	}
+	d := steer(scheme, len(parsed), perVN, func(i int) int { return parsed[i].VNID })
+	fill := func(e, start int, reqs []pipeline.Request) {
+		for j := range reqs {
+			f := parsed[d.at(e, start+j)]
+			reqs[j] = pipeline.Request{Addr: f.DstIP, VN: d.vn(f.VNID)}
 		}
-		perEngineReqs[e] = append(perEngineReqs[e], pipeline.Request{Addr: f.DstIP, VN: vn})
-		perEnginePend[e] = append(perEnginePend[e], pending{frame: f, vn: f.VNID})
 	}
 
 	// Engines hold disjoint frame sets (the distributor steered each frame
-	// to exactly one), so each shard checks and edits the frames of the
-	// chunks it sweeps; counters are summed in engine order, then shard order.
+	// to exactly one), so each shard builds, checks and edits the frames of
+	// the chunks it sweeps; counters are summed in engine order, then shard
+	// order.
 	type edited struct {
 		forwarded, noRoute, ttlExpired, mismatches int
 	}
-	runs, err := sweepEngines(images, perEngineReqs, func(a *edited, e, start int, res []pipeline.Result) {
+	runs, err := sweepEngines(images, d.counts, fill, func(a *edited, e, start int, res []pipeline.Result) {
 		for j := range res {
 			r := &res[j]
-			p := perEnginePend[e][start+j]
-			if want := s.refs[p.vn].Lookup(r.Addr); r.NHI != want {
+			f := parsed[d.at(e, start+j)]
+			if want := s.refs[f.VNID].Lookup(r.Addr); r.NHI != want {
 				a.mismatches++
 			}
 			if r.NHI == ip.NoRoute {
@@ -348,8 +373,8 @@ func (s *System) ForwardFrames(frames [][]byte) (FrameReport, error) {
 			// Egress edit: next-hop MAC synthesised from the NHI port. Its
 			// one failure is an expired TTL.
 			nh := packet.MAC{0x02, 0xFE, 0, 0, byte(r.NHI >> 8), byte(r.NHI)}
-			egress := packet.MAC{0x02, 0xFD, 0, 0, 0, byte(p.vn)}
-			if p.frame.Forward(nh, egress) != nil {
+			egress := packet.MAC{0x02, 0xFD, 0, 0, 0, byte(f.VNID)}
+			if f.Forward(nh, egress) != nil {
 				a.ttlExpired++
 			} else {
 				a.forwarded++

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"vrpower/internal/core"
@@ -402,4 +403,96 @@ func TestLoadTestFairSaturation(t *testing.T) {
 	if min == 0 || float64(max-min)/float64(max) > 0.02 {
 		t.Errorf("saturated merged delivery unfair: min %d, max %d", min, max)
 	}
+}
+
+// bytesPerCall is what run allocates a call, in bytes, averaged over a few
+// calls after a warm-up one (which builds the reference tables' lazy index).
+func bytesPerCall(run func()) float64 {
+	run()
+	const calls = 4
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / calls
+}
+
+// TestForwardAllocsPerPacket pins that a closed-loop run stages no
+// per-engine copy of its batch: what Forward allocates per packet — the
+// growth from 4 096 to 65 536 packets, so the report, the meters and the
+// fan-out cancel out — is nothing on the merged engine, which reads the
+// batch in place, and at most the 4-byte batch index on per-network ones.
+// ForwardFrames may add to what parsing allocates per frame only the 8-byte
+// slot of the parsed frame and that index.
+func TestForwardAllocsPerPacket(t *testing.T) {
+	const small, large = 4096, 65536
+	const slack = 0.5 // bytes a packet: the runtime's own allocations
+	perPacket := func(cost func(n int) float64) float64 {
+		return (cost(large) - cost(small)) / (large - small)
+	}
+	parse := perPacket(func(n int) float64 {
+		frames := framesOf(t, 3, nil, n)
+		return bytesPerCall(func() {
+			for _, buf := range frames {
+				if _, err := packet.Parse(buf); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	})
+	defer sweep.SetWorkers(0)
+	for _, sc := range core.Schemes() {
+		s, tables := buildSystem(t, sc, 3)
+		index := 4.0 // bytes a packet of the per-network schemes' batch index
+		if sc == core.VM {
+			index = 0
+		}
+		for _, workers := range []int{1, 8} {
+			sweep.SetWorkers(workers)
+			fwd := perPacket(func(n int) float64 {
+				pkts := gen(t, 3, tables, n)
+				return bytesPerCall(func() {
+					if _, err := s.Forward(pkts); err != nil {
+						t.Fatal(err)
+					}
+				})
+			})
+			frm := perPacket(func(n int) float64 {
+				frames := framesOf(t, 3, tables, n)
+				return bytesPerCall(func() {
+					if _, err := s.ForwardFrames(frames); err != nil {
+						t.Fatal(err)
+					}
+				})
+			})
+			t.Logf("%s workers=%d: Forward %.2f B a packet; ForwardFrames %.2f B a frame, parsing %.2f", sc, workers, fwd, frm, parse)
+			if fwd > index+slack {
+				t.Errorf("%s workers=%d: Forward allocates %.2f B a packet, want at most %.0f", sc, workers, fwd, index)
+			}
+			if frm > parse+8+index+slack {
+				t.Errorf("%s workers=%d: ForwardFrames allocates %.2f B a frame, parsing %.2f: want at most %.0f more", sc, workers, frm, parse, 8+index)
+			}
+		}
+	}
+}
+
+// framesOf generates n frames over k networks, at routed addresses when
+// tables are given.
+func framesOf(t *testing.T, k int, tables []*rib.Table, n int) [][]byte {
+	t.Helper()
+	cfg := traffic.Config{K: k, Seed: 19}
+	if tables != nil {
+		cfg.Addr, cfg.Tables = traffic.RoutedAddr, tables
+	}
+	g, err := traffic.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames, err := g.Frames(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frames
 }

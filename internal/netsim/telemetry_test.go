@@ -75,24 +75,47 @@ func runDumps(t *testing.T, name string, run func(tel *Telemetry)) (traces, seri
 	return ref[0], ref[1], ref[2]
 }
 
+// TestForwardTelemetryDeterministicAcrossWorkers: on every scheme, Forward's
+// trace dump is byte-identical at 1, 2 and 8 workers, and every trace names
+// its packet: its Seq is the packet's position in the batch — on the
+// per-network engines too, which sweep a list of batch indices — and its VN
+// that packet's network.
 func TestForwardTelemetryDeterministicAcrossWorkers(t *testing.T) {
-	s, tables := buildSystem(t, core.VM, 3)
-	pkts := gen(t, 3, tables, 4000)
-	traces, _, _ := runDumps(t, "Forward", func(tel *Telemetry) {
-		s.SetTelemetry(tel)
-		defer s.SetTelemetry(nil)
-		if _, err := s.Forward(pkts); err != nil {
-			t.Fatal(err)
+	defer sweep.SetWorkers(0)
+	for _, sc := range []core.Scheme{core.VM, core.VS, core.NV} {
+		s, tables := buildSystem(t, sc, 3)
+		pkts := gen(t, 3, tables, 4000)
+		var ref string
+		for _, workers := range []int{1, 2, 8} {
+			sweep.SetWorkers(workers)
+			tel := testTelemetry(0.05, 99)
+			s.SetTelemetry(tel)
+			_, err := s.Forward(pkts)
+			s.SetTelemetry(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, tr := range tel.Traces.Snapshot() {
+				if tr.Seq < 0 || tr.Seq >= int64(len(pkts)) || pkts[tr.Seq].VN != tr.VN || pkts[tr.Seq].Addr.String() != tr.Addr {
+					t.Fatalf("%s workers=%d: trace seq %d, VN %d, address %s names no packet of the batch", sc, workers, tr.Seq, tr.VN, tr.Addr)
+				}
+			}
+			traces, _, _ := dumps(t, tel)
+			if workers == 1 {
+				ref = traces
+			} else if traces != ref {
+				t.Errorf("%s: trace dump differs between 1 and %d workers:\n-j1:\n%.400s\n-j%d:\n%.400s", sc, workers, ref, workers, traces)
+			}
 		}
-	})
-	if traces == "" {
-		t.Fatal("Forward sampled no traces at rate 0.05 over 4000 packets")
-	}
-	if !strings.Contains(traces, `"outcome":"forward"`) {
-		t.Errorf("no forward outcome in traces:\n%.400s", traces)
-	}
-	if !strings.Contains(traces, `"visits":[{"stage":0`) {
-		t.Errorf("traces missing stage visits:\n%.400s", traces)
+		if ref == "" {
+			t.Fatalf("%s: Forward sampled no traces at rate 0.05 over 4000 packets", sc)
+		}
+		if !strings.Contains(ref, `"outcome":"forward"`) {
+			t.Errorf("%s: no forward outcome in traces:\n%.400s", sc, ref)
+		}
+		if !strings.Contains(ref, `"visits":[{"stage":0`) {
+			t.Errorf("%s: traces missing stage visits:\n%.400s", sc, ref)
+		}
 	}
 }
 

@@ -57,14 +57,15 @@ func AuditImage(img *Image, probes []Probe) AuditResult {
 	}
 	sim := NewBatchSim(img)
 	sim.EnableParityCheck()
-	reqs := make([]Request, len(probes))
-	for i, p := range probes {
-		reqs[i] = Request{Addr: p.Addr, VN: p.VN}
-	}
 	res.Probes = len(probes)
-	// One shard, counted a chunk at a time as it resolves; a fresh engine is
-	// idle, so the run cannot fail.
-	sim.RunSharded(reqs, 1, func(_, start int, rs []Result) {
+	// One shard, each chunk built from its probes and counted as it resolves;
+	// a fresh engine is idle, so the run cannot fail.
+	fill := func(start int, reqs []Request) {
+		for j := range reqs {
+			reqs[j] = Request{Addr: probes[start+j].Addr, VN: probes[start+j].VN}
+		}
+	}
+	sim.RunSharded(len(probes), 1, fill, func(_, start int, rs []Result) {
 		for j := range rs {
 			switch {
 			case rs[j].Faulted:

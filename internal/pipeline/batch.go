@@ -45,8 +45,9 @@ type batchScratch struct {
 	flag []uint8      // flagFaulted / flagTraced, by chunk position
 	last []uint8      // deepest active stage (Result.LastStage), by chunk position
 
-	// res is a batch run's results buffer (BatchSim.run), which a visitor
-	// reads a chunk at a time.
+	// req and res are a batch run's chunk buffers (BatchSim.run): the requests
+	// a filler writes and the results a visitor reads, a chunk at a time.
+	req []Request
 	res []Result
 }
 
@@ -648,8 +649,17 @@ func (b *BatchSim) RunAppend(dst []Result, reqs []Request, interarrival int) ([]
 	}
 	base := len(dst)
 	dst = slices.Grow(dst, len(reqs))[:base+len(reqs)]
-	b.run(reqs, int64(interarrival), 1, dst[base:], nil)
+	b.run(len(reqs), source{reqs: reqs}, int64(interarrival), 1, dst[base:], nil)
 	return dst, b.Stats(), nil
+}
+
+// source is where a batch run reads its requests: the caller's own slice
+// (Run, RunAppend), or a filler that writes each chunk into the buffer of the
+// shard about to sweep it (RunSharded). A struct, not a closure over the
+// slice, so that Run allocates nothing for it.
+type source struct {
+	reqs []Request
+	fill func(start int, reqs []Request)
 }
 
 // idle reports an error unless the window is empty and no update is armed:
@@ -676,37 +686,42 @@ func Shards(n int) int {
 	return min(workers, (n+batchFlights-1)/batchFlights)
 }
 
-// RunSharded is Run(reqs, 1) split into contiguous shards on the sweep worker
-// pool — the coordinator split that lets one engine's simulated throughput
-// scale with cores — that keeps no results: each shard hands every chunk of up
-// to batchFlights results to visit as soon as it has swept it, with its shard
-// number and the chunk's first request index. res is the shard's own buffer
-// and is rewritten by its next chunk. One shard's chunks come in request
-// order from one goroutine; different shards' calls run concurrently, so
-// visit keeps per-shard state (shard < shards). Flight walks are independent
-// and the cycle accounting is closed-form, so the chunks and the Stats are
-// byte-identical at any shard count: per-shard stage-activity and fault
-// counts merge additively in shard order.
-func (b *BatchSim) RunSharded(reqs []Request, shards int, visit func(shard, start int, res []Result)) (Stats, error) {
+// RunSharded is Run over n requests, one a cycle, split into contiguous
+// shards on the sweep worker pool — the coordinator split that lets one
+// engine's simulated throughput scale with cores — that stages no batch and
+// keeps no results. Each shard builds its requests a chunk of up to
+// batchFlights at a time: fill(start, reqs) writes every field of requests
+// start..start+len(reqs)-1 into the shard's own buffer, which is then swept.
+// The shard hands the chunk's results to visit, with its shard number and
+// the chunk's first request index; res is the shard's own buffer and is
+// rewritten by its next chunk. One shard's chunks come in request order from
+// one goroutine; different shards' calls run concurrently, so fill reads
+// only what no one writes during the run and visit keeps per-shard state
+// (shard < shards). Flight walks are independent and the cycle accounting is
+// closed-form, so the chunks and the Stats are byte-identical at any shard
+// count: per-shard stage-activity and fault counts merge additively in shard
+// order.
+func (b *BatchSim) RunSharded(n, shards int, fill func(start int, reqs []Request), visit func(shard, start int, res []Result)) (Stats, error) {
 	if err := b.idle(); err != nil {
 		return Stats{}, err
 	}
-	b.run(reqs, 1, shards, nil, visit)
+	b.run(n, source{fill: fill}, 1, shards, nil, visit)
 	return b.Stats(), nil
 }
 
 // run is the one chunk loop behind Run, RunAppend and RunSharded: it sweeps
-// reqs, one per g cycles, in up to shards contiguous shards, then books the
-// batch. One shard runs on the engine's own arena and adds to its stats in
-// place, as a lone Run did; more run on the sweep pool, each on an arena of
-// its own (kept for the next run) whose deltas merge in shard order.
-func (b *BatchSim) run(reqs []Request, g int64, shards int, out []Result, visit func(shard, start int, res []Result)) {
-	shards = max(1, min(shards, (len(reqs)+batchFlights-1)/batchFlights))
-	per := (len(reqs) + shards - 1) / shards
+// n requests from src, one per g cycles, in up to shards contiguous shards,
+// then books the batch. One shard runs on the engine's own arena and adds to
+// its stats in place, as a lone Run did; more run on the sweep pool, each on
+// an arena of its own (kept for the next run) whose deltas merge in shard
+// order.
+func (b *BatchSim) run(n int, src source, g int64, shards int, out []Result, visit func(shard, start int, res []Result)) {
+	shards = max(1, min(shards, (n+batchFlights-1)/batchFlights))
+	per := (n + shards - 1) / shards
 	startFaults := b.st.Faults // a lone shard bumps b.st in place; snapshot first
 	if shards == 1 {
-		b.runShard(&b.scratch, &b.st, 0, 0, reqs, g, out, visit)
-		b.finish(len(reqs), g, startFaults)
+		b.runShard(&b.scratch, &b.st, 0, 0, n, src, g, out, visit)
+		b.finish(n, g, startFaults)
 		return
 	}
 	if len(b.shards) < shards {
@@ -719,7 +734,7 @@ func (b *BatchSim) run(reqs []Request, g int64, shards int, out []Result, visit 
 		}
 		clear(sc.delta.StageActive)
 		sc.delta.Faults = 0
-		b.runShard(&sc.batchScratch, &sc.delta, i, i*per, reqs[:min(len(reqs), (i+1)*per)], g, out, visit)
+		b.runShard(&sc.batchScratch, &sc.delta, i, i*per, min(n, (i+1)*per), src, g, out, visit)
 		return struct{}{}, nil
 	})
 	for i := range b.shards[:shards] {
@@ -729,30 +744,42 @@ func (b *BatchSim) run(reqs []Request, g int64, shards int, out []Result, visit 
 		}
 		b.st.Faults += d.Faults
 	}
-	b.finish(len(reqs), g, startFaults)
+	b.finish(n, g, startFaults)
 }
 
-// runShard is shard number shard of a batch run: it sweeps reqs[lo:] a chunk
-// of up to batchFlights at a time on arena sc, adding stage activity and
-// faults to st. Each chunk's results go into their place in out or, when out
-// is nil, into the arena's buffer, and are handed to visit, if any.
-func (b *BatchSim) runShard(sc *batchScratch, st *Stats, shard, lo int, reqs []Request, g int64, out []Result, visit func(shard, start int, res []Result)) {
+// runShard is shard number shard of a batch run: it sweeps requests lo..hi-1
+// of src a chunk of up to batchFlights at a time on arena sc, adding stage
+// activity and faults to st. A filled chunk is built in the arena's request
+// buffer just before its sweep. Each chunk's results go into their place in
+// out or, when out is nil, into the arena's buffer, and are handed to visit,
+// if any.
+func (b *BatchSim) runShard(sc *batchScratch, st *Stats, shard, lo, hi int, src source, g int64, out []Result, visit func(shard, start int, res []Result)) {
 	// The arena is sized by the widest chunk, so an audit of a few dozen
 	// probes allocates for those.
-	n := min(len(reqs)-lo, batchFlights)
+	n := min(hi-lo, batchFlights)
 	sc.ensure(n)
+	if src.fill != nil && len(sc.req) < n {
+		sc.req = make([]Request, n)
+	}
 	if out == nil && len(sc.res) < n {
 		sc.res = make([]Result, n)
 	}
-	for start := lo; start < len(reqs); start += batchFlights {
-		m := min(len(reqs)-start, batchFlights)
+	for start := lo; start < hi; start += batchFlights {
+		m := min(hi-start, batchFlights)
+		var reqs []Request
+		if src.fill != nil {
+			reqs = sc.req[:m]
+			src.fill(start, reqs)
+		} else {
+			reqs = src.reqs[start : start+m]
+		}
 		var res []Result
 		if out != nil {
 			res = out[start : start+m]
 		} else {
 			res = sc.res[:m]
 		}
-		b.sweepChunk(reqs[start:start+m], res, sc, st, b.now+int64(start)*g, g)
+		b.sweepChunk(reqs, res, sc, st, b.now+int64(start)*g, g)
 		if visit != nil {
 			visit(shard, start, res)
 		}
@@ -960,10 +987,11 @@ func (sc *batchScratch) level(fl []bFlight, fs *stage, slab []ip.NextHop, bad ui
 // replacement for calling Lookup once per test vector.
 func Lookups(img *Image, reqs []Request) []ip.NextHop {
 	out := make([]ip.NextHop, len(reqs))
-	NewBatchSim(img).RunSharded(reqs, 1, func(_, start int, res []Result) {
+	// A fresh engine is idle, so it runs the chunk loop straight off reqs.
+	NewBatchSim(img).run(len(reqs), source{reqs: reqs}, 1, 1, nil, func(_, start int, res []Result) {
 		for j := range res {
 			out[start+j] = res[j].NHI
 		}
-	}) // a fresh engine is idle: nothing to fail
+	})
 	return out
 }

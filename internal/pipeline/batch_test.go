@@ -176,23 +176,43 @@ func TestBatchedMatchesScalarOnFaultedImages(t *testing.T) {
 	})
 }
 
-// runSharded is RunSharded at the pool's shard count with the chunks placed
-// by their start index, failing t unless every request is visited exactly
-// once, by a shard in range, in chunks of at most batchFlights that come in
-// request order within each shard.
+// fillFrom is the filler that builds each chunk as a copy of its part of
+// reqs.
+func fillFrom(reqs []Request) func(start int, chunk []Request) {
+	return func(start int, chunk []Request) { copy(chunk, reqs[start:start+len(chunk)]) }
+}
+
+// runSharded is RunSharded at the pool's shard count, filled from reqs, with
+// the chunks placed by their start index. It fails t unless every request is
+// filled exactly once, in chunks of 1..batchFlights, and each chunk is
+// visited once, right after its fill and with as many results, by a shard in
+// range, in request order within each shard. A chunk's fill and visit run on
+// the shard's goroutine and chunks are disjoint, so the tallies need no lock.
 func runSharded(t *testing.T, b *BatchSim, reqs []Request) ([]Result, Stats) {
 	t.Helper()
 	shards := Shards(len(reqs))
 	got := make([]Result, len(reqs))
+	filled := make([]int, len(reqs))
 	seen := make([]int, len(reqs))
-	next := make([]int, shards) // each shard's chunks move forward
+	chunk := make([]int, len(reqs)) // length of the chunk filled at each start
+	next := make([]int, shards)     // each shard's chunks move forward
 	bad := make([]string, shards)
-	st, err := b.RunSharded(reqs, shards, func(shard, start int, res []Result) {
+	fill := func(start int, rs []Request) {
+		if len(rs) == 0 || len(rs) > batchFlights {
+			panic(fmt.Sprintf("a chunk of %d requests filled at %d", len(rs), start))
+		}
+		chunk[start] = len(rs)
+		for j := range rs {
+			filled[start+j]++
+		}
+		fillFrom(reqs)(start, rs)
+	}
+	st, err := b.RunSharded(len(reqs), shards, fill, func(shard, start int, res []Result) {
 		switch {
 		case shard < 0 || shard >= shards:
 			panic(fmt.Sprintf("shard %d of %d", shard, shards))
-		case len(res) == 0 || len(res) > batchFlights:
-			bad[shard] = fmt.Sprintf("a chunk of %d results", len(res))
+		case len(res) != chunk[start]:
+			bad[shard] = fmt.Sprintf("%d results for the chunk of %d filled at %d", len(res), chunk[start], start)
 		case start < next[shard]:
 			bad[shard] = fmt.Sprintf("chunk at %d after one ending at %d", start, next[shard])
 		}
@@ -210,18 +230,18 @@ func runSharded(t *testing.T, b *BatchSim, reqs []Request) ([]Result, Stats) {
 			t.Fatalf("shard %d of %d: %s", shard, shards, msg)
 		}
 	}
-	for i, n := range seen {
-		if n != 1 {
-			t.Fatalf("request %d of %d visited %d times", i, len(reqs), n)
+	for i := range seen {
+		if filled[i] != 1 || seen[i] != 1 {
+			t.Fatalf("request %d of %d filled %d times, visited %d times", i, len(reqs), filled[i], seen[i])
 		}
 	}
 	return got, st
 }
 
-// TestRunShardedVisitsEveryChunk proves the chunk loop changes nothing
+// TestRunShardedVisitsEveryChunk proves the filled chunk loop changes nothing
 // observable: at any worker count and around every shard and chunk boundary,
-// the visited chunks placed by their start index are Run's results (itself
-// scalar-identical) and the stats are Run's.
+// every request is filled once, and the visited chunks placed by their start
+// index are Run's results (itself scalar-identical) and the stats are Run's.
 func TestRunShardedVisitsEveryChunk(t *testing.T) {
 	img := compileMerged(t, 4, 500, 31, 28)
 	rng := rand.New(rand.NewSource(32))
@@ -249,22 +269,23 @@ func TestRunShardedVisitsEveryChunk(t *testing.T) {
 	}
 }
 
-// TestRunShardedAllocsFlat pins that a sharded run keeps no results: with
-// warm arenas, what an untraced call allocates — objects and bytes — is the
-// fan-out's, no more at 65 536 requests than at 4 096.
+// TestRunShardedAllocsFlat pins that a sharded run stages no batch and keeps
+// no results: with warm arenas, what an untraced call allocates — objects and
+// bytes — is the fan-out's, no more at 65 536 requests than at 4 096, at
+// every worker count.
 func TestRunShardedAllocsFlat(t *testing.T) {
 	img := compileSingle(t, genTable(t, 500, 43), 28)
 	rng := rand.New(rand.NewSource(44))
 	defer sweep.SetWorkers(0)
-	sweep.SetWorkers(2)
-	var nhi [2]ip.NextHop // one per shard: shards visit concurrently
+	var nhi [8]ip.NextHop // one per shard: shards visit concurrently
 	visit := func(shard, _ int, res []Result) { nhi[shard] ^= res[0].NHI }
 	perCall := func(n int) (objects, bytes float64) {
 		reqs := randReqs(rng, n, 1, 0)
+		fill := fillFrom(reqs)
 		sim := NewBatchSim(img)
 		run := func() {
 			sim.Reset()
-			if _, err := sim.RunSharded(reqs, Shards(n), visit); err != nil {
+			if _, err := sim.RunSharded(n, Shards(n), fill, visit); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -278,13 +299,17 @@ func TestRunShardedAllocsFlat(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return float64(after.Mallocs-before.Mallocs) / calls, float64(after.TotalAlloc-before.TotalAlloc) / calls
 	}
-	smallN, smallB := perCall(4096)
-	largeN, largeB := perCall(65536)
-	t.Logf("per call: %.1f objects, %.0f B at 4096 requests; %.1f objects, %.0f B at 65536", smallN, smallB, largeN, largeB)
-	// The slack absorbs the runtime's own allocations (goroutine scheduling);
-	// a []Result of the batch would be megabytes more at 65536 requests.
-	if largeN > smallN+2 || largeB > smallB+16<<10 {
-		t.Errorf("untraced RunSharded allocates %.1f objects, %.0f B a call at 65536 requests, %.1f, %.0f B at 4096: want no growth", largeN, largeB, smallN, smallB)
+	for _, workers := range []int{1, 2, 3, 8} {
+		sweep.SetWorkers(workers)
+		smallN, smallB := perCall(4096)
+		largeN, largeB := perCall(65536)
+		t.Logf("workers=%d, per call: %.1f objects, %.0f B at 4096 requests; %.1f objects, %.0f B at 65536", workers, smallN, smallB, largeN, largeB)
+		// The slack absorbs the runtime's own allocations (goroutine
+		// scheduling); a []Request or []Result of the batch would be megabytes
+		// more at 65536 requests.
+		if largeN > smallN+2 || largeB > smallB+16<<10 {
+			t.Errorf("workers=%d: untraced RunSharded allocates %.1f objects, %.0f B a call at 65536 requests, %.1f, %.0f B at 4096: want no growth", workers, largeN, largeB, smallN, smallB)
+		}
 	}
 }
 

@@ -259,7 +259,7 @@ func TestConcurrentClonesOfSharedImage(t *testing.T) {
 			reqs := randReqs(rand.New(rand.NewSource(int64(w))), 600, 2, 37)
 			eng := NewBatchSim(shared)
 			eng.EnableParityCheck()
-			if st, err := eng.RunSharded(reqs, 2, func(int, int, []Result) {}); err != nil || st.Faults != 0 {
+			if st, err := eng.RunSharded(len(reqs), 2, fillFrom(reqs), func(int, int, []Result) {}); err != nil || st.Faults != 0 {
 				t.Errorf("worker %d: sharded run over the shared image: %d faults, err %v", w, st.Faults, err)
 			}
 			for _, r := range reqs[:40] {

@@ -15,16 +15,15 @@ import (
 	"vrpower/internal/rib"
 )
 
-// Packet is one generated packet.
+// Packet is one generated packet: a destination address and the virtual
+// network it belongs to. Every packet is packetBytes on the wire.
 type Packet struct {
 	Addr ip.Addr
 	VN   int
-	// SizeBytes is the wire size: 40 bytes, the minimum packet the paper's
-	// throughput metric assumes (Section VI-B).
-	SizeBytes int
 }
 
-// packetBytes is every packet's wire size.
+// packetBytes is every packet's wire size: 40 bytes, the minimum packet the
+// paper's throughput metric assumes (Section VI-B).
 const packetBytes = 40
 
 // zipfS is the Zipf skew parameter of the Zipf distribution.
@@ -183,5 +182,5 @@ func (g *Generator) Bernoulli(p float64) bool {
 // NextFor generates one packet pinned to the given virtual network,
 // bypassing the VN distribution (for per-VN arrival processes).
 func (g *Generator) NextFor(vn int) Packet {
-	return Packet{Addr: g.pickAddr(vn), VN: vn, SizeBytes: packetBytes}
+	return Packet{Addr: g.pickAddr(vn), VN: vn}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"vrpower/internal/ip"
+	"vrpower/internal/packet"
 	"vrpower/internal/rib"
 )
 
@@ -65,14 +66,30 @@ func TestZipfSkew(t *testing.T) {
 	}
 }
 
+// TestPacketSizes: every packet is the paper's 40-byte minimum on the wire —
+// a frame Frames emits carries an IPv4 packet of total length packetBytes,
+// behind its Ethernet and VLAN headers — and NextFor keeps the VN it is given.
 func TestPacketSizes(t *testing.T) {
-	g, err := New(Config{K: 1, Seed: 4})
+	g, err := New(Config{K: 3, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range append(g.Batch(100), g.NextFor(0)) {
-		if p.SizeBytes != 40 {
-			t.Fatalf("packet size %d, want 40 (paper minimum)", p.SizeBytes)
+	frames, err := g.Frames(100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, buf := range frames {
+		f, err := packet.Parse(buf)
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if f.TotalLen != 40 || len(buf) != packet.EthHeaderLen+packet.VLANTagLen+40 {
+			t.Fatalf("frame %d: IPv4 total length %d in a %d-byte frame, want the 40-byte paper minimum", i, f.TotalLen, len(buf))
+		}
+	}
+	for vn := 0; vn < 3; vn++ {
+		if p := g.NextFor(vn); p.VN != vn {
+			t.Fatalf("NextFor(%d) gave a packet of VN %d", vn, p.VN)
 		}
 	}
 }
