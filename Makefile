@@ -4,7 +4,7 @@
 #   make bench      = every benchmark with allocation counts
 GO ?= go
 
-.PHONY: all build test race governor-smoke scenario-smoke chaos-smoke fleet-smoke forward-smoke figures-smoke fuzz-smoke fuzz-batch-smoke vet vuln bench bench-gate bench-baseline bench-test bench-e2e loc loc-diff digest-diff alloc-diff
+.PHONY: all build test race governor-smoke scenario-smoke chaos-smoke fleet-smoke forward-smoke figures-smoke fuzz-smoke fuzz-batch-smoke vet vuln bench bench-gate bench-baseline bench-test bench-e2e loc loc-diff digest-diff alloc-diff pair-diff
 
 all: build test
 
@@ -311,3 +311,45 @@ alloc-diff:
 	awk 'BEGIN { printf "%-16s %10s %10s %8s\n", "workload", "base", "now", "delta%" } \
 		{ d = ($$4 - $$2) / $$2 * 100; printf "%-16s %10.4f %10.4f %+7.2f%%\n", $$1, $$2, $$4, d; if (d > 2) bad = 1 } \
 		END { if (bad) { print "alloc-diff: alloc_mb rose by more than 2% on a workload" > "/dev/stderr"; exit 1 } }'
+
+# Host-time pairs for a claimed gain: the bench built once at BASE (extracted
+# like digest-diff's) and once in the working tree, then for each seed one run
+# of workload W on each side back to back, alternating which side runs first.
+# Prints "seed base now ratio" for lookups_per_s and wall_s, then per side the
+# median and quartiles, the pairs the tree wins and whether the medians differ
+# by more than BASE's interquartile spread (ROADMAP "Gains are measured").
+# Host time is not a gate on a shared 2-vCPU box, so this gates nothing.
+W ?= fleet_failover
+SEEDS ?= 1 2 3 4 5 6 7 8 9 10
+SECONDS ?= 3
+PAIR_RUN = (cd "$$1" && .bench_build/bench --workload $(W) --seed $$2 --seconds $(SECONDS)) | \
+	awk '$$1 == "lookups_per_s" { l = $$2 } $$1 == "wall_s" { w = $$2 } END { print l, w }'
+pair-diff:
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	git archive $(BASE) | tar -x -C "$$tmp" && \
+	(cd "$$tmp" && bash bench/run.sh --help >/dev/null 2>&1; test -x .bench_build/bench) && \
+	(bash bench/run.sh --help >/dev/null 2>&1; test -x .bench_build/bench) || { echo "pair-diff: bench build failed" >&2; exit 1; }; \
+	run() { $(PAIR_RUN); }; i=0; \
+	for s in $(SEEDS); do \
+		if [ $$((i % 2)) -eq 0 ]; then b=$$(run "$$tmp" $$s); n=$$(run . $$s); \
+		else n=$$(run . $$s); b=$$(run "$$tmp" $$s); fi; \
+		echo "$$s $$b $$n"; i=$$((i + 1)); \
+	done | awk 'function q(v, n, p,   h, k) { h = p * (n - 1) + 1; k = int(h); return v[k] + (h - k) * (v[k + 1] - v[k]) } \
+		function stats(name, col, better,   i, j, t, n, b, c, wins) { \
+			n = 0; for (i in seed) { n++; b[n] = base[i, col]; c[n] = now[i, col]; \
+				if (better == "higher" ? now[i, col] > base[i, col] : now[i, col] < base[i, col]) wins++ } \
+			for (i = 2; i <= n; i++) for (j = i; j > 1 && b[j - 1] > b[j]; j--) { t = b[j]; b[j] = b[j - 1]; b[j - 1] = t } \
+			for (i = 2; i <= n; i++) for (j = i; j > 1 && c[j - 1] > c[j]; j--) { t = c[j]; c[j] = c[j - 1]; c[j - 1] = t } \
+			mb = q(b, n, 0.5); mc = q(c, n, 0.5); iqr = q(b, n, 0.75) - q(b, n, 0.25); \
+			printf "%s (%s is better)\n", name, better; \
+			printf "  base  median %g  quartiles %g %g\n", mb, q(b, n, 0.25), q(b, n, 0.75); \
+			printf "  now   median %g  quartiles %g %g\n", mc, q(c, n, 0.25), q(c, n, 0.75); \
+			printf "  median ratio %.3f; the tree wins %d of %d pairs; medians differ by %s the base IQR\n", \
+				mc / mb, wins, n, (mc - mb > iqr || mb - mc > iqr) ? "more than" : "no more than" } \
+		{ seed[NR] = $$1; base[NR, 1] = $$2; base[NR, 2] = $$3; now[NR, 1] = $$4; now[NR, 2] = $$5; \
+			lines[NR] = sprintf("%-5s %12g %12g %7.3f   %10g %10g %7.3f", $$1, $$2, $$4, $$4 / $$2, $$3, $$5, $$5 / $$3) } \
+		END { printf "workload $(W): alternated pairs, $(SECONDS) s a run\n"; \
+			printf "%-5s %12s %12s %7s   %10s %10s %7s\n", "seed", "base", "now", "ratio", "base", "now", "ratio"; \
+			printf "%-5s %34s   %29s\n", "", "lookups_per_s", "wall_s"; \
+			for (i = 1; i <= NR; i++) print lines[i]; \
+			stats("lookups_per_s", 1, "higher"); stats("wall_s", 2, "lower") }'

@@ -267,8 +267,8 @@ func (f scenFaults) PreSlice(b, n int64, draining bool) error {
 		for eIdx, e := range r.devs[0].engines {
 			for _, u := range r.in.UpsetsThrough(eIdx, b+n) {
 				// In-flight lookups see the flipped word from the stage they
-				// have reached onward, as in hardware: the engine reads
-				// the image's words in place and is told before the write.
+				// have reached onward, as in hardware: the engine reads the
+				// words in place and is settled (here, at a boundary) first.
 				e.sim.Patch(func() { faults.ApplyUpset(e.fs.img, u) })
 				rep.SEUs = append(rep.SEUs, SEURecord{Upset: u, DetectedAt: -1, RepairedAt: -1})
 				e.fs.outstanding = append(e.fs.outstanding, len(rep.SEUs)-1)

@@ -232,8 +232,10 @@ type scenEng struct {
 	// fs is the fault lifecycle over the serving image (down/dead flags,
 	// sweep cursor, outstanding upsets, pending reload).
 	fs engState
-	// flights is the lookups pushed into sim and not settled yet, oldest first.
+	// flights is the lookups pushed into sim and not settled yet, oldest
+	// first; pending counts them by served network, for a flush.
 	flights []inflight
+	pending []int64
 	// rrNext is the engine's round-robin pointer over its ingress queues;
 	// utilCur the (active, cycles) cursor of its slice utilisation.
 	rrNext  int
@@ -361,7 +363,7 @@ func newSim(img *pipeline.Image) *pipeline.BatchSim {
 // and points their arrivals at it.
 func (r *scenRun) newEngine(dev *device, img *pipeline.Image, vns []int) *scenEng {
 	e := &scenEng{dev: dev, idx: len(dev.engines), served: vns, sim: newSim(img),
-		flights: newFlights(img), fs: engState{img: img, repairAt: -1}, doneAt: -1}
+		flights: newFlights(img), pending: make([]int64, len(vns)), fs: engState{img: img, repairAt: -1}, doneAt: -1}
 	dev.engines = append(dev.engines, e)
 	for _, vn := range vns {
 		r.home[vn] = e
@@ -438,9 +440,10 @@ func (r *scenRun) refuse(vn int, n int64) {
 // flushExits drops an engine's in-flight lookups when it goes down: the
 // pipeline's contents are lost with the reload, the rebuild or the corpse.
 func (r *scenRun) flushExits(e *scenEng) {
-	for _, m := range e.flights {
-		r.refuse(int(m.vn), 1)
+	for j, n := range e.pending {
+		r.refuse(e.served[j], n)
 	}
+	clear(e.pending)
 	e.flights = e.flights[:0]
 }
 
@@ -478,12 +481,16 @@ func (r *scenRun) Outstanding() bool {
 // network's index in e.served: the request VNID, taken here and not at
 // enqueue because a network that migrated has changed serving index.
 func (r *scenRun) nextQueued(e *scenEng) (queued, int, bool) {
-	vns := e.served
-	for i := range vns {
-		j := (e.rrNext + i) % len(vns)
+	vns, j := e.served, e.rrNext
+	for range vns {
 		if q := &r.queues[vns[j]]; q.len() > 0 {
-			e.rrNext = (j + 1) % len(vns)
+			if e.rrNext = j + 1; e.rrNext == len(vns) {
+				e.rrNext = 0
+			}
 			return q.pop(), j, true
+		}
+		if j++; j == len(vns) {
+			j = 0
 		}
 	}
 	return queued{}, 0, false
@@ -575,7 +582,8 @@ func (r *scenRun) serve(cyc int64) error {
 				}
 				dev.meter.Bubble(eIdx, e.batch.VN)
 			} else if q, j, ok := r.nextQueued(e); ok {
-				e.flights = append(e.flights, inflight{arrival: q.arrival, ref: r.refs[q.vn], vn: q.vn})
+				e.flights = append(e.flights, inflight{arrival: q.arrival, ref: r.refs[q.vn]})
+				e.pending[j]++
 				e.sim.Inject(pipeline.Request{Addr: q.addr, VN: j, Trace: r.st.traced(q)}, cyc)
 			} else {
 				e.sim.Idle(cyc)
@@ -590,12 +598,12 @@ func (r *scenRun) serve(cyc int64) error {
 
 // RunSlice executes cycles [b, b+n): shaped arrivals into the ingress queues
 // (live slices only), then one service step per engine per cycle, all on the
-// coordinator; the exits are settled every pipeline.DrainWindow cycles and at
-// the slice's end, in serve order — device by device, engine by engine.
+// coordinator. The slice is the batch: each engine is settled at its end
+// (every pipeline.SettleCycles cycles of a longer one), in serve order.
 func (r *scenRun) RunSlice(b, n int64, live bool) (scenario.SliceStats, error) {
 	before := r.st.total
-	for c := b; c < b+n; c += pipeline.DrainWindow {
-		for cyc, end := c, min(c+pipeline.DrainWindow, b+n); cyc < end; cyc++ {
+	for c := b; c < b+n; c += pipeline.SettleCycles {
+		for cyc, end := c, min(c+pipeline.SettleCycles, b+n); cyc < end; cyc++ {
 			if live {
 				r.arrive(cyc)
 			}
@@ -605,7 +613,7 @@ func (r *scenRun) RunSlice(b, n int64, live bool) (scenario.SliceStats, error) {
 		}
 		for d, dev := range r.devs {
 			for eIdx, e := range dev.engines {
-				if n := r.st.settle(e.sim, &e.flights, dev.meter, eIdx, r.traceEngine(dev, eIdx), d<<16|eIdx); n > 0 {
+				if n := r.st.settle(e, dev.meter, eIdx, r.traceEngine(dev, eIdx), d<<16|eIdx); n > 0 {
 					obsFaultDrops.Add(n)
 					if e.fs.detectVia == "" {
 						e.fs.detectVia = ViaAccess

@@ -4,13 +4,13 @@ package netsim
 // Nothing the runner schedules — arrivals, queue pops, write bubbles,
 // governor pacing — depends on what a lookup resolves to, so a serve loop's
 // cycle only schedules: it pops a queued packet, remembers it in the engine's
-// in-flight list and pushes it into the engine, which hands nothing back. The
-// exits are settled engine by engine, a batch at a time — oracle check,
-// per-network counters, delay, trace, energy — after at most
-// pipeline.DrainWindow cycles and at every slice end, before any stressor,
-// Stats read, Outstanding or flush sees the engine: settled, an engine's
-// in-flight list holds exactly the lookups still in its pipe, as it did
-// after every cycle when exits were handled one by one.
+// in-flight list and pushes it into the engine, which records it; an idle
+// cycle only ticks the engine's clock. The slice is the batch: at every slice
+// end (and every pipeline.SettleCycles cycles of a longer slice) each engine
+// walks what it recorded up to its clock, and its exits are settled — oracle
+// check, counters, delay, trace, energy — before any stressor, Stats read,
+// Outstanding or flush sees it. Settled, an engine's in-flight list holds
+// exactly the lookups still in its pipe.
 
 import (
 	"sort"
@@ -31,19 +31,17 @@ type queued struct {
 }
 
 // inflight is what a runner keeps of a lookup it has pushed into an engine
-// until the exit is settled, oldest first per engine.
+// until the exit is settled, oldest first per engine. Its network is the
+// one the engine serves at the exit's VN.
 type inflight struct {
 	arrival int64
-	// ref is the reference table of the injection epoch, which the exit is
-	// checked against.
-	ref *ip.Table
-	vn  int32
+	ref     *ip.Table // the oracle of the injection epoch, the exit's check
 }
 
 // newFlights returns an empty in-flight list for an engine over img, with
-// room for all it can ever hold: a pipe-full plus a drain window.
+// room for all it can hold: a pipe-full plus SettleCycles.
 func newFlights(img *pipeline.Image) []inflight {
-	return make([]inflight, 0, img.Stages()+pipeline.DrainWindow)
+	return make([]inflight, 0, img.Stages()+pipeline.SettleCycles)
 }
 
 // heldTrace is a flight trace built while settling, waiting to be put in the
@@ -72,7 +70,6 @@ type settler struct {
 	// total is the delivered lookups and delaySum their arrival-to-exit cycles.
 	total, delaySum int64
 
-	exits  []pipeline.Exit
 	counts []int64 // the exits being settled, by vn*stages + last stage
 	held   []heldTrace
 }
@@ -88,63 +85,58 @@ func (t *settler) traced(q queued) bool {
 	return t.tel.Tracing() && t.tel.Sampler.Sample(int(q.vn), t.seq(q.arrival, q.vn))
 }
 
-// settle takes the exits sim has for the lookups at the front of fl and does
-// for each what the cycle it left on used to: the check against the oracle of
-// its injection epoch, the counters, the delay up to the runner's cycle stamp
+// settle settles e's engine and does for each exit, against the lookup at
+// the front of e.flights, what the cycle it left on used to: the check
+// against its injection epoch's oracle, the counters, the delay to the stamp
 // of that step, the trace. The meter is charged once per (network, last
-// stage) count — a lookup's energy is a function of those alone, in integer
-// femtojoules, so the sum is the same. e is the engine's index in meter's
-// model, telEngine its name in traces, order its place in the serve order.
-// It returns how many of the exits were parity-refused.
-func (t *settler) settle(sim *pipeline.BatchSim, fl *[]inflight, meter *energy.Meter, e, telEngine, order int) (faults int64) {
-	if t.exits == nil {
-		t.exits = make([]pipeline.Exit, 0, pipeline.DrainWindow)
-	}
-	t.exits = sim.Drain(t.exits[:0])
-	if len(t.exits) == 0 {
-		return 0
-	}
-	settled := (*fl)[:len(t.exits)]
-	stages := meter.Model().Engines[e].Stages()
+// stage) count, in integer femtojoules, so the sum is the same. eIdx is the
+// engine in meter's model, telEngine its name in traces, order its place in
+// the serve order. It returns how many exits were parity-refused.
+func (t *settler) settle(e *scenEng, meter *energy.Meter, eIdx, telEngine, order int) (faults int64) {
+	stages := meter.Model().Engines[eIdx].Stages()
 	if need := len(t.delivered) * stages; len(t.counts) < need {
 		t.counts = make([]int64, need)
 	}
-	lo, hi := int32(len(t.delivered)), int32(-1)
-	for i := range t.exits {
-		x, m := &t.exits[i], &settled[i]
-		t.counts[int(m.vn)*stages+x.LastStage]++
-		lo, hi = min(lo, m.vn), max(hi, m.vn)
-		outcome := "forward"
-		switch {
-		case x.Faulted:
-			// Corruption read mid-lookup: drop, never misforward.
-			faults++
-			t.dropped[m.vn]++
-			t.dropVN[m.vn].Inc()
-			outcome = "drop-fault"
-		case x.NHI != m.ref.Lookup(x.Addr):
-			t.mismatches++
-			outcome = "mismatch"
-		default:
-			t.delivered[m.vn]++
-			t.total++
-			t.delaySum += x.Stamp - m.arrival
-			if x.NHI == ip.NoRoute {
-				t.noRoute++
-				outcome = "noroute"
+	settled := 0
+	e.sim.Drain(func(exits []pipeline.Exit) {
+		for i := range exits {
+			x, m := &exits[i], &e.flights[settled+i]
+			e.pending[x.VN]--
+			vn := int32(e.served[x.VN])
+			t.counts[int(vn)*stages+x.LastStage]++
+			outcome := "forward"
+			switch {
+			case x.Faulted:
+				// Corruption read mid-lookup: drop, never misforward.
+				faults++
+				t.dropped[vn]++
+				t.dropVN[vn].Inc()
+				outcome = "drop-fault"
+			case x.NHI != m.ref.Lookup(x.Addr):
+				t.mismatches++
+				outcome = "mismatch"
+			default:
+				t.delivered[vn]++
+				t.total++
+				t.delaySum += x.Stamp - m.arrival
+				if x.NHI == ip.NoRoute {
+					t.noRoute++
+					outcome = "noroute"
+				}
+			}
+			if x.Trace {
+				t.held = append(t.held, heldTrace{x.Stamp, order,
+					scenario.LookupTrace(t.seq(m.arrival, vn), int(vn), telEngine, 0, x.Result, x.EnterCycle-m.arrival, outcome)})
 			}
 		}
-		if x.Trace {
-			t.held = append(t.held, heldTrace{x.Stamp, order,
-				scenario.LookupTrace(t.seq(m.arrival, m.vn), int(m.vn), telEngine, 0, x.Result(), x.EnterCycle-m.arrival, outcome)})
-		}
-	}
+		settled += len(exits)
+	})
 	t.faulted += faults
-	*fl = (*fl)[:copy(*fl, (*fl)[len(settled):])]
-	for vn := int(lo); vn <= int(hi); vn++ {
+	e.flights = e.flights[:copy(e.flights, e.flights[settled:])]
+	for _, vn := range e.served {
 		row := t.counts[vn*stages : (vn+1)*stages]
 		for last, n := range row {
-			meter.LookupN(e, vn, last, n)
+			meter.LookupN(eIdx, vn, last, n)
 			row[last] = 0
 		}
 	}

@@ -8,6 +8,7 @@ package netsim
 // time, each with an assertion that names what went wrong.
 
 import (
+	"fmt"
 	"sort"
 	"strconv"
 	"testing"
@@ -192,10 +193,12 @@ func TestSettleAcrossCommitBubbleAndFlush(t *testing.T) {
 		}
 		st := &settler{tel: noTelemetry, seqStride: 1, delivered: make([]int64, 1), dropped: make([]int64, 1),
 			dropVN: []*obs.Counter{obs.NewCounter("netsim.fault_drops.vn00")}} // the run's K=1 fixture
-		meter, flights, cyc := s.meter(), newFlights(images[0]), int64(0)
+		meter, cyc := s.meter(), int64(0)
+		e := &scenEng{sim: sim, served: []int{0}, flights: newFlights(images[0]), pending: make([]int64, 1)}
 		inject := func(ref *ip.Table) {
 			for _, a := range moved {
-				flights = append(flights, inflight{arrival: cyc, ref: ref})
+				e.flights = append(e.flights, inflight{arrival: cyc, ref: ref})
+				e.pending[0]++
 				sim.Inject(pipeline.Request{Addr: a}, cyc)
 				cyc++
 			}
@@ -214,17 +217,17 @@ func TestSettleAcrossCommitBubbleAndFlush(t *testing.T) {
 		}
 		// The commit bubble has just left: every lookup ahead of it has too,
 		// none behind it has, and nothing is settled yet.
-		st.settle(sim, &flights, meter, 0, 0, 0)
-		if len(flights) != len(moved) {
-			t.Fatalf("%d lookups in flight after settling, want the %d still in the pipe", len(flights), len(moved))
+		st.settle(e, meter, 0, 0, 0)
+		if len(e.flights) != len(moved) || e.pending[0] != int64(len(moved)) {
+			t.Fatalf("%d lookups in flight after settling (%d counted), want the %d still in the pipe", len(e.flights), e.pending[0], len(moved))
 		}
 		for i := 0; i < stages; i++ {
 			sim.Idle(cyc)
 			cyc++
 		}
-		st.settle(sim, &flights, meter, 0, 0, 0)
-		if len(flights) != 0 || st.total+st.mismatches != int64(2*len(moved)) || st.faulted != 0 {
-			t.Fatalf("%d in flight, %d delivered, %d mismatched, %d refused of %d lookups", len(flights), st.total, st.mismatches, st.faulted, 2*len(moved))
+		st.settle(e, meter, 0, 0, 0)
+		if len(e.flights) != 0 || e.pending[0] != 0 || st.total+st.mismatches != int64(2*len(moved)) || st.faulted != 0 {
+			t.Fatalf("%d in flight, %d delivered, %d mismatched, %d refused of %d lookups", len(e.flights), st.total, st.mismatches, st.faulted, 2*len(moved))
 		}
 		if meter.Lookups != int64(2*len(moved)) || st.delaySum != st.total*int64(stages) {
 			t.Fatalf("meter charged %d lookups, %d delivered with delays summing to %d; want %d charged and a pipe depth of %d each",
@@ -238,5 +241,26 @@ func TestSettleAcrossCommitBubbleAndFlush(t *testing.T) {
 	if st := run(newRef, newRef); st.mismatches != int64(len(moved)) {
 		t.Errorf("%d mismatches with the lookups ahead of the commit bubble checked against the new table, want %d: the check has no teeth",
 			st.mismatches, len(moved))
+	}
+}
+
+// TestLongSliceSettlesEveryEngineBound: a slice 64 times pipeline.SettleCycles
+// long is settled every SettleCycles cycles, so no engine is stepped past its
+// bound (it would panic) and no in-flight list — an engine's unsettled
+// lookups — outgrows the room newFlights gives it, Stages+SettleCycles.
+func TestLongSliceSettlesEveryEngineBound(t *testing.T) {
+	s, _ := buildSystem(t, core.VS, 2)
+	spec := mustParse(t, fmt.Sprintf("load=const:0.95,slice=%d,cycles=%d", 64*pipeline.SettleCycles, 128*pipeline.SettleCycles))
+	r, err := s.runScenario(faultGen(t, s, 5), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.rep.SliceCycles != 64*pipeline.SettleCycles || !r.rep.Completed || r.rep.Mismatches != 0 {
+		t.Fatalf("%d-cycle slices, completed %v, %d mismatches", r.rep.SliceCycles, r.rep.Completed, r.rep.Mismatches)
+	}
+	for _, e := range r.devs[0].engines {
+		if bound := e.fs.img.Stages() + pipeline.SettleCycles; cap(e.flights) != bound {
+			t.Errorf("engine %d: in-flight list grew to %d, want it within Stages+SettleCycles = %d", e.idx, cap(e.flights), bound)
+		}
 	}
 }

@@ -50,7 +50,7 @@ func TestAbortUpdateBeforeCommitBubble(t *testing.T) {
 	for _, r := range oldTbl.Routes[:20] {
 		addrs = append(addrs, r.Prefix.Addr)
 	}
-	assertServes(t, sim.img, ref.Lookup, addrs)
+	assertServes(t, sim.cur, ref.Lookup, addrs)
 	// A fresh update can be armed and committed after the abort.
 	if err := sim.BeginUpdate(newImg, 1); err != nil {
 		t.Fatalf("re-arm after abort: %v", err)
@@ -66,7 +66,7 @@ func TestAbortUpdateBeforeCommitBubble(t *testing.T) {
 	for _, r := range newTbl.Routes[:20] {
 		addrs = append(addrs, r.Prefix.Addr)
 	}
-	assertServes(t, sim.img, newRef.Lookup, addrs)
+	assertServes(t, sim.cur, newRef.Lookup, addrs)
 }
 
 // TestAbortUpdateRejectedAfterCommitBubble: once the commit bubble is in

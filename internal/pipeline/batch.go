@@ -1,23 +1,19 @@
 package pipeline
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
+	"sync"
 
 	"vrpower/internal/ip"
 	"vrpower/internal/obs"
 	"vrpower/internal/sweep"
 )
 
-// batchFlights is the per-slice batch width: the flight arena for one slice
-// (index, address, VN, next hop, fault flag ≈ 20 bytes per flight) stays
-// resident in L1 while a stage sweep streams the stage's word slices past
-// it.
+// batchFlights is the batch width: the flight arena for one chunk (≈ 20
+// bytes a flight) stays in L1 while a sweep streams a stage's words past it.
 const batchFlights = 512
-
-// shardMinReqs is the smallest request count Shards splits; below it the
-// fan-out overhead beats the parallelism.
-const shardMinReqs = 2 * batchFlights
 
 // Per-request flags, indexed by position within the chunk.
 const (
@@ -36,9 +32,9 @@ type bFlight struct {
 }
 
 // batchScratch is one worker's flight arena: index-based flight records in a
-// flat slice plus per-position result slots, reused across runs, so the
-// untraced batched path performs zero per-lookup heap allocations (the
-// scalar engine's pooled *flight objects become plain array slots).
+// flat slice plus per-position result slots, reused across runs and engines
+// (arenas), so the untraced batched path performs zero per-lookup heap
+// allocations.
 type batchScratch struct {
 	fl   []bFlight    // live flights, dense, compacted every sweep step
 	nhi  []ip.NextHop // resolved next hop, by chunk position
@@ -49,13 +45,8 @@ type batchScratch struct {
 	// a filler writes and the results a visitor reads, a chunk at a time.
 	req []Request
 	res []Result
-}
-
-// shardArena is the arena of one shard of a fanned-out batch run, with what
-// the shard adds to the engine's stage activity and fault count.
-type shardArena struct {
-	batchScratch
-	delta Stats
+	// exits is a streaming Drain's buffer, a run of exits at a time.
+	exits []Exit
 }
 
 func (sc *batchScratch) ensure(n int) {
@@ -68,551 +59,417 @@ func (sc *batchScratch) ensure(n int) {
 	sc.last = make([]uint8, n)
 }
 
-// DrainWindow is how many input slots may leave the pipe between two Drain
-// calls: an engine holds the Stages slots in its pipe plus at most this many
-// that have left and wait to be walked and handed back. A slice runner steps
-// its engines at most DrainWindow cycles between settles.
-const DrainWindow = 256
+// SettleCycles is the most steps a streaming engine takes between two
+// Drains, so its log holds at most Stages+SettleCycles records. A slice
+// runner settles its engines at every slice end and every SettleCycles
+// cycles of a longer slice.
+const SettleCycles = 1024
 
-// slot is one input slot of the streaming window: a lookup, a write bubble or
-// an idle cycle, 32 bytes. A lookup's walk is done at the latest by the Drain
-// that hands it back, and may have run ahead of the cycle clock before: done,
-// faulted, nhi and last are then the lookup's whole future, while (idx, stage)
-// stay where the cycle clock last had to be honoured. A traced lookup's visits
-// are in the engine's side log, at the slot's index.
-type slot struct {
-	// stamp is the caller's cycle stamp of the step that pushed this slot — the
-	// step on which the slot pushed Stages steps earlier left the pipe.
-	stamp int64
+// rec is one record of the streaming log, 12 bytes: a lookup or a write
+// bubble, in entry order (an idle step has none). nhi and last hold a
+// lookup's verdict once its walk has ended.
+type rec struct {
 	addr  uint32
-	vn    int32 // out-of-int32 VNs clamp to -1: the same no-route verdict
-	// idx and stage are the walk's checkpoint: the entry index in the next
-	// stage to walk, as of the last point where the image or the check
-	// changed under this lookup (injection: entry 0 of stage 0). A traced
-	// lookup's visits in stages below stage belong to it too.
-	idx uint32
-	nhi ip.NextHop
-	// newUntil is the last stage whose traced visits read the shadow bank
-	// while the commit bubble ahead was still in the pipe (-1: none).
-	newUntil int16
-	kind     uint8 // slotEmpty / slotLookup / slotBubble / slotCommit
-	flags    uint8 // slotDone / slotFaulted / slotTraced
-	gen      uint8 // image generation the lookup reads: BatchSim.gen at injection, +1 behind a commit bubble (mod 256; two are live at most)
-	stage    uint8
-	last     uint8 // the stage a finished walk ended in
+	vn    int16 // outside int16, -1: it misses every leaf as the VN would
+	nhi   ip.NextHop
+	at    uint16 // the step it entered on, counted from BatchSim.base
+	flags uint8
+	last  uint8 // the stage the walk ended in; one that never ends, the last
 }
 
 const (
-	slotEmpty uint8 = iota
-	slotLookup
-	slotBubble
-	slotCommit // the final write bubble: banks flip as it leaves
+	recBubble  uint8 = 1 << iota // a write bubble
+	recTraced                    // its visits are in BatchSim.traces
+	recGen                       // low bit of the generation it reads: BatchSim.gen at entry, +1 behind a commit bubble
+	recDone                      // the walk has ended
+	recFaulted                   // on a detected memory fault
 )
 
-const (
-	slotDone    uint8 = 1 << iota // finished walk: resolved, faulted or out of pipe in stage last
-	slotFaulted                   // the walk ended on a detected memory fault
-	slotTraced                    // visits are recorded in the side log
-)
+// tracedWalk is the visit log of the traced lookup that entered on step t.
+type tracedWalk struct {
+	t        int64
+	visits   []obs.StageVisit
+	newUntil int // as in chain
+}
 
-// walk takes the lookup from its checkpoint through stage upto of flat, one
-// dependent load after another, exactly as Sim.process does one stage per
-// cycle: folded levels within a stage are followed in the same visit, a
-// stale-parity word (when checked) or an out-of-range pointer ends the walk as
-// a fault, a leaf resolves it. It is the path of traced lookups (visits is
-// their log) and of walks resumed mid-pipe; the rest go through
-// batchScratch.sweep. The checkpoint is left alone: a walk that does not end
-// returns the entry index it stands at in stage upto+1.
-func (f *slot) walk(flat *Image, parity bool, upto int, visits *[]obs.StageVisit) uint32 {
-	addr, idx := f.addr, f.idx
-	for s := int(f.stage); s <= upto; s++ {
-		meta := flat.stages[s].meta
-		child := flat.stages[s].child[:len(meta)]
-		for {
+// stampNote is the stamp of a step not stamped the step before's plus one.
+type stampNote struct{ step, stamp int64 }
+
+// chain is a lookup's walk: addr in vn, standing at entry idx of stage.
+type chain struct {
+	addr     uint32
+	vn       int32
+	idx      uint32
+	stage    int
+	newUntil int // the last stage whose visits read the shadow bank while the commit bubble ahead was in the pipe (-1: none)
+}
+
+// walk takes the lookup through stage upto of flat as Sim.process does, one
+// stage a cycle: folded levels (no more than the stage has: a corrupted
+// pointer may close a cycle) in one visit, a stale-parity word (checked) or
+// an out-of-range pointer ends it as a fault, a leaf resolves it. Traced
+// lookups (visits is their log) and those in the pipe take it, the rest
+// batchScratch.sweep. It reports whether the walk ended, where c then
+// stands, with its verdict; else c stands in stage upto+1.
+func (c *chain) walk(flat *Image, parity bool, upto int, visits *[]obs.StageVisit) (ended, faulted bool, nhi ip.NextHop) {
+	idx, s := c.idx, c.stage
+	for ; s <= upto; s++ {
+		fs := &flat.stages[s]
+		meta, child := fs.meta, fs.child[:len(fs.meta)]
+		for v := 1; ; v++ {
 			if visits != nil {
-				*visits = append(*visits, obs.StageVisit{Stage: s, Entry: idx, NewBank: s <= int(f.newUntil)})
+				*visits = append(*visits, obs.StageVisit{Stage: s, Entry: idx, NewBank: s <= c.newUntil})
 			}
 			if int(idx) >= len(meta) || parity && meta[idx]&metaParityBad != 0 {
 				if visits != nil {
 					(*visits)[len(*visits)-1].Fault = true
 				}
-				f.flags, f.last = f.flags|slotDone|slotFaulted, uint8(s)
-				return idx
+				c.idx, c.stage = idx, s
+				return true, true, ip.NoRoute
 			}
-			m, c := meta[idx], child[idx]
+			m, ch := meta[idx], child[idx]
 			if m&metaLeaf != 0 {
-				if uint32(f.vn) < c[1] { // unsigned compare: negative VNs miss too
-					f.nhi = flat.nhi[c[0]+uint32(f.vn)]
+				if uint32(c.vn) < ch[1] { // unsigned compare: negative VNs miss too
+					nhi = flat.nhi[ch[0]+uint32(c.vn)]
 				}
-				f.flags, f.last = f.flags|slotDone, uint8(s)
-				return idx
+				c.idx, c.stage = idx, s
+				return true, false, nhi
 			}
-			idx = c[addr>>(m&metaShiftMask)&1]
-			if m&metaFold == 0 {
+			if idx = ch[c.addr>>(m&metaShiftMask)&1]; m&metaFold == 0 || v >= fs.visits {
 				break
 			}
 		}
 	}
-	return idx
+	c.idx, c.stage = idx, s
+	return false, false, ip.NoRoute
 }
 
-// left books a slot that has left the pipe into ended and st — it was in
-// every stage, and active through the one its walk ended in (a write bubble:
-// all of them) — and reports whether the slot held anything.
-func (f *slot) left(ended []int64, st *Stats) int64 {
-	switch f.kind {
-	case slotEmpty:
-		return 0
-	case slotLookup:
-		ended[f.last]++
-		st.Lookups++
-		if f.flags&slotFaulted != 0 {
-			st.Faults++
-		}
-	default: // a write bubble: one memory write in every stage
-		ended[len(ended)-1]++
-	}
-	return 1
-}
-
-// Exit is one streamed lookup that has left the pipe, as Drain hands it back:
-// what Sim.Inject's Result says of it, plus the caller's stamp of the step it
-// left on.
+// Exit is a streamed lookup that has left the pipe: Sim.Inject's Result, and
+// the stamp the caller passed with the step it left on — a runner whose
+// engines sit cycles out stamps its own cycle, which the engine's trails.
 type Exit struct {
-	Request
-	NHI ip.NextHop
-	// Faulted marks a lookup ended by a detected memory fault (Result.Faulted).
-	Faulted bool
-	// LastStage is the deepest stage that read memory for it (Result.LastStage).
-	LastStage int
-	// EnterCycle and ExitCycle are the engine's own clock: the steps it took
-	// before this lookup's Inject, and Stages more.
-	EnterCycle, ExitCycle int64
-	// Stamp is what the caller passed with the step the lookup left on. A
-	// runner whose engines sit cycles out (a frequency-stepped clock, a
-	// brownout) passes its own cycle, which the engine's clock then trails.
+	Result
 	Stamp int64
-	// Visits is the traced traversal (nil unless Request.Trace was set).
-	Visits []obs.StageVisit
 }
 
-// Result is the exit in the shape the scalar Sim returns it.
-func (x *Exit) Result() Result {
-	return Result{
-		Request: x.Request, NHI: x.NHI, Faulted: x.Faulted, LastStage: x.LastStage,
-		EnterCycle: x.EnterCycle, ExitCycle: x.ExitCycle, Visits: x.Visits,
+// arenas is the free list of the arenas batch runs and streaming settles
+// borrow: engines that run or settle one at a time share one.
+var arenas struct {
+	sync.Mutex
+	free []*batchScratch
+}
+
+func borrowArena() *batchScratch {
+	arenas.Lock()
+	defer arenas.Unlock()
+	if n := len(arenas.free); n > 0 {
+		sc := arenas.free[n-1]
+		arenas.free = arenas.free[:n-1]
+		return sc
 	}
+	return new(batchScratch)
 }
 
-// BatchSim is the production lookup engine: the same request→result
-// semantics as the scalar Sim — next hops, fault verdicts, cycle stamps,
-// traced visits and Stats are byte-identical, which the differential and
-// fuzz tests enforce — computed on the image's word slices, read in place,
-// without simulating a register shift per cycle. A linear pipeline's timing is
-// fixed by its schedule: a lookup entering at cycle t leaves at t+Stages
-// and occupies each stage for one cycle, so only the trie walk and the
-// per-stage activity it causes depend on data.
-//
-// Run resolves a whole request slice in batches that sweep each stage
-// across all in-flight lookups. Inject / Idle / InjectBubble stream one input
-// slot per call, as the slice runners need, and hand nothing back: nothing a
-// runner schedules depends on what a lookup resolves to. A step is a push
-// into a window of the last Stages+DrainWindow slots; the newest Stages are
-// the pipe, the older ones have left it and wait, unwalked, for Drain, which
-// walks every lookup in the window through the same sweep as Run, at batch
-// width, and hands back the ones that have left, oldest first. Walks thus
-// run behind the cycle clock for the slots that wait and ahead of it for the
-// slots still in the pipe; Stats books the first as left and derives the
-// share of the second from the stage each has reached. Where the image or
-// the check changes under lookups — Patch, EnableParityCheck, the bank flip
-// as a commit bubble leaves — the waiting ones are first walked on the image
-// as it still is, and (Patch, EnableParityCheck) every walk in the pipe that
-// ran ahead is rolled back to its checkpoint and redone up to the stage its
-// lookup has reached (rollback). Which bank a lookup in the pipe reads
-// during a hitless update, old or new, is fixed at injection by whether the
-// commit bubble is ahead of it.
-type BatchSim struct {
-	cur, next *Image // serving image; the shadow bank while an update is armed (else nil)
-	nStages   int
-	parity    bool
-	now       int64
-	// st holds the scalar counters, and in its two slices the Run path's
-	// share of stage activity; Stats adds the streaming share. Lookups and
-	// Faults count drained slots; Stats adds the window's.
-	st      Stats
-	scratch batchScratch
-	// shards are the arenas of a fanned-out batch run, kept for the next.
-	shards []shardArena
+func returnArena(sc *batchScratch) {
+	arenas.Lock()
+	arenas.free = append(arenas.free, sc)
+	arenas.Unlock()
+}
 
-	// win is the window, a ring: count slots ending just before head, the
-	// newest nStages of them the pipe, the rest waiting for Drain. Every
-	// unwalked lookup is among the newest fresh.
-	win                []slot
-	head, count, fresh int
-	// visits is the side log of traced lookups, by window index; nil until
-	// the first one.
-	visits [][]obs.StageVisit
-	// ended[s] counts the drained slots whose walk ended in stage s (bubbles
-	// and unresolved lookups: the last stage); exited counts them all.
-	ended  []int64
-	exited int64
-	// active/occupied back the slices Stats returns.
-	active, occupied []int64
-	gen              uint32
-	bubblesLeft      int
-	commitAt         int64 // cycle the in-flight commit bubble entered
-	// published is the cycle clock as of the last publish: the steps since are
-	// not in pipeline.cycles_simulated yet.
-	published int64
+// BatchSim is the production lookup engine: the scalar Sim's request→result
+// semantics, byte-identical (the differential and fuzz tests enforce it), on
+// the image's words read in place, without a register shift per cycle. A
+// linear pipeline's timing is fixed by its schedule — a lookup entering at
+// cycle t leaves at t+Stages — so only the walk and the stage activity it
+// causes depend on data.
+//
+// Run resolves a request slice in batches that sweep each stage across all
+// in-flight lookups. Streamed, Inject and InjectBubble append a record to a
+// log, Idle only advances the clock, and nothing is handed back until Drain.
+// Walks happen in settle alone, never ahead of the clock: lookups that have
+// left the pipe are swept at batch width through Run's kernel, the at most
+// Stages in it walked through the stage each has reached. So settling first
+// is exact wherever the image or the check changes — Patch,
+// EnableParityCheck, the bank flip as a commit bubble leaves. Which bank a
+// lookup reads is fixed at entry by whether the commit bubble is ahead of it.
+type BatchSim struct {
+	banks
+	nStages int
+	parity  bool
+	now     int64
+	// st holds the scalar counters — Lookups and Faults count the lookups
+	// that have left the pipe — and in its slices the Run path's share of
+	// stage activity; Stats adds the streaming share.
+	st Stats
+
+	// log holds the records not handed back, oldest first: log[:left] have
+	// left the pipe, walked and booked; log[:walked] were walked at the last
+	// settle, those in the pipe through the stage reached, their walks in
+	// side by entry step mod Stages. The first streamed step that needs them
+	// allocates these.
+	log                  []rec
+	base                 int64
+	left, walked         int
+	side                 []chain
+	traces               []tracedWalk // by entry step
+	notes                []stampNote  // since the last Drain, and the one before
+	stamp                int64        // the last step's
+	settledAt, drainedAt int64        // the clock at the last settle and Drain
+	// ended[s] counts the records that left with their walk ending in stage
+	// s (bubbles and unresolved lookups: the last); exited counts them all.
+	ended                            []int64
+	exited                           int64
+	active, occupied                 []int64 // back the slices Stats returns
+	gen                              uint32
+	commitAt                         int64 // cycle the in-flight commit bubble entered
+	published, pubLookups, pubFaults int64 // the clock and counters at the last publish
 }
 
 // NewBatchSim returns an engine serving img: it reads the image's words in
 // place, as every other engine over img does.
 func NewBatchSim(img *Image) *BatchSim {
 	n := len(img.stages)
-	return &BatchSim{
-		cur:      img,
-		nStages:  n,
-		st:       Stats{StageActive: make([]int64, n), StageOccupied: make([]int64, n)},
-		win:      make([]slot, n+DrainWindow),
-		head:     n,
-		count:    n,
-		ended:    make([]int64, n),
-		active:   make([]int64, n),
-		occupied: make([]int64, n),
-	}
+	c := make([]int64, 5*n)
+	return &BatchSim{banks: banks{cur: img}, nStages: n, st: Stats{StageActive: c[:n:n], StageOccupied: c[n : 2*n : 2*n]},
+		ended: c[2*n : 3*n : 3*n], active: c[3*n : 4*n : 4*n], occupied: c[4*n:]}
 }
 
-// EnableParityCheck turns on per-access parity verification, matching
-// Sim.EnableParityCheck. The verdict per word is kept in the image, so the
-// check is a bit test, not a parity recompute.
+// EnableParityCheck turns on per-access parity verification, as
+// Sim.EnableParityCheck, once settled: the stages behind a lookup were read
+// unchecked. A word's verdict is kept in the image: the check is a bit test.
 func (b *BatchSim) EnableParityCheck() {
-	b.rollback()
+	b.settle()
 	b.parity = true
 }
 
-// back returns the window index of the slot pushed n+1 steps ago.
-func (b *BatchSim) back(n int) int {
-	i := b.head - 1 - n
-	if i < 0 {
-		i += len(b.win)
-	}
-	return i
+// Patch is how a word of the serving image (or the armed one) is rewritten
+// under the engine: it settles, then runs write (Image.FlipBit). As in
+// hardware, a lookup reads the new word only in the stages still ahead of it.
+func (b *BatchSim) Patch(write func()) {
+	b.settle()
+	write()
 }
 
-// visitsOf returns the side-log entry of the lookup in window slot i, nil
-// unless it is traced.
-func (b *BatchSim) visitsOf(i int) *[]obs.StageVisit {
-	if b.win[i].flags&slotTraced == 0 {
-		return nil
+func (b *BatchSim) enter(i int) int64 { return b.base + int64(b.log[i].at) }
+
+// image returns the bank r reads.
+func (b *BatchSim) image(r *rec) *Image {
+	if (r.flags&recGen != 0) == (b.gen&1 != 0) {
+		return b.cur
 	}
-	return &b.visits[i]
+	return b.next
 }
 
-// runAhead finishes the walk of every lookup in the window that is not walked
-// yet, except the newest keep slots: the untraced ones still at stage 0 as
-// one group per bank through the sweep, a traced one or one resumed from a
-// mid-pipe checkpoint by the chain walk. Checkpoints stay where they are.
-func (b *BatchSim) runAhead(keep int) {
-	n := b.fresh - keep
-	if n <= 0 {
+// settle walks the log to the clock — a lookup that has left the pipe to
+// its end, one in it through the stage it has reached — and books what has
+// left into ended and st.
+func (b *BatchSim) settle() {
+	if b.settledAt == b.now {
 		return
 	}
-	first, last := b.back(b.fresh-1), b.nStages-1
-	sc := &b.scratch
-	for g, flat := range [2]*Image{b.cur, b.next} {
-		if flat == nil {
-			break // no update armed: nothing reads the shadow bank
-		}
-		gen, live := uint8(b.gen)+uint8(g), 0
-		for j, i := 0, first; j < n; j++ {
-			f := &b.win[i]
-			if f.kind == slotLookup && f.flags&slotDone == 0 && f.gen == gen {
-				if f.flags&slotTraced != 0 || f.stage > 0 {
-					f.last = uint8(last) // where a walk that never ends leaves the pipe
-					f.walk(flat, b.parity, last, b.visitsOf(i))
-					f.flags |= slotDone
-				} else {
-					if live == 0 {
-						// Sized on first use: a window of no lookups (an
-						// audit's after its parity check) needs no arena.
-						sc.ensure(len(b.win))
+	b.settledAt = b.now
+	for i := b.left; i < b.walked; i++ {
+		b.advance(i, true) // in the pipe at the last settle
+	}
+	n := int64(b.nStages)
+	gone := b.walked
+	for gone < len(b.log) && b.enter(gone)+n < b.now {
+		gone++
+	}
+	if gone > b.walked {
+		// Fresh lookups that have left: swept a chunk and a bank at a time.
+		sc := borrowArena()
+		sc.ensure(batchFlights)
+		for c := b.walked; c < gone; c += batchFlights {
+			chunk := b.log[c:min(gone, c+batchFlights)]
+			for _, flat := range [2]*Image{b.cur, b.next} {
+				if flat == nil {
+					break // no update armed: nothing reads the shadow bank
+				}
+				live := 0
+				for j := range chunk {
+					if r := &chunk[j]; r.flags&(recBubble|recTraced) == 0 && b.image(r) == flat {
+						sc.load(live, j, r.addr, int32(r.vn), b.nStages-1)
+						live++
 					}
-					sc.load(live, j, f.addr, f.vn, last)
-					live++
+				}
+				sc.sweep(flat, b.parity, live, nil)
+				for j := range chunk {
+					if r := &chunk[j]; r.flags&(recBubble|recTraced) == 0 && b.image(r) == flat {
+						r.nhi, r.last, r.flags = sc.nhi[j], sc.last[j], r.flags|recDone
+						if sc.flag[j]&flagFaulted != 0 {
+							r.flags |= recFaulted
+						}
+					}
 				}
 			}
-			if i++; i == len(b.win) {
-				i = 0
-			}
 		}
-		if live == 0 {
-			continue
-		}
-		sc.sweep(flat, b.parity, live, nil)
-		for j, i := 0, first; j < n; j++ {
-			if f := &b.win[i]; f.kind == slotLookup && f.flags&slotDone == 0 && f.gen == gen {
-				f.nhi, f.last, f.flags = sc.nhi[j], sc.last[j], f.flags|slotDone
-				if sc.flag[j]&flagFaulted != 0 {
-					f.flags |= slotFaulted
-				}
-			}
-			if i++; i == len(b.win) {
-				i = 0
-			}
+		returnArena(sc)
+	}
+	for i := b.walked; i < len(b.log); i++ {
+		if i >= gone || b.log[i].flags&recTraced != 0 {
+			b.advance(i, false) // in the pipe, or traced
 		}
 	}
-	b.fresh = min(b.fresh, keep)
+	b.walked = len(b.log)
+	for ; b.left < len(b.log) && b.enter(b.left)+n < b.now; b.left++ {
+		// Left: it was in every stage, and active through the one its walk
+		// ended in (a write bubble: all of them).
+		r := &b.log[b.left]
+		b.exited++
+		if r.flags&recBubble != 0 {
+			b.ended[b.nStages-1]++
+			continue
+		}
+		b.ended[r.last]++
+		b.st.Lookups++
+		if r.flags&recFaulted != 0 {
+			b.st.Faults++
+		}
+	}
 }
 
-// rollback returns every walk to the cycle clock, for the moment the image or
-// the check is about to change. The lookups that have left the pipe finish
-// their walks first, on the image as it still is. Of those in the pipe, a
-// walk that ran ahead of the stage its lookup has reached is undone to its
-// checkpoint, and every unfinished walk is then taken through the stage
-// reached — its new checkpoint. Never further back: what a lookup read in
-// the stages behind it stays read, whatever has struck them since.
-func (b *BatchSim) rollback() {
-	b.runAhead(b.nStages)
-	for r := 0; r < b.nStages; r++ {
-		i := b.back(r)
-		f := &b.win[i]
-		done := f.flags&slotDone != 0
-		if f.kind != slotLookup || done && int(f.last) <= r {
-			continue
-		}
-		visits := b.visitsOf(i)
-		if done {
-			f.flags, f.nhi = f.flags&^(slotDone|slotFaulted), ip.NoRoute
-			if visits != nil {
-				v := *visits
-				for len(v) > 0 && v[len(v)-1].Stage >= int(f.stage) {
-					v = v[:len(v)-1]
-				}
-				*visits = v
-			}
-		}
-		flat := b.cur
-		if f.gen != uint8(b.gen) {
-			flat = b.next
-		}
-		if idx := f.walk(flat, b.parity, r, visits); f.flags&slotDone == 0 {
-			f.idx, f.stage = idx, uint8(r+1)
-		}
+// advance walks the lookup of log[i] on from where it stands (resumed: from
+// side) through the stage the clock has brought it to, and keeps the verdict
+// once it ends (by the last stage at the latest), or else the walk in side.
+func (b *BatchSim) advance(i int, resumed bool) {
+	r := &b.log[i]
+	if r.flags&(recBubble|recDone) != 0 {
+		return
 	}
-	b.fresh = max(b.fresh, b.nStages)
+	t := b.enter(i)
+	upto, slot := min(int(b.now-1-t), b.nStages-1), int(t%int64(b.nStages))
+	c := chain{addr: r.addr, vn: int32(r.vn), newUntil: -1}
+	if resumed {
+		c.idx, c.stage = b.side[slot].idx, b.side[slot].stage
+	}
+	var visits *[]obs.StageVisit
+	if r.flags&recTraced != 0 {
+		k, _ := slices.BinarySearchFunc(b.traces, t, func(w tracedWalk, t int64) int { return cmp.Compare(w.t, t) })
+		visits, c.newUntil = &b.traces[k].visits, b.traces[k].newUntil
+	}
+	ended, faulted, nhi := c.walk(b.image(r), b.parity, upto, visits)
+	switch {
+	case ended || upto == b.nStages-1:
+		r.nhi, r.last, r.flags = nhi, uint8(min(c.stage, upto)), r.flags|recDone
+		if faulted {
+			r.flags |= recFaulted
+		}
+	case b.side == nil:
+		b.side = make([]chain, b.nStages)
+		fallthrough
+	default:
+		b.side[slot] = c
+	}
 }
 
 // Stats returns the accumulated counters as of the current cycle. The
 // slices are the engine's own and are rewritten by the next call.
 func (b *BatchSim) Stats() Stats {
-	b.runAhead(0)
+	b.settle()
 	st := b.st
-	st.StageActive, st.StageOccupied = b.active, b.occupied
-	// A slot that left was in every stage and active through the stage its
-	// walk ended in, drained or not; one that has reached stage s, so far, in
-	// stages 0..s and active through s or the end of its walk, whichever comes
-	// first — and its fault counts once the stage it strikes in is reached.
-	// Either way a slot is one count at its deepest active stage, never below
-	// the stage it has reached, and a stage's activity is the sum over the
-	// stages from it on.
-	copy(st.StageActive, b.ended)
-	act, occ := int64(0), b.exited
-	for n := b.count - 1; n >= b.nStages; n-- {
-		occ += b.win[b.back(n)].left(st.StageActive, &st)
-	}
-	for s := b.nStages - 1; s >= 0; s-- {
-		if f := &b.win[b.back(s)]; f.kind != slotEmpty {
-			occ++
-			deepest := s
-			if f.kind == slotLookup && int(f.last) <= s {
-				deepest = int(f.last)
-				if f.flags&slotFaulted != 0 {
-					st.Faults++
-				}
-			}
-			st.StageActive[deepest]++
+	st.Cycles = b.now
+	// A record that left was in every stage and active through the one its
+	// walk ended in; one at stage s, in stages 0..s and active through its
+	// walk's end or s. Each is one count at its deepest stage; a stage's
+	// count is the sum over the stages from it on.
+	act, occ := b.active, b.occupied
+	copy(act, b.ended)
+	clear(occ)
+	for i := b.left; i < len(b.log); i++ {
+		r, reached := &b.log[i], int(b.now-1-b.enter(i))
+		occ[reached]++
+		switch {
+		case r.flags&recDone == 0:
+			act[reached]++
+		case r.flags&recFaulted != 0:
+			st.Faults++
+			fallthrough
+		default:
+			act[r.last]++
 		}
-		act += st.StageActive[s]
-		st.StageActive[s] = b.st.StageActive[s] + act
-		st.StageOccupied[s] = b.st.StageOccupied[s] + occ
 	}
+	a, o := int64(0), b.exited
+	for s := b.nStages - 1; s >= 0; s-- {
+		a, o = a+act[s], o+occ[s]
+		act[s], occ[s] = b.st.StageActive[s]+a, b.st.StageOccupied[s]+o
+	}
+	st.StageActive, st.StageOccupied = act, occ
 	return st
 }
 
-// Patch is how a word of the serving image (or the armed one) is rewritten
-// under the engine: it brings every walk to the cycle clock, then runs write
-// (Image.FlipBit). Lookups in the pipe have read the old word in the stages
-// they are already through and read the new one from here on, as in hardware;
-// the ones that have left it read the old word wherever they met it. The
-// engine reads the words in place, so a word written ahead of the rollback
-// would be read by walks the clock has already taken past it.
-func (b *BatchSim) Patch(write func()) {
-	b.rollback()
-	write()
-}
-
-// Reset returns the engine to its post-construction state over the same
-// serving image — zero cycle clock, zeroed stats, empty window, any pending
-// update discarded — while keeping the flight arena, the window and the stat
-// slices allocated, so repeated runs (and benchmark iterations) measure
-// lookups, not construction. The parity-check setting survives.
+// Reset returns the engine to its post-construction state over the serving
+// image — zero clock and stats, empty log, no update — keeping what it has
+// allocated and the parity-check setting.
 func (b *BatchSim) Reset() {
-	b.now, b.published, b.exited, b.bubblesLeft, b.next = 0, 0, 0, 0, nil
-	b.st.Cycles, b.st.Lookups, b.st.Bubbles, b.st.Faults = 0, 0, 0, 0
-	clear(b.win)
-	clear(b.visits)
-	b.head, b.count, b.fresh = b.nStages, b.nStages, 0
-	for s := range b.ended {
-		b.ended[s], b.st.StageActive[s], b.st.StageOccupied[s] = 0, 0, 0
-	}
+	b.now, b.published, b.pubLookups, b.pubFaults, b.exited, b.bubblesLeft, b.next = 0, 0, 0, 0, 0, 0, nil
+	b.st.Lookups, b.st.Bubbles, b.st.Faults = 0, 0, 0
+	clear(b.traces)
+	b.log, b.traces, b.notes = b.log[:0], b.traces[:0], b.notes[:0]
+	b.left, b.walked, b.settledAt, b.drainedAt = 0, 0, 0, 0
+	clear(b.st.StageActive)
+	clear(b.st.StageOccupied)
+	clear(b.ended)
 }
 
-// step advances one cycle: in enters the pipe and the slot pushed Stages
-// steps ago leaves it — a commit bubble by making the shadow bank the serving
-// one, once the lookups that left ahead of it are walked on the old one.
-func (b *BatchSim) step(in slot) {
-	if b.count == len(b.win) {
-		panic("pipeline: BatchSim stepped with a full drain window (Drain every DrainWindow steps)")
+// Full reports that the next step needs a Drain first.
+func (b *BatchSim) Full() bool { return b.now-b.drainedAt >= SettleCycles }
+
+// tick advances the clock a step. The step the commit bubble leaves on flips
+// the banks, once the lookups ahead of it, all left, are walked on the old.
+func (b *BatchSim) tick(stamp int64) {
+	if b.Full() {
+		panic("pipeline: BatchSim stepped SettleCycles steps past its last Drain")
 	}
-	if b.win[b.back(b.nStages-1)].kind == slotCommit {
-		b.runAhead(b.nStages)
+	if b.next != nil && b.bubblesLeft == 0 && b.now == b.commitAt+int64(b.nStages) {
+		b.settle()
 		b.cur, b.next = b.next, nil
 		b.gen++
 	}
-	b.win[b.head] = in
-	if b.head++; b.head == len(b.win) {
-		b.head = 0
+	if stamp != b.stamp+1 || len(b.notes) == 0 {
+		b.notes = append(b.notes, stampNote{step: b.now, stamp: stamp})
 	}
-	b.count++
-	b.fresh++
+	b.stamp = stamp
 	b.now++
-	b.st.Cycles++
 }
 
-// Full reports that DrainWindow slots wait outside the pipe: the next step
-// needs a Drain first.
-func (b *BatchSim) Full() bool { return b.count == len(b.win) }
+// push takes a step that feeds r into stage 0.
+func (b *BatchSim) push(r rec, stamp int64) {
+	t := b.now
+	b.tick(stamp)
+	if b.log == nil {
+		b.log = make([]rec, 0, b.nStages+SettleCycles)
+	}
+	if len(b.log) == 0 {
+		b.base = t
+	}
+	r.at = uint16(t - b.base)
+	b.log = append(b.log, r)
+}
 
 // Inject advances the pipeline one cycle, feeding req into stage 0; stamp is
 // the caller's name for this cycle, handed back with whatever lookup the step
 // pushes out of the last stage (Exit.Stamp).
 func (b *BatchSim) Inject(req Request, stamp int64) {
-	in := slot{stamp: stamp, addr: uint32(req.Addr), vn: clampVN(req.VN), kind: slotLookup, gen: uint8(b.gen), newUntil: -1}
+	r, newUntil := rec{addr: uint32(req.Addr), vn: -1, flags: uint8(b.gen&1) * recGen}, -1
+	if req.VN == int(int16(req.VN)) {
+		r.vn = int16(req.VN)
+	}
 	if b.next != nil && b.bubblesLeft == 0 {
-		// Behind the commit bubble: every stage has flipped by the time this
+		// Behind the commit bubble: every stage has flipped by the time the
 		// lookup reaches it.
-		in.gen++
-		in.newUntil = int16(b.commitAt + int64(b.nStages) - b.now)
+		r.flags ^= recGen
+		newUntil = int(b.commitAt + int64(b.nStages) - b.now)
 	}
 	if req.Trace {
-		if b.visits == nil {
-			b.visits = make([][]obs.StageVisit, len(b.win))
-		}
-		in.flags = slotTraced
-		b.visits[b.head] = make([]obs.StageVisit, 0, b.nStages)
+		r.flags |= recTraced
+		b.traces = append(b.traces, tracedWalk{t: b.now, visits: make([]obs.StageVisit, 0, b.nStages), newUntil: newUntil})
 	}
-	b.step(in)
+	b.push(r, stamp)
 }
 
 // Idle advances the pipeline one cycle with nothing entering stage 0.
-func (b *BatchSim) Idle(stamp int64) { b.step(slot{stamp: stamp}) }
-
-// Drain walks every lookup in the window that is not walked yet and appends
-// to dst, oldest first, the ones that have left the pipe since the last call,
-// with Sim.Inject's verdicts and cycle stamps. The slots they and the idle
-// cycles and write bubbles between them held are free again.
-func (b *BatchSim) Drain(dst []Exit) []Exit {
-	b.runAhead(0)
-	lookups, faults := b.st.Lookups, b.st.Faults
-	n := b.count - b.nStages
-	i, enter := b.back(b.count-1), b.now-int64(b.count)
-	for ; n > 0; n-- {
-		f := &b.win[i]
-		b.exited += f.left(b.ended, &b.st)
-		if f.kind == slotLookup {
-			// The step that pushed this slot out pushed the slot Stages on in.
-			out := i + b.nStages
-			if out >= len(b.win) {
-				out -= len(b.win)
-			}
-			// Written field by field into its place in dst: the exit is 80
-			// bytes, and a literal would be built aside and copied in.
-			if len(dst) == cap(dst) {
-				dst = slices.Grow(dst, n)
-			}
-			dst = dst[:len(dst)+1]
-			x := &dst[len(dst)-1]
-			x.Addr, x.VN, x.Trace = ip.Addr(f.addr), int(f.vn), f.flags&slotTraced != 0
-			x.NHI, x.Faulted, x.LastStage = f.nhi, f.flags&slotFaulted != 0, int(f.last)
-			x.EnterCycle, x.ExitCycle, x.Stamp = enter, enter+int64(b.nStages), b.win[out].stamp
-			x.Visits = nil
-			if x.Trace {
-				x.Visits, b.visits[i] = b.visits[i], nil
-			}
-		}
-		enter++
-		if i++; i == len(b.win) {
-			i = 0
-		}
-	}
-	b.count = b.nStages
-	b.publish(b.st.Lookups-lookups, b.st.Faults-faults)
-	return dst
-}
-
-// publish adds to the process-wide counters the lookups and faults the caller
-// has finished with and the steps taken since the last publish: once per Drain
-// and once per Run, never per lookup. What is published stays published
-// through a Reset or the engine's replacement; steps not yet published then
-// are dropped with the window.
-func (b *BatchSim) publish(lookups, faults int64) {
-	obsLookups.Add(lookups)
-	obsCycles.Add(b.now - b.published)
-	obsFaults.Add(faults)
-	b.published = b.now
-}
-
-// BeginUpdate arms a hitless image update with Sim.BeginUpdate's contract:
-// next replaces the serving image through bubbles write bubbles (at least
-// one: the last doubles as the bank-flip commit), lookups keep flowing, and
-// Updating turns false once the commit bubble has drained.
-func (b *BatchSim) BeginUpdate(next *Image, bubbles int) error {
-	if next == nil {
-		return fmt.Errorf("pipeline: BeginUpdate with nil image")
-	}
-	if b.next != nil {
-		return fmt.Errorf("pipeline: update already in flight (%d bubbles pending)", b.bubblesLeft)
-	}
-	if len(next.stages) != b.nStages {
-		return fmt.Errorf("pipeline: update stage counts differ (%d vs %d)", len(next.stages), b.nStages)
-	}
-	if bubbles < 1 {
-		bubbles = 1
-	}
-	b.next, b.bubblesLeft = next, bubbles
-	return nil
-}
-
-// Updating reports whether an armed update has not yet fully committed.
-func (b *BatchSim) Updating() bool { return b.next != nil }
-
-// PendingBubbles returns the write bubbles not yet injected.
-func (b *BatchSim) PendingBubbles() int { return b.bubblesLeft }
-
-// AbortUpdate disarms a pending update, legal only until the commit bubble
-// is injected (Sim.AbortUpdate's contract): the serving image keeps serving.
-// No lookup reads the shadow bank before then, so no walk is affected.
-func (b *BatchSim) AbortUpdate() error {
-	if b.next == nil {
-		return fmt.Errorf("pipeline: no update to abort")
-	}
-	if b.bubblesLeft == 0 {
-		return fmt.Errorf("pipeline: commit bubble already in flight, update cannot be aborted")
-	}
-	b.next, b.bubblesLeft = nil, 0
-	return nil
-}
+func (b *BatchSim) Idle(stamp int64) { b.tick(stamp) }
 
 // InjectBubble advances one cycle feeding the next write bubble into stage
 // 0 in place of a lookup; stamp is as for Inject. It fails, without a step,
@@ -621,31 +478,102 @@ func (b *BatchSim) InjectBubble(stamp int64) error {
 	if b.next == nil || b.bubblesLeft == 0 {
 		return fmt.Errorf("pipeline: no write bubble pending")
 	}
-	in := slot{stamp: stamp, kind: slotBubble}
 	if b.bubblesLeft--; b.bubblesLeft == 0 {
-		in.kind, b.commitAt = slotCommit, b.now
+		b.commitAt = b.now // the commit bubble: banks flip as it leaves
 	}
 	b.st.Bubbles++
-	b.step(in)
+	b.push(rec{flags: recBubble}, stamp)
 	return nil
 }
 
+// Drain settles the engine and hands visit (if any), oldest first and a run
+// at a time, the lookups that have left the pipe since the last call as
+// Sim.Inject returns them. The next run rewrites the buffer; its visits are
+// the caller's.
+func (b *BatchSim) Drain(visit func(exits []Exit)) {
+	b.settle()
+	if b.left > 0 {
+		sc := borrowArena()
+		if sc.exits == nil {
+			sc.exits = make([]Exit, 128)
+		}
+		n, note, traced := 0, 0, 0
+		for i := range b.log[:b.left] {
+			r := &b.log[i]
+			if r.flags&recBubble != 0 {
+				continue
+			}
+			enter := b.enter(i)
+			out := enter + int64(b.nStages) // the step it left on
+			for note+1 < len(b.notes) && b.notes[note+1].step <= out {
+				note++
+			}
+			// Written field by field into its place: a literal would be built
+			// aside and copied in.
+			x := &sc.exits[n]
+			x.Addr, x.VN, x.Trace = ip.Addr(r.addr), int(r.vn), r.flags&recTraced != 0
+			x.NHI, x.Faulted, x.LastStage = r.nhi, r.flags&recFaulted != 0, int(r.last)
+			x.EnterCycle, x.ExitCycle, x.Stamp = enter, out, b.notes[note].stamp+out-b.notes[note].step
+			x.Visits = nil
+			if x.Trace {
+				x.Visits = b.traces[traced].visits
+				traced++
+			}
+			if n++; n == len(sc.exits) && visit != nil {
+				visit(sc.exits)
+			}
+			n %= len(sc.exits)
+		}
+		if n > 0 && visit != nil {
+			visit(sc.exits[:n])
+		}
+		returnArena(sc)
+		clear(b.traces[:traced])
+		b.traces = b.traces[:copy(b.traces, b.traces[traced:])]
+		b.log = b.log[:copy(b.log, b.log[b.left:])]
+		if len(b.log) > 0 {
+			shift := b.log[0].at
+			b.base += int64(shift)
+			for i := range b.log {
+				b.log[i].at -= shift
+			}
+		}
+		b.walked, b.left = b.walked-b.left, 0
+	}
+	b.drainedAt = b.now
+	if len(b.notes) > 1 {
+		// Every step to come, and every one a lookup in the pipe leaves on,
+		// counts from the last note.
+		b.notes[0], b.notes = b.notes[len(b.notes)-1], b.notes[:1]
+	}
+	b.publish()
+}
+
+// publish adds to the process-wide counters the lookups and faults booked
+// and the steps taken since the last publish: once per Drain and per Run,
+// never per lookup. What is published stays published through a Reset or
+// the engine's replacement; what is not yet published then is dropped.
+func (b *BatchSim) publish() {
+	obsLookups.Add(b.st.Lookups - b.pubLookups)
+	obsCycles.Add(b.now - b.published)
+	obsFaults.Add(b.st.Faults - b.pubFaults)
+	b.published, b.pubLookups, b.pubFaults = b.now, b.st.Lookups, b.st.Faults
+}
+
 // Run feeds the requests through the engine, one per interarrival cycles,
-// and returns results in request order — the batched equivalent of
-// Sim.Run(reqs, interarrival), including the trailing drain's cycle count.
+// and returns results in request order, as Sim.Run(reqs, interarrival).
 func (b *BatchSim) Run(reqs []Request, interarrival int) ([]Result, Stats, error) {
 	return b.RunAppend(make([]Result, 0, len(reqs)), reqs, interarrival)
 }
 
 // RunAppend is Run writing results into dst (grown as needed): with a
-// pre-sized dst and a warm arena the untraced batched path allocates
-// nothing per call.
+// pre-sized dst the untraced batched path allocates nothing per call.
 func (b *BatchSim) RunAppend(dst []Result, reqs []Request, interarrival int) ([]Result, Stats, error) {
 	if interarrival < 1 {
 		return dst, Stats{}, fmt.Errorf("pipeline: interarrival %d, want >= 1", interarrival)
 	}
-	if err := b.idle(); err != nil {
-		return dst, Stats{}, err
+	if b.next != nil || len(b.log) > 0 {
+		return dst, Stats{}, errBusy
 	}
 	base := len(dst)
 	dst = slices.Grow(dst, len(reqs))[:base+len(reqs)]
@@ -653,57 +581,41 @@ func (b *BatchSim) RunAppend(dst []Result, reqs []Request, interarrival int) ([]
 	return dst, b.Stats(), nil
 }
 
-// source is where a batch run reads its requests: the caller's own slice
-// (Run, RunAppend), or a filler that writes each chunk into the buffer of the
-// shard about to sweep it (RunSharded). A struct, not a closure over the
-// slice, so that Run allocates nothing for it.
+// source is where a batch run reads its requests: the caller's slice (Run),
+// or a filler of each chunk (RunSharded) — not a closure, which would allocate.
 type source struct {
 	reqs []Request
 	fill func(start int, reqs []Request)
 }
 
-// idle reports an error unless the window is empty and no update is armed:
-// Run's closed-form schedule has no place for streamed slots.
-func (b *BatchSim) idle() error {
-	busy := b.next != nil
-	for n := 0; n < b.count; n++ {
-		busy = busy || b.win[b.back(n)].kind != slotEmpty
-	}
-	if busy {
-		return fmt.Errorf("pipeline: Run on an engine with streamed lookups in flight or waiting for Drain, or an update in flight")
-	}
-	return nil
-}
+// errBusy: Run's closed-form schedule has no place for streamed records.
+var errBusy = fmt.Errorf("pipeline: Run on an engine with streamed lookups in flight or waiting for Drain, or an update in flight")
 
 // Shards is the shard count RunSharded is meant to be given for n requests:
 // one per sweep worker, but never more than there are batchFlights chunks,
-// and one below shardMinReqs, where the fan-out costs more than it saves.
+// and one below two chunks, where the fan-out costs more than it saves.
 func Shards(n int) int {
 	workers := sweep.Workers()
-	if n < shardMinReqs || workers <= 1 {
+	if n < 2*batchFlights || workers <= 1 {
 		return 1
 	}
 	return min(workers, (n+batchFlights-1)/batchFlights)
 }
 
 // RunSharded is Run over n requests, one a cycle, split into contiguous
-// shards on the sweep worker pool — the coordinator split that lets one
-// engine's simulated throughput scale with cores — that stages no batch and
-// keeps no results. Each shard builds its requests a chunk of up to
-// batchFlights at a time: fill(start, reqs) writes every field of requests
-// start..start+len(reqs)-1 into the shard's own buffer, which is then swept.
-// The shard hands the chunk's results to visit, with its shard number and
-// the chunk's first request index; res is the shard's own buffer and is
-// rewritten by its next chunk. One shard's chunks come in request order from
-// one goroutine; different shards' calls run concurrently, so fill reads
-// only what no one writes during the run and visit keeps per-shard state
-// (shard < shards). Flight walks are independent and the cycle accounting is
-// closed-form, so the chunks and the Stats are byte-identical at any shard
-// count: per-shard stage-activity and fault counts merge additively in shard
-// order.
+// shards on the sweep worker pool, staging no batch and keeping no results.
+// A shard builds its requests a chunk of up to batchFlights at a time —
+// fill(start, reqs) writes every field of requests start..start+len(reqs)-1
+// into its own buffer — sweeps it, and hands the results to visit with its
+// shard number and the chunk's first index, in a buffer its next chunk
+// rewrites. One shard's chunks come in order from one goroutine; shards run
+// concurrently, so fill reads only what no one writes and visit keeps
+// per-shard state (shard < shards). Walks are independent and the cycle
+// accounting closed-form, so chunks and Stats are byte-identical at any
+// shard count.
 func (b *BatchSim) RunSharded(n, shards int, fill func(start int, reqs []Request), visit func(shard, start int, res []Result)) (Stats, error) {
-	if err := b.idle(); err != nil {
-		return Stats{}, err
+	if b.next != nil || len(b.log) > 0 {
+		return Stats{}, errBusy
 	}
 	b.run(n, source{fill: fill}, 1, shards, nil, visit)
 	return b.Stats(), nil
@@ -711,51 +623,44 @@ func (b *BatchSim) RunSharded(n, shards int, fill func(start int, reqs []Request
 
 // run is the one chunk loop behind Run, RunAppend and RunSharded: it sweeps
 // n requests from src, one per g cycles, in up to shards contiguous shards,
-// then books the batch. One shard runs on the engine's own arena and adds to
-// its stats in place, as a lone Run did; more run on the sweep pool, each on
-// an arena of its own (kept for the next run) whose deltas merge in shard
-// order.
+// then books the batch. One shard adds to the engine's stats in place, as a
+// lone Run did; more run on the sweep pool, and their stage activity and
+// faults merge in shard order. Each borrows an arena.
 func (b *BatchSim) run(n int, src source, g int64, shards int, out []Result, visit func(shard, start int, res []Result)) {
 	shards = max(1, min(shards, (n+batchFlights-1)/batchFlights))
 	per := (n + shards - 1) / shards
-	startFaults := b.st.Faults // a lone shard bumps b.st in place; snapshot first
 	if shards == 1 {
-		b.runShard(&b.scratch, &b.st, 0, 0, n, src, g, out, visit)
-		b.finish(n, g, startFaults)
-		return
-	}
-	if len(b.shards) < shards {
-		b.shards = append(b.shards, make([]shardArena, shards-len(b.shards))...)
-	}
-	sweep.Run(shards, func(i int) (struct{}, error) { // a shard never fails
-		sc := &b.shards[i]
-		if sc.delta.StageActive == nil {
-			sc.delta.StageActive = make([]int64, b.nStages)
+		sc := borrowArena()
+		b.runShard(sc, &b.st, 0, 0, n, src, g, out, visit)
+		returnArena(sc)
+	} else {
+		// Borrowed up front: a run takes one arena a shard, however the
+		// pool schedules them.
+		scs := make([]*batchScratch, shards)
+		for i := range scs {
+			scs[i] = borrowArena()
 		}
-		clear(sc.delta.StageActive)
-		sc.delta.Faults = 0
-		b.runShard(&sc.batchScratch, &sc.delta, i, i*per, min(n, (i+1)*per), src, g, out, visit)
-		return struct{}{}, nil
-	})
-	for i := range b.shards[:shards] {
-		d := &b.shards[i].delta
-		for s, a := range d.StageActive {
-			b.st.StageActive[s] += a
+		deltas, _ := sweep.Run(shards, func(i int) (Stats, error) { // a shard never fails
+			d := Stats{StageActive: make([]int64, b.nStages)}
+			b.runShard(scs[i], &d, i, i*per, min(n, (i+1)*per), src, g, out, visit)
+			return d, nil
+		})
+		for i, d := range deltas {
+			for s, a := range d.StageActive {
+				b.st.StageActive[s] += a
+			}
+			b.st.Faults += d.Faults
+			returnArena(scs[i])
 		}
-		b.st.Faults += d.Faults
 	}
-	b.finish(n, g, startFaults)
+	b.finish(n, g)
 }
 
 // runShard is shard number shard of a batch run: it sweeps requests lo..hi-1
-// of src a chunk of up to batchFlights at a time on arena sc, adding stage
-// activity and faults to st. A filled chunk is built in the arena's request
-// buffer just before its sweep. Each chunk's results go into their place in
-// out or, when out is nil, into the arena's buffer, and are handed to visit,
-// if any.
+// of src a chunk of up to batchFlights at a time on arena sc (a filled chunk
+// built in its buffer just before), adding stage activity and faults to st,
+// and hands each chunk's results — in out, else the arena's — to visit.
 func (b *BatchSim) runShard(sc *batchScratch, st *Stats, shard, lo, hi int, src source, g int64, out []Result, visit func(shard, start int, res []Result)) {
-	// The arena is sized by the widest chunk, so an audit of a few dozen
-	// probes allocates for those.
 	n := min(hi-lo, batchFlights)
 	sc.ensure(n)
 	if src.fill != nil && len(sc.req) < n {
@@ -786,24 +691,23 @@ func (b *BatchSim) runShard(sc *batchScratch, st *Stats, shard, lo, hi int, src 
 	}
 }
 
-// finish applies the closed-form cycle accounting of Sim.Run to a completed
-// batch of n lookups: stage occupancy, the total step count (one step per
-// arrival slot plus the drain) and the obs counters (with any idle steps
-// streamed since the last publish). The per-result entry/exit stamps were
-// already written by the sweeps.
-func (b *BatchSim) finish(n int, g int64, startFaults int64) {
+// finish applies Sim.Run's closed-form cycle accounting to a completed batch
+// of n lookups: stage occupancy, the step count (one per arrival slot, plus
+// the drain) and the obs counters.
+func (b *BatchSim) finish(n int, g int64) {
 	stages := int64(b.nStages)
 	steps := stages // a zero-request run still drains, as the scalar loop does
 	if n > 0 {
 		steps = int64(n-1)*g + 1 + stages
 	}
-	b.st.Cycles += steps
 	b.now += steps
 	b.st.Lookups += int64(n)
 	for s := range b.st.StageOccupied {
 		b.st.StageOccupied[s] += int64(n)
 	}
-	b.publish(int64(n), b.st.Faults-startFaults)
+	// Nothing streamed is in flight: no step to come needs an earlier stamp.
+	b.notes, b.drainedAt = b.notes[:0], b.now
+	b.publish()
 }
 
 // sweepChunk resolves one batch of requests: untraced flights are loaded
@@ -814,20 +718,16 @@ func (b *BatchSim) sweepChunk(reqs []Request, out []Result, sc *batchScratch, st
 	n := int64(b.nStages)
 	nLive := 0
 	for j := range reqs {
-		if reqs[j].Trace {
-			// Traced flights take the streaming engine's recording walk.
-			f := slot{addr: uint32(reqs[j].Addr), vn: clampVN(reqs[j].VN), newUntil: -1, last: uint8(b.nStages - 1)}
+		if reqs[j].Trace { // the recording walk
+			c := chain{addr: uint32(reqs[j].Addr), vn: clampVN(reqs[j].VN), newUntil: -1}
 			visits := make([]obs.StageVisit, 0, b.nStages)
-			f.walk(b.cur, b.parity, b.nStages-1, &visits)
-			enter := enter0 + int64(j)*g
-			out[j] = Result{
-				Request: reqs[j], NHI: f.nhi, Faulted: f.flags&slotFaulted != 0, Visits: visits,
-				EnterCycle: enter, ExitCycle: enter + n, LastStage: int(f.last),
-			}
-			for s := 0; s <= int(f.last); s++ {
+			_, faulted, nhi := c.walk(b.cur, b.parity, b.nStages-1, &visits)
+			last, enter := min(c.stage, b.nStages-1), enter0+int64(j)*g
+			out[j] = Result{Request: reqs[j], NHI: nhi, Faulted: faulted, Visits: visits, EnterCycle: enter, ExitCycle: enter + n, LastStage: last}
+			for s := 0; s <= last; s++ {
 				st.StageActive[s]++
 			}
-			if out[j].Faulted {
+			if faulted {
 				st.Faults++
 			}
 			sc.flag[j] = flagTraced
@@ -846,14 +746,8 @@ func (b *BatchSim) sweepChunk(reqs []Request, out []Result, sc *batchScratch, st
 			continue
 		}
 		enter := enter0 + int64(j)*g
-		out[j] = Result{
-			Request:    reqs[j],
-			NHI:        sc.nhi[j],
-			Faulted:    sc.flag[j]&flagFaulted != 0,
-			EnterCycle: enter,
-			ExitCycle:  enter + n,
-			LastStage:  int(sc.last[j]),
-		}
+		out[j] = Result{Request: reqs[j], NHI: sc.nhi[j], Faulted: sc.flag[j]&flagFaulted != 0,
+			EnterCycle: enter, ExitCycle: enter + n, LastStage: int(sc.last[j])}
 	}
 }
 
@@ -866,29 +760,25 @@ func clampVN(vn int) int32 {
 	return int32(vn)
 }
 
-// load makes the lookup of addr in vn, whose verdict slots are at position
-// pos, flight number n of the next sweep. The verdict defaults to the full
-// pipe: a flight that outlives the last stage was active in every one,
-// resolved nothing and did not fault; the sweep's removal points overwrite it.
+// load makes the lookup of addr in vn flight n of the next sweep, with its
+// verdict slots at pos. The verdict defaults to a walk through the whole
+// pipe that resolves nothing; the sweep overwrites it where a walk ends.
 func (sc *batchScratch) load(n, pos int, addr uint32, vn int32, lastStage int) {
 	sc.nhi[pos], sc.flag[pos], sc.last[pos] = ip.NoRoute, 0, uint8(lastStage)
 	sc.fl[n] = bFlight{addr: addr, pos: int32(pos), vn: vn}
 }
 
 // sweep is the walk kernel of both modes: it takes the nLive flights loaded
-// at the front of the arena from stage 0 to their ends in flat, every flight
-// one stage at a time, leaving next hop, fault flag and last stage in the
-// verdict slots of each one's position. It returns the number of faults and
-// adds, where active is given, one count per stage per flight live in it —
-// exactly what the scalar engine's per-cycle process calls count.
+// at the front of the arena from stage 0 to their ends in flat, a stage at a
+// time, leaving their verdicts in their positions' slots. It returns the
+// faults and adds, where active is given, one count per stage per flight live
+// in it — what the scalar engine's per-cycle process calls count.
 //
-// Where the image has a jump table the flights first part into two lanes.
-// The jumpers — those whose top address bits the table resolves — move to the
-// front of the arena with the entry index at which they enter stage jumpStage,
-// and are credited as live in every stage they skip (they are: the table
-// holds no walk that ends before it). The rest are walked behind them from
-// stage 0 as ever, compacting towards the jumpers, so at jumpStage the two
-// lanes are one dense set again.
+// Where the image has a jump table the flights first part into two lanes:
+// the jumpers, whose top address bits the table resolves, move to the front
+// with the entry index they enter stage jumpStage at, credited as live in
+// every stage they skip (the table holds no walk that ends before it). The
+// rest are walked from stage 0 behind them, so at jumpStage the lanes join.
 func (sc *batchScratch) sweep(flat *Image, parity bool, nLive int, active []int64) (faults int64) {
 	fl, slab := sc.fl, flat.nhi
 	var bad uint16 // the meta bit that faults a walk: none unless parity is checked
@@ -937,16 +827,12 @@ func (sc *batchScratch) sweep(flat *Image, parity bool, nLive int, active []int6
 	return faults
 }
 
-// level is the sweep's inner loop, a function of its own so that its few
-// live values stay in registers: it takes every flight of fl one step through
-// the stage's words, swap-removing the ones that end here (flight order is
-// free: results key on pos), and returns how many are still live and how many
-// faulted. The only data-dependent branches are leaf resolution (once per
-// flight) and the rare fault paths, and one test of the meta word sends a
-// flight down either: the surviving path is a load of the index, the meta
-// word and the child the address bit selects — indexed, not branched on — and
-// a store of the 4-byte index. Unchecked, bad is zero and a stale-parity word
-// reads as any other.
+// level is the sweep's inner loop, a function of its own so that its few live
+// values stay in registers: it takes every flight of fl one step through the
+// stage's words, swap-removing those that end here (results key on pos), and
+// returns how many are still live and how many faulted. One test of the meta
+// word sends a flight to a leaf or a fault; the surviving path is loads of
+// the index, meta word and child and a 4-byte store. Unchecked, bad is zero.
 func (sc *batchScratch) level(fl []bFlight, fs *stage, slab []ip.NextHop, bad uint16, s uint8) (live int, faults int64) {
 	// Reslicing child to meta's length lets one idx<len(meta) test prove
 	// both accesses in bounds (an image builds them the same length).
@@ -983,8 +869,7 @@ func (sc *batchScratch) level(fl []bFlight, fs *stage, slab []ip.NextHop, bad ui
 	return len(fl), faults
 }
 
-// Lookups resolves a batch of probes with one batched engine — the bulk
-// replacement for calling Lookup once per test vector.
+// Lookups resolves a batch of probes with one batched engine.
 func Lookups(img *Image, reqs []Request) []ip.NextHop {
 	out := make([]ip.NextHop, len(reqs))
 	// A fresh engine is idle, so it runs the chunk loop straight off reqs.

@@ -247,7 +247,7 @@ func TestRunShardedVisitsEveryChunk(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	all := randReqs(rng, 6001, 4, 101)
 	defer sweep.SetWorkers(0)
-	for _, n := range []int{0, 1, shardMinReqs - 1, shardMinReqs, 6000, 6001} {
+	for _, n := range []int{0, 1, 2*batchFlights - 1, 2 * batchFlights, 6000, 6001} {
 		reqs := all[:n]
 		want, wantSt, err := NewBatchSim(img).Run(reqs, 1)
 		if err != nil {
@@ -255,7 +255,7 @@ func TestRunShardedVisitsEveryChunk(t *testing.T) {
 		}
 		for _, workers := range []int{1, 2, 3, 8} {
 			sweep.SetWorkers(workers)
-			if workers > 1 && n >= shardMinReqs && Shards(n) < 2 {
+			if workers > 1 && n >= 2*batchFlights && Shards(n) < 2 {
 				t.Fatalf("workers=%d n=%d: %d shard", workers, n, Shards(n))
 			}
 			got, gotSt := runSharded(t, NewBatchSim(img), reqs)

@@ -191,16 +191,17 @@ func TestJumpTableMatchesWalk(t *testing.T) {
 			}
 			jumps := 0
 			for p, got := range flat.jump {
-				f := slot{addr: uint32(p) << flat.jumpShift, newUntil: -1}
-				want := f.walk(flat, true, flat.jumpStage-1, nil)
-				if f.flags&slotDone != 0 {
+				w := chain{addr: uint32(p) << flat.jumpShift, newUntil: -1}
+				ended, _, _ := w.walk(flat, true, flat.jumpStage-1, nil)
+				want := w.idx
+				if ended {
 					want = noJump
 				} else {
 					jumps++
 				}
 				if got != want {
-					t.Fatalf("%s/%s: jump[%#x] = %#x, the walk says %#x (flags %b, last stage %d)",
-						fx.name, c.name, p, got, want, f.flags, f.last)
+					t.Fatalf("%s/%s: jump[%#x] = %#x, the walk says %#x (ended %v in stage %d)",
+						fx.name, c.name, p, got, want, ended, w.stage)
 				}
 			}
 			if jumps == 0 || jumps == len(flat.jump) {
@@ -220,7 +221,7 @@ func withoutJump(b *BatchSim) *BatchSim {
 }
 
 // streamAll pushes reqs through b one per cycle, every tenth cycle idle,
-// draining when the window is full and once the pipe has emptied.
+// draining when the engine is full and once the pipe has emptied.
 func streamAll(b *BatchSim, reqs []Request) ([]Exit, Stats) {
 	var exits []Exit
 	for i, r := range reqs {
@@ -228,17 +229,17 @@ func streamAll(b *BatchSim, reqs []Request) ([]Exit, Stats) {
 			b.Idle(int64(2 * i))
 		}
 		if b.Full() {
-			exits = b.Drain(exits)
+			exits = drainAll(b, exits)
 		}
 		b.Inject(r, int64(2*i+1))
 		if b.Full() {
-			exits = b.Drain(exits)
+			exits = drainAll(b, exits)
 		}
 	}
 	for s := 0; s < b.nStages; s++ {
 		b.Idle(-1)
 	}
-	return b.Drain(exits), b.Stats()
+	return drainAll(b, exits), b.Stats()
 }
 
 // TestJumpLanesMatchWalkedLane runs every fixture, clean and corrupt, parity

@@ -7,9 +7,8 @@ import (
 	"vrpower/internal/obs"
 )
 
-// Run instrumentation (surfaced by the cmd tools' -stats flag). Counters
-// are bumped in bulk per Run call, not per cycle, so the simulator hot loop
-// stays untouched.
+// Run instrumentation (the cmd tools' -stats flag), bumped in bulk per Run
+// or Drain, never per cycle.
 var (
 	obsLookups = obs.NewCounter("pipeline.lookups_resolved")
 	obsCycles  = obs.NewCounter("pipeline.cycles_simulated")
@@ -22,10 +21,8 @@ var (
 type Request struct {
 	Addr ip.Addr
 	// Trace marks a sampled lookup: its stage-by-stage traversal is
-	// recorded into Result.Visits. Untraced lookups (the default) pay only
-	// a nil check per memory access — the hot path stays allocation-free
-	// beyond the flight itself. (Trace packs into Addr's alignment slack,
-	// so carrying it keeps Request at 16 bytes.)
+	// recorded into Result.Visits. (Trace packs into Addr's alignment
+	// slack, so carrying it keeps Request at 16 bytes.)
 	Trace bool
 	VN    int
 }
@@ -34,23 +31,18 @@ type Request struct {
 type Result struct {
 	Request
 	NHI ip.NextHop
-	// Faulted marks a lookup terminated by a detected memory fault (stale
-	// parity or an out-of-range child pointer): the NHI is NoRoute and the
-	// packet must be dropped, not forwarded on corrupt data.
+	// Faulted marks a lookup ended by a detected memory fault (stale parity
+	// or an out-of-range pointer): NHI is NoRoute, the packet is dropped.
 	Faulted bool
-	// EnterCycle and ExitCycle stamp pipeline entry and exit; their
-	// difference is the pipeline latency in cycles.
+	// EnterCycle and ExitCycle stamp pipeline entry and exit.
 	EnterCycle int64
 	ExitCycle  int64
-	// LastStage is the deepest stage that performed a memory access for
-	// this lookup: the stage it resolved or faulted in, or the final stage
-	// for a lookup that walked the whole pipe. Stages 0..LastStage each
-	// contributed one StageActive cycle, which is what the energy meter
-	// charges — both lookup cores report it identically.
+	// LastStage is the deepest stage that read memory for the lookup: where
+	// it resolved or faulted, or the last. Stages 0..LastStage were each
+	// active one cycle, which is what the energy meter charges.
 	LastStage int
-	// Visits is the traced traversal (nil unless Request.Trace was set):
-	// every stage-memory access in order, annotated with the serving bank
-	// and the fault that terminated the lookup, if any.
+	// Visits is the traced traversal (nil unless Request.Trace was set),
+	// each access annotated with its bank and any fault that ended it.
 	Visits []obs.StageVisit
 }
 
@@ -60,17 +52,14 @@ type Stats struct {
 	Cycles int64
 	// Lookups is the number of completed requests.
 	Lookups int64
-	// Bubbles is the number of write bubbles injected — input slots spent on
-	// hitless updates instead of lookups. Bubbles/Cycles is the measured
-	// throughput loss the analytic ThroughputRetained predicts.
+	// Bubbles is the write bubbles injected; Bubbles/Cycles is the throughput
+	// loss the analytic ThroughputRetained predicts.
 	Bubbles int64
-	// StageActive counts, per stage, cycles in which the stage performed a
-	// memory access. With clock gating, idle cycles burn no dynamic power;
-	// shallow lookups leave deep stages unaccessed.
+	// StageActive counts, per stage, cycles the stage read memory: with clock
+	// gating, the only cycles that burn dynamic power.
 	StageActive []int64
-	// StageOccupied counts, per stage, cycles in which the stage register
-	// held a packet (resolved or not). Occupied/Cycles is the duty-cycle
-	// utilization µ of the paper's Assumption 1.
+	// StageOccupied counts, per stage, cycles its register held a packet:
+	// Occupied/Cycles is the duty-cycle utilization µ of Assumption 1.
 	StageOccupied []int64
 	// Faults counts lookups terminated by a detected memory fault: a parity
 	// mismatch (with checking enabled) or an out-of-range child pointer.
@@ -104,99 +93,34 @@ func meanFraction(counts []int64, cycles int64) float64 {
 type flight struct {
 	req      Request
 	idx      uint32 // entry index in the current stage
+	busy     bool   // the register holds a packet
 	resolved bool
 	faulted  bool
-	// bubble marks a write bubble: it occupies an input slot and performs
-	// one shadow-bank memory write per stage instead of a lookup. The final
-	// (commit) bubble flips each stage to the new bank as it passes.
-	bubble bool
-	commit bool
-	nhi    ip.NextHop
-	enter  int64
-	// last is the deepest stage that processed the flight (Result.LastStage).
-	last int32
-	// trace holds a traced lookup's visit log; nil for untraced flights,
-	// which is the only tracing cost on the hot path. Indirecting through a
-	// pointer (instead of an inline slice header) keeps the untraced flight
-	// in the 48-byte allocation class the pre-tracing simulator had.
-	trace *traceLog
+	bubble   bool // a write bubble: a shadow-bank write per stage, no lookup
+	commit   bool // the final bubble: it flips each stage's bank as it passes
+	nhi      ip.NextHop
+	enter    int64
+	last     int32            // the deepest stage that processed the flight (Result.LastStage)
+	visits   []obs.StageVisit // a traced lookup's log
 }
 
-// traceLog is the traversal record of one traced flight.
-type traceLog struct {
-	visits []obs.StageVisit
-}
-
-// newFlight builds the in-flight record for a request entering stage 0,
-// reusing a recycled flight when one is free and pre-sizing the visit log
-// for traced lookups. The free list keeps the steady-state flight count at
-// the pipeline depth instead of one heap object per lookup — with tracing
-// in the codebase a flight carries a pointer field, so un-pooled flights
-// would be GC-scannable garbage at line rate.
-func (s *Sim) newFlight(req Request, enter int64) *flight {
-	f := s.alloc()
-	f.req = req
-	f.enter = enter
-	if req.Trace {
-		f.trace = &traceLog{visits: make([]obs.StageVisit, 0, s.img.Stages())}
-	}
-	return f
-}
-
-// alloc returns a zeroed flight, from the free list when one is available.
-func (s *Sim) alloc() *flight {
-	if n := len(s.free); n > 0 {
-		f := s.free[n-1]
-		s.free = s.free[:n-1]
-		*f = flight{}
-		return f
-	}
-	return &flight{}
-}
-
-// recycle returns an exited flight to the free list. The flight's traceLog
-// is never reused — a traced Result aliases its visits — and is detached by
-// the wholesale reset in newFlight.
-func (s *Sim) recycle(f *flight) {
-	if f != nil {
-		s.free = append(s.free, f)
-	}
-}
-
-// visitLog returns the recorded traversal (nil for untraced flights).
-func (f *flight) visitLog() []obs.StageVisit {
-	if f.trace == nil {
-		return nil
-	}
-	return f.trace.visits
-}
-
-// Sim is the cycle-accurate pipeline simulator. One packet can occupy each
-// stage register, so a full pipeline completes one lookup per cycle — the
-// throughput model behind the paper's Gbps numbers (Section VI-B). It is the
-// oracle of BatchSim, and reads an image through its Entry views only: level
-// from the view, fold from the stage map, parity recomputed on every checked
-// access — none of the derived words the engine trusts, so a derived word
-// that was not kept true shows up as a difference between the two.
+// Sim is the cycle-accurate pipeline simulator: one packet a stage register,
+// one lookup a cycle through a full pipe (Section VI-B). It is BatchSim's
+// oracle and reads an image through its Entry views only — level from the
+// view, fold from the stage map, parity recomputed on every checked access —
+// so a derived word the engine trusts that was not kept true shows up.
 type Sim struct {
-	img    *Image
-	regs   []*flight
+	banks
+	regs   []*flight // the stage registers, a ring: stage i is regs[head+i], mod len
+	head   int
+	spare  *flight // what the next step feeds in; the flight that left takes its place
 	now    int64
 	st     Stats
 	parity bool
-	// Hitless update state (companion work [6]): next is the recompiled
-	// image armed by BeginUpdate, applied through write bubbles. Each stage
-	// memory is double-buffered — the shadow bank holds the new content, and
-	// bankNew[s] records that the commit bubble has flipped stage s. A
-	// lookup behind the commit bubble reaches every stage after its flip and
-	// one ahead of it before any flip, so every in-flight lookup reads a
-	// consistent image, old or new, never a mix.
-	next        *Image
-	bankNew     []bool
-	bubblesLeft int
-	// free is the flight free list; exited flights are recycled so a run
-	// allocates O(pipeline depth) flights, not one per lookup.
-	free []*flight
+	// bankNew[s] records that the commit bubble (companion work [6]) has
+	// flipped stage s: a lookup behind it reaches every stage after its flip,
+	// one ahead of it before, so each reads one image, old or new.
+	bankNew []bool
 }
 
 // EnableParityCheck turns on per-access parity verification: every entry a
@@ -207,29 +131,37 @@ func (s *Sim) EnableParityCheck() { s.parity = true }
 
 // NewSim builds a simulator over a compiled image.
 func NewSim(img *Image) *Sim {
+	n, fl := img.Stages(), make([]flight, img.Stages()+1)
+	regs := make([]*flight, n)
+	for i := range regs {
+		regs[i] = &fl[i]
+	}
 	return &Sim{
-		img:  img,
-		regs: make([]*flight, img.Stages()),
-		st: Stats{
-			StageActive:   make([]int64, img.Stages()),
-			StageOccupied: make([]int64, img.Stages()),
-		},
+		banks:   banks{cur: img},
+		regs:    regs,
+		spare:   &fl[n],
+		bankNew: make([]bool, n),
+		st:      Stats{StageActive: make([]int64, n), StageOccupied: make([]int64, n)},
 	}
 }
 
-// step advances one clock cycle; in is the packet entering stage 0 (nil for
-// an idle input cycle). It returns the packet leaving the last stage, if any.
-func (s *Sim) step(in *flight) *flight {
+// step advances one clock cycle, feeding spare into stage 0 (not busy for an
+// idle input cycle). It returns the packet leaving the last stage, which is
+// the spare until the next step.
+func (s *Sim) step() *flight {
 	n := len(s.regs)
-	out := s.regs[n-1]
-	// Shift the pipeline from the back so each packet advances one stage.
-	for i := n - 1; i > 0; i-- {
-		s.regs[i] = s.regs[i-1]
+	if s.head--; s.head < 0 {
+		s.head = n - 1
 	}
-	s.regs[0] = in
+	out := s.regs[s.head] // the register behind stage 0 was the last stage's
+	s.regs[s.head], s.spare = s.spare, out
 	// Each stage processes the packet now in its register.
-	for i, f := range s.regs {
-		if f == nil {
+	for i, j := 0, s.head; i < n; i, j = i+1, j+1 {
+		if j == n {
+			j = 0
+		}
+		f := s.regs[j]
+		if !f.busy {
 			continue
 		}
 		s.st.StageOccupied[i]++
@@ -238,7 +170,7 @@ func (s *Sim) step(in *flight) *flight {
 			// traverses. The commit bubble additionally flips the stage to
 			// the shadow bank; lookups behind it then read the new image.
 			s.st.StageActive[i]++
-			if f.commit && s.bankNew != nil {
+			if f.commit {
 				s.bankNew[i] = true
 			}
 			continue
@@ -251,22 +183,17 @@ func (s *Sim) step(in *flight) *flight {
 	}
 	s.now++
 	s.st.Cycles++
-	if out != nil {
-		if out.bubble {
-			if out.commit {
-				// The commit bubble left the last stage: every bank has
-				// flipped, the update is complete end-to-end.
-				s.img = s.next
-				s.next = nil
-				for i := range s.bankNew {
-					s.bankNew[i] = false
-				}
-			}
-			s.recycle(out)
-			out = nil
-		} else {
-			s.st.Lookups++
-		}
+	switch {
+	case out.bubble && out.commit:
+		// The commit bubble left the last stage: every bank has flipped,
+		// the update is complete end-to-end.
+		s.cur, s.next = s.next, nil
+		clear(s.bankNew)
+		fallthrough
+	case out.bubble:
+		out.busy = false
+	case out.busy:
+		s.st.Lookups++
 	}
 	return out
 }
@@ -277,7 +204,7 @@ func (s *Sim) bank(stage int) *Image {
 	if s.next != nil && s.bankNew[stage] {
 		return s.next
 	}
-	return s.img
+	return s.cur
 }
 
 // process performs stage i's memory accesses for packet f, following folded
@@ -288,8 +215,8 @@ func (s *Sim) process(stage int, f *flight) {
 	st := &img.stages[stage]
 	var e Entry
 	for {
-		if f.trace != nil {
-			f.trace.visits = append(f.trace.visits, obs.StageVisit{Stage: stage, Entry: f.idx, NewBank: img == s.next})
+		if f.req.Trace {
+			f.visits = append(f.visits, obs.StageVisit{Stage: stage, Entry: f.idx, NewBank: img == s.next})
 		}
 		if int(f.idx) >= len(st.meta) {
 			s.fault(f)
@@ -324,8 +251,8 @@ func (f *flight) resolve(e *Entry) {
 // fault terminates f's lookup on a detected memory fault, marking a traced
 // lookup's last recorded access as the one that did.
 func (s *Sim) fault(f *flight) {
-	if f.trace != nil && len(f.trace.visits) > 0 {
-		f.trace.visits[len(f.trace.visits)-1].Fault = true
+	if len(f.visits) > 0 {
+		f.visits[len(f.visits)-1].Fault = true
 	}
 	f.resolved = true
 	f.faulted = true
@@ -344,19 +271,22 @@ func (s *Sim) Run(reqs []Request, interarrival int) ([]Result, Stats, error) {
 	startFaults := s.st.Faults
 	results := make([]Result, 0, len(reqs))
 	collect := func(f *flight) {
-		if f != nil {
+		if f.busy {
 			results = append(results, s.result(f))
 		}
 	}
-	for i, r := range reqs {
-		collect(s.step(s.newFlight(r, s.now)))
+	for i := range reqs {
+		s.feed(&reqs[i])
+		collect(s.step())
 		for g := 1; g < interarrival && i < len(reqs)-1; g++ {
-			collect(s.step(nil))
+			s.feed(nil)
+			collect(s.step())
 		}
 	}
 	// Drain.
-	for i := 0; i < s.img.Stages(); i++ {
-		collect(s.step(nil))
+	for i := 0; i < s.cur.Stages(); i++ {
+		s.feed(nil)
+		collect(s.step())
 	}
 	obsLookups.Add(int64(len(results)))
 	obsCycles.Add(s.st.Cycles - startCycles)
@@ -369,40 +299,29 @@ func (s *Sim) Stats() Stats { return s.st }
 
 // Reset returns the simulator to its post-NewSim state over the same
 // serving image — zero cycle clock, zeroed stats, empty stage registers —
-// while preserving the flight free list and the stat slices, so repeated
-// runs (and benchmark iterations) measure lookups rather than construction.
-// A pending hitless update is discarded like AbortUpdate; the parity-check
-// setting survives.
+// while keeping the registers and the stat slices, so repeated runs (and
+// benchmark iterations) measure lookups rather than construction. A pending
+// hitless update is discarded like AbortUpdate; the parity-check setting
+// survives.
 func (s *Sim) Reset() {
-	for i, f := range s.regs {
-		if f != nil {
-			s.recycle(f)
-			s.regs[i] = nil
-		}
+	for _, f := range s.regs {
+		*f = flight{}
 	}
 	s.now = 0
 	s.st.Cycles, s.st.Lookups, s.st.Bubbles, s.st.Faults = 0, 0, 0, 0
-	for i := range s.st.StageActive {
-		s.st.StageActive[i] = 0
-	}
-	for i := range s.st.StageOccupied {
-		s.st.StageOccupied[i] = 0
-	}
-	s.next = nil
-	s.bubblesLeft = 0
-	for i := range s.bankNew {
-		s.bankNew[i] = false
-	}
+	clear(s.st.StageActive)
+	clear(s.st.StageOccupied)
+	s.next, s.bubblesLeft = nil, 0
+	clear(s.bankNew)
 }
 
-// Lookup resolves a single request against the image and returns its NHI —
-// a convenience for correctness probes: the engine's chain walk (parity
-// unchecked, faults resolving to NoRoute) with no engine around it; bulk
-// probing should use Lookups, which batches the vectors through one engine.
+// Lookup resolves a single request against the image and returns its NHI:
+// the chain walk, parity unchecked, with no engine around it (Lookups
+// batches many).
 func Lookup(img *Image, req Request) ip.NextHop {
-	f := slot{addr: uint32(req.Addr), vn: clampVN(req.VN), newUntil: -1}
-	f.walk(img, false, img.Stages()-1, nil)
-	return f.nhi
+	c := chain{addr: uint32(req.Addr), vn: clampVN(req.VN), newUntil: -1}
+	_, _, nhi := c.walk(img, false, img.Stages()-1, nil)
+	return nhi
 }
 
 // Inject advances the pipeline one cycle, feeding req into stage 0 (nil for
@@ -410,80 +329,78 @@ func Lookup(img *Image, req Request) ip.NextHop {
 // It is the building block for open-loop load experiments where arrivals
 // queue outside the pipeline.
 func (s *Sim) Inject(req *Request) (Result, bool) {
-	var in *flight
-	if req != nil {
-		in = s.newFlight(*req, s.now)
-	}
-	if out := s.step(in); out != nil {
+	s.feed(req)
+	if out := s.step(); out.busy {
 		return s.result(out), true
 	}
 	return Result{}, false
 }
 
-// result is the Result of a lookup that left the last stage on the step just
-// taken; its flight goes back to the free list.
-func (s *Sim) result(out *flight) Result {
-	res := Result{
-		Request: out.req, NHI: out.nhi, Faulted: out.faulted, LastStage: int(out.last),
-		EnterCycle: out.enter, ExitCycle: s.now - 1, Visits: out.visitLog(),
+// feed makes req (nil: none) what the next step feeds into stage 0, with
+// room for its visits if it is traced.
+func (s *Sim) feed(req *Request) {
+	f := s.spare
+	*f = flight{}
+	if req != nil {
+		f.req, f.enter, f.busy = *req, s.now, true
+		if req.Trace {
+			f.visits = make([]obs.StageVisit, 0, len(s.regs))
+		}
 	}
-	s.recycle(out)
-	return res
 }
 
-// BeginUpdate arms a hitless image update: next replaces the serving image
-// through write bubbles instead of a reload, so lookups keep flowing with
-// no blackhole window. bubbles is the write budget (update.Bubbles over the
-// image diff); it is clamped to >= 1 because the final bubble doubles as
-// the per-stage bank-flip commit. The caller then interleaves InjectBubble
-// with regular traffic; once the commit bubble drains, the sim serves next
-// and Updating reports false. next must have the same stage geometry as the
-// serving image (compile both under one pinned stage map).
-func (s *Sim) BeginUpdate(next *Image, bubbles int) error {
-	if next == nil {
+// result is the Result of a lookup that left the last stage on the step just
+// taken.
+func (s *Sim) result(out *flight) Result {
+	return Result{
+		Request: out.req, NHI: out.nhi, Faulted: out.faulted, LastStage: int(out.last),
+		EnterCycle: out.enter, ExitCycle: s.now - 1, Visits: out.visits,
+	}
+}
+
+// banks is both engines' serving image and hitless update: the image armed
+// to replace it (the shadow bank of each double-buffered stage memory) and
+// the write bubbles not yet injected.
+type banks struct {
+	cur, next   *Image
+	bubblesLeft int
+}
+
+// BeginUpdate arms a hitless image update: next (of the serving image's stage
+// geometry) replaces it through bubbles write bubbles — at least one, the last
+// the bank-flip commit — while lookups keep flowing; once the commit bubble
+// drains, the engine serves next and Updating reports false.
+func (k *banks) BeginUpdate(next *Image, bubbles int) error {
+	switch {
+	case next == nil:
 		return fmt.Errorf("pipeline: BeginUpdate with nil image")
+	case k.next != nil:
+		return fmt.Errorf("pipeline: update already in flight (%d bubbles pending)", k.bubblesLeft)
+	case next.Stages() != k.cur.Stages():
+		return fmt.Errorf("pipeline: update stage counts differ (%d vs %d)", next.Stages(), k.cur.Stages())
 	}
-	if s.next != nil {
-		return fmt.Errorf("pipeline: update already in flight (%d bubbles pending)", s.bubblesLeft)
-	}
-	if next.Stages() != s.img.Stages() {
-		return fmt.Errorf("pipeline: update stage counts differ (%d vs %d)", next.Stages(), s.img.Stages())
-	}
-	if bubbles < 1 {
-		bubbles = 1
-	}
-	if s.bankNew == nil {
-		s.bankNew = make([]bool, s.img.Stages())
-	}
-	s.next = next
-	s.bubblesLeft = bubbles
+	k.next, k.bubblesLeft = next, max(bubbles, 1)
 	return nil
 }
 
 // Updating reports whether an armed update has not yet fully committed
 // (bubbles pending, or the commit bubble still traversing the pipeline).
-func (s *Sim) Updating() bool { return s.next != nil }
+func (k *banks) Updating() bool { return k.next != nil }
 
 // PendingBubbles returns the write bubbles not yet injected.
-func (s *Sim) PendingBubbles() int { return s.bubblesLeft }
+func (k *banks) PendingBubbles() int { return k.bubblesLeft }
 
-// AbortUpdate disarms a pending hitless update: the shadow writes are
-// discarded and the serving image keeps serving — the data-plane half of a
-// journaled rollback. It is only legal while the commit bubble has NOT been
-// injected (PendingBubbles > 0): once the commit bubble is in the pipe,
-// stages flip as it passes and the update can no longer be unwound.
-func (s *Sim) AbortUpdate() error {
-	if s.next == nil {
+// AbortUpdate disarms a pending hitless update — the data-plane half of a
+// journaled rollback — legal only until the commit bubble is injected: no
+// lookup reads the shadow bank before then, and stages flip as it passes.
+func (k *banks) AbortUpdate() error {
+	if k.next == nil {
 		return fmt.Errorf("pipeline: no update to abort")
 	}
-	if s.bubblesLeft == 0 {
+	if k.bubblesLeft == 0 {
 		return fmt.Errorf("pipeline: commit bubble already in flight, update cannot be aborted")
 	}
-	s.next = nil
-	s.bubblesLeft = 0
-	for i := range s.bankNew {
-		s.bankNew[i] = false
-	}
+	k.next, k.bubblesLeft = nil, 0
 	return nil
 }
 
@@ -499,12 +416,9 @@ func (s *Sim) InjectBubble() (Result, bool, error) {
 		return Result{}, false, fmt.Errorf("pipeline: no write bubble pending")
 	}
 	s.bubblesLeft--
-	f := s.alloc()
-	f.bubble = true
-	f.commit = s.bubblesLeft == 0
-	f.enter = s.now
 	s.st.Bubbles++
-	if out := s.step(f); out != nil {
+	*s.spare = flight{busy: true, bubble: true, commit: s.bubblesLeft == 0, enter: s.now}
+	if out := s.step(); out.busy {
 		return s.result(out), true, nil
 	}
 	return Result{}, false, nil

@@ -7,8 +7,8 @@ package pipeline
 // written through Patch, a reload (fresh engines over a fresh clone), a Reset,
 // parity checking switched on and Stats reads. The scalar engine hands a
 // Result back on the cycle a lookup leaves; the batched one hands its exits
-// back when drained — every step, every seventh, or only when its window is
-// full and at the end. Whatever the cadence, the exits must equal the scalar
+// back when drained — every step, every seventh, or only when it is full and
+// at the end. Whatever the cadence, the exits must equal the scalar
 // results field for field, visits included, each with the caller's stamp of
 // the step the scalar engine returned it on, and the engines must agree on
 // every error and, wherever it is read, on every Stats field.
@@ -26,7 +26,7 @@ import (
 )
 
 // drainCadences are the drain policies every differential test runs under:
-// Drain after every that many steps, 0 for only when the window is full (and
+// Drain after every that many steps, 0 for only when the engine is full (and
 // once at the end, as for all of them).
 var drainCadences = []int{1, 7, 0}
 
@@ -38,15 +38,21 @@ type pair struct {
 	scalar  *Sim
 	batched *BatchSim
 	every   int
-	// eachStats compares Stats after every step — so every batched walk has
-	// run ahead to its end one step after injection, and whatever changes next
-	// changes under run-ahead walks. Without it walks stay undone, across
-	// bubbles, bank flips and patches, until a Drain or a Stats read.
+	// eachStats compares Stats after every step — so the batched engine
+	// settles every step, and whatever changes next changes under walks
+	// brought to the clock. Without it walks stay undone, across bubbles and
+	// bank flips, until a Drain, a Stats read, a Patch or a parity switch.
 	eachStats bool
 	steps     int
 	want      []Exit
 	exits     []Exit
 	out       []Result
+}
+
+// drainAll is Drain appending every exit it hands back to dst.
+func drainAll(b *BatchSim, dst []Exit) []Exit {
+	b.Drain(func(exits []Exit) { dst = append(dst, exits...) })
+	return dst
 }
 
 func newPair(t testing.TB, img *Image, parity bool, every int) *pair {
@@ -85,7 +91,7 @@ func (p *pair) stats() Stats {
 // results since the last drain: as many, in order, equal in every field.
 func (p *pair) drain() {
 	p.t.Helper()
-	p.exits = p.batched.Drain(p.exits[:0])
+	p.exits = drainAll(p.batched, p.exits[:0])
 	if len(p.exits) != len(p.want) {
 		p.t.Fatalf("after %d steps: Drain handed back %d exits, scalar returned %d results", p.steps, len(p.exits), len(p.want))
 	}
@@ -93,7 +99,7 @@ func (p *pair) drain() {
 		if !reflect.DeepEqual(p.exits[i], p.want[i]) {
 			p.t.Fatalf("after %d steps: exit %d of %d diverges:\nbatched %+v\nscalar  %+v", p.steps, i, len(p.exits), p.exits[i], p.want[i])
 		}
-		p.out = append(p.out, p.exits[i].Result())
+		p.out = append(p.out, p.exits[i].Result)
 	}
 	p.want = p.want[:0]
 }
@@ -103,10 +109,7 @@ func (p *pair) drain() {
 func (p *pair) stepped(res Result, ok bool) {
 	p.t.Helper()
 	if ok {
-		p.want = append(p.want, Exit{
-			Request: res.Request, NHI: res.NHI, Faulted: res.Faulted, LastStage: res.LastStage,
-			EnterCycle: res.EnterCycle, ExitCycle: res.ExitCycle, Stamp: p.stamp(), Visits: res.Visits,
-		})
+		p.want = append(p.want, Exit{Result: res, Stamp: p.stamp()})
 	}
 	p.steps++
 	if p.scalar.Updating() != p.batched.Updating() || p.scalar.PendingBubbles() != p.batched.PendingBubbles() {
@@ -258,7 +261,7 @@ func lockstep(t testing.TB, seed int64, ops []byte, eachStats bool, every int) (
 			if errS == nil {
 				next = nil
 			}
-		case 13: // an upset under the lookups in the window, through Patch
+		case 13: // an upset under the lookups in the log, through Patch
 			target := img
 			if next != nil && rng.Intn(3) == 0 {
 				target = next
@@ -280,7 +283,7 @@ func lockstep(t testing.TB, seed int64, ops []byte, eachStats bool, every int) (
 					e.Parity = e.DataParity()
 				})
 			})
-		case 14: // rarer than their op code: a reload, a Reset, or parity switched on under the window
+		case 14: // rarer than their op code: a reload, a Reset, or parity switched on under the log
 			switch r := rng.Intn(8); {
 			case r < 2:
 				img, next = pristine[rng.Intn(2)].Clone(), nil
@@ -290,8 +293,8 @@ func lockstep(t testing.TB, seed int64, ops []byte, eachStats bool, every int) (
 				p.scalar.EnableParityCheck()
 				p.batched.EnableParityCheck()
 			case r == 3:
-				// Reset empties pipe and window alike: what has left the pipe
-				// is taken first, as a runner settles before it reloads.
+				// Reset empties the pipe and the log alike: what has left the
+				// pipe is taken first, as a runner settles before it reloads.
 				p.drain()
 				p.scalar.Reset()
 				p.batched.Reset()
@@ -309,7 +312,7 @@ func lockstep(t testing.TB, seed int64, ops []byte, eachStats bool, every int) (
 }
 
 // TestStreamMatchesSimOpStreams runs seeded op streams in both Stats modes
-// under every drain cadence, and their first DrainWindow-odd steps drained
+// under every drain cadence, and their first SettleCycles-odd steps drained
 // only at the end. A share of the seeds must draw images with a jump table
 // (the 28-stage ones do), so bubbles, bank flips, upsets and reloads are all
 // met by jumpers too.
@@ -323,7 +326,7 @@ func TestStreamMatchesSimOpStreams(t *testing.T) {
 			lockstep(t, seed, ops, false, every)
 			lockstep(t, seed, ops, true, every)
 		}
-		if lockstep(t, seed, ops[:DrainWindow-40], false, 0) {
+		if lockstep(t, seed, ops[:SettleCycles-40], false, 0) {
 			jumps++
 		}
 	}
@@ -361,11 +364,11 @@ func FuzzStreamVsSim(f *testing.F) {
 // TestStreamParitySwitchMidFlight: a lookup that read a stale-parity leaf
 // before checking was switched on keeps its (corrupt) answer, as in the
 // cycle-stepped engine; one still short of the leaf faults on it — also when
-// a Stats read just before the switch has let both walks run ahead to the
-// leaf unchecked, and whether or not anything was drained in between.
+// a Stats read just before the switch has settled both walks, and whether or
+// not anything was drained in between.
 func TestStreamParitySwitchMidFlight(t *testing.T) {
 	for _, every := range drainCadences {
-		for _, runAhead := range []bool{false, true} {
+		for _, settled := range []bool{false, true} {
 			img := compileSingle(t, genTable(t, 300, 65), 28)
 			req := Request{Addr: genTable(t, 300, 65).Routes[150].Prefix.Addr, Trace: true}
 			probe, _, err := NewSim(img).Run([]Request{req}, 1)
@@ -383,23 +386,22 @@ func TestStreamParitySwitchMidFlight(t *testing.T) {
 				p.inject(nil)
 			}
 			p.inject(&req) // will still be short of it
-			if runAhead {
+			if settled {
 				p.stats()
 			}
 			p.scalar.EnableParityCheck()
 			p.batched.EnableParityCheck()
 			p.finish()
 			if len(p.out) != 2 || p.out[0].Faulted || !p.out[1].Faulted {
-				t.Fatalf("drain every %d, run-ahead %v: want the first lookup served and the second faulted, got %+v", every, runAhead, p.out)
+				t.Fatalf("drain every %d, settled %v: want the first lookup served and the second faulted, got %+v", every, settled, p.out)
 			}
 		}
 	}
 }
 
-// directedPair is the pair of the directed run-ahead tests: parity checked
-// and Stats compared after every step — a read that lets every walk in the
-// batched window run ahead to its end, so whatever the test changes next
-// changes under run-ahead walks.
+// directedPair is the pair of the directed tests: parity checked and Stats
+// compared after every step — a read that settles the batched engine, so
+// whatever the test changes next changes under walks brought to the clock.
 func directedPair(t *testing.T, img *Image, every int) *pair {
 	p := newPair(t, img, true, every)
 	p.eachStats = true
@@ -463,16 +465,16 @@ func faultStages(results []Result) []int {
 	return out
 }
 
-// TestStreamTwoUpsetsUnderRunAhead: six lookups of one address, two cycles
-// apart and every other one traced, all walked to their ends ahead of the
-// clock; then an upset on their path in stage 4, which four of them have
-// passed, and two steps later one in stage 10, which two have passed. Each
-// lookup must come out as the cycle-stepped engine says — served if it was
-// past both words when they were struck, faulted in the first struck stage it
-// had still to reach — with every traced visit there once: a walk redone
-// after an upset keeps what it read in the stages behind it, and reads the
-// earlier upset only if it had not passed it then either.
-func TestStreamTwoUpsetsUnderRunAhead(t *testing.T) {
+// TestStreamTwoUpsetsInThePipe: six lookups of one address, two cycles apart
+// and every other one traced, all in the pipe; then an upset on their path in
+// stage 4, which four of them have passed, and two steps later one in stage
+// 10, which two have passed. Each lookup must come out as the cycle-stepped
+// engine says — served if it was past both words when they were struck,
+// faulted in the first struck stage it had still to reach — with every
+// traced visit there once: a walk resumed after an upset keeps what it read
+// in the stages behind it, and reads the earlier upset only if it had not
+// passed it then either.
+func TestStreamTwoUpsetsInThePipe(t *testing.T) {
 	for _, every := range drainCadences {
 		tbl := genTable(t, 300, 65)
 		img := compileSingle(t, tbl, 28)
@@ -500,9 +502,9 @@ func TestStreamTwoUpsetsUnderRunAhead(t *testing.T) {
 }
 
 // TestStreamStatsBeforeFaultIsReached: a lookup bound to fault in stage 8 is
-// walked to that fault by the first Stats read, one step after injection;
-// the fault, and the end of the lookup's stage activity, must show in Stats
-// only once the lookup has reached stage 8.
+// read by Stats every step from its injection on; the fault, and the end of
+// the lookup's stage activity, must show in Stats only once the lookup has
+// reached stage 8.
 func TestStreamStatsBeforeFaultIsReached(t *testing.T) {
 	for _, every := range drainCadences {
 		tbl := genTable(t, 300, 65)
@@ -535,13 +537,13 @@ func TestStreamStatsBeforeFaultIsReached(t *testing.T) {
 	}
 }
 
-// TestStreamCommitBubbleBetweenRunAheadBanks: lookups ahead of the commit
-// bubble and behind it are in the pipe together, all walked ahead — each on
-// the bank fixed when it was injected — when an upset strikes each bank on
-// their path. The rollback redoes every walk on its own bank: old-bank
-// lookups keep the old table's answer or fault on the old image's upset,
-// new-bank ones the new table's or the armed image's.
-func TestStreamCommitBubbleBetweenRunAheadBanks(t *testing.T) {
+// TestStreamCommitBubbleBetweenBanks: lookups ahead of the commit bubble and
+// behind it are in the pipe together — each on the bank fixed when it was
+// injected — when an upset strikes each bank on their path. Every walk goes
+// on on its own bank: old-bank lookups keep the old table's answer or fault
+// on the old image's upset, new-bank ones the new table's or the armed
+// image's.
+func TestStreamCommitBubbleBetweenBanks(t *testing.T) {
 	for _, every := range drainCadences {
 		oldTbl, newTbl := genTables(t)
 		oldImg, newImg := compilePinned(t, oldTbl), compilePinned(t, newTbl)
@@ -575,7 +577,7 @@ func TestStreamCommitBubbleBetweenRunAheadBanks(t *testing.T) {
 		// bubble through 4; new bank: through 3, 2, 1, 0.
 		p.upset(newImg, atNew[2]) // stage 2: the last two new-bank lookups fault
 		p.upset(oldImg, atOld[8]) // stage 8: the last two old-bank lookups fault
-		p.inject(&plain)          // walked ahead on the struck shadow bank, never rolled back
+		p.inject(&plain)          // on the struck shadow bank, injected after the upset
 		p.finish()
 		if got, want := faultStages(p.out), []int{-1, -1, -1, 8, 8, -1, -1, 2, 2, 2}; !reflect.DeepEqual(got, want) {
 			t.Fatalf("drain every %d: lookups ended %v, want %v (-1: served)", every, got, want)
@@ -588,7 +590,7 @@ func TestStreamCommitBubbleBetweenRunAheadBanks(t *testing.T) {
 }
 
 // TestStreamedRunRejectedMidFlight: Run's closed-form schedule assumes an
-// empty window, so it refuses an engine with streamed lookups in its pipe or
+// empty log, so it refuses an engine with streamed lookups in its pipe or
 // waiting to be drained.
 func TestStreamedRunRejectedMidFlight(t *testing.T) {
 	img := compileSingle(t, genTable(t, 50, 63), 8)
@@ -603,7 +605,7 @@ func TestStreamedRunRejectedMidFlight(t *testing.T) {
 	if _, _, err := sim.Run(nil, 1); err == nil {
 		t.Error("Run accepted an engine with an exit waiting for Drain")
 	}
-	if exits := sim.Drain(nil); len(exits) != 1 {
+	if exits := drainAll(sim, nil); len(exits) != 1 {
 		t.Fatalf("Drain handed back %d exits, want the one lookup", len(exits))
 	}
 	if _, _, err := sim.Run(nil, 1); err != nil {
@@ -611,61 +613,85 @@ func TestStreamedRunRejectedMidFlight(t *testing.T) {
 	}
 }
 
-// TestStreamedStepsAllocationFree: in steady state — the window filled and
-// drained into a reused buffer a few times — an untraced Inject, an Idle and
-// the Drain that a full window asks for allocate nothing.
+// TestStreamedStepsAllocationFree: in steady state — the log filled and
+// drained a few times — an untraced Inject, an Idle, a Stats read and the
+// Drain a full engine asks for allocate nothing: the log, the checkpoints
+// and the sweep arena are reused from settle to settle.
 func TestStreamedStepsAllocationFree(t *testing.T) {
 	img := compileSingle(t, genTable(t, 300, 7), 28)
 	sim := NewBatchSim(img)
 	sim.EnableParityCheck()
-	var exits []Exit
+	exits := 0
+	count := func(x []Exit) { exits += len(x) }
 	step := func(i int) {
 		if i%10 == 9 {
 			sim.Idle(int64(i))
 		} else {
 			sim.Inject(Request{Addr: ip.Addr(0x0a000001 + i)}, int64(i))
 		}
+		if i%100 == 0 {
+			sim.Stats() // a settle that hands nothing back
+		}
 		if sim.Full() {
-			exits = sim.Drain(exits[:0])
+			sim.Drain(count)
 		}
 	}
 	i := 0
-	for ; i < 3*DrainWindow; i++ {
+	for ; i < 3*SettleCycles; i++ {
 		step(i)
 	}
-	if n := testing.AllocsPerRun(4*DrainWindow, func() { step(i); i++ }); n != 0 {
+	if n := testing.AllocsPerRun(4*SettleCycles, func() { step(i); i++ }); n != 0 {
 		t.Fatalf("a streamed step allocates %.2f per cycle, want 0", n)
+	}
+	if exits == 0 {
+		t.Fatal("no exits handed back")
 	}
 }
 
-// TestStreamedWindowBound: the window is Stages + DrainWindow slots whatever
-// the run length, an engine says when it is full, and a step past that is a
-// bug in the runner, not something the engine absorbs.
-func TestStreamedWindowBound(t *testing.T) {
+// TestStreamedLogBound: an engine allocates no streaming state before its
+// first streamed step, and then holds at most Stages+SettleCycles records
+// and Stages checkpoints whatever the run length. It says when SettleCycles
+// steps have passed since its last Drain, and a step past that is a bug in
+// the runner, not something the engine absorbs.
+func TestStreamedLogBound(t *testing.T) {
 	img := compileSingle(t, genTable(t, 50, 63), 8)
 	sim := NewBatchSim(img)
-	if got, want := len(sim.win), 8+DrainWindow; got != want {
-		t.Fatalf("window of %d slots, want Stages+DrainWindow = %d", got, want)
+	if sim.log != nil || sim.side != nil || sim.notes != nil {
+		t.Fatal("streaming state allocated before the first streamed step")
 	}
-	for i := 0; i < DrainWindow; i++ {
-		if sim.Full() {
-			t.Fatalf("window full after %d steps", i)
-		}
-		sim.Inject(Request{Addr: ip.Addr(i)}, int64(i))
-	}
-	if !sim.Full() {
-		t.Fatalf("window not full after %d steps", DrainWindow)
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("a step on a full window did not panic")
+	for round := 0; round < 3; round++ {
+		for i := 0; i < SettleCycles; i++ {
+			if sim.Full() {
+				t.Fatalf("round %d: full after %d steps", round, i)
 			}
+			sim.Inject(Request{Addr: ip.Addr(i)}, int64(i))
+			if i == SettleCycles/2 {
+				sim.Stats()
+			}
+		}
+		if !sim.Full() {
+			t.Fatalf("round %d: not full after %d steps", round, SettleCycles)
+		}
+		if len(sim.log) > 8+SettleCycles || cap(sim.log) > 8+SettleCycles || len(sim.side) > 8 {
+			t.Fatalf("round %d: log of %d records (cap %d), %d checkpoints; want at most %d and 8",
+				round, len(sim.log), cap(sim.log), len(sim.side), 8+SettleCycles)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("a step past SettleCycles did not panic")
+				}
+			}()
+			sim.Idle(0)
 		}()
-		sim.Idle(0)
-	}()
-	if exits := sim.Drain(nil); len(exits) != DrainWindow-8 || sim.Full() {
-		t.Fatalf("Drain handed back %d exits (want %d), full %v", len(exits), DrainWindow-8, sim.Full())
+		want := SettleCycles
+		if round == 0 {
+			want -= 8 // the first 8 steps' lookups are still in the pipe
+		}
+		if exits := drainAll(sim, nil); len(exits) != want || sim.Full() || len(sim.log) != 8 {
+			t.Fatalf("round %d: Drain handed back %d exits (want %d), full %v, %d records left (want the pipe's 8)",
+				round, len(exits), want, sim.Full(), len(sim.log))
+		}
 	}
 }
 

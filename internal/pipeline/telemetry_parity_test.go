@@ -139,10 +139,10 @@ func TestTelemetryParityScalarVsBatched(t *testing.T) {
 // TestTelemetryParityStreamedBubblesAndSEUs extends the parity check to the
 // way the slice runners drive an engine: one input slot per cycle at load
 // 0.9 with parity checking on, a hitless update whose write bubbles take
-// input slots mid-run, upsets landing under the lookups in the window, and a
+// input slots mid-run, upsets landing under the lookups in the log, and a
 // sprinkling of traced lookups. The scalar core hands a Result back per cycle
 // and is charged per lookup; the batched one is settled as the runners settle
-// it — drained when its window is full and at the end, every batch charged
+// it — drained when it is full and at the end, every batch charged
 // to the meter as one bulk charge per (VN, last stage) count, every bubble a
 // write per stage. Both must leave the same results, traced visits included,
 // the same meter and the same Stats — stage activity and occupancy included.
@@ -241,11 +241,11 @@ func TestTelemetryParityStreamedBubblesAndSEUs(t *testing.T) {
 	bs := NewBatchSim(img)
 	var exits []Exit
 	settle := func(r *run) {
-		exits = bs.Drain(exits[:0])
+		exits = drainAll(bs, exits[:0])
 		var counts [k][stages]int64
 		for i := range exits {
 			counts[exits[i].VN][exits[i].LastStage]++
-			r.results = append(r.results, exits[i].Result())
+			r.results = append(r.results, exits[i].Result)
 		}
 		for vn := range counts {
 			for last, n := range counts[vn] {
