@@ -195,8 +195,10 @@ fuzz-batch-smoke:
 	$(GO) test ./internal/pipeline -run='^$$' -fuzz=FuzzBatchedLookup -fuzztime=10s
 	$(GO) test ./internal/pipeline -run='^$$' -fuzz=FuzzStreamVsSim -fuzztime=10s
 
+# bench/ is its own module, so ./... never reaches it: vet it too.
 vet:
 	$(GO) vet ./...
+	$(GO) vet -C bench ./...
 
 # Known-vulnerability scan. govulncheck is not vendored; skip gracefully
 # where it is not installed (CI installs it in the lint job).

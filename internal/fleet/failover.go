@@ -84,7 +84,6 @@ type Controller struct {
 	load    []float64
 	readyAt []int64 // power-up completion per device
 
-	home     map[int]int // vn -> device; homeless networks are absent
 	queue    []*Migration
 	degraded []Degradation
 
@@ -109,7 +108,6 @@ func NewController(cfg Config, plan *Plan, demands map[int]Demand, est Estimator
 		vns:     make([][]int, total),
 		load:    make([]float64, total),
 		readyAt: make([]int64, total),
-		home:    make(map[int]int, len(demands)),
 	}
 	for d := cfg.Devices; d < total; d++ {
 		c.state[d] = DevSpare
@@ -118,9 +116,6 @@ func NewController(cfg Config, plan *Plan, demands map[int]Demand, est Estimator
 		c.scheme[d] = a.Scheme
 		c.vns[d] = append([]int(nil), a.VNs...)
 		c.load[d] = a.LoadFrac
-		for _, vn := range a.VNs {
-			c.home[vn] = d
-		}
 	}
 	return c, nil
 }
@@ -134,31 +129,11 @@ func (c *Controller) Scheme(d int) core.Scheme { return c.scheme[d] }
 // VNs returns device d's tenants in serving order.
 func (c *Controller) VNs(d int) []int { return c.vns[d] }
 
-// DeviceOf returns the device hosting vn, or -1 while it is homeless
-// (crashed out, mid-migration, or degraded).
-func (c *Controller) DeviceOf(vn int) int {
-	d, ok := c.home[vn]
-	if !ok {
-		return -1
-	}
-	return d
-}
-
 // SpareActivations counts spares powered up so far.
 func (c *Controller) SpareActivations() int { return c.spareUps }
 
 // Degraded returns the networks parked in degraded mode, in park order.
 func (c *Controller) Degraded() []Degradation { return c.degraded }
-
-// DegradedVN reports whether vn is parked.
-func (c *Controller) DegradedVN(vn int) bool {
-	for _, d := range c.degraded {
-		if d.VN == vn {
-			return true
-		}
-	}
-	return false
-}
 
 // Outstanding reports pending migrations.
 func (c *Controller) Outstanding() bool { return len(c.queue) > 0 }
@@ -284,9 +259,6 @@ func (c *Controller) Crash(dev int, at int64) ([]*Migration, []Degradation, erro
 	c.state[dev] = DevCrashed
 	c.vns[dev] = nil
 	c.load[dev] = 0
-	for _, vn := range victims {
-		delete(c.home, vn)
-	}
 
 	var planned []*Migration
 	var degs []Degradation
@@ -391,7 +363,6 @@ func (c *Controller) Complete(m *Migration, now int64) {
 	c.vns[m.To] = append(c.vns[m.To], m.VN)
 	c.load[m.To] += c.demands[m.VN].LoadFrac
 	c.scheme[m.To] = m.ToScheme
-	c.home[m.VN] = m.To
 }
 
 // dropMigration removes m from the pending queue.

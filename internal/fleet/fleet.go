@@ -120,17 +120,6 @@ type Assignment struct {
 // device order. Spares do not appear (they host nothing).
 type Plan struct {
 	Devices []Assignment
-	// byVN maps each network to its device.
-	byVN map[int]int
-}
-
-// DeviceOf returns the device hosting vn, or -1.
-func (p *Plan) DeviceOf(vn int) int {
-	d, ok := p.byVN[vn]
-	if !ok {
-		return -1
-	}
-	return d
 }
 
 // chooseScheme picks a device organisation for a tenant set: NV for a lone
@@ -198,7 +187,7 @@ func Place(cfg Config, demands map[int]Demand, est Estimator) (*Plan, error) {
 		return order[i] < order[j]
 	})
 
-	plan := &Plan{Devices: make([]Assignment, cfg.Devices), byVN: make(map[int]int, len(demands))}
+	plan := &Plan{Devices: make([]Assignment, cfg.Devices)}
 	for d := range plan.Devices {
 		plan.Devices[d].Device = d
 	}
@@ -228,7 +217,6 @@ func Place(cfg Config, demands map[int]Demand, est Estimator) (*Plan, error) {
 		a := &plan.Devices[best]
 		a.VNs = append(a.VNs, vn)
 		a.LoadFrac += demands[vn].LoadFrac
-		plan.byVN[vn] = best
 	}
 	for d := range plan.Devices {
 		a := &plan.Devices[d]

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"vrpower/internal/core"
@@ -21,6 +22,25 @@ func testEst(sch core.Scheme, vns []int) (float64, error) {
 	}
 	return 0, fmt.Errorf("unknown scheme %v", sch)
 }
+
+// hostOf is the device among n whose tenants, vnsOf(d), include vn; -1 when
+// none does (the network is unplaced, homeless or degraded).
+func hostOf(n int, vnsOf func(d int) []int, vn int) int {
+	for d := 0; d < n; d++ {
+		if slices.Contains(vnsOf(d), vn) {
+			return d
+		}
+	}
+	return -1
+}
+
+// planHost is hostOf over a plan's assignments.
+func planHost(p *Plan, vn int) int {
+	return hostOf(len(p.Devices), func(d int) []int { return p.Devices[d].VNs }, vn)
+}
+
+// ctrHost is hostOf over a controller's serving lists, spares included.
+func ctrHost(c *Controller, vn int) int { return hostOf(len(c.state), c.VNs, vn) }
 
 func evenDemands(k int, load float64) map[int]Demand {
 	d := make(map[int]Demand, k)
@@ -58,7 +78,7 @@ func TestPlaceBalancedAndDeterministic(t *testing.T) {
 		}
 	}
 	for vn := range demands {
-		if first.DeviceOf(vn) < 0 {
+		if planHost(first, vn) < 0 {
 			t.Fatalf("network %d unplaced", vn)
 		}
 	}
@@ -77,8 +97,8 @@ func TestPlaceHeaviestFirst(t *testing.T) {
 	}
 	// Worst-fit-decreasing: the two heavy networks split across devices,
 	// the light ones fill in behind them.
-	if plan.DeviceOf(0) == plan.DeviceOf(1) {
-		t.Fatalf("heavy networks share device %d: %+v", plan.DeviceOf(0), plan.Devices)
+	if planHost(plan, 0) == planHost(plan, 1) {
+		t.Fatalf("heavy networks share device %d: %+v", planHost(plan, 0), plan.Devices)
 	}
 }
 
@@ -150,8 +170,8 @@ func TestCrashPlansMigrationsToSurvivors(t *testing.T) {
 		if m.CrashedAt != 1000 || m.Deadline != 1000+ctr.cfg.TimeoutCycles {
 			t.Fatalf("stamps %+v", m)
 		}
-		if ctr.DeviceOf(m.VN) != -1 {
-			t.Fatalf("victim %d still homed at %d", m.VN, ctr.DeviceOf(m.VN))
+		if ctrHost(ctr, m.VN) != -1 {
+			t.Fatalf("victim %d still homed at %d", m.VN, ctrHost(ctr, m.VN))
 		}
 	}
 	// Completing every migration restores full service.
@@ -163,7 +183,7 @@ func TestCrashPlansMigrationsToSurvivors(t *testing.T) {
 		t.Fatal("still outstanding after completes")
 	}
 	for _, vn := range victims {
-		if ctr.DeviceOf(vn) < 0 {
+		if ctrHost(ctr, vn) < 0 {
 			t.Fatalf("victim %d homeless after complete", vn)
 		}
 	}
@@ -185,7 +205,7 @@ func TestCrashDegradesWithoutCapacity(t *testing.T) {
 		if !errors.Is(d.Err, ctrl.ErrNoCapacity) {
 			t.Fatalf("degradation err %v, want ErrNoCapacity", d.Err)
 		}
-		if !ctr.DegradedVN(d.VN) {
+		if !slices.ContainsFunc(ctr.Degraded(), func(p Degradation) bool { return p.VN == d.VN }) {
 			t.Fatalf("vn %d not marked degraded", d.VN)
 		}
 	}

@@ -175,16 +175,17 @@ func TestTornSpliceOwnsItsWords(t *testing.T) {
 		t.Fatal(err)
 	}
 	jr := ctrl.NewJournal()
-	r := &scenRun{s: s, jrs: []*ctrl.Journal{jr}, wd: wd, rep: &ScenarioReport{Chaos: &ChaosReport{}}}
+	r := &scenRun{s: s, rep: &ScenarioReport{Chaos: &ChaosReport{}}}
+	dev := &device{jrs: []*ctrl.Journal{jr}, wd: wd}
 	img := s.router.Images()[0]
-	e := &scenEng{}
+	e := &scenEng{dev: dev}
 	e.fs.img, e.fs.pending, e.fs.reloading = img.Clone(), img.Clone(), true
 	e.ch.reset()
 	e.ch.latency = 1000
 	if e.ch.tok, err = jr.Begin(ctrl.OpScrub, 0, -1, 0); err != nil {
 		t.Fatal(err)
 	}
-	scenChaos{r: r}.tearAndReplay(0, e, 100)
+	scenChaos{r: r, dev: dev}.tearAndReplay(e, 100)
 
 	torn := e.fs.img
 	if torn == e.fs.pending || e.ch.appliedStages == 0 {
@@ -274,11 +275,12 @@ func TestNoGhostScrub(t *testing.T) {
 	// hitless batches, a torn reload and rollbacks, no image the control plane
 	// keeps — the manager's pinned ones, its router's, the system's router's —
 	// is one an engine serves or holds pending, and every one reads clean.
-	pinned, err := r.mgr.PinnedImages()
+	mgr := r.devs[0].mgr
+	pinned, err := mgr.PinnedImages()
 	if err != nil {
 		t.Fatal(err)
 	}
-	kept := map[string][]*pipeline.Image{"pinned": pinned, "manager's router": r.mgr.Router().Images(), "system's router": r.s.router.Images()}
+	kept := map[string][]*pipeline.Image{"pinned": pinned, "manager's router": mgr.Router().Images(), "system's router": r.s.router.Images()}
 	for name, images := range kept {
 		for e, img := range images {
 			if s, i := img.Corrupted(); len(s) != 0 {

@@ -114,18 +114,18 @@ func (ch *engChaos) reset() {
 	*ch = engChaos{faultAt: -1, crashAtBubble: -1, armedAt: -1}
 }
 
-// chaosOn reports whether the chaos machinery is wired into this run.
-func (r *scenRun) chaosOn() bool { return r.wd != nil }
+// chaosOn reports whether the chaos machinery is wired into this device.
+func (d *device) chaosOn() bool { return d.wd != nil }
 
 // ---- scrub-path hooks (called from scenFaults) ----------------------------
 
 // chaosScrubBegin opens the journaled reload: the intent record lands
 // before any stage write.
-func (r *scenRun) chaosScrubBegin(eIdx int, e *scenEng, b int64) {
-	if !r.chaosOn() {
+func (r *scenRun) chaosScrubBegin(e *scenEng, b int64) {
+	if !e.dev.chaosOn() {
 		return
 	}
-	tok, err := r.jrs[eIdx].Begin(ctrl.OpScrub, eIdx, -1, b)
+	tok, err := e.dev.jrs[e.idx].Begin(ctrl.OpScrub, e.idx, -1, b)
 	if err != nil {
 		return // an op is already open on this engine's journal
 	}
@@ -137,15 +137,15 @@ func (r *scenRun) chaosScrubBegin(eIdx int, e *scenEng, b int64) {
 // chaosScrubArmed supervises a successfully launched reload: the watchdog
 // deadline covers the expected completion, and one scrub-side fault is
 // dealt from the seeded deck.
-func (r *scenRun) chaosScrubArmed(eIdx int, e *scenEng, b, latency int64) {
-	if !r.chaosOn() || e.ch.tok == nil {
+func (r *scenRun) chaosScrubArmed(e *scenEng, b, latency int64) {
+	if !e.dev.chaosOn() || e.ch.tok == nil {
 		return
 	}
-	ch := &e.ch
+	ch, wd := &e.ch, e.dev.wd
 	ch.latency = latency
 	fs := &e.fs
-	r.wd.Arm(eIdx, ctrl.OpScrub, -1, b+latency)
-	ch.draw = r.ci.DrawScrub()
+	wd.Arm(e.idx, ctrl.OpScrub, -1, b+latency)
+	ch.draw = e.dev.ci.DrawScrub()
 	rep := r.rep.Chaos
 	switch ch.draw {
 	case faults.CtrlStall:
@@ -155,24 +155,24 @@ func (r *scenRun) chaosScrubArmed(eIdx int, e *scenEng, b, latency int64) {
 		// the watchdog can unstick it.
 		fs.repairAt = math.MaxInt64
 		r.s.tel.Events.Log(obs.LevelWarn, b, "chaos_inject",
-			"fault", ch.draw.String(), "engine", eIdx, "deadline", r.wd.Deadline(eIdx))
+			"fault", ch.draw.String(), "engine", e.idx, "deadline", wd.Deadline(e.idx))
 	case faults.CtrlTorn:
 		rep.InjectedTorn++
 		ch.faultAt = b
 		r.s.tel.Events.Log(obs.LevelWarn, b, "chaos_inject",
-			"fault", ch.draw.String(), "engine", eIdx, "tear_at", fs.repairAt)
+			"fault", ch.draw.String(), "engine", e.idx, "tear_at", fs.repairAt)
 	case faults.CtrlFalsePositive:
 		rep.InjectedFalsePositives++
 		r.s.tel.Events.Log(obs.LevelWarn, b, "chaos_inject",
-			"fault", ch.draw.String(), "engine", eIdx)
+			"fault", ch.draw.String(), "engine", e.idx)
 	}
 }
 
 // chaosOnInstall closes the journaled reload at install: the remaining
 // per-stage apply records, the commit record, watchdog disarm, and the
 // post-recovery invariant audit of the freshly installed image.
-func (r *scenRun) chaosOnInstall(eIdx int, e *scenEng, at int64) {
-	if !r.chaosOn() || e.ch.tok == nil {
+func (r *scenRun) chaosOnInstall(e *scenEng, at int64) {
+	if !e.dev.chaosOn() || e.ch.tok == nil {
 		return
 	}
 	ch := &e.ch
@@ -180,7 +180,7 @@ func (r *scenRun) chaosOnInstall(eIdx int, e *scenEng, at int64) {
 		ch.tok.Apply(s, e.fs.img.StageLen(s), at)
 	}
 	_ = ch.tok.Commit(at)
-	r.wd.Disarm(eIdx)
+	e.dev.wd.Disarm(e.idx)
 	if ch.faultAt >= 0 {
 		r.rep.Chaos.RecoverySum += at - ch.faultAt
 		r.rep.Chaos.Recoveries++
@@ -194,11 +194,10 @@ func (r *scenRun) chaosOnInstall(eIdx int, e *scenEng, at int64) {
 // chaosOnArm supervises a hitless commit: journal intent, watchdog deadline
 // from the bubble budget, and the crash draw.
 func (r *scenRun) chaosOnArm(e *scenEng, h *ctrl.HitlessUpdate, b int64) {
-	if !r.chaosOn() {
+	if !e.dev.chaosOn() {
 		return
 	}
-	eIdx := h.Engine()
-	tok, err := r.jrs[eIdx].Begin(ctrl.OpCommit, eIdx, h.VN(), b)
+	tok, err := e.dev.jrs[e.idx].Begin(ctrl.OpCommit, e.idx, h.VN(), b)
 	if err != nil {
 		return
 	}
@@ -208,22 +207,22 @@ func (r *scenRun) chaosOnArm(e *scenEng, h *ctrl.HitlessUpdate, b int64) {
 	ch.armedAt = b
 	// Expected completion: one bubble per cycle plus the pipeline flush.
 	depth := int64(e.fs.img.Stages())
-	r.wd.Arm(eIdx, ctrl.OpCommit, h.VN(), b+int64(h.Bubbles())+depth)
-	if r.ci.DrawCommit() == faults.CtrlCrash {
+	e.dev.wd.Arm(e.idx, ctrl.OpCommit, h.VN(), b+int64(h.Bubbles())+depth)
+	if e.dev.ci.DrawCommit() == faults.CtrlCrash {
 		r.rep.Chaos.InjectedCrashes++
 		ch.crashAtBubble = h.Bubbles() / 2
 		if ch.crashAtBubble < 1 {
 			ch.crashAtBubble = 1
 		}
 		r.s.tel.Events.Log(obs.LevelWarn, b, "chaos_inject",
-			"fault", "crash", "engine", eIdx, "vn", h.VN(), "crash_at_bubble", ch.crashAtBubble)
+			"fault", "crash", "engine", e.idx, "vn", h.VN(), "crash_at_bubble", ch.crashAtBubble)
 	}
 }
 
 // chaosCrash kills the updater mid-stream: the shadow writes so far are
 // journaled as the torn watermark and the engine keeps serving lookups from
 // the old bank while the watchdog runs down.
-func (r *scenRun) chaosCrash(eIdx int, e *scenEng, cyc int64) {
+func (r *scenRun) chaosCrash(e *scenEng, cyc int64) {
 	ch := &e.ch
 	ch.crashed = true
 	ch.crashedAt = cyc
@@ -233,7 +232,7 @@ func (r *scenRun) chaosCrash(eIdx int, e *scenEng, cyc int64) {
 		ch.tok.Apply(-1, injected, cyc)
 	}
 	r.s.tel.Events.Log(obs.LevelError, cyc, "crash_before_commit",
-		"engine", eIdx, "vn", e.batch.VN, "bubbles_left", e.sim.PendingBubbles())
+		"engine", e.idx, "vn", e.batch.VN, "bubbles_left", e.sim.PendingBubbles())
 }
 
 // chaosCloseOp abandons an engine's supervised commit (a scrub is about to
@@ -242,73 +241,74 @@ func (r *scenRun) chaosCrash(eIdx int, e *scenEng, cyc int64) {
 // ends in a journaled rollback no matter which path finds it — the
 // watchdog's deadline or a scrub arriving sooner.
 func (r *scenRun) chaosCloseOp(e *scenEng, b int64) {
-	if !r.chaosOn() || e.ch.tok == nil {
+	if !e.dev.chaosOn() || e.ch.tok == nil {
 		return
 	}
 	ch := &e.ch
-	eIdx := e.batch.Engine
 	if ch.crashed {
-		if rec, err := r.jrs[eIdx].Recover(b); err == nil && rec.Action == ctrl.Rollback {
+		if rec, err := e.dev.jrs[e.idx].Recover(b); err == nil && rec.Action == ctrl.Rollback {
 			r.rep.Chaos.Rollbacks++
 			r.rep.Chaos.RecoverySum += b - ch.crashedAt
 			r.rep.Chaos.Recoveries++
 			r.s.tel.Events.Log(obs.LevelWarn, b, "recovery_rollback",
-				"engine", eIdx, "vn", e.batch.VN, "applies", rec.StagesApplied,
+				"engine", e.idx, "vn", e.batch.VN, "applies", rec.StagesApplied,
 				"crashed_at", ch.crashedAt, "recovery_cycles", b-ch.crashedAt)
 		}
 		_ = e.sim.AbortUpdate()
 	} else {
 		_ = ch.tok.Abort(b)
 	}
-	r.wd.Disarm(eIdx)
+	e.dev.wd.Disarm(e.idx)
 	ch.reset()
 }
 
 // chaosOnCommit closes the journaled commit cleanly and audits the image
 // the engine now serves.
 func (r *scenRun) chaosOnCommit(e *scenEng, at int64) {
-	if !r.chaosOn() || e.ch.tok == nil {
+	if !e.dev.chaosOn() || e.ch.tok == nil {
 		return
 	}
 	ch := &e.ch
 	ch.tok.Apply(-1, e.batch.Writes, at)
 	_ = ch.tok.Commit(at)
-	r.wd.Disarm(e.batch.Engine)
+	e.dev.wd.Disarm(e.idx)
 	r.auditLive(e, at)
 	ch.reset()
 }
 
 // ---- the stressor ---------------------------------------------------------
 
-// scenChaos drives recovery at slice boundaries. It registers FIRST, so a
-// torn reload is repaired before scenFaults would install it and a crashed
-// updater is rolled back before scenChurn would try to commit it.
+// scenChaos drives recovery at slice boundaries over one device's engines,
+// journals and watchdog. It registers FIRST, so a torn reload is repaired
+// before scenFaults would install it and a crashed updater is rolled back
+// before scenChurn would try to commit it.
 type scenChaos struct {
 	scenario.NopStressor
-	r *scenRun
+	r   *scenRun
+	dev *device
 }
 
 func (scenChaos) Name() string { return "chaos" }
 
 func (c scenChaos) Boundary(b int64, _ bool) error {
-	r := c.r
-	for eIdx, e := range r.devs[0].engines {
+	wd := c.dev.wd
+	for _, e := range c.dev.engines {
 		ch := &e.ch
-		if ch.tok == nil && !r.wd.Watching(eIdx) {
+		if ch.tok == nil && !wd.Watching(e.idx) {
 			continue
 		}
 		switch {
 		case ch.crashed:
-			if err := c.crashRecovery(eIdx, e, b); err != nil {
+			if err := c.crashRecovery(e, b); err != nil {
 				return err
 			}
 		case e.fs.reloading && ch.draw == faults.CtrlTorn && e.fs.repairAt <= b:
-			c.tearAndReplay(eIdx, e, b)
+			c.tearAndReplay(e, b)
 		case e.fs.reloading && ch.draw == faults.CtrlFalsePositive && !ch.fpFired && b > ch.armedAt:
-			r.wd.FalsePositive(eIdx, b)
+			wd.FalsePositive(e.idx, b)
 			ch.fpFired = true
-		case e.fs.reloading && ch.draw == faults.CtrlStall && r.wd.Expired(eIdx, b):
-			c.stallLadder(eIdx, e, b)
+		case e.fs.reloading && ch.draw == faults.CtrlStall && wd.Expired(e.idx, b):
+			c.stallLadder(e, b)
 		}
 	}
 	return nil
@@ -318,29 +318,29 @@ func (c scenChaos) Boundary(b int64, _ bool) error {
 // deadline expires: the journal closes the op (OpCommit ⇒ Rollback), the
 // shadow bank is discarded, the old image keeps serving, and the batch is
 // put back on the churn queue.
-func (c scenChaos) crashRecovery(eIdx int, e *scenEng, b int64) error {
-	r := c.r
-	if !r.wd.Expired(eIdx, b) {
+func (c scenChaos) crashRecovery(e *scenEng, b int64) error {
+	r, wd := c.r, c.dev.wd
+	if !wd.Expired(e.idx, b) {
 		return nil // deadline still running: the crash is not yet detected
 	}
 	ch := &e.ch
-	rec, err := r.jrs[eIdx].Recover(b)
+	rec, err := c.dev.jrs[e.idx].Recover(b)
 	if err == nil && rec.Action == ctrl.Rollback {
 		r.rep.Chaos.Rollbacks++
 	}
 	// The commit bubble can never be in flight here: the crash fired
 	// strictly before it, so the shadow bank is still abortable.
 	if err := e.sim.AbortUpdate(); err != nil {
-		return fmt.Errorf("netsim: rollback on engine %d: %w", eIdx, err)
+		return fmt.Errorf("netsim: rollback on engine %d: %w", e.idx, err)
 	}
 	e.handle.Abort()
-	r.wd.Disarm(eIdx)
+	wd.Disarm(e.idx)
 	r.rep.BatchesAborted++
 	r.rep.Chaos.RetriedBatches++
 	r.rep.Chaos.RecoverySum += b - ch.crashedAt
 	r.rep.Chaos.Recoveries++
 	r.s.tel.Events.Log(obs.LevelWarn, b, "recovery_rollback",
-		"engine", eIdx, "vn", e.batch.VN, "applies", rec.StagesApplied,
+		"engine", e.idx, "vn", e.batch.VN, "applies", rec.StagesApplied,
 		"crashed_at", ch.crashedAt, "recovery_cycles", b-ch.crashedAt)
 	// Re-arm the batch: the churn stressor regenerates it deterministically
 	// from the unchanged table and the same per-batch seed.
@@ -359,7 +359,7 @@ func (c scenChaos) crashRecovery(eIdx int, e *scenEng, b int64) error {
 // install is pushed out by the remainder latency. The torn image is never
 // served: the engine stays down for the whole window, which is exactly the
 // drop-never-misforward invariant.
-func (c scenChaos) tearAndReplay(eIdx int, e *scenEng, b int64) {
+func (c scenChaos) tearAndReplay(e *scenEng, b int64) {
 	r := c.r
 	ch := &e.ch
 	fs := &e.fs
@@ -374,7 +374,7 @@ func (c scenChaos) tearAndReplay(eIdx int, e *scenEng, b int64) {
 		}
 	}
 	ch.appliedStages = half
-	rec, err := r.jrs[eIdx].Recover(b)
+	rec, err := c.dev.jrs[e.idx].Recover(b)
 	if err == nil && rec.Action == ctrl.Replay {
 		r.rep.Chaos.Replays++
 	}
@@ -385,32 +385,32 @@ func (c scenChaos) tearAndReplay(eIdx int, e *scenEng, b int64) {
 		remainder = 1
 	}
 	fs.repairAt = b + remainder
-	r.wd.Extend(eIdx, fs.repairAt)
+	c.dev.wd.Extend(e.idx, fs.repairAt)
 	ch.draw = faults.CtrlNone
 	r.s.tel.Events.Log(obs.LevelWarn, b, "recovery_replay",
-		"engine", eIdx, "op", "scrub", "stages_applied", rec.StagesApplied,
+		"engine", e.idx, "op", "scrub", "stages_applied", rec.StagesApplied,
 		"resume_stage", half, "ready_at", fs.repairAt)
 }
 
 // stallLadder walks the watchdog's escalation ladder over a stalled reload:
 // in-budget expiries replay the reload under a backoff; a spent budget
 // degrades the engine's networks and raises the operator event.
-func (c scenChaos) stallLadder(eIdx int, e *scenEng, b int64) {
-	r := c.r
+func (c scenChaos) stallLadder(e *scenEng, b int64) {
+	r, wd := c.r, c.dev.wd
 	ch := &e.ch
 	fs := &e.fs
-	verdict, delay := r.wd.Check(eIdx, b)
+	verdict, delay := wd.Check(e.idx, b)
 	switch verdict {
 	case ctrl.WatchRetry:
-		rec, err := r.jrs[eIdx].Recover(b)
+		rec, err := c.dev.jrs[e.idx].Recover(b)
 		if err == nil && rec.Action == ctrl.Replay {
 			r.rep.Chaos.Replays++
 		}
 		// The replay restarts the reload after the backoff; the next fault
 		// card decides whether it sticks.
-		ch.draw = r.ci.DrawScrub()
+		ch.draw = c.dev.ci.DrawScrub()
 		fs.repairAt = b + delay + ch.latency
-		r.wd.Extend(eIdx, fs.repairAt)
+		wd.Extend(e.idx, fs.repairAt)
 		switch ch.draw {
 		case faults.CtrlStall:
 			r.rep.Chaos.InjectedStalls++
@@ -422,7 +422,7 @@ func (c scenChaos) stallLadder(eIdx int, e *scenEng, b int64) {
 			ch.fpFired = false
 		}
 		r.s.tel.Events.Log(obs.LevelWarn, b, "recovery_replay",
-			"engine", eIdx, "op", "scrub", "stages_applied", rec.StagesApplied,
+			"engine", e.idx, "op", "scrub", "stages_applied", rec.StagesApplied,
 			"backoff", delay, "ready_at", fs.repairAt)
 	case ctrl.WatchEscalate:
 		// Budget spent: the op aborts, the engine's networks go degraded
@@ -435,7 +435,7 @@ func (c scenChaos) stallLadder(eIdx int, e *scenEng, b int64) {
 		fs.repairAt = -1
 		fs.dead = true
 		r.s.tel.Events.Log(obs.LevelError, b, "engine_degraded",
-			"engine", eIdx, "op", "scrub", "reason", ctrl.ErrReloadTimeout.Error())
+			"engine", e.idx, "op", "scrub", "reason", ctrl.ErrReloadTimeout.Error())
 		ch.reset()
 	}
 }
@@ -463,10 +463,11 @@ func (r *scenRun) audit(e *scenEng, at int64, keys ...any) pipeline.AuditResult 
 	var probes []pipeline.Probe
 	for reqVN, vn := range e.served {
 		// Without churn the tables are the ones the run was built from, whose
-		// oracle it already holds; a churn manager's tables are authoritative.
+		// oracle it already holds; the device's churn manager's tables are
+		// authoritative.
 		tbl, ref := r.s.tables[vn], r.s.refs[vn]
-		if r.mgr != nil {
-			tbl = r.mgr.Tables()[vn]
+		if mgr := e.dev.mgr; mgr != nil {
+			tbl = mgr.Tables()[vn]
 			ref = tbl.Reference()
 		}
 		stride := max(1, (tbl.Len()+auditProbeCap-1)/auditProbeCap)
@@ -489,15 +490,14 @@ func (r *scenRun) audit(e *scenEng, at int64, keys ...any) pipeline.AuditResult 
 // cumulative recoveries and currently degraded networks. It also accrues
 // the per-VN degraded-slice counters.
 func (r *scenRun) chaosSliceStats() (recoveries, degradedVNs int) {
-	if !r.chaosOn() {
-		return 0, 0
-	}
-	for _, j := range r.jrs {
-		st := j.Stats()
-		recoveries += st.Replays + st.Rollbacks
+	for _, dev := range r.devs {
+		for _, j := range dev.jrs {
+			st := j.Stats()
+			recoveries += st.Replays + st.Rollbacks
+		}
 	}
 	for vn, e := range r.home {
-		if r.wd.Degraded(e.idx) {
+		if e != nil && e.dev.chaosOn() && e.dev.wd.Degraded(e.idx) {
 			degradedVNs++
 			r.rep.Chaos.DegradedSlicesPerVN[vn]++
 		}
@@ -508,17 +508,19 @@ func (r *scenRun) chaosSliceStats() (recoveries, degradedVNs int) {
 // chaosFinalize folds the watchdog's ladder tallies and the journal totals
 // into the report at run end.
 func (r *scenRun) chaosFinalize() {
-	if !r.chaosOn() {
-		return
-	}
 	rep := r.rep.Chaos
-	rep.WatchdogRetries = r.wd.Retries()
-	rep.FalsePositives = r.wd.FalsePositives()
-	rep.Escalations = r.wd.Escalations()
-	for _, j := range r.jrs {
-		st := j.Stats()
-		rep.JournalBegun += st.Begun
-		rep.JournalCommits += st.Commits
-		rep.JournalAborts += st.Aborts
+	for _, dev := range r.devs {
+		if !dev.chaosOn() {
+			continue
+		}
+		rep.WatchdogRetries += dev.wd.Retries()
+		rep.FalsePositives += dev.wd.FalsePositives()
+		rep.Escalations += dev.wd.Escalations()
+		for _, j := range dev.jrs {
+			st := j.Stats()
+			rep.JournalBegun += st.Begun
+			rep.JournalCommits += st.Commits
+			rep.JournalAborts += st.Aborts
+		}
 	}
 }

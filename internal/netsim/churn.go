@@ -103,7 +103,8 @@ func (r *scenRun) abortUpdate(e *scenEng, b int64) error {
 }
 
 // scenChurn is the composed run's update stressor: commit-then-arm at every
-// boundary, one batch in flight at a time.
+// boundary, one batch in flight at a time over all devices, each armed
+// through the control plane of the device serving its network.
 // It runs after the fault stressor's boundary, so it never arms an update
 // on an engine that just went down.
 type scenChurn struct {
@@ -116,18 +117,18 @@ func (scenChurn) Name() string { return "churn" }
 func (c scenChurn) Boundary(b int64, _ bool) error {
 	r := c.r
 	rep, tel := r.rep, r.s.tel
-	for _, e := range r.devs[0].engines {
-		if e.handle == nil || e.doneAt < 0 {
-			continue
-		}
-		if err := r.commitUpdate(e); err != nil {
-			return err
+	for _, dev := range r.devs {
+		for _, e := range dev.engines {
+			if e.handle == nil || e.doneAt < 0 {
+				continue
+			}
+			if err := r.commitUpdate(e); err != nil {
+				return err
+			}
 		}
 	}
-	for _, e := range r.devs[0].engines {
-		if e.handle != nil {
-			return nil // one batch in flight at a time
-		}
+	if c.inFlight() {
+		return nil // one batch in flight at a time
 	}
 	churn := r.spec.Churn
 	if r.started >= churn.Batches {
@@ -149,15 +150,16 @@ func (c scenChurn) Boundary(b int64, _ bool) error {
 	if target.fs.down() {
 		return nil // engine mid-repair: retry at the next boundary
 	}
-	ops, err := update.Churn(r.mgr.Tables()[vn], churn.Ops, update.ChurnConfig{Seed: r.spec.Seed + int64(r.started)})
+	dev := target.dev
+	ops, err := update.Churn(dev.mgr.Tables()[vn], churn.Ops, update.ChurnConfig{Seed: r.spec.Seed + int64(r.started)})
 	if err != nil {
 		return err
 	}
-	h, err := r.mgr.BeginHitlessUpdate(vn, ops)
+	h, err := dev.mgr.BeginHitlessUpdate(vn, ops)
 	if err != nil {
 		return err
 	}
-	e := r.devs[0].engines[h.Engine()]
+	e := dev.engines[h.Engine()]
 	if err := e.sim.BeginUpdate(h.Image(), h.Bubbles()); err != nil {
 		h.Abort()
 		return err
@@ -183,13 +185,16 @@ func (c scenChurn) Boundary(b int64, _ bool) error {
 }
 
 func (c scenChurn) Outstanding() bool {
-	r := c.r
-	if r.started < r.spec.Churn.Batches {
-		return true
-	}
-	for _, e := range r.devs[0].engines {
-		if e.handle != nil {
-			return true
+	return c.r.started < c.r.spec.Churn.Batches || c.inFlight()
+}
+
+// inFlight reports whether a batch is armed on any engine of any device.
+func (c scenChurn) inFlight() bool {
+	for _, dev := range c.r.devs {
+		for _, e := range dev.engines {
+			if e.handle != nil {
+				return true
+			}
 		}
 	}
 	return false

@@ -110,49 +110,52 @@ func (e *engState) sweepStep(words int) (int, bool) {
 	return words, hit
 }
 
-// scenFaults is the composed run's fault stressor. Boundary lands finished
-// reloads, then turns the last slice's detection flags into scrubs;
-// PreSlice schedules the slice's adversity before any arrival: the hard
-// kill, this slice's SEUs (live slices only — the drain injects nothing
-// new), then the background readback sweep over in-service engines.
+// scenFaults is the composed run's fault stressor over one device's engines
+// and injector. Boundary lands finished reloads, then turns the last slice's
+// detection flags into scrubs; PreSlice schedules the slice's adversity
+// before any arrival: the hard kill, this slice's SEUs (live slices only —
+// the drain injects nothing new), then the background readback sweep over
+// in-service engines.
 type scenFaults struct {
 	scenario.NopStressor
-	r *scenRun
+	r   *scenRun
+	dev *device
 }
 
 func (scenFaults) Name() string { return "faults" }
 
 // rebuild is ctrl.Scrub's rebuild closure for engine e: a fresh copy of
-// the control plane's image of its current (possibly churned) tables when
-// churn is active; otherwise a recompile of the router's original tables
-// through the same deterministic compile its build used, so the rebuilt
-// geometry matches the original word for word (which keeps pre-drawn upset
-// coordinates valid).
-func (f scenFaults) rebuild(e int) func() (*pipeline.Image, error) {
-	s, mgr := f.r.s, f.r.mgr
-	cfg := s.router.Config()
+// the device's control-plane image of its current (possibly churned) tables
+// when churn is active; otherwise a recompile of the original tables of the
+// networks it serves through the same deterministic compile the device's
+// router used, so the rebuilt geometry matches the original word for word
+// (which keeps pre-drawn upset coordinates valid).
+func (f scenFaults) rebuild(e *scenEng) func() (*pipeline.Image, error) {
+	mgr, cfg, tables := f.dev.mgr, f.dev.router.Config(), f.r.s.tables
 	return func() (*pipeline.Image, error) {
 		switch {
 		case mgr != nil:
-			return mgr.PinnedImage(e)
+			return mgr.PinnedImage(e.idx)
 		case cfg.Scheme == core.VM:
-			r, err := core.Build(cfg, s.tables)
+			// Only the system's own router merges (fleet devices are NV or
+			// VS): its one engine serves every network.
+			r, err := core.Build(cfg, tables)
 			if err != nil {
 				return nil, err
 			}
 			return r.Images()[0], nil
 		}
-		return core.CompileTable(cfg, s.tables[e])
+		return core.CompileTable(cfg, tables[e.served[0]])
 	}
 }
 
-func (f scenFaults) install(eIdx int, e *scenEng) {
+func (f scenFaults) install(e *scenEng) {
 	r := f.r
 	rep, tel := r.rep, r.s.tel
 	fs := &e.fs
 	at := fs.repairAt
-	tel.Events.Log(obs.LevelInfo, at, "scrub_done", "engine", eIdx, "repaired", len(fs.outstanding))
-	if fs.killed && rep.Kill != nil && rep.Kill.Engine == eIdx {
+	tel.Events.Log(obs.LevelInfo, at, "scrub_done", "engine", e.idx, "repaired", len(fs.outstanding))
+	if fs.killed && rep.Kill != nil && rep.Kill.Engine == e.idx {
 		rep.Kill.RepairedAt = at
 	}
 	fs.img = fs.pending
@@ -179,10 +182,10 @@ func (f scenFaults) install(eIdx int, e *scenEng) {
 	// The repaired engine is a fresh one over the clean image.
 	r.retire(e.sim)
 	e.sim = newSim(fs.img)
-	r.chaosOnInstall(eIdx, e, at)
+	r.chaosOnInstall(e, at)
 }
 
-func (f scenFaults) startScrub(eIdx int, e *scenEng, b int64) error {
+func (f scenFaults) startScrub(e *scenEng, b int64) error {
 	r := f.r
 	rep, tel := r.rep, r.s.tel
 	fs := &e.fs
@@ -195,7 +198,7 @@ func (f scenFaults) startScrub(eIdx int, e *scenEng, b int64) error {
 			obsFaultsDetected.Inc()
 		}
 	}
-	tel.Events.Log(obs.LevelInfo, b, "scrub_start", "engine", eIdx, "via", via, "outstanding", len(fs.outstanding))
+	tel.Events.Log(obs.LevelInfo, b, "scrub_start", "engine", e.idx, "via", via, "outstanding", len(fs.outstanding))
 	// Going down: in-flight lookups are lost, an in-flight update aborts
 	// (or, past its commit bubble, completes).
 	if err := r.abortUpdate(e, b); err != nil {
@@ -203,10 +206,10 @@ func (f scenFaults) startScrub(eIdx int, e *scenEng, b int64) error {
 	}
 	r.flushExits(e)
 	// The journal's intent record lands before the first stage write.
-	r.chaosScrubBegin(eIdx, e, b)
+	r.chaosScrubBegin(e, b)
 	// The rebuild compiles what compiled at set-up; if it fails anyway the
 	// run does.
-	img, err := ctrl.Scrub(f.rebuild(eIdx))
+	img, err := ctrl.Scrub(f.rebuild(e))
 	if err != nil {
 		return err
 	}
@@ -220,30 +223,30 @@ func (f scenFaults) startScrub(eIdx int, e *scenEng, b int64) error {
 	fs.repairAt = b + words
 	// The reload rewrites every word: control-plane energy on the engine,
 	// attributed to the lowest network it serves.
-	e.dev.meter.AddWords(eIdx, e.served[0], words)
+	e.dev.meter.AddWords(e.idx, e.served[0], words)
 	tel.Events.Log(obs.LevelInfo, b, "scrub_reload",
-		"engine", eIdx, "attempts", 1, "writes", words,
+		"engine", e.idx, "attempts", 1, "writes", words,
 		"latency_cycles", words, "ready_at", fs.repairAt)
-	r.chaosScrubArmed(eIdx, e, b, words)
+	r.chaosScrubArmed(e, b, words)
 	return nil
 }
 
 func (f scenFaults) Boundary(b int64, _ bool) error {
 	r := f.r
 	rep := r.rep
-	for eIdx, e := range r.devs[0].engines {
+	for _, e := range f.dev.engines {
 		fs := &e.fs
-		if fs.killed && rep.Kill != nil && rep.Kill.Engine == eIdx && rep.Kill.DetectedAt < 0 {
+		if fs.killed && rep.Kill != nil && rep.Kill.Engine == e.idx && rep.Kill.DetectedAt < 0 {
 			rep.Kill.DetectedAt = b
 		}
 		if fs.reloading && fs.repairAt <= b {
-			f.install(eIdx, e)
+			f.install(e)
 		}
 		if !fs.dead && !fs.reloading && (fs.detectVia != "" || fs.killed) {
 			if fs.detectVia == "" {
 				fs.detectVia = ViaHeartbeat
 			}
-			if err := f.startScrub(eIdx, e, b); err != nil {
+			if err := f.startScrub(e, b); err != nil {
 				return err
 			}
 		}
@@ -252,20 +255,20 @@ func (f scenFaults) Boundary(b int64, _ bool) error {
 }
 
 func (f scenFaults) PreSlice(b, n int64, draining bool) error {
-	r := f.r
+	r, in := f.r, f.dev.in
 	rep, tel := r.rep, r.s.tel
 	if !draining {
-		for eIdx, e := range r.devs[0].engines {
-			if r.in.KillDue(eIdx, b+n) {
+		for _, e := range f.dev.engines {
+			if in.KillDue(e.idx, b+n) {
 				e.fs.killed = true
-				rep.Kill = &KillRecord{Engine: eIdx, Cycle: r.spec.Kill.Cycle, DetectedAt: -1, RepairedAt: -1}
-				tel.Events.Log(obs.LevelError, r.spec.Kill.Cycle, "engine_kill", "engine", eIdx)
+				rep.Kill = &KillRecord{Engine: e.idx, Cycle: r.spec.Kill.Cycle, DetectedAt: -1, RepairedAt: -1}
+				tel.Events.Log(obs.LevelError, r.spec.Kill.Cycle, "engine_kill", "engine", e.idx)
 				// The kill takes the pipeline's contents with it.
 				r.flushExits(e)
 			}
 		}
-		for eIdx, e := range r.devs[0].engines {
-			for _, u := range r.in.UpsetsThrough(eIdx, b+n) {
+		for _, e := range f.dev.engines {
+			for _, u := range in.UpsetsThrough(e.idx, b+n) {
 				// In-flight lookups see the flipped word from the stage they
 				// have reached onward, as in hardware: the engine reads the
 				// words in place and is settled (here, at a boundary) first.
@@ -273,16 +276,16 @@ func (f scenFaults) PreSlice(b, n int64, draining bool) error {
 				rep.SEUs = append(rep.SEUs, SEURecord{Upset: u, DetectedAt: -1, RepairedAt: -1})
 				e.fs.outstanding = append(e.fs.outstanding, len(rep.SEUs)-1)
 				tel.Events.Log(obs.LevelWarn, u.Cycle, "seu_inject",
-					"engine", eIdx, "seq", u.Seq, "stage", u.Stage, "index", int(u.Index), "bit", u.Bit)
+					"engine", e.idx, "seq", u.Seq, "stage", u.Stage, "index", int(u.Index), "bit", u.Bit)
 			}
 		}
 	}
-	for eIdx, e := range r.devs[0].engines {
+	for _, e := range f.dev.engines {
 		if e.fs.down() {
 			continue
 		}
 		scanned, hit := e.fs.sweepStep(int(n))
-		e.dev.meter.AddWords(eIdx, e.served[0], int64(scanned))
+		e.dev.meter.AddWords(e.idx, e.served[0], int64(scanned))
 		if hit && e.fs.detectVia == "" {
 			e.fs.detectVia = ViaSweep
 		}
@@ -291,7 +294,7 @@ func (f scenFaults) PreSlice(b, n int64, draining bool) error {
 }
 
 func (f scenFaults) Outstanding() bool {
-	for _, e := range f.r.devs[0].engines {
+	for _, e := range f.dev.engines {
 		fs := &e.fs
 		if fs.reloading || fs.killed {
 			return true

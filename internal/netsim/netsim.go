@@ -106,47 +106,40 @@ type Report struct {
 	Energy *energy.Report
 }
 
-// forwardKernel is the one-shot batch kernel: the whole packet set runs as
-// a single slice — distribute per engine, simulate and verify the disjoint
-// request slices on the worker pool, fold in engine order, then shard order.
-type forwardKernel struct {
-	s     *System
-	pkts  []traffic.Packet
-	meter *energy.Meter
-	rep   Report
-}
-
-func (k *forwardKernel) Outstanding() bool { return false }
-
-func (k *forwardKernel) RunSlice(_, _ int64, _ bool) (scenario.SliceStats, error) {
-	s := k.s
+// Forward distributes the packets to the router's engines, simulates every
+// pipeline cycle-accurately, and verifies each resolved next hop against
+// the reference tables. The whole batch is one slice: distribute per engine,
+// simulate and verify the disjoint request slices on the worker pool, fold in
+// engine order, then shard order.
+func (s *System) Forward(pkts []traffic.Packet) (Report, error) {
 	images := s.router.Images()
 	scheme := s.router.Config().Scheme
 
 	tel := s.tel
 	tracing := tel.Tracing()
 	perVN := make([]int, s.k)
-	for _, p := range k.pkts {
+	for _, p := range pkts {
 		if p.VN < 0 || p.VN >= s.k {
-			return scenario.SliceStats{}, fmt.Errorf("netsim: packet VN %d outside [0,%d)", p.VN, s.k)
+			return Report{}, fmt.Errorf("netsim: packet VN %d outside [0,%d)", p.VN, s.k)
 		}
 		perVN[p.VN]++
 	}
-	d := steer(scheme, len(k.pkts), perVN, func(i int) int { return k.pkts[i].VN })
+	d := steer(scheme, len(pkts), perVN, func(i int) int { return pkts[i].VN })
 	fill := func(e, start int, reqs []pipeline.Request) {
 		for j := range reqs {
 			// A trace's Seq is the batch index: unique, worker-independent.
 			i := d.at(e, start+j)
-			p := k.pkts[i]
+			p := pkts[i]
 			reqs[j] = pipeline.Request{Addr: p.Addr, VN: d.vn(p.VN), Trace: tracing && tel.Sampler.Sample(p.VN, int64(i))}
 		}
 	}
 
-	k.rep = Report{
-		Packets:    len(k.pkts),
+	rep := Report{
+		Packets:    len(pkts),
 		PerEngine:  make([]pipeline.Stats, len(images)),
 		EngineLoad: make([]float64, len(images)),
 	}
+	meter := s.meter()
 	// Every result is metered, checked against its network's oracle and, if
 	// sampled, traced by the shard that swept it, while its chunk is still
 	// in cache.
@@ -179,17 +172,17 @@ func (k *forwardKernel) RunSlice(_, _ int64, _ bool) (scenario.SliceStats, error
 		}
 	})
 	if err != nil {
-		return scenario.SliceStats{}, err
+		return Report{}, err
 	}
 	for e, run := range runs {
-		if len(k.pkts) > 0 {
-			k.rep.EngineLoad[e] = float64(d.counts[e]) / float64(len(k.pkts))
+		if len(pkts) > 0 {
+			rep.EngineLoad[e] = float64(d.counts[e]) / float64(len(pkts))
 		}
-		k.rep.PerEngine[e] = run.st
+		rep.PerEngine[e] = run.st
 		for _, v := range run.accs {
-			k.rep.Mismatches += v.mismatches
-			k.rep.NoRoute += v.noRoute
-			k.meter.Fold(v.em)
+			rep.Mismatches += v.mismatches
+			rep.NoRoute += v.noRoute
+			meter.Fold(v.em)
 			for _, t := range v.traces {
 				// In fold order, so an overflowing ring keeps the same
 				// traces at any -j.
@@ -197,7 +190,16 @@ func (k *forwardKernel) RunSlice(_, _ int64, _ bool) (scenario.SliceStats, error
 			}
 		}
 	}
-	return scenario.SliceStats{}, nil
+	// The batch is charged one slice of leakage at full rate.
+	meter.StaticSlice(max(1, int64(len(pkts))), 1)
+	er, err := meter.Report(deliveredBits(int64(len(pkts))))
+	if err != nil {
+		return Report{}, err
+	}
+	rep.Energy = er
+	er.Publish()
+	obsPacketsResolved.Add(int64(len(pkts)))
+	return rep, nil
 }
 
 // engineRun is one engine's part of a closed-loop run: its stats (zero for
@@ -280,28 +282,6 @@ func sweepEngines[T any](images []*pipeline.Image, counts []int, fill func(e, st
 		})
 		return run, err
 	})
-}
-
-// Forward distributes the packets to the router's engines, simulates every
-// pipeline cycle-accurately, and verifies each resolved next hop against
-// the reference tables.
-func (s *System) Forward(pkts []traffic.Packet) (Report, error) {
-	k := &forwardKernel{s: s, pkts: pkts, meter: s.meter()}
-	// The whole batch is one slice; there is no slice clock, so no series.
-	n := max(1, int64(len(pkts)))
-	eng := scenario.Engine{K: s.k, Design: s.router.Design(), FmaxMHz: s.router.Fmax(), Tel: s.tel,
-		Cycles: n, SliceCycles: n, NoSeries: true, Kernel: k, Energy: k.meter}
-	if err := eng.Run(); err != nil {
-		return Report{}, err
-	}
-	er, err := k.meter.Report(deliveredBits(int64(len(pkts))))
-	if err != nil {
-		return Report{}, err
-	}
-	k.rep.Energy = er
-	er.Publish()
-	obsPacketsResolved.Add(int64(len(pkts)))
-	return k.rep, nil
 }
 
 // FrameReport summarises a frame-level forwarding run: the full data plane

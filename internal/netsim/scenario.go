@@ -252,8 +252,8 @@ type scenEng struct {
 }
 
 // device is one simulated FPGA of a run: its router, the engines over the
-// router's images and the energy meter over its power model. Only the fleet
-// stressor (fleetrun.go) sets the fields below the gap.
+// router's images, the energy meter over its power model and its control
+// plane. Only the fleet stressor (fleetrun.go) sets the fields below the gap.
 type device struct {
 	id      int
 	router  *core.Router
@@ -262,6 +262,15 @@ type device struct {
 	// slot0 and slots are the device's span in the engine Design the series'
 	// power column is priced over (scenRun.design).
 	slot0, slots int
+	// The control plane, each part nil unless the spec asks for it: mgr runs
+	// churn and (with churn) scrub rebuilds, in deals faults and the kill; ci
+	// deals control-plane chaos, jrs journals each engine's operations and wd
+	// supervises them.
+	mgr *ctrl.Manager
+	in  *faults.Injector
+	ci  *faults.CtrlInjector
+	jrs []*ctrl.Journal
+	wd  *ctrl.Watchdog
 
 	jr      *ctrl.Journal
 	browned int64
@@ -290,8 +299,9 @@ type install struct {
 //     placeFleet asks fleet.Place, serves the memoised per-network images as
 //     they are, prices a composite of the initial devices' designs and sizes
 //     the drain bound by all their images.
-//   - Which stressors register. Faults, churn and control-plane chaos name
-//     one device's engines by index and scenario.Parse refuses them beside
+//   - Which stressors register. Faults and control-plane chaos register one
+//     stressor per device over that device's control plane, churn one for the
+//     run over every device's; scenario.Parse refuses all three beside
 //     fleet=, which registers the fleet stressor. The governor attaches to
 //     the one device; a fleet's caps constrain its placement.
 //   - A refusal with no engine to name — the network homeless — writes no
@@ -317,17 +327,8 @@ type scenRun struct {
 	queues []fifo[queued]
 	refs   []*ip.Table
 
-	// mgr is the control plane for churn and (when churn is active) scrub
-	// rebuilds; nil without churn. in drives faults; nil without.
-	mgr     *ctrl.Manager
-	in      *faults.Injector
+	// started counts the churn batches armed: one schedule per run.
 	started int
-
-	// Chaos machinery (nil without chaos=): the seeded control-plane fault
-	// deck, one write-ahead journal per engine, and the shared watchdog.
-	ci  *faults.CtrlInjector
-	jrs []*ctrl.Journal
-	wd  *ctrl.Watchdog
 
 	// fl is the fleet stressor's state (fleetrun.go); nil without fleet=.
 	fl *fleetState
@@ -569,7 +570,7 @@ func (r *scenRun) serve(cyc int64) error {
 				// The updater dies before its commit bubble: shadow writes stop,
 				// the old bank keeps serving, and the watchdog rolls the torn
 				// commit back at a boundary.
-				r.chaosCrash(eIdx, e, cyc)
+				r.chaosCrash(e, cyc)
 				bubble = false
 			}
 			if bubble {
@@ -613,7 +614,7 @@ func (r *scenRun) RunSlice(b, n int64, live bool) (scenario.SliceStats, error) {
 		}
 		for d, dev := range r.devs {
 			for eIdx, e := range dev.engines {
-				if n := r.st.settle(e, dev.meter, eIdx, r.traceEngine(dev, eIdx), d<<16|eIdx); n > 0 {
+				if n := r.st.settle(e, dev.meter, r.traceEngine(dev, eIdx), d<<16|eIdx); n > 0 {
 					obsFaultDrops.Add(n)
 					if e.fs.detectVia == "" {
 						e.fs.detectVia = ViaAccess
@@ -698,7 +699,7 @@ func (s *System) RunScenario(gen *traffic.Generator, spec scenario.Spec) (Scenar
 // word), of the router's build images otherwise; the governor, if the spec
 // or the system names a cap, attaches to the device.
 func (r *scenRun) oneDevice() error {
-	s, spec := r.s, r.spec
+	s, spec, dev := r.s, r.spec, &device{}
 	var images []*pipeline.Image
 	if spec.Churn != nil {
 		mgr, err := ctrl.New(s.router.Config(), s.tables)
@@ -709,13 +710,13 @@ func (r *scenRun) oneDevice() error {
 		if images, err = mgr.PinnedImages(); err != nil {
 			return err
 		}
-		r.mgr = mgr
+		dev.mgr = mgr
 	} else {
 		for _, img := range s.router.Images() {
 			images = append(images, img.Clone())
 		}
 	}
-	dev := &device{slots: len(images)}
+	dev.slots = len(images)
 	vns := make([]int, s.k)
 	for vn := range vns {
 		vns[vn] = vn
@@ -741,6 +742,9 @@ func (r *scenRun) oneDevice() error {
 // runScenario is RunScenario returning the finished run, its report filled
 // in, so tests can look at the state it ended in.
 func (s *System) runScenario(gen *traffic.Generator, spec scenario.Spec) (*scenRun, error) {
+	if spec.Cycles < 1 || spec.Slice < 1 || spec.Queue < 1 {
+		return nil, fmt.Errorf("netsim: spec of %d cycles, %d-cycle slices and %d-packet queues, want each >= 1", spec.Cycles, spec.Slice, spec.Queue)
+	}
 	if spec.Churn != nil && spec.Churn.TargetVN >= s.k {
 		return nil, fmt.Errorf("netsim: churn target network %d outside [0,%d)", spec.Churn.TargetVN, s.k)
 	}
@@ -787,26 +791,27 @@ func (s *System) runScenario(gen *traffic.Generator, spec scenario.Spec) (*scenR
 	if spec.Chaos != nil && spec.Chaos.CtrlTotal() > 0 {
 		// Chaos registers FIRST: its boundary repairs torn reloads and rolls
 		// crashed commits back before faults would install or churn commit.
-		r.ci, err = faults.NewCtrlInjector(faults.CtrlConfig{
-			Seed:           spec.Seed,
-			Stalls:         spec.Chaos.Stalls,
-			Torn:           spec.Chaos.Torn,
-			FalsePositives: spec.Chaos.FalsePositives,
-			Crashes:        spec.Chaos.Crashes,
-		})
-		if err != nil {
-			return nil, err
-		}
-		if r.wd, err = ctrl.NewWatchdog(spec.Slice, s.tel.Events); err != nil {
-			return nil, err
-		}
-		r.jrs = make([]*ctrl.Journal, len(r.devs[0].engines))
-		for i := range r.jrs {
-			r.jrs[i] = ctrl.NewJournal()
-			r.jrs[i].SetEventLog(s.tel.Events)
+		for _, dev := range r.devs {
+			if dev.ci, err = faults.NewCtrlInjector(faults.CtrlConfig{
+				Seed:           spec.Seed,
+				Stalls:         spec.Chaos.Stalls,
+				Torn:           spec.Chaos.Torn,
+				FalsePositives: spec.Chaos.FalsePositives,
+				Crashes:        spec.Chaos.Crashes,
+			}); err != nil {
+				return nil, err
+			}
+			if dev.wd, err = ctrl.NewWatchdog(spec.Slice, s.tel.Events); err != nil {
+				return nil, err
+			}
+			dev.jrs = make([]*ctrl.Journal, len(dev.engines))
+			for i := range dev.jrs {
+				dev.jrs[i] = ctrl.NewJournal()
+				dev.jrs[i].SetEventLog(s.tel.Events)
+			}
+			stressors = append(stressors, scenChaos{r: r, dev: dev})
 		}
 		rep.Chaos = &ChaosReport{DegradedSlicesPerVN: make([]int64, s.k)}
-		stressors = append(stressors, scenChaos{r: r})
 		// Each stall/torn replays up to a full reload latency under watchdog
 		// grace; each crash waits out a deadline before its batch re-arms.
 		maxDrain += spec.Chaos.CtrlTotal() * (reload + 12)
@@ -818,14 +823,16 @@ func (s *System) runScenario(gen *traffic.Generator, spec scenario.Spec) (*scenR
 			fc.KillEngine = spec.Kill.Engine
 			fc.KillCycle = spec.Kill.Cycle
 		}
-		images := make([]*pipeline.Image, len(r.devs[0].engines))
-		for i, e := range r.devs[0].engines {
-			images[i] = e.fs.img
+		for _, dev := range r.devs {
+			images := make([]*pipeline.Image, len(dev.engines))
+			for i, e := range dev.engines {
+				images[i] = e.fs.img
+			}
+			if dev.in, err = faults.NewInjector(fc, images); err != nil {
+				return nil, err
+			}
+			stressors = append(stressors, scenFaults{r: r, dev: dev})
 		}
-		if r.in, err = faults.NewInjector(fc, images); err != nil {
-			return nil, err
-		}
-		stressors = append(stressors, scenFaults{r: r})
 	}
 	if spec.Churn != nil {
 		stressors = append(stressors, scenChurn{r: r})

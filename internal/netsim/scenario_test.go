@@ -208,4 +208,14 @@ func TestScenarioInvalidOnSystem(t *testing.T) {
 	if _, err := nv.RunScenario(faultGen(t, nv, 1), mustParse(t, "churn=2x16")); err == nil {
 		t.Error("churn accepted on the non-virtualized scheme")
 	}
+	// A Spec built past a bound Parse enforces is refused, never run: the
+	// zero Spec would divide by its zero slice, a zero queue drop every
+	// arrival.
+	noCycles, noSlice := mustParse(t, "cycles=1024"), mustParse(t, "cycles=1024")
+	noCycles.Cycles, noSlice.Slice = 0, -1
+	for _, sp := range []scenario.Spec{{}, {Cycles: 1024, Slice: 1024}, noCycles, noSlice} {
+		if _, err := s.RunScenario(faultGen(t, s, 1), sp); err == nil || !strings.Contains(err.Error(), "want each >= 1") {
+			t.Errorf("RunScenario(%+v) = %v, want a refusal", sp, err)
+		}
+	}
 }

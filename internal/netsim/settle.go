@@ -89,11 +89,11 @@ func (t *settler) traced(q queued) bool {
 // the front of e.flights, what the cycle it left on used to: the check
 // against its injection epoch's oracle, the counters, the delay to the stamp
 // of that step, the trace. The meter is charged once per (network, last
-// stage) count, in integer femtojoules, so the sum is the same. eIdx is the
+// stage) count, in integer femtojoules, so the sum is the same. e.idx is the
 // engine in meter's model, telEngine its name in traces, order its place in
 // the serve order. It returns how many exits were parity-refused.
-func (t *settler) settle(e *scenEng, meter *energy.Meter, eIdx, telEngine, order int) (faults int64) {
-	stages := meter.Model().Engines[eIdx].Stages()
+func (t *settler) settle(e *scenEng, meter *energy.Meter, telEngine, order int) (faults int64) {
+	stages := meter.Model().Engines[e.idx].Stages()
 	if need := len(t.delivered) * stages; len(t.counts) < need {
 		t.counts = make([]int64, need)
 	}
@@ -136,7 +136,7 @@ func (t *settler) settle(e *scenEng, meter *energy.Meter, eIdx, telEngine, order
 	for _, vn := range e.served {
 		row := t.counts[vn*stages : (vn+1)*stages]
 		for last, n := range row {
-			meter.LookupN(eIdx, vn, last, n)
+			meter.LookupN(e.idx, vn, last, n)
 			row[last] = 0
 		}
 	}

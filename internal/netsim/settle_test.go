@@ -217,7 +217,7 @@ func TestSettleAcrossCommitBubbleAndFlush(t *testing.T) {
 		}
 		// The commit bubble has just left: every lookup ahead of it has too,
 		// none behind it has, and nothing is settled yet.
-		st.settle(e, meter, 0, 0, 0)
+		st.settle(e, meter, 0, 0)
 		if len(e.flights) != len(moved) || e.pending[0] != int64(len(moved)) {
 			t.Fatalf("%d lookups in flight after settling (%d counted), want the %d still in the pipe", len(e.flights), e.pending[0], len(moved))
 		}
@@ -225,7 +225,7 @@ func TestSettleAcrossCommitBubbleAndFlush(t *testing.T) {
 			sim.Idle(cyc)
 			cyc++
 		}
-		st.settle(e, meter, 0, 0, 0)
+		st.settle(e, meter, 0, 0)
 		if len(e.flights) != 0 || e.pending[0] != 0 || st.total+st.mismatches != int64(2*len(moved)) || st.faulted != 0 {
 			t.Fatalf("%d in flight, %d delivered, %d mismatched, %d refused of %d lookups", len(e.flights), st.total, st.mismatches, st.faulted, 2*len(moved))
 		}

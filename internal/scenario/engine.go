@@ -92,10 +92,6 @@ type Engine struct {
 	Stressors []Stressor
 	Kernel    Kernel
 
-	// NoSeries suppresses series initialisation and slice rows (the batch
-	// Forward path, which has no slice clock).
-	NoSeries bool
-
 	// TrafficCycles and DrainCycles are filled in by Run.
 	TrafficCycles int64
 	DrainCycles   int64
@@ -152,9 +148,6 @@ func (e *Engine) observe(b, n int64, st SliceStats) {
 			jPerBit = float64(dDyn+dStatic) / 1e15 /
 				(float64(st.Delivered) * fpga.MinPacketBytes * 8)
 		}
-	}
-	if e.NoSeries {
-		return
 	}
 	e.Tel.AppendSlice(e.K, b, powerW, SliceGbps(e.FmaxMHz, st.Delivered, n), st.Backlog,
 		st.Scrubs, st.Updates, st.Recoveries, st.DegradedVNs, capW, rung,
@@ -223,9 +216,7 @@ func (e *Engine) Run() error {
 	S := e.SliceCycles
 	slices := (e.Cycles + S - 1) / S
 	e.TrafficCycles = slices * S
-	if !e.NoSeries {
-		e.Tel.InitSeries(e.K)
-	}
+	e.Tel.InitSeries(e.K)
 
 	for t := int64(0); t < slices; t++ {
 		b := t * S

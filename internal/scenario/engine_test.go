@@ -52,7 +52,7 @@ func TestEngineHookOrder(t *testing.T) {
 	var log []string
 	k := &logKernel{log: &log, outstanding: 1}
 	e := Engine{
-		Cycles: 20, SliceCycles: 10, MaxDrainSlices: 4, NoSeries: true,
+		Cycles: 20, SliceCycles: 10, MaxDrainSlices: 4,
 		Stressors: []Stressor{&logStressor{name: "a", log: &log}, &logStressor{name: "b", log: &log}},
 		Kernel:    k,
 	}
@@ -89,7 +89,7 @@ func TestEngineHookOrder(t *testing.T) {
 func TestEngineRoundsUpToWholeSlices(t *testing.T) {
 	var log []string
 	k := &logKernel{log: &log}
-	e := Engine{Cycles: 25, SliceCycles: 10, NoSeries: true, Kernel: k}
+	e := Engine{Cycles: 25, SliceCycles: 10, Kernel: k}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestEngineRoundsUpToWholeSlices(t *testing.T) {
 func TestEngineDrainBound(t *testing.T) {
 	var log []string
 	k := &logKernel{log: &log, outstanding: 100} // never finishes on its own
-	e := Engine{Cycles: 10, SliceCycles: 10, MaxDrainSlices: 3, NoSeries: true, Kernel: k}
+	e := Engine{Cycles: 10, SliceCycles: 10, MaxDrainSlices: 3, Kernel: k}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestEngineValidation(t *testing.T) {
 func TestEngineStressorErrorNamesStressor(t *testing.T) {
 	var log []string
 	e := Engine{
-		Cycles: 10, SliceCycles: 10, NoSeries: true,
+		Cycles: 10, SliceCycles: 10,
 		Stressors: []Stressor{&logStressor{name: "churn", log: &log, fail: true}},
 		Kernel:    &logKernel{log: &log},
 	}
