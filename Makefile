@@ -53,14 +53,15 @@ define smoke
 endef
 
 # Governor smoke: a VS router under a power cap set below its steady-state
-# draw (4.9 W at load 0.9; cap 4.6 W), lifted mid-run — the cap flags attach
-# the governor to the scenario run, which is how the lift is reached. The
-# greps assert the closed loop actually escalated and then recovered:
+# draw (4.9 W at load 0.9; cap 4.6 W), lifted mid-run by the spec's
+# power-cap-lift= key. The greps assert the cap is in the report's stressor
+# title and that the closed loop actually escalated and then recovered:
 # governor transitions in the event log, convergence and a full-speed final
 # rung in the report.
-GOVERNOR_SPEC = load=const:0.9,cycles=32768
+GOVERNOR_SPEC = load=const:0.9,cycles=32768,power-cap=4.6,power-cap-lift=16384
 governor-smoke:
-	$(call smoke,governor-smoke,-scheme VS -k 3,GOVERNOR_SPEC,-power-cap 4.6 -power-cap-lift 16384 -governor-report)
+	$(call smoke,governor-smoke,-scheme VS -k 3,GOVERNOR_SPEC,-governor-report)
+	grep -q 'load + power-cap' governor-smoke/report.txt
 	grep -q governor_escalate governor-smoke/events.jsonl
 	grep -q governor_deescalate governor-smoke/events.jsonl
 	grep -q 'Converged under cap' governor-smoke/report.txt

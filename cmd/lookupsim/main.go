@@ -11,7 +11,6 @@
 //	          [-packets 10000] [-frames]
 //	          [-scenario load=...,faults=...,kill=...,churn=...,chaos=...,fleet=N:spare=M,power-cap=...]
 //	          [-mttr-report] [-update-report] [-governor-report] [-energy-report]
-//	          [-power-cap W] [-power-cap-device W] [-power-cap-lift C]
 //	          [-trace-sample R] [-trace-buf N] [-trace-out F]
 //	          [-timeseries-out F] [-events-out F] [-events-level L]
 //	          [-http :addr] [-http-hold]
@@ -32,15 +31,11 @@
 // throughput they left, journaled recovery (rollbacks/replays, watchdog
 // ladder, invariant audits), and the governor's control-law summary. The
 // run exits nonzero on any oracle mismatch, any misforwarding audit probe,
-// or work left outstanding. The spec owns the stressor knobs (cycles=,
-// seed=, queue= included); docs/CLI.md has the grammar and the table from
-// the former -load / -faults / -churn flags to specs.
-//
-// -power-cap / -power-cap-device attach the closed-loop power-envelope
-// governor to a -scenario run (the spec's power-cap= keys do the same; giving
-// both is an error) and -power-cap-lift C removes the caps at cycle C to
-// demonstrate recovery; on a closed-loop run they assess the measured
-// utilization against the caps and report only.
+// or work left outstanding. The spec owns the stressor and power knobs
+// (cycles=, seed=, queue=, power-cap-lift= included), and the closed loop's
+// -packets / -frames beside it are refused; docs/CLI.md has the grammar and
+// the table from the former -load / -faults / -churn / -power-cap* flags to
+// specs.
 //
 // Telemetry: -trace-sample R flight-traces about fraction R of all lookups
 // (deterministically — same seeds, same -j or not, same traces) into a ring
@@ -101,27 +96,10 @@ type options struct {
 	httpAddr      string
 	httpHold      bool
 
-	powerCap       float64
-	powerCapDevice float64
-	powerCapLift   int64
-
 	jobs  int
 	stats bool
 
 	stdout, stderr io.Writer
-}
-
-// governor builds the run's power-envelope governor configuration, or nil
-// when no cap flag asked for one.
-func (o *options) governor() *governor.Config {
-	if o.powerCap <= 0 && o.powerCapDevice <= 0 {
-		return nil
-	}
-	return &governor.Config{
-		CapWatts:       o.powerCap,
-		DeviceCapWatts: o.powerCapDevice,
-		LiftCycle:      o.powerCapLift,
-	}
 }
 
 // telemetry builds the run's observer bundle, or returns nil when no
@@ -173,9 +151,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	})
 	fs.StringVar(&o.httpAddr, "http", "", "serve /metrics, /timeseries.csv, /traces.jsonl, /events.jsonl and /debug/pprof/ on this address (e.g. :9090)")
 	fs.BoolVar(&o.httpHold, "http-hold", false, "keep the -http endpoints up after the run finishes (Ctrl-C to exit)")
-	fs.Float64Var(&o.powerCap, "power-cap", 0, "fleet-wide power envelope in Watts enforced by the closed-loop governor (0 = ungoverned)")
-	fs.Float64Var(&o.powerCapDevice, "power-cap-device", 0, "per-device power cap in Watts (0 = no device cap)")
-	fs.Int64Var(&o.powerCapLift, "power-cap-lift", 0, "lift the caps from this cycle on, demonstrating recovery (0 = caps for the whole run)")
 	fs.BoolVar(&o.governorReport, "governor-report", false, "print the governor's time-at-tier and per-VNID degradation detail")
 	fs.BoolVar(&o.energyReport, "energy-report", false, "print the run's attributed energy breakdown (per VNID, per component, per device)")
 	fs.IntVar(&o.jobs, "j", 0, "engine worker-pool size (0 = GOMAXPROCS); results are identical at any value")
@@ -188,7 +163,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	// A value a flag cannot take is refused like a flag the command does not
-	// have, never read as some default. (NaN fails every comparison.)
+	// have, never read as some default. (NaN fails every comparison.) The
+	// closed loop's flags would go unread beside -scenario, so they are
+	// refused there too.
+	given := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { given[f.Name] = true })
 	for _, c := range []struct {
 		ok         bool
 		flag, want string
@@ -197,11 +176,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		{o.k >= 1, "k", "a count >= 1", o.k},
 		{o.prefixes >= 1, "prefixes", "a count >= 1", o.prefixes},
 		{o.packets >= 0, "packets", "a count >= 0", o.packets},
+		{!given["packets"] || o.scenario == "", "packets", "no -packets beside -scenario (closed loop only)", o.packets},
+		{!given["frames"] || o.scenario == "", "frames", "no -frames beside -scenario (closed loop only)", o.frames},
 		{o.dist == "uniform" || o.dist == "zipf", "dist", "uniform or zipf", fmt.Sprintf("%q", o.dist)},
 		{o.traceSample >= 0 && o.traceSample <= 1, "trace-sample", "a rate in [0,1]", o.traceSample},
 		{o.traceBuf >= 0, "trace-buf", "a capacity >= 0", o.traceBuf},
-		{o.powerCap >= 0, "power-cap", "Watts >= 0 (0 = ungoverned)", o.powerCap},
-		{o.powerCapDevice >= 0, "power-cap-device", "Watts >= 0 (0 = no device cap)", o.powerCapDevice},
 		{o.jobs >= 0, "j", "a worker count >= 0 (0 = GOMAXPROCS)", o.jobs},
 	} {
 		if !c.ok {
@@ -226,8 +205,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// execute builds the router and its traffic, attaches telemetry and the
-// governor, and runs the mode the flags selected.
+// execute builds the router and its traffic, attaches telemetry, and runs
+// the mode the flags selected.
 func (o *options) execute() error {
 	var scheme core.Scheme
 	switch o.scheme {
@@ -245,11 +224,6 @@ func (o *options) execute() error {
 		var err error
 		if spec, err = scenario.Parse(o.scenario); err != nil {
 			return err
-		}
-		// The one way a flag and the spec can contradict each other. (A fleet
-		// run places against the spec's caps only.)
-		if o.governor() != nil && (spec.CapW > 0 || spec.DeviceCapW > 0 || spec.Fleet != nil) {
-			return fmt.Errorf("power cap given both as a -power-cap* flag and in the spec (power-cap= / power-cap-device= / fleet=): give it once")
 		}
 	}
 
@@ -282,9 +256,6 @@ func (o *options) execute() error {
 	tel := o.telemetry()
 	if tel != nil {
 		sys.SetTelemetry(tel)
-	}
-	if gcfg := o.governor(); gcfg != nil {
-		sys.SetGovernor(gcfg)
 	}
 	var srv *obs.Server
 	if o.httpAddr != "" {
@@ -365,21 +336,6 @@ func (o *options) runForward(sys *netsim.System, gen *traffic.Generator, scheme 
 			fmt.Sprintf("%.3f / %.3f / %.3f", rep.EngineLoad[e], st.Occupancy(), st.Utilization()))
 	}
 	o.print(t)
-	// Batch runs have no slice clock to actuate on: the governor assesses
-	// the measured utilization against the caps and reports only.
-	if d, aerr := sys.AssessPower(rep); aerr != nil {
-		return aerr
-	} else if d != nil {
-		verdict := "within cap"
-		if d.Over {
-			verdict = "EXCEEDS cap"
-		}
-		at := report.NewTable("Power assessment (batch run: observe-only)", "Quantity", "Value")
-		at.AddF("Estimated power (W)", fmt.Sprintf("%.2f", d.PowerW))
-		at.AddF("Fleet / device cap (W)", fmt.Sprintf("%.2f / %.2f", d.CapW, d.DeviceCapW))
-		at.AddF("Verdict", verdict)
-		o.print(at)
-	}
 	if o.energyReport {
 		o.printEnergy(rep.Energy)
 	}

@@ -95,8 +95,12 @@ func TestRunFailures(t *testing.T) {
 	cases := []failure{
 		{"unknown spec key", []string{"-scenario", "lode=const:0.5"}, 1, `unknown key "lode"`},
 		{"bad scheme", []string{"-scheme", "XX"}, 1, `scheme "XX": want NV, VS or VM`},
-		{"cap in flag and spec", []string{"-power-cap", "5", "-scenario", "load=const:0.5,power-cap=5"}, 1, "give it once"},
-		{"cap flag on a fleet", []string{"-power-cap-device", "5", "-scenario", "load=const:0.5,fleet=2"}, 1, "give it once"},
+		{"lift without a cap", []string{"-scenario", "load=const:0.5,power-cap-lift=100"}, 1, "power-cap-lift needs power-cap="},
+		// A closed-loop flag beside -scenario would go unread: refused.
+		{"-frames beside -scenario", append([]string{"-frames", "-scenario", "load=const:0.5,cycles=2048"}, small...), 2,
+			"invalid value true for flag -frames: want no -frames beside -scenario (closed loop only)"},
+		{"-packets beside -scenario", append([]string{"-packets", "50", "-scenario", "load=const:0.5,cycles=2048"}, small...), 2,
+			"invalid value 50 for flag -packets: want no -packets beside -scenario (closed loop only)"},
 		{"run left incomplete", []string{"-scheme", "VS", "-k", "1", "-prefixes", "200",
 			"-scenario", "load=const:0.5,kill=0@2000,chaos=stall:8,cycles=8192,seed=3"}, 1, "outstanding"},
 	}
@@ -109,8 +113,6 @@ func TestRunFailures(t *testing.T) {
 		{"-trace-sample", "2", "invalid value 2 for flag -trace-sample: want a rate in [0,1]"},
 		{"-trace-buf", "-1", "invalid value -1 for flag -trace-buf: want a capacity >= 0"},
 		{"-events-level", "bogus", `invalid value "bogus" for flag -events-level: want debug, info, warn or error`},
-		{"-power-cap", "-3", "invalid value -3 for flag -power-cap: want Watts >= 0"},
-		{"-power-cap-device", "-1", "invalid value -1 for flag -power-cap-device: want Watts >= 0"},
 		{"-j", "-4", "invalid value -4 for flag -j: want a worker count >= 0"},
 		{"-dist", "bogus", `invalid value "bogus" for flag -dist: want uniform or zipf`},
 		{"-k", "0", "invalid value 0 for flag -k: want a count >= 1"},
@@ -120,7 +122,8 @@ func TestRunFailures(t *testing.T) {
 			append(append([]string(nil), small...), c.flag, c.val, "-packets", "100"), 2, c.want})
 	}
 	for _, flag := range []string{"-load", "-faults", "-fault-seed", "-seu-rate", "-kill-engine", "-kill-cycle",
-		"-reconfig-failures", "-churn", "-churn-seed", "-churn-batch", "-churn-batches", "-churn-vn"} {
+		"-reconfig-failures", "-churn", "-churn-seed", "-churn-batch", "-churn-batches", "-churn-vn",
+		"-power-cap", "-power-cap-device", "-power-cap-lift"} {
 		cases = append(cases, failure{"removed " + flag, []string{flag, "1"}, 2, "flag provided but not defined: " + flag})
 	}
 	for _, c := range cases {
@@ -134,10 +137,10 @@ func TestRunFailures(t *testing.T) {
 	}
 }
 
-// An attached cap reaches a -scenario run through the flags, lift included.
+// A cap reaches a -scenario run through the spec, lift included.
 func TestRunCapFlagsGovernScenario(t *testing.T) {
 	code, out, errw := lookupsim("-scheme", "VS", "-k", "3", "-prefixes", "200",
-		"-scenario", "load=const:0.9,cycles=16384", "-power-cap", "4.6", "-power-cap-lift", "8192", "-governor-report")
+		"-scenario", "load=const:0.9,cycles=16384,power-cap=4.6,power-cap-lift=8192", "-governor-report")
 	if code != 0 {
 		t.Fatalf("exit %d, stderr %q\n%s", code, errw, out)
 	}

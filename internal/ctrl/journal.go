@@ -129,9 +129,6 @@ func NewJournal() *Journal { return &Journal{} }
 // recovery decisions are mirrored into it. nil detaches.
 func (j *Journal) SetEventLog(l *obs.EventLog) { j.log = l }
 
-// Records returns the append-ordered journal contents.
-func (j *Journal) Records() []Record { return j.recs }
-
 // Stats returns the lifetime counters.
 func (j *Journal) Stats() JournalStats { return j.st }
 
@@ -185,13 +182,6 @@ func (t *OpToken) Engine() int { return t.engine }
 
 // VN returns the target network (-1 for whole-engine operations).
 func (t *OpToken) VN() int { return t.vn }
-
-// Applies returns the number of apply records written so far — the torn
-// watermark recovery reads.
-func (t *OpToken) Applies() int { return t.applies }
-
-// AppliedWrites returns the total words covered by apply records.
-func (t *OpToken) AppliedWrites() int { return t.writes }
 
 // Apply records one unit of progress. Calls on a closed token are dropped
 // (the operation's outcome is already journaled).

@@ -19,8 +19,8 @@ func TestJournalCleanCommitLifecycle(t *testing.T) {
 	tok.Apply(0, 10, 110)
 	tok.Apply(1, 12, 120)
 	tok.Apply(2, 7, 130)
-	if tok.Applies() != 3 || tok.AppliedWrites() != 29 {
-		t.Fatalf("applies %d writes %d, want 3/29", tok.Applies(), tok.AppliedWrites())
+	if tok.applies != 3 || tok.writes != 29 {
+		t.Fatalf("applies %d writes %d, want 3/29", tok.applies, tok.writes)
 	}
 	if err := tok.Commit(140); err != nil {
 		t.Fatalf("Commit: %v", err)
@@ -28,7 +28,7 @@ func TestJournalCleanCommitLifecycle(t *testing.T) {
 	if j.Torn() {
 		t.Fatal("journal still torn after commit")
 	}
-	recs := j.Records()
+	recs := j.recs
 	wantTypes := []RecType{RecIntent, RecApply, RecApply, RecApply, RecCommit}
 	if len(recs) != len(wantTypes) {
 		t.Fatalf("got %d records, want %d", len(recs), len(wantTypes))
@@ -83,9 +83,9 @@ func TestJournalClosedTokenRejectsMutation(t *testing.T) {
 	if err := tok.Abort(3); !errors.Is(err, ErrUpdateFinished) {
 		t.Fatalf("abort after commit error %v, want ErrUpdateFinished", err)
 	}
-	before := len(j.Records())
+	before := len(j.recs)
 	tok.Apply(0, 1, 4)
-	if len(j.Records()) != before {
+	if len(j.recs) != before {
 		t.Fatal("Apply on a closed token appended a record")
 	}
 }
@@ -135,7 +135,7 @@ func TestRecoverTornCommitRollsBack(t *testing.T) {
 	if j.Torn() {
 		t.Fatal("rollback must close the torn operation")
 	}
-	last := j.Records()[len(j.Records())-1]
+	last := j.recs[len(j.recs)-1]
 	if last.Type != RecAbort {
 		t.Fatalf("final record %s, want abort", last.Type)
 	}

@@ -153,8 +153,3 @@ func (ci *CtrlInjector) DrawCommit() CtrlFault {
 	obsCtrlCrashes.Inc()
 	return CtrlCrash
 }
-
-// Remaining returns the undealt fault count across both decks.
-func (ci *CtrlInjector) Remaining() int {
-	return len(ci.scrubQueue) + ci.crashLeft
-}

@@ -37,8 +37,8 @@ func TestCtrlInjectorExhaustion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ci.Remaining() != 3 {
-		t.Fatalf("Remaining %d, want 3", ci.Remaining())
+	if n := len(ci.scrubQueue) + ci.crashLeft; n != 3 {
+		t.Fatalf("%d faults undealt, want 3", n)
 	}
 	if f := ci.DrawScrub(); f != CtrlStall {
 		t.Fatalf("first scrub draw %s, want stall", f)
@@ -59,8 +59,8 @@ func TestCtrlInjectorExhaustion(t *testing.T) {
 			t.Fatalf("spent crash budget dealt %s", f)
 		}
 	}
-	if ci.Remaining() != 0 {
-		t.Fatalf("Remaining %d after exhaustion", ci.Remaining())
+	if n := len(ci.scrubQueue) + ci.crashLeft; n != 0 {
+		t.Fatalf("%d faults undealt after exhaustion", n)
 	}
 }
 

@@ -515,19 +515,6 @@ func (g *Governor) Observe(s Sample) Decision {
 	return d
 }
 
-// Assess evaluates the model at the full-speed rung without touching
-// controller state — the observe-only path for batch runs (Forward) that
-// have no slice clock to actuate on.
-func (g *Governor) Assess(util []float64) Decision {
-	total, perDev := g.estimateAt(g.rungs[0], util)
-	capW, devCapW := g.capsAt(0)
-	return Decision{
-		Rung: g.rungs[0], PowerW: total, PerDeviceW: perDev,
-		CapW: capW, DeviceCapW: devCapW,
-		Over: exceeds(total, perDev, capW, devCapW),
-	}
-}
-
 // Report returns a detached copy of the run summary.
 func (g *Governor) Report() *Report {
 	r := g.rep

@@ -320,20 +320,3 @@ func TestPacerPatterns(t *testing.T) {
 		prev = cur
 	}
 }
-
-// Assess must not mutate controller state.
-func TestAssessIsObserveOnly(t *testing.T) {
-	p := plantFor(core.VS, 1, 3, 16, 0.9)
-	g, err := New(Config{CapWatts: 5}, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := g.Assess([]float64{0.9, 0.9, 0.9})
-	if !d.Over {
-		t.Skip("cap not below assessed power for this geometry")
-	}
-	rep := g.Report()
-	if rep.Slices != 0 || rep.Escalations != 0 || rep.FinalRung != 0 {
-		t.Errorf("Assess mutated state: %+v", rep)
-	}
-}

@@ -22,7 +22,6 @@ import (
 	"testing"
 
 	"vrpower/internal/core"
-	"vrpower/internal/governor"
 	"vrpower/internal/scenario"
 	"vrpower/internal/sweep"
 )
@@ -95,13 +94,11 @@ func equivalenceCases() []equivalenceCase {
 				"load=const:0.3,faults=seu:%g,kill=0@2000,cycles=%d,seed=5", seuRateFor(s, 3, cycles), cycles)))
 		}},
 		{"scenario_churn_vm_governed", func(t *testing.T, tel *Telemetry) string {
-			// Churn on the merged engine under an attached cap (SetGovernor,
-			// not a spec key) that walks the ladder down to admission control,
-			// converges, then lifts mid-run.
+			// Churn on the merged engine under a cap that walks the ladder
+			// down to admission control, converges, then lifts mid-run.
 			s, _ := buildSystem(t, core.VM, 3)
 			s.SetTelemetry(tel)
-			s.SetGovernor(&governor.Config{CapWatts: capBelowSteady(s, 1, 0.35), LiftCycle: 8 * 1024})
-			return dumpJSON(t, runSpec(t, s, 23, "load=const:0.3,churn=3x48,cycles=14336"))
+			return dumpJSON(t, runSpec(t, s, 23, capped("load=const:0.3,churn=3x48,cycles=14336", capBelowSteady(s, 1, 0.35), 8*1024)))
 		}},
 		{"scenario_fleet", func(t *testing.T, tel *Telemetry) string {
 			// Fleet failure domains: four networks bin-packed over two devices

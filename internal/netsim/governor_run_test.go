@@ -2,11 +2,11 @@ package netsim
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 
 	"vrpower/internal/core"
-	"vrpower/internal/governor"
 	"vrpower/internal/scenario"
 )
 
@@ -23,6 +23,16 @@ func capBelowSteady(s *System, u, frac float64) float64 {
 	return floor + (steady-floor)*frac
 }
 
+// capped appends a fleet-wide cap of w Watts to spec, and a lift at cycle
+// lift when lift > 0. The shortest 'g' form parses back to the same float.
+func capped(spec string, w float64, lift int64) string {
+	spec += ",power-cap=" + strconv.FormatFloat(w, 'g', -1, 64)
+	if lift > 0 {
+		spec += ",power-cap-lift=" + strconv.FormatInt(lift, 10)
+	}
+	return spec
+}
+
 // TestGovernedLoadTestConvergesAndRecovers is the governor's end-to-end
 // demonstration on the separate scheme: a cap below steady-state power must
 // force the ladder down (frequency first, then shedding the lowest-priority
@@ -32,8 +42,7 @@ func capBelowSteady(s *System, u, frac float64) float64 {
 func TestGovernedLoadTestConvergesAndRecovers(t *testing.T) {
 	s, _ := buildSystem(t, core.VS, 3)
 	cap := capBelowSteady(s, 0.9, 0.4)
-	s.SetGovernor(&governor.Config{CapWatts: cap, LiftCycle: 32 * 1024})
-	rep := runSpec(t, s, 31, "load=const:0.9,cycles=65536")
+	rep := runSpec(t, s, 31, capped("load=const:0.9,cycles=65536", cap, 32*1024))
 	g := rep.Governor
 	if g == nil {
 		t.Fatal("governed run returned no governor report")
@@ -96,10 +105,9 @@ func TestGovernedLoadTestConvergesAndRecovers(t *testing.T) {
 func TestGovernedLoadTestVMThrottlesAllNetworks(t *testing.T) {
 	s, _ := buildSystem(t, core.VM, 3)
 	cap := capBelowSteady(s, 1, 0.35)
-	s.SetGovernor(&governor.Config{CapWatts: cap})
 	// Shallow queues: the backlog built while the ladder walks down drains
 	// within the first admission slice instead of masquerading as demand.
-	g := runSpec(t, s, 37, "load=const:0.3,cycles=49152,queue=16").Governor
+	g := runSpec(t, s, 37, capped("load=const:0.3,cycles=49152,queue=16", cap, 0)).Governor
 	if g == nil {
 		t.Fatal("governed run returned no governor report")
 	}
@@ -128,8 +136,8 @@ func TestGovernedLoadTestVMThrottlesAllNetworks(t *testing.T) {
 func TestGovernedFaultRunRidesOutScrubSpike(t *testing.T) {
 	s, _ := buildSystem(t, core.VS, 3)
 	const cycles = 32 * 1024
-	s.SetGovernor(&governor.Config{CapWatts: capBelowSteady(s, 1.0/3, 0.6)})
-	rep := runSpec(t, s, 43, fmt.Sprintf("load=const:0.3333,faults=seu:%g,cycles=%d,seed=7", seuRateFor(s, 3, cycles), cycles))
+	rep := runSpec(t, s, 43, capped(fmt.Sprintf("load=const:0.3333,faults=seu:%g,cycles=%d,seed=7", seuRateFor(s, 3, cycles), cycles),
+		capBelowSteady(s, 1.0/3, 0.6), 0))
 	if rep.Governor == nil {
 		t.Fatal("governed run returned no governor report")
 	}
@@ -176,12 +184,12 @@ func TestGovernedRunsDeterministicAcrossWorkers(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			s, _ := buildSystem(t, core.VS, 3)
-			s.SetGovernor(&governor.Config{CapWatts: capBelowSteady(s, c.u, c.frac), LiftCycle: c.lift})
+			spec := capped(c.spec, capBelowSteady(s, c.u, c.frac), c.lift)
 			var reps []string
 			runDumps(t, c.name+"/governed", func(tel *Telemetry) {
 				s.SetTelemetry(tel)
 				defer s.SetTelemetry(nil)
-				rep := runSpec(t, s, 29, c.spec)
+				rep := runSpec(t, s, 29, spec)
 				if rep.Governor == nil || rep.Governor.Escalations == 0 {
 					t.Fatalf("cap caused no throttling: %+v", rep.Governor)
 				}
@@ -191,30 +199,5 @@ func TestGovernedRunsDeterministicAcrossWorkers(t *testing.T) {
 				t.Errorf("governed reports differ between -j1 and -j8:\n%s\n%s", reps[0], reps[1])
 			}
 		})
-	}
-}
-
-// TestAssessPowerFlagsBatchRuns: Forward has no slice clock, so the governor
-// only assesses — the decision reports the violation without actuating.
-func TestAssessPowerFlagsBatchRuns(t *testing.T) {
-	s, tables := buildSystem(t, core.VS, 3)
-	rep, err := s.Forward(gen(t, 3, tables, 3000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d, err := s.AssessPower(rep); err != nil || d != nil {
-		t.Fatalf("ungoverned AssessPower = (%v, %v), want (nil, nil)", d, err)
-	}
-	s.SetGovernor(&governor.Config{CapWatts: capBelowSteady(s, 0.5, 0.1)})
-	defer s.SetGovernor(nil)
-	d, err := s.AssessPower(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d == nil || !d.Over {
-		t.Errorf("cap near the power floor not flagged: %+v", d)
-	}
-	if d.PowerW <= 0 || d.CapW <= 0 {
-		t.Errorf("assessment missing estimates: %+v", d)
 	}
 }

@@ -21,7 +21,6 @@ import (
 	"vrpower/internal/core"
 	"vrpower/internal/energy"
 	"vrpower/internal/fpga"
-	"vrpower/internal/governor"
 	"vrpower/internal/ip"
 	"vrpower/internal/obs"
 	"vrpower/internal/packet"
@@ -50,9 +49,6 @@ type System struct {
 	// tel is the attached telemetry bundle (never nil; defaults to the
 	// shared all-nil noTelemetry).
 	tel *Telemetry
-	// gov is the attached power-envelope governor configuration; nil runs
-	// ungoverned.
-	gov *governor.Config
 	// emodel is the per-event energy cost table derived from the router's
 	// power design; every run meters against it.
 	emodel *energy.Model

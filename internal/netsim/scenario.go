@@ -120,7 +120,7 @@ type ScenarioReport struct {
 	// batch finished inside the drain bound.
 	Completed bool
 	// Governor is the power-envelope controller's summary for capped runs
-	// (power-cap= / power-cap-device= or an attached SetGovernor config).
+	// (power-cap= / power-cap-device=).
 	Governor *governor.Report
 	// Energy is the run's attributed energy breakdown.
 	Energy *energy.Report
@@ -693,11 +693,21 @@ func (s *System) RunScenario(gen *traffic.Generator, spec scenario.Spec) (Scenar
 	return *r.rep, nil
 }
 
+// plant exposes the router to the governor: the placed design (FMHz at
+// fmax), the virtualization scheme and the network count.
+func (s *System) plant() governor.Plant {
+	return governor.Plant{
+		Design: s.router.Design(),
+		Scheme: s.router.Config().Scheme,
+		K:      s.k,
+	}
+}
+
 // oneDevice is the identity placement: the system's own router is device 0
 // and serves every network, over clones of the control plane's pinned
 // compilation when churn is active (successive recompilations diff word for
 // word), of the router's build images otherwise; the governor, if the spec
-// or the system names a cap, attaches to the device.
+// names a cap, attaches to the device.
 func (r *scenRun) oneDevice() error {
 	s, spec, dev := r.s, r.spec, &device{}
 	var images []*pipeline.Image
@@ -730,9 +740,9 @@ func (r *scenRun) oneDevice() error {
 		r.reloadWords = max(r.reloadWords, img.Words())
 	}
 
-	gcfg := s.gov
+	var gcfg *governor.Config
 	if spec.CapW > 0 || spec.DeviceCapW > 0 {
-		gcfg = &governor.Config{CapWatts: spec.CapW, DeviceCapWatts: spec.DeviceCapW}
+		gcfg = &governor.Config{CapWatts: spec.CapW, DeviceCapWatts: spec.DeviceCapW, LiftCycle: spec.LiftCycle}
 	}
 	var err error
 	r.gv, err = scenario.NewGovRun(gcfg, s.plant(), len(images), s.k, s.tel.Events)

@@ -15,7 +15,6 @@ import (
 
 	"vrpower/internal/core"
 	"vrpower/internal/ctrl"
-	"vrpower/internal/governor"
 	"vrpower/internal/ip"
 	"vrpower/internal/obs"
 	"vrpower/internal/pipeline"
@@ -35,8 +34,7 @@ func TestSettledDelayIsInRunCyclesUnderSteppedClock(t *testing.T) {
 	if free.MeanDelayCycles != stages {
 		t.Fatalf("ungoverned VS at load 0.3: mean delay %.2f, want the pipe depth %v", free.MeanDelayCycles, stages)
 	}
-	s.SetGovernor(&governor.Config{CapWatts: capBelowSteady(s, 0.3, 0.5)})
-	rep := runSpec(t, s, 31, spec)
+	rep := runSpec(t, s, 31, capped(spec, capBelowSteady(s, 0.3, 0.5), 0))
 	if g := rep.Governor; g.TimeAtRung[0] > cycles/4 {
 		t.Fatalf("the cap left the clock at full rate for %d of %d cycles: %+v", g.TimeAtRung[0], cycles, g)
 	}

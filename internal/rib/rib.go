@@ -40,15 +40,14 @@ func (t *Table) Add(r ip.Route) {
 
 // addIndexed is Add for loops that load many routes: index maps every prefix
 // already in t.Routes to its position, which replaces Add's linear duplicate
-// scan. It reports whether the route was new.
-func (t *Table) addIndexed(index map[ip.Prefix]int, r ip.Route) bool {
+// scan.
+func (t *Table) addIndexed(index map[ip.Prefix]int, r ip.Route) {
 	if i, ok := index[r.Prefix]; ok {
 		t.Routes[i].NextHop = r.NextHop
-		return false
+		return
 	}
 	index[r.Prefix] = len(t.Routes)
 	t.Routes = append(t.Routes, r)
-	return true
 }
 
 // Sort orders routes by prefix (address, then length) in place. Prefixes
@@ -122,41 +121,6 @@ func Read(name string, r io.Reader) (*Table, error) {
 			return nil, fmt.Errorf("rib: %s:%d: bad next hop %q", name, lineno, fields[1])
 		}
 		t.addIndexed(index, ip.Route{Prefix: p, NextHop: ip.NextHop(nh)})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("rib: reading %s: %v", name, err)
-	}
-	return t, nil
-}
-
-// ReadPrefixList parses a bare prefix list — one CIDR prefix per line, the
-// format of public BGP snapshot dumps (e.g. Potaroo's CIDR reports) — and
-// assigns synthetic next hops round-robin over ports. Blank lines and '#'
-// comments are ignored; duplicate prefixes collapse.
-func ReadPrefixList(name string, r io.Reader, ports int) (*Table, error) {
-	if ports < 1 {
-		return nil, fmt.Errorf("rib: ports = %d, want >= 1", ports)
-	}
-	t := &Table{Name: name}
-	index := make(map[ip.Prefix]int)
-	sc := bufio.NewScanner(r)
-	lineno, next := 0, 1
-	for sc.Scan() {
-		lineno++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		p, err := ip.ParsePrefix(line)
-		if err != nil {
-			return nil, fmt.Errorf("rib: %s:%d: %v", name, lineno, err)
-		}
-		if t.addIndexed(index, ip.Route{Prefix: p, NextHop: ip.NextHop(next)}) {
-			next++
-			if next > ports {
-				next = 1
-			}
-		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("rib: reading %s: %v", name, err)

@@ -283,36 +283,8 @@ func TestReferenceOracle(t *testing.T) {
 	}
 }
 
-func TestReadPrefixList(t *testing.T) {
-	in := "# potaroo-style dump\n10.0.0.0/8\n\n10.1.0.0/16\n10.0.0.0/8\n192.168.0.0/24\n"
-	tbl, err := ReadPrefixList("dump", strings.NewReader(in), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tbl.Len() != 3 {
-		t.Fatalf("Len = %d, want 3 (duplicate collapsed)", tbl.Len())
-	}
-	// Next hops cycle over the port pool and are never NoRoute.
-	seen := map[ip.NextHop]bool{}
-	for _, r := range tbl.Routes {
-		if r.NextHop == ip.NoRoute || r.NextHop > 2 {
-			t.Errorf("route %s next hop %d outside pool", r.Prefix, r.NextHop)
-		}
-		seen[r.NextHop] = true
-	}
-	if len(seen) != 2 {
-		t.Errorf("round-robin used %d ports, want 2", len(seen))
-	}
-	if _, err := ReadPrefixList("bad", strings.NewReader("10.0.0.0/99\n"), 4); err == nil {
-		t.Error("bad prefix accepted")
-	}
-	if _, err := ReadPrefixList("bad", strings.NewReader(""), 0); err == nil {
-		t.Error("ports=0 accepted")
-	}
-}
-
-// The digests were recorded from the commit before GenerateVirtualSet, Read
-// and ReadPrefixList switched from Table.Add's linear duplicate scan to a
+// The digests were recorded from the commit before GenerateVirtualSet and
+// Read switched from Table.Add's linear duplicate scan to a
 // prefix index: SHA-256 over Write of the eight tables, in order. The
 // generated tables must stay byte-identical — every golden and every
 // benchmark digest downstream is a function of them.
@@ -342,7 +314,7 @@ func TestGenerateVirtualSetDigests(t *testing.T) {
 }
 
 // A repeated prefix replaces the earlier next hop in place and keeps the
-// first occurrence's position, in both readers.
+// first occurrence's position.
 func TestReadersCollapseDuplicatesInOrder(t *testing.T) {
 	tbl, err := Read("dup", strings.NewReader("10.0.0.0/8 1\n10.1.0.0/16 2\n10.0.0.0/8 3\n192.168.0.0/24 4\n"))
 	if err != nil {
@@ -354,19 +326,5 @@ func TestReadersCollapseDuplicatesInOrder(t *testing.T) {
 	}
 	if want := "# table dup, 3 routes\n10.0.0.0/8 3\n10.1.0.0/16 2\n192.168.0.0/24 4\n"; got.String() != want {
 		t.Errorf("Read:\n%swant:\n%s", got.String(), want)
-	}
-
-	tbl, err = ReadPrefixList("dup", strings.NewReader("10.0.0.0/8\n10.1.0.0/16\n10.0.0.0/8\n192.168.0.0/24\n"), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got.Reset()
-	if err := tbl.Write(&got); err != nil {
-		t.Fatal(err)
-	}
-	// The duplicate re-stamps 10/8 with the port it would have drawn (3) but
-	// does not consume it, exactly as Table.Add-based loading did.
-	if want := "# table dup, 3 routes\n10.0.0.0/8 3\n10.1.0.0/16 2\n192.168.0.0/24 3\n"; got.String() != want {
-		t.Errorf("ReadPrefixList:\n%swant:\n%s", got.String(), want)
 	}
 }

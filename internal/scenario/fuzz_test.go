@@ -30,6 +30,9 @@ func FuzzParse(f *testing.F) {
 		",,",
 		"load=const:0.5,load=saturate",
 		"power-cap=45,power-cap-device=12,slice=512",
+		"load=const:0.9,power-cap=4.6,power-cap-lift=16384",
+		"power-cap-lift=100",
+		"fleet=2,power-cap=40,power-cap-lift=100",
 		"kill=0@50000",
 		"=",
 		"a=b=c",
@@ -75,6 +78,9 @@ func FuzzParse(f *testing.F) {
 		}
 		if s.Kill != nil && (s.Kill.Engine < 0 || s.Kill.Cycle < 0 || s.Kill.Cycle >= s.Cycles) {
 			t.Fatalf("Parse(%q) accepted kill %+v with cycles %d", spec, s.Kill, s.Cycles)
+		}
+		if s.LiftCycle > 0 && (s.CapW <= 0 && s.DeviceCapW <= 0 || s.Fleet != nil || s.LiftCycle >= s.Cycles) {
+			t.Fatalf("Parse(%q) accepted a lift at cycle %d without a single-device cap to lift inside the run: %+v", spec, s.LiftCycle, s)
 		}
 		if s.Churn != nil && (s.Churn.Batches < 1 || s.Churn.Ops < 1) {
 			t.Fatalf("Parse(%q) accepted churn %+v", spec, s.Churn)

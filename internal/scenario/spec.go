@@ -14,6 +14,7 @@ package scenario
 //	fleet=N[:spare=M]        multi-device run: N active devices plus M dark spares
 //	power-cap=W              fleet-wide governor cap in Watts
 //	power-cap-device=W       per-device governor cap in Watts
+//	power-cap-lift=C         lift the caps from cycle C on (single device only)
 //	cycles=N                 offered-traffic window (default 32768)
 //	slice=N                  control-plane quantum (default 1024)
 //	queue=N                  per-network ingress queue capacity (default 64)
@@ -173,9 +174,11 @@ type Spec struct {
 	Chaos   *ChaosSpec
 	Fleet   *FleetSpec
 	// CapW / DeviceCapW configure the power-envelope governor; both zero
-	// runs ungoverned (unless the system has a governor attached).
+	// runs ungoverned. LiftCycle, when > 0, removes the caps from that
+	// cycle on.
 	CapW       float64
 	DeviceCapW float64
+	LiftCycle  int64
 	Cycles     int64
 	Slice      int64
 	Queue      int
@@ -424,6 +427,8 @@ func Parse(spec string) (Spec, error) {
 			if err == nil && s.DeviceCapW <= 0 {
 				return s, fmt.Errorf("scenario: power-cap-device=%q: %g W, want > 0", val, s.DeviceCapW)
 			}
+		case "power-cap-lift":
+			s.LiftCycle, err = parseInt("power-cap-lift", val)
 		case "cycles":
 			s.Cycles, err = parseInt("cycles", val)
 			if err == nil && s.Cycles < 1 {
@@ -444,7 +449,7 @@ func Parse(spec string) (Spec, error) {
 		case "seed":
 			s.Seed, err = parseInt("seed", val)
 		default:
-			return s, fmt.Errorf("scenario: unknown key %q (value %q; want load, faults, kill, churn, chaos, fleet, power-cap, power-cap-device, cycles, slice, queue or seed)", key, val)
+			return s, fmt.Errorf("scenario: unknown key %q (value %q; want load, faults, kill, churn, chaos, fleet, power-cap, power-cap-device, power-cap-lift, cycles, slice, queue or seed)", key, val)
 		}
 		if err != nil {
 			return s, err
@@ -452,6 +457,16 @@ func Parse(spec string) (Spec, error) {
 	}
 	if s.Kill != nil && s.Kill.Cycle >= s.Cycles {
 		return s, fmt.Errorf("scenario: kill at cycle %d is past the %d-cycle run", s.Kill.Cycle, s.Cycles)
+	}
+	if seen["power-cap-lift"] {
+		switch {
+		case s.LiftCycle < 1 || s.LiftCycle >= s.Cycles:
+			return s, fmt.Errorf("scenario: power-cap-lift at cycle %d, want it inside [1,%d) of the run", s.LiftCycle, s.Cycles)
+		case s.CapW <= 0 && s.DeviceCapW <= 0:
+			return s, fmt.Errorf("scenario: power-cap-lift needs power-cap= or power-cap-device= (a cap to lift)")
+		case s.Fleet != nil:
+			return s, fmt.Errorf("scenario: power-cap-lift beside fleet=: a fleet's caps constrain placement only, no governor runs to lift them")
+		}
 	}
 	if s.Fleet != nil {
 		// Fleet runs re-place networks across devices, so the per-engine

@@ -38,7 +38,7 @@ func TestParseFullCompoundSpec(t *testing.T) {
 }
 
 func TestParseEveryKey(t *testing.T) {
-	s, err := Parse("load=const:0.5,faults=seu:2e-8,kill=1@5000,churn=4x64:vn=2,power-cap=30,power-cap-device=12,cycles=16384,slice=512,queue=32,seed=7")
+	s, err := Parse("load=const:0.5,faults=seu:2e-8,kill=1@5000,churn=4x64:vn=2,power-cap=30,power-cap-device=12,power-cap-lift=8000,cycles=16384,slice=512,queue=32,seed=7")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestParseEveryKey(t *testing.T) {
 	if s.Churn.TargetVN != 2 {
 		t.Fatalf("churn vn: %+v", s.Churn)
 	}
-	if s.DeviceCapW != 12 || s.Cycles != 16384 || s.Slice != 512 || s.Queue != 32 || s.Seed != 7 {
+	if s.DeviceCapW != 12 || s.LiftCycle != 8000 || s.Cycles != 16384 || s.Slice != 512 || s.Queue != 32 || s.Seed != 7 {
 		t.Fatalf("parsed: %+v", s)
 	}
 }
@@ -151,6 +151,12 @@ func TestParseErrors(t *testing.T) {
 		{"power-cap=0", "want > 0"},
 		{"power-cap=-3", "want > 0"},
 		{"power-cap-device=0", "want > 0"},
+		{"power-cap=5,power-cap-lift=0", "want it inside [1,32768)"},
+		{"power-cap=5,power-cap-lift=-2", "want it inside [1,32768)"},
+		{"power-cap-lift=4096,power-cap=5,cycles=4096", "want it inside [1,4096)"},
+		{"power-cap-lift=x", "not an integer"},
+		{"power-cap-lift=100", "power-cap-lift needs power-cap= or power-cap-device="},
+		{"fleet=2,power-cap=40,power-cap-lift=100", "power-cap-lift beside fleet="},
 		{"cycles=0", "want >= 1"},
 		{"slice=0", "want >= 1"},
 		{"queue=0", "want >= 1"},
