@@ -36,16 +36,17 @@ race:
 # and all three dumps are byte-compared. Dumps land in the target's own
 # directory (CI uploads it as an artifact). lookupsim exits nonzero on an
 # oracle mismatch, a misforwarding audit probe or outstanding work, so every
-# smoke also gates those.
-#   $(call smoke,DIR,ROUTER FLAGS,NAME OF THE SPEC VARIABLE,REPORT FLAGS)
-smoke-run = $(GO) run ./cmd/lookupsim $(2) -j $(5) -scenario $($(3)) $(4) \
-	-trace-sample 0.02 -trace-out $(1)/traces$(6).jsonl \
-	-timeseries-out $(1)/timeseries$(6).csv -events-out $(1)/events$(6).jsonl \
-	> $(1)/report$(6).txt
+# smoke also gates those. The report has a section for every stressor the
+# spec runs, so there is nothing to ask for beyond the spec.
+#   $(call smoke,DIR,ROUTER FLAGS,NAME OF THE SPEC VARIABLE)
+smoke-run = $(GO) run ./cmd/lookupsim $(2) -j $(4) -scenario $($(3)) \
+	-trace-sample 0.02 -trace-out $(1)/traces$(5).jsonl \
+	-timeseries-out $(1)/timeseries$(5).csv -events-out $(1)/events$(5).jsonl \
+	> $(1)/report$(5).txt
 define smoke
 	mkdir -p $(1)
-	$(call smoke-run,$(1),$(2),$(3),$(4),1,)
-	$(call smoke-run,$(1),$(2),$(3),$(4),8,-j8)
+	$(call smoke-run,$(1),$(2),$(3),1,)
+	$(call smoke-run,$(1),$(2),$(3),8,-j8)
 	cmp $(1)/report.txt $(1)/report-j8.txt
 	cmp $(1)/traces.jsonl $(1)/traces-j8.jsonl
 	cmp $(1)/timeseries.csv $(1)/timeseries-j8.csv
@@ -60,7 +61,7 @@ endef
 # rung in the report.
 GOVERNOR_SPEC = load=const:0.9,cycles=32768,power-cap=4.6,power-cap-lift=16384
 governor-smoke:
-	$(call smoke,governor-smoke,-scheme VS -k 3,GOVERNOR_SPEC,-governor-report)
+	$(call smoke,governor-smoke,-scheme VS -k 3,GOVERNOR_SPEC)
 	grep -q 'load + power-cap' governor-smoke/report.txt
 	grep -q governor_escalate governor-smoke/events.jsonl
 	grep -q governor_deescalate governor-smoke/events.jsonl
@@ -78,7 +79,7 @@ governor-smoke:
 # ends Completed=false (seed=11 reproduces it; ROADMAP item 2(a)).
 SCENARIO_SPEC = load=surge:0.3:0.9,faults=seu:2e-9,kill=1@3000,churn=6x32,power-cap=38,cycles=16384,queue=32,seed=12
 scenario-smoke:
-	$(call smoke,scenario-smoke,-scheme VS -k 3,SCENARIO_SPEC,-governor-report -update-report -mttr-report)
+	$(call smoke,scenario-smoke,-scheme VS -k 3,SCENARIO_SPEC)
 	grep -q 'load + faults + churn + power-cap' scenario-smoke/report.txt
 	grep -q 'Recovered.*true' scenario-smoke/report.txt
 	grep -q 'Completed.*true' scenario-smoke/report.txt
@@ -93,12 +94,12 @@ scenario-smoke:
 # churn, a power cap, and every control-plane fault class (crash-before-
 # commit, reload stall, torn write, watchdog false positive) in ONE run —
 # grepped for the recovery lifecycle (injected faults, journaled rollback AND
-# replay, a clean invariant audit) and, with -energy-report, for the
-# attribution tables and the energy columns of the series, which are part of
+# replay, a clean invariant audit) and for the energy attribution tables
+# every report carries and the energy columns of the series, which are part of
 # the determinism contract like everything else the recipe compares.
 CHAOS_SPEC = load=surge:0.3:0.9,faults=seu:2e-8,churn=8x24,power-cap=38,chaos=crash:3+stall:1+torn:1+falsepos:1,cycles=16384,queue=32,seed=11
 chaos-smoke:
-	$(call smoke,chaos-smoke,-scheme VS -k 3,CHAOS_SPEC,-governor-report -update-report -energy-report)
+	$(call smoke,chaos-smoke,-scheme VS -k 3,CHAOS_SPEC)
 	grep -q 'load + faults + chaos + churn + power-cap' chaos-smoke/report.txt
 	grep -q 'Completed.*true' chaos-smoke/report.txt
 	grep -q chaos_inject chaos-smoke/events.jsonl
@@ -130,9 +131,9 @@ FLEET_SPEC = load=const:0.4,fleet=2:spare=1,chaos=devcrash:2+flaky:2+brownout:1,
 FLEET1_SPEC = load=surge:0.3:0.95,cycles=8192,queue=8,seed=3
 FLEET1_FLEET_SPEC = $(FLEET1_SPEC),fleet=1
 fleet-smoke:
-	$(call smoke,fleet-smoke,-scheme VS -k 8,FLEET_SPEC,)
-	$(call smoke,fleet-smoke/one,-scheme VS -k 4,FLEET1_SPEC,)
-	$(call smoke,fleet-smoke/fleet1,-scheme VS -k 4,FLEET1_FLEET_SPEC,)
+	$(call smoke,fleet-smoke,-scheme VS -k 8,FLEET_SPEC)
+	$(call smoke,fleet-smoke/one,-scheme VS -k 4,FLEET1_SPEC)
+	$(call smoke,fleet-smoke/fleet1,-scheme VS -k 4,FLEET1_FLEET_SPEC)
 	cmp fleet-smoke/one/events.jsonl fleet-smoke/fleet1/events.jsonl
 	for d in one fleet1; do \
 		grep 'offered/delivered/dropped' fleet-smoke/$$d/report.txt | sed 's/ *$$//' > fleet-smoke/$$d/packets.txt && \
@@ -168,7 +169,10 @@ forward-smoke:
 	cmp forward-smoke/frames.txt forward-smoke/frames-j8.txt
 	cmp forward-smoke/frames-traces.jsonl forward-smoke/frames-traces-j8.jsonl
 	grep -q '"outcome":"forward"' forward-smoke/traces.jsonl
+	grep -q '"outcome":"forward"' forward-smoke/frames-traces.jsonl
 	grep -q 'Mismatches vs reference LPM *0 ' forward-smoke/report.txt
+	grep -q 'Mismatches vs reference LPM *0 ' forward-smoke/frames.txt
+	grep -q 'Energy per forwarded bit' forward-smoke/report.txt
 
 # Figures smoke: every table and figure cmd/figures prints, as CSV, at -j1
 # and -j8, byte-compared like the lookupsim smokes above — a row that stops

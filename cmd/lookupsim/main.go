@@ -7,10 +7,9 @@
 // Usage:
 //
 //	lookupsim -scheme VM -k 4 [-prefixes 1000] [-share 0.5] [-seed 1]
-//	          [-dist uniform|zipf] [-routed]
+//	          [-dist uniform|zipf]
 //	          [-packets 10000] [-frames]
 //	          [-scenario load=...,faults=...,kill=...,churn=...,chaos=...,fleet=N:spare=M,power-cap=...]
-//	          [-mttr-report] [-update-report] [-governor-report] [-energy-report]
 //	          [-trace-sample R] [-trace-buf N] [-trace-out F]
 //	          [-timeseries-out F] [-events-out F] [-events-level L]
 //	          [-http :addr] [-http-hold]
@@ -29,13 +28,14 @@
 // and the report covers every axis at once: per-VNID delivery and
 // availability, SEU/scrub lifecycle and MTTR, churn batch outcomes and the
 // throughput they left, journaled recovery (rollbacks/replays, watchdog
-// ladder, invariant audits), and the governor's control-law summary. The
-// run exits nonzero on any oracle mismatch, any misforwarding audit probe,
-// or work left outstanding. The spec owns the stressor and power knobs
-// (cycles=, seed=, queue=, power-cap-lift= included), and the closed loop's
-// -packets / -frames beside it are refused; docs/CLI.md has the grammar and
-// the table from the former -load / -faults / -churn / -power-cap* flags to
-// specs.
+// ladder, invariant audits), the governor's control law and ladder, and the
+// run's attributed energy. A section prints when the thing it describes ran;
+// no flag asks for one. The run exits nonzero on any oracle mismatch, any
+// misforwarding audit probe, or work left outstanding. The spec owns the
+// stressor and power knobs (cycles=, seed=, queue=, power-cap-lift=
+// included), and the closed loop's -packets / -frames beside it are refused;
+// docs/CLI.md has the grammar and the table from the former -load / -faults
+// / -churn / -power-cap* flags to specs.
 //
 // Telemetry: -trace-sample R flight-traces about fraction R of all lookups
 // (deterministically — same seeds, same -j or not, same traces) into a ring
@@ -77,15 +77,9 @@ type options struct {
 	prefixes int
 	share    float64
 	dist     string
-	routed   bool
 	frames   bool
 	seed     int64
 	scenario string
-
-	mttrReport     bool
-	updateReport   bool
-	governorReport bool
-	energyReport   bool
 
 	traceSample   float64
 	traceBuf      int
@@ -135,11 +129,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&o.prefixes, "prefixes", 1000, "routes per network")
 	fs.Float64Var(&o.share, "share", 0.5, "prefix-space share across networks")
 	fs.StringVar(&o.dist, "dist", "uniform", "traffic distribution: uniform or zipf")
-	fs.BoolVar(&o.routed, "routed", true, "draw destinations from the routed space")
 	fs.BoolVar(&o.frames, "frames", false, "closed loop over the full frame path (parse -> lookup -> edit) instead of bare lookups")
 	fs.StringVar(&o.scenario, "scenario", "", "open-loop composed scenario: comma-separated key=value stressors (load=, faults=, kill=, churn=, chaos=, fleet=, power-cap=, ...; see docs/CLI.md)")
-	fs.BoolVar(&o.mttrReport, "mttr-report", false, "print each upset's detect/repair lifecycle")
-	fs.BoolVar(&o.updateReport, "update-report", false, "print each churn batch's lifecycle")
 	fs.Float64Var(&o.traceSample, "trace-sample", 0, "flight-trace sampling rate in [0,1] (0 = tracing off)")
 	fs.IntVar(&o.traceBuf, "trace-buf", 4096, "flight-trace ring capacity (rounded up to a power of two)")
 	fs.StringVar(&o.traceOut, "trace-out", "", "write sampled flight traces as JSONL to this file (- = stdout)")
@@ -151,8 +142,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	})
 	fs.StringVar(&o.httpAddr, "http", "", "serve /metrics, /timeseries.csv, /traces.jsonl, /events.jsonl and /debug/pprof/ on this address (e.g. :9090)")
 	fs.BoolVar(&o.httpHold, "http-hold", false, "keep the -http endpoints up after the run finishes (Ctrl-C to exit)")
-	fs.BoolVar(&o.governorReport, "governor-report", false, "print the governor's time-at-tier and per-VNID degradation detail")
-	fs.BoolVar(&o.energyReport, "energy-report", false, "print the run's attributed energy breakdown (per VNID, per component, per device)")
 	fs.IntVar(&o.jobs, "j", 0, "engine worker-pool size (0 = GOMAXPROCS); results are identical at any value")
 	fs.BoolVar(&o.stats, "stats", false, "print run instrumentation to stderr on exit")
 	fs.Int64Var(&o.seed, "seed", 1, "seed for tables and traffic")
@@ -175,6 +164,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}{
 		{o.k >= 1, "k", "a count >= 1", o.k},
 		{o.prefixes >= 1, "prefixes", "a count >= 1", o.prefixes},
+		{o.share >= 0 && o.share <= 1, "share", "a fraction in [0,1]", o.share},
 		{o.packets >= 0, "packets", "a count >= 0", o.packets},
 		{!given["packets"] || o.scenario == "", "packets", "no -packets beside -scenario (closed loop only)", o.packets},
 		{!given["frames"] || o.scenario == "", "frames", "no -frames beside -scenario (closed loop only)", o.frames},
@@ -240,13 +230,9 @@ func (o *options) execute() error {
 		return err
 	}
 
-	tcfg := traffic.Config{K: o.k, Seed: o.seed + 1}
+	tcfg := traffic.Config{K: o.k, Seed: o.seed + 1, Addr: traffic.RoutedAddr, Tables: set.Tables}
 	if o.dist == "zipf" {
 		tcfg.Dist = traffic.Zipf
-	}
-	if o.routed {
-		tcfg.Addr = traffic.RoutedAddr
-		tcfg.Tables = set.Tables
 	}
 	gen, err := traffic.New(tcfg)
 	if err != nil {
@@ -269,7 +255,7 @@ func (o *options) execute() error {
 	case o.scenario != "":
 		err = o.runScenario(sys, gen, scheme, spec)
 	case o.frames:
-		err = o.runFrames(sys, gen, scheme)
+		err = o.runFrames(sys, gen, scheme, r)
 	default:
 		err = o.runForward(sys, gen, scheme, r)
 	}
@@ -292,8 +278,9 @@ func (o *options) execute() error {
 	return err
 }
 
-// runFrames is the closed loop over the full data plane.
-func (o *options) runFrames(sys *netsim.System, gen *traffic.Generator, scheme core.Scheme) error {
+// runFrames is the closed loop over the full data plane: the frame table,
+// then the lookup run over the steered frames as runForward prints it.
+func (o *options) runFrames(sys *netsim.System, gen *traffic.Generator, scheme core.Scheme, r *core.Router) error {
 	fr, err := gen.Frames(o.packets)
 	if err != nil {
 		return err
@@ -306,14 +293,10 @@ func (o *options) runFrames(sys *netsim.System, gen *traffic.Generator, scheme c
 		fmt.Sprintf("%s frame path, K=%d, %d frames", scheme, o.k, frep.Frames),
 		"Quantity", "Value")
 	t.AddF("Forwarded", frep.Forwarded)
-	t.AddF("Lookup mismatches", frep.Mismatches)
-	t.AddF("Dropped: bad parse / unknown VN / no route / TTL",
-		fmt.Sprintf("%d / %d / %d / %d", frep.BadParse, frep.UnknownVN, frep.NoRoute, frep.TTLExpired))
+	t.AddF("Dropped: bad parse / unknown VN / TTL",
+		fmt.Sprintf("%d / %d / %d", frep.BadParse, frep.UnknownVN, frep.TTLExpired))
 	o.print(t)
-	if frep.Mismatches != 0 {
-		return fmt.Errorf("%d lookups disagreed with the reference LPM", frep.Mismatches)
-	}
-	return nil
+	return o.printForward(frep.Report, scheme, r)
 }
 
 // runForward is the closed loop over bare lookups.
@@ -322,7 +305,12 @@ func (o *options) runForward(sys *netsim.System, gen *traffic.Generator, scheme 
 	if err != nil {
 		return err
 	}
+	return o.printForward(rep, scheme, r)
+}
 
+// printForward renders a closed-loop run's forwarding and energy tables and
+// fails the run on any mismatch.
+func (o *options) printForward(rep netsim.Report, scheme core.Scheme, r *core.Router) error {
 	t := report.NewTable(
 		fmt.Sprintf("%s forwarding, K=%d, %d packets", scheme, o.k, rep.Packets),
 		"Quantity", "Value")
@@ -336,9 +324,7 @@ func (o *options) runForward(sys *netsim.System, gen *traffic.Generator, scheme 
 			fmt.Sprintf("%.3f / %.3f / %.3f", rep.EngineLoad[e], st.Occupancy(), st.Utilization()))
 	}
 	o.print(t)
-	if o.energyReport {
-		o.printEnergy(rep.Energy)
-	}
+	o.printEnergy(rep.Energy)
 	if rep.Mismatches != 0 {
 		return fmt.Errorf("%d lookups disagreed with the reference LPM", rep.Mismatches)
 	}
@@ -397,8 +383,8 @@ func (o *options) printFleet(f *netsim.FleetReport) {
 	}
 }
 
-// printGovernor renders a governor report: the headline control-law numbers
-// always, plus time-at-tier and per-VNID degradation under -governor-report.
+// printGovernor renders a governor report: the headline control-law numbers,
+// time at each tier and per-VNID degradation.
 // All numbers come from the deterministic Report, so the output is byte-
 // identical at any -j.
 func (o *options) printGovernor(g *governor.Report) {
@@ -426,9 +412,6 @@ func (o *options) printGovernor(g *governor.Report) {
 		fmt.Sprintf("%d / %d / %d", throttled, brownout, deferred))
 	o.print(t)
 
-	if !o.governorReport {
-		return
-	}
 	lt := report.NewTable("Governor ladder: time at each tier", "Rung", "Name", "Cycles")
 	for i, name := range g.Rungs {
 		lt.AddF(i, name, g.TimeAtRung[i])
@@ -442,13 +425,10 @@ func (o *options) printGovernor(g *governor.Report) {
 }
 
 // printEnergy renders a run's attributed energy breakdown: the headline
-// totals and the Graphite-style component split always, plus the per-VNID
-// and per-device attribution axes. Every number derives from the meter's
+// totals, the Graphite-style component split, and the per-VNID and
+// per-device attribution axes. Every number derives from the meter's
 // integer femtojoule counters, so the output is byte-identical at any -j.
 func (o *options) printEnergy(e *energy.Report) {
-	if e == nil {
-		return
-	}
 	t := report.NewTable("Energy attribution (event-metered, integer femtojoules)", "Quantity", "Value")
 	t.AddF("Total energy (J)", fmt.Sprintf("%.6e", e.TotalJ))
 	t.AddF("Dynamic / static (J)", fmt.Sprintf("%.6e / %.6e", e.DynJ, e.StaticJ))
@@ -575,7 +555,7 @@ func (o *options) runScenario(sys *netsim.System, gen *traffic.Generator, scheme
 		}
 		ft.AddF("Recovered", rep.Recovered)
 		o.print(ft)
-		if o.mttrReport && len(rep.SEUs) > 0 {
+		if len(rep.SEUs) > 0 {
 			mt := report.NewTable("SEU lifecycle (cycles)",
 				"Seq", "Engine", "Stage/Index/Bit", "Injected", "Detected via", "Repaired", "TTR")
 			for _, u := range rep.SEUs {
@@ -602,7 +582,7 @@ func (o *options) runScenario(sys *netsim.System, gen *traffic.Generator, scheme
 			fmt.Sprintf("%.6f / %.6f", rep.MeasuredThroughputRetained(), rep.AnalyticThroughputRetained()))
 		ct.AddF("Mean update latency (cycles)", fmt.Sprintf("%.1f", rep.MeanUpdateLatencyCycles()))
 		o.print(ct)
-		if o.updateReport && len(rep.Batches) > 0 {
+		if len(rep.Batches) > 0 {
 			bt := report.NewTable("Churn batch lifecycle (cycles)",
 				"Seq", "VN", "Engine", "Ops raw/coalesced", "Writes", "Bubbles", "Armed", "Committed", "Latency")
 			for i, b := range rep.Batches {
@@ -643,9 +623,7 @@ func (o *options) runScenario(sys *netsim.System, gen *traffic.Generator, scheme
 	if rep.Governor != nil {
 		o.printGovernor(rep.Governor)
 	}
-	if o.energyReport {
-		o.printEnergy(rep.Energy)
-	}
+	o.printEnergy(rep.Energy)
 
 	if rep.Mismatches != 0 {
 		return fmt.Errorf("%d lookups disagreed with their epoch's reference LPM", rep.Mismatches)

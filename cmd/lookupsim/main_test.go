@@ -32,8 +32,7 @@ func TestRunPrintsWhatTheBenchmarkParses(t *testing.T) {
 		t.Errorf("closed loop printed no zero mismatch count:\n%s", out)
 	}
 
-	code, out, errw = lookupsim(append(small, "-scenario", "load=const:0.5,faults=seu:2e-8,churn=2x16,cycles=4096",
-		"-mttr-report", "-update-report", "-energy-report")...)
+	code, out, errw = lookupsim(append(small, "-scenario", "load=const:0.5,faults=seu:2e-8,churn=2x16,cycles=4096")...)
 	if code != 0 || errw != "" {
 		t.Fatalf("scenario: exit %d, stderr %q", code, errw)
 	}
@@ -56,7 +55,8 @@ func TestRunFramePath(t *testing.T) {
 	if code != 0 || errw != "" {
 		t.Fatalf("exit %d, stderr %q", code, errw)
 	}
-	if !strings.Contains(out, "frame path") || !regexp.MustCompile(`(?m)^Lookup mismatches\s+0`).MatchString(out) {
+	if !strings.Contains(out, "frame path") || !regexp.MustCompile(`(?m)^Mismatches vs reference LPM\s+0`).MatchString(out) ||
+		!strings.Contains(out, "Energy attribution") {
 		t.Errorf("frame report:\n%s", out)
 	}
 }
@@ -117,13 +117,17 @@ func TestRunFailures(t *testing.T) {
 		{"-dist", "bogus", `invalid value "bogus" for flag -dist: want uniform or zipf`},
 		{"-k", "0", "invalid value 0 for flag -k: want a count >= 1"},
 		{"-prefixes", "0", "invalid value 0 for flag -prefixes: want a count >= 1"},
+		{"-share", "2", "invalid value 2 for flag -share: want a fraction in [0,1]"},
+		{"-share", "-1", "invalid value -1 for flag -share: want a fraction in [0,1]"},
+		{"-share", "NaN", "invalid value NaN for flag -share: want a fraction in [0,1]"},
 	} {
 		cases = append(cases, failure{"bad value " + c.flag + " " + c.val,
 			append(append([]string(nil), small...), c.flag, c.val, "-packets", "100"), 2, c.want})
 	}
 	for _, flag := range []string{"-load", "-faults", "-fault-seed", "-seu-rate", "-kill-engine", "-kill-cycle",
 		"-reconfig-failures", "-churn", "-churn-seed", "-churn-batch", "-churn-batches", "-churn-vn",
-		"-power-cap", "-power-cap-device", "-power-cap-lift"} {
+		"-power-cap", "-power-cap-device", "-power-cap-lift",
+		"-mttr-report", "-update-report", "-governor-report", "-energy-report", "-routed"} {
 		cases = append(cases, failure{"removed " + flag, []string{flag, "1"}, 2, "flag provided but not defined: " + flag})
 	}
 	for _, c := range cases {
@@ -140,7 +144,7 @@ func TestRunFailures(t *testing.T) {
 // A cap reaches a -scenario run through the spec, lift included.
 func TestRunCapFlagsGovernScenario(t *testing.T) {
 	code, out, errw := lookupsim("-scheme", "VS", "-k", "3", "-prefixes", "200",
-		"-scenario", "load=const:0.9,cycles=16384,power-cap=4.6,power-cap-lift=8192", "-governor-report")
+		"-scenario", "load=const:0.9,cycles=16384,power-cap=4.6,power-cap-lift=8192")
 	if code != 0 {
 		t.Fatalf("exit %d, stderr %q\n%s", code, errw, out)
 	}

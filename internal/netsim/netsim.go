@@ -4,15 +4,15 @@
 // result is cross-checked against the per-network reference tables. It is
 // the correctness harness tying the whole system together.
 //
-// Two runners drive a router: Forward (and ForwardFrames) resolves a closed
-// batch of packets, and RunScenario runs a slice-quantized open loop in
-// which a shaped offered load, faults, update churn, control-plane chaos,
-// power caps and device failures act together, over a list of devices — the
-// system's own router as the one device, or the fleet a fleet= spec places.
-// Both are configurations of the engine in internal/scenario, which owns the
+// Two runners drive a router. Forward resolves a closed batch of packets as
+// one slice (ForwardFrames is the same run with a parse in front and an
+// egress edit behind). RunScenario runs a slice-quantized open loop in which
+// a shaped offered load, faults, update churn, control-plane chaos, power
+// caps and device failures act together, over a list of devices — the
+// system's own router, or the fleet a fleet= spec places — as a
+// configuration of the engine in internal/scenario, which owns the
 // coordinator loop, telemetry threading and governor actuation; this package
-// supplies the two kernels (how a slice's cycles execute: the one-slice batch
-// kernel here, the slice runner in scenario.go) and the stressors.
+// supplies its kernel (the slice runner in scenario.go) and the stressors.
 package netsim
 
 import (
@@ -104,13 +104,8 @@ type Report struct {
 
 // Forward distributes the packets to the router's engines, simulates every
 // pipeline cycle-accurately, and verifies each resolved next hop against
-// the reference tables. The whole batch is one slice: distribute per engine,
-// simulate and verify the disjoint request slices on the worker pool, fold in
-// engine order, then shard order.
+// the reference tables.
 func (s *System) Forward(pkts []traffic.Packet) (Report, error) {
-	images := s.router.Images()
-	scheme := s.router.Config().Scheme
-
 	tel := s.tel
 	tracing := tel.Tracing()
 	perVN := make([]int, s.k)
@@ -120,29 +115,40 @@ func (s *System) Forward(pkts []traffic.Packet) (Report, error) {
 		}
 		perVN[p.VN]++
 	}
-	d := steer(scheme, len(pkts), perVN, func(i int) int { return pkts[i].VN })
-	fill := func(e, start int, reqs []pipeline.Request) {
+	d := steer(s.router.Config().Scheme, len(pkts), perVN, func(i int) int { return pkts[i].VN })
+	rep, _, err := s.forward(d, func(e, start int, reqs []pipeline.Request) {
 		for j := range reqs {
 			// A trace's Seq is the batch index: unique, worker-independent.
 			i := d.at(e, start+j)
 			p := pkts[i]
 			reqs[j] = pipeline.Request{Addr: p.Addr, VN: d.vn(p.VN), Trace: tracing && tel.Sampler.Sample(p.VN, int64(i))}
 		}
-	}
+	}, nil)
+	return rep, err
+}
 
+// forward resolves a steered batch: fill(e, start, reqs) builds each chunk of
+// engine e's requests, and egress, when not nil, gets the batch index and
+// next hop of every routed result; a false return counts the packet as
+// expired. The whole batch is one slice: the engines sweep their disjoint
+// request sets on the worker pool, every result is verified by the shard
+// that swept it, and the shards fold in engine order, then shard order.
+func (s *System) forward(d steering, fill func(e, start int, reqs []pipeline.Request), egress func(i int, nhi ip.NextHop) bool) (Report, int, error) {
+	images := s.router.Images()
+	scheme := s.router.Config().Scheme
 	rep := Report{
-		Packets:    len(pkts),
+		Packets:    d.n,
 		PerEngine:  make([]pipeline.Stats, len(images)),
 		EngineLoad: make([]float64, len(images)),
 	}
 	meter := s.meter()
-	// Every result is metered, checked against its network's oracle and, if
-	// sampled, traced by the shard that swept it, while its chunk is still
-	// in cache.
+	// Every result is metered, checked against its network's oracle, traced
+	// if sampled and, if routed, handed to egress by the shard that swept it,
+	// while its chunk is still in cache.
 	type verified struct {
-		em                  *energy.Meter
-		mismatches, noRoute int
-		traces              []*obs.FlightTrace
+		em                           *energy.Meter
+		mismatches, noRoute, expired int
+		traces                       []*obs.FlightTrace
 	}
 	runs, err := sweepEngines(images, d.counts, fill, func(v *verified, e, start int, res []pipeline.Result) {
 		if v.em == nil {
@@ -165,37 +171,42 @@ func (s *System) Forward(pkts []traffic.Packet) (Report, error) {
 			if r.Trace {
 				v.traces = append(v.traces, scenario.LookupTrace(int64(d.at(e, start+j)), vn, e, 0, *r, 0, scenario.LookupOutcome(*r, want)))
 			}
+			if egress != nil && r.NHI != ip.NoRoute && !egress(d.at(e, start+j), r.NHI) {
+				v.expired++
+			}
 		}
 	})
 	if err != nil {
-		return Report{}, err
+		return Report{}, 0, err
 	}
+	expired := 0
 	for e, run := range runs {
-		if len(pkts) > 0 {
-			rep.EngineLoad[e] = float64(d.counts[e]) / float64(len(pkts))
+		if d.n > 0 {
+			rep.EngineLoad[e] = float64(d.counts[e]) / float64(d.n)
 		}
 		rep.PerEngine[e] = run.st
 		for _, v := range run.accs {
 			rep.Mismatches += v.mismatches
 			rep.NoRoute += v.noRoute
+			expired += v.expired
 			meter.Fold(v.em)
 			for _, t := range v.traces {
 				// In fold order, so an overflowing ring keeps the same
 				// traces at any -j.
-				tel.Traces.Put(t)
+				s.tel.Traces.Put(t)
 			}
 		}
 	}
 	// The batch is charged one slice of leakage at full rate.
-	meter.StaticSlice(max(1, int64(len(pkts))), 1)
-	er, err := meter.Report(deliveredBits(int64(len(pkts))))
+	meter.StaticSlice(max(1, int64(d.n)), 1)
+	er, err := meter.Report(deliveredBits(int64(d.n)))
 	if err != nil {
-		return Report{}, err
+		return Report{}, 0, err
 	}
 	rep.Energy = er
 	er.Publish()
-	obsPacketsResolved.Add(int64(len(pkts)))
-	return rep, nil
+	obsPacketsResolved.Add(int64(d.n))
+	return rep, expired, nil
 }
 
 // engineRun is one engine's part of a closed-loop run: its stats (zero for
@@ -212,6 +223,7 @@ type engineRun[T any] struct {
 // chunk's requests from the batch as they sweep it, so no run stages a
 // per-engine copy of its batch.
 type steering struct {
+	n      int       // packets in the batch
 	counts []int     // requests per engine
 	idx    [][]int32 // per-network schemes: engine e's batch indices (nil: merged)
 }
@@ -220,9 +232,9 @@ type steering struct {
 // i-th packet is in network vnOf(i).
 func steer(scheme core.Scheme, n int, perVN []int, vnOf func(i int) int) steering {
 	if scheme == core.VM {
-		return steering{counts: []int{n}}
+		return steering{n: n, counts: []int{n}}
 	}
-	d := steering{counts: perVN, idx: make([][]int32, len(perVN))}
+	d := steering{n: n, counts: perVN, idx: make([][]int32, len(perVN))}
 	for vn, c := range perVN {
 		d.idx[vn] = make([]int32, 0, c)
 	}
@@ -281,26 +293,24 @@ func sweepEngines[T any](images []*pipeline.Image, counts []int, fill func(e, st
 }
 
 // FrameReport summarises a frame-level forwarding run: the full data plane
-// of parse → distribute → lookup → edit, with per-cause drop counters.
+// of parse → distribute → lookup → edit, with per-cause drop counters. The
+// embedded Report is the lookup run over the steered frames, as Forward
+// reports it.
 type FrameReport struct {
+	Report
 	Frames     int
-	Forwarded  int
+	Forwarded  int // steered, less no-route and expired: exact when Mismatches is 0
 	BadParse   int
 	UnknownVN  int
-	NoRoute    int
 	TTLExpired int
-	// Mismatches counts lookups that disagreed with the reference LPM.
-	Mismatches int
 }
 
 // ForwardFrames runs wire-format frames through the complete data plane:
 // each frame is parsed (Ethernet + VLAN VNID + IPv4, checksum verified),
-// steered by the distributor, resolved by the cycle-accurate pipelines,
-// and on success edited in place (TTL decrement, checksum update, MAC
-// rewrite toward the resolved next hop). Drops are counted by cause.
+// steered by the distributor, resolved and verified as Forward resolves a
+// packet, and on success edited in place (TTL decrement, checksum update,
+// MAC rewrite toward the resolved next hop). Drops are counted by cause.
 func (s *System) ForwardFrames(frames [][]byte) (FrameReport, error) {
-	images := s.router.Images()
-	scheme := s.router.Config().Scheme
 	rep := FrameReport{Frames: len(frames)}
 
 	// The parsed frames with a known VNID are the batch the distributor
@@ -320,54 +330,28 @@ func (s *System) ForwardFrames(frames [][]byte) (FrameReport, error) {
 		parsed = append(parsed, f)
 		perVN[f.VNID]++
 	}
-	d := steer(scheme, len(parsed), perVN, func(i int) int { return parsed[i].VNID })
-	fill := func(e, start int, reqs []pipeline.Request) {
+	tel := s.tel
+	tracing := tel.Tracing()
+	d := steer(s.router.Config().Scheme, len(parsed), perVN, func(i int) int { return parsed[i].VNID })
+	var err error
+	rep.Report, rep.TTLExpired, err = s.forward(d, func(e, start int, reqs []pipeline.Request) {
 		for j := range reqs {
-			f := parsed[d.at(e, start+j)]
-			reqs[j] = pipeline.Request{Addr: f.DstIP, VN: d.vn(f.VNID)}
+			i := d.at(e, start+j)
+			f := parsed[i]
+			reqs[j] = pipeline.Request{Addr: f.DstIP, VN: d.vn(f.VNID), Trace: tracing && tel.Sampler.Sample(f.VNID, int64(i))}
 		}
-	}
-
-	// Engines hold disjoint frame sets (the distributor steered each frame
-	// to exactly one), so each shard builds, checks and edits the frames of
-	// the chunks it sweeps; counters are summed in engine order, then shard
-	// order.
-	type edited struct {
-		forwarded, noRoute, ttlExpired, mismatches int
-	}
-	runs, err := sweepEngines(images, d.counts, fill, func(a *edited, e, start int, res []pipeline.Result) {
-		for j := range res {
-			r := &res[j]
-			f := parsed[d.at(e, start+j)]
-			if want := s.refs[f.VNID].Lookup(r.Addr); r.NHI != want {
-				a.mismatches++
-			}
-			if r.NHI == ip.NoRoute {
-				a.noRoute++
-				continue
-			}
-			// Egress edit: next-hop MAC synthesised from the NHI port. Its
-			// one failure is an expired TTL.
-			nh := packet.MAC{0x02, 0xFE, 0, 0, byte(r.NHI >> 8), byte(r.NHI)}
-			egress := packet.MAC{0x02, 0xFD, 0, 0, 0, byte(f.VNID)}
-			if f.Forward(nh, egress) != nil {
-				a.ttlExpired++
-			} else {
-				a.forwarded++
-			}
-		}
+	}, func(i int, nhi ip.NextHop) bool {
+		// Egress edit: next-hop MAC synthesised from the NHI port. Its one
+		// failure is an expired TTL.
+		f := parsed[i]
+		nh := packet.MAC{0x02, 0xFE, 0, 0, byte(nhi >> 8), byte(nhi)}
+		egress := packet.MAC{0x02, 0xFD, 0, 0, 0, byte(f.VNID)}
+		return f.Forward(nh, egress) == nil
 	})
 	if err != nil {
 		return FrameReport{}, err
 	}
-	for _, run := range runs {
-		for _, a := range run.accs {
-			rep.Forwarded += a.forwarded
-			rep.NoRoute += a.noRoute
-			rep.TTLExpired += a.ttlExpired
-			rep.Mismatches += a.mismatches
-		}
-	}
+	rep.Forwarded = rep.Packets - rep.NoRoute - rep.TTLExpired
 	obsFramesForwarded.Add(int64(rep.Forwarded))
 	return rep, nil
 }

@@ -215,6 +215,47 @@ func TestForwardFramesEditsAreValid(t *testing.T) {
 	}
 }
 
+// TestForwardFramesIsForward: frames built from a packet batch, every one
+// well-formed and with a TTL to spare, run through ForwardFrames exactly as
+// the batch runs through Forward — the same report, energy included, and the
+// same sampled traces.
+func TestForwardFramesIsForward(t *testing.T) {
+	for _, sc := range core.Schemes() {
+		s, tables := buildSystem(t, sc, 3)
+		pkts := gen(t, 3, tables, 3000)
+		frames := make([][]byte, len(pkts))
+		for i, p := range pkts {
+			var err error
+			if frames[i], err = packet.Build(packet.MAC{0x02, 0, 0, 0, 0, 1}, packet.MAC{0x02, 0, 0, 0, 0, 2}, p.VN, 0, 0, p.Addr, 64, 40); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tel := testTelemetry(0.05, 99)
+		s.SetTelemetry(tel)
+		rep, err := s.Forward(pkts)
+		if err != nil {
+			t.Fatalf("%s: %v", sc, err)
+		}
+		ftel := testTelemetry(0.05, 99)
+		s.SetTelemetry(ftel)
+		frep, err := s.ForwardFrames(frames)
+		s.SetTelemetry(nil)
+		if err != nil {
+			t.Fatalf("%s: %v", sc, err)
+		}
+		if !reflect.DeepEqual(frep.Report, rep) {
+			t.Errorf("%s: frame run's report %+v, want Forward's %+v", sc, frep.Report, rep)
+		}
+		if frep.Forwarded != rep.Packets-rep.NoRoute {
+			t.Errorf("%s: %d frames forwarded, want %d", sc, frep.Forwarded, rep.Packets-rep.NoRoute)
+		}
+		traces, ftraces := tel.Traces.Snapshot(), ftel.Traces.Snapshot()
+		if len(traces) == 0 || !reflect.DeepEqual(ftraces, traces) {
+			t.Errorf("%s: frame run kept %d traces, Forward %d: want the same, non-empty", sc, len(ftraces), len(traces))
+		}
+	}
+}
+
 // TestForwardFramesDeterministicAcrossWorkers: each shard checks and edits
 // the frames of the chunks it sweeps, and the merged engine is split into
 // shards like Forward's, so the report and every edited frame must be the same
@@ -243,7 +284,7 @@ func TestForwardFramesDeterministicAcrossWorkers(t *testing.T) {
 				want, wantFrames = rep, frames
 				continue
 			}
-			if rep != want {
+			if !reflect.DeepEqual(rep, want) {
 				t.Errorf("%s: workers=%d report %+v, want %+v", sc, workers, rep, want)
 			}
 			if !reflect.DeepEqual(frames, wantFrames) {

@@ -158,21 +158,6 @@ func Plan(req Requirements) ([]Candidate, error) {
 	return out, nil
 }
 
-// Best returns the cheapest feasible candidate, or an error naming the
-// binding constraint when nothing fits.
-func Best(req Requirements) (Candidate, error) {
-	cands, err := Plan(req)
-	if err != nil {
-		return Candidate{}, err
-	}
-	if len(cands) == 0 {
-		return Candidate{}, fmt.Errorf(
-			"planner: no feasible configuration for K=%d at %.1f Gbps per network (α=%.2f)",
-			req.K, req.PerVNGbps, req.Alpha)
-	}
-	return cands[0], nil
-}
-
 // Frontier returns the Pareto-efficient candidates on (measured power,
 // guaranteed per-VN throughput): each keeps strictly more capacity than any
 // cheaper one.

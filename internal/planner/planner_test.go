@@ -80,10 +80,14 @@ func TestPlanSortedAndFeasible(t *testing.T) {
 // where the paper's LX760 leaks 4.5 W).
 func TestBestPicksRightSizedDeviceAtSmallK(t *testing.T) {
 	p := prof(t)
-	best, err := Best(Requirements{K: 2, PerVNGbps: 10, Profile: p, Alpha: 0.5})
+	cands, err := Plan(Requirements{K: 2, PerVNGbps: 10, Profile: p, Alpha: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(cands) == 0 {
+		t.Fatal("no feasible configuration")
+	}
+	best := cands[0]
 	if best.Devices != 1 {
 		t.Errorf("best at K=2 powers %d devices, want 1 (shared)", best.Devices)
 	}
@@ -104,10 +108,14 @@ func TestBestPicksRightSizedDeviceAtSmallK(t *testing.T) {
 // dedicated devices exceeds one shared device.
 func TestBestPrefersSharingAtLargeK(t *testing.T) {
 	p := prof(t)
-	best, err := Best(Requirements{K: 15, PerVNGbps: 2, Profile: p, Alpha: 0.5})
+	cands, err := Plan(Requirements{K: 15, PerVNGbps: 2, Profile: p, Alpha: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(cands) == 0 {
+		t.Fatal("no feasible configuration")
+	}
+	best := cands[0]
 	if best.Config.Scheme == core.NV {
 		t.Errorf("best at K=15 = %s, want a virtualized scheme", best.Describe())
 	}
@@ -134,8 +142,12 @@ func TestHighThroughputExcludesMerged(t *testing.T) {
 // TestInfeasibleReportsConstraint: 30 networks at line rate fits nothing.
 func TestInfeasibleReportsConstraint(t *testing.T) {
 	p := prof(t)
-	if _, err := Best(Requirements{K: 30, PerVNGbps: 90, Profile: p, Alpha: 0.2, Schemes: []core.Scheme{core.VM}}); err == nil {
-		t.Error("impossible requirement satisfied")
+	cands, err := Plan(Requirements{K: 30, PerVNGbps: 90, Profile: p, Alpha: 0.2, Schemes: []core.Scheme{core.VM}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cands) != 0 {
+		t.Errorf("impossible requirement satisfied by %s", cands[0].Describe())
 	}
 }
 
