@@ -4,7 +4,7 @@
 #   make bench      = every benchmark with allocation counts
 GO ?= go
 
-.PHONY: all build test race governor-smoke scenario-smoke chaos-smoke fleet-smoke forward-smoke figures-smoke fuzz-smoke fuzz-batch-smoke vet vuln bench bench-gate bench-baseline bench-test bench-e2e loc loc-diff digest-diff alloc-diff pair-diff
+.PHONY: all build test race governor-smoke scenario-smoke chaos-smoke fleet-smoke forward-smoke churn-smoke figures-smoke fuzz-smoke fuzz-batch-smoke vet vuln bench bench-gate bench-baseline bench-test bench-e2e loc loc-diff digest-diff alloc-diff pair-diff
 
 all: build test
 
@@ -173,6 +173,17 @@ forward-smoke:
 	grep -q 'Mismatches vs reference LPM *0 ' forward-smoke/report.txt
 	grep -q 'Mismatches vs reference LPM *0 ' forward-smoke/frames.txt
 	grep -q 'Energy per forwarded bit' forward-smoke/report.txt
+
+# Churn smoke: ROADMAP item 3's baseline — one VS engine over 100 000
+# prefixes taking eight 24-op churn batches at half load, where a batch's
+# write cost follows the size of the table, not of the batch. The greps pin
+# the run completing and that cost, item 3's "before" row: a change that
+# moves it (stable placement) must re-pin it on purpose.
+CHURN_SPEC = load=const:0.5,churn=8x24,seed=11
+churn-smoke:
+	$(call smoke,churn-smoke,-scheme VS -k 1 -prefixes 100000,CHURN_SPEC)
+	grep -q 'Completed.*true' churn-smoke/report.txt
+	grep -q 'Stage writes / write bubbles *1381427 / 359506' churn-smoke/report.txt
 
 # Figures smoke: every table and figure cmd/figures prints, as CSV, at -j1
 # and -j8, byte-compared like the lookupsim smokes above — a row that stops

@@ -82,6 +82,11 @@ type Manager struct {
 	// sm pins a fixed stage map so image diffs across rebuilds are
 	// comparable word-for-word.
 	sm trie.StageMap
+	// tr and mg are what every compile builds into (tr for VS, mg for VM),
+	// rebuilt in place so a batch reuses the last one's nodes; no image
+	// points into them.
+	tr trie.Trie
+	mg merge.Trie
 	// reloading marks a data-plane reload in flight (a hitless update):
 	// lifecycle mutations are rejected until it completes, because applying
 	// an update to a structure that is mid-rewrite corrupts both.
@@ -214,20 +219,19 @@ func (m *Manager) Tables() []*rib.Table { return m.tables }
 // compileSeparate compiles one table's engine image under the pinned stage
 // map, so diffs across rebuilds compare word-for-word.
 func (m *Manager) compileSeparate(tbl *rib.Table) (*pipeline.Image, error) {
-	tr := trie.Build(tbl.Routes)
-	tr.LeafPush()
-	return pipeline.CompileMapped(tr, m.sm)
+	m.tr.Rebuild(tbl.Routes)
+	m.tr.LeafPush()
+	return pipeline.CompileMapped(&m.tr, m.sm)
 }
 
 // compileMerged compiles the merged image for a table set under the pinned
 // stage map.
 func (m *Manager) compileMerged(tables []*rib.Table) (*pipeline.Image, error) {
-	mg, err := merge.Build(tables)
-	if err != nil {
+	if err := m.mg.Rebuild(tables); err != nil {
 		return nil, err
 	}
-	mg.LeafPush()
-	return pipeline.CompileMergedMapped(mg, m.sm)
+	m.mg.LeafPush()
+	return pipeline.CompileMergedMapped(&m.mg, m.sm)
 }
 
 // withTable returns a copy of the live table set with network vn's table
@@ -269,33 +273,32 @@ func (m *Manager) AddNetwork(tbl *rib.Table) (Event, error) {
 		ev.Writes = img.Words()
 		ev.Bubbles = 0 // the engine loads before it is put in service
 	} else {
-		writes, err := m.swapMerged(tables)
+		writes, bubbles, err := m.swapMerged(tables)
 		if err != nil {
 			return Event{}, err
 		}
 		ev.DisruptedNetworks = len(tables)
-		ev.Writes = len(writes)
-		ev.Bubbles = update.Bubbles(writes)
+		ev.Writes, ev.Bubbles = writes, bubbles
 	}
 	m.record(ev)
 	return ev, nil
 }
 
 // swapMerged replaces the merged scheme's table set: the shared structure
-// is recompiled over tables, diffed against the serving image and installed.
-func (m *Manager) swapMerged(tables []*rib.Table) ([]update.Write, error) {
+// is recompiled over tables, costed against the serving image and
+// installed. It returns the write and bubble counts.
+func (m *Manager) swapMerged(tables []*rib.Table) (writes, bubbles int, err error) {
 	after, err := m.compileMerged(tables)
 	if err != nil {
-		return nil, err
+		return 0, 0, err
 	}
-	writes, err := update.Diff(m.pinned[0], after)
-	if err != nil {
-		return nil, err
+	if writes, bubbles, err = update.Cost(m.pinned[0], after); err != nil {
+		return 0, 0, err
 	}
 	if err := m.install(tables, []*pipeline.Image{after}); err != nil {
-		return nil, err
+		return 0, 0, err
 	}
-	return writes, nil
+	return writes, bubbles, nil
 }
 
 // RemoveNetwork retires network vn and compacts indices above it.
@@ -318,13 +321,12 @@ func (m *Manager) RemoveNetwork(vn int) (Event, error) {
 		}
 		ev.DisruptedNetworks = 1 // the retired network only
 	} else {
-		writes, err := m.swapMerged(tables)
+		writes, bubbles, err := m.swapMerged(tables)
 		if err != nil {
 			return Event{}, err
 		}
 		ev.DisruptedNetworks = len(tables) + 1
-		ev.Writes = len(writes)
-		ev.Bubbles = update.Bubbles(writes)
+		ev.Writes, ev.Bubbles = writes, bubbles
 	}
 	m.record(ev)
 	return ev, nil
@@ -344,7 +346,7 @@ func (m *Manager) ApplyUpdates(vn int, ops []update.Op) (Event, error) {
 	if err != nil {
 		return Event{}, err
 	}
-	writes, err := update.Diff(m.pinned[e], after)
+	writes, bubbles, err := update.Cost(m.pinned[e], after)
 	if err != nil {
 		return Event{}, err
 	}
@@ -353,7 +355,7 @@ func (m *Manager) ApplyUpdates(vn int, ops []update.Op) (Event, error) {
 	if err := m.install(tables, pinned); err != nil {
 		return Event{}, err
 	}
-	ev := Event{Action: Update, VN: vn, K: len(m.tables), Writes: len(writes), Bubbles: update.Bubbles(writes)}
+	ev := Event{Action: Update, VN: vn, K: len(m.tables), Writes: writes, Bubbles: bubbles}
 	if m.cfg.Scheme == core.VS {
 		ev.DisruptedNetworks = 1
 	} else {

@@ -68,7 +68,7 @@ type HitlessUpdate struct {
 	// for the data plane.
 	image   *pipeline.Image
 	served  *pipeline.Image
-	writes  []update.Write
+	writes  int
 	bubbles int
 	done    bool
 }
@@ -93,7 +93,7 @@ func (h *HitlessUpdate) Table() *rib.Table { return h.table }
 func (h *HitlessUpdate) Image() *pipeline.Image { return h.served }
 
 // Writes returns the stage-memory write count of the image diff.
-func (h *HitlessUpdate) Writes() int { return len(h.writes) }
+func (h *HitlessUpdate) Writes() int { return h.writes }
 
 // Bubbles returns the write-bubble budget (at least 1: the final bubble
 // doubles as the bank-flip commit).
@@ -137,14 +137,11 @@ func (m *Manager) prepareHitless(vn int, ops []update.Op) (*HitlessUpdate, error
 	if err != nil {
 		return nil, err
 	}
-	writes, err := update.Diff(m.pinned[m.engineOf(vn)], after)
+	writes, bubbles, err := update.Cost(m.pinned[m.engineOf(vn)], after)
 	if err != nil {
 		return nil, err
 	}
-	bubbles := update.Bubbles(writes)
-	if bubbles < 1 {
-		bubbles = 1 // the commit bubble always runs
-	}
+	bubbles = max(bubbles, 1) // the commit bubble always runs
 	return &HitlessUpdate{
 		m:       m,
 		vn:      vn,
@@ -181,12 +178,12 @@ func (h *HitlessUpdate) Commit() (Event, error) {
 		// network's forwarding pauses — versus 1 (VS) or K (VM) for the
 		// reload path of ApplyUpdates.
 		DisruptedNetworks: 0,
-		Writes:            len(h.writes),
+		Writes:            h.writes,
 		Bubbles:           h.bubbles,
 	}
 	m.record(ev)
 	obsHitlessUpdates.Inc()
-	obsHitlessWrites.Add(int64(len(h.writes)))
+	obsHitlessWrites.Add(int64(h.writes))
 	obsHitlessBubbles.Add(int64(h.bubbles))
 	m.EndReload()
 	return ev, nil

@@ -1,11 +1,14 @@
 package ctrl
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 
 	"vrpower/internal/core"
+	"vrpower/internal/merge"
 	"vrpower/internal/pipeline"
+	"vrpower/internal/trie"
 	"vrpower/internal/update"
 )
 
@@ -170,5 +173,73 @@ func TestBeginHitlessUpdateValidation(t *testing.T) {
 	}
 	if m.Reloading() {
 		t.Error("failed begin left the guard held")
+	}
+}
+
+// TestPinnedImagesAreFreshCompiles: the manager compiles into tries it
+// rebuilds in place, batch after batch; after random hitless batches —
+// committed or aborted, growing and shrinking tables — on either scheme,
+// every pinned image is word for word the image a fresh trie compiles from
+// the manager's tables.
+func TestPinnedImagesAreFreshCompiles(t *testing.T) {
+	sm, err := trie.NewStageMap(core.DefaultStages, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := func(t *testing.T, m *Manager, e int) *pipeline.Image {
+		var img *pipeline.Image
+		if m.cfg.Scheme == core.VM {
+			mg, err := merge.Build(m.Tables())
+			if err != nil {
+				t.Fatal(err)
+			}
+			mg.LeafPush()
+			img, err = pipeline.CompileMergedMapped(mg, sm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return img
+		}
+		tr := trie.Build(m.Tables()[e].Routes)
+		tr.LeafPush()
+		if img, err = pipeline.CompileMapped(tr, sm); err != nil {
+			t.Fatal(err)
+		}
+		return img
+	}
+	for _, sc := range []core.Scheme{core.VS, core.VM} {
+		t.Run(sc.String(), func(t *testing.T) {
+			m, err := New(core.Config{Scheme: sc, ClockGating: true}, genTables(t, 3, 300, 61))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(62))
+			for batch := 0; batch < 12; batch++ {
+				vn := rng.Intn(m.K())
+				ops, err := update.Churn(m.Tables()[vn], 1+rng.Intn(120), update.ChurnConfig{
+					Seed: rng.Int63(), AnnounceFrac: 0.05 + 0.6*rng.Float64(), WithdrawFrac: 0.05 + 0.3*rng.Float64()})
+				if err != nil {
+					t.Fatal(err)
+				}
+				h, err := m.BeginHitlessUpdate(vn, ops)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if batch%4 == 3 {
+					h.Abort()
+				} else if _, err := h.Commit(); err != nil {
+					t.Fatal(err)
+				}
+				for e, img := range m.pinned {
+					writes, err := update.Diff(img, fresh(t, m, e))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(writes) != 0 {
+						t.Fatalf("batch %d: engine %d's pinned image differs from a fresh compile in %d words", batch, e, len(writes))
+					}
+				}
+			}
+		})
 	}
 }

@@ -21,6 +21,13 @@ type vnRoute struct {
 	nh ip.NextHop
 }
 
+// routeLink is one of a merged node's pre-push routes: a list, so that its
+// links come from the trie's arena like its nodes.
+type routeLink struct {
+	vnRoute
+	next *routeLink
+}
+
 // Node is one node of the merged trie. Present tracks how many of the K
 // source tries contain this node position; after leaf pushing, leaves carry
 // the NHI vector for all K networks.
@@ -31,8 +38,8 @@ type Node struct {
 	// seen is 1 + the last network whose route path crossed this node
 	// (0: none yet), so Build counts each network once per node.
 	seen int
-	// routes holds pre-push per-VN routes attached at this node.
-	routes []vnRoute
+	// routes lists pre-push per-VN routes attached at this node, one per VN.
+	routes *routeLink
 	// NHI is the K-wide next-hop vector; non-nil only at leaves after
 	// leaf pushing (Section V-D: "a leaf node is simply a vector that has
 	// routing information corresponding to all the considered virtual
@@ -43,12 +50,17 @@ type Node struct {
 // IsLeaf reports whether n has no children.
 func (n *Node) IsLeaf() bool { return n.Child[0] == nil && n.Child[1] == nil }
 
-// Trie is the merged lookup structure for K virtual networks.
+// Trie is the merged lookup structure for K virtual networks. Its nodes,
+// route links and leaf vectors come from arenas a Rebuild reuses.
 type Trie struct {
 	root   *Node
 	k      int
 	pushed bool
 	nodes  trie.Arena[Node]
+	links  trie.Arena[routeLink]
+	nhis   trie.Arena[ip.NextHop]
+	// vecs is LeafPush's scratch: one K-wide inherited vector per level.
+	vecs []ip.NextHop
 }
 
 // K returns the number of virtual networks merged into the trie.
@@ -63,10 +75,24 @@ func (t *Trie) LeafPushed() bool { return t.pushed }
 // Build overlays the K tables into one merged trie. Tables must be non-empty
 // as a set; individual tables may be empty.
 func Build(tables []*rib.Table) (*Trie, error) {
-	if len(tables) == 0 {
-		return nil, fmt.Errorf("merge: no tables to merge")
+	t := &Trie{}
+	if err := t.Rebuild(tables); err != nil {
+		return nil, err
 	}
-	t := &Trie{k: len(tables)}
+	return t, nil
+}
+
+// Rebuild makes t the trie Build(tables) would return, in the memory of t's
+// last build: nothing may point into t's nodes or leaf vectors any more. On
+// error t is unchanged.
+func (t *Trie) Rebuild(tables []*rib.Table) error {
+	if len(tables) == 0 {
+		return fmt.Errorf("merge: no tables to merge")
+	}
+	t.nodes.Reset()
+	t.links.Reset()
+	t.nhis.Reset()
+	t.k, t.pushed = len(tables), false
 	t.root = t.nodes.New()
 	// A node is "present" for vn if vn's individual trie would contain it:
 	// the root (even of an empty table) and every node on one of vn's route
@@ -77,7 +103,7 @@ func Build(tables []*rib.Table) (*Trie, error) {
 			t.insert(vn, r.Prefix, r.NextHop)
 		}
 	}
-	return t, nil
+	return nil
 }
 
 // insert adds vn's route for p, creating merged structure as needed, and
@@ -97,13 +123,15 @@ func (t *Trie) insert(vn int, p ip.Prefix, nh ip.NextHop) {
 			n.Present++
 		}
 	}
-	for i := range n.routes {
-		if n.routes[i].vn == vn {
-			n.routes[i].nh = nh
+	for l := n.routes; l != nil; l = l.next {
+		if l.vn == vn {
+			l.nh = nh
 			return
 		}
 	}
-	n.routes = append(n.routes, vnRoute{vn, nh})
+	l := t.links.New()
+	*l = routeLink{vnRoute{vn, nh}, n.routes}
+	n.routes = l
 }
 
 // LeafPush pushes every network's inherited next hops down to the merged
@@ -113,35 +141,41 @@ func (t *Trie) LeafPush() {
 	if t.pushed {
 		return
 	}
-	inherited := make([]ip.NextHop, t.k)
-	t.pushNode(t.root, inherited)
+	if len(t.vecs) != (maxLevels+1)*t.k {
+		t.vecs = make([]ip.NextHop, (maxLevels+1)*t.k)
+	}
+	inherited := t.vecs[:t.k]
+	clear(inherited)
+	t.pushNode(t.root, 0, inherited)
 	t.pushed = true
 }
 
-func (t *Trie) pushNode(n *Node, inherited []ip.NextHop) {
-	// Overlay this node's own routes on the inherited vector. Copy before
-	// mutation so siblings see the parent's vector.
-	if len(n.routes) > 0 {
-		next := make([]ip.NextHop, t.k)
+// maxLevels bounds a trie over 32-bit addresses: the root and one level a bit.
+const maxLevels = 33
+
+func (t *Trie) pushNode(n *Node, level int, inherited []ip.NextHop) {
+	// Overlay this node's own routes on the inherited vector, in this level's
+	// scratch vector, so siblings still see the parent's.
+	if n.routes != nil {
+		next := t.vecs[(level+1)*t.k : (level+2)*t.k]
 		copy(next, inherited)
-		for _, r := range n.routes {
-			next[r.vn] = r.nh
+		for l := n.routes; l != nil; l = l.next {
+			next[l.vn] = l.nh
 		}
 		inherited = next
+		n.routes = nil
 	}
 	if n.IsLeaf() {
-		n.NHI = make([]ip.NextHop, t.k)
+		n.NHI = t.nhis.Slice(t.k)
 		copy(n.NHI, inherited)
-		n.routes = nil
 		return
 	}
 	for b := 0; b < 2; b++ {
 		if n.Child[b] == nil {
 			n.Child[b] = t.nodes.New()
 		}
-		t.pushNode(n.Child[b], inherited)
+		t.pushNode(n.Child[b], level+1, inherited)
 	}
-	n.routes = nil
 }
 
 // Lookup resolves addr for virtual network vn. On a leaf-pushed trie the
@@ -157,9 +191,9 @@ func (t *Trie) Lookup(vn int, addr ip.Addr) ip.NextHop {
 		if n.NHI != nil {
 			return n.NHI[vn]
 		}
-		for _, r := range n.routes {
-			if r.vn == vn {
-				best = r.nh
+		for l := n.routes; l != nil; l = l.next {
+			if l.vn == vn {
+				best = l.nh
 			}
 		}
 		if i == 32 {

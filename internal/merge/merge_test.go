@@ -3,6 +3,7 @@ package merge
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"vrpower/internal/ip"
@@ -370,5 +371,77 @@ func TestPresenceMatchesPerTableTries(t *testing.T) {
 				t.Fatalf("trial %d (%d tables): node %d in pre-order has Present %d, per-table tries give %d", trial, len(tables), i, got[i], want[i])
 			}
 		}
+	}
+}
+
+// TestRebuildIsAFreshBuild: a merged trie rebuilt in the memory of a larger
+// and then of a smaller build — and of one over fewer networks — is the trie
+// Build makes: the same Stats (α included) and the same answer for every
+// network at every prefix boundary, before and after leaf pushing.
+func TestRebuildIsAFreshBuild(t *testing.T) {
+	small, large, fewer := buildSet(t, 3, 300, 0.5, 41), buildSet(t, 3, 2000, 0.5, 42), buildSet(t, 2, 500, 0.3, 43)
+	m, err := Build(small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.LeafPush()
+	for _, tables := range [][]*rib.Table{large, small, fewer} {
+		if err := m.Rebuild(tables); err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := Build(tables)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var addrs []ip.Addr
+		for _, tbl := range tables {
+			for _, r := range tbl.Routes {
+				first := r.Prefix.Addr
+				last := first | ^ip.Mask(r.Prefix.Len)
+				addrs = append(addrs, first, last, first-1, last+1)
+			}
+		}
+		for _, pushed := range []bool{false, true} {
+			if pushed {
+				m.LeafPush()
+				fresh.LeafPush()
+			}
+			if got, want := m.Stats(), fresh.Stats(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("K=%d, pushed %v: Stats %+v, fresh build %+v", len(tables), pushed, got, want)
+			}
+			if m.K() != len(tables) || m.LeafPushed() != pushed {
+				t.Fatalf("K=%d, pushed %v: K %d, pushed %v", len(tables), pushed, m.K(), m.LeafPushed())
+			}
+			for vn := range tables {
+				for _, addr := range addrs {
+					if got, want := m.Lookup(vn, addr), fresh.Lookup(vn, addr); got != want {
+						t.Fatalf("K=%d, pushed %v: Lookup(%d, %s) = %d, fresh build %d", len(tables), pushed, vn, addr, got, want)
+					}
+				}
+			}
+		}
+	}
+	if err := m.Rebuild(nil); err == nil || m.K() != len(fewer) {
+		t.Errorf("Rebuild(nil) = %v, K %d; want an error and the trie unchanged", err, m.K())
+	}
+}
+
+// TestRebuildAllocatesNothing: once a merged trie has been built over a set,
+// rebuilding and leaf pushing it over the same set reuses every node, route
+// link and leaf vector.
+func TestRebuildAllocatesNothing(t *testing.T) {
+	tables := buildSet(t, 4, 1000, 0.5, 44)
+	m, err := Build(tables)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.LeafPush()
+	if n := testing.AllocsPerRun(5, func() {
+		if err := m.Rebuild(tables); err != nil {
+			t.Fatal(err)
+		}
+		m.LeafPush()
+	}); n != 0 {
+		t.Errorf("Rebuild + LeafPush allocates %v times, want 0", n)
 	}
 }

@@ -462,13 +462,12 @@ func (r *scenRun) auditLive(e *scenEng, at int64) {
 func (r *scenRun) audit(e *scenEng, at int64, keys ...any) pipeline.AuditResult {
 	var probes []pipeline.Probe
 	for reqVN, vn := range e.served {
-		// Without churn the tables are the ones the run was built from, whose
-		// oracle it already holds; the device's churn manager's tables are
-		// authoritative.
-		tbl, ref := r.s.tables[vn], r.s.refs[vn]
+		// Without churn the tables are the ones the run was built from; the
+		// device's churn manager's tables are authoritative. Either way the
+		// kept oracle is the table's.
+		tbl, ref := r.s.tables[vn], r.kept[vn]
 		if mgr := e.dev.mgr; mgr != nil {
 			tbl = mgr.Tables()[vn]
-			ref = tbl.Reference()
 		}
 		stride := max(1, (tbl.Len()+auditProbeCap-1)/auditProbeCap)
 		for i := 0; i < tbl.Len(); i += stride {

@@ -60,6 +60,7 @@ func (r *scenRun) commitUpdate(e *scenEng) error {
 	if _, err := h.Commit(); err != nil {
 		return err
 	}
+	r.kept[e.batch.VN] = e.newRef
 	e.fs.img = h.Image()
 	e.batch.DoneAt = e.doneAt
 	rep.Batches = append(rep.Batches, e.batch)
@@ -83,7 +84,9 @@ func (r *scenRun) commitUpdate(e *scenEng) error {
 // clobber its shadow writes). An update whose commit bubble already drained
 // — shadow bank and oracle flipped — is past the point of no return: it is
 // committed instead, so the control plane's tables never diverge from what
-// the engine serves.
+// the engine serves. One whose commit bubble is still in the pipe has
+// flipped the oracle but not the tables: the oracle goes back to the kept
+// table's.
 func (r *scenRun) abortUpdate(e *scenEng, b int64) error {
 	if e.handle == nil {
 		return nil
@@ -93,6 +96,7 @@ func (r *scenRun) abortUpdate(e *scenEng, b int64) error {
 	}
 	r.chaosCloseOp(e, b)
 	e.handle.Abort()
+	r.refs[e.batch.VN] = r.kept[e.batch.VN]
 	r.rep.BatchesAborted++
 	r.s.tel.Events.Log(obs.LevelWarn, b, "update_abort",
 		"vn", e.batch.VN, "engine", e.batch.Engine, "writes", e.batch.Writes)

@@ -322,10 +322,15 @@ type scenRun struct {
 	// home[vn] is the engine serving network vn; nil while it is homeless
 	// (its device crashed: mid-migration, or degraded).
 	home []*scenEng
-	// queues[vn] is network vn's bounded ingress queue; refs[vn] its
-	// current-epoch oracle (flipped by commit bubbles).
+	// queues[vn] is network vn's bounded ingress queue; refs[vn] the oracle
+	// its lookups are checked against (flipped by commit bubbles). kept[vn]
+	// is the oracle of the table the control plane keeps for vn — one per
+	// table epoch, built when a batch is armed and installed at its commit:
+	// audits read it, and refs[vn] is it except between a commit bubble's
+	// injection and the commit.
 	queues []fifo[queued]
 	refs   []*ip.Table
+	kept   []*ip.Table
 
 	// started counts the churn batches armed: one schedule per run.
 	started int
@@ -752,14 +757,64 @@ func (r *scenRun) oneDevice() error {
 // runScenario is RunScenario returning the finished run, its report filled
 // in, so tests can look at the state it ended in.
 func (s *System) runScenario(gen *traffic.Generator, spec scenario.Spec) (*scenRun, error) {
+	r, eng, err := s.newScenRun(gen, spec)
+	if err != nil {
+		return nil, err
+	}
+	if err := eng.Run(); err != nil {
+		return nil, err
+	}
+	rep := r.rep
+	rep.TrafficCycles = eng.TrafficCycles
+	rep.DrainCycles = eng.DrainCycles
+
+	rep.MeanDelayCycles = r.st.meanDelay()
+	rep.NoRoute, rep.Mismatches, rep.FaultedLookups = r.st.noRoute, r.st.mismatches, r.st.faulted
+	rep.Recovered = true
+	for _, dev := range r.devs {
+		for _, e := range dev.engines {
+			if e.fs.down() || len(e.fs.outstanding) > 0 {
+				rep.Recovered = false
+			}
+			r.retire(e.sim)
+		}
+		r.retireMeter(dev)
+	}
+	rep.Completed = !r.Outstanding()
+	for _, st := range eng.Stressors {
+		if st.Outstanding() {
+			rep.Completed = false
+		}
+	}
+	if r.gv != nil {
+		rep.Governor = r.gv.Report()
+	}
+	er, err := r.ledger.Report(deliveredBits(r.st.total))
+	if err != nil {
+		return nil, err
+	}
+	rep.Energy = er
+	er.Publish()
+	r.chaosFinalize()
+	if err := r.fleetFinalize(); err != nil {
+		return nil, err
+	}
+	obsPacketsResolved.Add(r.st.total)
+	obsLoadCycles.Add(rep.TrafficCycles)
+	return r, nil
+}
+
+// newScenRun sets a run up — devices, stressors and the scenario engine
+// that will drive them — without running a cycle of it.
+func (s *System) newScenRun(gen *traffic.Generator, spec scenario.Spec) (*scenRun, *scenario.Engine, error) {
 	if spec.Cycles < 1 || spec.Slice < 1 || spec.Queue < 1 {
-		return nil, fmt.Errorf("netsim: spec of %d cycles, %d-cycle slices and %d-packet queues, want each >= 1", spec.Cycles, spec.Slice, spec.Queue)
+		return nil, nil, fmt.Errorf("netsim: spec of %d cycles, %d-cycle slices and %d-packet queues, want each >= 1", spec.Cycles, spec.Slice, spec.Queue)
 	}
 	if spec.Churn != nil && spec.Churn.TargetVN >= s.k {
-		return nil, fmt.Errorf("netsim: churn target network %d outside [0,%d)", spec.Churn.TargetVN, s.k)
+		return nil, nil, fmt.Errorf("netsim: churn target network %d outside [0,%d)", spec.Churn.TargetVN, s.k)
 	}
 	if spec.Kill != nil && spec.Kill.Engine >= len(s.router.Images()) {
-		return nil, fmt.Errorf("netsim: kill engine %d with %d engines", spec.Kill.Engine, len(s.router.Images()))
+		return nil, nil, fmt.Errorf("netsim: kill engine %d with %d engines", spec.Kill.Engine, len(s.router.Images()))
 	}
 
 	rep := &ScenarioReport{
@@ -775,7 +830,8 @@ func (s *System) runScenario(gen *traffic.Generator, spec scenario.Spec) (*scenR
 	}
 	r := &scenRun{s: s, spec: spec, gen: gen, rep: rep,
 		home: make([]*scenEng, s.k), queues: make([]fifo[queued], s.k),
-		refs: append([]*ip.Table(nil), s.refs...), dropVN: make([]*obs.Counter, s.k)}
+		refs: append([]*ip.Table(nil), s.refs...), kept: append([]*ip.Table(nil), s.refs...),
+		dropVN: make([]*obs.Counter, s.k)}
 	for vn := range r.dropVN {
 		r.dropVN[vn] = obs.NewCounter(fmt.Sprintf("netsim.fault_drops.vn%02d", vn))
 	}
@@ -788,7 +844,7 @@ func (s *System) runScenario(gen *traffic.Generator, spec scenario.Spec) (*scenR
 		err = r.placeFleet()
 	}
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	r.utils = make([]float64, len(r.design.Engines))
 	r.reloadFlags = make([]bool, len(r.design.Engines))
@@ -809,10 +865,10 @@ func (s *System) runScenario(gen *traffic.Generator, spec scenario.Spec) (*scenR
 				FalsePositives: spec.Chaos.FalsePositives,
 				Crashes:        spec.Chaos.Crashes,
 			}); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			if dev.wd, err = ctrl.NewWatchdog(spec.Slice, s.tel.Events); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			dev.jrs = make([]*ctrl.Journal, len(dev.engines))
 			for i := range dev.jrs {
@@ -839,7 +895,7 @@ func (s *System) runScenario(gen *traffic.Generator, spec scenario.Spec) (*scenR
 				images[i] = e.fs.img
 			}
 			if dev.in, err = faults.NewInjector(fc, images); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			stressors = append(stressors, scenFaults{r: r, dev: dev})
 		}
@@ -853,47 +909,8 @@ func (s *System) runScenario(gen *traffic.Generator, spec scenario.Spec) (*scenR
 		maxDrain += r.fleetDrainSlices()
 	}
 
-	eng := scenario.Engine{K: s.k, Design: r.design, FmaxMHz: s.router.Fmax(), Tel: s.tel,
+	eng := &scenario.Engine{K: s.k, Design: r.design, FmaxMHz: s.router.Fmax(), Tel: s.tel,
 		Cycles: spec.Cycles, SliceCycles: spec.Slice, MaxDrainSlices: maxDrain,
 		Gov: r.gv, Energy: r.perSlice, Stressors: stressors, Kernel: r}
-	if err := eng.Run(); err != nil {
-		return nil, err
-	}
-	rep.TrafficCycles = eng.TrafficCycles
-	rep.DrainCycles = eng.DrainCycles
-
-	rep.MeanDelayCycles = r.st.meanDelay()
-	rep.NoRoute, rep.Mismatches, rep.FaultedLookups = r.st.noRoute, r.st.mismatches, r.st.faulted
-	rep.Recovered = true
-	for _, dev := range r.devs {
-		for _, e := range dev.engines {
-			if e.fs.down() || len(e.fs.outstanding) > 0 {
-				rep.Recovered = false
-			}
-			r.retire(e.sim)
-		}
-		r.retireMeter(dev)
-	}
-	rep.Completed = !r.Outstanding()
-	for _, st := range stressors {
-		if st.Outstanding() {
-			rep.Completed = false
-		}
-	}
-	if r.gv != nil {
-		rep.Governor = r.gv.Report()
-	}
-	er, err := r.ledger.Report(deliveredBits(r.st.total))
-	if err != nil {
-		return nil, err
-	}
-	rep.Energy = er
-	er.Publish()
-	r.chaosFinalize()
-	if err := r.fleetFinalize(); err != nil {
-		return nil, err
-	}
-	obsPacketsResolved.Add(r.st.total)
-	obsLoadCycles.Add(rep.TrafficCycles)
-	return r, nil
+	return r, eng, nil
 }

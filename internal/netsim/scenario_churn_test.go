@@ -9,6 +9,7 @@ import (
 
 	"vrpower/internal/core"
 	"vrpower/internal/scenario"
+	"vrpower/internal/traffic"
 )
 
 // hitlessSpec is the canonical churn run: per-network load 1/3 (an aggregate
@@ -147,5 +148,65 @@ func TestRunUpdatesValidation(t *testing.T) {
 		if _, err := scenario.Parse(bad); err == nil {
 			t.Errorf("spec %q accepted", bad)
 		}
+	}
+}
+
+// TestScrubAfterCommitBubbleKeepsTheOracle: a scrub that starts while an
+// armed batch's commit bubble is in the pipe aborts the batch, and the
+// manager keeps the old table, so the oracle that lookups injected from then
+// on are checked against must be that table's again — not the post-update
+// one the commit bubble flipped it to.
+func TestScrubAfterCommitBubbleKeepsTheOracle(t *testing.T) {
+	s, tables := buildSystem(t, core.VS, 3)
+	g, err := traffic.New(traffic.Config{K: 3, Seed: 13, Addr: traffic.RoutedAddr, Tables: tables})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := scenario.Parse("load=const:0.3,churn=1x64,cycles=4096,seed=5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, _, err := s.newScenRun(g, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := (scenChurn{r: r}).Boundary(0, false); err != nil {
+		t.Fatal(err)
+	}
+	const vn = 0
+	e := r.home[vn]
+	h := e.handle
+	if h == nil || h.VN() != vn {
+		t.Fatalf("no batch armed on network %d's engine", vn)
+	}
+	// Serve, a cycle a slice, until the commit bubble is in the pipe.
+	cyc := int64(0)
+	for ; e.sim.PendingBubbles() > 0 || !e.sim.Updating(); cyc++ {
+		if cyc > 1<<16 {
+			t.Fatal("the commit bubble never entered the pipe")
+		}
+		if _, err := r.RunSlice(cyc, 1, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := (scenFaults{r: r, dev: e.dev}).startScrub(e, cyc); err != nil {
+		t.Fatal(err)
+	}
+	if r.rep.BatchesAborted != 1 || e.dev.mgr.Tables()[vn] == h.Table() {
+		t.Fatalf("the scrub did not abort the batch: %d aborted", r.rep.BatchesAborted)
+	}
+	kept, updated := e.dev.mgr.Tables()[vn].Reference(), h.Table().Reference()
+	changed := 0
+	for _, op := range h.Ops() {
+		addr := op.Prefix.Addr
+		if got, want := r.refs[vn].Lookup(addr), kept.Lookup(addr); got != want {
+			t.Errorf("after the abort, the oracle answers %s with %d; the kept table routes it to %d", addr, got, want)
+		}
+		if updated.Lookup(addr) != kept.Lookup(addr) {
+			changed++
+		}
+	}
+	if changed == 0 {
+		t.Fatal("the batch changed no answer at its own prefixes: the test cannot tell the oracles apart")
 	}
 }

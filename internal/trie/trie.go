@@ -24,12 +24,17 @@ func (n *Node) IsLeaf() bool { return n.Child[0] == nil && n.Child[1] == nil }
 
 // Arena hands out zeroed values of T from chunked slabs, so that building a
 // pointer-linked structure costs an allocation per chunk instead of one per
-// node. Chunks double in size up to arenaMax values. A value is never taken
-// back: one that is unlinked (Delete) stays in its chunk, which is collected
-// when nothing points into it any more — with the structure, at the latest.
+// node. Chunks double in size up to arenaMax values. Values are taken back
+// all at once or not at all: Reset zeroes the slabs and hands them out again
+// in the same order, so a structure rebuilt over its arena reuses the last
+// build's memory, and nothing may point into the arena across a Reset. A
+// value unlinked before then (Delete) stays in its slab until the Reset.
 type Arena[T any] struct {
-	free []T
-	size int
+	// slabs[:next] are the slabs handed out from since the last Reset; free
+	// is what is left of the last of them.
+	slabs [][]T
+	next  int
+	free  []T
 }
 
 const arenaMin, arenaMax = 16, 2048
@@ -37,12 +42,46 @@ const arenaMin, arenaMax = 16, 2048
 // New returns a pointer to a zero T.
 func (a *Arena[T]) New() *T {
 	if len(a.free) == 0 {
-		a.size = min(max(2*a.size, arenaMin), arenaMax)
-		a.free = make([]T, a.size)
+		a.take(1)
 	}
 	v := &a.free[0]
 	a.free = a.free[1:]
 	return v
+}
+
+// Slice returns n contiguous zero values, capped at n.
+func (a *Arena[T]) Slice(n int) []T {
+	if len(a.free) < n {
+		a.take(n)
+	}
+	v := a.free[:n:n]
+	a.free = a.free[n:]
+	return v
+}
+
+// take makes the next slab with room for n values the one handed out from,
+// skipping any too small for n and making one when none is left.
+func (a *Arena[T]) take(n int) {
+	for a.next < len(a.slabs) && len(a.slabs[a.next]) < n {
+		a.next++
+	}
+	if a.next == len(a.slabs) {
+		size := arenaMin
+		if k := len(a.slabs); k > 0 {
+			size = min(2*len(a.slabs[k-1]), arenaMax)
+		}
+		a.slabs = append(a.slabs, make([]T, max(size, n)))
+	}
+	a.free = a.slabs[a.next]
+	a.next++
+}
+
+// Reset takes back every value handed out, zeroed.
+func (a *Arena[T]) Reset() {
+	for _, s := range a.slabs[:a.next] {
+		clear(s)
+	}
+	a.next, a.free = 0, nil
 }
 
 // Trie is a uni-bit binary trie over IPv4 prefixes.
@@ -54,19 +93,23 @@ type Trie struct {
 }
 
 // New returns an empty trie containing only the root node.
-func New() *Trie {
-	t := &Trie{}
-	t.root = t.nodes.New()
-	return t
-}
+func New() *Trie { return Build(nil) }
 
 // Build constructs a trie from all routes of t.
 func Build(t []ip.Route) *Trie {
-	tr := New()
-	for _, r := range t {
-		tr.Insert(r.Prefix, r.NextHop)
-	}
+	tr := &Trie{}
+	tr.Rebuild(t)
 	return tr
+}
+
+// Rebuild makes t the trie Build(routes) would return, in the node memory of
+// t's last build: nothing may point into t's nodes any more.
+func (t *Trie) Rebuild(routes []ip.Route) {
+	t.nodes.Reset()
+	t.root, t.routes, t.leafPushed = t.nodes.New(), 0, false
+	for _, r := range routes {
+		t.Insert(r.Prefix, r.NextHop)
+	}
 }
 
 // Root exposes the root node for traversals by sibling packages.

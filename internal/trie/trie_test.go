@@ -2,6 +2,7 @@ package trie
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"vrpower/internal/ip"
@@ -443,5 +444,96 @@ func TestArenaHandsOutDistinctZeroValues(t *testing.T) {
 		if v.NextHop != ip.NextHop(i%251+1) || v.Child != [2]*Node{} {
 			t.Fatalf("value %d was written through another: %+v", i, *v)
 		}
+	}
+}
+
+// boundaries returns, for every route, the first and last address its
+// prefix covers and the addresses just outside them.
+func boundaries(routes []ip.Route) []ip.Addr {
+	var out []ip.Addr
+	for _, r := range routes {
+		first := r.Prefix.Addr
+		last := first | ^ip.Mask(r.Prefix.Len)
+		out = append(out, first, last, first-1, last+1)
+	}
+	return out
+}
+
+// TestRebuildIsAFreshBuild: a trie rebuilt in the memory of a larger and
+// then of a smaller build is the trie Build makes — the same Stats and the
+// same answer at every prefix boundary, before and after leaf pushing.
+func TestRebuildIsAFreshBuild(t *testing.T) {
+	small, large := randomRoutes(300, 31), randomRoutes(3000, 32)
+	tr := Build(small)
+	tr.LeafPush()
+	for _, routes := range [][]ip.Route{large, small} {
+		tr.Rebuild(routes)
+		fresh := Build(routes)
+		for _, pushed := range []bool{false, true} {
+			if pushed {
+				tr.LeafPush()
+				fresh.LeafPush()
+			}
+			if got, want := tr.Stats(), fresh.Stats(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%d routes, pushed %v: Stats %+v, fresh build %+v", len(routes), pushed, got, want)
+			}
+			if tr.Routes() != fresh.Routes() || tr.LeafPushed() != pushed {
+				t.Fatalf("%d routes, pushed %v: %d routes, pushed %v", len(routes), pushed, tr.Routes(), tr.LeafPushed())
+			}
+			for _, addr := range boundaries(routes) {
+				if got, want := tr.Lookup(addr), fresh.Lookup(addr); got != want {
+					t.Fatalf("%d routes, pushed %v: Lookup(%s) = %d, fresh build %d", len(routes), pushed, addr, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestRebuildAllocatesNothing: once a trie has been built over a table,
+// rebuilding and leaf pushing it over the same table reuses every node.
+func TestRebuildAllocatesNothing(t *testing.T) {
+	routes := randomRoutes(2000, 33)
+	tr := Build(routes)
+	tr.LeafPush()
+	if n := testing.AllocsPerRun(5, func() {
+		tr.Rebuild(routes)
+		tr.LeafPush()
+	}); n != 0 {
+		t.Errorf("Rebuild + LeafPush allocates %v times, want 0", n)
+	}
+}
+
+// TestArenaResetHandsBackZeroedSlabs: after Reset the arena hands out the
+// same values again, zeroed and in the same order, and makes no new slab;
+// a Slice wider than the slab in turn skips it rather than overrun it.
+func TestArenaResetHandsBackZeroedSlabs(t *testing.T) {
+	var a Arena[Node]
+	const n = 2*arenaMax + 5
+	first := make([]*Node, n)
+	for i := range first {
+		first[i] = a.New()
+		first[i].NextHop, first[i].HasRoute = ip.NextHop(i%251+1), true
+	}
+	slabs := len(a.slabs)
+	a.Reset()
+	for i := range first {
+		v := a.New()
+		if v != first[i] || *v != (Node{}) {
+			t.Fatalf("value %d after Reset: %p %+v, want %p zeroed", i, v, *v, first[i])
+		}
+	}
+	if len(a.slabs) != slabs {
+		t.Fatalf("Reset then the same requests made %d slabs, had %d", len(a.slabs), slabs)
+	}
+
+	var b Arena[ip.NextHop]
+	head := b.Slice(3)            // the first slab holds arenaMin values
+	wide := b.Slice(arenaMin + 1) // too wide for what is left: a slab of its own
+	if len(wide) != arenaMin+1 || cap(wide) != arenaMin+1 || cap(head) != 3 {
+		t.Fatalf("Slice lengths %d/%d, caps %d/%d", len(head), len(wide), cap(head), cap(wide))
+	}
+	b.Reset()
+	if v := b.Slice(arenaMin + 1); &v[0] != &wide[0] {
+		t.Fatal("after Reset, a wide Slice did not skip the narrow slab for the wide one")
 	}
 }

@@ -147,7 +147,7 @@ func TestDiffApplyRoundTripProperty(t *testing.T) {
 				}
 
 				// The bubble budget must cover the widest stage's writes.
-				if b := Bubbles(writes); len(writes) > 0 && b < 1 {
+				if b := widestStage(writes); len(writes) > 0 && b < 1 {
 					t.Fatalf("non-empty write set with %d bubbles", b)
 				}
 

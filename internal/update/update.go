@@ -63,8 +63,9 @@ type ChurnConfig struct {
 	AnnounceFrac, WithdrawFrac float64
 }
 
-// Churn generates n updates against the table, mutating its own shadow copy
-// so withdraws always name live routes. The input table is not modified.
+// Churn generates n updates against the table, drawing as if against its
+// own shadow copy so withdraws always name live routes. The input table is
+// not modified.
 func Churn(tbl *rib.Table, n int, cfg ChurnConfig) ([]Op, error) {
 	if tbl.Len() == 0 {
 		return nil, fmt.Errorf("update: churn against an empty table")
@@ -77,16 +78,7 @@ func Churn(tbl *rib.Table, n int, cfg ChurnConfig) ([]Op, error) {
 		return nil, fmt.Errorf("update: bad op mix announce=%g withdraw=%g", af, wf)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	// The shadow is a plain route slice plus a prefix-membership map, so
-	// every op is O(1): announces append (the map already proved the prefix
-	// absent), withdraws swap-remove by index. Going through rib.Table.Add
-	// here would linear-scan per op — quadratic over a large batch.
-	routes := make([]ip.Route, tbl.Len())
-	copy(routes, tbl.Routes)
-	present := make(map[ip.Prefix]bool, len(routes))
-	for _, r := range routes {
-		present[r.Prefix] = true
-	}
+	sh := newShadow(tbl.Routes)
 
 	ops := make([]Op, 0, n)
 	for len(ops) < n {
@@ -100,45 +92,100 @@ func Churn(tbl *rib.Table, n int, cfg ChurnConfig) ([]Op, error) {
 			// cap only trips when the more-specific space under every base is
 			// saturated, in which case the class is re-drawn.
 			for try := 0; try < 100; try++ {
-				base := routes[rng.Intn(len(routes))]
-				length := base.Prefix.Len + 1 + rng.Intn(3)
+				base := sh.at(rng.Intn(sh.n))
+				length := base.Len + 1 + rng.Intn(3)
 				if length > 32 {
 					length = 32
 				}
-				ext := ip.Addr(rng.Uint32()) &^ ip.Mask(base.Prefix.Len)
-				p, err := ip.PrefixFrom(base.Prefix.Addr|ext, length)
+				ext := ip.Addr(rng.Uint32()) &^ ip.Mask(base.Len)
+				p, err := ip.PrefixFrom(base.Addr|ext, length)
 				if err != nil {
 					return nil, err
 				}
-				if present[p] {
+				if sh.has(p) {
 					continue
 				}
 				nh := ip.NextHop(1 + rng.Intn(16))
 				ops = append(ops, Op{Kind: Announce, Prefix: p, NextHop: nh})
-				routes = append(routes, ip.Route{Prefix: p, NextHop: nh})
-				present[p] = true
+				sh.add(p)
 				break
 			}
 		case r < af+wf:
-			if len(routes) == 1 {
+			if sh.n == 1 {
 				// Withdrawing the last route would leave announces with no
 				// base; re-draw the op. Only single-route tables hit this.
 				continue
 			}
-			i := rng.Intn(len(routes))
-			p := routes[i].Prefix
-			ops = append(ops, Op{Kind: Withdraw, Prefix: p})
-			routes[i] = routes[len(routes)-1]
-			routes = routes[:len(routes)-1]
-			delete(present, p)
+			i := rng.Intn(sh.n)
+			ops = append(ops, Op{Kind: Withdraw, Prefix: sh.at(i)})
+			sh.remove(i)
 		default:
-			i := rng.Intn(len(routes))
+			i := rng.Intn(sh.n)
 			nh := ip.NextHop(1 + rng.Intn(16))
-			ops = append(ops, Op{Kind: Change, Prefix: routes[i].Prefix, NextHop: nh})
-			routes[i].NextHop = nh
+			ops = append(ops, Op{Kind: Change, Prefix: sh.at(i), NextHop: nh})
 		}
 	}
 	return ops, nil
+}
+
+// shadow is the route list Churn draws against, as a sparse overlay on the
+// table's routes rather than a copy of them: positions behave as a slice's
+// (an announce appends, a withdraw moves the last route into the hole), so
+// every draw is the one a full copy would give, while the overlay holds only
+// the positions and prefixes the batch has touched. Only prefixes are kept:
+// no draw reads a next hop.
+type shadow struct {
+	routes []ip.Route // the table's routes, in its order
+	sorted []ip.Route // the same in prefix order (routes itself if sorted)
+	n      int        // the shadow's length
+	// pos holds the positions the batch has written, live the prefixes
+	// announced (true) or withdrawn (false); anything else reads through to
+	// the table.
+	pos  map[int]ip.Prefix
+	live map[ip.Prefix]bool
+}
+
+func newShadow(routes []ip.Route) *shadow {
+	sorted := routes
+	if !slices.IsSortedFunc(sorted, byPrefix) {
+		sorted = slices.Clone(routes)
+		slices.SortFunc(sorted, byPrefix)
+	}
+	return &shadow{routes: routes, sorted: sorted, n: len(routes),
+		pos: make(map[int]ip.Prefix), live: make(map[ip.Prefix]bool)}
+}
+
+// at is the prefix at position i < n.
+func (s *shadow) at(i int) ip.Prefix {
+	if p, ok := s.pos[i]; ok {
+		return p
+	}
+	return s.routes[i].Prefix
+}
+
+// has reports whether p is routed: as the batch left it, else as the table
+// has it (a binary search; a table holds a prefix once).
+func (s *shadow) has(p ip.Prefix) bool {
+	if v, ok := s.live[p]; ok {
+		return v
+	}
+	_, found := slices.BinarySearchFunc(s.sorted, p, func(r ip.Route, p ip.Prefix) int { return ip.Compare(r.Prefix, p) })
+	return found
+}
+
+// add appends p.
+func (s *shadow) add(p ip.Prefix) {
+	s.pos[s.n] = p
+	s.n++
+	s.live[p] = true
+}
+
+// remove withdraws the route at position i, moving the last one into it.
+func (s *shadow) remove(i int) {
+	s.live[s.at(i)] = false
+	s.n--
+	s.pos[i] = s.at(s.n)
+	delete(s.pos, s.n)
 }
 
 // Coalesce collapses a batch so each prefix appears at most once: a later op
@@ -173,7 +220,6 @@ func Coalesce(ops []Op) []Op {
 // route in its place. A table holds a prefix once, so that order is total and
 // the result is the sequential one's routes in the sequential one's order.
 func Apply(tbl *rib.Table, ops []Op) *rib.Table {
-	byPrefix := func(a, b ip.Route) int { return ip.Compare(a.Prefix, b.Prefix) }
 	routes := tbl.Routes
 	if !slices.IsSortedFunc(routes, byPrefix) {
 		routes = slices.Clone(routes)
@@ -206,23 +252,27 @@ func Apply(tbl *rib.Table, ops []Op) *rib.Table {
 	return out
 }
 
+func byPrefix(a, b ip.Route) int { return ip.Compare(a.Prefix, b.Prefix) }
+
 // Write is one stage-memory word write.
 type Write struct {
 	Stage int
 	Index uint32
 }
 
-// Diff computes the stage-memory writes that transform the old compiled
-// image into the new one: positionally differing entries, appended entries,
-// and — when a stage shrinks — clearing writes over the truncated tail, so
-// stale entries never linger as reachable garbage and the write-bubble
-// budget covers the full update. (Hardware would in practice allocate free
-// slots; positional diff is the conservative upper bound.) Words are compared
-// by what they say — kind, level, child pointers, next-hop vector — never by
-// where an image happens to keep a vector, and parity follows the data.
+// Diff lists the stage-memory writes that transform the old compiled image
+// into the new one: positionally differing entries, appended entries, and —
+// when a stage shrinks — clearing writes over the truncated tail, so stale
+// entries never linger as reachable garbage and the write-bubble budget
+// covers the full update. (Hardware would in practice allocate free slots;
+// positional diff is the conservative upper bound.) Words are compared by
+// what they say — kind, level, child pointers, next-hop vector — never by
+// where an image happens to keep a vector, and parity follows the data. The
+// control plane needs only the counts (Cost); the list is what tests and
+// probes read.
 func Diff(oldImg, newImg *pipeline.Image) ([]Write, error) {
-	if oldImg.Stages() != newImg.Stages() {
-		return nil, fmt.Errorf("update: stage counts differ (%d vs %d)", oldImg.Stages(), newImg.Stages())
+	if err := sameStages(oldImg, newImg); err != nil {
+		return nil, err
 	}
 	// No more writes than the wider of each stage's two memories.
 	bound := 0
@@ -236,22 +286,29 @@ func Diff(oldImg, newImg *pipeline.Image) ([]Write, error) {
 	return writes, nil
 }
 
-// Bubbles converts a write set into the number of write bubbles needed: a
-// bubble performs at most one write per stage as it traverses the pipeline,
-// so the bubble count is the largest per-stage write count.
-func Bubbles(writes []Write) int {
-	var perStage []int
-	max := 0
-	for _, w := range writes {
-		for w.Stage >= len(perStage) {
-			perStage = append(perStage, 0)
-		}
-		perStage[w.Stage]++
-		if perStage[w.Stage] > max {
-			max = perStage[w.Stage]
-		}
+// Cost counts what Diff lists without listing it: the writes, and the write
+// bubbles they need. A bubble performs at most one write per stage as it
+// traverses the pipeline, so the bubble count is the largest per-stage write
+// count.
+func Cost(oldImg, newImg *pipeline.Image) (writes, bubbles int, err error) {
+	if err := sameStages(oldImg, newImg); err != nil {
+		return 0, 0, err
 	}
-	return max
+	n := 0
+	count := func(uint32) { n++ }
+	for s := 0; s < newImg.Stages(); s++ {
+		n = 0
+		oldImg.DiffStage(newImg, s, count)
+		writes, bubbles = writes+n, max(bubbles, n)
+	}
+	return writes, bubbles, nil
+}
+
+func sameStages(oldImg, newImg *pipeline.Image) error {
+	if oldImg.Stages() != newImg.Stages() {
+		return fmt.Errorf("update: stage counts differ (%d vs %d)", oldImg.Stages(), newImg.Stages())
+	}
+	return nil
 }
 
 // ThroughputRetained returns the fraction of lookup slots left after

@@ -3,6 +3,7 @@ package update
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -242,18 +243,50 @@ func TestMergedUpdateCostlier(t *testing.T) {
 	if len(mergedWrites) <= len(sepWrites) {
 		t.Errorf("merged update writes %d not above separate %d", len(mergedWrites), len(sepWrites))
 	}
-	if Bubbles(mergedWrites) <= Bubbles(sepWrites) {
-		t.Errorf("merged bubbles %d not above separate %d", Bubbles(mergedWrites), Bubbles(sepWrites))
+	if widestStage(mergedWrites) <= widestStage(sepWrites) {
+		t.Errorf("merged bubbles %d not above separate %d", widestStage(mergedWrites), widestStage(sepWrites))
 	}
 }
 
-func TestBubbles(t *testing.T) {
-	if Bubbles(nil) != 0 {
-		t.Error("Bubbles(nil) != 0")
+// widestStage is the bubble count of a write list: a bubble performs at most
+// one write per stage, so the largest per-stage write count.
+func widestStage(writes []Write) int {
+	perStage := map[int]int{}
+	widest := 0
+	for _, w := range writes {
+		perStage[w.Stage]++
+		widest = max(widest, perStage[w.Stage])
 	}
-	writes := []Write{{0, 1}, {0, 2}, {0, 3}, {5, 1}}
-	if got := Bubbles(writes); got != 3 {
-		t.Errorf("Bubbles = %d, want 3 (stage 0 has 3 writes)", got)
+	return widest
+}
+
+// TestBubbles: Cost's bubble count is the widest stage's write count, not
+// the total — three writes in stage 0 and one in stage 1 take three bubbles —
+// and identical images cost nothing.
+func TestBubbles(t *testing.T) {
+	entry := func(nh ip.NextHop) pipeline.Entry {
+		e := pipeline.Entry{Leaf: true, NHI: []ip.NextHop{nh}}
+		e.Parity = e.DataParity()
+		return e
+	}
+	sm, err := trie.NewStageMap(2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	image := func(stages ...[]pipeline.Entry) *pipeline.Image {
+		img, err := pipeline.NewImage(1, sm, stages)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return img
+	}
+	oldImg := image([]pipeline.Entry{entry(1), entry(2), entry(3), entry(4)}, []pipeline.Entry{entry(5)})
+	newImg := image([]pipeline.Entry{entry(1), entry(7), entry(8), entry(9)}, []pipeline.Entry{entry(6)})
+	if w, b, err := Cost(oldImg, oldImg); err != nil || w != 0 || b != 0 {
+		t.Errorf("Cost(img, img) = %d writes, %d bubbles, %v; want 0, 0, nil", w, b, err)
+	}
+	if w, b, err := Cost(oldImg, newImg); err != nil || w != 4 || b != 3 {
+		t.Errorf("Cost = %d writes, %d bubbles, %v; want 4, 3 (stage 0 has 3 writes), nil", w, b, err)
 	}
 }
 
@@ -316,7 +349,7 @@ func TestDiffShrinkEmitsClearingWrites(t *testing.T) {
 			t.Errorf("unexpected write %+v", w)
 		}
 	}
-	if got := Bubbles(writes); got != 3 {
+	if got := widestStage(writes); got != 3 {
 		t.Errorf("shrink bubbles = %d, want 3", got)
 	}
 }
@@ -595,5 +628,189 @@ func BenchmarkChurn(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// churnCopyAndMap is Churn as it was first written, over a full copy of the
+// routes and a map of every prefix: the oracle the overlay draw is held to.
+func churnCopyAndMap(tbl *rib.Table, n int, cfg ChurnConfig) []Op {
+	af, wf := cfg.AnnounceFrac, cfg.WithdrawFrac
+	if af == 0 && wf == 0 {
+		af, wf = 0.4, 0.3
+	}
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	routes := slices.Clone(tbl.Routes)
+	present := make(map[ip.Prefix]bool, len(routes))
+	for _, r := range routes {
+		present[r.Prefix] = true
+	}
+	ops := make([]Op, 0, n)
+	for len(ops) < n {
+		r := rng.Float64()
+		switch {
+		case r < af:
+			for try := 0; try < 100; try++ {
+				base := routes[rng.Intn(len(routes))]
+				length := min(base.Prefix.Len+1+rng.Intn(3), 32)
+				ext := ip.Addr(rng.Uint32()) &^ ip.Mask(base.Prefix.Len)
+				p, err := ip.PrefixFrom(base.Prefix.Addr|ext, length)
+				if err != nil {
+					panic(err)
+				}
+				if present[p] {
+					continue
+				}
+				nh := ip.NextHop(1 + rng.Intn(16))
+				ops = append(ops, Op{Kind: Announce, Prefix: p, NextHop: nh})
+				routes = append(routes, ip.Route{Prefix: p, NextHop: nh})
+				present[p] = true
+				break
+			}
+		case r < af+wf:
+			if len(routes) == 1 {
+				continue
+			}
+			i := rng.Intn(len(routes))
+			p := routes[i].Prefix
+			ops = append(ops, Op{Kind: Withdraw, Prefix: p})
+			routes[i] = routes[len(routes)-1]
+			routes = routes[:len(routes)-1]
+			delete(present, p)
+		default:
+			i := rng.Intn(len(routes))
+			nh := ip.NextHop(1 + rng.Intn(16))
+			ops = append(ops, Op{Kind: Change, Prefix: routes[i].Prefix, NextHop: nh})
+			routes[i].NextHop = nh
+		}
+	}
+	return ops
+}
+
+// TestChurnMatchesCopyAndMap: the overlay draw emits exactly the ops of the
+// copy-and-map generator, over many seeds and op mixes, over sorted and
+// shuffled tables, a single-route table and a table whose more-specific
+// space is saturated (every announce retry collides until a withdraw opens
+// a hole).
+func TestChurnMatchesCopyAndMap(t *testing.T) {
+	sorted := genTable(t, 300, 4)
+	shuffled := &rib.Table{Routes: slices.Clone(sorted.Routes)}
+	rand.New(rand.NewSource(5)).Shuffle(len(shuffled.Routes), func(i, j int) {
+		shuffled.Routes[i], shuffled.Routes[j] = shuffled.Routes[j], shuffled.Routes[i]
+	})
+	if slices.IsSortedFunc(shuffled.Routes, byPrefix) {
+		t.Fatal("shuffled table is sorted")
+	}
+	prefix := func(s string) ip.Prefix {
+		p, err := ip.ParsePrefix(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	single := &rib.Table{Routes: []ip.Route{{Prefix: prefix("10.1.2.0/24"), NextHop: 3}}}
+	// 10.0.0.0/30 and everything under it: no more-specific is free.
+	saturated := &rib.Table{}
+	for _, s := range []string{"10.0.0.0/30", "10.0.0.0/31", "10.0.0.2/31",
+		"10.0.0.0/32", "10.0.0.1/32", "10.0.0.2/32", "10.0.0.3/32"} {
+		saturated.Routes = append(saturated.Routes, ip.Route{Prefix: prefix(s), NextHop: 1})
+	}
+	tables := map[string]*rib.Table{"sorted": sorted, "shuffled": shuffled, "single": single, "saturated": saturated}
+	mixes := []ChurnConfig{{}, {AnnounceFrac: 0.8, WithdrawFrac: 0.15}, {AnnounceFrac: 0.1, WithdrawFrac: 0.6}}
+	for name, tbl := range tables {
+		before := slices.Clone(tbl.Routes)
+		for _, mix := range mixes {
+			for seed := int64(0); seed < 40; seed++ {
+				cfg := mix
+				cfg.Seed = seed
+				got, err := Churn(tbl, 60, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := churnCopyAndMap(tbl, 60, cfg); !slices.Equal(got, want) {
+					t.Fatalf("%s table, mix %+v: ops differ from the copy-and-map draw\n got %v\nwant %v", name, cfg, got, want)
+				}
+			}
+		}
+		if !slices.Equal(tbl.Routes, before) {
+			t.Fatalf("%s table: Churn modified its input", name)
+		}
+	}
+}
+
+// TestChurnAllocatesWhatItChanges: a 24-op batch against a 100 000-route
+// table allocates for its ops and overlay, not for the table (a copy of the
+// routes alone is 2.4 MB).
+func TestChurnAllocatesWhatItChanges(t *testing.T) {
+	tbl := genTable(t, 100_000, 6)
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for seed := int64(0); seed < runs; seed++ {
+		if _, err := Churn(tbl, 24, ChurnConfig{Seed: seed}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 64<<10 {
+		t.Errorf("Churn of 24 ops on %d routes allocates %d B, want < 64 KiB", tbl.Len(), per)
+	}
+}
+
+// TestCostCountsDiff: over random image pairs — stages that grow, stages
+// that shrink, identical images — Cost's writes are len(Diff) and its
+// bubbles Diff's widest stage; mismatched stage counts fail both the same
+// way.
+func TestCostCountsDiff(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	grew, shrank := false, false
+	for i := 0; i < 30; i++ {
+		a := genTable(t, 20+rng.Intn(400), rng.Int63())
+		var b *rib.Table
+		switch i % 3 {
+		case 0:
+			b = genTable(t, 20+rng.Intn(400), rng.Int63()) // unrelated: grows some stages, shrinks others
+		case 1:
+			ops, err := Churn(a, 1+rng.Intn(80), ChurnConfig{Seed: rng.Int63(), AnnounceFrac: rng.Float64() * 0.5, WithdrawFrac: rng.Float64() * 0.5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			b = Apply(a, ops)
+		default:
+			b = a
+		}
+		oldImg, newImg := compile(t, a), compile(t, b)
+		for s := 0; s < oldImg.Stages(); s++ {
+			grew = grew || newImg.StageLen(s) > oldImg.StageLen(s)
+			shrank = shrank || newImg.StageLen(s) < oldImg.StageLen(s)
+		}
+		list, err := Diff(oldImg, newImg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		writes, bubbles, err := Cost(oldImg, newImg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if writes != len(list) || bubbles != widestStage(list) {
+			t.Fatalf("pair %d: Cost = %d writes, %d bubbles; Diff lists %d writes, widest stage %d",
+				i, writes, bubbles, len(list), widestStage(list))
+		}
+	}
+	if !grew || !shrank {
+		t.Fatalf("no pair grew (%v) or none shrank (%v) a stage", grew, shrank)
+	}
+
+	tbl := genTable(t, 50, 7)
+	tr := trie.Build(tbl.Routes)
+	tr.LeafPush()
+	img8, err := pipeline.Compile(tr, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img28 := compile(t, tbl)
+	_, diffErr := Diff(img8, img28)
+	w, b, costErr := Cost(img8, img28)
+	if diffErr == nil || costErr == nil || diffErr.Error() != costErr.Error() || w != 0 || b != 0 {
+		t.Errorf("stage mismatch: Diff error %v, Cost (%d, %d, %v); want the same error and no counts", diffErr, w, b, costErr)
 	}
 }
