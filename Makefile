@@ -4,7 +4,7 @@
 #   make bench      = every benchmark with allocation counts
 GO ?= go
 
-.PHONY: all build test race governor-smoke scenario-smoke chaos-smoke fleet-smoke forward-smoke churn-smoke figures-smoke fuzz-smoke fuzz-batch-smoke vet vuln bench bench-gate bench-baseline bench-test bench-e2e loc loc-diff digest-diff alloc-diff pair-diff
+.PHONY: all build test race governor-smoke scenario-smoke chaos-smoke fleet-smoke forward-smoke churn-smoke figures-smoke fuzz-smoke fuzz-batch-smoke vet vuln bench bench-gate bench-test bench-e2e loc loc-diff digest-diff alloc-diff pair-diff
 
 all: build test
 
@@ -235,20 +235,29 @@ bench:
 # slice), the reference LPM every simulated lookup is checked against (lookup
 # and build), the image compiler, Image.Clone and Flatten (a re-derivation,
 # jump table included), and what the control plane does to prepare one
-# hitless churn batch (apply, trie, compile, diff, clone). -count=3
-# with benchgate's min-per-name sheds scheduler noise on shared runners; the
-# gate fails on a >10% ns/op regression or any allocs/op increase against the
-# checked-in baseline.
-# bench-gate.out is kept as a CI artifact.
+# hitless churn batch (apply, trie, compile, diff, clone).
+#
+# bench-gate measures them at BASE (default the parent commit, extracted like
+# loc-diff's) and in the working tree on one host: each side's test binary is
+# built once (-trimpath, so the same source gives the same binary wherever it
+# is extracted), then ten pairs of one rep a side run from each side's root,
+# alternating which side goes first. benchgate fails a benchmark whose
+# allocs/op minimum rose, or that is slower in 9 of the 10 pairs by more than
+# BASE's interquartile range, or that BASE measured and the tree does not.
+# bench-gate-base.out, bench-gate-now.out and the report bench-gate.out are
+# kept as CI artifacts.
 GATE_BENCH = ^(BenchmarkPipelineLookup|BenchmarkPipelineLookupScalar|BenchmarkLookupStreamed|BenchmarkServeSlice|BenchmarkReferenceLookup|BenchmarkReferenceBuild|BenchmarkImageCompile|BenchmarkImageClone|BenchmarkImageFlatten|BenchmarkHitlessPrepare)$$
 bench-gate: build
-	$(GO) test -run='^$$' -bench='$(GATE_BENCH)' -benchmem -count=3 . | tee bench-gate.out
-	$(GO) run ./cmd/benchgate -baseline bench_baseline.json < bench-gate.out
-
-# Regenerate the baseline after an intentional performance change.
-bench-baseline: build
-	$(GO) test -run='^$$' -bench='$(GATE_BENCH)' -benchmem -count=3 . | \
-		$(GO) run ./cmd/benchgate -baseline bench_baseline.json -update
+	@$(BASE_TREE) && \
+	(cd "$$tmp" && $(GO) test -trimpath -c -o "$$tmp/base.test" .) && \
+	$(GO) test -trimpath -c -o "$$tmp/now.test" . || { echo "bench-gate: test binary build failed" >&2; exit 1; }; \
+	run() { (cd "$$1" && "$$2" -test.run='^$$' -test.bench='$(GATE_BENCH)' -test.benchmem -test.count=1 -test.timeout=10m); }; \
+	: > bench-gate-base.out; : > bench-gate-now.out; \
+	for i in 1 2 3 4 5 6 7 8 9 10; do \
+		if [ $$((i % 2)) -eq 1 ]; then run "$$tmp" "$$tmp/base.test" >> bench-gate-base.out && run . "$$tmp/now.test" >> bench-gate-now.out; \
+		else run . "$$tmp/now.test" >> bench-gate-now.out && run "$$tmp" "$$tmp/base.test" >> bench-gate-base.out; fi || exit 1; \
+	done; \
+	$(GO) run ./cmd/benchgate bench-gate-base.out bench-gate-now.out > bench-gate.out; s=$$?; cat bench-gate.out; exit $$s
 
 # The repository benchmark (bench/, BENCHMARK.json) is its own module, so
 # `go test ./...` never compiles it. bench-test runs its suite: every
@@ -278,9 +287,12 @@ loc:
 # extracted with git archive into a temporary directory and counted there
 # (the module has no dependencies, so go list needs no network).
 BASE ?= HEAD~1
+# BASE's tree, extracted with git archive into the temporary directory $tmp,
+# removed when the recipe's shell exits. Every recipe that compares BASE with
+# the working tree starts with it.
+BASE_TREE = tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; git archive $(BASE) | tar -x -C "$$tmp"
 loc-diff:
-	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	git archive $(BASE) | tar -x -C "$$tmp" && \
+	@$(BASE_TREE) && \
 	(cd "$$tmp" && $(LOC_COUNT)) > "$$tmp/base.loc" && \
 	$(LOC_COUNT) > "$$tmp/now.loc" && \
 	awk 'FNR == NR { b[$$2] = $$1; next } { n[$$2] = $$1 } \
@@ -302,8 +314,7 @@ DIGESTS = for w in $(DIGEST_WORKLOADS); do for s in 1 2 3 4 5 6 7 8 9 10; do \
 		echo "$$w $$s $$d"; \
 	done; done
 digest-diff:
-	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	git archive $(BASE) | tar -x -C "$$tmp" && \
+	@$(BASE_TREE) && \
 	(cd "$$tmp" && $(DIGESTS)) > "$$tmp/base.digests" && \
 	$(DIGESTS) > "$$tmp/now.digests" && \
 	paste -d ' ' "$$tmp/base.digests" "$$tmp/now.digests" | \
@@ -321,8 +332,7 @@ ALLOCS = for w in $(DIGEST_WORKLOADS); do \
 		echo "$$w $$a"; \
 	done
 alloc-diff:
-	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	git archive $(BASE) | tar -x -C "$$tmp" && \
+	@$(BASE_TREE) && \
 	(cd "$$tmp" && $(ALLOCS)) > "$$tmp/base.allocs" && \
 	$(ALLOCS) > "$$tmp/now.allocs" && \
 	paste -d ' ' "$$tmp/base.allocs" "$$tmp/now.allocs" | \
@@ -343,8 +353,7 @@ SECONDS ?= 3
 PAIR_RUN = (cd "$$1" && .bench_build/bench --workload $(W) --seed $$2 --seconds $(SECONDS)) | \
 	awk '$$1 == "lookups_per_s" { l = $$2 } $$1 == "wall_s" { w = $$2 } END { print l, w }'
 pair-diff:
-	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	git archive $(BASE) | tar -x -C "$$tmp" && \
+	@$(BASE_TREE) && \
 	(cd "$$tmp" && bash bench/run.sh --help >/dev/null 2>&1; test -x .bench_build/bench) && \
 	(bash bench/run.sh --help >/dev/null 2>&1; test -x .bench_build/bench) || { echo "pair-diff: bench build failed" >&2; exit 1; }; \
 	run() { $(PAIR_RUN); }; i=0; \

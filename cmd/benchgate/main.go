@@ -1,119 +1,138 @@
-// benchgate compares `go test -bench` output against a checked-in baseline
-// and fails the build on performance regressions. It reads the benchmark
-// output on stdin (pipe it through tee to keep an artifact), takes the best
-// (minimum) ns/op across -count repetitions of each benchmark to shed
-// scheduler noise, and fails if any baselined benchmark got more than the
-// allowed fraction slower or started allocating more per op.
+// benchgate compares two `go test -bench` outputs of the same benchmarks —
+// one at a base revision, one in the working tree, both run on one host in
+// alternated pairs — and fails the build on a regression. Each file holds one
+// rep of every benchmark per pair, in pair order, so rep i of a benchmark in
+// BASE.out and rep i of it in NOW.out are one pair.
 //
-//	go test -run='^$' -bench=BenchmarkPipelineLookup -benchmem -count=3 . |
-//	    tee bench-gate.out | go run ./cmd/benchgate -baseline bench_baseline.json
+//	benchgate BASE.out NOW.out
 //
-// -update rewrites the baseline from the measured numbers instead of
-// checking, which is how the baseline file is (re)generated.
+// allocs/op are exact integers: a benchmark fails when the tree's minimum
+// over its reps is above BASE's minimum (the minimum absorbs the one-alloc
+// rounding jitter a mean over b.N iterations can show; a real extra
+// allocation moves every rep). ns/op is host time: a benchmark fails when the
+// tree is slower in at least nine tenths of the pairs (ties count for
+// neither) and its median is above BASE's by more than BASE's interquartile
+// range. A benchmark measured at BASE but not in the tree fails; one new in
+// the tree is printed and not gated. `make bench-gate` writes both files.
 package main
 
 import (
 	"bufio"
-	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"os"
 	"sort"
+	"strings"
 )
 
-// entry is one benchmark's baselined performance.
-type entry struct {
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
+// rep is one benchmark's numbers from one run.
+type rep struct {
+	ns     float64
+	allocs int64
 }
 
-// baseline is the checked-in file format.
-type baseline struct {
-	// Note records how to regenerate the file; informational only.
-	Note       string           `json:"note,omitempty"`
-	Benchmarks map[string]entry `json:"benchmarks"`
+// benchOut is one side's parsed output: names in first-seen order and every
+// rep of each, in the order the file lists them.
+type benchOut struct {
+	names []string
+	reps  map[string][]rep
 }
 
 func main() {
-	var (
-		basePath = flag.String("baseline", "bench_baseline.json", "baseline file to check against (or write with -update)")
-		update   = flag.Bool("update", false, "write the measured numbers as the new baseline instead of checking")
-		slack    = flag.Float64("slack", 0.10, "allowed fractional ns/op regression before failing")
-	)
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	measured, err := parseBench(os.Stdin)
-	if err != nil {
-		fatalf("benchgate: %v", err)
+// run gates NOW against BASE and returns the exit status: 0 when every row
+// passes, 1 when one fails, 2 on bad usage or unreadable input.
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) != 2 {
+		fmt.Fprintln(stderr, "usage: benchgate BASE.out NOW.out")
+		return 2
 	}
-	if len(measured) == 0 {
-		fatalf("benchgate: no benchmark results on stdin")
-	}
-
-	if *update {
-		if err := writeBaseline(*basePath, measured); err != nil {
-			fatalf("benchgate: %v", err)
+	var sides [2]benchOut
+	for i, p := range args {
+		f, err := os.Open(p)
+		if err != nil {
+			fmt.Fprintf(stderr, "benchgate: %v\n", err)
+			return 2
 		}
-		fmt.Printf("benchgate: wrote %d benchmark(s) to %s\n", len(measured), *basePath)
-		return
+		sides[i], err = parseBench(f)
+		f.Close()
+		if err == nil && len(sides[i].names) == 0 {
+			err = fmt.Errorf("no benchmark results")
+		}
+		if err != nil {
+			fmt.Fprintf(stderr, "benchgate: %s: %v\n", p, err)
+			return 2
+		}
 	}
-
-	raw, err := os.ReadFile(*basePath)
+	failed, err := gate(stdout, sides[0], sides[1])
 	if err != nil {
-		fatalf("benchgate: reading baseline: %v (run with -update to create it)", err)
+		fmt.Fprintf(stderr, "benchgate: %v\n", err)
+		return 2
 	}
-	var base baseline
-	if err := json.Unmarshal(raw, &base); err != nil {
-		fatalf("benchgate: parsing baseline %s: %v", *basePath, err)
+	if failed {
+		return 1
 	}
+	return 0
+}
 
-	failed := false
-	for _, name := range sortedKeys(base.Benchmarks) {
-		want := base.Benchmarks[name]
-		got, ok := measured[name]
-		if !ok {
-			fmt.Printf("FAIL %s: baselined but not measured (bench filter too narrow?)\n", name)
+// gate prints one row per benchmark and reports whether any row failed. A
+// benchmark with a different number of reps on the two sides is an error:
+// its pairs cannot be formed.
+func gate(w io.Writer, base, now benchOut) (failed bool, err error) {
+	fmt.Fprintf(w, "%-34s %11s %11s %6s %5s %6s %11s  %s\n", "benchmark", "base ns/op", "now ns/op",
+		"ratio", "lost", "IQR%", "allocs/op", "verdict")
+	for _, name := range base.names {
+		b, n := base.reps[name], now.reps[name]
+		if len(n) == 0 {
+			fmt.Fprintf(w, "%-34s measured at BASE, not in the tree  FAIL\n", name)
 			failed = true
 			continue
 		}
-		ratio := got.NsPerOp / want.NsPerOp
+		if len(b) != len(n) {
+			return failed, fmt.Errorf("%s: %d reps at BASE, %d in the tree, want one per pair", name, len(b), len(n))
+		}
+		lost := 0
+		for i := range b {
+			if n[i].ns > b[i].ns {
+				lost++
+			}
+		}
+		mb, mn, iqr := median(b), median(n), quantile(b, 0.75)-quantile(b, 0.25)
+		verdict := "ok"
 		switch {
-		case got.AllocsPerOp > want.AllocsPerOp:
-			fmt.Printf("FAIL %s: %d allocs/op, baseline %d\n", name, got.AllocsPerOp, want.AllocsPerOp)
-			failed = true
-		case ratio > 1+*slack:
-			fmt.Printf("FAIL %s: %.0f ns/op is %.1f%% over baseline %.0f ns/op (allowed %.0f%%)\n",
-				name, got.NsPerOp, (ratio-1)*100, want.NsPerOp, *slack*100)
-			failed = true
-		default:
-			fmt.Printf("ok   %s: %.0f ns/op vs baseline %.0f ns/op (%+.1f%%), %d allocs/op\n",
-				name, got.NsPerOp, want.NsPerOp, (ratio-1)*100, got.AllocsPerOp)
+		case minAllocs(n) > minAllocs(b):
+			verdict = "FAIL: allocs/op rose"
+		case 10*lost >= 9*len(b) && mn-mb > iqr:
+			verdict = "FAIL: slower in 9/10 of the pairs by more than the base IQR"
+		}
+		failed = failed || verdict != "ok"
+		fmt.Fprintf(w, "%-34s %11.0f %11.0f %6.3f %2d/%-2d %5.1f%% %5d %5d  %s\n",
+			name, mb, mn, mn/mb, lost, len(b), 100*iqr/mb, minAllocs(b), minAllocs(n), verdict)
+	}
+	for _, name := range now.names {
+		if _, ok := base.reps[name]; !ok {
+			fmt.Fprintf(w, "%-34s %11s %11.0f  new in the tree, not gated\n", name, "-", median(now.reps[name]))
 		}
 	}
-	if failed {
-		os.Exit(1)
-	}
+	return failed, nil
 }
 
-// parseBench extracts per-benchmark minima from `go test -bench` output.
-// Lines look like
+// parseBench reads `go test -bench -benchmem` output. Lines look like
 //
 //	BenchmarkPipelineLookup-8   1602   762139 ns/op   10748724 lookups/s   6 B/op   0 allocs/op
 //
-// The -N GOMAXPROCS suffix is stripped so baselines are stable across
-// machines; with -count>1 the minimum ns/op (and its allocs/op) per name
-// wins.
-func parseBench(r io.Reader) (map[string]entry, error) {
-	out := map[string]entry{}
+// The -N GOMAXPROCS suffix is stripped, and every rep is kept in order.
+func parseBench(r io.Reader) (benchOut, error) {
+	out := benchOut{reps: map[string][]rep{}}
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
-		fields := splitFields(sc.Text())
-		if len(fields) < 4 || !hasBenchPrefix(fields[0]) {
+		fields := strings.Fields(sc.Text())
+		if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
 			continue
 		}
-		name := stripProcs(fields[0])
-		e := entry{NsPerOp: -1, AllocsPerOp: -1}
+		e := rep{ns: -1}
 		for i := 2; i+1 < len(fields); i += 2 {
 			var v float64
 			if _, err := fmt.Sscanf(fields[i], "%g", &v); err != nil {
@@ -121,41 +140,21 @@ func parseBench(r io.Reader) (map[string]entry, error) {
 			}
 			switch fields[i+1] {
 			case "ns/op":
-				e.NsPerOp = v
+				e.ns = v
 			case "allocs/op":
-				e.AllocsPerOp = int64(v)
+				e.allocs = int64(v)
 			}
 		}
-		if e.NsPerOp < 0 {
+		if e.ns < 0 {
 			continue
 		}
-		if prev, ok := out[name]; !ok || e.NsPerOp < prev.NsPerOp {
-			out[name] = e
+		name := stripProcs(fields[0])
+		if _, ok := out.reps[name]; !ok {
+			out.names = append(out.names, name)
 		}
+		out.reps[name] = append(out.reps[name], e)
 	}
 	return out, sc.Err()
-}
-
-// splitFields is strings.Fields without pulling the whole line into one
-// allocation-heavy path; kept trivial for testability.
-func splitFields(s string) []string {
-	var f []string
-	start := -1
-	for i := 0; i <= len(s); i++ {
-		if i == len(s) || s[i] == ' ' || s[i] == '\t' {
-			if start >= 0 {
-				f = append(f, s[start:i])
-				start = -1
-			}
-		} else if start < 0 {
-			start = i
-		}
-	}
-	return f
-}
-
-func hasBenchPrefix(s string) bool {
-	return len(s) > len("Benchmark") && s[:len("Benchmark")] == "Benchmark"
 }
 
 // stripProcs removes the trailing -N GOMAXPROCS suffix go test appends.
@@ -173,28 +172,28 @@ func stripProcs(name string) string {
 	return name
 }
 
-func writeBaseline(path string, measured map[string]entry) error {
-	b := baseline{
-		Note:       "regenerate with: make bench-baseline",
-		Benchmarks: measured,
+// quantile is the p-quantile of the reps' ns/op, interpolated between the
+// two nearest order statistics (the rule `make pair-diff` prints by).
+func quantile(reps []rep, p float64) float64 {
+	v := make([]float64, len(reps))
+	for i, r := range reps {
+		v[i] = r.ns
 	}
-	raw, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return err
+	sort.Float64s(v)
+	h := p * float64(len(v)-1)
+	k := int(h)
+	if k+1 >= len(v) {
+		return v[k]
 	}
-	return os.WriteFile(path, append(raw, '\n'), 0o644)
+	return v[k] + (h-float64(k))*(v[k+1]-v[k])
 }
 
-func sortedKeys(m map[string]entry) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
+func median(reps []rep) float64 { return quantile(reps, 0.5) }
 
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, format+"\n", args...)
-	os.Exit(1)
+func minAllocs(reps []rep) int64 {
+	m := reps[0].allocs
+	for _, r := range reps[1:] {
+		m = min(m, r.allocs)
+	}
+	return m
 }

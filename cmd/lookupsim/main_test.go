@@ -103,6 +103,14 @@ func TestRunFailures(t *testing.T) {
 			"invalid value 50 for flag -packets: want no -packets beside -scenario (closed loop only)"},
 		{"run left incomplete", []string{"-scheme", "VS", "-k", "1", "-prefixes", "200",
 			"-scenario", "load=const:0.5,kill=0@2000,chaos=stall:8,cycles=8192,seed=3"}, 1, "outstanding"},
+		// A window that rounds past int64 fails before its first slice.
+		{"window past int64", []string{"-scheme", "VS", "-k", "2", "-prefixes", "10",
+			"-scenario", "cycles=9223372036854775807"}, 1, "overflow int64"},
+		{"slice past int64", []string{"-scheme", "VS", "-k", "2", "-prefixes", "10",
+			"-scenario", "cycles=2048,slice=9223372036854775807"}, 1, "overflow int64"},
+		// A fleet larger than any run could use is refused, never allocated.
+		{"fleet past its networks", []string{"-scheme", "VS", "-k", "2", "-prefixes", "10",
+			"-scenario", "fleet=1:spare=100000000,cycles=2048"}, 1, "fleet of 1 devices + 100000000 spares"},
 	}
 	for _, args := range [][]string{{"-packets", "-1"}, {"-frames", "-packets", "-1"}} {
 		cases = append(cases, failure{"negative count " + strings.Join(args, " "), args, 2,

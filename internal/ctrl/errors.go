@@ -17,10 +17,6 @@ var (
 	// ErrReloadTimeout marks a supervised reload or commit that blew its
 	// watchdog deadline (a reload stall, or a crashed updater).
 	ErrReloadTimeout = errors.New("reload deadline expired")
-	// ErrTornCommit marks a journaled multi-stage operation that stopped
-	// between intent and commit: some stages carry the new image, some the
-	// old, and recovery must replay or roll back before the image serves.
-	ErrTornCommit = errors.New("torn multi-stage commit")
 	// ErrOpInFlight marks a journal Begin while another journaled operation
 	// is still open — the single-writer mirror of ErrReloadInFlight.
 	ErrOpInFlight = errors.New("journaled operation already in flight")

@@ -263,8 +263,8 @@ type Recovery struct {
 // bank flip is all-or-nothing; the shadow writes are discarded and the old
 // image keeps serving). A rollback closes the operation with an abort
 // record here; a replay leaves it open for the caller to finish and Commit.
-// It fails when the journal is consistent (nothing to recover), wrapping
-// ErrTornCommit in the returned plan's event trail instead of the error.
+// It fails when the journal is consistent (nothing to recover). Each
+// recovery logs one journal_recover event naming the op and the action.
 func (j *Journal) Recover(cycle int64) (Recovery, error) {
 	t := j.open
 	if t == nil {

@@ -816,6 +816,19 @@ func (s *System) newScenRun(gen *traffic.Generator, spec scenario.Spec) (*scenRu
 	if spec.Kill != nil && spec.Kill.Engine >= len(s.router.Images()) {
 		return nil, nil, fmt.Errorf("netsim: kill engine %d with %d engines", spec.Kill.Engine, len(s.router.Images()))
 	}
+	if f := spec.Fleet; f != nil {
+		// At most K devices host a network at once, and a network leaves a
+		// device only when it crashes, so no more than K + devcrashes devices
+		// can ever host one.
+		crashes := 0
+		if spec.Chaos != nil {
+			crashes = spec.Chaos.DeviceCrashes
+		}
+		if f.Devices > s.k+crashes || f.Spares > s.k+crashes-f.Devices {
+			return nil, nil, fmt.Errorf("netsim: fleet of %d devices + %d spares over %d networks and %d device crashes, want at most networks + crashes devices",
+				f.Devices, f.Spares, s.k, crashes)
+		}
+	}
 
 	rep := &ScenarioReport{
 		Spec:                   spec.Raw,

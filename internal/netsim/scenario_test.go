@@ -190,6 +190,11 @@ func TestScenarioInvalidOnSystem(t *testing.T) {
 	}{
 		{"churn=4x32:vn=5", "churn target network 5 outside [0,2)"},
 		{"kill=7@100", "kill engine 7 with 2 engines"},
+		// More devices than could ever host a network is refused before the
+		// placer sizes a device list by it.
+		{"fleet=1:spare=100000000,cycles=2048", "fleet of 1 devices + 100000000 spares over 2 networks and 0 device crashes"},
+		{"fleet=100000000,cycles=2048", "fleet of 100000000 devices + 0 spares over 2 networks and 0 device crashes"},
+		{"fleet=2:spare=2,chaos=devcrash:1,cycles=2048", "fleet of 2 devices + 2 spares over 2 networks and 1 device crashes"},
 	}
 	for _, c := range cases {
 		spec := mustParse(t, c.spec)

@@ -11,7 +11,7 @@
 //
 // # Report format
 //
-// Report and ReportSince render one metric per line, in strict ascending
+// ReportSince renders one metric per line, in strict ascending
 // name order across all three metric kinds, so the -stats output is
 // directly diffable between runs:
 //
@@ -224,26 +224,6 @@ func NewValueHistogram(name, unit string) *Histogram {
 	return h
 }
 
-// Reset zeroes every registered metric (registrations survive). Tests use
-// it to isolate runs; cmd tools never need it because a process is one run.
-func Reset() {
-	registry.mu.Lock()
-	defer registry.mu.Unlock()
-	for _, c := range registry.counters {
-		c.v.Store(0)
-	}
-	for _, g := range registry.gauges {
-		g.bits.Store(0)
-	}
-	for _, h := range registry.histograms {
-		h.count.Store(0)
-		h.sum.Store(0)
-		for i := range h.buckets {
-			h.buckets[i].Store(0)
-		}
-	}
-}
-
 // histState is a histogram's frozen contents inside a Snapshot.
 type histState struct {
 	count   int64
@@ -301,17 +281,14 @@ func (s Snapshot) CounterDelta(name string) int64 {
 	return NewCounter(name).Value() - s.counters[name]
 }
 
-// Report renders every metric that recorded activity, in strict ascending
-// name order across counters, gauges and histograms — the text behind the
-// cmd tools' -stats flag (format documented in the package comment).
-// Metrics still at zero are omitted so a small run prints a small report.
-func Report() string { return ReportSince(Snapshot{}) }
-
-// ReportSince renders every metric's growth since the snapshot in Report's
-// format. Counters and histograms report deltas; gauges are last-value
+// ReportSince renders every metric's growth since the snapshot, in strict
+// ascending name order across counters, gauges and histograms — the text
+// behind the cmd tools' -stats flag (format documented in the package
+// comment). Counters and histograms report deltas; gauges are last-value
 // metrics, so a gauge reports its current value whenever that differs from
-// the snapshotted one. Metrics unchanged since the snapshot are omitted. A
-// zero Snapshot reports since process start.
+// the snapshotted one. Metrics unchanged since the snapshot are omitted, so a
+// small run prints a small report. A zero Snapshot reports since process
+// start.
 func ReportSince(since Snapshot) string {
 	registry.mu.Lock()
 	counters := make([]*Counter, 0, len(registry.counters))

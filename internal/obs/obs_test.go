@@ -8,7 +8,7 @@ import (
 )
 
 func TestCounterBasics(t *testing.T) {
-	Reset()
+	reset()
 	c := NewCounter("test.counter.basics")
 	if c.Value() != 0 {
 		t.Fatalf("fresh counter = %d, want 0", c.Value())
@@ -25,7 +25,7 @@ func TestCounterBasics(t *testing.T) {
 }
 
 func TestCounterConcurrent(t *testing.T) {
-	Reset()
+	reset()
 	c := NewCounter("test.counter.concurrent")
 	const workers, each = 8, 10000
 	var wg sync.WaitGroup
@@ -45,7 +45,7 @@ func TestCounterConcurrent(t *testing.T) {
 }
 
 func TestHistogramBasics(t *testing.T) {
-	Reset()
+	reset()
 	h := NewHistogram("test.hist.basics")
 	for _, d := range []time.Duration{time.Microsecond, 3 * time.Microsecond, 5 * time.Microsecond} {
 		h.Observe(d)
@@ -67,7 +67,7 @@ func TestHistogramBasics(t *testing.T) {
 }
 
 func TestHistogramEdgeCases(t *testing.T) {
-	Reset()
+	reset()
 	h := NewHistogram("test.hist.edges")
 	if h.Mean() != 0 || h.Quantile(0.5) != 0 {
 		t.Fatal("empty histogram should report zeros")
@@ -86,7 +86,7 @@ func TestHistogramEdgeCases(t *testing.T) {
 // every bucket must read the same, for values in any bucket and for the
 // clamped negative and the n <= 0 no-op.
 func TestObserveValueNMatchesRepeatedObserve(t *testing.T) {
-	Reset()
+	reset()
 	one, bulk := NewValueHistogram("test.hist.one", "pJ"), NewValueHistogram("test.hist.bulk", "pJ")
 	for _, c := range []struct{ v, n int64 }{{0, 3}, {1, 1}, {7, 5}, {1024, 2}, {-9, 4}, {1 << 40, 6}, {5, 0}, {5, -2}} {
 		for i := int64(0); i < c.n; i++ {
@@ -117,7 +117,7 @@ func TestBucketFor(t *testing.T) {
 }
 
 func TestHotPathAllocationFree(t *testing.T) {
-	Reset()
+	reset()
 	c := NewCounter("test.allocs.counter")
 	if n := testing.AllocsPerRun(1000, func() { c.Inc(); c.Add(3) }); n != 0 {
 		t.Fatalf("Counter hot path allocates %.1f per op, want 0", n)
@@ -129,20 +129,20 @@ func TestHotPathAllocationFree(t *testing.T) {
 }
 
 func TestResetAndReport(t *testing.T) {
-	Reset()
+	reset()
 	c := NewCounter("test.report.counter")
 	h := NewHistogram("test.report.hist")
 	c.Add(7)
 	h.Observe(time.Millisecond)
-	rep := Report()
+	rep := ReportSince(Snapshot{})
 	if !strings.Contains(rep, "test.report.counter") || !strings.Contains(rep, "test.report.hist") {
 		t.Fatalf("report missing active metrics:\n%s", rep)
 	}
-	Reset()
+	reset()
 	if c.Value() != 0 || h.Count() != 0 {
 		t.Fatal("Reset did not zero metrics")
 	}
-	if rep := Report(); !strings.Contains(rep, "no activity recorded") {
+	if rep := ReportSince(Snapshot{}); !strings.Contains(rep, "no activity recorded") {
 		t.Fatalf("report after Reset should be empty, got:\n%s", rep)
 	}
 }
@@ -184,7 +184,7 @@ func TestRegistrationIsIdempotent(t *testing.T) {
 }
 
 func TestSnapshotScopesAReport(t *testing.T) {
-	Reset()
+	reset()
 	c := NewCounter("test.snap.counter")
 	h := NewHistogram("test.snap.hist")
 	c.Add(10)
@@ -212,7 +212,27 @@ func TestSnapshotScopesAReport(t *testing.T) {
 		t.Fatalf("delta report histogram wrong:\n%s", rep)
 	}
 	// The unscoped report still shows the full totals.
-	if full := Report(); !strings.Contains(full, "          15") {
+	if full := ReportSince(Snapshot{}); !strings.Contains(full, "          15") {
 		t.Fatalf("full report lost totals:\n%s", full)
+	}
+}
+
+// reset zeroes every registered metric (registrations survive), isolating a
+// test's run; a process outside tests is one run and never needs it.
+func reset() {
+	registry.mu.Lock()
+	defer registry.mu.Unlock()
+	for _, c := range registry.counters {
+		c.v.Store(0)
+	}
+	for _, g := range registry.gauges {
+		g.bits.Store(0)
+	}
+	for _, h := range registry.histograms {
+		h.count.Store(0)
+		h.sum.Store(0)
+		for i := range h.buckets {
+			h.buckets[i].Store(0)
+		}
 	}
 }

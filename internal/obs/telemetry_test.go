@@ -15,7 +15,7 @@ import (
 )
 
 func TestGaugeBasics(t *testing.T) {
-	Reset()
+	reset()
 	g := NewGauge("test.gauge.basics")
 	if g.Value() != 0 {
 		t.Fatalf("fresh gauge = %g, want 0", g.Value())
@@ -45,7 +45,7 @@ func TestGaugeBasics(t *testing.T) {
 }
 
 func TestGaugeConcurrentAdd(t *testing.T) {
-	Reset()
+	reset()
 	g := NewGauge("test.gauge.concurrent")
 	const workers, each = 8, 10000
 	var wg sync.WaitGroup
@@ -67,7 +67,7 @@ func TestGaugeConcurrentAdd(t *testing.T) {
 // TestReportGolden pins the documented report format: one metric per line,
 // ascending name order across kinds, names %-36s left, values %12s right.
 func TestReportGolden(t *testing.T) {
-	Reset()
+	reset()
 	snap := TakeSnapshot()
 	// Registration order deliberately scrambles the name order.
 	g := NewGauge("test.golden.b_gauge")
@@ -87,7 +87,7 @@ func TestReportGolden(t *testing.T) {
 }
 
 func TestReportSortsAcrossKinds(t *testing.T) {
-	Reset()
+	reset()
 	snap := TakeSnapshot()
 	NewCounter("test.sorted.zz").Inc()
 	NewGauge("test.sorted.mm").Set(1)
@@ -102,7 +102,7 @@ func TestReportSortsAcrossKinds(t *testing.T) {
 }
 
 func TestGaugeDeltaSemantics(t *testing.T) {
-	Reset()
+	reset()
 	g := NewGauge("test.gaugedelta")
 	g.Set(5)
 	snap := TakeSnapshot()
@@ -339,7 +339,7 @@ func TestParseLevelRoundTrip(t *testing.T) {
 }
 
 func TestWriteMetricsPrometheus(t *testing.T) {
-	Reset()
+	reset()
 	NewCounter("test.prom.counter").Add(3)
 	NewGauge("test.prom.gauge").Set(1.5)
 	var b strings.Builder
@@ -388,7 +388,7 @@ func TestTelemetryMuxEndpoints(t *testing.T) {
 // against writer goroutines; correctness here is "no race, no panic, and
 // monotonic counter reads".
 func TestSnapshotUnderConcurrentWriters(t *testing.T) {
-	Reset()
+	reset()
 	c := NewCounter("test.racepass.counter")
 	g := NewGauge("test.racepass.gauge")
 	h := NewHistogram("test.racepass.hist")
@@ -429,7 +429,7 @@ func TestSnapshotUnderConcurrentWriters(t *testing.T) {
 // TestTelemetryHotPathsAllocationFree guards the disabled-tracing and
 // recording fast paths: none of them may allocate.
 func TestTelemetryHotPathsAllocationFree(t *testing.T) {
-	Reset()
+	reset()
 	g := NewGauge("test.allocs.gauge")
 	if n := testing.AllocsPerRun(1000, func() { g.Set(1); g.Add(0.5); g.SetInt(3) }); n != 0 {
 		t.Fatalf("Gauge hot path allocates %.1f per op, want 0", n)
@@ -448,7 +448,7 @@ func TestTelemetryHotPathsAllocationFree(t *testing.T) {
 }
 
 func TestGaugeNaNRoundTrip(t *testing.T) {
-	Reset()
+	reset()
 	g := NewGauge("test.gauge.nan")
 	g.Set(math.Inf(1))
 	if !math.IsInf(g.Value(), 1) {

@@ -15,6 +15,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 
 	"vrpower/internal/energy"
 	"vrpower/internal/fpga"
@@ -214,7 +215,16 @@ func (e *Engine) Run() error {
 		e.Tel = NoTelemetry
 	}
 	S := e.SliceCycles
-	slices := (e.Cycles + S - 1) / S
+	slices := e.Cycles / S
+	if e.Cycles%S != 0 {
+		slices++
+	}
+	// Every cycle the run can reach, the rounded window and the drain bound
+	// after it, must fit in an int64.
+	if drain := int64(max(e.MaxDrainSlices, 0)); slices > math.MaxInt64/S-drain {
+		return fmt.Errorf("scenario: %d cycles in %d-cycle slices plus %d drain slices overflow int64",
+			e.Cycles, S, e.MaxDrainSlices)
+	}
 	e.TrafficCycles = slices * S
 	e.Tel.InitSeries(e.K)
 

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -122,6 +123,10 @@ func TestEngineValidation(t *testing.T) {
 		{Engine{Cycles: 0, SliceCycles: 10, Kernel: k}, "want > 0"},
 		{Engine{Cycles: 10, SliceCycles: 0, Kernel: k}, "want >= 1"},
 		{Engine{Cycles: 10, SliceCycles: 10}, "no kernel"},
+		// The window rounded up to whole slices, or its drain bound, past int64.
+		{Engine{Cycles: math.MaxInt64, SliceCycles: 1024, Kernel: k}, "overflow int64"},
+		{Engine{Cycles: 2048, SliceCycles: math.MaxInt64, MaxDrainSlices: 1, Kernel: k}, "overflow int64"},
+		{Engine{Cycles: math.MaxInt64 - 10, SliceCycles: 10, MaxDrainSlices: 2, Kernel: k}, "overflow int64"},
 	}
 	for _, c := range cases {
 		err := c.e.Run()

@@ -135,23 +135,6 @@ func (g *Generator) Requests(n int) []pipeline.Request {
 	return out
 }
 
-// Share returns the measured fraction of packets per VN, for checking a
-// stream against the intended µ_i.
-func Share(pkts []Packet, k int) []float64 {
-	counts := make([]float64, k)
-	for _, p := range pkts {
-		if p.VN >= 0 && p.VN < k {
-			counts[p.VN]++
-		}
-	}
-	if len(pkts) > 0 {
-		for i := range counts {
-			counts[i] /= float64(len(pkts))
-		}
-	}
-	return counts
-}
-
 // Frames generates n wire-format frames (Ethernet + VLAN VNID + IPv4) for
 // the frame-level forwarding path. TTLs vary over [2, 64]; the VLAN VID
 // carries the packet's virtual network.

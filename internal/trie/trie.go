@@ -92,9 +92,6 @@ type Trie struct {
 	nodes      Arena[Node]
 }
 
-// New returns an empty trie containing only the root node.
-func New() *Trie { return Build(nil) }
-
 // Build constructs a trie from all routes of t.
 func Build(t []ip.Route) *Trie {
 	tr := &Trie{}

@@ -18,7 +18,7 @@ func mustPfx(t *testing.T, s string) ip.Prefix {
 }
 
 func TestInsertLookupBasic(t *testing.T) {
-	tr := New()
+	tr := Build(nil)
 	tr.Insert(mustPfx(t, "10.0.0.0/8"), 1)
 	tr.Insert(mustPfx(t, "10.1.0.0/16"), 2)
 	tr.Insert(mustPfx(t, "0.0.0.0/0"), 9)
@@ -41,7 +41,7 @@ func TestInsertLookupBasic(t *testing.T) {
 }
 
 func TestInsertReplace(t *testing.T) {
-	tr := New()
+	tr := Build(nil)
 	p := mustPfx(t, "10.0.0.0/8")
 	tr.Insert(p, 1)
 	tr.Insert(p, 5)
@@ -55,7 +55,7 @@ func TestInsertReplace(t *testing.T) {
 }
 
 func TestDeletePrunes(t *testing.T) {
-	tr := New()
+	tr := Build(nil)
 	tr.Insert(mustPfx(t, "10.1.2.0/24"), 1)
 	before := tr.Stats().Nodes
 	if before != 25 { // root + 24 path nodes
@@ -73,7 +73,7 @@ func TestDeletePrunes(t *testing.T) {
 }
 
 func TestDeleteKeepsSharedPath(t *testing.T) {
-	tr := New()
+	tr := Build(nil)
 	tr.Insert(mustPfx(t, "10.1.0.0/16"), 1)
 	tr.Insert(mustPfx(t, "10.1.2.0/24"), 2)
 	tr.Delete(mustPfx(t, "10.1.2.0/24"))
@@ -88,7 +88,7 @@ func TestDeleteKeepsSharedPath(t *testing.T) {
 }
 
 func TestDeleteNonexistentPath(t *testing.T) {
-	tr := New()
+	tr := Build(nil)
 	tr.Insert(mustPfx(t, "10.0.0.0/8"), 1)
 	if tr.Delete(mustPfx(t, "10.1.0.0/16")) {
 		t.Error("Delete along missing path returned true")
@@ -169,7 +169,7 @@ func TestInsertOnLeafPushedPanics(t *testing.T) {
 }
 
 func TestStatsPerLevel(t *testing.T) {
-	tr := New()
+	tr := Build(nil)
 	tr.Insert(mustPfx(t, "128.0.0.0/1"), 1)
 	tr.Insert(mustPfx(t, "0.0.0.0/1"), 2)
 	s := tr.Stats()
@@ -357,7 +357,7 @@ func TestBalancedBeatsLinearOnSkew(t *testing.T) {
 // checking the trie against the exhaustive-scan oracle after every step.
 func TestRandomOpSequenceVsOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(321))
-	tr := New()
+	tr := Build(nil)
 	var oracle ip.Table
 	live := make([]ip.Prefix, 0, 256)
 	for step := 0; step < 4000; step++ {

@@ -13,6 +13,8 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -280,5 +282,163 @@ func TestFacadeNamesHaveCallers(t *testing.T) {
 	}
 	if len(names) == 0 {
 		t.Error("no names parsed from vrpower.go")
+	}
+}
+
+// exportedWithoutCallers are the names TestExportedNamesHaveCallers lets
+// through: exported from internal/, with no non-test use in the module, and
+// kept on purpose.
+var exportedWithoutCallers = map[string]string{
+	"rib.Read":            "the parser of the text format rib.Write emits; ribgen's tests read its output back with it",
+	"hdl.DecodeEntry":     "EncodeEntry's inverse, for loading emitted .mem files back; the round-trip tests use it",
+	"pipeline.NewImage":   "builds an image from hand-made entries, the fixture constructor of the engine tests",
+	"ip.AddrFrom4":        "the dotted-quad constructor of Addr, which the ip tests write addresses with",
+	"traffic.UniformAddr": "the zero AddrModel: a Config that names no model draws it, and tests draw it",
+	"pipeline.NewSim":     "the cycle-stepped oracle, reached from bench/ and the differential tests (ROADMAP item 7(c))",
+	"pipeline.Flatten":    "a from-scratch re-derivation, reached from bench/ and tests (ROADMAP item 7(c))",
+	"pipeline.Lookup":     "the scalar chain-walk oracle, reached from bench/ and tests (ROADMAP item 7(c))",
+	"update.Diff":         "the write-list oracle update.Cost is tested against, reached from bench/ (ROADMAP item 7(c))",
+}
+
+// Every top-level name an internal/ package exports has a non-test use
+// somewhere in the module (bench/ is its own module and does not count), or
+// an entry above with its reason. A name only tests reach is test code.
+func TestExportedNamesHaveCallers(t *testing.T) {
+	fset := token.NewFileSet()
+	files := map[string][]*ast.File{} // import path -> its non-test files
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if p == "." {
+				return nil
+			}
+			if _, err := os.Stat(filepath.Join(p, "go.mod")); err == nil || d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		path := "vrpower"
+		if dir := filepath.Dir(p); dir != "." {
+			path += "/" + filepath.ToSlash(dir)
+		}
+		files[path] = append(files[path], f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	declared := map[string]bool{} // "import/path.Name" of internal/ exports
+	used := map[string]bool{}
+	for path, pkgFiles := range files {
+		for _, f := range pkgFiles {
+			// Declarations are not uses: top-level names, receivers (a type
+			// only its own methods name has no caller) and field names.
+			decl := map[*ast.Ident]bool{}
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					decl[d.Name] = true
+					if d.Recv == nil && strings.HasPrefix(path, "vrpower/internal/") && d.Name.IsExported() {
+						declared[path+"."+d.Name.Name] = true
+					}
+					if d.Recv != nil {
+						ast.Inspect(d.Recv, func(n ast.Node) bool {
+							if id, ok := n.(*ast.Ident); ok {
+								decl[id] = true
+							}
+							return true
+						})
+					}
+				case *ast.GenDecl:
+					for _, s := range d.Specs {
+						var names []*ast.Ident
+						switch s := s.(type) {
+						case *ast.TypeSpec:
+							names = []*ast.Ident{s.Name}
+						case *ast.ValueSpec:
+							names = s.Names
+						}
+						for _, n := range names {
+							decl[n] = true
+							if strings.HasPrefix(path, "vrpower/internal/") && n.IsExported() {
+								declared[path+"."+n.Name] = true
+							}
+						}
+					}
+				}
+			}
+			imports := map[string]string{} // local name -> import path
+			for _, im := range f.Imports {
+				ipath, err := strconv.Unquote(im.Path.Value)
+				if err != nil {
+					t.Fatal(err)
+				}
+				name := ipath[strings.LastIndex(ipath, "/")+1:]
+				if im.Name != nil {
+					name = im.Name.Name
+				}
+				imports[name] = ipath
+			}
+			var visit func(n ast.Node) bool
+			visit = func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.Field:
+					for _, id := range n.Names {
+						decl[id] = true
+					}
+				case *ast.SelectorExpr:
+					// pkg.Name uses another package's name; in x.Name, only
+					// x can name one of this package's.
+					if x, ok := n.X.(*ast.Ident); ok {
+						if ipath, ok := imports[x.Name]; ok {
+							used[ipath+"."+n.Sel.Name] = true
+							return false
+						}
+					}
+					ast.Inspect(n.X, visit)
+					return false
+				case *ast.Ident:
+					if !decl[n] {
+						used[path+"."+n.Name] = true
+					}
+				}
+				return true
+			}
+			ast.Inspect(f, visit)
+		}
+	}
+
+	var missing []string
+	for name := range declared {
+		short := strings.TrimPrefix(name, "vrpower/internal/")
+		_, allowed := exportedWithoutCallers[short]
+		switch {
+		case used[name] && allowed:
+			t.Errorf("%s has a non-test caller now: drop its exportedWithoutCallers entry", short)
+		case !used[name] && !allowed:
+			missing = append(missing, short)
+		}
+	}
+	for short := range exportedWithoutCallers {
+		if !declared["vrpower/internal/"+short] {
+			t.Errorf("exportedWithoutCallers names %s, which no internal package exports", short)
+		}
+	}
+	sort.Strings(missing)
+	for _, name := range missing {
+		t.Errorf("%s is exported but has no non-test use in the module: delete it, unexport it or give it a reason in exportedWithoutCallers", name)
+	}
+	if len(declared) == 0 {
+		t.Error("no exported names parsed under internal/")
 	}
 }
