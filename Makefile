@@ -16,17 +16,19 @@ build:
 	$(GO) build -C bench ./...
 
 # Tier-1 tests plus a race-detector pass over every package a run drives
-# concurrently: the sweep pool and its consumers, the instrumentation layer,
-# the image-ownership tests (pristine images shared by readers while clones
-# are written — pipeline's slab/clone tests, ctrl's coherence property
-# test), the reference LPM, whose range index the first of concurrent
-# lookups publishes, and everything the slice runner composes — fault
-# injection, hitless updates, the governor and the power model under it, the
-# scenario engine, the energy meter, fleet placement and the traffic source.
+# concurrently: the sweep pool and its consumers, the set-up chain it fans
+# out (rib's K+1 table generations, core's K trie builds and compiles,
+# netsim's K oracles), the instrumentation layer, the image-ownership tests
+# (pristine images shared by readers while clones are written — pipeline's
+# slab/clone tests, ctrl's coherence property test), the reference LPM,
+# whose range index the first of concurrent lookups publishes, and
+# everything the slice runner composes — fault injection, hitless updates,
+# the governor and the power model under it, the scenario engine, the
+# energy meter, fleet placement and the traffic source.
 test: build
 	$(GO) test ./...
 	$(GO) test -race ./internal/experiments/... ./internal/sweep/... ./internal/obs/... ./internal/netsim/... ./internal/ctrl/... ./internal/pipeline/... ./internal/ip/... \
-		./internal/faults/... ./internal/update/... ./internal/governor/... ./internal/power/... ./internal/scenario/... ./internal/energy/... ./internal/fleet/... ./internal/traffic/...
+		./internal/core/... ./internal/rib/... ./internal/faults/... ./internal/update/... ./internal/governor/... ./internal/power/... ./internal/scenario/... ./internal/energy/... ./internal/fleet/... ./internal/traffic/...
 
 race:
 	$(GO) test -race ./...
@@ -343,15 +345,16 @@ alloc-diff:
 # Host-time pairs for a claimed gain: the bench built once at BASE (extracted
 # like digest-diff's) and once in the working tree, then for each seed one run
 # of workload W on each side back to back, alternating which side runs first.
-# Prints "seed base now ratio" for lookups_per_s and wall_s, then per side the
-# median and quartiles, the pairs the tree wins and whether the medians differ
-# by more than BASE's interquartile spread (ROADMAP "Gains are measured").
-# Host time is not a gate on a shared 2-vCPU box, so this gates nothing.
+# Prints "seed base now ratio" for lookups_per_s, wall_s and setup_s, then for
+# each per side the median and quartiles, the pairs the tree wins and whether
+# the medians differ by more than BASE's interquartile spread (ROADMAP "Gains
+# are measured"). Host time is not a gate on a shared 2-vCPU box, so this
+# gates nothing.
 W ?= fleet_failover
 SEEDS ?= 1 2 3 4 5 6 7 8 9 10
 SECONDS ?= 3
 PAIR_RUN = (cd "$$1" && .bench_build/bench --workload $(W) --seed $$2 --seconds $(SECONDS)) | \
-	awk '$$1 == "lookups_per_s" { l = $$2 } $$1 == "wall_s" { w = $$2 } END { print l, w }'
+	awk '$$1 == "lookups_per_s" { l = $$2 } $$1 == "wall_s" { w = $$2 } $$1 == "setup_s" { u = $$2 } END { print l, w, u }'
 pair-diff:
 	@$(BASE_TREE) && \
 	(cd "$$tmp" && bash bench/run.sh --help >/dev/null 2>&1; test -x .bench_build/bench) && \
@@ -373,10 +376,11 @@ pair-diff:
 			printf "  now   median %g  quartiles %g %g\n", mc, q(c, n, 0.25), q(c, n, 0.75); \
 			printf "  median ratio %.3f; the tree wins %d of %d pairs; medians differ by %s the base IQR\n", \
 				mc / mb, wins, n, (mc - mb > iqr || mb - mc > iqr) ? "more than" : "no more than" } \
-		{ seed[NR] = $$1; base[NR, 1] = $$2; base[NR, 2] = $$3; now[NR, 1] = $$4; now[NR, 2] = $$5; \
-			lines[NR] = sprintf("%-5s %12g %12g %7.3f   %10g %10g %7.3f", $$1, $$2, $$4, $$4 / $$2, $$3, $$5, $$5 / $$3) } \
+		{ seed[NR] = $$1; for (c = 1; c <= 3; c++) { base[NR, c] = $$(1 + c); now[NR, c] = $$(4 + c) } \
+			lines[NR] = sprintf("%-5s %12g %12g %7.3f   %10g %10g %7.3f   %10g %10g %7.3f", $$1, $$2, $$5, $$5 / $$2, \
+				$$3, $$6, $$6 / $$3, $$4, $$7, $$7 / $$4) } \
 		END { printf "workload $(W): alternated pairs, $(SECONDS) s a run\n"; \
-			printf "%-5s %12s %12s %7s   %10s %10s %7s\n", "seed", "base", "now", "ratio", "base", "now", "ratio"; \
-			printf "%-5s %34s   %29s\n", "", "lookups_per_s", "wall_s"; \
+			printf "%-5s %12s %12s %7s   %10s %10s %7s   %10s %10s %7s\n", "seed", "base", "now", "ratio", "base", "now", "ratio", "base", "now", "ratio"; \
+			printf "%-5s %34s   %29s   %29s\n", "", "lookups_per_s", "wall_s", "setup_s"; \
 			for (i = 1; i <= NR; i++) print lines[i]; \
-			stats("lookups_per_s", 1, "higher"); stats("wall_s", 2, "lower") }'
+			stats("lookups_per_s", 1, "higher"); stats("wall_s", 2, "lower"); stats("setup_s", 3, "lower") }'

@@ -142,7 +142,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	})
 	fs.StringVar(&o.httpAddr, "http", "", "serve /metrics, /timeseries.csv, /traces.jsonl, /events.jsonl and /debug/pprof/ on this address (e.g. :9090)")
 	fs.BoolVar(&o.httpHold, "http-hold", false, "keep the -http endpoints up after the run finishes (Ctrl-C to exit)")
-	fs.IntVar(&o.jobs, "j", 0, "engine worker-pool size (0 = GOMAXPROCS); results are identical at any value")
+	fs.IntVar(&o.jobs, "j", 0, "worker-pool size for set-up and the engines (0 = GOMAXPROCS); results are identical at any value")
 	fs.BoolVar(&o.stats, "stats", false, "print run instrumentation to stderr on exit")
 	fs.Int64Var(&o.seed, "seed", 1, "seed for tables and traffic")
 	if err := fs.Parse(args); err != nil {

@@ -8,6 +8,7 @@ import (
 	"vrpower/internal/pipeline"
 	"vrpower/internal/power"
 	"vrpower/internal/rib"
+	"vrpower/internal/sweep"
 	"vrpower/internal/trie"
 )
 
@@ -24,27 +25,27 @@ func Build(cfg Config, tables []*rib.Table) (*Router, error) {
 	if len(tables) != cfg.K {
 		return nil, fmt.Errorf("core: %d tables for K = %d", len(tables), cfg.K)
 	}
-	engines := make([]engine, cfg.engines())
-	for i := range engines {
-		var err error
+	// Each engine depends only on its own table (VM's one merged engine on
+	// all of them), so the tries are built, and after pricing compiled, side
+	// by side on the sweep pool.
+	engines, err := sweep.Run(cfg.engines(), func(i int) (engine, error) {
 		if cfg.Scheme == VM {
-			engines[i], err = mergedEngine(cfg, tables)
-		} else {
-			engines[i], err = tableEngine(cfg, tables[i])
+			return mergedEngine(cfg, tables)
 		}
-		if err != nil {
-			return nil, err
-		}
+		return tableEngine(cfg, tables[i])
+	})
+	if err != nil {
+		return nil, err
 	}
 	r, err := price(cfg, engines)
 	if err != nil {
 		return nil, err
 	}
-	r.images = make([]*pipeline.Image, len(engines))
-	for i, e := range engines {
-		if r.images[i], err = e.compile(); err != nil {
-			return nil, err
-		}
+	r.images, err = sweep.Run(len(engines), func(i int) (*pipeline.Image, error) {
+		return engines[i].compile()
+	})
+	if err != nil {
+		return nil, err
 	}
 	return r, nil
 }

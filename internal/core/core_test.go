@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -12,6 +13,7 @@ import (
 	"vrpower/internal/pipeline"
 	"vrpower/internal/power"
 	"vrpower/internal/rib"
+	"vrpower/internal/sweep"
 )
 
 var (
@@ -598,5 +600,39 @@ func TestLatencyNS(t *testing.T) {
 	// lookup pipelines report.
 	if r.LatencyNS() < 50 || r.LatencyNS() > 200 {
 		t.Errorf("latency %g ns implausible", r.LatencyNS())
+	}
+}
+
+// TestBuildIndependentOfWorkers: Build builds its tries and compiles its
+// images side by side on the sweep pool, so the router — every image's words,
+// derived words, Levels and jump table, and the priced design — must be the
+// same at one worker and at four, for every scheme.
+func TestBuildIndependentOfWorkers(t *testing.T) {
+	defer sweep.SetWorkers(0)
+	set, err := rib.GenerateVirtualSet(6, 500, 0.5, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sc := range Schemes() {
+		var want *Router
+		for _, workers := range []int{1, 4} {
+			sweep.SetWorkers(workers)
+			r, err := Build(Config{Scheme: sc, K: 6, ClockGating: true}, set.Tables)
+			if err != nil {
+				t.Fatalf("%s: %v", sc, err)
+			}
+			if want != nil {
+				if !reflect.DeepEqual(r, want) {
+					t.Errorf("%s: %d workers build another router than one worker", sc, workers)
+				}
+				continue
+			}
+			for i, img := range r.Images() {
+				if reflect.ValueOf(img).Elem().FieldByName("jump").Len() == 0 {
+					t.Fatalf("%s: image %d has no jump table to compare", sc, i)
+				}
+			}
+			want = r
+		}
 	}
 }

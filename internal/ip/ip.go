@@ -171,10 +171,10 @@ type Route struct {
 // trie, merge and pipeline lookup in the repository is checked against. The
 // routes are held by prefix length: for each length 0..32 a sorted array of
 // network addresses and a parallel array of their next hops, which is what
-// Add and Remove edit. Lookup reads a form derived from them on first use:
-// the address space cut into disjoint ranges, each with the next hop of its
-// longest match, so a lookup is one binary search whatever the number of
-// populated lengths.
+// Add and Remove edit. Lookup reads a form derived from them by BuildIndex or
+// on first use: the address space cut into disjoint ranges, each with the
+// next hop of its longest match, so a lookup is one binary search whatever
+// the number of populated lengths.
 //
 // Independence rule: the oracle shares no code with the structures it checks
 // (package ip imports nothing from this module; there is no trie here), and
@@ -255,14 +255,14 @@ func (t *Table) Len() int {
 }
 
 // Lookup performs longest-prefix match: one binary search for the range
-// holding addr, over an index built on the first call after an edit. Of two
-// first callers racing, the loser keeps its own (equal) index and later
-// callers share the winner's.
+// holding addr, over the range index BuildIndex built (or else the first call
+// after an edit builds). Of several first callers racing, each may build an
+// (equal) index, and all read the one published first.
 func (t *Table) Lookup(addr Addr) NextHop {
 	x := t.index.Load()
 	if x == nil {
-		x = t.buildRanges()
-		t.index.CompareAndSwap(nil, x)
+		t.BuildIndex()
+		x = t.index.Load()
 	}
 	// starts[lo] <= addr throughout, and addr < starts[lo+n] where that exists.
 	// The step "if starts[lo+half] <= addr { lo += half }" is taken by
@@ -278,6 +278,15 @@ func (t *Table) Lookup(addr Addr) NextHop {
 		n -= half
 	}
 	return x.hops[lo]
+}
+
+// BuildIndex builds the range index Lookup reads, unless it is built: a
+// table indexed before it is shared pays nothing at its first Lookup, and
+// concurrent first callers build nothing.
+func (t *Table) BuildIndex() {
+	if t.index.Load() == nil {
+		t.index.CompareAndSwap(nil, t.buildRanges())
+	}
 }
 
 // buildRanges derives the range index from the per-length arrays. Every

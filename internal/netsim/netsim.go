@@ -64,10 +64,14 @@ func New(r *core.Router, tables []*rib.Table) (*System, error) {
 	if len(tables) != k {
 		return nil, fmt.Errorf("netsim: %d tables for K = %d", len(tables), k)
 	}
-	refs := make([]*ip.Table, k)
-	for i, t := range tables {
-		refs[i] = t.Reference()
-	}
+	// Each oracle depends only on its own table: they are built side by side
+	// on the sweep pool, each with its range index, so no lookup in a run
+	// builds one.
+	refs, _ := sweep.Run(k, func(i int) (*ip.Table, error) { // a point never fails
+		ref := tables[i].Reference()
+		ref.BuildIndex()
+		return ref, nil
+	})
 	em, err := energy.NewModel(r.Design())
 	if err != nil {
 		return nil, err

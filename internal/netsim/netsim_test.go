@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"vrpower/internal/core"
+	"vrpower/internal/ip"
 	"vrpower/internal/packet"
 	"vrpower/internal/pipeline"
 	"vrpower/internal/rib"
@@ -125,6 +126,48 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(ra, set.Tables); err == nil {
 		t.Error("analytic router accepted for simulation")
+	}
+}
+
+// TestNewIndexesEveryOracle: New builds each reference table's range index,
+// so no lookup inside a run builds one — not the first, and not one on each
+// shard of the merged engine. Each call looks up on the next table, so
+// AllocsPerRun's warm-up call takes only table 0's first lookup.
+func TestNewIndexesEveryOracle(t *testing.T) {
+	for _, sc := range core.Schemes() {
+		s, tables := buildSystem(t, sc, 4)
+		next := 0
+		allocs := testing.AllocsPerRun(len(s.refs)-1, func() {
+			s.refs[next].Lookup(tables[next].Routes[0].Prefix.Addr)
+			next++
+		})
+		if allocs != 0 {
+			t.Errorf("%s: a first Lookup allocates %g times; New left an index to build", sc, allocs)
+		}
+	}
+}
+
+// TestNewIndependentOfWorkers: New builds the oracles on the sweep pool, so
+// they must answer alike at one worker and at four.
+func TestNewIndependentOfWorkers(t *testing.T) {
+	defer sweep.SetWorkers(0)
+	var want []ip.NextHop
+	for _, workers := range []int{1, 4} {
+		sweep.SetWorkers(workers)
+		s, tables := buildSystem(t, core.VS, 4)
+		var got []ip.NextHop
+		for i, ref := range s.refs {
+			for _, p := range gen(t, 4, tables, 2000) {
+				if p.VN == i {
+					got = append(got, ref.Lookup(p.Addr))
+				}
+			}
+		}
+		if want == nil {
+			want = got
+		} else if !reflect.DeepEqual(got, want) {
+			t.Errorf("%d workers: the oracles answer otherwise than at one worker", workers)
+		}
 	}
 }
 
@@ -447,7 +490,7 @@ func TestLoadTestFairSaturation(t *testing.T) {
 }
 
 // bytesPerCall is what run allocates a call, in bytes, averaged over a few
-// calls after a warm-up one (which builds the reference tables' lazy index).
+// calls after a warm-up one.
 func bytesPerCall(run func()) float64 {
 	run()
 	const calls = 4

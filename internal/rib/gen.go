@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"vrpower/internal/ip"
+	"vrpower/internal/sweep"
 )
 
 // The generator's calibration. The generator replaces the Potaroo snapshots
@@ -54,19 +55,21 @@ func Generate(name string, prefixes int, seed int64) (*Table, error) {
 		return nil, fmt.Errorf("rib: %d prefixes, want > 0", prefixes)
 	}
 	rng := rand.New(rand.NewSource(seed))
-	t := &Table{Name: name}
-	seen := make(map[ip.Prefix]bool, prefixes)
+	t := &Table{Name: name, Routes: make([]ip.Route, 0, prefixes)}
+	// seen holds each prefix drawn so far as one integer, address above
+	// length. A duplicate draws no next hop.
+	seen := make(map[uint64]struct{}, prefixes)
 
-	add := func(p ip.Prefix) bool {
-		if seen[p] {
-			return false
+	add := func(p ip.Prefix) {
+		key := uint64(p.Addr)<<8 | uint64(p.Len)
+		if _, dup := seen[key]; dup {
+			return
 		}
-		seen[p] = true
+		seen[key] = struct{}{}
 		t.Routes = append(t.Routes, ip.Route{
 			Prefix:  p,
 			NextHop: ip.NextHop(1 + rng.Intn(ports)),
 		})
-		return true
 	}
 
 	scattered := int(float64(prefixes) * scatterShare)
@@ -195,6 +198,9 @@ type VirtualSet struct {
 // space is drawn from a pool common to all K tables (same prefixes, distinct
 // next hops), and the remainder is generated independently per table. Higher
 // share yields higher trie merging efficiency α when the tables are merged.
+//
+// The pool and the K own tables are generated side by side on the sweep
+// pool, each from its own seed, so the set is the same at any worker count.
 func GenerateVirtualSet(k, prefixes int, share float64, seed int64) (*VirtualSet, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("rib: virtual set k = %d, want > 0", k)
@@ -202,33 +208,52 @@ func GenerateVirtualSet(k, prefixes int, share float64, seed int64) (*VirtualSet
 	if !(share >= 0 && share <= 1) {
 		return nil, fmt.Errorf("rib: virtual set share = %g, want [0,1]", share)
 	}
+	// Generate's check, made here so that its error is not wrapped as a sweep
+	// point's.
+	if prefixes <= 0 {
+		return nil, fmt.Errorf("rib: %d prefixes, want > 0", prefixes)
+	}
 	nShared := int(float64(prefixes) * share)
-	pool, err := Generate("pool", prefixes, seed)
+	// Point 0 is the pool, point i+1 network i's own routes.
+	tables, err := sweep.Run(k+1, func(p int) (*Table, error) {
+		if p == 0 {
+			return Generate("pool", prefixes, seed)
+		}
+		name := fmt.Sprintf("vn%d", p-1)
+		if n := prefixes - nShared; n > 0 {
+			return Generate(name, n, seed+int64(100+p-1))
+		}
+		return &Table{Name: name}, nil
+	})
 	if err != nil {
 		return nil, err
 	}
+	// The shared next hops come from one stream, network after network.
+	// The set's slice shares tables' array, so the pool is dropped from it.
+	shared := tables[0].Routes[:nShared]
+	tables[0] = nil
 	rng := rand.New(rand.NewSource(seed + 1))
-	set := &VirtualSet{}
-	for i := 0; i < k; i++ {
-		var own *Table
-		if n := prefixes - nShared; n > 0 {
-			own, err = Generate(fmt.Sprintf("vn%d", i), n, seed+int64(100+i))
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			own = &Table{Name: fmt.Sprintf("vn%d", i)}
-		}
-		// Splice in the shared pool slice with per-VN next hops.
-		index := make(map[ip.Prefix]int, prefixes)
-		for j, r := range own.Routes {
-			index[r.Prefix] = j
-		}
-		for _, r := range pool.Routes[:nShared] {
-			own.addIndexed(index, ip.Route{Prefix: r.Prefix, NextHop: ip.NextHop(1 + rng.Intn(ports))})
-		}
-		own.Sort()
-		set.Tables = append(set.Tables, own)
+	for _, own := range tables[1:] {
+		own.Routes = splice(own.Routes, shared, rng)
 	}
-	return set, nil
+	return &VirtualSet{Tables: tables[1:]}, nil
+}
+
+// splice merges shared into own, both sorted and unique, giving each shared
+// route a next hop drawn from rng in shared's order; where own holds the same
+// prefix, the shared route replaces it. The result is sorted and unique.
+func splice(own, shared []ip.Route, rng *rand.Rand) []ip.Route {
+	out := make([]ip.Route, 0, len(own)+len(shared))
+	i := 0
+	for _, r := range shared {
+		for i < len(own) && ip.Compare(own[i].Prefix, r.Prefix) < 0 {
+			out = append(out, own[i])
+			i++
+		}
+		if i < len(own) && own[i].Prefix == r.Prefix {
+			i++
+		}
+		out = append(out, ip.Route{Prefix: r.Prefix, NextHop: ip.NextHop(1 + rng.Intn(ports))})
+	}
+	return append(out, own[i:]...)
 }

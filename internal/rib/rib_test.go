@@ -5,10 +5,14 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"vrpower/internal/ip"
+	"vrpower/internal/sweep"
 )
 
 func TestTableAddReplace(t *testing.T) {
@@ -326,5 +330,95 @@ func TestReadersCollapseDuplicatesInOrder(t *testing.T) {
 	}
 	if want := "# table dup, 3 routes\n10.0.0.0/8 3\n10.1.0.0/16 2\n192.168.0.0/24 4\n"; got.String() != want {
 		t.Errorf("Read:\n%swant:\n%s", got.String(), want)
+	}
+}
+
+// spliceByIndex is the splice GenerateVirtualSet made before it merged two
+// sorted lists: own's routes indexed by prefix in a map, each shared route
+// added with a drawn next hop (replacing the own route of its prefix), and
+// the table sorted again. It is splice's oracle.
+func spliceByIndex(own, shared []ip.Route, rng *rand.Rand) []ip.Route {
+	t := &Table{Routes: slices.Clone(own)}
+	index := make(map[ip.Prefix]int, len(own)+len(shared))
+	for j, r := range t.Routes {
+		index[r.Prefix] = j
+	}
+	for _, r := range shared {
+		t.addIndexed(index, ip.Route{Prefix: r.Prefix, NextHop: ip.NextHop(1 + rng.Intn(ports))})
+	}
+	t.Sort()
+	return t.Routes
+}
+
+// TestSpliceMatchesIndexedSplice runs GenerateVirtualSet against the
+// map-and-sort splice over random set shapes. The splice also runs over each
+// own table with a random part of the shared prefixes added under other next
+// hops, so that shared routes overwrite own ones: both splices must give the
+// same routes and draw the same next hops.
+func TestSpliceMatchesIndexedSplice(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	overwrites := 0
+	for c := 0; c < 40; c++ {
+		k, prefixes, seed := 1+rng.Intn(6), 1+rng.Intn(600), rng.Int63()
+		share := []float64{0, 0.5, 1}[c%3]
+		nShared := int(float64(prefixes) * share)
+		pool, err := Generate("pool", prefixes, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shared := pool.Routes[:nShared]
+		want := &VirtualSet{}
+		hops := rand.New(rand.NewSource(seed + 1))
+		for i := 0; i < k; i++ {
+			own := &Table{Name: fmt.Sprintf("vn%d", i)}
+			if n := prefixes - nShared; n > 0 {
+				if own, err = Generate(own.Name, n, seed+int64(100+i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			mixed := &Table{Routes: slices.Clone(own.Routes)}
+			for _, r := range shared {
+				if rng.Intn(2) == 0 {
+					mixed.Add(ip.Route{Prefix: r.Prefix, NextHop: ip.NextHop(1 + rng.Intn(ports))})
+					overwrites++
+				}
+			}
+			mixed.Sort()
+			r1, r2 := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+			if m, o := splice(mixed.Routes, shared, r1), spliceByIndex(mixed.Routes, shared, r2); !reflect.DeepEqual(m, o) {
+				t.Fatalf("k=%d prefixes=%d share=%g seed=%d: splice over %d routes that overlap the shared ones differs from the oracle", k, prefixes, share, seed, len(mixed.Routes))
+			}
+			own.Routes = spliceByIndex(own.Routes, shared, hops)
+			want.Tables = append(want.Tables, own)
+		}
+		set, err := GenerateVirtualSet(k, prefixes, share, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(set, want) {
+			t.Fatalf("k=%d prefixes=%d share=%g seed=%d: GenerateVirtualSet differs from the oracle", k, prefixes, share, seed)
+		}
+	}
+	if overwrites == 0 {
+		t.Fatal("no shared route overwrote an own route")
+	}
+}
+
+// TestGenerateVirtualSetIndependentOfWorkers: the pool and the own tables are
+// generated on the sweep pool, so the set must be the same at any size.
+func TestGenerateVirtualSetIndependentOfWorkers(t *testing.T) {
+	defer sweep.SetWorkers(0)
+	var want *VirtualSet
+	for _, workers := range []int{1, 4} {
+		sweep.SetWorkers(workers)
+		set, err := GenerateVirtualSet(8, 800, 0.5, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = set
+		} else if !reflect.DeepEqual(set, want) {
+			t.Errorf("%d workers: the set differs from one worker's", workers)
+		}
 	}
 }
