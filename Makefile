@@ -205,13 +205,16 @@ fuzz-smoke:
 	$(GO) test ./internal/ip -run='^$$' -fuzz=FuzzTableLookup -fuzztime=10s
 
 # Short fuzz passes over the production engine against its oracles: the
-# batched/scalar/trie lookup equivalence, and the streamed engine against
-# the cycle-stepped Sim under random inject / bubble / update / upset / Stats
-# interleavings (the full runs are `go test -fuzz=FuzzBatchedLookup` and
-# `-fuzz=FuzzStreamVsSim` in ./internal/pipeline).
+# batched/scalar/trie lookup equivalence, the streamed engine against the
+# cycle-stepped Sim under random inject / bubble / update / upset / Stats
+# interleavings, and the depth-first compile against the breadth-first one
+# on decoded insert/delete route sets (the full runs are `go test
+# -fuzz=FuzzBatchedLookup`, `-fuzz=FuzzStreamVsSim` and
+# `-fuzz=FuzzCompileMatchesBreadthFirst` in ./internal/pipeline).
 fuzz-batch-smoke:
 	$(GO) test ./internal/pipeline -run='^$$' -fuzz=FuzzBatchedLookup -fuzztime=10s
 	$(GO) test ./internal/pipeline -run='^$$' -fuzz=FuzzStreamVsSim -fuzztime=10s
+	$(GO) test ./internal/pipeline -run='^$$' -fuzz=FuzzCompileMatchesBreadthFirst -fuzztime=10s
 
 # bench/ is its own module, so ./... never reaches it: vet it too.
 vet:
@@ -345,16 +348,19 @@ alloc-diff:
 # Host-time pairs for a claimed gain: the bench built once at BASE (extracted
 # like digest-diff's) and once in the working tree, then for each seed one run
 # of workload W on each side back to back, alternating which side runs first.
-# Prints "seed base now ratio" for lookups_per_s, wall_s and setup_s, then for
-# each per side the median and quartiles, the pairs the tree wins and whether
-# the medians differ by more than BASE's interquartile spread (ROADMAP "Gains
-# are measured"). Host time is not a gate on a shared 2-vCPU box, so this
-# gates nothing.
+# For every end-to-end metric the host measures (PAIR_METRICS, each with the
+# direction that is better) it prints "seed base now ratio", then each side's
+# median and quartiles, the pairs the tree wins and whether the medians
+# differ by more than BASE's interquartile spread (ROADMAP "Gains are
+# measured"). Host time is not a gate on a shared 2-vCPU box, so this gates
+# nothing.
 W ?= fleet_failover
 SEEDS ?= 1 2 3 4 5 6 7 8 9 10
 SECONDS ?= 3
+PAIR_METRICS = lookups_per_s:higher wall_s:lower setup_s:lower alloc_mb:lower live_heap_mb:lower
 PAIR_RUN = (cd "$$1" && .bench_build/bench --workload $(W) --seed $$2 --seconds $(SECONDS)) | \
-	awk '$$1 == "lookups_per_s" { l = $$2 } $$1 == "wall_s" { w = $$2 } $$1 == "setup_s" { u = $$2 } END { print l, w, u }'
+	awk -v metrics="$(PAIR_METRICS)" 'BEGIN { n = split(metrics, m); for (i = 1; i <= n; i++) sub(/:.*/, "", m[i]) } \
+		{ v[$$1] = $$2 } END { for (i = 1; i <= n; i++) printf "%s%s", v[m[i]], i < n ? " " : "\n" }'
 pair-diff:
 	@$(BASE_TREE) && \
 	(cd "$$tmp" && bash bench/run.sh --help >/dev/null 2>&1; test -x .bench_build/bench) && \
@@ -364,23 +370,20 @@ pair-diff:
 		if [ $$((i % 2)) -eq 0 ]; then b=$$(run "$$tmp" $$s); n=$$(run . $$s); \
 		else n=$$(run . $$s); b=$$(run "$$tmp" $$s); fi; \
 		echo "$$s $$b $$n"; i=$$((i + 1)); \
-	done | awk 'function q(v, n, p,   h, k) { h = p * (n - 1) + 1; k = int(h); return v[k] + (h - k) * (v[k + 1] - v[k]) } \
-		function stats(name, col, better,   i, j, t, n, b, c, wins) { \
-			n = 0; for (i in seed) { n++; b[n] = base[i, col]; c[n] = now[i, col]; \
-				if (better == "higher" ? now[i, col] > base[i, col] : now[i, col] < base[i, col]) wins++ } \
+	done | awk -v metrics="$(PAIR_METRICS)" 'function q(v, n, p,   h, k) { h = p * (n - 1) + 1; k = int(h); return v[k] + (h - k) * (v[k + 1] - v[k]) } \
+		function stats(col,   nb, name, better, i, j, t, n, b, c, wins) { \
+			split(mm[col], nb, ":"); name = nb[1]; better = nb[2]; \
+			printf "%s (%s is better)\n  %-5s %12s %12s %7s\n", name, better, "seed", "base", "now", "ratio"; \
+			n = 0; for (i = 1; i <= NR; i++) { n++; b[n] = base[i, col]; c[n] = now[i, col]; \
+				printf "  %-5s %12g %12g %7.3f\n", seed[i], b[n], c[n], b[n] ? c[n] / b[n] : 0; \
+				if (better == "higher" ? c[n] > b[n] : c[n] < b[n]) wins++ } \
 			for (i = 2; i <= n; i++) for (j = i; j > 1 && b[j - 1] > b[j]; j--) { t = b[j]; b[j] = b[j - 1]; b[j - 1] = t } \
 			for (i = 2; i <= n; i++) for (j = i; j > 1 && c[j - 1] > c[j]; j--) { t = c[j]; c[j] = c[j - 1]; c[j - 1] = t } \
 			mb = q(b, n, 0.5); mc = q(c, n, 0.5); iqr = q(b, n, 0.75) - q(b, n, 0.25); \
-			printf "%s (%s is better)\n", name, better; \
 			printf "  base  median %g  quartiles %g %g\n", mb, q(b, n, 0.25), q(b, n, 0.75); \
 			printf "  now   median %g  quartiles %g %g\n", mc, q(c, n, 0.25), q(c, n, 0.75); \
 			printf "  median ratio %.3f; the tree wins %d of %d pairs; medians differ by %s the base IQR\n", \
-				mc / mb, wins, n, (mc - mb > iqr || mb - mc > iqr) ? "more than" : "no more than" } \
-		{ seed[NR] = $$1; for (c = 1; c <= 3; c++) { base[NR, c] = $$(1 + c); now[NR, c] = $$(4 + c) } \
-			lines[NR] = sprintf("%-5s %12g %12g %7.3f   %10g %10g %7.3f   %10g %10g %7.3f", $$1, $$2, $$5, $$5 / $$2, \
-				$$3, $$6, $$6 / $$3, $$4, $$7, $$7 / $$4) } \
-		END { printf "workload $(W): alternated pairs, $(SECONDS) s a run\n"; \
-			printf "%-5s %12s %12s %7s   %10s %10s %7s   %10s %10s %7s\n", "seed", "base", "now", "ratio", "base", "now", "ratio", "base", "now", "ratio"; \
-			printf "%-5s %34s   %29s   %29s\n", "", "lookups_per_s", "wall_s", "setup_s"; \
-			for (i = 1; i <= NR; i++) print lines[i]; \
-			stats("lookups_per_s", 1, "higher"); stats("wall_s", 2, "lower"); stats("setup_s", 3, "lower") }'
+				mb ? mc / mb : 0, wins, n, (mc - mb > iqr || mb - mc > iqr) ? "more than" : "no more than" } \
+		BEGIN { nm = split(metrics, mm) } \
+		{ seed[NR] = $$1; for (c = 1; c <= nm; c++) { base[NR, c] = $$(1 + c); now[NR, c] = $$(1 + nm + c) } } \
+		END { printf "workload $(W): alternated pairs, $(SECONDS) s a run\n"; for (c = 1; c <= nm; c++) stats(c) }'

@@ -84,8 +84,7 @@ func (o *options) generate(stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
-		m.LeafPush()
-		img, err = pipeline.CompileMerged(m, m.Stats().Height+1)
+		img, err = pipeline.CompileMerged(m, len(m.Levels()))
 		if err != nil {
 			return err
 		}
@@ -96,8 +95,7 @@ func (o *options) generate(stdout io.Writer) error {
 		}
 		tables = []*rib.Table{tbl}
 		tr := trie.Build(tbl.Routes)
-		tr.LeafPush()
-		img, err = pipeline.Compile(tr, tr.Stats().Height+1)
+		img, err = pipeline.Compile(tr, len(tr.Levels()))
 		if err != nil {
 			return err
 		}

@@ -95,9 +95,7 @@ func (o *options) generate(stdout io.Writer) error {
 	switch {
 	case o.stats:
 		tr := trie.Build(tbl.Routes)
-		plain := tr.Stats()
-		tr.LeafPush()
-		pushed := tr.Stats()
+		plain, pushed := tr.Stats(), trie.StatsOf(tr.Levels())
 		fmt.Fprintf(stdout, "routes:             %d\n", tbl.Len())
 		fmt.Fprintf(stdout, "trie nodes:         %d\n", plain.Nodes)
 		fmt.Fprintf(stdout, "trie leaves:        %d\n", plain.Leaves)

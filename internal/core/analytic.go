@@ -16,9 +16,7 @@ type TableProfile = trie.Stats
 
 // ProfileOf extracts the profile of a routing table's leaf-pushed trie.
 func ProfileOf(tbl *rib.Table) TableProfile {
-	tr := trie.Build(tbl.Routes)
-	tr.LeafPush()
-	return tr.Stats()
+	return trie.StatsOf(trie.Build(tbl.Routes).Levels())
 }
 
 // PaperProfile generates the reference profile of Section V-E: a synthetic

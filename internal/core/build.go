@@ -13,8 +13,8 @@ import (
 )
 
 // Build constructs a router of cfg.Scheme from the K routing tables: tables →
-// (merged) leaf-pushed tries → per-level node counts → priced and placed
-// design → compiled images, so a design that does not place is refused
+// (merged) tries → their leaf-pushed per-level node counts → priced and
+// placed design → compiled images, so a design that does not place is refused
 // before anything is compiled. NV and VS images are CompileTable's, the VM
 // one a function of the whole tenant list; Assemble over them prices alike.
 func Build(cfg Config, tables []*rib.Table) (*Router, error) {
@@ -100,24 +100,22 @@ type engine struct {
 	compile func() (*pipeline.Image, error)
 }
 
-// tableEngine is one table's engine: its leaf-pushed trie, counted.
+// tableEngine is one table's engine: its trie, counted as leaf-pushed.
 func tableEngine(cfg Config, tbl *rib.Table) (engine, error) {
 	tr := trie.Build(tbl.Routes)
-	tr.LeafPush()
-	levels := levelsOf(cfg, tr.Stats().PerLevel, 1)
+	levels := levelsOf(cfg, tr.Levels(), 1)
 	sm, err := stageMap(cfg, levels)
 	return engine{levels, sm, func() (*pipeline.Image, error) { return pipeline.CompileMapped(tr, sm) }}, err
 }
 
 // mergedEngine is the shared engine of a VM router over tables: their
-// leaf-pushed merged trie, counted with a K-wide NHI vector at every leaf.
+// merged trie, counted as leaf-pushed with a K-wide NHI vector at every leaf.
 func mergedEngine(cfg Config, tables []*rib.Table) (engine, error) {
 	m, err := merge.Build(tables)
 	if err != nil {
 		return engine{}, err
 	}
-	m.LeafPush()
-	levels := levelsOf(cfg, m.Stats().PerLevel, m.K())
+	levels := levelsOf(cfg, m.Levels(), m.K())
 	sm, err := stageMap(cfg, levels)
 	return engine{levels, sm, func() (*pipeline.Image, error) { return pipeline.CompileMergedMapped(m, sm) }}, err
 }

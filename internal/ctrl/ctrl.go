@@ -83,8 +83,9 @@ type Manager struct {
 	// comparable word-for-word.
 	sm trie.StageMap
 	// tr and mg are what every compile builds into (tr for VS, mg for VM),
-	// rebuilt in place so a batch reuses the last one's nodes; no image
-	// points into them.
+	// rebuilt in place so a batch reuses the last one's nodes and never
+	// leaf-pushed: the compile writes the pushed form. No image points into
+	// them.
 	tr trie.Trie
 	mg merge.Trie
 	// reloading marks a data-plane reload in flight (a hitless update):
@@ -220,7 +221,6 @@ func (m *Manager) Tables() []*rib.Table { return m.tables }
 // map, so diffs across rebuilds compare word-for-word.
 func (m *Manager) compileSeparate(tbl *rib.Table) (*pipeline.Image, error) {
 	m.tr.Rebuild(tbl.Routes)
-	m.tr.LeafPush()
 	return pipeline.CompileMapped(&m.tr, m.sm)
 }
 
@@ -230,7 +230,6 @@ func (m *Manager) compileMerged(tables []*rib.Table) (*pipeline.Image, error) {
 	if err := m.mg.Rebuild(tables); err != nil {
 		return nil, err
 	}
-	m.mg.LeafPush()
 	return pipeline.CompileMergedMapped(&m.mg, m.sm)
 }
 

@@ -272,9 +272,8 @@ func CompactionEffect() (*report.Table, error) {
 			return nil, err
 		}
 		blocks, _ := r.Design().TotalBlocks()
-		tr := trie.Build(v.Routes)
-		tr.LeafPush()
-		t.AddF(v.Name, v.Len(), tr.Stats().Nodes, blocks, fmt.Sprintf("%.4f", b.Memory))
+		pushed := trie.StatsOf(trie.Build(v.Routes).Levels())
+		t.AddF(v.Name, v.Len(), pushed.Nodes, blocks, fmt.Sprintf("%.4f", b.Memory))
 	}
 	return t, nil
 }
@@ -285,7 +284,7 @@ func CompactionEffect() (*report.Table, error) {
 // lucky seed.
 func CalibrationSpread() (*report.Table, error) {
 	const seeds = 8
-	// One table build + two trie walks per seed, all independent: run the
+	// One table build + one trie walk per seed, all independent: run the
 	// seeds on the worker pool and keep seed order in the reassembled slice.
 	type calPoint struct{ plain, pushed, leaves float64 }
 	pts, err := sweep.Run(seeds, func(i int) (calPoint, error) {
@@ -297,10 +296,9 @@ func CalibrationSpread() (*report.Table, error) {
 		}
 		tr := trie.Build(tbl.Routes)
 		s := tr.Stats()
-		tr.LeafPush()
 		return calPoint{
 			plain:  float64(s.Nodes),
-			pushed: float64(tr.Stats().Nodes),
+			pushed: float64(trie.StatsOf(tr.Levels()).Nodes),
 			leaves: float64(s.Leaves),
 		}, nil
 	})

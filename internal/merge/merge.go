@@ -61,6 +61,9 @@ type Trie struct {
 	nhis   trie.Arena[ip.NextHop]
 	// vecs is LeafPush's scratch: one K-wide inherited vector per level.
 	vecs []ip.NextHop
+	// internal[l] counts the nodes of level l with a child, kept by insert
+	// as it links nodes: the input to Levels.
+	internal [maxLevels - 1]int
 }
 
 // K returns the number of virtual networks merged into the trie.
@@ -94,6 +97,7 @@ func (t *Trie) Rebuild(tables []*rib.Table) error {
 	t.nhis.Reset()
 	t.k, t.pushed = len(tables), false
 	t.root = t.nodes.New()
+	clear(t.internal[:])
 	// A node is "present" for vn if vn's individual trie would contain it:
 	// the root (even of an empty table) and every node on one of vn's route
 	// paths, which insert counts as it walks them.
@@ -115,6 +119,9 @@ func (t *Trie) insert(vn int, p ip.Prefix, nh ip.NextHop) {
 	for i := 0; i < p.Len; i++ {
 		b := p.Bit(i)
 		if n.Child[b] == nil {
+			if n.IsLeaf() {
+				t.internal[i]++
+			}
 			n.Child[b] = t.nodes.New()
 		}
 		n = n.Child[b]
@@ -154,17 +161,10 @@ func (t *Trie) LeafPush() {
 const maxLevels = 33
 
 func (t *Trie) pushNode(n *Node, level int, inherited []ip.NextHop) {
-	// Overlay this node's own routes on the inherited vector, in this level's
-	// scratch vector, so siblings still see the parent's.
-	if n.routes != nil {
-		next := t.vecs[(level+1)*t.k : (level+2)*t.k]
-		copy(next, inherited)
-		for l := n.routes; l != nil; l = l.next {
-			next[l.vn] = l.nh
-		}
-		inherited = next
-		n.routes = nil
-	}
+	// This node's routes overlay the inherited vector in this level's scratch
+	// vector, so siblings still see the parent's.
+	inherited = n.Inherit(inherited, t.vecs[(level+1)*t.k:(level+2)*t.k])
+	n.routes = nil
 	if n.IsLeaf() {
 		n.NHI = t.nhis.Slice(t.k)
 		copy(n.NHI, inherited)
@@ -176,6 +176,33 @@ func (t *Trie) pushNode(n *Node, level int, inherited []ip.NextHop) {
 		}
 		t.pushNode(n.Child[b], level+1, inherited)
 	}
+}
+
+// Inherit returns the K-wide next-hop vector n hands its subtree when it
+// inherits in: a pushed leaf's own NHI; in, when n carries no route; else in
+// with n's routes overlaid, written into scratch, which must not alias in.
+func (n *Node) Inherit(in, scratch []ip.NextHop) []ip.NextHop {
+	if n.NHI != nil {
+		return n.NHI
+	}
+	if n.routes == nil {
+		return in
+	}
+	copy(scratch, in)
+	for l := n.routes; l != nil; l = l.next {
+		scratch[l.vn] = l.nh
+	}
+	return scratch
+}
+
+// Levels returns the per-level counts of t's leaf-pushed form — what
+// LeafPush and then Stats().PerLevel give — in O(levels), pushed or not: nil
+// for a zero Trie, which has no root.
+func (t *Trie) Levels() []trie.Level {
+	if t.root == nil {
+		return nil
+	}
+	return trie.PushedLevels(t.internal[:])
 }
 
 // Lookup resolves addr for virtual network vn. On a leaf-pushed trie the

@@ -445,3 +445,30 @@ func TestRebuildAllocatesNothing(t *testing.T) {
 		t.Errorf("Rebuild + LeafPush allocates %v times, want 0", n)
 	}
 }
+
+// TestLevelsAreThePushedShape: after Build and after Rebuild over a larger, a
+// smaller and a narrower set, Levels is LeafPush followed by
+// Stats().PerLevel, before pushing and after. A zero Trie has no levels.
+func TestLevelsAreThePushedShape(t *testing.T) {
+	if got := (&Trie{}).Levels(); got != nil {
+		t.Errorf("zero Trie: Levels %v, want nil", got)
+	}
+	first := buildSet(t, 3, 300, 0.5, 51)
+	m, err := Build(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tables := range [][]*rib.Table{first, buildSet(t, 4, 2000, 0.3, 52), buildSet(t, 2, 1, 0, 53), buildSet(t, 1, 500, 1, 54)} {
+		if err := m.Rebuild(tables); err != nil {
+			t.Fatal(err)
+		}
+		levels := m.Levels()
+		m.LeafPush()
+		if got, want := levels, m.Stats().PerLevel; !reflect.DeepEqual(got, want) {
+			t.Fatalf("K=%d: Levels %v, pushed Stats %v", len(tables), got, want)
+		}
+		if got := m.Levels(); !reflect.DeepEqual(got, levels) {
+			t.Fatalf("K=%d: Levels after LeafPush %v, before %v", len(tables), got, levels)
+		}
+	}
+}

@@ -2,17 +2,16 @@ package pipeline
 
 import (
 	"fmt"
-	"slices"
 
 	"vrpower/internal/ip"
 	"vrpower/internal/merge"
 	"vrpower/internal/trie"
 )
 
-// Compile maps a leaf-pushed single-network trie onto stages pipeline
-// stages with the plain fold-into-stage-0 level mapping. Leaf pushing is
-// required: only then does every lookup terminate at a leaf, which is what
-// lets the hardware resolve the NHI in the last touched stage.
+// Compile maps a single-network trie onto stages pipeline stages with the
+// plain fold-into-stage-0 level mapping. The image is the trie's leaf-pushed
+// form, pushed or not: every lookup terminates at a leaf, which is what lets
+// the hardware resolve the NHI in the last touched stage.
 func Compile(tr *trie.Trie, stages int) (*Image, error) {
 	return fromTrie(tr, func(height int) (trie.StageMap, error) { return trie.NewStageMap(stages, height) })
 }
@@ -24,16 +23,19 @@ func CompileMapped(tr *trie.Trie, sm trie.StageMap) (*Image, error) {
 }
 
 func fromTrie(tr *trie.Trie, mapFor func(height int) (trie.StageMap, error)) (*Image, error) {
-	if !tr.LeafPushed() {
-		return nil, fmt.Errorf("pipeline: trie must be leaf-pushed before compilation")
-	}
-	return compile(tr.Root(), 1, mapFor,
+	return compile(tr.Root(), 1, tr.Levels(), mapFor,
 		func(n *trie.Node) [2]*trie.Node { return n.Child },
-		func(slab []ip.NextHop, n *trie.Node) []ip.NextHop { return append(slab, n.NextHop) })
+		func(n *trie.Node, in, scratch []ip.NextHop) []ip.NextHop {
+			if !n.HasRoute {
+				return in
+			}
+			scratch[0] = n.NextHop
+			return scratch
+		})
 }
 
-// CompileMerged maps a leaf-pushed merged trie onto stages pipeline stages
-// with the plain level mapping.
+// CompileMerged maps a merged trie onto stages pipeline stages with the plain
+// level mapping; like Compile, the image is its leaf-pushed form.
 func CompileMerged(m *merge.Trie, stages int) (*Image, error) {
 	return fromMerged(m, func(height int) (trie.StageMap, error) { return trie.NewStageMap(stages, height) })
 }
@@ -44,103 +46,122 @@ func CompileMergedMapped(m *merge.Trie, sm trie.StageMap) (*Image, error) {
 }
 
 func fromMerged(m *merge.Trie, mapFor func(height int) (trie.StageMap, error)) (*Image, error) {
-	if !m.LeafPushed() {
-		return nil, fmt.Errorf("pipeline: merged trie must be leaf-pushed before compilation")
-	}
-	return compile(m.Root(), m.K(), mapFor,
+	return compile(m.Root(), m.K(), m.Levels(), mapFor,
 		func(n *merge.Node) [2]*merge.Node { return n.Child },
-		func(slab []ip.NextHop, n *merge.Node) []ip.NextHop { return append(slab, n.NHI...) })
+		func(n *merge.Node, in, scratch []ip.NextHop) []ip.NextHop { return n.Inherit(in, scratch) })
 }
 
 // maxLevels bounds a trie over 32-bit addresses: the root and one level a bit.
 const maxLevels = 33
 
-// compile lays the trie under root out breadth-first, straight into stage
-// words. One walk counts the internal nodes and leaves of every level — which
-// gives the trie's height, for a map (mapFor) that depends on it, every
-// stage's size, so each slice is made once, and the image's Levels — and one
-// pass, level by level, then writes the words, derived bits included:
-// compiled parity is good, the pass knows which stage the children go to, and
-// the levels a stage holds are its visits; only the jump table is left to
-// derive. A node's index within its stage is
-// assigned when it is enqueued, into its parent's child pair, and a level's
-// nodes are written in the order they were enqueued, so each stage's words
-// are written in index order. kids returns a node's children (both nil: a
-// leaf), appendNHI appends a leaf's next-hop vector to the slab.
-func compile[N comparable](root N, k int, mapFor func(height int) (trie.StageMap, error), kids func(N) [2]N, appendNHI func([]ip.NextHop, N) []ip.NextHop) (*Image, error) {
+// compile writes the leaf-pushed form of the trie under root — levels, its
+// per-level counts, from the trie's Levels — straight into stage words in one
+// depth-first pass. The counts give the trie's height, for a map (mapFor)
+// that depends on it, every stage's size, so each slice is made once, and
+// where each level starts: level l's nodes follow its stage's earlier
+// levels' from off[l], its leaves' vectors follow the earlier levels' in the
+// slab from slab[l]. A preorder walk meets each level's nodes in the
+// breadth-first order the image lays them out in, so a node is written at
+// its level's offset plus the nodes of the level already placed, its
+// children reserved as the next two of the level below. A node with one
+// child gets, for the missing one, the leaf pushing would make: a leaf
+// carrying the vector the node hands down. Derived bits are written with
+// the words — compiled parity is good, the writer knows which stage the
+// children go to, and the levels a stage holds are its visits — and only the
+// jump table is left to derive. kids returns a node's children (both none:
+// a leaf); inherit returns the k-wide next-hop vector a node hands its
+// subtree, given the one it inherits and a scratch vector to write it in.
+func compile[N comparable](root N, k int, levels []trie.Level, mapFor func(height int) (trie.StageMap, error), kids func(N) [2]N, inherit func(n N, in, scratch []ip.NextHop) []ip.NextHop) (*Image, error) {
 	var none N
-	var perLevel [maxLevels]trie.Level
-	var count func(n N, level int) error
-	count = func(n N, level int) error {
-		lv := &perLevel[level]
-		lv.Nodes++
-		c := kids(n)
-		if c[0] == none && c[1] == none {
-			lv.Leaves++
-			return nil
-		}
-		if c[0] == none || c[1] == none {
-			return fmt.Errorf("pipeline: internal node with missing child at level %d (trie not fully leaf-pushed?)", level)
-		}
-		lv.Internal++
-		if err := count(c[0], level+1); err != nil {
-			return err
-		}
-		return count(c[1], level+1)
+	if root == none {
+		return nil, fmt.Errorf("pipeline: compile of a trie with no root (a zero value, not built)")
 	}
-	if err := count(root, 0); err != nil {
-		return nil, err
-	}
-	height := maxLevels - 1
-	for perLevel[height].Nodes == 0 {
-		height--
-	}
+	height := len(levels) - 1
 	sm, err := mapFor(height)
 	if err != nil {
 		return nil, err
 	}
-	lens, widest, leaves := make([]int, sm.Stages), 0, 0
-	for level, lv := range perLevel[:height+1] {
-		lens[sm.Stage(level)] += lv.Nodes
-		widest, leaves = max(widest, lv.Nodes), leaves+lv.Leaves
+	w := writer[N]{k: k, kids: kids, inherit: inherit, vecs: make([]ip.NextHop, (maxLevels+1)*k)}
+	lens, leaves := make([]int, sm.Stages), 0
+	for level, lv := range levels {
+		s := sm.Stage(level)
+		w.off[level], w.slab[level] = uint32(lens[s]), uint32(leaves*k)
+		lens[s] += lv.Nodes
+		leaves += lv.Leaves
 	}
-
-	img := newImage(k, sm, lens, leaves*k)
-	img.Levels = slices.Clone(perLevel[:height+1])
-	cur, below := make([]N, 1, widest), make([]N, 0, widest) // the level being written, the one under it
-	cur[0] = root
-	next := make([]uint32, sm.Stages) // per stage: the index the next node enqueued into it gets
-	next[sm.Stage(0)] = 1
-	for level := 0; len(cur) > 0; level++ {
-		// The level's words follow its stage's earlier levels'; they are as
-		// many as were enqueued, so they end where the stage's indices do now.
-		s, sBelow := sm.Stage(level), sm.Stage(level+1)
-		st, i := &img.stages[s], int(next[s])-len(cur)
+	w.img = newImage(k, sm, lens, leaves*k)
+	w.img.nhi = w.img.nhi[:leaves*k]
+	w.img.Levels = levels
+	for level := range levels {
+		s := sm.Stage(level)
+		w.stage[level] = &w.img.stages[s]
 		if level > 0 && sm.Stage(level-1) == s {
-			st.visits++ // one more level of the stage's run
+			w.stage[level].visits++ // one more level of the stage's run
 		}
-		internal := uint16(31 - level)
-		if sBelow == s {
-			internal |= metaFold
+		w.meta[level] = uint16(31 - level)
+		if sm.Stage(level+1) == s {
+			w.meta[level] |= metaFold
 		}
-		for _, n := range cur {
-			var m uint16
-			var c [2]uint32
-			if ch := kids(n); ch[0] == none {
-				off := len(img.nhi)
-				img.nhi = appendNHI(img.nhi, n)
-				m, c = metaLeaf|uint16(level), [2]uint32{uint32(off), uint32(len(img.nhi) - off)}
-			} else {
-				m, c = internal, [2]uint32{next[sBelow], next[sBelow] + 1}
-				next[sBelow] += 2
-				below = append(below, ch[0], ch[1])
-			}
-			st.meta[i], st.child[i] = m|img.dataParity(m, c)<<9, c
-			i++
-		}
-		cur, below = below, cur[:0]
 	}
-	img.deriveJump()
+	w.placed[0] = 1
+	w.node(root, 0, w.off[0], w.vecs[:k])
+	for level, lv := range levels {
+		if w.placed[level] != uint32(lv.Nodes) || w.leaves[level] != uint32(lv.Leaves) {
+			return nil, fmt.Errorf("pipeline: level %d holds %d nodes and %d leaves, its counts say %d and %d", level, w.placed[level], w.leaves[level], lv.Nodes, lv.Leaves)
+		}
+	}
+	w.img.deriveJump()
 	obsImagesCompiled.Inc()
-	return img, nil
+	return w.img, nil
+}
+
+// writer is one compile's depth-first pass: per level, where its nodes start
+// in their stage (off) and its leaf vectors in the slab (slab), how many of
+// its nodes are placed (placed: written or reserved by their parent) and
+// leaves written (leaves), its stage and its internal nodes' meta word; and
+// one scratch vector per level for the vector a node hands down.
+type writer[N comparable] struct {
+	img     *Image
+	k       int
+	kids    func(N) [2]N
+	inherit func(n N, in, scratch []ip.NextHop) []ip.NextHop
+	vecs    []ip.NextHop
+
+	off, slab, placed, leaves [maxLevels]uint32
+	stage                     [maxLevels]*stage
+	meta                      [maxLevels]uint16
+}
+
+// node writes n, which inherits in, as entry i of its level's stage, then
+// its subtree.
+func (w *writer[N]) node(n N, level int, i uint32, in []ip.NextHop) {
+	var none N
+	vec := w.inherit(n, in, w.vecs[(level+1)*w.k:(level+2)*w.k])
+	ch := w.kids(n)
+	if ch[0] == none && ch[1] == none {
+		w.leaf(level, i, vec)
+		return
+	}
+	c := [2]uint32{w.off[level+1] + w.placed[level+1], 0}
+	c[1] = c[0] + 1
+	w.placed[level+1] += 2
+	m, st := w.meta[level], w.stage[level]
+	st.meta[i], st.child[i] = m|w.img.dataParity(m, c)<<9, c
+	for b, child := range ch {
+		if child == none {
+			w.leaf(level+1, c[b], vec)
+		} else {
+			w.node(child, level+1, c[b], vec)
+		}
+	}
+}
+
+// leaf writes a leaf carrying vec as entry i of its level's stage, its
+// vector the next of the level's in the slab.
+func (w *writer[N]) leaf(level int, i uint32, vec []ip.NextHop) {
+	off := w.slab[level] + w.leaves[level]*uint32(w.k)
+	w.leaves[level]++
+	copy(w.img.nhi[off:off+uint32(w.k)], vec)
+	m, c, st := metaLeaf|uint16(level), [2]uint32{off, uint32(w.k)}, w.stage[level]
+	st.meta[i], st.child[i] = m|w.img.dataParity(m, c)<<9, c
 }

@@ -30,13 +30,6 @@ func compileSingle(t *testing.T, tbl *rib.Table, stages int) *Image {
 	return img
 }
 
-func TestCompileRequiresLeafPush(t *testing.T) {
-	tr := trie.Build(genTable(t, 50, 1).Routes)
-	if _, err := Compile(tr, 28); err == nil {
-		t.Error("Compile of non-leaf-pushed trie succeeded, want error")
-	}
-}
-
 func TestCompileEntryCountsMatchTrie(t *testing.T) {
 	tbl := genTable(t, 500, 2)
 	tr := trie.Build(tbl.Routes)
@@ -189,20 +182,6 @@ func TestMergedPipelineMatchesPerVNReference(t *testing.T) {
 		if want := refs[r.VN].Lookup(r.Addr); r.NHI != want {
 			t.Fatalf("vn %d lookup(%s) = %d, want %d", r.VN, r.Addr, r.NHI, want)
 		}
-	}
-}
-
-func TestMergedCompileRequiresLeafPush(t *testing.T) {
-	set, err := rib.GenerateVirtualSet(2, 50, 0.5, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := merge.Build(set.Tables)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := CompileMerged(m, 28); err == nil {
-		t.Error("CompileMerged of non-pushed trie succeeded, want error")
 	}
 }
 

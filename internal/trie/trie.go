@@ -90,7 +90,13 @@ type Trie struct {
 	routes     int
 	leafPushed bool
 	nodes      Arena[Node]
+	// internal[l] counts the nodes of level l with a child, kept by Insert
+	// and Delete as they link and prune nodes: the input to Levels.
+	internal [maxLevels - 1]int
 }
+
+// maxLevels bounds a trie over 32-bit addresses: the root and one level a bit.
+const maxLevels = 33
 
 // Build constructs a trie from all routes of t.
 func Build(t []ip.Route) *Trie {
@@ -104,6 +110,7 @@ func Build(t []ip.Route) *Trie {
 func (t *Trie) Rebuild(routes []ip.Route) {
 	t.nodes.Reset()
 	t.root, t.routes, t.leafPushed = t.nodes.New(), 0, false
+	clear(t.internal[:])
 	for _, r := range routes {
 		t.Insert(r.Prefix, r.NextHop)
 	}
@@ -129,6 +136,9 @@ func (t *Trie) Insert(p ip.Prefix, nh ip.NextHop) {
 	for i := 0; i < p.Len; i++ {
 		b := p.Bit(i)
 		if n.Child[b] == nil {
+			if n.IsLeaf() {
+				t.internal[i]++
+			}
 			n.Child[b] = t.nodes.New()
 		}
 		n = n.Child[b]
@@ -168,6 +178,9 @@ func (t *Trie) Delete(p ip.Prefix) bool {
 			break
 		}
 		path[i-1].Child[p.Bit(i-1)] = nil
+		if path[i-1].IsLeaf() {
+			t.internal[i-1]--
+		}
 	}
 	return true
 }
@@ -243,31 +256,71 @@ type Level struct {
 
 // Stats walks the trie and returns its shape statistics.
 func (t *Trie) Stats() Stats {
-	s := Stats{PerLevel: make([]Level, 33)}
+	var per [maxLevels]Level
+	height := 0
 	var walk func(n *Node, depth int)
 	walk = func(n *Node, depth int) {
-		s.Nodes++
-		if depth > s.Height {
-			s.Height = depth
-		}
-		lv := &s.PerLevel[depth]
+		height = max(height, depth)
+		lv := &per[depth]
 		lv.Nodes++
 		if n.IsLeaf() {
-			s.Leaves++
 			lv.Leaves++
-		} else {
-			s.Internal++
-			lv.Internal++
-			for b := 0; b < 2; b++ {
-				if n.Child[b] != nil {
-					walk(n.Child[b], depth+1)
-				}
+			return
+		}
+		lv.Internal++
+		for b := 0; b < 2; b++ {
+			if n.Child[b] != nil {
+				walk(n.Child[b], depth+1)
 			}
 		}
 	}
 	walk(t.root, 0)
-	s.PerLevel = s.PerLevel[:s.Height+1]
+	return StatsOf(append([]Level(nil), per[:height+1]...))
+}
+
+// StatsOf sums per-level counts, level 0 the root's, into the Stats of the
+// trie they describe.
+func StatsOf(perLevel []Level) Stats {
+	s := Stats{Height: len(perLevel) - 1, PerLevel: perLevel}
+	for _, lv := range perLevel {
+		s.Nodes, s.Leaves, s.Internal = s.Nodes+lv.Nodes, s.Leaves+lv.Leaves, s.Internal+lv.Internal
+	}
 	return s
+}
+
+// Levels returns the per-level counts of t's leaf-pushed form — what
+// LeafPush and then Stats().PerLevel give — in O(levels), pushed or not: nil
+// for a zero Trie, which has no root.
+func (t *Trie) Levels() []Level {
+	if t.root == nil {
+		return nil
+	}
+	return PushedLevels(t.internal[:])
+}
+
+// PushedLevels is the per-level shape of a leaf-pushed trie whose level l
+// holds internal[l] nodes with a child. Pushing gives each of those nodes
+// both children and adds no node with a child, so level l+1 holds twice
+// level l's internal nodes, and the rest of a level are leaves; the trie
+// ends at the first level with no internal node.
+func PushedLevels(internal []int) []Level {
+	height := 0
+	for height < len(internal) && internal[height] > 0 {
+		height++
+	}
+	out := make([]Level, height+1)
+	for l := range out {
+		n := 1
+		if l > 0 {
+			n = 2 * internal[l-1]
+		}
+		in := 0
+		if l < height {
+			in = internal[l]
+		}
+		out[l] = Level{Nodes: n, Leaves: n - in, Internal: in}
+	}
+	return out
 }
 
 // Walk visits every node in preorder with its level; fn returning false

@@ -537,3 +537,80 @@ func TestArenaResetHandsBackZeroedSlabs(t *testing.T) {
 		t.Fatal("after Reset, a wide Slice did not skip the narrow slab for the wide one")
 	}
 }
+
+// TestLevelsAreThePushedShape: after any run of Inserts and Deletes — a /0
+// and /32s among them, down to the empty trie and back, and through Rebuild —
+// Levels is LeafPush followed by Stats().PerLevel, and pushing leaves it as
+// it was. A zero Trie has no levels.
+func TestLevelsAreThePushedShape(t *testing.T) {
+	if got := (&Trie{}).Levels(); got != nil {
+		t.Errorf("zero Trie: Levels %v, want nil", got)
+	}
+	rng := rand.New(rand.NewSource(9))
+	// A small pool, so deletes hit and prefixes nest: a /0, /32s and lengths
+	// in between over a few address bases.
+	var pool []ip.Prefix
+	for _, base := range []uint32{0, 0x0a000000, 0x0a010200, 0xc0a80101, 0xffffffff} {
+		for _, l := range []int{0, 1, 7, 8, 16, 23, 24, 31, 32} {
+			pool = append(pool, ip.MustPrefix(ip.Addr(base)&ip.Mask(l), l))
+		}
+	}
+	live := map[ip.Prefix]ip.NextHop{}
+	routes := func() []ip.Route {
+		var out []ip.Route
+		for _, p := range pool {
+			if nh, ok := live[p]; ok {
+				out = append(out, ip.Route{Prefix: p, NextHop: nh})
+			}
+		}
+		return out
+	}
+	check := func(tr *Trie, what string) {
+		t.Helper()
+		ref := Build(routes())
+		ref.LeafPush()
+		if got, want := tr.Levels(), ref.Stats().PerLevel; !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: Levels %v, pushed Stats %v", what, got, want)
+		}
+	}
+	tr := Build(nil)
+	check(tr, "empty")
+	for op := 0; op < 3000; op++ {
+		p := pool[rng.Intn(len(pool))]
+		if rng.Intn(3) == 0 {
+			tr.Delete(p)
+			delete(live, p)
+		} else {
+			nh := ip.NextHop(1 + rng.Intn(9))
+			tr.Insert(p, nh)
+			live[p] = nh
+		}
+		check(tr, "after op")
+	}
+	for _, p := range pool {
+		tr.Delete(p)
+		delete(live, p)
+	}
+	check(tr, "deleted down to empty")
+	if got := tr.Levels(); !reflect.DeepEqual(got, []Level{{Nodes: 1, Leaves: 1}}) {
+		t.Errorf("empty trie: Levels %v, want the root leaf alone", got)
+	}
+	for _, p := range pool[:len(pool)/2] {
+		live[p] = 3
+	}
+	tr.Rebuild(routes())
+	check(tr, "rebuilt")
+	for _, rs := range [][]ip.Route{randomRoutes(3000, 34), randomRoutes(300, 35)} {
+		tr.Rebuild(rs)
+		want := Build(rs)
+		want.LeafPush()
+		if got := tr.Levels(); !reflect.DeepEqual(got, want.Stats().PerLevel) {
+			t.Fatalf("rebuilt over %d routes: Levels %v, pushed Stats %v", len(rs), got, want.Stats().PerLevel)
+		}
+		levels := tr.Levels()
+		tr.LeafPush()
+		if got := tr.Levels(); !reflect.DeepEqual(got, levels) || !reflect.DeepEqual(got, tr.Stats().PerLevel) {
+			t.Fatalf("%d routes: Levels after LeafPush %v, before %v, Stats %v", len(rs), got, levels, tr.Stats().PerLevel)
+		}
+	}
+}
