@@ -208,13 +208,16 @@ fuzz-smoke:
 # batched/scalar/trie lookup equivalence, the streamed engine against the
 # cycle-stepped Sim under random inject / bubble / update / upset / Stats
 # interleavings, and the depth-first compile against the breadth-first one
-# on decoded insert/delete route sets (the full runs are `go test
-# -fuzz=FuzzBatchedLookup`, `-fuzz=FuzzStreamVsSim` and
-# `-fuzz=FuzzCompileMatchesBreadthFirst` in ./internal/pipeline).
+# on decoded insert/delete route sets, and the batched oracle every verify
+# loop calls, LookupAll, against the scan of the same routes (the full runs
+# are `go test -fuzz=FuzzBatchedLookup`, `-fuzz=FuzzStreamVsSim` and
+# `-fuzz=FuzzCompileMatchesBreadthFirst` in ./internal/pipeline and
+# `-fuzz=FuzzLookupAll` in ./internal/ip).
 fuzz-batch-smoke:
 	$(GO) test ./internal/pipeline -run='^$$' -fuzz=FuzzBatchedLookup -fuzztime=10s
 	$(GO) test ./internal/pipeline -run='^$$' -fuzz=FuzzStreamVsSim -fuzztime=10s
 	$(GO) test ./internal/pipeline -run='^$$' -fuzz=FuzzCompileMatchesBreadthFirst -fuzztime=10s
+	$(GO) test ./internal/ip -run='^$$' -fuzz=FuzzLookupAll -fuzztime=10s
 
 # bench/ is its own module, so ./... never reaches it: vet it too.
 vet:
@@ -237,8 +240,9 @@ bench:
 # oracle reference, the streamed (parity on; inject and drain on the batched
 # engine, a Result per cycle on the scalar one) lookup path the slice runner
 # uses, the slice loop itself (load_small's shape through RunScenario, per
-# slice), the reference LPM every simulated lookup is checked against (lookup
-# and build), the image compiler, Image.Clone and Flatten (a re-derivation,
+# slice), the reference LPM every simulated lookup is checked against (one
+# lookup at a time, a chunk at a time as the verify loops call it, and build),
+# the image compiler, Image.Clone and Flatten (a re-derivation,
 # jump table included), and what the control plane does to prepare one
 # hitless churn batch (apply, trie, compile, diff, clone).
 #
@@ -251,7 +255,7 @@ bench:
 # BASE's interquartile range, or that BASE measured and the tree does not.
 # bench-gate-base.out, bench-gate-now.out and the report bench-gate.out are
 # kept as CI artifacts.
-GATE_BENCH = ^(BenchmarkPipelineLookup|BenchmarkPipelineLookupScalar|BenchmarkLookupStreamed|BenchmarkServeSlice|BenchmarkReferenceLookup|BenchmarkReferenceBuild|BenchmarkImageCompile|BenchmarkImageClone|BenchmarkImageFlatten|BenchmarkHitlessPrepare)$$
+GATE_BENCH = ^(BenchmarkPipelineLookup|BenchmarkPipelineLookupScalar|BenchmarkLookupStreamed|BenchmarkServeSlice|BenchmarkReferenceLookup|BenchmarkReferenceLookupAll|BenchmarkReferenceBuild|BenchmarkImageCompile|BenchmarkImageClone|BenchmarkImageFlatten|BenchmarkHitlessPrepare)$$
 bench-gate: build
 	@$(BASE_TREE) && \
 	(cd "$$tmp" && $(GO) test -trimpath -c -o "$$tmp/base.test" .) && \
@@ -346,31 +350,34 @@ alloc-diff:
 		END { if (bad) { print "alloc-diff: alloc_mb rose by more than 2% on a workload" > "/dev/stderr"; exit 1 } }'
 
 # Host-time pairs for a claimed gain: the bench built once at BASE (extracted
-# like digest-diff's) and once in the working tree, then for each seed one run
-# of workload W on each side back to back, alternating which side runs first.
-# For every end-to-end metric the host measures (PAIR_METRICS, each with the
-# direction that is better) it prints "seed base now ratio", then each side's
-# median and quartiles, the pairs the tree wins and whether the medians
-# differ by more than BASE's interquartile spread (ROADMAP "Gains are
-# measured"). Host time is not a gate on a shared 2-vCPU box, so this gates
+# like digest-diff's) and once in the working tree, then for each workload in
+# W (one name or a list, e.g. W="forward_paper load_small chaos_vs
+# fleet_failover") and each seed one run on each side back to back,
+# alternating which side runs first. For every end-to-end metric the host
+# measures (PAIR_METRICS, each with the direction that is better) it prints
+# "seed base now ratio", then each side's median and quartiles, the pairs the
+# tree wins and whether the medians differ by more than BASE's interquartile
+# spread (ROADMAP "Gains are measured"), one workload's blocks after the
+# other's. Host time is not a gate on a shared 2-vCPU box, so this gates
 # nothing.
 W ?= fleet_failover
 SEEDS ?= 1 2 3 4 5 6 7 8 9 10
 SECONDS ?= 3
 PAIR_METRICS = lookups_per_s:higher wall_s:lower setup_s:lower alloc_mb:lower live_heap_mb:lower
-PAIR_RUN = (cd "$$1" && .bench_build/bench --workload $(W) --seed $$2 --seconds $(SECONDS)) | \
+PAIR_RUN = (cd "$$1" && .bench_build/bench --workload $$3 --seed $$2 --seconds $(SECONDS)) | \
 	awk -v metrics="$(PAIR_METRICS)" 'BEGIN { n = split(metrics, m); for (i = 1; i <= n; i++) sub(/:.*/, "", m[i]) } \
 		{ v[$$1] = $$2 } END { for (i = 1; i <= n; i++) printf "%s%s", v[m[i]], i < n ? " " : "\n" }'
 pair-diff:
 	@$(BASE_TREE) && \
 	(cd "$$tmp" && bash bench/run.sh --help >/dev/null 2>&1; test -x .bench_build/bench) && \
 	(bash bench/run.sh --help >/dev/null 2>&1; test -x .bench_build/bench) || { echo "pair-diff: bench build failed" >&2; exit 1; }; \
-	run() { $(PAIR_RUN); }; i=0; \
+	run() { $(PAIR_RUN); }; \
+	for w in $(W); do i=0; \
 	for s in $(SEEDS); do \
-		if [ $$((i % 2)) -eq 0 ]; then b=$$(run "$$tmp" $$s); n=$$(run . $$s); \
-		else n=$$(run . $$s); b=$$(run "$$tmp" $$s); fi; \
+		if [ $$((i % 2)) -eq 0 ]; then b=$$(run "$$tmp" $$s $$w); n=$$(run . $$s $$w); \
+		else n=$$(run . $$s $$w); b=$$(run "$$tmp" $$s $$w); fi; \
 		echo "$$s $$b $$n"; i=$$((i + 1)); \
-	done | awk -v metrics="$(PAIR_METRICS)" 'function q(v, n, p,   h, k) { h = p * (n - 1) + 1; k = int(h); return v[k] + (h - k) * (v[k + 1] - v[k]) } \
+	done | awk -v metrics="$(PAIR_METRICS)" -v workload=$$w 'function q(v, n, p,   h, k) { h = p * (n - 1) + 1; k = int(h); return v[k] + (h - k) * (v[k + 1] - v[k]) } \
 		function stats(col,   nb, name, better, i, j, t, n, b, c, wins) { \
 			split(mm[col], nb, ":"); name = nb[1]; better = nb[2]; \
 			printf "%s (%s is better)\n  %-5s %12s %12s %7s\n", name, better, "seed", "base", "now", "ratio"; \
@@ -386,4 +393,5 @@ pair-diff:
 				mb ? mc / mb : 0, wins, n, (mc - mb > iqr || mb - mc > iqr) ? "more than" : "no more than" } \
 		BEGIN { nm = split(metrics, mm) } \
 		{ seed[NR] = $$1; for (c = 1; c <= nm; c++) { base[NR, c] = $$(1 + c); now[NR, c] = $$(1 + nm + c) } } \
-		END { printf "workload $(W): alternated pairs, $(SECONDS) s a run\n"; for (c = 1; c <= nm; c++) stats(c) }'
+		END { printf "workload %s: alternated pairs, $(SECONDS) s a run\n", workload; for (c = 1; c <= nm; c++) stats(c) }'; \
+	done

@@ -492,6 +492,53 @@ func BenchmarkReferenceLookup(b *testing.B) {
 	b.ReportMetric(float64(len(reqs))*float64(b.N)/b.Elapsed().Seconds(), "lookups/s")
 }
 
+// BenchmarkReferenceLookupAll times the same 8192 lookups as
+// BenchmarkReferenceLookup the way the netsim verify loops make them: in
+// 512-request chunks, each counting-sorted by VN as Forward's shards sort a
+// merged engine's chunk, with one Table.LookupAll per network's run —
+// grouping included, 0 allocs/op. Gated by `make bench-gate`.
+func BenchmarkReferenceLookupAll(b *testing.B) {
+	tables, reqs := referenceFixture(b)
+	refs := make([]*ip.Table, len(tables))
+	for i, t := range tables {
+		refs[i] = t.Reference()
+	}
+	const chunk = 512
+	addrs, want := make([]ip.Addr, chunk), make([]ip.NextHop, chunk)
+	at := make([]int, len(refs)+1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	routed := 0
+	for i := 0; i < b.N; i++ {
+		for lo := 0; lo < len(reqs); lo += chunk {
+			c := reqs[lo:min(lo+chunk, len(reqs))]
+			clear(at)
+			for _, q := range c {
+				at[q.VN+1]++
+			}
+			for vn := range refs {
+				at[vn+1] += at[vn]
+			}
+			for _, q := range c {
+				addrs[at[q.VN]] = q.Addr
+				at[q.VN]++
+			}
+			start := 0
+			for vn, ref := range refs {
+				ref.LookupAll(addrs[start:at[vn]], want[start:at[vn]])
+				start = at[vn]
+			}
+			for _, nh := range want[:len(c)] {
+				if nh != ip.NoRoute {
+					routed++
+				}
+			}
+		}
+	}
+	referenceSink = routed
+	b.ReportMetric(float64(len(reqs))*float64(b.N)/b.Elapsed().Seconds(), "lookups/s")
+}
+
 // BenchmarkReferenceBuild times Table.Reference() plus the first Lookup —
 // which derives the range index — over the same eight tables: what
 // netsim.New, every hitless commit and every audit over a churned table pay

@@ -5,4 +5,7 @@ package ip
 // seeds.
 type ScanModel = scanModel
 
-var CheckAgainstScan = checkAgainstScan
+var (
+	CheckAgainstScan = checkAgainstScan
+	ScanLookup       = scanLookup
+)

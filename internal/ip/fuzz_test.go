@@ -74,3 +74,50 @@ func FuzzTableLookup(f *testing.F) {
 		}
 	})
 }
+
+// FuzzLookupAll builds a table from the first input's Add/Remove records, as
+// FuzzTableLookup replays them, and looks up the second input's addresses
+// (four bytes each) in one LookupAll, against the scan of the same routes:
+// every lane group and tail, on a table LookupAll meets unindexed.
+func FuzzLookupAll(f *testing.F) {
+	for seed := int64(1); seed <= 3; seed++ {
+		tbl, err := rib.Generate("seed", 24, seed)
+		if err != nil {
+			f.Fatal(err)
+		}
+		var addrs []byte
+		for i, r := range tbl.Routes {
+			addrs = binary.BigEndian.AppendUint32(addrs, uint32(r.Prefix.Addr)+uint32(i))
+		}
+		f.Add(encodeAdds(tbl.Routes), addrs)
+	}
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 1, 0, 255, 255, 255, 255, 32, 2},
+		[]byte{0, 0, 0, 0, 255, 255, 255, 255, 255, 255, 255, 254, 1, 2, 3, 4, 0, 0, 0, 1, 128, 0, 0, 0, 127, 255, 255, 255, 9, 9, 9, 9, 255, 255, 255, 255})
+
+	f.Fuzz(func(t *testing.T, script, raw []byte) {
+		var tbl ip.Table
+		var model ip.ScanModel
+		// FuzzTableLookup holds the two to the same verdict on every edit;
+		// here only the table they end with matters.
+		for ; len(script) >= fuzzOp; script = script[fuzzOp:] {
+			p := ip.Prefix{Addr: ip.Addr(binary.BigEndian.Uint32(script[1:5])), Len: int(int8(script[5]))}
+			if script[0]&1 == 0 {
+				r := ip.Route{Prefix: p, NextHop: ip.NextHop(script[6])}
+				_, _ = tbl.Add(r), model.Add(r)
+			} else {
+				_, _ = tbl.Remove(p), model.Remove(p)
+			}
+		}
+		addrs := make([]ip.Addr, len(raw)/4)
+		for i := range addrs {
+			addrs[i] = ip.Addr(binary.BigEndian.Uint32(raw[4*i:]))
+		}
+		out := make([]ip.NextHop, len(addrs))
+		tbl.LookupAll(addrs, out)
+		for i, a := range addrs {
+			if want := ip.ScanLookup(model, a); out[i] != want {
+				t.Fatalf("LookupAll of %d addresses: [%d] %s -> %d, scan says %d", len(addrs), i, a, out[i], want)
+			}
+		}
+	})
+}

@@ -171,10 +171,10 @@ type Route struct {
 // trie, merge and pipeline lookup in the repository is checked against. The
 // routes are held by prefix length: for each length 0..32 a sorted array of
 // network addresses and a parallel array of their next hops, which is what
-// Add and Remove edit. Lookup reads a form derived from them by BuildIndex or
-// on first use: the address space cut into disjoint ranges, each with the
-// next hop of its longest match, so a lookup is one binary search whatever
-// the number of populated lengths.
+// Add and Remove edit. Lookup and LookupAll read a form derived from them by
+// BuildIndex or on first use: the address space cut into disjoint ranges,
+// each with the next hop of its longest match, so a lookup is one binary
+// search whatever the number of populated lengths.
 //
 // Independence rule: the oracle shares no code with the structures it checks
 // (package ip imports nothing from this module; there is no trie here), and
@@ -182,8 +182,8 @@ type Route struct {
 // oracle's own oracle.
 //
 // The zero Table is empty and ready to use. Any number of goroutines may call
-// Lookup concurrently once Add/Remove have stopped: of several first callers
-// each builds the (equal) range index and one copy is kept.
+// Lookup and LookupAll concurrently once Add/Remove have stopped: of several
+// first callers each builds the (equal) range index and one copy is kept.
 type Table struct {
 	keys [33][]Addr    // keys[l]: sorted network addresses of the /l routes
 	hops [33][]NextHop // hops[l][i]: next hop of keys[l][i]
@@ -259,25 +259,78 @@ func (t *Table) Len() int {
 // after an edit builds). Of several first callers racing, each may build an
 // (equal) index, and all read the one published first.
 func (t *Table) Lookup(addr Addr) NextHop {
-	x := t.index.Load()
-	if x == nil {
-		t.BuildIndex()
-		x = t.index.Load()
-	}
+	x := t.ranges()
 	// starts[lo] <= addr throughout, and addr < starts[lo+n] where that exists.
-	// The step "if starts[lo+half] <= addr { lo += half }" is taken by
-	// arithmetic: the difference of the two addresses, widened so it cannot
-	// wrap, is negative exactly when the probe lies above addr, and its sign,
-	// shifted across the word, masks the half out. A compare-and-branch here is
-	// a coin flip per probe to the branch predictor; this loop has no
-	// data-dependent branch.
 	lo, n := 0, len(x.starts)
 	for n > 1 {
 		half := n >> 1
-		lo += half &^ int((int64(addr)-int64(x.starts[lo+half]))>>63)
+		lo = x.probe(lo, half, addr)
 		n -= half
 	}
 	return x.hops[lo]
+}
+
+// lanes is how many searches LookupAll runs at once; its loop is written out
+// for eight.
+const lanes = 8
+
+// LookupAll writes Lookup(addrs[i]) to out[i] for every i; out must be at
+// least as long as addrs. It searches lanes addresses at a time: on one
+// table every search takes the same steps with the same halves, so their
+// probe chains run side by side, each lane's load independent of the others'
+// and overlapping them, where Lookup waits out one chain load by load. The
+// tail of fewer than lanes addresses goes through Lookup.
+func (t *Table) LookupAll(addrs []Addr, out []NextHop) {
+	out = out[:len(addrs)]
+	x := t.ranges()
+	i := 0
+	for ; i+lanes <= len(addrs); i += lanes {
+		a := addrs[i : i+lanes : i+lanes]
+		var l0, l1, l2, l3, l4, l5, l6, l7 int
+		for n := len(x.starts); n > 1; {
+			half := n >> 1
+			l0 = x.probe(l0, half, a[0])
+			l1 = x.probe(l1, half, a[1])
+			l2 = x.probe(l2, half, a[2])
+			l3 = x.probe(l3, half, a[3])
+			l4 = x.probe(l4, half, a[4])
+			l5 = x.probe(l5, half, a[5])
+			l6 = x.probe(l6, half, a[6])
+			l7 = x.probe(l7, half, a[7])
+			n -= half
+		}
+		o := out[i : i+lanes : i+lanes]
+		o[0], o[1], o[2], o[3] = x.hops[l0], x.hops[l1], x.hops[l2], x.hops[l3]
+		o[4], o[5], o[6], o[7] = x.hops[l4], x.hops[l5], x.hops[l6], x.hops[l7]
+	}
+	for ; i < len(addrs); i++ {
+		out[i] = t.Lookup(addrs[i])
+	}
+}
+
+// ranges returns the range index, building it first if an edit dropped it.
+func (t *Table) ranges() *rangeIndex {
+	if x := t.index.Load(); x != nil {
+		return x
+	}
+	return t.build()
+}
+
+// build publishes a range index unless a racing caller has, and returns the
+// one published. It is a call of its own, so that ranges inlines.
+func (t *Table) build() *rangeIndex {
+	t.index.CompareAndSwap(nil, t.buildRanges())
+	return t.index.Load()
+}
+
+// probe is one step of the range search: lo+half if starts[lo+half] <= addr,
+// else lo. The step is taken by arithmetic: the difference of the two
+// addresses, widened so it cannot wrap, is negative exactly when the probe
+// lies above addr, and its sign, shifted across the word, masks the half out.
+// A compare-and-branch here is a coin flip per probe to the branch
+// predictor; the search has no data-dependent branch.
+func (x *rangeIndex) probe(lo, half int, addr Addr) int {
+	return lo + half&^int((int64(addr)-int64(x.starts[lo+half]))>>63)
 }
 
 // BuildIndex builds the range index Lookup reads, unless it is built: a
@@ -285,7 +338,7 @@ func (t *Table) Lookup(addr Addr) NextHop {
 // concurrent first callers build nothing.
 func (t *Table) BuildIndex() {
 	if t.index.Load() == nil {
-		t.index.CompareAndSwap(nil, t.buildRanges())
+		t.build()
 	}
 }
 

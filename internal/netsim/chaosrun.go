@@ -32,6 +32,7 @@ import (
 
 	"vrpower/internal/ctrl"
 	"vrpower/internal/faults"
+	"vrpower/internal/ip"
 	"vrpower/internal/obs"
 	"vrpower/internal/pipeline"
 	"vrpower/internal/scenario"
@@ -470,9 +471,16 @@ func (r *scenRun) audit(e *scenEng, at int64, keys ...any) pipeline.AuditResult 
 			tbl = mgr.Tables()[vn]
 		}
 		stride := max(1, (tbl.Len()+auditProbeCap-1)/auditProbeCap)
+		var addrs [auditProbeCap]ip.Addr
+		var want [auditProbeCap]ip.NextHop
+		n := 0
 		for i := 0; i < tbl.Len(); i += stride {
-			addr := tbl.Routes[i].Prefix.Addr
-			probes = append(probes, pipeline.Probe{Addr: addr, VN: reqVN, Want: ref.Lookup(addr)})
+			addrs[n] = tbl.Routes[i].Prefix.Addr
+			n++
+		}
+		ref.LookupAll(addrs[:n], want[:n])
+		for i, addr := range addrs[:n] {
+			probes = append(probes, pipeline.Probe{Addr: addr, VN: reqVN, Want: want[i]})
 		}
 	}
 	res := pipeline.AuditImage(e.fs.img, probes)

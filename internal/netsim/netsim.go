@@ -17,6 +17,7 @@ package netsim
 
 import (
 	"fmt"
+	"sync"
 
 	"vrpower/internal/core"
 	"vrpower/internal/energy"
@@ -146,34 +147,39 @@ func (s *System) forward(d steering, fill func(e, start int, reqs []pipeline.Req
 		EngineLoad: make([]float64, len(images)),
 	}
 	meter := s.meter()
-	// Every result is metered, checked against its network's oracle, traced
-	// if sampled and, if routed, handed to egress by the shard that swept it,
-	// while its chunk is still in cache.
+	// Every result is checked against its network's oracle, counted for the
+	// meter, traced if sampled and, if routed, handed to egress by the shard
+	// that swept it, while its chunk is still in cache.
 	type verified struct {
-		em                           *energy.Meter
+		ck                           *checks
 		mismatches, noRoute, expired int
 		traces                       []*obs.FlightTrace
 	}
 	runs, err := sweepEngines(images, d.counts, fill, func(v *verified, e, start int, res []pipeline.Result) {
-		if v.em == nil {
-			v.em = s.meter()
+		stages := images[e].Stages()
+		if v.ck == nil {
+			v.ck = borrowChecks(s.k * stages)
 		}
+		one := e // per-network engine: the engine index is the network
+		if scheme == core.VM {
+			one = -1
+		}
+		want := v.ck.answers(s.refs, res, one)
 		for j := range res {
 			r := &res[j]
 			vn := r.VN
-			if scheme != core.VM {
-				vn = e // per-network engine: the engine index is the network
+			if one >= 0 {
+				vn = one
 			}
-			v.em.Lookup(e, vn, r.LastStage)
-			want := s.refs[vn].Lookup(r.Addr)
-			if r.NHI != want {
+			v.ck.counts[vn*stages+r.LastStage]++
+			if r.NHI != want[j] {
 				v.mismatches++
 			}
-			if want == ip.NoRoute {
+			if want[j] == ip.NoRoute {
 				v.noRoute++
 			}
 			if r.Trace {
-				v.traces = append(v.traces, scenario.LookupTrace(int64(d.at(e, start+j)), vn, e, 0, *r, 0, scenario.LookupOutcome(*r, want)))
+				v.traces = append(v.traces, scenario.LookupTrace(int64(d.at(e, start+j)), vn, e, 0, *r, 0, scenario.LookupOutcome(*r, want[j])))
 			}
 			if egress != nil && r.NHI != ip.NoRoute && !egress(d.at(e, start+j), r.NHI) {
 				v.expired++
@@ -193,7 +199,13 @@ func (s *System) forward(d steering, fill func(e, start int, reqs []pipeline.Req
 			rep.Mismatches += v.mismatches
 			rep.NoRoute += v.noRoute
 			expired += v.expired
-			meter.Fold(v.em)
+			if v.ck != nil {
+				stages := images[e].Stages()
+				for vn := 0; vn < s.k; vn++ {
+					chargeRow(meter, e, vn, v.ck.counts[vn*stages:(vn+1)*stages])
+				}
+				returnChecks(v.ck)
+			}
 			for _, t := range v.traces {
 				// In fold order, so an overflowing ring keeps the same
 				// traces at any -j.
@@ -211,6 +223,116 @@ func (s *System) forward(d steering, fill func(e, start int, reqs []pipeline.Req
 	er.Publish()
 	obsPacketsResolved.Add(int64(d.n))
 	return rep, expired, nil
+}
+
+// checks is a verify loop's scratch for the oracle, borrowed from a free
+// list so that a run allocates none: a chunk's addresses and their answers,
+// a merged engine's chunk grouped by network, and the lookups counted for
+// the meter, by vn*stages + last stage.
+type checks struct {
+	addrs  []ip.Addr
+	want   []ip.NextHop // by position in the chunk
+	hops   []ip.NextHop // by place in the grouped chunk
+	pos    []int32      // the chunk position of each place in the grouped chunk
+	ends   []int        // ends[vn]: one past network vn's run in the grouped chunk
+	counts []int64
+}
+
+// checkFree is the free list of checks the verify loops borrow.
+var checkFree struct {
+	sync.Mutex
+	free []*checks
+}
+
+// borrowChecks returns a checks with n zeroed counts.
+func borrowChecks(n int) *checks {
+	checkFree.Lock()
+	var c *checks
+	if k := len(checkFree.free); k > 0 {
+		c = checkFree.free[k-1]
+		checkFree.free = checkFree.free[:k-1]
+	} else {
+		c = new(checks)
+	}
+	checkFree.Unlock()
+	if cap(c.counts) < n {
+		c.counts = make([]int64, n)
+	}
+	c.counts = c.counts[:n]
+	clear(c.counts)
+	return c
+}
+
+func returnChecks(c *checks) {
+	checkFree.Lock()
+	checkFree.free = append(checkFree.free, c)
+	checkFree.Unlock()
+}
+
+// grow makes room for the addresses and answers of a chunk of n lookups.
+func (c *checks) grow(n int) {
+	if cap(c.addrs) < n {
+		c.addrs, c.want = make([]ip.Addr, n), make([]ip.NextHop, n)
+	}
+}
+
+// answers returns the oracle's answer for each result of a chunk, by
+// position. A chunk of network one (≥ 0) is one LookupAll; a merged engine's
+// chunk (one < 0) is counting-sorted by VN into one run per network, each
+// looked up in one LookupAll, and the answers are scattered back to their
+// positions.
+func (c *checks) answers(refs []*ip.Table, res []pipeline.Result, one int) []ip.NextHop {
+	n := len(res)
+	c.grow(n)
+	addrs, want := c.addrs[:n], c.want[:n]
+	if one >= 0 {
+		for j := range res {
+			addrs[j] = res[j].Addr
+		}
+		refs[one].LookupAll(addrs, want)
+		return want
+	}
+	if cap(c.pos) < n {
+		c.hops, c.pos = make([]ip.NextHop, n), make([]int32, n)
+	}
+	if cap(c.ends) < len(refs)+1 {
+		c.ends = make([]int, len(refs)+1)
+	}
+	// ends[vn+1] counts network vn's results, then, summed, ends[vn] is where
+	// its run starts; placing each result moves its network's up to the end.
+	ends := c.ends[:len(refs)+1]
+	clear(ends)
+	for j := range res {
+		ends[res[j].VN+1]++
+	}
+	for vn := 1; vn < len(ends); vn++ {
+		ends[vn] += ends[vn-1]
+	}
+	pos := c.pos[:n]
+	for j := range res {
+		p := ends[res[j].VN]
+		addrs[p], pos[p] = res[j].Addr, int32(j)
+		ends[res[j].VN]++
+	}
+	hops, lo := c.hops[:n], 0
+	for vn, ref := range refs {
+		ref.LookupAll(addrs[lo:ends[vn]], hops[lo:ends[vn]])
+		lo = ends[vn]
+	}
+	for p, j := range pos {
+		want[j] = hops[p]
+	}
+	return want
+}
+
+// chargeRow charges meter with row[last] lookups of network vn through stage
+// last of engine e, for every last stage, in integer femtojoules — the sum
+// one charge per lookup comes to — and zeroes the row.
+func chargeRow(meter *energy.Meter, e, vn int, row []int64) {
+	for last, n := range row {
+		meter.LookupN(e, vn, last, n)
+		row[last] = 0
+	}
 }
 
 // engineRun is one engine's part of a closed-loop run: its stats (zero for

@@ -70,8 +70,7 @@ type settler struct {
 	// total is the delivered lookups and delaySum their arrival-to-exit cycles.
 	total, delaySum int64
 
-	counts []int64 // the exits being settled, by vn*stages + last stage
-	held   []heldTrace
+	held []heldTrace
 }
 
 // seq is the trace seq of the packet of network vn that arrived at cycle
@@ -94,16 +93,15 @@ func (t *settler) traced(q queued) bool {
 // the serve order. It returns how many exits were parity-refused.
 func (t *settler) settle(e *scenEng, meter *energy.Meter, telEngine, order int) (faults int64) {
 	stages := meter.Model().Engines[e.idx].Stages()
-	if need := len(t.delivered) * stages; len(t.counts) < need {
-		t.counts = make([]int64, need)
-	}
 	settled := 0
+	ck := borrowChecks(len(t.delivered) * stages)
 	e.sim.Drain(func(exits []pipeline.Exit) {
+		want := ck.epochAnswers(exits, e.flights[settled:settled+len(exits)])
 		for i := range exits {
 			x, m := &exits[i], &e.flights[settled+i]
 			e.pending[x.VN]--
 			vn := int32(e.served[x.VN])
-			t.counts[int(vn)*stages+x.LastStage]++
+			ck.counts[int(vn)*stages+x.LastStage]++
 			outcome := "forward"
 			switch {
 			case x.Faulted:
@@ -112,7 +110,7 @@ func (t *settler) settle(e *scenEng, meter *energy.Meter, telEngine, order int) 
 				t.dropped[vn]++
 				t.dropVN[vn].Inc()
 				outcome = "drop-fault"
-			case x.NHI != m.ref.Lookup(x.Addr):
+			case x.NHI != want[i]:
 				t.mismatches++
 				outcome = "mismatch"
 			default:
@@ -134,13 +132,32 @@ func (t *settler) settle(e *scenEng, meter *energy.Meter, telEngine, order int) 
 	t.faulted += faults
 	e.flights = e.flights[:copy(e.flights, e.flights[settled:])]
 	for _, vn := range e.served {
-		row := t.counts[vn*stages : (vn+1)*stages]
-		for last, n := range row {
-			meter.LookupN(e.idx, vn, last, n)
-			row[last] = 0
-		}
+		chargeRow(meter, e.idx, vn, ck.counts[vn*stages:(vn+1)*stages])
 	}
+	returnChecks(ck)
 	return faults
+}
+
+// epochAnswers returns the oracle's answer for each exit of a run, each
+// against its flight's injection-epoch oracle: one LookupAll per stretch of
+// consecutive exits that share one, so an update commit inside a run starts
+// a new stretch.
+func (c *checks) epochAnswers(exits []pipeline.Exit, flights []inflight) []ip.NextHop {
+	n := len(exits)
+	c.grow(n)
+	addrs, want := c.addrs[:n], c.want[:n]
+	for i := range exits {
+		addrs[i] = exits[i].Addr
+	}
+	for lo := 0; lo < n; {
+		ref, hi := flights[lo].ref, lo+1
+		for hi < n && flights[hi].ref == ref {
+			hi++
+		}
+		ref.LookupAll(addrs[lo:hi], want[lo:hi])
+		lo = hi
+	}
+	return want
 }
 
 // putTraces puts the traces held since the last call, by cycle and within a
