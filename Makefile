@@ -123,12 +123,10 @@ chaos-smoke:
 # install, the journaled landing and its invariant audit, ending with every
 # network recovered (no vn_degraded).
 #
-# The fleet is the slice runner over a placed device list and a single device
-# is that list of one, so the target also runs the N=1 pair: FLEET1_SPEC and
-# the same spec with fleet=1 must log the same events, report the same
-# per-network packet counts and write the same series but for the power
-# column (last digits) and the three per-slice energy columns a fleet run
-# leaves at zero (DESIGN §16) — at -j1 and -j8 alike.
+# Every run is a placement and a single device is the fleet of one, so the
+# target also runs the N=1 pair: FLEET1_SPEC and the same spec with fleet=1
+# must log the same events, report the same per-network packet counts and
+# write the same series and traces, byte for byte — at -j1 and -j8 alike.
 FLEET_SPEC = load=const:0.4,fleet=2:spare=1,chaos=devcrash:2+flaky:2+brownout:1,cycles=65536,queue=32,seed=2
 FLEET1_SPEC = load=surge:0.3:0.95,cycles=8192,queue=8,seed=3
 FLEET1_FLEET_SPEC = $(FLEET1_SPEC),fleet=1
@@ -137,12 +135,12 @@ fleet-smoke:
 	$(call smoke,fleet-smoke/one,-scheme VS -k 4,FLEET1_SPEC)
 	$(call smoke,fleet-smoke/fleet1,-scheme VS -k 4,FLEET1_FLEET_SPEC)
 	cmp fleet-smoke/one/events.jsonl fleet-smoke/fleet1/events.jsonl
+	cmp fleet-smoke/one/timeseries.csv fleet-smoke/fleet1/timeseries.csv
+	cmp fleet-smoke/one/traces.jsonl fleet-smoke/fleet1/traces.jsonl
 	for d in one fleet1; do \
-		grep 'offered/delivered/dropped' fleet-smoke/$$d/report.txt | sed 's/ *$$//' > fleet-smoke/$$d/packets.txt && \
-		cut -d, -f1,3-10,14- fleet-smoke/$$d/timeseries.csv > fleet-smoke/$$d/series-common.csv || exit 1; \
+		grep 'offered/delivered/dropped' fleet-smoke/$$d/report.txt | sed 's/ *$$//' > fleet-smoke/$$d/packets.txt || exit 1; \
 	done
 	cmp fleet-smoke/one/packets.txt fleet-smoke/fleet1/packets.txt
-	cmp fleet-smoke/one/series-common.csv fleet-smoke/fleet1/series-common.csv
 	grep -q 'load + fleet + chaos' fleet-smoke/report.txt
 	grep -q 'Completed.*true' fleet-smoke/report.txt
 	grep -q device_crash fleet-smoke/events.jsonl

@@ -124,13 +124,32 @@ func (mt *Meter) Transition(e, vn int) {
 	mt.Transitions++
 }
 
-// StaticSlice integrates every powered device's leakage over one slice of
-// cycles at the active clock fraction.
+// StaticSlice integrates the leakage of every device the model powers over
+// one slice of cycles at the active clock fraction. The zero Model powers
+// none: a dark device leaks nothing.
 func (mt *Meter) StaticSlice(cycles int64, freqFrac float64) {
-	fj := mt.m.StaticSliceFJ(cycles, freqFrac)
-	for d := range mt.DeviceStaticFJ {
-		mt.DeviceStaticFJ[d] += fj
+	for d := range mt.m.Devices {
+		mt.DeviceStaticFJ[d] += mt.m.StaticSliceFJ(cycles, freqFrac)
 	}
+}
+
+// Rebase moves the meter onto model m and keeps everything it has charged:
+// a device's meter follows the device through every change of its power
+// model — an install that lands, a spare that powers up, a crash onto the
+// zero Model. The engine and device axes grow to m's and never shrink, so
+// engine e's energy stays in slot e whatever model charged it.
+func (mt *Meter) Rebase(m *Model) {
+	mt.m = m
+	mt.EngineDynFJ = grow(mt.EngineDynFJ, len(m.Engines))
+	mt.DeviceStaticFJ = grow(mt.DeviceStaticFJ, m.Devices)
+}
+
+// grow extends s with zeros to length n.
+func grow(s []int64, n int) []int64 {
+	if n > len(s) {
+		s = append(s, make([]int64, n-len(s))...)
+	}
+	return s
 }
 
 // Fold adds a worker-local meter into the receiver. Callers fold in
@@ -138,17 +157,30 @@ func (mt *Meter) StaticSlice(cycles int64, freqFrac float64) {
 // order-independent anyway, but the discipline keeps every derived float
 // identical too.
 func (mt *Meter) Fold(o *Meter) {
-	if o == nil {
-		return
+	if o != nil {
+		mt.foldAt(o, 0, 0)
 	}
-	for i := range o.VNDynFJ {
-		mt.VNDynFJ[i] += o.VNDynFJ[i]
+}
+
+// Join adds o into the receiver as the next device of a composite: o's
+// engine and device axes are appended to the receiver's, its per-VNID,
+// component and event totals added. A run's ledger is its device meters
+// joined in device order, so both axes read engine within device.
+func (mt *Meter) Join(o *Meter) { mt.foldAt(o, len(mt.EngineDynFJ), len(mt.DeviceStaticFJ)) }
+
+// foldAt adds o into the receiver with o's engine e in slot eng+e and its
+// device d in slot dev+d, growing the receiver's axes to fit.
+func (mt *Meter) foldAt(o *Meter, eng, dev int) {
+	mt.EngineDynFJ = grow(mt.EngineDynFJ, eng+len(o.EngineDynFJ))
+	mt.DeviceStaticFJ = grow(mt.DeviceStaticFJ, dev+len(o.DeviceStaticFJ))
+	for i, fj := range o.VNDynFJ {
+		mt.VNDynFJ[i] += fj
 	}
-	for i := range o.EngineDynFJ {
-		mt.EngineDynFJ[i] += o.EngineDynFJ[i]
+	for i, fj := range o.EngineDynFJ {
+		mt.EngineDynFJ[eng+i] += fj
 	}
-	for i := range o.DeviceStaticFJ {
-		mt.DeviceStaticFJ[i] += o.DeviceStaticFJ[i]
+	for i, fj := range o.DeviceStaticFJ {
+		mt.DeviceStaticFJ[dev+i] += fj
 	}
 	mt.MemFJ += o.MemFJ
 	mt.ClockFJ += o.ClockFJ

@@ -87,6 +87,12 @@ type BrownoutWindow struct {
 	Start, End int64
 }
 
+// SitsOut reports whether the browned device sits cycle cyc out: inside the
+// window it serves alternate cycles only.
+func (w BrownoutWindow) SitsOut(cyc int64) bool {
+	return cyc >= w.Start && cyc < w.End && cyc%2 != 0
+}
+
 // DeviceInjector produces the device-scale fault schedule for a fleet. It
 // is driven from the coordinating goroutine; not safe for concurrent use.
 type DeviceInjector struct {
@@ -163,18 +169,6 @@ func (in *DeviceInjector) Crashes() []DeviceCrash { return in.crashes }
 
 // Brownouts returns the scheduled brownout windows.
 func (in *DeviceInjector) Brownouts() []BrownoutWindow { return in.brown }
-
-// BrownedOut reports whether device d is browned at cycle cyc — and if so,
-// whether this particular cycle is one the device sits out (alternate
-// cycles are served).
-func (in *DeviceInjector) BrownedOut(d int, cyc int64) bool {
-	for _, w := range in.brown {
-		if w.Device == d && cyc >= w.Start && cyc < w.End {
-			return cyc%2 != 0
-		}
-	}
-	return false
-}
 
 // FlakyDevices returns the flaky device set, ascending.
 func (in *DeviceInjector) FlakyDevices() []int { return in.flakyIDs }

@@ -116,16 +116,14 @@ func TestBrownedOutAlternateCycles(t *testing.T) {
 		t.Fatalf("brownout %v not Window/8 long", w)
 	}
 	for cyc := w.Start; cyc < w.End; cyc++ {
-		if got := in.BrownedOut(w.Device, cyc); got != (cyc%2 != 0) {
+		if got := w.SitsOut(cyc); got != (cyc%2 != 0) {
 			t.Fatalf("cycle %d browned=%v, want alternate cycles only", cyc, got)
 		}
 	}
-	if in.BrownedOut(w.Device, w.Start-1) || in.BrownedOut(w.Device, w.End) {
-		t.Fatal("brownout leaks outside its window")
-	}
-	other := (w.Device + 1) % 3
-	if in.BrownedOut(other, w.Start+1) {
-		t.Fatalf("device %d browned by device %d's window", other, w.Device)
+	for _, cyc := range []int64{w.Start - 2, w.Start - 1, w.End, w.End + 1} {
+		if w.SitsOut(cyc) {
+			t.Fatalf("brownout leaks outside its window at cycle %d", cyc)
+		}
 	}
 }
 

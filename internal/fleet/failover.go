@@ -314,12 +314,6 @@ func (c *Controller) wakeSpare(d int, at int64) {
 	c.spareUps++
 }
 
-// PoweredAt reports whether device d draws static power (active or mid
-// power-up).
-func (c *Controller) PoweredAt(d int) bool {
-	return c.state[d] == DevActive || c.state[d] == DevPoweringUp
-}
-
 // Due returns the migrations whose next attempt may start at cycle now:
 // backoff elapsed and the target device ready (a powering-up target
 // flips to active once its cold-start lapses). Decision order.

@@ -8,7 +8,6 @@ package netsim
 import (
 	"math"
 	"math/rand"
-	"regexp"
 	"slices"
 	"strconv"
 	"strings"
@@ -251,9 +250,9 @@ func TestFifoMatchesSliceAndStopsAllocating(t *testing.T) {
 }
 
 // TestSingleDeviceIsFleetOfOne: a spec and the same spec with fleet=1 are the
-// same run — same packets, delays, events, series and energy — and differ
-// only where the test says so. Each permitted difference is asserted, then
-// erased, and what is left must be equal to the byte.
+// same run. The fleet section, the stressor list and the spec string are all
+// that may differ; the rest of the report, the traces, the series and the
+// events must be equal to the byte.
 func TestSingleDeviceIsFleetOfOne(t *testing.T) {
 	for _, tc := range []struct {
 		scheme core.Scheme
@@ -268,62 +267,110 @@ func TestSingleDeviceIsFleetOfOne(t *testing.T) {
 		fl, flDumps := runScenario(t, tc.scheme, tc.k, mustParse(t, tc.spec+",fleet=1"), 1)
 		name := tc.scheme.String() + " " + tc.spec
 
-		// The fleet section and the stressor list.
 		if one.Fleet != nil || fl.Fleet == nil || len(fl.Fleet.PerDevice) != 1 {
 			t.Fatalf("%s: fleet sections %+v / %+v, want none / one device", name, one.Fleet, fl.Fleet)
 		}
 		if !slices.Equal(fl.Stressors, append(slices.Clone(one.Stressors), "fleet")) {
 			t.Errorf("%s: stressors %v vs %v, want the same plus fleet", name, one.Stressors, fl.Stressors)
 		}
-		// DESIGN §16 bend 1: the fleet's engine axis is the device axis.
-		var engineSum int64
-		for _, fj := range one.Energy.EngineDynFJ {
-			engineSum += fj
+		if fl.Spec != one.Spec+",fleet=1" {
+			t.Errorf("%s: specs %q vs %q", name, one.Spec, fl.Spec)
 		}
-		if got := fl.Energy.EngineDynFJ; len(got) != 1 || got[0] != engineSum || len(one.Energy.EngineDynFJ) != tc.k {
-			t.Errorf("%s: engine axes %v vs %v, want %d engines summing to the one device", name, one.Energy.EngineDynFJ, got, tc.k)
-		}
-		fl.Fleet, fl.Stressors, fl.Spec, fl.Energy.EngineDynFJ = nil, one.Stressors, one.Spec, one.Energy.EngineDynFJ
+		fl.Fleet, fl.Stressors, fl.Spec = nil, one.Stressors, one.Spec
 		if a, b := dumpJSON(t, one), dumpJSON(t, fl); a != b {
-			t.Errorf("%s: reports differ beyond the fleet section, the stressor list and the engine axis:\n%s\n%s", name, a, b)
+			t.Errorf("%s: reports differ beyond the fleet section, the stressor list and the spec:\n%s\n%s", name, a, b)
 		}
+		// These runs log no event; the trace and series dumps must hold something.
+		for i, dump := range []string{"trace", "series", "event"} {
+			if oneDumps[i] != flDumps[i] || oneDumps[i] == "" && i < 2 {
+				t.Errorf("%s: %s dumps differ (or are empty):\n%s\n%s", name, dump, oneDumps[i], flDumps[i])
+			}
+		}
+	}
+}
 
-		// The trace engine field carries the device id on a fleet run.
-		oneTraces := regexp.MustCompile(`"engine":\d+`).ReplaceAllString(oneDumps[0], `"engine":0`)
-		if oneDumps[0] == "" || strings.Contains(flDumps[0], `"engine":1`) || oneTraces != flDumps[0] {
-			t.Errorf("%s: trace dumps differ beyond the engine field (or are empty)", name)
-		}
-		// DESIGN §16 bend 2: the fleet's three per-slice energy columns read zero.
-		oneSeries, flSeries := strings.Split(oneDumps[1], "\n"), strings.Split(flDumps[1], "\n")
-		if len(oneSeries) != len(flSeries) || len(oneSeries) < 9 {
-			t.Fatalf("%s: %d vs %d series lines", name, len(oneSeries), len(flSeries))
-		}
-		header := strings.Split(oneSeries[0], ",")
-		dyn := slices.Index(header, "dyn_j")
-		if dyn < 0 || !slices.Equal(header[dyn:dyn+3], []string{"dyn_j", "static_j", "j_per_bit"}) || oneSeries[0] != flSeries[0] {
-			t.Fatalf("%s: series headers %q / %q", name, oneSeries[0], flSeries[0])
-		}
-		for i := 1; i < len(oneSeries) && oneSeries[i] != ""; i++ {
-			a, b := strings.Split(oneSeries[i], ","), strings.Split(flSeries[i], ",")
-			if slices.Equal(a[dyn:dyn+3], []string{"0", "0", "0"}) || !slices.Equal(b[dyn:dyn+3], []string{"0", "0", "0"}) {
-				t.Errorf("%s: slice %d energy columns %v vs %v, want metered vs zero", name, i, a[dyn:dyn+3], b[dyn:dyn+3])
+// TestFleetEnergyConserved: on a fleet run through crashes, failed installs
+// and landed migrations, the slice series and the device meters account for
+// exactly the energy the report's ledger holds. The series energy columns sum
+// to the report's total within one float rounding per row; every device
+// meter, crashed or live, is its slice of the ledger's engine and device axes
+// (engine within device, in device order) and adds its per-VNID, component
+// and event totals; and ΣVN = Σengine = mem + clock + ctrl.
+func TestFleetEnergyConserved(t *testing.T) {
+	s, _ := buildSystem(t, core.VS, 8)
+	tel := testTelemetry(0.05, 99)
+	s.SetTelemetry(tel)
+	r, err := s.runScenario(faultGen(t, s, 17),
+		mustParse(t, "load=const:0.4,fleet=2:spare=1,chaos=devcrash:2+flaky:2+brownout:1,cycles=16384,queue=32,seed=2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, f, er := r.rep, r.rep.Fleet, r.rep.Energy
+	if len(f.Crashes) == 0 || f.MigrationFailures == 0 || f.MigrationsDone == 0 {
+		t.Fatalf("%d crashes, %d failed installs, %d landed migrations: want each", len(f.Crashes), f.MigrationFailures, f.MigrationsDone)
+	}
+	if rep.Mismatches != 0 || f.AuditMismatches != 0 || !rep.Completed {
+		t.Fatalf("%d mismatches, %d audit mismatches, completed %v", rep.Mismatches, f.AuditMismatches, rep.Completed)
+	}
+
+	_, series, _ := dumps(t, tel)
+	lines := strings.Split(strings.TrimSpace(series), "\n")
+	header := strings.Split(lines[0], ",")
+	dyn, static := slices.Index(header, "dyn_j"), slices.Index(header, "static_j")
+	var sum float64
+	for _, line := range lines[1:] {
+		row := strings.Split(line, ",")
+		for _, c := range []int{dyn, static} {
+			v, err := strconv.ParseFloat(row[c], 64)
+			if err != nil {
+				t.Fatal(err)
 			}
-			copy(a[dyn:dyn+3], b[dyn:dyn+3])
-			// DESIGN §16 bend 3: the fleet's power column prices each of a
-			// device's engine slots at the device's mean utilisation, so it
-			// may leave the per-engine figure in the last digits.
-			pa, _ := strconv.ParseFloat(a[1], 64)
-			pb, _ := strconv.ParseFloat(b[1], 64)
-			if header[1] != "power_w" || pa <= 0 || math.Abs(pa-pb) > 1e-9*pa {
-				t.Errorf("%s: slice %d power %s vs %s W, want equal to nine digits", name, i, a[1], b[1])
-			}
-			a[1] = b[1]
-			if !slices.Equal(a, b) {
-				t.Errorf("%s: series row %d differs beyond the power and energy columns:\n%s\n%s", name, i, oneSeries[i], flSeries[i])
-			}
+			sum += v
 		}
-		if oneDumps[2] != flDumps[2] {
-			t.Errorf("%s: event dumps differ:\n%s\n%s", name, oneDumps[2], flDumps[2])
+	}
+	rows := float64(len(lines) - 1)
+	if tol := 4 * rows * 0x1p-53 * er.TotalJ; er.TotalJ <= 0 || math.Abs(sum-er.TotalJ) > tol {
+		t.Fatalf("series energy columns sum to %.17g J over %g rows, report total %.17g J: want within %.3g", sum, rows, er.TotalJ, tol)
+	}
+
+	var vn, engAxis, devAxis []int64
+	var mem, clock, ctrl, lookups, words int64
+	for _, d := range r.devs {
+		mt := d.meter
+		if f.PerDevice[d.id].State == "crashed" && (len(mt.Model().Engines) != 0 || mt.DynTotalFJ() == 0) {
+			t.Errorf("crashed device %d: meter over %d engines with %d fJ, want dark and holding its energy",
+				d.id, len(mt.Model().Engines), mt.DynTotalFJ())
 		}
+		engAxis, devAxis = append(engAxis, mt.EngineDynFJ...), append(devAxis, mt.DeviceStaticFJ...)
+		vn = append(vn, mt.VNDynFJ...)
+		mem, clock, ctrl = mem+mt.MemFJ, clock+mt.ClockFJ, ctrl+mt.CtrlFJ
+		lookups, words = lookups+mt.Lookups, words+mt.Words
+	}
+	if !slices.Equal(engAxis, er.EngineDynFJ) || !slices.Equal(devAxis, er.DeviceStaticFJ) {
+		t.Errorf("device meters' axes, joined in device order, are %v / %v; the ledger's %v / %v",
+			engAxis, devAxis, er.EngineDynFJ, er.DeviceStaticFJ)
+	}
+	for v := range er.VNDynFJ {
+		var fj int64
+		for d := range r.devs {
+			fj += vn[d*s.k+v]
+		}
+		if fj != er.VNDynFJ[v] {
+			t.Errorf("vn %d: device meters hold %d fJ, the ledger %d", v, fj, er.VNDynFJ[v])
+		}
+	}
+	if mem != er.MemFJ || clock != er.ClockFJ || ctrl != er.CtrlFJ || lookups != er.Lookups || words != er.Words {
+		t.Errorf("device meters hold mem %d clock %d ctrl %d fJ, %d lookups, %d words; the ledger %d %d %d, %d, %d",
+			mem, clock, ctrl, lookups, words, er.MemFJ, er.ClockFJ, er.CtrlFJ, er.Lookups, er.Words)
+	}
+	var vnSum, engSum int64
+	for _, fj := range er.VNDynFJ {
+		vnSum += fj
+	}
+	for _, fj := range er.EngineDynFJ {
+		engSum += fj
+	}
+	if comp := er.MemFJ + er.ClockFJ + er.CtrlFJ; vnSum != engSum || vnSum != comp || comp == 0 {
+		t.Errorf("ΣVN %d, Σengine %d, mem + clock + ctrl %d fJ: want one nonzero total", vnSum, engSum, comp)
 	}
 }

@@ -1,12 +1,13 @@
 package netsim
 
-// This file is the fleet stressor behind -scenario "fleet=N[:spare=M]" and
-// the placement that builds its run's device list for the one slice runner
-// (scenario.go, whose type comment lists what a fleet run does differently):
-// internal/fleet spreads the K virtual networks across N simulated devices —
-// each a router of its own (NV for a lone tenant, VS otherwise) — and the
-// device-scale faults of faults.DeviceInjector (whole-device crashes,
-// brownouts, flaky-reconfig devices) act on the live fleet. On a device loss
+// This file is the placement that builds every run's device list for the
+// one slice runner (scenario.go, whose type comment lists what a fleet run
+// does differently) and the fleet stressor behind -scenario
+// "fleet=N[:spare=M]": internal/fleet spreads the K virtual networks across
+// N simulated devices — each a router of its own (NV for a lone tenant, VS
+// otherwise) — and the device-scale faults of faults.DeviceInjector
+// (whole-device crashes, brownouts, flaky-reconfig devices) act on the live
+// fleet. On a device loss
 // the fleet.Controller re-places the victims onto survivors (waking spares
 // when the actives are full) and the stressor executes each migration as a
 // journaled image build and install with bounded retry under the
@@ -17,9 +18,10 @@ package netsim
 // seeded state, so fleet runs are byte-identical at any -j.
 
 import (
+	"fmt"
+
 	"vrpower/internal/core"
 	"vrpower/internal/ctrl"
-	"vrpower/internal/energy"
 	"vrpower/internal/faults"
 	"vrpower/internal/fleet"
 	"vrpower/internal/obs"
@@ -181,16 +183,96 @@ func maxLoadFrac(l scenario.LoadShape) float64 {
 	}
 }
 
-// placeFleet builds the device list of a fleet run: fleet.Place spreads the
-// networks over the spec's active devices, each gets a router of the scheme
-// the placement chose, and the spares stay dark until a failover wakes them.
-// The series' power column is priced over a composite of those routers.
-func (r *scenRun) placeFleet() error {
+// place builds the run's device list: every run is a placement, and every
+// device is built by addDevice. Without fleet= it is the identity placement:
+// the system's own router is device 0 and serves every network, over clones
+// of the control plane's pinned compilation when churn is active (successive
+// recompilations diff word for word), of the router's build images
+// otherwise. With fleet=, fleet.Place spreads the networks over the spec's
+// active devices, each gets a router of the scheme the placement chose, and
+// the spares stay dark until a failover wakes them.
+func (r *scenRun) place() error {
 	s, spec := r.s, r.spec
+	if spec.Fleet == nil {
+		vns := make([]int, s.k)
+		for vn := range vns {
+			vns[vn] = vn
+		}
+		var mgr *ctrl.Manager
+		var images []*pipeline.Image
+		if spec.Churn != nil {
+			var err error
+			if mgr, err = ctrl.New(s.router.Config(), s.tables); err != nil {
+				return err
+			}
+			mgr.SetEventLog(s.tel.Events)
+			if images, err = mgr.PinnedImages(); err != nil {
+				return err
+			}
+		} else {
+			for _, img := range s.router.Images() {
+				images = append(images, img.Clone())
+			}
+		}
+		dev, err := r.addDevice(s.router, images, vns)
+		dev.mgr = mgr
+		return err
+	}
+
+	plan, err := r.planFleet()
+	if err != nil {
+		return err
+	}
+	fl := r.fl
+	for d := range fl.rep.PerDevice {
+		var rt *core.Router
+		var images []*pipeline.Image
+		var vns []int
+		// A spare stays dark, powered down, as does an active device left empty.
+		if d < spec.Fleet.Devices && len(plan.Devices[d].VNs) > 0 {
+			a := plan.Devices[d]
+			vns = append([]int(nil), a.VNs...)
+			fl.rep.PerDevice[d].PlacedVNs = append([]int(nil), a.VNs...)
+			if rt, err = r.build(a.Scheme, a.VNs); err != nil {
+				return err
+			}
+			images = rt.Images()
+		}
+		dev, err := r.addDevice(rt, images, vns)
+		if err != nil {
+			return err
+		}
+		dev.jr = ctrl.NewJournal()
+		dev.jr.SetEventLog(s.tel.Events)
+	}
+	for _, w := range fl.inj.Brownouts() {
+		r.devs[w.Device].brownouts = append(r.devs[w.Device].brownouts, w)
+		s.tel.Events.Log(obs.LevelWarn, w.Start, "brownout_window",
+			"device", w.Device, "start", w.Start, "end", w.End)
+	}
+	return nil
+}
+
+// planFleet sets up the fleet stressor's state and returns fleet.Place's
+// plan for the spec's devices.
+func (r *scenRun) planFleet() (*fleet.Plan, error) {
+	s, spec, f := r.s, r.spec, r.spec.Fleet
+	// At most K devices host a network at once, and a network leaves a
+	// device only when it crashes, so no more than K + devcrashes devices
+	// can ever host one.
+	crashes := 0
+	if spec.Chaos != nil {
+		crashes = spec.Chaos.DeviceCrashes
+	}
+	if f.Devices > s.k+crashes || f.Spares > s.k+crashes-f.Devices {
+		return nil, fmt.Errorf("netsim: fleet of %d devices + %d spares over %d networks and %d device crashes, want at most networks + crashes devices",
+			f.Devices, f.Spares, s.k, crashes)
+	}
 	fl := &fleetState{
-		mrec:   map[*fleet.Migration]int{},
-		images: make([]*pipeline.Image, s.k),
-		rep:    &FleetReport{Devices: spec.Fleet.Devices, Spares: spec.Fleet.Spares},
+		mrec:             map[*fleet.Migration]int{},
+		images:           make([]*pipeline.Image, s.k),
+		rep:              &FleetReport{Devices: f.Devices, Spares: f.Spares, PerDevice: make([]FleetDeviceReport, f.Devices+f.Spares)},
+		powerUpAnnounced: make([]bool, f.Devices+f.Spares),
 	}
 	r.fl = fl
 	if s.router.Config().Scheme != core.VM {
@@ -220,8 +302,8 @@ func (r *scenRun) placeFleet() error {
 		retryBase = 256
 	}
 	fl.cfg = fleet.Config{
-		Devices:        spec.Fleet.Devices,
-		Spares:         spec.Fleet.Spares,
+		Devices:        f.Devices,
+		Spares:         f.Spares,
 		SlotsPerDevice: 15,
 		DeviceCapWatts: spec.DeviceCapW,
 		CapWatts:       spec.CapW,
@@ -231,62 +313,26 @@ func (r *scenRun) placeFleet() error {
 	}
 	plan, err := fleet.Place(fl.cfg, demands, fl.est)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if fl.ctr, err = fleet.NewController(fl.cfg, plan, demands, fl.est); err != nil {
-		return err
+		return nil, err
 	}
-	dc := faults.DeviceConfig{Seed: spec.Seed, Devices: spec.Fleet.Devices, Window: spec.Cycles}
+	dc := faults.DeviceConfig{Seed: spec.Seed, Devices: f.Devices, Window: spec.Cycles}
 	if spec.Chaos != nil {
 		dc.Crashes = spec.Chaos.DeviceCrashes
 		dc.Brownouts = spec.Chaos.Brownouts
 		dc.Flaky = spec.Chaos.FlakyDevices
 	}
 	if fl.inj, err = faults.NewDeviceInjector(dc); err != nil {
-		return err
+		return nil, err
 	}
-
-	total := spec.Fleet.Devices + spec.Fleet.Spares
-	fl.powerUpAnnounced = make([]bool, total)
-	fl.rep.PerDevice = make([]FleetDeviceReport, total)
-	r.design = s.router.Design()
-	r.design.Devices = spec.Fleet.Devices
-	r.design.Engines = nil
-	// Both axes of the ledger are the device list (retireMeter).
-	r.ledger = energy.NewMeter(&energy.Model{Engines: make([]energy.EngineModel, total), Devices: total}, s.k)
-	for d := 0; d < total; d++ {
-		dev := &device{id: d, jr: ctrl.NewJournal()}
-		dev.jr.SetEventLog(s.tel.Events)
-		r.devs = append(r.devs, dev)
-		if d >= spec.Fleet.Devices || len(plan.Devices[d].VNs) == 0 {
-			continue // a spare, powered down, or an active device left empty
-		}
-		a := plan.Devices[d]
-		fl.rep.PerDevice[d].PlacedVNs = append([]int(nil), a.VNs...)
-		rt, err := r.build(a.Scheme, a.VNs)
-		if err != nil {
-			return err
-		}
-		r.setRouter(dev, rt, rt.Images(), append([]int(nil), a.VNs...))
-		for _, img := range rt.Images() {
-			r.reloadWords += img.Words()
-		}
-		if dev.meter, err = r.newDeviceMeter(rt); err != nil {
-			return err
-		}
-		engines := rt.Design().Engines
-		dev.slot0, dev.slots = len(r.design.Engines), len(engines)
-		r.design.Engines = append(r.design.Engines, engines...)
-	}
-	for _, w := range fl.inj.Brownouts() {
-		s.tel.Events.Log(obs.LevelWarn, w.Start, "brownout_window",
-			"device", w.Device, "start", w.Start, "end", w.End)
-	}
-	return nil
+	return plan, nil
 }
 
 // fleetDrainSlices is the drain a fleet's failovers can need: per crash,
-// every victim a device can hold through its whole retry ladder.
+// every victim a device can hold through its whole retry ladder, each
+// attempt writing at most the largest image (scenRun.reloadWords).
 func (r *scenRun) fleetDrainSlices() int {
 	cfg, crashes := r.fl.cfg, len(r.fl.inj.Crashes())
 	var backoffSum int64
@@ -393,7 +439,7 @@ func (f fleetStressor) Boundary(b int64, _ bool) error {
 		for _, vn := range victims {
 			r.home[vn] = nil
 		}
-		r.retireMeter(dev)
+		dev.powerDown()
 		dev.engines, dev.router = nil, nil
 		planned, degs, err := ctr.Crash(cr.Device, cr.Cycle)
 		if err != nil {
@@ -457,20 +503,6 @@ func (f fleetStressor) Boundary(b int64, _ bool) error {
 	return nil
 }
 
-// PreSlice integrates the slice's leakage on every powered device with a
-// live power model, at full rate. DESIGN §16 bend 2: a fleet's energy is
-// metered device by device and reported at run end — placeFleet leaves
-// scenRun.perSlice nil, so the scenario engine integrates nothing and the
-// series' dyn_j, static_j and j_per_bit columns read zero.
-func (f fleetStressor) PreSlice(_, n int64, _ bool) error {
-	for _, dev := range f.r.devs {
-		if dev.meter != nil && f.r.fl.ctr.PoweredAt(dev.id) {
-			dev.meter.StaticSlice(n, 1)
-		}
-	}
-	return nil
-}
-
 func (f fleetStressor) Outstanding() bool {
 	installs, migrating, _, _ := f.r.fleetSliceStats()
 	return installs+migrating > 0
@@ -510,10 +542,10 @@ func (r *scenRun) beginAttempt(m *fleet.Migration, b int64) error {
 		return err
 	}
 	writes := rt.Images()[engIdx].Words()
-	if dev.meter == nil {
-		// A woken spare (or empty device) gets its meter now, so static
-		// power accrues from the install onward.
-		if dev.meter, err = r.newDeviceMeter(rt); err != nil {
+	if dev.router == nil {
+		// A woken spare (or empty device) powers up now, so static power
+		// accrues from the install onward.
+		if err := dev.powerUp(rt); err != nil {
 			return err
 		}
 	}
@@ -530,8 +562,8 @@ func (r *scenRun) beginAttempt(m *fleet.Migration, b int64) error {
 }
 
 // landInstall commits a completed install: the journal closes, the device
-// gains one engine over the migrating network's image, the energy meter is
-// rebuilt over the new power model, and the landed image is audited against
+// gains one engine over the migrating network's image, the energy meter
+// moves onto the new power model, and the landed image is audited against
 // the RIB oracle before the network rejoins service.
 func (r *scenRun) landInstall(dev *device) error {
 	fl, ctr, tel := r.fl, r.fl.ctr, r.s.tel
@@ -540,9 +572,7 @@ func (r *scenRun) landInstall(dev *device) error {
 	if err := dev.tok.Commit(at); err != nil {
 		return err
 	}
-	r.retireMeter(dev)
-	var err error
-	if dev.meter, err = r.newDeviceMeter(dev.pending); err != nil {
+	if err := dev.powerUp(dev.pending); err != nil {
 		return err
 	}
 	engIdx := len(ctr.VNs(m.To))

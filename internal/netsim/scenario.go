@@ -1,10 +1,11 @@
 package netsim
 
 // This file is the one slice-quantised runner, behind cmd/lookupsim
-// -scenario: one engine-driven run over a list of devices — the system's own
-// router as the one device, or what fleet.Place makes of fleet= — in which a
-// shaped offered load, SEU/kill fault injection, hitless update churn, a
-// power cap and device failures all act at the same time. Each adversity
+// -scenario: one engine-driven run over a placed list of devices — the
+// system's own router as the one device, or what fleet.Place makes of
+// fleet= (fleetrun.go) — in which a shaped offered load, SEU/kill fault
+// injection, hitless update churn, a power cap and device failures all act
+// at the same time. Each adversity
 // source is a scenario.Stressor over shared run state (faults.go, churn.go,
 // chaosrun.go, fleetrun.go) — faults registered before churn, so a scrub
 // decision at a boundary is visible to the same boundary's arm decision —
@@ -252,16 +253,18 @@ type scenEng struct {
 }
 
 // device is one simulated FPGA of a run: its router, the engines over the
-// router's images, the energy meter over its power model and its control
-// plane. Only the fleet stressor (fleetrun.go) sets the fields below the gap.
+// router's images, its energy meter and its control plane. Only the fleet
+// stressor (fleetrun.go) sets the fields below the gap.
 type device struct {
 	id      int
 	router  *core.Router
 	engines []*scenEng
-	meter   *energy.Meter
-	// slot0 and slots are the device's span in the engine Design the series'
-	// power column is priced over (scenRun.design).
-	slot0, slots int
+	// meter is the device's energy account for the whole run, over the
+	// power model of design, the router it charges for: the zero design
+	// while the device is dark (never powered, or crashed), which leaks and
+	// serves nothing.
+	meter  *energy.Meter
+	design power.SystemDesign
 	// The control plane, each part nil unless the spec asks for it: mgr runs
 	// churn and (with churn) scrub rebuilds, in deals faults and the kill; ci
 	// deals control-plane chaos, jrs journals each engine's operations and wd
@@ -272,9 +275,45 @@ type device struct {
 	jrs []*ctrl.Journal
 	wd  *ctrl.Watchdog
 
-	jr      *ctrl.Journal
-	browned int64
+	jr *ctrl.Journal
+	// brownouts are the device's brownout windows; browned counts the
+	// service cycles it sat out in them.
+	brownouts []faults.BrownoutWindow
+	browned   int64
 	install
+}
+
+// dark is the power model of a device that is not powered: no engines, no
+// leakage.
+var dark = &energy.Model{}
+
+// powerUp puts dev's meter on rt's power model, keeping what it has charged:
+// at set-up, when an install begins on a dark device and when one lands.
+func (dev *device) powerUp(rt *core.Router) error {
+	em, err := energy.NewModel(rt.Design())
+	if err != nil {
+		return err
+	}
+	dev.design = rt.Design()
+	dev.meter.Rebase(em)
+	return nil
+}
+
+// powerDown darkens dev: its meter keeps what it has charged and charges
+// nothing more.
+func (dev *device) powerDown() {
+	dev.design = power.SystemDesign{}
+	dev.meter.Rebase(dark)
+}
+
+// sitsOut reports whether dev is browned out at cycle cyc and sits it out.
+func (dev *device) sitsOut(cyc int64) bool {
+	for _, w := range dev.brownouts {
+		if w.SitsOut(cyc) {
+			return true
+		}
+	}
+	return false
 }
 
 // install is a device's install in flight (m nil: none): the migration, its
@@ -287,32 +326,29 @@ type install struct {
 	writes  int
 }
 
-// scenRun is the one slice runner: the kernel over a list of devices plus
-// the state the stressors act on. A single device is the list of one.
+// scenRun is the one slice runner: the kernel over a placed list of devices
+// plus the state the stressors act on. Every run is a placement (place): a
+// spec without fleet= is the identity placement, the system's own router as
+// the one device, and every device is built by addDevice. A device's traces
+// name its engine within it and, past device 0, the device; its meter is
+// its account for the run, and the report's energy ledger is the meters
+// joined in device order.
 //
-// What a fleet run does differently from a run of the system's own router,
-// all of it decided by the spec and none of it by an option:
+// What a fleet run does differently, all of it decided by the spec and none
+// of it by an option:
 //
-//   - How the device list is built. oneDevice serves clones of the system
-//     router's images as device 0, prices the series' power column over its
-//     design and sizes the drain bound by its largest engine image;
-//     placeFleet asks fleet.Place, serves the memoised per-network images as
-//     they are, prices a composite of the initial devices' designs and sizes
-//     the drain bound by all their images.
+//   - How the list is placed: fleet.Place over the spec's devices, serving
+//     the memoised per-network images as they are, spares dark; the
+//     identity placement serves clones of the system router's images (the
+//     churn manager's pinned compilation under churn=).
 //   - Which stressors register. Faults and control-plane chaos register one
 //     stressor per device over that device's control plane, churn one for the
 //     run over every device's; scenario.Parse refuses all three beside
 //     fleet=, which registers the fleet stressor. The governor attaches to
-//     the one device; a fleet's caps constrain its placement.
+//     device 0 of the identity placement; a fleet's caps constrain its
+//     placement.
 //   - A refusal with no engine to name — the network homeless — writes no
 //     drop trace; a down engine's does (arrive).
-//   - A fleet's traces carry the device id in their engine field
-//     (traceEngine): the only difference between the trace dumps of a spec
-//     and of the same spec with fleet=1.
-//   - The three accounting bends of DESIGN §16, one site each: the energy
-//     report's engine axis is the device axis (retireMeter), the series'
-//     per-slice energy columns read zero (fleetStressor.PreSlice), the power
-//     column prices the initial devices at mean utilisation (measure).
 type scenRun struct {
 	s    *System
 	spec scenario.Spec
@@ -341,13 +377,10 @@ type scenRun struct {
 	rep *ScenarioReport
 	gv  *scenario.GovRun
 	st  settler
-	// design is the plant the series' power column is priced over; perSlice
-	// the meter the scenario engine integrates slice by slice (nil: none);
-	// ledger the run's energy account, which device meters retire into.
-	design   power.SystemDesign
-	perSlice *energy.Meter
-	ledger   *energy.Meter
-	// reloadWords is the most words one reload writes: it sizes the drain.
+	// reloadWords is the largest image any engine of the placement serves:
+	// the most words one write window can need, a scrub reload rewriting an
+	// engine's image or a fleet install writing a network's. It sizes the
+	// drain bound the same way for every placement.
 	reloadWords int
 
 	// Per-slice measurement scratch.
@@ -377,53 +410,31 @@ func (r *scenRun) newEngine(dev *device, img *pipeline.Image, vns []int) *scenEn
 	return e
 }
 
-// setRouter makes rt the router of a device with no engines yet, with
-// engines over images: one engine for all of vns under the merged scheme,
-// engine i for vns[i] otherwise.
-func (r *scenRun) setRouter(dev *device, rt *core.Router, images []*pipeline.Image, vns []int) {
-	dev.router = rt
-	if rt.Config().Scheme == core.VM {
-		r.newEngine(dev, images[0], vns)
-		return
+// addDevice is the device builder every placement uses. It appends a
+// device to the run, dark without a router; with rt, the device serves vns
+// over images — one engine for all of them under the merged scheme, engine i
+// for vns[i] otherwise — its meter charges against rt's power model, and the
+// drain bound grows to its largest image. The cycle loop runs on the
+// coordinator, so the meter feeds the per-lookup energy histogram without
+// touching any worker hot path.
+func (r *scenRun) addDevice(rt *core.Router, images []*pipeline.Image, vns []int) (*device, error) {
+	dev := &device{id: len(r.devs), router: rt, meter: energy.NewMeter(dark, r.s.k)}
+	dev.meter.ObserveHist = true
+	r.devs = append(r.devs, dev)
+	if rt == nil {
+		return dev, nil
 	}
+	merged := rt.Config().Scheme == core.VM
 	for i, img := range images {
-		r.newEngine(dev, img, vns[i:i+1])
+		r.reloadWords = max(r.reloadWords, img.Words())
+		if !merged {
+			r.newEngine(dev, img, vns[i:i+1])
+		}
 	}
-}
-
-// newDeviceMeter builds a fresh meter over the router's power model. The
-// cycle loop runs on the coordinator, so it can feed the per-lookup energy
-// histogram without touching any worker hot path.
-func (r *scenRun) newDeviceMeter(rt *core.Router) (*energy.Meter, error) {
-	em, err := energy.NewModel(rt.Design())
-	if err != nil {
-		return nil, err
+	if merged {
+		r.newEngine(dev, images[0], vns)
 	}
-	mt := energy.NewMeter(em, r.s.k)
-	mt.ObserveHist = true
-	return mt, nil
-}
-
-// retireMeter folds a device's meter into the run's ledger and drops it:
-// when an install changes the device's power model, when the device crashes,
-// and at run end.
-func (r *scenRun) retireMeter(dev *device) {
-	mt := dev.meter
-	if mt == nil {
-		return
-	}
-	dev.meter = nil
-	if r.fl != nil {
-		// DESIGN §16 bend 1: a fleet's engines come and go with migrations
-		// while its devices are the stable identity, so the ledger's engine
-		// axis is the device axis: a device's dynamic energy lands in one
-		// slot, as its leakage does. The per-VNID and per-component splits
-		// fold as they are.
-		r.ledger.EngineDynFJ[dev.id] += mt.DynTotalFJ()
-		r.ledger.DeviceStaticFJ[dev.id] += mt.StaticTotalFJ()
-		mt.EngineDynFJ, mt.DeviceStaticFJ = nil, nil
-	}
-	r.ledger.Fold(mt)
+	return dev, dev.powerUp(rt)
 }
 
 // retire folds an engine's cumulative slot counters into the report; called
@@ -451,15 +462,6 @@ func (r *scenRun) flushExits(e *scenEng) {
 	}
 	clear(e.pending)
 	e.flights = e.flights[:0]
-}
-
-// traceEngine names engine eIdx of dev in flight traces: its index on the
-// one device; the device's id in a fleet, whose engines come and go.
-func (r *scenRun) traceEngine(dev *device, eIdx int) int {
-	if r.fl != nil {
-		return dev.id
-	}
-	return eIdx
 }
 
 // ---- kernel ---------------------------------------------------------------
@@ -529,8 +531,9 @@ func (r *scenRun) arrive(cyc int64) {
 			// make a traced run consume the generator unlike a bare one.
 			if tel := r.s.tel; tel.Tracing() {
 				if seq := r.st.seq(cyc, int32(vn)); tel.Sampler.Sample(vn, seq) {
-					r.st.held = append(r.st.held, heldTrace{cyc, -1,
-						scenario.DropTrace(seq, vn, r.traceEngine(e.dev, e.idx), cyc)})
+					ft := scenario.DropTrace(seq, vn, e.idx, cyc)
+					ft.Device = e.dev.id
+					r.st.held = append(r.st.held, heldTrace{cyc, -1, ft})
 				}
 			}
 		case r.queues[vn].len() >= r.spec.Queue:
@@ -559,7 +562,7 @@ func (r *scenRun) serve(cyc int64) error {
 		if len(dev.engines) == 0 {
 			continue
 		}
-		if r.fl != nil && r.fl.inj.BrownedOut(dev.id, cyc) {
+		if dev.sitsOut(cyc) {
 			dev.browned++
 			continue
 		}
@@ -619,7 +622,7 @@ func (r *scenRun) RunSlice(b, n int64, live bool) (scenario.SliceStats, error) {
 		}
 		for d, dev := range r.devs {
 			for eIdx, e := range dev.engines {
-				if n := r.st.settle(e, dev.meter, r.traceEngine(dev, eIdx), d<<16|eIdx); n > 0 {
+				if n := r.st.settle(e, d<<16|eIdx); n > 0 {
 					obsFaultDrops.Add(n)
 					if e.fs.detectVia == "" {
 						e.fs.detectVia = ViaAccess
@@ -635,38 +638,32 @@ func (r *scenRun) RunSlice(b, n int64, live bool) (scenario.SliceStats, error) {
 }
 
 // measure takes the slice's measurements for the telemetry row and the
-// governor's sample.
+// governor's sample. Util lists the engines of every powered device in
+// device order, each at its own utilisation (an engine still being installed
+// at zero), and the slice's watts price each powered device's design at its
+// engines' figures: a dark device draws nothing.
 func (r *scenRun) measure(n int64, live bool) scenario.SliceStats {
 	updating, downEngines := 0, 0
-	clear(r.utils)
+	r.utils, r.reloadFlags = r.utils[:0], r.reloadFlags[:0]
+	var powerW float64
 	for _, dev := range r.devs {
-		if dev.slots == 0 || len(dev.engines) == 0 {
-			continue
+		first := len(r.utils)
+		for range dev.design.Engines {
+			r.utils, r.reloadFlags = append(r.utils, 0), append(r.reloadFlags, false)
 		}
-		var sum float64
 		for eIdx, e := range dev.engines {
 			var u float64
 			u, e.utilCur[0], e.utilCur[1] = scenario.UtilDelta(e.sim.Stats(), e.utilCur[0], e.utilCur[1])
-			sum += u
+			r.utils[first+eIdx], r.reloadFlags[first+eIdx] = u, e.fs.reloading
 			if e.handle != nil {
 				updating++
 			}
 			if e.fs.down() {
 				downEngines++
 			}
-			if r.fl == nil {
-				r.utils[dev.slot0+eIdx], r.reloadFlags[dev.slot0+eIdx] = u, e.fs.reloading
-			}
 		}
-		if r.fl != nil {
-			// DESIGN §16 bend 3: a fleet's power column is priced over the
-			// engine slots of the initial placement, each at its device's mean
-			// utilisation (migrations change a device's engines, not its
-			// slots): a crashed device's slots read zero but stay in the
-			// static floor, a woken spare has none.
-			for i := 0; i < dev.slots; i++ {
-				r.utils[dev.slot0+i] = sum / float64(len(dev.engines))
-			}
+		if first < len(r.utils) {
+			powerW += scenario.SlicePower(dev.design, r.utils[first:])
 		}
 	}
 	for vn, e := range r.home {
@@ -679,7 +676,7 @@ func (r *scenRun) measure(n int64, live bool) scenario.SliceStats {
 	recoveries, degradedVNs := r.chaosSliceStats()
 	installs, migrating, landed, parked := r.fleetSliceStats()
 	return scenario.SliceStats{
-		Util: r.utils, Backlog: r.backlog(),
+		Util: r.utils, PowerW: powerW, Backlog: r.backlog(),
 		Scrubs: downEngines + installs, Updates: updating + migrating,
 		Recoveries: recoveries + landed, DegradedVNs: degradedVNs + parked,
 		Avail: r.upVN, Reloading: r.reloadFlags,
@@ -696,62 +693,6 @@ func (s *System) RunScenario(gen *traffic.Generator, spec scenario.Spec) (Scenar
 		return ScenarioReport{}, err
 	}
 	return *r.rep, nil
-}
-
-// plant exposes the router to the governor: the placed design (FMHz at
-// fmax), the virtualization scheme and the network count.
-func (s *System) plant() governor.Plant {
-	return governor.Plant{
-		Design: s.router.Design(),
-		Scheme: s.router.Config().Scheme,
-		K:      s.k,
-	}
-}
-
-// oneDevice is the identity placement: the system's own router is device 0
-// and serves every network, over clones of the control plane's pinned
-// compilation when churn is active (successive recompilations diff word for
-// word), of the router's build images otherwise; the governor, if the spec
-// names a cap, attaches to the device.
-func (r *scenRun) oneDevice() error {
-	s, spec, dev := r.s, r.spec, &device{}
-	var images []*pipeline.Image
-	if spec.Churn != nil {
-		mgr, err := ctrl.New(s.router.Config(), s.tables)
-		if err != nil {
-			return err
-		}
-		mgr.SetEventLog(s.tel.Events)
-		if images, err = mgr.PinnedImages(); err != nil {
-			return err
-		}
-		dev.mgr = mgr
-	} else {
-		for _, img := range s.router.Images() {
-			images = append(images, img.Clone())
-		}
-	}
-	dev.slots = len(images)
-	vns := make([]int, s.k)
-	for vn := range vns {
-		vns[vn] = vn
-	}
-	r.setRouter(dev, s.router, images, vns)
-	dev.meter = s.meter()
-	dev.meter.ObserveHist = true // see newDeviceMeter
-	r.devs = []*device{dev}
-	r.design, r.perSlice, r.ledger = s.router.Design(), dev.meter, s.meter()
-	for _, img := range images {
-		r.reloadWords = max(r.reloadWords, img.Words())
-	}
-
-	var gcfg *governor.Config
-	if spec.CapW > 0 || spec.DeviceCapW > 0 {
-		gcfg = &governor.Config{CapWatts: spec.CapW, DeviceCapWatts: spec.DeviceCapW, LiftCycle: spec.LiftCycle}
-	}
-	var err error
-	r.gv, err = scenario.NewGovRun(gcfg, s.plant(), len(images), s.k, s.tel.Events)
-	return err
 }
 
 // runScenario is RunScenario returning the finished run, its report filled
@@ -771,6 +712,7 @@ func (s *System) runScenario(gen *traffic.Generator, spec scenario.Spec) (*scenR
 	rep.MeanDelayCycles = r.st.meanDelay()
 	rep.NoRoute, rep.Mismatches, rep.FaultedLookups = r.st.noRoute, r.st.mismatches, r.st.faulted
 	rep.Recovered = true
+	ledger := energy.NewMeter(dark, s.k)
 	for _, dev := range r.devs {
 		for _, e := range dev.engines {
 			if e.fs.down() || len(e.fs.outstanding) > 0 {
@@ -778,7 +720,7 @@ func (s *System) runScenario(gen *traffic.Generator, spec scenario.Spec) (*scenR
 			}
 			r.retire(e.sim)
 		}
-		r.retireMeter(dev)
+		ledger.Join(dev.meter)
 	}
 	rep.Completed = !r.Outstanding()
 	for _, st := range eng.Stressors {
@@ -789,7 +731,7 @@ func (s *System) runScenario(gen *traffic.Generator, spec scenario.Spec) (*scenR
 	if r.gv != nil {
 		rep.Governor = r.gv.Report()
 	}
-	er, err := r.ledger.Report(deliveredBits(r.st.total))
+	er, err := ledger.Report(deliveredBits(r.st.total))
 	if err != nil {
 		return nil, err
 	}
@@ -816,19 +758,6 @@ func (s *System) newScenRun(gen *traffic.Generator, spec scenario.Spec) (*scenRu
 	if spec.Kill != nil && spec.Kill.Engine >= len(s.router.Images()) {
 		return nil, nil, fmt.Errorf("netsim: kill engine %d with %d engines", spec.Kill.Engine, len(s.router.Images()))
 	}
-	if f := spec.Fleet; f != nil {
-		// At most K devices host a network at once, and a network leaves a
-		// device only when it crashes, so no more than K + devcrashes devices
-		// can ever host one.
-		crashes := 0
-		if spec.Chaos != nil {
-			crashes = spec.Chaos.DeviceCrashes
-		}
-		if f.Devices > s.k+crashes || f.Spares > s.k+crashes-f.Devices {
-			return nil, nil, fmt.Errorf("netsim: fleet of %d devices + %d spares over %d networks and %d device crashes, want at most networks + crashes devices",
-				f.Devices, f.Spares, s.k, crashes)
-		}
-	}
 
 	rep := &ScenarioReport{
 		Spec:                   spec.Raw,
@@ -850,18 +779,26 @@ func (s *System) newScenRun(gen *traffic.Generator, spec scenario.Spec) (*scenRu
 	}
 	r.st = settler{tel: s.tel, seqStride: int64(s.k), delivered: rep.DeliveredPerVN, dropped: rep.DroppedPerVN, dropVN: r.dropVN}
 
-	var err error
-	if spec.Fleet == nil {
-		err = r.oneDevice()
-	} else {
-		err = r.placeFleet()
-	}
-	if err != nil {
+	if err := r.place(); err != nil {
 		return nil, nil, err
 	}
-	r.utils = make([]float64, len(r.design.Engines))
-	r.reloadFlags = make([]bool, len(r.design.Engines))
 	r.upVN = make([]bool, s.k)
+	meters := make([]*energy.Meter, len(r.devs))
+	for d, dev := range r.devs {
+		meters[d] = dev.meter
+	}
+	// The governor, when the spec names a cap, attaches to device 0 of the
+	// identity placement, the system's router (its placed design, FMHz at
+	// fmax); a fleet's caps constrain its placement instead.
+	var gcfg *governor.Config
+	if spec.Fleet == nil && (spec.CapW > 0 || spec.DeviceCapW > 0) {
+		gcfg = &governor.Config{CapWatts: spec.CapW, DeviceCapWatts: spec.DeviceCapW, LiftCycle: spec.LiftCycle}
+	}
+	plant := governor.Plant{Design: s.router.Design(), Scheme: s.router.Config().Scheme, K: s.k}
+	var err error
+	if r.gv, err = scenario.NewGovRun(gcfg, plant, len(r.devs[0].engines), s.k, s.tel.Events); err != nil {
+		return nil, nil, err
+	}
 
 	// Each stressor adds the drain slices its own work can need.
 	reload := 4 * (r.reloadWords/int(spec.Slice) + 1)
@@ -922,8 +859,8 @@ func (s *System) newScenRun(gen *traffic.Generator, spec scenario.Spec) (*scenRu
 		maxDrain += r.fleetDrainSlices()
 	}
 
-	eng := &scenario.Engine{K: s.k, Design: r.design, FmaxMHz: s.router.Fmax(), Tel: s.tel,
+	eng := &scenario.Engine{K: s.k, FmaxMHz: s.router.Fmax(), Tel: s.tel,
 		Cycles: spec.Cycles, SliceCycles: spec.Slice, MaxDrainSlices: maxDrain,
-		Gov: r.gv, Energy: r.perSlice, Stressors: stressors, Kernel: r}
+		Gov: r.gv, Meters: meters, Stressors: stressors, Kernel: r}
 	return r, eng, nil
 }

@@ -15,7 +15,6 @@ package netsim
 import (
 	"sort"
 
-	"vrpower/internal/energy"
 	"vrpower/internal/ip"
 	"vrpower/internal/obs"
 	"vrpower/internal/pipeline"
@@ -87,11 +86,12 @@ func (t *settler) traced(q queued) bool {
 // settle settles e's engine and does for each exit, against the lookup at
 // the front of e.flights, what the cycle it left on used to: the check
 // against its injection epoch's oracle, the counters, the delay to the stamp
-// of that step, the trace. The meter is charged once per (network, last
-// stage) count, in integer femtojoules, so the sum is the same. e.idx is the
-// engine in meter's model, telEngine its name in traces, order its place in
+// of that step, the trace. The device's meter is charged once per (network,
+// last stage) count, in integer femtojoules, so the sum is the same. Traces
+// name e by its index on its device, and the device; order is e's place in
 // the serve order. It returns how many exits were parity-refused.
-func (t *settler) settle(e *scenEng, meter *energy.Meter, telEngine, order int) (faults int64) {
+func (t *settler) settle(e *scenEng, order int) (faults int64) {
+	meter := e.dev.meter
 	stages := meter.Model().Engines[e.idx].Stages()
 	settled := 0
 	ck := borrowChecks(len(t.delivered) * stages)
@@ -123,8 +123,9 @@ func (t *settler) settle(e *scenEng, meter *energy.Meter, telEngine, order int) 
 				}
 			}
 			if x.Trace {
-				t.held = append(t.held, heldTrace{x.Stamp, order,
-					scenario.LookupTrace(t.seq(m.arrival, vn), int(vn), telEngine, 0, x.Result, x.EnterCycle-m.arrival, outcome)})
+				ft := scenario.LookupTrace(t.seq(m.arrival, vn), int(vn), e.idx, 0, x.Result, x.EnterCycle-m.arrival, outcome)
+				ft.Device = e.dev.id
+				t.held = append(t.held, heldTrace{x.Stamp, order, ft})
 			}
 		}
 		settled += len(exits)

@@ -192,7 +192,7 @@ func TestSettleAcrossCommitBubbleAndFlush(t *testing.T) {
 		st := &settler{tel: noTelemetry, seqStride: 1, delivered: make([]int64, 1), dropped: make([]int64, 1),
 			dropVN: []*obs.Counter{obs.NewCounter("netsim.fault_drops.vn00")}} // the run's K=1 fixture
 		meter, cyc := s.meter(), int64(0)
-		e := &scenEng{sim: sim, served: []int{0}, flights: newFlights(images[0]), pending: make([]int64, 1)}
+		e := &scenEng{dev: &device{meter: meter}, sim: sim, served: []int{0}, flights: newFlights(images[0]), pending: make([]int64, 1)}
 		inject := func(ref *ip.Table) {
 			for _, a := range moved {
 				e.flights = append(e.flights, inflight{arrival: cyc, ref: ref})
@@ -215,7 +215,7 @@ func TestSettleAcrossCommitBubbleAndFlush(t *testing.T) {
 		}
 		// The commit bubble has just left: every lookup ahead of it has too,
 		// none behind it has, and nothing is settled yet.
-		st.settle(e, meter, 0, 0)
+		st.settle(e, 0)
 		if len(e.flights) != len(moved) || e.pending[0] != int64(len(moved)) {
 			t.Fatalf("%d lookups in flight after settling (%d counted), want the %d still in the pipe", len(e.flights), e.pending[0], len(moved))
 		}
@@ -223,7 +223,7 @@ func TestSettleAcrossCommitBubbleAndFlush(t *testing.T) {
 			sim.Idle(cyc)
 			cyc++
 		}
-		st.settle(e, meter, 0, 0)
+		st.settle(e, 0)
 		if len(e.flights) != 0 || e.pending[0] != 0 || st.total+st.mismatches != int64(2*len(moved)) || st.faulted != 0 {
 			t.Fatalf("%d in flight, %d delivered, %d mismatched, %d refused of %d lookups", len(e.flights), st.total, st.mismatches, st.faulted, 2*len(moved))
 		}

@@ -40,9 +40,11 @@ type FlightTrace struct {
 	// alongside VN) — unique within a run, and the dump sort key.
 	Seq int64 `json:"seq"`
 	// VN is the virtual network the packet belongs to; Engine the pipeline
-	// that resolved it.
+	// that resolved it, by its index on Device, the simulated FPGA that
+	// holds it (omitted for device 0, so a run of one device never names it).
 	VN     int `json:"vn"`
 	Engine int `json:"engine"`
+	Device int `json:"device,omitempty"`
 	// Addr is the destination address in dotted-quad form.
 	Addr string `json:"addr"`
 	// Enter/Exit stamp pipeline entry and exit in run cycles; Wait is the

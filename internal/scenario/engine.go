@@ -20,15 +20,15 @@ import (
 	"vrpower/internal/energy"
 	"vrpower/internal/fpga"
 	"vrpower/internal/governor"
-	"vrpower/internal/power"
 )
 
 // SliceStats is what a kernel measured over one executed slice; the Engine
 // turns it into the unified telemetry row and the governor's sample.
 type SliceStats struct {
-	// Util is the per-engine slice-local stage utilization feeding the
-	// power model.
-	Util []float64
+	// Util is the per-engine slice-local stage utilization, the governor's
+	// sample; PowerW the power model's watts for the slice at it.
+	Util   []float64
+	PowerW float64
 	// Delivered is the number of packets delivered during this slice (the
 	// throughput column's numerator).
 	Delivered int64
@@ -72,10 +72,8 @@ type Engine struct {
 	// the kernel finish outstanding work. Zero means no drain at all.
 	MaxDrainSlices int
 
-	// K, Design, FmaxMHz describe the plant for power/throughput telemetry
-	// and the governor.
+	// K and FmaxMHz describe the plant for throughput telemetry.
 	K       int
-	Design  power.SystemDesign
 	FmaxMHz float64
 
 	// Tel is the run's telemetry bundle; nil defaults to NoTelemetry.
@@ -83,12 +81,14 @@ type Engine struct {
 	// Gov is the run's governor actuation, built by NewGovRun; nil runs
 	// ungoverned.
 	Gov *GovRun
-	// Energy is the run's event-energy meter; nil runs unmetered. The
-	// engine owns the time-dependent half of the accounting: static-power
-	// integration per slice at the active DVFS tier, and the transition
-	// charge whenever the governor moves the ladder. Kernels and stressors
-	// charge their own events (lookups, bubbles, sweeps, reload writes).
-	Energy *energy.Meter
+	// Meters are the run's device meters in device order, each the whole
+	// run's account of one device (none: the run is unmetered). The engine
+	// owns the time-dependent half of the accounting: static-power
+	// integration per slice on every meter at the active DVFS tier, and the
+	// transition charge on the first, the governed device's, whenever the
+	// governor moves the ladder. Kernels and stressors charge their own
+	// events (lookups, bubbles, sweeps, reload and install writes).
+	Meters []*energy.Meter
 
 	Stressors []Stressor
 	Kernel    Kernel
@@ -102,7 +102,7 @@ type Engine struct {
 	// observe from each governed decision; ungoverned runs stay at full rate.
 	curFreqFrac float64
 	curRung     int
-	// Cumulative-energy cursors turning the meter's totals into per-slice
+	// Cumulative-energy cursors turning the meters' totals into per-slice
 	// series deltas.
 	prevDynFJ    int64
 	prevStaticFJ int64
@@ -111,9 +111,10 @@ type Engine struct {
 // observe closes one slice: telemetry row from the kernel's stats, governor
 // observe + actuation for the next slice, and the slice's energy accounting
 // (static integration at the tier the slice ran at, transition charges when
-// the ladder moved, per-slice deltas for the series columns).
+// the ladder moved, per-slice deltas for the series columns, folded over the
+// device meters in device order).
 func (e *Engine) observe(b, n int64, st SliceStats) {
-	powerW, capW, rung := SlicePower(e.Design, st.Util), 0.0, 0.0
+	powerW, capW, rung := st.PowerW, 0.0, 0.0
 	var dec *governor.Decision
 	if e.Gov != nil {
 		d := e.Gov.Observe(b, n, st.Util, st.Reloading)
@@ -121,7 +122,7 @@ func (e *Engine) observe(b, n int64, st SliceStats) {
 		dec = &d
 	}
 	dynJ, staticJ, jPerBit := 0.0, 0.0, 0.0
-	if e.Energy != nil {
+	if len(e.Meters) > 0 {
 		// The slice just executed ran at the tier the PREVIOUS decision
 		// chose (full rate before any decision): integrate leakage over its
 		// stretched wall time, then advance the cursor to the fresh
@@ -130,17 +131,23 @@ func (e *Engine) observe(b, n int64, st SliceStats) {
 		if frac == 0 {
 			frac = 1
 		}
-		e.Energy.StaticSlice(n, frac)
+		var dynFJ, staticFJ int64
+		for _, mt := range e.Meters {
+			mt.StaticSlice(n, frac)
+		}
 		if dec != nil {
-			if dec.RungIndex != e.curRung {
-				for eng := range e.Energy.Model().Engines {
-					e.Energy.Transition(eng, e.engineLowVN(eng))
+			if gm := e.Meters[0]; dec.RungIndex != e.curRung {
+				for eng := range gm.Model().Engines {
+					gm.Transition(eng, e.engineLowVN(eng))
 				}
 				e.curRung = dec.RungIndex
 			}
 			e.curFreqFrac = dec.Rung.FreqFrac
 		}
-		dynFJ, staticFJ := e.Energy.DynTotalFJ(), e.Energy.StaticTotalFJ()
+		for _, mt := range e.Meters {
+			dynFJ += mt.DynTotalFJ()
+			staticFJ += mt.StaticTotalFJ()
+		}
 		dDyn, dStatic := dynFJ-e.prevDynFJ, staticFJ-e.prevStaticFJ
 		e.prevDynFJ, e.prevStaticFJ = dynFJ, staticFJ
 		dynJ = float64(dDyn) / 1e15
