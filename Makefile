@@ -75,7 +75,9 @@ governor-smoke:
 # churn and a power cap in ONE run, grepped for the lifecycle the
 # composition must produce — and, being the run with every kind of flight in
 # it, for the telemetry a run must leave behind (a delivered trace, a
-# blackholed one, the kill's hole in the availability columns). The seed is
+# blackholed one that names its packet's address, and the kill's hole: the
+# killed engine's network is down in the slice the kill at cycle 3000 lands
+# in and in the next, whose boundary the heartbeat finds it at). The seed is
 # one where no upset lands on an engine in the slice its update commits: such
 # an upset goes with the old bank and is never stamped repaired, so the run
 # ends Completed=false (seed=11 reproduces it; ROADMAP item 2(a)).
@@ -90,7 +92,9 @@ scenario-smoke:
 	grep -q update_commit scenario-smoke/events.jsonl
 	grep -q '"outcome":"forward"' scenario-smoke/traces.jsonl
 	grep -q '"outcome":"drop-down"' scenario-smoke/traces.jsonl
-	grep -q ',1,0,1$$' scenario-smoke/timeseries.csv
+	! grep '"outcome":"drop-down"' scenario-smoke/traces.jsonl | grep -q '"addr":""'
+	grep -q '^2048,.*,0,[01]$$' scenario-smoke/timeseries.csv
+	grep -q '^3072,.*,0,[01]$$' scenario-smoke/timeseries.csv
 
 # Chaos smoke: the crash-consistency flagship — surge load, SEU scrubs,
 # churn, a power cap, and every control-plane fault class (crash-before-
@@ -351,8 +355,10 @@ alloc-diff:
 # like digest-diff's) and once in the working tree, then for each workload in
 # W (one name or a list, e.g. W="forward_paper load_small chaos_vs
 # fleet_failover") and each seed one run on each side back to back,
-# alternating which side runs first. For every end-to-end metric the host
-# measures (PAIR_METRICS, each with the direction that is better) it prints
+# alternating which side runs first. For every end-to-end metric
+# (PAIR_METRICS, each with the direction that is better: the five the host
+# measures, then the three simulated ones, which move only with a declared
+# output change and then show their per-seed deltas beside host time) it prints
 # "seed base now ratio", then each side's median and quartiles, the pairs the
 # tree wins and whether the medians differ by more than BASE's interquartile
 # spread (ROADMAP "Gains are measured"), one workload's blocks after the
@@ -361,7 +367,8 @@ alloc-diff:
 W ?= fleet_failover
 SEEDS ?= 1 2 3 4 5 6 7 8 9 10
 SECONDS ?= 3
-PAIR_METRICS = lookups_per_s:higher wall_s:lower setup_s:lower alloc_mb:lower live_heap_mb:lower
+PAIR_METRICS = lookups_per_s:higher wall_s:lower setup_s:lower alloc_mb:lower live_heap_mb:lower \
+	delivered_frac:higher pj_per_bit:lower availability_min:higher
 PAIR_RUN = (cd "$$1" && .bench_build/bench --workload $$3 --seed $$2 --seconds $(SECONDS)) | \
 	awk -v metrics="$(PAIR_METRICS)" 'BEGIN { n = split(metrics, m); for (i = 1; i <= n; i++) sub(/:.*/, "", m[i]) } \
 		{ v[$$1] = $$2 } END { for (i = 1; i <= n; i++) printf "%s%s", v[m[i]], i < n ? " " : "\n" }'

@@ -36,6 +36,7 @@ package netsim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"vrpower/internal/core"
 	"vrpower/internal/ctrl"
@@ -353,6 +354,10 @@ type scenRun struct {
 	s    *System
 	spec scenario.Spec
 	gen  *traffic.Generator
+	// win holds the current settle window's arrivals, drawn from gen at the
+	// load shape's probability loadAt(cycle).
+	win    *traffic.Window
+	loadAt func(cyc int64) float64
 
 	devs []*device
 	// home[vn] is the engine serving network vn; nil while it is homeless
@@ -504,45 +509,45 @@ func (r *scenRun) nextQueued(e *scenEng) (queued, int, bool) {
 	return queued{}, 0, false
 }
 
-// arrive offers cycle cyc's packets: one Bernoulli draw per network at the
-// load shape's probability, then admission, a serving engine that is up and
-// room in the ingress queue — only an arrival that passes all three draws
-// its address.
+// arrive offers cycle cyc's packets, read from the window RunSlice drew:
+// each network that offers one, in network order, then admission, a serving
+// engine that is up and room in the ingress queue.
 func (r *scenRun) arrive(cyc int64) {
-	gen, gv, rep := r.gen, r.gv, r.rep
-	p := r.spec.Load.At(cyc, r.spec.Cycles)
-	for vn := range r.queues {
-		if !gen.Bernoulli(p) {
-			continue
-		}
-		rep.OfferedPerVN[vn]++
-		e := r.home[vn]
-		switch {
-		case e == nil:
-			// Homeless: drop, never misforward. There is no engine to name
-			// in a drop trace.
-			r.refuse(vn, 1)
-		case gv != nil && gv.AdmitArrival(vn, e.idx):
-			rep.DroppedPerVN[vn]++
-		case e.fs.down():
-			r.refuse(vn, 1)
-			// Seq is worker-independent: cycle-major, network-minor. The
-			// arrival is refused before it has an address: drawing one would
-			// make a traced run consume the generator unlike a bare one.
-			if tel := r.s.tel; tel.Tracing() {
-				if seq := r.st.seq(cyc, int32(vn)); tel.Sampler.Sample(vn, seq) {
-					ft := scenario.DropTrace(seq, vn, e.idx, cyc)
-					ft.Device = e.dev.id
-					r.st.held = append(r.st.held, heldTrace{cyc, -1, ft})
-				}
-			}
-		case r.queues[vn].len() >= r.spec.Queue:
-			rep.DroppedPerVN[vn]++
-		default:
-			r.queues[vn].push(queued{arrival: cyc, addr: gen.NextFor(vn).Addr, vn: int32(vn)})
+	for w, word := range r.win.Arrivals(cyc) {
+		for ; word != 0; word &= word - 1 {
+			r.offer(w<<6|bits.TrailingZeros64(word), cyc)
 		}
 	}
-	rep.BacklogPeak = max(rep.BacklogPeak, r.backlog())
+	r.rep.BacklogPeak = max(r.rep.BacklogPeak, r.backlog())
+}
+
+// offer takes network vn's packet arriving at cycle cyc.
+func (r *scenRun) offer(vn int, cyc int64) {
+	gv, rep := r.gv, r.rep
+	rep.OfferedPerVN[vn]++
+	e := r.home[vn]
+	switch {
+	case e == nil:
+		// Homeless: drop, never misforward. There is no engine to name
+		// in a drop trace.
+		r.refuse(vn, 1)
+	case gv != nil && gv.AdmitArrival(vn, e.idx):
+		rep.DroppedPerVN[vn]++
+	case e.fs.down():
+		r.refuse(vn, 1)
+		// Seq is worker-independent: cycle-major, network-minor.
+		if tel := r.s.tel; tel.Tracing() {
+			if seq := r.st.seq(cyc, int32(vn)); tel.Sampler.Sample(vn, seq) {
+				ft := scenario.DropTrace(seq, vn, e.idx, cyc, r.win.Addr(vn, cyc))
+				ft.Device = e.dev.id
+				r.st.held = append(r.st.held, heldTrace{cyc, -1, ft})
+			}
+		}
+	case r.queues[vn].len() >= r.spec.Queue:
+		rep.DroppedPerVN[vn]++
+	default:
+		r.queues[vn].push(queued{arrival: cyc, addr: r.win.Addr(vn, cyc), vn: int32(vn)})
+	}
 }
 
 // backlog is the packets waiting in the ingress queues.
@@ -608,11 +613,16 @@ func (r *scenRun) serve(cyc int64) error {
 // RunSlice executes cycles [b, b+n): shaped arrivals into the ingress queues
 // (live slices only), then one service step per engine per cycle, all on the
 // coordinator. The slice is the batch: each engine is settled at its end
-// (every pipeline.SettleCycles cycles of a longer one), in serve order.
+// (every pipeline.SettleCycles cycles of a longer one), in serve order. The
+// arrivals of a live window are drawn at its start, all networks at once.
 func (r *scenRun) RunSlice(b, n int64, live bool) (scenario.SliceStats, error) {
 	before := r.st.total
 	for c := b; c < b+n; c += pipeline.SettleCycles {
-		for cyc, end := c, min(c+pipeline.SettleCycles, b+n); cyc < end; cyc++ {
+		end := min(c+pipeline.SettleCycles, b+n)
+		if live {
+			r.gen.Fill(r.win, c, int(end-c), r.loadAt)
+		}
+		for cyc := c; cyc < end; cyc++ {
 			if live {
 				r.arrive(cyc)
 			}
@@ -771,6 +781,7 @@ func (s *System) newScenRun(gen *traffic.Generator, spec scenario.Spec) (*scenRu
 		UnavailableCyclesPerVN: make([]int64, s.k),
 	}
 	r := &scenRun{s: s, spec: spec, gen: gen, rep: rep,
+		win: gen.NewWindow(pipeline.SettleCycles), loadAt: func(cyc int64) float64 { return spec.Load.At(cyc, spec.Cycles) },
 		home: make([]*scenEng, s.k), queues: make([]fifo[queued], s.k),
 		refs: append([]*ip.Table(nil), s.refs...), kept: append([]*ip.Table(nil), s.refs...),
 		dropVN: make([]*obs.Counter, s.k)}

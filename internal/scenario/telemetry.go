@@ -84,13 +84,13 @@ func LookupTrace(seq int64, vn, engine int, base int64, res pipeline.Result, wai
 
 // DropTrace builds the trace of a sampled packet refused at ingress (its
 // engine was down): no pipeline traversal, Enter == Exit == the drop cycle,
-// and no address — the packet is refused before one is drawn, so tracing it
-// never touches the traffic generator.
-func DropTrace(seq int64, vn, engine int, cycle int64) *obs.FlightTrace {
+// and the refused packet's destination address.
+func DropTrace(seq int64, vn, engine int, cycle int64, addr ip.Addr) *obs.FlightTrace {
 	return &obs.FlightTrace{
 		Seq:     seq,
 		VN:      vn,
 		Engine:  engine,
+		Addr:    addr.String(),
 		Enter:   cycle,
 		Exit:    cycle,
 		Outcome: "drop-down",

@@ -3,16 +3,24 @@
 // (uniform per Assumption 1, or Zipf-skewed for the more complex
 // distributions the paper mentions can be modelled by changing µ_i), with
 // destination addresses drawn either uniformly or from the routed space.
+//
+// Every draw is positional: the value a stream gives at index i is
+// mix(key(seed, purpose, vn) + i·γ), a splitmix64 finaliser over a key that
+// names the seed, what the draw is for and the network. No draw depends on
+// an earlier one, so packet i of a batch, or network vn's arrival at cycle
+// c, can be drawn in any order, in any chunking and on any worker.
 package traffic
 
 import (
 	"fmt"
-	"math/rand"
+	"math"
+	"math/bits"
 
 	"vrpower/internal/ip"
 	"vrpower/internal/packet"
 	"vrpower/internal/pipeline"
 	"vrpower/internal/rib"
+	"vrpower/internal/sweep"
 )
 
 // Packet is one generated packet: a destination address and the virtual
@@ -26,7 +34,8 @@ type Packet struct {
 // paper's throughput metric assumes (Section VI-B).
 const packetBytes = 40
 
-// zipfS is the Zipf skew parameter of the Zipf distribution.
+// zipfS is the Zipf skew parameter of the Zipf distribution: network k's
+// share is proportional to (k+1)^-zipfS.
 const zipfS = 1.3
 
 // VNDist selects how packets spread over the K virtual networks.
@@ -61,11 +70,84 @@ type Config struct {
 	Tables []*rib.Table
 }
 
-// Generator produces a deterministic packet stream.
+// The purposes a stream is keyed by: one stream per purpose and network.
+const (
+	drawVN = iota
+	drawAddr
+	drawArrival
+	drawSrc
+	drawTTL
+	drawCoin
+)
+
+// gamma is splitmix64's increment, 2⁶⁴/φ: a stream's index i reads the
+// finaliser at key + i·gamma.
+const gamma = 0x9e3779b97f4a7c15
+
+// mix is the splitmix64 finaliser, a bijection on 64-bit words.
+func mix(z uint64) uint64 {
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
+}
+
+// key names one stream: the seed, what it draws and the network.
+func key(seed int64, purpose, vn int) uint64 {
+	return mix(mix(uint64(seed)) ^ uint64(purpose)<<32 ^ uint64(vn))
+}
+
+// draw is stream k's value at index i.
+func draw(k, i uint64) uint64 { return mix(k + i*gamma) }
+
+// below maps u onto [0, n): the high word of u·n, no division.
+func below(u uint64, n int) int {
+	hi, _ := bits.Mul64(u, uint64(n))
+	return int(hi)
+}
+
+// always is the threshold of probability 1: floor(p·2⁶⁴) for p < 1 is at
+// most 2⁶⁴ − 2¹¹, so no other probability maps to it.
+const always = math.MaxUint64
+
+// threshold is Bernoulli(p)'s cut: u arrives when u < threshold(p), or
+// always when it is the always sentinel. p ≤ 0 (or NaN) never arrives.
+func threshold(p float64) uint64 {
+	switch {
+	case !(p > 0):
+		return 0
+	case p >= 1:
+		return always
+	}
+	return uint64(p * (1 << 64))
+}
+
+// coin is one Bernoulli outcome of u against a threshold.
+func coin(u, thr uint64) bool { return u < thr || thr == always }
+
+// routed is the address host takes inside route r: r's prefix, host's bits
+// below it. It is ip.Mask without a branch on the length: a shift by 32 or
+// more clears a 32-bit word.
+func routed(r *ip.Route, host ip.Addr) ip.Addr {
+	return r.Prefix.Addr | host&^(^ip.Addr(0)<<uint(32-r.Prefix.Len))
+}
+
+// Generator produces a deterministic packet stream: packet i, for every
+// caller, is a function of (seed, i) alone, and one counter says which
+// packet comes next.
 type Generator struct {
-	cfg  Config
-	rng  *rand.Rand
-	zipf *rand.Zipf
+	k int
+	// vnKey, srcKey, ttlKey and coinKey key the network-independent streams;
+	// addrKey and arriveKey hold one key per network.
+	vnKey, srcKey, ttlKey, coinKey uint64
+	addrKey, arriveKey             []uint64
+	// routes[vn] is network vn's routed space under RoutedAddr; nil under
+	// UniformAddr.
+	routes [][]ip.Route
+	// cdf is the Zipf inverse CDF, cdf[k] = ⌊2⁶⁴·P(VN ≤ k)⌋ with the last
+	// entry always; nil under Uniform.
+	cdf []uint64
+	// next is the index of the next packet (or coin).
+	next uint64
 }
 
 // New validates the configuration and builds a Generator.
@@ -73,10 +155,16 @@ func New(cfg Config) (*Generator, error) {
 	if cfg.K <= 0 {
 		return nil, fmt.Errorf("traffic: K = %d, want > 0", cfg.K)
 	}
-	g := &Generator{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
+	s := cfg.Seed
+	g := &Generator{k: cfg.K,
+		vnKey: key(s, drawVN, 0), srcKey: key(s, drawSrc, 0), ttlKey: key(s, drawTTL, 0), coinKey: key(s, drawCoin, 0),
+		addrKey: make([]uint64, cfg.K), arriveKey: make([]uint64, cfg.K), routes: make([][]ip.Route, cfg.K)}
+	for vn := range cfg.K {
+		g.addrKey[vn], g.arriveKey[vn] = key(s, drawAddr, vn), key(s, drawArrival, vn)
+	}
 	switch cfg.Dist {
 	case Zipf:
-		g.zipf = rand.NewZipf(g.rng, zipfS, 1, uint64(cfg.K-1))
+		g.cdf = zipfCDF(cfg.K)
 	case Uniform:
 	default:
 		return nil, fmt.Errorf("traffic: unknown distribution %d", cfg.Dist)
@@ -89,61 +177,109 @@ func New(cfg Config) (*Generator, error) {
 			if t.Len() == 0 {
 				return nil, fmt.Errorf("traffic: table %d is empty", i)
 			}
+			g.routes[i] = t.Routes
 		}
 	}
 	return g, nil
 }
 
-// pickVN draws the packet's virtual network.
-func (g *Generator) pickVN() int {
-	if g.zipf != nil {
-		return int(g.zipf.Uint64())
+// zipfCDF turns the k Zipf weights (v+1)^-zipfS into draw thresholds.
+func zipfCDF(k int) []uint64 {
+	cdf, sum, cum := make([]uint64, k), 0.0, 0.0
+	for v := range k {
+		sum += math.Pow(float64(v+1), -zipfS)
 	}
-	return g.rng.Intn(g.cfg.K)
+	for v := range k {
+		cum += math.Pow(float64(v+1), -zipfS)
+		cdf[v] = threshold(cum / sum)
+	}
+	cdf[k-1] = always
+	return cdf
 }
 
-// pickAddr draws the destination address for the chosen VN.
-func (g *Generator) pickAddr(vn int) ip.Addr {
-	if g.cfg.Addr == RoutedAddr {
-		t := g.cfg.Tables[vn]
-		r := t.Routes[g.rng.Intn(t.Len())]
-		host := ip.Addr(g.rng.Uint32()) &^ ip.Mask(r.Prefix.Len)
-		return r.Prefix.Addr | host
+// pickVN draws packet i's virtual network.
+func (g *Generator) pickVN(i uint64) int {
+	u := draw(g.vnKey, i)
+	if g.cdf == nil {
+		return below(u, g.k)
 	}
-	return ip.Addr(g.rng.Uint32())
+	vn := 0
+	for !coin(u, g.cdf[vn]) {
+		vn++
+	}
+	return vn
+}
+
+// addr draws network vn's destination address at index i. One draw u gives
+// both halves: the route is the high word of u·n over the network's n
+// routes, the host bits are u's low word. The low word moves the route
+// pick by at most n/2³² of a step, so the two are independent to well
+// within any test's resolution.
+func (g *Generator) addr(vn int, i uint64) ip.Addr {
+	return addrOf(draw(g.addrKey[vn], i), g.routes[vn])
+}
+
+// addrOf is the address draw u gives over a network's routes, or anywhere
+// in the IPv4 space when routes is nil.
+func addrOf(u uint64, routes []ip.Route) ip.Addr {
+	if routes == nil {
+		return ip.Addr(u)
+	}
+	return routed(&routes[below(u, len(routes))], ip.Addr(u))
+}
+
+// packet is packet i of the stream.
+func (g *Generator) packet(i uint64) Packet {
+	vn := g.pickVN(i)
+	return Packet{Addr: g.addr(vn, i), VN: vn}
+}
+
+// take reserves the next n packet indices and returns the first.
+func (g *Generator) take(n int) uint64 {
+	first := g.next
+	g.next += uint64(n)
+	return first
 }
 
 // Next generates one packet.
-func (g *Generator) Next() Packet { return g.NextFor(g.pickVN()) }
+func (g *Generator) Next() Packet { return g.packet(g.take(1)) }
 
-// Batch generates n packets.
+// fillChunk is how many packets one sweep point of Batch draws.
+const fillChunk = 4096
+
+// Batch generates n packets: the next n of the stream, equal to n calls of
+// Next, drawn a chunk at a time on the sweep pool.
 func (g *Generator) Batch(n int) []Packet {
 	out := make([]Packet, n)
-	for i := range out {
-		out[i] = g.Next()
-	}
+	first := g.take(n)
+	sweep.Run((n+fillChunk-1)/fillChunk, func(c int) (struct{}, error) {
+		for j := c * fillChunk; j < min(n, (c+1)*fillChunk); j++ {
+			out[j] = g.packet(first + uint64(j))
+		}
+		return struct{}{}, nil
+	})
 	return out
 }
 
-// Requests generates n pipeline lookup requests.
+// Requests generates n pipeline lookup requests: the packets Batch(n) would.
 func (g *Generator) Requests(n int) []pipeline.Request {
 	out := make([]pipeline.Request, n)
-	for i := range out {
-		p := g.Next()
+	for i, p := range g.Batch(n) {
 		out[i] = pipeline.Request{Addr: p.Addr, VN: p.VN}
 	}
 	return out
 }
 
 // Frames generates n wire-format frames (Ethernet + VLAN VNID + IPv4) for
-// the frame-level forwarding path. TTLs vary over [2, 64]; the VLAN VID
-// carries the packet's virtual network.
+// the frame-level forwarding path, around the packets Batch(n) would. TTLs
+// vary over [2, 64]; the VLAN VID carries the packet's virtual network.
 func (g *Generator) Frames(n int) ([][]byte, error) {
+	first := g.next
 	out := make([][]byte, n)
-	for i := range out {
-		p := g.Next()
-		src := ip.Addr(g.rng.Uint32())
-		ttl := 2 + g.rng.Intn(63)
+	for j, p := range g.Batch(n) {
+		i := first + uint64(j)
+		src := ip.Addr(draw(g.srcKey, i))
+		ttl := 2 + below(draw(g.ttlKey, i), 63)
 		f, err := packet.Build(
 			packet.MAC{0x02, 0, 0, 0, 0, 0x01},
 			packet.MAC{0x02, 0, 0, 0, 0, 0x02},
@@ -151,19 +287,106 @@ func (g *Generator) Frames(n int) ([][]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		out[i] = f
+		out[j] = f
 	}
 	return out, nil
 }
 
-// Bernoulli draws one deterministic coin with probability p from the
-// generator's stream, for open-loop arrival processes.
+// Bernoulli draws one deterministic coin with probability p, the next index
+// of the generator's counter.
 func (g *Generator) Bernoulli(p float64) bool {
-	return g.rng.Float64() < p
+	return coin(draw(g.coinKey, g.take(1)), threshold(p))
 }
 
 // NextFor generates one packet pinned to the given virtual network,
 // bypassing the VN distribution (for per-VN arrival processes).
 func (g *Generator) NextFor(vn int) Packet {
-	return Packet{Addr: g.pickAddr(vn), VN: vn}
+	return Packet{Addr: g.addr(vn, g.take(1)), VN: vn}
+}
+
+// Window is one stretch of the open-loop arrival process, Bernoulli per
+// network per cycle: whether network vn offers a packet at cycle c, and its
+// destination address, are functions of (seed, vn, c) alone, so a run that
+// fills its windows at any length sees the same arrivals. A cycle's arrivals
+// are a bitset over the networks, so a reader visits only the networks that
+// offer a packet.
+type Window struct {
+	start int64
+	// k is the networks and kw the words of one cycle's bitset.
+	k, kw int
+	// arrive[(c-start)·kw + vn/64] has bit vn%64 set when network vn offers
+	// a packet at cycle c, and addrs[(c-start)·k + vn] is then its address.
+	arrive []uint64
+	addrs  []ip.Addr
+}
+
+// NewWindow allocates a window of up to n cycles for g's networks.
+func (g *Generator) NewWindow(n int) *Window {
+	kw := (g.k + 63) / 64
+	return &Window{k: g.k, kw: kw, arrive: make([]uint64, n*kw), addrs: make([]ip.Addr, n*g.k)}
+}
+
+// Fill draws cycles [start, start+n) into w, each network offering a packet
+// at cycle c with probability p(c). One pass draws every network's arrival
+// and lists the arrivals a block at a time, with no branch on a draw: each
+// (network, cycle) is written to the list, and the list grows only by an
+// arrival. Each full block then has its addresses drawn in a loop that does
+// not branch either, so its route loads overlap.
+func (g *Generator) Fill(w *Window, start int64, n int, p func(cyc int64) float64) {
+	w.start = start
+	first, kw := uint64(start), w.kw
+	clear(w.arrive[:n*kw])
+	var blk arrivals
+	for c := range n {
+		t := threshold(p(start + int64(c)))
+		sure := uint64(0)
+		if t == always {
+			sure = 1
+		}
+		row, i := w.arrive[c*kw:c*kw+kw], first+uint64(c)
+		for vn, k := range g.arriveKey {
+			_, borrow := bits.Sub64(draw(k, i), t, 0)
+			bit := borrow | sure
+			row[vn>>6] |= bit << (vn & 63)
+			blk.vn[blk.n], blk.c[blk.n] = int32(vn), int32(c)
+			if blk.n += int(bit); blk.n == gatherBlock {
+				g.addrs(w, &blk)
+			}
+		}
+	}
+	g.addrs(w, &blk)
+}
+
+// gatherBlock is how many arrivals are listed before their addresses are
+// drawn.
+const gatherBlock = 256
+
+// arrivals is a block of a window's arrivals waiting for their addresses:
+// network vn[j] at cycle offset c[j].
+type arrivals struct {
+	vn, c [gatherBlock]int32
+	n     int
+}
+
+// addrs draws the addresses of the block's arrivals into w and empties it.
+func (g *Generator) addrs(w *Window, blk *arrivals) {
+	first := uint64(w.start)
+	for j := range blk.n {
+		vn, c := int(blk.vn[j]), int(blk.c[j])
+		w.addrs[c*w.k+vn] = addrOf(draw(g.addrKey[vn], first+uint64(c)), g.routes[vn])
+	}
+	blk.n = 0
+}
+
+// Arrivals is the bitset of the networks offering a packet at cycle cyc, one
+// of the window's: network vn is bit vn%64 of word vn/64.
+func (w *Window) Arrivals(cyc int64) []uint64 {
+	c := int(cyc-w.start) * w.kw
+	return w.arrive[c : c+w.kw]
+}
+
+// Addr is the destination address of network vn's packet at cycle cyc, one
+// it offers.
+func (w *Window) Addr(vn int, cyc int64) ip.Addr {
+	return w.addrs[int(cyc-w.start)*w.k+vn]
 }
