@@ -260,11 +260,8 @@ func (f scenFaults) PreSlice(b, n int64, draining bool) error {
 	if !draining {
 		for _, e := range f.dev.engines {
 			if in.KillDue(e.idx, b+n) {
-				e.fs.killed = true
-				rep.Kill = &KillRecord{Engine: e.idx, Cycle: r.spec.Kill.Cycle, DetectedAt: -1, RepairedAt: -1}
-				tel.Events.Log(obs.LevelError, r.spec.Kill.Cycle, "engine_kill", "engine", e.idx)
-				// The kill takes the pipeline's contents with it.
-				r.flushExits(e)
+				// The kill lands at its cycle inside the slice (RunSlice).
+				r.kills, r.killAt = append(r.kills, e), r.spec.Kill.Cycle
 			}
 		}
 		for _, e := range f.dev.engines {
@@ -291,6 +288,25 @@ func (f scenFaults) PreSlice(b, n int64, draining bool) error {
 		}
 	}
 	return nil
+}
+
+// kill takes the engines armed in r.kills out of service at cycle cyc of
+// the live slice that starts at b, before the cycle's arrivals: each has
+// served through cyc-1, is settled at cyc, and the lookups still in its pipe
+// are lost with it. Its networks were up for the cyc-b cycles of the slice
+// that measure, which looks only at the slice's end, counts as down.
+func (r *scenRun) kill(b, cyc int64) {
+	for _, e := range r.kills {
+		r.settle(e)
+		e.fs.killed = true
+		r.rep.Kill = &KillRecord{Engine: e.idx, Cycle: cyc, DetectedAt: -1, RepairedAt: -1}
+		r.s.tel.Events.Log(obs.LevelError, cyc, "engine_kill", "engine", e.idx)
+		r.flushExits(e)
+		for _, vn := range e.served {
+			r.rep.UnavailableCyclesPerVN[vn] -= cyc - b
+		}
+	}
+	r.kills, r.killAt = r.kills[:0], -1
 }
 
 func (f scenFaults) Outstanding() bool {

@@ -375,6 +375,10 @@ type scenRun struct {
 
 	// started counts the churn batches armed: one schedule per run.
 	started int
+	// kills are the engines the fault stressor armed to die at cycle killAt
+	// of the current slice (-1: none armed).
+	kills  []*scenEng
+	killAt int64
 
 	// fl is the fleet stressor's state (fleetrun.go); nil without fleet=.
 	fl *fleetState
@@ -623,6 +627,9 @@ func (r *scenRun) RunSlice(b, n int64, live bool) (scenario.SliceStats, error) {
 			r.gen.Fill(r.win, c, int(end-c), r.loadAt)
 		}
 		for cyc := c; cyc < end; cyc++ {
+			if cyc == r.killAt {
+				r.kill(b, cyc)
+			}
 			if live {
 				r.arrive(cyc)
 			}
@@ -630,14 +637,9 @@ func (r *scenRun) RunSlice(b, n int64, live bool) (scenario.SliceStats, error) {
 				return scenario.SliceStats{}, err
 			}
 		}
-		for d, dev := range r.devs {
-			for eIdx, e := range dev.engines {
-				if n := r.st.settle(e, d<<16|eIdx); n > 0 {
-					obsFaultDrops.Add(n)
-					if e.fs.detectVia == "" {
-						e.fs.detectVia = ViaAccess
-					}
-				}
+		for _, dev := range r.devs {
+			for _, e := range dev.engines {
+				r.settle(e)
 			}
 		}
 		r.st.putTraces()
@@ -645,6 +647,17 @@ func (r *scenRun) RunSlice(b, n int64, live bool) (scenario.SliceStats, error) {
 	st := r.measure(n, live)
 	st.Delivered = r.st.total - before
 	return st, nil
+}
+
+// settle settles engine e's exits; a parity-refused one flags the engine for
+// a scrub by access-time detection.
+func (r *scenRun) settle(e *scenEng) {
+	if n := r.st.settle(e, e.dev.id<<16|e.idx); n > 0 {
+		obsFaultDrops.Add(n)
+		if e.fs.detectVia == "" {
+			e.fs.detectVia = ViaAccess
+		}
+	}
 }
 
 // measure takes the slice's measurements for the telemetry row and the
@@ -784,7 +797,7 @@ func (s *System) newScenRun(gen *traffic.Generator, spec scenario.Spec) (*scenRu
 		win: gen.NewWindow(pipeline.SettleCycles), loadAt: func(cyc int64) float64 { return spec.Load.At(cyc, spec.Cycles) },
 		home: make([]*scenEng, s.k), queues: make([]fifo[queued], s.k),
 		refs: append([]*ip.Table(nil), s.refs...), kept: append([]*ip.Table(nil), s.refs...),
-		dropVN: make([]*obs.Counter, s.k)}
+		dropVN: make([]*obs.Counter, s.k), killAt: -1}
 	for vn := range r.dropVN {
 		r.dropVN[vn] = obs.NewCounter(fmt.Sprintf("netsim.fault_drops.vn%02d", vn))
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"vrpower/internal/core"
+	"vrpower/internal/obs"
 	"vrpower/internal/traffic"
 )
 
@@ -78,6 +79,42 @@ func TestVSKillBlackholesOnlyItsOwnVNID(t *testing.T) {
 	// after the reload both flowed.
 	if rep.DeliveredPerVN[1] == 0 {
 		t.Error("killed VN 1 delivered nothing at all")
+	}
+}
+
+// TestKillLandsAtItsCycle: kill=E@C takes engine E down at cycle C, not at
+// the start of the slice that holds C. With every lookup traced, network 1
+// forwards arrivals of that slice before C, and no arrival of it is refused
+// before C.
+func TestKillLandsAtItsCycle(t *testing.T) {
+	const at = 3000 // inside the 1024-cycle slice [2048, 3072)
+	s, _ := buildSystem(t, core.VS, 3)
+	tel := &Telemetry{Sampler: obs.NewTraceSampler(1, 1), Traces: obs.NewTraceRing(1 << 16)}
+	s.SetTelemetry(tel)
+	defer s.SetTelemetry(nil)
+	rep := runSpec(t, s, 17, fmt.Sprintf("load=const:0.3333,kill=1@%d,cycles=16384,seed=42", at))
+	if rep.Kill == nil || rep.Kill.Cycle != at {
+		t.Fatalf("kill record %+v, want one at cycle %d", rep.Kill, at)
+	}
+	servedLate, refused := false, false
+	for _, ft := range tel.Traces.Snapshot() {
+		if ft.VN != 1 {
+			continue
+		}
+		switch {
+		case ft.Outcome == "drop-down" && ft.Enter < at:
+			t.Fatalf("network 1 refused an arrival at cycle %d, before the kill at %d", ft.Enter, at)
+		case ft.Outcome == "drop-down":
+			refused = true
+		case ft.Outcome == "forward" && ft.Enter >= 2048 && ft.Enter < at:
+			servedLate = true
+		}
+	}
+	if !servedLate {
+		t.Error("network 1 forwarded nothing between the slice start and the kill")
+	}
+	if !refused {
+		t.Error("network 1 refused no arrival after the kill")
 	}
 }
 
