@@ -4,7 +4,7 @@
 #   make bench      = every benchmark with allocation counts
 GO ?= go
 
-.PHONY: all build test race governor-smoke scenario-smoke chaos-smoke fleet-smoke forward-smoke churn-smoke figures-smoke fuzz-smoke fuzz-batch-smoke vet vuln bench bench-gate bench-test bench-e2e loc loc-diff digest-diff alloc-diff pair-diff
+.PHONY: all build test race governor-smoke scenario-smoke chaos-smoke fleet-smoke forward-smoke churn-smoke figures-smoke fuzz-smoke fuzz-batch-smoke vet vuln bench bench-gate bench-test bench-e2e loc loc-diff digest-diff alloc-diff pair-diff bench-record bench-trend
 
 all: build test
 
@@ -200,8 +200,8 @@ figures-smoke:
 
 # Short deterministic fuzz passes over the operator-facing spec parser (the
 # full corpus run is `go test -fuzz=FuzzParse ./internal/scenario`) and over
-# the reference LPM oracle against its exhaustive scan (`go test
-# -fuzz=FuzzTableLookup ./internal/ip`).
+# the reference LPM oracle against its exhaustive scan, with NewTable's
+# one-sort load against Add (`go test -fuzz=FuzzTableLookup ./internal/ip`).
 fuzz-smoke:
 	$(GO) test ./internal/scenario -run='^$$' -fuzz=FuzzParse -fuzztime=10s
 	$(GO) test ./internal/ip -run='^$$' -fuzz=FuzzTableLookup -fuzztime=10s
@@ -400,3 +400,16 @@ pair-diff:
 		{ seed[NR] = $$1; for (c = 1; c <= nm; c++) { base[NR, c] = $$(1 + c); now[NR, c] = $$(1 + nm + c) } } \
 		END { printf "workload %s: alternated pairs, $(SECONDS) s a run\n", workload; for (c = 1; c <= nm; c++) stats(c) }'; \
 	done
+
+# The benchmark's trajectory: BENCH_<PR>.json at the root holds the commit,
+# the date, the host's fingerprint (CPUs, CPU model, Go version) and each
+# workload's detail object from one traced run at seed 1; PAIRS=<file>, a
+# saved `make pair-diff` output, adds its medians. bench-trend prints every
+# BENCH_*.json as one table, PR × workload × metric, the host on every row.
+#   make bench-record PR=<n> [PAIRS=<file>]
+bench-record:
+	@test -n "$(PR)" || { echo "bench-record: PR=<n> is required" >&2; exit 2; }
+	@tmp=$$(mktemp); trap 'rm -f "$$tmp"' EXIT; 	for w in $(DIGEST_WORKLOADS); do bash bench/run.sh --workload $$w --seed 1 --trace 1 >> "$$tmp" || exit 1; done; 	$(GO) run ./cmd/benchtrend record $(PR) $$(git describe --always --dirty --abbrev=40) $(PAIRS) < "$$tmp"
+
+bench-trend:
+	@$(GO) run ./cmd/benchtrend

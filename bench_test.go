@@ -539,10 +539,10 @@ func BenchmarkReferenceLookupAll(b *testing.B) {
 	b.ReportMetric(float64(len(reqs))*float64(b.N)/b.Elapsed().Seconds(), "lookups/s")
 }
 
-// BenchmarkReferenceBuild times Table.Reference() plus the first Lookup —
-// which derives the range index — over the same eight tables: what
-// netsim.New, every hitless commit and every audit over a churned table pay
-// to get a usable oracle.
+// BenchmarkReferenceBuild times Table.Reference() — one sort of the routes,
+// the per-length arrays and the range index — plus a first Lookup over the
+// same eight tables: what netsim.New, every hitless commit and every audit
+// over a churned table pay to get a usable oracle.
 func BenchmarkReferenceBuild(b *testing.B) {
 	tables, reqs := referenceFixture(b)
 	b.ReportAllocs()

@@ -7,5 +7,6 @@ type ScanModel = scanModel
 
 var (
 	CheckAgainstScan = checkAgainstScan
+	CheckNewTable    = checkNewTable
 	ScanLookup       = scanLookup
 )

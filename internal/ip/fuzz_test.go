@@ -27,7 +27,8 @@ func encodeAdds(routes []ip.Route) []byte {
 // route list, and after every op compares Len, and Lookup with the scan of
 // that list on the op's address, the edges of its prefix and one past them —
 // so every edit drops the range index and the lookups behind it rebuild it
-// from the table as it then is, mid-script.
+// from the table as it then is, mid-script. Then NewTable loads the script's
+// Add records in one go, and must give the table their Adds alone give.
 func FuzzTableLookup(f *testing.F) {
 	// Seed scripts stay short (24 routes, ~250 bytes): with 64-route seeds
 	// the fuzz engine spent a whole 10 s smoke minimising one input.
@@ -59,6 +60,7 @@ func FuzzTableLookup(f *testing.F) {
 	f.Fuzz(func(t *testing.T, script []byte) {
 		var tbl ip.Table
 		var model ip.ScanModel
+		var adds []ip.Route
 		for ; len(script) >= fuzzOp; script = script[fuzzOp:] {
 			addr := ip.Addr(binary.BigEndian.Uint32(script[1:5]))
 			p := ip.Prefix{Addr: addr, Len: int(int8(script[5]))}
@@ -67,11 +69,13 @@ func FuzzTableLookup(f *testing.F) {
 				if got, want := tbl.Add(r), model.Add(r); got != want {
 					t.Fatalf("Add(%v) = %v, model says %v", p, got, want)
 				}
+				adds = append(adds, r)
 			} else if got, want := tbl.Remove(p), model.Remove(p); got != want {
 				t.Fatalf("Remove(%v) = %v, model says %v", p, got, want)
 			}
 			ip.CheckAgainstScan(t, &tbl, model, p, addr)
 		}
+		ip.CheckNewTable(t, adds)
 	})
 }
 

@@ -170,11 +170,12 @@ type Route struct {
 // Table is the reference longest-prefix-match structure, the oracle every
 // trie, merge and pipeline lookup in the repository is checked against. The
 // routes are held by prefix length: for each length 0..32 a sorted array of
-// network addresses and a parallel array of their next hops, which is what
-// Add and Remove edit. Lookup and LookupAll read a form derived from them by
-// BuildIndex or on first use: the address space cut into disjoint ranges,
-// each with the next hop of its longest match, so a lookup is one binary
-// search whatever the number of populated lengths.
+// network addresses and a parallel array of their next hops, which NewTable
+// loads and Add and Remove edit. Lookup and LookupAll read a form derived
+// from them: the address space cut into disjoint ranges, each with the next
+// hop of its longest match, so a lookup is one binary search whatever the
+// number of populated lengths. NewTable builds it with the table; after an
+// edit, the first lookup rebuilds it.
 //
 // Independence rule: the oracle shares no code with the structures it checks
 // (package ip imports nothing from this module; there is no trie here), and
@@ -198,6 +199,56 @@ type Table struct {
 type rangeIndex struct {
 	starts []Addr
 	hops   []NextHop
+}
+
+// posBits is the width of a route's input position in NewTable's sort word,
+// below its address (32 bits) and length (6 bits).
+const posBits = 26
+
+// NewTable returns the table that Add would build from routes, one after
+// another: host bits are cleared, a route whose length is outside [0,32] is
+// left out, and of two routes for one prefix the later wins. It sorts the
+// routes once, each packed into a word of address, length and input
+// position, fills the per-length arrays from the sorted words in order and
+// sweeps the same words into the range index, so the table it returns is
+// indexed. It takes at most 1<<26 routes.
+func NewTable(routes []Route) *Table {
+	if len(routes) > 1<<posBits {
+		panic(fmt.Sprintf("ip: NewTable of %d routes, more than 1<<%d", len(routes), posBits))
+	}
+	var count [33]int
+	words := make([]uint64, 0, len(routes))
+	for i, r := range routes {
+		if l := r.Prefix.Len; l >= 0 && l <= 32 {
+			count[l]++
+			words = append(words, uint64(r.Prefix.Addr&Mask(l))<<32|uint64(l)<<posBits|uint64(i))
+		}
+	}
+	slices.Sort(words)
+	// Each length's arrays are a run of one array apiece, capped so that an
+	// Add to one length moves it out instead of overwriting the next.
+	t := &Table{}
+	keys, hops := make([]Addr, len(words)), make([]NextHop, len(words))
+	off := 0
+	for l, c := range count {
+		t.keys[l], t.hops[l] = keys[off:off:off+c], hops[off:off:off+c]
+		off += c
+	}
+	// Of the words for one prefix, adjacent and in input order, the last is
+	// the route that stands. It is kept, rewritten in place as the sweep's
+	// word: n never passes i, so no word is rewritten before it is read.
+	n := 0
+	for i, w := range words {
+		if i+1 < len(words) && words[i+1]>>posBits == w>>posBits {
+			continue
+		}
+		key, l, hop := Addr(w>>32), int(w>>posBits&63), routes[w&(1<<posBits-1)].NextHop
+		t.keys[l], t.hops[l] = append(t.keys[l], key), append(t.hops[l], hop)
+		words[n] = rangeWord(key, l, hop)
+		n++
+	}
+	t.index.Store(sweep(words[:n]))
+	return t
 }
 
 // Add inserts or replaces the route for r.Prefix. Host bits beyond the prefix
@@ -237,8 +288,8 @@ func (t *Table) Remove(p Prefix) bool {
 }
 
 // dropIndex discards the range index before an edit. (The test first: a
-// table is built by thousands of Adds with no index to drop, and an atomic
-// store costs more than the rest of an append-at-the-end Add.)
+// table edited by many Adds in a row has no index to drop after the first,
+// and an atomic store costs more than the rest of an append-at-the-end Add.)
 func (t *Table) dropIndex() {
 	if t.index.Load() != nil {
 		t.index.Store(nil)
@@ -255,7 +306,7 @@ func (t *Table) Len() int {
 }
 
 // Lookup performs longest-prefix match: one binary search for the range
-// holding addr, over the range index BuildIndex built (or else the first call
+// holding addr, over the range index NewTable built (or else the first call
 // after an edit builds). Of several first callers racing, each may build an
 // (equal) index, and all read the one published first.
 func (t *Table) Lookup(addr Addr) NextHop {
@@ -333,30 +384,32 @@ func (x *rangeIndex) probe(lo, half int, addr Addr) int {
 	return lo + half&^int((int64(addr)-int64(x.starts[lo+half]))>>63)
 }
 
-// BuildIndex builds the range index Lookup reads, unless it is built: a
-// table indexed before it is shared pays nothing at its first Lookup, and
-// concurrent first callers build nothing.
-func (t *Table) BuildIndex() {
-	if t.index.Load() == nil {
-		t.build()
-	}
-}
-
-// buildRanges derives the range index from the per-length arrays. Every
-// route becomes one word, start address above length above next hop, so that
-// sorting the words visits prefixes by start address and, at one address,
-// outermost first. One sweep over them keeps the prefixes covering the
-// current address on a stack (nested, so at most 33 deep): a prefix opens a
-// range with its own next hop where it starts, and where it ends the range of
-// the prefix below it on the stack (or of no route) resumes.
+// buildRanges derives the range index from the per-length arrays, as they
+// stand after an edit: one sweep word per route, sorted.
 func (t *Table) buildRanges() *rangeIndex {
 	words := make([]uint64, 0, t.Len())
 	for l := range t.keys {
 		for i, k := range t.keys[l] {
-			words = append(words, uint64(k)<<32|uint64(l)<<16|uint64(t.hops[l][i]))
+			words = append(words, rangeWord(k, l, t.hops[l][i]))
 		}
 	}
 	slices.Sort(words)
+	return sweep(words)
+}
+
+// rangeWord packs a route as sweep reads it: start address above length
+// above next hop, so that sorted words visit prefixes by start address and,
+// at one address, outermost first.
+func rangeWord(key Addr, l int, hop NextHop) uint64 {
+	return uint64(key)<<32 | uint64(l)<<16 | uint64(hop)
+}
+
+// sweep builds the range index from sorted rangeWords, one per prefix. It
+// keeps the prefixes covering the current address on a stack (nested, so at
+// most 33 deep): a prefix opens a range with its own next hop where it
+// starts, and where it ends the range of the prefix below it on the stack
+// (or of no route) resumes.
+func sweep(words []uint64) *rangeIndex {
 	x := &rangeIndex{starts: make([]Addr, 1, 2*len(words)+1), hops: make([]NextHop, 1, 2*len(words)+1)}
 	var open [33]struct {
 		end uint64 // one past the prefix's last address; 1<<32 at the top

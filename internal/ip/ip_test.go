@@ -2,7 +2,9 @@ package ip
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -643,5 +645,81 @@ func TestTableFirstLookupRace(t *testing.T) {
 		close(start)
 		wg.Wait()
 		checkRanges(t, &tbl, m)
+	}
+}
+
+// checkNewTable holds NewTable(routes) to the table Add builds from the same
+// routes in input order: the same Len, per-length arrays and range index,
+// built by NewTable before any lookup, and the same answer at every range
+// start and one below it. Both then take one more Add, which must leave the
+// same table: NewTable's per-length arrays share one backing array, and an
+// Add to one length must not write into the next.
+func checkNewTable(t *testing.T, routes []Route) {
+	t.Helper()
+	var want Table
+	for _, r := range routes {
+		_ = want.Add(r)
+	}
+	got := NewTable(routes)
+	x := got.index.Load()
+	if x == nil {
+		t.Fatal("NewTable left the range index to the first lookup")
+	}
+	compare := func(when string) {
+		t.Helper()
+		if got.Len() != want.Len() {
+			t.Fatalf("%s: NewTable holds %d routes, Adds %d", when, got.Len(), want.Len())
+		}
+		for l := range want.keys {
+			if !slices.Equal(got.keys[l], want.keys[l]) || !slices.Equal(got.hops[l], want.hops[l]) {
+				t.Fatalf("%s: /%d routes %v -> %v, Adds give %v -> %v", when, l, got.keys[l], got.hops[l], want.keys[l], want.hops[l])
+			}
+		}
+		gx, wx := got.ranges(), want.ranges()
+		if !slices.Equal(gx.starts, wx.starts) || !slices.Equal(gx.hops, wx.hops) {
+			t.Fatalf("%s: NewTable's %d ranges differ from the Adds' %d", when, len(gx.starts), len(wx.starts))
+		}
+		for _, s := range wx.starts {
+			for _, a := range []Addr{s, s - 1} {
+				if g, w := got.Lookup(a), want.Lookup(a); g != w {
+					t.Fatalf("%s: Lookup(%s) = %d, the Adds' table says %d", when, a, g, w)
+				}
+			}
+		}
+	}
+	compare("loaded")
+	for _, l := range []int{0, 16, 32} {
+		r := Route{MustPrefix(Addr(0x0a0b0c0d), l), 9}
+		_, _ = got.Add(r), want.Add(r)
+		compare(fmt.Sprintf("after Add(%s)", r.Prefix))
+	}
+}
+
+// NewTable on random route sets with repeated prefixes (the later route
+// standing), /0 and /32 routes, host bits, lengths outside [0,32] and no
+// order, against Add in input order and against the scan.
+func TestNewTableEqualsAdds(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	checkNewTable(t, nil)
+	for iter := 0; iter < 200; iter++ {
+		anchors := []Addr{0, ^Addr(0), Addr(rng.Uint32()), Addr(rng.Uint32())}
+		routes := make([]Route, rng.Intn(300))
+		for i := range routes {
+			addr := Addr(rng.Uint32())
+			if rng.Intn(2) == 0 {
+				addr = anchors[rng.Intn(len(anchors))] ^ Addr(rng.Intn(4))<<uint(rng.Intn(31))
+			}
+			// Lengths -2..34: /0 and /32 and out-of-range ones included.
+			routes[i] = Route{Prefix{Addr: addr, Len: rng.Intn(37) - 2}, NextHop(rng.Intn(8))}
+			if i > 0 && rng.Intn(6) == 0 {
+				routes[i].Prefix = routes[rng.Intn(i)].Prefix // a repeat
+			}
+		}
+		checkNewTable(t, routes)
+		var m scanModel
+		for _, r := range routes {
+			_ = m.Add(r)
+		}
+		checkRanges(t, NewTable(routes), m)
 	}
 }

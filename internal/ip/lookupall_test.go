@@ -61,7 +61,9 @@ func TestLookupAllMatchesLookup(t *testing.T) {
 		tables = append(tables, table{"random " + strconv.Itoa(i), routes})
 	}
 	for ti, tc := range tables {
-		var tbl Table
+		// Half the tables are built by Adds, so the first lookup indexes
+		// them; NewTable loads the other half indexed.
+		tbl := &Table{}
 		var m scanModel
 		for _, r := range tc.routes {
 			if err := tbl.Add(r); err != nil {
@@ -70,7 +72,7 @@ func TestLookupAllMatchesLookup(t *testing.T) {
 			_ = m.Add(r)
 		}
 		if ti%2 == 1 {
-			tbl.BuildIndex()
+			tbl = NewTable(tc.routes)
 		}
 		for n := 0; n <= 17; n++ {
 			addrs := make([]Addr, n)
@@ -85,7 +87,7 @@ func TestLookupAllMatchesLookup(t *testing.T) {
 			if n >= 2 {
 				addrs[rng.Intn(n)], addrs[n-1] = 0, ^Addr(0)
 			}
-			checkLookupAll(t, tc.name, &tbl, m, addrs)
+			checkLookupAll(t, tc.name, tbl, m, addrs)
 		}
 	}
 }

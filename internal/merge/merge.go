@@ -64,6 +64,8 @@ type Trie struct {
 	// internal[l] counts the nodes of level l with a child, kept by insert
 	// as it links nodes: the input to Levels.
 	internal [maxLevels - 1]int
+	// path is the walk of the network's last route, where insert resumes.
+	path trie.Path[Node]
 }
 
 // K returns the number of virtual networks merged into the trie.
@@ -103,6 +105,8 @@ func (t *Trie) Rebuild(tables []*rib.Table) error {
 	// paths, which insert counts as it walks them.
 	t.root.Present = len(tables)
 	for vn, tbl := range tables {
+		// A walk resumes only over nodes this network has stamped.
+		t.path.Reset()
 		for _, r := range tbl.Routes {
 			t.insert(vn, r.Prefix, r.NextHop)
 		}
@@ -113,10 +117,13 @@ func (t *Trie) Rebuild(tables []*rib.Table) error {
 // insert adds vn's route for p, creating merged structure as needed, and
 // counts vn as present in every node below the root that the path crosses
 // for the first time. Networks are inserted in order, so one stamp of the
-// last network per node suffices.
+// last network per node suffices. The walk resumes where it leaves the path
+// of vn's last route, whose nodes vn has stamped, so a sorted table costs
+// O(nodes).
 func (t *Trie) insert(vn int, p ip.Prefix, nh ip.NextHop) {
-	n := t.root
-	for i := 0; i < p.Len; i++ {
+	i := t.path.Resume(t.root, p)
+	n := t.path.At(i)
+	for ; i < p.Len; i++ {
 		b := p.Bit(i)
 		if n.Child[b] == nil {
 			if n.IsLeaf() {
@@ -125,6 +132,7 @@ func (t *Trie) insert(vn int, p ip.Prefix, nh ip.NextHop) {
 			n.Child[b] = t.nodes.New()
 		}
 		n = n.Child[b]
+		t.path.Set(i+1, n)
 		if n.seen != vn+1 {
 			n.seen = vn + 1
 			n.Present++
@@ -148,6 +156,7 @@ func (t *Trie) LeafPush() {
 	if t.pushed {
 		return
 	}
+	t.path.Reset()
 	if len(t.vecs) != (maxLevels+1)*t.k {
 		t.vecs = make([]ip.NextHop, (maxLevels+1)*t.k)
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"vrpower/internal/ip"
@@ -469,6 +470,83 @@ func TestLevelsAreThePushedShape(t *testing.T) {
 		}
 		if got := m.Levels(); !reflect.DeepEqual(got, levels) {
 			t.Fatalf("K=%d: Levels after LeafPush %v, before %v", len(tables), got, levels)
+		}
+	}
+}
+
+// sameMerged reports whether two merged tries are equal node for node: the
+// same shape, presence counts and per-network routes at every node, and
+// after leaf pushing the same leaf vectors.
+func sameMerged(a, b *Node) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	la, lb := a.routes, b.routes
+	for ; la != nil && lb != nil; la, lb = la.next, lb.next {
+		if la.vnRoute != lb.vnRoute {
+			return false
+		}
+	}
+	return la == nil && lb == nil && a.Present == b.Present && slices.Equal(a.NHI, b.NHI) &&
+		sameMerged(a.Child[0], b.Child[0]) && sameMerged(a.Child[1], b.Child[1])
+}
+
+// TestInsertOrderDoesNotMatter: each insert resumes at the deepest node its
+// route shares with its network's last one, and the merged trie must not
+// depend on it. Built, or rebuilt in place, from sorted, shuffled and
+// reversed copies of every table, it equals the sorted set's node for node,
+// with the same per-level counts and Stats, before and after leaf pushing.
+func TestInsertOrderDoesNotMatter(t *testing.T) {
+	sorted := buildSet(t, 4, 1500, 0.5, 45)
+	rng := rand.New(rand.NewSource(45))
+	reorder := func(f func([]ip.Route)) []*rib.Table {
+		out := make([]*rib.Table, len(sorted))
+		for i, tbl := range sorted {
+			out[i] = &rib.Table{Name: tbl.Name, Routes: slices.Clone(tbl.Routes)}
+			f(out[i].Routes)
+		}
+		return out
+	}
+	shuffled := reorder(func(r []ip.Route) { rng.Shuffle(len(r), func(i, j int) { r[i], r[j] = r[j], r[i] }) })
+	reversed := reorder(slices.Reverse[[]ip.Route])
+	reused, err := Build(shuffled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name    string
+		tables  []*rib.Table
+		rebuild bool
+	}{
+		{"shuffled", shuffled, false},
+		{"reversed", reversed, false},
+		{"rebuilt reversed", reversed, true},
+		{"rebuilt sorted", sorted, true},
+	} {
+		want, err := Build(sorted)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := reused
+		if c.rebuild {
+			err = reused.Rebuild(c.tables)
+		} else {
+			got, err = Build(c.tables)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pushed := range []bool{false, true} {
+			if pushed {
+				got.LeafPush()
+				want.LeafPush()
+			}
+			if !sameMerged(got.Root(), want.Root()) {
+				t.Fatalf("%s, pushed %v: the merged trie differs node for node from the sorted set's", c.name, pushed)
+			}
+			if !reflect.DeepEqual(got.Levels(), want.Levels()) || !reflect.DeepEqual(got.Stats(), want.Stats()) {
+				t.Fatalf("%s, pushed %v: levels %v, the sorted set's %v", c.name, pushed, got.Levels(), want.Levels())
+			}
 		}
 	}
 }

@@ -69,9 +69,7 @@ func New(r *core.Router, tables []*rib.Table) (*System, error) {
 	// on the sweep pool, each with its range index, so no lookup in a run
 	// builds one.
 	refs, _ := sweep.Run(k, func(i int) (*ip.Table, error) { // a point never fails
-		ref := tables[i].Reference()
-		ref.BuildIndex()
-		return ref, nil
+		return tables[i].Reference(), nil
 	})
 	em, err := energy.NewModel(r.Design())
 	if err != nil {

@@ -348,3 +348,49 @@ func TestCompileZeroTrieIsAnError(t *testing.T) {
 		}
 	}
 }
+
+// TestCompileIgnoresInsertOrder: tries and merged tries resume each insert
+// where the last one left off, so the order of a table's routes changes how
+// they are built. The images compiled from sorted, shuffled and reversed
+// copies of the routes must be byte-identical.
+func TestCompileIgnoresInsertOrder(t *testing.T) {
+	set, err := rib.GenerateVirtualSet(3, 800, 0.5, 45)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(45))
+	orders := map[string]func([]ip.Route){
+		"shuffled": func(r []ip.Route) { rng.Shuffle(len(r), func(i, j int) { r[i], r[j] = r[j], r[i] }) },
+		"reversed": slices.Reverse[[]ip.Route],
+	}
+	compile := func(tables []*rib.Table) (*Image, *Image) {
+		single, err := Compile(trie.Build(tables[0].Routes), 28)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := merge.Build(tables)
+		if err != nil {
+			t.Fatal(err)
+		}
+		merged, err := CompileMerged(m, 28)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return single, merged
+	}
+	wantSingle, wantMerged := compile(set.Tables)
+	for name, reorder := range orders {
+		tables := make([]*rib.Table, len(set.Tables))
+		for i, tbl := range set.Tables {
+			tables[i] = &rib.Table{Name: tbl.Name, Routes: slices.Clone(tbl.Routes)}
+			reorder(tables[i].Routes)
+		}
+		single, merged := compile(tables)
+		if !reflect.DeepEqual(single, wantSingle) {
+			t.Errorf("%s: the trie's image differs from the sorted table's", name)
+		}
+		if !reflect.DeepEqual(merged, wantMerged) {
+			t.Errorf("%s: the merged trie's image differs from the sorted set's", name)
+		}
+	}
+}

@@ -214,9 +214,13 @@ func GenerateVirtualSet(k, prefixes int, share float64, seed int64) (*VirtualSet
 		return nil, fmt.Errorf("rib: %d prefixes, want > 0", prefixes)
 	}
 	nShared := int(float64(prefixes) * share)
-	// Point 0 is the pool, point i+1 network i's own routes.
+	// Point 0 is the pool, point i+1 network i's own routes. Nothing shared,
+	// nothing pooled.
 	tables, err := sweep.Run(k+1, func(p int) (*Table, error) {
 		if p == 0 {
+			if nShared == 0 {
+				return &Table{Name: "pool"}, nil
+			}
 			return Generate("pool", prefixes, seed)
 		}
 		name := fmt.Sprintf("vn%d", p-1)

@@ -52,24 +52,32 @@ func (t *Table) addIndexed(index map[ip.Prefix]int, r ip.Route) {
 
 // Sort orders routes by prefix (address, then length) in place. Prefixes
 // are unique, so the order is total and the result one whatever the routes'
-// order was.
+// order was. Each route is packed into one word, address above length above
+// next hop, so the sort compares integers; a table holding a length outside
+// [0,32], which no word can carry, is sorted through ip.Compare instead.
 func (t *Table) Sort() {
-	slices.SortFunc(t.Routes, func(a, b ip.Route) int { return ip.Compare(a.Prefix, b.Prefix) })
+	words := make([]uint64, len(t.Routes))
+	for i, r := range t.Routes {
+		if r.Prefix.Len < 0 || r.Prefix.Len > 32 {
+			slices.SortFunc(t.Routes, func(a, b ip.Route) int { return ip.Compare(a.Prefix, b.Prefix) })
+			return
+		}
+		words[i] = uint64(r.Prefix.Addr)<<32 | uint64(r.Prefix.Len)<<16 | uint64(r.NextHop)
+	}
+	slices.Sort(words)
+	for i, w := range words {
+		t.Routes[i] = ip.Route{Prefix: ip.Prefix{Addr: ip.Addr(w >> 32), Len: int(w >> 16 & 0xFFFF)}, NextHop: ip.NextHop(w)}
+	}
 }
 
-// Reference returns the reference LPM (ip.Table: sorted arrays per prefix
-// length, searched through a range index the first Lookup derives from them)
-// over the same routes, used as the correctness oracle in tests and netsim.
-// It shares no code with the trie, merge or pipeline structures it checks.
-// Building it is O(n log n), and so is that first Lookup; a route whose
-// prefix length is out of range is left out, as no lookup structure can hold
-// it either.
+// Reference returns the reference LPM over the same routes (ip.NewTable:
+// sorted arrays per prefix length and the range index its lookups search,
+// built from one sort of the routes), used as the correctness oracle in
+// tests and netsim. It shares no code with the trie, merge or pipeline
+// structures it checks. A route whose prefix length is out of range is left
+// out, as no lookup structure can hold it either.
 func (t *Table) Reference() *ip.Table {
-	var ref ip.Table
-	for _, r := range t.Routes {
-		_ = ref.Add(r) // only ErrPrefixLen: such a route matches nothing
-	}
-	return &ref
+	return ip.NewTable(t.Routes)
 }
 
 // LengthHistogram returns counts of routes per prefix length (index 0..32).

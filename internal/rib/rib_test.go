@@ -287,6 +287,51 @@ func TestReferenceOracle(t *testing.T) {
 	}
 }
 
+// Sort packs routes into words; it must order random routes exactly as
+// sorting them through ip.Compare does, next hops kept with their prefixes,
+// also when a length outside [0,32] sends it down the comparator.
+func TestTableSortMatchesCompare(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	for iter := 0; iter < 100; iter++ {
+		seen := map[ip.Prefix]bool{}
+		var tbl Table
+		for n := rng.Intn(400); len(tbl.Routes) < n; {
+			p := ip.MustPrefix(ip.Addr(rng.Uint32())&ip.Mask(rng.Intn(4)*8), rng.Intn(33))
+			if !seen[p] {
+				seen[p] = true
+				tbl.Routes = append(tbl.Routes, ip.Route{Prefix: p, NextHop: ip.NextHop(rng.Intn(1 << 16))})
+			}
+		}
+		if iter%10 == 9 {
+			tbl.Routes = append(tbl.Routes, ip.Route{Prefix: ip.Prefix{Addr: 7, Len: 40 + iter}, NextHop: 3})
+		}
+		want := slices.Clone(tbl.Routes)
+		slices.SortFunc(want, func(a, b ip.Route) int { return ip.Compare(a.Prefix, b.Prefix) })
+		tbl.Sort()
+		if !reflect.DeepEqual(tbl.Routes, want) {
+			t.Fatalf("iteration %d: Sort of %d routes differs from sorting by ip.Compare", iter, len(want))
+		}
+	}
+}
+
+// At share 0 a virtual set is its K own tables, each exactly what Generate
+// makes from its seed: no pool route reaches it.
+func TestGenerateVirtualSetShareZeroIsOwnTables(t *testing.T) {
+	set, err := GenerateVirtualSet(3, 500, 0, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, got := range set.Tables {
+		want, err := Generate(fmt.Sprintf("vn%d", i), 500, 9+int64(100+i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Routes, want.Routes) {
+			t.Errorf("network %d at share 0 differs from its own generated table", i)
+		}
+	}
+}
+
 // The digests were recorded from the commit before GenerateVirtualSet and
 // Read switched from Table.Add's linear duplicate scan to a
 // prefix index: SHA-256 over Write of the eight tables, in order. The

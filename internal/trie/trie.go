@@ -6,6 +6,7 @@ package trie
 
 import (
 	"fmt"
+	"math/bits"
 
 	"vrpower/internal/ip"
 )
@@ -93,7 +94,42 @@ type Trie struct {
 	// internal[l] counts the nodes of level l with a child, kept by Insert
 	// and Delete as they link and prune nodes: the input to Levels.
 	internal [maxLevels - 1]int
+	// path is the last insert's walk, where the next one resumes.
+	path Path[Node]
 }
+
+// Path is the walk of the last prefix inserted into a trie of N nodes: the
+// node it reached at every level. The next insert resumes at the deepest
+// node the two prefixes share instead of at the root, so inserting a sorted
+// table walks each node about once. Anything that may unlink a node on the
+// path, or reuse its memory (a delete, a rebuild), must Reset it first.
+type Path[N any] struct {
+	// nodes[l] is the walk's node at level l, for l up to last.Len; nodes[0]
+	// is nil when there is no walk to resume.
+	nodes [maxLevels]*N
+	last  ip.Prefix
+}
+
+// Reset forgets the last walk: the next one starts at the root.
+func (p *Path[N]) Reset() { p.nodes[0] = nil }
+
+// Resume starts the walk for q down from root and returns the level it
+// resumes at: the deepest that q shares with the last walk from root, whose
+// node is At(level). The caller records each node below it with Set.
+func (p *Path[N]) Resume(root *N, q ip.Prefix) int {
+	shared := 0
+	if p.nodes[0] == root {
+		shared = max(min(bits.LeadingZeros32(uint32(q.Addr^p.last.Addr)), q.Len, p.last.Len), 0)
+	}
+	p.nodes[0], p.last = root, q
+	return shared
+}
+
+// At returns the walk's node at level l.
+func (p *Path[N]) At(l int) *N { return p.nodes[l] }
+
+// Set records n as the walk's node at level l.
+func (p *Path[N]) Set(l int, n *N) { p.nodes[l] = n }
 
 // maxLevels bounds a trie over 32-bit addresses: the root and one level a bit.
 const maxLevels = 33
@@ -108,6 +144,7 @@ func Build(t []ip.Route) *Trie {
 // Rebuild makes t the trie Build(routes) would return, in the node memory of
 // t's last build: nothing may point into t's nodes any more.
 func (t *Trie) Rebuild(routes []ip.Route) {
+	t.path.Reset()
 	t.nodes.Reset()
 	t.root, t.routes, t.leafPushed = t.nodes.New(), 0, false
 	clear(t.internal[:])
@@ -128,12 +165,16 @@ func (t *Trie) LeafPushed() bool { return t.leafPushed }
 // Insert adds or replaces the route for p. Insert on a leaf-pushed trie
 // panics: incremental updates must precede leaf pushing (the paper's
 // companion work [6] covers on-the-fly updates; this reproduction rebuilds).
+// The walk resumes where it leaves the last insert's path, so prefixes
+// inserted in sorted order cost O(nodes) together; any order gives the same
+// trie.
 func (t *Trie) Insert(p ip.Prefix, nh ip.NextHop) {
 	if t.leafPushed {
 		panic("trie: Insert on leaf-pushed trie")
 	}
-	n := t.root
-	for i := 0; i < p.Len; i++ {
+	i := t.path.Resume(t.root, p)
+	n := t.path.At(i)
+	for ; i < p.Len; i++ {
 		b := p.Bit(i)
 		if n.Child[b] == nil {
 			if n.IsLeaf() {
@@ -142,6 +183,7 @@ func (t *Trie) Insert(p ip.Prefix, nh ip.NextHop) {
 			n.Child[b] = t.nodes.New()
 		}
 		n = n.Child[b]
+		t.path.Set(i+1, n)
 	}
 	if !n.HasRoute {
 		t.routes++
@@ -156,6 +198,7 @@ func (t *Trie) Delete(p ip.Prefix) bool {
 	if t.leafPushed {
 		panic("trie: Delete on leaf-pushed trie")
 	}
+	t.path.Reset()
 	// Record the path so we can prune bottom-up.
 	path := make([]*Node, 0, p.Len+1)
 	n := t.root
@@ -211,6 +254,7 @@ func (t *Trie) LeafPush() {
 	if t.leafPushed {
 		return
 	}
+	t.path.Reset()
 	t.push(t.root, ip.NoRoute)
 	t.leafPushed = true
 }

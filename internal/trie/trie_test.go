@@ -3,9 +3,11 @@ package trie
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"vrpower/internal/ip"
+	"vrpower/internal/rib"
 )
 
 func mustPfx(t *testing.T, s string) ip.Prefix {
@@ -611,6 +613,107 @@ func TestLevelsAreThePushedShape(t *testing.T) {
 		tr.LeafPush()
 		if got := tr.Levels(); !reflect.DeepEqual(got, levels) || !reflect.DeepEqual(got, tr.Stats().PerLevel) {
 			t.Fatalf("%d routes: Levels after LeafPush %v, before %v, Stats %v", len(rs), got, levels, tr.Stats().PerLevel)
+		}
+	}
+}
+
+// sameNodes reports whether two tries are equal node for node: the same
+// shape, and the same route at every node. (A node whose route was deleted
+// keeps its stale NextHop, which nothing reads.)
+func sameNodes(a, b *Node) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return a.HasRoute == b.HasRoute && (!a.HasRoute || a.NextHop == b.NextHop) &&
+		sameNodes(a.Child[0], b.Child[0]) && sameNodes(a.Child[1], b.Child[1])
+}
+
+// TestInsertOrderDoesNotMatter: an insert resumes at the deepest node it
+// shares with the last one, and the trie must not depend on it. Built from
+// sorted, shuffled and reversed copies of one table, rebuilt in place from
+// each, or taken from other routes to the table by interleaved Deletes and
+// Inserts, the trie equals the sorted table's node for node, with the same
+// route count, per-level counts and Stats, before and after leaf pushing.
+func TestInsertOrderDoesNotMatter(t *testing.T) {
+	tbl, err := rib.Generate("t", 2000, 45)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sorted := tbl.Routes
+	rng := rand.New(rand.NewSource(45))
+	shuffled := slices.Clone(sorted)
+	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	reversed := slices.Clone(sorted)
+	slices.Reverse(reversed)
+
+	// Interleaved: start from half the table plus routes it does not hold,
+	// then insert the other half and delete those routes, mixed with pairs
+	// of sibling more-specifics of table routes, each inserted and deleted
+	// in turn: the second's insert shares the first's pruned path.
+	type op struct {
+		r   ip.Route
+		del bool
+	}
+	inTable := map[ip.Prefix]bool{}
+	for _, r := range sorted {
+		inTable[r.Prefix] = true
+	}
+	var extra []ip.Route
+	var ops [][]op
+	for _, r := range shuffled[1000:] {
+		ops = append(ops, []op{{r, false}})
+	}
+	for _, r := range randomRoutes(300, 46) {
+		if !inTable[r.Prefix] {
+			extra = append(extra, r)
+			ops = append(ops, []op{{r, true}})
+		}
+	}
+	for _, r := range shuffled[:300] {
+		if r.Prefix.Len > 28 {
+			continue
+		}
+		x := ip.Route{Prefix: ip.MustPrefix(r.Prefix.Addr|ip.Addr(rng.Uint32())&^ip.Mask(r.Prefix.Len), r.Prefix.Len+3), NextHop: 7}
+		z := ip.Route{Prefix: ip.Prefix{Addr: x.Prefix.Addr ^ 1<<(32-x.Prefix.Len), Len: x.Prefix.Len}, NextHop: 8}
+		if !inTable[x.Prefix] && !inTable[z.Prefix] {
+			ops = append(ops, []op{{x, false}, {x, true}, {z, false}, {z, true}})
+		}
+	}
+	edited := Build(append(slices.Clone(shuffled[:1000]), extra...))
+	rng.Shuffle(len(ops), func(i, j int) { ops[i], ops[j] = ops[j], ops[i] })
+	for _, unit := range ops {
+		for _, o := range unit {
+			if !o.del {
+				edited.Insert(o.r.Prefix, o.r.NextHop)
+			} else if !edited.Delete(o.r.Prefix) {
+				t.Fatalf("Delete(%s) found no route", o.r.Prefix)
+			}
+		}
+	}
+	rebuilt := Build(extra)
+
+	for _, c := range []struct {
+		name  string
+		build func() *Trie
+	}{
+		{"shuffled", func() *Trie { return Build(shuffled) }},
+		{"reversed", func() *Trie { return Build(reversed) }},
+		{"interleaved", func() *Trie { return edited }},
+		{"rebuilt", func() *Trie { rebuilt.Rebuild(reversed); return rebuilt }},
+	} {
+		got, want := c.build(), Build(sorted)
+		for _, pushed := range []bool{false, true} {
+			if pushed {
+				got.LeafPush()
+				want.LeafPush()
+			}
+			if !sameNodes(got.Root(), want.Root()) {
+				t.Fatalf("%s, pushed %v: the trie differs node for node from the sorted table's", c.name, pushed)
+			}
+			if got.Routes() != want.Routes() || !reflect.DeepEqual(got.Levels(), want.Levels()) || !reflect.DeepEqual(got.Stats(), want.Stats()) {
+				t.Fatalf("%s, pushed %v: %d routes, levels %v; the sorted table's trie %d, %v",
+					c.name, pushed, got.Routes(), got.Levels(), want.Routes(), want.Levels())
+			}
 		}
 	}
 }
