@@ -293,18 +293,21 @@ func (f scenFaults) PreSlice(b, n int64, draining bool) error {
 // kill takes the engines armed in r.kills out of service at cycle cyc of
 // the live slice that starts at b, before the cycle's arrivals: each has
 // served through cyc-1, is settled at cyc, and the lookups still in its pipe
-// are lost with it. Its networks were up for the cyc-b cycles of the slice
-// that measure, which looks only at the slice's end, counts as down.
+// are lost with it. measure looks only at the slice's end, so it counts the
+// whole slice as down; an engine that was up at b served the first cyc-b
+// cycles of it, which are taken back here.
 func (r *scenRun) kill(b, cyc int64) {
 	for _, e := range r.kills {
 		r.settle(e)
+		if !e.fs.down() {
+			for _, vn := range e.served {
+				r.rep.UnavailableCyclesPerVN[vn] -= cyc - b
+			}
+		}
 		e.fs.killed = true
 		r.rep.Kill = &KillRecord{Engine: e.idx, Cycle: cyc, DetectedAt: -1, RepairedAt: -1}
 		r.s.tel.Events.Log(obs.LevelError, cyc, "engine_kill", "engine", e.idx)
 		r.flushExits(e)
-		for _, vn := range e.served {
-			r.rep.UnavailableCyclesPerVN[vn] -= cyc - b
-		}
 	}
 	r.kills, r.killAt = r.kills[:0], -1
 }
