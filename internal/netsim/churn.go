@@ -52,8 +52,9 @@ func (b UpdateBatch) LatencyCycles() int64 { return b.DoneAt - b.ArmedAt }
 // commitUpdate finishes an engine's completed hitless update: the control
 // plane installs the new table and image, the fault lifecycle's serving-
 // image pointer follows the flipped shadow bank (SEUs and scrub rebuilds
-// must target what the engine now reads), the journal closes the op and the
-// live image is audited.
+// must target what the engine now reads), the upsets the retired bank held
+// are repaired at the flip, the journal closes the op and the live image is
+// audited.
 func (r *scenRun) commitUpdate(e *scenEng) error {
 	rep, tel := r.rep, r.s.tel
 	h := e.handle
@@ -62,6 +63,7 @@ func (r *scenRun) commitUpdate(e *scenEng) error {
 	}
 	r.kept[e.batch.VN] = e.newRef
 	e.fs.img = h.Image()
+	r.repairOutstanding(&e.fs, e.doneAt)
 	e.batch.DoneAt = e.doneAt
 	rep.Batches = append(rep.Batches, e.batch)
 	rep.BatchesApplied++
@@ -81,18 +83,13 @@ func (r *scenRun) commitUpdate(e *scenEng) error {
 }
 
 // abortUpdate cancels an engine's in-flight update (scrub reload would
-// clobber its shadow writes). An update whose commit bubble already drained
-// — shadow bank and oracle flipped — is past the point of no return: it is
-// committed instead, so the control plane's tables never diverge from what
-// the engine serves. One whose commit bubble is still in the pipe has
-// flipped the oracle but not the tables: the oracle goes back to the kept
-// table's.
-func (r *scenRun) abortUpdate(e *scenEng, b int64) error {
+// clobber its shadow writes). Its commit bubble is still in the pipe — one
+// that drained is past the point of no return and is committed instead — so
+// it has flipped the oracle but not the tables: the oracle goes back to the
+// kept table's.
+func (r *scenRun) abortUpdate(e *scenEng, b int64) {
 	if e.handle == nil {
-		return nil
-	}
-	if e.doneAt >= 0 {
-		return r.commitUpdate(e)
+		return
 	}
 	r.chaosCloseOp(e, b)
 	e.handle.Abort()
@@ -103,7 +100,6 @@ func (r *scenRun) abortUpdate(e *scenEng, b int64) error {
 	e.handle = nil
 	e.newRef = nil
 	e.doneAt = -1
-	return nil
 }
 
 // scenChurn is the composed run's update stressor: commit-then-arm at every

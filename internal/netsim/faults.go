@@ -37,8 +37,9 @@ const (
 	ViaSweep = "sweep"
 	// ViaHeartbeat is the control plane noticing a killed engine.
 	ViaHeartbeat = "heartbeat"
-	// ViaReload marks an upset that landed while its engine was already
-	// being reloaded; the fresh image overwrote it incidentally.
+	// ViaReload marks an upset that fresh words overwrote before anything
+	// detected it: it landed while its engine was already being reloaded,
+	// or in a bank a hitless update's commit flip retired.
 	ViaReload = "reload"
 )
 
@@ -164,20 +165,7 @@ func (f scenFaults) install(e *scenEng) {
 	fs.killed = false
 	fs.repairAt = -1
 	fs.sweepStage, fs.sweepIdx = 0, 0
-	for _, i := range fs.outstanding {
-		rec := &rep.SEUs[i]
-		rec.RepairedAt = at
-		if rec.Cycle >= at {
-			rec.RepairedAt = rec.Cycle + 1
-		}
-		if rec.DetectedAt < 0 {
-			rec.DetectedAt = rec.RepairedAt
-			rec.Via = ViaReload
-			obsFaultsDetected.Inc()
-		}
-	}
-	obsFaultsRepaired.Add(int64(len(fs.outstanding)))
-	fs.outstanding = fs.outstanding[:0]
+	r.repairOutstanding(fs, at)
 	fs.detectVia = ""
 	// The repaired engine is a fresh one over the clean image.
 	r.retire(e.sim)
@@ -191,6 +179,15 @@ func (f scenFaults) startScrub(e *scenEng, b int64) error {
 	fs := &e.fs
 	via := fs.detectVia
 	fs.detectVia = ""
+	// An update past its commit bubble commits first, so the control
+	// plane's tables never diverge from what the engine serves: its bank
+	// flip repaired the upsets the retired bank held, so they are not the
+	// scrub's to detect.
+	if e.handle != nil && e.doneAt >= 0 {
+		if err := r.commitUpdate(e); err != nil {
+			return err
+		}
+	}
 	for _, i := range fs.outstanding {
 		if rep.SEUs[i].DetectedAt < 0 {
 			rep.SEUs[i].DetectedAt = b
@@ -199,11 +196,8 @@ func (f scenFaults) startScrub(e *scenEng, b int64) error {
 		}
 	}
 	tel.Events.Log(obs.LevelInfo, b, "scrub_start", "engine", e.idx, "via", via, "outstanding", len(fs.outstanding))
-	// Going down: in-flight lookups are lost, an in-flight update aborts
-	// (or, past its commit bubble, completes).
-	if err := r.abortUpdate(e, b); err != nil {
-		return err
-	}
+	// Going down: in-flight lookups are lost, an in-flight update aborts.
+	r.abortUpdate(e, b)
 	r.flushExits(e)
 	// The journal's intent record lands before the first stage write.
 	r.chaosScrubBegin(e, b)
@@ -214,7 +208,7 @@ func (f scenFaults) startScrub(e *scenEng, b int64) error {
 		return err
 	}
 	// One attempt, one cycle per word written. ScrubAttempts and the event's
-	// attempts key stay in the report schema until ROADMAP 5(f)'s bump.
+	// attempts key stay in the report schema until ROADMAP 2(e)'s bump.
 	words := int64(img.Words())
 	rep.Scrubs++
 	rep.ScrubAttempts++
@@ -288,6 +282,28 @@ func (f scenFaults) PreSlice(b, n int64, draining bool) error {
 		}
 	}
 	return nil
+}
+
+// repairOutstanding stamps every outstanding upset of fs repaired at cycle
+// at, when fresh words replaced the ones it hit: a scrub reload landing, or
+// a bank flip retiring the bank it was applied to. An upset drawn for a
+// later cycle of the slice is repaired the cycle after it; one nothing
+// detected is marked detected by that reload.
+func (r *scenRun) repairOutstanding(fs *engState, at int64) {
+	for _, i := range fs.outstanding {
+		rec := &r.rep.SEUs[i]
+		rec.RepairedAt = at
+		if rec.Cycle >= at {
+			rec.RepairedAt = rec.Cycle + 1
+		}
+		if rec.DetectedAt < 0 {
+			rec.DetectedAt = rec.RepairedAt
+			rec.Via = ViaReload
+			obsFaultsDetected.Inc()
+		}
+	}
+	obsFaultsRepaired.Add(int64(len(fs.outstanding)))
+	fs.outstanding = fs.outstanding[:0]
 }
 
 // kill takes the engines armed in r.kills out of service at cycle cyc of

@@ -175,7 +175,7 @@ func TestAllSEUsDetectedAndScrubbed(t *testing.T) {
 		t.Errorf("MTTR = %.1f cycles, want > 0", rep.MTTRCycles())
 	}
 	// Every scrub is one attempt; the two fields stay in the report schema
-	// until ROADMAP 5(f)'s bump.
+	// until ROADMAP 2(e)'s bump.
 	if rep.ScrubAttempts != rep.Scrubs || rep.ScrubsExhausted != 0 {
 		t.Errorf("scrubs %d, attempts %d, exhausted %d: want one attempt each, none exhausted",
 			rep.Scrubs, rep.ScrubAttempts, rep.ScrubsExhausted)
@@ -185,6 +185,38 @@ func TestAllSEUsDetectedAndScrubbed(t *testing.T) {
 	}
 	if !rep.Recovered {
 		t.Error("run did not recover")
+	}
+}
+
+// TestUpsetInRetiredBankIsRepaired: an upset applied to an engine in the
+// slice whose commit bubble flips its banks goes with the retired bank. The
+// flip repairs it (by reload, at the commit), so the run still ends with
+// every upset repaired and nothing outstanding. Seed 12 lands two upsets
+// that way on this system.
+func TestUpsetInRetiredBankIsRepaired(t *testing.T) {
+	s, _ := buildSystem(t, core.VS, 3)
+	rep := runSpec(t, s, 17, "load=surge:0.3:0.9,faults=seu:2e-8,churn=6x32,cycles=16384,queue=32,seed=12")
+	if got := rep.RepairedSEUs(); got != len(rep.SEUs) {
+		t.Errorf("repaired %d of %d SEUs", got, len(rep.SEUs))
+	}
+	if !rep.Completed || !rep.Recovered {
+		t.Errorf("completed %v recovered %v, want both", rep.Completed, rep.Recovered)
+	}
+	flips := map[int64]bool{}
+	for _, b := range rep.Batches {
+		flips[b.DoneAt] = true
+	}
+	atFlip := 0
+	for i, u := range rep.SEUs {
+		if u.DetectedAt < 0 || u.RepairedAt < u.DetectedAt || u.Via == "" {
+			t.Errorf("SEU %d lifecycle out of order: %+v", i, u)
+		}
+		if u.Via == ViaReload && flips[u.RepairedAt] {
+			atFlip++
+		}
+	}
+	if atFlip == 0 {
+		t.Error("no upset was repaired at a bank flip: the case this seed reproduces moved")
 	}
 }
 
