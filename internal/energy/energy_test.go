@@ -177,7 +177,7 @@ func TestMeterAttributionInvariant(t *testing.T) {
 	mt.Bubble(0, 1)
 	mt.AddWords(0, 0, 7)
 	mt.Transition(0, 0)
-	mt.StaticSlice(1000, 1)
+	mt.CloseSlice(1000, 1, nil)
 
 	r, err := mt.Report(640)
 	if err != nil {
@@ -317,7 +317,7 @@ func TestIdentityVsEstimate(t *testing.T) {
 		for i := 0; i < cycles; i++ {
 			mt.Lookup(0, 0, n-1)
 		}
-		mt.StaticSlice(cycles, 1)
+		mt.CloseSlice(cycles, 1, nil)
 
 		b, err := power.Estimate(d)
 		if err != nil {

@@ -48,6 +48,9 @@ type Meter struct {
 	// worker-local meters leave it off so folds never double-observe and
 	// the batched hot path never touches an atomic per lookup.
 	ObserveHist bool
+	// mark is EngineDynFJ as of the last CloseSlice; sliceFJ is its
+	// per-device scratch.
+	mark, sliceFJ []int64
 }
 
 // NewMeter builds a zeroed meter for k virtual networks over the model.
@@ -124,13 +127,33 @@ func (mt *Meter) Transition(e, vn int) {
 	mt.Transitions++
 }
 
-// StaticSlice integrates the leakage of every device the model powers over
-// one slice of cycles at the active clock fraction. The zero Model powers
-// none: a dark device leaks nothing.
-func (mt *Meter) StaticSlice(cycles int64, freqFrac float64) {
-	for d := range mt.m.Devices {
-		mt.DeviceStaticFJ[d] += mt.m.StaticSliceFJ(cycles, freqFrac)
+// CloseSlice closes one slice of cycles at the active clock fraction. It
+// integrates the leakage of every device the model powers over the slice —
+// but where the design gives each engine its own device (NV), a device whose
+// engine quiesced marks (nil: none) is powered down and leaks nothing, as the
+// governor's model assumes; the zero Model powers none. It returns what each
+// device charged in the slice, that leakage plus its engines' dynamic energy
+// since the previous CloseSlice, and the slice's dynamic and static totals.
+// The per-device slice is scratch the next call rewrites.
+func (mt *Meter) CloseSlice(cycles int64, freqFrac float64, quiesced []bool) (perDev []int64, dyn, static int64) {
+	mt.sliceFJ = append(mt.sliceFJ[:0], make([]int64, mt.m.Devices)...)
+	fj := mt.m.StaticSliceFJ(cycles, freqFrac)
+	oneEach := mt.m.Devices == len(mt.m.Engines)
+	for d := range mt.sliceFJ {
+		if !oneEach || d >= len(quiesced) || !quiesced[d] {
+			mt.DeviceStaticFJ[d] += fj
+			mt.sliceFJ[d] = fj
+			static += fj
+		}
 	}
+	mt.mark = grow(mt.mark, len(mt.m.Engines))
+	for e := range mt.m.Engines {
+		d := mt.EngineDynFJ[e] - mt.mark[e]
+		mt.mark[e] = mt.EngineDynFJ[e]
+		mt.sliceFJ[mt.m.Engines[e].Device] += d
+		dyn += d
+	}
+	return mt.sliceFJ, dyn, static
 }
 
 // Rebase moves the meter onto model m and keeps everything it has charged:

@@ -98,7 +98,7 @@ func equivalenceCases() []equivalenceCase {
 			// down to admission control, converges, then lifts mid-run.
 			s, _ := buildSystem(t, core.VM, 3)
 			s.SetTelemetry(tel)
-			return dumpJSON(t, runSpec(t, s, 23, capped("load=const:0.3,churn=3x48,cycles=14336", capBelowSteady(s, 1, 0.35), 8*1024)))
+			return dumpJSON(t, runSpec(t, s, 23, capped("load=const:0.3,churn=3x48,cycles=14336", capBelowSteady(t, s, 1, 0.15), 8*1024)))
 		}},
 		{"scenario_fleet", func(t *testing.T, tel *Telemetry) string {
 			// Fleet failure domains: four networks bin-packed over two devices

@@ -2,25 +2,41 @@ package netsim
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"testing"
 
 	"vrpower/internal/core"
-	"vrpower/internal/scenario"
+	"vrpower/internal/fpga"
+	"vrpower/internal/power"
 )
 
-// capBelowSteady picks a cap between the system's gated-idle power floor and
-// its steady-state power at per-engine utilization u: floor + frac of the
-// dynamic span. Any frac < 1 therefore forces throttling under load u.
-func capBelowSteady(s *System, u, frac float64) float64 {
-	utils := make([]float64, len(s.router.Design().Engines))
-	floor := scenario.SlicePower(s.router.Design(), utils)
-	for i := range utils {
-		utils[i] = u
+// modelWatts is the paper's power model for the system's design with every
+// engine at utilization u.
+func modelWatts(t *testing.T, s *System, u float64) float64 {
+	t.Helper()
+	d := s.router.Design()
+	d.Engines = append([]power.EngineDesign(nil), d.Engines...)
+	for i := range d.Engines {
+		d.Engines[i].Utilization = u
 	}
-	steady := scenario.SlicePower(s.router.Design(), utils)
-	return floor + (steady-floor)*frac
+	br, err := power.Estimate(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return br.Total()
+}
+
+// capBelowSteady picks a cap between the system's gated-idle power floor and
+// its steady-state power at per-engine utilization u, both from the model:
+// floor + frac of the dynamic span. The governor compares the cap with the
+// metered watts, which on these small tables run below the model's (VS K=3
+// at load 0.9: 4.87 W metered, 4.99 W modelled), so a frac that must reach a
+// given rung is picked against them.
+func capBelowSteady(t *testing.T, s *System, u, frac float64) float64 {
+	floor := modelWatts(t, s, 0)
+	return floor + (modelWatts(t, s, u)-floor)*frac
 }
 
 // capped appends a fleet-wide cap of w Watts to spec, and a lift at cycle
@@ -41,7 +57,8 @@ func capped(spec string, w float64, lift int64) string {
 // walk all the way back to full speed.
 func TestGovernedLoadTestConvergesAndRecovers(t *testing.T) {
 	s, _ := buildSystem(t, core.VS, 3)
-	cap := capBelowSteady(s, 0.9, 0.4)
+	// Between the metered watts of "freq x0.45" and "quiesce vn>=2".
+	cap := capBelowSteady(t, s, 0.9, 0.14)
 	rep := runSpec(t, s, 31, capped("load=const:0.9,cycles=65536", cap, 32*1024))
 	g := rep.Governor
 	if g == nil {
@@ -104,7 +121,8 @@ func TestGovernedLoadTestConvergesAndRecovers(t *testing.T) {
 // degrades together.
 func TestGovernedLoadTestVMThrottlesAllNetworks(t *testing.T) {
 	s, _ := buildSystem(t, core.VM, 3)
-	cap := capBelowSteady(s, 1, 0.35)
+	// Below the metered watts of "freq x0.45" and "admit x0.75".
+	cap := capBelowSteady(t, s, 1, 0.12)
 	// Shallow queues: the backlog built while the ladder walks down drains
 	// within the first admission slice instead of masquerading as demand.
 	g := runSpec(t, s, 37, capped("load=const:0.3,cycles=49152,queue=16", cap, 0)).Governor
@@ -137,7 +155,7 @@ func TestGovernedFaultRunRidesOutScrubSpike(t *testing.T) {
 	s, _ := buildSystem(t, core.VS, 3)
 	const cycles = 32 * 1024
 	rep := runSpec(t, s, 43, capped(fmt.Sprintf("load=const:0.3333,faults=seu:%g,cycles=%d,seed=7", seuRateFor(s, 3, cycles), cycles),
-		capBelowSteady(s, 1.0/3, 0.6), 0))
+		capBelowSteady(t, s, 1.0/3, 0.6), 0))
 	if rep.Governor == nil {
 		t.Fatal("governed run returned no governor report")
 	}
@@ -184,7 +202,7 @@ func TestGovernedRunsDeterministicAcrossWorkers(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			s, _ := buildSystem(t, core.VS, 3)
-			spec := capped(c.spec, capBelowSteady(s, c.u, c.frac), c.lift)
+			spec := capped(c.spec, capBelowSteady(t, s, c.u, c.frac), c.lift)
 			var reps []string
 			runDumps(t, c.name+"/governed", func(tel *Telemetry) {
 				s.SetTelemetry(tel)
@@ -199,5 +217,44 @@ func TestGovernedRunsDeterministicAcrossWorkers(t *testing.T) {
 				t.Errorf("governed reports differ between -j1 and -j8:\n%s\n%s", reps[0], reps[1])
 			}
 		})
+	}
+}
+
+// TestNVQuiesceLowersMeteredStatic: under NV each engine has its own device,
+// and a quiesce rung powers the quiesced engine's device down, so the meter
+// stops integrating its leakage. A cap under the three devices' static floor
+// walks the ladder through the slowest clock into "quiesce vn>=2": the
+// quiesced rows leak two devices' worth, two thirds of the slowest clock's.
+func TestNVQuiesceLowersMeteredStatic(t *testing.T) {
+	s, _ := buildSystem(t, core.NV, 3)
+	tel := testTelemetry(0, 1)
+	s.SetTelemetry(tel)
+	rep := runSpec(t, s, 31, "load=const:0.9,cycles=16384,power-cap=13.4")
+	_, series, _ := dumps(t, tel)
+	slowest := len(fpga.DefaultClockTiers()) - 1
+	staticAt := map[int]float64{}
+	for _, l := range strings.Split(strings.TrimSpace(series), "\n")[1:] {
+		f := strings.Split(l, ",")
+		// cycle, then SeriesColumns: gov_rung is column 9, static_j 11.
+		rung, err := strconv.Atoi(f[9])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if staticJ, err := strconv.ParseFloat(f[11], 64); err != nil {
+			t.Fatal(err)
+		} else if _, seen := staticAt[rung]; !seen {
+			staticAt[rung] = staticJ
+		}
+	}
+	slow, okSlow := staticAt[slowest]
+	quiesced, okQ := staticAt[slowest+1]
+	if !okSlow || !okQ {
+		t.Fatalf("rungs observed %v, want %d and %d (ladder %v)", staticAt, slowest, slowest+1, rep.Governor.Rungs)
+	}
+	if math.Abs(quiesced*3-slow*2) > 1e-15 {
+		t.Errorf("static per slice: %.6g J quiesced, %.6g J at the slowest clock: want two thirds", quiesced, slow)
+	}
+	if rep.Governor.FinalPowerW >= 13.4 {
+		t.Errorf("final metered power %.3f W not under the cap", rep.Governor.FinalPowerW)
 	}
 }

@@ -212,7 +212,7 @@ func (s *System) forward(d steering, fill func(e, start int, reqs []pipeline.Req
 		}
 	}
 	// The batch is charged one slice of leakage at full rate.
-	meter.StaticSlice(max(1, int64(d.n)), 1)
+	meter.CloseSlice(max(1, int64(d.n)), 1, nil)
 	er, err := meter.Report(deliveredBits(int64(d.n)))
 	if err != nil {
 		return Report{}, 0, err

@@ -47,7 +47,6 @@ import (
 	"vrpower/internal/ip"
 	"vrpower/internal/obs"
 	"vrpower/internal/pipeline"
-	"vrpower/internal/power"
 	"vrpower/internal/scenario"
 	"vrpower/internal/traffic"
 	"vrpower/internal/update"
@@ -261,11 +260,10 @@ type device struct {
 	router  *core.Router
 	engines []*scenEng
 	// meter is the device's energy account for the whole run, over the
-	// power model of design, the router it charges for: the zero design
-	// while the device is dark (never powered, or crashed), which leaks and
-	// serves nothing.
-	meter  *energy.Meter
-	design power.SystemDesign
+	// power model of the router it charges for: the zero model while the
+	// device is dark (never powered, or crashed), which leaks and serves
+	// nothing.
+	meter *energy.Meter
 	// The control plane, each part nil unless the spec asks for it: mgr runs
 	// churn and (with churn) scrub rebuilds, in deals faults and the kill; ci
 	// deals control-plane chaos, jrs journals each engine's operations and wd
@@ -295,7 +293,6 @@ func (dev *device) powerUp(rt *core.Router) error {
 	if err != nil {
 		return err
 	}
-	dev.design = rt.Design()
 	dev.meter.Rebase(em)
 	return nil
 }
@@ -303,7 +300,6 @@ func (dev *device) powerUp(rt *core.Router) error {
 // powerDown darkens dev: its meter keeps what it has charged and charges
 // nothing more.
 func (dev *device) powerDown() {
-	dev.design = power.SystemDesign{}
 	dev.meter.Rebase(dark)
 }
 
@@ -663,15 +659,13 @@ func (r *scenRun) settle(e *scenEng) {
 // measure takes the slice's measurements for the telemetry row and the
 // governor's sample. Util lists the engines of every powered device in
 // device order, each at its own utilisation (an engine still being installed
-// at zero), and the slice's watts price each powered device's design at its
-// engines' figures: a dark device draws nothing.
+// at zero). The slice's watts are not measured here: they are the meters'.
 func (r *scenRun) measure(n int64, live bool) scenario.SliceStats {
 	updating, downEngines := 0, 0
 	r.utils, r.reloadFlags = r.utils[:0], r.reloadFlags[:0]
-	var powerW float64
 	for _, dev := range r.devs {
 		first := len(r.utils)
-		for range dev.design.Engines {
+		for range dev.meter.Model().Engines {
 			r.utils, r.reloadFlags = append(r.utils, 0), append(r.reloadFlags, false)
 		}
 		for eIdx, e := range dev.engines {
@@ -685,9 +679,6 @@ func (r *scenRun) measure(n int64, live bool) scenario.SliceStats {
 				downEngines++
 			}
 		}
-		if first < len(r.utils) {
-			powerW += scenario.SlicePower(dev.design, r.utils[first:])
-		}
 	}
 	for vn, e := range r.home {
 		up := e != nil && !e.fs.down()
@@ -699,7 +690,7 @@ func (r *scenRun) measure(n int64, live bool) scenario.SliceStats {
 	recoveries, degradedVNs := r.chaosSliceStats()
 	installs, migrating, landed, parked := r.fleetSliceStats()
 	return scenario.SliceStats{
-		Util: r.utils, PowerW: powerW, Backlog: r.backlog(),
+		Util: r.utils, Backlog: r.backlog(),
 		Scrubs: downEngines + installs, Updates: updating + migrating,
 		Recoveries: recoveries + landed, DegradedVNs: degradedVNs + parked,
 		Avail: r.upVN, Reloading: r.reloadFlags,

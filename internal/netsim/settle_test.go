@@ -34,7 +34,7 @@ func TestSettledDelayIsInRunCyclesUnderSteppedClock(t *testing.T) {
 	if free.MeanDelayCycles != stages {
 		t.Fatalf("ungoverned VS at load 0.3: mean delay %.2f, want the pipe depth %v", free.MeanDelayCycles, stages)
 	}
-	rep := runSpec(t, s, 31, capped(spec, capBelowSteady(s, 0.3, 0.5), 0))
+	rep := runSpec(t, s, 31, capped(spec, capBelowSteady(t, s, 0.3, 0.5), 0))
 	if g := rep.Governor; g.TimeAtRung[0] > cycles/4 {
 		t.Fatalf("the cap left the clock at full rate for %d of %d cycles: %+v", g.TimeAtRung[0], cycles, g)
 	}

@@ -19,16 +19,14 @@ import (
 
 	"vrpower/internal/energy"
 	"vrpower/internal/fpga"
-	"vrpower/internal/governor"
 )
 
 // SliceStats is what a kernel measured over one executed slice; the Engine
 // turns it into the unified telemetry row and the governor's sample.
 type SliceStats struct {
-	// Util is the per-engine slice-local stage utilization, the governor's
-	// sample; PowerW the power model's watts for the slice at it.
-	Util   []float64
-	PowerW float64
+	// Util is the per-engine slice-local stage utilization: the governor's
+	// memory of what each engine serves, for its recovery prediction.
+	Util []float64
 	// Delivered is the number of packets delivered during this slice (the
 	// throughput column's numerator).
 	Delivered int64
@@ -44,8 +42,9 @@ type SliceStats struct {
 	DegradedVNs int
 	// Avail flags each network as in service; nil means all up.
 	Avail []bool
-	// Reloading flags engines mid-reload for the governor's sample (their
-	// utilization spike is transient); nil when none are.
+	// Reloading flags engines mid-reload for the governor's sample (they
+	// serve nothing, so their utilization is not their load); nil when none
+	// are.
 	Reloading []bool
 }
 
@@ -82,12 +81,15 @@ type Engine struct {
 	// ungoverned.
 	Gov *GovRun
 	// Meters are the run's device meters in device order, each the whole
-	// run's account of one device (none: the run is unmetered). The engine
-	// owns the time-dependent half of the accounting: static-power
-	// integration per slice on every meter at the active DVFS tier, and the
-	// transition charge on the first, the governed device's, whenever the
-	// governor moves the ladder. Kernels and stressors charge their own
-	// events (lookups, bubbles, sweeps, reload and install writes).
+	// run's account of one device (none: the run is unmetered), and the one
+	// account of a slice's power: its series watts and the governor's
+	// observation are the joules the meters charged over its time. The
+	// engine owns the time-dependent half of the accounting: static-power
+	// integration per slice on every meter at the rung in force (its DVFS
+	// tier, and no leakage on the devices it powers off), and the transition
+	// charge on the first, the governed device's, when a ladder move takes
+	// effect. A governed run has one device. Kernels and stressors charge
+	// their own events (lookups, bubbles, sweeps, reload and install writes).
 	Meters []*energy.Meter
 
 	Stressors []Stressor
@@ -97,69 +99,64 @@ type Engine struct {
 	TrafficCycles int64
 	DrainCycles   int64
 
-	// Clock-tier cursor for energy integration: the DVFS fraction the slice
-	// just executed ran at, and the ladder rung that chose it. Updated by
-	// observe from each governed decision; ungoverned runs stay at full rate.
-	curFreqFrac float64
-	curRung     int
-	// Cumulative-energy cursors turning the meters' totals into per-slice
-	// series deltas.
-	prevDynFJ    int64
-	prevStaticFJ int64
+	// curRung is the ladder rung the previous slice ran at (0, full rate,
+	// before any decision); devW is the slice's per-device watts, in device
+	// order.
+	curRung int
+	devW    []float64
 }
 
-// observe closes one slice: telemetry row from the kernel's stats, governor
-// observe + actuation for the next slice, and the slice's energy accounting
-// (static integration at the tier the slice ran at, transition charges when
-// the ladder moved, per-slice deltas for the series columns, folded over the
-// device meters in device order).
+// observe closes one slice: its energy account on the device meters, the
+// telemetry row, and the governor's observation of the metered watts with
+// its actuation for the next slice.
 func (e *Engine) observe(b, n int64, st SliceStats) {
-	powerW, capW, rung := st.PowerW, 0.0, 0.0
-	var dec *governor.Decision
+	// The slice ran at the rung the previous decision chose. A move onto it
+	// took effect at the slice's start and is charged to it: one full-pipe
+	// flush per engine of the governed device.
+	frac := 1.0
+	var quiesced []bool
 	if e.Gov != nil {
-		d := e.Gov.Observe(b, n, st.Util, st.Reloading)
-		powerW, capW, rung = d.PowerW, d.CapW, float64(d.ObservedRung)
-		dec = &d
-	}
-	dynJ, staticJ, jPerBit := 0.0, 0.0, 0.0
-	if len(e.Meters) > 0 {
-		// The slice just executed ran at the tier the PREVIOUS decision
-		// chose (full rate before any decision): integrate leakage over its
-		// stretched wall time, then advance the cursor to the fresh
-		// actuation and charge a full-pipe flush per engine if it moved.
-		frac := e.curFreqFrac
-		if frac == 0 {
-			frac = 1
-		}
-		var dynFJ, staticFJ int64
-		for _, mt := range e.Meters {
-			mt.StaticSlice(n, frac)
-		}
-		if dec != nil {
-			if gm := e.Meters[0]; dec.RungIndex != e.curRung {
-				for eng := range gm.Model().Engines {
-					gm.Transition(eng, e.engineLowVN(eng))
-				}
-				e.curRung = dec.RungIndex
+		r, idx := e.Gov.Rung()
+		frac, quiesced = r.FreqFrac, r.Quiesced
+		if idx != e.curRung && len(e.Meters) > 0 {
+			gm := e.Meters[0]
+			for eng := range gm.Model().Engines {
+				gm.Transition(eng, e.engineLowVN(eng))
 			}
-			e.curFreqFrac = dec.Rung.FreqFrac
 		}
-		for _, mt := range e.Meters {
-			dynFJ += mt.DynTotalFJ()
-			staticFJ += mt.StaticTotalFJ()
+		e.curRung = idx
+	}
+	// Each device's watts are its femtojoules over the slice's wall time at
+	// its clock and that rung.
+	var dDyn, dStatic int64
+	e.devW = e.devW[:0]
+	for _, mt := range e.Meters {
+		perDev, dyn, static := mt.CloseSlice(n, frac, quiesced)
+		dDyn += dyn
+		dStatic += static
+		// fJ × 1e-15 J over n / (f·1e6·frac) s.
+		perFJ := mt.Model().FMHz * frac / (float64(n) * 1e9)
+		for _, fj := range perDev {
+			e.devW = append(e.devW, float64(fj)*perFJ)
 		}
-		dDyn, dStatic := dynFJ-e.prevDynFJ, staticFJ-e.prevStaticFJ
-		e.prevDynFJ, e.prevStaticFJ = dynFJ, staticFJ
-		dynJ = float64(dDyn) / 1e15
-		staticJ = float64(dStatic) / 1e15
-		if st.Delivered > 0 {
-			jPerBit = float64(dDyn+dStatic) / 1e15 /
-				(float64(st.Delivered) * fpga.MinPacketBytes * 8)
-		}
+	}
+	powerW := 0.0
+	for _, w := range e.devW {
+		powerW += w
+	}
+	capW, rung := 0.0, 0.0
+	if e.Gov != nil {
+		d := e.Gov.Observe(b, n, st.Util, st.Reloading, powerW, e.devW)
+		capW, rung = d.CapW, float64(d.ObservedRung)
+	}
+	jPerBit := 0.0
+	if st.Delivered > 0 {
+		jPerBit = float64(dDyn+dStatic) / 1e15 /
+			(float64(st.Delivered) * fpga.MinPacketBytes * 8)
 	}
 	e.Tel.AppendSlice(e.K, b, powerW, SliceGbps(e.FmaxMHz, st.Delivered, n), st.Backlog,
 		st.Scrubs, st.Updates, st.Recoveries, st.DegradedVNs, capW, rung,
-		dynJ, staticJ, jPerBit, st.Avail)
+		float64(dDyn)/1e15, float64(dStatic)/1e15, jPerBit, st.Avail)
 }
 
 // engineLowVN maps an engine to the lowest VNID it serves — the VNID

@@ -1,9 +1,8 @@
 package scenario
 
-// Governor actuation shared by every slice runner. The engine measures
-// per-engine utilization every slice, the governor (internal/governor)
-// re-evaluates the paper's power models against the configured caps and
-// picks a ladder rung, and this file translates the rung into run actuation
+// Governor actuation shared by every slice runner. The engine meters every
+// slice, the governor (internal/governor) compares the metered watts against
+// the configured caps and picks a ladder rung, and this file translates the rung into run actuation
 // — deterministic serve pacers for DVFS frequency stepping, engine
 // quiescing, merged-scheme admission control, and brownout drops. All
 // decisions happen on the coordinating goroutine, so governed runs stay
@@ -68,13 +67,19 @@ func (gv *GovRun) apply(d governor.Decision) {
 	}
 }
 
-// Observe feeds one slice's measured utilization (and reload flags) to the
-// governor and actuates its decision for the next slice.
-func (gv *GovRun) Observe(cycle, cycles int64, util []float64, reloading []bool) governor.Decision {
-	d := gv.g.Observe(governor.Sample{Cycle: cycle, Cycles: cycles, Util: util, Reloading: reloading})
+// Observe feeds one slice's measurement — its metered watts, total and per
+// device, and the utilization and reload flags the recovery prediction
+// remembers — to the governor and actuates its decision for the next slice.
+func (gv *GovRun) Observe(cycle, cycles int64, util []float64, reloading []bool, powerW float64, deviceW []float64) governor.Decision {
+	d := gv.g.Observe(governor.Sample{Cycle: cycle, Cycles: cycles, Util: util, Reloading: reloading,
+		PowerW: powerW, DeviceW: deviceW})
 	gv.apply(d)
 	return d
 }
+
+// Rung returns the rung in force and its index: what the current slice
+// runs at.
+func (gv *GovRun) Rung() (governor.Rung, int) { return gv.dec.Rung, gv.dec.RungIndex }
 
 // EngineServes reports whether engine e gets an input slot this cycle:
 // quiesced engines never serve; frequency-stepped ones serve the rung's

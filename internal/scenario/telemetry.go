@@ -19,7 +19,6 @@ import (
 	"vrpower/internal/ip"
 	"vrpower/internal/obs"
 	"vrpower/internal/pipeline"
-	"vrpower/internal/power"
 )
 
 // Live gauges mirroring the most recent slice row (surfaced by -stats and
@@ -113,7 +112,8 @@ func LookupOutcome(res pipeline.Result, want ip.NextHop) string {
 }
 
 // SeriesColumns is the unified slice-row schema shared by every run loop:
-// power, throughput, backlog, control-plane activity, journaled-recovery
+// power (the meters' femtojoules over the slice's time, zero when no meter
+// is attached), throughput, backlog, control-plane activity, journaled-recovery
 // progress (cumulative replays+rollbacks and currently degraded networks,
 // both zero without the chaos stressor), the governor's active cap and
 // ladder rung (both zero when ungoverned), the slice's attributed energy
@@ -164,34 +164,6 @@ func (t *Telemetry) AppendSlice(k int, cycle int64, powerW, gbps float64, backlo
 		vals = append(vals, up)
 	}
 	t.Series.Append(cycle, vals...)
-}
-
-// SlicePower evaluates the paper's power model over one slice: the router's
-// design with each engine's nominal utilization replaced by its measured
-// slice-local activity (pipeline Stats stage-active fraction). Idle engines
-// still pay static and clock power, matching the model's utilization
-// semantics.
-func SlicePower(d power.SystemDesign, util []float64) float64 {
-	engines := make([]power.EngineDesign, len(d.Engines))
-	copy(engines, d.Engines)
-	for i := range engines {
-		u := 0.0
-		if i < len(util) {
-			u = util[i]
-		}
-		if u < 0 {
-			u = 0
-		} else if u > 1 {
-			u = 1
-		}
-		engines[i].Utilization = u
-	}
-	d.Engines = engines
-	br, err := power.Estimate(d)
-	if err != nil {
-		return 0
-	}
-	return br.Total()
 }
 
 // SliceGbps converts packets delivered over a cycle window into line-rate
