@@ -187,6 +187,11 @@ func (f scenFaults) startScrub(e *scenEng, b int64) error {
 		if err := r.commitUpdate(e); err != nil {
 			return err
 		}
+		// A live engine whose every upset the flip retired serves clean
+		// words: there is nothing left to reload.
+		if !fs.killed && len(fs.outstanding) == 0 {
+			return nil
+		}
 	}
 	for _, i := range fs.outstanding {
 		if rep.SEUs[i].DetectedAt < 0 {

@@ -220,6 +220,40 @@ func TestUpsetInRetiredBankIsRepaired(t *testing.T) {
 	}
 }
 
+// TestScrubSkipsWhatAFlipRepaired: a detection whose upsets a commit flip
+// then retired leaves a live engine with clean words. The scrub it triggers
+// commits the update and stops there: every scrub that reloads an engine
+// was started for an upset still outstanding (this spec kills nothing).
+// Seed 1 detects upsets in a bank that a flip then retires, three times on
+// this system.
+func TestScrubSkipsWhatAFlipRepaired(t *testing.T) {
+	s, _ := buildSystem(t, core.VS, 3)
+	tel := testTelemetry(0, 1)
+	s.SetTelemetry(tel)
+	rep := runSpec(t, s, 17, "load=surge:0.3:0.9,faults=seu:2e-8,churn=8x24,cycles=16384,queue=32,seed=1")
+	if !rep.Completed || !rep.Recovered || rep.RepairedSEUs() != len(rep.SEUs) {
+		t.Fatalf("completed %v recovered %v, %d of %d SEUs repaired", rep.Completed, rep.Recovered, rep.RepairedSEUs(), len(rep.SEUs))
+	}
+	reloads := 0
+	for _, ev := range tel.Events.Events() {
+		f := map[string]any{}
+		for _, kv := range ev.Fields {
+			f[kv.Key] = kv.Val
+		}
+		switch ev.Kind {
+		case "scrub_start":
+			if f["outstanding"] == 0 {
+				t.Errorf("cycle %d: engine %v starts a scrub with nothing outstanding", ev.Cycle, f["engine"])
+			}
+		case "scrub_reload":
+			reloads++
+		}
+	}
+	if reloads == 0 || reloads != rep.Scrubs {
+		t.Errorf("%d scrub reloads logged, %d in the report: want the same nonzero count", reloads, rep.Scrubs)
+	}
+}
+
 // TestKillLastEngineDegradesInsteadOfPanicking: killing the only engine of a
 // K=1 system while every reload of it stalls must leave the run degraded —
 // blackholed traffic, Recovered=false — never panicking or spinning. The
