@@ -98,14 +98,10 @@ func NewModel(d power.SystemDesign) (*Model, error) {
 	if err := d.Validate(); err != nil {
 		return nil, fmt.Errorf("energy: %w", err)
 	}
-	scale := d.StaticScale
-	if scale == 0 {
-		scale = 1
-	}
 	m := &Model{
 		Engines:              make([]EngineModel, len(d.Engines)),
 		Devices:              d.Devices,
-		StaticWattsPerDevice: power.StaticWatts(d.Grade) * scale,
+		StaticWattsPerDevice: d.DeviceStaticWatts(),
 		FMHz:                 d.FMHz,
 	}
 	logicFJ := int64(math.Round(power.LogicCoeffMicroW(d.Grade) * 1000))

@@ -382,11 +382,7 @@ func (g *Governor) band(r Rung, capW, devCapW float64) (lowW float64, devLowW []
 // shedding their static Watts too.
 func (g *Governor) estimateAt(r Rung, util []float64) (total float64, perDev []float64) {
 	d := g.plant.Design
-	scale := d.StaticScale
-	if scale == 0 {
-		scale = 1
-	}
-	static := power.StaticWatts(d.Grade) * scale
+	static := d.DeviceStaticWatts()
 	perDev = make([]float64, d.Devices)
 	oneEach := d.Devices == len(d.Engines)
 	for dev := range perDev {

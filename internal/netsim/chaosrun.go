@@ -64,13 +64,9 @@ type ChaosReport struct {
 	Recoveries  int
 	// DegradedSlicesPerVN counts slices each network spent watchdog-degraded.
 	DegradedSlicesPerVN []int64
-	// Invariant-audit accounting: after every recovery the live image is
-	// replayed against the oracle. Faulted probes drop (allowed);
-	// Mismatches are drop-never-misforward violations and must be zero.
-	Audits          int
-	AuditProbes     int
-	AuditFaulted    int
-	AuditMismatches int
+	// Invariant audits: after every recovery the live image is replayed
+	// against the oracle.
+	AuditTally
 	// Journal totals across engines.
 	JournalBegun   int
 	JournalCommits int
@@ -186,7 +182,7 @@ func (r *scenRun) chaosOnInstall(e *scenEng, at int64) {
 		r.rep.Chaos.RecoverySum += at - ch.faultAt
 		r.rep.Chaos.Recoveries++
 	}
-	r.auditLive(e, at)
+	r.rep.Chaos.add(r.audit(e, at, "engine", e.idx))
 	ch.reset()
 }
 
@@ -273,7 +269,7 @@ func (r *scenRun) chaosOnCommit(e *scenEng, at int64) {
 	ch.tok.Apply(-1, e.batch.Writes, at)
 	_ = ch.tok.Commit(at)
 	e.dev.wd.Disarm(e.idx)
-	r.auditLive(e, at)
+	r.rep.Chaos.add(r.audit(e, at, "engine", e.idx))
 	ch.reset()
 }
 
@@ -349,7 +345,7 @@ func (c scenChaos) crashRecovery(e *scenEng, b int64) error {
 	e.handle = nil
 	e.newRef = nil
 	e.doneAt = -1
-	r.auditLive(e, b)
+	r.rep.Chaos.add(r.audit(e, b, "engine", e.idx))
 	ch.reset()
 	return nil
 }
@@ -443,15 +439,21 @@ func (c scenChaos) stallLadder(e *scenEng, b int64) {
 
 // ---- invariant audit ------------------------------------------------------
 
-// auditLive audits the image engine e now serves and accumulates the
-// verdict in the chaos section.
-func (r *scenRun) auditLive(e *scenEng, at int64) {
-	res := r.audit(e, at, "engine", e.idx)
-	rep := r.rep.Chaos
-	rep.Audits++
-	rep.AuditProbes += res.Probes
-	rep.AuditFaulted += res.Faulted
-	rep.AuditMismatches += res.Mismatches
+// AuditTally is invariant-audit accounting: audits run and probes replayed.
+// Faulted probes drop (allowed); mismatches are misforwards and must be zero.
+type AuditTally struct {
+	Audits          int
+	AuditProbes     int
+	AuditFaulted    int
+	AuditMismatches int
+}
+
+// add counts one audit's verdict.
+func (t *AuditTally) add(res pipeline.AuditResult) {
+	t.Audits++
+	t.AuditProbes += res.Probes
+	t.AuditFaulted += res.Faulted
+	t.AuditMismatches += res.Mismatches
 }
 
 // audit replays oracle-known probes through the image engine e serves — a
