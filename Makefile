@@ -126,9 +126,11 @@ chaos-smoke:
 # crash's victims live-migrate to the survivor, then the survivor dies too
 # and the spare powers up to take the whole fleet), two flaky reconfigurers
 # (retry/backoff ladder) and a brownout window in ONE run — grepped for the
-# failover lifecycle: the crashes, the spare power-up, a failed-and-retried
-# install, the journaled landing and its invariant audit, ending with every
-# network recovered (no vn_degraded).
+# failover lifecycle: the crashes, the spare power-up and its readiness, a
+# failed-and-retried install, the journaled landing and its invariant audit,
+# ending with every network recovered (no vn_degraded). Some device is
+# powered in every slice, so no series row may read power_w 0: a powering-up
+# spare leaks before its first install.
 #
 # Every run is a placement and a single device is the fleet of one, so the
 # target also runs the N=1 pair: FLEET1_SPEC and the same spec with fleet=1
@@ -152,6 +154,8 @@ fleet-smoke:
 	grep -q 'Completed.*true' fleet-smoke/report.txt
 	grep -q device_crash fleet-smoke/events.jsonl
 	grep -q spare_powerup fleet-smoke/events.jsonl
+	grep -q spare_ready fleet-smoke/events.jsonl
+	awk -F, 'NR > 1 && $$2 == 0 { print "power_w 0 at cycle " $$1; bad = 1 } END { exit bad }' fleet-smoke/timeseries.csv
 	grep -q migration_fail fleet-smoke/events.jsonl
 	grep -q migration_commit fleet-smoke/events.jsonl
 	grep -q invariant_audit fleet-smoke/events.jsonl

@@ -147,7 +147,7 @@ func newTestController(t *testing.T, cfg Config, k int, load float64) *Controlle
 func TestCrashPlansMigrationsToSurvivors(t *testing.T) {
 	ctr := newTestController(t, Config{Devices: 3}, 6, 0.1)
 	victims := append([]int(nil), ctr.VNs(0)...)
-	planned, degs, err := ctr.Crash(0, 1000)
+	planned, degs, _, err := ctr.Crash(0, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestCrashPlansMigrationsToSurvivors(t *testing.T) {
 		ctr.Begin(m)
 		ctr.Complete(m, 2000)
 	}
-	if ctr.Outstanding() {
+	if len(ctr.Pending()) != 0 {
 		t.Fatal("still outstanding after completes")
 	}
 	for _, vn := range victims {
@@ -191,7 +191,7 @@ func TestCrashPlansMigrationsToSurvivors(t *testing.T) {
 
 func TestCrashDegradesWithoutCapacity(t *testing.T) {
 	ctr := newTestController(t, Config{Devices: 1}, 4, 0.1)
-	planned, degs, err := ctr.Crash(0, 500)
+	planned, degs, _, err := ctr.Crash(0, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestCrashDegradesWithoutCapacity(t *testing.T) {
 func TestFailFollowsBackoffScheduleThenTimesOut(t *testing.T) {
 	cfg := Config{Devices: 2, Retry: ctrl.Backoff{Base: 100, Jitter: 0.25, Seed: 9}}
 	ctr := newTestController(t, cfg, 4, 0.1)
-	planned, _, err := ctr.Crash(0, 1000)
+	planned, _, _, err := ctr.Crash(0, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestFailFollowsBackoffScheduleThenTimesOut(t *testing.T) {
 func TestFailDeadlineDegrades(t *testing.T) {
 	cfg := Config{Devices: 2, TimeoutCycles: 50, Retry: ctrl.Backoff{Base: 100}}
 	ctr := newTestController(t, cfg, 4, 0.1)
-	planned, _, err := ctr.Crash(0, 1000)
+	planned, _, _, err := ctr.Crash(0, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,21 +272,24 @@ func TestFailDeadlineDegrades(t *testing.T) {
 func TestSpareWakesAndGatesOnPowerUp(t *testing.T) {
 	cfg := Config{Devices: 1, Spares: 1, PowerUpCycles: 500}
 	ctr := newTestController(t, cfg, 2, 0.1)
-	planned, degs, err := ctr.Crash(0, 1000)
+	planned, degs, woke, err := ctr.Crash(0, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(degs) != 0 || len(planned) != 2 {
-		t.Fatalf("planned %d degs %d, want 2/0 via the spare", len(planned), len(degs))
+	if len(degs) != 0 || len(planned) != 2 || !slices.Equal(woke, []int{1}) {
+		t.Fatalf("planned %d degs %d woke %v, want 2/0 via spare 1", len(planned), len(degs), woke)
 	}
-	if ctr.SpareActivations() != 1 {
-		t.Fatalf("spare activations %d, want 1", ctr.SpareActivations())
+	if ctr.State(1) != DevPoweringUp || !ctr.Powered(1) {
+		t.Fatalf("spare state %v, want powering-up and powered", ctr.State(1))
 	}
-	if ctr.State(1) != DevPoweringUp {
-		t.Fatalf("spare state %v, want powering-up", ctr.State(1))
+	if ready := ctr.Advance(1499); len(ready) != 0 {
+		t.Fatalf("spares %v ready mid power-up", ready)
 	}
 	if due := ctr.Due(1499); len(due) != 0 {
 		t.Fatalf("migrations due mid power-up: %v", due)
+	}
+	if ready := ctr.Advance(1500); !slices.Equal(ready, []int{1}) {
+		t.Fatalf("spares %v ready at the end of power-up, want [1]", ready)
 	}
 	due := ctr.Due(1500)
 	if len(due) != 2 {
@@ -297,17 +300,48 @@ func TestSpareWakesAndGatesOnPowerUp(t *testing.T) {
 	}
 }
 
+// TestSpareActivatesWithNoMigrationDue: a woken spare becomes active when
+// its power-up lapses, whether or not a migration is due on it then. Here
+// the one migration aimed at it times out first.
+func TestSpareActivatesWithNoMigrationDue(t *testing.T) {
+	cfg := Config{Devices: 1, Spares: 1, PowerUpCycles: 500, TimeoutCycles: 100}
+	ctr := newTestController(t, cfg, 1, 0.1)
+	planned, _, woke, err := ctr.Crash(0, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(planned) != 1 || !slices.Equal(woke, []int{1}) {
+		t.Fatalf("planned %d migrations, woke %v: want one, onto spare 1", len(planned), woke)
+	}
+	ctr.Begin(planned[0])
+	if deg := ctr.Fail(planned[0], 1100); deg == nil || len(ctr.Pending()) != 0 {
+		t.Fatalf("migration still pending past its deadline: %+v", ctr.Pending())
+	}
+	if ready := ctr.Advance(1499); len(ready) != 0 || ctr.State(1) != DevPoweringUp {
+		t.Fatalf("spares %v ready, state %v, mid power-up", ready, ctr.State(1))
+	}
+	if ready := ctr.Advance(1500); !slices.Equal(ready, []int{1}) || ctr.State(1) != DevActive || !ctr.Powered(1) {
+		t.Fatalf("spares %v ready, state %v at the end of power-up, want [1] active", ready, ctr.State(1))
+	}
+	if ready := ctr.Advance(1600); len(ready) != 0 {
+		t.Fatalf("spares %v ready again", ready)
+	}
+	if ctr.Powered(0) {
+		t.Fatal("the crashed device is powered")
+	}
+}
+
 func TestFleetCapKeepsSpareDark(t *testing.T) {
 	// Powered estimate after the crash is device 1's 1+2=3 W; waking the
 	// spare adds an NV estimate of 1 W. A 3.5 W fleet cap refuses it.
 	cfg := Config{Devices: 2, Spares: 1, SlotsPerDevice: 2, CapWatts: 3.5}
 	ctr := newTestController(t, cfg, 4, 0.1)
-	_, degs, err := ctr.Crash(0, 1000)
+	_, degs, woke, err := ctr.Crash(0, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ctr.SpareActivations() != 0 {
-		t.Fatal("spare woke past the fleet cap")
+	if len(woke) != 0 || ctr.State(2) != DevSpare {
+		t.Fatalf("spares %v woke past the fleet cap", woke)
 	}
 	if len(degs) != 2 {
 		t.Fatalf("degraded %d, want both victims (survivor full, spare dark)", len(degs))
@@ -316,7 +350,7 @@ func TestFleetCapKeepsSpareDark(t *testing.T) {
 
 func TestCrashRetargetsPendingMigrations(t *testing.T) {
 	ctr := newTestController(t, Config{Devices: 3}, 6, 0.1)
-	planned, _, err := ctr.Crash(0, 1000)
+	planned, _, _, err := ctr.Crash(0, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +359,7 @@ func TestCrashRetargetsPendingMigrations(t *testing.T) {
 	if target != 1 && target != 2 {
 		t.Fatalf("unexpected target %d", target)
 	}
-	planned2, degs, err := ctr.Crash(target, 1100)
+	planned2, degs, _, err := ctr.Crash(target, 1100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +380,7 @@ func TestCrashRetargetsPendingMigrations(t *testing.T) {
 func TestControllerDeterministicAcrossMapOrder(t *testing.T) {
 	run := func() []int {
 		ctr := newTestController(t, Config{Devices: 3, Spares: 1}, 9, 0.1)
-		planned, _, err := ctr.Crash(1, 2000)
+		planned, _, _, err := ctr.Crash(1, 2000)
 		if err != nil {
 			t.Fatal(err)
 		}

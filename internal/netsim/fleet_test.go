@@ -374,3 +374,128 @@ func TestFleetEnergyConserved(t *testing.T) {
 		t.Errorf("ΣVN %d, Σengine %d, mem + clock + ctrl %d fJ: want one nonzero total", vnSum, engSum, comp)
 	}
 }
+
+// TestFleetStaticIsPoweredDeviceCycles: on the fleet smoke's spec, every
+// device is in exactly one lifecycle state each cycle, and static energy is
+// charged for exactly the powered ones. The states are rebuilt from the
+// event log alone, each taking effect at the boundary that processes it: a
+// crash (and the spare it wakes) at the first boundary past its cycle, a
+// landed install at the first boundary at or past it, spare_ready where it
+// is logged. A powered device leaks at its router's clock, or at the run's
+// before it has a router; each row's static_j, and each device meter's
+// static total, must be that leakage over the powered device-cycles.
+func TestFleetStaticIsPoweredDeviceCycles(t *testing.T) {
+	s, _ := buildSystem(t, core.VS, 8)
+	tel := testTelemetry(0, 1)
+	s.SetTelemetry(tel)
+	r, err := s.runScenario(faultGen(t, s, 17),
+		mustParse(t, "load=const:0.4,fleet=2:spare=1,chaos=devcrash:2+flaky:2+brownout:1,cycles=65536,queue=32,seed=2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, f := r.rep, r.rep.Fleet
+	S := rep.SliceCycles
+	type change struct {
+		dev   int
+		state string
+		vn    int // a landed network, or -1
+	}
+	at := map[int64][]change{}
+	for _, ev := range tel.Events.Events() {
+		kv := map[string]int{}
+		for _, fd := range ev.Fields {
+			if v, ok := fd.Val.(int); ok {
+				kv[fd.Key] = v
+			}
+		}
+		switch ev.Kind {
+		case "device_crash":
+			at[(ev.Cycle/S+1)*S] = append(at[(ev.Cycle/S+1)*S], change{kv["device"], "crashed", -1})
+		case "spare_powerup":
+			at[(ev.Cycle/S+1)*S] = append(at[(ev.Cycle/S+1)*S], change{kv["device"], "powering-up", -1})
+		case "spare_ready":
+			at[ev.Cycle] = append(at[ev.Cycle], change{kv["device"], "active", -1})
+		case "migration_commit":
+			b := (ev.Cycle + S - 1) / S * S
+			at[b] = append(at[b], change{kv["to"], "active", kv["vn"]})
+		}
+	}
+	if len(f.Crashes) != 2 || f.SpareActivations != 1 {
+		t.Fatalf("%d crashes, %d spares woken: want both actives lost and the spare woken", len(f.Crashes), f.SpareActivations)
+	}
+
+	n := len(f.PerDevice)
+	state, vns := make([]string, n), make([][]int, n)
+	cycles := make([]map[string]int64, n)
+	staticFJ := make([]int64, n)
+	for d := range state {
+		state[d], vns[d], cycles[d] = "spare", slices.Clone(f.PerDevice[d].PlacedVNs), map[string]int64{}
+		if d < f.Devices {
+			state[d] = "active"
+		}
+	}
+	W := s.router.Design().DeviceStaticWatts()
+	leak := func(d int) int64 {
+		fmhz := s.router.Fmax()
+		if len(vns[d]) > 0 {
+			sch := core.VS
+			if len(vns[d]) == 1 {
+				sch = core.NV
+			}
+			rt, err := r.build(sch, vns[d])
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmhz = rt.Fmax()
+		}
+		return int64(math.Round(W * float64(S) * 1e9 / fmhz))
+	}
+
+	_, series, _ := dumps(t, tel)
+	lines := strings.Split(strings.TrimSpace(series), "\n")
+	col := slices.Index(strings.Split(lines[0], ","), "static_j")
+	for _, line := range lines[1:] {
+		row := strings.Split(line, ",")
+		b, err := strconv.ParseInt(row[0], 10, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range at[b] {
+			state[c.dev] = c.state
+			if c.state == "crashed" {
+				vns[c.dev] = nil
+			} else if c.vn >= 0 {
+				vns[c.dev] = append(vns[c.dev], c.vn)
+			}
+		}
+		var want int64
+		for d := range state {
+			cycles[d][state[d]] += S
+			if state[d] == "active" || state[d] == "powering-up" {
+				fj := leak(d)
+				want += fj
+				staticFJ[d] += fj
+			}
+		}
+		got, err := strconv.ParseFloat(row[col], 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(got*1e15-float64(want)) > 1 {
+			t.Errorf("row %d: static_j %s, want %.10g (devices %v)", b, row[col], float64(want)/1e15, state)
+		}
+	}
+	run := rep.TrafficCycles + rep.DrainCycles
+	for d := range state {
+		var sum int64
+		for _, c := range cycles[d] {
+			sum += c
+		}
+		if sum != run || state[d] != f.PerDevice[d].State {
+			t.Errorf("device %d: %v cycles by state, ending %s; want %d in all, ending %s", d, cycles[d], state[d], run, f.PerDevice[d].State)
+		}
+		if got := r.devs[d].meter.StaticTotalFJ(); got != staticFJ[d] {
+			t.Errorf("device %d: meter leaked %d fJ, its powered cycles %d fJ", d, got, staticFJ[d])
+		}
+	}
+}

@@ -30,9 +30,10 @@ package netsim
 //     dead engine is aborted too, so the run always terminates.
 //   - The governor acts at the arrival/service grain (admission drops,
 //     frequency-paced service, quiescing), the same way under every
-//     stressor; a reloading engine's utilization is pinned by the reload
-//     flags it reports, so caps and scrubs interact the way the governor
-//     expects.
+//     stressor. It observes the slice's metered watts, a reload's words
+//     included where they are written; a reloading engine's flag only
+//     keeps its remembered serving utilization out of the recovery
+//     prediction's update.
 
 import (
 	"fmt"
@@ -260,9 +261,7 @@ type device struct {
 	router  *core.Router
 	engines []*scenEng
 	// meter is the device's energy account for the whole run, over the
-	// power model of the router it charges for: the zero model while the
-	// device is dark (never powered, or crashed), which leaks and serves
-	// nothing.
+	// power model rebase picks from its lifecycle state.
 	meter *energy.Meter
 	// The control plane, each part nil unless the spec asks for it: mgr runs
 	// churn and (with churn) scrub rebuilds, in deals faults and the kill; ci
@@ -286,21 +285,27 @@ type device struct {
 // leakage.
 var dark = &energy.Model{}
 
-// powerUp puts dev's meter on rt's power model, keeping what it has charged:
-// at set-up, when an install begins on a dark device and when one lands.
-func (dev *device) powerUp(rt *core.Router) error {
-	em, err := energy.NewModel(rt.Design())
-	if err != nil {
-		return err
+// rebase puts dev's meter on the power model of its lifecycle state, keeping
+// what it has charged: at set-up and at each transition the fleet controller
+// reports or an install lands. A device is powered exactly while the
+// controller has it powering up or active (always, without fleet=). Powered,
+// it meters its router's model, or before it has one a static-only model:
+// one device's leakage at the run's clock. Unpowered, it meters dark.
+func (r *scenRun) rebase(dev *device) error {
+	switch {
+	case r.fl != nil && !r.fl.ctr.Powered(dev.id):
+		dev.meter.Rebase(dark)
+	case dev.router == nil:
+		d := r.s.router.Design()
+		dev.meter.Rebase(&energy.Model{Devices: 1, StaticWattsPerDevice: d.DeviceStaticWatts(), FMHz: d.FMHz})
+	default:
+		em, err := energy.NewModel(dev.router.Design())
+		if err != nil {
+			return err
+		}
+		dev.meter.Rebase(em)
 	}
-	dev.meter.Rebase(em)
 	return nil
-}
-
-// powerDown darkens dev: its meter keeps what it has charged and charges
-// nothing more.
-func (dev *device) powerDown() {
-	dev.meter.Rebase(dark)
 }
 
 // sitsOut reports whether dev is browned out at cycle cyc and sits it out.
@@ -415,21 +420,17 @@ func (r *scenRun) newEngine(dev *device, img *pipeline.Image, vns []int) *scenEn
 	return e
 }
 
-// addDevice is the device builder every placement uses. It appends a
-// device to the run, dark without a router; with rt, the device serves vns
-// over images — one engine for all of them under the merged scheme, engine i
-// for vns[i] otherwise — its meter charges against rt's power model, and the
-// drain bound grows to its largest image. The cycle loop runs on the
-// coordinator, so the meter feeds the per-lookup energy histogram without
-// touching any worker hot path.
+// addDevice is the device builder every placement uses. It appends a device
+// to the run, metered as rebase says; with rt, the device serves vns over
+// images — one engine for all of them under the merged scheme, engine i for
+// vns[i] otherwise — and the drain bound grows to its largest image. The
+// cycle loop runs on the coordinator, so the meter feeds the per-lookup
+// energy histogram without touching any worker hot path.
 func (r *scenRun) addDevice(rt *core.Router, images []*pipeline.Image, vns []int) (*device, error) {
 	dev := &device{id: len(r.devs), router: rt, meter: energy.NewMeter(dark, r.s.k)}
 	dev.meter.ObserveHist = true
 	r.devs = append(r.devs, dev)
-	if rt == nil {
-		return dev, nil
-	}
-	merged := rt.Config().Scheme == core.VM
+	merged := rt != nil && rt.Config().Scheme == core.VM
 	for i, img := range images {
 		r.reloadWords = max(r.reloadWords, img.Words())
 		if !merged {
@@ -439,7 +440,7 @@ func (r *scenRun) addDevice(rt *core.Router, images []*pipeline.Image, vns []int
 	if merged {
 		r.newEngine(dev, images[0], vns)
 	}
-	return dev, dev.powerUp(rt)
+	return dev, r.rebase(dev)
 }
 
 // retire folds an engine's cumulative slot counters into the report; called
