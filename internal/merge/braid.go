@@ -57,47 +57,47 @@ func BuildBraided(tables []*rib.Table) (*BraidedTrie, error) {
 	bt := &BraidedTrie{k: len(tables)}
 	bt.root = &BraidedNode{Twist: make([]bool, bt.k)}
 	for vn, tbl := range tables {
-		src := trie.Build(tbl.Routes)
-		bt.addNetwork(vn, src.Root())
+		bt.addNetwork(vn, trie.Build(tbl.Routes).Nodes())
 	}
 	return bt, nil
 }
 
-// addNetwork grafts one network's trie onto the braided structure.
-func (t *BraidedTrie) addNetwork(vn int, src *trie.Node) {
-	t.graft(t.root, src, vn)
+// addNetwork grafts one network's trie, given by its nodes, onto the braided
+// structure.
+func (t *BraidedTrie) addNetwork(vn int, src []trie.Node) {
+	t.graft(t.root, src, 0, vn)
 }
 
-// graft merges src (a node of vn's individual trie) into dst, choosing the
+// graft merges node id of vn's individual trie src into dst, choosing the
 // orientation greedily.
-func (t *BraidedTrie) graft(dst *BraidedNode, src *trie.Node, vn int) {
+func (t *BraidedTrie) graft(dst *BraidedNode, src []trie.Node, id trie.NodeID, vn int) {
 	dst.Present++
-	if src.HasRoute {
-		dst.routes = append(dst.routes, vnRoute{vn: vn, nh: src.NextHop})
+	if n := &src[id]; n.HasRoute {
+		dst.routes = append(dst.routes, vnRoute{vn: int32(vn), nh: n.NextHop})
 	}
-	s0, s1 := src.Child[0], src.Child[1]
-	if s0 == nil && s1 == nil {
+	s0, s1 := src[id].Child[0], src[id].Child[1]
+	if s0 == 0 && s1 == 0 {
 		return
 	}
 	// Score both orientations by how well the children's shapes align
 	// with what is already merged.
-	straight := pairScore(dst.Child[0], s0) + pairScore(dst.Child[1], s1)
-	twisted := pairScore(dst.Child[0], s1) + pairScore(dst.Child[1], s0)
+	straight := pairScore(dst.Child[0], src, s0) + pairScore(dst.Child[1], src, s1)
+	twisted := pairScore(dst.Child[0], src, s1) + pairScore(dst.Child[1], src, s0)
 	if twisted > straight {
 		dst.Twist[vn] = true
 		s0, s1 = s1, s0
 	}
-	if s0 != nil {
+	if s0 != 0 {
 		if dst.Child[0] == nil {
 			dst.Child[0] = &BraidedNode{Twist: make([]bool, t.k)}
 		}
-		t.graft(dst.Child[0], s0, vn)
+		t.graft(dst.Child[0], src, s0, vn)
 	}
-	if s1 != nil {
+	if s1 != 0 {
 		if dst.Child[1] == nil {
 			dst.Child[1] = &BraidedNode{Twist: make([]bool, t.k)}
 		}
-		t.graft(dst.Child[1], s1, vn)
+		t.graft(dst.Child[1], src, s1, vn)
 	}
 }
 
@@ -106,28 +106,29 @@ func (t *BraidedTrie) graft(dst *BraidedNode, src *trie.Node, vn int) {
 // structure without blowing up the build.
 const scoreDepth = 6
 
-// pairScore estimates how many nodes merging src under dst would share,
-// assuming deeper levels may also twist freely (which the greedy graft
-// will indeed consider). Exact to scoreDepth, min-size beyond.
-func pairScore(dst *BraidedNode, src *trie.Node) int {
-	return overlapDP(dst, src, scoreDepth)
+// pairScore estimates how many nodes merging node id of src (0: none) under
+// dst would share, assuming deeper levels may also twist freely (which the
+// greedy graft will indeed consider). Exact to scoreDepth, min-size beyond.
+func pairScore(dst *BraidedNode, src []trie.Node, id trie.NodeID) int {
+	return overlapDP(dst, src, id, scoreDepth)
 }
 
-func overlapDP(dst *BraidedNode, src *trie.Node, depth int) int {
-	if dst == nil || src == nil {
+func overlapDP(dst *BraidedNode, src []trie.Node, id trie.NodeID, depth int) int {
+	if dst == nil || id == 0 {
 		return 0
 	}
 	if depth == 0 {
-		a, b := braidedSize(dst), trieSize(src)
+		a, b := braidedSize(dst), trieSize(src, id)
 		if a < b {
 			return a
 		}
 		return b
 	}
-	straight := overlapDP(dst.Child[0], src.Child[0], depth-1) +
-		overlapDP(dst.Child[1], src.Child[1], depth-1)
-	twisted := overlapDP(dst.Child[0], src.Child[1], depth-1) +
-		overlapDP(dst.Child[1], src.Child[0], depth-1)
+	c := src[id].Child
+	straight := overlapDP(dst.Child[0], src, c[0], depth-1) +
+		overlapDP(dst.Child[1], src, c[1], depth-1)
+	twisted := overlapDP(dst.Child[0], src, c[1], depth-1) +
+		overlapDP(dst.Child[1], src, c[0], depth-1)
 	if twisted > straight {
 		return 1 + twisted
 	}
@@ -141,11 +142,12 @@ func braidedSize(n *BraidedNode) int {
 	return 1 + braidedSize(n.Child[0]) + braidedSize(n.Child[1])
 }
 
-func trieSize(n *trie.Node) int {
-	if n == nil {
+// trieSize counts the nodes under node id of src, 0 for none.
+func trieSize(src []trie.Node, id trie.NodeID) int {
+	if id == 0 {
 		return 0
 	}
-	return 1 + trieSize(n.Child[0]) + trieSize(n.Child[1])
+	return 1 + trieSize(src, src[id].Child[0]) + trieSize(src, src[id].Child[1])
 }
 
 // Lookup resolves addr for network vn, applying the per-node twist bits.
@@ -160,7 +162,7 @@ func (t *BraidedTrie) Lookup(vn int, addr ip.Addr) ip.NextHop {
 			return n.NHI[vn]
 		}
 		for _, r := range n.routes {
-			if r.vn == vn {
+			if int(r.vn) == vn {
 				best = r.nh
 			}
 		}

@@ -8,6 +8,7 @@ package merge
 
 import (
 	"fmt"
+	"slices"
 
 	"vrpower/internal/ip"
 	"vrpower/internal/rib"
@@ -17,62 +18,78 @@ import (
 // vnRoute records that virtual network VN announces a route with next hop NH
 // at a merged node.
 type vnRoute struct {
-	vn int
+	vn int32
 	nh ip.NextHop
 }
 
-// routeLink is one of a merged node's pre-push routes: a list, so that its
-// links come from the trie's arena like its nodes.
+// routeLink is one of a merged node's pre-push routes: a list, linked by
+// index into the trie's links like its nodes.
 type routeLink struct {
 	vnRoute
-	next *routeLink
+	next uint32
 }
 
-// Node is one node of the merged trie. Present tracks how many of the K
-// source tries contain this node position; after leaf pushing, leaves carry
-// the NHI vector for all K networks.
+// Node is one node of the merged trie, linked by id into its trie's nodes
+// like a trie.Node, and like one it holds no Go pointer. Present tracks how
+// many of the K source tries contain this node position; after leaf pushing,
+// leaves carry the NHI vector for all K networks.
 type Node struct {
-	Child [2]*Node
+	Child [2]trie.NodeID
 	// Present is the number of source tries containing this node.
-	Present int
+	Present int32
 	// seen is 1 + the last network whose route path crossed this node
 	// (0: none yet), so Build counts each network once per node.
-	seen int
-	// routes lists pre-push per-VN routes attached at this node, one per VN.
-	routes *routeLink
-	// NHI is the K-wide next-hop vector; non-nil only at leaves after
-	// leaf pushing (Section V-D: "a leaf node is simply a vector that has
-	// routing information corresponding to all the considered virtual
-	// networks ... indexed using the VNID").
-	NHI []ip.NextHop
+	seen int32
+	// routes is the first of the pre-push per-VN routes attached at this
+	// node, one per VN: an index into the trie's links, 0 for none.
+	routes uint32
+	// nhi is 1 + the index of the node's K-wide next-hop vector in the
+	// trie's slab; nonzero only at leaves after leaf pushing (Section V-D:
+	// "a leaf node is simply a vector that has routing information
+	// corresponding to all the considered virtual networks ... indexed using
+	// the VNID").
+	nhi uint32
 }
 
 // IsLeaf reports whether n has no children.
-func (n *Node) IsLeaf() bool { return n.Child[0] == nil && n.Child[1] == nil }
+func (n *Node) IsLeaf() bool { return n.Child == [2]trie.NodeID{} }
 
 // Trie is the merged lookup structure for K virtual networks. Its nodes,
-// route links and leaf vectors come from arenas a Rebuild reuses.
+// route links and leaf vectors are three slices a Rebuild reuses.
 type Trie struct {
-	root   *Node
+	// nodes holds the nodes, the root first; nil for a zero Trie.
+	nodes []Node
+	// links holds the route lists; links[0] is unused, so that a routes
+	// index of 0 is no route.
+	links []routeLink
+	// nhis holds the leaf vectors, K next hops each.
+	nhis   []ip.NextHop
 	k      int
 	pushed bool
-	nodes  trie.Arena[Node]
-	links  trie.Arena[routeLink]
-	nhis   trie.Arena[ip.NextHop]
 	// vecs is LeafPush's scratch: one K-wide inherited vector per level.
 	vecs []ip.NextHop
 	// internal[l] counts the nodes of level l with a child, kept by insert
 	// as it links nodes: the input to Levels.
 	internal [maxLevels - 1]int
 	// path is the walk of the network's last route, where insert resumes.
-	path trie.Path[Node]
+	path trie.IDPath
 }
 
 // K returns the number of virtual networks merged into the trie.
 func (t *Trie) K() int { return t.k }
 
-// Root exposes the root node for traversals by sibling packages.
-func (t *Trie) Root() *Node { return t.root }
+// Kids returns node id's children, 0 for none.
+func (t *Trie) Kids(id trie.NodeID) [2]trie.NodeID { return t.nodes[id].Child }
+
+// NHI returns node id's K-wide next-hop vector: nil but at a leaf of a
+// leaf-pushed trie.
+func (t *Trie) NHI(id trie.NodeID) []ip.NextHop {
+	v := int(t.nodes[id].nhi)
+	if v == 0 {
+		return nil
+	}
+	return t.nhis[(v-1)*t.k : v*t.k : v*t.k]
+}
 
 // LeafPushed reports whether NHI vectors have been pushed to the leaves.
 func (t *Trie) LeafPushed() bool { return t.pushed }
@@ -87,31 +104,44 @@ func Build(tables []*rib.Table) (*Trie, error) {
 	return t, nil
 }
 
-// Rebuild makes t the trie Build(tables) would return, in the memory of t's
-// last build: nothing may point into t's nodes or leaf vectors any more. On
-// error t is unchanged.
+// Rebuild makes t the trie Build(tables) would return, in the slices of t's
+// last build. On error t is unchanged.
 func (t *Trie) Rebuild(tables []*rib.Table) error {
 	if len(tables) == 0 {
 		return fmt.Errorf("merge: no tables to merge")
 	}
-	t.nodes.Reset()
-	t.links.Reset()
-	t.nhis.Reset()
-	t.k, t.pushed = len(tables), false
-	t.root = t.nodes.New()
-	clear(t.internal[:])
 	// A node is "present" for vn if vn's individual trie would contain it:
 	// the root (even of an empty table) and every node on one of vn's route
 	// paths, which insert counts as it walks them.
-	t.root.Present = len(tables)
+	nodes, links := 1, 1
+	for _, tbl := range tables {
+		nodes, links = nodes+trie.Links(tbl.Routes), links+len(tbl.Routes)
+	}
+	t.nodes = append(slices.Grow(t.nodes[:0], nodes), Node{Present: int32(len(tables))})
+	t.links = append(slices.Grow(t.links[:0], links), routeLink{})
+	t.nhis = t.nhis[:0]
+	t.k, t.pushed = len(tables), false
+	clear(t.internal[:])
 	for vn, tbl := range tables {
 		// A walk resumes only over nodes this network has stamped.
 		t.path.Reset()
 		for _, r := range tbl.Routes {
-			t.insert(vn, r.Prefix, r.NextHop)
+			t.insert(int32(vn), r.Prefix, r.NextHop)
 		}
 	}
 	return nil
+}
+
+// child returns the child b of node id, linking a new node there first if
+// there is none.
+func (t *Trie) child(id trie.NodeID, b int) trie.NodeID {
+	if c := t.nodes[id].Child[b]; c != 0 {
+		return c
+	}
+	c := trie.NodeID(len(t.nodes))
+	t.nodes = append(t.nodes, Node{})
+	t.nodes[id].Child[b] = c
+	return c
 }
 
 // insert adds vn's route for p, creating merged structure as needed, and
@@ -120,33 +150,29 @@ func (t *Trie) Rebuild(tables []*rib.Table) error {
 // last network per node suffices. The walk resumes where it leaves the path
 // of vn's last route, whose nodes vn has stamped, so a sorted table costs
 // O(nodes).
-func (t *Trie) insert(vn int, p ip.Prefix, nh ip.NextHop) {
-	i := t.path.Resume(t.root, p)
-	n := t.path.At(i)
+func (t *Trie) insert(vn int32, p ip.Prefix, nh ip.NextHop) {
+	i := t.path.Resume(p)
+	id := t.path.At[i]
 	for ; i < p.Len; i++ {
-		b := p.Bit(i)
-		if n.Child[b] == nil {
-			if n.IsLeaf() {
-				t.internal[i]++
-			}
-			n.Child[b] = t.nodes.New()
+		if t.nodes[id].IsLeaf() {
+			t.internal[i]++ // its first child is linked below
 		}
-		n = n.Child[b]
-		t.path.Set(i+1, n)
-		if n.seen != vn+1 {
+		id = t.child(id, p.Bit(i))
+		t.path.At[i+1] = id
+		if n := &t.nodes[id]; n.seen != vn+1 {
 			n.seen = vn + 1
 			n.Present++
 		}
 	}
-	for l := n.routes; l != nil; l = l.next {
-		if l.vn == vn {
-			l.nh = nh
+	n := &t.nodes[id]
+	for l := n.routes; l != 0; l = t.links[l].next {
+		if t.links[l].vn == vn {
+			t.links[l].nh = nh
 			return
 		}
 	}
-	l := t.links.New()
-	*l = routeLink{vnRoute{vn, nh}, n.routes}
-	n.routes = l
+	t.links = append(t.links, routeLink{vnRoute{vn, nh}, n.routes})
+	n.routes = uint32(len(t.links) - 1)
 }
 
 // LeafPush pushes every network's inherited next hops down to the merged
@@ -162,44 +188,43 @@ func (t *Trie) LeafPush() {
 	}
 	inherited := t.vecs[:t.k]
 	clear(inherited)
-	t.pushNode(t.root, 0, inherited)
+	t.pushNode(0, 0, inherited)
 	t.pushed = true
 }
 
 // maxLevels bounds a trie over 32-bit addresses: the root and one level a bit.
 const maxLevels = 33
 
-func (t *Trie) pushNode(n *Node, level int, inherited []ip.NextHop) {
+func (t *Trie) pushNode(id trie.NodeID, level int, inherited []ip.NextHop) {
 	// This node's routes overlay the inherited vector in this level's scratch
 	// vector, so siblings still see the parent's.
-	inherited = n.Inherit(inherited, t.vecs[(level+1)*t.k:(level+2)*t.k])
-	n.routes = nil
+	inherited = t.Inherit(id, inherited, t.vecs[(level+1)*t.k:(level+2)*t.k])
+	n := &t.nodes[id]
+	n.routes = 0
 	if n.IsLeaf() {
-		n.NHI = t.nhis.Slice(t.k)
-		copy(n.NHI, inherited)
+		t.nhis = append(t.nhis, inherited...)
+		n.nhi = uint32(len(t.nhis) / t.k)
 		return
 	}
 	for b := 0; b < 2; b++ {
-		if n.Child[b] == nil {
-			n.Child[b] = t.nodes.New()
-		}
-		t.pushNode(n.Child[b], level+1, inherited)
+		t.pushNode(t.child(id, b), level+1, inherited)
 	}
 }
 
-// Inherit returns the K-wide next-hop vector n hands its subtree when it
-// inherits in: a pushed leaf's own NHI; in, when n carries no route; else in
-// with n's routes overlaid, written into scratch, which must not alias in.
-func (n *Node) Inherit(in, scratch []ip.NextHop) []ip.NextHop {
-	if n.NHI != nil {
-		return n.NHI
+// Inherit returns the K-wide next-hop vector node id hands its subtree when
+// it inherits in: a pushed leaf's own NHI; in, when it carries no route; else
+// in with its routes overlaid, written into scratch, which must not alias in.
+func (t *Trie) Inherit(id trie.NodeID, in, scratch []ip.NextHop) []ip.NextHop {
+	n := &t.nodes[id]
+	if n.nhi != 0 {
+		return t.NHI(id)
 	}
-	if n.routes == nil {
+	if n.routes == 0 {
 		return in
 	}
 	copy(scratch, in)
-	for l := n.routes; l != nil; l = l.next {
-		scratch[l.vn] = l.nh
+	for l := n.routes; l != 0; l = t.links[l].next {
+		scratch[t.links[l].vn] = t.links[l].nh
 	}
 	return scratch
 }
@@ -208,7 +233,7 @@ func (n *Node) Inherit(in, scratch []ip.NextHop) []ip.NextHop {
 // LeafPush and then Stats().PerLevel give — in O(levels), pushed or not: nil
 // for a zero Trie, which has no root.
 func (t *Trie) Levels() []trie.Level {
-	if t.root == nil {
+	if t.nodes == nil {
 		return nil
 	}
 	return trie.PushedLevels(t.internal[:])
@@ -222,20 +247,22 @@ func (t *Trie) Lookup(vn int, addr ip.Addr) ip.NextHop {
 		panic(fmt.Sprintf("merge: Lookup vn %d out of range [0,%d)", vn, t.k))
 	}
 	best := ip.NoRoute
-	n := t.root
-	for i := 0; n != nil; i++ {
-		if n.NHI != nil {
-			return n.NHI[vn]
+	for i, id := 0, trie.NodeID(0); ; i++ {
+		n := &t.nodes[id]
+		if n.nhi != 0 {
+			return t.NHI(id)[vn]
 		}
-		for l := n.routes; l != nil; l = l.next {
-			if l.vn == vn {
-				best = l.nh
+		for l := n.routes; l != 0; l = t.links[l].next {
+			if t.links[l].vn == int32(vn) {
+				best = t.links[l].nh
 			}
 		}
 		if i == 32 {
 			break
 		}
-		n = n.Child[addr.Bit(i)]
+		if id = n.Child[addr.Bit(i)]; id == 0 {
+			break
+		}
 	}
 	return best
 }
@@ -259,8 +286,9 @@ type Stats struct {
 // paper defines it.
 func (t *Trie) Stats() Stats {
 	s := Stats{PerLevel: make([]trie.Level, 33)}
-	var walk func(n *Node, depth int)
-	walk = func(n *Node, depth int) {
+	var walk func(id trie.NodeID, depth int)
+	walk = func(id trie.NodeID, depth int) {
+		n := &t.nodes[id]
 		s.Nodes++
 		if depth > s.Height {
 			s.Height = depth
@@ -276,14 +304,14 @@ func (t *Trie) Stats() Stats {
 		} else {
 			s.Internal++
 			lv.Internal++
-			for b := 0; b < 2; b++ {
-				if n.Child[b] != nil {
-					walk(n.Child[b], depth+1)
+			for _, c := range n.Child {
+				if c != 0 {
+					walk(c, depth+1)
 				}
 			}
 		}
 	}
-	walk(t.root, 0)
+	walk(0, 0)
 	s.PerLevel = s.PerLevel[:s.Height+1]
 	if s.Nodes > 0 {
 		s.Alpha = float64(s.Common) / float64(s.Nodes)

@@ -126,20 +126,21 @@ func TestLeafPushInvariants(t *testing.T) {
 	if s.Leaves != s.Internal+1 {
 		t.Errorf("full binary tree broken: leaves=%d internal=%d", s.Leaves, s.Internal)
 	}
-	var walk func(n *Node) bool
-	walk = func(n *Node) bool {
+	var walk func(id trie.NodeID) bool
+	walk = func(id trie.NodeID) bool {
+		n := &m.nodes[id]
 		if n.IsLeaf() {
-			if len(n.NHI) != m.K() {
-				t.Fatalf("leaf NHI width = %d, want %d", len(n.NHI), m.K())
+			if len(m.NHI(id)) != m.K() {
+				t.Fatalf("leaf NHI width = %d, want %d", len(m.NHI(id)), m.K())
 			}
 			return true
 		}
-		if n.NHI != nil {
+		if m.NHI(id) != nil {
 			t.Fatal("internal node has NHI vector")
 		}
 		return walk(n.Child[0]) && walk(n.Child[1])
 	}
-	walk(m.Root())
+	walk(0)
 }
 
 func TestLeafPushIdempotent(t *testing.T) {
@@ -298,25 +299,26 @@ func trieNodes(tbl *rib.Table) int {
 // individual trie of one network alongside the merged trie, adding one to
 // every merged node the individual trie contains. It is the oracle for the
 // count Build now makes while it inserts.
-func markPresence(dst *Node, src *trie.Node) {
-	dst.Present++
-	for b := 0; b < 2; b++ {
-		if src.Child[b] != nil {
-			markPresence(dst.Child[b], src.Child[b])
+func markPresence(m *Trie, dst trie.NodeID, src *trie.Trie, id trie.NodeID) {
+	m.nodes[dst].Present++
+	for b, c := range src.Nodes()[id].Child {
+		if c != 0 {
+			markPresence(m, m.nodes[dst].Child[b], src, c)
 		}
 	}
 }
 
-// presence lists every node's Present in pre-order, and zeroes it if zero is
-// set.
-func presence(n *Node, zero bool, out []int) []int {
-	out = append(out, n.Present)
+// presence lists the Present of node id and its subtree in pre-order, and
+// zeroes it if zero is set.
+func presence(m *Trie, id trie.NodeID, zero bool, out []int) []int {
+	n := &m.nodes[id]
+	out = append(out, int(n.Present))
 	if zero {
 		n.Present = 0
 	}
 	for _, c := range n.Child {
-		if c != nil {
-			out = presence(c, zero, out)
+		if c != 0 {
+			out = presence(m, c, zero, out)
 		}
 	}
 	return out
@@ -362,11 +364,11 @@ func TestPresenceMatchesPerTableTries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := presence(m.Root(), true, nil)
+		got := presence(m, 0, true, nil)
 		for _, tbl := range tables {
-			markPresence(m.Root(), trie.Build(tbl.Routes).Root())
+			markPresence(m, 0, trie.Build(tbl.Routes), 0)
 		}
-		want := presence(m.Root(), false, nil)
+		want := presence(m, 0, false, nil)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("trial %d (%d tables): node %d in pre-order has Present %d, per-table tries give %d", trial, len(tables), i, got[i], want[i])
@@ -476,19 +478,25 @@ func TestLevelsAreThePushedShape(t *testing.T) {
 
 // sameMerged reports whether two merged tries are equal node for node: the
 // same shape, presence counts and per-network routes at every node, and
-// after leaf pushing the same leaf vectors.
-func sameMerged(a, b *Node) bool {
-	if a == nil || b == nil {
-		return a == b
-	}
-	la, lb := a.routes, b.routes
-	for ; la != nil && lb != nil; la, lb = la.next, lb.next {
-		if la.vnRoute != lb.vnRoute {
+// after leaf pushing the same leaf vectors. The walk starts at the roots,
+// node 0 of each.
+func sameMerged(a, b *Trie, ia, ib trie.NodeID) bool {
+	na, nb := &a.nodes[ia], &b.nodes[ib]
+	la, lb := na.routes, nb.routes
+	for ; la != 0 && lb != 0; la, lb = a.links[la].next, b.links[lb].next {
+		if a.links[la].vnRoute != b.links[lb].vnRoute {
 			return false
 		}
 	}
-	return la == nil && lb == nil && a.Present == b.Present && slices.Equal(a.NHI, b.NHI) &&
-		sameMerged(a.Child[0], b.Child[0]) && sameMerged(a.Child[1], b.Child[1])
+	if la != 0 || lb != 0 || na.Present != nb.Present || !slices.Equal(a.NHI(ia), b.NHI(ib)) {
+		return false
+	}
+	for c := range na.Child {
+		if x, y := na.Child[c], nb.Child[c]; (x == 0) != (y == 0) || x != 0 && !sameMerged(a, b, x, y) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestInsertOrderDoesNotMatter: each insert resumes at the deepest node its
@@ -541,7 +549,7 @@ func TestInsertOrderDoesNotMatter(t *testing.T) {
 				got.LeafPush()
 				want.LeafPush()
 			}
-			if !sameMerged(got.Root(), want.Root()) {
+			if !sameMerged(got, want, 0, 0) {
 				t.Fatalf("%s, pushed %v: the merged trie differs node for node from the sorted set's", c.name, pushed)
 			}
 			if !reflect.DeepEqual(got.Levels(), want.Levels()) || !reflect.DeepEqual(got.Stats(), want.Stats()) {

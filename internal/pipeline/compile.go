@@ -23,15 +23,7 @@ func CompileMapped(tr *trie.Trie, sm trie.StageMap) (*Image, error) {
 }
 
 func fromTrie(tr *trie.Trie, mapFor func(height int) (trie.StageMap, error)) (*Image, error) {
-	return compile(tr.Root(), 1, tr.Levels(), mapFor,
-		func(n *trie.Node) [2]*trie.Node { return n.Child },
-		func(n *trie.Node, in, scratch []ip.NextHop) []ip.NextHop {
-			if !n.HasRoute {
-				return in
-			}
-			scratch[0] = n.NextHop
-			return scratch
-		})
+	return compile(tr, 1, tr.Levels(), mapFor)
 }
 
 // CompileMerged maps a merged trie onto stages pipeline stages with the plain
@@ -46,16 +38,23 @@ func CompileMergedMapped(m *merge.Trie, sm trie.StageMap) (*Image, error) {
 }
 
 func fromMerged(m *merge.Trie, mapFor func(height int) (trie.StageMap, error)) (*Image, error) {
-	return compile(m.Root(), m.K(), m.Levels(), mapFor,
-		func(n *merge.Node) [2]*merge.Node { return n.Child },
-		func(n *merge.Node, in, scratch []ip.NextHop) []ip.NextHop { return n.Inherit(in, scratch) })
+	return compile(m, m.K(), m.Levels(), mapFor)
+}
+
+// walkable is a trie as the compile walks it, by node id from the root, node
+// 0: Kids returns a node's children (0 for none, both none: a leaf); Inherit
+// returns the k-wide next-hop vector a node hands its subtree, given the one
+// it inherits and a scratch vector to write it in.
+type walkable interface {
+	Kids(id trie.NodeID) [2]trie.NodeID
+	Inherit(id trie.NodeID, in, scratch []ip.NextHop) []ip.NextHop
 }
 
 // maxLevels bounds a trie over 32-bit addresses: the root and one level a bit.
 const maxLevels = 33
 
-// compile writes the leaf-pushed form of the trie under root — levels, its
-// per-level counts, from the trie's Levels — straight into stage words in one
+// compile writes the leaf-pushed form of trie src — levels, its per-level
+// counts, from the trie's Levels — straight into stage words in one
 // depth-first pass. The counts give the trie's height, for a map (mapFor)
 // that depends on it, every stage's size, so each slice is made once, and
 // where each level starts: level l's nodes follow its stage's earlier
@@ -68,12 +67,9 @@ const maxLevels = 33
 // carrying the vector the node hands down. Derived bits are written with
 // the words — compiled parity is good, the writer knows which stage the
 // children go to, and the levels a stage holds are its visits — and only the
-// jump table is left to derive. kids returns a node's children (both none:
-// a leaf); inherit returns the k-wide next-hop vector a node hands its
-// subtree, given the one it inherits and a scratch vector to write it in.
-func compile[N comparable](root N, k int, levels []trie.Level, mapFor func(height int) (trie.StageMap, error), kids func(N) [2]N, inherit func(n N, in, scratch []ip.NextHop) []ip.NextHop) (*Image, error) {
-	var none N
-	if root == none {
+// jump table is left to derive.
+func compile(src walkable, k int, levels []trie.Level, mapFor func(height int) (trie.StageMap, error)) (*Image, error) {
+	if levels == nil {
 		return nil, fmt.Errorf("pipeline: compile of a trie with no root (a zero value, not built)")
 	}
 	height := len(levels) - 1
@@ -81,7 +77,7 @@ func compile[N comparable](root N, k int, levels []trie.Level, mapFor func(heigh
 	if err != nil {
 		return nil, err
 	}
-	w := writer[N]{k: k, kids: kids, inherit: inherit, vecs: make([]ip.NextHop, (maxLevels+1)*k)}
+	w := writer{k: k, src: src, vecs: make([]ip.NextHop, (maxLevels+1)*k)}
 	lens, leaves := make([]int, sm.Stages), 0
 	for level, lv := range levels {
 		s := sm.Stage(level)
@@ -104,7 +100,7 @@ func compile[N comparable](root N, k int, levels []trie.Level, mapFor func(heigh
 		}
 	}
 	w.placed[0] = 1
-	w.node(root, 0, w.off[0], w.vecs[:k])
+	w.node(0, 0, w.off[0], w.vecs[:k])
 	for level, lv := range levels {
 		if w.placed[level] != uint32(lv.Nodes) || w.leaves[level] != uint32(lv.Leaves) {
 			return nil, fmt.Errorf("pipeline: level %d holds %d nodes and %d leaves, its counts say %d and %d", level, w.placed[level], w.leaves[level], lv.Nodes, lv.Leaves)
@@ -120,25 +116,23 @@ func compile[N comparable](root N, k int, levels []trie.Level, mapFor func(heigh
 // its nodes are placed (placed: written or reserved by their parent) and
 // leaves written (leaves), its stage and its internal nodes' meta word; and
 // one scratch vector per level for the vector a node hands down.
-type writer[N comparable] struct {
-	img     *Image
-	k       int
-	kids    func(N) [2]N
-	inherit func(n N, in, scratch []ip.NextHop) []ip.NextHop
-	vecs    []ip.NextHop
+type writer struct {
+	img  *Image
+	k    int
+	src  walkable
+	vecs []ip.NextHop
 
 	off, slab, placed, leaves [maxLevels]uint32
 	stage                     [maxLevels]*stage
 	meta                      [maxLevels]uint16
 }
 
-// node writes n, which inherits in, as entry i of its level's stage, then
-// its subtree.
-func (w *writer[N]) node(n N, level int, i uint32, in []ip.NextHop) {
-	var none N
-	vec := w.inherit(n, in, w.vecs[(level+1)*w.k:(level+2)*w.k])
-	ch := w.kids(n)
-	if ch[0] == none && ch[1] == none {
+// node writes node id, which inherits in, as entry i of its level's stage,
+// then its subtree.
+func (w *writer) node(id trie.NodeID, level int, i uint32, in []ip.NextHop) {
+	vec := w.src.Inherit(id, in, w.vecs[(level+1)*w.k:(level+2)*w.k])
+	ch := w.src.Kids(id)
+	if ch == [2]trie.NodeID{} {
 		w.leaf(level, i, vec)
 		return
 	}
@@ -148,7 +142,7 @@ func (w *writer[N]) node(n N, level int, i uint32, in []ip.NextHop) {
 	m, st := w.meta[level], w.stage[level]
 	st.meta[i], st.child[i] = m|w.img.dataParity(m, c)<<9, c
 	for b, child := range ch {
-		if child == none {
+		if child == 0 {
 			w.leaf(level+1, c[b], vec)
 		} else {
 			w.node(child, level+1, c[b], vec)
@@ -158,7 +152,7 @@ func (w *writer[N]) node(n N, level int, i uint32, in []ip.NextHop) {
 
 // leaf writes a leaf carrying vec as entry i of its level's stage, its
 // vector the next of the level's in the slab.
-func (w *writer[N]) leaf(level int, i uint32, vec []ip.NextHop) {
+func (w *writer) leaf(level int, i uint32, vec []ip.NextHop) {
 	off := w.slab[level] + w.leaves[level]*uint32(w.k)
 	w.leaves[level]++
 	copy(w.img.nhi[off:off+uint32(w.k)], vec)

@@ -20,18 +20,17 @@ func bfTrie(tr *trie.Trie, mapFor func(height int) (trie.StageMap, error)) (*Ima
 	if !tr.LeafPushed() {
 		return nil, fmt.Errorf("pipeline: trie must be leaf-pushed before compilation")
 	}
-	return compileBreadthFirst(tr.Root(), 1, mapFor,
-		func(n *trie.Node) [2]*trie.Node { return n.Child },
-		func(slab []ip.NextHop, n *trie.Node) []ip.NextHop { return append(slab, n.NextHop) })
+	nodes := tr.Nodes()
+	return compileBreadthFirst(trie.NodeID(0), 1, mapFor, tr.Kids,
+		func(slab []ip.NextHop, id trie.NodeID) []ip.NextHop { return append(slab, nodes[id].NextHop) })
 }
 
 func bfMerged(m *merge.Trie, mapFor func(height int) (trie.StageMap, error)) (*Image, error) {
 	if !m.LeafPushed() {
 		return nil, fmt.Errorf("pipeline: merged trie must be leaf-pushed before compilation")
 	}
-	return compileBreadthFirst(m.Root(), m.K(), mapFor,
-		func(n *merge.Node) [2]*merge.Node { return n.Child },
-		func(slab []ip.NextHop, n *merge.Node) []ip.NextHop { return append(slab, n.NHI...) })
+	return compileBreadthFirst(trie.NodeID(0), m.K(), mapFor, m.Kids,
+		func(slab []ip.NextHop, id trie.NodeID) []ip.NextHop { return append(slab, m.NHI(id)...) })
 }
 
 // compileBreadthFirst lays the leaf-pushed trie under root out

@@ -27,27 +27,35 @@ type refNode interface {
 	appendNHI(slab []ip.NextHop) []ip.NextHop
 }
 
-type refUni struct{ n *trie.Node }
+type refUni struct {
+	tr *trie.Trie
+	id trie.NodeID
+}
 
-func (u refUni) leaf() bool { return u.n.IsLeaf() }
+func (u refUni) leaf() bool { return u.tr.Nodes()[u.id].IsLeaf() }
 func (u refUni) child(b int) refNode {
-	if u.n.Child[b] == nil {
-		return nil
+	if c := u.tr.Nodes()[u.id].Child[b]; c != 0 {
+		return refUni{u.tr, c}
 	}
-	return refUni{u.n.Child[b]}
+	return nil
 }
-func (u refUni) appendNHI(slab []ip.NextHop) []ip.NextHop { return append(slab, u.n.NextHop) }
+func (u refUni) appendNHI(slab []ip.NextHop) []ip.NextHop {
+	return append(slab, u.tr.Nodes()[u.id].NextHop)
+}
 
-type refMerged struct{ n *merge.Node }
+type refMerged struct {
+	m  *merge.Trie
+	id trie.NodeID
+}
 
-func (m refMerged) leaf() bool { return m.n.IsLeaf() }
+func (m refMerged) leaf() bool { return m.m.Kids(m.id) == [2]trie.NodeID{} }
 func (m refMerged) child(b int) refNode {
-	if m.n.Child[b] == nil {
-		return nil
+	if c := m.m.Kids(m.id)[b]; c != 0 {
+		return refMerged{m.m, c}
 	}
-	return refMerged{m.n.Child[b]}
+	return nil
 }
-func (m refMerged) appendNHI(slab []ip.NextHop) []ip.NextHop { return append(slab, m.n.NHI...) }
+func (m refMerged) appendNHI(slab []ip.NextHop) []ip.NextHop { return append(slab, m.m.NHI(m.id)...) }
 
 // refCompile lays the trie out breadth-first into one Entry array per stage:
 // a node's index within its stage is assigned when the node is enqueued and
@@ -271,7 +279,7 @@ func TestCompiledWordsMatchLayoutOracle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				assertWordsMatchOracle(t, img, refUni{tr.Root()})
+				assertWordsMatchOracle(t, img, refUni{tr, 0})
 			})
 		}
 	}
@@ -311,7 +319,7 @@ func TestCompiledWordsMatchLayoutOracle(t *testing.T) {
 				if img.K != k {
 					t.Fatalf("K = %d, want %d", img.K, k)
 				}
-				assertWordsMatchOracle(t, img, refMerged{m.Root()})
+				assertWordsMatchOracle(t, img, refMerged{m, 0})
 			})
 		}
 	}

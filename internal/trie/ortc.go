@@ -22,11 +22,11 @@ func Compact(routes []ip.Route) []ip.Route {
 	tr := Build(routes)
 	tr.LeafPush()
 
-	sets := make(map[*Node]nhSet)
-	buildSets(tr.Root(), sets)
+	sets := make([]nhSet, len(tr.nodes))
+	buildSets(tr.nodes, 0, sets)
 
 	var out []ip.Route
-	emit(tr.Root(), sets, 0, 0, ip.NoRoute, true, &out)
+	emit(tr.nodes, 0, sets, 0, 0, ip.NoRoute, true, &out)
 	sort.Slice(out, func(i, j int) bool { return ip.Compare(out[i].Prefix, out[j].Prefix) < 0 })
 	return out
 }
@@ -63,27 +63,29 @@ func union(a, b nhSet) nhSet {
 	return out
 }
 
-// buildSets computes each node's candidate set bottom-up (ORTC pass 2).
-func buildSets(n *Node, sets map[*Node]nhSet) nhSet {
+// buildSets computes the candidate set of node id and its subtree bottom-up
+// (ORTC pass 2), indexed by node id.
+func buildSets(nodes []Node, id NodeID, sets []nhSet) nhSet {
+	n := &nodes[id]
 	if n.IsLeaf() {
 		s := nhSet{n.NextHop} // NoRoute is a legitimate candidate: "no route here"
-		sets[n] = s
+		sets[id] = s
 		return s
 	}
-	l := buildSets(n.Child[0], sets)
-	r := buildSets(n.Child[1], sets)
+	l := buildSets(nodes, n.Child[0], sets)
+	r := buildSets(nodes, n.Child[1], sets)
 	s := intersect(l, r)
 	if len(s) == 0 {
 		s = union(l, r)
 	}
-	sets[n] = s
+	sets[id] = s
 	return s
 }
 
 // emit walks top-down (ORTC pass 3): a node emits a route only when the
 // inherited choice is not in its candidate set.
-func emit(n *Node, sets map[*Node]nhSet, addr uint32, depth int, inherited ip.NextHop, isRoot bool, out *[]ip.Route) {
-	s := sets[n]
+func emit(nodes []Node, id NodeID, sets []nhSet, addr uint32, depth int, inherited ip.NextHop, isRoot bool, out *[]ip.Route) {
+	s, n := sets[id], &nodes[id]
 	chosen := inherited
 	if isRoot || !s.contains(inherited) {
 		chosen = pick(s)
@@ -102,7 +104,7 @@ func emit(n *Node, sets map[*Node]nhSet, addr uint32, depth int, inherited ip.Ne
 		if b == 1 && depth < 32 {
 			childAddr |= 1 << (31 - uint(depth))
 		}
-		emit(n.Child[b], sets, childAddr, depth+1, chosen, false, out)
+		emit(nodes, n.Child[b], sets, childAddr, depth+1, chosen, false, out)
 	}
 }
 

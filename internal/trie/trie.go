@@ -7,129 +7,82 @@ package trie
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"vrpower/internal/ip"
 )
 
+// NodeID names a node of a trie: its index in the trie's node slice, whose
+// first node is the root. As a child link, 0 is no child: the root is no
+// node's child.
+type NodeID uint32
+
 // Node is one uni-bit trie node. A node may carry a route (HasRoute) and up
 // to two children; after leaf pushing only leaves carry routes and every
-// internal node has exactly two children.
+// internal node has exactly two children. A node holds no Go pointer, so the
+// garbage collector never scans a trie's nodes.
 type Node struct {
-	Child    [2]*Node
+	Child    [2]NodeID
 	HasRoute bool
 	NextHop  ip.NextHop
 }
 
 // IsLeaf reports whether n has no children.
-func (n *Node) IsLeaf() bool { return n.Child[0] == nil && n.Child[1] == nil }
-
-// Arena hands out zeroed values of T from chunked slabs, so that building a
-// pointer-linked structure costs an allocation per chunk instead of one per
-// node. Chunks double in size up to arenaMax values. Values are taken back
-// all at once or not at all: Reset zeroes the slabs and hands them out again
-// in the same order, so a structure rebuilt over its arena reuses the last
-// build's memory, and nothing may point into the arena across a Reset. A
-// value unlinked before then (Delete) stays in its slab until the Reset.
-type Arena[T any] struct {
-	// slabs[:next] are the slabs handed out from since the last Reset; free
-	// is what is left of the last of them.
-	slabs [][]T
-	next  int
-	free  []T
-}
-
-const arenaMin, arenaMax = 16, 2048
-
-// New returns a pointer to a zero T.
-func (a *Arena[T]) New() *T {
-	if len(a.free) == 0 {
-		a.take(1)
-	}
-	v := &a.free[0]
-	a.free = a.free[1:]
-	return v
-}
-
-// Slice returns n contiguous zero values, capped at n.
-func (a *Arena[T]) Slice(n int) []T {
-	if len(a.free) < n {
-		a.take(n)
-	}
-	v := a.free[:n:n]
-	a.free = a.free[n:]
-	return v
-}
-
-// take makes the next slab with room for n values the one handed out from,
-// skipping any too small for n and making one when none is left.
-func (a *Arena[T]) take(n int) {
-	for a.next < len(a.slabs) && len(a.slabs[a.next]) < n {
-		a.next++
-	}
-	if a.next == len(a.slabs) {
-		size := arenaMin
-		if k := len(a.slabs); k > 0 {
-			size = min(2*len(a.slabs[k-1]), arenaMax)
-		}
-		a.slabs = append(a.slabs, make([]T, max(size, n)))
-	}
-	a.free = a.slabs[a.next]
-	a.next++
-}
-
-// Reset takes back every value handed out, zeroed.
-func (a *Arena[T]) Reset() {
-	for _, s := range a.slabs[:a.next] {
-		clear(s)
-	}
-	a.next, a.free = 0, nil
-}
+func (n *Node) IsLeaf() bool { return n.Child == [2]NodeID{} }
 
 // Trie is a uni-bit binary trie over IPv4 prefixes.
 type Trie struct {
-	root       *Node
+	// nodes holds every node built since the last Rebuild, the root first; a
+	// node unlinked by Delete stays until then. Nil for a zero Trie.
+	nodes      []Node
 	routes     int
 	leafPushed bool
-	nodes      Arena[Node]
 	// internal[l] counts the nodes of level l with a child, kept by Insert
 	// and Delete as they link and prune nodes: the input to Levels.
 	internal [maxLevels - 1]int
 	// path is the last insert's walk, where the next one resumes.
-	path Path[Node]
+	path IDPath
 }
 
-// Path is the walk of the last prefix inserted into a trie of N nodes: the
+// IDPath is the walk of the last prefix inserted into a trie: the id of the
 // node it reached at every level. The next insert resumes at the deepest
 // node the two prefixes share instead of at the root, so inserting a sorted
 // table walks each node about once. Anything that may unlink a node on the
-// path, or reuse its memory (a delete, a rebuild), must Reset it first.
-type Path[N any] struct {
-	// nodes[l] is the walk's node at level l, for l up to last.Len; nodes[0]
-	// is nil when there is no walk to resume.
-	nodes [maxLevels]*N
-	last  ip.Prefix
+// path, or reuse its id (a delete, a rebuild), must Reset it first.
+type IDPath struct {
+	// At[l] is the walk's node at level l, for l up to last.Len.
+	At   [maxLevels]NodeID
+	last ip.Prefix
+	live bool
 }
 
 // Reset forgets the last walk: the next one starts at the root.
-func (p *Path[N]) Reset() { p.nodes[0] = nil }
+func (p *IDPath) Reset() { p.live = false }
 
-// Resume starts the walk for q down from root and returns the level it
-// resumes at: the deepest that q shares with the last walk from root, whose
-// node is At(level). The caller records each node below it with Set.
-func (p *Path[N]) Resume(root *N, q ip.Prefix) int {
+// Resume starts the walk for q and returns the level it resumes at: the
+// deepest that q shares with the last walk, whose node is At[level]. The
+// caller records each node below it in At.
+func (p *IDPath) Resume(q ip.Prefix) int {
 	shared := 0
-	if p.nodes[0] == root {
+	if p.live {
 		shared = max(min(bits.LeadingZeros32(uint32(q.Addr^p.last.Addr)), q.Len, p.last.Len), 0)
 	}
-	p.nodes[0], p.last = root, q
+	p.live, p.last = true, q
 	return shared
 }
 
-// At returns the walk's node at level l.
-func (p *Path[N]) At(l int) *N { return p.nodes[l] }
-
-// Set records n as the walk's node at level l.
-func (p *Path[N]) Set(l int, n *N) { p.nodes[l] = n }
+// Links bounds the nodes that inserting routes, in order, links below the
+// root: each resumes where the walk of the one before it leaves off, and
+// adds at most a node per level below that. A build sizes its node slice by
+// it once instead of growing it as it goes.
+func Links(routes []ip.Route) int {
+	var p IDPath
+	n := 0
+	for _, r := range routes {
+		n += r.Prefix.Len - p.Resume(r.Prefix)
+	}
+	return n
+}
 
 // maxLevels bounds a trie over 32-bit addresses: the root and one level a bit.
 const maxLevels = 33
@@ -141,26 +94,53 @@ func Build(t []ip.Route) *Trie {
 	return tr
 }
 
-// Rebuild makes t the trie Build(routes) would return, in the node memory of
-// t's last build: nothing may point into t's nodes any more.
+// Rebuild makes t the trie Build(routes) would return, in the node slice of
+// t's last build.
 func (t *Trie) Rebuild(routes []ip.Route) {
 	t.path.Reset()
-	t.nodes.Reset()
-	t.root, t.routes, t.leafPushed = t.nodes.New(), 0, false
+	t.nodes = append(slices.Grow(t.nodes[:0], 1+Links(routes)), Node{})
+	t.routes, t.leafPushed = 0, false
 	clear(t.internal[:])
 	for _, r := range routes {
 		t.Insert(r.Prefix, r.NextHop)
 	}
 }
 
-// Root exposes the root node for traversals by sibling packages.
-func (t *Trie) Root() *Node { return t.root }
+// Nodes exposes the node slice, the root first, for traversals by sibling
+// packages: a node's children are Nodes()[id]. It is valid until the next
+// Insert, LeafPush or Rebuild.
+func (t *Trie) Nodes() []Node { return t.nodes }
+
+// Kids returns node id's children, 0 for none.
+func (t *Trie) Kids(id NodeID) [2]NodeID { return t.nodes[id].Child }
+
+// Inherit returns the one-wide next-hop vector node id hands its subtree
+// when it inherits in: in, or its own next hop written into scratch.
+func (t *Trie) Inherit(id NodeID, in, scratch []ip.NextHop) []ip.NextHop {
+	if !t.nodes[id].HasRoute {
+		return in
+	}
+	scratch[0] = t.nodes[id].NextHop
+	return scratch
+}
 
 // Routes returns the number of routes inserted (and not deleted).
 func (t *Trie) Routes() int { return t.routes }
 
 // LeafPushed reports whether LeafPush has been applied.
 func (t *Trie) LeafPushed() bool { return t.leafPushed }
+
+// child returns the child b of node id, linking a new node there first if
+// there is none.
+func (t *Trie) child(id NodeID, b int) NodeID {
+	if c := t.nodes[id].Child[b]; c != 0 {
+		return c
+	}
+	c := NodeID(len(t.nodes))
+	t.nodes = append(t.nodes, Node{})
+	t.nodes[id].Child[b] = c
+	return c
+}
 
 // Insert adds or replaces the route for p. Insert on a leaf-pushed trie
 // panics: incremental updates must precede leaf pushing (the paper's
@@ -172,19 +152,16 @@ func (t *Trie) Insert(p ip.Prefix, nh ip.NextHop) {
 	if t.leafPushed {
 		panic("trie: Insert on leaf-pushed trie")
 	}
-	i := t.path.Resume(t.root, p)
-	n := t.path.At(i)
+	i := t.path.Resume(p)
+	id := t.path.At[i]
 	for ; i < p.Len; i++ {
-		b := p.Bit(i)
-		if n.Child[b] == nil {
-			if n.IsLeaf() {
-				t.internal[i]++
-			}
-			n.Child[b] = t.nodes.New()
+		if t.nodes[id].IsLeaf() {
+			t.internal[i]++ // its first child is linked below
 		}
-		n = n.Child[b]
-		t.path.Set(i+1, n)
+		id = t.child(id, p.Bit(i))
+		t.path.At[i+1] = id
 	}
+	n := &t.nodes[id]
 	if !n.HasRoute {
 		t.routes++
 	}
@@ -200,28 +177,25 @@ func (t *Trie) Delete(p ip.Prefix) bool {
 	}
 	t.path.Reset()
 	// Record the path so we can prune bottom-up.
-	path := make([]*Node, 0, p.Len+1)
-	n := t.root
-	path = append(path, n)
+	var path [maxLevels]NodeID
 	for i := 0; i < p.Len; i++ {
-		n = n.Child[p.Bit(i)]
-		if n == nil {
+		if path[i+1] = t.nodes[path[i]].Child[p.Bit(i)]; path[i+1] == 0 {
 			return false
 		}
-		path = append(path, n)
 	}
+	n := &t.nodes[path[p.Len]]
 	if !n.HasRoute {
 		return false
 	}
 	n.HasRoute = false
 	t.routes--
-	for i := len(path) - 1; i > 0; i-- {
-		node := path[i]
-		if node.HasRoute || !node.IsLeaf() {
+	for i := p.Len; i > 0; i-- {
+		if node := &t.nodes[path[i]]; node.HasRoute || !node.IsLeaf() {
 			break
 		}
-		path[i-1].Child[p.Bit(i-1)] = nil
-		if path[i-1].IsLeaf() {
+		parent := &t.nodes[path[i-1]]
+		parent.Child[p.Bit(i-1)] = 0
+		if parent.IsLeaf() {
 			t.internal[i-1]--
 		}
 	}
@@ -233,15 +207,20 @@ func (t *Trie) Delete(p ip.Prefix) bool {
 // walk; in a leaf-pushed trie the walk ends at a leaf holding the answer.
 func (t *Trie) Lookup(addr ip.Addr) ip.NextHop {
 	best := ip.NoRoute
-	n := t.root
-	for i := 0; n != nil; i++ {
+	if t.nodes == nil {
+		return best
+	}
+	for i, id := 0, NodeID(0); ; i++ {
+		n := &t.nodes[id]
 		if n.HasRoute {
 			best = n.NextHop
 		}
 		if i == 32 {
 			break
 		}
-		n = n.Child[addr.Bit(i)]
+		if id = n.Child[addr.Bit(i)]; id == 0 {
+			break
+		}
 	}
 	return best
 }
@@ -255,11 +234,17 @@ func (t *Trie) LeafPush() {
 		return
 	}
 	t.path.Reset()
-	t.push(t.root, ip.NoRoute)
+	n := 1 // pushed, the trie is full: the root, and two children a node with one
+	for _, c := range t.internal {
+		n += 2 * c
+	}
+	t.nodes = slices.Grow(t.nodes, max(n-len(t.nodes), 0))
+	t.push(0, ip.NoRoute)
 	t.leafPushed = true
 }
 
-func (t *Trie) push(n *Node, inherited ip.NextHop) {
+func (t *Trie) push(id NodeID, inherited ip.NextHop) {
+	n := &t.nodes[id]
 	if n.HasRoute {
 		inherited = n.NextHop
 	}
@@ -270,15 +255,12 @@ func (t *Trie) push(n *Node, inherited ip.NextHop) {
 		n.NextHop = inherited
 		return
 	}
-	for b := 0; b < 2; b++ {
-		if n.Child[b] == nil {
-			n.Child[b] = t.nodes.New()
-		}
-		t.push(n.Child[b], inherited)
-	}
 	// Internal nodes carry no forwarding information after pushing.
 	n.HasRoute = false
 	n.NextHop = ip.NoRoute
+	for b := 0; b < 2; b++ {
+		t.push(t.child(id, b), inherited)
+	}
 }
 
 // Stats summarises trie shape. Levels are node levels: the root is level 0,
@@ -302,23 +284,24 @@ type Level struct {
 func (t *Trie) Stats() Stats {
 	var per [maxLevels]Level
 	height := 0
-	var walk func(n *Node, depth int)
-	walk = func(n *Node, depth int) {
+	var walk func(id NodeID, depth int)
+	walk = func(id NodeID, depth int) {
 		height = max(height, depth)
 		lv := &per[depth]
 		lv.Nodes++
+		n := &t.nodes[id]
 		if n.IsLeaf() {
 			lv.Leaves++
 			return
 		}
 		lv.Internal++
-		for b := 0; b < 2; b++ {
-			if n.Child[b] != nil {
-				walk(n.Child[b], depth+1)
+		for _, c := range n.Child {
+			if c != 0 {
+				walk(c, depth+1)
 			}
 		}
 	}
-	walk(t.root, 0)
+	walk(0, 0)
 	return StatsOf(append([]Level(nil), per[:height+1]...))
 }
 
@@ -336,7 +319,7 @@ func StatsOf(perLevel []Level) Stats {
 // LeafPush and then Stats().PerLevel give — in O(levels), pushed or not: nil
 // for a zero Trie, which has no root.
 func (t *Trie) Levels() []Level {
-	if t.root == nil {
+	if t.nodes == nil {
 		return nil
 	}
 	return PushedLevels(t.internal[:])
@@ -365,26 +348,6 @@ func PushedLevels(internal []int) []Level {
 		out[l] = Level{Nodes: n, Leaves: n - in, Internal: in}
 	}
 	return out
-}
-
-// Walk visits every node in preorder with its level; fn returning false
-// stops the walk.
-func (t *Trie) Walk(fn func(n *Node, level int) bool) {
-	var walk func(n *Node, depth int) bool
-	walk = func(n *Node, depth int) bool {
-		if !fn(n, depth) {
-			return false
-		}
-		for b := 0; b < 2; b++ {
-			if n.Child[b] != nil {
-				if !walk(n.Child[b], depth+1) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	walk(t.root, 0)
 }
 
 // StageMap maps trie node levels onto the N stages of a linear pipeline.

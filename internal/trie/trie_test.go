@@ -110,13 +110,11 @@ func TestLeafPushFullBinary(t *testing.T) {
 		t.Errorf("leaves = %d, internal = %d; want leaves = internal+1", s.Leaves, s.Internal)
 	}
 	// No internal node may carry a route after pushing.
-	tr.Walk(func(n *Node, _ int) bool {
+	for _, n := range tr.Nodes() {
 		if !n.IsLeaf() && n.HasRoute {
-			t.Error("internal node carries route after leaf push")
-			return false
+			t.Fatal("internal node carries route after leaf push")
 		}
-		return true
-	})
+	}
 }
 
 func TestLeafPushIdempotent(t *testing.T) {
@@ -422,33 +420,6 @@ func TestRandomOpSequenceVsOracle(t *testing.T) {
 	}
 }
 
-// TestArenaHandsOutDistinctZeroValues: every value an arena hands out is
-// zero, its own, and stays where it is while later ones are handed out —
-// across chunk boundaries, which is where a slab allocator goes wrong.
-func TestArenaHandsOutDistinctZeroValues(t *testing.T) {
-	var a Arena[Node]
-	const n = 3*arenaMax + 7
-	nodes := make([]*Node, n)
-	seen := make(map[*Node]bool, n)
-	for i := range nodes {
-		v := a.New()
-		if *v != (Node{}) {
-			t.Fatalf("value %d handed out non-zero: %+v", i, *v)
-		}
-		if seen[v] {
-			t.Fatalf("value %d handed out twice", i)
-		}
-		seen[v] = true
-		v.NextHop, v.HasRoute = ip.NextHop(i%251+1), true
-		nodes[i] = v
-	}
-	for i, v := range nodes {
-		if v.NextHop != ip.NextHop(i%251+1) || v.Child != [2]*Node{} {
-			t.Fatalf("value %d was written through another: %+v", i, *v)
-		}
-	}
-}
-
 // boundaries returns, for every route, the first and last address its
 // prefix covers and the addresses just outside them.
 func boundaries(routes []ip.Route) []ip.Addr {
@@ -502,41 +473,6 @@ func TestRebuildAllocatesNothing(t *testing.T) {
 		tr.LeafPush()
 	}); n != 0 {
 		t.Errorf("Rebuild + LeafPush allocates %v times, want 0", n)
-	}
-}
-
-// TestArenaResetHandsBackZeroedSlabs: after Reset the arena hands out the
-// same values again, zeroed and in the same order, and makes no new slab;
-// a Slice wider than the slab in turn skips it rather than overrun it.
-func TestArenaResetHandsBackZeroedSlabs(t *testing.T) {
-	var a Arena[Node]
-	const n = 2*arenaMax + 5
-	first := make([]*Node, n)
-	for i := range first {
-		first[i] = a.New()
-		first[i].NextHop, first[i].HasRoute = ip.NextHop(i%251+1), true
-	}
-	slabs := len(a.slabs)
-	a.Reset()
-	for i := range first {
-		v := a.New()
-		if v != first[i] || *v != (Node{}) {
-			t.Fatalf("value %d after Reset: %p %+v, want %p zeroed", i, v, *v, first[i])
-		}
-	}
-	if len(a.slabs) != slabs {
-		t.Fatalf("Reset then the same requests made %d slabs, had %d", len(a.slabs), slabs)
-	}
-
-	var b Arena[ip.NextHop]
-	head := b.Slice(3)            // the first slab holds arenaMin values
-	wide := b.Slice(arenaMin + 1) // too wide for what is left: a slab of its own
-	if len(wide) != arenaMin+1 || cap(wide) != arenaMin+1 || cap(head) != 3 {
-		t.Fatalf("Slice lengths %d/%d, caps %d/%d", len(head), len(wide), cap(head), cap(wide))
-	}
-	b.Reset()
-	if v := b.Slice(arenaMin + 1); &v[0] != &wide[0] {
-		t.Fatal("after Reset, a wide Slice did not skip the narrow slab for the wide one")
 	}
 }
 
@@ -619,13 +555,19 @@ func TestLevelsAreThePushedShape(t *testing.T) {
 
 // sameNodes reports whether two tries are equal node for node: the same
 // shape, and the same route at every node. (A node whose route was deleted
-// keeps its stale NextHop, which nothing reads.)
-func sameNodes(a, b *Node) bool {
-	if a == nil || b == nil {
-		return a == b
+// keeps its stale NextHop, which nothing reads.) The walk starts at the
+// roots, node 0 of each.
+func sameNodes(a, b *Trie, ia, ib NodeID) bool {
+	na, nb := &a.Nodes()[ia], &b.Nodes()[ib]
+	if na.HasRoute != nb.HasRoute || na.HasRoute && na.NextHop != nb.NextHop {
+		return false
 	}
-	return a.HasRoute == b.HasRoute && (!a.HasRoute || a.NextHop == b.NextHop) &&
-		sameNodes(a.Child[0], b.Child[0]) && sameNodes(a.Child[1], b.Child[1])
+	for c := range na.Child {
+		if x, y := na.Child[c], nb.Child[c]; (x == 0) != (y == 0) || x != 0 && !sameNodes(a, b, x, y) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestInsertOrderDoesNotMatter: an insert resumes at the deepest node it
@@ -707,7 +649,7 @@ func TestInsertOrderDoesNotMatter(t *testing.T) {
 				got.LeafPush()
 				want.LeafPush()
 			}
-			if !sameNodes(got.Root(), want.Root()) {
+			if !sameNodes(got, want, 0, 0) {
 				t.Fatalf("%s, pushed %v: the trie differs node for node from the sorted table's", c.name, pushed)
 			}
 			if got.Routes() != want.Routes() || !reflect.DeepEqual(got.Levels(), want.Levels()) || !reflect.DeepEqual(got.Stats(), want.Stats()) {
