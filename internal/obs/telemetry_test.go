@@ -8,6 +8,7 @@ package obs
 import (
 	"math"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -274,6 +275,43 @@ func TestTimeSeriesCSVGolden(t *testing.T) {
 	nilSeries.Append(0, 1)
 	if nilSeries.CSV() != "" || nilSeries.Len() != 0 {
 		t.Fatal("nil series not inert")
+	}
+}
+
+// TestTimeSeriesCSVWhileAppending reads the CSV while a run appends to the
+// series, as the live /timeseries.csv endpoint does: every read is the
+// header and a whole prefix of the rows, and the last — far past one write
+// chunk — is byte for byte the FormatFloat rendering. Run with -race.
+func TestTimeSeriesCSVWhileAppending(t *testing.T) {
+	const rows = 4000
+	ts := NewTimeSeries()
+	ts.Init("a", "b")
+	var want strings.Builder
+	want.WriteString("cycle,a,b\n")
+	for i := range rows {
+		a, b := float64(i)/3, math.Sqrt(float64(i))
+		want.WriteString(strconv.FormatInt(int64(i)*1024, 10) + "," + strconv.FormatFloat(a, 'g', -1, 64) + "," + strconv.FormatFloat(b, 'g', -1, 64) + "\n")
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := range rows {
+			ts.Append(int64(i)*1024, float64(i)/3, math.Sqrt(float64(i)))
+		}
+	}()
+	for reading := true; reading; {
+		select {
+		case <-done:
+			reading = false
+		default:
+		}
+		got := ts.CSV()
+		if !strings.HasPrefix(want.String(), got) || !strings.HasSuffix(got, "\n") {
+			t.Fatalf("a read mid-run is not a whole prefix of the rows (%d bytes)", len(got))
+		}
+	}
+	if got := ts.CSV(); got != want.String() {
+		t.Fatalf("CSV of %d rows differs from the FormatFloat rendering", rows)
 	}
 }
 

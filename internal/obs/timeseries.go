@@ -11,21 +11,19 @@ package obs
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 )
 
-// TimeSeries collects fixed-schema rows stamped with a run cycle.
+// TimeSeries collects fixed-schema rows stamped with a run cycle, stored
+// flat: row i is cycles[i] and vals[i*len(cols):][:len(cols)].
 type TimeSeries struct {
-	mu   sync.Mutex
-	cols []string
-	rows []tsRow
-}
-
-type tsRow struct {
-	cycle int64
-	vals  []float64
+	mu     sync.Mutex
+	cols   []string
+	cycles []int64
+	vals   []float64
 }
 
 // NewTimeSeries returns an empty series; a run defines the schema with
@@ -33,7 +31,7 @@ type tsRow struct {
 func NewTimeSeries() *TimeSeries { return &TimeSeries{} }
 
 // Init sets the column schema and clears any previous rows — each run
-// starts its series fresh. Safe on a nil series (no-op).
+// starts its series fresh, in new storage. Safe on a nil series (no-op).
 func (ts *TimeSeries) Init(cols ...string) {
 	if ts == nil {
 		return
@@ -41,12 +39,12 @@ func (ts *TimeSeries) Init(cols ...string) {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
 	ts.cols = append([]string(nil), cols...)
-	ts.rows = nil
+	ts.cycles, ts.vals = nil, nil
 }
 
-// Append records one row at the given cycle. The value count must match the
-// Init schema; a mismatch is a programming error and panics. Safe on a nil
-// series (no-op).
+// Append records one row at the given cycle, copying vals. The value count
+// must match the Init schema; a mismatch is a programming error and panics.
+// Safe on a nil series (no-op).
 func (ts *TimeSeries) Append(cycle int64, vals ...float64) {
 	if ts == nil {
 		return
@@ -56,7 +54,13 @@ func (ts *TimeSeries) Append(cycle int64, vals ...float64) {
 	if len(vals) != len(ts.cols) {
 		panic(fmt.Sprintf("obs: TimeSeries.Append %d values against %d columns", len(vals), len(ts.cols)))
 	}
-	ts.rows = append(ts.rows, tsRow{cycle: cycle, vals: append([]float64(nil), vals...)})
+	if cap(ts.vals)-len(ts.vals) < len(vals) {
+		// Double: append's quarter steps allocate some five times the series.
+		ts.vals = slices.Grow(ts.vals, len(ts.vals)+len(vals))
+		ts.cycles = slices.Grow(ts.cycles, len(ts.cycles)+1)
+	}
+	ts.cycles = append(ts.cycles, cycle)
+	ts.vals = append(ts.vals, vals...)
 }
 
 // Len returns the number of rows appended since Init.
@@ -66,7 +70,7 @@ func (ts *TimeSeries) Len() int {
 	}
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
-	return len(ts.rows)
+	return len(ts.cycles)
 }
 
 // Columns returns the Init schema.
@@ -80,37 +84,42 @@ func (ts *TimeSeries) Columns() []string {
 }
 
 // WriteCSV renders the series: a "cycle,<col>,..." header, then one line
-// per row with shortest round-trip floats. Safe on a nil series (writes
-// nothing).
+// per row with shortest round-trip floats, through one reused buffer written
+// out in chunks. It reads the rows appended before it was called: Append
+// only ever writes past them, and Init starts new storage, so they are read
+// outside the lock. Safe on a nil series (writes nothing).
 func (ts *TimeSeries) WriteCSV(w io.Writer) error {
 	if ts == nil {
 		return nil
 	}
 	ts.mu.Lock()
-	cols := append([]string(nil), ts.cols...)
-	rows := make([]tsRow, len(ts.rows))
-	copy(rows, ts.rows)
+	cols, cycles, vals := ts.cols, ts.cycles, ts.vals
 	ts.mu.Unlock()
 
 	if len(cols) == 0 {
 		return nil
 	}
-	var b strings.Builder
-	b.WriteString("cycle")
+	const chunk = 32 << 10 // bytes formatted between writes
+	buf := make([]byte, 0, chunk+256)
+	buf = append(buf, "cycle"...)
 	for _, c := range cols {
-		b.WriteByte(',')
-		b.WriteString(c)
+		buf = append(append(buf, ','), c...)
 	}
-	b.WriteByte('\n')
-	for _, r := range rows {
-		b.WriteString(strconv.FormatInt(r.cycle, 10))
-		for _, v := range r.vals {
-			b.WriteByte(',')
-			b.WriteString(strconv.FormatFloat(v, 'g', -1, 64))
+	buf = append(buf, '\n')
+	for i, cycle := range cycles {
+		buf = strconv.AppendInt(buf, cycle, 10)
+		for _, v := range vals[i*len(cols) : (i+1)*len(cols)] {
+			buf = strconv.AppendFloat(append(buf, ','), v, 'g', -1, 64)
 		}
-		b.WriteByte('\n')
+		buf = append(buf, '\n')
+		if len(buf) >= chunk {
+			if _, err := w.Write(buf); err != nil {
+				return err
+			}
+			buf = buf[:0]
+		}
 	}
-	_, err := io.WriteString(w, b.String())
+	_, err := w.Write(buf)
 	return err
 }
 

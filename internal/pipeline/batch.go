@@ -433,8 +433,10 @@ func (b *BatchSim) tick(stamp int64) {
 	b.now++
 }
 
-// push takes a step that feeds r into stage 0.
-func (b *BatchSim) push(r rec, stamp int64) {
+// push takes a step that feeds a record into stage 0 and returns it, zero
+// but for its entry step, for the caller to fill in place: a record built
+// aside and copied in is written as narrow stores and read back wide.
+func (b *BatchSim) push(stamp int64) *rec {
 	t := b.now
 	b.tick(stamp)
 	if b.log == nil {
@@ -443,29 +445,30 @@ func (b *BatchSim) push(r rec, stamp int64) {
 	if len(b.log) == 0 {
 		b.base = t
 	}
-	r.at = uint16(t - b.base)
-	b.log = append(b.log, r)
+	b.log = append(b.log, rec{at: uint16(t - b.base)})
+	return &b.log[len(b.log)-1]
 }
 
 // Inject advances the pipeline one cycle, feeding req into stage 0; stamp is
 // the caller's name for this cycle, handed back with whatever lookup the step
 // pushes out of the last stage (Exit.Stamp).
 func (b *BatchSim) Inject(req Request, stamp int64) {
-	r, newUntil := rec{addr: uint32(req.Addr), vn: -1, flags: uint8(b.gen&1) * recGen}, -1
+	vn, flags, newUntil := int16(-1), uint8(b.gen&1)*recGen, -1
 	if req.VN == int(int16(req.VN)) {
-		r.vn = int16(req.VN)
+		vn = int16(req.VN)
 	}
 	if b.next != nil && b.bubblesLeft == 0 {
 		// Behind the commit bubble: every stage has flipped by the time the
 		// lookup reaches it.
-		r.flags ^= recGen
+		flags ^= recGen
 		newUntil = int(b.commitAt + int64(b.nStages) - b.now)
 	}
 	if req.Trace {
-		r.flags |= recTraced
+		flags |= recTraced
 		b.traces = append(b.traces, tracedWalk{t: b.now, visits: make([]obs.StageVisit, 0, b.nStages), newUntil: newUntil})
 	}
-	b.push(r, stamp)
+	r := b.push(stamp)
+	r.addr, r.vn, r.flags = uint32(req.Addr), vn, flags
 }
 
 // Idle advances the pipeline one cycle with nothing entering stage 0.
@@ -482,7 +485,7 @@ func (b *BatchSim) InjectBubble(stamp int64) error {
 		b.commitAt = b.now // the commit bubble: banks flip as it leaves
 	}
 	b.st.Bubbles++
-	b.push(rec{flags: recBubble}, stamp)
+	b.push(stamp).flags = recBubble
 	return nil
 }
 

@@ -153,8 +153,9 @@ func (t *Telemetry) AppendSlice(k int, cycle int64, powerW, gbps float64, backlo
 	if t.Series == nil {
 		return
 	}
-	vals := make([]float64, 0, 12+k)
-	vals = append(vals, powerW, gbps, float64(backlog), float64(scrubs), float64(updates),
+	// The row is built on the stack (up to 52 networks) and copied by Append.
+	var row [64]float64
+	vals := append(row[:0], powerW, gbps, float64(backlog), float64(scrubs), float64(updates),
 		float64(recoveries), float64(degraded), capW, rung, dynJ, staticJ, jPerBit)
 	for vn := 0; vn < k; vn++ {
 		up := 1.0
