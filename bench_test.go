@@ -8,6 +8,7 @@ package vrpower_test
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -17,6 +18,7 @@ import (
 	"vrpower/internal/experiments"
 	"vrpower/internal/fpga"
 	"vrpower/internal/ip"
+	"vrpower/internal/merge"
 	"vrpower/internal/netsim"
 	"vrpower/internal/obs"
 	"vrpower/internal/pipeline"
@@ -636,6 +638,120 @@ func BenchmarkImageFlatten(b *testing.B) {
 }
 
 var hitlessSink int
+
+var routerSink *core.Router
+
+// BenchmarkBuildMerged times core.Build of the paper's VM router, eight
+// 3725-route tables merged into one engine — trie build, pricing and
+// compile — with the tables generated outside the timer: forward_paper's
+// set-up without its oracles. Gated by `make bench-gate`.
+func BenchmarkBuildMerged(b *testing.B) {
+	tables, _ := referenceFixture(b)
+	cfg := core.Config{Scheme: core.VM, K: 8, ClockGating: true}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r, err := core.Build(cfg, tables)
+		if err != nil {
+			b.Fatal(err)
+		}
+		routerSink = r
+	}
+}
+
+// BenchmarkSetupFill times set-up at full-RIB scale: core.Build of a VS
+// router over one 300 000-prefix table, then netsim.New, which builds its
+// oracle. The table is generated outside the timer. Gated by `make
+// bench-gate`.
+func BenchmarkSetupFill(b *testing.B) {
+	tbl, err := rib.Generate("fill", 300000, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tables := []*rib.Table{tbl}
+	cfg := core.Config{Scheme: core.VS, K: 1, ClockGating: true}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r, err := core.Build(cfg, tables)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := netsim.New(r, tables); err != nil {
+			b.Fatal(err)
+		}
+		routerSink = r
+	}
+}
+
+// TestTrieNodesHoldNoPointers: every slice a trie or a merged trie keeps —
+// its nodes, route links and leaf vectors — holds records with no pointer,
+// slice, map or string in them, so the garbage collector never scans one.
+func TestTrieNodesHoldNoPointers(t *testing.T) {
+	var pointerFree func(ty reflect.Type) bool
+	pointerFree = func(ty reflect.Type) bool {
+		switch ty.Kind() {
+		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Float32, reflect.Float64:
+			return true
+		case reflect.Array:
+			return pointerFree(ty.Elem())
+		case reflect.Struct:
+			for i := range ty.NumField() {
+				if !pointerFree(ty.Field(i).Type) {
+					return false
+				}
+			}
+			return true
+		}
+		return false
+	}
+	for _, c := range []struct {
+		trie   reflect.Type
+		slices int // nodes; merged: links, leaf vectors and push scratch too
+	}{{reflect.TypeFor[trie.Trie](), 1}, {reflect.TypeFor[merge.Trie](), 4}} {
+		n := 0
+		for i := range c.trie.NumField() {
+			if f := c.trie.Field(i); f.Type.Kind() == reflect.Slice {
+				n++
+				if !pointerFree(f.Type.Elem()) {
+					t.Errorf("%s.%s holds %s, which has a pointer in it", c.trie, f.Name, f.Type.Elem())
+				}
+			}
+		}
+		if n != c.slices {
+			t.Errorf("%s keeps %d slices, want %d", c.trie, n, c.slices)
+		}
+	}
+	for _, node := range []reflect.Type{reflect.TypeFor[trie.Node](), reflect.TypeFor[merge.Node]()} {
+		if !pointerFree(node) {
+			t.Errorf("%s has a pointer in it", node)
+		}
+	}
+}
+
+// TestRebuildAllocatesNothing: once a trie and a merged trie have been built
+// over the paper's tables, rebuilding them over the same tables — what the
+// control plane does for every compile — reuses their slices.
+func TestRebuildAllocatesNothing(t *testing.T) {
+	set, err := vrpower.GenerateVirtualSet(8, 3725, 0.5, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := trie.Build(set.Tables[0].Routes)
+	m, err := merge.Build(set.Tables)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(3, func() {
+		tr.Rebuild(set.Tables[0].Routes)
+		if err := m.Rebuild(set.Tables); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("trie and merged Rebuild allocate %v times, want 0", n)
+	}
+}
 
 // BenchmarkHitlessPrepare times what the control plane does to get one churn
 // batch ready for the data plane, chaos_vs's shape: a VS router of three
