@@ -456,7 +456,24 @@ func (o *options) printEnergy(e *energy.Report) {
 	}
 	o.print(vt)
 
-	et := report.NewTable("Per-engine dynamic / per-device static", "Index", "Engine dyn (fJ)", "Device static (fJ)")
+	const title = "Per-engine dynamic / per-device static"
+	if len(e.DeviceEngines) > 1 {
+		// A row per engine, labelled d/e, the device's static on its first.
+		et, eng := report.NewTable(title, "Device/engine", "Engine dyn (fJ)", "Device static (fJ)"), 0
+		for d, n := range e.DeviceEngines {
+			static := fmt.Sprint(e.DeviceStaticFJ[d])
+			if n == 0 {
+				et.AddF(fmt.Sprintf("%d/-", d), "-", static)
+			}
+			for j := range n {
+				et.AddF(fmt.Sprintf("%d/%d", d, j), e.EngineDynFJ[eng], static)
+				static, eng = "-", eng+1
+			}
+		}
+		o.print(et)
+		return
+	}
+	et := report.NewTable(title, "Index", "Engine dyn (fJ)", "Device static (fJ)")
 	rows := len(e.EngineDynFJ)
 	if len(e.DeviceStaticFJ) > rows {
 		rows = len(e.DeviceStaticFJ)

@@ -50,6 +50,33 @@ func TestRunPrintsWhatTheBenchmarkParses(t *testing.T) {
 	}
 }
 
+// The energy ledger names each engine's device on a run over more than one
+// device, the device's static on its first engine's row, and keeps the flat
+// index on a run over one.
+func TestRunLedgerNamesDevices(t *testing.T) {
+	ledger := regexp.MustCompile(`(?m)^Per-engine dynamic / per-device static\n(\S+).*\n.*\n(\S+ +\d+ +\S+) *\n(\S+ +\d+ +\S+) *\n`)
+	for _, c := range []struct {
+		spec        string
+		header      string
+		first, next string
+	}{
+		{"load=const:0.5,cycles=2048", "Index", "0", "1"},
+		{"load=const:0.5,fleet=2,cycles=2048", "Device/engine", "0/0", "0/1"},
+	} {
+		code, out, errw := lookupsim("-scheme", "VS", "-k", "4", "-prefixes", "200", "-scenario", c.spec)
+		if code != 0 || errw != "" {
+			t.Fatalf("%s: exit %d, stderr %q", c.spec, code, errw)
+		}
+		m := ledger.FindStringSubmatch(out)
+		if m == nil || m[1] != c.header || strings.Fields(m[2])[0] != c.first || strings.Fields(m[3])[0] != c.next {
+			t.Fatalf("%s: ledger table %q, want header %s, rows %s then %s:\n%s", c.spec, m, c.header, c.first, c.next, out)
+		}
+		if c.header == "Device/engine" && strings.Fields(m[3])[2] != "-" {
+			t.Errorf("%s: a device's second engine row carries static %q, want -", c.spec, strings.Fields(m[3])[2])
+		}
+	}
+}
+
 func TestRunFramePath(t *testing.T) {
 	code, out, errw := lookupsim(append(small, "-frames", "-packets", "500")...)
 	if code != 0 || errw != "" {

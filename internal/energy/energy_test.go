@@ -134,6 +134,39 @@ func TestEngineDeviceMapping(t *testing.T) {
 	}
 }
 
+// TestReportCountsEnginesPerDevice: a ledger of device meters joined in
+// device order reports how many engine slots each device holds — a device
+// rebased onto the zero Model (a crash) keeps its engines' slots, one that
+// never held an engine has none, and an NV meter has one engine a device.
+func TestReportCountsEnginesPerDevice(t *testing.T) {
+	three := power.SystemDesign{
+		Grade: fpga.Grade2, Mode: fpga.BRAM18Mode, FMHz: 250, Devices: 3,
+		Engines: []power.EngineDesign{
+			{StageBits: []int64{1024}, Utilization: 1},
+			{StageBits: []int64{1024}, Utilization: 1},
+			{StageBits: []int64{1024}, Utilization: 1},
+		},
+	}
+	nv := mustModel(t, three)
+	vs := three
+	vs.Devices = 1
+	dark := &Model{}
+	crashed, spare := NewMeter(mustModel(t, vs), 3), NewMeter(dark, 3)
+	crashed.Rebase(dark)
+	spare.Rebase(&Model{Devices: 1})
+	ledger := NewMeter(dark, 3)
+	for _, m := range []*Meter{crashed, spare, NewMeter(nv, 3)} {
+		ledger.Join(m)
+	}
+	r, err := ledger.Report(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{3, 0, 1, 1, 1}; !reflect.DeepEqual(r.DeviceEngines, want) || len(r.DeviceStaticFJ) != len(want) || len(r.EngineDynFJ) != 6 {
+		t.Errorf("engines per device %v over %d devices and %d engines, want %v over 5 and 6", r.DeviceEngines, len(r.DeviceStaticFJ), len(r.EngineDynFJ), want)
+	}
+}
+
 // TestStaticSliceFJ checks the leakage integration: W × cycles/(f·frac) and
 // the DVFS stretch — half the clock, twice the wall time, twice the energy.
 func TestStaticSliceFJ(t *testing.T) {

@@ -51,6 +51,7 @@ type Meter struct {
 	// mark is EngineDynFJ as of the last CloseSlice; sliceFJ is its
 	// per-device scratch.
 	mark, sliceFJ []int64
+	joined        []int // joined[d]: device d's engine slots, once a meter is joined in
 }
 
 // NewMeter builds a zeroed meter for k virtual networks over the model.
@@ -189,7 +190,23 @@ func (mt *Meter) Fold(o *Meter) {
 // engine and device axes are appended to the receiver's, its per-VNID,
 // component and event totals added. A run's ledger is its device meters
 // joined in device order, so both axes read engine within device.
-func (mt *Meter) Join(o *Meter) { mt.foldAt(o, len(mt.EngineDynFJ), len(mt.DeviceStaticFJ)) }
+func (mt *Meter) Join(o *Meter) {
+	mt.joined = append(mt.deviceEngines(), o.deviceEngines()...)
+	mt.foldAt(o, len(mt.EngineDynFJ), len(mt.DeviceStaticFJ))
+}
+
+// deviceEngines is how many engine slots each device holds: as joined, or
+// spread evenly, as routers lay engines out (NV one a device, VS/VM all on one).
+func (mt *Meter) deviceEngines() []int {
+	if mt.joined != nil {
+		return mt.joined
+	}
+	n := make([]int, len(mt.DeviceStaticFJ))
+	for d := range n {
+		n[d] = len(mt.EngineDynFJ) / len(n)
+	}
+	return n
+}
 
 // foldAt adds o into the receiver with o's engine e in slot eng+e and its
 // device d in slot dev+d, growing the receiver's axes to fit.
@@ -233,6 +250,9 @@ type Report struct {
 	VNDynFJ        []int64 `json:"vn_dyn_fj"`
 	EngineDynFJ    []int64 `json:"engine_dyn_fj"`
 	DeviceStaticFJ []int64 `json:"device_static_fj"`
+	// DeviceEngines[d] is how many of EngineDynFJ's slots device d holds:
+	// the engine axis reads engine within device, in device order.
+	DeviceEngines []int `json:"-"`
 	// Component decomposition of the dynamic total.
 	MemFJ   int64 `json:"mem_fj"`
 	ClockFJ int64 `json:"clock_fj"`
@@ -274,6 +294,7 @@ func (mt *Meter) Report(deliveredBits int64) (*Report, error) {
 		VNDynFJ:        append([]int64(nil), mt.VNDynFJ...),
 		EngineDynFJ:    append([]int64(nil), mt.EngineDynFJ...),
 		DeviceStaticFJ: append([]int64(nil), mt.DeviceStaticFJ...),
+		DeviceEngines:  append([]int(nil), mt.deviceEngines()...),
 		MemFJ:          mt.MemFJ,
 		ClockFJ:        mt.ClockFJ,
 		CtrlFJ:         mt.CtrlFJ,
