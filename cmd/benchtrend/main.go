@@ -6,9 +6,10 @@
 //
 // record keeps each workload's `detail` line of the bench/run.sh output on
 // stdin as it is, with the commit, the date and the host's fingerprint (CPUs,
-// CPU model, Go version); PAIRS, a saved `make pair-diff` output, adds each
-// metric's two medians. The table has one row per PR, workload and metric,
-// the fingerprint on every row, so numbers from two hosts are never compared
+// CPU model, Go version); PAIRS, a saved `make pair-diff` output, adds every
+// pair-diff run in it — each metric's per-seed base and tree values and the
+// two medians, a second run of a workload beside the first. The table has
+// one row per PR, workload and metric, the fingerprint on every row, so numbers from two hosts are never compared
 // unawares; it reads only the files, so it prints the same bytes every time.
 package main
 
@@ -36,8 +37,15 @@ type record struct {
 		Go    string `json:"go"`
 	} `json:"host"`
 	Workloads map[string]json.RawMessage `json:"workloads"`
-	// Pairs[workload][metric] is the base and tree medians of make pair-diff.
-	Pairs map[string]map[string][2]float64 `json:"pair_diff_medians,omitempty"`
+	// Pairs[workload] is every make pair-diff run of the workload, in the
+	// order PAIRS holds them: per metric, its pairs and medians.
+	Pairs map[string][]map[string]*pairs `json:"pair_diff,omitempty"`
+}
+
+// pairs is one metric of one pair-diff run.
+type pairs struct {
+	Pairs   [][3]float64 `json:"pairs"`   // seed, base, tree
+	Medians [2]float64   `json:"medians"` // base, tree
 }
 
 type metrics map[string]struct {
@@ -99,29 +107,38 @@ func write(args []string, stdin io.Reader) error {
 		if err != nil {
 			return err
 		}
-		// "workload W:" opens a workload, "M (… is better)" a metric, and
-		// its "base median V" and "now median V" lines give the medians.
-		r.Pairs = map[string]map[string][2]float64{}
-		var w, m string
+		// "workload W:" opens a run of a workload, "M (… is better)" a
+		// metric, its "seed base now ratio" rows give the pairs and its
+		// "base median V" and "now median V" lines the medians.
+		r.Pairs = map[string][]map[string]*pairs{}
+		var run map[string]*pairs
+		var p *pairs
 		for _, line := range strings.Split(string(b), "\n") {
 			f := strings.Fields(line)
+			var err error
 			switch {
 			case len(f) > 1 && f[0] == "workload":
-				w = strings.TrimSuffix(f[1], ":")
-				r.Pairs[w] = map[string][2]float64{}
-			case w != "" && strings.HasSuffix(line, "is better)"):
-				m = f[0]
-			case m != "" && len(f) > 2 && f[1] == "median" && (f[0] == "base" || f[0] == "now"):
-				v, err := strconv.ParseFloat(f[2], 64)
-				if err != nil {
-					return fmt.Errorf("%s: %q: %v", args[2], line, err)
+				w := strings.TrimSuffix(f[1], ":")
+				run, p = map[string]*pairs{}, nil
+				r.Pairs[w] = append(r.Pairs[w], run)
+			case run != nil && strings.HasSuffix(line, "is better)"):
+				p = &pairs{}
+				run[f[0]] = p
+			case p != nil && len(f) == 4 && f[0] != "seed":
+				var x [3]float64
+				for i := 0; i < 3 && err == nil; i++ {
+					x[i], err = strconv.ParseFloat(f[i], 64)
 				}
-				p, i := r.Pairs[w][m], 0
+				p.Pairs = append(p.Pairs, x)
+			case p != nil && len(f) > 2 && f[1] == "median" && (f[0] == "base" || f[0] == "now"):
+				i := 0
 				if f[0] == "now" {
 					i = 1
 				}
-				p[i] = v
-				r.Pairs[w][m] = p
+				p.Medians[i], err = strconv.ParseFloat(f[2], 64)
+			}
+			if err != nil {
+				return fmt.Errorf("%s: %q: %v", args[2], line, err)
 			}
 		}
 	}
@@ -165,9 +182,11 @@ func trend(w io.Writer) error {
 					row(wl, m, set[m].Value, set[m].Unit)
 				}
 			}
-			for _, m := range sorted(r.Pairs[wl]) {
-				if p := r.Pairs[wl][m]; p[0] != 0 {
-					row(wl, "pair-diff "+m+" now/base", p[1]/p[0], "ratio")
+			for i, run := range r.Pairs[wl] {
+				for _, m := range sorted(run) {
+					if p := run[m].Medians; p[0] != 0 {
+						row(wl, fmt.Sprintf("pair-diff %d %s now/base", i+1, m), p[1]/p[0], "ratio")
+					}
 				}
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -22,10 +23,20 @@ setup_s (lower is better)
   base  median 0.0172  quartiles 0.0170 0.0175
   now   median 0.0133  quartiles 0.0131 0.0135
   median ratio 0.773; the tree wins 1 of 1 pairs; medians differ by more than the base IQR
+workload forward_paper: alternated pairs, 3 s a run
+setup_s (lower is better)
+  seed          base          now   ratio
+  1        0.0170    0.0120   0.706
+  2        0.0180    0.0130   0.722
+  base  median 0.0175  quartiles 0.0172 0.0178
+  now   median 0.0125  quartiles 0.0122 0.0128
+  median ratio 0.714; the tree wins 2 of 2 pairs; medians differ by more than the base IQR
 `
 
-// record keeps every detail object as it came and the pair-diff medians;
-// the table is one row per PR, workload and metric, the same bytes each time.
+// record keeps every detail object as it came and every pair-diff run — a
+// second run of a workload beside the first — with its per-seed pairs and
+// medians; the table is one row per PR, workload and metric, the same bytes
+// each time.
 func TestRecordThenTrend(t *testing.T) {
 	chdir(t, t.TempDir())
 	if err := os.WriteFile("pairs.out", []byte(pairDiff), 0o644); err != nil {
@@ -52,8 +63,18 @@ func TestRecordThenTrend(t *testing.T) {
 	if !jsonEqual(got, want) {
 		t.Errorf("forward_paper detail %s, want the bench's line unchanged", r.Workloads["forward_paper"])
 	}
-	if p := r.Pairs["forward_paper"]["setup_s"]; p != [2]float64{0.0172, 0.0133} {
-		t.Errorf("setup_s pair %+v, want medians 0.0172 and 0.0133", p)
+	want2 := []pairs{
+		{Pairs: [][3]float64{{1, 0.0172, 0.0133}}, Medians: [2]float64{0.0172, 0.0133}},
+		{Pairs: [][3]float64{{1, 0.0170, 0.0120}, {2, 0.0180, 0.0130}}, Medians: [2]float64{0.0175, 0.0125}},
+	}
+	if runs := r.Pairs["forward_paper"]; len(runs) != len(want2) {
+		t.Errorf("%d forward_paper pair-diff runs, want %d", len(runs), len(want2))
+	} else {
+		for i, run := range runs {
+			if !reflect.DeepEqual(*run["setup_s"], want2[i]) {
+				t.Errorf("run %d setup_s %+v, want %+v", i+1, *run["setup_s"], want2[i])
+			}
+		}
 	}
 
 	var first, second bytes.Buffer
@@ -66,7 +87,8 @@ func TestRecordThenTrend(t *testing.T) {
 	// Rows compared with their runs of spaces collapsed.
 	out := strings.Join(strings.Fields(first.String()), " ")
 	for _, row := range []string{"7 forward_paper setup_s 0.0132 s nproc=", "7 forward_paper trie.build_ms 6.1 ms nproc=",
-		"7 load_small wall_s 0.5 s nproc=", "7 forward_paper pair-diff setup_s now/base 0.773256 ratio nproc="} {
+		"7 load_small wall_s 0.5 s nproc=", "7 forward_paper pair-diff 1 setup_s now/base 0.773256 ratio nproc=",
+		"7 forward_paper pair-diff 2 setup_s now/base 0.714286 ratio nproc="} {
 		if !strings.Contains(out, row) {
 			t.Errorf("trend lacks %q:\n%s", row, first.String())
 		}
