@@ -2,7 +2,6 @@ package ctrl
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"vrpower/internal/core"
@@ -56,7 +55,7 @@ func TestHitlessUpdateVSCommit(t *testing.T) {
 	if m.Tables()[1] != h.Table() {
 		t.Error("commit did not install the post-update table")
 	}
-	if kept := m.Router().Images()[1]; kept == h.Image() || !reflect.DeepEqual(kept, h.Image()) {
+	if kept := m.Router().Images()[1]; kept == h.Image() || !kept.Equal(h.Image()) {
 		t.Error("commit must keep the new engine image and serve a separate, equal copy")
 	}
 	// The installed image forwards per the new table.

@@ -429,7 +429,7 @@ func TestFlattenSnapshotsImage(t *testing.T) {
 	img := compileSingle(t, genTable(t, 200, 81), 16)
 	before := img.Clone()
 	flat := Flatten(img)
-	if !reflect.DeepEqual(img, before) || !reflect.DeepEqual(flat, img) {
+	if !img.Equal(before) || !flat.Equal(img) {
 		t.Fatal("Flatten wrote its argument, or its copy differs from a freshly compiled image")
 	}
 	batched := NewBatchSim(flat)

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"slices"
 	"testing"
 
@@ -160,7 +159,7 @@ func (c compileCase) check(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: %v", what, form, err)
 			}
-			if !reflect.DeepEqual(g, w) {
+			if !g.Equal(w) {
 				t.Fatalf("%s/%s: depth-first image differs from the breadth-first one", what, form)
 			}
 		}
@@ -301,7 +300,7 @@ func TestCompileUnpushedEqualsPushed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(unpushed, pushed) {
+		if !unpushed.Equal(pushed) {
 			t.Error("the unpushed trie's image differs from the pushed trie's")
 		}
 	})
@@ -323,7 +322,7 @@ func TestCompileUnpushedEqualsPushed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(unpushed, pushed) {
+		if !unpushed.Equal(pushed) {
 			t.Error("the unpushed merged trie's image differs from the pushed one's")
 		}
 	})
@@ -385,10 +384,10 @@ func TestCompileIgnoresInsertOrder(t *testing.T) {
 			reorder(tables[i].Routes)
 		}
 		single, merged := compile(tables)
-		if !reflect.DeepEqual(single, wantSingle) {
+		if !single.Equal(wantSingle) {
 			t.Errorf("%s: the trie's image differs from the sorted table's", name)
 		}
-		if !reflect.DeepEqual(merged, wantMerged) {
+		if !merged.Equal(wantMerged) {
 			t.Errorf("%s: the merged trie's image differs from the sorted set's", name)
 		}
 	}

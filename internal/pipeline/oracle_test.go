@@ -10,7 +10,6 @@ package pipeline
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"slices"
 	"testing"
 
@@ -222,7 +221,7 @@ func assertWordsMatchOracle(t *testing.T, img *Image, root refNode) {
 		t.Errorf("jump table into stage %d (shift %d, %d slots), oracle stage %d (shift %d, %d slots), or contents differ",
 			img.jumpStage, img.jumpShift, len(img.jump), ref.jumpStage, ref.jumpShift, len(ref.jump))
 	}
-	if !reflect.DeepEqual(Flatten(img), img) {
+	if !Flatten(img).Equal(img) {
 		t.Error("the derived words the compiler wrote are not what Flatten derives")
 	}
 	if len(img.meta) != img.Words() || len(img.child) != img.Words() || cap(img.nhi) != len(img.nhi) {

@@ -712,16 +712,16 @@ func TestEnginesReadImageWordsInPlace(t *testing.T) {
 	if !img.ParityStale(s, idx) || clone.ParityStale(s, idx) {
 		t.Fatal("the upset is not in the image alone")
 	}
-	if !reflect.DeepEqual(Flatten(img), img) {
+	if !Flatten(img).Equal(img) {
 		t.Fatal("the struck image's derived words are not what Flatten derives")
 	}
-	if !reflect.DeepEqual(clone, Flatten(compileSingle(t, genTable(t, 300, 64), 16))) {
+	if !clone.Equal(Flatten(compileSingle(t, genTable(t, 300, 64), 16))) {
 		t.Fatal("the clone changed with its source")
 	}
 	// A second upset on the same bit restores parity: the verdict is
 	// recomputed, not toggled blindly nor left set.
 	a.Patch(func() { img.FlipBit(s, idx, bit) })
-	if img.ParityStale(s, idx) || !reflect.DeepEqual(img, clone) {
+	if img.ParityStale(s, idx) || !img.Equal(clone) {
 		t.Fatal("the healing flip did not restore the image, verdict included")
 	}
 }
