@@ -5,10 +5,12 @@ package netsim
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"vrpower/internal/core"
 	"vrpower/internal/obs"
+	"vrpower/internal/rib"
 	"vrpower/internal/traffic"
 )
 
@@ -317,5 +319,57 @@ func TestFaultRunCleanBaseline(t *testing.T) {
 	if !rep.Recovered || !rep.Completed || rep.DrainCycles > rep.SliceCycles {
 		t.Errorf("clean run not trivially finished: recovered=%v completed=%v drain=%d",
 			rep.Recovered, rep.Completed, rep.DrainCycles)
+	}
+}
+
+// A served image is a clone of its pristine source and shares its words until
+// something writes them, so the only copies a run makes are the ones its
+// upsets force: at most one per upset (the first write to a served clone;
+// the pristine image is never written), at least one when any landed, and
+// none in a run without faults — churn compiles new images, it does not
+// write served ones. The first run is the scenario smoke's spec at its CLI
+// geometry (lookupsim -scheme VS -k 3: 1000 prefixes, seed 1, traffic seed 2).
+func TestImagesCopiedOnlyWhereWritten(t *testing.T) {
+	smoke, err := rib.GenerateVirtualSet(3, 1000, 0.5, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := core.Build(core.Config{Scheme: core.VS, K: 3, ClockGating: true}, smoke.Tables)
+	if err != nil {
+		t.Fatal(err)
+	}
+	smokeSys, err := New(r, smoke.Tables)
+	if err != nil {
+		t.Fatal(err)
+	}
+	small, _ := buildSystem(t, core.VS, 3)
+	for _, tc := range []struct {
+		name   string
+		s      *System
+		seed   int64
+		spec   string
+		faults bool
+	}{
+		{"faults+churn", smokeSys, 2, "load=surge:0.3:0.9,faults=seu:2e-9,kill=1@3000,churn=6x32,power-cap=38,cycles=16384,queue=32,seed=11", true},
+		{"churn", small, 2, "load=const:0.5,churn=8x24,seed=11", false},
+		{"load", small, 2, "load=const:0.5,cycles=16384", false},
+	} {
+		snap := obs.TakeSnapshot()
+		rep := runSpec(t, tc.s, tc.seed, tc.spec)
+		if rep.Mismatches != 0 {
+			t.Fatalf("%s: %d mismatches", tc.name, rep.Mismatches)
+		}
+		copies, cloned := snap.CounterDelta("pipeline.image_copies"), snap.CounterDelta("pipeline.images_cloned")
+		seus := snap.CounterDelta("faults.seu_injected")
+		t.Logf("%s: %d copies, %d clones, %d upsets, %d batches", tc.name, copies, cloned, seus, rep.BatchesApplied)
+		if cloned == 0 || strings.Contains(tc.spec, "churn=") && rep.BatchesApplied == 0 {
+			t.Fatalf("%s: the run served no clone or applied no batch", tc.name)
+		}
+		switch {
+		case tc.faults && (seus == 0 || copies < 1 || copies > seus):
+			t.Errorf("%s: %d image copies for %d upsets over %d clones, want 1..%d", tc.name, copies, seus, cloned, seus)
+		case !tc.faults && copies != 0:
+			t.Errorf("%s: %d image copies over %d clones in a run that writes no served image", tc.name, copies, cloned)
+		}
 	}
 }

@@ -37,6 +37,7 @@ func Flatten(img *Image) *Image {
 // writes the per-entry and per-stage ones and counts the levels as it goes,
 // is held to.
 func (img *Image) derive() {
+	img.own()
 	var levels [metaLevelMask + 1]trie.Level
 	height := -1
 	for s := range img.stages {
