@@ -255,7 +255,8 @@ bench:
 # jump table included), what the control plane does to prepare one
 # hitless churn batch (apply, trie, compile, diff, clone), and set-up:
 # core.Build of the paper's VM router, and core.Build plus netsim.New over
-# one 300 000-prefix table.
+# one 300 000-prefix table; and the churn table's 100 k row (one VS engine,
+# eight 24-op batches at half load, one run an op).
 #
 # bench-gate measures them at BASE (default the parent commit, extracted like
 # loc-diff's) and in the working tree on one host: each side's test binary is
@@ -266,7 +267,7 @@ bench:
 # BASE's interquartile range, or that BASE measured and the tree does not.
 # bench-gate-base.out, bench-gate-now.out and the report bench-gate.out are
 # kept as CI artifacts.
-GATE_BENCH = ^(BenchmarkPipelineLookup|BenchmarkPipelineLookupScalar|BenchmarkLookupStreamed|BenchmarkServeSlice|BenchmarkReferenceLookup|BenchmarkReferenceLookupAll|BenchmarkReferenceBuild|BenchmarkImageCompile|BenchmarkImageClone|BenchmarkImageFlatten|BenchmarkHitlessPrepare|BenchmarkBuildMerged|BenchmarkSetupFill)$$
+GATE_BENCH = ^(BenchmarkPipelineLookup|BenchmarkPipelineLookupScalar|BenchmarkLookupStreamed|BenchmarkServeSlice|BenchmarkReferenceLookup|BenchmarkReferenceLookupAll|BenchmarkReferenceBuild|BenchmarkImageCompile|BenchmarkImageClone|BenchmarkImageFlatten|BenchmarkHitlessPrepare|BenchmarkBuildMerged|BenchmarkSetupFill|BenchmarkChurnFill)$$
 bench-gate: build
 	@$(BASE_TREE) && \
 	(cd "$$tmp" && $(GO) test -trimpath -c -o "$$tmp/base.test" .) && \
