@@ -32,9 +32,9 @@ var (
 // update driver must start from, because BeginHitlessUpdate diffs against
 // this same compilation and the write budget only covers that word-for-word
 // delta. Nothing is compiled: the images are clones of the manager's
-// pristine ones, so two calls share no memory with each other or with the
-// manager, and the caller may corrupt or rewrite what it gets. The error is
-// always nil; it dates from when this call compiled.
+// pristine ones, copied at their first write, so the caller may corrupt or
+// rewrite what it gets and neither another call's images nor the manager's
+// see it. The error is always nil; it dates from when this call compiled.
 func (m *Manager) PinnedImages() ([]*pipeline.Image, error) {
 	imgs := make([]*pipeline.Image, len(m.pinned))
 	for e := range m.pinned {
