@@ -3,6 +3,7 @@ package rib
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"vrpower/internal/ip"
 	"vrpower/internal/sweep"
@@ -51,11 +52,16 @@ const (
 // Generate builds a synthetic routing table of the given number of routes
 // from the calibrated model, deterministically from seed.
 func Generate(name string, prefixes int, seed int64) (*Table, error) {
+	return generate(name, prefixes, 0, seed)
+}
+
+// generate is Generate with room for more routes past the table's.
+func generate(name string, prefixes, room int, seed int64) (*Table, error) {
 	if prefixes <= 0 {
 		return nil, fmt.Errorf("rib: %d prefixes, want > 0", prefixes)
 	}
 	rng := rand.New(rand.NewSource(seed))
-	t := &Table{Name: name, Routes: make([]ip.Route, 0, prefixes)}
+	t := &Table{Name: name, Routes: make([]ip.Route, 0, prefixes+room)}
 	// seen holds each prefix drawn so far as one integer, address above
 	// length. A duplicate draws no next hop.
 	seen := make(map[uint64]struct{}, prefixes)
@@ -225,7 +231,7 @@ func GenerateVirtualSet(k, prefixes int, share float64, seed int64) (*VirtualSet
 		}
 		name := fmt.Sprintf("vn%d", p-1)
 		if n := prefixes - nShared; n > 0 {
-			return Generate(name, n, seed+int64(100+p-1))
+			return generate(name, n, nShared, seed+int64(100+p-1))
 		}
 		return &Table{Name: name}, nil
 	})
@@ -245,19 +251,28 @@ func GenerateVirtualSet(k, prefixes int, share float64, seed int64) (*VirtualSet
 
 // splice merges shared into own, both sorted and unique, giving each shared
 // route a next hop drawn from rng in shared's order; where own holds the same
-// prefix, the shared route replaces it. The result is sorted and unique.
+// prefix, the shared route replaces it. The result is sorted and unique. It
+// is merged from the back into own's room past its routes (grown when there
+// is too little), and the gap the replaced prefixes leave is closed.
 func splice(own, shared []ip.Route, rng *rand.Rand) []ip.Route {
-	out := make([]ip.Route, 0, len(own)+len(shared))
-	i := 0
-	for _, r := range shared {
-		for i < len(own) && ip.Compare(own[i].Prefix, r.Prefix) < 0 {
-			out = append(out, own[i])
-			i++
-		}
-		if i < len(own) && own[i].Prefix == r.Prefix {
-			i++
-		}
-		out = append(out, ip.Route{Prefix: r.Prefix, NextHop: ip.NextHop(1 + rng.Intn(ports))})
+	hops := make([]ip.NextHop, len(shared))
+	for j := range hops {
+		hops[j] = ip.NextHop(1 + rng.Intn(ports))
 	}
-	return append(out, own[i:]...)
+	i, j := len(own)-1, len(shared)-1
+	out := slices.Grow(own, len(shared))[:len(own)+len(shared)]
+	w := len(out)
+	for ; j >= 0; j-- {
+		for i >= 0 && ip.Compare(out[i].Prefix, shared[j].Prefix) > 0 {
+			w--
+			out[w] = out[i]
+			i--
+		}
+		if i >= 0 && out[i].Prefix == shared[j].Prefix {
+			i--
+		}
+		w--
+		out[w] = ip.Route{Prefix: shared[j].Prefix, NextHop: hops[j]}
+	}
+	return append(out[:i+1], out[w:]...)
 }
