@@ -17,7 +17,7 @@ build:
 
 # Tier-1 tests plus a race-detector pass over every package a run drives
 # concurrently: the sweep pool and its consumers, the set-up chain it fans
-# out (rib's K+1 table generations, core's K trie builds and compiles,
+# out (rib's K+1 table generations, core's K count passes and compiles,
 # netsim's K oracles), the instrumentation layer, the image-ownership tests
 # (pristine images shared by readers while clones are written — pipeline's
 # slab/clone tests, ctrl's coherence property test), the reference LPM,
@@ -216,8 +216,9 @@ fuzz-smoke:
 # Short fuzz passes over the production engine against its oracles: the
 # batched/scalar/trie lookup equivalence, the streamed engine against the
 # cycle-stepped Sim under random inject / bubble / update / upset / Stats
-# interleavings, and the depth-first compile against the breadth-first one
-# on decoded insert/delete route sets, and the batched oracle every verify
+# interleavings, and the route compile against the breadth-first one on
+# decoded route lists (unsorted, a prefix perhaps twice, up to five tables),
+# and the batched oracle every verify
 # loop calls, LookupAll, against the scan of the same routes (the full runs
 # are `go test -fuzz=FuzzBatchedLookup`, `-fuzz=FuzzStreamVsSim` and
 # `-fuzz=FuzzCompileMatchesBreadthFirst` in ./internal/pipeline and
@@ -253,7 +254,7 @@ bench:
 # lookup at a time, a chunk at a time as the verify loops call it, and build),
 # the image compiler, Image.Clone and Flatten (a re-derivation,
 # jump table included), what the control plane does to prepare one
-# hitless churn batch (apply, trie, compile, diff, clone), and set-up:
+# hitless churn batch (apply, compile, diff, clone), and set-up:
 # core.Build of the paper's VM router, and core.Build plus netsim.New over
 # one 300 000-prefix table; and the churn table's 100 k row (one VS engine,
 # eight 24-op batches at half load, one run an op).

@@ -19,11 +19,9 @@ import (
 	"path/filepath"
 
 	"vrpower/internal/hdl"
-	"vrpower/internal/merge"
 	"vrpower/internal/pipeline"
 	"vrpower/internal/rib"
 	"vrpower/internal/traffic"
-	"vrpower/internal/trie"
 )
 
 // options collects the parsed flags.
@@ -72,7 +70,6 @@ func (o *options) generate(stdout io.Writer) error {
 	if o.vectors < 0 {
 		return fmt.Errorf("-vectors %d: want a count >= 0", o.vectors)
 	}
-	var img *pipeline.Image
 	var tables []*rib.Table
 	if o.k > 1 {
 		set, err := rib.GenerateVirtualSet(o.k, o.prefixes, o.share, o.seed)
@@ -80,25 +77,17 @@ func (o *options) generate(stdout io.Writer) error {
 			return err
 		}
 		tables = set.Tables
-		m, err := merge.Build(tables)
-		if err != nil {
-			return err
-		}
-		img, err = pipeline.CompileMerged(m, len(m.Levels()))
-		if err != nil {
-			return err
-		}
 	} else {
 		tbl, err := rib.Generate("rtl", o.prefixes, o.seed)
 		if err != nil {
 			return err
 		}
 		tables = []*rib.Table{tbl}
-		tr := trie.Build(tbl.Routes)
-		img, err = pipeline.Compile(tr, len(tr.Levels()))
-		if err != nil {
-			return err
-		}
+	}
+	// One stage a level: the image's stages are the trie's levels.
+	img, err := pipeline.Compile(tables, len(pipeline.NewRoutes(tables).Levels))
+	if err != nil {
+		return err
 	}
 
 	gen, err := traffic.New(traffic.Config{K: o.k, Seed: o.seed + 1, Addr: traffic.RoutedAddr, Tables: tables})

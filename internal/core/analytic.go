@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"vrpower/internal/merge"
+	"vrpower/internal/pipeline"
 	"vrpower/internal/rib"
 	"vrpower/internal/trie"
 )
@@ -16,7 +17,7 @@ type TableProfile = trie.Stats
 
 // ProfileOf extracts the profile of a routing table's leaf-pushed trie.
 func ProfileOf(tbl *rib.Table) TableProfile {
-	return trie.StatsOf(trie.Build(tbl.Routes).Levels())
+	return trie.StatsOf(pipeline.NewRoutes([]*rib.Table{tbl}).Levels)
 }
 
 // PaperProfile generates the reference profile of Section V-E: a synthetic

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"vrpower/internal/fpga"
-	"vrpower/internal/merge"
 	"vrpower/internal/pipeline"
 	"vrpower/internal/power"
 	"vrpower/internal/rib"
@@ -13,10 +12,11 @@ import (
 )
 
 // Build constructs a router of cfg.Scheme from the K routing tables: tables →
-// (merged) tries → their leaf-pushed per-level node counts → priced and
-// placed design → compiled images, so a design that does not place is refused
-// before anything is compiled. NV and VS images are CompileTable's, the VM
-// one a function of the whole tenant list; Assemble over them prices alike.
+// one count pass over their routes → the leaf-pushed per-level node counts →
+// priced and placed design → compiled images, so a design that does not place
+// is refused before anything is compiled. NV and VS images are
+// CompileTable's, the VM one a function of the whole tenant list; Assemble
+// over them prices alike.
 func Build(cfg Config, tables []*rib.Table) (*Router, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -26,13 +26,13 @@ func Build(cfg Config, tables []*rib.Table) (*Router, error) {
 		return nil, fmt.Errorf("core: %d tables for K = %d", len(tables), cfg.K)
 	}
 	// Each engine depends only on its own table (VM's one merged engine on
-	// all of them), so the tries are built, and after pricing compiled, side
-	// by side on the sweep pool.
+	// all of them), so the routes are counted, and after pricing compiled,
+	// side by side on the sweep pool.
 	engines, err := sweep.Run(cfg.engines(), func(i int) (engine, error) {
 		if cfg.Scheme == VM {
-			return mergedEngine(cfg, tables)
+			return routesEngine(cfg, tables)
 		}
-		return tableEngine(cfg, tables[i])
+		return routesEngine(cfg, tables[i:i+1])
 	})
 	if err != nil {
 		return nil, err
@@ -55,7 +55,7 @@ func Build(cfg Config, tables []*rib.Table) (*Router, error) {
 // and the table, and on nothing else in cfg — not the scheme, not K — so one
 // compiled image serves every router that hosts the table.
 func CompileTable(cfg Config, tbl *rib.Table) (*pipeline.Image, error) {
-	e, err := tableEngine(cfg.withDefaults(), tbl)
+	e, err := routesEngine(cfg.withDefaults(), []*rib.Table{tbl})
 	if err != nil {
 		return nil, err
 	}
@@ -100,24 +100,14 @@ type engine struct {
 	compile func() (*pipeline.Image, error)
 }
 
-// tableEngine is one table's engine: its trie, counted as leaf-pushed.
-func tableEngine(cfg Config, tbl *rib.Table) (engine, error) {
-	tr := trie.Build(tbl.Routes)
-	levels := levelsOf(cfg, tr.Levels(), 1)
+// routesEngine is the engine over tables — a table's own, or the merged one
+// of a VM router — counted, and compiled, as their leaf-pushed trie with a
+// K-wide NHI vector at every leaf.
+func routesEngine(cfg Config, tables []*rib.Table) (engine, error) {
+	r := pipeline.NewRoutes(tables)
+	levels := levelsOf(cfg, r.Levels, len(tables))
 	sm, err := stageMap(cfg, levels)
-	return engine{levels, sm, func() (*pipeline.Image, error) { return pipeline.CompileMapped(tr, sm) }}, err
-}
-
-// mergedEngine is the shared engine of a VM router over tables: their
-// merged trie, counted as leaf-pushed with a K-wide NHI vector at every leaf.
-func mergedEngine(cfg Config, tables []*rib.Table) (engine, error) {
-	m, err := merge.Build(tables)
-	if err != nil {
-		return engine{}, err
-	}
-	levels := levelsOf(cfg, m.Levels(), m.K())
-	sm, err := stageMap(cfg, levels)
-	return engine{levels, sm, func() (*pipeline.Image, error) { return pipeline.CompileMergedMapped(m, sm) }}, err
+	return engine{levels, sm, func() (*pipeline.Image, error) { return r.Compile(sm) }}, err
 }
 
 // levelsOf sizes per-level node counts under cfg.Layout: two pointers an
@@ -151,7 +141,7 @@ func stageMap(cfg Config, levels []level) (trie.StageMap, error) {
 // engine's per-level memories summed into stage memories through its map,
 // the Fig. 4 pointer/NHI split, one device's resources, fpga.Place, the
 // achievable clock and the power-model input. Callers differ only in where
-// the counts come from: tries (Build), compiled images (Assemble) or a
+// the counts come from: routes (Build), compiled images (Assemble) or a
 // TableProfile (BuildAnalytic, MemoryDemand).
 func price(cfg Config, engines []engine) (*Router, error) {
 	r := &Router{cfg: cfg, design: power.SystemDesign{

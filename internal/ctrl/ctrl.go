@@ -13,7 +13,6 @@ import (
 	"fmt"
 
 	"vrpower/internal/core"
-	"vrpower/internal/merge"
 	"vrpower/internal/obs"
 	"vrpower/internal/pipeline"
 	"vrpower/internal/rib"
@@ -83,12 +82,6 @@ type Manager struct {
 	// sm pins a fixed stage map so image diffs across rebuilds are
 	// comparable word-for-word.
 	sm trie.StageMap
-	// tr and mg are what every compile builds into (tr for VS, mg for VM),
-	// rebuilt in place so a batch reuses the last one's nodes and never
-	// leaf-pushed: the compile writes the pushed form. No image points into
-	// them.
-	tr trie.Trie
-	mg merge.Trie
 	// reloading marks a data-plane reload in flight (a hitless update):
 	// lifecycle mutations are rejected until it completes, because applying
 	// an update to a structure that is mid-rewrite corrupts both.
@@ -157,20 +150,10 @@ func New(cfg core.Config, tables []*rib.Table) (*Manager, error) {
 	}
 	m := &Manager{cfg: cfg, sm: sm}
 	live := append([]*rib.Table(nil), tables...)
-	var pinned []*pipeline.Image
-	if cfg.Scheme == core.VM {
-		img, err := m.compileMerged(live)
-		if err != nil {
+	pinned := make([]*pipeline.Image, m.engineOf(len(live)-1)+1)
+	for e := range pinned {
+		if pinned[e], err = m.compile(live, e); err != nil {
 			return nil, err
-		}
-		pinned = []*pipeline.Image{img}
-	} else {
-		for _, tbl := range live {
-			img, err := m.compileSeparate(tbl)
-			if err != nil {
-				return nil, err
-			}
-			pinned = append(pinned, img)
 		}
 	}
 	if err := m.install(live, pinned); err != nil {
@@ -218,20 +201,14 @@ func (m *Manager) Events() []Event { return m.events }
 // replace the slice, so read it again after one.
 func (m *Manager) Tables() []*rib.Table { return m.tables }
 
-// compileSeparate compiles one table's engine image under the pinned stage
-// map, so diffs across rebuilds compare word-for-word.
-func (m *Manager) compileSeparate(tbl *rib.Table) (*pipeline.Image, error) {
-	m.tr.Rebuild(tbl.Routes)
-	return pipeline.CompileMapped(&m.tr, m.sm)
-}
-
-// compileMerged compiles the merged image for a table set under the pinned
-// stage map.
-func (m *Manager) compileMerged(tables []*rib.Table) (*pipeline.Image, error) {
-	if err := m.mg.Rebuild(tables); err != nil {
-		return nil, err
+// compile compiles engine e's image over tables — network e's own for VS,
+// the merged one of them all for VM — under the pinned stage map, so diffs
+// across rebuilds compare word-for-word.
+func (m *Manager) compile(tables []*rib.Table, e int) (*pipeline.Image, error) {
+	if m.cfg.Scheme == core.VS {
+		tables = tables[e : e+1]
 	}
-	return pipeline.CompileMergedMapped(&m.mg, m.sm)
+	return pipeline.NewRoutes(tables).Compile(m.sm)
 }
 
 // withTable returns a copy of the live table set with network vn's table
@@ -240,13 +217,7 @@ func (m *Manager) compileMerged(tables []*rib.Table) (*pipeline.Image, error) {
 func (m *Manager) withTable(vn int, tbl *rib.Table) ([]*rib.Table, *pipeline.Image, error) {
 	tables := append([]*rib.Table(nil), m.tables...)
 	tables[vn] = tbl
-	var img *pipeline.Image
-	var err error
-	if m.cfg.Scheme == core.VM {
-		img, err = m.compileMerged(tables)
-	} else {
-		img, err = m.compileSeparate(tbl)
-	}
+	img, err := m.compile(tables, m.engineOf(vn))
 	return tables, img, err
 }
 
@@ -261,7 +232,7 @@ func (m *Manager) AddNetwork(tbl *rib.Table) (Event, error) {
 	tables := append(append([]*rib.Table(nil), m.tables...), tbl)
 	ev := Event{Action: Add, VN: len(tables) - 1, K: len(tables)}
 	if m.cfg.Scheme == core.VS {
-		img, err := m.compileSeparate(tbl)
+		img, err := m.compile(tables, len(tables)-1)
 		if err != nil {
 			return Event{}, err
 		}
@@ -288,7 +259,7 @@ func (m *Manager) AddNetwork(tbl *rib.Table) (Event, error) {
 // is recompiled over tables, costed against the serving image and
 // installed. It returns the write and bubble counts.
 func (m *Manager) swapMerged(tables []*rib.Table) (writes, bubbles int, err error) {
-	after, err := m.compileMerged(tables)
+	after, err := m.compile(tables, 0)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"vrpower/internal/core"
-	"vrpower/internal/merge"
 	"vrpower/internal/pipeline"
 	"vrpower/internal/trie"
 	"vrpower/internal/update"
@@ -186,22 +185,12 @@ func TestPinnedImagesAreFreshCompiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	fresh := func(t *testing.T, m *Manager, e int) *pipeline.Image {
-		var img *pipeline.Image
+		tables := m.Tables()[e : e+1]
 		if m.cfg.Scheme == core.VM {
-			mg, err := merge.Build(m.Tables())
-			if err != nil {
-				t.Fatal(err)
-			}
-			mg.LeafPush()
-			img, err = pipeline.CompileMergedMapped(mg, sm)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return img
+			tables = m.Tables()
 		}
-		tr := trie.Build(m.Tables()[e].Routes)
-		tr.LeafPush()
-		if img, err = pipeline.CompileMapped(tr, sm); err != nil {
+		img, err := pipeline.NewRoutes(tables).Compile(sm)
+		if err != nil {
 			t.Fatal(err)
 		}
 		return img

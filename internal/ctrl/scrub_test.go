@@ -17,7 +17,7 @@ func TestScrubFirstAttemptSucceeds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	img, err := m.compileSeparate(m.Tables()[0])
+	img, err := m.compile(m.Tables(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

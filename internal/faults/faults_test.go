@@ -6,7 +6,6 @@ import (
 
 	"vrpower/internal/pipeline"
 	"vrpower/internal/rib"
-	"vrpower/internal/trie"
 )
 
 func compileImage(t *testing.T, routes, seed int64) *pipeline.Image {
@@ -15,9 +14,7 @@ func compileImage(t *testing.T, routes, seed int64) *pipeline.Image {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := trie.Build(tbl.Routes)
-	tr.LeafPush()
-	img, err := pipeline.Compile(tr, 28)
+	img, err := pipeline.Compile([]*rib.Table{tbl}, 28)
 	if err != nil {
 		t.Fatal(err)
 	}

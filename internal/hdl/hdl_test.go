@@ -8,19 +8,15 @@ import (
 	"testing"
 
 	"vrpower/internal/ip"
-	"vrpower/internal/merge"
 	"vrpower/internal/pipeline"
 	"vrpower/internal/rib"
-	"vrpower/internal/trie"
 )
 
 // compileUnfolded compiles a table with one level per stage (the RTL
 // backend's requirement).
 func compileUnfolded(t *testing.T, tbl *rib.Table) *pipeline.Image {
 	t.Helper()
-	tr := trie.Build(tbl.Routes)
-	tr.LeafPush()
-	img, err := pipeline.Compile(tr, tr.Stats().Height+1)
+	img, err := mergeBuild([]*rib.Table{tbl})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,9 +73,7 @@ func TestEncodeEntryErrors(t *testing.T) {
 
 func TestEmitRejectsFoldedStages(t *testing.T) {
 	tbl := genTable(t, 200, 2)
-	tr := trie.Build(tbl.Routes)
-	tr.LeafPush()
-	img, err := pipeline.Compile(tr, 8) // forces folding
+	img, err := pipeline.Compile([]*rib.Table{tbl}, 8) // forces folding
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,10 +214,5 @@ func TestMemImageMatchesSimulator(t *testing.T) {
 
 // mergeBuild compiles a merged unfolded image.
 func mergeBuild(tables []*rib.Table) (*pipeline.Image, error) {
-	m, err := merge.Build(tables)
-	if err != nil {
-		return nil, err
-	}
-	m.LeafPush()
-	return pipeline.CompileMerged(m, m.Stats().Height+1)
+	return pipeline.Compile(tables, len(pipeline.NewRoutes(tables).Levels))
 }

@@ -78,9 +78,6 @@ type Trie struct {
 // K returns the number of virtual networks merged into the trie.
 func (t *Trie) K() int { return t.k }
 
-// Kids returns node id's children, 0 for none.
-func (t *Trie) Kids(id trie.NodeID) [2]trie.NodeID { return t.nodes[id].Child }
-
 // NHI returns node id's K-wide next-hop vector: nil but at a leaf of a
 // leaf-pushed trie.
 func (t *Trie) NHI(id trie.NodeID) []ip.NextHop {
@@ -134,38 +131,13 @@ func (t *Trie) Rebuild(tables []*rib.Table) error {
 
 // nodeBound is trie.Links over the tables merged in prefix order, a prefix
 // several tables hold counted once: exactly the merged trie's nodes below its
-// root when the tables are sorted. One pass over the tables a prefix moves
-// every table holding the last prefix past it and takes the least key left.
+// root when the tables are sorted.
 func nodeBound(tables []*rib.Table) (n int) {
-	const done = ^uint64(0)
-	var restBuf [64][]ip.Route // on the stack up to 64 tables
-	var keyBuf [64]uint64      // each table's next route: address, then length
-	rest, keys := restBuf[:0], keyBuf[:0]
-	for _, tbl := range tables {
-		rest, keys = append(rest, tbl.Routes), append(keys, done)
+	atBuf, keyBuf := [64]int{}, [64]uint64{} // on the stack up to 64 tables
+	for u := rib.NewUnion(tables, atBuf[:0], keyBuf[:0]); u.Next(); {
+		n += u.Q.Len - u.Shared
 	}
-	next := func(vn int) {
-		keys[vn] = done
-		if r := rest[vn]; len(r) > 0 {
-			keys[vn], rest[vn] = uint64(r[0].Prefix.Addr)<<8|uint64(uint8(r[0].Prefix.Len)), r[1:]
-		}
-	}
-	var p trie.IDPath
-	for least := done; ; { // the first pass moves every table to its first route
-		q := least
-		least = done
-		for vn := range keys {
-			if keys[vn] == q {
-				next(vn)
-			}
-			least = min(least, keys[vn])
-		}
-		if least == done {
-			return n
-		}
-		l := int(least & 0xFF)
-		n += l - p.Resume(ip.Prefix{Addr: ip.Addr(least >> 8), Len: l})
-	}
+	return n
 }
 
 // child returns the child b of node id, linking a new node there first if
@@ -234,7 +206,7 @@ const maxLevels = 33
 func (t *Trie) pushNode(id trie.NodeID, level int, inherited []ip.NextHop) {
 	// This node's routes overlay the inherited vector in this level's scratch
 	// vector, so siblings still see the parent's.
-	inherited = t.Inherit(id, inherited, t.vecs[(level+1)*t.k:(level+2)*t.k])
+	inherited = t.inherit(id, inherited, t.vecs[(level+1)*t.k:(level+2)*t.k])
 	n := &t.nodes[id]
 	n.routes = 0
 	if n.IsLeaf() {
@@ -247,10 +219,10 @@ func (t *Trie) pushNode(id trie.NodeID, level int, inherited []ip.NextHop) {
 	}
 }
 
-// Inherit returns the K-wide next-hop vector node id hands its subtree when
+// inherit returns the K-wide next-hop vector node id hands its subtree when
 // it inherits in: a pushed leaf's own NHI; in, when it carries no route; else
 // in with its routes overlaid, written into scratch, which must not alias in.
-func (t *Trie) Inherit(id trie.NodeID, in, scratch []ip.NextHop) []ip.NextHop {
+func (t *Trie) inherit(id trie.NodeID, in, scratch []ip.NextHop) []ip.NextHop {
 	n := &t.nodes[id]
 	if n.nhi != 0 {
 		return t.NHI(id)

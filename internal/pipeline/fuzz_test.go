@@ -55,23 +55,16 @@ func batchedLookupCase(t *testing.T, seed int64, addrSeed uint32, corrupt, outOf
 	if err != nil {
 		t.Skip() // degenerate generator parameters
 	}
-	var img *Image
+	img, err := Compile(set.Tables, stages)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var oracle func(vn int, addr ip.Addr) ip.NextHop
 	if k == 1 {
 		tr := trie.Build(set.Tables[0].Routes)
-		tr.LeafPush()
-		img, err = Compile(tr, stages)
-		if err != nil {
-			t.Fatal(err)
-		}
 		oracle = func(_ int, addr ip.Addr) ip.NextHop { return tr.Lookup(addr) }
 	} else {
 		m, err := merge.Build(set.Tables)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.LeafPush()
-		img, err = CompileMerged(m, stages)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,7 +2,7 @@
 // Section V-D: each trie level is mapped onto a pipeline stage with an
 // independently accessible memory, a packet traverses the stages like a trie
 // walk, and the last stage emits the next-hop information (NHI). The package
-// provides a compiler from (merged) tries to stage memory images, a
+// provides a compiler from sorted route lists to stage memory images, a
 // cycle-accurate simulator with clock-gating activity counters (Sim, the
 // oracle), and the engine every runner serves from (BatchSim).
 package pipeline
@@ -147,7 +147,7 @@ func (e *Entry) DataParity() uint8 {
 }
 
 // Image-build instrumentation (surfaced by the cmd tools' -stats flag and
-// /metrics): how many images were compiled from a trie and how many were
+// /metrics): how many images were compiled from routes and how many were
 // copied from an already-compiled one.
 var (
 	obsImagesCompiled = obs.NewCounter("pipeline.images_compiled")

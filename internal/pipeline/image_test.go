@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"vrpower/internal/ip"
-	"vrpower/internal/merge"
 	"vrpower/internal/rib"
 	"vrpower/internal/trie"
 )
@@ -47,8 +46,9 @@ func imageDigest(h hash.Hash, img *Image) {
 
 // The compiled layout of the paper-size tables, recorded from the commit
 // before compile lost its node→index map and gained the next-hop slab:
-// SHA-256 over Compile and CompileMapped (pinned 32-level map) of each of
-// eight 3725-prefix tables, then CompileMerged of all eight. Every equiv_*
+// SHA-256 over the compile of each of eight 3725-prefix tables under the
+// plain fold at its height and under the pinned 32-level map, then the
+// compile of all eight merged. Every equiv_*
 // golden, every pre-drawn SEU coordinate and every hitless write budget is
 // a function of this layout, so it must stay word-for-word.
 func TestCompileDigests(t *testing.T) {
@@ -70,25 +70,18 @@ func TestCompileDigests(t *testing.T) {
 		}
 		h := sha256.New()
 		for _, tbl := range set.Tables {
-			tr := trie.Build(tbl.Routes)
-			tr.LeafPush()
-			plain, err := Compile(tr, 28)
+			plain, err := Compile([]*rib.Table{tbl}, 28)
 			if err != nil {
 				t.Fatal(err)
 			}
 			imageDigest(h, plain)
-			mapped, err := CompileMapped(tr, pinned)
+			mapped, err := NewRoutes([]*rib.Table{tbl}).Compile(pinned)
 			if err != nil {
 				t.Fatal(err)
 			}
 			imageDigest(h, mapped)
 		}
-		m, err := merge.Build(set.Tables)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.LeafPush()
-		merged, err := CompileMerged(m, 28)
+		merged, err := Compile(set.Tables, 28)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,12 +100,7 @@ func mergedImage(t *testing.T, k, prefixes int, seed int64) *Image {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := merge.Build(set.Tables)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.LeafPush()
-	img, err := CompileMerged(m, 28)
+	img, err := Compile(set.Tables, 28)
 	if err != nil {
 		t.Fatal(err)
 	}

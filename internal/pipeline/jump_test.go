@@ -15,7 +15,6 @@ import (
 
 	"vrpower/internal/energy"
 	"vrpower/internal/ip"
-	"vrpower/internal/merge"
 	"vrpower/internal/obs"
 	"vrpower/internal/power"
 	"vrpower/internal/rib"
@@ -47,13 +46,12 @@ func jumpFixtures(t *testing.T) []jumpFixture {
 		return sm
 	}
 
-	tr := trie.Build(genTable(t, 600, 4).Routes)
-	tr.LeafPush()
+	uni := NewRoutes([]*rib.Table{genTable(t, 600, 4)})
 	var nodes []int
-	for _, l := range tr.Stats().PerLevel {
+	for _, l := range uni.Levels {
 		nodes = append(nodes, l.Nodes)
 	}
-	uniBalanced, err := CompileMapped(tr, balanced(nodes))
+	uniBalanced, err := uni.Compile(balanced(nodes))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,16 +60,12 @@ func jumpFixtures(t *testing.T) []jumpFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := merge.Build(set.Tables)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.LeafPush()
+	merged := NewRoutes(set.Tables)
 	nodes = nodes[:0]
-	for _, l := range m.Stats().PerLevel {
+	for _, l := range merged.Levels {
 		nodes = append(nodes, l.Nodes)
 	}
-	mergedBalanced, err := CompileMergedMapped(m, balanced(nodes))
+	mergedBalanced, err := merged.Compile(balanced(nodes))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,9 +455,7 @@ func TestJumpTableUpsetsMidStream(t *testing.T) {
 // their edges, each held to the scalar engine.
 func TestJumpTableCorners(t *testing.T) {
 	compile := func(routes []ip.Route, stages int) *Image {
-		tr := trie.Build(routes)
-		tr.LeafPush()
-		img, err := Compile(tr, stages)
+		img, err := Compile([]*rib.Table{{Routes: routes}}, stages)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -14,47 +14,31 @@ import (
 	"testing"
 
 	"vrpower/internal/ip"
-	"vrpower/internal/merge"
 	"vrpower/internal/rib"
 	"vrpower/internal/trie"
 )
 
-// refNode abstracts trie.Node and merge.Node for the reference compiler.
+// refNode is a node of a leaf-pushed trie as the reference compiler walks it.
 type refNode interface {
 	leaf() bool
 	child(b int) refNode
 	appendNHI(slab []ip.NextHop) []ip.NextHop
 }
 
-type refUni struct {
-	tr *trie.Trie
-	id trie.NodeID
+// refUnion is a node of the trie over a table set's union (unionTrie).
+type refUnion struct {
+	u unionTrie
+	n unionNode
 }
 
-func (u refUni) leaf() bool { return u.tr.Nodes()[u.id].IsLeaf() }
-func (u refUni) child(b int) refNode {
-	if c := u.tr.Nodes()[u.id].Child[b]; c != 0 {
-		return refUni{u.tr, c}
+func (r refUnion) leaf() bool { return r.u.kids(r.n) == [2]unionNode{} }
+func (r refUnion) child(b int) refNode {
+	if c := r.u.kids(r.n); c != [2]unionNode{} {
+		return refUnion{r.u, c[b]}
 	}
 	return nil
 }
-func (u refUni) appendNHI(slab []ip.NextHop) []ip.NextHop {
-	return append(slab, u.tr.Nodes()[u.id].NextHop)
-}
-
-type refMerged struct {
-	m  *merge.Trie
-	id trie.NodeID
-}
-
-func (m refMerged) leaf() bool { return m.m.Kids(m.id) == [2]trie.NodeID{} }
-func (m refMerged) child(b int) refNode {
-	if c := m.m.Kids(m.id)[b]; c != 0 {
-		return refMerged{m.m, c}
-	}
-	return nil
-}
-func (m refMerged) appendNHI(slab []ip.NextHop) []ip.NextHop { return append(slab, m.m.NHI(m.id)...) }
+func (r refUnion) appendNHI(slab []ip.NextHop) []ip.NextHop { return r.u.appendNHI(slab, r.n) }
 
 // refCompile lays the trie out breadth-first into one Entry array per stage:
 // a node's index within its stage is assigned when the node is enqueued and
@@ -265,23 +249,26 @@ func stageMaps(t *testing.T, perLevel []int) map[string]trie.StageMap {
 // every kind of stage map, and the corners — an empty table, a default route
 // alone, a trie too shallow to reach most stages.
 func TestCompiledWordsMatchLayoutOracle(t *testing.T) {
-	uni := func(name string, routes []ip.Route) {
-		tr := trie.Build(routes)
-		tr.LeafPush()
+	check := func(name string, tables []*rib.Table) {
+		u := newUnionTrie(tables)
 		var perLevel []int
-		for _, l := range tr.Stats().PerLevel {
+		for _, l := range u.tr.Stats().PerLevel {
 			perLevel = append(perLevel, l.Nodes)
 		}
 		for mapName, sm := range stageMaps(t, perLevel) {
 			t.Run(name+"/"+mapName, func(t *testing.T) {
-				img, err := CompileMapped(tr, sm)
+				img, err := NewRoutes(tables).Compile(sm)
 				if err != nil {
 					t.Fatal(err)
 				}
-				assertWordsMatchOracle(t, img, refUni{tr, 0})
+				if img.K != len(tables) {
+					t.Fatalf("K = %d, want %d", img.K, len(tables))
+				}
+				assertWordsMatchOracle(t, img, refUnion{u, unionNode{}})
 			})
 		}
 	}
+	uni := func(name string, routes []ip.Route) { check(name, []*rib.Table{{Routes: routes}}) }
 	rng := rand.New(rand.NewSource(21))
 	for i := 0; i < 4; i++ {
 		uni(fmt.Sprintf("uni/%d", i), genTable(t, 40+rng.Intn(900), rng.Int63()).Routes)
@@ -300,26 +287,6 @@ func TestCompiledWordsMatchLayoutOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := merge.Build(set.Tables)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.LeafPush()
-		var perLevel []int
-		for _, l := range m.Stats().PerLevel {
-			perLevel = append(perLevel, l.Nodes)
-		}
-		for mapName, sm := range stageMaps(t, perLevel) {
-			t.Run(fmt.Sprintf("merged/K=%d/%s", k, mapName), func(t *testing.T) {
-				img, err := CompileMergedMapped(m, sm)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if img.K != k {
-					t.Fatalf("K = %d, want %d", img.K, k)
-				}
-				assertWordsMatchOracle(t, img, refMerged{m, 0})
-			})
-		}
+		check(fmt.Sprintf("merged/K=%d", k), set.Tables)
 	}
 }

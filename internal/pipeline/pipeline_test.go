@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"vrpower/internal/ip"
-	"vrpower/internal/merge"
 	"vrpower/internal/rib"
 	"vrpower/internal/trie"
 )
@@ -21,9 +20,7 @@ func genTable(t *testing.T, n int, seed int64) *rib.Table {
 
 func compileSingle(t *testing.T, tbl *rib.Table, stages int) *Image {
 	t.Helper()
-	tr := trie.Build(tbl.Routes)
-	tr.LeafPush()
-	img, err := Compile(tr, stages)
+	img, err := Compile([]*rib.Table{tbl}, stages)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +32,7 @@ func TestCompileEntryCountsMatchTrie(t *testing.T) {
 	tr := trie.Build(tbl.Routes)
 	tr.LeafPush()
 	s := tr.Stats()
-	img, err := Compile(tr, 28)
+	img, err := Compile([]*rib.Table{tbl}, 28)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,12 +150,7 @@ func TestMergedPipelineMatchesPerVNReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := merge.Build(set.Tables)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.LeafPush()
-	img, err := CompileMerged(m, 28)
+	img, err := Compile(set.Tables, 28)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,12 +193,7 @@ func TestMergedNHIScalesWithK(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := merge.Build(set.Tables)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.LeafPush()
-		img, err := CompileMerged(m, 28)
+		img, err := Compile(set.Tables, 28)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,9 +211,7 @@ func TestSingleRouteTinyPipeline(t *testing.T) {
 	tbl := &rib.Table{Name: "tiny"}
 	p, _ := ip.ParsePrefix("128.0.0.0/1")
 	tbl.Add(ip.Route{Prefix: p, NextHop: 3})
-	tr := trie.Build(tbl.Routes)
-	tr.LeafPush()
-	img, err := Compile(tr, 4)
+	img, err := Compile([]*rib.Table{tbl}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

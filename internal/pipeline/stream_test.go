@@ -19,7 +19,6 @@ import (
 	"testing"
 
 	"vrpower/internal/ip"
-	"vrpower/internal/merge"
 	"vrpower/internal/obs"
 	"vrpower/internal/rib"
 	"vrpower/internal/trie"
@@ -185,19 +184,7 @@ func compileSet(t testing.TB, k, prefixes, stages int, seed int64) (*Image, []ip
 	if err != nil {
 		t.Fatal(err)
 	}
-	var img *Image
-	if k == 1 {
-		tr := trie.Build(set.Tables[0].Routes)
-		tr.LeafPush()
-		img, err = CompileMapped(tr, sm)
-	} else {
-		var m *merge.Trie
-		if m, err = merge.Build(set.Tables); err != nil {
-			t.Fatal(err)
-		}
-		m.LeafPush()
-		img, err = CompileMergedMapped(m, sm)
-	}
+	img, err := NewRoutes(set.Tables).Compile(sm)
 	if err != nil {
 		t.Fatal(err)
 	}

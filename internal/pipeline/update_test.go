@@ -19,13 +19,11 @@ import (
 // compilations share stage geometry and diff word-for-word.
 func compilePinned(t *testing.T, tbl *rib.Table) *Image {
 	t.Helper()
-	tr := trie.Build(tbl.Routes)
-	tr.LeafPush()
 	sm, err := trie.NewStageMap(28, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	img, err := CompileMapped(tr, sm)
+	img, err := NewRoutes([]*rib.Table{tbl}).Compile(sm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,9 +58,7 @@ func TestBeginUpdateValidation(t *testing.T) {
 	if err := sim.BeginUpdate(nil, 1); err == nil {
 		t.Error("nil image accepted")
 	}
-	tr := trie.Build(newTbl.Routes)
-	tr.LeafPush()
-	img8, err := Compile(tr, 8)
+	img8, err := Compile([]*rib.Table{newTbl}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

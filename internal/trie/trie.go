@@ -111,19 +111,6 @@ func (t *Trie) Rebuild(routes []ip.Route) {
 // Insert, LeafPush or Rebuild.
 func (t *Trie) Nodes() []Node { return t.nodes }
 
-// Kids returns node id's children, 0 for none.
-func (t *Trie) Kids(id NodeID) [2]NodeID { return t.nodes[id].Child }
-
-// Inherit returns the one-wide next-hop vector node id hands its subtree
-// when it inherits in: in, or its own next hop written into scratch.
-func (t *Trie) Inherit(id NodeID, in, scratch []ip.NextHop) []ip.NextHop {
-	if !t.nodes[id].HasRoute {
-		return in
-	}
-	scratch[0] = t.nodes[id].NextHop
-	return scratch
-}
-
 // Routes returns the number of routes inserted (and not deleted).
 func (t *Trie) Routes() int { return t.routes }
 

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"vrpower/internal/ip"
-	"vrpower/internal/merge"
 	"vrpower/internal/pipeline"
 	"vrpower/internal/rib"
 	"vrpower/internal/trie"
@@ -25,15 +24,13 @@ func genTable(t *testing.T, n int, seed int64) *rib.Table {
 
 func compile(t *testing.T, tbl *rib.Table) *pipeline.Image {
 	t.Helper()
-	tr := trie.Build(tbl.Routes)
-	tr.LeafPush()
 	// Fixed 28 stages with a fixed 33-level map so diffs across rebuilds
 	// compare like with like even if the new trie is shallower/deeper.
 	sm, err := trie.NewStageMap(28, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	img, err := pipeline.CompileMapped(tr, sm)
+	img, err := pipeline.NewRoutes([]*rib.Table{tbl}).Compile(sm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,9 +181,7 @@ func TestDiffGrowsWithChurn(t *testing.T) {
 
 func TestDiffStageMismatch(t *testing.T) {
 	tbl := genTable(t, 50, 7)
-	tr := trie.Build(tbl.Routes)
-	tr.LeafPush()
-	img8, err := pipeline.Compile(tr, 8)
+	img8, err := pipeline.Compile([]*rib.Table{tbl}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,12 +218,7 @@ func TestMergedUpdateCostlier(t *testing.T) {
 		t.Fatal(err)
 	}
 	compileMerged := func(tables []*rib.Table) *pipeline.Image {
-		m, err := merge.Build(tables)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.LeafPush()
-		img, err := pipeline.CompileMergedMapped(m, sm)
+		img, err := pipeline.NewRoutes(tables).Compile(sm)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -801,9 +791,7 @@ func TestCostCountsDiff(t *testing.T) {
 	}
 
 	tbl := genTable(t, 50, 7)
-	tr := trie.Build(tbl.Routes)
-	tr.LeafPush()
-	img8, err := pipeline.Compile(tr, 8)
+	img8, err := pipeline.Compile([]*rib.Table{tbl}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
