@@ -19,8 +19,9 @@ build:
 # concurrently: the sweep pool and its consumers, the set-up chain it fans
 # out (rib's K+1 table generations, core's K count passes and compiles,
 # netsim's K oracles), the instrumentation layer, the image-ownership tests
-# (pristine images shared by readers while clones are written — pipeline's
-# slab/clone tests, ctrl's coherence property test), the reference LPM,
+# (pristine images shared by readers while clones are written, each clone
+# copying a stage at its first write to it — pipeline's slab/clone tests,
+# ctrl's coherence property test), the reference LPM,
 # whose range index the first of concurrent lookups publishes, and
 # everything the slice runner composes — fault injection, hitless updates,
 # the governor and the power model under it, the scenario engine, the
@@ -218,15 +219,18 @@ fuzz-smoke:
 # cycle-stepped Sim under random inject / bubble / update / upset / Stats
 # interleavings, and the route compile against the breadth-first one on
 # decoded route lists (unsorted, a prefix perhaps twice, up to five tables),
-# and the batched oracle every verify
-# loop calls, LookupAll, against the scan of the same routes (the full runs
-# are `go test -fuzz=FuzzBatchedLookup`, `-fuzz=FuzzStreamVsSim` and
-# `-fuzz=FuzzCompileMatchesBreadthFirst` in ./internal/pipeline and
-# `-fuzz=FuzzLookupAll` in ./internal/ip).
+# stage-granular image ownership (random Clone / FlipBit / setEntry / Flatten
+# over three images sharing stages, each held to a deep-copied reference and
+# the pristine sources to what they were), and the batched oracle every
+# verify loop calls, LookupAll, against the scan of the same routes (the full
+# runs are `go test -fuzz=FuzzBatchedLookup`, `-fuzz=FuzzStreamVsSim`,
+# `-fuzz=FuzzCompileMatchesBreadthFirst` and `-fuzz=FuzzCloneWrites` in
+# ./internal/pipeline and `-fuzz=FuzzLookupAll` in ./internal/ip).
 fuzz-batch-smoke:
 	$(GO) test ./internal/pipeline -run='^$$' -fuzz=FuzzBatchedLookup -fuzztime=10s
 	$(GO) test ./internal/pipeline -run='^$$' -fuzz=FuzzStreamVsSim -fuzztime=10s
 	$(GO) test ./internal/pipeline -run='^$$' -fuzz=FuzzCompileMatchesBreadthFirst -fuzztime=10s
+	$(GO) test ./internal/pipeline -run='^$$' -fuzz=FuzzCloneWrites -fuzztime=10s
 	$(GO) test ./internal/ip -run='^$$' -fuzz=FuzzLookupAll -fuzztime=10s
 
 # bench/ is its own module, so ./... never reaches it: vet it too.

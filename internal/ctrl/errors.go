@@ -23,6 +23,10 @@ var (
 	// ErrUpdateFinished marks a Commit or journal mutation on an operation
 	// that already committed or aborted.
 	ErrUpdateFinished = errors.New("operation already finished")
+	// ErrUpdateStale marks a re-arm of an aborted hitless update whose
+	// network's table, or the image its writes were counted against, changed
+	// since it was prepared: it must be prepared afresh.
+	ErrUpdateStale = errors.New("update prepared against an older table")
 	// ErrMigrationTimeout marks a live migration whose bounded retry budget
 	// or deadline ran out; the victim network enters degraded mode instead
 	// of retrying forever.

@@ -56,21 +56,26 @@ func (m *Manager) PinnedImage(e int) (*pipeline.Image, error) {
 // post-update table, the recompiled engine image and its write-bubble
 // budget. It holds the manager's reload guard from BeginHitlessUpdate until
 // Commit or Abort, so lifecycle mutations and further updates are rejected
-// while the data plane is mid-rewrite.
+// while the data plane is mid-rewrite, and again from a Rearm after an Abort.
 type HitlessUpdate struct {
 	m      *Manager
 	vn     int
 	ops    []update.Op
 	rawOps int
 	table  *rib.Table
+	// base and from are the network's table and the engine's image the
+	// update was prepared against: a re-arm needs both still live.
+	base *rib.Table
+	from *pipeline.Image
 	// image is the post-update compilation, pristine: it becomes the
-	// manager's own on Commit and is dropped on Abort. served is its clone
-	// for the data plane.
-	image   *pipeline.Image
-	served  *pipeline.Image
-	writes  int
-	bubbles int
-	done    bool
+	// manager's own on Commit and stays the update's on Abort, for a Rearm.
+	// served is its clone for the data plane, a fresh one each arming.
+	image     *pipeline.Image
+	served    *pipeline.Image
+	writes    int
+	bubbles   int
+	done      bool
+	committed bool
 }
 
 // VN returns the updated network's index.
@@ -87,9 +92,9 @@ func (h *HitlessUpdate) RawOps() int { return h.rawOps }
 func (h *HitlessUpdate) Table() *rib.Table { return h.table }
 
 // Image returns the recompiled engine image the bubbles install — the data
-// plane's copy, the same one on every call. It is a clone of the image
-// Commit keeps, so the engine that serves it (and takes upsets in it) never
-// writes to the control plane's.
+// plane's copy, the same one on every call until a Rearm hands out another.
+// It is a clone of the image Commit keeps, so the engine that serves it (and
+// takes upsets in it) never writes to the control plane's.
 func (h *HitlessUpdate) Image() *pipeline.Image { return h.served }
 
 // Writes returns the stage-memory write count of the image diff.
@@ -148,11 +153,37 @@ func (m *Manager) prepareHitless(vn int, ops []update.Op) (*HitlessUpdate, error
 		ops:     coalesced,
 		rawOps:  len(ops),
 		table:   newTbl,
+		base:    m.tables[vn],
+		from:    m.pinned[m.engineOf(vn)],
 		image:   after,
 		served:  after.Clone(),
 		writes:  writes,
 		bubbles: bubbles,
 	}, nil
+}
+
+// Rearm arms an aborted update again as it was prepared — the same ops,
+// table, image and write and bubble counts, nothing regenerated, applied or
+// recompiled — taking the reload guard again and handing the data plane a
+// fresh clone of the image (Image). It is refused while the update is armed,
+// after it committed, and when the network's live table or the engine's
+// image changed since it was prepared (ErrUpdateStale): the update would no
+// longer be the diff its writes count.
+func (h *HitlessUpdate) Rearm() error {
+	m := h.m
+	switch {
+	case !h.done:
+		return fmt.Errorf("ctrl: re-arm of an armed hitless update")
+	case h.committed:
+		return fmt.Errorf("ctrl: hitless update: %w", ErrUpdateFinished)
+	case h.vn >= len(m.tables) || m.tables[h.vn] != h.base || m.pinned[m.engineOf(h.vn)] != h.from:
+		return fmt.Errorf("ctrl: re-arm of network %d's update: %w", h.vn, ErrUpdateStale)
+	}
+	if err := m.BeginReload(); err != nil {
+		return err
+	}
+	h.served, h.done = h.image.Clone(), false
+	return nil
 }
 
 // Commit installs the update on the manager — the new table becomes
@@ -165,7 +196,7 @@ func (h *HitlessUpdate) Commit() (Event, error) {
 	if h.done {
 		return Event{}, fmt.Errorf("ctrl: hitless update: %w", ErrUpdateFinished)
 	}
-	h.done = true
+	h.done, h.committed = true, true
 	m := h.m
 	m.tables[h.vn] = h.table
 	m.pinned[h.Engine()] = h.image
@@ -190,7 +221,7 @@ func (h *HitlessUpdate) Commit() (Event, error) {
 }
 
 // Abort abandons the prepared update without touching the live tables or
-// images and releases the reload guard.
+// images and releases the reload guard; Rearm may arm it again.
 func (h *HitlessUpdate) Abort() {
 	if h.done {
 		return

@@ -28,9 +28,9 @@ var (
 // Scrub repairs one engine: rebuild produces a fresh image from the
 // authoritative tables, once, and the image is returned for the caller to
 // reload at one cycle per word (its Words() are the reload's writes and its
-// latency in cycles). The rebuild is deterministic — the same compile that
-// built the engine at set-up — so an error would recur on any retry and is
-// returned as it is.
+// latency in cycles). The rebuild is deterministic — a copy of the compile
+// that built the engine at set-up, or that compile again — so an error would
+// recur on any retry and is returned as it is.
 func Scrub(rebuild func() (*pipeline.Image, error)) (*pipeline.Image, error) {
 	img, err := rebuild()
 	if err != nil {

@@ -272,7 +272,7 @@ func CompactionEffect() (*report.Table, error) {
 			return nil, err
 		}
 		blocks, _ := r.Design().TotalBlocks()
-		pushed := trie.StatsOf(trie.Build(v.Routes).Levels())
+		pushed := trie.StatsOf(r.Images()[0].Levels)
 		t.AddF(v.Name, v.Len(), pushed.Nodes, blocks, fmt.Sprintf("%.4f", b.Memory))
 	}
 	return t, nil

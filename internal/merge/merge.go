@@ -68,9 +68,6 @@ type Trie struct {
 	pushed bool
 	// vecs is LeafPush's scratch: one K-wide inherited vector per level.
 	vecs []ip.NextHop
-	// internal[l] counts the nodes of level l with a child, kept by insert
-	// as it links nodes: the input to Levels.
-	internal [maxLevels - 1]int
 	// path is the walk of the network's last route, where insert resumes.
 	path trie.IDPath
 }
@@ -118,7 +115,6 @@ func (t *Trie) Rebuild(tables []*rib.Table) error {
 	t.links = append(slices.Grow(t.links[:0], links), routeLink{})
 	t.nhis = t.nhis[:0]
 	t.k, t.pushed = len(tables), false
-	clear(t.internal[:])
 	for vn, tbl := range tables {
 		// A walk resumes only over nodes this network has stamped.
 		t.path.Reset()
@@ -162,9 +158,6 @@ func (t *Trie) insert(vn int32, p ip.Prefix, nh ip.NextHop) {
 	i := t.path.Resume(p)
 	id := t.path.At[i]
 	for ; i < p.Len; i++ {
-		if t.nodes[id].IsLeaf() {
-			t.internal[i]++ // its first child is linked below
-		}
 		id = t.child(id, p.Bit(i))
 		t.path.At[i+1] = id
 		if n := &t.nodes[id]; n.seen != vn+1 {
@@ -235,16 +228,6 @@ func (t *Trie) inherit(id trie.NodeID, in, scratch []ip.NextHop) []ip.NextHop {
 		scratch[t.links[l].vn] = t.links[l].nh
 	}
 	return scratch
-}
-
-// Levels returns the per-level counts of t's leaf-pushed form — what
-// LeafPush and then Stats().PerLevel give — in O(levels), pushed or not: nil
-// for a zero Trie, which has no root.
-func (t *Trie) Levels() []trie.Level {
-	if t.nodes == nil {
-		return nil
-	}
-	return trie.PushedLevels(t.internal[:])
 }
 
 // Lookup resolves addr for virtual network vn. On a leaf-pushed trie the

@@ -482,33 +482,6 @@ func TestNodeSliceIsExact(t *testing.T) {
 	}
 }
 
-// TestLevelsAreThePushedShape: after Build and after Rebuild over a larger, a
-// smaller and a narrower set, Levels is LeafPush followed by
-// Stats().PerLevel, before pushing and after. A zero Trie has no levels.
-func TestLevelsAreThePushedShape(t *testing.T) {
-	if got := (&Trie{}).Levels(); got != nil {
-		t.Errorf("zero Trie: Levels %v, want nil", got)
-	}
-	first := buildSet(t, 3, 300, 0.5, 51)
-	m, err := Build(first)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tables := range [][]*rib.Table{first, buildSet(t, 4, 2000, 0.3, 52), buildSet(t, 2, 1, 0, 53), buildSet(t, 1, 500, 1, 54)} {
-		if err := m.Rebuild(tables); err != nil {
-			t.Fatal(err)
-		}
-		levels := m.Levels()
-		m.LeafPush()
-		if got, want := levels, m.Stats().PerLevel; !reflect.DeepEqual(got, want) {
-			t.Fatalf("K=%d: Levels %v, pushed Stats %v", len(tables), got, want)
-		}
-		if got := m.Levels(); !reflect.DeepEqual(got, levels) {
-			t.Fatalf("K=%d: Levels after LeafPush %v, before %v", len(tables), got, levels)
-		}
-	}
-}
-
 // sameMerged reports whether two merged tries are equal node for node: the
 // same shape, presence counts and per-network routes at every node, and
 // after leaf pushing the same leaf vectors. The walk starts at the roots,
@@ -585,8 +558,8 @@ func TestInsertOrderDoesNotMatter(t *testing.T) {
 			if !sameMerged(got, want, 0, 0) {
 				t.Fatalf("%s, pushed %v: the merged trie differs node for node from the sorted set's", c.name, pushed)
 			}
-			if !reflect.DeepEqual(got.Levels(), want.Levels()) || !reflect.DeepEqual(got.Stats(), want.Stats()) {
-				t.Fatalf("%s, pushed %v: levels %v, the sorted set's %v", c.name, pushed, got.Levels(), want.Levels())
+			if !reflect.DeepEqual(got.Stats(), want.Stats()) {
+				t.Fatalf("%s, pushed %v: stats %v, the sorted set's %v", c.name, pushed, got.Stats(), want.Stats())
 			}
 		}
 	}

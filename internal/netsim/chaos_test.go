@@ -6,6 +6,8 @@ package netsim
 // the whole composed run must stay byte-identical across worker counts.
 
 import (
+	"crypto/sha256"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -16,6 +18,7 @@ import (
 	"vrpower/internal/pipeline"
 	"vrpower/internal/rib"
 	"vrpower/internal/scenario"
+	"vrpower/internal/update"
 )
 
 // TestChaosCrashSoakTenCrashes is the acceptance soak: ten injected
@@ -305,5 +308,113 @@ func TestNoGhostScrub(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestRolledBackBatchRearms: a batch a crash rolled back re-arms as it was
+// prepared — its ops, table, image, counts and oracle kept — so a run compiles
+// one image fewer for each retried batch (set-up compiles the system's and the
+// churn manager's K images, each fresh arming one) and stays byte for byte
+// the run that regenerated, re-applied and recompiled the batch: the digests
+// of report, traces, series and events were recorded from that runner. The
+// chaos smoke's spec is run at a lower SEU rate, since at its own every crash
+// meets a scrub before its deadline and none re-arms; the crash soak re-arms
+// ten. Through ctrl: the re-armed image is a fresh prepare's, and a re-arm is
+// refused while armed, after a commit, and once the network's table changed.
+func TestRolledBackBatchRearms(t *testing.T) {
+	for _, c := range []struct{ spec, digest string }{
+		{"load=surge:0.3:0.9,faults=seu:5e-10,churn=8x24,power-cap=38,chaos=crash:3+stall:1+torn:1+falsepos:1,cycles=16384,queue=32,seed=11",
+			"bb0ae1c07e2517c5c7adb40d9ce0f6c2220359e8c6edf868f49a21852c087215"},
+		{"load=const:0.4,churn=14x24,chaos=crash:10,cycles=32768,seed=7",
+			"ad26e0565df63e0d7e6fcecf4d4e9b3c62a060b7d68f5a495353e90ff061cd99"},
+	} {
+		snap := obs.TakeSnapshot()
+		rep, dumps := runScenario(t, core.VS, 3, mustParse(t, c.spec), 1)
+		compiled := snap.CounterDelta("pipeline.images_compiled")
+		arms := int64(strings.Count(dumps[2], `"update_arm"`))
+		retried := int64(rep.Chaos.RetriedBatches)
+		if retried == 0 {
+			t.Fatalf("%s: no batch re-armed", c.spec)
+		}
+		if want := 2*3 + arms - retried; compiled != want {
+			t.Errorf("%s: %d images compiled for %d armings of which %d re-armed, want %d", c.spec, compiled, arms, retried, want)
+		}
+		h := sha256.New()
+		fmt.Fprint(h, dumpJSON(t, rep), dumps[0], dumps[1], dumps[2])
+		if got := fmt.Sprintf("%x", h.Sum(nil)); got != c.digest {
+			t.Errorf("%s: report and dumps digest %s, want %s", c.spec, got, c.digest)
+		}
+	}
+
+	set, err := rib.GenerateVirtualSet(3, 400, 0.5, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.Config{Scheme: core.VS, K: 3, ClockGating: true}
+	m, err := ctrl.New(cfg, set.Tables)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := ctrl.New(cfg, set.Tables)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops, err := update.Churn(m.Tables()[1], 24, update.ChurnConfig{Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := m.BeginHitlessUpdate(1, ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Rearm(); err == nil {
+		t.Error("an armed update re-armed")
+	}
+	first := h.Image()
+	first.FlipBit(0, 0, 1) // the data plane's copy takes an upset
+	h.Abort()
+	snap := obs.TakeSnapshot()
+	if err := h.Rearm(); err != nil {
+		t.Fatal(err)
+	}
+	if n := snap.CounterDelta("pipeline.images_compiled"); n != 0 {
+		t.Errorf("a re-arm compiled %d images", n)
+	}
+	if err := m.BeginReload(); !errors.Is(err, ctrl.ErrReloadInFlight) {
+		t.Errorf("a re-armed update does not hold the reload guard: %v", err)
+	}
+	want, err := fresh.BeginHitlessUpdate(1, ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.Image() == first || !h.Image().Equal(want.Image()) || h.Writes() != want.Writes() || h.Bubbles() != want.Bubbles() ||
+		h.Table().Len() != want.Table().Len() {
+		t.Error("the re-armed update is not a fresh prepare of the same ops, in a fresh clone")
+	}
+	if _, err := h.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Rearm(); !errors.Is(err, ctrl.ErrUpdateFinished) {
+		t.Errorf("a committed update re-armed: %v", err)
+	}
+
+	// A batch rolled back while another one committed on its network.
+	stale, err := m.BeginHitlessUpdate(2, ops[:8])
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale.Abort()
+	other, err := m.BeginHitlessUpdate(2, ops[8:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := other.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := stale.Rearm(); !errors.Is(err, ctrl.ErrUpdateStale) {
+		t.Errorf("a re-arm over a changed table: %v, want ErrUpdateStale", err)
+	}
+	if m.Reloading() {
+		t.Error("a refused re-arm left the reload guard held")
 	}
 }

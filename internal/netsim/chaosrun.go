@@ -313,8 +313,8 @@ func (c scenChaos) Boundary(b int64, _ bool) error {
 
 // crashRecovery rolls a crashed hitless commit back once its watchdog
 // deadline expires: the journal closes the op (OpCommit ⇒ Rollback), the
-// shadow bank is discarded, the old image keeps serving, and the batch is
-// put back on the churn queue.
+// shadow bank is discarded, the old image keeps serving, and the update is
+// kept, whole, for the churn stressor to re-arm.
 func (c scenChaos) crashRecovery(e *scenEng, b int64) error {
 	r, wd := c.r, c.dev.wd
 	if !wd.Expired(e.idx, b) {
@@ -339,9 +339,9 @@ func (c scenChaos) crashRecovery(e *scenEng, b int64) error {
 	r.s.tel.Events.Log(obs.LevelWarn, b, "recovery_rollback",
 		"engine", e.idx, "vn", e.batch.VN, "applies", rec.StagesApplied,
 		"crashed_at", ch.crashedAt, "recovery_cycles", b-ch.crashedAt)
-	// Re-arm the batch: the churn stressor regenerates it deterministically
-	// from the unchanged table and the same per-batch seed.
-	r.started--
+	// Re-arm the batch: the churn stressor arms the aborted update again,
+	// with the oracle of its table, at the next boundary it can.
+	r.retry = retryBatch{h: e.handle, ref: e.newRef}
 	e.handle = nil
 	e.newRef = nil
 	e.doneAt = -1

@@ -130,12 +130,15 @@ func (c scenChurn) Boundary(b int64, _ bool) error {
 	if c.inFlight() {
 		return nil // one batch in flight at a time
 	}
-	churn := r.spec.Churn
-	if r.started >= churn.Batches {
+	churn, retry := r.spec.Churn, r.retry
+	if retry.h == nil && r.started >= churn.Batches {
 		return nil
 	}
 	vn := churn.TargetVN
-	if vn < 0 {
+	switch {
+	case retry.h != nil:
+		vn = retry.h.VN()
+	case vn < 0:
 		vn = r.started % r.s.k
 	}
 	target := r.home[vn]
@@ -144,28 +147,39 @@ func (c scenChurn) Boundary(b int64, _ bool) error {
 		// forever, so the run terminates.
 		rep.BatchesAborted++
 		tel.Events.Log(obs.LevelWarn, b, "update_abort", "vn", vn, "engine", target.idx, "writes", 0)
-		r.started++
+		r.nextBatch()
 		return nil
 	}
 	if target.fs.down() {
 		return nil // engine mid-repair: retry at the next boundary
 	}
 	dev := target.dev
-	ops, err := update.Churn(dev.mgr.Tables()[vn], churn.Ops, update.ChurnConfig{Seed: r.spec.Seed + int64(r.started)})
-	if err != nil {
-		return err
-	}
-	h, err := dev.mgr.BeginHitlessUpdate(vn, ops)
-	if err != nil {
-		return err
+	h, ref := retry.h, retry.ref
+	if h != nil {
+		// A rolled-back batch re-arms as it was prepared: nothing is
+		// regenerated, applied or recompiled, and its oracle is kept.
+		if err := h.Rearm(); err != nil {
+			return err
+		}
+	} else {
+		ops, err := update.Churn(dev.mgr.Tables()[vn], churn.Ops, update.ChurnConfig{Seed: r.spec.Seed + int64(r.started)})
+		if err != nil {
+			return err
+		}
+		if h, err = dev.mgr.BeginHitlessUpdate(vn, ops); err != nil {
+			return err
+		}
 	}
 	e := dev.engines[h.Engine()]
 	if err := e.sim.BeginUpdate(h.Image(), h.Bubbles()); err != nil {
 		h.Abort()
 		return err
 	}
+	if ref == nil {
+		ref = h.Table().Reference()
+	}
 	e.handle = h
-	e.newRef = h.Table().Reference()
+	e.newRef = ref
 	e.doneAt = -1
 	e.batch = UpdateBatch{
 		VN:           vn,
@@ -180,12 +194,22 @@ func (c scenChurn) Boundary(b int64, _ bool) error {
 		"vn", vn, "engine", h.Engine(), "raw_ops", h.RawOps(), "coalesced_ops", len(h.Ops()),
 		"writes", h.Writes(), "bubbles", h.Bubbles())
 	r.chaosOnArm(e, h, b)
-	r.started++
+	r.nextBatch()
 	return nil
 }
 
+// nextBatch moves the schedule past the batch just armed or given up: a
+// rolled-back one leaves the retry slot, a fresh one advances the count.
+func (r *scenRun) nextBatch() {
+	if r.retry.h != nil {
+		r.retry = retryBatch{}
+		return
+	}
+	r.started++
+}
+
 func (c scenChurn) Outstanding() bool {
-	return c.r.started < c.r.spec.Churn.Batches || c.inFlight()
+	return c.r.started < c.r.spec.Churn.Batches || c.r.retry.h != nil || c.inFlight()
 }
 
 // inFlight reports whether a batch is armed on any engine of any device.

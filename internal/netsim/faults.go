@@ -5,13 +5,12 @@ package netsim
 // Detection runs through three channels — access-time parity checking in the
 // pipelines, a background readback sweep that walks each engine's stage
 // memories at one word a cycle, and the control plane's heartbeat — and
-// repair goes through ctrl.Scrub (rebuild from the authoritative tables,
-// reload at one word a cycle). Degradation follows the schemes' asymmetry:
+// repair goes through ctrl.Scrub (a pristine copy of the authoritative
+// tables' image, reloaded at one word a cycle). Degradation follows the schemes' asymmetry:
 // a separate-engine failure blackholes only its own VNID, while the merged
 // engine takes every network down for the reload window.
 
 import (
-	"vrpower/internal/core"
 	"vrpower/internal/ctrl"
 	"vrpower/internal/faults"
 	"vrpower/internal/obs"
@@ -127,26 +126,17 @@ func (scenFaults) Name() string { return "faults" }
 
 // rebuild is ctrl.Scrub's rebuild closure for engine e: a fresh copy of
 // the device's control-plane image of its current (possibly churned) tables
-// when churn is active; otherwise a recompile of the original tables of the
-// networks it serves through the same deterministic compile the device's
-// router used, so the rebuilt geometry matches the original word for word
-// (which keeps pre-drawn upset coordinates valid).
+// when churn is active; otherwise a clone of the device router's pristine
+// image, the compile of the original tables of the networks e serves. Both
+// are copies of what a recompile would make, word for word (which keeps
+// pre-drawn upset coordinates valid), and nothing recompiles what it can copy.
 func (f scenFaults) rebuild(e *scenEng) func() (*pipeline.Image, error) {
-	mgr, cfg, tables := f.dev.mgr, f.dev.router.Config(), f.r.s.tables
+	mgr, pristine := f.dev.mgr, f.dev.router.Images()[e.idx]
 	return func() (*pipeline.Image, error) {
-		switch {
-		case mgr != nil:
+		if mgr != nil {
 			return mgr.PinnedImage(e.idx)
-		case cfg.Scheme == core.VM:
-			// Only the system's own router merges (fleet devices are NV or
-			// VS): its one engine serves every network.
-			r, err := core.Build(cfg, tables)
-			if err != nil {
-				return nil, err
-			}
-			return r.Images()[0], nil
 		}
-		return core.CompileTable(cfg, tables[e.served[0]])
+		return pristine.Clone(), nil
 	}
 }
 
@@ -206,7 +196,7 @@ func (f scenFaults) startScrub(e *scenEng, b int64) error {
 	r.flushExits(e)
 	// The journal's intent record lands before the first stage write.
 	r.chaosScrubBegin(e, b)
-	// The rebuild compiles what compiled at set-up; if it fails anyway the
+	// The rebuild copies what compiled at set-up; if it fails anyway the
 	// run does.
 	img, err := ctrl.Scrub(f.rebuild(e))
 	if err != nil {

@@ -374,8 +374,10 @@ type scenRun struct {
 	refs   []*ip.Table
 	kept   []*ip.Table
 
-	// started counts the churn batches armed: one schedule per run.
+	// started counts the churn batches armed: one schedule per run. retry
+	// is a rolled-back batch waiting to re-arm, before the schedule goes on.
 	started int
+	retry   retryBatch
 	// kills are the engines the fault stressor armed to die at cycle killAt
 	// of the current slice (-1: none armed).
 	kills  []*scenEng
@@ -398,6 +400,14 @@ type scenRun struct {
 	upVN        []bool
 	reloadFlags []bool
 	dropVN      []*obs.Counter
+}
+
+// retryBatch is a hitless update a crash rolled back (h nil: none): the
+// aborted update, which re-arms as it was prepared, and the oracle of its
+// post-update table.
+type retryBatch struct {
+	h   *ctrl.HitlessUpdate
+	ref *ip.Table
 }
 
 // newSim returns a parity-checking engine over img — what every engine of a

@@ -322,13 +322,18 @@ func TestFaultRunCleanBaseline(t *testing.T) {
 	}
 }
 
-// A served image is a clone of its pristine source and shares its words until
-// something writes them, so the only copies a run makes are the ones its
-// upsets force: at most one per upset (the first write to a served clone;
-// the pristine image is never written), at least one when any landed, and
-// none in a run without faults — churn compiles new images, it does not
-// write served ones. The first run is the scenario smoke's spec at its CLI
-// geometry (lookupsim -scheme VS -k 3: 1000 prefixes, seed 1, traffic seed 2).
+// A served image is a clone of its pristine source and shares every stage
+// until something writes it, so the only stage copies (pipeline.image_copies)
+// a run makes are the ones its upsets force: one the first time an upset
+// strikes a stage of a served clone, none when a later upset strikes the
+// same stage of the same clone (the pristine image is never written), at
+// least one when any landed, and none in a run without faults — churn
+// compiles new images, it does not write served ones. Upsets an image took
+// are repaired together when it is replaced, each at that cycle or, drawn
+// later in the slice, the cycle after its own, so there are no more copies
+// than distinct (engine, stage, repair cycle) triples among the upsets. The
+// first run is the scenario smoke's spec at its CLI geometry (lookupsim
+// -scheme VS -k 3: 1000 prefixes, seed 1, traffic seed 2).
 func TestImagesCopiedOnlyWhereWritten(t *testing.T) {
 	smoke, err := rib.GenerateVirtualSet(3, 1000, 0.5, 1)
 	if err != nil {
@@ -361,15 +366,63 @@ func TestImagesCopiedOnlyWhereWritten(t *testing.T) {
 		}
 		copies, cloned := snap.CounterDelta("pipeline.image_copies"), snap.CounterDelta("pipeline.images_cloned")
 		seus := snap.CounterDelta("faults.seu_injected")
-		t.Logf("%s: %d copies, %d clones, %d upsets, %d batches", tc.name, copies, cloned, seus, rep.BatchesApplied)
+		struck := map[[3]int64]bool{}
+		for _, u := range rep.SEUs {
+			struck[[3]int64{int64(u.Engine), int64(u.Stage), u.RepairedAt}] = true
+		}
+		t.Logf("%s: %d stage copies, %d clones, %d upsets in %d (engine, stage, repair) triples, %d batches",
+			tc.name, copies, cloned, seus, len(struck), rep.BatchesApplied)
 		if cloned == 0 || strings.Contains(tc.spec, "churn=") && rep.BatchesApplied == 0 {
 			t.Fatalf("%s: the run served no clone or applied no batch", tc.name)
 		}
 		switch {
-		case tc.faults && (seus == 0 || copies < 1 || copies > seus):
-			t.Errorf("%s: %d image copies for %d upsets over %d clones, want 1..%d", tc.name, copies, seus, cloned, seus)
+		case tc.faults && (seus == 0 || copies < 1 || copies > int64(len(struck))):
+			t.Errorf("%s: %d stage copies for %d upsets over %d clones, want 1..%d", tc.name, copies, seus, cloned, len(struck))
 		case !tc.faults && copies != 0:
 			t.Errorf("%s: %d image copies over %d clones in a run that writes no served image", tc.name, copies, cloned)
+		}
+	}
+}
+
+// TestScrubRebuildIsPristineClone: without churn a scrub reloads a clone of
+// the device router's pristine image — compiling nothing — and what it gets
+// is the image a fresh compile of the engine's tables makes, for VS and VM;
+// an upset in the reloaded copy reaches neither the router's image nor the
+// next scrub's.
+func TestScrubRebuildIsPristineClone(t *testing.T) {
+	for _, sc := range []core.Scheme{core.VS, core.VM} {
+		s, tables := buildSystem(t, sc, 3)
+		r, _, err := s.newScenRun(faultGen(t, s, 2), mustParse(t, "load=const:0.5,faults=seu:1e-9,cycles=4096"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := scenFaults{r: r, dev: r.devs[0]}
+		for _, e := range f.dev.engines {
+			before := obs.TakeSnapshot()
+			img, err := f.rebuild(e)()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := before.CounterDelta("pipeline.images_compiled"); n != 0 {
+				t.Errorf("%v engine %d: the rebuild compiled %d images", sc, e.idx, n)
+			}
+			fresh, err := core.CompileTable(s.router.Config(), tables[e.served[0]])
+			if sc == core.VM {
+				var rt *core.Router
+				rt, err = core.Build(s.router.Config(), tables)
+				fresh = rt.Images()[0]
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !img.Equal(fresh) {
+				t.Errorf("%v engine %d: the rebuilt image is not a fresh compile's", sc, e.idx)
+			}
+			img.FlipBit(0, 0, 1)
+			again, _ := f.rebuild(e)()
+			if !again.Equal(fresh) || !s.router.Images()[e.idx].Equal(fresh) {
+				t.Errorf("%v engine %d: an upset in a rebuilt image reached the router's or the next rebuild", sc, e.idx)
+			}
 		}
 	}
 }

@@ -315,6 +315,31 @@ func TestTimeSeriesCSVWhileAppending(t *testing.T) {
 	}
 }
 
+// TestTimeSeriesReserve: a series that reserved its rows appends them into
+// the one allocation, a row past them grows it, and the CSV is the one an
+// unreserved series renders.
+func TestTimeSeriesReserve(t *testing.T) {
+	plain, sized := NewTimeSeries(), NewTimeSeries()
+	plain.Init("a", "b")
+	sized.Init("a", "b")
+	sized.Reserve(513)
+	vals, cycles := &sized.vals[:1][0], &sized.cycles[:1][0]
+	for i := range 513 {
+		plain.Append(int64(i), float64(i), 1/float64(i+1))
+		sized.Append(int64(i), float64(i), 1/float64(i+1))
+	}
+	if &sized.vals[0] != vals || &sized.cycles[0] != cycles {
+		t.Fatal("the reserved rows grew the series")
+	}
+	plain.Append(513, 1, 2)
+	sized.Append(513, 1, 2)
+	if sized.CSV() != plain.CSV() {
+		t.Fatal("a reserved series renders other CSV")
+	}
+	var nilSeries *TimeSeries
+	nilSeries.Reserve(4)
+}
+
 func TestTimeSeriesArityPanics(t *testing.T) {
 	ts := NewTimeSeries()
 	ts.Init("a", "b")

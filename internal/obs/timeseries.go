@@ -42,6 +42,19 @@ func (ts *TimeSeries) Init(cols ...string) {
 	ts.cycles, ts.vals = nil, nil
 }
 
+// Reserve makes room for rows rows in all, so a run that knows how many
+// slices it has appends them into storage allocated once; a row past them
+// grows it as Append always does. Safe on a nil series (no-op).
+func (ts *TimeSeries) Reserve(rows int) {
+	if ts == nil {
+		return
+	}
+	ts.mu.Lock()
+	defer ts.mu.Unlock()
+	ts.vals = slices.Grow(ts.vals, max(rows*len(ts.cols)-len(ts.vals), 0))
+	ts.cycles = slices.Grow(ts.cycles, max(rows-len(ts.cycles), 0))
+}
+
 // Append records one row at the given cycle, copying vals. The value count
 // must match the Init schema; a mismatch is a programming error and panics.
 // Safe on a nil series (no-op).

@@ -90,8 +90,9 @@ const maxLevels = 33
 // slab[l]. Preorder meets a level's nodes in the breadth-first order of the
 // image, so a node's children are reserved as the next two of the level
 // below when it gains its first, and a missing child is the leaf pushing
-// would make, carrying the vector the node hands down. Parity, fold bits and
-// visits are written with the words; only the jump table is derived after.
+// would make, carrying the vector the node hands down. Parity, fold bits,
+// visits and the stages' data bits (from the counts) are written with the
+// words; only the jump table is derived after.
 func (r Routes) Compile(sm trie.StageMap) (*Image, error) {
 	if r.Levels == nil {
 		return nil, fmt.Errorf("pipeline: compile of zero tables")
@@ -108,12 +109,13 @@ func (r Routes) Compile(sm trie.StageMap) (*Image, error) {
 	w.img = newImage(k, sm, lens, leaves*k)
 	w.img.nhi = w.img.nhi[:leaves*k]
 	w.img.Levels = r.Levels
-	for level := range r.Levels {
+	for level, lv := range r.Levels {
 		s := sm.Stage(level)
 		w.stage[level] = &w.img.stages[s]
 		if level > 0 && sm.Stage(level-1) == s {
 			w.stage[level].visits++ // one more level of the stage's run
 		}
+		w.stage[level].bits += int64(lv.Internal*2*ptrBits + lv.Leaves*k*nhiBits)
 		w.meta[level] = uint16(31 - level)
 		if sm.Stage(level+1) == s {
 			w.meta[level] |= metaFold

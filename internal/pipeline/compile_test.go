@@ -149,6 +149,9 @@ func compileBreadthFirst[N comparable](root N, k int, mapFor func(height int) (t
 		}
 		cur, below = below, cur[:0]
 	}
+	for s := range img.stages {
+		img.stages[s].bits = img.stages[s].sumBits()
+	}
 	img.deriveJump()
 	return img, nil
 }
@@ -367,8 +370,8 @@ func TestCompileAllocatesOnlyItsImage(t *testing.T) {
 			allocs[name] = min(allocs[name], after.Mallocs-before.Mallocs)
 		}
 		own := uint64(unsafe.Sizeof(*img)) + uint64(len(img.stages))*uint64(unsafe.Sizeof(stage{})) +
-			uint64(len(img.Levels))*uint64(unsafe.Sizeof(trie.Level{})) + 2*uint64(cap(img.meta)) +
-			8*uint64(cap(img.child)) + 2*uint64(cap(img.nhi)) + 4*uint64(cap(img.jump))
+			uint64(len(img.Levels))*uint64(unsafe.Sizeof(trie.Level{})) + 10*uint64(img.Words()) +
+			2*uint64(cap(img.nhi)) + 4*uint64(cap(img.jump))
 		t.Logf("%s: %d B a compile, the image's arrays %d B; %d allocations", name, bytes, own, allocs[name])
 		if bytes > own+slack {
 			t.Errorf("%s: a compile allocates %d B, %d B past its image's %d B", name, bytes, bytes-own, own)

@@ -37,7 +37,7 @@ func Flatten(img *Image) *Image {
 // writes the per-entry and per-stage ones and counts the levels as it goes,
 // is held to.
 func (img *Image) derive() {
-	img.own()
+	img.ownAll()
 	var levels [metaLevelMask + 1]trie.Level
 	height := -1
 	for s := range img.stages {
@@ -59,6 +59,7 @@ func (img *Image) derive() {
 		// At least one visit even for an empty stage, so a flight arriving
 		// there trips the same out-of-range fault the scalar engine raises.
 		st.visits = max(hi-lo+1, 1)
+		st.bits = st.sumBits()
 	}
 	img.Levels = slices.Clone(levels[:height+1])
 	img.deriveJump()
@@ -80,7 +81,7 @@ func (img *Image) deriveJump() {
 		level += img.stages[s].visits
 	}
 	if img.jumpStage > 0 {
-		img.jump = make([]uint32, 1<<(32-img.jumpShift))
+		img.jump, img.jumpOwned = make([]uint32, 1<<(32-img.jumpShift)), true
 		img.buildJump()
 	}
 }
@@ -127,6 +128,7 @@ func (img *Image) patch(s int, i uint32) {
 	st := &img.stages[s]
 	st.meta[i] = img.derived(s, st.meta[i], st.child[i])
 	if s < img.jumpStage {
+		img.ownJump()
 		img.buildJump()
 	}
 }

@@ -1,7 +1,9 @@
 package pipeline
 
 import (
+	"encoding/binary"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"vrpower/internal/ip"
@@ -163,5 +165,99 @@ func TestFuzzCorporaReachJumpLane(t *testing.T) {
 	}
 	if batched == 0 || streamed == 0 {
 		t.Errorf("corpus images with a jump table: %d of FuzzBatchedLookup's, %d of FuzzStreamVsSim's; want some of each", batched, streamed)
+	}
+}
+
+// FuzzCloneWrites runs a decoded sequence of Clone, FlipBit, setEntry and
+// Flatten over three images, cloned at first from two pristine compiles, and
+// after every step holds each image to a reference kept as deep copies under
+// the same steps, and each pristine source to what it was: a write to one
+// image, whatever it shares with which, reaches no other.
+func FuzzCloneWrites(f *testing.F) {
+	a, _ := compileSet(f, 2, 400, 28, 5)
+	b, _ := compileSet(f, 1, 300, 8, 3)
+	srcs := []*Image{a, b}
+	for _, seed := range [][]byte{
+		{1, 0, 0, 0, 0, 0, 1, 1, 9, 9, 9, 9, 0, 2, 1, 0, 0, 0},
+		{2, 1, 3, 7, 0, 0, 0, 1, 2, 0, 0, 0, 1, 2, 5, 5, 5, 5, 3, 2, 0, 0, 0, 0},
+		{4, 2, 1, 0, 0, 0, 2, 2, 4, 1, 200, 3, 1, 2, 77, 1, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0},
+		{1, 0, 255, 255, 255, 255, 1, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 1, 1, 3, 0, 1, 0},
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		cloneWritesCase(t, srcs, ops)
+	})
+}
+
+// deepCopy returns an image that shares nothing with img but its stage map.
+func deepCopy(img *Image) *Image {
+	out := &Image{K: img.K, Map: img.Map, Levels: slices.Clone(img.Levels), stages: slices.Clone(img.stages),
+		nhi: slices.Clone(img.nhi), jump: slices.Clone(img.jump), jumpStage: img.jumpStage, jumpShift: img.jumpShift,
+		slabOwned: true, jumpOwned: true}
+	for s := range out.stages {
+		st := &out.stages[s]
+		st.meta, st.child, st.owned = slices.Clone(st.meta), slices.Clone(st.child), true
+	}
+	return out
+}
+
+// cloneWritesCase is FuzzCloneWrites' body. Each step is six bytes: the op
+// (Clone into another slot, FlipBit at a located offset, setEntry of a made-
+// up word, Flatten, or a fresh clone of a source), the slot, and four bytes
+// of arguments.
+func cloneWritesCase(t *testing.T, srcs []*Image, ops []byte) {
+	want := make([]*Image, len(srcs))
+	for i, src := range srcs {
+		want[i] = deepCopy(src)
+	}
+	imgs := []*Image{srcs[0].Clone(), srcs[0].Clone(), srcs[1].Clone()}
+	refs := []*Image{deepCopy(srcs[0]), deepCopy(srcs[0]), deepCopy(srcs[1])}
+	for step := 0; len(ops) >= 6 && step < 64; step, ops = step+1, ops[6:] {
+		slot, arg := int(ops[1])%len(imgs), binary.LittleEndian.Uint32(ops[2:6])
+		img, ref := imgs[slot], refs[slot]
+		switch ops[0] % 5 {
+		case 0: // Clone into the next slot
+			to := (slot + 1 + int(arg)%2) % len(imgs)
+			imgs[to], refs[to] = img.Clone(), deepCopy(ref)
+		case 1: // an upset
+			if img.DataBits() == 0 {
+				continue
+			}
+			s, i, bit, _ := img.Locate(int64(arg) % img.DataBits())
+			if img.FlipBit(s, i, bit) != ref.FlipBit(s, i, bit) {
+				t.Fatalf("step %d: FlipBit(%d, %d, %d) differs from the reference's", step, s, i, bit)
+			}
+		case 2: // a made-up word, a leaf's vector of any length
+			s := int(arg) % img.Stages()
+			if img.StageLen(s) == 0 {
+				continue
+			}
+			i := int(arg>>8) % img.StageLen(s)
+			e := Entry{Level: int(arg>>16) % 32, Child: [2]uint32{arg, arg >> 3}, Parity: uint8(arg >> 24 & 1)}
+			if arg>>25&1 != 0 {
+				e = Entry{Leaf: true, Level: int(arg>>16) % 64, NHI: make([]ip.NextHop, arg>>26&7), Parity: e.Parity}
+				for j := range e.NHI {
+					e.NHI[j] = ip.NextHop(arg>>uint(j) + uint32(j))
+				}
+			}
+			img.setEntry(s, i, &e)
+			ref.setEntry(s, i, &e)
+		case 3:
+			imgs[slot], refs[slot] = Flatten(img), deepCopy(Flatten(ref))
+		case 4: // a fresh clone of a source
+			src := int(arg) % len(srcs)
+			imgs[slot], refs[slot] = srcs[src].Clone(), deepCopy(srcs[src])
+		}
+		for j := range imgs {
+			if !imgs[j].Equal(refs[j]) {
+				t.Fatalf("step %d (op %d on slot %d): image %d differs from its reference", step, ops[0]%5, slot, j)
+			}
+		}
+		for j, src := range srcs {
+			if !src.Equal(want[j]) {
+				t.Fatalf("step %d (op %d on slot %d): pristine source %d was written", step, ops[0]%5, slot, j)
+			}
+		}
 	}
 }

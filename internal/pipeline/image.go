@@ -30,9 +30,9 @@ import (
 //     a leaf's {offset into the NHI slab, vector length}.
 //
 // and per image one NHI slab — all leaf vectors back to back, in stage-then-
-// index order — and the derived jump table (flat.go). The stages' slices are
-// runs of one array each, so an image is five allocations with its per-level
-// counts.
+// index order — and the derived jump table (flat.go). A compile lays the
+// stages' slices out as runs of one array each, so a compiled image is five
+// allocations with its per-level counts.
 //
 // Stored words are what a table compiles to and what an upset strikes; derived
 // words are a function of them (Flatten, from scratch). Whoever writes a stored
@@ -40,8 +40,10 @@ import (
 // afresh. Engines read an image's words in place, all engines over it the same
 // ones, so an image that may be written is served by its writer alone: the
 // owner of a compiled image keeps it pristine and hands out clones. A clone
-// shares its source's words until either side writes: every writer first
-// calls own, which copies them the one time they would diverge.
+// shares its source's stage headers and words until either side writes, and
+// then copies only what the write touches: a writer first calls own(s) for
+// the stage it writes, ownSlab before it writes or appends to a leaf vector,
+// ownJump before it rebuilds the jump table.
 //
 // Internal nodes store the precomputed shift amount 31-level (≤ 31, so the
 // hot loop's address-bit extract masks with 0x1F and the compiler can prove
@@ -70,11 +72,16 @@ const (
 // it (the StageMap's contiguity, pinned by TestStageMapContiguity, guarantees
 // the levels form one run) — which lets the batched sweep drive the
 // intra-stage walk with a fixed trip count instead of a per-entry fold branch.
-// Derived.
+// bits is the stage's flippable data bits, what Locate searches by. Both are
+// derived; an upset changes neither. owned says the image whose headers these
+// are may write meta and child in place; it means nothing while the headers
+// are shared (Image.shared).
 type stage struct {
 	meta   []uint16
 	child  [][2]uint32
 	visits int
+	bits   int64
+	owned  bool
 }
 
 // Image is a compiled pipeline memory image.
@@ -89,10 +96,7 @@ type Image struct {
 	Levels []trie.Level
 
 	stages []stage
-	// meta and child back every stage's slices, stage after stage.
-	meta  []uint16
-	child [][2]uint32
-	nhi   []ip.NextHop
+	nhi    []ip.NextHop
 
 	// jump is the jump table over the address's top 32-jumpShift bits, a pure
 	// function of the words of stages below jumpStage: jump[addr>>jumpShift] is
@@ -106,9 +110,14 @@ type Image struct {
 	jumpStage int
 	jumpShift uint8
 
-	// shared is set on both sides of a Clone while they may share words;
-	// own clears it. Atomic: clones of one source are taken concurrently.
-	shared atomic.Bool
+	// shared is set on both sides of a Clone while they may share stage
+	// headers; the first write clears it, giving the writer headers of its own
+	// with no stage owned. Atomic: clones of one source are taken
+	// concurrently. slabOwned and jumpOwned say the image may write its slab
+	// and jump table in place; like stage.owned they mean nothing while
+	// shared.
+	shared               atomic.Bool
+	slabOwned, jumpOwned bool
 }
 
 // Entry is the view of one stage-memory word that the scalar oracle, the HDL
@@ -147,8 +156,8 @@ func (e *Entry) DataParity() uint8 {
 }
 
 // Image-build instrumentation (surfaced by the cmd tools' -stats flag and
-// /metrics): how many images were compiled from routes and how many were
-// copied from an already-compiled one.
+// /metrics): how many images were compiled from routes, how many were cloned
+// from an already-compiled one, and how many stages a written clone copied.
 var (
 	obsImagesCompiled = obs.NewCounter("pipeline.images_compiled")
 	obsImagesCloned   = obs.NewCounter("pipeline.images_cloned")
@@ -156,7 +165,8 @@ var (
 )
 
 // newImage returns an image of lens[s] zero words in stage s, over an empty
-// slab with room for words next hops.
+// slab with room for words next hops. It owns everything; its derived words
+// are zero until whoever writes the stored ones derives them.
 func newImage(k int, sm trie.StageMap, lens []int, words int) *Image {
 	total := 0
 	for _, n := range lens {
@@ -164,15 +174,15 @@ func newImage(k int, sm trie.StageMap, lens []int, words int) *Image {
 	}
 	img := &Image{
 		K: k, Map: sm,
-		stages: make([]stage, len(lens)),
-		meta:   make([]uint16, total),
-		child:  make([][2]uint32, total),
-		nhi:    make([]ip.NextHop, 0, words),
+		stages:    make([]stage, len(lens)),
+		nhi:       make([]ip.NextHop, 0, words),
+		slabOwned: true,
 	}
+	meta, child := make([]uint16, total), make([][2]uint32, total)
 	off := 0
 	for s, n := range lens {
 		// Capacity cut to length: a stage never grows into its neighbour.
-		img.stages[s] = stage{meta: img.meta[off : off+n : off+n], child: img.child[off : off+n : off+n], visits: 1}
+		img.stages[s] = stage{meta: meta[off : off+n : off+n], child: child[off : off+n : off+n], visits: 1, owned: true}
 		off += n
 	}
 	return img
@@ -211,19 +221,24 @@ func NewImage(k int, sm trie.StageMap, entries [][]Entry) (*Image, error) {
 }
 
 // setEntry stores e's words as entry (s, i), a leaf's vector at the end of
-// the slab.
+// the slab, and keeps the stage's data bits true; the other derived words are
+// left for derive.
 func (img *Image) setEntry(s, i int, e *Entry) {
-	img.own()
+	img.own(s)
+	st := &img.stages[s]
+	st.bits -= int64(dataBits(st.meta[i], st.child[i]))
 	m := uint16(e.Parity&1) << 9
 	if e.Leaf {
+		img.ownSlab()
 		m |= metaLeaf | uint16(e.Level)
-		img.stages[s].child[i] = [2]uint32{uint32(len(img.nhi)), uint32(len(e.NHI))}
+		st.child[i] = [2]uint32{uint32(len(img.nhi)), uint32(len(e.NHI))}
 		img.nhi = append(img.nhi, e.NHI...)
 	} else {
 		m |= uint16(31 - e.Level)
-		img.stages[s].child[i] = e.Child
+		st.child[i] = e.Child
 	}
-	img.stages[s].meta[i] = m
+	st.meta[i] = m
+	st.bits += int64(dataBits(m, st.child[i]))
 }
 
 // Stages returns the number of pipeline stages.
@@ -251,15 +266,14 @@ func (st *stage) view(e *Entry, slab []ip.NextHop, i uint32) {
 	}
 }
 
-// Clone returns a copy of the image that shares every word with its source
-// until either writes one (own). The owner of a compiled image keeps it
-// pristine and hands clones to whatever may write them — fault injection, a
-// data plane under it — so a clone is a header, its words copied at a write.
+// Clone returns a copy of the image that shares every stage with its source
+// until either writes one. The owner of a compiled image keeps it pristine and
+// hands clones to whatever may write them — fault injection, a data plane
+// under it — so a clone is a header, and a write copies the stage it lands in.
 func (img *Image) Clone() *Image {
 	img.shared.Store(true)
 	out := &Image{
-		K: img.K, Map: img.Map, Levels: img.Levels, stages: img.stages,
-		meta: img.meta, child: img.child, nhi: img.nhi,
+		K: img.K, Map: img.Map, Levels: img.Levels, stages: img.stages, nhi: img.nhi,
 		jump: img.jump, jumpStage: img.jumpStage, jumpShift: img.jumpShift,
 	}
 	out.shared.Store(true)
@@ -267,23 +281,70 @@ func (img *Image) Clone() *Image {
 	return out
 }
 
-// own gives img words of its own if a clone may share them: a deep copy,
-// which no other image reads, before the write that calls it.
-func (img *Image) own() {
+// ownHeaders gives img stage headers of its own if a clone may share them,
+// none of their stages, slab or jump table owned yet.
+func (img *Image) ownHeaders() {
 	if !img.shared.Load() {
 		return
 	}
-	img.Levels, img.meta, img.child = slices.Clone(img.Levels), slices.Clone(img.meta), slices.Clone(img.child)
-	img.nhi, img.jump = slices.Clone(img.nhi), slices.Clone(img.jump)
-	stages, off := make([]stage, len(img.stages)), 0
-	for s, st := range img.stages {
-		end := off + len(st.meta)
-		stages[s] = stage{meta: img.meta[off:end:end], child: img.child[off:end:end], visits: st.visits}
-		off = end
+	img.stages = slices.Clone(img.stages)
+	for s := range img.stages {
+		img.stages[s].owned = false
 	}
-	img.stages = stages
+	img.slabOwned, img.jumpOwned = false, false
 	img.shared.Store(false)
-	obsImageCopies.Inc()
+}
+
+// own gives img its own copy of stage s's words, which no other image reads,
+// before the write that calls it. The other stages stay shared.
+func (img *Image) own(s int) {
+	img.ownHeaders()
+	if st := &img.stages[s]; !st.owned {
+		st.meta, st.child, st.owned = slices.Clone(st.meta), slices.Clone(st.child), true
+		obsImageCopies.Inc()
+	}
+}
+
+// ownSlab gives img its own copy of the NHI slab, before a leaf's vector is
+// written or appended to.
+func (img *Image) ownSlab() {
+	img.ownHeaders()
+	if !img.slabOwned {
+		img.nhi, img.slabOwned = slices.Clone(img.nhi), true
+	}
+}
+
+// ownJump gives img a jump table of its own, before buildJump refills it:
+// a fresh one, since buildJump writes every slot.
+func (img *Image) ownJump() {
+	img.ownHeaders()
+	if !img.jumpOwned {
+		img.jump, img.jumpOwned = make([]uint32, len(img.jump)), true
+	}
+}
+
+// ownAll gives img its own copy of every stage it shares, laid out as a
+// compile lays them (one array each for meta and child words), and of the
+// slab: what derive, which rewrites every stage, calls.
+func (img *Image) ownAll() {
+	img.ownHeaders()
+	n, copied := 0, int64(0)
+	for _, st := range img.stages {
+		if !st.owned {
+			n += len(st.meta)
+		}
+	}
+	meta, child := make([]uint16, 0, n), make([][2]uint32, 0, n)
+	for s := range img.stages {
+		if st := &img.stages[s]; !st.owned {
+			at := len(meta)
+			meta, child = append(meta, st.meta...), append(child, st.child...)
+			st.meta, st.child, st.owned = meta[at:len(meta):len(meta)], child[at:len(child):len(child)], true
+			copied++
+		}
+	}
+	obsImageCopies.Add(copied)
+	img.ownSlab()
 }
 
 // Splice returns the image a reload of head that got n stages far leaves in a
@@ -322,8 +383,8 @@ func Splice(head, tail *Image, n int) *Image {
 // exposure area an SEU rate per bit-cycle multiplies.
 func (img *Image) DataBits() int64 {
 	var total int64
-	for i, m := range img.meta {
-		total += int64(dataBits(m, img.child[i]))
+	for s := range img.stages {
+		total += img.stages[s].bits
 	}
 	return total
 }
@@ -338,25 +399,55 @@ func dataBits(m uint16, c [2]uint32) int {
 	return 2 * ptrBits
 }
 
+// sumBits is the stage's data bits, from its words.
+func (st *stage) sumBits() (n int64) {
+	for i, m := range st.meta {
+		n += int64(dataBits(m, st.child[i]))
+	}
+	return n
+}
+
 // Words returns the total stage-memory word (entry) count — the reload cost
 // of a full image scrub.
-func (img *Image) Words() int { return len(img.meta) }
+func (img *Image) Words() (n int) {
+	for s := range img.stages {
+		n += len(img.stages[s].meta)
+	}
+	return n
+}
 
 // Locate maps a flat bit offset in [0, DataBits()) onto the (stage, index,
-// bit-within-entry) coordinates FlipBit takes. It reports false when off is
-// out of range.
+// bit-within-entry) coordinates FlipBit takes: the stage whose data bits hold
+// the offset, then the entry within it, scanned for from the stage's nearer
+// end. It reports false when off is out of range.
 func (img *Image) Locate(off int64) (stage int, index uint32, bit int, ok bool) {
 	if off < 0 {
 		return 0, 0, 0, false
 	}
 	for s := range img.stages {
 		st := &img.stages[s]
-		for i, m := range st.meta {
-			n := int64(dataBits(m, st.child[i]))
-			if off < n {
-				return s, uint32(i), int(off), true
+		if off >= st.bits {
+			off -= st.bits
+			continue
+		}
+		meta, child := st.meta, st.child[:len(st.meta)]
+		if off < st.bits/2 {
+			for i, m := range meta {
+				n := int64(dataBits(m, child[i]))
+				if off < n {
+					return s, uint32(i), int(off), true
+				}
+				off -= n
 			}
-			off -= n
+		}
+		// From the end: r is the bits from off to the end of entry i.
+		r := st.bits - off
+		for i := len(meta) - 1; i >= 0; i-- {
+			n := int64(dataBits(meta[i], child[i]))
+			if r <= n {
+				return s, uint32(i), int(n - r), true
+			}
+			r -= n
 		}
 	}
 	return 0, 0, 0, false
@@ -381,9 +472,10 @@ func (img *Image) FlipBit(stage int, index uint32, bit int) bool {
 		return false
 	}
 	bit = ((bit % n) + n) % n
-	img.own()
+	img.own(stage)
 	st = &img.stages[stage]
 	if st.meta[index]&metaLeaf != 0 {
+		img.ownSlab()
 		img.nhi[int(st.child[index][0])+bit/nhiBits] ^= 1 << (bit % nhiBits)
 	} else {
 		st.child[index][bit/ptrBits] ^= 1 << (bit % ptrBits)
@@ -442,16 +534,16 @@ func (img *Image) DiffStage(other *Image, s int, differ func(i uint32)) {
 }
 
 // Equal reports whether img and o hold the same words: K, stage map and
-// per-level counts, every stage's meta and child words (runs of the two
-// arrays) and visit count, the NHI slab, and the jump table with its depth.
-// Whether either shares its words with a clone is not compared.
+// per-level counts, every stage's meta and child words, visit count and data
+// bits, the NHI slab, and the jump table with its depth. Which stages either
+// shares with a clone is not compared.
 func (img *Image) Equal(o *Image) bool {
 	same := img.K == o.K && reflect.DeepEqual(img.Map, o.Map) && slices.Equal(img.Levels, o.Levels) &&
-		slices.Equal(img.meta, o.meta) && slices.Equal(img.child, o.child) && slices.Equal(img.nhi, o.nhi) &&
-		slices.Equal(img.jump, o.jump) && img.jumpStage == o.jumpStage && img.jumpShift == o.jumpShift &&
-		len(img.stages) == len(o.stages)
+		slices.Equal(img.nhi, o.nhi) && slices.Equal(img.jump, o.jump) && img.jumpStage == o.jumpStage &&
+		img.jumpShift == o.jumpShift && len(img.stages) == len(o.stages)
 	for s := 0; same && s < len(img.stages); s++ {
-		same = len(img.stages[s].meta) == len(o.stages[s].meta) && img.stages[s].visits == o.stages[s].visits
+		a, b := &img.stages[s], &o.stages[s]
+		same = slices.Equal(a.meta, b.meta) && slices.Equal(a.child, b.child) && a.visits == b.visits && a.bits == b.bits
 	}
 	return same
 }

@@ -208,8 +208,13 @@ func assertWordsMatchOracle(t *testing.T, img *Image, root refNode) {
 	if !Flatten(img).Equal(img) {
 		t.Error("the derived words the compiler wrote are not what Flatten derives")
 	}
-	if len(img.meta) != img.Words() || len(img.child) != img.Words() || cap(img.nhi) != len(img.nhi) {
-		t.Errorf("backing arrays not at size: %d meta, %d child for %d words; slab %d of %d", len(img.meta), len(img.child), img.Words(), len(img.nhi), cap(img.nhi))
+	for s := range img.stages {
+		if st := &img.stages[s]; cap(st.meta) != len(st.meta) || cap(st.child) != len(st.meta) || len(st.child) != len(st.meta) {
+			t.Errorf("stage %d: %d meta words (room for %d), %d child words (room for %d)", s, len(st.meta), cap(st.meta), len(st.child), cap(st.child))
+		}
+	}
+	if cap(img.nhi) != len(img.nhi) {
+		t.Errorf("slab not at size: %d of %d", len(img.nhi), cap(img.nhi))
 	}
 }
 

@@ -6,10 +6,14 @@ package pipeline
 // what NewImage was given, a clone's arrays against its source's.
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"vrpower/internal/ip"
 	"vrpower/internal/trie"
@@ -45,7 +49,8 @@ func dataBitsOf(e Entry) int {
 // place: the view aliases them), the stored parity bit — and re-derives what
 // depends on it, as FlipBit does. Kind, level and vector length stay.
 func poke(img *Image, s int, i uint32, write func(e *Entry)) {
-	img.own()
+	img.own(s)
+	img.ownSlab()
 	e := img.Entry(s, i)
 	write(&e)
 	st := &img.stages[s]
@@ -225,31 +230,56 @@ func TestNewImageViewRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCloneCopiesOnWrite: a clone shares its source's arrays until either
-// side writes; the writer then owns copies of all of them, so nothing it
-// writes — every word, stored and derived — reaches the other side or any
-// image the two were cloned from.
+// TestCloneCopiesOnWrite: a clone shares its source's stage headers, every
+// stage's words, the slab and the jump table until either side writes; a
+// write then copies only what it touches — the stage it lands in, the slab
+// when it writes a leaf's vector, the jump table when the stage is one the
+// table stands for — and nothing it writes, stored or derived, reaches the
+// other side or any image the two were cloned from.
 func TestCloneCopiesOnWrite(t *testing.T) {
 	scribble := func(img *Image) {
-		img.own()
-		for i := range img.meta {
-			img.meta[i] = ^img.meta[i]
-			img.child[i] = [2]uint32{^img.child[i][0], ^img.child[i][1]}
+		for s := range img.stages {
+			img.own(s)
+			st := &img.stages[s]
+			for i := range st.meta {
+				st.meta[i] = ^st.meta[i]
+				st.child[i] = [2]uint32{^st.child[i][0], ^st.child[i][1]}
+			}
+			st.visits += 7
+			st.bits++
 		}
+		img.ownSlab()
 		for i := range img.nhi {
 			img.nhi[i] = ^img.nhi[i]
 		}
+		img.ownJump()
 		for i := range img.jump {
 			img.jump[i] = ^img.jump[i]
 		}
-		for s := range img.stages {
-			img.stages[s].visits += 7
-		}
-		img.Levels[0].Nodes++
 	}
-	sameArrays := func(a, b *Image) bool {
-		return &a.meta[0] == &b.meta[0] && &a.child[0] == &b.child[0] && &a.nhi[0] == &b.nhi[0] &&
-			&a.jump[0] == &b.jump[0] && &a.stages[0] == &b.stages[0] && &a.Levels[0] == &b.Levels[0]
+	// shares reports, per stage (empty ones count as shared), then for the
+	// slab and the jump table, whether a and b read the same array.
+	shares := func(a, b *Image) (stages []bool, slab, jump bool) {
+		for s := range a.stages {
+			x, y := &a.stages[s], &b.stages[s]
+			stages = append(stages, len(x.meta) == 0 ||
+				unsafe.SliceData(x.meta) == unsafe.SliceData(y.meta) && unsafe.SliceData(x.child) == unsafe.SliceData(y.child))
+		}
+		return stages, unsafe.SliceData(a.nhi) == unsafe.SliceData(b.nhi), unsafe.SliceData(a.jump) == unsafe.SliceData(b.jump)
+	}
+	// expect fails unless exactly the stage copied (-1: none), and the slab
+	// and jump table as given, are a's own.
+	expect := func(name string, a, b *Image, copied int, slab, jump bool) {
+		t.Helper()
+		stages, sharedSlab, sharedJump := shares(a, b)
+		for s, same := range stages {
+			if same == (s == copied) && len(a.stages[s].meta) > 0 {
+				t.Errorf("%s: stage %d shared %v, want a copy of stage %d only", name, s, same, copied)
+			}
+		}
+		if sharedSlab == slab || sharedJump == jump {
+			t.Errorf("%s: slab shared %v, jump table shared %v; want copies %v, %v", name, sharedSlab, sharedJump, slab, jump)
+		}
 	}
 	for _, fx := range jumpFixtures(t)[2:4] {
 		pristine, want := Flatten(fx.img), Flatten(fx.img)
@@ -258,16 +288,34 @@ func TestCloneCopiesOnWrite(t *testing.T) {
 		}
 		src := pristine.Clone()
 		clone := src.Clone()
-		if !sameArrays(clone, src) || !sameArrays(src, pristine) {
-			t.Fatalf("%s: a clone copied words before anything wrote them", fx.name)
-		}
+		expect(fx.name+": clone", clone, src, -1, false, false)
+		expect(fx.name+": source", src, pristine, -1, false, false)
 		if !clone.Equal(src) {
 			t.Fatalf("%s: clone differs from its source", fx.name)
 		}
-		scribble(clone)
-		if sameArrays(clone, src) {
-			t.Fatalf("%s: a written clone still shares its source's arrays", fx.name)
+		// A leaf below the jump table's stages, then an internal node of a
+		// stage it stands for.
+		leafS, leafI, nodeS, nodeI := -1, uint32(0), -1, uint32(0)
+		for s := range clone.stages {
+			for i, m := range clone.stages[s].meta {
+				switch {
+				case leafS < 0 && m&metaLeaf != 0 && s >= clone.jumpStage:
+					leafS, leafI = s, uint32(i)
+				case nodeS < 0 && m&metaLeaf == 0 && s < clone.jumpStage:
+					nodeS, nodeI = s, uint32(i)
+				}
+			}
 		}
+		if leafS < 0 || nodeS < 0 {
+			t.Fatalf("%s: no leaf at or past stage %d, or no internal node before it", fx.name, clone.jumpStage)
+		}
+		clone.FlipBit(leafS, leafI, 3)
+		expect(fx.name+": a leaf's upset", clone, src, leafS, true, false)
+		clone = src.Clone()
+		clone.FlipBit(nodeS, nodeI, 3)
+		expect(fx.name+": a top node's upset", clone, src, nodeS, false, true)
+
+		scribble(clone)
 		if !src.Equal(want) || !pristine.Equal(want) {
 			t.Errorf("%s: writing the clone changed its source", fx.name)
 		}
@@ -332,9 +380,10 @@ func TestEqualComparesEveryWord(t *testing.T) {
 		"K":          func(img *Image) { img.K++ },
 		"map":        func(img *Image) { img.Map = trie.StageMap{Stages: img.Map.Stages} },
 		"levels":     func(img *Image) { img.Levels[len(img.Levels)-1].Nodes++ },
-		"meta":       func(img *Image) { img.meta[len(img.meta)-1] ^= metaParity },
-		"child":      func(img *Image) { img.child[0][1]++ },
+		"meta":       func(img *Image) { st := &img.stages[len(img.stages)-1]; st.meta[len(st.meta)-1] ^= metaParity },
+		"child":      func(img *Image) { img.stages[0].child[0][1]++ },
 		"visits":     func(img *Image) { img.stages[len(img.stages)-1].visits++ },
+		"bits":       func(img *Image) { img.stages[len(img.stages)-1].bits++ },
 		"nhi":        func(img *Image) { img.nhi[len(img.nhi)-1]++ },
 		"jump":       func(img *Image) { img.jump[len(img.jump)-1]++ },
 		"jump stage": func(img *Image) { img.jumpStage++ },
@@ -348,5 +397,140 @@ func TestEqualComparesEveryWord(t *testing.T) {
 		if a.Equal(b) || b.Equal(a) {
 			t.Errorf("%s: Equal misses a changed word", name)
 		}
+	}
+}
+
+// locateScan is Locate as a scan of every entry before the offset: the
+// reference the stage search is held to.
+func locateScan(img *Image, off int64) (stage int, index uint32, bit int, ok bool) {
+	if off < 0 {
+		return 0, 0, 0, false
+	}
+	for s := range img.stages {
+		st := &img.stages[s]
+		for i, m := range st.meta {
+			n := int64(dataBits(m, st.child[i]))
+			if off < n {
+				return s, uint32(i), int(off), true
+			}
+			off -= n
+		}
+	}
+	return 0, 0, 0, false
+}
+
+// TestLocateMatchesScan: Locate, a search over the stages' data bits and then
+// a scan of one stage, names the word a scan of the whole image names at
+// offset — every one of hand-made images with leaf vectors of any length (none
+// at all included) and empty stages; the ends of every stage and a sixteenth
+// of the rest of compiled ones, where each stage's bits come from the
+// compile's counts — and DataBits is the words' sum.
+func TestLocateMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	var images []*Image
+	for n := 0; n < 20; n++ {
+		stages := 1 + rng.Intn(5)
+		sm, err := trie.NewStageMap(stages, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries := make([][]Entry, stages)
+		for s := range entries {
+			for i := rng.Intn(7); i > 0; i-- { // a third of stages stay empty
+				e := Entry{Level: rng.Intn(32), Child: [2]uint32{rng.Uint32(), rng.Uint32()}}
+				if rng.Intn(2) == 0 {
+					e = Entry{Leaf: true, Level: rng.Intn(33), NHI: make([]ip.NextHop, rng.Intn(6))}
+				}
+				entries[s] = append(entries[s], e)
+			}
+		}
+		img, err := NewImage(3, sm, entries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		images = append(images, img)
+	}
+	hand := len(images)
+	for _, fx := range jumpFixtures(t) {
+		images = append(images, fx.img)
+	}
+	for n, img := range images {
+		var total int64
+		var offs []int64 // every offset of a hand-made image; of a compiled one each stage's ends and a sample
+		for s := range img.stages {
+			offs = append(offs, total-1, total)
+			total += img.stages[s].sumBits()
+		}
+		if img.DataBits() != total {
+			t.Fatalf("image %d: DataBits %d, its words hold %d", n, img.DataBits(), total)
+		}
+		offs = append(offs, -2, -1, total-1, total, total+1)
+		for off := int64(0); off < total; off++ {
+			if n < hand || rng.Intn(16) == 0 {
+				offs = append(offs, off)
+			}
+		}
+		for _, off := range offs {
+			s, i, b, ok := img.Locate(off)
+			ws, wi, wb, wok := locateScan(img, off)
+			if s != ws || i != wi || b != wb || ok != wok {
+				t.Fatalf("image %d offset %d of %d: Locate (%d, %d, %d, %v), the scan (%d, %d, %d, %v)", n, off, total, s, i, b, ok, ws, wi, wb, wok)
+			}
+		}
+	}
+}
+
+// TestUpsetCopiesOneStage: an upset in a clone copies the words of the stage
+// it strikes, and the slab or the jump table only when it writes them (a
+// leaf's vector; a stage the table stands for) — not the image. Counted with
+// the collector off, as TestCompileAllocatesOnlyItsImage counts a compile.
+func TestUpsetCopiesOneStage(t *testing.T) {
+	pristine := compileSingle(t, genTable(t, 20000, 31), 28)
+	if pristine.jump == nil {
+		t.Fatal("fixture has no jump table")
+	}
+	whole := 10 * int64(pristine.Words())
+	headers := int64(len(pristine.stages)) * int64(unsafe.Sizeof(stage{}))
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	rng := rand.New(rand.NewSource(29))
+	kinds := map[string]int{}
+	for n := 0; n < 64; n++ {
+		s, i, b, _ := pristine.Locate(rng.Int63n(pristine.DataBits()))
+		if n%8 == 0 { // a stage the jump table stands for
+			s = rng.Intn(pristine.jumpStage)
+			i = uint32(rng.Intn(pristine.StageLen(s)))
+		}
+		need := 10*int64(pristine.StageLen(s)) + headers
+		kind := "internal"
+		if pristine.stages[s].meta[i]&metaLeaf != 0 {
+			need += 2 * int64(len(pristine.nhi))
+			kind = "leaf"
+		}
+		if s < pristine.jumpStage {
+			need += 4 * int64(len(pristine.jump))
+			kind += " under the jump table"
+		}
+		kinds[kind]++
+		got := int64(math.MaxInt64)
+		for range 3 { // the least of three: what else the runtime allocates only adds
+			c := pristine.Clone()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			c.FlipBit(s, i, b)
+			runtime.ReadMemStats(&after)
+			got = min(got, int64(after.TotalAlloc-before.TotalAlloc))
+		}
+		// Allocation size classes round small arrays up by at most an
+		// eighth, large ones to whole 8 KiB pages.
+		if bound := need + need/8 + 3*8<<10; got > bound {
+			t.Errorf("upset %d at (%d, %d), a %s: %d B copied, want at most %d (the image's words are %d B)", n, s, i, kind, got, bound, whole)
+		}
+	}
+	if len(kinds) < 3 {
+		t.Fatalf("upsets struck only %v", kinds)
+	}
+	if s, _ := pristine.Corrupted(); len(s) != 0 {
+		t.Fatal("upsets in clones reached their source")
 	}
 }

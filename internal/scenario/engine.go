@@ -230,7 +230,7 @@ func (e *Engine) Run() error {
 			e.Cycles, S, e.MaxDrainSlices)
 	}
 	e.TrafficCycles = slices * S
-	e.Tel.InitSeries(e.K)
+	e.Tel.InitSeries(e.K, slices)
 
 	for t := int64(0); t < slices; t++ {
 		b := t * S

@@ -127,9 +127,17 @@ func SeriesColumns(k int) []string {
 	return cols
 }
 
-// InitSeries starts a fresh series for one run under the unified schema.
-func (t *Telemetry) InitSeries(k int) {
+// maxReservedRows bounds the rows InitSeries reserves, so a run of a vast
+// number of slices grows its series as it goes rather than allocating it all
+// before the first cycle.
+const maxReservedRows = 1 << 16
+
+// InitSeries starts a fresh series for one run under the unified schema,
+// with room for the rows the run will append: one per live slice plus one
+// drain slice (at most maxReservedRows); a longer drain grows it.
+func (t *Telemetry) InitSeries(k int, slices int64) {
 	t.Series.Init(SeriesColumns(k)...)
+	t.Series.Reserve(int(min(slices, maxReservedRows-1)) + 1)
 }
 
 // AppendSlice records one slice row (and mirrors it into the live gauges).
