@@ -4,7 +4,7 @@
 #   make bench      = every benchmark with allocation counts
 GO ?= go
 
-.PHONY: all build test race governor-smoke scenario-smoke chaos-smoke fleet-smoke forward-smoke churn-smoke figures-smoke fuzz-smoke fuzz-batch-smoke vet vuln bench bench-gate bench-test bench-e2e loc loc-diff digest-diff alloc-diff pair-diff bench-record bench-trend
+.PHONY: all build test race governor-smoke scenario-smoke chaos-smoke fleet-smoke forward-smoke churn-smoke figures-smoke fuzz-smoke fuzz-batch-smoke schema-check vet vuln bench bench-gate bench-test bench-e2e loc loc-diff digest-diff alloc-diff pair-diff bench-record bench-trend
 
 all: build test
 
@@ -120,7 +120,7 @@ chaos-smoke:
 	grep -q 'Energy attribution' chaos-smoke/report.txt
 	grep -q 'Per-VNID dynamic energy' chaos-smoke/report.txt
 	grep -q 'Energy per forwarded bit' chaos-smoke/report.txt
-	head -1 chaos-smoke/timeseries.csv | grep -q 'dyn_j,static_j,j_per_bit'
+	sed -n 2p chaos-smoke/timeseries.csv | grep -q 'dyn_j,static_j,j_per_bit'
 
 # Fleet smoke: the N+1-spare failover flagship — eight networks packed over
 # two devices plus a dark spare, BOTH actives crashed in sequence (first
@@ -156,7 +156,7 @@ fleet-smoke:
 	grep -q device_crash fleet-smoke/events.jsonl
 	grep -q spare_powerup fleet-smoke/events.jsonl
 	grep -q spare_ready fleet-smoke/events.jsonl
-	awk -F, 'NR > 1 && $$2 == 0 { print "power_w 0 at cycle " $$1; bad = 1 } END { exit bad }' fleet-smoke/timeseries.csv
+	awk -F, 'NR > 2 && $$2 == 0 { print "power_w 0 at cycle " $$1; bad = 1 } END { exit bad }' fleet-smoke/timeseries.csv
 	grep -q migration_fail fleet-smoke/events.jsonl
 	grep -q migration_commit fleet-smoke/events.jsonl
 	grep -q invariant_audit fleet-smoke/events.jsonl
@@ -234,6 +234,15 @@ fuzz-batch-smoke:
 	$(GO) test ./internal/ip -run='^$$' -fuzz=FuzzLookupAll -fuzztime=10s
 
 # bench/ is its own module, so ./... never reaches it: vet it too.
+# Schema check: the keys and columns of the report JSON, series CSV, events
+# and traces JSONL, read off the equivalence runs, must be the checked-in
+# manifest's (internal/netsim/testdata/schema.manifest), listed under the
+# schema version every file states (obs.SchemaVersion). A key that changes
+# without a version bump fails; after a bump, regenerate the manifest with
+# go test ./internal/netsim -run TestSchemaManifest -update-schema.
+schema-check:
+	$(GO) test ./internal/netsim -run '^TestSchemaManifest$$' -count=1
+
 vet:
 	$(GO) vet ./...
 	$(GO) vet -C bench ./...

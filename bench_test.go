@@ -777,7 +777,7 @@ func TestChurnFillSmallScale(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := fmt.Sprintf("%x", sha256.Sum256(js)), "514afbf6b1db809aec5941ee22664b30176b03c4b3dae446957dd866b2e6a05f"; got != want {
+		if got, want := fmt.Sprintf("%x", sha256.Sum256(js)), "d916f8e18ac31e9760deafd1e6baaf7a9f111afa8fd0bea45eccf72f11ced911"; got != want {
 			t.Errorf("%d workers: report digest %s, want %s (delivered %.4f, %d batches)", workers, got, want, rep.DeliveredFraction(), rep.BatchesApplied)
 		}
 	}

@@ -402,14 +402,12 @@ func (o *options) printGovernor(g *governor.Report) {
 	t.AddF("Converged under cap", conv)
 	t.AddF("Peak / final power (W)", fmt.Sprintf("%.2f / %.2f", g.PeakPowerW, g.FinalPowerW))
 	t.AddF("Final rung", fmt.Sprintf("%d (%s)", g.FinalRung, g.Rungs[g.FinalRung]))
-	var throttled, brownout, deferred int64
+	var throttled, brownout int64
 	for vn := range g.ThrottledPerVN {
 		throttled += g.ThrottledPerVN[vn]
 		brownout += g.BrownoutPerVN[vn]
-		deferred += g.DeferredPerVN[vn]
 	}
-	t.AddF("Arrivals throttled / browned out / deferred",
-		fmt.Sprintf("%d / %d / %d", throttled, brownout, deferred))
+	t.AddF("Arrivals throttled / browned out", fmt.Sprintf("%d / %d", throttled, brownout))
 	o.print(t)
 
 	lt := report.NewTable("Governor ladder: time at each tier", "Rung", "Name", "Cycles")
@@ -417,9 +415,9 @@ func (o *options) printGovernor(g *governor.Report) {
 		lt.AddF(i, name, g.TimeAtRung[i])
 	}
 	o.print(lt)
-	vt := report.NewTable("Governor per-VNID degradation", "VN", "Throttled", "Brownout", "Deferred")
+	vt := report.NewTable("Governor per-VNID degradation", "VN", "Throttled", "Brownout")
 	for vn := range g.ThrottledPerVN {
-		vt.AddF(vn, g.ThrottledPerVN[vn], g.BrownoutPerVN[vn], g.DeferredPerVN[vn])
+		vt.AddF(vn, g.ThrottledPerVN[vn], g.BrownoutPerVN[vn])
 	}
 	o.print(vt)
 }
@@ -562,8 +560,7 @@ func (o *options) runScenario(sys *netsim.System, gen *traffic.Generator, scheme
 		ft := report.NewTable("Fault stressor", "Quantity", "Value")
 		ft.AddF("SEUs injected / detected / repaired",
 			fmt.Sprintf("%d / %d / %d", len(rep.SEUs), rep.DetectedSEUs(), rep.RepairedSEUs()))
-		ft.AddF("Scrubs / attempts / exhausted",
-			fmt.Sprintf("%d / %d / %d", rep.Scrubs, rep.ScrubAttempts, rep.ScrubsExhausted))
+		ft.AddF("Scrubs", rep.Scrubs)
 		ft.AddF("Mean time to repair (cycles)", fmt.Sprintf("%.1f", rep.MTTRCycles()))
 		ft.AddF("Faulted lookups (dropped, not misforwarded)", rep.FaultedLookups)
 		if rep.Kill != nil {

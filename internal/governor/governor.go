@@ -232,12 +232,9 @@ type Report struct {
 	TimeAtRung []int64
 	// Per-VNID degradation accounting, filled by the runner's actuation:
 	// Throttled counts arrivals refused by frequency stepping, quiescing or
-	// admission control; Brownout those dropped at the bottom rung. Deferred
-	// reads zero — nothing defers any more; the field stays until the report
-	// schema is next bumped.
+	// admission control; Brownout those dropped at the bottom rung.
 	ThrottledPerVN []int64
 	BrownoutPerVN  []int64
-	DeferredPerVN  []int64
 }
 
 // Governor is the closed-loop controller. Not safe for concurrent use: the
@@ -288,7 +285,6 @@ func New(cfg Config, p Plant) (*Governor, error) {
 		TimeAtRung:     make([]int64, len(g.rungs)),
 		ThrottledPerVN: make([]int64, p.K),
 		BrownoutPerVN:  make([]int64, p.K),
-		DeferredPerVN:  make([]int64, p.K),
 	}
 	for i, r := range g.rungs {
 		g.rep.Rungs[i] = r.Name
@@ -547,7 +543,6 @@ func (g *Governor) Report() *Report {
 	r.TimeAtRung = append([]int64(nil), g.rep.TimeAtRung...)
 	r.ThrottledPerVN = append([]int64(nil), g.rep.ThrottledPerVN...)
 	r.BrownoutPerVN = append([]int64(nil), g.rep.BrownoutPerVN...)
-	r.DeferredPerVN = append([]int64(nil), g.rep.DeferredPerVN...)
 	return &r
 }
 

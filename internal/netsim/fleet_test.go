@@ -314,7 +314,7 @@ func TestFleetEnergyConserved(t *testing.T) {
 	}
 
 	_, series, _ := dumps(t, tel)
-	lines := strings.Split(strings.TrimSpace(series), "\n")
+	lines := strings.Split(strings.TrimSpace(series), "\n")[1:] // past the schema line
 	header := strings.Split(lines[0], ",")
 	dyn, static := slices.Index(header, "dyn_j"), slices.Index(header, "static_j")
 	var sum float64
@@ -452,7 +452,7 @@ func TestFleetStaticIsPoweredDeviceCycles(t *testing.T) {
 	}
 
 	_, series, _ := dumps(t, tel)
-	lines := strings.Split(strings.TrimSpace(series), "\n")
+	lines := strings.Split(strings.TrimSpace(series), "\n")[1:] // past the schema line
 	col := slices.Index(strings.Split(lines[0], ","), "static_j")
 	for _, line := range lines[1:] {
 		row := strings.Split(line, ",")

@@ -233,7 +233,7 @@ func TestNVQuiesceLowersMeteredStatic(t *testing.T) {
 	_, series, _ := dumps(t, tel)
 	slowest := len(fpga.DefaultClockTiers()) - 1
 	staticAt := map[int]float64{}
-	for _, l := range strings.Split(strings.TrimSpace(series), "\n")[1:] {
+	for _, l := range strings.Split(strings.TrimSpace(series), "\n")[2:] { // past the schema line and the header
 		f := strings.Split(l, ",")
 		// cycle, then SeriesColumns: gov_rung is column 9, static_j 11.
 		rung, err := strconv.Atoi(f[9])

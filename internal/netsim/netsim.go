@@ -89,6 +89,8 @@ func deliveredBits(packets int64) int64 {
 
 // Report summarises a forwarding run.
 type Report struct {
+	// Schema is the report layout's version, obs.SchemaVersion.
+	Schema int
 	// Packets is the number of packets forwarded.
 	Packets int
 	// Mismatches counts results that disagreed with the reference LPM
@@ -140,6 +142,7 @@ func (s *System) forward(d steering, fill func(e, start int, reqs []pipeline.Req
 	images := s.router.Images()
 	scheme := s.router.Config().Scheme
 	rep := Report{
+		Schema:     obs.SchemaVersion,
 		Packets:    d.n,
 		PerEngine:  make([]pipeline.Stats, len(images)),
 		EngineLoad: make([]float64, len(images)),

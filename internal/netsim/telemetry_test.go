@@ -190,7 +190,7 @@ func TestFaultRunTelemetryDeterministicAcrossWorkers(t *testing.T) {
 			t.Errorf("fault events missing %q:\n%s", want, events)
 		}
 	}
-	head := series[:strings.IndexByte(series, '\n')]
+	head := strings.Split(series, "\n")[1] // past the schema line
 	if head != "cycle,power_w,throughput_gbps,backlog_pkts,scrubs_active,updates_active,recoveries,degraded_vns,cap_w,gov_rung,dyn_j,static_j,j_per_bit,avail_vn00,avail_vn01,avail_vn02" {
 		t.Errorf("series header drifted: %s", head)
 	}

@@ -247,7 +247,7 @@ func TestTraceJSONLGolden(t *testing.T) {
 	if err := r.WriteJSONL(&b); err != nil {
 		t.Fatal(err)
 	}
-	want := `{"seq":7,"vn":2,"engine":1,"addr":"10.0.0.1","enter":100,"exit":125,"wait":3,"displaced":true,"outcome":"forward","nhi":9,"visits":[{"stage":0,"entry":4},{"stage":1,"entry":8,"new_bank":true,"fault":true}]}` + "\n"
+	want := `{"schema":2}` + "\n" + `{"seq":7,"vn":2,"engine":1,"addr":"10.0.0.1","enter":100,"exit":125,"wait":3,"displaced":true,"outcome":"forward","nhi":9,"visits":[{"stage":0,"entry":4},{"stage":1,"entry":8,"new_bank":true,"fault":true}]}` + "\n"
 	if b.String() != want {
 		t.Fatalf("trace JSONL drifted:\ngot:  %swant: %s", b.String(), want)
 	}
@@ -258,7 +258,7 @@ func TestTimeSeriesCSVGolden(t *testing.T) {
 	ts.Init("power_w", "gbps")
 	ts.Append(0, 4.5, 91.25)
 	ts.Append(1024, 4.75, 0)
-	want := "cycle,power_w,gbps\n0,4.5,91.25\n1024,4.75,0\n"
+	want := "# schema 2\ncycle,power_w,gbps\n0,4.5,91.25\n1024,4.75,0\n"
 	if got := ts.CSV(); got != want {
 		t.Fatalf("CSV drifted:\ngot:\n%swant:\n%s", got, want)
 	}
@@ -280,14 +280,14 @@ func TestTimeSeriesCSVGolden(t *testing.T) {
 
 // TestTimeSeriesCSVWhileAppending reads the CSV while a run appends to the
 // series, as the live /timeseries.csv endpoint does: every read is the
-// header and a whole prefix of the rows, and the last — far past one write
+// schema line, the header and a whole prefix of the rows, and the last — far past one write
 // chunk — is byte for byte the FormatFloat rendering. Run with -race.
 func TestTimeSeriesCSVWhileAppending(t *testing.T) {
 	const rows = 4000
 	ts := NewTimeSeries()
 	ts.Init("a", "b")
 	var want strings.Builder
-	want.WriteString("cycle,a,b\n")
+	want.WriteString("# schema 2\ncycle,a,b\n")
 	for i := range rows {
 		a, b := float64(i)/3, math.Sqrt(float64(i))
 		want.WriteString(strconv.FormatInt(int64(i)*1024, 10) + "," + strconv.FormatFloat(a, 'g', -1, 64) + "," + strconv.FormatFloat(b, 'g', -1, 64) + "\n")
@@ -363,7 +363,8 @@ func TestEventLogGolden(t *testing.T) {
 	if err := l.WriteJSONL(&b); err != nil {
 		t.Fatal(err)
 	}
-	want := `{"cycle":10,"level":"info","event":"scrub_start","engine":2,"via":"sweep"}` + "\n" +
+	want := `{"schema":2}` + "\n" +
+		`{"cycle":10,"level":"info","event":"scrub_start","engine":2,"via":"sweep"}` + "\n" +
 		`{"cycle":-1,"level":"warn","event":"odd_types","f":2.5,"b":true,"n":9}` + "\n"
 	if b.String() != want {
 		t.Fatalf("event JSONL drifted:\ngot:\n%swant:\n%s", b.String(), want)

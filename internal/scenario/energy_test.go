@@ -82,7 +82,7 @@ func (k *chargeKernel) Outstanding() bool { return false }
 // seriesRows parses the series CSV into its rows of (column → value).
 func seriesRows(t *testing.T, ts *obs.TimeSeries) []map[string]float64 {
 	t.Helper()
-	lines := strings.Split(strings.TrimSpace(ts.CSV()), "\n")
+	lines := strings.Split(strings.TrimSpace(ts.CSV()), "\n")[1:] // past the schema line
 	cols := strings.Split(lines[0], ",")
 	var rows []map[string]float64
 	for _, l := range lines[1:] {
