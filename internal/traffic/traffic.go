@@ -4,9 +4,9 @@
 // distributions the paper mentions can be modelled by changing µ_i), with
 // destination addresses drawn either uniformly or from the routed space.
 //
-// Every draw is positional: the value a stream gives at index i is
-// mix(key(seed, purpose, vn) + i·γ), a splitmix64 finaliser over a key that
-// names the seed, what the draw is for and the network. No draw depends on
+// Every draw is positional (package keyed): the value a stream gives at
+// index i is mix(key(seed, purpose, vn) + i·γ), a splitmix64 finaliser over
+// a key that names the seed, what the draw is for and the network. No draw depends on
 // an earlier one, so packet i of a batch, or network vn's arrival at cycle
 // c, can be drawn in any order, in any chunking and on any worker.
 package traffic
@@ -17,6 +17,7 @@ import (
 	"math/bits"
 
 	"vrpower/internal/ip"
+	"vrpower/internal/keyed"
 	"vrpower/internal/packet"
 	"vrpower/internal/pipeline"
 	"vrpower/internal/rib"
@@ -80,50 +81,6 @@ const (
 	drawCoin
 )
 
-// gamma is splitmix64's increment, 2⁶⁴/φ: a stream's index i reads the
-// finaliser at key + i·gamma.
-const gamma = 0x9e3779b97f4a7c15
-
-// mix is the splitmix64 finaliser, a bijection on 64-bit words.
-func mix(z uint64) uint64 {
-	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
-	z = (z ^ z>>27) * 0x94d049bb133111eb
-	return z ^ z>>31
-}
-
-// key names one stream: the seed, what it draws and the network.
-func key(seed int64, purpose, vn int) uint64 {
-	return mix(mix(uint64(seed)) ^ uint64(purpose)<<32 ^ uint64(vn))
-}
-
-// draw is stream k's value at index i.
-func draw(k, i uint64) uint64 { return mix(k + i*gamma) }
-
-// below maps u onto [0, n): the high word of u·n, no division.
-func below(u uint64, n int) int {
-	hi, _ := bits.Mul64(u, uint64(n))
-	return int(hi)
-}
-
-// always is the threshold of probability 1: floor(p·2⁶⁴) for p < 1 is at
-// most 2⁶⁴ − 2¹¹, so no other probability maps to it.
-const always = math.MaxUint64
-
-// threshold is Bernoulli(p)'s cut: u arrives when u < threshold(p), or
-// always when it is the always sentinel. p ≤ 0 (or NaN) never arrives.
-func threshold(p float64) uint64 {
-	switch {
-	case !(p > 0):
-		return 0
-	case p >= 1:
-		return always
-	}
-	return uint64(p * (1 << 64))
-}
-
-// coin is one Bernoulli outcome of u against a threshold.
-func coin(u, thr uint64) bool { return u < thr || thr == always }
-
 // routed is the address host takes inside route r: r's prefix, host's bits
 // below it. It is ip.Mask without a branch on the length: a shift by 32 or
 // more clears a 32-bit word.
@@ -157,10 +114,10 @@ func New(cfg Config) (*Generator, error) {
 	}
 	s := cfg.Seed
 	g := &Generator{k: cfg.K,
-		vnKey: key(s, drawVN, 0), srcKey: key(s, drawSrc, 0), ttlKey: key(s, drawTTL, 0), coinKey: key(s, drawCoin, 0),
+		vnKey: keyed.Key(s, drawVN, 0), srcKey: keyed.Key(s, drawSrc, 0), ttlKey: keyed.Key(s, drawTTL, 0), coinKey: keyed.Key(s, drawCoin, 0),
 		addrKey: make([]uint64, cfg.K), arriveKey: make([]uint64, cfg.K), routes: make([][]ip.Route, cfg.K)}
 	for vn := range cfg.K {
-		g.addrKey[vn], g.arriveKey[vn] = key(s, drawAddr, vn), key(s, drawArrival, vn)
+		g.addrKey[vn], g.arriveKey[vn] = keyed.Key(s, drawAddr, vn), keyed.Key(s, drawArrival, vn)
 	}
 	switch cfg.Dist {
 	case Zipf:
@@ -191,20 +148,20 @@ func zipfCDF(k int) []uint64 {
 	}
 	for v := range k {
 		cum += math.Pow(float64(v+1), -zipfS)
-		cdf[v] = threshold(cum / sum)
+		cdf[v] = keyed.Threshold(cum / sum)
 	}
-	cdf[k-1] = always
+	cdf[k-1] = keyed.Always
 	return cdf
 }
 
 // pickVN draws packet i's virtual network.
 func (g *Generator) pickVN(i uint64) int {
-	u := draw(g.vnKey, i)
+	u := keyed.At(g.vnKey, i)
 	if g.cdf == nil {
-		return below(u, g.k)
+		return keyed.Below(u, g.k)
 	}
 	vn := 0
-	for !coin(u, g.cdf[vn]) {
+	for !keyed.Coin(u, g.cdf[vn]) {
 		vn++
 	}
 	return vn
@@ -216,7 +173,7 @@ func (g *Generator) pickVN(i uint64) int {
 // pick by at most n/2³² of a step, so the two are independent to well
 // within any test's resolution.
 func (g *Generator) addr(vn int, i uint64) ip.Addr {
-	return addrOf(draw(g.addrKey[vn], i), g.routes[vn])
+	return addrOf(keyed.At(g.addrKey[vn], i), g.routes[vn])
 }
 
 // addrOf is the address draw u gives over a network's routes, or anywhere
@@ -225,7 +182,7 @@ func addrOf(u uint64, routes []ip.Route) ip.Addr {
 	if routes == nil {
 		return ip.Addr(u)
 	}
-	return routed(&routes[below(u, len(routes))], ip.Addr(u))
+	return routed(&routes[keyed.Below(u, len(routes))], ip.Addr(u))
 }
 
 // packet is packet i of the stream.
@@ -278,8 +235,8 @@ func (g *Generator) Frames(n int) ([][]byte, error) {
 	out := make([][]byte, n)
 	for j, p := range g.Batch(n) {
 		i := first + uint64(j)
-		src := ip.Addr(draw(g.srcKey, i))
-		ttl := 2 + below(draw(g.ttlKey, i), 63)
+		src := ip.Addr(keyed.At(g.srcKey, i))
+		ttl := 2 + keyed.Below(keyed.At(g.ttlKey, i), 63)
 		f, err := packet.Build(
 			packet.MAC{0x02, 0, 0, 0, 0, 0x01},
 			packet.MAC{0x02, 0, 0, 0, 0, 0x02},
@@ -295,7 +252,7 @@ func (g *Generator) Frames(n int) ([][]byte, error) {
 // Bernoulli draws one deterministic coin with probability p, the next index
 // of the generator's counter.
 func (g *Generator) Bernoulli(p float64) bool {
-	return coin(draw(g.coinKey, g.take(1)), threshold(p))
+	return keyed.Coin(keyed.At(g.coinKey, g.take(1)), keyed.Threshold(p))
 }
 
 // NextFor generates one packet pinned to the given virtual network,
@@ -338,14 +295,14 @@ func (g *Generator) Fill(w *Window, start int64, n int, p func(cyc int64) float6
 	clear(w.arrive[:n*kw])
 	var blk arrivals
 	for c := range n {
-		t := threshold(p(start + int64(c)))
+		t := keyed.Threshold(p(start + int64(c)))
 		sure := uint64(0)
-		if t == always {
+		if t == keyed.Always {
 			sure = 1
 		}
 		row, i := w.arrive[c*kw:c*kw+kw], first+uint64(c)
 		for vn, k := range g.arriveKey {
-			_, borrow := bits.Sub64(draw(k, i), t, 0)
+			_, borrow := bits.Sub64(keyed.At(k, i), t, 0)
 			bit := borrow | sure
 			row[vn>>6] |= bit << (vn & 63)
 			blk.vn[blk.n], blk.c[blk.n] = int32(vn), int32(c)
@@ -373,7 +330,7 @@ func (g *Generator) addrs(w *Window, blk *arrivals) {
 	first := uint64(w.start)
 	for j := range blk.n {
 		vn, c := int(blk.vn[j]), int(blk.c[j])
-		w.addrs[c*w.k+vn] = addrOf(draw(g.addrKey[vn], first+uint64(c)), g.routes[vn])
+		w.addrs[c*w.k+vn] = addrOf(keyed.At(g.addrKey[vn], first+uint64(c)), g.routes[vn])
 	}
 	blk.n = 0
 }
