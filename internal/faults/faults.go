@@ -122,8 +122,8 @@ type Injector struct {
 
 // NewInjector builds the injector over the engines' compiled images (one
 // per engine; the merged scheme has a single engine). The images are only
-// read for geometry — injection happens through ApplyUpset on whatever
-// image copy the caller runs.
+// read for geometry — the caller flips an upset's bit (Image.FlipBit at its
+// Stage, Index, Bit) in whatever image copy it runs.
 func NewInjector(cfg Config, images []*pipeline.Image) (*Injector, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -176,11 +176,4 @@ func (in *Injector) KillDue(engine int, limit int64) bool {
 	in.killed = true
 	obsKillsInjected.Inc()
 	return true
-}
-
-// ApplyUpset flips the upset's bit in img (normally a run-private clone of
-// the engine image). It reports false when the coordinates no longer exist
-// in the image.
-func ApplyUpset(img *pipeline.Image, u Upset) bool {
-	return img.FlipBit(u.Stage, u.Index, u.Bit)
 }

@@ -125,7 +125,7 @@ func TestUpsetsAreInRangeAndOrdered(t *testing.T) {
 			t.Errorf("upset %d has Seq %d", i, u.Seq)
 		}
 		cl := img.Clone()
-		if !ApplyUpset(cl, u) {
+		if !cl.FlipBit(u.Stage, u.Index, u.Bit) {
 			t.Fatalf("upset %d coordinates out of range: %+v", i, u)
 		}
 		if s, _ := cl.Corrupted(); len(s) != 1 {
