@@ -5,11 +5,30 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"sync"
 
 	"vrpower/internal/ip"
 	"vrpower/internal/rib"
+	"vrpower/internal/sweep"
 	"vrpower/internal/trie"
 )
+
+// A compile is cut into parts, the subtrees under trie level partBits: part p
+// holds the routes of length at least partBits whose top partBits address
+// bits are p. The routes shorter than that are the top, which the caller
+// walks itself: it writes the root's path down to each part's root, the
+// pushed leaves of the parts that hold no route, and the vector the short
+// prefixes hand down to each part.
+const (
+	partBits = 4
+	parts    = 1 << partBits
+)
+
+// partsInline is the route count under which a compile's parts run on the
+// calling goroutine: below it the fan-out costs more than it saves (a
+// network of load_small's 400 routes compiles in tens of microseconds).
+// Either way the parts are the same and so is every word.
+const partsInline = 2048
 
 // Routes is a compile's input: K tables (a network's own, or the K of a
 // merged engine) in prefix order, and Levels, the per-level counts of the
@@ -18,15 +37,23 @@ import (
 type Routes struct {
 	tables []*rib.Table
 	Levels []trie.Level
+
+	// routes is the tables' route count, which decides whether the parts
+	// fan out; internal holds each part's internal nodes per level (levels
+	// partBits and below), where its nodes go in each level.
+	routes   int
+	internal [parts][maxLevels - 1]int32
 }
 
 // NewRoutes readies tables for a compile. A table out of prefix order,
 // holding a prefix twice or a length outside [0,32] is sorted on a copy that
 // keeps a prefix's last route, as an insert does, and no bad length, as the
-// reference LPM does. A count pass over the union then gives Levels as
-// trie.Trie.Insert counts them: a prefix gives each node on its path below
-// the level it shares with the last prefix its first child, and the shared
-// node too when the last prefix ended there. Zero tables do not compile.
+// reference LPM does. Prefixes are canonical (ip.PrefixFrom's). A count pass
+// over the union then gives Levels as trie.Trie.Insert counts them: a prefix
+// gives each node on its path below the level it shares with the last prefix
+// its first child, and the shared node too when the last prefix ended there.
+// The pass runs once per part and once over the top; Levels is their sum.
+// Zero tables do not compile.
 func NewRoutes(tables []*rib.Table) Routes {
 	if len(tables) == 0 {
 		return Routes{}
@@ -39,16 +66,25 @@ func NewRoutes(tables []*rib.Table) Routes {
 			}
 			r.tables[vn] = &rib.Table{Name: tbl.Name, Routes: sorted}
 		}
+		r.routes += len(r.tables[vn].Routes)
 	}
+	c := getCompiler(r.tables, nil)
+	c.run(r.routes)
+	r.internal = c.internal
 	var internal [maxLevels - 1]int
-	atBuf, keyBuf := [64]int{}, [64]uint64{}
-	for u := rib.NewUnion(r.tables, atBuf[:0], keyBuf[:0]); u.Next(); {
-		l := u.Shared
-		if l < u.Last.Len {
+	c.top(func(last, q ip.Prefix, _ int, _ bool) {
+		l := shared(last, q)
+		if l < last.Len {
 			l++ // it has a child already, on the last prefix's path
 		}
-		for ; l < u.Q.Len; l++ {
+		for ; l < q.Len; l++ {
 			internal[l]++
+		}
+	})
+	putCompiler(c)
+	for p := range r.internal {
+		for l, n := range r.internal[p] {
+			internal[l] += int(n)
 		}
 	}
 	r.Levels = trie.PushedLevels(internal[:])
@@ -68,6 +104,11 @@ func inOrder(routes []ip.Route) []ip.Route {
 		}
 	}
 	return nil
+}
+
+// shared is the deepest trie level prefixes a and b share.
+func shared(a, b ip.Prefix) int {
+	return min(bits.LeadingZeros32(uint32(a.Addr^b.Addr)), a.Len, b.Len)
 }
 
 // Compile is the compile of tables under the plain fold onto stages stages.
@@ -92,53 +133,359 @@ const maxLevels = 33
 // below when it gains its first, and a missing child is the leaf pushing
 // would make, carrying the vector the node hands down. Parity, fold bits,
 // visits and the stages' data bits (from the counts) are written with the
-// words; only the jump table is derived after.
+// words.
+//
+// The pass runs over the top first, then once per part from its root. A
+// part's nodes of level l start where the level's do plus the nodes of the
+// parts before it there, and so do its vectors in the slab, so each part
+// writes only words of its own and the parts run in any order, concurrently
+// on the sweep pool once the tables hold partsInline routes. Each part also
+// fills the jump table's slots of its top bits.
 func (r Routes) Compile(sm trie.StageMap) (*Image, error) {
 	if r.Levels == nil {
 		return nil, fmt.Errorf("pipeline: compile of zero tables")
 	}
 	k := len(r.tables)
-	w := writer{k: k, vecs: make([]ip.NextHop, maxLevels*k)}
+	var off, slab [maxLevels]uint32
 	lens, leaves := make([]int, sm.Stages), 0
 	for level, lv := range r.Levels {
 		s := sm.Stage(level)
-		w.off[level], w.slab[level] = uint32(lens[s]), uint32(leaves*k)
+		off[level], slab[level] = uint32(lens[s]), uint32(leaves*k)
 		lens[s] += lv.Nodes
 		leaves += lv.Leaves
 	}
-	w.img = newImage(k, sm, lens, leaves*k)
-	w.img.nhi = w.img.nhi[:leaves*k]
-	w.img.Levels = r.Levels
+	img := newImage(k, sm, lens, leaves*k)
+	img.nhi = img.nhi[:leaves*k]
+	img.Levels = r.Levels
+	c := getCompiler(r.tables, img)
+	defer putCompiler(c)
+	c.internal = r.internal
+	top := &c.w[parts]
+	top.off, top.slab, top.placed[0], top.at[0] = off, slab, 1, off[0]
 	for level, lv := range r.Levels {
 		s := sm.Stage(level)
-		w.stage[level] = &w.img.stages[s]
+		top.stage[level] = &img.stages[s]
 		if level > 0 && sm.Stage(level-1) == s {
-			w.stage[level].visits++ // one more level of the stage's run
+			top.stage[level].visits++ // one more level of the stage's run
 		}
-		w.stage[level].bits += int64(lv.Internal*2*ptrBits + lv.Leaves*k*nhiBits)
-		w.meta[level] = uint16(31 - level)
+		top.stage[level].bits += int64(lv.Internal*2*ptrBits + lv.Leaves*k*nhiBits)
+		top.meta[level] = uint16(31 - level)
 		if sm.Stage(level+1) == s {
-			w.meta[level] |= metaFold
+			top.meta[level] |= metaFold
 		}
 	}
-	w.sweep(r.tables)
-	for level, lv := range r.Levels {
-		if w.placed[level] != uint32(lv.Nodes) || w.leaves[level] != uint32(lv.Leaves) {
-			return nil, fmt.Errorf("pipeline: level %d holds %d nodes and %d leaves, its counts say %d and %d", level, w.placed[level], w.leaves[level], lv.Nodes, lv.Leaves)
+	img.sizeJump()
+	if err := c.writeTop(); err != nil {
+		return nil, err
+	}
+	c.placeParts()
+	c.run(r.routes)
+	for _, err := range c.err {
+		if err != nil {
+			return nil, err
 		}
 	}
-	w.img.deriveJump()
+	if img.jump != nil && len(img.jumpSpan) == 0 {
+		img.buildJump() // too shallow to cut: the parts filled nothing
+	}
 	obsImagesCompiled.Inc()
-	return w.img, nil
+	return img, nil
 }
 
-// writer is one compile's pass. Per level: where its nodes start in their
-// stage (off) and its vectors in the slab (slab), its nodes placed (written
-// or reserved) and leaves written, its stage and internal meta word; and of
-// the path's node there, its entry (at), its children (kids, a bit each),
-// the first of its reserved pair (first), and the level whose scratch vector
-// (vecs, K next hops a level) it hands down (from), that vector's XOR kept
-// (xor) for leaf parity.
+// compiler is one count or write pass's scratch, reused from a free list:
+// per part and table the route range (lo, hi) and, writing, the part's
+// writer; the writer of the top is w[parts]. A part's writer is set up by
+// the top's walk (its root, the vector handed down to it, a leaf's slot) and
+// by placeParts (where its levels start). Part p runs through Part(p), on
+// whichever goroutine claims it, on a copy of its writer and counts on its
+// own stack: two parts running side by side write no cache line in common.
+type compiler struct {
+	k      int
+	tables []*rib.Table
+	img    *Image // nil on a count pass
+
+	lo, hi, gap []int
+	vecs        []ip.NextHop
+	full        uint16 // parts holding a route
+
+	internal [parts][maxLevels - 1]int32
+	w        [parts + 1]writer
+	slot     [parts]int // a part whose root is a leaf: its leaf's index in level partBits
+	roots    [parts]uint32
+	err      [parts]error
+}
+
+// compilers is the free list of compile scratch.
+var compilers struct {
+	sync.Mutex
+	free []*compiler
+}
+
+// getCompiler returns scratch for a pass over tables, writing img (nil to
+// count): each table's part ranges found by binary search on rib.Key, every
+// writer cleared.
+func getCompiler(tables []*rib.Table, img *Image) *compiler {
+	compilers.Lock()
+	var c *compiler
+	if n := len(compilers.free); n > 0 {
+		c = compilers.free[n-1]
+		compilers.free = compilers.free[:n-1]
+	} else {
+		c = new(compiler)
+	}
+	compilers.Unlock()
+	k := len(tables)
+	c.k, c.tables, c.img, c.full = k, tables, img, 0
+	c.lo, c.hi, c.gap = grow(c.lo, parts*k), grow(c.hi, parts*k), grow(c.gap, k)
+	key := func(r ip.Route, key uint64) int { return cmp.Compare(rib.Key(r.Prefix), key) }
+	for vn, tbl := range tables {
+		for p := range parts {
+			root := ip.Prefix{Addr: ip.Addr(p) << (32 - partBits), Len: partBits}
+			i := p*k + vn
+			c.lo[i], _ = slices.BinarySearchFunc(tbl.Routes, rib.Key(root), key)
+			c.hi[i] = len(tbl.Routes)
+			if p < parts-1 {
+				c.hi[i], _ = slices.BinarySearchFunc(tbl.Routes, rib.Key(ip.Prefix{Addr: root.Addr + 1<<(32-partBits)}), key)
+			}
+			if c.lo[i] < c.hi[i] {
+				c.full |= 1 << p
+			}
+		}
+	}
+	c.internal, c.slot, c.err = [parts][maxLevels - 1]int32{}, [parts]int{}, [parts]error{}
+	if img != nil {
+		// A cache line between two writers' vectors: parts write theirs
+		// side by side.
+		stride := maxLevels*k + 32
+		c.vecs = grow(c.vecs, (parts+1)*stride)
+		clear(c.vecs)
+		for p := range c.w {
+			c.w[p] = writer{img: img, k: k, vecs: c.vecs[p*stride : p*stride+maxLevels*k]}
+		}
+	}
+	return c
+}
+
+func putCompiler(c *compiler) {
+	c.tables, c.img = nil, nil
+	for p := range c.w {
+		c.w[p] = writer{}
+	}
+	compilers.Lock()
+	compilers.free = append(compilers.free, c)
+	compilers.Unlock()
+}
+
+// grow returns s with length n, reallocated only when it has no room.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// run runs every part: on the sweep pool from partsInline routes, else in
+// order on the calling goroutine.
+func (c *compiler) run(routes int) {
+	if routes < partsInline {
+		for p := range parts {
+			c.Part(p)
+		}
+		return
+	}
+	sweep.Split(parts, c)
+}
+
+// Part runs the pass over part p: the count, or the write and then the
+// jump table's slots under it.
+func (c *compiler) Part(p int) {
+	if c.full&(1<<p) != 0 {
+		atBuf, keyBuf := [64]int{}, [64]uint64{}
+		u := rib.NewUnion(c.tables, atBuf[:0], keyBuf[:0])
+		u.Within(c.lo[p*c.k:(p+1)*c.k], c.hi[p*c.k:(p+1)*c.k], ip.Prefix{Addr: ip.Addr(p) << (32 - partBits), Len: partBits})
+		if c.img == nil {
+			c.countPart(p, &u)
+			return
+		}
+		c.err[p] = c.writePart(p, &u)
+	}
+	if c.img != nil && len(c.img.jumpSpan) > 0 {
+		c.img.jumpPart(p, c.roots[p])
+	}
+}
+
+// countPart counts part p's internal nodes per level.
+func (c *compiler) countPart(p int, u *rib.Union) {
+	var internal [maxLevels - 1]int32
+	for u.Next() {
+		l := u.Shared
+		if l < u.Last.Len {
+			l++ // it has a child already, on the last prefix's path
+		}
+		for ; l < u.Q.Len; l++ {
+			internal[l]++
+		}
+	}
+	c.internal[p] = internal
+}
+
+// top walks the top in prefix order — each table's routes shorter than
+// /partBits, and the root of each part holding a route as a /partBits
+// prefix, which stands for the part — calling visit with the prefix before
+// (the root's /0 before the first), the prefix, the part whose top bits it
+// has, and whether it is that part's root (if not, topHop gives the tables'
+// routes at it). It returns the last prefix.
+func (c *compiler) top(visit func(last, q ip.Prefix, p int, root bool)) ip.Prefix {
+	var last ip.Prefix
+	for p := range parts {
+		// Part p's short routes lie between the last part's range and p's,
+		// all at p's address, shortest first.
+		for vn := range c.k {
+			c.gap[vn] = 0
+			if p > 0 {
+				c.gap[vn] = c.hi[(p-1)*c.k+vn]
+			}
+		}
+		for l := range partBits {
+			q, held := ip.Prefix{Addr: ip.Addr(p) << (32 - partBits), Len: l}, false
+			for vn := range c.k {
+				held = held || c.topHop(p, vn, q) != nil
+			}
+			if held {
+				visit(last, q, p, false)
+				last = q
+				for vn := range c.k {
+					if c.topHop(p, vn, q) != nil {
+						c.gap[vn]++
+					}
+				}
+			}
+		}
+		if c.full&(1<<p) != 0 {
+			q := ip.Prefix{Addr: ip.Addr(p) << (32 - partBits), Len: partBits}
+			visit(last, q, p, true)
+			last = q
+		}
+	}
+	return last
+}
+
+// topHop is table vn's route at q, a prefix of the top before part p, or nil.
+func (c *compiler) topHop(p, vn int, q ip.Prefix) *ip.Route {
+	if g := c.gap[vn]; g < c.lo[p*c.k+vn] && c.tables[vn].Routes[g].Prefix == q {
+		return &c.tables[vn].Routes[g]
+	}
+	return nil
+}
+
+// writeTop writes the top's words and, at each part's root, hands the part
+// its root's entry, the vector it inherits and, if the root is a leaf, the
+// leaf's place in its level; then checks the top's levels against the
+// counts.
+func (c *compiler) writeTop() error {
+	w := &c.w[parts]
+	last := c.top(func(last, q ip.Prefix, p int, root bool) {
+		w.move(last, q)
+		if !root {
+			vec := w.inherit(q.Len)
+			for vn := range vec {
+				if r := c.topHop(p, vn, q); r != nil {
+					vec[vn] = r.NextHop
+				}
+			}
+			w.hand(q.Len)
+			return
+		}
+		pw, f := &c.w[p], w.from[partBits]
+		pw.at[partBits], pw.from[partBits], pw.xor[f] = w.at[partBits], f, w.xor[f]
+		copy(pw.vec(int(f)), w.vec(int(f)))
+		if c.internal[p][partBits] == 0 {
+			c.slot[p] = int(w.leaves[partBits]) // the part writes its one leaf there
+			w.leaves[partBits]++
+		}
+		w.kids[partBits] = 3 // the part's: leaving it writes nothing
+	})
+	for l := last.Len; l >= 0; l-- {
+		w.leave(l)
+	}
+	for level, lv := range c.img.Levels[:min(partBits+1, len(c.img.Levels))] {
+		if w.placed[level] != uint32(lv.Nodes) || w.leaves[level] != uint32(lv.Leaves) {
+			return fmt.Errorf("pipeline: level %d holds %d nodes and %d leaves, its counts say %d and %d", level, w.placed[level], w.leaves[level], lv.Nodes, lv.Leaves)
+		}
+	}
+	if len(c.img.jumpSpan) > 0 {
+		c.roots = c.img.jumpRoots()
+	}
+	return nil
+}
+
+// placeParts starts each part's levels below its root where the parts
+// before it end: its nodes and its vectors in the slab.
+func (c *compiler) placeParts() {
+	top := &c.w[parts]
+	var nodes, leaves [maxLevels]uint32
+	for p := range parts {
+		w := &c.w[p]
+		w.stage, w.meta = top.stage, top.meta
+		w.slab[partBits] = top.slab[partBits] + uint32(c.slot[p]*c.k)
+		for l := partBits + 1; l < len(c.img.Levels); l++ {
+			w.off[l], w.slab[l] = top.off[l]+nodes[l], top.slab[l]+leaves[l]*uint32(c.k)
+			n, in := c.partLevel(p, l)
+			nodes[l] += n
+			leaves[l] += n - in
+		}
+	}
+}
+
+// partLevel is part p's nodes and internal nodes at level l below its root.
+func (c *compiler) partLevel(p, l int) (nodes, internal uint32) {
+	nodes = 2 * uint32(c.internal[p][l-1])
+	if l < maxLevels-1 {
+		internal = uint32(c.internal[p][l])
+	}
+	return nodes, internal
+}
+
+// writePart writes part p's words below its root, then checks its levels
+// against its counts.
+func (c *compiler) writePart(p int, u *rib.Union) error {
+	w := c.w[p]
+	for u.Next() {
+		w.move(u.Last, u.Q)
+		vec := w.inherit(u.Q.Len)
+		for vn := range vec {
+			if nh, ok := u.NextHop(vn); ok {
+				vec[vn] = nh
+			}
+		}
+		w.hand(u.Q.Len)
+	}
+	for l := u.Q.Len; l >= partBits; l-- {
+		w.leave(l)
+	}
+	rootLeaf := uint32(0)
+	if c.internal[p][partBits] == 0 {
+		rootLeaf = 1
+	}
+	if w.leaves[partBits] != rootLeaf {
+		return fmt.Errorf("pipeline: part %d wrote %d leaves at its root, its counts say %d", p, w.leaves[partBits], rootLeaf)
+	}
+	for l := partBits + 1; l < len(c.img.Levels); l++ {
+		n, in := c.partLevel(p, l)
+		if w.placed[l] != n || w.leaves[l] != n-in {
+			return fmt.Errorf("pipeline: part %d holds %d nodes and %d leaves at level %d, its counts say %d and %d", p, w.placed[l], w.leaves[l], l, n, n-in)
+		}
+	}
+	return nil
+}
+
+// writer is one walk's pass, over the top or over a part. Per level: where
+// its nodes start in their stage (off) and its vectors in the slab (slab),
+// its nodes placed (written or reserved) and leaves written, its stage and
+// internal meta word; and of the path's node there, its entry (at), its
+// children (kids, a bit each), the first of its reserved pair (first), and
+// the level whose scratch vector (vecs, K next hops a level) it hands down
+// (from), that vector's XOR kept (xor) for leaf parity.
 type writer struct {
 	img  *Image
 	k    int
@@ -152,37 +499,38 @@ type writer struct {
 	kids, from     [maxLevels]uint8
 }
 
-// sweep writes the trie a prefix of the union at a time: it leaves the
-// path's nodes below the level the prefix shares with the last, descends to
-// it and overlays its routes on the vector it inherits.
-func (w *writer) sweep(tables []*rib.Table) {
-	atBuf, keyBuf := [64]int{}, [64]uint64{}
-	w.placed[0], w.at[0] = 1, w.off[0]
-	u := rib.NewUnion(tables, atBuf[:0], keyBuf[:0])
-	for u.Next() {
-		for l := u.Last.Len; l > u.Shared; l-- {
-			w.leave(l)
-		}
-		for l := u.Shared; l < u.Q.Len; l++ {
-			w.descend(l, u.Q.Bit(l))
-		}
-		vec, x := w.vec(u.Q.Len), uint32(0)
-		copy(vec, w.vec(int(w.from[u.Q.Len])))
-		for vn := range vec {
-			if nh, ok := u.NextHop(vn); ok {
-				vec[vn] = nh
-			}
-			x ^= uint32(vec[vn])
-		}
-		w.from[u.Q.Len], w.xor[u.Q.Len] = uint8(u.Q.Len), x
-	}
-	for l := u.Q.Len; l >= 0; l-- {
+// move moves the path from last to q, the next prefix in order: it leaves
+// the path's nodes below the level the two share and descends to q.
+func (w *writer) move(last, q ip.Prefix) {
+	s := shared(last, q)
+	for l := last.Len; l > s; l-- {
 		w.leave(l)
+	}
+	for l := s; l < q.Len; l++ {
+		w.descend(l, q.Bit(l))
 	}
 }
 
 // vec is level l's scratch vector.
 func (w *writer) vec(l int) []ip.NextHop { return w.vecs[l*w.k : (l+1)*w.k] }
+
+// inherit returns level l's scratch vector holding the vector the path's
+// node there inherits, for a route at it to overlay its next hops on.
+func (w *writer) inherit(l int) []ip.NextHop {
+	vec := w.vec(l)
+	copy(vec, w.vec(int(w.from[l])))
+	return vec
+}
+
+// hand makes level l's scratch vector the one the path's node there hands
+// down, keeping its XOR for leaf parity.
+func (w *writer) hand(l int) {
+	x := uint32(0)
+	for _, nh := range w.vec(l) {
+		x ^= uint32(nh)
+	}
+	w.from[l], w.xor[l] = uint8(l), x
+}
 
 // descend moves the path from its node of level l to child b, writing the
 // node's internal word when this is its first child and the leaf of a missing

@@ -230,6 +230,10 @@ func FuzzCompileMatchesBreadthFirst(f *testing.F) {
 	f.Add([]byte{0, 24, 192, 168, 1, 0, 2, 24, 192, 168, 1, 0, 13})        // one prefix twice
 	f.Add([]byte{1, 41, 10, 0, 0, 0, 4, 16, 10, 1, 0, 0, 6})               // two tables
 	f.Add([]byte{4, 16, 10, 1, 0, 0, 7, 8, 10, 0, 0, 0, 3, 0, 0, 0, 0, 0}) // five tables
+	// Prefixes shorter than a part's /4 above routes of one part, a /4 among them.
+	f.Add([]byte{21, 0, 0, 0, 0, 0, 1, 1, 128, 0, 0, 0, 2, 2, 64, 0, 0, 0, 3, 3, 32, 0, 0, 0, 4, 4, 48, 0, 0, 0, 5, 53, 48, 16, 0, 0, 6})
+	f.Add([]byte{1, 12, 32, 1, 0, 0, 7, 57, 144, 2, 3, 0, 8, 9, 144, 0, 0, 0, 9})                     // two tables, parts 2 and 9 only
+	f.Add([]byte{22, 4, 16, 0, 0, 0, 1, 4, 240, 0, 0, 0, 2, 32, 240, 1, 2, 3, 3, 3, 224, 0, 0, 0, 4}) // /4s, a /32 and a /3 above them
 	f.Fuzz(func(t *testing.T, data []byte) {
 		stages, tables := decodeRoutes(data)
 		compileCase{stages, tables}.check(t)

@@ -68,21 +68,102 @@ func (img *Image) derive() {
 // deriveJump sets the jump table's depth and builds it, from the words and
 // the visit counts.
 func (img *Image) deriveJump() {
+	img.sizeJump()
+	if img.jump != nil {
+		img.buildJump()
+	}
+}
+
+// sizeJump sets the jump table's depth from the visit counts and the entry
+// count, and gives the image a table of that depth, its slots unwritten.
+func (img *Image) sizeJump() {
 	// The table's depth is a rule on the image, not a setting: the first level
 	// of the deepest stage that keeps it within maxJumpBits and gives it no
 	// more slots than the image has entries — so it costs a fraction of the
 	// image to build and to hold, and an image too small for the rule has none.
 	// Whole stages only: the sweep's level-major trip count per stage stays
 	// uniform, and a jumper enters its stage as a walked flight does.
-	img.jump, img.jumpStage, img.jumpShift = nil, 0, 0
+	img.jump, img.jumpSpan, img.jumpStage, img.jumpShift = nil, nil, 0, 0
 	entries := img.Words()
 	for s, level := 0, 0; s < len(img.stages) && level <= maxJumpBits && 1<<level <= entries; s++ {
 		img.jumpStage, img.jumpShift = s, uint8(32-level)
 		level += img.stages[s].visits
 	}
 	if img.jumpStage > 0 {
-		img.jump, img.jumpOwned = make([]uint32, 1<<(32-img.jumpShift)), true
-		img.buildJump()
+		depth, span := 32-int(img.jumpShift), 0
+		if depth > partBits {
+			span = parts * 2 * (depth - partBits)
+		}
+		buf := make([]uint32, 1<<depth+span)
+		img.jump, img.jumpSpan, img.jumpOwned = buf[:1<<depth:1<<depth], buf[1<<depth:], true
+	}
+}
+
+// buildJump fills the jump table from the words of stages below jumpStage as
+// they are now: a table at most partBits deep at once, a deeper one the
+// slots of each part's top bits from that part's entry at level partBits.
+func (img *Image) buildJump() {
+	if len(img.jumpSpan) == 0 {
+		img.jump[0] = 0 // every walk enters stage 0 at entry 0
+		img.widen(img.jump, nil, 0, 32-int(img.jumpShift))
+		return
+	}
+	roots := img.jumpRoots()
+	for p := range parts {
+		img.jumpPart(p, roots[p])
+	}
+}
+
+// jumpRoots returns, per part, the entry the walk of its top bits reaches at
+// level partBits (noJump where it does not).
+func (img *Image) jumpRoots() (roots [parts]uint32) {
+	img.widen(roots[:], nil, 0, partBits)
+	return roots
+}
+
+// jumpPart fills the slots of part p's top bits, and the part's spans, from
+// root, its entry at level partBits.
+func (img *Image) jumpPart(p int, root uint32) {
+	n, w := len(img.jump)/parts, len(img.jumpSpan)/parts
+	t := img.jump[p*n : (p+1)*n]
+	t[0] = root
+	img.widen(t, img.jumpSpan[p*w:(p+1)*w], partBits, 32-int(img.jumpShift))
+}
+
+// widen takes the walks through the steps the sweep would — visits steps
+// per stage, level by level — from level from, where t[0] holds the entry
+// the walk has reached, to level to, widening t in place from one slot to
+// two per slot of the level above, so it terminates on any words: a corrupt
+// pointer cannot make it cycle. When span is not nil it gets, per level,
+// the least and the greatest index in range the walks read there: which
+// words of the level the slots depend on.
+func (img *Image) widen(t, span []uint32, from, to int) {
+	level := 0
+	for s := 0; s < img.jumpStage && level < to; s++ {
+		meta, child := img.stages[s].meta, img.stages[s].child
+		for v := 0; v < img.stages[s].visits && level < to; v, level = v+1, level+1 {
+			if level < from {
+				continue
+			}
+			lo, hi := noJump, uint32(0)
+			for p := 1<<(level-from) - 1; p >= 0; p-- {
+				kids := [2]uint32{noJump, noJump}
+				// A slot already noJump is out of range here, as every wild
+				// pointer. The level test keeps a pointer that landed, in
+				// range, on a word of another level out of the table: the bit
+				// that word consumes is not this step's.
+				if idx := t[p]; uint64(idx) < uint64(len(meta)) {
+					lo, hi = min(lo, idx), max(hi, idx)
+					if m := meta[idx]; m&(metaLeaf|metaParityBad) == 0 && m&metaShiftMask == uint16(31-level) {
+						kids = child[idx]
+					}
+				}
+				t[2*p], t[2*p+1] = kids[0], kids[1]
+			}
+			if span != nil {
+				span[2*(level-from)], span[2*(level-from)+1] = lo, hi
+			}
+		}
 	}
 }
 
@@ -122,43 +203,33 @@ func (img *Image) derived(s int, m uint16, c [2]uint32) uint16 {
 // patch re-derives what depends on entry (s, i)'s data after it changed (an
 // upset changes data bits, never an entry's kind, level or vector length):
 // the entry's verdict — recomputed, not toggled: a second upset can restore
-// parity — and the jump table when the entry is in a stage the table stands
-// for, so the very next walk sees an upset in the top of the trie.
+// parity — and, when the entry is an internal node in a stage the jump table
+// stands for, the table, so the very next walk sees an upset in the top of
+// the trie. (A leaf's data never moves a slot: the walks stop there.) An
+// entry of the top rebuilds the whole table; one below it rebuilds the
+// slots of each part whose walks read it, by the part's span at the entry's
+// level — one part on a compiled image, more where a corrupt pointer has
+// taken a part's walks into another's words.
 func (img *Image) patch(s int, i uint32) {
 	st := &img.stages[s]
-	st.meta[i] = img.derived(s, st.meta[i], st.child[i])
-	if s < img.jumpStage {
-		img.ownJump()
-		img.buildJump()
+	m := img.derived(s, st.meta[i], st.child[i])
+	st.meta[i] = m
+	if s >= img.jumpStage || m&metaLeaf != 0 {
+		return
 	}
-}
-
-// buildJump fills the jump table from the words of stages below jumpStage as
-// they are now. It takes every top-bits pattern through the steps the sweep
-// would — visits steps per stage, level by level — widening the table in
-// place from one slot (the root) to two per slot of the level above, so it
-// terminates on any words: a corrupt pointer cannot make it cycle.
-func (img *Image) buildJump() {
-	t := img.jump
-	t[0] = 0 // every walk enters stage 0 at entry 0
-	level := 0
-	for s := 0; s < img.jumpStage; s++ {
-		meta, child := img.stages[s].meta, img.stages[s].child
-		for v := 0; v < img.stages[s].visits; v++ {
-			for p := 1<<level - 1; p >= 0; p-- {
-				kids := [2]uint32{noJump, noJump}
-				// A slot already noJump is out of range here, as every wild
-				// pointer. The level test keeps a pointer that landed, in
-				// range, on a word of another level out of the table: the bit
-				// that word consumes is not this step's.
-				if idx := t[p]; uint64(idx) < uint64(len(meta)) {
-					if m := meta[idx]; m&(metaLeaf|metaParityBad) == 0 && m&metaShiftMask == uint16(31-level) {
-						kids = child[idx]
-					}
-				}
-				t[2*p], t[2*p+1] = kids[0], kids[1]
-			}
-			level++
+	img.ownJump()
+	l := levelOf(m)
+	if l < partBits || len(img.jumpSpan) == 0 {
+		img.buildJump()
+		return
+	}
+	if l >= 32-int(img.jumpShift) {
+		return // read at no step: no walk gets there before jumpStage
+	}
+	roots, w := img.jumpRoots(), len(img.jumpSpan)/parts
+	for p := range parts {
+		if span := img.jumpSpan[p*w+2*(l-partBits):]; span[0] <= i && i <= span[1] {
+			img.jumpPart(p, roots[p])
 		}
 	}
 }

@@ -105,8 +105,12 @@ type Image struct {
 	// stage's index range, or meets a stale-parity word (whether or not the
 	// engine checks: a walk from stage 0 gives the right verdict either way)
 	// or a word of another level than the walk's step. Nil on an image too
-	// small to have one. Derived.
+	// small to have one. Derived. jumpSpan, over a table deeper than
+	// partBits, holds per part and per level below partBits the least and
+	// greatest index the walks of the part's top bits read (see patch);
+	// it shares the table's array. Derived.
 	jump      []uint32
+	jumpSpan  []uint32
 	jumpStage int
 	jumpShift uint8
 
@@ -274,7 +278,7 @@ func (img *Image) Clone() *Image {
 	img.shared.Store(true)
 	out := &Image{
 		K: img.K, Map: img.Map, Levels: img.Levels, stages: img.stages, nhi: img.nhi,
-		jump: img.jump, jumpStage: img.jumpStage, jumpShift: img.jumpShift,
+		jump: img.jump, jumpSpan: img.jumpSpan, jumpStage: img.jumpStage, jumpShift: img.jumpShift,
 	}
 	out.shared.Store(true)
 	obsImagesCloned.Inc()
@@ -314,12 +318,16 @@ func (img *Image) ownSlab() {
 	}
 }
 
-// ownJump gives img a jump table of its own, before buildJump refills it:
-// a fresh one, since buildJump writes every slot.
+// ownJump gives img its own copy of the jump table and its spans, before
+// patch rebuilds some of their slots.
 func (img *Image) ownJump() {
 	img.ownHeaders()
 	if !img.jumpOwned {
-		img.jump, img.jumpOwned = make([]uint32, len(img.jump)), true
+		n := len(img.jump)
+		buf := make([]uint32, n+len(img.jumpSpan))
+		copy(buf, img.jump)
+		copy(buf[n:], img.jumpSpan)
+		img.jump, img.jumpSpan, img.jumpOwned = buf[:n:n], buf[n:], true
 	}
 }
 
@@ -535,11 +543,11 @@ func (img *Image) DiffStage(other *Image, s int, differ func(i uint32)) {
 
 // Equal reports whether img and o hold the same words: K, stage map and
 // per-level counts, every stage's meta and child words, visit count and data
-// bits, the NHI slab, and the jump table with its depth. Which stages either
+// bits, the NHI slab, and the jump table with its depth and spans. Which stages either
 // shares with a clone is not compared.
 func (img *Image) Equal(o *Image) bool {
 	same := img.K == o.K && reflect.DeepEqual(img.Map, o.Map) && slices.Equal(img.Levels, o.Levels) &&
-		slices.Equal(img.nhi, o.nhi) && slices.Equal(img.jump, o.jump) && img.jumpStage == o.jumpStage &&
+		slices.Equal(img.nhi, o.nhi) && slices.Equal(img.jump, o.jump) && slices.Equal(img.jumpSpan, o.jumpSpan) && img.jumpStage == o.jumpStage &&
 		img.jumpShift == o.jumpShift && len(img.stages) == len(o.stages)
 	for s := 0; same && s < len(img.stages); s++ {
 		a, b := &img.stages[s], &o.stages[s]

@@ -16,6 +16,7 @@ type Union struct {
 	Shared  int
 	tables  []*Table
 	at      []int    // per table, its route at Q or its next one
+	end     []int    // per table, where its routes end (nil: at its last)
 	keys    []uint64 // per table, Key of that route, noKey past its last
 	key     uint64   // Q's
 }
@@ -36,6 +37,17 @@ func NewUnion(tables []*Table, at []int, keys []uint64) Union {
 	return Union{tables: tables, at: at, keys: keys, key: noKey}
 }
 
+// Within narrows a walk that has not started to routes lo[vn] up to
+// hi[vn] of each table vn, the slices kept, and starts it at from, which
+// orders before them all: the first Next's Last is from. Narrowed to the
+// routes under a prefix, the walk is the union of a subtree.
+func (u *Union) Within(lo, hi []int, from ip.Prefix) {
+	for vn := range u.at {
+		u.at[vn] = lo[vn] - 1
+	}
+	u.end, u.Q = hi, from
+}
+
 // Next moves every table holding Q past it (the first call, every table to
 // its first route) and reports whether a prefix is left. Q and Last stay
 // when none is.
@@ -45,7 +57,11 @@ func (u *Union) Next() bool {
 	for vn := range u.keys {
 		if u.keys[vn] == last {
 			u.keys[vn] = noKey
-			if u.at[vn]++; u.at[vn] < len(u.tables[vn].Routes) {
+			end := len(u.tables[vn].Routes)
+			if u.end != nil {
+				end = u.end[vn]
+			}
+			if u.at[vn]++; u.at[vn] < end {
 				u.keys[vn] = Key(u.tables[vn].Routes[u.at[vn]].Prefix)
 			}
 		}

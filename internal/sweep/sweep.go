@@ -3,7 +3,9 @@
 // worker pool and reassembles the results in deterministic point order, so
 // a parallel run is byte-identical to a sequential one. The pool size
 // defaults to runtime.GOMAXPROCS and is overridden process-wide by the
-// cmd tools' -j flag via SetWorkers.
+// cmd tools' -j flag via SetWorkers. Split is the pool's allocation-free
+// form for work of a few milliseconds cut into parts: the caller and the
+// pool's long-lived helpers claim the parts.
 package sweep
 
 import (
@@ -12,6 +14,94 @@ import (
 	"sync"
 	"sync/atomic"
 )
+
+// Parts is work cut into parts that may run in any order, concurrently, on
+// any goroutine: Part(i) touches only what part i owns.
+type Parts interface{ Part(i int) }
+
+// Split runs p.Part(i) for every i in [0, n) and returns when all have run.
+// The caller claims parts from an atomic counter, and so does every helper
+// of the pool (up to Workers()-1 of them) that is idle when Split starts; a
+// helper busy elsewhere is not waited for, so Split never waits on a part
+// no one has begun, and a Split inside a Split runs. With one worker it is a
+// loop. Once the helpers are up it allocates nothing: p should be a pointer
+// the caller keeps (an interface over it is a copy of the pointer).
+func Split(n int, p Parts) {
+	helpers := min(Workers(), n) - 1
+	if helpers <= 0 {
+		for i := range n {
+			p.Part(i)
+		}
+		return
+	}
+	s := pool.get(helpers)
+	s.p, s.n = p, int32(n)
+	s.next.Store(0)
+	for range helpers {
+		s.wg.Add(1)
+		select {
+		case pool.work <- s:
+		default:
+			s.wg.Done()
+		}
+	}
+	s.claim()
+	s.wg.Wait()
+	s.p = nil
+	pool.put(s)
+}
+
+// split is one Split's shared state: its parts, the next unclaimed one, and
+// the helpers that took it.
+type split struct {
+	p    Parts
+	n    int32
+	next atomic.Int32
+	wg   sync.WaitGroup
+}
+
+func (s *split) claim() {
+	for i := s.next.Add(1) - 1; i < s.n; i = s.next.Add(1) - 1 {
+		s.p.Part(int(i))
+	}
+}
+
+// pool is Split's helpers, started as Split first asks for them and never
+// stopped, and the free list of split records.
+var pool = helperPool{work: make(chan *split)}
+
+type helperPool struct {
+	sync.Mutex
+	started int
+	work    chan *split
+	free    []*split
+}
+
+// get returns a split record, first starting helpers until want are up.
+func (h *helperPool) get(want int) *split {
+	h.Lock()
+	defer h.Unlock()
+	for ; h.started < want; h.started++ {
+		go func() {
+			for s := range h.work {
+				s.claim()
+				s.wg.Done()
+			}
+		}()
+	}
+	if n := len(h.free); n > 0 {
+		s := h.free[n-1]
+		h.free = h.free[:n-1]
+		return s
+	}
+	return new(split)
+}
+
+func (h *helperPool) put(s *split) {
+	h.Lock()
+	h.free = append(h.free, s)
+	h.Unlock()
+}
 
 // defaultWorkers holds the SetWorkers override; 0 means "use GOMAXPROCS".
 var defaultWorkers atomic.Int32

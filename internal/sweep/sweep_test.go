@@ -179,3 +179,56 @@ func BenchmarkRunWorkers(b *testing.B) {
 		})
 	}
 }
+
+// countParts counts the runs of each part; Part(i) of a nested split runs
+// a Split of its own.
+type countParts struct {
+	runs   []atomic.Int32
+	nested bool
+}
+
+func (c *countParts) Part(i int) {
+	c.runs[i].Add(1)
+	if c.nested {
+		inner := &countParts{runs: make([]atomic.Int32, 4)}
+		Split(len(inner.runs), inner)
+		for j := range inner.runs {
+			if inner.runs[j].Load() != 1 {
+				panic(fmt.Sprintf("nested part %d ran %d times", j, inner.runs[j].Load()))
+			}
+		}
+	}
+}
+
+// TestSplitRunsEveryPartOnce: at one worker (a loop) and at eight, and with
+// splits inside the parts (a helper busy in one is not waited for), Split
+// returns after every part has run exactly once.
+func TestSplitRunsEveryPartOnce(t *testing.T) {
+	defer SetWorkers(0)
+	for _, workers := range []int{1, 2, 8} {
+		SetWorkers(workers)
+		for _, nested := range []bool{false, true} {
+			c := &countParts{runs: make([]atomic.Int32, 16), nested: nested}
+			Split(len(c.runs), c)
+			for i := range c.runs {
+				if n := c.runs[i].Load(); n != 1 {
+					t.Fatalf("workers=%d nested=%v: part %d ran %d times", workers, nested, i, n)
+				}
+			}
+		}
+	}
+}
+
+// TestSplitAllocatesNothing: once its helpers are up, a Split allocates
+// nothing, on the pool or inline.
+func TestSplitAllocatesNothing(t *testing.T) {
+	defer SetWorkers(0)
+	c := &countParts{runs: make([]atomic.Int32, 16)}
+	for _, workers := range []int{1, 2} {
+		SetWorkers(workers)
+		Split(len(c.runs), c)
+		if n := testing.AllocsPerRun(100, func() { Split(len(c.runs), c) }); n != 0 {
+			t.Errorf("workers=%d: %v allocations a Split", workers, n)
+		}
+	}
+}
