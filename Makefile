@@ -269,8 +269,10 @@ bench:
 # jump table included), what the control plane does to prepare one
 # hitless churn batch (apply, compile, diff, clone), and set-up:
 # core.Build of the paper's VM router, and core.Build plus netsim.New over
-# one 300 000-prefix table; and the churn table's 100 k row (one VS engine,
-# eight 24-op batches at half load, one run an op).
+# one 300 000-prefix table; and the three full-RIB fill rows: the churn
+# table's 100 k row (one VS engine, eight 24-op batches at half load, one run
+# an op), System.Forward of 2^18 packets over that 300 000-prefix table, and
+# load=const:0.9 for 65 536 cycles over eight 30 000-prefix networks, Zipf.
 #
 # bench-gate measures them at BASE (default the parent commit, extracted like
 # loc-diff's) and in the working tree on one host: each side's test binary is
@@ -281,7 +283,7 @@ bench:
 # BASE's interquartile range, or that BASE measured and the tree does not.
 # bench-gate-base.out, bench-gate-now.out and the report bench-gate.out are
 # kept as CI artifacts.
-GATE_BENCH = ^(BenchmarkPipelineLookup|BenchmarkPipelineLookupScalar|BenchmarkLookupStreamed|BenchmarkServeSlice|BenchmarkReferenceLookup|BenchmarkReferenceLookupAll|BenchmarkReferenceBuild|BenchmarkImageCompile|BenchmarkImageClone|BenchmarkImageFlatten|BenchmarkHitlessPrepare|BenchmarkBuildMerged|BenchmarkSetupFill|BenchmarkChurnFill)$$
+GATE_BENCH = ^(BenchmarkPipelineLookup|BenchmarkPipelineLookupScalar|BenchmarkLookupStreamed|BenchmarkServeSlice|BenchmarkReferenceLookup|BenchmarkReferenceLookupAll|BenchmarkReferenceBuild|BenchmarkImageCompile|BenchmarkImageClone|BenchmarkImageFlatten|BenchmarkHitlessPrepare|BenchmarkBuildMerged|BenchmarkSetupFill|BenchmarkChurnFill|BenchmarkForwardFill|BenchmarkLoadFill)$$
 bench-gate: build
 	@$(BASE_TREE) && \
 	(cd "$$tmp" && $(GO) test -trimpath -c -o "$$tmp/base.test" .) && \

@@ -783,6 +783,187 @@ func TestChurnFillSmallScale(t *testing.T) {
 	}
 }
 
+// forwardFill is item 21's closed-loop fill shape: one VS engine over
+// BenchmarkSetupFill's 300 000-prefix table, and traffic at seed 2 to routed
+// addresses. runForwardFill forwards pkts through System.Forward and fails
+// on any mismatch, on a packet the engine did not resolve, on energy that
+// does not add up (netsim.New's meter checks its axes) and on a delivered
+// fraction other than 1.
+func forwardFill(tb testing.TB) (*netsim.System, *traffic.Generator) {
+	tb.Helper()
+	tbl, err := rib.Generate("fill", 300000, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tables := []*rib.Table{tbl}
+	r, err := core.Build(core.Config{Scheme: core.VS, K: 1, ClockGating: true}, tables)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sys, err := netsim.New(r, tables)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	gen, err := traffic.New(traffic.Config{K: 1, Seed: 2, Addr: traffic.RoutedAddr, Tables: tables})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return sys, gen
+}
+
+func runForwardFill(tb testing.TB, sys *netsim.System, pkts []traffic.Packet) netsim.Report {
+	tb.Helper()
+	rep, err := sys.Forward(pkts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var lookups int64
+	for _, st := range rep.PerEngine {
+		lookups += st.Lookups
+	}
+	if rep.Mismatches != 0 || rep.Packets != len(pkts) || lookups != int64(len(pkts)) || rep.Energy == nil || rep.Energy.Lookups != lookups {
+		tb.Fatalf("%d mismatches; %d packets of %d forwarded, %d resolved, energy %+v", rep.Mismatches, rep.Packets, len(pkts), lookups, rep.Energy)
+	}
+	if got := fmt.Sprintf("%.4f", float64(rep.Packets-rep.NoRoute)/float64(rep.Packets)); got != "1.0000" {
+		tb.Fatalf("delivered fraction %s, want 1.0000", got)
+	}
+	return rep
+}
+
+// forwardFillPackets is BenchmarkForwardFill's batch: 2^18 packets.
+const forwardFillPackets = 1 << 18
+
+// BenchmarkForwardFill times item 21's closed loop at full-RIB scale, an op
+// one System.Forward of 2^18 packets over one VS engine of 300 000 routes
+// (the walk leaves the cache here, unlike at the paper's 3 725). Set-up and
+// traffic are outside the timer. Gated by `make bench-gate`.
+func BenchmarkForwardFill(b *testing.B) {
+	sys, gen := forwardFill(b)
+	pkts := gen.Batch(forwardFillPackets)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		runForwardFill(b, sys, pkts)
+	}
+	b.ReportMetric(float64(b.N)*forwardFillPackets/b.Elapsed().Seconds(), "lookups/s")
+}
+
+// TestForwardFillSmallScale pins BenchmarkForwardFill's run at 1/32 of its
+// length (2^13 packets) by its report's digest, at one sweep worker and at
+// eight.
+func TestForwardFillSmallScale(t *testing.T) {
+	defer sweep.SetWorkers(0)
+	sys, gen := forwardFill(t)
+	pkts := gen.Batch(forwardFillPackets / 32)
+	for _, workers := range []int{1, 8} {
+		sweep.SetWorkers(workers)
+		pinDigest(t, workers, runForwardFill(t, sys, pkts), "7d45fe7bf146ad738d8073b25437aae1836a56928196e328c1521e0c816a8c98")
+	}
+}
+
+// loadFill is item 21's open-loop fill shape: a VS router of eight
+// 30 000-route networks, traffic at seed 2 to routed addresses, Zipf over
+// the networks.
+func loadFill(tb testing.TB) (*netsim.System, []*rib.Table) {
+	tb.Helper()
+	set, err := rib.GenerateVirtualSet(8, 30000, 0.5, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	r, err := core.Build(core.Config{Scheme: core.VS, K: 8, ClockGating: true}, set.Tables)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sys, err := netsim.New(r, set.Tables)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return sys, set.Tables
+}
+
+func loadFillTraffic(tb testing.TB, tables []*rib.Table) *traffic.Generator {
+	tb.Helper()
+	gen, err := traffic.New(traffic.Config{K: 8, Seed: 2, Addr: traffic.RoutedAddr, Tables: tables, Dist: traffic.Zipf})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return gen
+}
+
+// runLoadFill runs spec and fails on any mismatch, an incomplete run, a
+// network whose offered packets are not its delivered plus dropped, and a
+// delivered fraction other than want.
+func runLoadFill(tb testing.TB, sys *netsim.System, gen *traffic.Generator, spec scenario.Spec, want string) netsim.ScenarioReport {
+	tb.Helper()
+	rep, err := sys.RunScenario(gen, spec)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if rep.Mismatches != 0 || !rep.Completed {
+		tb.Fatalf("%d mismatches, completed %v", rep.Mismatches, rep.Completed)
+	}
+	for vn, off := range rep.OfferedPerVN {
+		if del, drop := rep.DeliveredPerVN[vn], rep.DroppedPerVN[vn]; off != del+drop {
+			tb.Fatalf("network %d: %d offered, %d delivered + %d dropped", vn, off, del, drop)
+		}
+	}
+	if got := fmt.Sprintf("%.4f", rep.DeliveredFraction()); got != want {
+		tb.Fatalf("delivered fraction %s, want %s", got, want)
+	}
+	return rep
+}
+
+// BenchmarkLoadFill times item 21's open loop at full-RIB scale, an op one
+// run of load=const:0.9 for 65 536 cycles over loadFill's router. Set-up
+// and traffic are outside the timer. Gated by `make bench-gate`.
+func BenchmarkLoadFill(b *testing.B) {
+	sys, tables := loadFill(b)
+	spec, err := scenario.Parse("load=const:0.9,cycles=65536")
+	if err != nil {
+		b.Fatal(err)
+	}
+	var delivered int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		gen := loadFillTraffic(b, tables)
+		b.StartTimer()
+		rep := runLoadFill(b, sys, gen, spec, "1.0000")
+		for _, d := range rep.DeliveredPerVN {
+			delivered += d
+		}
+	}
+	b.ReportMetric(float64(delivered)/b.Elapsed().Seconds(), "lookups/s")
+}
+
+// TestLoadFillSmallScale pins BenchmarkLoadFill's run at 1/32 of its length
+// (2048 cycles) by its report's digest, at one sweep worker and at eight.
+func TestLoadFillSmallScale(t *testing.T) {
+	defer sweep.SetWorkers(0)
+	sys, tables := loadFill(t)
+	spec, err := scenario.Parse("load=const:0.9,cycles=2048")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 8} {
+		sweep.SetWorkers(workers)
+		pinDigest(t, workers, runLoadFill(t, sys, loadFillTraffic(t, tables), spec, "1.0000"), "be467ec217a98fffe4a3ca94cd3d65d53e550200d701e40a9b445ada5b06fe2f")
+	}
+}
+
+// pinDigest fails unless rep's JSON hashes to want.
+func pinDigest(t *testing.T, workers int, rep any, want string) {
+	t.Helper()
+	js, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(js)); got != want {
+		t.Errorf("%d workers: report digest %s, want %s", workers, got, want)
+	}
+}
+
 // TestTrieNodesHoldNoPointers: every slice a trie or a merged trie keeps —
 // its nodes, route links and leaf vectors — holds records with no pointer,
 // slice, map or string in them, so the garbage collector never scans one.
