@@ -431,15 +431,18 @@ pair-diff:
 # the date, the host's fingerprint (CPUs, CPU model, Go version), each
 # workload's detail object from one traced run at seed 1 and, from PAIRS=<file>,
 # a saved `make pair-diff` output, every pair-diff run in it: per metric, each
-# seed's base and tree values and the two medians. The traced run's host
-# numbers are thin (two untraced reps), so a record without pairs is refused.
-# bench-trend prints every BENCH_*.json as one table, PR × workload × metric,
-# the host on every row.
-#   make bench-record PR=<n> PAIRS=<file>
+# seed's base and tree values and the two medians; from GATE=<file>, a saved
+# bench-gate.out, each gated benchmark's per-side ns/op medians and pair
+# count. The traced run's host numbers are thin (two untraced reps), so a
+# record without pairs is refused. bench-trend prints every BENCH_*.json as
+# one table, PR × workload × metric, the gate's rows beside the workloads,
+# the host on every row and, on a host metric's, the pairs or reps it
+# stands on, marked when fewer than five.
+#   make bench-record PR=<n> PAIRS=<file> [GATE=<file>]
 bench-record:
 	@test -n "$(PR)" || { echo "bench-record: PR=<n> is required" >&2; exit 2; }
 	@test -n "$(PAIRS)" || { echo "bench-record: PAIRS=<saved make pair-diff output> is required" >&2; exit 2; }
-	@tmp=$$(mktemp); trap 'rm -f "$$tmp"' EXIT; 	for w in $(DIGEST_WORKLOADS); do bash bench/run.sh --workload $$w --seed 1 --trace 1 >> "$$tmp" || exit 1; done; 	$(GO) run ./cmd/benchtrend record $(PR) $$(git describe --always --dirty --abbrev=40) $(PAIRS) < "$$tmp"
+	@tmp=$$(mktemp); trap 'rm -f "$$tmp"' EXIT; 	for w in $(DIGEST_WORKLOADS); do bash bench/run.sh --workload $$w --seed 1 --trace 1 >> "$$tmp" || exit 1; done; 	$(GO) run ./cmd/benchtrend record $(PR) $$(git describe --always --dirty --abbrev=40) $(PAIRS) $(GATE) < "$$tmp"
 
 bench-trend:
 	@$(GO) run ./cmd/benchtrend

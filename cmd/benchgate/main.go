@@ -113,7 +113,7 @@ func gate(w io.Writer, base, now benchOut) (failed bool, err error) {
 	}
 	for _, name := range now.names {
 		if _, ok := base.reps[name]; !ok {
-			fmt.Fprintf(w, "%-34s %11s %11.0f  new in the tree, not gated\n", name, "-", median(now.reps[name]))
+			fmt.Fprintf(w, "%-34s %11s %11.0f  new in the tree, not gated (%d reps)\n", name, "-", median(now.reps[name]), len(now.reps[name]))
 		}
 	}
 	return failed, nil

@@ -34,17 +34,26 @@ setup_s (lower is better)
   median ratio 0.714; the tree wins 2 of 2 pairs; medians differ by more than the base IQR
 `
 
-// record keeps every detail object as it came and every pair-diff run — a
+const gateOut = `benchmark                           base ns/op   now ns/op  ratio  lost   IQR%%   allocs/op  verdict
+BenchmarkX                                1000        1100  1.100  7/10   3.0%%     2     2  ok
+BenchmarkY                                   -         500  new in the tree, not gated (10 reps)
+`
+
+// record keeps every detail object as it came, every pair-diff run — a
 // second run of a workload beside the first — with its per-seed pairs and
-// medians; the table is one row per PR, workload and metric, the same bytes
-// each time.
+// medians, and each bench-gate row's medians and pairs; the table is one row
+// per PR, workload and metric, each host metric with the pairs or reps it
+// stands on (marked when fewer than five), the same bytes each time.
 func TestRecordThenTrend(t *testing.T) {
 	chdir(t, t.TempDir())
 	if err := os.WriteFile("pairs.out", []byte(pairDiff), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	if err := os.WriteFile("gate.out", []byte(strings.ReplaceAll(gateOut, "%%", "%")), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	var stderr bytes.Buffer
-	if c := run([]string{"record", "7", "abc123", "pairs.out"}, strings.NewReader(benchOut), nil, &stderr); c != 0 {
+	if c := run([]string{"record", "7", "abc123", "pairs.out", "gate.out"}, strings.NewReader(benchOut), nil, &stderr); c != 0 {
 		t.Fatalf("record exit %d: %s", c, stderr.String())
 	}
 	b, err := os.ReadFile("BENCH_7.json")
@@ -78,6 +87,10 @@ func TestRecordThenTrend(t *testing.T) {
 		}
 	}
 
+	if want := map[string]gateRow{"BenchmarkX": {1000, 1100, 10}, "BenchmarkY": {0, 500, 10}}; !reflect.DeepEqual(r.Gate, want) {
+		t.Errorf("gate rows %+v, want %+v", r.Gate, want)
+	}
+
 	var first, second bytes.Buffer
 	if run(nil, nil, &first, &stderr) != 0 || run(nil, nil, &second, &stderr) != 0 {
 		t.Fatalf("trend failed: %s", stderr.String())
@@ -87,9 +100,11 @@ func TestRecordThenTrend(t *testing.T) {
 	}
 	// Rows compared with their runs of spaces collapsed.
 	out := strings.Join(strings.Fields(first.String()), " ")
-	for _, row := range []string{"7 forward_paper setup_s 0.0132 s nproc=", "7 forward_paper trie.build_ms 6.1 ms nproc=",
-		"7 load_small wall_s 0.5 s nproc=", "7 forward_paper pair-diff 1 setup_s now/base 0.773256 ratio nproc=",
-		"7 forward_paper pair-diff 2 setup_s now/base 0.714286 ratio nproc="} {
+	for _, row := range []string{"7 forward_paper setup_s 0.0132 s n=2 few nproc=", "7 forward_paper trie.build_ms 6.1 ms n=1 few nproc=",
+		"7 load_small wall_s 0.5 s n=1 few nproc=", "7 forward_paper pair-diff 1 setup_s now/base 0.773256 ratio n=1 few nproc=",
+		"7 forward_paper pair-diff 2 setup_s now/base 0.714286 ratio n=2 few nproc=",
+		"7 bench-gate BenchmarkX ns/op 1100 ns n=10 nproc=", "7 bench-gate BenchmarkX now/base 1.1 ratio n=10 nproc=",
+		"7 bench-gate BenchmarkY ns/op 500 ns n=10 nproc="} {
 		if !strings.Contains(out, row) {
 			t.Errorf("trend lacks %q:\n%s", row, first.String())
 		}
@@ -115,10 +130,14 @@ func jsonEqual(a, b any) bool {
 	return bytes.Equal(x, y)
 }
 
-// Bad usage is exit 2; a bad PR number, bench output with no detail line or
-// an unreadable pair-diff file is exit 1, and nothing is written.
+// Bad usage is exit 2; a bad PR number, bench output with no detail line, an
+// unreadable pair-diff file or a gate report with no row is exit 1, and
+// nothing is written.
 func TestRefusals(t *testing.T) {
 	chdir(t, t.TempDir())
+	if err := os.WriteFile("empty.out", nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for _, c := range []struct {
 		args  []string
 		stdin string
@@ -130,6 +149,7 @@ func TestRefusals(t *testing.T) {
 		{[]string{"record", "x", "abc"}, benchOut, 1, "not a positive number"},
 		{[]string{"record", "7", "abc"}, "digest abc\n", 1, "no detail line"},
 		{[]string{"record", "7", "abc", "missing.out"}, benchOut, 1, "missing.out"},
+		{[]string{"record", "7", "abc", "empty.out", "empty.out"}, benchOut, 1, "no benchmark rows"},
 	} {
 		var stderr bytes.Buffer
 		if code := run(c.args, strings.NewReader(c.stdin), nil, &stderr); code != c.code || !strings.Contains(stderr.String(), c.msg) {
