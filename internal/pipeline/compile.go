@@ -39,11 +39,15 @@ type Routes struct {
 	Levels []trie.Level
 
 	// routes is the tables' route count, which decides whether the parts
-	// fan out; internal holds each part's internal nodes per level (levels
-	// partBits and below), where its nodes go in each level.
+	// fan out; internal holds each part's internal nodes per level from
+	// partBits down, where its nodes go in each level.
 	routes   int
-	internal [parts][maxLevels - 1]int32
+	internal partCounts
 }
+
+// partCounts is, per part, its internal nodes at each level from partBits
+// to 31.
+type partCounts [parts][maxLevels - 1 - partBits]int32
 
 // NewRoutes readies tables for a compile. A table out of prefix order,
 // holding a prefix twice or a length outside [0,32] is sorted on a copy that
@@ -84,7 +88,7 @@ func NewRoutes(tables []*rib.Table) Routes {
 	putCompiler(c)
 	for p := range r.internal {
 		for l, n := range r.internal[p] {
-			internal[l] += int(n)
+			internal[partBits+l] += int(n)
 		}
 	}
 	r.Levels = trie.PushedLevels(internal[:])
@@ -160,7 +164,7 @@ func (r Routes) Compile(sm trie.StageMap) (*Image, error) {
 	c := getCompiler(r.tables, img)
 	defer putCompiler(c)
 	c.internal = r.internal
-	top := &c.w[parts]
+	top := &c.w[parts].writer
 	top.off, top.slab, top.placed[0], top.at[0] = off, slab, 1, off[0]
 	for level, lv := range r.Levels {
 		s := sm.Stage(level)
@@ -185,7 +189,7 @@ func (r Routes) Compile(sm trie.StageMap) (*Image, error) {
 			return nil, err
 		}
 	}
-	if img.jump != nil && len(img.jumpSpan) == 0 {
+	if img.jump != nil && img.spanLen() == 0 {
 		img.buildJump() // too shallow to cut: the parts filled nothing
 	}
 	obsImagesCompiled.Inc()
@@ -197,8 +201,9 @@ func (r Routes) Compile(sm trie.StageMap) (*Image, error) {
 // writer; the writer of the top is w[parts]. A part's writer is set up by
 // the top's walk (its root, the vector handed down to it, a leaf's slot) and
 // by placeParts (where its levels start). Part p runs through Part(p), on
-// whichever goroutine claims it, on a copy of its writer and counts on its
-// own stack: two parts running side by side write no cache line in common.
+// whichever goroutine claims it; its writer is padded from the next and it
+// counts on its own stack, so two parts running side by side write no cache
+// line in common.
 type compiler struct {
 	k      int
 	tables []*rib.Table
@@ -208,11 +213,14 @@ type compiler struct {
 	vecs        []ip.NextHop
 	full        uint16 // parts holding a route
 
-	internal [parts][maxLevels - 1]int32
-	w        [parts + 1]writer
-	slot     [parts]int // a part whose root is a leaf: its leaf's index in level partBits
-	roots    [parts]uint32
-	err      [parts]error
+	internal partCounts
+	w        [parts + 1]struct {
+		writer
+		_ [64]byte
+	}
+	slot  [parts]int // a part whose root is a leaf: its leaf's index in level partBits
+	roots [parts]uint32
+	err   [parts]error
 }
 
 // compilers is the free list of compile scratch.
@@ -222,7 +230,8 @@ var compilers struct {
 }
 
 // getCompiler returns scratch for a pass over tables, writing img (nil to
-// count): each table's part ranges found by binary search on rib.Key, every
+// count): each table's part ranges found by binary search on rib.Key (a
+// range starts past the top's few routes after the last one's end), every
 // writer cleared.
 func getCompiler(tables []*rib.Table, img *Image) *compiler {
 	compilers.Lock()
@@ -239,20 +248,24 @@ func getCompiler(tables []*rib.Table, img *Image) *compiler {
 	c.lo, c.hi, c.gap = grow(c.lo, parts*k), grow(c.hi, parts*k), grow(c.gap, k)
 	key := func(r ip.Route, key uint64) int { return cmp.Compare(rib.Key(r.Prefix), key) }
 	for vn, tbl := range tables {
+		at := 0 // where the last part's range ended
 		for p := range parts {
 			root := ip.Prefix{Addr: ip.Addr(p) << (32 - partBits), Len: partBits}
-			i := p*k + vn
-			c.lo[i], _ = slices.BinarySearchFunc(tbl.Routes, rib.Key(root), key)
-			c.hi[i] = len(tbl.Routes)
-			if p < parts-1 {
-				c.hi[i], _ = slices.BinarySearchFunc(tbl.Routes, rib.Key(ip.Prefix{Addr: root.Addr + 1<<(32-partBits)}), key)
+			for at < len(tbl.Routes) && rib.Key(tbl.Routes[at].Prefix) < rib.Key(root) {
+				at++ // one of the at most partBits routes of the top here
 			}
-			if c.lo[i] < c.hi[i] {
+			i := p*k + vn
+			c.lo[i], c.hi[i] = at, len(tbl.Routes)
+			if p < parts-1 {
+				n, _ := slices.BinarySearchFunc(tbl.Routes[at:], rib.Key(ip.Prefix{Addr: root.Addr + 1<<(32-partBits)}), key)
+				c.hi[i] = at + n
+			}
+			if at = c.hi[i]; c.lo[i] < c.hi[i] {
 				c.full |= 1 << p
 			}
 		}
 	}
-	c.internal, c.slot, c.err = [parts][maxLevels - 1]int32{}, [parts]int{}, [parts]error{}
+	c.internal, c.slot, c.err = partCounts{}, [parts]int{}, [parts]error{}
 	if img != nil {
 		// A cache line between two writers' vectors: parts write theirs
 		// side by side.
@@ -260,7 +273,9 @@ func getCompiler(tables []*rib.Table, img *Image) *compiler {
 		c.vecs = grow(c.vecs, (parts+1)*stride)
 		clear(c.vecs)
 		for p := range c.w {
-			c.w[p] = writer{img: img, k: k, vecs: c.vecs[p*stride : p*stride+maxLevels*k]}
+			if p == parts || c.full&(1<<p) != 0 { // the top's and the parts' that write
+				c.w[p].writer = writer{img: img, k: k, vecs: c.vecs[p*stride : p*stride+maxLevels*k]}
+			}
 		}
 	}
 	return c
@@ -268,8 +283,8 @@ func getCompiler(tables []*rib.Table, img *Image) *compiler {
 
 func putCompiler(c *compiler) {
 	c.tables, c.img = nil, nil
-	for p := range c.w {
-		c.w[p] = writer{}
+	for p := range c.w { // hold no image
+		c.w[p].img, c.w[p].stage = nil, [maxLevels]*stage{}
 	}
 	compilers.Lock()
 	compilers.free = append(compilers.free, c)
@@ -309,7 +324,7 @@ func (c *compiler) Part(p int) {
 		}
 		c.err[p] = c.writePart(p, &u)
 	}
-	if c.img != nil && len(c.img.jumpSpan) > 0 {
+	if c.img != nil && c.img.jump != nil && c.img.spanLen() > 0 {
 		c.img.jumpPart(p, c.roots[p])
 	}
 }
@@ -326,7 +341,7 @@ func (c *compiler) countPart(p int, u *rib.Union) {
 			internal[l]++
 		}
 	}
-	c.internal[p] = internal
+	c.internal[p] = [maxLevels - 1 - partBits]int32(internal[partBits:])
 }
 
 // top walks the top in prefix order — each table's routes shorter than
@@ -383,7 +398,7 @@ func (c *compiler) topHop(p, vn int, q ip.Prefix) *ip.Route {
 // leaf's place in its level; then checks the top's levels against the
 // counts.
 func (c *compiler) writeTop() error {
-	w := &c.w[parts]
+	w := &c.w[parts].writer
 	last := c.top(func(last, q ip.Prefix, p int, root bool) {
 		w.move(last, q)
 		if !root {
@@ -396,10 +411,10 @@ func (c *compiler) writeTop() error {
 			w.hand(q.Len)
 			return
 		}
-		pw, f := &c.w[p], w.from[partBits]
+		pw, f := &c.w[p].writer, w.from[partBits]
 		pw.at[partBits], pw.from[partBits], pw.xor[f] = w.at[partBits], f, w.xor[f]
 		copy(pw.vec(int(f)), w.vec(int(f)))
-		if c.internal[p][partBits] == 0 {
+		if c.partInternal(p, partBits) == 0 {
 			c.slot[p] = int(w.leaves[partBits]) // the part writes its one leaf there
 			w.leaves[partBits]++
 		}
@@ -413,7 +428,7 @@ func (c *compiler) writeTop() error {
 			return fmt.Errorf("pipeline: level %d holds %d nodes and %d leaves, its counts say %d and %d", level, w.placed[level], w.leaves[level], lv.Nodes, lv.Leaves)
 		}
 	}
-	if len(c.img.jumpSpan) > 0 {
+	if c.img.jump != nil && c.img.spanLen() > 0 {
 		c.roots = c.img.jumpRoots()
 	}
 	return nil
@@ -422,10 +437,13 @@ func (c *compiler) writeTop() error {
 // placeParts starts each part's levels below its root where the parts
 // before it end: its nodes and its vectors in the slab.
 func (c *compiler) placeParts() {
-	top := &c.w[parts]
+	top := &c.w[parts].writer
 	var nodes, leaves [maxLevels]uint32
 	for p := range parts {
-		w := &c.w[p]
+		if c.full&(1<<p) == 0 {
+			continue
+		}
+		w := &c.w[p].writer
 		w.stage, w.meta = top.stage, top.meta
 		w.slab[partBits] = top.slab[partBits] + uint32(c.slot[p]*c.k)
 		for l := partBits + 1; l < len(c.img.Levels); l++ {
@@ -439,17 +457,21 @@ func (c *compiler) placeParts() {
 
 // partLevel is part p's nodes and internal nodes at level l below its root.
 func (c *compiler) partLevel(p, l int) (nodes, internal uint32) {
-	nodes = 2 * uint32(c.internal[p][l-1])
-	if l < maxLevels-1 {
-		internal = uint32(c.internal[p][l])
+	return 2 * c.partInternal(p, l-1), c.partInternal(p, l)
+}
+
+// partInternal is part p's internal nodes at level l, partBits or deeper.
+func (c *compiler) partInternal(p, l int) uint32 {
+	if l >= maxLevels-1 {
+		return 0
 	}
-	return nodes, internal
+	return uint32(c.internal[p][l-partBits])
 }
 
 // writePart writes part p's words below its root, then checks its levels
 // against its counts.
 func (c *compiler) writePart(p int, u *rib.Union) error {
-	w := c.w[p]
+	w := &c.w[p].writer
 	for u.Next() {
 		w.move(u.Last, u.Q)
 		vec := w.inherit(u.Q.Len)
@@ -464,7 +486,7 @@ func (c *compiler) writePart(p int, u *rib.Union) error {
 		w.leave(l)
 	}
 	rootLeaf := uint32(0)
-	if c.internal[p][partBits] == 0 {
+	if c.partInternal(p, partBits) == 0 {
 		rootLeaf = 1
 	}
 	if w.leaves[partBits] != rootLeaf {

@@ -83,27 +83,41 @@ func (img *Image) sizeJump() {
 	// image to build and to hold, and an image too small for the rule has none.
 	// Whole stages only: the sweep's level-major trip count per stage stays
 	// uniform, and a jumper enters its stage as a walked flight does.
-	img.jump, img.jumpSpan, img.jumpStage, img.jumpShift = nil, nil, 0, 0
+	img.jump, img.jumpStage, img.jumpShift = nil, 0, 0
 	entries := img.Words()
 	for s, level := 0, 0; s < len(img.stages) && level <= maxJumpBits && 1<<level <= entries; s++ {
 		img.jumpStage, img.jumpShift = s, uint8(32-level)
 		level += img.stages[s].visits
 	}
 	if img.jumpStage > 0 {
-		depth, span := 32-int(img.jumpShift), 0
-		if depth > partBits {
-			span = parts * 2 * (depth - partBits)
-		}
-		buf := make([]uint32, 1<<depth+span)
-		img.jump, img.jumpSpan, img.jumpOwned = buf[:1<<depth:1<<depth], buf[1<<depth:], true
+		img.jump, img.jumpOwned = make([]uint32, 1<<(32-img.jumpShift)), true
 	}
 }
 
+// jumpSpan is the jump table's spans, kept in its array past the slots by
+// a table deeper than partBits that patch has written: per part and per
+// level from partBits down, the least and the greatest index the walks of
+// the part's top bits read there (widen), which patch rebuilds the parts
+// by. A compiled image keeps none, nor does Flatten's copy; they are not
+// compared (Equal).
+func (img *Image) jumpSpan() []uint32 {
+	if span := img.jump[len(img.jump):cap(img.jump)]; len(span) == img.spanLen() {
+		return span
+	}
+	return nil
+}
+
+// spanLen is the spans' length for a table of img's depth.
+func (img *Image) spanLen() int {
+	return parts * 2 * max(32-int(img.jumpShift)-partBits, 0)
+}
+
 // buildJump fills the jump table from the words of stages below jumpStage as
-// they are now: a table at most partBits deep at once, a deeper one the
-// slots of each part's top bits from that part's entry at level partBits.
+// they are now, and its spans where it keeps them: a table at most partBits
+// deep at once, a deeper one the slots of each part's top bits from that
+// part's entry at level partBits.
 func (img *Image) buildJump() {
-	if len(img.jumpSpan) == 0 {
+	if img.spanLen() == 0 {
 		img.jump[0] = 0 // every walk enters stage 0 at entry 0
 		img.widen(img.jump, nil, 0, 32-int(img.jumpShift))
 		return
@@ -121,13 +135,18 @@ func (img *Image) jumpRoots() (roots [parts]uint32) {
 	return roots
 }
 
-// jumpPart fills the slots of part p's top bits, and the part's spans, from
-// root, its entry at level partBits.
+// jumpPart fills the slots of part p's top bits, and the part's spans if
+// the table keeps them, from root, its entry at level partBits.
 func (img *Image) jumpPart(p int, root uint32) {
-	n, w := len(img.jump)/parts, len(img.jumpSpan)/parts
-	t := img.jump[p*n : (p+1)*n]
+	n, t := len(img.jump)/parts, img.jump
+	t = t[p*n : (p+1)*n]
 	t[0] = root
-	img.widen(t, img.jumpSpan[p*w:(p+1)*w], partBits, 32-int(img.jumpShift))
+	var span []uint32
+	if all := img.jumpSpan(); len(all) > 0 {
+		w := len(all) / parts
+		span = all[p*w : (p+1)*w]
+	}
+	img.widen(t, span, partBits, 32-int(img.jumpShift))
 }
 
 // widen takes the walks through the steps the sweep would — visits steps
@@ -217,18 +236,20 @@ func (img *Image) patch(s int, i uint32) {
 	if s >= img.jumpStage || m&metaLeaf != 0 {
 		return
 	}
-	img.ownJump()
-	l := levelOf(m)
-	if l < partBits || len(img.jumpSpan) == 0 {
+	if img.ownJump() {
+		return // built whole, spans and all
+	}
+	l, span := levelOf(m), img.jumpSpan()
+	if l < partBits || len(span) == 0 {
 		img.buildJump()
 		return
 	}
 	if l >= 32-int(img.jumpShift) {
 		return // read at no step: no walk gets there before jumpStage
 	}
-	roots, w := img.jumpRoots(), len(img.jumpSpan)/parts
+	roots, w := img.jumpRoots(), len(span)/parts
 	for p := range parts {
-		if span := img.jumpSpan[p*w+2*(l-partBits):]; span[0] <= i && i <= span[1] {
+		if at := span[p*w+2*(l-partBits):]; at[0] <= i && i <= at[1] {
 			img.jumpPart(p, roots[p])
 		}
 	}

@@ -193,7 +193,7 @@ func FuzzCloneWrites(f *testing.F) {
 // deepCopy returns an image that shares nothing with img but its stage map.
 func deepCopy(img *Image) *Image {
 	out := &Image{K: img.K, Map: img.Map, Levels: slices.Clone(img.Levels), stages: slices.Clone(img.stages),
-		nhi: slices.Clone(img.nhi), jump: slices.Clone(img.jump), jumpSpan: slices.Clone(img.jumpSpan), jumpStage: img.jumpStage, jumpShift: img.jumpShift,
+		nhi: slices.Clone(img.nhi), jump: slices.Clone(img.jump), jumpStage: img.jumpStage, jumpShift: img.jumpShift,
 		slabOwned: true, jumpOwned: true}
 	for s := range out.stages {
 		st := &out.stages[s]

@@ -105,12 +105,9 @@ type Image struct {
 	// stage's index range, or meets a stale-parity word (whether or not the
 	// engine checks: a walk from stage 0 gives the right verdict either way)
 	// or a word of another level than the walk's step. Nil on an image too
-	// small to have one. Derived. jumpSpan, over a table deeper than
-	// partBits, holds per part and per level below partBits the least and
-	// greatest index the walks of the part's top bits read (see patch);
-	// it shares the table's array. Derived.
+	// small to have one. Past its length, the table's array holds the
+	// spans (jumpSpan). Derived.
 	jump      []uint32
-	jumpSpan  []uint32
 	jumpStage int
 	jumpShift uint8
 
@@ -278,7 +275,7 @@ func (img *Image) Clone() *Image {
 	img.shared.Store(true)
 	out := &Image{
 		K: img.K, Map: img.Map, Levels: img.Levels, stages: img.stages, nhi: img.nhi,
-		jump: img.jump, jumpSpan: img.jumpSpan, jumpStage: img.jumpStage, jumpShift: img.jumpShift,
+		jump: img.jump, jumpStage: img.jumpStage, jumpShift: img.jumpShift,
 	}
 	out.shared.Store(true)
 	obsImagesCloned.Inc()
@@ -318,17 +315,24 @@ func (img *Image) ownSlab() {
 	}
 }
 
-// ownJump gives img its own copy of the jump table and its spans, before
-// patch rebuilds some of their slots.
-func (img *Image) ownJump() {
+// ownJump gives img a jump table of its own, with room for spans, before
+// patch rebuilds some of its slots: a copy of its source's where that kept
+// spans, else one built afresh from the words, which it reports.
+func (img *Image) ownJump() (built bool) {
 	img.ownHeaders()
-	if !img.jumpOwned {
-		n := len(img.jump)
-		buf := make([]uint32, n+len(img.jumpSpan))
-		copy(buf, img.jump)
-		copy(buf[n:], img.jumpSpan)
-		img.jump, img.jumpSpan, img.jumpOwned = buf[:n:n], buf[n:], true
+	if img.jumpOwned {
+		return false
 	}
+	src, span := img.jump, img.jumpSpan()
+	buf := make([]uint32, len(src)+img.spanLen())
+	img.jump, img.jumpOwned = buf[:len(src)], true
+	if len(span) == 0 {
+		img.buildJump()
+		return true
+	}
+	copy(buf, src)
+	copy(buf[len(src):], span)
+	return false
 }
 
 // ownAll gives img its own copy of every stage it shares, laid out as a
@@ -543,11 +547,12 @@ func (img *Image) DiffStage(other *Image, s int, differ func(i uint32)) {
 
 // Equal reports whether img and o hold the same words: K, stage map and
 // per-level counts, every stage's meta and child words, visit count and data
-// bits, the NHI slab, and the jump table with its depth and spans. Which stages either
+// bits, the NHI slab, and the jump table with its depth (not the spans patch
+// keeps, which a compile does not write). Which stages either
 // shares with a clone is not compared.
 func (img *Image) Equal(o *Image) bool {
 	same := img.K == o.K && reflect.DeepEqual(img.Map, o.Map) && slices.Equal(img.Levels, o.Levels) &&
-		slices.Equal(img.nhi, o.nhi) && slices.Equal(img.jump, o.jump) && slices.Equal(img.jumpSpan, o.jumpSpan) && img.jumpStage == o.jumpStage &&
+		slices.Equal(img.nhi, o.nhi) && slices.Equal(img.jump, o.jump) && img.jumpStage == o.jumpStage &&
 		img.jumpShift == o.jumpShift && len(img.stages) == len(o.stages)
 	for s := 0; same && s < len(img.stages); s++ {
 		a, b := &img.stages[s], &o.stages[s]

@@ -132,21 +132,30 @@ func TestCompilePartsAnyWorkers(t *testing.T) {
 	}
 }
 
+// withSpans returns a clone of img whose jump table keeps its spans, built
+// afresh from the words: what the first upset patched into a clone leaves.
+func withSpans(img *Image) *Image {
+	c := img.Clone()
+	c.ownJump()
+	return c
+}
+
 // TestJumpPartsReadOwnWords: on a compiled image each part's jump walks read
 // only its own words — at every level below partBits the parts' spans are
 // disjoint and in part order — so an upset there rebuilds one part's slots.
 func TestJumpPartsReadOwnWords(t *testing.T) {
 	for _, fx := range append(jumpFixtures(t), jumpFixture{"K=1/3725", 1, compileSingle(t, genTable(t, 3725, 1), 28)}) {
-		img := fx.img
+		img := withSpans(fx.img)
 		depth := 32 - int(img.jumpShift)
 		if depth <= partBits {
 			t.Fatalf("%s: a %d-bit table has no parts", fx.name, depth)
 		}
-		w := len(img.jumpSpan) / parts
+		span := img.jumpSpan()
+		w := len(span) / parts
 		for l := partBits; l < depth; l++ {
 			prev := -1
 			for p := range parts {
-				lo, hi := img.jumpSpan[p*w+2*(l-partBits)], img.jumpSpan[p*w+2*(l-partBits)+1]
+				lo, hi := span[p*w+2*(l-partBits)], span[p*w+2*(l-partBits)+1]
 				if lo > hi {
 					continue // the part has no word at this level
 				}
@@ -160,9 +169,9 @@ func TestJumpPartsReadOwnWords(t *testing.T) {
 }
 
 // TestJumpPatchMatchesBuild: after each of many upsets — child pointers and
-// leaf vectors in the stages the jump table stands for, and anywhere — the
-// table patched one part at a time, and its spans, are what a fresh build
-// of the words makes.
+// leaf vectors in the stages the jump table stands for, and anywhere — into
+// a clone of a compiled image, the table patched one part at a time, and
+// its spans, are what a fresh build of the words makes.
 func TestJumpPatchMatchesBuild(t *testing.T) {
 	for fi, fx := range append(jumpFixtures(t), jumpFixture{"K=1/3725", 1, compileSingle(t, genTable(t, 3725, 1), 28)}) {
 		rng := rand.New(rand.NewSource(int64(fi)))
@@ -180,10 +189,13 @@ func TestJumpPatchMatchesBuild(t *testing.T) {
 			if !ok || !img.FlipBit(s, i, bit) {
 				t.Fatalf("%s: upset %d at bit %d did not land", fx.name, n, off)
 			}
-			fresh := Flatten(img)
-			if !slices.Equal(img.jump, fresh.jump) || !slices.Equal(img.jumpSpan, fresh.jumpSpan) {
+			fresh := withSpans(Flatten(img))
+			if span := img.jumpSpan(); !slices.Equal(img.jump, fresh.jump) || span != nil && !slices.Equal(span, fresh.jumpSpan()) {
 				t.Fatalf("%s: after upset %d (stage %d entry %d bit %d) the patched table differs from a fresh build", fx.name, n, s, i, bit)
 			}
+		}
+		if img.jumpSpan() == nil {
+			t.Errorf("%s: no upset patched the table part by part", fx.name)
 		}
 		if !Flatten(fx.img).Equal(fx.img) {
 			t.Fatalf("%s: the upsets reached the pristine image", fx.name)
