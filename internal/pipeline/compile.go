@@ -413,6 +413,7 @@ func (c *compiler) writeTop() error {
 		}
 		pw, f := &c.w[p].writer, w.from[partBits]
 		pw.at[partBits], pw.from[partBits], pw.xor[f] = w.at[partBits], f, w.xor[f]
+		pw.placed[partBits] = 1 // the part's root, placed here
 		copy(pw.vec(int(f)), w.vec(int(f)))
 		if c.partInternal(p, partBits) == 0 {
 			c.slot[p] = int(w.leaves[partBits]) // the part writes its one leaf there
@@ -455,8 +456,12 @@ func (c *compiler) placeParts() {
 	}
 }
 
-// partLevel is part p's nodes and internal nodes at level l below its root.
+// partLevel is part p's nodes and internal nodes at level l, partBits (its
+// root) or deeper.
 func (c *compiler) partLevel(p, l int) (nodes, internal uint32) {
+	if l == partBits {
+		return 1, c.partInternal(p, l)
+	}
 	return 2 * c.partInternal(p, l-1), c.partInternal(p, l)
 }
 
@@ -485,14 +490,7 @@ func (c *compiler) writePart(p int, u *rib.Union) error {
 	for l := u.Q.Len; l >= partBits; l-- {
 		w.leave(l)
 	}
-	rootLeaf := uint32(0)
-	if c.partInternal(p, partBits) == 0 {
-		rootLeaf = 1
-	}
-	if w.leaves[partBits] != rootLeaf {
-		return fmt.Errorf("pipeline: part %d wrote %d leaves at its root, its counts say %d", p, w.leaves[partBits], rootLeaf)
-	}
-	for l := partBits + 1; l < len(c.img.Levels); l++ {
+	for l := partBits; l < len(c.img.Levels); l++ {
 		n, in := c.partLevel(p, l)
 		if w.placed[l] != n || w.leaves[l] != n-in {
 			return fmt.Errorf("pipeline: part %d holds %d nodes and %d leaves at level %d, its counts say %d and %d", p, w.placed[l], w.leaves[l], l, n, n-in)

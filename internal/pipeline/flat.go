@@ -138,8 +138,8 @@ func (img *Image) jumpRoots() (roots [parts]uint32) {
 // jumpPart fills the slots of part p's top bits, and the part's spans if
 // the table keeps them, from root, its entry at level partBits.
 func (img *Image) jumpPart(p int, root uint32) {
-	n, t := len(img.jump)/parts, img.jump
-	t = t[p*n : (p+1)*n]
+	n := len(img.jump) / parts
+	t := img.jump[p*n : (p+1)*n]
 	t[0] = root
 	var span []uint32
 	if all := img.jumpSpan(); len(all) > 0 {

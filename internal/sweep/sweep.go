@@ -66,8 +66,12 @@ func (s *split) claim() {
 	}
 }
 
-// pool is Split's helpers, started as Split first asks for them and never
-// stopped, and the free list of split records.
+// pool is Split's helpers and the free list of split records. A helper is
+// started the first time a Split wants more helpers than are up (at most
+// the largest Workers()-1 asked for) and lives as long as the process,
+// blocked on work between Splits and holding nothing: a fan-out of a few
+// milliseconds cannot afford to start goroutines, and stopping them would
+// buy nothing.
 var pool = helperPool{work: make(chan *split)}
 
 type helperPool struct {
