@@ -209,10 +209,12 @@ figures-smoke:
 # Short deterministic fuzz passes over the operator-facing spec parser (the
 # full corpus run is `go test -fuzz=FuzzParse ./internal/scenario`) and over
 # the reference LPM oracle against its exhaustive scan, with NewTable's
-# one-sort load against Add (`go test -fuzz=FuzzTableLookup ./internal/ip`).
+# load against Add (`go test -fuzz=FuzzTableLookup ./internal/ip`), and
+# NewTable over hostile and in-order route lists (FuzzNewTable).
 fuzz-smoke:
 	$(GO) test ./internal/scenario -run='^$$' -fuzz=FuzzParse -fuzztime=10s
 	$(GO) test ./internal/ip -run='^$$' -fuzz=FuzzTableLookup -fuzztime=10s
+	$(GO) test ./internal/ip -run='^$$' -fuzz=FuzzNewTable -fuzztime=10s
 
 # Short fuzz passes over the production engine against its oracles: the
 # batched/scalar/trie lookup equivalence, the streamed engine against the
@@ -267,7 +269,8 @@ bench:
 # lookup at a time, a chunk at a time as the verify loops call it, and build),
 # the image compiler, Image.Clone and Flatten (a re-derivation,
 # jump table included), what the control plane does to prepare one
-# hitless churn batch (apply, compile, diff, clone), and set-up:
+# hitless churn batch (apply, compile, diff, clone), and set-up: table
+# generation alone (one 300 000-prefix table and the paper's 8 x 3725),
 # core.Build of the paper's VM router, and core.Build plus netsim.New over
 # one 300 000-prefix table; and the three full-RIB fill rows: the churn
 # table's 100 k row (one VS engine, eight 24-op batches at half load, one run
@@ -283,7 +286,7 @@ bench:
 # BASE's interquartile range, or that BASE measured and the tree does not.
 # bench-gate-base.out, bench-gate-now.out and the report bench-gate.out are
 # kept as CI artifacts.
-GATE_BENCH = ^(BenchmarkPipelineLookup|BenchmarkPipelineLookupScalar|BenchmarkLookupStreamed|BenchmarkServeSlice|BenchmarkReferenceLookup|BenchmarkReferenceLookupAll|BenchmarkReferenceBuild|BenchmarkImageCompile|BenchmarkImageClone|BenchmarkImageFlatten|BenchmarkHitlessPrepare|BenchmarkBuildMerged|BenchmarkSetupFill|BenchmarkChurnFill|BenchmarkForwardFill|BenchmarkLoadFill)$$
+GATE_BENCH = ^(BenchmarkPipelineLookup|BenchmarkPipelineLookupScalar|BenchmarkLookupStreamed|BenchmarkServeSlice|BenchmarkReferenceLookup|BenchmarkReferenceLookupAll|BenchmarkReferenceBuild|BenchmarkImageCompile|BenchmarkImageClone|BenchmarkImageFlatten|BenchmarkHitlessPrepare|BenchmarkGenerateFill|BenchmarkBuildMerged|BenchmarkSetupFill|BenchmarkChurnFill|BenchmarkForwardFill|BenchmarkLoadFill)$$
 bench-gate: build
 	@$(BASE_TREE) && \
 	(cd "$$tmp" && $(GO) test -trimpath -c -o "$$tmp/base.test" .) && \

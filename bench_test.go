@@ -686,6 +686,54 @@ func BenchmarkSetupFill(b *testing.B) {
 	}
 }
 
+// generateFillShapes are BenchmarkGenerateFill's virtual sets: one
+// 300 000-route table, and the paper's eight 3725-route ones.
+var generateFillShapes = []struct{ k, prefixes int }{{1, 300000}, {8, 3725}}
+
+var setSink *rib.VirtualSet
+
+// BenchmarkGenerateFill times table generation alone, an op one
+// rib.GenerateVirtualSet of each of generateFillShapes at share 0.5 and
+// seed 1: what every set-up pays before it builds a router. Gated by `make
+// bench-gate`.
+func BenchmarkGenerateFill(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, s := range generateFillShapes {
+			set, err := rib.GenerateVirtualSet(s.k, s.prefixes, 0.5, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			setSink = set
+		}
+	}
+}
+
+// TestGenerateFillSmallScale pins BenchmarkGenerateFill's sets at 1/32 of
+// their routes by the digest of every route, next hops included, at one
+// sweep worker and at eight.
+func TestGenerateFillSmallScale(t *testing.T) {
+	defer sweep.SetWorkers(0)
+	for _, workers := range []int{1, 8} {
+		sweep.SetWorkers(workers)
+		h := sha256.New()
+		for _, s := range generateFillShapes {
+			set, err := rib.GenerateVirtualSet(s.k, s.prefixes/32, 0.5, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, tbl := range set.Tables {
+				for _, r := range tbl.Routes {
+					fmt.Fprintf(h, "%s %d\n", r.Prefix, r.NextHop)
+				}
+			}
+		}
+		if got, want := fmt.Sprintf("%x", h.Sum(nil)), "29db13ec119b5f83cbe499e57027502e7f96e62aab514b307fd854732128eb8e"; got != want {
+			t.Errorf("%d workers: routes digest %s, want %s", workers, got, want)
+		}
+	}
+}
+
 // churnFill is the churn table's 100 k row (lookupsim -scheme VS -k 1
 // -prefixes 100000: tables at seed 1, traffic at seed 2): one VS engine over
 // 100 000 prefixes. runChurnFill runs spec over it and fails on any mismatch

@@ -54,6 +54,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 	"strings"
 	"time"
 
@@ -572,17 +573,18 @@ func (o *options) runScenario(sys *netsim.System, gen *traffic.Generator, scheme
 		if len(rep.SEUs) > 0 {
 			mt := report.NewTable("SEU lifecycle (cycles)",
 				"Seq", "Engine", "Stage/Index/Bit", "Injected", "Detected via", "Repaired", "TTR")
+			// One row per upset, thousands on a long run: the cells are
+			// formatted by strconv, not fmt.
 			for _, u := range rep.SEUs {
 				det, repd, ttr := "-", "-", "-"
 				if u.DetectedAt >= 0 {
-					det = fmt.Sprintf("%d %s", u.DetectedAt, u.Via)
+					det = strconv.FormatInt(u.DetectedAt, 10) + " " + u.Via
 				}
 				if u.RepairedAt >= 0 {
-					repd = fmt.Sprintf("%d", u.RepairedAt)
-					ttr = fmt.Sprintf("%d", u.RepairedAt-u.Cycle)
+					repd, ttr = strconv.FormatInt(u.RepairedAt, 10), strconv.FormatInt(u.RepairedAt-u.Cycle, 10)
 				}
-				mt.AddF(u.Seq, u.Engine, fmt.Sprintf("%d/%d/%d", u.Stage, u.Index, u.Bit),
-					u.Cycle, det, repd, ttr)
+				where := strconv.Itoa(u.Stage) + "/" + strconv.FormatUint(uint64(u.Index), 10) + "/" + strconv.Itoa(u.Bit)
+				mt.AddF(u.Seq, u.Engine, where, u.Cycle, det, repd, ttr)
 			}
 			o.print(mt)
 		}

@@ -8,5 +8,6 @@ type ScanModel = scanModel
 var (
 	CheckAgainstScan = checkAgainstScan
 	CheckNewTable    = checkNewTable
+	CheckRanges      = checkRanges
 	ScanLookup       = scanLookup
 )

@@ -2,6 +2,7 @@ package ip_test
 
 import (
 	"encoding/binary"
+	"slices"
 	"testing"
 
 	"vrpower/internal/ip"
@@ -123,5 +124,63 @@ func FuzzLookupAll(f *testing.F) {
 				t.Fatalf("LookupAll of %d addresses: [%d] %s -> %d, scan says %d", len(addrs), i, a, out[i], want)
 			}
 		}
+	})
+}
+
+// routeRec is one 6-byte record of FuzzNewTable's input: an address, a raw
+// signed length and a next hop.
+const routeRec = 6
+
+// FuzzNewTable loads arbitrary route lists with NewTable: out of order,
+// prefixes repeated under other next hops, host bits set, lengths outside
+// [0,32]. The first byte picks the list: mode 0 is the records as they come;
+// mode 1 is the routes their Adds leave, in canonical order (which NewTable
+// reads as they stand); mode 2 is mode 1's list with the last record
+// appended raw, one violation at the end. NewTable must not panic, and must
+// give the table Add builds from the same list one route at a time, and the
+// scan's answer at every route's edges.
+func FuzzNewTable(f *testing.F) {
+	for seed := int64(1); seed <= 3; seed++ {
+		tbl, err := rib.Generate("seed", 24, seed)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for mode := byte(0); mode < 3; mode++ {
+			recs := []byte{mode}
+			for _, r := range tbl.Routes {
+				recs = binary.BigEndian.AppendUint32(recs, uint32(r.Prefix.Addr))
+				recs = append(recs, byte(r.Prefix.Len), byte(r.NextHop))
+			}
+			f.Add(recs)
+		}
+	}
+	// Host bits, a repeat under another hop, /0, /32 and lengths 33 and -1.
+	f.Add([]byte{2, 10, 1, 2, 3, 8, 5, 10, 0, 0, 0, 8, 6, 0, 0, 0, 0, 0, 1,
+		255, 255, 255, 255, 32, 2, 9, 0, 0, 0, 33, 3, 9, 0, 0, 0, 0xff, 4})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		mode := data[0] % 3
+		var routes []ip.Route
+		var model ip.ScanModel
+		for recs := data[1:]; len(recs) >= routeRec; recs = recs[routeRec:] {
+			p := ip.Prefix{Addr: ip.Addr(binary.BigEndian.Uint32(recs)), Len: int(int8(recs[4]))}
+			r := ip.Route{Prefix: p, NextHop: ip.NextHop(recs[5])}
+			routes = append(routes, r)
+			_ = model.Add(r)
+		}
+		if mode > 0 {
+			raw := routes
+			routes = slices.Clone(model)
+			slices.SortFunc(routes, func(a, b ip.Route) int { return ip.Compare(a.Prefix, b.Prefix) })
+			if mode == 2 && len(raw) > 0 {
+				routes = append(routes, raw[len(raw)-1])
+				_ = model.Add(raw[len(raw)-1])
+			}
+		}
+		ip.CheckNewTable(t, routes)
+		ip.CheckRanges(t, ip.NewTable(routes), model)
 	})
 }

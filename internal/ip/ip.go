@@ -201,54 +201,122 @@ type rangeIndex struct {
 	hops   []NextHop
 }
 
-// posBits is the width of a route's input position in NewTable's sort word,
+// NewTable returns the table that Add would build from routes, one after
+// another: host bits are cleared, a route whose length is outside [0,32] is
+// left out, and of two routes for one prefix the later wins. Routes in
+// canonical order — sorted by Compare, no prefix twice, no host bits, every
+// length in range, as every generated and churned table is — are read as
+// they stand; any others are first copied into that order (canonical). One
+// pass over the canonical routes fills the per-length arrays and the range
+// index together, so the table it returns is indexed.
+func NewTable(routes []Route) *Table {
+	count, ok := census(routes)
+	if !ok {
+		routes = canonical(routes)
+		count, _ = census(routes)
+	}
+	// Each length's arrays are a run of one array apiece, capped so that an
+	// Add to one length moves it out instead of overwriting the next. at[l]
+	// is where the next /l route goes.
+	t := &Table{}
+	keys, hops := make([]Addr, len(routes)), make([]NextHop, len(routes))
+	var at [33]int
+	for l, off := 0, 0; l <= 32; l++ {
+		at[l] = off
+		off += count[l]
+	}
+	// The range index, swept in the same pass. Canonical order visits
+	// prefixes by start address and, at one address, outermost first; the
+	// prefixes covering the current address are kept on a stack (nested, so
+	// at most 33 deep): a prefix opens a range with its own next hop where it
+	// starts, and where it ends the range of the prefix below it on the stack
+	// (or of no route) resumes.
+	starts, answers := make([]Addr, 1, 2*len(routes)+1), make([]NextHop, 1, 2*len(routes)+1)
+	var open [33]struct {
+		end uint64 // one past the prefix's last address; 1<<32 at the top
+		hop NextHop
+	}
+	depth := 0
+	for i := 0; ; i++ {
+		start := uint64(1) << 32 // past the last route every open prefix ends
+		if i < len(routes) {
+			start = uint64(routes[i].Prefix.Addr)
+		}
+		for depth > 0 && open[depth-1].end <= start {
+			depth--
+			outer := NoRoute
+			if depth > 0 {
+				outer = open[depth-1].hop
+			}
+			starts, answers = cut(starts, answers, open[depth].end, outer)
+		}
+		if i == len(routes) {
+			break
+		}
+		l, hop := routes[i].Prefix.Len, routes[i].NextHop
+		keys[at[l]], hops[at[l]] = Addr(start), hop
+		at[l]++
+		open[depth].end, open[depth].hop = start+1<<(32-l), hop
+		depth++
+		starts, answers = cut(starts, answers, start, hop)
+	}
+	for l, off := 0, 0; l <= 32; l++ {
+		t.keys[l], t.hops[l] = keys[off:at[l]:at[l]], hops[off:at[l]:at[l]]
+		off = at[l]
+	}
+	t.index.Store(&rangeIndex{starts: starts, hops: answers})
+	return t
+}
+
+// census counts routes by length and reports whether they are in canonical
+// order (see NewTable). The counts are whole only when they are.
+func census(routes []Route) (count [33]int, ok bool) {
+	prev := uint64(0)
+	for i, r := range routes {
+		l := r.Prefix.Len
+		if l < 0 || l > 32 || r.Prefix.Addr&^Mask(l) != 0 {
+			return count, false
+		}
+		key := uint64(r.Prefix.Addr)<<6 | uint64(l)
+		if i > 0 && key <= prev {
+			return count, false
+		}
+		prev = key
+		count[l]++
+	}
+	return count, true
+}
+
+// posBits is the width of a route's input position in canonical's sort word,
 // below its address (32 bits) and length (6 bits).
 const posBits = 26
 
-// NewTable returns the table that Add would build from routes, one after
-// another: host bits are cleared, a route whose length is outside [0,32] is
-// left out, and of two routes for one prefix the later wins. It sorts the
-// routes once, each packed into a word of address, length and input
-// position, fills the per-length arrays from the sorted words in order and
-// sweeps the same words into the range index, so the table it returns is
-// indexed. It takes at most 1<<26 routes.
-func NewTable(routes []Route) *Table {
+// canonical returns routes in canonical order as Add would leave them: host
+// bits cleared, lengths outside [0,32] left out, and of the routes for one
+// prefix the later kept. It sorts the routes once, each packed into a word
+// of address, length and input position, and takes at most 1<<26 routes.
+func canonical(routes []Route) []Route {
 	if len(routes) > 1<<posBits {
-		panic(fmt.Sprintf("ip: NewTable of %d routes, more than 1<<%d", len(routes), posBits))
+		panic(fmt.Sprintf("ip: NewTable of %d unordered routes, more than 1<<%d", len(routes), posBits))
 	}
-	var count [33]int
 	words := make([]uint64, 0, len(routes))
 	for i, r := range routes {
 		if l := r.Prefix.Len; l >= 0 && l <= 32 {
-			count[l]++
 			words = append(words, uint64(r.Prefix.Addr&Mask(l))<<32|uint64(l)<<posBits|uint64(i))
 		}
 	}
 	slices.Sort(words)
-	// Each length's arrays are a run of one array apiece, capped so that an
-	// Add to one length moves it out instead of overwriting the next.
-	t := &Table{}
-	keys, hops := make([]Addr, len(words)), make([]NextHop, len(words))
-	off := 0
-	for l, c := range count {
-		t.keys[l], t.hops[l] = keys[off:off:off+c], hops[off:off:off+c]
-		off += c
-	}
 	// Of the words for one prefix, adjacent and in input order, the last is
-	// the route that stands. It is kept, rewritten in place as the sweep's
-	// word: n never passes i, so no word is rewritten before it is read.
-	n := 0
+	// the route that stands.
+	out := make([]Route, 0, len(words))
 	for i, w := range words {
 		if i+1 < len(words) && words[i+1]>>posBits == w>>posBits {
 			continue
 		}
-		key, l, hop := Addr(w>>32), int(w>>posBits&63), routes[w&(1<<posBits-1)].NextHop
-		t.keys[l], t.hops[l] = append(t.keys[l], key), append(t.hops[l], hop)
-		words[n] = rangeWord(key, l, hop)
-		n++
+		p := Prefix{Addr: Addr(w >> 32), Len: int(w >> posBits & 63)}
+		out = append(out, Route{Prefix: p, NextHop: routes[w&(1<<posBits-1)].NextHop})
 	}
-	t.index.Store(sweep(words[:n]))
-	return t
+	return out
 }
 
 // Add inserts or replaces the route for r.Prefix. Host bits beyond the prefix
@@ -368,9 +436,17 @@ func (t *Table) ranges() *rangeIndex {
 }
 
 // build publishes a range index unless a racing caller has, and returns the
-// one published. It is a call of its own, so that ranges inlines.
+// one published. It is a call of its own, so that ranges inlines. The index
+// is NewTable's, built from the routes as the per-length arrays hold them
+// after an edit (by length, so the build takes its sorting copy).
 func (t *Table) build() *rangeIndex {
-	t.index.CompareAndSwap(nil, t.buildRanges())
+	routes := make([]Route, 0, t.Len())
+	for l := range t.keys {
+		for i, k := range t.keys[l] {
+			routes = append(routes, Route{Prefix{Addr: k, Len: l}, t.hops[l][i]})
+		}
+	}
+	t.index.CompareAndSwap(nil, NewTable(routes).index.Load())
 	return t.index.Load()
 }
 
@@ -384,77 +460,24 @@ func (x *rangeIndex) probe(lo, half int, addr Addr) int {
 	return lo + half&^int((int64(addr)-int64(x.starts[lo+half]))>>63)
 }
 
-// buildRanges derives the range index from the per-length arrays, as they
-// stand after an edit: one sweep word per route, sorted.
-func (t *Table) buildRanges() *rangeIndex {
-	words := make([]uint64, 0, t.Len())
-	for l := range t.keys {
-		for i, k := range t.keys[l] {
-			words = append(words, rangeWord(k, l, t.hops[l][i]))
-		}
-	}
-	slices.Sort(words)
-	return sweep(words)
-}
-
-// rangeWord packs a route as sweep reads it: start address above length
-// above next hop, so that sorted words visit prefixes by start address and,
-// at one address, outermost first.
-func rangeWord(key Addr, l int, hop NextHop) uint64 {
-	return uint64(key)<<32 | uint64(l)<<16 | uint64(hop)
-}
-
-// sweep builds the range index from sorted rangeWords, one per prefix. It
-// keeps the prefixes covering the current address on a stack (nested, so at
-// most 33 deep): a prefix opens a range with its own next hop where it
-// starts, and where it ends the range of the prefix below it on the stack
-// (or of no route) resumes.
-func sweep(words []uint64) *rangeIndex {
-	x := &rangeIndex{starts: make([]Addr, 1, 2*len(words)+1), hops: make([]NextHop, 1, 2*len(words)+1)}
-	var open [33]struct {
-		end uint64 // one past the prefix's last address; 1<<32 at the top
-		hop NextHop
-	}
-	depth := 0
-	for i := 0; ; i++ {
-		start := uint64(1) << 32 // past the last route every open prefix ends
-		if i < len(words) {
-			start = words[i] >> 32
-		}
-		for depth > 0 && open[depth-1].end <= start {
-			depth--
-			outer := NoRoute
-			if depth > 0 {
-				outer = open[depth-1].hop
-			}
-			x.cut(open[depth].end, outer)
-		}
-		if i == len(words) {
-			return x
-		}
-		l, hop := uint(words[i]>>16)&0xFFFF, NextHop(words[i])
-		open[depth].end, open[depth].hop = start+1<<(32-l), hop
-		depth++
-		x.cut(start, hop)
-	}
-}
-
-// cut makes hop the answer from address at upward. A cut at the address of
-// the previous one replaces it (a longer prefix starting where a shorter one
+// cut makes hop the answer from address at upward in the range index being
+// built (starts, hops), and returns the index. A cut at the address of the
+// previous one replaces it (a longer prefix starting where a shorter one
 // does, or two prefixes ending together); one that changes nothing, or lies
 // past the top of the address space, is dropped — so neighbouring ranges
 // always differ and the index is the coarsest partition there is.
-func (x *rangeIndex) cut(at uint64, hop NextHop) {
-	last := len(x.starts) - 1
+func cut(starts []Addr, hops []NextHop, at uint64, hop NextHop) ([]Addr, []NextHop) {
+	last := len(starts) - 1
 	switch {
 	case at > uint64(^Addr(0)):
-	case uint64(x.starts[last]) != at:
-		if x.hops[last] != hop {
-			x.starts, x.hops = append(x.starts, Addr(at)), append(x.hops, hop)
+	case uint64(starts[last]) != at:
+		if hops[last] != hop {
+			starts, hops = append(starts, Addr(at)), append(hops, hop)
 		}
-	case last > 0 && x.hops[last-1] == hop:
-		x.starts, x.hops = x.starts[:last], x.hops[:last]
+	case last > 0 && hops[last-1] == hop:
+		starts, hops = starts[:last], hops[:last]
 	default:
-		x.hops[last] = hop
+		hops[last] = hop
 	}
+	return starts, hops
 }

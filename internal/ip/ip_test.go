@@ -695,9 +695,21 @@ func checkNewTable(t *testing.T, routes []Route) {
 	}
 }
 
+// inOrder returns m's routes in canonical order: sorted by Compare, as the
+// model holds each prefix once, canonicalised.
+func inOrder(m scanModel) []Route {
+	routes := slices.Clone(m)
+	slices.SortFunc(routes, func(a, b Route) int { return Compare(a.Prefix, b.Prefix) })
+	return routes
+}
+
 // NewTable on random route sets with repeated prefixes (the later route
 // standing), /0 and /32 routes, host bits, lengths outside [0,32] and no
-// order, against Add in input order and against the scan.
+// order, against Add in input order and against the scan; then on the same
+// routes in canonical order, which NewTable reads as they stand, and on
+// those with one route more at the end that breaks the order — one before
+// the last, a repeat of it under another next hop, one with host bits, one
+// of length 33 — which sends NewTable through its sorting copy.
 func TestNewTableEqualsAdds(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	checkNewTable(t, nil)
@@ -721,5 +733,31 @@ func TestNewTableEqualsAdds(t *testing.T) {
 			_ = m.Add(r)
 		}
 		checkRanges(t, NewTable(routes), m)
+
+		ordered := inOrder(m)
+		if _, ok := census(ordered); !ok {
+			t.Fatalf("iteration %d: %d routes in canonical order read as out of order", iter, len(ordered))
+		}
+		checkNewTable(t, ordered)
+		checkRanges(t, NewTable(ordered), m)
+		if len(ordered) < 2 {
+			continue
+		}
+		last := ordered[len(ordered)-1].Prefix
+		for _, extra := range []Route{
+			ordered[rng.Intn(len(ordered)-1)],
+			{last, ordered[len(ordered)-1].NextHop + 1},
+			{Prefix{Addr: last.Addr | 1, Len: 31}, 5},
+			{Prefix{Addr: ^Addr(0), Len: 33}, 6},
+		} {
+			broken := append(slices.Clone(ordered), extra)
+			if _, ok := census(broken); ok {
+				t.Fatalf("iteration %d: %s after %s read as in order", iter, extra.Prefix, last)
+			}
+			checkNewTable(t, broken)
+			mb := slices.Clone(m)
+			_ = mb.Add(extra)
+			checkRanges(t, NewTable(broken), mb)
+		}
 	}
 }

@@ -5,7 +5,9 @@ package report
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // Table is a titled grid of cells.
@@ -36,9 +38,9 @@ func (t *Table) AddF(values ...interface{}) {
 		case float64:
 			row[i] = fmt.Sprintf("%.4g", x)
 		case int:
-			row[i] = fmt.Sprintf("%d", x)
+			row[i] = strconv.Itoa(x)
 		case int64:
-			row[i] = fmt.Sprintf("%d", x)
+			row[i] = strconv.FormatInt(x, 10)
 		default:
 			row[i] = fmt.Sprintf("%v", x)
 		}
@@ -68,7 +70,8 @@ func (t *Table) String() string {
 	}
 	var b strings.Builder
 	if t.Title != "" {
-		fmt.Fprintf(&b, "%s\n", t.Title)
+		b.WriteString(t.Title)
+		b.WriteByte('\n')
 	}
 	writeRow := func(row []string) {
 		for i := 0; i < ncol; i++ {
@@ -79,7 +82,11 @@ func (t *Table) String() string {
 			if i > 0 {
 				b.WriteString("  ")
 			}
-			fmt.Fprintf(&b, "%-*s", widths[i], cell)
+			// Padded to the column's width in runes, as fmt's "%-*s" pads.
+			b.WriteString(cell)
+			for n := widths[i] - utf8.RuneCountInString(cell); n > 0; n-- {
+				b.WriteByte(' ')
+			}
 		}
 		b.WriteString("\n")
 	}

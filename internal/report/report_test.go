@@ -1,6 +1,8 @@
 package report
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -37,6 +39,38 @@ func TestTableAddF(t *testing.T) {
 	}
 	if tb.Rows[0][2] != "7" || tb.Rows[0][3] != "8" {
 		t.Errorf("int cells wrong: %v", tb.Rows[0])
+	}
+}
+
+// String and AddF format without fmt; they must give what the fmt forms
+// they replaced give: cells padded to the column width in runes (a cell
+// with a multi-byte rune gets fewer bytes of padding), and %d integers.
+func TestTableMatchesFmt(t *testing.T) {
+	tb := NewTable("α title", "VM(α=20%)", "n", "m")
+	tb.AddF("x", -7, int64(math.MinInt64))
+	tb.AddF("ααα", math.MaxInt, int64(12345678901))
+	tb.Add("", "")
+	var want strings.Builder
+	want.WriteString("α title\n")
+	widths := []int{len("VM(α=20%)"), len(fmt.Sprint(math.MaxInt)), len(fmt.Sprint(int64(math.MinInt64)))}
+	rows := [][]string{
+		{"VM(α=20%)", "n", "m"},
+		{strings.Repeat("-", widths[0]), strings.Repeat("-", widths[1]), strings.Repeat("-", widths[2])},
+		{"x", fmt.Sprintf("%d", -7), fmt.Sprintf("%d", int64(math.MinInt64))},
+		{"ααα", fmt.Sprintf("%d", math.MaxInt), fmt.Sprintf("%d", int64(12345678901))},
+		{"", "", ""},
+	}
+	for _, r := range rows {
+		for i, c := range r {
+			if i > 0 {
+				want.WriteString("  ")
+			}
+			fmt.Fprintf(&want, "%-*s", widths[i], c)
+		}
+		want.WriteString("\n")
+	}
+	if got := tb.String(); got != want.String() {
+		t.Errorf("String:\n%q\nwant:\n%q", got, want.String())
 	}
 }
 

@@ -2,6 +2,7 @@ package rib
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
 
@@ -62,20 +63,15 @@ func generate(name string, prefixes, room int, seed int64) (*Table, error) {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	t := &Table{Name: name, Routes: make([]ip.Route, 0, prefixes+room)}
-	// seen holds each prefix drawn so far as one integer, address above
-	// length. A duplicate draws no next hop.
-	seen := make(map[uint64]struct{}, prefixes)
-
+	// seen holds each prefix drawn so far. A duplicate draws no next hop.
+	seen := newPrefixSet(prefixes)
 	add := func(p ip.Prefix) {
-		key := uint64(p.Addr)<<8 | uint64(p.Len)
-		if _, dup := seen[key]; dup {
-			return
+		if seen.insert(p) {
+			t.Routes = append(t.Routes, ip.Route{
+				Prefix:  p,
+				NextHop: ip.NextHop(1 + rng.Intn(ports)),
+			})
 		}
-		seen[key] = struct{}{}
-		t.Routes = append(t.Routes, ip.Route{
-			Prefix:  p,
-			NextHop: ip.NextHop(1 + rng.Intn(ports)),
-		})
 	}
 
 	scattered := int(float64(prefixes) * scatterShare)
@@ -162,8 +158,45 @@ func generate(name string, prefixes, room int, seed int64) (*Table, error) {
 		length := scatterLen(rng)
 		add(ip.MustPrefix(ip.Addr(rng.Uint32()), length))
 	}
-	t.Sort()
+	// The set is done with, and its slots outnumber the routes: the sort's
+	// words go there.
+	t.sortIn(seen.slots)
 	return t, nil
+}
+
+// prefixSet is a set of prefixes in one flat array: open addressing with
+// linear probing over twice as many slots as the prefixes it is sized for,
+// so it is at most half full. A slot holds its prefix packed as address
+// above length, with a top bit that tells it from an empty (zero) slot.
+type prefixSet struct {
+	slots []uint64
+}
+
+// newPrefixSet returns a set with room for n prefixes.
+func newPrefixSet(n int) prefixSet {
+	return prefixSet{slots: make([]uint64, 2*n)}
+}
+
+// insert adds p, reporting whether it was not in the set already. The
+// probe starts at the slot the key's multiplicative hash picks (its top
+// bits scaled to the slot count) and walks on past the slots other keys
+// hold until it finds p or an empty slot, which p then takes.
+func (s prefixSet) insert(p ip.Prefix) bool {
+	h := uint64(p.Addr)<<8 | uint64(p.Len)
+	key := 1<<63 | h
+	i, _ := bits.Mul64(h*0x9e3779b97f4a7c15, uint64(len(s.slots)))
+	for {
+		switch s.slots[i] {
+		case 0:
+			s.slots[i] = key
+			return true
+		case key:
+			return false
+		}
+		if i++; i == uint64(len(s.slots)) {
+			i = 0
+		}
+	}
 }
 
 // scatterLen draws a prefix length for scattered announcements roughly
